@@ -193,7 +193,7 @@ pub fn fig6(args: &ExpArgs) {
                 s.media_type.label(),
                 key.flow
             );
-            for sub in s.substreams.values() {
+            for sub in &s.substreams {
                 println!(
                     "    sub-stream PT {:>3} ({:<14}) packets={}",
                     sub.payload_type,
@@ -494,8 +494,8 @@ pub fn fig14(run: &CampusRun, args: &ExpArgs) {
     ] {
         let mut tb = TimeBins::new(minute, args.duration());
         for s in run.analyzer.streams().of_type(media) {
-            for (t, v) in s.media_rate.sorted() {
-                tb.add(t, v);
+            for row in s.rates.rows() {
+                tb.add(row.start_nanos(), row.media_bytes as f64);
             }
         }
         bins.insert(label, tb);

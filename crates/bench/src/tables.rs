@@ -164,7 +164,7 @@ pub fn table4(run: &CampusRun) {
             "Overall Bit Rate (§5.1)",
             false,
             false,
-            !a.flows().is_empty(),
+            a.flows().next().is_some(),
         ),
         (
             "Media Bit Rate (§5.1)",

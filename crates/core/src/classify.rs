@@ -9,7 +9,7 @@
 //! describe the ZME encapsulation); [`Classifier::table6`] breaks media
 //! down per family for multi-family traces.
 
-use std::collections::HashMap;
+use crate::position_hinted;
 use zoom_wire::family::{FamilyId, ALL_FAMILIES, FAMILY_COUNT};
 use zoom_wire::zoom::{MediaType, RtpPayloadKind};
 
@@ -27,6 +27,11 @@ impl Counts {
         self.packets += 1;
         self.bytes += bytes as u64;
     }
+
+    fn merge(&mut self, other: &Counts) {
+        self.packets += other.packets;
+        self.bytes += other.bytes;
+    }
 }
 
 /// One row of a rendered table.
@@ -42,17 +47,40 @@ pub struct TableRow {
     pub bytes_pct: f64,
 }
 
+/// The five media-encapsulation type values Table 2 lists.
+const KNOWN_TYPES: [u8; 5] = [13, 15, 16, 33, 34];
+
 /// Accumulates the classification tables.
-#[derive(Debug, Default)]
+///
+/// Every counter is reached by index, not by hashing: the type byte
+/// indexes a 256-entry table per family, and the handful of (media type,
+/// payload type) pairs a trace carries live in a short vector searched
+/// from the most recent hit.
+#[derive(Debug)]
 pub struct Classifier {
     total: Counts,
     by_family: [Counts; FAMILY_COUNT],
-    /// Zoom family only: ZME type byte → counts (Table 2).
-    by_media_type: HashMap<u8, Counts>,
-    /// Zoom family only: (media type, RTP PT) → counts (Table 3).
-    by_payload_kind: HashMap<(MediaType, u8), Counts>,
-    /// All families: (family index, media type byte) → counts (Table 6).
-    by_family_media: HashMap<(usize, u8), Counts>,
+    /// Per family: media type byte → counts. The Zoom family's table is
+    /// Table 2; all of them together are Table 6. (Boxed: 8 KiB of
+    /// counters should not ride along when an analyzer is moved.)
+    by_family_media: Box<[[Counts; 256]; FAMILY_COUNT]>,
+    /// Zoom family only: (media type byte, RTP PT) → counts (Table 3),
+    /// in first-seen order.
+    by_payload_kind: Vec<((u8, u8), Counts)>,
+    /// Index into `by_payload_kind` of the pair counted last.
+    last_payload_kind: usize,
+}
+
+impl Default for Classifier {
+    fn default() -> Classifier {
+        Classifier {
+            total: Counts::default(),
+            by_family: [Counts::default(); FAMILY_COUNT],
+            by_family_media: Box::new([[Counts::default(); 256]; FAMILY_COUNT]),
+            by_payload_kind: Vec::new(),
+            last_payload_kind: 0,
+        }
+    }
 }
 
 impl Classifier {
@@ -65,26 +93,41 @@ impl Classifier {
     /// `pt` when it is a media packet) of total IP length `ip_len`, under
     /// `family`. The Zoom-specific tables (2 and 3) only accumulate Zoom
     /// packets; every family feeds the totals and the Table-6 breakdown.
-    pub fn record(&mut self, family: FamilyId, media_type: MediaType, pt: Option<u8>, ip_len: usize) {
+    pub fn record(
+        &mut self,
+        family: FamilyId,
+        media_type: MediaType,
+        pt: Option<u8>,
+        ip_len: usize,
+    ) {
         self.total.add(ip_len);
         self.by_family[family.index()].add(ip_len);
-        self.by_family_media
-            .entry((family.index(), media_type.to_byte()))
-            .or_default()
-            .add(ip_len);
+        let type_byte = media_type.to_byte();
+        self.by_family_media[family.index()][usize::from(type_byte)].add(ip_len);
         if family != FamilyId::Zoom {
             return;
         }
-        self.by_media_type
-            .entry(media_type.to_byte())
-            .or_default()
-            .add(ip_len);
         if let Some(pt) = pt {
-            self.by_payload_kind
-                .entry((media_type, pt))
-                .or_default()
-                .add(ip_len);
+            self.payload_kind_mut((type_byte, pt)).add(ip_len);
         }
+    }
+
+    /// The Table-3 counter of `key`, created on first use.
+    fn payload_kind_mut(&mut self, key: (u8, u8)) -> &mut Counts {
+        let hit = position_hinted(&self.by_payload_kind, self.last_payload_kind, |(k, _)| {
+            *k == key
+        })
+        .unwrap_or_else(|| {
+            self.by_payload_kind.push((key, Counts::default()));
+            self.by_payload_kind.len() - 1
+        });
+        self.last_payload_kind = hit;
+        &mut self.by_payload_kind[hit].1
+    }
+
+    /// The Zoom family's per-type counters (Table 2's source).
+    fn zoom_media(&self) -> &[Counts; 256] {
+        &self.by_family_media[FamilyId::Zoom.index()]
     }
 
     /// Total packets seen (all families).
@@ -121,56 +164,54 @@ impl Classifier {
     /// every counter is a plain sum, so shard-local accounting followed by
     /// one merge equals sequential accounting).
     pub(crate) fn merge(&mut self, other: &Classifier) {
-        self.total.packets += other.total.packets;
-        self.total.bytes += other.total.bytes;
+        self.total.merge(&other.total);
         for (mine, theirs) in self.by_family.iter_mut().zip(other.by_family.iter()) {
-            mine.packets += theirs.packets;
-            mine.bytes += theirs.bytes;
+            mine.merge(theirs);
         }
-        for (&t, c) in &other.by_media_type {
-            let e = self.by_media_type.entry(t).or_default();
-            e.packets += c.packets;
-            e.bytes += c.bytes;
+        for (mine, theirs) in self
+            .by_family_media
+            .iter_mut()
+            .flatten()
+            .zip(other.by_family_media.iter().flatten())
+        {
+            mine.merge(theirs);
         }
-        for (&k, c) in &other.by_payload_kind {
-            let e = self.by_payload_kind.entry(k).or_default();
-            e.packets += c.packets;
-            e.bytes += c.bytes;
+        for (key, c) in &other.by_payload_kind {
+            self.payload_kind_mut(*key).merge(c);
         }
-        for (&k, c) in &other.by_family_media {
-            let e = self.by_family_media.entry(k).or_default();
-            e.packets += c.packets;
-            e.bytes += c.bytes;
-        }
+    }
+
+    /// `c` as percentages of all classified packets and bytes.
+    fn shares(&self, c: &Counts) -> (f64, f64) {
+        (
+            100.0 * c.packets as f64 / self.total.packets.max(1) as f64,
+            100.0 * c.bytes as f64 / self.total.bytes.max(1) as f64,
+        )
     }
 
     /// Fraction of packets successfully decoded as one of the five known
     /// media-encapsulation types (the paper: 90.03 % pkts, 94.5 % bytes).
     pub fn decoded_fraction(&self) -> (f64, f64) {
-        let known = [13u8, 15, 16, 33, 34];
-        let mut pkts = 0u64;
-        let mut bytes = 0u64;
-        for t in known {
-            if let Some(c) = self.by_media_type.get(&t) {
-                pkts += c.packets;
-                bytes += c.bytes;
-            }
+        let mut known = Counts::default();
+        for t in KNOWN_TYPES {
+            known.merge(&self.zoom_media()[usize::from(t)]);
         }
         (
-            pkts as f64 / self.total.packets.max(1) as f64,
-            bytes as f64 / self.total.bytes.max(1) as f64,
+            known.packets as f64 / self.total.packets.max(1) as f64,
+            known.bytes as f64 / self.total.bytes.max(1) as f64,
         )
     }
 
     /// Table 2: media-encapsulation type values with offsets and shares,
-    /// sorted by packet share descending.
+    /// sorted by packet share descending, equal shares by type value.
     pub fn table2(&self) -> Vec<TableRow> {
-        let mut rows: Vec<TableRow> = self
-            .by_media_type
+        let mut rows: Vec<TableRow> = KNOWN_TYPES
             .iter()
-            .filter(|(t, _)| [13u8, 15, 16, 33, 34].contains(t))
-            .map(|(&t, c)| {
+            .map(|&t| (t, &self.zoom_media()[usize::from(t)]))
+            .filter(|(_, c)| c.packets > 0)
+            .map(|(t, c)| {
                 let mt = MediaType::from_byte(t);
+                let (packets_pct, bytes_pct) = self.shares(c);
                 TableRow {
                     label: format!("{t}"),
                     detail: format!(
@@ -178,71 +219,77 @@ impl Classifier {
                         mt.label(),
                         mt.payload_offset().unwrap_or(0)
                     ),
-                    packets_pct: 100.0 * c.packets as f64 / self.total.packets.max(1) as f64,
-                    bytes_pct: 100.0 * c.bytes as f64 / self.total.bytes.max(1) as f64,
+                    packets_pct,
+                    bytes_pct,
                 }
             })
             .collect();
+        // Stable sort over rows built in ascending type order: the type
+        // value breaks ties.
         rows.sort_by(|a, b| b.packets_pct.total_cmp(&a.packets_pct));
         rows
     }
 
-    /// Table 3: RTP payload types per media type, sorted by packet share.
+    /// Table 3: RTP payload types per media type, sorted by packet share
+    /// descending, equal shares by (media type, payload type).
     pub fn table3(&self) -> Vec<TableRow> {
-        let mut rows: Vec<TableRow> = self
-            .by_payload_kind
-            .iter()
-            .map(|(&(mt, pt), c)| {
+        let mut pairs: Vec<&((u8, u8), Counts)> = self.by_payload_kind.iter().collect();
+        pairs.sort_by(|(ka, a), (kb, b)| b.packets.cmp(&a.packets).then(ka.cmp(kb)));
+        pairs
+            .into_iter()
+            .map(|&((t, pt), ref c)| {
+                let mt = MediaType::from_byte(t);
                 let kind = RtpPayloadKind::classify(mt, pt);
+                let (packets_pct, bytes_pct) = self.shares(c);
                 TableRow {
-                    label: format!("{} ({})", media_label(mt), mt.to_byte()),
+                    label: format!("{} ({t})", media_label(mt)),
                     detail: format!("PT {pt} — {}", kind.description()),
-                    packets_pct: 100.0 * c.packets as f64 / self.total.packets.max(1) as f64,
-                    bytes_pct: 100.0 * c.bytes as f64 / self.total.bytes.max(1) as f64,
+                    packets_pct,
+                    bytes_pct,
                 }
             })
-            .collect();
-        rows.sort_by(|a, b| b.packets_pct.total_cmp(&a.packets_pct));
-        rows
+            .collect()
     }
 
     /// Table-6-style cross-family breakdown: one row per (family, media
     /// type) with packet/byte shares of the whole classified load. Rows
-    /// sort by family, then packet share descending — Zoom rows first,
-    /// making the table a superset of the single-family view.
+    /// sort by family, then packet share descending, then type value —
+    /// Zoom rows first, making the table a superset of the single-family
+    /// view.
     pub fn table6(&self) -> Vec<TableRow> {
-        let mut rows: Vec<(usize, TableRow)> = self
-            .by_family_media
-            .iter()
-            .map(|(&(fi, t), c)| {
-                let family = ALL_FAMILIES[fi];
-                let mt = MediaType::from_byte(t);
-                (
-                    fi,
-                    TableRow {
-                        label: family.label().to_string(),
-                        detail: media_label(mt).to_string(),
-                        packets_pct: 100.0 * c.packets as f64 / self.total.packets.max(1) as f64,
-                        bytes_pct: 100.0 * c.bytes as f64 / self.total.bytes.max(1) as f64,
-                    },
-                )
-            })
-            .collect();
-        rows.sort_by(|(fa, a), (fb, b)| {
-            fa.cmp(fb)
-                .then(b.packets_pct.total_cmp(&a.packets_pct))
-                .then(a.detail.cmp(&b.detail))
-        });
-        rows.into_iter().map(|(_, r)| r).collect()
+        let mut rows = Vec::new();
+        for (fi, table) in self.by_family_media.iter().enumerate() {
+            let mut family_rows: Vec<(u8, &Counts)> = (0..=u8::MAX)
+                .zip(table.iter())
+                .filter(|(_, c)| c.packets > 0)
+                .collect();
+            family_rows.sort_by(|(ta, a), (tb, b)| {
+                b.packets
+                    .cmp(&a.packets)
+                    .then_with(|| {
+                        media_label(MediaType::from_byte(*ta))
+                            .cmp(media_label(MediaType::from_byte(*tb)))
+                    })
+                    .then(ta.cmp(tb))
+            });
+            rows.extend(family_rows.into_iter().map(|(t, c)| {
+                let (packets_pct, bytes_pct) = self.shares(c);
+                TableRow {
+                    label: ALL_FAMILIES[fi].label().to_string(),
+                    detail: media_label(MediaType::from_byte(t)).to_string(),
+                    packets_pct,
+                    bytes_pct,
+                }
+            }));
+        }
+        rows
     }
 
     /// Share of a specific (media type, payload type) pair.
     pub fn share(&self, mt: MediaType, pt: u8) -> (f64, f64) {
-        match self.by_payload_kind.get(&(mt, pt)) {
-            Some(c) => (
-                100.0 * c.packets as f64 / self.total.packets.max(1) as f64,
-                100.0 * c.bytes as f64 / self.total.bytes.max(1) as f64,
-            ),
+        let key = (mt.to_byte(), pt);
+        match self.by_payload_kind.iter().find(|(k, _)| *k == key) {
+            Some((_, c)) => self.shares(c),
             None => (0.0, 0.0),
         }
     }
@@ -308,6 +355,35 @@ mod tests {
     }
 
     #[test]
+    fn equal_shares_order_by_type_then_payload_type() {
+        // Recorded in descending key order, so neither first-seen order
+        // nor any hasher's order happens to be the sorted one.
+        let mut c = Classifier::new();
+        c.record(FamilyId::Zoom, MediaType::Video, Some(110), 100);
+        c.record(FamilyId::Zoom, MediaType::Video, Some(98), 100);
+        c.record(FamilyId::Zoom, MediaType::Audio, Some(112), 100);
+        c.record(FamilyId::Zoom, MediaType::ScreenShare, Some(99), 100);
+        // Table 2: video leads on share; audio and screen share tie and
+        // fall back to the type value.
+        let t2: Vec<String> = c.table2().into_iter().map(|r| r.label).collect();
+        assert_eq!(t2, ["16", "13", "15"]);
+        // Table 3: four equal shares, ordered by (type, payload type).
+        let t3: Vec<String> = c.table3().into_iter().map(|r| r.detail).collect();
+        assert!(t3[0].starts_with("PT 99 "), "{t3:?}");
+        assert!(t3[1].starts_with("PT 112 "), "{t3:?}");
+        assert!(t3[2].starts_with("PT 98 "), "{t3:?}");
+        assert!(t3[3].starts_with("PT 110 "), "{t3:?}");
+        // Table 6: two "Other" types with one packet each share a label;
+        // the type value decides.
+        c.record(FamilyId::Zoom, MediaType::Other(31), None, 100);
+        c.record(FamilyId::Zoom, MediaType::Other(30), None, 100);
+        let t6 = c.table6();
+        assert_eq!(t6.len(), 5);
+        assert_eq!(t6[0].detail, "Video");
+        assert_eq!(c.table6(), t6);
+    }
+
+    #[test]
     fn empty_classifier_is_sane() {
         let c = Classifier::new();
         assert!(c.table2().is_empty());
@@ -357,7 +433,10 @@ mod tests {
         b.record(FamilyId::Webrtc, MediaType::Audio, Some(111), 120);
         a.merge(&b);
         assert_eq!(a.total(), c.total());
-        assert_eq!(a.family_counts(FamilyId::Webrtc), c.family_counts(FamilyId::Webrtc));
+        assert_eq!(
+            a.family_counts(FamilyId::Webrtc),
+            c.family_counts(FamilyId::Webrtc)
+        );
         assert_eq!(a.table6().len(), 3);
     }
 }

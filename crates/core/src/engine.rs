@@ -41,7 +41,7 @@ use crate::fxhash::FxHashMap;
 use crate::meeting::{CandidateState, MeetingGrouper};
 use crate::metrics::latency::{RtpRttEstimator, RttSample};
 use crate::obs::trace::spans;
-use crate::obs::{trace, MetricsSnapshot, PipelineMetrics};
+use crate::obs::{trace, IngestTally, MetricsSnapshot, PipelineMetrics};
 use crate::packet::Direction;
 use crate::pipeline::{
     resolve_stream_endpoints, Analyzer, AnalyzerConfig, FlowStats, MediaEvent,
@@ -174,7 +174,7 @@ impl StreamSnap {
     fn of(s: &Stream) -> StreamSnap {
         let (missing, duplicates) = s
             .substreams
-            .values()
+            .iter()
             .map(|sub| {
                 let st = sub.seq_stats();
                 (st.missing, st.duplicates)
@@ -310,7 +310,7 @@ impl ShardState {
 
         // Gauges BEFORE eviction so new_* deltas stay consistent: seen =
         // live + evicted-so-far is invariant across the eviction below.
-        let flows_seen_now = self.analyzer.flows.len() as u64 + self.evicted_flows_cum;
+        let flows_seen_now = self.analyzer.streams.flow_count() as u64 + self.evicted_flows_cum;
         let streams_seen_now = self.analyzer.streams.len() as u64 + self.evicted_streams_cum;
         let new_flows = flows_seen_now - self.flows_seen;
         let new_streams = streams_seen_now - self.streams_seen;
@@ -322,7 +322,7 @@ impl ShardState {
         let mut evicted_streams = Vec::new();
         let mut evicted_flows = Vec::new();
         if let Some(cutoff) = evict_before {
-            evicted_streams = self.analyzer.streams.evict_idle(cutoff);
+            (evicted_streams, evicted_flows) = self.analyzer.streams.evict_idle(cutoff);
             for s in &evicted_streams {
                 self.snaps.remove(&s.key);
                 match delta_idx.get(&s.key) {
@@ -343,14 +343,6 @@ impl ShardState {
                     }),
                 }
             }
-            self.analyzer.flows.retain(|ft, fs| {
-                if fs.last_seen < cutoff {
-                    evicted_flows.push((*ft, *fs));
-                    false
-                } else {
-                    true
-                }
-            });
         }
         self.evicted_flows_cum += evicted_flows.len() as u64;
         self.evicted_streams_cum += evicted_streams.len() as u64;
@@ -361,7 +353,7 @@ impl ShardState {
             zoom_bytes: self.analyzer.zoom_bytes - self.zoom_bytes,
             new_flows,
             new_streams,
-            live_flows: self.analyzer.flows.len(),
+            live_flows: self.analyzer.streams.flow_count(),
             live_streams: self.analyzer.streams.len(),
             deltas,
             events: match self.analyzer.event_log.as_mut() {
@@ -511,6 +503,9 @@ pub struct StreamingEngine {
     /// ingest/drop/routing counters, the shard analyzers write
     /// classification counters through their cloned `Arc`.
     metrics: Arc<PipelineMetrics>,
+    /// The router thread's unpublished `record_in` counts; see
+    /// [`IngestTally`] for when it is flushed.
+    tally: IngestTally,
     /// Windows closed by [`PacketSink::push`] calls, held until the next
     /// [`PacketSink::take_windows`].
     pending_windows: Vec<WindowReport>,
@@ -575,7 +570,7 @@ impl StreamingEngine {
                                         m.hints.webrtc,
                                     );
                                 }
-                                state.analyzer.flush_flow_run();
+                                state.analyzer.flush_metrics();
                                 pending.records.clear();
                                 pending.meta.clear();
                                 // This shard consumed one routed batch:
@@ -635,6 +630,7 @@ impl StreamingEngine {
             last_tracked: 0,
             peak_tracked: 0,
             metrics,
+            tally: IngestTally::default(),
             pending_windows: Vec::new(),
             qoe_watch: config.qoe.map(QoeWatch::new),
             pending_alerts: Vec::new(),
@@ -672,6 +668,7 @@ impl StreamingEngine {
     /// `obs-http`) — the endpoint holds the `Arc` and snapshots per
     /// request while the engine keeps pushing.
     pub fn metrics_handle(&self) -> Arc<PipelineMetrics> {
+        self.tally.flush(&self.metrics);
         Arc::clone(&self.metrics)
     }
 
@@ -687,16 +684,20 @@ impl StreamingEngine {
         link: LinkType,
     ) -> Result<Vec<WindowReport>, Error> {
         // Stage-latency sampling, 1 in [`LATENCY_SAMPLE`] pushes: one
-        // monotonic-clock read pair and no allocation on sampled calls,
-        // nothing at all on the rest.
-        let sampled_at = self.seq.is_multiple_of(LATENCY_SAMPLE).then(std::time::Instant::now);
+        // monotonic-clock read pair and no allocation on sampled calls
+        // (which also publish the router's metrics tally), nothing at
+        // all on the rest.
+        let sampled_at = self.seq.is_multiple_of(LATENCY_SAMPLE).then(|| {
+            self.tally.flush(&self.metrics);
+            std::time::Instant::now()
+        });
         let ts = ts_nanos;
         let mut out = Vec::new();
         self.roll_window(ts, &mut out)?;
         self.first_ts.get_or_insert(ts);
         self.last_ts = self.last_ts.max(ts);
 
-        self.metrics.record_in(data.len());
+        self.tally.record_in(data.len());
         let (shard, info, hints) = self.route(ts, data, link);
         self.enqueue(shard, ts, data, info, hints)?;
         if let Some(t0) = sampled_at {
@@ -767,7 +768,7 @@ impl StreamingEngine {
             self.roll_window(ts, &mut out)?;
             self.first_ts.get_or_insert(ts);
             self.last_ts = self.last_ts.max(ts);
-            self.metrics.record_in(r.data.len());
+            self.tally.record_in(r.data.len());
             let (shard, info, hints) = match arena.peek(i) {
                 Ok(info) => {
                     let info = *info;
@@ -783,6 +784,7 @@ impl StreamingEngine {
         }
         self.peek_arena = arena;
         self.shard_scratch = shards;
+        self.tally.flush(&self.metrics);
         // One histogram observation per batch: the mean per-record cost,
         // so the `stage="push"` series stays comparable with the
         // per-packet path at a fraction of the clock reads.
@@ -878,6 +880,7 @@ impl StreamingEngine {
     /// only post-checkpoint activity.
     pub fn checkpoint(&mut self) -> Result<WindowReport, Error> {
         let _span = trace::span("engine.checkpoint");
+        self.tally.flush(&self.metrics);
         let t0 = std::time::Instant::now();
         let start = self.window_start.or(self.first_ts).unwrap_or(0);
         let end = self.last_ts.max(start);
@@ -896,6 +899,7 @@ impl StreamingEngine {
     /// included), and the merged [`Analyzer`] over still-live state.
     pub fn drain(mut self) -> Result<EngineOutput, Error> {
         let _span = trace::span("engine.drain");
+        self.tally.flush(&self.metrics);
         let start = self.window_start.or(self.first_ts).unwrap_or(0);
         let end = self.last_ts.max(start);
         let replies = self.tick_all(None)?;
@@ -938,7 +942,7 @@ impl StreamingEngine {
         // Hand the merged analyzer the engine's registry so ad-hoc
         // queries (and `merged.report()`) see pipeline-wide accounting.
         merged.metrics = Arc::clone(&metrics);
-        let mut live_pool = FxHashMap::default();
+        let mut live_pool: FxHashMap<StreamKey, Stream> = FxHashMap::default();
         for mut shard in shards {
             merged.total_packets += shard.total_packets;
             merged.zoom_packets += shard.zoom_packets;
@@ -951,11 +955,12 @@ impl StreamingEngine {
                 (a, b) => a.or(b),
             };
             merged.last_zoom_ts = merged.last_zoom_ts.max(shard.last_zoom_ts);
-            for (ft, fs) in shard.flows.drain() {
-                merge_flow(&mut merged.flows, ft, fs);
+            let (flows, streams) = std::mem::take(&mut shard.streams).into_parts();
+            for (ft, fs) in flows {
+                merged.streams.merge_flow(&ft, fs);
             }
             merged.classifier.merge(&shard.classifier);
-            live_pool.extend(std::mem::take(&mut shard.streams).into_streams());
+            live_pool.extend(streams.into_iter().map(|s| (s.key, s)));
         }
         tcp_samples.sort_by_key(|s| s.at);
         merged.tcp_rtt.set_samples(tcp_samples);
@@ -985,7 +990,7 @@ impl StreamingEngine {
         let extra_streams = creation_order.len() - merged.streams.len();
         let extra_flows = evicted_flows
             .keys()
-            .filter(|k| !merged.flows.contains_key(k))
+            .filter(|k| merged.streams.flow(k).is_none())
             .count();
         let mut rows = Vec::new();
         for key in &creation_order {
@@ -1488,6 +1493,7 @@ impl PacketSink for StreamingEngine {
     }
 
     fn metrics(&self) -> MetricsSnapshot {
+        self.tally.flush(&self.metrics);
         self.metrics.snapshot()
     }
 
@@ -1517,13 +1523,7 @@ fn merge_flow(into: &mut FxHashMap<FiveTuple, FlowStats>, ft: FiveTuple, fs: Flo
         std::collections::hash_map::Entry::Vacant(v) => {
             v.insert(fs);
         }
-        std::collections::hash_map::Entry::Occupied(mut o) => {
-            let e = o.get_mut();
-            e.packets += fs.packets;
-            e.bytes += fs.bytes;
-            e.first_seen = e.first_seen.min(fs.first_seen);
-            e.last_seen = e.last_seen.max(fs.last_seen);
-        }
+        std::collections::hash_map::Entry::Occupied(mut o) => o.get_mut().absorb(&fs),
     }
 }
 

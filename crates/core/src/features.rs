@@ -41,24 +41,8 @@ pub struct FeatureRow {
 /// Extract the per-second feature matrix of one stream.
 pub fn extract_features(stream: &Stream) -> Vec<FeatureRow> {
     const SEC: u64 = 1_000_000_000;
-    let media: HashMap<u64, f64> = stream
-        .media_rate
-        .sorted()
-        .into_iter()
-        .map(|(t, v)| (t / SEC, v * 8.0))
-        .collect();
-    let ip: HashMap<u64, f64> = stream
-        .ip_rate
-        .sorted()
-        .into_iter()
-        .map(|(t, v)| (t / SEC, v * 8.0))
-        .collect();
-    let pkts: HashMap<u64, f64> = stream
-        .pkt_rate
-        .sorted()
-        .into_iter()
-        .map(|(t, v)| (t / SEC, v))
-        .collect();
+    // Rate rows are time-ordered and seconds without traffic have none.
+    let mut rates = stream.rates.rows().iter().peekable();
     let mut delivered: HashMap<u64, f64> = HashMap::new();
     let mut enc_sum: HashMap<u64, (f64, u32)> = HashMap::new();
     let mut size_sum: HashMap<u64, (f64, u32)> = HashMap::new();
@@ -90,20 +74,24 @@ pub fn extract_features(stream: &Stream) -> Vec<FeatureRow> {
     let first = stream.first_seen / SEC;
     let last = stream.last_seen / SEC;
     (first..=last)
-        .map(|second| FeatureRow {
-            ssrc: stream.key.ssrc,
-            second,
-            media_bps: media.get(&second).copied().unwrap_or(0.0),
-            ip_bps: ip.get(&second).copied().unwrap_or(0.0),
-            pps: pkts.get(&second).copied().unwrap_or(0.0),
-            delivered_fps: delivered.get(&second).copied().unwrap_or(0.0),
-            encoder_fps: enc_sum.get(&second).map(|(sum, n)| sum / f64::from(*n)),
-            mean_frame_size: size_sum
-                .get(&second)
-                .map(|(sum, n)| sum / f64::from(*n))
-                .unwrap_or(0.0),
-            max_frame_delay_ms: delay_max.get(&second).copied().unwrap_or(0.0),
-            jitter_ms: jitter.get(&second).copied(),
+        .map(|second| {
+            while rates.next_if(|r| r.second < second).is_some() {}
+            let rate = rates.next_if(|r| r.second == second);
+            FeatureRow {
+                ssrc: stream.key.ssrc,
+                second,
+                media_bps: rate.map_or(0.0, |r| r.media_bytes as f64 * 8.0),
+                ip_bps: rate.map_or(0.0, |r| r.ip_bytes as f64 * 8.0),
+                pps: rate.map_or(0.0, |r| r.packets as f64),
+                delivered_fps: delivered.get(&second).copied().unwrap_or(0.0),
+                encoder_fps: enc_sum.get(&second).map(|(sum, n)| sum / f64::from(*n)),
+                mean_frame_size: size_sum
+                    .get(&second)
+                    .map(|(sum, n)| sum / f64::from(*n))
+                    .unwrap_or(0.0),
+                max_frame_delay_ms: delay_max.get(&second).copied().unwrap_or(0.0),
+                jitter_ms: jitter.get(&second).copied(),
+            }
         })
         .collect()
 }

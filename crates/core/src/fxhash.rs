@@ -1,6 +1,6 @@
 //! A small vendored FxHash-style hasher for the per-packet state tables.
 //!
-//! Every packet touches several `HashMap`s (flows, streams, the STUN
+//! Every packet probes a `HashMap` or two (the flow index, the STUN
 //! registry, RTT candidates); with std's default SipHash the hashing
 //! itself is a measurable slice of the per-packet cost floor. Keys here
 //! are short, fixed-shape, and attacker-free (they come from our own
@@ -11,8 +11,8 @@
 //! environment is offline — no new crates.io dependencies.
 //!
 //! Determinism of *reports* never depends on hasher iteration order:
-//! every emit site sorts (or walks a creation-order index) first — see
-//! `report.rs`'s ordering test and the `StreamTracker` order vector.
+//! every emit site sorts (or walks a creation-ordered slab) first — see
+//! `report.rs`'s ordering test and `StreamTracker`'s stream slab.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -96,10 +96,32 @@ impl Hasher for FxHasher {
         self.add_to_hash(i as u64);
     }
 
+    /// The multiply leaves a key's entropy in the *high* bits, while
+    /// the std table picks its bucket from the low bits (and its control
+    /// byte from the top seven). After many writes the per-round rotates
+    /// have carried enough down; after the two writes of a
+    /// [`zoom_wire::flow::FiveTuple`] they have not — uplink flows to one
+    /// server would share all but five low bits. Rotating the high half
+    /// down (as rustc-hash 2 does) serves both ends of the word.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        #[cfg(test)]
+        HASH_COMPUTATIONS.with(|c| c.set(c.get() + 1));
+        self.hash.rotate_left(26)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    static HASH_COMPUTATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Hashes finished on this thread so far — one per table probe, so a
+/// test can pin the per-packet probe budget (see
+/// `pipeline::tests::steady_state_media_packet_costs_one_probe`).
+#[cfg(test)]
+pub(crate) fn hash_computations() -> u64 {
+    HASH_COMPUTATIONS.with(std::cell::Cell::get)
 }
 
 #[cfg(test)]
@@ -129,6 +151,51 @@ mod tests {
             low_bits.insert(hash_of(&port) & 0xFF);
         }
         assert!(low_bits.len() > 200, "only {} distinct", low_bits.len());
+    }
+
+    #[test]
+    fn flows_to_one_server_disperse() {
+        // The flow table's worst realistic key set: one server endpoint,
+        // clients differing in address and port only — in either
+        // direction. Both ends of the hash the std table reads must
+        // spread.
+        use std::net::{IpAddr, Ipv4Addr};
+        use zoom_wire::flow::FiveTuple;
+        use zoom_wire::ipv4::Protocol;
+        for downlink in [false, true] {
+            let mut low = HashSet::new();
+            let mut top = HashSet::new();
+            for i in 0u32..4096 {
+                let up = FiveTuple {
+                    src_ip: IpAddr::V4(Ipv4Addr::from(0x0a08_0000 + i / 4)),
+                    dst_ip: IpAddr::V4(Ipv4Addr::new(170, 114, 0, 1)),
+                    src_port: 50_000 + (i % 4) as u16,
+                    dst_port: 8801,
+                    protocol: Protocol::Udp,
+                };
+                let h = hash_of(&if downlink { up.reversed() } else { up });
+                low.insert(h & 0xFFF);
+                top.insert(h >> 57);
+            }
+            // 4096 balls into 4096 bins leave ~63 % of bins occupied.
+            assert!(
+                low.len() > 2_300,
+                "only {} of 4096 low-bit buckets",
+                low.len()
+            );
+            assert_eq!(top.len(), 128, "control-byte bits collapse");
+        }
+    }
+
+    #[test]
+    fn counter_counts_one_per_finished_hash() {
+        let mut m: FxHashMap<u64, u64> = FxHashMap::default();
+        m.reserve(8); // no growth (and so no rehash) below
+        let before = hash_computations();
+        m.insert(1, 1);
+        m.insert(2, 2);
+        assert!(m.contains_key(&1));
+        assert_eq!(hash_computations() - before, 3);
     }
 
     #[test]

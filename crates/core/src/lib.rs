@@ -73,3 +73,18 @@ pub mod stream;
 
 pub use error::Error;
 pub use sink::PacketSink;
+
+/// Position of the element `is` accepts, trying `hint` first — the
+/// lookup of the small per-stream vectors that stand where hash maps
+/// used to: they hold a handful of entries, and consecutive packets
+/// nearly always want the one the previous packet hit.
+pub(crate) fn position_hinted<T>(
+    items: &[T],
+    hint: usize,
+    is: impl Fn(&T) -> bool,
+) -> Option<usize> {
+    match items.get(hint) {
+        Some(item) if is(item) => Some(hint),
+        _ => items.iter().position(is),
+    }
+}

@@ -15,7 +15,8 @@
 //! network problem from a user-behaviour change.
 
 use super::VIDEO_SAMPLING_RATE;
-use std::collections::{HashMap, VecDeque};
+use crate::position_hinted;
+use std::collections::VecDeque;
 
 /// One fully delivered frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,8 +40,12 @@ pub struct FrameRecord {
 impl FrameRecord {
     /// Frame delay (§5.5): first packet to completion. Values far above
     /// the path RTT + ~100 ms indicate retransmission.
+    ///
+    /// Capture clocks can step backwards (pcap timestamps are input); a
+    /// frame completed "before" its first packet has a delay of zero, not
+    /// a wrapped one that every threshold downstream would exceed.
     pub fn frame_delay_nanos(&self) -> u64 {
-        self.completed_at - self.first_packet_at
+        self.completed_at.saturating_sub(self.first_packet_at)
     }
 
     /// Method 2 encoder frame rate, frames/second.
@@ -63,6 +68,7 @@ pub enum Completion {
 
 #[derive(Debug)]
 struct Pending {
+    rtp_timestamp: u32,
     first_at: u64,
     seqs: Vec<u16>,
     bytes: usize,
@@ -75,7 +81,13 @@ struct Pending {
 pub struct FrameTracker {
     completion: Completion,
     sampling_rate: u32,
-    pending: HashMap<u32, Pending>,
+    /// Frames still collecting packets, oldest first. A handful at most
+    /// in steady state (bounded by the purge below), so a scan beats a
+    /// hash — and consecutive packets nearly always belong to the frame
+    /// hit last.
+    pending: Vec<Pending>,
+    /// Index into `pending` of the frame the previous packet joined.
+    last_hit: usize,
     completed: Vec<FrameRecord>,
     /// Completion times within the trailing window (method 1's circular
     /// buffer).
@@ -112,7 +124,8 @@ impl FrameTracker {
         FrameTracker {
             completion,
             sampling_rate,
-            pending: HashMap::new(),
+            pending: Vec::new(),
+            last_hit: 0,
             completed: Vec::new(),
             recent: VecDeque::new(),
             last_completed_ts: None,
@@ -132,19 +145,32 @@ impl FrameTracker {
         payload_len: usize,
         pkts_in_frame: Option<u8>,
     ) {
-        if self.completed_ts.contains(&rtp_timestamp) {
-            return; // late duplicate of an already-completed frame
-        }
-        let pending = match self.pending.entry(rtp_timestamp) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => v.insert(Pending {
-                first_at: at,
-                seqs: self.spare_seqs.pop().unwrap_or_default(),
-                bytes: 0,
-                expected: pkts_in_frame,
-                marker_seen: false,
-            }),
+        // A frame is pending or recently completed, never both (it leaves
+        // `pending` on completion and cannot re-open while `completed_ts`
+        // remembers it), so the common case — another packet of an open
+        // frame — is settled without scanning `completed_ts` at all.
+        let slot = position_hinted(&self.pending, self.last_hit, |p| {
+            p.rtp_timestamp == rtp_timestamp
+        });
+        let slot = match slot {
+            Some(i) => i,
+            None => {
+                if self.completed_ts.contains(&rtp_timestamp) {
+                    return; // late duplicate of an already-completed frame
+                }
+                self.pending.push(Pending {
+                    rtp_timestamp,
+                    first_at: at,
+                    seqs: self.spare_seqs.pop().unwrap_or_default(),
+                    bytes: 0,
+                    expected: pkts_in_frame,
+                    marker_seen: false,
+                });
+                self.pending.len() - 1
+            }
         };
+        self.last_hit = slot;
+        let pending = &mut self.pending[slot];
         if pending.seqs.contains(&sequence) {
             return; // retransmission duplicate
         }
@@ -162,7 +188,7 @@ impl FrameTracker {
             Completion::MarkerBit => pending.marker_seen,
         };
         if complete {
-            let mut p = self.pending.remove(&rtp_timestamp).expect("just inserted");
+            let mut p = self.pending.remove(slot);
             let encoder_interval_nanos = self.last_completed_ts.and_then(|prev| {
                 let delta = rtp_timestamp.wrapping_sub(prev);
                 // Reject wraps/reorders that imply absurd intervals.
@@ -195,7 +221,7 @@ impl FrameTracker {
         // within 5 seconds (packets lost beyond recovery).
         if self.pending.len() > 64 {
             let spare = &mut self.spare_seqs;
-            self.pending.retain(|_, p| {
+            self.pending.retain_mut(|p| {
                 let keep = at.saturating_sub(p.first_at) < 5_000_000_000;
                 if !keep && spare.len() < SPARE_SEQS {
                     p.seqs.clear();
@@ -266,6 +292,44 @@ mod tests {
         assert_eq!(f.packets, 3);
         assert_eq!(f.frame_delay_nanos(), MS / 2);
         assert_eq!(f.encoder_interval_nanos, None); // first frame
+    }
+
+    #[test]
+    fn backwards_clock_step_gives_zero_frame_delay() {
+        // The completing packet carries an earlier capture timestamp than
+        // the frame's first (a pcap clock stepping back): the delay
+        // saturates at zero instead of panicking (test profile) or
+        // wrapping to ~1.8e19 ns (release).
+        let mut t = FrameTracker::video();
+        t.on_packet(10 * MS, 100, 1, false, 500, Some(2));
+        t.on_packet(9 * MS, 100, 2, true, 500, Some(2));
+        assert_eq!(t.frames().len(), 1);
+        let f = &t.frames()[0];
+        assert!(f.completed_at < f.first_packet_at);
+        assert_eq!(f.frame_delay_nanos(), 0);
+    }
+
+    #[test]
+    fn late_duplicate_after_completion_is_ignored_then_reopens() {
+        let mut t = FrameTracker::video();
+        feed_frame(&mut t, 0, 500, 1);
+        // Duplicate of the completed frame: ignored while remembered.
+        t.on_packet(MS, 500, 1, false, 1_000, Some(3));
+        assert_eq!(t.frames().len(), 1);
+        assert_eq!(t.incomplete(), 0);
+        // 128 further completions push it out of `completed_ts`; the
+        // same timestamp then opens a fresh frame.
+        for i in 0..128u32 {
+            feed_frame(
+                &mut t,
+                u64::from(i + 1) * 33 * MS,
+                10_000 + i * 3_000,
+                (i * 3) as u16 + 10,
+            );
+        }
+        t.on_packet(5_000 * MS, 500, 1, false, 1_000, Some(3));
+        assert_eq!(t.incomplete(), 1);
+        assert_eq!(t.frames().len(), 129);
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! client-side RTTs separately, locating congestion upstream or
 //! downstream of the tap.
 
+use crate::fxhash::FxHashMap;
 use crate::packet::{Direction, PacketMeta, TcpMeta};
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::net::IpAddr;
 use zoom_wire::flow::FiveTuple;
 
@@ -41,10 +43,10 @@ impl RttSample {
 /// Method 1: RTT to the SFU by matching forwarded stream copies.
 #[derive(Debug)]
 pub struct RtpRttEstimator {
-    /// (ssrc, pt, seq, ts) of uplink packets → first-seen time.
-    outstanding: HashMap<(u32, u8, u16, u32), u64>,
+    /// Packed (ssrc, pt, seq, ts) of uplink packets → first-seen time.
+    outstanding: FxHashMap<u128, u64>,
     /// Insertion order for eviction.
-    order: VecDeque<((u32, u8, u16, u32), u64)>,
+    order: VecDeque<(u128, u64)>,
     window_nanos: u64,
     samples: Vec<RttSample>,
 }
@@ -59,7 +61,7 @@ impl RtpRttEstimator {
     /// Estimator that forgets unmatched uplink packets after `window`.
     pub fn new(window_nanos: u64) -> RtpRttEstimator {
         RtpRttEstimator {
-            outstanding: HashMap::new(),
+            outstanding: FxHashMap::default(),
             order: VecDeque::new(),
             window_nanos,
             samples: Vec::new(),
@@ -84,11 +86,18 @@ impl RtpRttEstimator {
         direction: Direction,
         src_ip: IpAddr,
     ) {
+        // 88 bits of identity in one integer: two hasher rounds instead
+        // of a tuple's four.
+        let (ssrc, pt, seq, rtp_ts) = key;
+        let key = u128::from(ssrc) << 56
+            | u128::from(pt) << 48
+            | u128::from(seq) << 32
+            | u128::from(rtp_ts);
         match direction {
             Direction::ToServer => {
                 // Record the egress sighting (first one wins: a
                 // retransmission should not shrink the measured RTT).
-                if let std::collections::hash_map::Entry::Vacant(e) = self.outstanding.entry(key) {
+                if let Entry::Vacant(e) = self.outstanding.entry(key) {
                     e.insert(ts_nanos);
                     self.order.push_back((key, ts_nanos));
                 }
@@ -113,8 +122,10 @@ impl RtpRttEstimator {
                 self.order.pop_front();
                 // Only remove if the stored time still matches (it may
                 // have been matched and re-inserted meanwhile).
-                if self.outstanding.get(&key) == Some(&t) {
-                    self.outstanding.remove(&key);
+                if let Entry::Occupied(e) = self.outstanding.entry(key) {
+                    if *e.get() == t {
+                        e.remove();
+                    }
                 }
             } else {
                 break;
@@ -144,7 +155,7 @@ impl RtpRttEstimator {
 #[derive(Debug)]
 pub struct TcpRttEstimator {
     /// (data-direction 5-tuple, expected ack) → send time.
-    pending: HashMap<(FiveTuple, u32), u64>,
+    pending: FxHashMap<(FiveTuple, u32), u64>,
     order: VecDeque<((FiveTuple, u32), u64)>,
     window_nanos: u64,
     samples: Vec<RttSample>,
@@ -160,7 +171,7 @@ impl TcpRttEstimator {
     /// Estimator with the given matching window.
     pub fn new(window_nanos: u64) -> TcpRttEstimator {
         TcpRttEstimator {
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             order: VecDeque::new(),
             window_nanos,
             samples: Vec::new(),
@@ -195,8 +206,10 @@ impl TcpRttEstimator {
         while let Some(&(key, t)) = self.order.front() {
             if now.saturating_sub(t) > self.window_nanos {
                 self.order.pop_front();
-                if self.pending.get(&key) == Some(&t) {
-                    self.pending.remove(&key);
+                if let Entry::Occupied(e) = self.pending.entry(key) {
+                    if *e.get() == t {
+                        e.remove();
+                    }
                 }
             } else {
                 break;

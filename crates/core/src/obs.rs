@@ -32,6 +32,7 @@
 //! inside the ≤5 % acceptance bound.
 
 use crate::report::JsonObj;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -156,10 +157,25 @@ impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn observe(&self, v: u64) {
-        let idx = self.bounds.iter().take_while(|&&b| v > b).count();
+        let idx = bucket_of(self.bounds, v);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record observations tallied elsewhere: `buckets[i]` of them fell in
+    /// bucket `i` (as [`bucket_of`] numbers them), summing to `sum`.
+    fn observe_tallied(&self, buckets: &[Cell<u64>], sum: u64) {
+        let mut count = 0;
+        for (mine, tallied) in self.buckets.iter().zip(buckets) {
+            let n = tallied.take();
+            if n > 0 {
+                mine.fetch_add(n, Ordering::Relaxed);
+                count += n;
+            }
+        }
+        self.sum.fetch_add(sum, Ordering::Relaxed);
+        self.count.fetch_add(count, Ordering::Relaxed);
     }
 
     /// Plain-data copy of the current state.
@@ -171,6 +187,13 @@ impl Histogram {
             count: self.count.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Index of the bucket `v` falls in: the first whose bound is not below
+/// it, or `bounds.len()` for the `+Inf` bucket.
+#[inline]
+fn bucket_of(bounds: &[u64], v: u64) -> usize {
+    bounds.iter().take_while(|&&b| v > b).count()
 }
 
 /// Plain-data copy of a [`Histogram`]. `buckets[i]` counts observations
@@ -866,6 +889,73 @@ pub struct PipelineMetrics {
 
     /// Registry creation time, the epoch of `zoom_uptime_seconds`.
     started: Instant,
+}
+
+/// One thread's not-yet-published share of the per-record counters.
+///
+/// The registry's counters are shared atomics; bumping five or six of
+/// them for every record costs more than the counting is worth, and the
+/// router and a shard bumping neighbours in one cache line cost more
+/// still. A sink thread counts into one of these instead — plain adds —
+/// and [`flush`](IngestTally::flush)es the sums into the registry at
+/// batch boundaries, every 64 records on per-record paths, and before
+/// anything reads the registry through the sink. A scrape endpoint
+/// holding the registry `Arc` therefore lags a live sink by at most one
+/// batch.
+///
+/// Interior mutability (`Cell`) lets `&self` readers such as
+/// [`crate::sink::PacketSink::metrics`] publish before they snapshot.
+#[derive(Debug, Default)]
+pub(crate) struct IngestTally {
+    packets_in: Cell<u64>,
+    bytes_in: Cell<u64>,
+    size_buckets: [Cell<u64>; PACKET_SIZE_BOUNDS.len() + 1],
+    pub(crate) classified: Cell<u64>,
+    pub(crate) classified_webrtc: Cell<u64>,
+    pub(crate) not_zoom: Cell<u64>,
+    pub(crate) malformed_zme: Cell<u64>,
+    pub(crate) malformed_srtp: Cell<u64>,
+}
+
+/// Add one to a tally cell.
+#[inline]
+pub(crate) fn bump(cell: &Cell<u64>) {
+    cell.set(cell.get() + 1);
+}
+
+impl IngestTally {
+    /// Count one offered record — [`PipelineMetrics::record_in`], deferred.
+    #[inline]
+    pub(crate) fn record_in(&self, bytes: usize) {
+        bump(&self.packets_in);
+        self.bytes_in.set(self.bytes_in.get() + bytes as u64);
+        bump(&self.size_buckets[bucket_of(PACKET_SIZE_BOUNDS, bytes as u64)]);
+    }
+
+    /// Publish everything tallied so far into `m` and reset to zero.
+    pub(crate) fn flush(&self, m: &PipelineMetrics) {
+        let packets = self.packets_in.take();
+        if packets > 0 {
+            m.packets_in.add(packets);
+            let bytes = self.bytes_in.take();
+            m.bytes_in.add(bytes);
+            // Every offered record's size is both a byte count and a
+            // histogram observation, so the sums coincide.
+            m.packet_size.observe_tallied(&self.size_buckets, bytes);
+        }
+        for (cell, counter) in [
+            (&self.classified, &m.packets_classified),
+            (&self.classified_webrtc, &m.classified_webrtc),
+            (&self.not_zoom, &m.packets_not_zoom),
+            (&self.malformed_zme, &m.malformed_zme),
+            (&self.malformed_srtp, &m.malformed_srtp),
+        ] {
+            let n = cell.take();
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+    }
 }
 
 /// Capture-side accounting for one packet source feeding the pipeline.

@@ -14,12 +14,12 @@ use crate::meeting::{
     client_endpoint_of, CandidateState, GroupingConfig, MeetingGrouper, MeetingReport,
 };
 use crate::metrics::latency::{RtpRttEstimator, RttSample, TcpRttEstimator};
-use crate::obs::{MetricsSnapshot, PipelineMetrics};
+use crate::obs::{bump, IngestTally, MetricsSnapshot, PipelineMetrics};
 use crate::packet::{extract, in_campus, meta_from_webrtc, meta_from_zoom, Extracted, PacketMeta};
 use crate::report::{build_report, AnalysisReport};
 use crate::sink::PacketSink;
 use crate::stats::Samples;
-use crate::stream::{Stream, StreamKey, StreamTracker};
+use crate::stream::{FlowId, Stream, StreamKey, StreamTracker};
 use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -280,6 +280,17 @@ pub struct FlowStats {
     pub last_seen: u64,
 }
 
+impl FlowStats {
+    /// Fold in accounting of the same flow gathered elsewhere (another
+    /// shard, or a fragment evicted earlier).
+    pub(crate) fn absorb(&mut self, other: &FlowStats) {
+        self.packets += other.packets;
+        self.bytes += other.bytes;
+        self.first_seen = self.first_seen.min(other.first_seen);
+        self.last_seen = self.last_seen.max(other.last_seen);
+    }
+}
+
 /// Trace-level summary (Table 6's rows).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceSummary {
@@ -345,21 +356,12 @@ pub(crate) struct MediaEvent {
     pub(crate) family: FamilyId,
 }
 
-/// A run of consecutive same-flow Zoom packets pending application to
-/// the flow table (see [`Analyzer::flow_run`](struct@Analyzer)).
-#[derive(Clone, Copy)]
-struct FlowRun {
-    ft: FiveTuple,
-    first_seen: u64,
-    last_seen: u64,
-    packets: u64,
-    bytes: u64,
-}
-
 /// The analyzer.
 pub struct Analyzer {
     pub(crate) config: AnalyzerConfig,
     pub(crate) classifier: Classifier,
+    /// Per-flow accounting and per-stream state, behind one table probe
+    /// per packet.
     pub(crate) streams: StreamTracker,
     pub(crate) grouper: MeetingGrouper,
     pub(crate) rtp_rtt: RtpRttEstimator,
@@ -372,7 +374,6 @@ pub struct Analyzer {
     /// registry under [`FamilySelect::Auto`]) and every later packet on
     /// it gets the WebRTC second chance.
     pub(crate) webrtc_flows: FxHashMap<FiveTuple, u64>,
-    pub(crate) flows: FxHashMap<FiveTuple, FlowStats>,
     pub(crate) total_packets: u64,
     pub(crate) zoom_packets: u64,
     pub(crate) zoom_bytes: u64,
@@ -400,12 +401,9 @@ pub struct Analyzer {
     /// [`Analyzer::process_dissection_counted`] to `malformed_srtp`
     /// instead of Zoom's `malformed_zme`.
     srtp_malformed: bool,
-    /// Shard mode: pending run of consecutive same-flow Zoom packets,
-    /// folded into [`Analyzer::flows`] with one map probe per run
-    /// (media bursts make long runs). Flushed at every batch end, so
-    /// tick-time readers always see a current map. `None` in sequential
-    /// mode, where `flows` is updated in place per packet.
-    flow_run: Option<FlowRun>,
+    /// This thread's unpublished share of the per-record counters in
+    /// [`Analyzer::metrics`]; see [`IngestTally`] for when it is flushed.
+    tally: IngestTally,
     /// Reused peek arena for the batched [`PacketSink::push_batch`] path.
     peek_arena: PeekArena,
     /// The observability registry ([`crate::obs`]). Sequential analyzers
@@ -427,7 +425,6 @@ impl Analyzer {
             tcp_rtt: TcpRttEstimator::default(),
             p2p_endpoints: FxHashMap::default(),
             webrtc_flows: FxHashMap::default(),
-            flows: FxHashMap::default(),
             total_packets: 0,
             zoom_packets: 0,
             zoom_bytes: 0,
@@ -441,7 +438,7 @@ impl Analyzer {
             p2p_hint: false,
             webrtc_hint: false,
             srtp_malformed: false,
-            flow_run: None,
+            tally: IngestTally::default(),
             peek_arena: PeekArena::new(),
             metrics: Arc::new(PipelineMetrics::new(0)),
         }
@@ -452,7 +449,14 @@ impl Analyzer {
     /// registration, ring-drop counters) or a metrics endpoint to the
     /// same registry the sink updates.
     pub fn metrics_handle(&self) -> Arc<PipelineMetrics> {
+        self.flush_metrics();
         Arc::clone(&self.metrics)
+    }
+
+    /// Publish the per-record counters tallied since the last flush into
+    /// the (possibly shared) registry.
+    pub(crate) fn flush_metrics(&self) {
+        self.tally.flush(&self.metrics);
     }
 
     /// A shard-mode analyzer for [`crate::parallel::ParallelAnalyzer`]:
@@ -501,10 +505,14 @@ impl Analyzer {
     /// [`zoom_wire::pcap::SliceReader`] where no owned [`Record`](zoom_wire::pcap::Record) exists.
     pub fn process_packet(&mut self, ts_nanos: u64, data: &[u8], link: LinkType) {
         // Same 1-in-64 stage-latency sampling as the streaming engine's
-        // push path; a clock read pair on sampled calls, nothing else.
-        let sampled_at = self.total_packets.is_multiple_of(64).then(std::time::Instant::now);
+        // push path: a clock read pair on sampled calls, which also
+        // publish the metrics tally; nothing on the rest.
+        let sampled_at = self.total_packets.is_multiple_of(64).then(|| {
+            self.flush_metrics();
+            std::time::Instant::now()
+        });
         self.total_packets += 1;
-        self.metrics.record_in(data.len());
+        self.tally.record_in(data.len());
         match dissect(ts_nanos, data, link, self.config.family_select().probe()) {
             Ok(d) => self.process_dissection_counted(&d),
             Err(e) => {
@@ -527,23 +535,23 @@ impl Analyzer {
         self.srtp_malformed = false;
         self.process_dissection(d);
         if self.zoom_packets > zoom_before {
-            self.metrics.packets_classified.inc();
+            bump(&self.tally.classified);
         } else if self.webrtc_packets > webrtc_before {
-            self.metrics.packets_classified.inc();
-            self.metrics.classified_webrtc.inc();
+            bump(&self.tally.classified);
+            bump(&self.tally.classified_webrtc);
         } else {
-            self.metrics.packets_not_zoom.inc();
+            bump(&self.tally.not_zoom);
             if self.srtp_malformed {
                 // The record rode a flow with an observed DTLS-SRTP
                 // handshake but its framing failed to parse: the drop
                 // belongs to the WebRTC family, not to Zoom's ZME stage.
-                self.metrics.malformed_srtp.inc();
+                bump(&self.tally.malformed_srtp);
             } else if matches!(d.transport, Transport::Udp { .. })
                 && d.five_tuple.involves_port(ZOOM_SFU_PORT)
             {
                 // A UDP record on the Zoom media port that still failed to
                 // classify means its Zoom Media Encapsulation did not parse.
-                self.metrics.malformed_zme.inc();
+                bump(&self.tally.malformed_zme);
             }
         }
     }
@@ -699,8 +707,16 @@ impl Analyzer {
     }
 
     /// Count one classified packet under `family`: trace totals, the
-    /// first/last activity timestamps, and the shared flow table.
-    fn note_classified(&mut self, family: FamilyId, ts: u64, five_tuple: &FiveTuple, ip_len: usize) {
+    /// first/last activity timestamps, and the flow table — the packet's
+    /// one table probe; the returned handle lets [`Analyzer::on_media`]
+    /// reach the stream without a second.
+    fn note_classified(
+        &mut self,
+        family: FamilyId,
+        ts: u64,
+        five_tuple: &FiveTuple,
+        ip_len: usize,
+    ) -> FlowId {
         if family == FamilyId::Zoom {
             self.zoom_packets += 1;
             self.zoom_bytes += ip_len as u64;
@@ -710,54 +726,7 @@ impl Analyzer {
         }
         self.first_zoom_ts.get_or_insert(ts);
         self.last_zoom_ts = self.last_zoom_ts.max(ts);
-        if self.event_log.is_none() {
-            // Sequential mode: the flow table may be read between any two
-            // records (`summary`, direct `process_dissection` feeds), so
-            // keep it current in place.
-            let f = self.flows.entry(*five_tuple).or_insert(FlowStats {
-                first_seen: ts,
-                ..Default::default()
-            });
-            f.packets += 1;
-            f.bytes += ip_len as u64;
-            f.last_seen = ts;
-            return;
-        }
-        // Shard mode: media traffic arrives in long same-flow bursts, so
-        // fold consecutive records into a pending run and probe the flow
-        // table once per run. The engine worker flushes at batch end —
-        // before any tick, merge, or drain reads the table.
-        match &mut self.flow_run {
-            Some(run) if run.ft == *five_tuple => {
-                run.last_seen = ts;
-                run.packets += 1;
-                run.bytes += ip_len as u64;
-            }
-            _ => {
-                self.flush_flow_run();
-                self.flow_run = Some(FlowRun {
-                    ft: *five_tuple,
-                    first_seen: ts,
-                    last_seen: ts,
-                    packets: 1,
-                    bytes: ip_len as u64,
-                });
-            }
-        }
-    }
-
-    /// Apply the pending [`FlowRun`] (shard mode) to the flow table.
-    /// Identical to having applied each packet of the run individually.
-    pub(crate) fn flush_flow_run(&mut self) {
-        if let Some(run) = self.flow_run.take() {
-            let f = self.flows.entry(run.ft).or_insert(FlowStats {
-                first_seen: run.first_seen,
-                ..Default::default()
-            });
-            f.packets += run.packets;
-            f.bytes += run.bytes;
-            f.last_seen = run.last_seen;
-        }
+        self.streams.touch_flow(five_tuple, ts, ip_len)
     }
 
     /// Handle one WebRTC PDU on an admitted flow: SRTP feeds the shared
@@ -800,7 +769,9 @@ impl Analyzer {
                 };
                 self.classifier.record(FamilyId::Webrtc, mt, None, ip_len);
             }
-            _ => self.note_classified(FamilyId::Webrtc, ts_nanos, &five_tuple, ip_len),
+            _ => {
+                self.note_classified(FamilyId::Webrtc, ts_nanos, &five_tuple, ip_len);
+            }
         }
     }
 
@@ -808,7 +779,7 @@ impl Analyzer {
     /// family (Zoom ZME or WebRTC SRTP — [`PacketMeta::family`] says
     /// which).
     fn on_media(&mut self, meta: PacketMeta) {
-        self.note_classified(meta.family, meta.ts_nanos, &meta.five_tuple, meta.ip_len);
+        let flow = self.note_classified(meta.family, meta.ts_nanos, &meta.five_tuple, meta.ip_len);
         self.classifier.record(
             meta.family,
             meta.media_type,
@@ -840,32 +811,35 @@ impl Analyzer {
             }
             false
         };
-        if let Some((key, created)) = self.streams.on_packet(&meta) {
-            if created && !sharded {
-                let (client, server) =
-                    resolve_stream_endpoints(&meta.five_tuple, self.config.campus_prefixes());
-                let rtp = meta.rtp.as_ref().expect("stream implies rtp");
-                let streams = &self.streams;
-                let (uid, _meeting) = self.grouper.on_new_stream(
-                    key,
-                    client,
-                    server,
-                    rtp.timestamp,
-                    rtp.sequence,
-                    meta.ts_nanos,
-                    |k| {
-                        streams.get(k).and_then(|s| s.candidate_state()).map(
-                            |(last_rtp_ts, last_seq, last_seen)| CandidateState {
-                                last_rtp_ts,
-                                last_seq,
-                                last_seen,
-                            },
-                        )
-                    },
-                );
-                if let Some(s) = self.streams.get_mut(&key) {
-                    s.unique_id = Some(uid);
-                }
+        let Some(rtp) = &meta.rtp else { return };
+        let created = self.streams.on_flow_packet(flow, &meta, rtp);
+        if created && !sharded {
+            let key = StreamKey {
+                flow: meta.five_tuple,
+                ssrc: rtp.ssrc,
+            };
+            let (client, server) =
+                resolve_stream_endpoints(&meta.five_tuple, self.config.campus_prefixes());
+            let streams = &self.streams;
+            let (uid, _meeting) = self.grouper.on_new_stream(
+                key,
+                client,
+                server,
+                rtp.timestamp,
+                rtp.sequence,
+                meta.ts_nanos,
+                |k| {
+                    streams.get(k).and_then(|s| s.candidate_state()).map(
+                        |(last_rtp_ts, last_seq, last_seen)| CandidateState {
+                            last_rtp_ts,
+                            last_seq,
+                            last_seen,
+                        },
+                    )
+                },
+            );
+            if let Some(s) = self.streams.get_mut(&key) {
+                s.unique_id = Some(uid);
             }
         }
     }
@@ -887,6 +861,8 @@ impl Analyzer {
     /// [`AnalysisReport`] without consuming the analyzer (more records
     /// may still be fed afterwards).
     pub fn report(&self) -> AnalysisReport {
+        // The report reads drop accounting out of the registry.
+        self.flush_metrics();
         build_report(self, self.streams.iter().map(|s| (s, false)), 0, 0)
     }
 
@@ -896,7 +872,7 @@ impl Analyzer {
             total_packets: self.total_packets.max(self.zoom_packets + self.webrtc_packets),
             zoom_packets: self.zoom_packets,
             zoom_bytes: self.zoom_bytes,
-            zoom_flows: self.flows.len(),
+            zoom_flows: self.streams.flow_count(),
             rtp_streams: self.streams.len(),
             meetings: self.grouper.meeting_count(),
             duration_nanos: self
@@ -917,9 +893,9 @@ impl Analyzer {
         &self.streams
     }
 
-    /// Per-flow statistics.
-    pub fn flows(&self) -> &FxHashMap<FiveTuple, FlowStats> {
-        &self.flows
+    /// Per-flow statistics, in no particular order.
+    pub fn flows(&self) -> impl Iterator<Item = (&FiveTuple, &FlowStats)> + '_ {
+        self.streams.flows()
     }
 
     /// RTP-copy RTT samples (§5.3 method 1).
@@ -946,8 +922,8 @@ impl Analyzer {
     pub fn media_samples(&self, media: MediaType) -> MediaSamples {
         let mut out = MediaSamples::default();
         for s in self.streams.of_type(media) {
-            for rate in s.media_rate.rate_samples() {
-                out.bitrate_mbps.push(rate * 8.0 / 1e6);
+            for row in s.rates.rows() {
+                out.bitrate_mbps.push(row.media_bytes as f64 * 8.0 / 1e6);
             }
             if let Some(frames) = &s.frames {
                 for f in frames.frames() {
@@ -981,10 +957,10 @@ impl Analyzer {
         let mut out = Vec::new();
         for s in self.streams.of_type(MediaType::Video) {
             let rates: HashMap<u64, f64> = s
-                .media_rate
-                .sorted()
-                .into_iter()
-                .map(|(t, v)| (t / 1_000_000_000, v * 8.0 / 1e6))
+                .rates
+                .rows()
+                .iter()
+                .map(|r| (r.second, r.media_bytes as f64 * 8.0 / 1e6))
                 .collect();
             let mut fps: HashMap<u64, f64> = HashMap::new();
             if let Some(frames) = &s.frames {
@@ -1057,7 +1033,7 @@ impl PacketSink for Analyzer {
                 .is_multiple_of(64)
                 .then(std::time::Instant::now);
             self.total_packets += 1;
-            self.metrics.record_in(r.data.len());
+            self.tally.record_in(r.data.len());
             match arena.take_dissection(batch, i) {
                 Some(d) => self.process_dissection_counted(&d),
                 None => {
@@ -1073,10 +1049,12 @@ impl PacketSink for Analyzer {
             }
         }
         self.peek_arena = arena;
+        self.flush_metrics();
         Ok(())
     }
 
     fn metrics(&self) -> MetricsSnapshot {
+        self.flush_metrics();
         self.metrics.snapshot()
     }
 
@@ -1143,6 +1121,22 @@ mod tests {
         pkts_in_frame: u8,
         marker: bool,
     ) -> Record {
+        let client = if up { 1 } else { 2 };
+        media_record_for(ts, up, client, ssrc, seq, rtp_ts, pkts_in_frame, marker)
+    }
+
+    /// [`media_record`] with the campus client's host byte chosen.
+    #[allow(clippy::too_many_arguments)]
+    fn media_record_for(
+        ts: u64,
+        up: bool,
+        client: u8,
+        ssrc: u32,
+        seq: u16,
+        rtp_ts: u32,
+        pkts_in_frame: u8,
+        marker: bool,
+    ) -> Record {
         let payload = zoom::Builder {
             sfu: Some(zoom::SfuEncapRepr {
                 encap_type: zoom::SFU_TYPE_MEDIA,
@@ -1174,7 +1168,7 @@ mod tests {
         .build();
         let data = if up {
             compose::udp_ipv4_ethernet(
-                Ipv4Addr::new(10, 8, 0, 1),
+                Ipv4Addr::new(10, 8, 0, client),
                 Ipv4Addr::new(170, 114, 0, 1),
                 50_000,
                 8801,
@@ -1183,7 +1177,7 @@ mod tests {
         } else {
             compose::udp_ipv4_ethernet(
                 Ipv4Addr::new(170, 114, 0, 1),
-                Ipv4Addr::new(10, 8, 0, 2),
+                Ipv4Addr::new(10, 8, 0, client),
                 8801,
                 51_000,
                 &payload,
@@ -1218,6 +1212,84 @@ mod tests {
         let groups = a.duplicate_stream_groups();
         assert_eq!(groups.len(), 1);
         assert_eq!(groups.values().next().unwrap().len(), 2);
+    }
+
+    /// Fx hashes finished while `a` ingests `records`, per-record route
+    /// (sequential analyzer) or routed route (shard analyzer).
+    fn hashes_during(a: &mut Analyzer, records: &[Record]) -> u64 {
+        let before = crate::fxhash::hash_computations();
+        for (i, r) in records.iter().enumerate() {
+            if a.event_log.is_some() {
+                let peeked = zoom_wire::dissect::peek(&r.data, LinkType::Ethernet).unwrap();
+                let info = Some(&peeked.info);
+                a.process_record_routed(i as u64, r.ts_nanos, &r.data, info, false, false);
+            } else {
+                feed(a, r);
+            }
+        }
+        crate::fxhash::hash_computations() - before
+    }
+
+    /// The per-packet probe budget of `docs/PERFORMANCE.md`, pinned: a
+    /// steady-state media packet costs one flow-table probe (none when it
+    /// follows a packet of the same flow), plus — sequential mode only —
+    /// the RTP-copy RTT estimator's one.
+    #[test]
+    fn steady_state_media_packet_costs_one_probe() {
+        const N: u64 = 200;
+        // Downlink video on two flows; `interleaved` alternates them so
+        // the last-flow memo never hits, `bursts` sends each flow's
+        // packets back to back so it always does but once.
+        let record = |i: u64, flow: u64| {
+            let seq = (i / 2) as u16 + 1;
+            let rtp_ts = 1_000 + u32::from(seq) * 3_000;
+            media_record_for(
+                i * MS,
+                false,
+                2 + flow as u8,
+                0x21 + flow as u32,
+                seq,
+                rtp_ts,
+                1,
+                true,
+            )
+        };
+        let warm_up: Vec<Record> = (0..20).map(|i| record(i, i % 2)).collect();
+        let interleaved: Vec<Record> = (20..20 + N).map(|i| record(i, i % 2)).collect();
+        let bursts: Vec<Record> = (220..220 + N)
+            .map(|i| record(i, u64::from(i >= 220 + N / 2)))
+            .collect();
+
+        let mut seq = analyzer();
+        hashes_during(&mut seq, &warm_up);
+        assert_eq!(
+            hashes_during(&mut seq, &interleaved),
+            2 * N,
+            "sequential, interleaved"
+        );
+        // One flow probe per burst (the first burst continues the flow
+        // the interleaved run ended on or not — allow either).
+        let burst_hashes = hashes_during(&mut seq, &bursts);
+        assert!(
+            (N + 1..=N + 2).contains(&burst_hashes),
+            "sequential, bursts: {burst_hashes}"
+        );
+        assert_eq!(seq.summary().rtp_streams, 2);
+
+        let mut shard =
+            Analyzer::new_sharded(AnalyzerConfig::default(), Arc::new(PipelineMetrics::new(1)));
+        hashes_during(&mut shard, &warm_up);
+        assert_eq!(
+            hashes_during(&mut shard, &interleaved),
+            N,
+            "shard, interleaved"
+        );
+        let burst_hashes = hashes_during(&mut shard, &bursts);
+        assert!(
+            (1..=2).contains(&burst_hashes),
+            "shard, bursts: {burst_hashes}"
+        );
+        assert_eq!(shard.summary().zoom_packets, 20 + 2 * N);
     }
 
     #[test]

@@ -233,7 +233,7 @@ impl StreamReport {
     ) -> StreamReport {
         let (lost, duplicates) = s
             .substreams
-            .values()
+            .iter()
             .map(|sub| {
                 let st = sub.seq_stats();
                 (st.missing, st.duplicates)

@@ -176,61 +176,91 @@ impl TimeBins {
     }
 }
 
-/// Sparse fixed-width time bins — for long-lived streams whose start/end
-/// are not known up front.
-#[derive(Debug, Clone)]
-pub struct SparseBins {
-    width_nanos: u64,
-    bins: std::collections::HashMap<u64, f64>,
+/// One second of a stream's traffic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RateRow {
+    /// Whole seconds since time zero.
+    pub second: u64,
+    /// IP-layer bytes (headers included).
+    pub ip_bytes: u64,
+    /// Packets.
+    pub packets: u64,
+    /// RTP payload bytes.
+    pub media_bytes: u64,
 }
 
-impl SparseBins {
-    /// Bins of the given width.
-    pub fn new(width_nanos: u64) -> SparseBins {
-        assert!(width_nanos > 0, "bin width must be positive");
-        SparseBins {
-            width_nanos,
-            bins: std::collections::HashMap::new(),
-        }
+impl RateRow {
+    /// Start of the row's second, nanoseconds.
+    pub fn start_nanos(&self) -> u64 {
+        self.second * 1_000_000_000
+    }
+}
+
+/// Per-second rate rows of one stream — the paper's one-second
+/// granularity (§5, Fig. 15) — for long-lived streams whose start and
+/// end are not known up front.
+///
+/// Rows are kept in time order. Capture timestamps are nearly monotonic,
+/// so a packet almost always lands in the last row (one comparison); a
+/// straggler from an earlier second finds or inserts its row by binary
+/// search. Only seconds that saw a packet have a row.
+#[derive(Debug, Clone, Default)]
+pub struct RateRows {
+    rows: Vec<RateRow>,
+}
+
+impl RateRows {
+    /// No rows.
+    pub fn new() -> RateRows {
+        RateRows::default()
     }
 
-    /// One-second bins (the paper's granularity).
-    pub fn per_second() -> SparseBins {
-        SparseBins::new(1_000_000_000)
+    /// Count one packet of `ip_bytes` carrying `media_bytes` of payload,
+    /// captured at `t_nanos`.
+    #[inline]
+    pub fn add(&mut self, t_nanos: u64, ip_bytes: u64, media_bytes: u64) {
+        let second = t_nanos / 1_000_000_000;
+        let row = match self.rows.last_mut() {
+            Some(last) if last.second == second => last,
+            _ => self.straggler_row(second),
+        };
+        row.ip_bytes += ip_bytes;
+        row.packets += 1;
+        row.media_bytes += media_bytes;
     }
 
-    /// Add `value` at time `t`.
-    pub fn add(&mut self, t: u64, value: f64) {
-        *self.bins.entry(t / self.width_nanos).or_insert(0.0) += value;
+    /// The row for `second` when it is not the last one: found, appended,
+    /// or inserted in order.
+    fn straggler_row(&mut self, second: u64) -> &mut RateRow {
+        let at = match self.rows.binary_search_by_key(&second, |r| r.second) {
+            Ok(at) => at,
+            Err(at) => {
+                let empty = RateRow {
+                    second,
+                    ip_bytes: 0,
+                    packets: 0,
+                    media_bytes: 0,
+                };
+                self.rows.insert(at, empty);
+                at
+            }
+        };
+        &mut self.rows[at]
     }
 
-    /// Number of non-empty bins.
+    /// The rows, in time order.
+    pub fn rows(&self) -> &[RateRow] {
+        &self.rows
+    }
+
+    /// Number of seconds that saw a packet.
     pub fn len(&self) -> usize {
-        self.bins.len()
+        self.rows.len()
     }
 
-    /// True when no bins are populated.
+    /// True when no packet was counted.
     pub fn is_empty(&self) -> bool {
-        self.bins.is_empty()
-    }
-
-    /// `(bin_start_nanos, value)` pairs sorted by time.
-    pub fn sorted(&self) -> Vec<(u64, f64)> {
-        let mut v: Vec<(u64, f64)> = self
-            .bins
-            .iter()
-            .map(|(&i, &val)| (i * self.width_nanos, val))
-            .collect();
-        v.sort_unstable_by_key(|&(t, _)| t);
-        v
-    }
-
-    /// Per-second rates of the populated bins (value / bin width), in
-    /// time order — deterministic, unlike `HashMap` iteration, so sample
-    /// sets compare equal across runs and across the sharded merge.
-    pub fn rate_samples(&self) -> Vec<f64> {
-        let secs = self.width_nanos as f64 / 1e9;
-        self.sorted().into_iter().map(|(_, v)| v / secs).collect()
+        self.rows.is_empty()
     }
 }
 
@@ -239,17 +269,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sparse_bins_accumulate() {
-        let mut b = SparseBins::per_second();
-        b.add(100, 1.0);
-        b.add(999_999_999, 2.0);
-        b.add(5_000_000_000, 4.0);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.sorted(), vec![(0, 3.0), (5_000_000_000, 4.0)]);
-        let mut rates = b.rate_samples();
-        rates.sort_by(f64::total_cmp);
-        assert_eq!(rates, vec![3.0, 4.0]);
-        assert!(!b.is_empty());
+    fn rate_rows_accumulate_in_time_order() {
+        let mut b = RateRows::new();
+        assert!(b.is_empty());
+        b.add(100, 10, 1);
+        b.add(999_999_999, 20, 2);
+        b.add(5_000_000_000, 40, 4);
+        // A straggler from a second never seen, and one from a seen one.
+        b.add(3_000_000_001, 7, 0);
+        b.add(500, 1, 1);
+        assert_eq!(b.len(), 3);
+        let rows: Vec<(u64, u64, u64, u64)> = b
+            .rows()
+            .iter()
+            .map(|r| (r.start_nanos(), r.ip_bytes, r.packets, r.media_bytes))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                (0, 31, 3, 4),
+                (3_000_000_000, 7, 1, 0),
+                (5_000_000_000, 40, 1, 4)
+            ]
+        );
     }
 
     #[test]

@@ -9,11 +9,14 @@
 
 use crate::fxhash::FxHashMap;
 use crate::metrics::frame::{Completion, FrameTracker};
-use crate::metrics::VIDEO_SAMPLING_RATE;
 use crate::metrics::jitter::JitterEstimator;
 use crate::metrics::loss::{SeqStats, SeqTracker};
-use crate::packet::{Direction, PacketMeta};
-use crate::stats::SparseBins;
+use crate::metrics::VIDEO_SAMPLING_RATE;
+use crate::packet::{Direction, PacketMeta, RtpMeta};
+use crate::pipeline::FlowStats;
+use crate::position_hinted;
+use crate::stats::RateRows;
+use std::collections::VecDeque;
 use zoom_wire::family::FamilyId;
 use zoom_wire::flow::FiveTuple;
 use zoom_wire::zoom::{MediaType, RtpPayloadKind};
@@ -74,24 +77,24 @@ pub struct Stream {
     /// Identifier shared by all copies of the same media (assigned by the
     /// grouping heuristic's step 1).
     pub unique_id: Option<u32>,
-    /// Sub-streams keyed by RTP payload type.
-    pub substreams: FxHashMap<u8, SubStream>,
+    /// Sub-streams, one per RTP payload type, in first-seen order (a
+    /// stream carries two or three: main, FEC, perhaps a probe).
+    pub substreams: Vec<SubStream>,
+    /// Index into `substreams` of the one the previous packet hit.
+    last_sub: usize,
     /// Frame reconstruction (video and screen share only).
     pub frames: Option<FrameTracker>,
     /// Frame-level jitter over the main sub-stream.
     pub frame_jitter: JitterEstimator,
-    /// Media payload bytes per second.
-    pub media_rate: SparseBins,
-    /// IP bytes per second (overall rate including headers).
-    pub ip_rate: SparseBins,
-    /// Packets per second.
-    pub pkt_rate: SparseBins,
+    /// Per-second IP bytes, packets and media payload bytes.
+    pub rates: RateRows,
     /// Recently fed RTP timestamps: the jitter estimator gets exactly one
     /// observation per frame (its first sighting), and a retransmitted
     /// duplicate of an already-seen frame must not re-trigger it. Genuine
     /// reorderings (a frame first seen late) still feed it — that lateness
-    /// IS jitter, per RFC 3550.
-    fed_jitter_ts: std::collections::VecDeque<u32>,
+    /// IS jitter, per RFC 3550. Kept for video and screen share only, the
+    /// media the estimator is fed for.
+    fed_jitter_ts: VecDeque<u32>,
     /// Total packets.
     pub packets: u64,
 }
@@ -109,9 +112,10 @@ impl Stream {
             // WebRTC video has no such field, so frames complete on the
             // RTP marker bit like screen share does.
             (FamilyId::Zoom, MediaType::Video) => Some(FrameTracker::video()),
-            (_, MediaType::Video) => {
-                Some(FrameTracker::new(Completion::MarkerBit, VIDEO_SAMPLING_RATE))
-            }
+            (_, MediaType::Video) => Some(FrameTracker::new(
+                Completion::MarkerBit,
+                VIDEO_SAMPLING_RATE,
+            )),
             (_, MediaType::ScreenShare) => Some(FrameTracker::screen_share()),
             _ => None,
         };
@@ -123,39 +127,23 @@ impl Stream {
             first_seen: now,
             last_seen: now,
             unique_id: None,
-            substreams: FxHashMap::default(),
+            substreams: Vec::new(),
+            last_sub: 0,
             frames,
             frame_jitter: JitterEstimator::video(),
-            media_rate: SparseBins::per_second(),
-            ip_rate: SparseBins::per_second(),
-            pkt_rate: SparseBins::per_second(),
-            fed_jitter_ts: std::collections::VecDeque::new(),
+            rates: RateRows::new(),
+            fed_jitter_ts: VecDeque::new(),
             packets: 0,
         }
     }
 
-    fn on_packet(&mut self, m: &PacketMeta) {
-        let rtp = m.rtp.as_ref().expect("stream packets carry RTP");
+    fn on_packet(&mut self, m: &PacketMeta, rtp: &RtpMeta) {
         self.last_seen = m.ts_nanos;
         self.packets += 1;
-        self.ip_rate.add(m.ts_nanos, m.ip_len as f64);
-        self.pkt_rate.add(m.ts_nanos, 1.0);
-        self.media_rate.add(m.ts_nanos, m.media_payload_len as f64);
+        self.rates
+            .add(m.ts_nanos, m.ip_len as u64, m.media_payload_len as u64);
 
-        let sub = self
-            .substreams
-            .entry(rtp.payload_type)
-            .or_insert_with(|| SubStream {
-                payload_type: rtp.payload_type,
-                kind: rtp.kind,
-                packets: 0,
-                media_bytes: 0,
-                first_seq: rtp.sequence,
-                last_seq: rtp.sequence,
-                first_rtp_ts: rtp.timestamp,
-                last_rtp_ts: rtp.timestamp,
-                seq: SeqTracker::new(),
-            });
+        let sub = self.substream_mut(rtp);
         sub.packets += 1;
         sub.media_bytes += m.media_payload_len as u64;
         sub.last_seq = rtp.sequence;
@@ -178,27 +166,59 @@ impl Stream {
             // Feed the jitter estimator once per frame, on the frame's
             // first sighting. Duplicates (Zoom retransmissions reuse the
             // timestamp) must not re-trigger; first-seen-late frames do.
-            if !self.fed_jitter_ts.contains(&rtp.timestamp) {
+            // A frame's packets arrive back to back, so all but its first
+            // match the newest entry and skip the scan.
+            if (self.media_type == MediaType::Video || self.media_type == MediaType::ScreenShare)
+                && self.fed_jitter_ts.back() != Some(&rtp.timestamp)
+                && !self.fed_jitter_ts.contains(&rtp.timestamp)
+            {
                 self.fed_jitter_ts.push_back(rtp.timestamp);
                 if self.fed_jitter_ts.len() > 64 {
                     self.fed_jitter_ts.pop_front();
                 }
-                if self.media_type == MediaType::Video || self.media_type == MediaType::ScreenShare
-                {
-                    self.frame_jitter.on_frame(m.ts_nanos, rtp.timestamp);
-                }
+                self.frame_jitter.on_frame(m.ts_nanos, rtp.timestamp);
             }
         }
     }
 
+    /// The sub-stream of this packet's payload type, created on first
+    /// sight.
+    fn substream_mut(&mut self, rtp: &RtpMeta) -> &mut SubStream {
+        let pt = rtp.payload_type;
+        let hit = position_hinted(&self.substreams, self.last_sub, |s| s.payload_type == pt)
+            .unwrap_or_else(|| {
+                self.substreams.push(SubStream {
+                    payload_type: pt,
+                    kind: rtp.kind,
+                    packets: 0,
+                    media_bytes: 0,
+                    first_seq: rtp.sequence,
+                    last_seq: rtp.sequence,
+                    first_rtp_ts: rtp.timestamp,
+                    last_rtp_ts: rtp.timestamp,
+                    seq: SeqTracker::new(),
+                });
+                self.substreams.len() - 1
+            });
+        self.last_sub = hit;
+        &mut self.substreams[hit]
+    }
+
+    /// The sub-stream carrying `payload_type`, if one was seen.
+    pub fn substream(&self, payload_type: u8) -> Option<&SubStream> {
+        self.substreams
+            .iter()
+            .find(|s| s.payload_type == payload_type)
+    }
+
     /// The dominant sub-stream: most packets, ties broken by payload type.
     ///
-    /// The explicit tie-break makes the choice independent of `HashMap`
-    /// iteration order, which both the sequential and the sharded pipeline
-    /// rely on for reproducible grouping decisions.
+    /// The explicit tie-break makes the choice a function of the counters
+    /// alone, which both the sequential and the sharded pipeline rely on
+    /// for reproducible grouping decisions.
     fn dominant_substream(&self) -> Option<&SubStream> {
         self.substreams
-            .values()
+            .iter()
             .max_by_key(|s| (s.packets, s.payload_type))
     }
 
@@ -218,7 +238,7 @@ impl Stream {
 
     /// Media payload bytes across all sub-streams.
     pub fn media_bytes(&self) -> u64 {
-        self.substreams.values().map(|s| s.media_bytes).sum()
+        self.substreams.iter().map(|s| s.media_bytes).sum()
     }
 
     /// Duration from first to last packet.
@@ -236,12 +256,101 @@ impl Stream {
     }
 }
 
-/// Tracks all streams in a trace.
+/// How many of a flow's streams are listed inside its table slot; a
+/// client's own flow carries two or three, and only a busy server→client
+/// flow (one stream per remote participant and medium) spills.
+const INLINE_STREAMS: usize = 4;
+
+/// A flow's `(SSRC, stream index)` pairs: the first few inline in the
+/// flow's slot, the rest in a spill vector.
+#[derive(Debug, Default)]
+struct StreamRefs {
+    inline: [(u32, u32); INLINE_STREAMS],
+    inline_len: u8,
+    spill: Vec<(u32, u32)>,
+}
+
+impl StreamRefs {
+    fn iter(&self) -> impl Iterator<Item = &(u32, u32)> {
+        self.inline[..usize::from(self.inline_len)]
+            .iter()
+            .chain(&self.spill)
+    }
+
+    fn get(&self, ssrc: u32) -> Option<usize> {
+        self.iter()
+            .find(|(s, _)| *s == ssrc)
+            .map(|&(_, stream)| stream as usize)
+    }
+
+    fn push(&mut self, ssrc: u32, stream: usize) {
+        let pair = (ssrc, stream as u32);
+        match self.inline.get_mut(usize::from(self.inline_len)) {
+            Some(free) => {
+                *free = pair;
+                self.inline_len += 1;
+            }
+            None => self.spill.push(pair),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.inline_len == 0
+    }
+
+    /// Re-point every pair through `remap` (old stream index → new one,
+    /// [`GONE`] for a stream that left the slab), dropping the gone ones.
+    fn remap(&mut self, remap: &[u32]) {
+        let old = std::mem::take(self);
+        for &(ssrc, stream) in old.iter() {
+            let new = remap[stream as usize];
+            if new != GONE {
+                self.push(ssrc, new as usize);
+            }
+        }
+    }
+}
+
+/// [`StreamRefs::remap`]'s marker for an evicted stream.
+const GONE: u32 = u32::MAX;
+
+/// One flow's slot in the table: its accounting and its streams.
+#[derive(Debug)]
+struct FlowSlot {
+    key: FiveTuple,
+    stats: FlowStats,
+    /// Whether `stats` describes a live flow. False for a slot that only
+    /// anchors streams: after the flow's accounting was evicted while a
+    /// stream of it stayed live (possible when capture timestamps step
+    /// backwards), or for streams adopted ahead of their flow.
+    counted: bool,
+    streams: StreamRefs,
+}
+
+/// Handle to a flow's slot, valid until the next eviction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FlowId(usize);
+
+/// The shard-local state tables: every flow and every media stream of a
+/// trace.
+///
+/// A packet's 5-tuple is resolved **once**, to a slot of the flow slab
+/// (skipping even that probe when it is the flow the previous packet
+/// was on); the slot holds the flow's accounting and lists its streams
+/// by SSRC, so everything after the probe is an index: slot → stream
+/// index → [`Stream`] in a creation-ordered slab.
 #[derive(Default)]
 pub struct StreamTracker {
-    streams: FxHashMap<StreamKey, Stream>,
-    /// Keys in creation order (stable reporting).
-    order: Vec<StreamKey>,
+    /// 5-tuple → index into `flows`.
+    index: FxHashMap<FiveTuple, u32>,
+    flows: Vec<FlowSlot>,
+    /// Slots with `counted` set.
+    live_flows: usize,
+    /// Index of the slot touched last (checked by key before use, so a
+    /// stale value costs a probe, never a wrong answer).
+    last_flow: usize,
+    /// Streams in creation order (stable reporting).
+    streams: Vec<Stream>,
 }
 
 impl StreamTracker {
@@ -250,23 +359,88 @@ impl StreamTracker {
         StreamTracker::default()
     }
 
-    /// Feed one Zoom media packet. Returns the key and whether the packet
-    /// created a new stream (the grouping heuristic hooks on creation).
+    /// The slot of `ft`, created (uncounted) when new. One table probe,
+    /// none when `ft` is the flow resolved last.
+    #[inline]
+    fn slot_of(&mut self, ft: &FiveTuple) -> usize {
+        if self.flows.get(self.last_flow).is_some_and(|s| s.key == *ft) {
+            return self.last_flow;
+        }
+        let next = self.flows.len();
+        let slot = *self.index.entry(*ft).or_insert(next as u32) as usize;
+        if slot == next {
+            self.flows.push(FlowSlot {
+                key: *ft,
+                stats: FlowStats::default(),
+                counted: false,
+                streams: StreamRefs::default(),
+            });
+        }
+        self.last_flow = slot;
+        slot
+    }
+
+    /// Count one classified packet of `ip_len` IP bytes on flow `ft` and
+    /// return the flow's handle for [`StreamTracker::on_flow_packet`].
+    #[inline]
+    pub(crate) fn touch_flow(&mut self, ft: &FiveTuple, ts: u64, ip_len: usize) -> FlowId {
+        let slot = self.slot_of(ft);
+        let f = &mut self.flows[slot];
+        if !f.counted {
+            f.counted = true;
+            f.stats = FlowStats {
+                first_seen: ts,
+                ..Default::default()
+            };
+            self.live_flows += 1;
+        }
+        f.stats.packets += 1;
+        f.stats.bytes += ip_len as u64;
+        f.stats.last_seen = ts;
+        FlowId(slot)
+    }
+
+    /// Feed one RTP media packet on the flow `flow` names (the handle
+    /// [`StreamTracker::touch_flow`] returned for this packet). Returns
+    /// whether the packet created a new stream (the grouping heuristic
+    /// hooks on creation).
+    #[inline]
+    pub(crate) fn on_flow_packet(&mut self, flow: FlowId, m: &PacketMeta, rtp: &RtpMeta) -> bool {
+        let slot = &mut self.flows[flow.0];
+        debug_assert_eq!(slot.key, m.five_tuple);
+        let (at, created) = match slot.streams.get(rtp.ssrc) {
+            Some(at) => (at, false),
+            None => {
+                let key = StreamKey {
+                    flow: m.five_tuple,
+                    ssrc: rtp.ssrc,
+                };
+                slot.streams.push(rtp.ssrc, self.streams.len());
+                self.streams.push(Stream::new(
+                    key,
+                    m.family,
+                    m.media_type,
+                    m.direction,
+                    m.ts_nanos,
+                ));
+                (self.streams.len() - 1, true)
+            }
+        };
+        self.streams[at].on_packet(m, rtp);
+        created
+    }
+
+    /// Feed one media packet: count it on its flow and track its stream.
+    /// Returns the key and whether the packet created a new stream;
+    /// `None` (and nothing counted) for a packet without RTP.
     pub fn on_packet(&mut self, m: &PacketMeta) -> Option<(StreamKey, bool)> {
         let rtp = m.rtp.as_ref()?;
+        let flow = self.touch_flow(&m.five_tuple, m.ts_nanos, m.ip_len);
+        let created = self.on_flow_packet(flow, m, rtp);
         let key = StreamKey {
             flow: m.five_tuple,
             ssrc: rtp.ssrc,
         };
-        let created = !self.streams.contains_key(&key);
-        let stream = self
-            .streams
-            .entry(key)
-            .or_insert_with(|| Stream::new(key, m.family, m.media_type, m.direction, m.ts_nanos));
-        stream.on_packet(m);
-        if created {
-            self.order.push(key);
-        }
         Some((key, created))
     }
 
@@ -280,19 +454,24 @@ impl StreamTracker {
         self.streams.is_empty()
     }
 
+    fn position(&self, key: &StreamKey) -> Option<usize> {
+        let slot = *self.index.get(&key.flow)? as usize;
+        self.flows[slot].streams.get(key.ssrc)
+    }
+
     /// Access one stream.
     pub fn get(&self, key: &StreamKey) -> Option<&Stream> {
-        self.streams.get(key)
+        self.position(key).map(|at| &self.streams[at])
     }
 
     /// Mutable access (grouping sets `unique_id`).
     pub fn get_mut(&mut self, key: &StreamKey) -> Option<&mut Stream> {
-        self.streams.get_mut(key)
+        self.position(key).map(|at| &mut self.streams[at])
     }
 
     /// Iterate streams in creation order.
     pub fn iter(&self) -> impl Iterator<Item = &Stream> + '_ {
-        self.order.iter().filter_map(move |k| self.streams.get(k))
+        self.streams.iter()
     }
 
     /// Iterate streams of one media type.
@@ -300,36 +479,109 @@ impl StreamTracker {
         self.iter().filter(move |s| s.media_type == t)
     }
 
-    /// Take ownership of all streams (sharded merge moves per-shard
-    /// streams into the merged tracker).
-    pub(crate) fn into_streams(self) -> FxHashMap<StreamKey, Stream> {
-        self.streams
+    /// Number of flows with live accounting.
+    pub fn flow_count(&self) -> usize {
+        self.live_flows
     }
 
-    /// Insert a fully built stream, appending it to the creation order.
-    /// Used by the sharded merge, which replays global creation order.
-    pub(crate) fn adopt(&mut self, stream: Stream) {
-        let key = stream.key;
-        if self.streams.insert(key, stream).is_none() {
-            self.order.push(key);
+    /// One flow's accounting.
+    pub fn flow(&self, ft: &FiveTuple) -> Option<&FlowStats> {
+        let slot = &self.flows[*self.index.get(ft)? as usize];
+        slot.counted.then_some(&slot.stats)
+    }
+
+    /// Every flow's accounting, in no particular order.
+    pub fn flows(&self) -> impl Iterator<Item = (&FiveTuple, &FlowStats)> + '_ {
+        self.flows
+            .iter()
+            .filter(|s| s.counted)
+            .map(|s| (&s.key, &s.stats))
+    }
+
+    /// Fold accounting gathered elsewhere (another shard) into flow `ft`.
+    pub(crate) fn merge_flow(&mut self, ft: &FiveTuple, stats: FlowStats) {
+        let slot = self.slot_of(ft);
+        let f = &mut self.flows[slot];
+        if f.counted {
+            f.stats.absorb(&stats);
+        } else {
+            f.counted = true;
+            f.stats = stats;
+            self.live_flows += 1;
         }
     }
 
-    /// Remove and return every stream idle since before `cutoff`
-    /// (`last_seen < cutoff`), preserving creation order among both the
-    /// evicted and the survivors. The streaming engine's bounded-memory
-    /// tick; a stream that reappears later is tracked as a fresh one.
-    pub(crate) fn evict_idle(&mut self, cutoff: u64) -> Vec<Stream> {
-        let mut evicted = Vec::new();
-        let streams = &mut self.streams;
-        self.order.retain(|k| match streams.get(k) {
-            Some(s) if s.last_seen < cutoff => {
-                evicted.push(streams.remove(k).expect("checked present"));
-                false
+    /// Take ownership of all flows and streams (sharded merge moves
+    /// per-shard state into the merged tracker).
+    pub(crate) fn into_parts(self) -> (Vec<(FiveTuple, FlowStats)>, Vec<Stream>) {
+        let flows = self
+            .flows
+            .into_iter()
+            .filter(|s| s.counted)
+            .map(|s| (s.key, s.stats))
+            .collect();
+        (flows, self.streams)
+    }
+
+    /// Insert a fully built stream, appending it to the creation order
+    /// (or replacing the stream already tracked under its key). Used by
+    /// the sharded merge, which replays global creation order.
+    pub(crate) fn adopt(&mut self, stream: Stream) {
+        let slot = self.slot_of(&stream.key.flow);
+        match self.flows[slot].streams.get(stream.key.ssrc) {
+            Some(at) => self.streams[at] = stream,
+            None => {
+                self.flows[slot]
+                    .streams
+                    .push(stream.key.ssrc, self.streams.len());
+                self.streams.push(stream);
             }
-            _ => true,
-        });
-        evicted
+        }
+    }
+
+    /// Remove and return every stream and every flow idle since before
+    /// `cutoff` (`last_seen < cutoff`), preserving creation order among
+    /// both the evicted streams and the survivors. The streaming engine's
+    /// bounded-memory tick; a stream or flow that reappears later is
+    /// tracked as a fresh one.
+    pub fn evict_idle(&mut self, cutoff: u64) -> (Vec<Stream>, Vec<(FiveTuple, FlowStats)>) {
+        let mut evicted_streams = Vec::new();
+        if self.streams.iter().any(|s| s.last_seen < cutoff) {
+            // Old stream index → new one.
+            let mut remap = Vec::with_capacity(self.streams.len());
+            let mut kept = 0;
+            evicted_streams.extend(self.streams.extract_if(.., |s| {
+                let idle = s.last_seen < cutoff;
+                remap.push(if idle { GONE } else { kept });
+                kept += u32::from(!idle);
+                idle
+            }));
+            for slot in &mut self.flows {
+                slot.streams.remap(&remap);
+            }
+        }
+
+        let mut evicted_flows = Vec::new();
+        let mut at = 0;
+        while let Some(slot) = self.flows.get_mut(at) {
+            if slot.counted && slot.stats.last_seen < cutoff {
+                slot.counted = false;
+                self.live_flows -= 1;
+                evicted_flows.push((slot.key, slot.stats));
+            }
+            if slot.counted || !slot.streams.is_empty() {
+                at += 1;
+                continue;
+            }
+            // Nothing left to anchor: free the slot, moving the last one
+            // into its place.
+            let gone = self.flows.swap_remove(at);
+            self.index.remove(&gone.key);
+            if let Some(moved) = self.flows.get(at) {
+                self.index.insert(moved.key, at as u32);
+            }
+        }
+        (evicted_streams, evicted_flows)
     }
 }
 
@@ -394,7 +646,7 @@ mod tests {
         t.on_packet(&meta(MS, 0x21, 110, 1, 100, false)).unwrap();
         let s = t.get(&k).unwrap();
         assert_eq!(s.substreams.len(), 2);
-        assert!(s.substreams[&110].kind.is_fec());
+        assert!(s.substream(110).unwrap().kind.is_fec());
         // FEC packets don't create frames; the single main packet does.
         assert_eq!(s.frames.as_ref().unwrap().frames().len(), 1);
     }
@@ -409,7 +661,7 @@ mod tests {
             .unwrap();
         let s = t.get(&k).unwrap();
         assert_eq!(s.media_bytes(), 2_700);
-        assert_eq!(s.media_rate.len(), 2); // two seconds touched
+        assert_eq!(s.rates.len(), 2); // two seconds touched
         assert!(s.mean_media_bitrate() > 0.0);
         assert_eq!(s.duration_nanos(), 1_500 * MS);
     }

@@ -1,11 +1,213 @@
 //! Property-based tests on the analysis layer's core invariants.
 
 use proptest::prelude::*;
+use std::collections::{HashMap, VecDeque};
+use std::net::{IpAddr, Ipv4Addr};
 use zoom_analysis::entropy::{extract_series, FieldSeries};
-use zoom_analysis::metrics::frame::FrameTracker;
+use zoom_analysis::metrics::frame::{Completion, FrameRecord, FrameTracker};
 use zoom_analysis::metrics::jitter::JitterEstimator;
 use zoom_analysis::metrics::loss::SeqTracker;
-use zoom_analysis::stats::{Samples, SparseBins};
+use zoom_analysis::packet::{Direction, PacketMeta, RtpMeta};
+use zoom_analysis::pipeline::FlowStats;
+use zoom_analysis::stats::{RateRows, Samples};
+use zoom_analysis::stream::{StreamKey, StreamTracker};
+use zoom_wire::family::FamilyId;
+use zoom_wire::flow::FiveTuple;
+use zoom_wire::ipv4::Protocol;
+use zoom_wire::zoom::{Framing, MediaType, RtpPayloadKind};
+
+const MS: u64 = 1_000_000;
+
+/// The map-backed frame tracker the vector-backed one replaced, kept as
+/// the reference: `completed_ts` is consulted first, pending frames live
+/// in a hash map keyed by RTP timestamp.
+struct MapFrameTracker {
+    completion: Completion,
+    sampling_rate: u32,
+    /// Keyed by RTP timestamp.
+    pending: HashMap<u32, MapPending>,
+    completed: Vec<FrameRecord>,
+    last_completed_ts: Option<u32>,
+    completed_ts: VecDeque<u32>,
+}
+
+struct MapPending {
+    first_at: u64,
+    seqs: Vec<u16>,
+    bytes: usize,
+    expected: Option<u8>,
+    marker_seen: bool,
+}
+
+impl MapFrameTracker {
+    fn new(completion: Completion) -> MapFrameTracker {
+        MapFrameTracker {
+            completion,
+            sampling_rate: 90_000,
+            pending: HashMap::new(),
+            completed: Vec::new(),
+            last_completed_ts: None,
+            completed_ts: VecDeque::new(),
+        }
+    }
+
+    fn on_packet(
+        &mut self,
+        at: u64,
+        rtp_timestamp: u32,
+        sequence: u16,
+        marker: bool,
+        payload_len: usize,
+        pkts_in_frame: Option<u8>,
+    ) {
+        if self.completed_ts.contains(&rtp_timestamp) {
+            return;
+        }
+        let p = self.pending.entry(rtp_timestamp).or_insert(MapPending {
+            first_at: at,
+            seqs: Vec::new(),
+            bytes: 0,
+            expected: pkts_in_frame,
+            marker_seen: false,
+        });
+        if p.seqs.contains(&sequence) {
+            return;
+        }
+        p.seqs.push(sequence);
+        p.bytes += payload_len;
+        p.marker_seen |= marker;
+        if p.expected.is_none() {
+            p.expected = pkts_in_frame;
+        }
+        let complete = match self.completion {
+            Completion::PacketCount => p
+                .expected
+                .is_some_and(|n| p.seqs.len() >= usize::from(n.max(1))),
+            Completion::MarkerBit => p.marker_seen,
+        };
+        if complete {
+            let p = self.pending.remove(&rtp_timestamp).unwrap();
+            let encoder_interval_nanos = self.last_completed_ts.and_then(|prev| {
+                let delta = rtp_timestamp.wrapping_sub(prev);
+                if delta == 0 || delta > self.sampling_rate * 30 {
+                    None
+                } else {
+                    Some(u64::from(delta) * 1_000_000_000 / u64::from(self.sampling_rate))
+                }
+            });
+            self.last_completed_ts = Some(rtp_timestamp);
+            self.completed.push(FrameRecord {
+                first_packet_at: p.first_at,
+                completed_at: at,
+                rtp_timestamp,
+                size_bytes: p.bytes,
+                packets: p.seqs.len() as u32,
+                encoder_interval_nanos,
+            });
+            self.completed_ts.push_back(rtp_timestamp);
+            if self.completed_ts.len() > 128 {
+                self.completed_ts.pop_front();
+            }
+        }
+        if self.pending.len() > 64 {
+            self.pending
+                .retain(|_, p| at.saturating_sub(p.first_at) < 5_000_000_000);
+        }
+    }
+}
+
+fn flow(i: u8) -> FiveTuple {
+    FiveTuple {
+        src_ip: IpAddr::V4(Ipv4Addr::new(10, 8, 0, i)),
+        dst_ip: IpAddr::V4(Ipv4Addr::new(170, 114, 0, 1)),
+        src_port: 50_000 + u16::from(i),
+        dst_port: 8801,
+        protocol: Protocol::Udp,
+    }
+}
+
+fn media_packet(at: u64, flow_no: u8, ssrc: u32, seq: u16) -> PacketMeta {
+    PacketMeta {
+        ts_nanos: at,
+        five_tuple: flow(flow_no),
+        ip_len: 1_000 + usize::from(flow_no),
+        family: FamilyId::Zoom,
+        framing: Framing::Server,
+        media_type: MediaType::Audio,
+        direction: Direction::ToServer,
+        rtp: Some(RtpMeta {
+            ssrc,
+            payload_type: 112,
+            sequence: seq,
+            timestamp: u32::from(seq) * 960,
+            marker: false,
+            kind: RtpPayloadKind::classify(MediaType::Audio, 112),
+        }),
+        rtcp: None,
+        frame_seq: None,
+        pkts_in_frame: None,
+        media_payload_len: 160,
+    }
+}
+
+/// The keyed tables the flow-table/slab tracker replaced, reduced to
+/// what is observable: a flow map, a stream map of (first seen, last
+/// seen, packets), and the creation-order key vector.
+#[derive(Default)]
+struct KeyedTracker {
+    flows: HashMap<FiveTuple, FlowStats>,
+    streams: HashMap<StreamKey, (u64, u64, u64)>,
+    order: Vec<StreamKey>,
+}
+
+impl KeyedTracker {
+    fn on_packet(&mut self, m: &PacketMeta) -> (StreamKey, bool) {
+        let f = self.flows.entry(m.five_tuple).or_insert(FlowStats {
+            first_seen: m.ts_nanos,
+            ..Default::default()
+        });
+        f.packets += 1;
+        f.bytes += m.ip_len as u64;
+        f.last_seen = m.ts_nanos;
+        let key = StreamKey {
+            flow: m.five_tuple,
+            ssrc: m.rtp.unwrap().ssrc,
+        };
+        let created = !self.streams.contains_key(&key);
+        let s = self
+            .streams
+            .entry(key)
+            .or_insert((m.ts_nanos, m.ts_nanos, 0));
+        s.1 = m.ts_nanos;
+        s.2 += 1;
+        if created {
+            self.order.push(key);
+        }
+        (key, created)
+    }
+
+    fn evict_idle(&mut self, cutoff: u64) -> (Vec<StreamKey>, Vec<(FiveTuple, FlowStats)>) {
+        let mut evicted = Vec::new();
+        let streams = &mut self.streams;
+        self.order.retain(|k| {
+            let idle = streams[k].1 < cutoff;
+            if idle {
+                streams.remove(k);
+                evicted.push(*k);
+            }
+            !idle
+        });
+        let mut flows = Vec::new();
+        self.flows.retain(|ft, fs| {
+            let idle = fs.last_seen < cutoff;
+            if idle {
+                flows.push((*ft, *fs));
+            }
+            !idle
+        });
+        (evicted, flows)
+    }
+}
 
 proptest! {
     /// Sequence-tracker conservation: unique + duplicates == received, and
@@ -114,17 +316,121 @@ proptest! {
         prop_assert!(s.cdf_at(q90) >= 0.5);
     }
 
-    /// Sparse bins conserve mass.
+    /// The time-ordered rate rows hold exactly what three per-second
+    /// hash maps of `f64` sums held, for timestamps in any order: runs
+    /// within a second, duplicates, and steps backwards by whole seconds.
     #[test]
-    fn sparse_bins_conserve(values in proptest::collection::vec((0u64..1_000_000_000_000, 0.0f64..1e6), 0..300)) {
-        let mut b = SparseBins::per_second();
-        let mut total = 0.0;
-        for &(t, v) in &values {
-            b.add(t, v);
-            total += v;
+    fn rate_rows_match_hash_map_model(
+        packets in proptest::collection::vec(
+            (0u64..40, 0u64..1_000_000_000, 0u64..1_600, 0u64..1_500, 0u8..4),
+            0..400,
+        ),
+    ) {
+        let mut rows = RateRows::new();
+        let mut ip: HashMap<u64, f64> = HashMap::new();
+        let mut pkts: HashMap<u64, f64> = HashMap::new();
+        let mut media: HashMap<u64, f64> = HashMap::new();
+        let mut base = 0;
+        for &(second, nanos, ip_len, media_len, repeat) in &packets {
+            // Mostly forward-moving time with stragglers: `second` jumps
+            // anywhere in 0..40 one time in four, else stays near `base`.
+            let second = if repeat == 0 { second } else { base + second % 2 };
+            base = second;
+            let t = second * 1_000_000_000 + nanos;
+            for _ in 0..=repeat {
+                rows.add(t, ip_len, media_len);
+                *ip.entry(second).or_insert(0.0) += ip_len as f64;
+                *pkts.entry(second).or_insert(0.0) += 1.0;
+                *media.entry(second).or_insert(0.0) += media_len as f64;
+            }
         }
-        let binned: f64 = b.sorted().iter().map(|(_, v)| v).sum();
-        prop_assert!((binned - total).abs() < 1e-6 * total.max(1.0));
+        prop_assert_eq!(rows.len(), ip.len());
+        prop_assert!(rows.rows().windows(2).all(|w| w[0].second < w[1].second));
+        for r in rows.rows() {
+            prop_assert_eq!(r.ip_bytes as f64, ip[&r.second]);
+            prop_assert_eq!(r.packets as f64, pkts[&r.second]);
+            prop_assert_eq!(r.media_bytes as f64, media[&r.second]);
+        }
+    }
+
+    /// The vector-backed frame tracker completes exactly the frames the
+    /// map-backed one did — through retransmitted duplicates, frames
+    /// re-opened after `completed_ts` (128 entries) has rolled past them,
+    /// the purge once more than 64 frames are pending, and capture times
+    /// that step backwards.
+    #[test]
+    fn frame_tracker_matches_map_backed_reference(
+        marker_mode: bool,
+        packets in proptest::collection::vec(
+            (0u32..220, 0u16..5, 0u64..400, any::<bool>(), 1u8..4, 0u8..8),
+            1..1_500,
+        ),
+    ) {
+        let completion = if marker_mode { Completion::MarkerBit } else { Completion::PacketCount };
+        let mut fast = FrameTracker::new(completion, 90_000);
+        let mut reference = MapFrameTracker::new(completion);
+        for (i, &(frame, seq, jitter_ms, marker, expected, lag)) in packets.iter().enumerate() {
+            // Frames drift forward with the packet index; `lag` reaches
+            // back to frames that completed (or were purged) long ago.
+            let frame = (i as u32 / 6 + frame).saturating_sub(u32::from(lag) * 30);
+            let ts = frame.wrapping_mul(3_000);
+            let at = i as u64 * 40 * MS + jitter_ms * MS;
+            let expected = (expected < 3).then_some(expected);
+            let marker = marker && seq >= 2;
+            fast.on_packet(at, ts, seq, marker, 700, expected);
+            reference.on_packet(at, ts, seq, marker, 700, expected);
+            prop_assert_eq!(fast.incomplete(), reference.pending.len(), "after packet {}", i);
+        }
+        prop_assert_eq!(fast.frames(), reference.completed.as_slice());
+    }
+
+    /// The flow-table/slab stream tracker agrees with the keyed maps it
+    /// replaced through interleaved packets and evictions: same created
+    /// flags, same creation-order `iter()`, same per-stream and per-flow
+    /// counters, same evicted sets — including streams that re-appear
+    /// after eviction (fresh streams, at the end of the order) and, with
+    /// capture times stepping backwards, a flow evicted while one of its
+    /// streams lives on.
+    #[test]
+    fn stream_tracker_matches_keyed_maps(
+        ops in proptest::collection::vec(
+            (0u8..10, 1u8..6, 0u32..4, 0u64..3_000, 0u64..8_000),
+            1..400,
+        ),
+    ) {
+        let mut slab = StreamTracker::new();
+        let mut keyed = KeyedTracker::default();
+        let mut now = 0u64;
+        for (i, &(kind, flow_no, ssrc, step_ms, back_ms)) in ops.iter().enumerate() {
+            now += step_ms * MS;
+            if kind == 0 {
+                let cutoff = now.saturating_sub(back_ms * MS);
+                let (streams, mut flows) = slab.evict_idle(cutoff);
+                let (want_streams, mut want_flows) = keyed.evict_idle(cutoff);
+                let got: Vec<StreamKey> = streams.iter().map(|s| s.key).collect();
+                prop_assert_eq!(got, want_streams, "evicted streams at op {}", i);
+                flows.sort_by_key(|(ft, _)| *ft);
+                want_flows.sort_by_key(|(ft, _)| *ft);
+                prop_assert_eq!(flows, want_flows, "evicted flows at op {}", i);
+            } else {
+                // One packet in five carries a timestamp from the past.
+                let at = if kind == 1 { now.saturating_sub(back_ms * MS) } else { now };
+                let m = media_packet(at, flow_no, ssrc, i as u16);
+                prop_assert_eq!(slab.on_packet(&m), Some(keyed.on_packet(&m)), "op {}", i);
+            }
+            let order: Vec<StreamKey> = slab.iter().map(|s| s.key).collect();
+            prop_assert_eq!(&order, &keyed.order, "creation order after op {}", i);
+            prop_assert_eq!(slab.len(), keyed.streams.len());
+            for s in slab.iter() {
+                prop_assert_eq!((s.first_seen, s.last_seen, s.packets), keyed.streams[&s.key]);
+                prop_assert_eq!(slab.get(&s.key).map(|found| found.key), Some(s.key));
+            }
+            prop_assert_eq!(slab.flow_count(), keyed.flows.len(), "flows after op {}", i);
+            for (ft, stats) in slab.flows() {
+                prop_assert_eq!(Some(stats), keyed.flows.get(ft));
+                prop_assert_eq!(slab.flow(ft), Some(stats));
+            }
+        }
     }
 
     /// The entropy classifier never panics and yields a signature with all

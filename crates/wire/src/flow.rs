@@ -2,10 +2,17 @@
 
 use crate::ipv4::Protocol;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
 
 /// An IP 5-tuple identifying one direction of a transport flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// `Hash` is written by hand: the per-packet flow table hashes one of
+/// these for every classified record, and the derived impl feeds a
+/// hasher eleven separate writes (enum discriminants, slice length
+/// prefixes, four-byte address slices, …). The hand-written one packs
+/// the same fields into two words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FiveTuple {
     /// Source IP address.
     pub src_ip: IpAddr,
@@ -19,7 +26,45 @@ pub struct FiveTuple {
     pub protocol: Protocol,
 }
 
+impl Hash for FiveTuple {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (addrs, rest) = self.hash_words();
+        state.write_u64(addrs);
+        state.write_u64(rest);
+    }
+}
+
 impl FiveTuple {
+    /// The tuple packed into the two words its `Hash` impl writes:
+    /// both addresses in the first (IPv6 addresses folded to 32 bits
+    /// each — equal tuples still give equal words, which is all `Hash`
+    /// needs), ports and protocol in the second. The first word's low
+    /// half is `src ^ dst`, not `dst` alone: a multiplicative hasher
+    /// carries entropy upwards only, and one direction of server traffic
+    /// holds either address constant.
+    #[inline]
+    fn hash_words(&self) -> (u64, u64) {
+        #[inline]
+        fn fold(ip: IpAddr) -> u64 {
+            match ip {
+                IpAddr::V4(a) => u64::from(u32::from(a)),
+                IpAddr::V6(a) => {
+                    let bits = u128::from(a);
+                    let half = (bits >> 64) as u64 ^ bits as u64;
+                    (half >> 32) ^ (half & 0xFFFF_FFFF)
+                }
+            }
+        }
+        let (src, dst) = (fold(self.src_ip), fold(self.dst_ip));
+        (
+            src << 32 | (src ^ dst),
+            u64::from(u8::from(self.protocol)) << 32
+                | u64::from(self.src_port) << 16
+                | u64::from(self.dst_port),
+        )
+    }
+
     /// The same flow seen in the opposite direction.
     pub fn reversed(&self) -> FiveTuple {
         FiveTuple {
@@ -140,6 +185,53 @@ mod tests {
     fn endpoints() {
         assert_eq!(t().src().port, 51_000);
         assert_eq!(t().dst().ip, IpAddr::V4(Ipv4Addr::new(3, 7, 35, 1)));
+    }
+
+    #[test]
+    fn hash_words_cover_every_field() {
+        let base = t();
+        let mut variants = vec![base, base.reversed()];
+        variants.push(FiveTuple {
+            src_port: 51_001,
+            ..base
+        });
+        variants.push(FiveTuple {
+            dst_port: 8802,
+            ..base
+        });
+        variants.push(FiveTuple {
+            protocol: Protocol::Tcp,
+            ..base
+        });
+        variants.push(FiveTuple {
+            src_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
+            ..base
+        });
+        variants.push(FiveTuple {
+            dst_ip: IpAddr::V4(Ipv4Addr::new(3, 7, 35, 2)),
+            ..base
+        });
+        let v6 =
+            |last: u16| IpAddr::V6(std::net::Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, last));
+        variants.push(FiveTuple {
+            src_ip: v6(1),
+            dst_ip: v6(2),
+            ..base
+        });
+        variants.push(FiveTuple {
+            src_ip: v6(2),
+            dst_ip: v6(1),
+            ..base
+        });
+        let words: std::collections::HashSet<(u64, u64)> =
+            variants.iter().map(FiveTuple::hash_words).collect();
+        assert_eq!(
+            words.len(),
+            variants.len(),
+            "a field does not reach the hash"
+        );
+        // Equal tuples hash equally (the `Hash`/`Eq` contract).
+        assert_eq!(base.hash_words(), t().hash_words());
     }
 
     #[test]

@@ -181,7 +181,7 @@ fn loss_shows_up_as_duplicates_not_holes() {
     // monitor sees duplicates rather than missing packets.
     let v = run();
     let stream = downlink_video(&v.analyzer);
-    let main = stream.substreams.get(&98).expect("main video substream");
+    let main = stream.substream(98).expect("main video substream");
     let stats = main.seq_stats();
     assert!(stats.received > 1_000);
     assert!(

@@ -2,11 +2,19 @@
 //!
 //! The data-plane pipeline matches every packet against the campus subnets
 //! and against Zoom's published server networks (117 prefixes from /16 to
-//! /27 at the time of the paper). A Tofino does this in TCAM; in software
-//! we use a per-prefix-length hash probe, which preserves longest-prefix
-//! semantics and stays O(32) per lookup regardless of table size.
+//! /27 at the time of the paper). A Tofino answers each question with one
+//! TCAM lookup; the software stand-in is an `IntervalTable`: the prefix
+//! set flattened, at configuration time, into sorted disjoint
+//! `[start, end]` address ranges that each name the longest prefix covering
+//! them, behind a 64 Ki-bit (8 KB) bitmap of the /16 blocks any prefix
+//! touches. A lookup is one bit test for an address outside every prefix —
+//! the common case on a border link — and one binary search over the
+//! ranges otherwise. Nothing on the lookup path hashes, so its cost does
+//! not depend on how many distinct prefix lengths the set holds.
+//!
+//! [`PrefixMap::insert`] rebuilds the ranges; it is meant for set-up, not
+//! for the packet path.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr};
 use std::str::FromStr;
@@ -65,6 +73,12 @@ impl Cidr {
         1u64 << (32 - self.prefix_len)
     }
 
+    /// First and last covered address, as integers.
+    pub(crate) fn range(&self) -> (u32, u32) {
+        let start = u32::from(self.address);
+        (start, start | !Self::mask_bits(self.prefix_len))
+    }
+
     /// Membership test.
     pub fn contains(&self, ip: Ipv4Addr) -> bool {
         u32::from(ip) & Self::mask_bits(self.prefix_len) == u32::from(self.address)
@@ -97,14 +111,76 @@ impl FromStr for Cidr {
     }
 }
 
+/// Words in the /16 summary bitmap: one bit per /16 block of the IPv4
+/// space.
+const SUMMARY_WORDS: usize = (1 << 16) / 64;
+
+/// Sorted, disjoint address ranges carrying a small payload each, fronted
+/// by a bitmap of the /16 blocks any range touches. The one lookup
+/// structure of the capture filter: [`PrefixMap`] stores the index of the
+/// longest covering prefix per range, the pipeline's class table stores
+/// campus / excluded / Zoom bits.
+#[derive(Clone)]
+pub(crate) struct IntervalTable<T> {
+    summary: Box<[u64; SUMMARY_WORDS]>,
+    /// `(start, end, payload)`, ascending and non-overlapping.
+    ranges: Vec<(u32, u32, T)>,
+}
+
+/// The ranges only: the bitmap is derived from them.
+impl<T: fmt::Debug> fmt::Debug for IntervalTable<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.ranges).finish()
+    }
+}
+
+impl<T: Copy + PartialEq> IntervalTable<T> {
+    pub(crate) fn new() -> Self {
+        IntervalTable {
+            summary: Box::new([0; SUMMARY_WORDS]),
+            ranges: Vec::new(),
+        }
+    }
+
+    /// Append `[start, end]`, which must lie above every range pushed so
+    /// far. A range that continues the previous one with an equal payload
+    /// extends it instead.
+    pub(crate) fn push(&mut self, start: u32, end: u32, value: T) {
+        debug_assert!(start <= end);
+        debug_assert!(self.ranges.last().is_none_or(|&(_, e, _)| e < start));
+        let (lo, hi) = ((start >> 16) as usize, (end >> 16) as usize);
+        for word in lo / 64..=hi / 64 {
+            let from = lo.max(word * 64) % 64;
+            let to = hi.min(word * 64 + 63) % 64;
+            self.summary[word] |= (u64::MAX >> (63 - (to - from))) << from;
+        }
+        match self.ranges.last_mut() {
+            Some((_, e, v)) if *v == value && e.checked_add(1) == Some(start) => *e = end,
+            _ => self.ranges.push((start, end, value)),
+        }
+    }
+
+    /// Payload of the range containing `addr`.
+    #[inline]
+    pub(crate) fn get(&self, addr: u32) -> Option<T> {
+        let block = (addr >> 16) as usize;
+        if self.summary[block / 64] & (1 << (block % 64)) == 0 {
+            return None;
+        }
+        let after = self.ranges.partition_point(|&(start, _, _)| start <= addr);
+        let &(_, end, value) = self.ranges.get(after.checked_sub(1)?)?;
+        (addr <= end).then_some(value)
+    }
+}
+
 /// A longest-prefix-match set mapping prefixes to values.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct PrefixMap<V> {
-    /// One hash table per prefix length, probed longest-first.
-    tables: Vec<HashMap<u32, V>>,
-    /// Present prefix lengths, sorted descending.
-    lens: Vec<u8>,
-    len: usize,
+    /// Stored prefixes, sorted by network address, then shortest first.
+    entries: Vec<(Cidr, V)>,
+    /// Address ranges → index into `entries` of the longest covering
+    /// prefix.
+    table: IntervalTable<u32>,
 }
 
 impl<V> Default for PrefixMap<V> {
@@ -113,44 +189,79 @@ impl<V> Default for PrefixMap<V> {
     }
 }
 
+impl<V: fmt::Debug> fmt::Debug for PrefixMap<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.entries.iter().map(|(c, v)| (c.to_string(), v)))
+            .finish()
+    }
+}
+
 impl<V> PrefixMap<V> {
     /// Empty set.
     pub fn new() -> Self {
         PrefixMap {
-            tables: (0..=32).map(|_| HashMap::new()).collect(),
-            lens: Vec::new(),
-            len: 0,
+            entries: Vec::new(),
+            table: IntervalTable::new(),
         }
     }
 
     /// Insert a prefix → value mapping; replaces an existing entry for the
-    /// identical prefix.
+    /// identical prefix. Rebuilds the lookup table: O(n) per call.
     pub fn insert(&mut self, cidr: Cidr, value: V) {
-        let table = &mut self.tables[usize::from(cidr.prefix_len())];
-        if table.insert(u32::from(cidr.address()), value).is_none() {
-            self.len += 1;
-            if !self.lens.contains(&cidr.prefix_len()) {
-                self.lens.push(cidr.prefix_len());
-                self.lens.sort_unstable_by(|a, b| b.cmp(a));
+        match self.entries.binary_search_by_key(&cidr, |&(c, _)| c) {
+            Ok(at) => self.entries[at].1 = value,
+            Err(at) => {
+                self.entries.insert(at, (cidr, value));
+                self.rebuild();
             }
         }
+    }
+
+    /// Flatten the prefixes into disjoint ranges. Two CIDR prefixes are
+    /// nested or disjoint, so one pass in address order with a stack of the
+    /// prefixes still open suffices: the innermost open prefix owns every
+    /// address up to where the next one starts or it ends itself.
+    fn rebuild(&mut self) {
+        let mut table = IntervalTable::new();
+        // Open prefixes, outermost first: (last address, entry index).
+        let mut open: Vec<(u32, u32)> = Vec::new();
+        // First address not yet given to a range; u64 so it can pass
+        // 255.255.255.255, where a final step closes whatever is open.
+        let mut next = 0u64;
+        let starts = self.entries.iter().enumerate().map(|(i, (cidr, _))| {
+            let (start, end) = cidr.range();
+            (u64::from(start), Some((end, i as u32)))
+        });
+        for (start, opened) in starts.chain([(1 << 32, None)]) {
+            while let Some(&(end, entry)) = open.last() {
+                let stop = start.min(u64::from(end) + 1);
+                if next < stop {
+                    table.push(next as u32, (stop - 1) as u32, entry);
+                    next = stop;
+                }
+                if u64::from(end) >= start {
+                    break;
+                }
+                open.pop();
+            }
+            next = start;
+            open.extend(opened);
+        }
+        self.table = table;
     }
 
     /// Longest-prefix match.
+    #[inline]
     pub fn longest_match(&self, ip: Ipv4Addr) -> Option<(Cidr, &V)> {
-        let raw = u32::from(ip);
-        for &len in &self.lens {
-            let masked = raw & Cidr::mask_bits(len);
-            if let Some(v) = self.tables[usize::from(len)].get(&masked) {
-                return Some((Cidr::new(Ipv4Addr::from(masked), len), v));
-            }
-        }
-        None
+        let (cidr, value) = &self.entries[self.table.get(u32::from(ip))? as usize];
+        Some((*cidr, value))
     }
 
     /// Membership test (any prefix).
+    #[inline]
     pub fn contains(&self, ip: Ipv4Addr) -> bool {
-        self.longest_match(ip).is_some()
+        self.table.get(u32::from(ip)).is_some()
     }
 
     /// Membership test accepting either address family; IPv6 never matches
@@ -164,21 +275,18 @@ impl<V> PrefixMap<V> {
 
     /// Number of stored prefixes.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
-    /// Iterate over all `(cidr, value)` pairs in descending prefix order.
+    /// Iterate over all `(cidr, value)` pairs in address order, a covering
+    /// prefix before the prefixes nested in it.
     pub fn iter(&self) -> impl Iterator<Item = (Cidr, &V)> + '_ {
-        self.lens.iter().flat_map(move |&len| {
-            self.tables[usize::from(len)]
-                .iter()
-                .map(move |(&addr, v)| (Cidr::new(Ipv4Addr::from(addr), len), v))
-        })
+        self.entries.iter().map(|(c, v)| (*c, v))
     }
 }
 

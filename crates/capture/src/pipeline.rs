@@ -17,12 +17,18 @@
 //!
 //! The pipeline parses only what a data plane would: link, IP, transport
 //! ports, and the STUN magic — never the Zoom media payload.
+//!
+//! Stages 1 and 2 ask three questions of each address — campus? excluded?
+//! Zoom server? — that the hardware answers with one TCAM lookup.
+//! [`CapturePipeline::new`] therefore compiles the three configured prefix
+//! sets into one address-class table (see [`crate::cidr`]), and
+//! classification looks each of the two addresses up in it exactly once.
 
 use crate::anonymize::Anonymizer;
-use crate::cidr::PrefixSet;
+use crate::cidr::{IntervalTable, PrefixSet};
 use crate::stun_tracker::{StunTracker, TrackerStats};
 use crate::zoom_nets::ZoomIpList;
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
 use zoom_wire::family::{FamilyId, FamilySelect};
 use zoom_wire::flow::Endpoint;
 use zoom_wire::ipv4::Protocol;
@@ -146,10 +152,56 @@ pub struct StageCounters {
     pub total_bytes: u64,
 }
 
+/// Address-class bits of the compiled table: which configured prefix sets
+/// cover an address.
+const CAMPUS: u8 = 1;
+const EXCLUDED: u8 = 2;
+const ZOOM: u8 = 4;
+
+/// Flatten the campus, excluded and Zoom prefix sets into one table of
+/// address ranges carrying class bits. Between two neighbouring prefix
+/// edges no prefix starts or ends, so each set's answer is the same for
+/// the whole stretch and is asked once, at its first address.
+fn compile_classes(config: &PipelineConfig) -> IntervalTable<u8> {
+    let campus = config.campus_nets.iter().map(|(cidr, _)| cidr);
+    let excluded = config.excluded_nets.iter().map(|(cidr, _)| cidr);
+    let zoom = config.zoom_list.networks().iter().map(|n| n.cidr);
+    let mut edges: Vec<u64> = campus
+        .chain(excluded)
+        .chain(zoom)
+        .flat_map(|cidr| {
+            let (start, end) = cidr.range();
+            [u64::from(start), u64::from(end) + 1]
+        })
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    let mut table = IntervalTable::new();
+    for stretch in edges.windows(2) {
+        let first = Ipv4Addr::from(stretch[0] as u32);
+        let mut class = 0;
+        if config.campus_nets.contains(first) {
+            class |= CAMPUS;
+        }
+        if config.excluded_nets.contains(first) {
+            class |= EXCLUDED;
+        }
+        if config.zoom_list.contains(first) {
+            class |= ZOOM;
+        }
+        if class != 0 {
+            table.push(stretch[0] as u32, (stretch[1] - 1) as u32, class);
+        }
+    }
+    table
+}
+
 /// The capture pipeline.
 #[derive(Debug)]
 pub struct CapturePipeline {
     config: PipelineConfig,
+    /// `config`'s three prefix sets, compiled by [`compile_classes`].
+    classes: IntervalTable<u8>,
     tracker: StunTracker,
     rtc_tracker: StunTracker,
     counters: StageCounters,
@@ -158,8 +210,8 @@ pub struct CapturePipeline {
 /// Light-weight header facts the data plane extracts per packet.
 #[derive(Debug, Clone, Copy)]
 struct HeaderFacts {
-    src: IpAddr,
-    dst: IpAddr,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
     src_port: u16,
     dst_port: u16,
     protocol: Protocol,
@@ -172,6 +224,7 @@ impl CapturePipeline {
         let tracker = StunTracker::new(config.stun_timeout_nanos);
         let rtc_tracker = StunTracker::new(config.stun_timeout_nanos);
         CapturePipeline {
+            classes: compile_classes(&config),
             config,
             tracker,
             rtc_tracker,
@@ -230,22 +283,49 @@ impl CapturePipeline {
         verdict
     }
 
-    /// Classify and, when the packet passes, emit the (optionally
-    /// anonymized) output record.
-    pub fn process_record(&mut self, record: &Record, link: LinkType) -> (Verdict, Option<Record>) {
-        let verdict = self.classify(record.ts_nanos, &record.data, link);
-        if !verdict.passes() {
-            return (verdict, None);
+    /// Classify a borrowed packet and, only when it passes, copy it into
+    /// `out` (reusing its buffer) and anonymize it there. A rejected
+    /// packet is never copied and leaves `out` as it was.
+    pub fn process_into(
+        &mut self,
+        ts_nanos: u64,
+        orig_len: u32,
+        data: &[u8],
+        link: LinkType,
+        out: &mut Record,
+    ) -> Verdict {
+        let verdict = self.classify(ts_nanos, data, link);
+        if verdict.passes() {
+            out.ts_nanos = ts_nanos;
+            out.orig_len = orig_len;
+            out.data.clear();
+            out.data.extend_from_slice(data);
+            if let Some(anon) = self.config.anonymizer {
+                self.anonymize_packet(&mut out.data, link, anon);
+            }
         }
-        let out = match self.config.anonymizer {
-            Some(anon) => Record {
-                ts_nanos: record.ts_nanos,
-                orig_len: record.orig_len,
-                data: self.anonymize_packet(&record.data, link, anon),
-            },
-            None => record.clone(),
-        };
-        (verdict, Some(out))
+        verdict
+    }
+
+    /// Classify and, when the packet passes, emit the (optionally
+    /// anonymized) output record. Allocates per passing record; loops
+    /// should reuse one record through [`CapturePipeline::process_into`].
+    pub fn process_record(&mut self, record: &Record, link: LinkType) -> (Verdict, Option<Record>) {
+        let mut out = Record::full(0, Vec::new());
+        let verdict = self.process_into(
+            record.ts_nanos,
+            record.orig_len,
+            &record.data,
+            link,
+            &mut out,
+        );
+        (verdict, verdict.passes().then_some(out))
+    }
+
+    /// Class bits of one address: a single table lookup.
+    #[inline]
+    fn class_of(&self, ip: Ipv4Addr) -> u8 {
+        self.classes.get(u32::from(ip)).unwrap_or(0)
     }
 
     fn extract(&self, data: &[u8], link: LinkType) -> Option<HeaderFacts> {
@@ -275,8 +355,8 @@ impl CapturePipeline {
             _ => return None,
         };
         Some(HeaderFacts {
-            src: IpAddr::V4(ip.src_addr()),
-            dst: IpAddr::V4(ip.dst_addr()),
+            src: ip.src_addr(),
+            dst: ip.dst_addr(),
             src_port,
             dst_port,
             protocol,
@@ -285,18 +365,21 @@ impl CapturePipeline {
     }
 
     fn decide(&mut self, ts_nanos: u64, f: HeaderFacts) -> Verdict {
+        let src_class = self.class_of(f.src);
+        let dst_class = self.class_of(f.dst);
+        let src_ep = Endpoint::new(IpAddr::V4(f.src), f.src_port);
+        let dst_ep = Endpoint::new(IpAddr::V4(f.dst), f.dst_port);
+
         // Stage 1: campus-side endpoint and exclusions.
-        let src_campus = self.config.campus_nets.contains_addr(f.src);
-        let dst_campus = self.config.campus_nets.contains_addr(f.dst);
-        if (src_campus && self.config.excluded_nets.contains_addr(f.src))
-            || (dst_campus && self.config.excluded_nets.contains_addr(f.dst))
-        {
+        let src_campus = src_class & CAMPUS != 0;
+        let dst_campus = dst_class & CAMPUS != 0;
+        if (src_campus && src_class & EXCLUDED != 0) || (dst_campus && dst_class & EXCLUDED != 0) {
             return Verdict::Excluded;
         }
 
         // Stage 2: stateless Zoom server match.
-        let src_zoom = self.config.zoom_list.contains_addr(f.src);
-        let dst_zoom = self.config.zoom_list.contains_addr(f.dst);
+        let src_zoom = src_class & ZOOM != 0;
+        let dst_zoom = dst_class & ZOOM != 0;
         if src_zoom || dst_zoom {
             // Stage 3: STUN registration for campus clients talking to a
             // Zoom server on the STUN port.
@@ -305,12 +388,12 @@ impl CapturePipeline {
                 && ((dst_zoom && f.dst_port == stun::STUN_PORT)
                     || (src_zoom && f.src_port == stun::STUN_PORT))
             {
-                let client = if dst_zoom {
-                    Endpoint::new(f.src, f.src_port)
+                let (client, client_campus) = if dst_zoom {
+                    (src_ep, src_campus)
                 } else {
-                    Endpoint::new(f.dst, f.dst_port)
+                    (dst_ep, dst_campus)
                 };
-                if self.config.campus_nets.contains_addr(client.ip) {
+                if client_campus {
                     self.tracker.register(client, ts_nanos);
                 }
                 return Verdict::ZoomStun;
@@ -320,18 +403,10 @@ impl CapturePipeline {
 
         // Stage 4: P2P lookup for non-server UDP.
         if f.protocol == Protocol::Udp {
-            if src_campus
-                && self
-                    .tracker
-                    .check(Endpoint::new(f.src, f.src_port), ts_nanos)
-            {
+            if src_campus && self.tracker.check(src_ep, ts_nanos) {
                 return Verdict::ZoomP2p;
             }
-            if dst_campus
-                && self
-                    .tracker
-                    .check(Endpoint::new(f.dst, f.dst_port), ts_nanos)
-            {
+            if dst_campus && self.tracker.check(dst_ep, ts_nanos) {
                 return Verdict::ZoomP2p;
             }
         }
@@ -341,57 +416,45 @@ impl CapturePipeline {
         if self.config.family.allows(FamilyId::Webrtc) && f.protocol == Protocol::Udp {
             if f.is_stun {
                 if src_campus {
-                    self.rtc_tracker.register(Endpoint::new(f.src, f.src_port), ts_nanos);
+                    self.rtc_tracker.register(src_ep, ts_nanos);
                     return Verdict::RtcStun;
                 }
                 if dst_campus {
-                    self.rtc_tracker.register(Endpoint::new(f.dst, f.dst_port), ts_nanos);
+                    self.rtc_tracker.register(dst_ep, ts_nanos);
                     return Verdict::RtcStun;
                 }
             }
-            if src_campus
-                && self
-                    .rtc_tracker
-                    .check(Endpoint::new(f.src, f.src_port), ts_nanos)
-            {
+            if src_campus && self.rtc_tracker.check(src_ep, ts_nanos) {
                 return Verdict::RtcP2p;
             }
-            if dst_campus
-                && self
-                    .rtc_tracker
-                    .check(Endpoint::new(f.dst, f.dst_port), ts_nanos)
-            {
+            if dst_campus && self.rtc_tracker.check(dst_ep, ts_nanos) {
                 return Verdict::RtcP2p;
             }
         }
         Verdict::NotZoom
     }
 
-    /// Rewrite campus addresses with the anonymizer and fix checksums.
-    fn anonymize_packet(&self, data: &[u8], link: LinkType, anon: Anonymizer) -> Vec<u8> {
-        let mut out = data.to_vec();
+    /// Rewrite campus addresses in place with the anonymizer and fix
+    /// checksums.
+    fn anonymize_packet(&self, out: &mut [u8], link: LinkType, anon: Anonymizer) {
         let ip_off = match link {
             LinkType::Ethernet => ethernet::HEADER_LEN,
             _ => 0,
         };
         if out.len() < ip_off + ipv4::HEADER_LEN {
-            return out;
+            return;
         }
         let mut ip = ipv4::Packet::new_unchecked(&mut out[ip_off..]);
         if ip.check_len().is_err() {
-            return out;
+            return;
         }
         let src = ip.src_addr();
         let dst = ip.dst_addr();
-        if self.config.campus_nets.contains(src) {
-            if let IpAddr::V4(a) = anon.anonymize(IpAddr::V4(src)) {
-                ip.set_src_addr(a);
-            }
+        if self.class_of(src) & CAMPUS != 0 {
+            ip.set_src_addr(anon.anonymize_v4(src));
         }
-        if self.config.campus_nets.contains(dst) {
-            if let IpAddr::V4(a) = anon.anonymize(IpAddr::V4(dst)) {
-                ip.set_dst_addr(a);
-            }
+        if self.class_of(dst) & CAMPUS != 0 {
+            ip.set_dst_addr(anon.anonymize_v4(dst));
         }
         ip.fill_checksum();
         // Transport checksums would no longer verify; zero the UDP one
@@ -402,7 +465,6 @@ impl CapturePipeline {
                 u.clear_checksum();
             }
         }
-        out
     }
 }
 
@@ -662,6 +724,71 @@ mod tests {
         assert_eq!(c.rtc_stun_registered, 1);
         assert_eq!(c.rtc_p2p_matched, 2);
         assert_eq!(c.passed, 4);
+    }
+
+    #[test]
+    fn class_table_matches_the_three_sets_at_every_edge() {
+        use crate::zoom_nets::{Owner, ZoomNetwork};
+        // Sets that nest in, abut and straddle one another, with the
+        // extremes of the address space and of the prefix lengths.
+        let campus = ["10.8.0.0/16", "10.9.0.0/17", "0.0.0.0/8", "192.0.2.7/32"];
+        let excluded = [
+            "10.8.200.0/24",
+            "10.9.0.0/16",
+            "10.0.0.0/7",
+            "255.255.255.255/32",
+        ];
+        let zoom = [
+            "10.8.200.128/25",
+            "10.9.128.0/17",
+            "170.114.0.0/16",
+            "170.114.3.0/24",
+            "192.0.2.6/31",
+            "255.255.255.0/24",
+        ];
+        let mut cfg = PipelineConfig::sample("10.8.0.0/16");
+        cfg.campus_nets = crate::cidr::prefix_set(&campus);
+        cfg.excluded_nets = crate::cidr::prefix_set(&excluded);
+        cfg.zoom_list = ZoomIpList::from_networks(
+            zoom.iter()
+                .map(|s| ZoomNetwork {
+                    cidr: s.parse().unwrap(),
+                    owner: Owner::Other,
+                })
+                .collect(),
+        );
+        let sets: [(&[&str], u8); 3] = [(&campus, CAMPUS), (&excluded, EXCLUDED), (&zoom, ZOOM)];
+        let cidrs = |list: &[&str]| -> Vec<crate::cidr::Cidr> {
+            list.iter().map(|s| s.parse().unwrap()).collect()
+        };
+        let p = CapturePipeline::new(cfg);
+
+        let mut probes = vec![0u32, u32::MAX];
+        for (list, _) in sets {
+            for c in cidrs(list) {
+                let (first, last) = c.range();
+                for edge in [first, last] {
+                    probes.extend([edge.wrapping_sub(1), edge, edge.wrapping_add(1)]);
+                }
+            }
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for probe in probes {
+            let ip = Ipv4Addr::from(probe);
+            let mut expect = 0;
+            for (list, bit) in sets {
+                if cidrs(list).iter().any(|c| c.contains(ip)) {
+                    expect |= bit;
+                }
+            }
+            assert_eq!(p.class_of(ip), expect, "at {ip}");
+            seen.insert(expect);
+        }
+        assert_eq!(
+            seen.len(),
+            8,
+            "every combination of the three bits: {seen:?}"
+        );
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl Default for ResourceConfig {
         ResourceConfig {
             zoom_prefixes: 117,
             campus_prefixes: 64,
-            p2p_register_entries: 65_536,
+            p2p_register_entries: crate::stun_tracker::REGISTER_ENTRIES,
             anonymization: true,
         }
     }

@@ -48,7 +48,7 @@ use std::fmt;
 use std::io;
 use std::time::Duration;
 use zoom_wire::handoff::RecordBatch;
-use zoom_wire::pcap::{LinkType, Reader, Record, RecordBuf};
+use zoom_wire::pcap::{LinkType, Reader, Record, RecordBuf, READ_BUFFER_BYTES};
 
 /// Records per batch a well-behaved source aims for. Batches may be
 /// smaller (a follow-mode poll that found less data) but should not be
@@ -162,7 +162,7 @@ impl PcapFileSource {
     pub fn open(path: &str) -> Result<PcapFileSource, SourceError> {
         let file = std::fs::File::open(path)
             .map_err(|e| SourceError::Format(format!("{path}: {e}")))?;
-        let reader = Reader::new(io::BufReader::new(file))
+        let reader = Reader::new(io::BufReader::with_capacity(READ_BUFFER_BYTES, file))
             .map_err(|e| SourceError::Format(format!("{path}: {e}")))?;
         Ok(PcapFileSource {
             label: format!("pcap:{path}"),

@@ -15,10 +15,21 @@
 //! filtered downstream by checking the Zoom packet format, which our
 //! pipeline does too. On Tofino this state lives in register hash tables
 //! (the "P2P Sources" / "P2P Destinations" boxes of Fig. 13); here it is a
-//! `HashMap` with lazy expiry plus an explicit sweep for bounded memory.
+//! `HashMap` with lazy expiry, a periodic sweep, and the hardware's fixed
+//! capacity: at [`REGISTER_ENTRIES`] live entries a new endpoint is
+//! refused (and counted) rather than stored, so a flood of spoofed STUN
+//! packets cannot grow the table past what the registers would hold.
+//!
+//! The map keeps std's randomly keyed SipHash on purpose: its keys come
+//! from packets an outside sender can forge, and an unkeyed hash would
+//! let that sender aim every key at one bucket.
 
 use std::collections::HashMap;
 use zoom_wire::flow::Endpoint;
+
+/// Live entries one tracker holds at most: the register capacity the
+/// resource model ([`crate::resources::ResourceConfig`]) budgets for.
+pub const REGISTER_ENTRIES: usize = 65_536;
 
 /// Statistics counters exposed for Fig. 13-style per-stage reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,6 +42,9 @@ pub struct TrackerStats {
     pub misses: u64,
     /// Entries dropped because they outlived the timeout.
     pub expired: u64,
+    /// Registrations refused because [`REGISTER_ENTRIES`] endpoints were
+    /// live.
+    pub rejected_full: u64,
 }
 
 /// The stateful P2P detector.
@@ -44,6 +58,10 @@ pub struct StunTracker {
     /// entries so memory stays proportional to active clients.
     sweep_every: u64,
     since_sweep: u64,
+    /// No entry expires before this time (set by each sweep from its
+    /// oldest survivor), so a full table is not swept again — at the cost
+    /// of a whole-table pass per refused packet — until it has passed.
+    next_expiry_nanos: u64,
 }
 
 impl StunTracker {
@@ -60,6 +78,7 @@ impl StunTracker {
             stats: TrackerStats::default(),
             sweep_every: 1024,
             since_sweep: 0,
+            next_expiry_nanos: 0,
         }
     }
 
@@ -69,8 +88,19 @@ impl StunTracker {
     }
 
     /// Record a STUN exchange: `client` is the campus-side endpoint of a
-    /// packet to/from a Zoom server on port 3478.
+    /// packet to/from a Zoom server on port 3478. With
+    /// [`REGISTER_ENTRIES`] endpoints live even after a sweep, a new
+    /// endpoint is refused and counted in [`TrackerStats::rejected_full`].
     pub fn register(&mut self, client: Endpoint, now_nanos: u64) {
+        if self.entries.len() >= REGISTER_ENTRIES && !self.entries.contains_key(&client) {
+            if now_nanos >= self.next_expiry_nanos {
+                self.sweep(now_nanos);
+            }
+            if self.entries.len() >= REGISTER_ENTRIES {
+                self.stats.rejected_full += 1;
+                return;
+            }
+        }
         self.entries.insert(client, now_nanos);
         self.stats.registered += 1;
         self.since_sweep += 1;
@@ -108,9 +138,17 @@ impl StunTracker {
     pub fn sweep(&mut self, now_nanos: u64) {
         let timeout = self.timeout_nanos;
         let before = self.entries.len();
-        self.entries
-            .retain(|_, last| now_nanos.saturating_sub(*last) <= timeout);
+        // Later registrations are stamped `now` or after.
+        let mut oldest = now_nanos;
+        self.entries.retain(|_, last| {
+            let live = now_nanos.saturating_sub(*last) <= timeout;
+            if live {
+                oldest = oldest.min(*last);
+            }
+            live
+        });
         self.stats.expired += (before - self.entries.len()) as u64;
+        self.next_expiry_nanos = oldest.saturating_add(timeout).saturating_add(1);
     }
 
     /// Number of live entries.
@@ -198,6 +236,56 @@ mod tests {
             t.register(ep((i % 250) as u8, 40_000 + i as u16), i * SEC);
         }
         assert!(t.len() < 100);
+    }
+
+    fn nth_ep(i: usize) -> Endpoint {
+        let ip = Ipv4Addr::new(10, 8, (i >> 16) as u8, (i >> 8) as u8);
+        Endpoint::new(IpAddr::V4(ip), 1024 + (i & 0xff) as u16)
+    }
+
+    #[test]
+    fn full_table_sweeps_then_refuses() {
+        let mut t = StunTracker::new(10 * SEC);
+        t.sweep_every = u64::MAX; // only the capacity path sweeps
+        let half = REGISTER_ENTRIES / 2;
+        for i in 0..REGISTER_ENTRIES {
+            t.register(nth_ep(i), if i < half { 0 } else { 8 * SEC });
+        }
+        assert_eq!(t.len(), REGISTER_ENTRIES);
+
+        // Full and nothing expired yet: refused, and never matched.
+        let late = nth_ep(REGISTER_ENTRIES);
+        t.register(late, 9 * SEC);
+        assert_eq!(t.stats().rejected_full, 1);
+        assert_eq!(t.len(), REGISTER_ENTRIES);
+        assert!(!t.check(late, 9 * SEC));
+        // A live endpoint still refreshes at capacity.
+        t.register(nth_ep(half), 9 * SEC);
+        assert_eq!(t.stats().rejected_full, 1);
+
+        // The older half has timed out: the sweep makes room.
+        t.register(late, 11 * SEC);
+        assert_eq!(t.stats().rejected_full, 1);
+        assert_eq!(t.stats().expired, half as u64);
+        assert_eq!(t.len(), REGISTER_ENTRIES - half + 1);
+        assert!(t.check(late, 11 * SEC));
+    }
+
+    #[test]
+    fn refusals_at_capacity_do_not_resweep() {
+        let mut t = StunTracker::new(10 * SEC);
+        t.sweep_every = u64::MAX;
+        for i in 0..REGISTER_ENTRIES {
+            t.register(nth_ep(i), 5 * SEC);
+        }
+        t.register(nth_ep(REGISTER_ENTRIES), 6 * SEC); // sweeps, frees nothing
+        assert_eq!(t.next_expiry_nanos, 15 * SEC + 1);
+        t.next_expiry_nanos = u64::MAX; // a sweep from here on would be a bug
+        for i in 1..1000 {
+            t.register(nth_ep(REGISTER_ENTRIES + i), 7 * SEC);
+        }
+        assert_eq!(t.stats().rejected_full, 1000);
+        assert_eq!(t.stats().expired, 0);
     }
 
     #[test]

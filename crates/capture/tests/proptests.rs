@@ -23,18 +23,62 @@ proptest! {
         prop_assert_eq!(c.size(), 1u64 << (32 - prefix_len));
     }
 
-    /// Longest-prefix match always returns the most specific matching
-    /// prefix in the map.
+    /// The flat interval table answers exactly as a linear walk over the
+    /// inserted prefixes does. The prefixes are drawn around a few anchor
+    /// addresses so that nested, duplicate and adjacent ones (and /0, /32)
+    /// are the rule; every range edge is probed at -1, 0 and +1.
     #[test]
-    fn lpm_most_specific_wins(addr: u32, lens in proptest::collection::btree_set(0u8..=32, 1..6)) {
+    fn flat_table_matches_linear_reference(
+        anchors in proptest::collection::vec(any::<u32>(), 1..4),
+        picks in proptest::collection::vec((0usize..4, 0u8..=32, 0u32..4), 1..24),
+        random_probes in proptest::collection::vec(any::<u32>(), 0..32),
+    ) {
         let mut m = PrefixMap::new();
-        for &len in &lens {
-            m.insert(Cidr::new(Ipv4Addr::from(addr), len), len);
+        let mut inserted: Vec<(Cidr, usize)> = Vec::new();
+        for (value, &(anchor, len, sibling)) in picks.iter().enumerate() {
+            // `sibling` steps to the next prefixes of the same length.
+            let step = if len == 0 { 0 } else { sibling << (32 - u32::from(len)) };
+            let addr = anchors[anchor % anchors.len()].wrapping_add(step);
+            let cidr = Cidr::new(Ipv4Addr::from(addr), len);
+            m.insert(cidr, value);
+            inserted.push((cidr, value));
         }
-        let (got, &len) = m.longest_match(Ipv4Addr::from(addr)).unwrap();
-        let max = *lens.iter().max().unwrap();
-        prop_assert_eq!(len, max);
-        prop_assert_eq!(got.prefix_len(), max);
+        // Longest inserted prefix containing `ip`; of equal prefixes the
+        // later insertion, which replaced the earlier.
+        let reference = |ip: Ipv4Addr| {
+            let mut best: Option<(Cidr, usize)> = None;
+            for &(cidr, value) in &inserted {
+                if cidr.contains(ip) && best.is_none_or(|(b, _)| cidr.prefix_len() >= b.prefix_len()) {
+                    best = Some((cidr, value));
+                }
+            }
+            best
+        };
+
+        let mut distinct: Vec<Cidr> = inserted.iter().map(|&(c, _)| c).collect();
+        distinct.sort();
+        distinct.dedup();
+        prop_assert_eq!(m.len(), distinct.len());
+        prop_assert_eq!(m.is_empty(), distinct.is_empty());
+        let mut listed: Vec<Cidr> = m.iter().map(|(c, _)| c).collect();
+        listed.sort();
+        prop_assert_eq!(listed, distinct);
+
+        let mut probes = vec![0, u32::MAX];
+        probes.extend(&random_probes);
+        for &(cidr, _) in &inserted {
+            let first = u32::from(cidr.address());
+            let last = first.wrapping_add((cidr.size() - 1) as u32);
+            for edge in [first, last] {
+                probes.extend([edge.wrapping_sub(1), edge, edge.wrapping_add(1)]);
+            }
+        }
+        for probe in probes {
+            let ip = Ipv4Addr::from(probe);
+            let expect = reference(ip);
+            prop_assert_eq!(m.longest_match(ip).map(|(c, v)| (c, *v)), expect, "at {}", ip);
+            prop_assert_eq!(m.contains(ip), expect.is_some(), "at {}", ip);
+        }
     }
 
     /// Anonymization is deterministic, key-sensitive, and the

@@ -68,7 +68,7 @@ use zoom_analysis::PacketSink;
 use zoom_capture::mux::{CaptureMux, MuxConfig};
 use zoom_capture::source::{FollowConfig, PacketSource};
 use zoom_wire::handoff::RecordBatch;
-use zoom_wire::pcap::{LinkType, Reader, RecordBuf};
+use zoom_wire::pcap::{LinkType, Reader, RecordBuf, READ_BUFFER_BYTES};
 use zoom_wire::zoom::MediaType;
 
 /// How many records one fan-in drain hands to the sink at once: large
@@ -82,7 +82,6 @@ pub(crate) const MUX_BATCH: usize = 1024;
 /// anything else gets the JSON snapshot.
 pub(crate) struct MetricsFile {
     path: String,
-    prom: bool,
     interval: Duration,
     last: std::time::Instant,
     pushes: u32,
@@ -102,7 +101,6 @@ impl MetricsFile {
             .unwrap_or(Duration::from_secs(5));
         Ok(Some(MetricsFile {
             path: path.clone(),
-            prom: path.ends_with(".prom"),
             interval,
             last: std::time::Instant::now(),
             pushes: 0,
@@ -132,15 +130,7 @@ impl MetricsFile {
     }
 
     pub(crate) fn write(&mut self, snap: &MetricsSnapshot) -> CmdResult {
-        let body = if self.prom {
-            snap.to_prom()
-        } else {
-            let mut json = snap.to_json();
-            json.push('\n');
-            json
-        };
-        std::fs::write(&self.path, body)
-            .map_err(|e| CliError::io(format!("{}: {e}", self.path)))
+        super::write_snapshot(&self.path, snap)
     }
 }
 
@@ -343,7 +333,7 @@ pub fn run(args: &[String]) -> CmdResult {
         return Err("no input: give a pcap path or at least one --source".into());
     };
     let file = std::fs::File::open(input).map_err(|e| CliError::io(format!("{input}: {e}")))?;
-    let mut reader = Reader::new(std::io::BufReader::new(file))
+    let mut reader = Reader::new(std::io::BufReader::with_capacity(READ_BUFFER_BYTES, file))
         .map_err(|e| CliError::protocol(format!("{input}: {e}")))?;
     let link = reader.link_type();
     // The sharded path produces byte-identical results for any shard

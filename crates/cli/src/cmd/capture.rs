@@ -18,15 +18,14 @@
 //! Σ ring_full_drops`) holds over the written file.
 
 use super::sources::{build_sources, mux_flags};
-use super::{campus_flag, parse_args_repeat, parse_duration, CmdResult};
+use super::{
+    capture_snapshot, filter_config, parse_args_repeat, parse_duration, write_snapshot, CmdResult,
+};
 use std::time::Duration;
-use zoom_analysis::obs::{CaptureMetricsSnapshot, PipelineMetrics};
-use zoom_capture::anonymize::{Anonymizer, Mode};
-use zoom_capture::cidr::{Cidr, PrefixMap};
+use zoom_analysis::obs::PipelineMetrics;
 use zoom_capture::mux::CaptureMux;
-use zoom_capture::pipeline::{CapturePipeline, PipelineConfig};
+use zoom_capture::pipeline::{CapturePipeline, Verdict};
 use zoom_capture::source::FollowConfig;
-use zoom_capture::zoom_nets;
 use zoom_wire::pcap::{LinkType, Record, Writer};
 
 pub fn run(args: &[String]) -> CmdResult {
@@ -38,17 +37,10 @@ pub fn run(args: &[String]) -> CmdResult {
     if source_specs.is_empty() {
         return Err("capture needs at least one --source (pcap:PATH or sim:SPEC)".into());
     }
-    let (campus_ip, campus_len) = campus_flag(&flags)?;
-    let anonymizer = flags
-        .get("anonymize")
-        .map(|key| {
-            key.parse::<u64>()
-                .map(|k| Anonymizer::new(k, Mode::PrefixPreserving))
-                .map_err(|_| "--anonymize takes a numeric key".to_string())
-        })
-        .transpose()?;
+    // Parsed even under --no-filter, so a bad flag value fails either way.
+    let config = filter_config(&flags)?;
     let filtering = !flags.contains_key("no-filter");
-    if !filtering && anonymizer.is_some() {
+    if !filtering && config.anonymizer.is_some() {
         return Err("--anonymize needs the filter pipeline (drop --no-filter)".into());
     }
     let follow = flags.contains_key("follow");
@@ -63,35 +55,7 @@ pub fn run(args: &[String]) -> CmdResult {
     });
     let mux_config = mux_flags(&flags)?;
 
-    let family = flags
-        .get("family")
-        .map(|v| {
-            v.parse::<zoom_wire::family::FamilySelect>()
-                .map_err(|e| super::CliError::config(e.to_string()))
-        })
-        .transpose()?
-        .unwrap_or(zoom_wire::family::FamilySelect::Only(
-            zoom_wire::family::FamilyId::Zoom,
-        ));
-    let mut pipeline = filtering
-        .then(|| -> Result<CapturePipeline, String> {
-            let mut campus_nets = PrefixMap::new();
-            let std::net::IpAddr::V4(v4) = campus_ip else {
-                return Err("campus must be IPv4".into());
-            };
-            campus_nets.insert(Cidr::new(v4, campus_len), ());
-            Ok(CapturePipeline::new(PipelineConfig {
-                campus_nets,
-                excluded_nets: PrefixMap::new(),
-                // The sample of Zoom's published list; swap in the full
-                // feed in a real deployment.
-                zoom_list: zoom_nets::sample_list(),
-                stun_timeout_nanos: 120 * 1_000_000_000,
-                anonymizer,
-                family,
-            }))
-        })
-        .transpose()?;
+    let mut pipeline = filtering.then(|| CapturePipeline::new(config));
 
     // Per-source series register against this standalone registry; the
     // verdict counters below keep its conservation invariant intact.
@@ -103,11 +67,8 @@ pub fn run(args: &[String]) -> CmdResult {
     // file cannot mix link types, so heterogeneous sources are an error.
     let mut writer: Option<Writer<std::io::BufWriter<std::fs::File>>> = None;
     let mut out_link = LinkType::Ethernet;
-    let mut rec = Record {
-        ts_nanos: 0,
-        orig_len: 0,
-        data: Vec::new(),
-    };
+    // The one output record, reused: only what gets written is copied.
+    let mut rec = Record::full(0, Vec::new());
     let mut written = 0u64;
     let mut written_bytes = 0u64;
     while let Some(r) = mux.next_record().map_err(|e| e.to_string())? {
@@ -132,31 +93,27 @@ pub fn run(args: &[String]) -> CmdResult {
             Some(_) => {}
         }
         let w = writer.as_mut().expect("writer created above");
-        if let Some(p) = &mut pipeline {
-            rec.ts_nanos = r.ts_nanos;
-            rec.orig_len = r.orig_len;
-            rec.data.clear();
-            rec.data.extend_from_slice(r.data);
-            let (verdict, passed) = p.process_record(&rec, r.link);
-            if verdict.passes() {
-                metrics.packets_classified.inc();
-            } else if verdict == zoom_capture::pipeline::Verdict::Unparseable {
-                metrics.drop_malformed.inc();
-            } else {
-                metrics.packets_not_zoom.inc();
+        let passes = match &mut pipeline {
+            Some(p) => {
+                let verdict = p.process_into(r.ts_nanos, r.orig_len, r.data, r.link, &mut rec);
+                if verdict == Verdict::Unparseable {
+                    metrics.drop_malformed.inc();
+                } else if !verdict.passes() {
+                    metrics.packets_not_zoom.inc();
+                }
+                verdict.passes()
             }
-            if let Some(out) = passed {
-                written += 1;
-                written_bytes += out.data.len() as u64;
-                w.write_record(&out).map_err(|e| e.to_string())?;
+            None => {
+                // Pass-through merge: every record counts as accepted.
+                rec.ts_nanos = r.ts_nanos;
+                rec.orig_len = r.orig_len;
+                rec.data.clear();
+                rec.data.extend_from_slice(r.data);
+                true
             }
-        } else {
-            // Pass-through merge: every record counts as accepted.
+        };
+        if passes {
             metrics.packets_classified.inc();
-            rec.ts_nanos = r.ts_nanos;
-            rec.orig_len = r.orig_len;
-            rec.data.clear();
-            rec.data.extend_from_slice(r.data);
             written += 1;
             written_bytes += rec.data.len() as u64;
             w.write_record(&rec).map_err(|e| e.to_string())?;
@@ -183,32 +140,9 @@ pub fn run(args: &[String]) -> CmdResult {
 
     if let Some(path) = flags.get("metrics") {
         let mut snap = metrics.snapshot();
-        if let Some(p) = &pipeline {
-            let c = p.counters();
-            snap.capture = Some(CaptureMetricsSnapshot {
-                total: c.total,
-                excluded: c.excluded,
-                zoom_ip_matched: c.zoom_ip_matched,
-                stun_registered: c.stun_registered,
-                p2p_matched: c.p2p_matched,
-                rtc_stun_registered: c.rtc_stun_registered,
-                rtc_p2p_matched: c.rtc_p2p_matched,
-                dropped: c.dropped,
-                unparseable: c.unparseable,
-                passed: c.passed,
-                passed_bytes: c.passed_bytes,
-                total_bytes: c.total_bytes,
-            });
-        }
+        snap.capture = pipeline.as_ref().map(|p| capture_snapshot(p.counters()));
         debug_assert!(snap.conservation_holds());
-        let body = if path.ends_with(".prom") {
-            snap.to_prom()
-        } else {
-            let mut s = snap.to_json();
-            s.push('\n');
-            s
-        };
-        std::fs::write(path, body).map_err(|e| format!("{path}: {e}"))?;
+        write_snapshot(path, &snap)?;
     }
 
     for s in &lane_stats {

@@ -2,68 +2,34 @@
 //! over a pcap, writing only Zoom packets, optionally anonymized: the
 //! offline equivalent of the paper's data-plane deployment.
 
-use super::{campus_flag, parse_args, CmdResult};
-use zoom_analysis::obs::{CaptureMetricsSnapshot, PipelineMetrics};
-use zoom_capture::anonymize::{Anonymizer, Mode};
-use zoom_capture::cidr::{Cidr, PrefixMap};
-use zoom_capture::pipeline::{CapturePipeline, PipelineConfig};
-use zoom_capture::zoom_nets;
-use zoom_wire::pcap::{Reader, Writer};
+use super::{capture_snapshot, filter_config, parse_args, write_snapshot, CmdResult};
+use zoom_analysis::obs::PipelineMetrics;
+use zoom_capture::pipeline::CapturePipeline;
+use zoom_wire::pcap::{Reader, Record, RecordBuf, Writer, READ_BUFFER_BYTES};
 
 pub fn run(args: &[String]) -> CmdResult {
     let (pos, flags) = parse_args(args, &[])?;
     let [input, output] = pos.as_slice() else {
         return Err("filter needs <in.pcap> <out.pcap>".into());
     };
-    let (campus_ip, campus_len) = campus_flag(&flags)?;
-    let anonymizer = flags
-        .get("anonymize")
-        .map(|key| {
-            key.parse::<u64>()
-                .map(|k| Anonymizer::new(k, Mode::PrefixPreserving))
-                .map_err(|_| "--anonymize takes a numeric key".to_string())
-        })
-        .transpose()?;
-
-    let mut campus_nets = PrefixMap::new();
-    let std::net::IpAddr::V4(v4) = campus_ip else {
-        return Err("campus must be IPv4".into());
-    };
-    campus_nets.insert(Cidr::new(v4, campus_len), ());
-
-    let family = flags
-        .get("family")
-        .map(|v| {
-            v.parse::<zoom_wire::family::FamilySelect>()
-                .map_err(|e| super::CliError::config(e.to_string()))
-        })
-        .transpose()?
-        .unwrap_or(zoom_wire::family::FamilySelect::Only(
-            zoom_wire::family::FamilyId::Zoom,
-        ));
-
-    let mut pipeline = CapturePipeline::new(PipelineConfig {
-        campus_nets,
-        excluded_nets: PrefixMap::new(),
-        // The sample of Zoom's published list; swap in the full feed in a
-        // real deployment.
-        zoom_list: zoom_nets::sample_list(),
-        stun_timeout_nanos: 120 * 1_000_000_000,
-        anonymizer,
-        family,
-    });
+    let mut pipeline = CapturePipeline::new(filter_config(&flags)?);
 
     let infile = std::fs::File::open(input).map_err(|e| format!("{input}: {e}"))?;
-    let mut reader =
-        Reader::new(std::io::BufReader::new(infile)).map_err(|e| format!("{input}: {e}"))?;
+    let mut reader = Reader::new(std::io::BufReader::with_capacity(READ_BUFFER_BYTES, infile))
+        .map_err(|e| format!("{input}: {e}"))?;
     let link = reader.link_type();
     let outfile = std::fs::File::create(output).map_err(|e| format!("{output}: {e}"))?;
     let mut writer = Writer::new(std::io::BufWriter::new(outfile), link)
         .map_err(|e| format!("{output}: {e}"))?;
 
-    while let Some(record) = reader.next_record().map_err(|e| e.to_string())? {
-        let (_, passed) = pipeline.process_record(&record, link);
-        if let Some(out) = passed {
+    // One read buffer and one output record, both reused: only packets
+    // that pass are copied.
+    let mut buf = RecordBuf::new();
+    let mut out = Record::full(0, Vec::new());
+    while reader.read_into(&mut buf).map_err(|e| e.to_string())? {
+        let verdict =
+            pipeline.process_into(buf.ts_nanos(), buf.orig_len(), buf.data(), link, &mut out);
+        if verdict.passes() {
             writer.write_record(&out).map_err(|e| e.to_string())?;
         }
     }
@@ -74,28 +40,8 @@ pub fn run(args: &[String]) -> CmdResult {
         // The capture stage has no dissect/shard pipeline behind it, so the
         // base snapshot is empty; only the `capture` section is populated.
         let mut snap = PipelineMetrics::new(0).snapshot();
-        snap.capture = Some(CaptureMetricsSnapshot {
-            total: c.total,
-            excluded: c.excluded,
-            zoom_ip_matched: c.zoom_ip_matched,
-            stun_registered: c.stun_registered,
-            p2p_matched: c.p2p_matched,
-            rtc_stun_registered: c.rtc_stun_registered,
-            rtc_p2p_matched: c.rtc_p2p_matched,
-            dropped: c.dropped,
-            unparseable: c.unparseable,
-            passed: c.passed,
-            passed_bytes: c.passed_bytes,
-            total_bytes: c.total_bytes,
-        });
-        let body = if path.ends_with(".prom") {
-            snap.to_prom()
-        } else {
-            let mut s = snap.to_json();
-            s.push('\n');
-            s
-        };
-        std::fs::write(path, body).map_err(|e| format!("{path}: {e}"))?;
+        snap.capture = Some(capture_snapshot(c));
+        write_snapshot(path, &snap)?;
     }
     eprintln!(
         "filtered {} -> {} packets ({:.1} %); server {}, stun {}, p2p {}, dropped {}",

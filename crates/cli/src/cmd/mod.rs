@@ -13,6 +13,11 @@ pub mod sources;
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
+use zoom_analysis::obs::{CaptureMetricsSnapshot, MetricsSnapshot};
+use zoom_capture::anonymize::{Anonymizer, Mode};
+use zoom_capture::cidr::{Cidr, PrefixSet};
+use zoom_capture::pipeline::{PipelineConfig, StageCounters};
+use zoom_wire::family::{FamilyId, FamilySelect};
 
 /// A subcommand failure carrying the process exit code alongside the
 /// message, so scripts can branch on *why* a run failed without parsing
@@ -313,6 +318,76 @@ pub fn campus_flag(flags: &HashMap<String, String>) -> Result<(std::net::IpAddr,
         .map(String::as_str)
         .unwrap_or("10.8.0.0/16");
     zoom_analysis::pipeline::parse_cidr(spec).map_err(|e| e.to_string())
+}
+
+/// The capture-filter configuration `filter` and `capture` share, from
+/// their common flags: `--campus` (one prefix), `--anonymize KEY`,
+/// `--family`; no exclusions, the default 120 s STUN timeout.
+pub fn filter_config(flags: &HashMap<String, String>) -> Result<PipelineConfig, CliError> {
+    let (campus_ip, campus_len) = campus_flag(flags)?;
+    let anonymizer = flags
+        .get("anonymize")
+        .map(|key| {
+            key.parse::<u64>()
+                .map(|k| Anonymizer::new(k, Mode::PrefixPreserving))
+                .map_err(|_| "--anonymize takes a numeric key".to_string())
+        })
+        .transpose()?;
+    let std::net::IpAddr::V4(campus_v4) = campus_ip else {
+        return Err("campus must be IPv4".into());
+    };
+    let mut campus_nets = PrefixSet::new();
+    campus_nets.insert(Cidr::new(campus_v4, campus_len), ());
+    let family = flags
+        .get("family")
+        .map(|v| {
+            v.parse::<FamilySelect>()
+                .map_err(|e| CliError::config(e.to_string()))
+        })
+        .transpose()?
+        .unwrap_or(FamilySelect::Only(FamilyId::Zoom));
+    Ok(PipelineConfig {
+        campus_nets,
+        excluded_nets: PrefixSet::new(),
+        // The sample of Zoom's published list; swap in the full feed in a
+        // real deployment.
+        zoom_list: zoom_capture::zoom_nets::sample_list(),
+        stun_timeout_nanos: 120 * 1_000_000_000,
+        anonymizer,
+        family,
+    })
+}
+
+/// The `capture` section of a `--metrics` snapshot, from the filter's
+/// stage counters.
+pub fn capture_snapshot(c: StageCounters) -> CaptureMetricsSnapshot {
+    CaptureMetricsSnapshot {
+        total: c.total,
+        excluded: c.excluded,
+        zoom_ip_matched: c.zoom_ip_matched,
+        stun_registered: c.stun_registered,
+        p2p_matched: c.p2p_matched,
+        rtc_stun_registered: c.rtc_stun_registered,
+        rtc_p2p_matched: c.rtc_p2p_matched,
+        dropped: c.dropped,
+        unparseable: c.unparseable,
+        passed: c.passed,
+        passed_bytes: c.passed_bytes,
+        total_bytes: c.total_bytes,
+    }
+}
+
+/// Write a `--metrics` snapshot: Prometheus text when `path` ends in
+/// `.prom`, one line of JSON otherwise.
+pub fn write_snapshot(path: &str, snap: &MetricsSnapshot) -> CmdResult {
+    let body = if path.ends_with(".prom") {
+        snap.to_prom()
+    } else {
+        let mut s = snap.to_json();
+        s.push('\n');
+        s
+    };
+    std::fs::write(path, body).map_err(|e| CliError::io(format!("{path}: {e}")))
 }
 
 #[cfg(test)]

@@ -80,6 +80,49 @@ fn full_cli_round_trip() {
     assert!(out.contains("RTP header at offset"), "{out}");
 }
 
+/// `filter` (inline reader) and `capture --source pcap:` (capture thread,
+/// ring, fan-in) run the same filter set-up over the same records, so
+/// their output files are byte-identical.
+#[test]
+fn filter_and_single_source_capture_write_the_same_file() {
+    let raw = tmp("same_raw.pcap");
+    let by_filter = tmp("same_filter.pcap");
+    let by_capture = tmp("same_capture.pcap");
+    let (_, err, ok) = run(&[
+        "simulate",
+        raw.to_str().unwrap(),
+        "--seconds",
+        "30",
+        "--seed",
+        "9",
+        "--scenario",
+        "p2p",
+    ]);
+    assert!(ok, "simulate failed: {err}");
+    let (_, err, ok) = run(&[
+        "filter",
+        raw.to_str().unwrap(),
+        by_filter.to_str().unwrap(),
+        "--anonymize",
+        "7",
+    ]);
+    assert!(ok, "filter failed: {err}");
+    let source = format!("pcap:{}", raw.to_str().unwrap());
+    let (_, err, ok) = run(&[
+        "capture",
+        by_capture.to_str().unwrap(),
+        "--source",
+        &source,
+        "--anonymize",
+        "7",
+    ]);
+    assert!(ok, "capture failed: {err}");
+    let a = std::fs::read(&by_filter).unwrap();
+    let b = std::fs::read(&by_capture).unwrap();
+    assert!(a.len() > 100_000, "filter wrote only {} bytes", a.len());
+    assert!(a == b, "filter and capture outputs differ");
+}
+
 #[test]
 fn streaming_analyze_emits_windows_then_final() {
     let raw = tmp("stream_raw.pcap");

@@ -26,6 +26,12 @@ pub const MAGIC_USEC: u32 = 0xA1B2_C3D4;
 /// Magic for nanosecond-resolution files.
 pub const MAGIC_NSEC: u32 = 0xA1B2_3C4D;
 
+/// `BufReader` capacity for pcap files. With std's 8 KiB default a read
+/// loop issues one `read` call per handful of records; reading a
+/// page-cached 207 MB trace took 38–48 ms at 8 KiB and 27–29 ms from
+/// 64 KiB up.
+pub const READ_BUFFER_BYTES: usize = 64 * 1024;
+
 /// Link types we understand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkType {

@@ -157,10 +157,14 @@ impl<R: Read + Send> PacketSource for FragmentSource<R> {
 
     fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
         loop {
+            // A Trace frame just announced the next Records frame: time
+            // its decode for the `merge_decode` span.
+            let decode_start = (self.pending_trace != 0).then(std::time::Instant::now);
             let event = self
                 .reader
                 .next(batch)
                 .map_err(|e| SourceError::Format(format!("fragment stream: {e}")))?;
+            let decode_nanos = decode_start.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
             match event {
                 Some(FrameEvent::Records { count }) => {
                     self.account
@@ -196,7 +200,7 @@ impl<R: Read + Send> PacketSource for FragmentSource<R> {
                                 trace::spans::MERGE_DECODE,
                                 &self.label,
                                 count as u64,
-                                0,
+                                decode_nanos,
                             );
                         }
                         self.pending_trace = 0;
@@ -353,6 +357,48 @@ mod tests {
         assert!(plain.next_batch(&mut out2).unwrap());
         assert_eq!(out2.trace_id, 0);
         assert_eq!(out2.len(), out.len());
+    }
+
+    #[test]
+    fn traced_spool_round_trip_times_encode_and_decode() {
+        // Worker side, as `analyze --emit-fragments --trace` ships it.
+        let worker = TraceCollector::new();
+        worker.enable(1, "worker:t0");
+        let id = worker.sample().unwrap();
+        let mut batch = RecordBatch::new();
+        for i in 0..64 {
+            batch.push(i, 1_000, &[0xAB; 1_000]);
+        }
+        let mut w = FrameWriter::new(Vec::new(), "t0", LinkType::Ethernet).unwrap();
+        w.write_batch_traced(&batch, id, |encode_nanos| {
+            worker.record(id, trace::spans::FRAGMENT_ENCODE, "t0", 64, encode_nanos);
+            worker.drain_trace_ndjson(id)
+        })
+        .unwrap();
+        let spool = w.finish(Totals::default()).unwrap();
+
+        // Merge side.
+        let merge = Arc::new(TraceCollector::new());
+        merge.enable(1, "merge");
+        let mut src = FragmentSource::open(&spool[..])
+            .unwrap()
+            .with_trace(Arc::clone(&merge));
+        let mut out = RecordBatch::new();
+        assert!(src.next_batch(&mut out).unwrap());
+        assert_eq!(out.len(), 64);
+
+        let stitched = merge.drain_ndjson();
+        for span in ["fragment_encode", "merge_decode"] {
+            let line = stitched
+                .lines()
+                .find(|l| l.contains(&format!("\"span\":\"{span}\"")))
+                .unwrap_or_else(|| panic!("no {span} span in:\n{stitched}"));
+            assert!(line.contains("\"dur_nanos\":"), "no duration in {line}");
+            assert!(
+                !line.contains("\"dur_nanos\":0,") && !line.contains("\"dur_nanos\":0}"),
+                "{span} reported a zero duration: {line}"
+            );
+        }
     }
 
     #[test]

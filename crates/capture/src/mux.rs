@@ -1,6 +1,8 @@
 //! N-sources → one-engine fan-in with bounded lock-free hand-off.
 //!
-//! [`CaptureMux`] runs one capture thread per [`PacketSource`]. Each
+//! [`CaptureMux`] runs one capture thread per [`PacketSource`]
+//! ([`CaptureMux::start`]; a lone lossless source can instead be read
+//! in-line on the consumer's thread, [`CaptureMux::inline`]). Each
 //! thread pulls record batches off its source and offers them to the
 //! analysis side through a bounded SPSC ring ([`crate::ring`]), so
 //! **capture never blocks on analysis**: when the ring is full the
@@ -147,13 +149,31 @@ pub struct MuxRecord<'a> {
     pub data: &'a [u8],
 }
 
+/// Where a lane's batches come from.
+enum Feed {
+    /// A capture thread behind a ring pair: filled batches arrive on `rx`,
+    /// spent arenas go back down `recycle_tx`.
+    Thread {
+        rx: Consumer<RecordBatch>,
+        recycle_tx: Producer<RecordBatch>,
+        thread: Option<std::thread::JoinHandle<()>>,
+    },
+    /// The source itself, read on the consumer's thread
+    /// ([`CaptureMux::inline`]): no thread, no ring.
+    Inline {
+        source: Box<dyn PacketSource>,
+        /// The cleared arena the next read fills.
+        spare: RecordBatch,
+        /// Whether the source may still yield records.
+        live: bool,
+    },
+}
+
 struct Lane {
     label: String,
     link: LinkType,
-    rx: Consumer<RecordBatch>,
-    recycle_tx: Producer<RecordBatch>,
+    feed: Feed,
     shared: Arc<LaneShared>,
-    thread: Option<std::thread::JoinHandle<()>>,
     /// Batch currently being consumed, with the cursor of the next
     /// record to emit.
     current: Option<(RecordBatch, usize)>,
@@ -168,6 +188,16 @@ impl Lane {
         batch.get(*cursor).map(|r| r.ts_nanos)
     }
 
+    /// Returns a cleared arena to whoever fills this lane's batches.
+    fn recycle(&mut self, batch: RecordBatch) {
+        match &mut self.feed {
+            Feed::Thread { recycle_tx, .. } => {
+                let _ = recycle_tx.try_push(batch);
+            }
+            Feed::Inline { spare, .. } => *spare = batch,
+        }
+    }
+
     /// Tries to make `current` hold an unconsumed record. Returns false
     /// while the lane is live but momentarily empty.
     fn refill(&mut self) -> Result<bool, SourceError> {
@@ -179,43 +209,82 @@ impl Lane {
                 // Exhausted: hand the batch back for reuse.
                 let (mut batch, _) = self.current.take().expect("checked above");
                 batch.clear();
-                let _ = self.recycle_tx.try_push(batch);
+                self.recycle(batch);
             }
-            match self.rx.try_pop() {
-                Some(batch) if !batch.is_empty() => {
-                    if let Some(obs) = &self.shared.obs {
-                        obs.ring_occupancy.set(self.rx.len() as u64);
-                        if let Some(last) = batch.get(batch.len() - 1) {
-                            // How far this lane's delivered stream has
-                            // advanced; per-source lag is derived from
-                            // the spread of these at render time.
-                            obs.delivered_ts_nanos.set(last.ts_nanos);
+            let batch = match &mut self.feed {
+                Feed::Thread { rx, .. } => match rx.try_pop() {
+                    Some(batch) if !batch.is_empty() => {
+                        if let Some(obs) = &self.shared.obs {
+                            obs.ring_occupancy.set(rx.len() as u64);
+                        }
+                        if batch.trace_id != 0 {
+                            if let Some(tc) = &self.shared.trace {
+                                tc.record(
+                                    batch.trace_id,
+                                    spans::RING_DEQUEUE,
+                                    &self.label,
+                                    batch.len() as u64,
+                                    0,
+                                );
+                            }
+                        }
+                        batch
+                    }
+                    Some(_) => continue, // empty batch: recycle via the loop
+                    None if rx.is_closed() => {
+                        self.done = true;
+                        if let Some(msg) = self.shared.error.lock().unwrap().take() {
+                            return Err(SourceError::Format(msg));
+                        }
+                        return Ok(false);
+                    }
+                    None => return Ok(false),
+                },
+                Feed::Inline {
+                    source,
+                    spare,
+                    live,
+                } => {
+                    if !*live {
+                        self.done = true;
+                        self.shared
+                            .counters
+                            .truncated
+                            .store(source.truncated_records(), Ordering::Release);
+                        return Ok(false);
+                    }
+                    let mut batch = std::mem::take(spare);
+                    let read_start = Instant::now();
+                    match source.next_batch(&mut batch) {
+                        Ok(more) => *live = more,
+                        Err(e) => {
+                            self.done = true;
+                            return Err(SourceError::Format(format!("{}: {e}", self.label)));
                         }
                     }
-                    if batch.trace_id != 0 {
-                        if let Some(tc) = &self.shared.trace {
-                            tc.record(
-                                batch.trace_id,
-                                spans::RING_DEQUEUE,
-                                &self.label,
-                                batch.len() as u64,
-                                0,
-                            );
+                    if batch.is_empty() {
+                        // A live source with nothing new yet (it paced the
+                        // poll itself), or the end: the next call decides.
+                        *spare = batch;
+                        if *live {
+                            return Ok(false);
                         }
+                        continue;
                     }
-                    self.current = Some((batch, 0));
-                    return Ok(true);
+                    note_read(&self.shared, &self.label, &mut batch, read_start);
+                    batch
                 }
-                Some(_) => continue, // empty batch: recycle via the loop
-                None if self.rx.is_closed() => {
-                    self.done = true;
-                    if let Some(msg) = self.shared.error.lock().unwrap().take() {
-                        return Err(SourceError::Format(msg));
-                    }
-                    return Ok(false);
+            };
+            if let Some(obs) = &self.shared.obs {
+                if let Some(last) = batch.get(batch.len() - 1) {
+                    // How far this lane's delivered stream has advanced;
+                    // per-source lag is derived from the spread of these
+                    // at render time.
+                    obs.delivered_ts_nanos.set(last.ts_nanos);
                 }
-                None => return Ok(false),
             }
+            self.current = Some((batch, 0));
+            return Ok(true);
         }
     }
 }
@@ -261,10 +330,12 @@ impl CaptureMux {
                 Lane {
                     label,
                     link,
-                    rx,
-                    recycle_tx,
+                    feed: Feed::Thread {
+                        rx,
+                        recycle_tx,
+                        thread: Some(thread),
+                    },
                     shared,
-                    thread: Some(thread),
                     current: None,
                     done: false,
                 }
@@ -272,6 +343,44 @@ impl CaptureMux {
             .collect();
         CaptureMux {
             lanes,
+            delivered: 0,
+            delivered_bytes: 0,
+        }
+    }
+
+    /// A one-lane fan-in that spawns nothing: `source` is read on the
+    /// thread that calls [`next_batch`](CaptureMux::next_batch) /
+    /// [`next_record`](CaptureMux::next_record), straight into the arena
+    /// the caller gets. Same records, same order, same accounting as
+    /// [`start`](CaptureMux::start) with that one source under
+    /// [`Overflow::Block`] — there the capture thread waits for the
+    /// consumer anyway, so all the thread buys is read-ahead on a second
+    /// core, and only when the scheduler grants one. In-line, a pass costs
+    /// the same wall time whether it gets one core or two. Nothing is ever
+    /// dropped (`ring_full_drops` stays 0) and the ring gauges and
+    /// `ring_enqueue` / `ring_dequeue` spans do not appear: there is no
+    /// ring.
+    pub fn inline(source: Box<dyn PacketSource>, metrics: Option<&PipelineMetrics>) -> CaptureMux {
+        let label = source.label().to_string();
+        let lane = Lane {
+            link: source.link_type(),
+            shared: Arc::new(LaneShared {
+                counters: LaneCounters::default(),
+                obs: metrics.map(|m| m.register_source(&label)),
+                trace: metrics.map(|m| Arc::clone(&m.trace)),
+                error: Mutex::new(None),
+            }),
+            label,
+            feed: Feed::Inline {
+                source,
+                spare: RecordBatch::new(),
+                live: true,
+            },
+            current: None,
+            done: false,
+        };
+        CaptureMux {
+            lanes: vec![lane],
             delivered: 0,
             delivered_bytes: 0,
         }
@@ -334,8 +443,15 @@ impl CaptureMux {
     /// [`CaptureMux::next_record`]'s strict `(ts, lane)` merge order — a
     /// batched drain is record-for-record identical to a per-record
     /// drain (pinned by tests) — but each merge scan is amortized over a
-    /// whole *run* of records from the winning lane, so the
-    /// single-source case copies entire capture batches per scan.
+    /// whole *run* of records from the winning lane.
+    ///
+    /// When that run is the winning lane's whole untouched capture batch
+    /// (always, with one source), the batch is **handed over** instead of
+    /// copied: its arena is swapped into `out` and the arena the caller
+    /// passed in goes back to the capture thread for refilling. The
+    /// caller therefore gets the source's own batches (up to
+    /// `BATCH_RECORDS` records each) and must not expect `out` to keep
+    /// its allocation from one call to the next.
     ///
     /// A batch is cut early when the next record's lane has a different
     /// link type (one [`LinkType`] per batch, matching
@@ -396,9 +512,32 @@ impl CaptureMux {
                 Some(l) if lane.link != l => break, // one link type per batch
                 _ => link = Some(lane.link),
             }
-            // Copy the winner's run: every buffered record that still
-            // beats the runner-up under (ts, lane) order.
+            // The winner's run: every buffered record that still beats
+            // the runner-up under (ts, lane) order.
+            let wins = |ts: u64| match second {
+                None => true,
+                Some((sts, sj)) => ts < sts || (ts == sts && i < sj),
+            };
             let (batch, cursor) = lane.current.as_mut().expect("refill succeeded");
+            // Hand-over: when the run is the lane's whole untouched batch
+            // and nothing was merged ahead of it, the arena itself changes
+            // hands. Every record is checked, not just the last — a source
+            // that breaks the ordering contract inside a batch must take
+            // the copy loop, which stops where per-record order would.
+            if out.is_empty()
+                && *cursor == 0
+                && batch.len() <= max
+                && batch.iter().all(|r| wins(r.ts_nanos))
+            {
+                std::mem::swap(out, batch);
+                self.delivered += out.len() as u64;
+                self.delivered_bytes += out.arena_bytes() as u64;
+                // `current` now holds the (cleared) arena the caller passed
+                // in; it goes back to the lane's filler for the next fill.
+                let (spare, _) = lane.current.take().expect("refill succeeded");
+                lane.recycle(spare);
+                break;
+            }
             // A sampled capture batch hands its trace tag to the merged
             // batch (first tag wins) so downstream stages keep
             // attributing spans after the fan-in copy.
@@ -407,11 +546,7 @@ impl CaptureMux {
             }
             while *cursor < batch.len() && out.len() < max {
                 let r = batch.get(*cursor).expect("cursor in bounds");
-                let wins = match second {
-                    None => true,
-                    Some((sts, sj)) => r.ts_nanos < sts || (r.ts_nanos == sts && i < sj),
-                };
-                if !wins {
+                if !wins(r.ts_nanos) {
                     break;
                 }
                 out.push(r.ts_nanos, r.orig_len, r.data);
@@ -476,8 +611,8 @@ impl CaptureMux {
         let mut threads = Vec::new();
         let mut shared = Vec::new();
         for mut lane in self.lanes.drain(..) {
-            if let Some(t) = lane.thread.take() {
-                threads.push(t);
+            if let Feed::Thread { thread, .. } = &mut lane.feed {
+                threads.extend(thread.take());
             }
             shared.push(Arc::clone(&lane.shared));
             drop(lane); // closes both rings
@@ -491,6 +626,41 @@ impl CaptureMux {
             }
         }
         Ok(())
+    }
+}
+
+/// Accounts one non-empty batch read off a source — lane counters, the
+/// registry's per-source counters — and, on a traced run, samples it:
+/// the winner's `trace_id` is stamped on the batch and the read recorded
+/// as its `source_read` span.
+fn note_read(shared: &LaneShared, label: &str, batch: &mut RecordBatch, read_start: Instant) {
+    let n = batch.len() as u64;
+    let nbytes = batch.arena_bytes() as u64;
+    let c = &shared.counters;
+    c.packets.fetch_add(n, Ordering::AcqRel);
+    c.bytes.fetch_add(nbytes, Ordering::AcqRel);
+    c.batches.fetch_add(1, Ordering::AcqRel);
+    if let Some(obs) = &shared.obs {
+        obs.packets.add(n);
+        obs.bytes.add(nbytes);
+        obs.batches.inc();
+    }
+    if let Some(tc) = &shared.trace {
+        // A batch pre-tagged by the source itself (a fragment lane
+        // stitching a worker's trace through) keeps the foreign ID and
+        // has this read attributed to it.
+        if batch.trace_id == 0 {
+            batch.trace_id = tc.sample().unwrap_or(0);
+        }
+        if batch.trace_id != 0 {
+            tc.record(
+                batch.trace_id,
+                spans::SOURCE_READ,
+                label,
+                n,
+                read_start.elapsed().as_nanos() as u64,
+            );
+        }
     }
 }
 
@@ -521,39 +691,8 @@ fn capture_thread(
         };
         if !batch.is_empty() {
             let n = batch.len() as u64;
-            let nbytes = batch.arena_bytes() as u64;
             let c = &shared.counters;
-            c.packets.fetch_add(n, Ordering::AcqRel);
-            c.bytes.fetch_add(nbytes, Ordering::AcqRel);
-            c.batches.fetch_add(1, Ordering::AcqRel);
-            if let Some(obs) = &shared.obs {
-                obs.packets.add(n);
-                obs.bytes.add(nbytes);
-                obs.batches.inc();
-            }
-            if let Some(tc) = &shared.trace {
-                if batch.trace_id != 0 {
-                    // Pre-tagged by the source itself (a fragment lane
-                    // stitching a worker's trace through): keep the
-                    // foreign ID and attribute this read to it.
-                    tc.record(
-                        batch.trace_id,
-                        spans::SOURCE_READ,
-                        source.label(),
-                        n,
-                        read_start.elapsed().as_nanos() as u64,
-                    );
-                } else if let Some(id) = tc.sample() {
-                    batch.trace_id = id;
-                    tc.record(
-                        id,
-                        spans::SOURCE_READ,
-                        source.label(),
-                        n,
-                        read_start.elapsed().as_nanos() as u64,
-                    );
-                }
-            }
+            note_read(&shared, source.label(), &mut batch, read_start);
             let traced = batch.trace_id;
             let enqueue_start = Instant::now();
             match offer(&mut tx, batch, overflow) {
@@ -788,19 +927,362 @@ mod tests {
         mux.finish().unwrap();
     }
 
+    /// Large enough that `max` never cuts a capture batch.
+    const MUX_MAX: usize = 4096;
+
+    /// Address of a non-empty batch's arena (stable across clear/refill
+    /// once the arena has grown to its working size).
+    fn arena_of(batch: &RecordBatch) -> usize {
+        batch.get(0).expect("non-empty batch").data.as_ptr() as usize
+    }
+
+    /// Serves fixed-size records at the given timestamps in
+    /// `BATCH_RECORDS`-sized batches — without [`ReplaySource`]'s ordering
+    /// assertion — and logs the arena of every batch it filled.
+    struct ArenaLoggingSource {
+        ts: Vec<u64>,
+        cursor: usize,
+        filled: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl ArenaLoggingSource {
+        fn boxed(ts: Vec<u64>) -> (Box<dyn PacketSource>, Arc<Mutex<Vec<usize>>>) {
+            let filled = Arc::new(Mutex::new(Vec::new()));
+            let source = ArenaLoggingSource {
+                ts,
+                cursor: 0,
+                filled: Arc::clone(&filled),
+            };
+            (Box::new(source), filled)
+        }
+    }
+
+    impl PacketSource for ArenaLoggingSource {
+        fn label(&self) -> &str {
+            "replay:logged"
+        }
+
+        fn link_type(&self) -> LinkType {
+            LinkType::Ethernet
+        }
+
+        fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
+            let end = (self.cursor + crate::source::BATCH_RECORDS).min(self.ts.len());
+            for &ts in &self.ts[self.cursor..end] {
+                batch.push(ts, 60, &[0xCD; 60]);
+            }
+            self.cursor = end;
+            if !batch.is_empty() {
+                self.filled.lock().unwrap().push(arena_of(batch));
+            }
+            Ok(self.cursor < self.ts.len())
+        }
+    }
+
     #[test]
-    fn single_source_batches_copy_whole_capture_batches() {
-        let n = 1_000u64;
-        let mut mux = mux_of(vec![(0..n).collect()], MuxConfig::default());
-        let (ts, sizes) = drain_batched(&mut mux, 4096);
-        assert_eq!(ts.len(), n as usize);
-        assert!(ts.windows(2).all(|w| w[0] < w[1]));
-        // With one lane there is no runner-up: each scan should drain
-        // everything buffered, not one record at a time.
+    fn single_source_batches_are_handed_over_not_copied() {
+        use crate::source::BATCH_RECORDS;
+        let config = MuxConfig::default();
+        let batches = 40 * config.ring_capacity;
+        let n = (batches * BATCH_RECORDS) as u64;
+        let (source, filled) = ArenaLoggingSource::boxed((0..n).collect());
+        let mut mux = CaptureMux::start(vec![source], config, None);
+
+        // The caller's own arena, sized so that refilling it moves nothing.
+        let mut out = RecordBatch::with_capacity(BATCH_RECORDS, BATCH_RECORDS * 60);
+        out.push(0, 60, &[0; 60]);
+        let callers_arena = arena_of(&out);
+
+        let mut ts = Vec::new();
+        let mut delivered = Vec::new();
+        while mux.next_batch(&mut out, MUX_MAX).unwrap().is_some() {
+            // The source's own batch, its own arena: nothing was copied.
+            assert_eq!(out.len(), BATCH_RECORDS);
+            assert!(
+                filled.lock().unwrap().contains(&arena_of(&out)),
+                "batch {} arrived in an arena the source never filled",
+                delivered.len()
+            );
+            delivered.push(arena_of(&out));
+            ts.extend(out.iter().map(|r| r.ts_nanos));
+        }
+        assert_eq!(ts, (0..n).collect::<Vec<_>>());
+        assert_eq!(mux.records_delivered(), n);
+        assert_eq!(mux.bytes_delivered(), n * 60);
+        mux.finish().unwrap();
+
+        // What the caller passed in went back down the recycle ring and
+        // was refilled by the source ...
         assert!(
-            sizes.iter().any(|&s| s > 1),
-            "runs never exceeded one record: {sizes:?}"
+            delivered.contains(&callers_arena),
+            "the caller's arena never came back"
         );
+        // ... so the whole drain cycles a fixed set of arenas: a full
+        // ring, the one being filled, the one delivered, one in recycle.
+        let warm = &delivered[delivered.len() / 2..];
+        let mut distinct = warm.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(
+            distinct.len() <= config.ring_capacity + 3,
+            "{} batches touched {} arenas",
+            warm.len(),
+            distinct.len()
+        );
+    }
+
+    #[test]
+    fn a_lane_batch_that_precedes_every_other_lane_is_handed_over() {
+        // Lane 0's whole batch sorts before lane 1's first record, and
+        // lane 1 is alone once lane 0 is spent: both arrive uncopied.
+        let (lane0, filled0) = ArenaLoggingSource::boxed((0..100).collect());
+        let (lane1, filled1) = ArenaLoggingSource::boxed((1_000..1_100).collect());
+        let mut mux = CaptureMux::start(vec![lane0, lane1], MuxConfig::default(), None);
+        let mut out = RecordBatch::new();
+        let mut first_ts = Vec::new();
+        let mut arenas = Vec::new();
+        while mux.next_batch(&mut out, MUX_MAX).unwrap().is_some() {
+            assert_eq!(out.len(), 100);
+            first_ts.push(out.get(0).unwrap().ts_nanos);
+            arenas.push(arena_of(&out));
+        }
+        mux.finish().unwrap();
+        assert_eq!(first_ts, vec![0, 1_000]);
+        assert_eq!(arenas[0], filled0.lock().unwrap()[0]);
+        assert_eq!(arenas[1], filled1.lock().unwrap()[0]);
+    }
+
+    #[test]
+    fn out_of_order_lane_batch_falls_back_to_the_copy_loop() {
+        // Lane 0 breaks the ordering contract inside one batch. Its last
+        // record (2) beats lane 1's 5, its middle one (9) does not: a
+        // hand-over judged by the batch's ends would reorder 9 before 5.
+        let parts = [vec![1, 9, 2], vec![5]];
+        let per_record = {
+            let sources = parts
+                .iter()
+                .map(|ts| ArenaLoggingSource::boxed(ts.clone()).0)
+                .collect();
+            let mut mux = CaptureMux::start(sources, MuxConfig::default(), None);
+            let order = drain_ts(&mut mux);
+            mux.finish().unwrap();
+            order
+        };
+        assert_eq!(per_record, vec![1, 5, 9, 2]);
+
+        let (lane0, filled0) = ArenaLoggingSource::boxed(parts[0].clone());
+        let (lane1, _) = ArenaLoggingSource::boxed(parts[1].clone());
+        let mut mux = CaptureMux::start(vec![lane0, lane1], MuxConfig::default(), None);
+        let mut out = RecordBatch::new();
+        let mut order = Vec::new();
+        while mux.next_batch(&mut out, MUX_MAX).unwrap().is_some() {
+            if order.is_empty() {
+                assert_ne!(
+                    arena_of(&out),
+                    filled0.lock().unwrap()[0],
+                    "the out-of-order batch was handed over whole"
+                );
+            }
+            order.extend(out.iter().map(|r| r.ts_nanos));
+        }
+        mux.finish().unwrap();
+        assert_eq!(order, per_record);
+    }
+
+    /// Drains a one-source mux by `next_batch` and returns the merged
+    /// timestamps, the capture-side stats and the delivered totals. (Not
+    /// the batch sizes: below a capture batch's size a threaded lane cuts
+    /// them where the ring happens to run dry.)
+    fn drain_one(mut mux: CaptureMux, max: usize) -> (Vec<u64>, LaneStats, u64, u64) {
+        let (ts, sizes) = drain_batched(&mut mux, max);
+        assert!(sizes.iter().all(|&s| s >= 1 && s <= max), "max={max}");
+        let stats = mux.lane_stats(0);
+        let (records, bytes) = (mux.records_delivered(), mux.bytes_delivered());
+        mux.finish().unwrap();
+        (ts, stats, records, bytes)
+    }
+
+    #[test]
+    fn inline_lane_delivers_what_the_threaded_lane_delivers() {
+        use crate::source::BATCH_RECORDS;
+        let n = (5 * BATCH_RECORDS + 17) as u64;
+        let source = || -> Box<dyn PacketSource> {
+            Box::new(ReplaySource::new(
+                "replay:one",
+                LinkType::Ethernet,
+                records(0..n),
+            ))
+        };
+        // `max` below a capture batch takes the copy loop, above it the
+        // hand-over; both lanes must agree record for record.
+        for max in [1usize, 100, BATCH_RECORDS, MUX_MAX] {
+            let threaded = drain_one(
+                CaptureMux::start(vec![source()], MuxConfig::default(), None),
+                max,
+            );
+            let inline = drain_one(CaptureMux::inline(source(), None), max);
+            assert_eq!(inline, threaded, "max={max}");
+            assert_eq!(inline.0, (0..n).collect::<Vec<_>>());
+            assert_eq!(inline.1.ring_full_drops, 0);
+        }
+        // Per record too.
+        let mut mux = CaptureMux::inline(source(), None);
+        assert_eq!(mux.sources(), 1);
+        assert_eq!(drain_ts(&mut mux), (0..n).collect::<Vec<_>>());
+        assert_eq!(mux.records_delivered(), n);
+        mux.finish().unwrap();
+    }
+
+    #[test]
+    fn inline_lane_reads_on_the_callers_thread_into_two_arenas() {
+        use crate::source::BATCH_RECORDS;
+        /// An [`ArenaLoggingSource`] that insists on the thread it was
+        /// built on: a capture thread would trip the assertion.
+        struct SameThread {
+            inner: Box<dyn PacketSource>,
+            home: std::thread::ThreadId,
+        }
+        impl PacketSource for SameThread {
+            fn label(&self) -> &str {
+                self.inner.label()
+            }
+            fn link_type(&self) -> LinkType {
+                self.inner.link_type()
+            }
+            fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
+                assert_eq!(std::thread::current().id(), self.home, "read off-thread");
+                self.inner.next_batch(batch)
+            }
+        }
+        let batches = 50;
+        let n = (batches * BATCH_RECORDS) as u64;
+        let (inner, filled) = ArenaLoggingSource::boxed((0..n).collect());
+        let source = SameThread {
+            inner,
+            home: std::thread::current().id(),
+        };
+        let mut mux = CaptureMux::inline(Box::new(source), None);
+
+        let mut out = RecordBatch::with_capacity(BATCH_RECORDS, BATCH_RECORDS * 60);
+        out.push(0, 60, &[0; 60]);
+        let callers_arena = arena_of(&out);
+        let mut delivered = Vec::new();
+        while mux.next_batch(&mut out, MUX_MAX).unwrap().is_some() {
+            assert_eq!(out.len(), BATCH_RECORDS);
+            delivered.push(arena_of(&out));
+        }
+        assert_eq!(mux.records_delivered(), n);
+        mux.finish().unwrap();
+        // Handed over, never copied: each batch arrives in the arena the
+        // source filled, and the arena the caller gave up is the next one
+        // filled — the drain ping-pongs between two.
+        assert_eq!(delivered, *filled.lock().unwrap());
+        assert!(delivered.contains(&callers_arena));
+        let mut distinct = delivered.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 2, "{} batches", delivered.len());
+    }
+
+    #[test]
+    fn inline_lane_waits_out_a_quiet_live_source_and_reports_its_tail() {
+        /// Quiet (live, nothing new) on every other call, like a followed
+        /// pcap at end of file; three torn records at the end.
+        struct Stuttering {
+            next: u64,
+            calls: u32,
+        }
+        impl PacketSource for Stuttering {
+            fn label(&self) -> &str {
+                "test:stutter"
+            }
+            fn link_type(&self) -> LinkType {
+                LinkType::Ethernet
+            }
+            fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
+                self.calls += 1;
+                if self.calls.is_multiple_of(2) {
+                    return Ok(true);
+                }
+                for _ in 0..10 {
+                    batch.push(self.next, 60, &[0xCD; 60]);
+                    self.next += 1;
+                }
+                Ok(self.next < 50)
+            }
+            fn truncated_records(&self) -> u64 {
+                3
+            }
+        }
+        let metrics = PipelineMetrics::new(0);
+        let mut mux =
+            CaptureMux::inline(Box::new(Stuttering { next: 0, calls: 0 }), Some(&metrics));
+        let (ts, sizes) = drain_batched(&mut mux, MUX_MAX);
+        assert_eq!(ts, (0..50).collect::<Vec<_>>());
+        assert_eq!(sizes, vec![10; 5]);
+        assert_eq!(mux.truncated_records(), 3);
+        // Exhausted stays exhausted.
+        assert!(mux
+            .next_batch(&mut RecordBatch::new(), MUX_MAX)
+            .unwrap()
+            .is_none());
+        assert!(mux.next_record().unwrap().is_none());
+        mux.finish().unwrap();
+        let snap = metrics.snapshot();
+        assert_eq!(snap.sources[0].label, "test:stutter");
+        assert_eq!(snap.source_packets_total(), 50);
+        assert_eq!(snap.sources[0].delivered_ts_nanos, 49);
+        assert_eq!(snap.sources[0].ring_occupancy_hwm, 0);
+    }
+
+    #[test]
+    fn inline_lane_traces_the_read_and_no_ring() {
+        let metrics = PipelineMetrics::new(0);
+        metrics.trace.enable(1, "cap-test");
+        let source = ReplaySource::new("replay:t", LinkType::Ethernet, records(0..64));
+        let mut mux = CaptureMux::inline(Box::new(source), Some(&metrics));
+        let mut batch = RecordBatch::new();
+        let mut tagged = 0u64;
+        while mux.next_batch(&mut batch, MUX_MAX).unwrap().is_some() {
+            tagged += u64::from(batch.trace_id != 0);
+        }
+        mux.finish().unwrap();
+        assert!(tagged > 0, "sample_every=1 must tag delivered batches");
+        let ndjson = metrics.trace.drain_ndjson();
+        assert!(ndjson.contains("\"span\":\"source_read\""), "{ndjson}");
+        assert!(!ndjson.contains("\"span\":\"ring_"), "{ndjson}");
+    }
+
+    #[test]
+    fn inline_lane_surfaces_a_source_error_with_its_label() {
+        /// One good batch, then a failure.
+        struct FailsSecond(bool);
+        impl PacketSource for FailsSecond {
+            fn label(&self) -> &str {
+                "fail:second"
+            }
+            fn link_type(&self) -> LinkType {
+                LinkType::Ethernet
+            }
+            fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
+                if std::mem::replace(&mut self.0, true) {
+                    return Err(SourceError::Format("synthetic failure".into()));
+                }
+                batch.push(7, 60, &[0xCD; 60]);
+                Ok(true)
+            }
+        }
+        let mut mux = CaptureMux::inline(Box::new(FailsSecond(false)), None);
+        let mut out = RecordBatch::new();
+        assert!(mux.next_batch(&mut out, MUX_MAX).unwrap().is_some());
+        assert_eq!(out.len(), 1);
+        let err = mux.next_batch(&mut out, MUX_MAX).unwrap_err().to_string();
+        assert!(
+            err.contains("fail:second: ") && err.contains("synthetic failure"),
+            "{err}"
+        );
+        // The lane is finished: nothing more, no second error.
+        assert!(mux.next_batch(&mut out, MUX_MAX).unwrap().is_none());
         mux.finish().unwrap();
     }
 

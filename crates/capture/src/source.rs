@@ -48,7 +48,7 @@ use std::fmt;
 use std::io;
 use std::time::Duration;
 use zoom_wire::handoff::RecordBatch;
-use zoom_wire::pcap::{LinkType, Reader, Record, RecordBuf, READ_BUFFER_BYTES};
+use zoom_wire::pcap::{LinkType, Reader, Record, READ_BUFFER_BYTES};
 
 /// Records per batch a well-behaved source aims for. Batches may be
 /// smaller (a follow-mode poll that found less data) but should not be
@@ -152,7 +152,6 @@ impl Default for FollowConfig {
 pub struct PcapFileSource {
     label: String,
     reader: Reader<io::BufReader<std::fs::File>>,
-    buf: RecordBuf,
     follow: Option<FollowConfig>,
     quiet: Duration,
 }
@@ -167,7 +166,6 @@ impl PcapFileSource {
         Ok(PcapFileSource {
             label: format!("pcap:{path}"),
             reader,
-            buf: RecordBuf::new(),
             follow: None,
             quiet: Duration::ZERO,
         })
@@ -191,9 +189,9 @@ impl PacketSource for PcapFileSource {
 
     fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
         while batch.len() < BATCH_RECORDS && batch.arena_bytes() < BATCH_BYTES {
-            if self.reader.read_into(&mut self.buf)? {
+            // Straight from the file buffer into the arena the ring carries.
+            if self.reader.read_into_batch(batch)? {
                 self.quiet = Duration::ZERO;
-                batch.push(self.buf.ts_nanos(), self.buf.orig_len(), self.buf.data());
                 continue;
             }
             // End of file. A reader at a clean record boundary can be

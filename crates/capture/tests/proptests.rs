@@ -4,10 +4,13 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use zoom_capture::anonymize::{Anonymizer, Mode};
 use zoom_capture::cidr::{Cidr, PrefixMap};
+use zoom_capture::mux::{CaptureMux, MuxConfig, Overflow};
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig};
+use zoom_capture::source::{PacketSource, ReplaySource};
 use zoom_capture::stun_tracker::StunTracker;
 use zoom_wire::flow::Endpoint;
-use zoom_wire::pcap::LinkType;
+use zoom_wire::handoff::RecordBatch;
+use zoom_wire::pcap::{LinkType, Record};
 
 proptest! {
     /// CIDR membership is consistent with explicit masking.
@@ -211,5 +214,66 @@ proptest! {
         producer.join().unwrap();
         prop_assert_eq!(got, (0..n).collect::<Vec<_>>());
         prop_assert!(rx.try_pop().is_none());
+    }
+}
+
+/// A fan-in over `lanes`: lane `i`'s `j`-th record is stamped `[i, j]` and
+/// carries the timestamp reached by summing the lane's steps.
+fn mux_over(lanes: &[Vec<u64>], ring_capacity: usize) -> CaptureMux {
+    let sources = lanes
+        .iter()
+        .enumerate()
+        .map(|(i, steps)| {
+            let mut ts = 0;
+            let records = steps
+                .iter()
+                .enumerate()
+                .map(|(j, step)| {
+                    ts += step;
+                    Record::full(ts, vec![i as u8, (j >> 8) as u8, j as u8])
+                })
+                .collect();
+            Box::new(ReplaySource::new(
+                &format!("replay:{i}"),
+                LinkType::Ethernet,
+                records,
+            )) as Box<dyn PacketSource>
+        })
+        .collect();
+    let config = MuxConfig {
+        ring_capacity,
+        overflow: Overflow::Block,
+    };
+    CaptureMux::start(sources, config, None)
+}
+
+proptest! {
+    /// A batched fan-in drain — handed-over arenas and copied runs alike —
+    /// is record for record the per-record `(ts, lane)` merge, for any
+    /// number of lanes, any `max`, timestamp ties within and across lanes,
+    /// and lanes long enough to span several capture batches.
+    #[test]
+    fn batched_drain_is_the_per_record_merge(
+        lanes in proptest::collection::vec(proptest::collection::vec(0u64..3, 0..400), 1..4),
+        max in prop_oneof![Just(1usize), Just(3), Just(127), Just(128), Just(200), Just(4096)],
+        ring_capacity in 1usize..4,
+    ) {
+        let mut expected = Vec::new();
+        let mut mux = mux_over(&lanes, ring_capacity);
+        while let Some(r) = mux.next_record().unwrap() {
+            expected.push((r.ts_nanos, r.data.to_vec()));
+        }
+        mux.finish().unwrap();
+
+        let mut got = Vec::new();
+        let mut mux = mux_over(&lanes, ring_capacity);
+        let mut batch = RecordBatch::new();
+        while mux.next_batch(&mut batch, max).unwrap().is_some() {
+            prop_assert!(!batch.is_empty() && batch.len() <= max);
+            got.extend(batch.iter().map(|r| (r.ts_nanos, r.data.to_vec())));
+        }
+        prop_assert_eq!(mux.records_delivered(), expected.len() as u64);
+        mux.finish().unwrap();
+        prop_assert_eq!(got, expected);
     }
 }

@@ -52,8 +52,11 @@
 //! analysis runs. `--worker-label` names the worker in the merge node's
 //! `zoom_worker_*` metrics. See `docs/DISTRIBUTED.md`.
 
-use super::sources::{build_sources, mux_flags};
-use super::{campus_flag, parse_args_repeat, parse_duration, CliError, CmdResult, TraceOutput};
+use super::sources::{build_sources, mux_flags, start_streaming_capture};
+use super::{
+    campus_flag, parse_args_repeat, parse_duration, write_window_line, CliError, CmdResult,
+    TraceOutput,
+};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::time::Duration;
@@ -71,9 +74,11 @@ use zoom_wire::handoff::RecordBatch;
 use zoom_wire::pcap::{LinkType, Reader, RecordBuf, READ_BUFFER_BYTES};
 use zoom_wire::zoom::MediaType;
 
-/// How many records one fan-in drain hands to the sink at once: large
+/// The most records one fan-in drain hands to the sink at once: large
 /// enough to amortize the batch dissection setup across a type-sorted
-/// pass, small enough that the copy arena stays cache-resident.
+/// pass, small enough that a copied batch stays cache-resident. (A
+/// single source's batches arrive handed over, `BATCH_RECORDS` at a
+/// time, whatever this says.)
 pub(crate) const MUX_BATCH: usize = 1024;
 
 /// The `--metrics <path>` snapshot file: rewritten in place every
@@ -520,8 +525,9 @@ pub(crate) fn print_report(analyzer: &Analyzer, flags: &HashMap<String, String>)
 /// The streaming path: NDJSON window reports as windows close, then the
 /// final report, all on stdout. All sources — including a followed,
 /// still-growing pcap — are captured concurrently and merged through
-/// the fan-in, so the ingest loop below never knows (or cares) how many
-/// files or simulated taps are behind it.
+/// the fan-in (a lone lossless one is read in-line through the same
+/// interface, see [`start_streaming_capture`]), so the ingest loop below
+/// never knows (or cares) how many files or simulated taps are behind it.
 #[allow(clippy::too_many_arguments)]
 fn run_streaming(
     sources: Vec<Box<dyn PacketSource>>,
@@ -561,7 +567,7 @@ fn run_streaming(
     if let Some(t) = &trace_out {
         t.enable(&mh.trace, "analyze");
     }
-    let mut mux = CaptureMux::start(sources, mux_config, Some(&mh));
+    let mut mux = start_streaming_capture(sources, mux_config, &mh);
 
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -572,11 +578,12 @@ fn run_streaming(
     // buffered records, so window emission latency matches the
     // per-record loop it replaced.
     let mut batch = RecordBatch::new();
+    let mut line = String::new();
     while let Some(link) = mux.next_batch(&mut batch, MUX_BATCH)? {
         engine.push_batch(&batch, link)?;
         let mut wrote = false;
         for w in engine.take_windows() {
-            writeln!(out, "{}", w.to_json()).map_err(|e| e.to_string())?;
+            write_window_line(&mut out, &mut line, &w)?;
             wrote = true;
         }
         for a in engine.take_alerts() {
@@ -611,7 +618,7 @@ fn run_streaming(
     if let Some(t) = &mut trace_out {
         t.finish(&mh.trace)?;
     }
-    writeln!(out, "{}", output.final_window.to_json()).map_err(|e| e.to_string())?;
+    write_window_line(&mut out, &mut line, &output.final_window)?;
     writeln!(out, "{}", output.report.to_json()).map_err(|e| e.to_string())?;
     out.flush().map_err(|e| e.to_string())?;
     eprintln!(
@@ -681,23 +688,22 @@ fn run_emit(
     let mut batch = RecordBatch::new();
     let mut frames = 0u64;
     while mux.next_batch(&mut batch, BATCH_RECORDS)?.is_some() {
-        if batch.trace_id != 0 {
+        let written = if batch.trace_id != 0 {
             let m = worker_metrics.as_ref().expect("traced batch implies metrics");
-            m.trace.record(
-                batch.trace_id,
-                spans::FRAGMENT_ENCODE,
-                label,
-                batch.len() as u64,
-                0,
-            );
-            let ndjson = m.trace.drain_trace_ndjson(batch.trace_id);
-            writer
-                .write_trace(batch.trace_id, ndjson.as_bytes())
-                .map_err(|e| CliError::io(format!("{target}: {e}")))?;
-        }
-        writer
-            .write_batch(&batch)
-            .map_err(|e| CliError::io(format!("{target}: {e}")))?;
+            writer.write_batch_traced(&batch, batch.trace_id, |encode_nanos| {
+                m.trace.record(
+                    batch.trace_id,
+                    spans::FRAGMENT_ENCODE,
+                    label,
+                    batch.len() as u64,
+                    encode_nanos,
+                );
+                m.trace.drain_trace_ndjson(batch.trace_id)
+            })
+        } else {
+            writer.write_batch(&batch)
+        };
+        written.map_err(|e| CliError::io(format!("{target}: {e}")))?;
         frames += 1;
     }
 

@@ -30,7 +30,9 @@
 
 use super::analyze::{finish_mux, print_report, MetricsFile, MUX_BATCH};
 use super::sources::mux_flags;
-use super::{campus_flag, parse_args, parse_duration, CliError, CmdResult, TraceOutput};
+use super::{
+    campus_flag, parse_args, parse_duration, write_window_line, CliError, CmdResult, TraceOutput,
+};
 use std::collections::HashMap;
 use std::io::{Read, Write as _};
 use std::sync::Arc;
@@ -471,6 +473,7 @@ fn run_streaming_merge(
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let mut batch = RecordBatch::new();
+    let mut line = String::new();
     loop {
         let link = match mux.next_batch(&mut batch, MUX_BATCH) {
             Ok(Some(link)) => link,
@@ -487,7 +490,7 @@ fn run_streaming_merge(
         let mut wrote = false;
         for w in engine.take_windows() {
             if gate.admit() {
-                writeln!(out, "{}", w.to_json()).map_err(|e| e.to_string())?;
+                write_window_line(&mut out, &mut line, &w)?;
                 wrote = true;
             }
         }
@@ -512,7 +515,7 @@ fn run_streaming_merge(
     if let Some(t) = &mut trace_out {
         t.finish(&mh.trace)?;
     }
-    writeln!(out, "{}", output.final_window.to_json()).map_err(|e| e.to_string())?;
+    write_window_line(&mut out, &mut line, &output.final_window)?;
     writeln!(out, "{}", output.report.to_json()).map_err(|e| e.to_string())?;
     out.flush().map_err(|e| e.to_string())?;
     save_checkpoint(&gate)?;

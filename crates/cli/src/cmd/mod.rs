@@ -310,6 +310,21 @@ impl TraceOutput {
     }
 }
 
+/// Write `window` as one NDJSON line, serialized into `line` — a buffer
+/// the streaming loops keep across windows, so a line costs no
+/// allocation once the buffer has grown to the largest one.
+pub fn write_window_line(
+    out: &mut impl std::io::Write,
+    line: &mut String,
+    window: &zoom_analysis::report::WindowReport,
+) -> CmdResult {
+    line.clear();
+    window.write_json(line);
+    line.push('\n');
+    out.write_all(line.as_bytes()).map_err(|e| e.to_string())?;
+    Ok(())
+}
+
 /// Parse a `--campus` CIDR flag into the `(addr, len)` form the analyzer
 /// uses; defaults to 10.8.0.0/16.
 pub fn campus_flag(flags: &HashMap<String, String>) -> Result<(std::net::IpAddr, u8), String> {

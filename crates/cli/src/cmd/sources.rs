@@ -26,7 +26,8 @@
 
 use super::CliError;
 use std::collections::HashMap;
-use zoom_capture::mux::{MuxConfig, Overflow};
+use zoom_analysis::obs::PipelineMetrics;
+use zoom_capture::mux::{CaptureMux, MuxConfig, Overflow};
 use zoom_capture::source::{
     live_ring, FollowConfig, PacketSource, PcapFileSource, BATCH_RECORDS,
 };
@@ -176,6 +177,26 @@ pub fn mux_flags(flags: &HashMap<String, String>) -> Result<MuxConfig, String> {
         ring_capacity,
         overflow,
     })
+}
+
+/// The capture front-end of a streaming analysis. A single lossless
+/// source is read in-line on the analysis thread ([`CaptureMux::inline`]):
+/// under `Overflow::Block` its capture thread would wait for analysis
+/// anyway, and a pass that overlaps read and analysis only when the
+/// scheduler hands it a second core takes 1.0× or 1.5× as long from one
+/// run to the next. Several sources, or `--lossy`, keep one capture
+/// thread each ([`CaptureMux::start`]).
+pub fn start_streaming_capture(
+    mut sources: Vec<Box<dyn PacketSource>>,
+    config: MuxConfig,
+    metrics: &PipelineMetrics,
+) -> CaptureMux {
+    if sources.len() == 1 && config.overflow == Overflow::Block {
+        let source = sources.pop().expect("one source");
+        CaptureMux::inline(source, Some(metrics))
+    } else {
+        CaptureMux::start(sources, config, Some(metrics))
+    }
 }
 
 #[cfg(test)]

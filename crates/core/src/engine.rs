@@ -27,6 +27,17 @@
 //! pipeline: one merge at drain, byte-identical to the sequential
 //! analyzer (asserted by `tests/streaming_differential.rs`).
 //!
+//! **Two lanes, one state machine.** With one shard the engine owns the
+//! shard's state and runs it on the calling thread, straight out of the
+//! caller's batch: no copy, no channel, no thread (the *in-line lane*).
+//! With more, each shard is a worker thread fed copies of its records
+//! over a bounded channel. Both lanes drive the same `ShardState`
+//! methods and the shard count alone picks between them, so `shards: 1`
+//! against `shards: N` in the differential suites pins in-line ≡
+//! threaded. One difference is visible: a panic in shard code surfaces
+//! as [`Error::ShardPanic`] from a worker thread, but is simply the
+//! caller's panic on the in-line lane.
+//!
 //! Windowed mode assumes capture timestamps are approximately monotonic
 //! (true of pcaps and live captures alike); records may arrive slightly
 //! out of order, but a record older than an already-closed window is
@@ -51,7 +62,8 @@ use crate::report::{
     StreamWindow, WindowReport, WindowTotals,
 };
 use crate::sink::PacketSink;
-use crate::stream::{Stream, StreamKey};
+use crate::stream::{InlineList, Stream, StreamKey};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::net::IpAddr;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
@@ -229,14 +241,13 @@ enum ToWorker {
     Tick { evict_before: Option<u64> },
 }
 
-/// Worker-thread state: the shard analyzer plus the between-tick
-/// snapshots delta computation needs.
+/// One shard's state machine — the shard analyzer plus the between-tick
+/// snapshots delta computation needs — driven through the same three
+/// methods whether it lives on a worker thread or in the engine itself
+/// (see [`Lane`]).
 struct ShardState {
     analyzer: Analyzer,
     snaps: FxHashMap<StreamKey, StreamSnap>,
-    /// Emptied tick-reply vectors returned by the router after each
-    /// window, recycled into the next [`ShardState::tick`].
-    scratch_rx: Receiver<TickScratch>,
     /// Persistent key→delta-row index, cleared (capacity kept) per tick.
     delta_idx: FxHashMap<StreamKey, usize>,
     total_packets: u64,
@@ -250,15 +261,11 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn new(
-        config: AnalyzerConfig,
-        metrics: Arc<PipelineMetrics>,
-        scratch_rx: Receiver<TickScratch>,
-    ) -> ShardState {
+    fn new(config: AnalyzerConfig, metrics: Arc<PipelineMetrics>, shard: usize) -> ShardState {
+        let shard = u16::try_from(shard).expect("shard count checked by StreamingEngine::new");
         ShardState {
-            analyzer: Analyzer::new_sharded(config, metrics),
+            analyzer: Analyzer::new_sharded(config, metrics, shard),
             snaps: FxHashMap::default(),
-            scratch_rx,
             delta_idx: FxHashMap::default(),
             total_packets: 0,
             zoom_packets: 0,
@@ -271,15 +278,35 @@ impl ShardState {
         }
     }
 
-    fn tick(&mut self, evict_before: Option<u64>) -> TickReply {
+    /// Process one record the router has peeked and routed here.
+    #[inline]
+    fn process(
+        &mut self,
+        seq: u64,
+        ts_nanos: u64,
+        data: &[u8],
+        info: Option<&PeekInfo>,
+        hints: RouteHints,
+    ) {
+        self.analyzer
+            .process_record_routed(seq, ts_nanos, data, info, hints.p2p, hints.webrtc);
+    }
+
+    /// Publish the classification counts tallied since the last call.
+    fn end_batch(&self) {
+        self.analyzer.flush_metrics();
+    }
+
+    /// Close a window on this shard. `scratch` is the previous reply's
+    /// emptied vectors (see [`TickScratch`]), or fresh ones.
+    fn tick(&mut self, evict_before: Option<u64>, scratch: TickScratch) -> TickReply {
         // Per-stream deltas vs. the previous tick's snapshots (and update
-        // the snapshots in the same pass). The delta/event/TCP vectors are
-        // recycled from the router's previous apply_tick when available.
+        // the snapshots in the same pass).
         let TickScratch {
             mut deltas,
             events: events_spare,
             mut tcp_new,
-        } = self.scratch_rx.try_recv().unwrap_or_default();
+        } = scratch;
         let delta_idx = &mut self.delta_idx;
         delta_idx.clear();
         let snaps = &mut self.snaps;
@@ -377,6 +404,7 @@ impl ShardState {
     }
 }
 
+/// The router's end of one worker thread.
 struct Worker {
     tx: Option<SyncSender<ToWorker>>,
     /// Per-worker reply channel: if one worker dies, the others' replies
@@ -391,17 +419,44 @@ struct Worker {
     handle: Option<JoinHandle<Analyzer>>,
 }
 
+/// How routed records reach the shard state machines; the shard count
+/// alone chooses.
+enum Lane {
+    /// One shard: the engine owns its state and runs it on the calling
+    /// thread, reading the caller's batch in place. The shard logs its
+    /// events in global order already, so the engine replays the log at
+    /// the end of every push rather than only at ticks, and the log
+    /// never outgrows a batch.
+    Inline {
+        state: Box<ShardState>,
+        /// The last tick reply's emptied vectors, for the next tick.
+        scratch: TickScratch,
+    },
+    /// Several shards: one worker thread each.
+    Threaded(Vec<Worker>),
+}
+
 /// Per-stream replica of the candidate state the grouping heuristic's
 /// lookup closure reads sequentially: per payload type the running packet
 /// count and last RTP sequence/timestamp, plus the stream's last-seen
 /// time. Rebuilt incrementally from the shards' event logs. Replicas are
 /// *not* evicted with their streams — they are what lets a stream that
 /// goes idle and returns keep its meeting assignment.
-#[derive(Default)]
 struct Replica {
-    /// payload type → (packets, last RTP seq, last RTP timestamp).
-    subs: FxHashMap<u8, (u64, u16, u32)>,
+    key: StreamKey,
+    /// A stream carries two or three payload types (main, FEC, perhaps a
+    /// probe).
+    subs: InlineList<ReplicaSub, 3>,
     last_seen: u64,
+}
+
+/// [`Replica`]'s mirror of one sub-stream.
+#[derive(Clone, Copy, Default)]
+struct ReplicaSub {
+    payload_type: u8,
+    packets: u64,
+    last_seq: u16,
+    last_rtp_ts: u32,
 }
 
 impl Replica {
@@ -410,14 +465,34 @@ impl Replica {
     fn candidate(&self) -> Option<CandidateState> {
         self.subs
             .iter()
-            .max_by_key(|&(&pt, &(packets, _, _))| (packets, pt))
-            .map(|(_, &(_, last_seq, last_rtp_ts))| CandidateState {
-                last_rtp_ts,
-                last_seq,
+            .max_by_key(|sub| (sub.packets, sub.payload_type))
+            .map(|sub| CandidateState {
+                last_rtp_ts: sub.last_rtp_ts,
+                last_seq: sub.last_seq,
                 last_seen: self.last_seen,
             })
     }
+
+    /// Fold one replayed media event in.
+    fn on_event(&mut self, ev: &MediaEvent) {
+        self.last_seen = ev.ts_nanos;
+        let pt = ev.payload_type;
+        let known = self.subs.iter_mut().find(|sub| sub.payload_type == pt);
+        let sub = match known {
+            Some(sub) => sub,
+            None => self.subs.push(ReplicaSub {
+                payload_type: pt,
+                ..ReplicaSub::default()
+            }),
+        };
+        sub.packets += 1;
+        sub.last_seq = ev.rtp_seq;
+        sub.last_rtp_ts = ev.rtp_ts;
+    }
 }
+
+/// [`StreamingEngine::handles`]' marker for a serial not seen yet.
+const UNSEEN: u32 = u32::MAX;
 
 /// Everything [`StreamingEngine::drain`] produces.
 pub struct EngineOutput {
@@ -476,7 +551,7 @@ pub struct StreamingEngine {
     /// flow registration must not wait for the STUN gate.
     webrtc_eager: bool,
     seq: u64,
-    workers: Vec<Worker>,
+    lane: Lane,
     /// Reused peek arena for [`StreamingEngine::push_batch_records`].
     peek_arena: PeekArena,
     /// Reused per-batch shard-index scratch (pass 2 of the batch path).
@@ -486,8 +561,16 @@ pub struct StreamingEngine {
     rtp_rtt: RtpRttEstimator,
     /// Samples before this index were already reported in a window.
     rtt_mark: usize,
-    replicas: FxHashMap<StreamKey, Replica>,
-    creation_order: Vec<StreamKey>,
+    /// One replica per stream key ever seen, in global creation order
+    /// (the order the end-of-trace report walks).
+    replicas: Vec<Replica>,
+    /// Stream key → index into `replicas`. Probed when a stream is
+    /// created or reappears after eviction, never per event.
+    replica_index: FxHashMap<StreamKey, u32>,
+    /// `[shard][stream serial]` → index into `replicas` ([`UNSEEN`] until
+    /// the serial's first event): what a replayed event resolves its
+    /// replica through.
+    handles: Vec<Vec<u32>>,
     tcp_samples: Vec<RttSample>,
     // -------- evicted-state pools (compact fragments, not Streams) -----
     evicted_streams: FxHashMap<StreamKey, Vec<StreamReport>>,
@@ -506,6 +589,9 @@ pub struct StreamingEngine {
     /// The router thread's unpublished `record_in` counts; see
     /// [`IngestTally`] for when it is flushed.
     tally: IngestTally,
+    /// Records routed to each shard since the last publish — the
+    /// per-shard half of the same deferral.
+    routed: Vec<Cell<u64>>,
     /// Windows closed by [`PacketSink::push`] calls, held until the next
     /// [`PacketSink::take_windows`].
     pending_windows: Vec<WindowReport>,
@@ -518,10 +604,12 @@ pub struct StreamingEngine {
 }
 
 impl StreamingEngine {
-    /// Spawn the engine's worker shards.
+    /// Build the engine: in-line shard state for one shard, a worker
+    /// thread per shard for more.
     ///
     /// Fails with [`Error::Config`] on a zero-length window or idle
-    /// timeout, or durations whose nanosecond count overflows `u64`.
+    /// timeout, durations whose nanosecond count overflows `u64`, or more
+    /// than `u16::MAX` shards.
     pub fn new(config: EngineConfig) -> Result<StreamingEngine, Error> {
         let to_nanos = |d: Duration, what: &str| -> Result<u64, Error> {
             let n = u64::try_from(d.as_nanos())
@@ -542,63 +630,26 @@ impl StreamingEngine {
         let family = analyzer_config.family_select();
         let grouping = analyzer_config.grouping_config();
         let n = config.shards.max(1);
+        if n > usize::from(u16::MAX) {
+            return Err(Error::Config(format!("{n} shards exceed {}", u16::MAX)));
+        }
         let metrics = Arc::new(PipelineMetrics::new(n));
-        let workers = (0..n)
-            .map(|i| {
-                let (tx, rx) = sync_channel::<ToWorker>(CHANNEL_DEPTH);
-                let (reply_tx, reply_rx) = channel::<TickReply>();
-                let (recycle_tx, recycle_rx) = channel::<Pending>();
-                let (scratch_tx, scratch_rx) = channel::<TickScratch>();
-                let cfg = analyzer_config.clone();
-                let shard_metrics = Arc::clone(&metrics);
-                let drained_metrics = Arc::clone(&metrics);
-                let handle = std::thread::spawn(move || {
-                    let mut state = ShardState::new(cfg, shard_metrics, scratch_rx);
-                    while let Ok(msg) = rx.recv() {
-                        match msg {
-                            ToWorker::Batch(mut pending) => {
-                                for i in 0..pending.records.len() {
-                                    prefetch_record(&pending.records, i + 1);
-                                    let r = pending.records.get(i).expect("index in bounds");
-                                    let m = &pending.meta[i];
-                                    state.analyzer.process_record_routed(
-                                        m.seq,
-                                        r.ts_nanos,
-                                        r.data,
-                                        m.info.as_ref(),
-                                        m.hints.p2p,
-                                        m.hints.webrtc,
-                                    );
-                                }
-                                state.analyzer.flush_metrics();
-                                pending.records.clear();
-                                pending.meta.clear();
-                                // This shard consumed one routed batch:
-                                // channel depth = batches - drained.
-                                drained_metrics.shards[i].drained.inc();
-                                // Router gone mid-run is fine; the batch
-                                // just isn't recycled.
-                                let _ = recycle_tx.send(pending);
-                            }
-                            ToWorker::Tick { evict_before } => {
-                                if reply_tx.send(state.tick(evict_before)).is_err() {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    state.analyzer
-                });
-                Worker {
-                    tx: Some(tx),
-                    reply_rx,
-                    recycle_rx,
-                    scratch_tx,
-                    pending: Pending::default(),
-                    handle: Some(handle),
-                }
-            })
-            .collect();
+        let lane = if n == 1 {
+            Lane::Inline {
+                state: Box::new(ShardState::new(
+                    analyzer_config.clone(),
+                    Arc::clone(&metrics),
+                    0,
+                )),
+                scratch: TickScratch::default(),
+            }
+        } else {
+            Lane::Threaded(
+                (0..n)
+                    .map(|i| spawn_worker(i, analyzer_config.clone(), Arc::clone(&metrics)))
+                    .collect(),
+            )
+        };
         Ok(StreamingEngine {
             analyzer_config,
             shard_count: n,
@@ -612,14 +663,15 @@ impl StreamingEngine {
             webrtc_enabled: family.allows(FamilyId::Webrtc),
             webrtc_eager: family == FamilySelect::Only(FamilyId::Webrtc),
             seq: 0,
-            workers,
+            lane,
             peek_arena: PeekArena::new(),
             shard_scratch: Vec::new(),
             grouper: MeetingGrouper::with_config(grouping),
             rtp_rtt: RtpRttEstimator::default(),
             rtt_mark: 0,
-            replicas: FxHashMap::default(),
-            creation_order: Vec::new(),
+            replicas: Vec::new(),
+            replica_index: FxHashMap::default(),
+            handles: vec![Vec::new(); n],
             tcp_samples: Vec::new(),
             evicted_streams: FxHashMap::default(),
             evicted_flows: FxHashMap::default(),
@@ -631,6 +683,7 @@ impl StreamingEngine {
             peak_tracked: 0,
             metrics,
             tally: IngestTally::default(),
+            routed: vec![Cell::new(0); n],
             pending_windows: Vec::new(),
             qoe_watch: config.qoe.map(QoeWatch::new),
             pending_alerts: Vec::new(),
@@ -668,15 +721,50 @@ impl StreamingEngine {
     /// `obs-http`) — the endpoint holds the `Arc` and snapshots per
     /// request while the engine keeps pushing.
     pub fn metrics_handle(&self) -> Arc<PipelineMetrics> {
-        self.tally.flush(&self.metrics);
+        self.publish_tallies();
         Arc::clone(&self.metrics)
+    }
+
+    /// Publish every count this thread has been tallying off the shared
+    /// registry: ingest, per-shard routing, and — on the in-line lane —
+    /// the shard's own classification counts. Runs at the end of every
+    /// pushed batch, 1-in-[`LATENCY_SAMPLE`] per-record pushes, and
+    /// before anything reads the registry through the engine.
+    fn publish_tallies(&self) {
+        self.tally.flush(&self.metrics);
+        let mut any_routed = false;
+        for (routed, shard) in self.routed.iter().zip(&self.metrics.shards) {
+            let n = routed.take();
+            if n > 0 {
+                shard.routed.add(n);
+                any_routed = true;
+            }
+        }
+        match &self.lane {
+            Lane::Inline { state, .. } => {
+                state.end_batch();
+                if any_routed {
+                    // Handed over and consumed in the same step: nothing
+                    // is ever pending or queued on this lane.
+                    let shard = &self.metrics.shards[0];
+                    shard.batches.inc();
+                    shard.drained.inc();
+                }
+            }
+            Lane::Threaded(workers) => {
+                for (w, shard) in workers.iter().zip(&self.metrics.shards) {
+                    shard.pending.set(w.pending.records.len() as u64);
+                }
+            }
+        }
     }
 
     /// Feed one packet from a borrowed byte slice — the zero-copy path
     /// behind [`PacketSink::push`], for
     /// [`zoom_wire::pcap::Reader::read_into`] /
-    /// [`zoom_wire::pcap::SliceReader`] loops. The bytes are copied once,
-    /// into the shard batch; nothing else allocates per packet.
+    /// [`zoom_wire::pcap::SliceReader`] loops. With several shards the
+    /// bytes are copied once, into the shard batch; with one they are
+    /// analyzed where they lie. Nothing allocates per packet.
     pub fn push_packet(
         &mut self,
         ts_nanos: u64,
@@ -688,7 +776,7 @@ impl StreamingEngine {
         // (which also publish the router's metrics tally), nothing at
         // all on the rest.
         let sampled_at = self.seq.is_multiple_of(LATENCY_SAMPLE).then(|| {
-            self.tally.flush(&self.metrics);
+            self.publish_tallies();
             std::time::Instant::now()
         });
         let ts = ts_nanos;
@@ -699,7 +787,8 @@ impl StreamingEngine {
 
         self.tally.record_in(data.len());
         let (shard, info, hints) = self.route(ts, data, link);
-        self.enqueue(shard, ts, data, info, hints)?;
+        self.dispatch(shard, ts, data, info, hints)?;
+        self.replay_inline_log();
         if let Some(t0) = sampled_at {
             self.metrics
                 .stage_push_nanos
@@ -712,7 +801,8 @@ impl StreamingEngine {
     /// type-aware [`peek_batch`] pass over every header (with next-record
     /// prefetch), one pass hashing every routable flow key, then one
     /// stateful in-order pass applying the STUN registry, window
-    /// boundaries, and shard enqueue. Stateless work is batched; every
+    /// boundaries, and the hand-off to the record's shard (processed on
+    /// the spot on the in-line lane). Stateless work is batched; every
     /// state mutation still happens in record order, so output is
     /// byte-identical to per-record [`StreamingEngine::push_packet`]
     /// calls (pinned by `tests/batched_differential.rs`).
@@ -780,11 +870,12 @@ impl StreamingEngine {
                     ((self.seq % n as u64) as usize, None, RouteHints::default())
                 }
             };
-            self.enqueue(shard, ts, r.data, info, hints)?;
+            self.dispatch(shard, ts, r.data, info, hints)?;
         }
         self.peek_arena = arena;
         self.shard_scratch = shards;
-        self.tally.flush(&self.metrics);
+        self.replay_inline_log();
+        self.publish_tallies();
         // One histogram observation per batch: the mean per-record cost,
         // so the `stage="push"` series stays comparable with the
         // per-packet path at a fraction of the clock reads.
@@ -843,11 +934,13 @@ impl StreamingEngine {
         Ok(())
     }
 
-    /// Append one routed record to its shard's pending batch, flushing
-    /// the batch to the worker at [`BATCH`] records. The flushed batch is
+    /// Hand one routed record to its shard. In-line: process it here and
+    /// now. Threaded: append it to the shard's pending batch, flushing the
+    /// batch to the worker at [`BATCH`] records; the flushed batch is
     /// replaced by a recycled one from the worker when available, so
     /// steady-state enqueueing allocates nothing.
-    fn enqueue(
+    #[inline]
+    fn dispatch(
         &mut self,
         shard: usize,
         ts: u64,
@@ -857,21 +950,40 @@ impl StreamingEngine {
     ) -> Result<(), Error> {
         let seq = self.seq;
         self.seq += 1;
-        let w = &mut self.workers[shard];
-        w.pending.records.push(ts, data.len() as u32, data);
-        w.pending.meta.push(RouteMeta { seq, info, hints });
-        let m = &self.metrics.shards[shard];
-        m.routed.inc();
-        if w.pending.records.len() >= BATCH {
-            let fresh = w.recycle_rx.try_recv().unwrap_or_default();
-            let pending = std::mem::replace(&mut w.pending, fresh);
-            send(w, ToWorker::Batch(pending))?;
-            m.batches.inc();
-            m.pending.set(0);
-        } else {
-            m.pending.set(w.pending.records.len() as u64);
+        let routed = &self.routed[shard];
+        routed.set(routed.get() + 1);
+        match &mut self.lane {
+            Lane::Inline { state, .. } => state.process(seq, ts, data, info.as_ref(), hints),
+            Lane::Threaded(workers) => {
+                let w = &mut workers[shard];
+                w.pending.records.push(ts, data.len() as u32, data);
+                w.pending.meta.push(RouteMeta { seq, info, hints });
+                if w.pending.records.len() >= BATCH {
+                    flush_pending(w)?;
+                    self.metrics.shards[shard].batches.inc();
+                }
+            }
         }
         Ok(())
+    }
+
+    /// In-line lane: replay what the shard logged since the last call
+    /// through the cross-flow trackers, so the log never outgrows one
+    /// push. (Worker threads' logs come back with their tick replies.)
+    fn replay_inline_log(&mut self) {
+        let Lane::Inline { state, .. } = &mut self.lane else {
+            return;
+        };
+        let log = state.analyzer.event_log.as_mut().expect("shard mode");
+        if log.is_empty() {
+            return;
+        }
+        let mut events = std::mem::take(log);
+        self.replay_events(&events);
+        events.clear();
+        if let Lane::Inline { state, .. } = &mut self.lane {
+            state.analyzer.event_log = Some(events);
+        }
     }
 
     /// Cut a partial window now, without waiting for a boundary record:
@@ -880,7 +992,7 @@ impl StreamingEngine {
     /// only post-checkpoint activity.
     pub fn checkpoint(&mut self) -> Result<WindowReport, Error> {
         let _span = trace::span("engine.checkpoint");
-        self.tally.flush(&self.metrics);
+        self.publish_tallies();
         let t0 = std::time::Instant::now();
         let start = self.window_start.or(self.first_ts).unwrap_or(0);
         let end = self.last_ts.max(start);
@@ -899,31 +1011,20 @@ impl StreamingEngine {
     /// included), and the merged [`Analyzer`] over still-live state.
     pub fn drain(mut self) -> Result<EngineOutput, Error> {
         let _span = trace::span("engine.drain");
-        self.tally.flush(&self.metrics);
+        self.publish_tallies();
         let start = self.window_start.or(self.first_ts).unwrap_or(0);
         let end = self.last_ts.max(start);
         let replies = self.tick_all(None)?;
         let final_window = self.apply_tick(replies, start, end, false);
 
-        let mut shards = Vec::with_capacity(self.workers.len());
-        for mut w in std::mem::take(&mut self.workers) {
-            drop(w.tx.take()); // closes the channel; the worker returns
-            let analyzer = w
-                .handle
-                .take()
-                .expect("worker joined once")
-                .join()
-                .map_err(|p| Error::ShardPanic(panic_message(&p)))?;
-            shards.push(analyzer);
-        }
-
         let StreamingEngine {
             analyzer_config,
+            lane,
             grouper,
             rtp_rtt,
             registry,
             webrtc_flows,
-            creation_order,
+            replicas,
             mut tcp_samples,
             evicted_streams,
             evicted_flows,
@@ -931,6 +1032,23 @@ impl StreamingEngine {
             metrics,
             ..
         } = self;
+        let shards = match lane {
+            Lane::Inline { state, .. } => vec![state.analyzer],
+            Lane::Threaded(workers) => {
+                let mut shards = Vec::with_capacity(workers.len());
+                for mut w in workers {
+                    drop(w.tx.take()); // closes the channel; the worker returns
+                    let analyzer = w
+                        .handle
+                        .take()
+                        .expect("worker joined once")
+                        .join()
+                        .map_err(|p| Error::ShardPanic(panic_message(&p)))?;
+                    shards.push(analyzer);
+                }
+                shards
+            }
+        };
 
         // ---- additive merge of shard-local state (as the batch merge
         // does), minus the event replay — that already happened tick by
@@ -969,7 +1087,7 @@ impl StreamingEngine {
         // unique ids the replayed grouper assigned. Keys whose streams
         // were all evicted have no live entry and are skipped here; their
         // fragments join the report below.
-        for key in &creation_order {
+        for key in replicas.iter().map(|r| &r.key) {
             if let Some(mut s) = live_pool.remove(key) {
                 s.unique_id = grouper.assignment(key).map(|(uid, _)| uid);
                 merged.streams.adopt(s);
@@ -987,13 +1105,13 @@ impl StreamingEngine {
         // ---- exact end-of-trace report: live rows interleaved with the
         // evicted fragments, in creation order; counts restored to
         // ever-seen totals.
-        let extra_streams = creation_order.len() - merged.streams.len();
+        let extra_streams = replicas.len() - merged.streams.len();
         let extra_flows = evicted_flows
             .keys()
             .filter(|k| merged.streams.flow(k).is_none())
             .count();
         let mut rows = Vec::new();
-        for key in &creation_order {
+        for key in replicas.iter().map(|r| &r.key) {
             if let Some(frags) = evicted_streams.get(key) {
                 for frag in frags {
                     let mut frag = frag.clone();
@@ -1038,16 +1156,20 @@ impl StreamingEngine {
     /// Flush pending batches and tick every shard, collecting replies in
     /// shard order.
     fn tick_all(&mut self, evict_before: Option<u64>) -> Result<Vec<TickReply>, Error> {
-        for w in &mut self.workers {
+        let workers = match &mut self.lane {
+            Lane::Inline { state, scratch } => {
+                return Ok(vec![state.tick(evict_before, std::mem::take(scratch))]);
+            }
+            Lane::Threaded(workers) => workers,
+        };
+        for w in workers.iter_mut() {
             if !w.pending.records.is_empty() {
-                let fresh = w.recycle_rx.try_recv().unwrap_or_default();
-                let pending = std::mem::replace(&mut w.pending, fresh);
-                send(w, ToWorker::Batch(pending))?;
+                flush_pending(w)?;
             }
             send(w, ToWorker::Tick { evict_before })?;
         }
-        let mut replies = Vec::with_capacity(self.workers.len());
-        for w in &self.workers {
+        let mut replies = Vec::with_capacity(workers.len());
+        for w in workers.iter() {
             replies.push(w.reply_rx.recv().map_err(|_| {
                 Error::ShardPanic("shard worker disconnected before replying to a tick".into())
             })?);
@@ -1089,17 +1211,27 @@ impl StreamingEngine {
             // `append` drained the vectors but kept their capacity; hand
             // them back so the shard's next tick reuses the allocations.
             // (Replies arrive in shard order — index i is worker i.)
-            let _ = self.workers[i].scratch_tx.send(TickScratch {
+            let spare = TickScratch {
                 deltas: r.deltas,
                 events: r.events,
                 tcp_new: r.tcp_new,
-            });
+            };
+            match &mut self.lane {
+                Lane::Inline { scratch, .. } => *scratch = spare,
+                Lane::Threaded(workers) => {
+                    let _ = workers[i].scratch_tx.send(spare);
+                }
+            }
         }
 
         // Replay this tick's media events through the persistent
         // cross-flow trackers. Ticks partition the global sequence range
-        // in order, so incremental replay equals the batch replay.
-        self.replay_events(events);
+        // in order, so incremental replay equals the batch replay. Each
+        // shard's log is in order; several shards' need interleaving.
+        if self.shard_count > 1 {
+            events.sort_unstable_by_key(|e| e.seq_no);
+        }
+        self.replay_events(&events);
 
         // Evicted streams flush their final report fragment now that the
         // replay has assigned them; the heavyweight Stream is dropped.
@@ -1264,17 +1396,22 @@ impl StreamingEngine {
         }
     }
 
-    /// Replay media events (global order) through the persistent grouper,
-    /// RTT estimator, and candidate replicas — the incremental version of
-    /// the batch pipeline's merge-time replay.
-    fn replay_events(&mut self, mut events: Vec<MediaEvent>) {
-        events.sort_unstable_by_key(|e| e.seq_no);
+    /// Replay media events (in global order) through the persistent
+    /// grouper, RTT estimator, and candidate replicas — the incremental
+    /// version of the batch pipeline's merge-time replay.
+    ///
+    /// An event finds its replica through the `(shard, serial)` handle the
+    /// shard's stream table stamped on it: one indexed load. The keyed map
+    /// is probed only on a handle's first event — a new stream, or one
+    /// that was evicted and came back under a new serial and must find the
+    /// replica it had before (that is what keeps it in its meeting).
+    fn replay_events(&mut self, events: &[MediaEvent]) {
         let grouper = &mut self.grouper;
         let replicas = &mut self.replicas;
-        let creation_order = &mut self.creation_order;
+        let replica_index = &mut self.replica_index;
         let rtt = &mut self.rtp_rtt;
         let campus = &self.campus;
-        for ev in &events {
+        for ev in events {
             // RTP-copy RTT is a Zoom-SFU behavior; WebRTC streams still
             // replay into the grouper and replica trackers below.
             if ev.family == FamilyId::Zoom {
@@ -1285,29 +1422,44 @@ impl StreamingEngine {
                     ev.flow.src_ip,
                 );
             }
-            let key = StreamKey {
-                flow: ev.flow,
-                ssrc: ev.ssrc,
-            };
-            if !replicas.contains_key(&key) {
-                creation_order.push(key);
-                let (client, server) = resolve_stream_endpoints(&ev.flow, campus);
-                grouper.on_new_stream(
-                    key,
-                    client,
-                    server,
-                    ev.rtp_ts,
-                    ev.rtp_seq,
-                    ev.ts_nanos,
-                    |k| replicas.get(k).and_then(|r| r.candidate()),
-                );
+            let by_serial = &mut self.handles[usize::from(ev.shard)];
+            let serial = ev.stream as usize;
+            if serial >= by_serial.len() {
+                by_serial.resize(serial + 1, UNSEEN);
             }
-            let r = replicas.entry(key).or_default();
-            r.last_seen = ev.ts_nanos;
-            let sub = r.subs.entry(ev.payload_type).or_insert((0, 0, 0));
-            sub.0 += 1;
-            sub.1 = ev.rtp_seq;
-            sub.2 = ev.rtp_ts;
+            if by_serial[serial] == UNSEEN {
+                let key = StreamKey {
+                    flow: ev.flow,
+                    ssrc: ev.ssrc,
+                };
+                by_serial[serial] = match replica_index.get(&key) {
+                    Some(&at) => at,
+                    None => {
+                        let (client, server) = resolve_stream_endpoints(&ev.flow, campus);
+                        grouper.on_new_stream(
+                            key,
+                            client,
+                            server,
+                            ev.rtp_ts,
+                            ev.rtp_seq,
+                            ev.ts_nanos,
+                            |k| {
+                                let at = *replica_index.get(k)?;
+                                replicas[at as usize].candidate()
+                            },
+                        );
+                        let at = replicas.len() as u32;
+                        replicas.push(Replica {
+                            key,
+                            subs: InlineList::default(),
+                            last_seen: 0,
+                        });
+                        replica_index.insert(key, at);
+                        at
+                    }
+                };
+            }
+            replicas[by_serial[serial] as usize].on_event(ev);
         }
     }
 
@@ -1493,7 +1645,7 @@ impl PacketSink for StreamingEngine {
     }
 
     fn metrics(&self) -> MetricsSnapshot {
-        self.tally.flush(&self.metrics);
+        self.publish_tallies();
         self.metrics.snapshot()
     }
 
@@ -1509,6 +1661,64 @@ impl PacketSink for StreamingEngine {
     fn finish(self) -> Result<AnalysisReport, Error> {
         self.drain().map(|o| o.report)
     }
+}
+
+/// Start shard `i`'s worker thread: a [`ShardState`] behind a bounded
+/// channel, with recycle channels for batch arenas and tick scratch.
+fn spawn_worker(i: usize, config: AnalyzerConfig, metrics: Arc<PipelineMetrics>) -> Worker {
+    let (tx, rx) = sync_channel::<ToWorker>(CHANNEL_DEPTH);
+    let (reply_tx, reply_rx) = channel::<TickReply>();
+    let (recycle_tx, recycle_rx) = channel::<Pending>();
+    let (scratch_tx, scratch_rx) = channel::<TickScratch>();
+    let handle = std::thread::spawn(move || {
+        let mut state = ShardState::new(config, Arc::clone(&metrics), i);
+        while let Ok(msg) = rx.recv() {
+            match msg {
+                ToWorker::Batch(mut pending) => {
+                    for at in 0..pending.records.len() {
+                        prefetch_record(&pending.records, at + 1);
+                        let r = pending.records.get(at).expect("index in bounds");
+                        let m = &pending.meta[at];
+                        state.process(m.seq, r.ts_nanos, r.data, m.info.as_ref(), m.hints);
+                    }
+                    state.end_batch();
+                    pending.records.clear();
+                    pending.meta.clear();
+                    // This shard consumed one routed batch:
+                    // channel depth = batches - drained.
+                    metrics.shards[i].drained.inc();
+                    // Router gone mid-run is fine; the batch
+                    // just isn't recycled.
+                    let _ = recycle_tx.send(pending);
+                }
+                ToWorker::Tick { evict_before } => {
+                    // The router's previous apply_tick sent the last
+                    // reply's vectors back, when there was one.
+                    let scratch = scratch_rx.try_recv().unwrap_or_default();
+                    if reply_tx.send(state.tick(evict_before, scratch)).is_err() {
+                        break;
+                    }
+                }
+            }
+        }
+        state.analyzer
+    });
+    Worker {
+        tx: Some(tx),
+        reply_rx,
+        recycle_rx,
+        scratch_tx,
+        pending: Pending::default(),
+        handle: Some(handle),
+    }
+}
+
+/// Send `w`'s pending batch to its thread, leaving a recycled (or fresh)
+/// one in its place.
+fn flush_pending(w: &mut Worker) -> Result<(), Error> {
+    let fresh = w.recycle_rx.try_recv().unwrap_or_default();
+    let pending = std::mem::replace(&mut w.pending, fresh);
+    send(w, ToWorker::Batch(pending))
 }
 
 fn send(w: &mut Worker, msg: ToWorker) -> Result<(), Error> {
@@ -1538,6 +1748,9 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 /// Both directions of a conversation hash identically, so every per-flow
 /// and per-stream state machine stays on one shard.
 pub(crate) fn shard_of(flow: &FiveTuple, n: usize) -> usize {
+    if n == 1 {
+        return 0; // nothing to choose between
+    }
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let c = flow.canonical();
@@ -1618,11 +1831,21 @@ mod tests {
     }
 
     fn media_record(ts: u64, src_host: u8, ssrc: u32, seq: u16, rtp_ts: u32) -> Record {
+        media_record_dir(ts, true, src_host, ssrc, seq, rtp_ts)
+    }
+
+    /// One video packet between campus client `host` and the SFU, uplink
+    /// or downlink.
+    fn media_record_dir(ts: u64, up: bool, host: u8, ssrc: u32, seq: u16, rtp_ts: u32) -> Record {
         let payload = zoom::Builder {
             sfu: Some(zoom::SfuEncapRepr {
                 encap_type: zoom::SFU_TYPE_MEDIA,
                 sequence: seq,
-                direction: zoom::DIR_TO_SFU,
+                direction: if up {
+                    zoom::DIR_TO_SFU
+                } else {
+                    zoom::DIR_FROM_SFU
+                },
             }),
             media: zoom::MediaEncapRepr {
                 media_type: zoom::MediaType::Video,
@@ -1643,13 +1866,13 @@ mod tests {
             payload: vec![0xA5; 700],
         }
         .build();
-        let data = compose::udp_ipv4_ethernet(
-            Ipv4Addr::new(10, 8, 0, src_host),
-            Ipv4Addr::new(170, 114, 0, 1),
-            50_000,
-            8801,
-            &payload,
-        );
+        let client = Ipv4Addr::new(10, 8, 0, host);
+        let sfu = Ipv4Addr::new(170, 114, 0, 1);
+        let data = if up {
+            compose::udp_ipv4_ethernet(client, sfu, 50_000, 8801, &payload)
+        } else {
+            compose::udp_ipv4_ethernet(sfu, client, 8801, 50_000, &payload)
+        };
         Record::full(ts, data)
     }
 
@@ -1742,6 +1965,218 @@ mod tests {
         assert_eq!(out.report.summary.rtp_streams, 2);
         assert_eq!(out.report.summary.zoom_packets, 990);
         assert!(out.peak_tracked_entries >= 2);
+    }
+
+    fn batch_of(records: impl IntoIterator<Item = Record>) -> RecordBatch {
+        let mut batch = RecordBatch::new();
+        for r in records {
+            batch.push(r.ts_nanos, r.orig_len, &r.data);
+        }
+        batch
+    }
+
+    /// Fx hashes finished on this thread while `f` runs.
+    fn hashes_during(f: impl FnOnce()) -> u64 {
+        let before = crate::fxhash::hash_computations();
+        f();
+        crate::fxhash::hash_computations() - before
+    }
+
+    /// The deterministic companion of the window-cost rows in
+    /// `docs/PERFORMANCE.md`, next to
+    /// `pipeline::tests::steady_state_media_packet_costs_one_probe`: where
+    /// a steady-state media packet's hashes are paid, and how many.
+    #[test]
+    fn inline_lane_pays_the_shard_and_replay_hashes_on_the_calling_thread() {
+        const N: u64 = 200;
+        // Downlink video (the RTT matcher probes for an uplink copy and
+        // stores nothing, so its table never grows and rehashes) on two
+        // interleaved flows (so the shard's last-flow memo never hits).
+        let record = |i: u64| {
+            let flow = i % 2;
+            let seq = (i / 2) as u16 + 1;
+            let rtp_ts = 1_000 + u32::from(seq) * 3_000;
+            media_record_dir(
+                i * MS,
+                false,
+                1 + flow as u8,
+                0x21 + flow as u32,
+                seq,
+                rtp_ts,
+            )
+        };
+        let warm_up = batch_of((0..20).map(record));
+        let steady = batch_of((20..20 + N).map(record));
+
+        // One shard: its flow-table probe and the replay's RTT probe are
+        // both paid right here — which also shows no worker thread does
+        // the shard's work. The router adds none: its registries are
+        // empty, and an empty table is not hashed for.
+        let mut inline = StreamingEngine::new(EngineConfig::default()).unwrap();
+        inline
+            .push_batch_records(&warm_up, LinkType::Ethernet)
+            .unwrap();
+        let on_caller = hashes_during(|| {
+            inline
+                .push_batch_records(&steady, LinkType::Ethernet)
+                .unwrap();
+        });
+        assert_eq!(on_caller, 2 * N, "in-line lane");
+        // Replayed at the end of each push, the log never outgrows one.
+        let Lane::Inline { state, .. } = &inline.lane else {
+            panic!("one shard must take the in-line lane");
+        };
+        assert!(state.analyzer.event_log.as_ref().unwrap().is_empty());
+        assert_eq!(inline.drain().unwrap().report.summary.zoom_packets, 20 + N);
+
+        // Two shards: the same pushes cost the calling thread nothing —
+        // shard work is on the workers, the replay waits for a tick.
+        let mut threaded = StreamingEngine::new(EngineConfig {
+            shards: 2,
+            ..Default::default()
+        })
+        .unwrap();
+        threaded
+            .push_batch_records(&warm_up, LinkType::Ethernet)
+            .unwrap();
+        let on_caller = hashes_during(|| {
+            threaded
+                .push_batch_records(&steady, LinkType::Ethernet)
+                .unwrap();
+        });
+        assert_eq!(on_caller, 0, "threaded lane");
+        assert_eq!(
+            threaded.drain().unwrap().report.summary.zoom_packets,
+            20 + N
+        );
+    }
+
+    #[test]
+    fn replaying_a_known_stream_event_costs_one_hash() {
+        let flow = tuple([10, 8, 0, 1], 50_000, [170, 114, 0, 1], 8801);
+        let event = |i: u64, shard: u16, stream: u32| MediaEvent {
+            seq_no: i,
+            ts_nanos: i * MS,
+            flow,
+            ssrc: 0x21 + stream,
+            payload_type: 98,
+            rtp_seq: i as u16,
+            rtp_ts: 1_000 + i as u32 * 3_000,
+            // Downlink: the RTT matcher probes and stores nothing, so
+            // its table never grows (a growing table rehashes).
+            direction: Direction::FromServer,
+            family: FamilyId::Zoom,
+            shard,
+            stream,
+        };
+        for shards in [1usize, 2] {
+            let mut engine = StreamingEngine::new(EngineConfig {
+                shards,
+                ..Default::default()
+            })
+            .unwrap();
+            let last_shard = shards as u16 - 1;
+            // First sight of each handle: keyed probes, grouping.
+            let first: Vec<MediaEvent> =
+                (0..4).map(|i| event(i, last_shard, i as u32 % 2)).collect();
+            engine.replay_events(&first);
+            assert_eq!(engine.replicas.len(), 2);
+            // From then on: the RTT matcher's probe, nothing else.
+            let steady: Vec<MediaEvent> = (4..104)
+                .map(|i| event(i, last_shard, i as u32 % 2))
+                .collect();
+            let hashes = hashes_during(|| engine.replay_events(&steady));
+            assert_eq!(hashes, steady.len() as u64, "{shards} shard(s)");
+            let packets: u64 = engine.replicas[0].subs.iter().map(|s| s.packets).sum();
+            assert_eq!(packets, 52);
+        }
+    }
+
+    #[test]
+    fn evicted_stream_returns_to_its_replica_and_meeting() {
+        for shards in [1usize, 2] {
+            let mut engine = StreamingEngine::new(EngineConfig {
+                window: Some(Duration::from_secs(5)),
+                idle_timeout: Some(Duration::from_secs(10)),
+                shards,
+                ..Default::default()
+            })
+            .unwrap();
+            let mut evicted = 0;
+            let mut feed = |engine: &mut StreamingEngine, r: Record| {
+                for w in engine
+                    .push_packet(r.ts_nanos, &r.data, LinkType::Ethernet)
+                    .unwrap()
+                {
+                    evicted += w.totals.evicted_streams;
+                }
+            };
+            // Stream A speaks for 3 s; stream B keeps the clock running
+            // until A is evicted; then A comes back.
+            for i in 0..90u64 {
+                feed(
+                    &mut engine,
+                    media_record(i * 33 * MS, 1, 0xA, i as u16 + 1, 1_000 + i as u32 * 3_000),
+                );
+            }
+            for i in 0..900u64 {
+                let ts = 3 * SEC + i * 33 * MS;
+                feed(
+                    &mut engine,
+                    media_record(ts, 2, 0xB, i as u16 + 1, 1_000 + i as u32 * 3_000),
+                );
+            }
+            for i in 0..30u64 {
+                let ts = 33 * SEC + i * 33 * MS;
+                let n = 90 + i;
+                feed(
+                    &mut engine,
+                    media_record(ts, 1, 0xA, n as u16 + 1, 1_000 + n as u32 * 3_000),
+                );
+            }
+            assert_eq!(
+                evicted, 1,
+                "{shards} shard(s): A must be evicted exactly once"
+            );
+            engine.checkpoint().unwrap();
+
+            // Three stream incarnations were handled — A, B, A again under
+            // a new serial — but only two replicas exist: the returning A
+            // found the one it had.
+            let handled = engine
+                .handles
+                .iter()
+                .flatten()
+                .filter(|&&at| at != UNSEEN)
+                .count();
+            assert_eq!(handled, 3, "{shards} shard(s)");
+            assert_eq!(engine.replicas.len(), 2, "{shards} shard(s)");
+            let a_packets: u64 = engine.replicas[0].subs.iter().map(|s| s.packets).sum();
+            assert_eq!(
+                a_packets, 120,
+                "{shards} shard(s): both incarnations feed one replica"
+            );
+
+            // So it kept its identity: the evicted fragment and the live
+            // row agree on unique id and meeting.
+            let out = engine.drain().unwrap();
+            let a_rows: Vec<_> = out
+                .report
+                .streams
+                .iter()
+                .filter(|s| s.key.ssrc == 0xA)
+                .collect();
+            assert_eq!(a_rows.len(), 2, "{shards} shard(s)");
+            assert!(a_rows[0].evicted && !a_rows[1].evicted);
+            assert_eq!((a_rows[0].packets, a_rows[1].packets), (90, 30));
+            assert!(a_rows[0].meeting.is_some());
+            assert_eq!(a_rows[0].meeting, a_rows[1].meeting, "{shards} shard(s)");
+            assert_eq!(
+                a_rows[0].unique_id, a_rows[1].unique_id,
+                "{shards} shard(s)"
+            );
+            assert_eq!(out.report.summary.rtp_streams, 2);
+        }
     }
 
     #[test]

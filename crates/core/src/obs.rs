@@ -1345,7 +1345,7 @@ impl PipelineMetrics {
         let mut trace_obj = JsonObj::new();
         trace_obj
             .bool("enabled", self.trace.is_enabled())
-            .str("node", &self.trace.node())
+            .str("node", self.trace.node())
             .u64("sample_every", self.trace.sample_period())
             .u64("events", s.trace_events)
             .u64("events_dropped", s.trace_events_dropped);

@@ -354,6 +354,12 @@ pub(crate) struct MediaEvent {
     /// Which protocol family produced the packet (gates the replay: only
     /// Zoom events feed the RTP-copy RTT estimator).
     pub(crate) family: FamilyId,
+    /// The shard that logged the event, and the stream's
+    /// [`Stream::serial`] there: together a dense handle the replay
+    /// resolves its per-stream state by, in place of hashing
+    /// `(flow, ssrc)` per event.
+    pub(crate) shard: u16,
+    pub(crate) stream: u32,
 }
 
 /// The analyzer.
@@ -390,6 +396,8 @@ pub struct Analyzer {
     /// [`MediaEvent`] is appended per RTP packet instead; the P2P verdict
     /// comes from the router-provided hint rather than the local registry.
     pub(crate) event_log: Option<Vec<MediaEvent>>,
+    /// Shard mode: this analyzer's shard index, stamped on its events.
+    shard: u16,
     /// Shard mode: global sequence number of the record being processed.
     pub(crate) current_seq: u64,
     /// Shard mode: the router's `is_p2p_flow` verdict for this record.
@@ -434,6 +442,7 @@ impl Analyzer {
             last_zoom_ts: 0,
             undissectable: 0,
             event_log: None,
+            shard: 0,
             current_seq: 0,
             p2p_hint: false,
             webrtc_hint: false,
@@ -459,13 +468,18 @@ impl Analyzer {
         self.tally.flush(&self.metrics);
     }
 
-    /// A shard-mode analyzer for [`crate::parallel::ParallelAnalyzer`]:
+    /// A shard-mode analyzer for [`crate::engine::StreamingEngine`]:
     /// identical to [`Analyzer::new`] except that cross-flow state is
-    /// logged as [`MediaEvent`]s for the merge-time replay, and the
-    /// metrics registry is the router's shared one.
-    pub(crate) fn new_sharded(config: AnalyzerConfig, metrics: Arc<PipelineMetrics>) -> Analyzer {
+    /// logged as [`MediaEvent`]s (stamped with `shard`) for the engine's
+    /// replay, and the metrics registry is the router's shared one.
+    pub(crate) fn new_sharded(
+        config: AnalyzerConfig,
+        metrics: Arc<PipelineMetrics>,
+        shard: u16,
+    ) -> Analyzer {
         let mut a = Analyzer::new(config);
         a.event_log = Some(Vec::new());
+        a.shard = shard;
         a.metrics = metrics;
         a
     }
@@ -786,33 +800,33 @@ impl Analyzer {
             meta.rtp.as_ref().map(|r| r.payload_type),
             meta.ip_len,
         );
-        // Cross-flow trackers: fed directly in the sequential path; in
-        // shard mode logged as events for the global-order merge replay.
-        let sharded = if let Some(log) = &mut self.event_log {
-            if let Some(rtp) = &meta.rtp {
-                log.push(MediaEvent {
-                    seq_no: self.current_seq,
-                    ts_nanos: meta.ts_nanos,
-                    flow: meta.five_tuple,
-                    ssrc: rtp.ssrc,
-                    payload_type: rtp.payload_type,
-                    rtp_seq: rtp.sequence,
-                    rtp_ts: rtp.timestamp,
-                    direction: meta.direction,
-                    family: meta.family,
-                });
-            }
-            true
-        } else {
-            // RTP-copy RTT matching is a Zoom-SFU behavior (§5.3 method
-            // 1); WebRTC streams don't replicate across server legs.
-            if meta.family == FamilyId::Zoom {
-                self.rtp_rtt.on_packet(&meta);
-            }
-            false
-        };
+        // The RTP-copy RTT matcher (§5.3 method 1) sees every Zoom media
+        // packet — a Zoom-SFU behavior; WebRTC streams don't replicate
+        // across server legs. Shard mode leaves it to the replay below.
+        let sharded = self.event_log.is_some();
+        if !sharded && meta.family == FamilyId::Zoom {
+            self.rtp_rtt.on_packet(&meta);
+        }
         let Some(rtp) = &meta.rtp else { return };
-        let created = self.streams.on_flow_packet(flow, &meta, rtp);
+        let (stream, created) = self.streams.on_flow_packet(flow, &meta, rtp);
+        // Cross-flow trackers: fed directly in the sequential path; in
+        // shard mode logged as events for the global-order replay, under
+        // the handle the stream table just resolved.
+        if let Some(log) = &mut self.event_log {
+            log.push(MediaEvent {
+                seq_no: self.current_seq,
+                ts_nanos: meta.ts_nanos,
+                flow: meta.five_tuple,
+                ssrc: rtp.ssrc,
+                payload_type: rtp.payload_type,
+                rtp_seq: rtp.sequence,
+                rtp_ts: rtp.timestamp,
+                direction: meta.direction,
+                family: meta.family,
+                shard: self.shard,
+                stream,
+            });
+        }
         if created && !sharded {
             let key = StreamKey {
                 flow: meta.five_tuple,
@@ -1276,8 +1290,11 @@ mod tests {
         );
         assert_eq!(seq.summary().rtp_streams, 2);
 
-        let mut shard =
-            Analyzer::new_sharded(AnalyzerConfig::default(), Arc::new(PipelineMetrics::new(1)));
+        let mut shard = Analyzer::new_sharded(
+            AnalyzerConfig::default(),
+            Arc::new(PipelineMetrics::new(1)),
+            0,
+        );
         hashes_during(&mut shard, &warm_up);
         assert_eq!(
             hashes_during(&mut shard, &interleaved),

@@ -20,39 +20,52 @@ use crate::meeting::MeetingReport;
 use crate::packet::Direction;
 use crate::pipeline::{Analyzer, TraceSummary};
 use crate::stream::{Stream, StreamKey};
+use std::borrow::BorrowMut;
+use std::fmt::Write as _;
 use zoom_wire::family::FamilyId;
 use zoom_wire::zoom::MediaType;
 
 // ---------------------------------------------------------------- JSON --
 
 /// Minimal JSON object writer: deterministic field order, no trailing
-/// commas, numbers via Rust's shortest round-trip `Display`.
-pub(crate) struct JsonObj {
-    buf: String,
+/// commas, numbers via Rust's shortest round-trip `Display`. Writes into
+/// a buffer it owns ([`JsonObj::new`]) or appends to the caller's
+/// ([`JsonObj::append_to`]); either way values are formatted in place, with
+/// no intermediate strings.
+pub(crate) struct JsonObj<B = String> {
+    buf: B,
     first: bool,
 }
 
 impl JsonObj {
     pub(crate) fn new() -> JsonObj {
-        JsonObj {
-            buf: String::from("{"),
-            first: true,
-        }
+        JsonObj::append_to(String::new())
+    }
+}
+
+impl<B: BorrowMut<String>> JsonObj<B> {
+    /// Open an object at the end of `buf` (a `String` or a `&mut String`);
+    /// [`finish`](Self::finish) closes it and hands `buf` back.
+    pub(crate) fn append_to(mut buf: B) -> JsonObj<B> {
+        buf.borrow_mut().push('{');
+        JsonObj { buf, first: true }
     }
 
-    fn key(&mut self, k: &str) {
+    /// Write `"k":` and hand out the buffer for the value.
+    fn key(&mut self, k: &str) -> &mut String {
+        let buf = self.buf.borrow_mut();
         if !self.first {
-            self.buf.push(',');
+            buf.push(',');
         }
         self.first = false;
-        self.buf.push('"');
-        self.buf.push_str(k);
-        self.buf.push_str("\":");
+        buf.push('"');
+        buf.push_str(k);
+        buf.push_str("\":");
+        buf
     }
 
     pub(crate) fn u64(&mut self, k: &str, v: u64) -> &mut Self {
-        self.key(k);
-        self.buf.push_str(&v.to_string());
+        let _ = write!(self.key(k), "{v}");
         self
     }
 
@@ -61,70 +74,97 @@ impl JsonObj {
     }
 
     pub(crate) fn f64(&mut self, k: &str, v: f64) -> &mut Self {
-        self.key(k);
+        let buf = self.key(k);
         if v.is_finite() {
-            self.buf.push_str(&v.to_string());
+            let _ = write!(buf, "{v}");
         } else {
-            self.buf.push_str("null");
+            buf.push_str("null");
         }
         self
     }
 
-    pub(crate) fn str(&mut self, k: &str, v: &str) -> &mut Self {
-        self.key(k);
-        self.buf.push('"');
-        for c in v.chars() {
-            match c {
-                '"' => self.buf.push_str("\\\""),
-                '\\' => self.buf.push_str("\\\\"),
-                c if (c as u32) < 0x20 => {
-                    self.buf.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.buf.push(c),
-            }
-        }
-        self.buf.push('"');
+    /// A string field holding `v` — a `&str`, or anything else's `Display`
+    /// form — escaped as it is written.
+    pub(crate) fn str(&mut self, k: &str, v: impl std::fmt::Display) -> &mut Self {
+        let buf = self.key(k);
+        buf.push('"');
+        let _ = write!(Escaped(buf), "{v}");
+        buf.push('"');
         self
     }
 
     /// Insert pre-serialized JSON (an array or nested object) verbatim.
     pub(crate) fn raw(&mut self, k: &str, v: &str) -> &mut Self {
-        self.key(k);
-        self.buf.push_str(v);
+        self.key(k).push_str(v);
+        self
+    }
+
+    /// A field whose value `write` appends to the buffer itself (a nested
+    /// object or array serialized in place).
+    pub(crate) fn nested(&mut self, k: &str, write: impl FnOnce(&mut String)) -> &mut Self {
+        write(self.key(k));
         self
     }
 
     pub(crate) fn opt_u32(&mut self, k: &str, v: Option<u32>) -> &mut Self {
-        self.key(k);
+        let buf = self.key(k);
         match v {
-            Some(v) => self.buf.push_str(&v.to_string()),
-            None => self.buf.push_str("null"),
+            Some(v) => {
+                let _ = write!(buf, "{v}");
+            }
+            None => buf.push_str("null"),
         }
         self
     }
 
     pub(crate) fn bool(&mut self, k: &str, v: bool) -> &mut Self {
-        self.key(k);
-        self.buf.push_str(if v { "true" } else { "false" });
+        self.key(k).push_str(if v { "true" } else { "false" });
         self
     }
 
-    pub(crate) fn finish(mut self) -> String {
-        self.buf.push('}');
+    pub(crate) fn finish(mut self) -> B {
+        self.buf.borrow_mut().push('}');
         self.buf
     }
 }
 
+/// JSON string escaping as a `fmt::Write` adapter.
+struct Escaped<'a>(&'a mut String);
+
+impl std::fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for c in s.chars() {
+            match c {
+                '"' => self.0.push_str("\\\""),
+                '\\' => self.0.push_str("\\\\"),
+                c if (c as u32) < 0x20 => write!(self.0, "\\u{:04x}", c as u32)?,
+                c => self.0.push(c),
+            }
+        }
+        Ok(())
+    }
+}
+
 fn json_array(items: impl IntoIterator<Item = String>) -> String {
-    let mut buf = String::from("[");
+    let mut buf = String::new();
+    write_json_array(&mut buf, items, |buf, item| buf.push_str(&item));
+    buf
+}
+
+/// Append `[item,item,…]`, each item serialized in place by `write`.
+fn write_json_array<T>(
+    buf: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) {
+    buf.push('[');
     for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
             buf.push(',');
         }
-        buf.push_str(&item);
+        write(buf, item);
     }
     buf.push(']');
-    buf
 }
 
 // ------------------------------------------------------------- reports --
@@ -172,12 +212,18 @@ impl RttSummaryReport {
     }
 
     fn to_json(self) -> String {
-        let mut o = JsonObj::new();
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    fn write_json(self, out: &mut String) {
+        let mut o = JsonObj::append_to(out);
         o.usize("samples", self.samples)
             .f64("mean_ms", self.mean_ms)
             .f64("p50_ms", self.p50_ms)
             .f64("p95_ms", self.p95_ms);
-        o.finish()
+        o.finish();
     }
 }
 
@@ -261,7 +307,7 @@ impl StreamReport {
 
     fn to_json(&self) -> String {
         let mut o = JsonObj::new();
-        o.str("flow", &self.key.flow.to_string())
+        o.str("flow", self.key.flow)
             .u64("ssrc", u64::from(self.key.ssrc))
             .str("media", self.media_type.label());
         if self.family != FamilyId::Zoom {
@@ -570,9 +616,9 @@ pub struct StreamWindow {
 }
 
 impl StreamWindow {
-    fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.str("flow", &self.key.flow.to_string())
+    fn write_json(&self, out: &mut String) {
+        let mut o = JsonObj::append_to(out);
+        o.str("flow", self.key.flow)
             .u64("ssrc", u64::from(self.key.ssrc))
             .str("media", self.media_type.label());
         if self.family != FamilyId::Zoom {
@@ -592,7 +638,7 @@ impl StreamWindow {
         o.u64("lost", self.lost)
             .u64("duplicates", self.duplicates)
             .bool("evicted", self.evicted);
-        o.finish()
+        o.finish();
     }
 }
 
@@ -610,13 +656,13 @@ pub struct MeetingWindow {
 }
 
 impl MeetingWindow {
-    fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
+    fn write_json(&self, out: &mut String) {
+        let mut o = JsonObj::append_to(out);
         o.u64("id", u64::from(self.id))
             .u64("active_streams", self.active_streams)
             .u64("packets", self.packets)
             .u64("media_bytes", self.media_bytes);
-        o.finish()
+        o.finish();
     }
 }
 
@@ -642,34 +688,43 @@ pub struct WindowReport {
 impl WindowReport {
     /// Serialize as one NDJSON line, tagged `"type":"window"`.
     pub fn to_json(&self) -> String {
-        let mut totals = JsonObj::new();
-        totals
-            .u64("packets", self.totals.packets)
-            .u64("zoom_packets", self.totals.zoom_packets)
-            .u64("zoom_bytes", self.totals.zoom_bytes)
-            .u64("new_flows", self.totals.new_flows)
-            .u64("new_streams", self.totals.new_streams)
-            .u64("active_streams", self.totals.active_streams)
-            .usize("meetings", self.totals.meetings)
-            .u64("evicted_flows", self.totals.evicted_flows)
-            .u64("evicted_streams", self.totals.evicted_streams)
-            .usize("tracked_entries", self.totals.tracked_entries)
-            .raw("rtp_rtt", &self.totals.rtp_rtt.to_json());
-        let mut o = JsonObj::new();
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append what [`to_json`](Self::to_json) returns to `out`, written in
+    /// place — a streaming loop clears and reuses one line buffer instead
+    /// of building a string per number, row and array.
+    pub fn write_json(&self, out: &mut String) {
+        let mut o = JsonObj::append_to(out);
         o.str("type", "window")
             .u64("index", self.index)
             .u64("start_nanos", self.start_nanos)
             .u64("end_nanos", self.end_nanos)
-            .raw("totals", &totals.finish())
-            .raw(
-                "meetings",
-                &json_array(self.meetings.iter().map(|m| m.to_json())),
-            )
-            .raw(
-                "streams",
-                &json_array(self.streams.iter().map(|s| s.to_json())),
-            );
-        o.finish()
+            .nested("totals", |out| {
+                let mut totals = JsonObj::append_to(out);
+                totals
+                    .u64("packets", self.totals.packets)
+                    .u64("zoom_packets", self.totals.zoom_packets)
+                    .u64("zoom_bytes", self.totals.zoom_bytes)
+                    .u64("new_flows", self.totals.new_flows)
+                    .u64("new_streams", self.totals.new_streams)
+                    .u64("active_streams", self.totals.active_streams)
+                    .usize("meetings", self.totals.meetings)
+                    .u64("evicted_flows", self.totals.evicted_flows)
+                    .u64("evicted_streams", self.totals.evicted_streams)
+                    .usize("tracked_entries", self.totals.tracked_entries)
+                    .nested("rtp_rtt", |out| self.totals.rtp_rtt.write_json(out));
+                totals.finish();
+            })
+            .nested("meetings", |out| {
+                write_json_array(out, &self.meetings, |out, m| m.write_json(out));
+            })
+            .nested("streams", |out| {
+                write_json_array(out, &self.streams, |out, s| s.write_json(out));
+            });
+        o.finish();
     }
 }
 
@@ -731,5 +786,118 @@ mod tests {
         let s = o.finish();
         let expected = "{\"s\":\"a\\\"b\\\\c\\u000a\",\"nan\":null,\"m\":null}";
         assert_eq!(s, expected);
+    }
+
+    /// A window with a meeting, an evicted row without jitter samples, a
+    /// WebRTC row and a non-finite float.
+    fn sample_window() -> WindowReport {
+        use std::net::{IpAddr, Ipv4Addr};
+        use zoom_wire::flow::FiveTuple;
+        use zoom_wire::ipv4::Protocol;
+        let key = |host: u8, ssrc: u32| StreamKey {
+            flow: FiveTuple {
+                src_ip: IpAddr::V4(Ipv4Addr::new(10, 8, 0, host)),
+                dst_ip: IpAddr::V4(Ipv4Addr::new(170, 114, 0, 1)),
+                src_port: 50_000,
+                dst_port: 8801,
+                protocol: Protocol::Udp,
+            },
+            ssrc,
+        };
+        WindowReport {
+            index: 3,
+            start_nanos: 3_000_000_000,
+            end_nanos: 4_000_000_000,
+            totals: WindowTotals {
+                packets: 120,
+                zoom_packets: 100,
+                zoom_bytes: 98_765,
+                new_flows: 1,
+                new_streams: 2,
+                active_streams: 1,
+                meetings: 1,
+                evicted_flows: 1,
+                evicted_streams: 1,
+                tracked_entries: 17,
+                rtp_rtt: RttSummaryReport {
+                    samples: 2,
+                    mean_ms: 40.5,
+                    p50_ms: 40.0,
+                    p95_ms: 41.0,
+                },
+            },
+            meetings: vec![MeetingWindow {
+                id: 7,
+                active_streams: 1,
+                packets: 100,
+                media_bytes: 70_000,
+            }],
+            streams: vec![
+                StreamWindow {
+                    key: key(1, 0x21),
+                    media_type: MediaType::Video,
+                    direction: Direction::ToServer,
+                    family: FamilyId::Zoom,
+                    meeting: Some(7),
+                    packets: 100,
+                    media_bytes: 70_000,
+                    frames: 30,
+                    bitrate_bps: 560_000.0,
+                    fps: 29.97,
+                    jitter_ms: Some(1.25),
+                    lost: 2,
+                    duplicates: 1,
+                    evicted: false,
+                },
+                StreamWindow {
+                    key: key(2, 0x22),
+                    media_type: MediaType::Audio,
+                    direction: Direction::FromServer,
+                    family: FamilyId::Webrtc,
+                    meeting: None,
+                    packets: 0,
+                    media_bytes: 0,
+                    frames: 0,
+                    bitrate_bps: f64::NAN,
+                    fps: f64::INFINITY,
+                    jitter_ms: None,
+                    lost: 0,
+                    duplicates: 0,
+                    evicted: true,
+                },
+            ],
+        }
+    }
+
+    /// The window line as the previous per-field `String` serializer
+    /// wrote it (captured from that code), byte for byte.
+    const SAMPLE_WINDOW_JSON: &str = concat!(
+        r#"{"type":"window","index":3,"start_nanos":3000000000,"end_nanos":4000000000,"#,
+        r#""totals":{"packets":120,"zoom_packets":100,"zoom_bytes":98765,"new_flows":1,"#,
+        r#""new_streams":2,"active_streams":1,"meetings":1,"evicted_flows":1,"#,
+        r#""evicted_streams":1,"tracked_entries":17,"#,
+        r#""rtp_rtt":{"samples":2,"mean_ms":40.5,"p50_ms":40,"p95_ms":41}},"#,
+        r#""meetings":[{"id":7,"active_streams":1,"packets":100,"media_bytes":70000}],"#,
+        r#""streams":[{"flow":"udp 10.8.0.1:50000 > 170.114.0.1:8801","ssrc":33,"#,
+        r#""media":"RTP: Video","direction":"up","meeting":7,"packets":100,"#,
+        r#""media_bytes":70000,"frames":30,"bitrate_bps":560000,"fps":29.97,"#,
+        r#""jitter_ms":1.25,"lost":2,"duplicates":1,"evicted":false},"#,
+        r#"{"flow":"udp 10.8.0.2:50000 > 170.114.0.1:8801","ssrc":34,"#,
+        r#""media":"RTP: Audio","family":"webrtc","direction":"down","meeting":null,"#,
+        r#""packets":0,"media_bytes":0,"frames":0,"bitrate_bps":null,"fps":null,"#,
+        r#""jitter_ms":null,"lost":0,"duplicates":0,"evicted":true}]}"#,
+    );
+
+    #[test]
+    fn window_json_is_the_same_bytes_from_both_entry_points() {
+        let w = sample_window();
+        assert_eq!(w.to_json(), SAMPLE_WINDOW_JSON);
+        // `write_json` appends, so one buffer serves line after line.
+        let mut line = String::from("kept:");
+        w.write_json(&mut line);
+        assert_eq!(line, format!("kept:{SAMPLE_WINDOW_JSON}"));
+        line.clear();
+        w.write_json(&mut line);
+        assert_eq!(line, SAMPLE_WINDOW_JSON);
     }
 }

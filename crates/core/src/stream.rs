@@ -97,11 +97,17 @@ pub struct Stream {
     fed_jitter_ts: VecDeque<u32>,
     /// Total packets.
     pub packets: u64,
+    /// Creation serial within the tracker that built the stream: counts
+    /// up from 0 and is never reused, so a stream that is evicted and
+    /// reappears gets a new one. The streaming engine indexes its
+    /// per-stream replay state by it instead of hashing the key.
+    pub(crate) serial: u32,
 }
 
 impl Stream {
     fn new(
         key: StreamKey,
+        serial: u32,
         family: FamilyId,
         media_type: MediaType,
         direction: Direction,
@@ -134,6 +140,7 @@ impl Stream {
             rates: RateRows::new(),
             fed_jitter_ts: VecDeque::new(),
             packets: 0,
+            serial,
         }
     }
 
@@ -256,46 +263,74 @@ impl Stream {
     }
 }
 
-/// How many of a flow's streams are listed inside its table slot; a
-/// client's own flow carries two or three, and only a busy server→client
-/// flow (one stream per remote participant and medium) spills.
-const INLINE_STREAMS: usize = 4;
-
-/// A flow's `(SSRC, stream index)` pairs: the first few inline in the
-/// flow's slot, the rest in a spill vector.
-#[derive(Debug, Default)]
-struct StreamRefs {
-    inline: [(u32, u32); INLINE_STREAMS],
+/// A short list whose first `N` entries sit inline in its owner and the
+/// rest in a spill vector that stays unallocated while unused — for the
+/// per-flow and per-stream lists that hold two or three entries nearly
+/// always, where a hash map or a heap vector per owner would cost more
+/// than the scan.
+#[derive(Debug)]
+pub(crate) struct InlineList<T, const N: usize> {
+    inline: [T; N],
     inline_len: u8,
-    spill: Vec<(u32, u32)>,
+    spill: Vec<T>,
 }
 
-impl StreamRefs {
-    fn iter(&self) -> impl Iterator<Item = &(u32, u32)> {
+impl<T: Copy + Default, const N: usize> Default for InlineList<T, N> {
+    fn default() -> Self {
+        InlineList {
+            inline: [T::default(); N],
+            inline_len: 0,
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> InlineList<T, N> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
         self.inline[..usize::from(self.inline_len)]
             .iter()
             .chain(&self.spill)
     }
 
-    fn get(&self, ssrc: u32) -> Option<usize> {
-        self.iter()
-            .find(|(s, _)| *s == ssrc)
-            .map(|&(_, stream)| stream as usize)
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.inline[..usize::from(self.inline_len)]
+            .iter_mut()
+            .chain(&mut self.spill)
     }
 
-    fn push(&mut self, ssrc: u32, stream: usize) {
-        let pair = (ssrc, stream as u32);
+    /// Append `item`; returns it in place.
+    pub(crate) fn push(&mut self, item: T) -> &mut T {
         match self.inline.get_mut(usize::from(self.inline_len)) {
             Some(free) => {
-                *free = pair;
+                *free = item;
                 self.inline_len += 1;
+                free
             }
-            None => self.spill.push(pair),
+            None => {
+                self.spill.push(item);
+                self.spill.last_mut().expect("just pushed")
+            }
         }
     }
 
     fn is_empty(&self) -> bool {
         self.inline_len == 0
+    }
+}
+
+/// How many of a flow's streams are listed inside its table slot; a
+/// client's own flow carries two or three, and only a busy server→client
+/// flow (one stream per remote participant and medium) spills.
+const INLINE_STREAMS: usize = 4;
+
+/// A flow's `(SSRC, stream index)` pairs.
+type StreamRefs = InlineList<(u32, u32), INLINE_STREAMS>;
+
+impl StreamRefs {
+    fn get(&self, ssrc: u32) -> Option<usize> {
+        self.iter()
+            .find(|(s, _)| *s == ssrc)
+            .map(|&(_, stream)| stream as usize)
     }
 
     /// Re-point every pair through `remap` (old stream index → new one,
@@ -305,7 +340,7 @@ impl StreamRefs {
         for &(ssrc, stream) in old.iter() {
             let new = remap[stream as usize];
             if new != GONE {
-                self.push(ssrc, new as usize);
+                self.push((ssrc, new));
             }
         }
     }
@@ -351,6 +386,8 @@ pub struct StreamTracker {
     last_flow: usize,
     /// Streams in creation order (stable reporting).
     streams: Vec<Stream>,
+    /// The [`Stream::serial`] the next stream created here gets.
+    next_serial: u32,
 }
 
 impl StreamTracker {
@@ -402,10 +439,15 @@ impl StreamTracker {
 
     /// Feed one RTP media packet on the flow `flow` names (the handle
     /// [`StreamTracker::touch_flow`] returned for this packet). Returns
-    /// whether the packet created a new stream (the grouping heuristic
-    /// hooks on creation).
+    /// the stream's [`Stream::serial`] and whether the packet created the
+    /// stream (the grouping heuristic hooks on creation).
     #[inline]
-    pub(crate) fn on_flow_packet(&mut self, flow: FlowId, m: &PacketMeta, rtp: &RtpMeta) -> bool {
+    pub(crate) fn on_flow_packet(
+        &mut self,
+        flow: FlowId,
+        m: &PacketMeta,
+        rtp: &RtpMeta,
+    ) -> (u32, bool) {
         let slot = &mut self.flows[flow.0];
         debug_assert_eq!(slot.key, m.five_tuple);
         let (at, created) = match slot.streams.get(rtp.ssrc) {
@@ -415,19 +457,25 @@ impl StreamTracker {
                     flow: m.five_tuple,
                     ssrc: rtp.ssrc,
                 };
-                slot.streams.push(rtp.ssrc, self.streams.len());
+                slot.streams.push((rtp.ssrc, self.streams.len() as u32));
                 self.streams.push(Stream::new(
                     key,
+                    self.next_serial,
                     m.family,
                     m.media_type,
                     m.direction,
                     m.ts_nanos,
                 ));
+                // Wrapping, not checked: the engine keeps an entry per
+                // stream key ever seen, so memory runs out long before
+                // 2^32 creations do.
+                self.next_serial = self.next_serial.wrapping_add(1);
                 (self.streams.len() - 1, true)
             }
         };
-        self.streams[at].on_packet(m, rtp);
-        created
+        let stream = &mut self.streams[at];
+        stream.on_packet(m, rtp);
+        (stream.serial, created)
     }
 
     /// Feed one media packet: count it on its flow and track its stream.
@@ -436,7 +484,7 @@ impl StreamTracker {
     pub fn on_packet(&mut self, m: &PacketMeta) -> Option<(StreamKey, bool)> {
         let rtp = m.rtp.as_ref()?;
         let flow = self.touch_flow(&m.five_tuple, m.ts_nanos, m.ip_len);
-        let created = self.on_flow_packet(flow, m, rtp);
+        let (_, created) = self.on_flow_packet(flow, m, rtp);
         let key = StreamKey {
             flow: m.five_tuple,
             ssrc: rtp.ssrc,
@@ -533,7 +581,7 @@ impl StreamTracker {
             None => {
                 self.flows[slot]
                     .streams
-                    .push(stream.key.ssrc, self.streams.len());
+                    .push((stream.key.ssrc, self.streams.len() as u32));
                 self.streams.push(stream);
             }
         }

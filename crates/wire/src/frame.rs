@@ -213,6 +213,34 @@ impl<W: Write> FrameWriter<W> {
         if batch.is_empty() {
             return Ok(());
         }
+        self.encode_records(batch);
+        self.write_encoded_records(batch)
+    }
+
+    /// Ships one batch of records behind the Trace frame that annotates
+    /// it. The Records payload is encoded first, so that `spans` — told
+    /// what the encode took, in nanoseconds — can put that figure into the
+    /// span-event NDJSON it returns for `trace_id`; the Trace frame still
+    /// goes out *ahead of* the Records frame, as the protocol requires.
+    /// Empty batches are skipped, Trace frame and all.
+    pub fn write_batch_traced(
+        &mut self,
+        batch: &RecordBatch,
+        trace_id: u64,
+        spans: impl FnOnce(u64) -> String,
+    ) -> io::Result<()> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let encode_start = std::time::Instant::now();
+        self.encode_records(batch);
+        let ndjson = spans(encode_start.elapsed().as_nanos() as u64);
+        self.write_trace(trace_id, ndjson.as_bytes())?;
+        self.write_encoded_records(batch)
+    }
+
+    /// Encode `batch` as a Records payload into the scratch buffer.
+    fn encode_records(&mut self, batch: &RecordBatch) {
         self.scratch.clear();
         self.scratch
             .extend_from_slice(&(batch.len() as u32).to_be_bytes());
@@ -223,6 +251,10 @@ impl<W: Write> FrameWriter<W> {
                 .extend_from_slice(&(r.data.len() as u32).to_be_bytes());
             self.scratch.extend_from_slice(r.data);
         }
+    }
+
+    /// Write the scratch buffer — `batch`, encoded — as a Records frame.
+    fn write_encoded_records(&mut self, batch: &RecordBatch) -> io::Result<()> {
         let scratch = std::mem::take(&mut self.scratch);
         let res = self.write_frame(KIND_RECORDS, &scratch);
         self.scratch = scratch;
@@ -536,6 +568,55 @@ mod tests {
         );
         assert!(matches!(r.next(&mut out).unwrap(), Some(FrameEvent::Bye(_))));
         assert!(r.saw_bye());
+    }
+
+    #[test]
+    fn traced_batch_ships_its_trace_frame_first_with_the_encode_time() {
+        let mut batch = RecordBatch::new();
+        for i in 0..64 {
+            batch.push(i, 1_000, &[0xAB; 1_000]);
+        }
+        let mut reported = 0;
+        let mut w = FrameWriter::new(Vec::new(), "worker-a", LinkType::Ethernet).unwrap();
+        w.write_batch_traced(&batch, 7, |encode_nanos| {
+            reported = encode_nanos;
+            format!("{{\"dur_nanos\":{encode_nanos}}}\n")
+        })
+        .unwrap();
+        // An empty batch ships nothing, and its spans are never asked for.
+        w.write_batch_traced(&RecordBatch::new(), 8, |_| unreachable!())
+            .unwrap();
+        assert_eq!(w.records_written(), 64);
+        let traced = w.finish(Totals::default()).unwrap();
+        assert!(reported > 0, "encoding 64 KB took no time at all");
+
+        let mut r = FrameReader::new(&traced[..]).unwrap();
+        let mut out = RecordBatch::new();
+        assert_eq!(
+            r.next(&mut out).unwrap(),
+            Some(FrameEvent::Trace { trace_id: 7 })
+        );
+        assert_eq!(
+            r.trace_ndjson(),
+            format!("{{\"dur_nanos\":{reported}}}\n").as_bytes()
+        );
+        assert_eq!(
+            r.next(&mut out).unwrap(),
+            Some(FrameEvent::Records { count: 64 })
+        );
+        assert!(matches!(
+            r.next(&mut out).unwrap(),
+            Some(FrameEvent::Bye(_))
+        ));
+
+        // The Records frame is the one `write_batch` writes.
+        let mut plain = FrameWriter::new(Vec::new(), "worker-a", LinkType::Ethernet).unwrap();
+        plain.write_batch(&batch).unwrap();
+        let plain = plain.finish(Totals::default()).unwrap();
+        let trace_frame = 5 + 8 + format!("{{\"dur_nanos\":{reported}}}\n").len();
+        let hello_end = 5 + 5 + 6 + "worker-a".len();
+        assert_eq!(traced[..hello_end], plain[..hello_end]);
+        assert_eq!(traced[hello_end + trace_frame..], plain[hello_end..]);
     }
 
     #[test]

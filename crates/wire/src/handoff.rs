@@ -97,6 +97,32 @@ impl RecordBatch {
         self.arena.extend_from_slice(data);
     }
 
+    /// Appends one record whose bytes `fill` writes onto the arena tail:
+    /// the staging-free counterpart of [`push`](Self::push), for a reader
+    /// that can move its own buffer straight into the arena. Unless `fill`
+    /// returns `Ok(true)` the arena is rolled back and no record is added;
+    /// its result is passed on either way.
+    pub(crate) fn push_with(
+        &mut self,
+        ts_nanos: u64,
+        orig_len: u32,
+        fill: impl FnOnce(&mut Vec<u8>) -> std::io::Result<bool>,
+    ) -> std::io::Result<bool> {
+        let start = self.arena.len();
+        let filled = fill(&mut self.arena);
+        if matches!(filled, Ok(true)) {
+            debug_assert!(self.arena.len() <= u32::MAX as usize);
+            self.slots.push(Slot {
+                ts_nanos,
+                orig_len,
+                offset: start as u32,
+            });
+        } else {
+            self.arena.truncate(start);
+        }
+        filled
+    }
+
     /// Number of records currently in the batch.
     pub fn len(&self) -> usize {
         self.slots.len()

@@ -11,15 +11,18 @@
 //!   allocate a fresh [`Record`] per packet (simple, `'static`, clonable);
 //! * the **zero-copy fast path** — [`Reader::read_into`] reuses one
 //!   growable [`RecordBuf`] across records (zero steady-state
-//!   allocations), and [`SliceReader`] yields records *borrowed* straight
-//!   out of an in-memory trace image (e.g. an `mmap`ed file) without
-//!   copying payload bytes at all.
+//!   allocations), [`Reader::read_into_batch`] appends records straight
+//!   to a capture hand-off [`RecordBatch`], and [`SliceReader`] yields
+//!   records *borrowed* straight out of an in-memory trace image (e.g. an
+//!   `mmap`ed file) without copying payload bytes at all.
 //!
-//! The owning path is implemented on top of `read_into`, so the two paths
-//! cannot drift: they parse identically by construction.
+//! The owning path is implemented on top of `read_into`, and `read_into`
+//! and `read_into_batch` share one header parser and one accounting
+//! step, so the paths cannot drift.
 
+use crate::handoff::RecordBatch;
 use crate::Error;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Magic for microsecond-resolution files.
 pub const MAGIC_USEC: u32 = 0xA1B2_C3D4;
@@ -188,6 +191,14 @@ fn read_fully<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     Ok(n)
 }
 
+/// One record's parsed header.
+struct RecordHeader {
+    ts_nanos: u64,
+    /// Captured bytes that follow the header.
+    incl_len: u32,
+    orig_len: u32,
+}
+
 /// Streaming pcap reader.
 pub struct Reader<R: Read> {
     inner: R,
@@ -235,8 +246,8 @@ impl<R: Read> Reader<R> {
         self.truncated
     }
 
-    /// Complete records delivered so far (all ingest paths funnel through
-    /// [`read_into`](Reader::read_into), so this covers every path).
+    /// Complete records delivered so far, whichever read path delivered
+    /// them.
     pub fn records_read(&self) -> u64 {
         self.records_read
     }
@@ -247,51 +258,72 @@ impl<R: Read> Reader<R> {
         self.bytes_read
     }
 
-    /// Read the next record into `buf`, reusing its storage: the
-    /// zero-copy fast path. Returns `Ok(false)` at end of file (including
-    /// a truncated final record, which also bumps
-    /// [`truncated_records`](Reader::truncated_records)); `buf` holds the
-    /// new record only when `Ok(true)` is returned.
-    pub fn read_into(&mut self, buf: &mut RecordBuf) -> io::Result<bool> {
+    /// Read and check the next 16-byte record header. `Ok(None)` at end
+    /// of file; a header cut short counts as a truncated record.
+    fn read_header(&mut self) -> io::Result<Option<RecordHeader>> {
         let mut hdr = [0u8; 16];
         let got = read_fully(&mut self.inner, &mut hdr)?;
         if got == 0 {
-            return Ok(false);
+            return Ok(None);
         }
         if got < hdr.len() {
             self.truncated += 1;
-            return Ok(false);
+            return Ok(None);
         }
-        let rd32 = |b: &[u8], o: usize| {
-            let v = u32::from_le_bytes([b[o], b[o + 1], b[o + 2], b[o + 3]]);
+        let rd32 = |o: usize| {
+            let v = u32::from_le_bytes([hdr[o], hdr[o + 1], hdr[o + 2], hdr[o + 3]]);
             if self.swapped {
                 v.swap_bytes()
             } else {
                 v
             }
         };
-        let ts_sec = u64::from(rd32(&hdr, 0));
-        let ts_frac = u64::from(rd32(&hdr, 4));
-        let incl_len = rd32(&hdr, 8);
-        let orig_len = rd32(&hdr, 12);
+        let ts_sec = u64::from(rd32(0));
+        let ts_frac = u64::from(rd32(4));
+        let incl_len = rd32(8);
         if incl_len > self.snaplen.max(65_535) * 2 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "pcap record longer than twice the snap length",
             ));
         }
-        buf.data.resize(incl_len as usize, 0);
-        let got = read_fully(&mut self.inner, &mut buf.data)?;
-        if got < incl_len as usize {
+        let frac_nanos = if self.nanos { ts_frac } else { ts_frac * 1_000 };
+        Ok(Some(RecordHeader {
+            ts_nanos: ts_sec * 1_000_000_000 + frac_nanos,
+            incl_len,
+            orig_len: rd32(12),
+        }))
+    }
+
+    /// Account the record behind `header`: delivered when its payload was
+    /// `complete`, a truncated tail otherwise. Passes `complete` on.
+    fn note_record(&mut self, header: &RecordHeader, complete: bool) -> bool {
+        if complete {
+            self.records_read += 1;
+            self.bytes_read += u64::from(header.incl_len);
+        } else {
             self.truncated += 1;
+        }
+        complete
+    }
+
+    /// Read the next record into `buf`, reusing its storage: the
+    /// zero-copy fast path. Returns `Ok(false)` at end of file (including
+    /// a truncated final record, which also bumps
+    /// [`truncated_records`](Reader::truncated_records)); `buf` holds the
+    /// new record only when `Ok(true)` is returned.
+    pub fn read_into(&mut self, buf: &mut RecordBuf) -> io::Result<bool> {
+        let Some(header) = self.read_header()? else {
+            return Ok(false);
+        };
+        buf.data.resize(header.incl_len as usize, 0);
+        let got = read_fully(&mut self.inner, &mut buf.data)?;
+        if !self.note_record(&header, got == buf.data.len()) {
             buf.data.clear();
             return Ok(false);
         }
-        let frac_nanos = if self.nanos { ts_frac } else { ts_frac * 1_000 };
-        buf.ts_nanos = ts_sec * 1_000_000_000 + frac_nanos;
-        buf.orig_len = orig_len;
-        self.records_read += 1;
-        self.bytes_read += u64::from(incl_len);
+        buf.ts_nanos = header.ts_nanos;
+        buf.orig_len = header.orig_len;
         Ok(true)
     }
 
@@ -313,6 +345,42 @@ impl<R: Read> Reader<R> {
     /// Iterate over all remaining records, stopping at the first error.
     pub fn records(self) -> RecordIter<R> {
         RecordIter { reader: self }
+    }
+}
+
+impl<R: BufRead> Reader<R> {
+    /// Append the next record to `batch`: [`read_into`](Reader::read_into)
+    /// for a capture hand-off, without the staging buffer. The header is
+    /// parsed and checked the same way; the payload moves from the
+    /// reader's own buffer straight onto the arena tail, with no zero-fill
+    /// and no second copy. Returns `Ok(false)` at end of file — a torn
+    /// final record is rolled back out of the arena and counted in
+    /// [`truncated_records`](Reader::truncated_records), exactly as
+    /// `read_into` counts it.
+    pub fn read_into_batch(&mut self, batch: &mut RecordBatch) -> io::Result<bool> {
+        let Some(header) = self.read_header()? else {
+            return Ok(false);
+        };
+        let inner = &mut self.inner;
+        let complete = batch.push_with(header.ts_nanos, header.orig_len, |arena| {
+            let mut left = header.incl_len as usize;
+            while left > 0 {
+                let chunk = match inner.fill_buf() {
+                    Ok(chunk) => chunk,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(e),
+                };
+                if chunk.is_empty() {
+                    return Ok(false);
+                }
+                let take = chunk.len().min(left);
+                arena.extend_from_slice(&chunk[..take]);
+                inner.consume(take);
+                left -= take;
+            }
+            Ok(true)
+        })?;
+        Ok(self.note_record(&header, complete))
     }
 }
 
@@ -734,6 +802,94 @@ mod tests {
         while r.read_into(&mut buf).unwrap() {}
         assert_eq!((r.records_read(), r.truncated_records()), (1, 1));
         assert_eq!(r.bytes_read(), 100);
+    }
+
+    /// A reader that hands out at most `step` bytes per `fill_buf`, so a
+    /// record's payload reaches the arena in several pieces.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    impl BufRead for Trickle<'_> {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            Ok(&self.data[..self.step.min(self.data.len())])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.data = &self.data[n..];
+        }
+    }
+
+    #[test]
+    fn read_into_batch_matches_read_into_and_rolls_back_torn_tails() {
+        let records = vec![
+            Record::full(10, vec![0xAB; 1400]),
+            Record::full(20, Vec::new()),
+            Record {
+                ts_nanos: 30,
+                orig_len: 9000,
+                data: (0..=255).collect(),
+            },
+        ];
+        let img = write_trace(&records);
+        // Whole image, then cuts inside the last payload, inside the last
+        // header, and at a clean record boundary.
+        let last = 16 + 256;
+        for cut in [0, 2, last - 6, last] {
+            let img = &img[..img.len() - cut];
+            let mut staged = Vec::new();
+            let mut reader = Reader::new(img).unwrap();
+            let mut buf = RecordBuf::new();
+            while reader.read_into(&mut buf).unwrap() {
+                staged.push(buf.to_record());
+            }
+            for step in [1usize, 7, 64 * 1024] {
+                let mut direct = Reader::new(Trickle { data: img, step }).unwrap();
+                let mut batch = RecordBatch::new();
+                batch.push(1, 3, &[1, 2, 3]); // appended to, not replaced
+                while direct.read_into_batch(&mut batch).unwrap() {}
+                let got: Vec<Record> = batch
+                    .iter()
+                    .skip(1)
+                    .map(|r| Record {
+                        ts_nanos: r.ts_nanos,
+                        orig_len: r.orig_len,
+                        data: r.data.to_vec(),
+                    })
+                    .collect();
+                assert_eq!(got, staged, "cut {cut}, step {step}");
+                assert_eq!(
+                    batch.arena_bytes(),
+                    3 + staged.iter().map(|r| r.data.len()).sum::<usize>(),
+                    "cut {cut}, step {step}: a torn payload stayed in the arena"
+                );
+                assert_eq!(
+                    (
+                        direct.records_read(),
+                        direct.bytes_read(),
+                        direct.truncated_records()
+                    ),
+                    (
+                        reader.records_read(),
+                        reader.bytes_read(),
+                        reader.truncated_records()
+                    ),
+                    "cut {cut}, step {step}"
+                );
+                // End of file is sticky until more bytes arrive.
+                assert!(!direct.read_into_batch(&mut batch).unwrap());
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //!   how the input is batched.
 //! * A proptest cuts the trace at arbitrary batch boundaries (including
 //!   empty batches) and asserts the report is invariant to the cut.
+//!
+//! One shard runs the engine's in-line lane, which replays the shard's
+//! event log at the end of every pushed batch — so "any batching, 1 shard
+//! ≡ any batching, N shards" here also pins that replay cadence against
+//! the worker threads' tick-time replay.
 
 use proptest::prelude::*;
 use std::time::Duration;

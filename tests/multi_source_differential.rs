@@ -11,6 +11,14 @@
 //!   and the extended conservation invariant
 //!   (`Σ source_packets == packets_in + Σ ring_full_drops`) holds.
 //! * Capacity-1 rings only add backpressure, never divergence.
+//!
+//! One shard runs the engine's in-line lane (shard state on the calling
+//! thread), more run worker threads: the 1/2/8-shard axis also pins
+//! in-line ≡ threaded.
+//! * A lone source read in-line (`CaptureMux::inline`, what a streaming
+//!   `analyze` of one lossless source does) equals the same source behind
+//!   a capture thread, drained the CLI's way (`next_batch` →
+//!   `push_batch`): same windows, same report, same per-source counters.
 
 use std::time::Duration;
 use zoom_analysis::engine::{EngineConfig, EngineOutput, StreamingEngine};
@@ -196,6 +204,71 @@ fn split_sources_byte_identical_to_single_source_at_1_2_8_shards() {
                     assert_capture_accounting(&run.2, &splits, &label);
                 }
             }
+        }
+    }
+}
+
+/// The CLI's streaming drain — `next_batch` into `push_batch` — over one
+/// source, read in-line or behind a capture thread.
+fn batched_single_source_run(
+    records: &[Record],
+    inline: bool,
+    shards: usize,
+    window: Option<Duration>,
+) -> (Vec<WindowReport>, EngineOutput, MetricsSnapshot) {
+    let mut engine = StreamingEngine::new(EngineConfig {
+        analyzer: AnalyzerConfig::default(),
+        shards,
+        window,
+        idle_timeout: Some(Duration::from_secs(5)),
+        qoe: None,
+    })
+    .expect("valid engine config");
+    let mh = engine.metrics_handle();
+    let source: Box<dyn PacketSource> = Box::new(ReplaySource::new(
+        "replay:0",
+        LinkType::Ethernet,
+        records.to_vec(),
+    ));
+    let mut mux = if inline {
+        CaptureMux::inline(source, Some(&mh))
+    } else {
+        CaptureMux::start(vec![source], MuxConfig::default(), Some(&mh))
+    };
+    let mut windows = Vec::new();
+    let mut batch = zoom_wire::handoff::RecordBatch::new();
+    while let Some(link) = mux.next_batch(&mut batch, 1024).expect("mux batch") {
+        engine.push_batch(&batch, link).expect("push_batch");
+        windows.extend(engine.take_windows());
+    }
+    assert_eq!(mux.ring_full_drops(), 0, "lossless replay must not drop");
+    assert_eq!(mux.records_delivered(), records.len() as u64);
+    mux.finish().expect("capture teardown");
+    let out = engine.drain().expect("drain");
+    let snap = out.analyzer.metrics();
+    (windows, out, snap)
+}
+
+#[test]
+fn inline_source_byte_identical_to_the_capture_thread() {
+    let records = strictly_increasing_records(17, 30);
+    for shards in [1usize, 2] {
+        for window in [None, Some(Duration::from_secs(2))] {
+            let label = format!("inline vs threaded/{shards} shards/{window:?}");
+            let threaded = batched_single_source_run(&records, false, shards, window);
+            let inline = batched_single_source_run(&records, true, shards, window);
+            assert!(
+                window.is_none() || inline.0.len() > 5,
+                "{label}: windows closed"
+            );
+            assert_same_run(&inline, &threaded, &label);
+            for run in [&inline, &threaded] {
+                assert_capture_accounting(&run.2, std::slice::from_ref(&records), &label);
+            }
+            assert_eq!(
+                inline.2.sources[0].batches, threaded.2.sources[0].batches,
+                "{label}"
+            );
         }
     }
 }

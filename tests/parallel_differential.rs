@@ -8,6 +8,10 @@
 //! P2P meeting (exercising the router-owned STUN registry and the
 //! per-record P2P verdict). The property test sweeps randomized small
 //! scenarios and shard counts.
+//!
+//! One shard runs the engine's in-line lane (shard state on the calling
+//! thread, no copy, no channel), more run worker threads: every 1-vs-N
+//! comparison here also pins in-line ≡ threaded.
 
 use proptest::prelude::*;
 use zoom_analysis::parallel::ParallelAnalyzer;

@@ -12,6 +12,11 @@
 //!   report fragments plus live rows still sum to the batch totals, and
 //!   the peak tracked-entry count is strictly lower than without
 //!   eviction.
+//!
+//! One shard runs the engine's in-line lane (shard state on the calling
+//! thread, event log replayed after every push), more run worker threads
+//! (log replayed at ticks): every 1-vs-N comparison here also pins
+//! in-line ≡ threaded, windows, eviction and all.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;

@@ -81,11 +81,15 @@ fn frame_stream(records: &[Record], label: &str, sample_every: u64) -> Vec<u8> {
         if let Some(id) = tc.sample() {
             batch.trace_id = id;
             tc.record(id, spans::SOURCE_READ, label, batch.len() as u64, 0);
-            tc.record(id, spans::FRAGMENT_ENCODE, label, batch.len() as u64, 0);
-            w.write_trace(id, tc.drain_trace_ndjson(id).as_bytes())
-                .expect("trace frame");
+            w.write_batch_traced(&batch, id, |encode_nanos| {
+                let records = batch.len() as u64;
+                tc.record(id, spans::FRAGMENT_ENCODE, label, records, encode_nanos);
+                tc.drain_trace_ndjson(id)
+            })
+            .expect("trace and records frames");
+        } else {
+            w.write_batch(&batch).expect("records frame");
         }
-        w.write_batch(&batch).expect("records frame");
         frames += 1;
     }
     w.finish(Totals {

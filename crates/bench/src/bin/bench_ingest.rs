@@ -31,7 +31,7 @@ use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::PacketSink;
 use zoom_capture::fragment::FragmentSource;
 use zoom_capture::mux::{CaptureMux, MuxConfig, Overflow};
-use zoom_capture::source::{PacketSource, ReplaySource};
+use zoom_capture::source::{PacketSource, ReplaySource, BATCH_RECORDS};
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
@@ -50,9 +50,6 @@ const GATE_KEY: &str = "batch_pipeline_pkts_per_sec";
 /// Records per hand-off batch on the batched pipeline measurements
 /// (matches the streaming engine's internal batch size).
 const BATCH: usize = 256;
-/// Records per fan-in drain on the multi-source measurements (matches
-/// the CLI's `MUX_BATCH`).
-const MUX_BATCH: usize = 1024;
 
 /// Counts every heap allocation (and growth) made by the process so the
 /// measured loops can report allocations per record.
@@ -428,7 +425,7 @@ fn analyze_multi_source(records: &[Record], n_sources: usize) -> (u64, f64, f64)
     let mut batch = RecordBatch::new();
     let mut sum = 0usize;
     let mut n1 = 0u64;
-    while mux.next_batch(&mut batch, MUX_BATCH).expect("mux batch").is_some() {
+    while mux.next_batch(&mut batch, BATCH_RECORDS).expect("mux batch").is_some() {
         sum += batch.arena_bytes();
         n1 += batch.len() as u64;
     }
@@ -444,7 +441,7 @@ fn analyze_multi_source(records: &[Record], n_sources: usize) -> (u64, f64, f64)
         let t0 = Instant::now();
         let mut mux = start_mux(sources);
         let mut n = 0u64;
-        while let Some(link) = mux.next_batch(&mut batch, MUX_BATCH).expect("mux batch") {
+        while let Some(link) = mux.next_batch(&mut batch, BATCH_RECORDS).expect("mux batch") {
             analyzer.push_batch(&batch, link).expect("push_batch");
             n += batch.len() as u64;
         }
@@ -519,7 +516,7 @@ fn analyze_merge_fragments(records: &[Record], n_workers: usize) -> (u64, f64, f
     let mut batch = RecordBatch::new();
     let mut sum = 0usize;
     let mut n1 = 0u64;
-    while mux.next_batch(&mut batch, MUX_BATCH).expect("mux batch").is_some() {
+    while mux.next_batch(&mut batch, BATCH_RECORDS).expect("mux batch").is_some() {
         sum += batch.arena_bytes();
         n1 += batch.len() as u64;
     }
@@ -534,7 +531,7 @@ fn analyze_merge_fragments(records: &[Record], n_workers: usize) -> (u64, f64, f
         let t0 = Instant::now();
         let mut mux = start_mux(sources);
         let mut n = 0u64;
-        while let Some(link) = mux.next_batch(&mut batch, MUX_BATCH).expect("mux batch") {
+        while let Some(link) = mux.next_batch(&mut batch, BATCH_RECORDS).expect("mux batch") {
             analyzer.push_batch(&batch, link).expect("push_batch");
             n += batch.len() as u64;
         }

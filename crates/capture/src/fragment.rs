@@ -16,7 +16,9 @@
 //! accounting (cumulative `Totals` in Accounting/Bye frames). The source
 //! mirrors the latest totals into a shared [`WorkerAccount`] so the
 //! merge process can fold `zoom_worker_*` metrics into its conservation
-//! invariant while the capture thread owns the source exclusively.
+//! invariant while the fan-in lane — a capture thread behind a socket,
+//! the merge thread itself over a spool file — owns the source
+//! exclusively.
 
 use crate::source::{PacketSource, SourceError};
 use std::io::Read;
@@ -28,8 +30,8 @@ use zoom_wire::handoff::RecordBatch;
 use zoom_wire::pcap::LinkType;
 
 /// Shared view of one worker's self-reported accounting, updated by the
-/// capture thread as Accounting/Bye frames arrive and read by the merge
-/// process for `zoom_worker_*` metrics.
+/// lane that reads the stream as Accounting/Bye frames arrive and read by
+/// the merge process for `zoom_worker_*` metrics.
 #[derive(Debug, Default)]
 pub struct WorkerAccount {
     /// Records the worker reported capturing (cumulative).
@@ -72,7 +74,8 @@ impl WorkerAccount {
 /// A [`PacketSource`] decoding one worker's fragment stream.
 ///
 /// `next_batch` appends the records of the next Records frame to the
-/// caller's batch; Accounting frames update the shared
+/// caller's batch — the frame is read onto the batch's arena and indexed
+/// there, see [`FrameReader::next`]; Accounting frames update the shared
 /// [`WorkerAccount`] in passing. The source reports exhaustion at the
 /// Bye frame; EOF *before* Bye surfaces as a [`SourceError::Format`] so
 /// a half-shipped worker can never silently pass for complete.
@@ -80,10 +83,6 @@ pub struct FragmentSource<R: Read + Send> {
     label: String,
     reader: FrameReader<R>,
     account: Arc<WorkerAccount>,
-    /// Records to silently discard before delivering any — used by
-    /// checkpoint restore to skip work a previous incarnation already
-    /// consumed, without the workers resending history.
-    skip: u64,
     /// Merge-side trace collector (None on untraced runs). Trace frames
     /// in the stream ship the worker's span events for the trace ID
     /// annotating the next Records frame; the collector re-ingests them
@@ -103,7 +102,6 @@ impl<R: Read + Send> FragmentSource<R> {
             label: format!("worker:{}", reader.label()),
             reader,
             account: Arc::new(WorkerAccount::default()),
-            skip: 0,
             trace: None,
             pending_trace: 0,
         }
@@ -126,14 +124,6 @@ impl<R: Read + Send> FragmentSource<R> {
     /// prefix the source label carries).
     pub fn worker_label(&self) -> &str {
         self.reader.label()
-    }
-
-    /// Discard the first `n` records instead of delivering them —
-    /// checkpoint restore replays a journal deterministically while a
-    /// previous incarnation's consumed prefix stays consumed.
-    pub fn skip_records(mut self, n: u64) -> FragmentSource<R> {
-        self.skip = n;
-        self
     }
 
     /// Attach the merge node's trace collector: Trace frames in the
@@ -170,28 +160,6 @@ impl<R: Read + Send> PacketSource for FragmentSource<R> {
                     self.account
                         .records_received
                         .fetch_add(count as u64, Ordering::AcqRel);
-                    if self.skip > 0 {
-                        // Drop the skipped prefix. Frames are decoded
-                        // append-only, so a partial skip re-pushes the
-                        // surviving tail of this frame.
-                        let skipped = (self.skip.min(count as u64)) as usize;
-                        self.skip -= skipped as u64;
-                        let start = batch.len() - count as usize;
-                        let kept: Vec<(u64, u32, Vec<u8>)> = (0..batch.len())
-                            .filter(|i| *i < start || *i >= start + skipped)
-                            .map(|i| {
-                                let r = batch.get(i).expect("index in bounds");
-                                (r.ts_nanos, r.orig_len, r.data.to_vec())
-                            })
-                            .collect();
-                        batch.clear();
-                        for (ts, orig, data) in &kept {
-                            batch.push(*ts, *orig, data);
-                        }
-                        if batch.is_empty() {
-                            continue;
-                        }
-                    }
                     if self.pending_trace != 0 {
                         batch.trace_id = self.pending_trace;
                         if let Some(tc) = &self.trace {
@@ -398,21 +366,6 @@ mod tests {
                 !line.contains("\"dur_nanos\":0,") && !line.contains("\"dur_nanos\":0}"),
                 "{span} reported a zero duration: {line}"
             );
-        }
-    }
-
-    #[test]
-    fn skip_records_discards_exactly_the_prefix() {
-        let records: Vec<(u64, Vec<u8>)> = (0..10u64).map(|i| (i, vec![i as u8; 60])).collect();
-        let borrowed: Vec<(u64, &[u8])> = records.iter().map(|(t, d)| (*t, &d[..])).collect();
-        for per_frame in [1usize, 3, 10] {
-            for skip in [0u64, 1, 4, 9, 10] {
-                let data = stream(&borrowed, per_frame);
-                let mut src = FragmentSource::open(&data[..]).unwrap().skip_records(skip);
-                let got = drain(&mut src);
-                let want: Vec<u64> = (skip..10).collect();
-                assert_eq!(got, want, "per_frame={per_frame} skip={skip}");
-            }
         }
     }
 }

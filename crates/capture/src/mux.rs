@@ -1,8 +1,9 @@
 //! N-sources → one-engine fan-in with bounded lock-free hand-off.
 //!
 //! [`CaptureMux`] runs one capture thread per [`PacketSource`]
-//! ([`CaptureMux::start`]; a lone lossless source can instead be read
-//! in-line on the consumer's thread, [`CaptureMux::inline`]). Each
+//! ([`CaptureMux::start`]; sources that never make their reader wait —
+//! finite files — or a lone lossless one can instead be read in-line on
+//! the consumer's thread, [`CaptureMux::inline`]). Each
 //! thread pulls record batches off its source and offers them to the
 //! analysis side through a bounded SPSC ring ([`crate::ring`]), so
 //! **capture never blocks on analysis**: when the ring is full the
@@ -53,7 +54,7 @@
 //! ```
 
 use crate::ring::{self, Consumer, Producer};
-use crate::source::{PacketSource, SourceError};
+use crate::source::{PacketSource, SourceError, BATCH_BYTES};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -181,6 +182,31 @@ struct Lane {
 }
 
 impl Lane {
+    /// A lane over `source` — its label, link type and registration on
+    /// `metrics` — fed by whatever `feed` makes of the source and the
+    /// state the lane shares with it.
+    fn new(
+        source: Box<dyn PacketSource>,
+        metrics: Option<&PipelineMetrics>,
+        feed: impl FnOnce(Box<dyn PacketSource>, &Arc<LaneShared>) -> Feed,
+    ) -> Lane {
+        let label = source.label().to_string();
+        let shared = Arc::new(LaneShared {
+            counters: LaneCounters::default(),
+            obs: metrics.map(|m| m.register_source(&label)),
+            trace: metrics.map(|m| Arc::clone(&m.trace)),
+            error: Mutex::new(None),
+        });
+        Lane {
+            label,
+            link: source.link_type(),
+            feed: feed(source, &shared),
+            shared,
+            current: None,
+            done: false,
+        }
+    }
+
     /// Peeks the timestamp of this lane's next record, `Ok(None)` if the
     /// lane has nothing buffered right now.
     fn peek_ts(&self) -> Option<u64> {
@@ -310,77 +336,56 @@ impl CaptureMux {
         metrics: Option<&PipelineMetrics>,
     ) -> CaptureMux {
         let capacity = config.ring_capacity.max(1);
-        let lanes = sources
-            .into_iter()
-            .map(|source| {
-                let label = source.label().to_string();
-                let link = source.link_type();
+        let lanes = sources.into_iter().map(|source| {
+            Lane::new(source, metrics, |source, shared| {
                 let (tx, rx) = ring::spsc::<RecordBatch>(capacity);
                 let (recycle_tx, recycle_rx) = ring::spsc::<RecordBatch>(capacity + 2);
-                let shared = Arc::new(LaneShared {
-                    counters: LaneCounters::default(),
-                    obs: metrics.map(|m| m.register_source(&label)),
-                    trace: metrics.map(|m| Arc::clone(&m.trace)),
-                    error: Mutex::new(None),
-                });
-                let thread_shared = Arc::clone(&shared);
+                let shared = Arc::clone(shared);
                 let thread = std::thread::spawn(move || {
-                    capture_thread(source, tx, recycle_rx, thread_shared, config.overflow)
+                    capture_thread(source, tx, recycle_rx, shared, config.overflow)
                 });
-                Lane {
-                    label,
-                    link,
-                    feed: Feed::Thread {
-                        rx,
-                        recycle_tx,
-                        thread: Some(thread),
-                    },
-                    shared,
-                    current: None,
-                    done: false,
+                Feed::Thread {
+                    rx,
+                    recycle_tx,
+                    thread: Some(thread),
                 }
             })
-            .collect();
+        });
         CaptureMux {
-            lanes,
+            lanes: lanes.collect(),
             delivered: 0,
             delivered_bytes: 0,
         }
     }
 
-    /// A one-lane fan-in that spawns nothing: `source` is read on the
-    /// thread that calls [`next_batch`](CaptureMux::next_batch) /
+    /// A fan-in that spawns nothing: every source is read on the thread
+    /// that calls [`next_batch`](CaptureMux::next_batch) /
     /// [`next_record`](CaptureMux::next_record), straight into the arena
-    /// the caller gets. Same records, same order, same accounting as
-    /// [`start`](CaptureMux::start) with that one source under
-    /// [`Overflow::Block`] — there the capture thread waits for the
-    /// consumer anyway, so all the thread buys is read-ahead on a second
-    /// core, and only when the scheduler grants one. In-line, a pass costs
-    /// the same wall time whether it gets one core or two. Nothing is ever
-    /// dropped (`ring_full_drops` stays 0) and the ring gauges and
-    /// `ring_enqueue` / `ring_dequeue` spans do not appear: there is no
-    /// ring.
-    pub fn inline(source: Box<dyn PacketSource>, metrics: Option<&PipelineMetrics>) -> CaptureMux {
-        let label = source.label().to_string();
-        let lane = Lane {
-            link: source.link_type(),
-            shared: Arc::new(LaneShared {
-                counters: LaneCounters::default(),
-                obs: metrics.map(|m| m.register_source(&label)),
-                trace: metrics.map(|m| Arc::clone(&m.trace)),
-                error: Mutex::new(None),
-            }),
-            label,
-            feed: Feed::Inline {
+    /// the merge scan then draws from (and, when nothing interleaves with
+    /// it, hands to the caller). Same records, same order, same accounting
+    /// as [`start`](CaptureMux::start) over the same sources under
+    /// [`Overflow::Block`] — there a capture thread waits for the consumer
+    /// anyway, so all the thread buys is read-ahead on a second core, and
+    /// only when the scheduler grants one. In-line, a pass costs the same
+    /// wall time whether it gets one core or two. Meant for one source, or
+    /// for sources that always have their next batch ready (finite files):
+    /// a quiet live source paces its poll by sleeping, and in-line that
+    /// sleep stalls every lane. Nothing is ever dropped (`ring_full_drops`
+    /// stays 0) and the ring gauges and `ring_enqueue` / `ring_dequeue`
+    /// spans do not appear: there is no ring.
+    pub fn inline(
+        sources: Vec<Box<dyn PacketSource>>,
+        metrics: Option<&PipelineMetrics>,
+    ) -> CaptureMux {
+        let lanes = sources.into_iter().map(|source| {
+            Lane::new(source, metrics, |source, _| Feed::Inline {
                 source,
                 spare: RecordBatch::new(),
                 live: true,
-            },
-            current: None,
-            done: false,
-        };
+            })
+        });
         CaptureMux {
-            lanes: vec![lane],
+            lanes: lanes.collect(),
             delivered: 0,
             delivered_bytes: 0,
         }
@@ -438,12 +443,13 @@ impl CaptureMux {
         }))
     }
 
-    /// Fill `out` with the next run of merged records, up to `max`, and
-    /// return their (shared) link type. Record order is exactly
-    /// [`CaptureMux::next_record`]'s strict `(ts, lane)` merge order — a
-    /// batched drain is record-for-record identical to a per-record
-    /// drain (pinned by tests) — but each merge scan is amortized over a
-    /// whole *run* of records from the winning lane.
+    /// Fill `out` with the next run of merged records, up to `max` (and,
+    /// where records are copied, up to [`BATCH_BYTES`] like every source's
+    /// own batches), and return their (shared) link type. Record order is
+    /// exactly [`CaptureMux::next_record`]'s strict `(ts, lane)` merge
+    /// order — a batched drain is record-for-record identical to a
+    /// per-record drain (pinned by tests) — but each merge scan is
+    /// amortized over a whole *run* of records from the winning lane.
     ///
     /// When that run is the winning lane's whole untouched capture batch
     /// (always, with one source), the batch is **handed over** instead of
@@ -467,7 +473,7 @@ impl CaptureMux {
     ) -> Result<Option<LinkType>, SourceError> {
         out.clear();
         let mut link: Option<LinkType> = None;
-        while out.len() < max {
+        while out.len() < max && out.arena_bytes() < BATCH_BYTES {
             // One merge scan: the minimum (ts, lane) across lanes, plus
             // the runner-up that bounds how far the winner may run.
             let mut best: Option<(u64, usize)> = None;
@@ -544,7 +550,7 @@ impl CaptureMux {
             if out.trace_id == 0 && batch.trace_id != 0 {
                 out.trace_id = batch.trace_id;
             }
-            while *cursor < batch.len() && out.len() < max {
+            while *cursor < batch.len() && out.len() < max && out.arena_bytes() < BATCH_BYTES {
                 let r = batch.get(*cursor).expect("cursor in bounds");
                 if !wins(r.ts_nanos) {
                     break;
@@ -1089,79 +1095,225 @@ mod tests {
         assert_eq!(order, per_record);
     }
 
-    /// Drains a one-source mux by `next_batch` and returns the merged
-    /// timestamps, the capture-side stats and the delivered totals. (Not
-    /// the batch sizes: below a capture batch's size a threaded lane cuts
-    /// them where the ring happens to run dry.)
-    fn drain_one(mut mux: CaptureMux, max: usize) -> (Vec<u64>, LaneStats, u64, u64) {
-        let (ts, sizes) = drain_batched(&mut mux, max);
-        assert!(sizes.iter().all(|&s| s >= 1 && s <= max), "max={max}");
-        let stats = mux.lane_stats(0);
-        let (records, bytes) = (mux.records_delivered(), mux.bytes_delivered());
+    /// Lane `i` of `parts` as a source of its own: record `j` carries the
+    /// lane's `j`-th timestamp and is stamped `[i, j >> 8, j]`, so a drain
+    /// shows which lane's which record came out where. Odd lanes are
+    /// `RawIp` when `mixed_links`.
+    fn lane_link(lane: usize, mixed_links: bool) -> LinkType {
+        if mixed_links && lane % 2 == 1 {
+            LinkType::RawIp
+        } else {
+            LinkType::Ethernet
+        }
+    }
+
+    fn stamped_sources(parts: &[Vec<u64>], mixed_links: bool) -> Vec<Box<dyn PacketSource>> {
+        parts
+            .iter()
+            .enumerate()
+            .map(|(i, ts)| {
+                let records = ts
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &t)| {
+                        let mut data = vec![0xCD; 60];
+                        data[..3].copy_from_slice(&[i as u8, (j >> 8) as u8, j as u8]);
+                        Record::full(t, data)
+                    })
+                    .collect();
+                let link = lane_link(i, mixed_links);
+                Box::new(ReplaySource::new(&format!("replay:{i}"), link, records))
+                    as Box<dyn PacketSource>
+            })
+            .collect()
+    }
+
+    /// Everything one drain of a fan-in can be compared by. (Not the batch
+    /// sizes: a threaded lane cuts batches where its ring happens to run
+    /// dry.)
+    #[derive(Debug, PartialEq)]
+    struct Drained {
+        /// Link type, timestamp and lane stamp of every record, in order.
+        records: Vec<(LinkType, u64, [u8; 3])>,
+        stats: Vec<LaneStats>,
+        delivered: (u64, u64),
+        truncated: u64,
+    }
+
+    /// Drains `mux` by `next_batch(max)`, or record by record without one.
+    fn drain_all(mut mux: CaptureMux, max: Option<usize>) -> Drained {
+        let mut records = Vec::new();
+        let stamp = |data: &[u8]| [data[0], data[1], data[2]];
+        match max {
+            Some(max) => {
+                let mut batch = RecordBatch::new();
+                while let Some(link) = mux.next_batch(&mut batch, max).unwrap() {
+                    assert!(!batch.is_empty() && batch.len() <= max, "max={max}");
+                    records.extend(batch.iter().map(|r| (link, r.ts_nanos, stamp(r.data))));
+                }
+            }
+            None => {
+                while let Some(r) = mux.next_record().unwrap() {
+                    records.push((r.link, r.ts_nanos, stamp(r.data)));
+                }
+            }
+        }
+        let drained = Drained {
+            records,
+            stats: (0..mux.sources()).map(|i| mux.lane_stats(i)).collect(),
+            delivered: (mux.records_delivered(), mux.bytes_delivered()),
+            truncated: mux.truncated_records(),
+        };
         mux.finish().unwrap();
-        (ts, stats, records, bytes)
+        drained
     }
 
     #[test]
     fn inline_lane_delivers_what_the_threaded_lane_delivers() {
         use crate::source::BATCH_RECORDS;
         let n = (5 * BATCH_RECORDS + 17) as u64;
-        let source = || -> Box<dyn PacketSource> {
-            Box::new(ReplaySource::new(
-                "replay:one",
-                LinkType::Ethernet,
-                records(0..n),
-            ))
-        };
-        // `max` below a capture batch takes the copy loop, above it the
-        // hand-over; both lanes must agree record for record.
-        for max in [1usize, 100, BATCH_RECORDS, MUX_MAX] {
-            let threaded = drain_one(
-                CaptureMux::start(vec![source()], MuxConfig::default(), None),
-                max,
-            );
-            let inline = drain_one(CaptureMux::inline(source(), None), max);
-            assert_eq!(inline, threaded, "max={max}");
-            assert_eq!(inline.0, (0..n).collect::<Vec<_>>());
-            assert_eq!(inline.1.ring_full_drops, 0);
+        let cases: [(&str, Vec<Vec<u64>>, bool); 5] = [
+            ("one lane", vec![(0..n).collect()], false),
+            // Every timestamp of the short lane ties with one of the long.
+            (
+                "two uneven lanes, ties",
+                vec![(0..n).map(|t| t / 2).collect(), (0..90).collect()],
+                false,
+            ),
+            // Lane 1 is a blip, lane 2 interleaves with the first half of
+            // lane 0 and leaves its second half to be handed over whole.
+            (
+                "three uneven lanes",
+                vec![
+                    (0..n).map(|t| 3 * t).collect(),
+                    vec![7, 7, 8],
+                    (0..n / 2).map(|t| 3 * t + 1).collect(),
+                ],
+                false,
+            ),
+            (
+                "a link type per lane",
+                vec![(0..300).map(|t| t / 7 * 7).collect(), (0..300).collect()],
+                true,
+            ),
+            (
+                "an empty lane",
+                vec![vec![], (0..200).collect(), vec![]],
+                false,
+            ),
+        ];
+        for (name, parts, mixed_links) in &cases {
+            // The merge itself, spelled out: by `(ts, lane)`, a lane's
+            // records in their own order.
+            let mut want: Vec<(LinkType, u64, [u8; 3])> = Vec::new();
+            for (i, ts) in parts.iter().enumerate() {
+                let link = lane_link(i, *mixed_links);
+                want.extend(
+                    ts.iter()
+                        .enumerate()
+                        .map(|(j, &t)| (link, t, [i as u8, (j >> 8) as u8, j as u8])),
+                );
+            }
+            want.sort_by_key(|&(_, t, stamp)| (t, stamp));
+
+            // `max` below a capture batch takes the copy loop, above it the
+            // hand-over where a lane runs alone; `None` is per record. Both
+            // lane kinds must agree record for record, counter for counter.
+            for max in [
+                Some(1usize),
+                Some(100),
+                Some(BATCH_RECORDS),
+                Some(MUX_MAX),
+                None,
+            ] {
+                let sources = || stamped_sources(parts, *mixed_links);
+                let threaded = drain_all(
+                    CaptureMux::start(sources(), MuxConfig::default(), None),
+                    max,
+                );
+                let inline = drain_all(CaptureMux::inline(sources(), None), max);
+                assert_eq!(inline, threaded, "{name}, max={max:?}");
+                assert_eq!(inline.records, want, "{name}, max={max:?}");
+                assert_eq!(
+                    inline.delivered,
+                    (want.len() as u64, want.len() as u64 * 60)
+                );
+                assert!(inline.stats.iter().all(|s| s.ring_full_drops == 0));
+            }
         }
-        // Per record too.
-        let mut mux = CaptureMux::inline(source(), None);
-        assert_eq!(mux.sources(), 1);
-        assert_eq!(drain_ts(&mut mux), (0..n).collect::<Vec<_>>());
-        assert_eq!(mux.records_delivered(), n);
+    }
+
+    #[test]
+    fn inline_lanes_break_ties_by_lane_index_and_cut_at_a_link_change() {
+        let mut mux = CaptureMux::inline(
+            stamped_sources(&[vec![5, 5], vec![5, 5], vec![4, 5]], false),
+            None,
+        );
+        assert_eq!(mux.sources(), 3);
+        let mut lanes = Vec::new();
+        while let Some(r) = mux.next_record().unwrap() {
+            lanes.push(r.source);
+        }
+        assert_eq!(lanes, vec![2, 0, 0, 1, 1, 2]);
         mux.finish().unwrap();
+
+        // One link type per batch: the drain stops where the next record's
+        // lane has another, whatever `max` allows.
+        let mut mux =
+            CaptureMux::inline(stamped_sources(&[vec![1, 2, 5], vec![3, 4, 6]], true), None);
+        let mut batch = RecordBatch::new();
+        let mut runs = Vec::new();
+        while let Some(link) = mux.next_batch(&mut batch, MUX_MAX).unwrap() {
+            runs.push((link, batch.iter().map(|r| r.ts_nanos).collect::<Vec<_>>()));
+        }
+        mux.finish().unwrap();
+        assert_eq!(
+            runs,
+            vec![
+                (LinkType::Ethernet, vec![1, 2]),
+                (LinkType::RawIp, vec![3, 4]),
+                (LinkType::Ethernet, vec![5]),
+                (LinkType::RawIp, vec![6]),
+            ]
+        );
+    }
+
+    /// A source that insists on the thread it was built on: a capture
+    /// thread would trip the assertion.
+    struct SameThread {
+        inner: Box<dyn PacketSource>,
+        home: std::thread::ThreadId,
+    }
+
+    impl SameThread {
+        fn boxed(inner: Box<dyn PacketSource>) -> Box<dyn PacketSource> {
+            Box::new(SameThread {
+                inner,
+                home: std::thread::current().id(),
+            })
+        }
+    }
+
+    impl PacketSource for SameThread {
+        fn label(&self) -> &str {
+            self.inner.label()
+        }
+        fn link_type(&self) -> LinkType {
+            self.inner.link_type()
+        }
+        fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
+            assert_eq!(std::thread::current().id(), self.home, "read off-thread");
+            self.inner.next_batch(batch)
+        }
     }
 
     #[test]
     fn inline_lane_reads_on_the_callers_thread_into_two_arenas() {
         use crate::source::BATCH_RECORDS;
-        /// An [`ArenaLoggingSource`] that insists on the thread it was
-        /// built on: a capture thread would trip the assertion.
-        struct SameThread {
-            inner: Box<dyn PacketSource>,
-            home: std::thread::ThreadId,
-        }
-        impl PacketSource for SameThread {
-            fn label(&self) -> &str {
-                self.inner.label()
-            }
-            fn link_type(&self) -> LinkType {
-                self.inner.link_type()
-            }
-            fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
-                assert_eq!(std::thread::current().id(), self.home, "read off-thread");
-                self.inner.next_batch(batch)
-            }
-        }
         let batches = 50;
         let n = (batches * BATCH_RECORDS) as u64;
         let (inner, filled) = ArenaLoggingSource::boxed((0..n).collect());
-        let source = SameThread {
-            inner,
-            home: std::thread::current().id(),
-        };
-        let mut mux = CaptureMux::inline(Box::new(source), None);
+        let mut mux = CaptureMux::inline(vec![SameThread::boxed(inner)], None);
 
         let mut out = RecordBatch::with_capacity(BATCH_RECORDS, BATCH_RECORDS * 60);
         out.push(0, 60, &[0; 60]);
@@ -1185,38 +1337,114 @@ mod tests {
     }
 
     #[test]
+    fn inline_lanes_read_on_the_callers_thread_hand_over_runs_and_copy_interleaves() {
+        use crate::source::BATCH_RECORDS;
+        // Lanes 0 and 1 interleave record by record for four capture
+        // batches each, then lane 0 runs on alone for three more; lane 2
+        // starts after both are spent. This is the pin that a spool merge
+        // (N finite files, in-line) spawns nothing: every read of every
+        // lane happens on the thread that drains the mux.
+        let shared = 4 * BATCH_RECORDS as u64;
+        let alone = 3 * BATCH_RECORDS as u64;
+        let parts = [
+            (0..shared + alone).map(|t| 2 * t).collect::<Vec<_>>(),
+            (0..shared).map(|t| 2 * t + 1).collect(),
+            (0..2 * BATCH_RECORDS as u64).map(|t| 100_000 + t).collect(),
+        ];
+        let mut fills = Vec::new();
+        let sources = parts
+            .iter()
+            .map(|ts| {
+                let (inner, filled) = ArenaLoggingSource::boxed(ts.clone());
+                fills.push(filled);
+                SameThread::boxed(inner)
+            })
+            .collect();
+        let mut mux = CaptureMux::inline(sources, None);
+
+        let filled_by_a_source =
+            |arena: usize| fills.iter().any(|f| f.lock().unwrap().contains(&arena));
+        let mut out = RecordBatch::new();
+        let mut ts = Vec::new();
+        let (mut handed_over, mut copied) = (0, 0);
+        while mux.next_batch(&mut out, BATCH_RECORDS).unwrap().is_some() {
+            let first = out.get(0).unwrap().ts_nanos;
+            if first < 2 * shared - 2 * BATCH_RECORDS as u64 {
+                // Interleaving lanes: copied into the caller's own arena.
+                assert!(!filled_by_a_source(arena_of(&out)), "copy at ts {first}");
+                copied += 1;
+            } else if first >= 2 * (shared + BATCH_RECORDS as u64) {
+                // A lane running alone: its own arena, whole.
+                assert!(
+                    filled_by_a_source(arena_of(&out)),
+                    "hand-over at ts {first}"
+                );
+                assert_eq!(out.len(), BATCH_RECORDS);
+                handed_over += 1;
+            }
+            ts.extend(out.iter().map(|r| r.ts_nanos));
+        }
+        mux.finish().unwrap();
+        let mut want: Vec<u64> = parts.concat();
+        want.sort_unstable();
+        assert_eq!(ts, want);
+        assert_eq!(copied, 6, "interleaved batches ahead of the last two");
+        assert_eq!(
+            handed_over,
+            2 + 2,
+            "lane 0's last two batches, lane 2's two"
+        );
+        // Copy or hand-over, a lane is refilled from the arenas it was
+        // given back: no lane ever held more than a handful.
+        for filled in &fills {
+            let mut distinct = filled.lock().unwrap().clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert!(
+                distinct.len() <= 3,
+                "a lane filled {} arenas",
+                distinct.len()
+            );
+        }
+    }
+
+    /// Quiet (live, nothing new) on every other call, like a followed
+    /// pcap at end of file; three torn records at the end.
+    struct Stuttering {
+        next: u64,
+        calls: u32,
+    }
+
+    impl PacketSource for Stuttering {
+        fn label(&self) -> &str {
+            "test:stutter"
+        }
+        fn link_type(&self) -> LinkType {
+            LinkType::Ethernet
+        }
+        fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(2) {
+                return Ok(true);
+            }
+            for _ in 0..10 {
+                batch.push(self.next, 60, &[0xCD; 60]);
+                self.next += 1;
+            }
+            Ok(self.next < 50)
+        }
+        fn truncated_records(&self) -> u64 {
+            3
+        }
+    }
+
+    #[test]
     fn inline_lane_waits_out_a_quiet_live_source_and_reports_its_tail() {
-        /// Quiet (live, nothing new) on every other call, like a followed
-        /// pcap at end of file; three torn records at the end.
-        struct Stuttering {
-            next: u64,
-            calls: u32,
-        }
-        impl PacketSource for Stuttering {
-            fn label(&self) -> &str {
-                "test:stutter"
-            }
-            fn link_type(&self) -> LinkType {
-                LinkType::Ethernet
-            }
-            fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
-                self.calls += 1;
-                if self.calls.is_multiple_of(2) {
-                    return Ok(true);
-                }
-                for _ in 0..10 {
-                    batch.push(self.next, 60, &[0xCD; 60]);
-                    self.next += 1;
-                }
-                Ok(self.next < 50)
-            }
-            fn truncated_records(&self) -> u64 {
-                3
-            }
-        }
         let metrics = PipelineMetrics::new(0);
-        let mut mux =
-            CaptureMux::inline(Box::new(Stuttering { next: 0, calls: 0 }), Some(&metrics));
+        let mut mux = CaptureMux::inline(
+            vec![Box::new(Stuttering { next: 0, calls: 0 })],
+            Some(&metrics),
+        );
         let (ts, sizes) = drain_batched(&mut mux, MUX_MAX);
         assert_eq!(ts, (0..50).collect::<Vec<_>>());
         assert_eq!(sizes, vec![10; 5]);
@@ -1233,57 +1461,153 @@ mod tests {
         assert_eq!(snap.source_packets_total(), 50);
         assert_eq!(snap.sources[0].delivered_ts_nanos, 49);
         assert_eq!(snap.sources[0].ring_occupancy_hwm, 0);
+
+        // Beside other lanes: same records, and every counter — the
+        // lanes' own, the registry's per-source series, the torn tails —
+        // is what capture threads over the same sources report.
+        let run = |inline: bool| {
+            let metrics = PipelineMetrics::new(0);
+            let mut sources = stamped_sources(&[(0..400).collect(), (20..30).collect()], false);
+            sources.insert(1, Box::new(Stuttering { next: 0, calls: 0 }));
+            let mux = if inline {
+                CaptureMux::inline(sources, Some(&metrics))
+            } else {
+                CaptureMux::start(sources, MuxConfig::default(), Some(&metrics))
+            };
+            let drained = drain_all(mux, Some(crate::source::BATCH_RECORDS));
+            let per_source: Vec<_> = metrics
+                .snapshot()
+                .sources
+                .iter()
+                .map(|s| {
+                    (
+                        s.label.clone(),
+                        s.packets,
+                        s.bytes,
+                        s.batches,
+                        s.ring_full_drops,
+                        s.delivered_ts_nanos,
+                    )
+                })
+                .collect();
+            (drained, per_source)
+        };
+        let (inline, threaded) = (run(true), run(false));
+        assert_eq!(inline, threaded);
+        assert_eq!(inline.0.truncated, 3);
+        assert_eq!(inline.0.delivered.0, 400 + 50 + 10);
+        let stutter = &inline.0.stats[1];
+        assert_eq!(
+            (stutter.packets, stutter.batches, stutter.truncated),
+            (50, 5, 3)
+        );
     }
 
     #[test]
     fn inline_lane_traces_the_read_and_no_ring() {
-        let metrics = PipelineMetrics::new(0);
-        metrics.trace.enable(1, "cap-test");
-        let source = ReplaySource::new("replay:t", LinkType::Ethernet, records(0..64));
-        let mut mux = CaptureMux::inline(Box::new(source), Some(&metrics));
-        let mut batch = RecordBatch::new();
-        let mut tagged = 0u64;
-        while mux.next_batch(&mut batch, MUX_MAX).unwrap().is_some() {
-            tagged += u64::from(batch.trace_id != 0);
+        for lanes in 1..=3usize {
+            let metrics = PipelineMetrics::new(0);
+            metrics.trace.enable(1, "cap-test");
+            let parts: Vec<Vec<u64>> = (0..lanes as u64)
+                .map(|i| (0..64).map(|t| t * 3 + i).collect())
+                .collect();
+            let mut mux = CaptureMux::inline(stamped_sources(&parts, false), Some(&metrics));
+            let mut batch = RecordBatch::new();
+            let mut tagged = 0u64;
+            while mux.next_batch(&mut batch, MUX_MAX).unwrap().is_some() {
+                tagged += u64::from(batch.trace_id != 0);
+            }
+            mux.finish().unwrap();
+            assert!(tagged > 0, "sample_every=1 must tag delivered batches");
+            let ndjson = metrics.trace.drain_ndjson();
+            for lane in 0..lanes {
+                let site = format!("\"site\":\"replay:{lane}\"");
+                assert!(
+                    ndjson
+                        .lines()
+                        .any(|l| l.contains("\"span\":\"source_read\"") && l.contains(&site)),
+                    "no source_read at {site} in {ndjson}"
+                );
+            }
+            assert!(!ndjson.contains("\"span\":\"ring_"), "{ndjson}");
+            let snap = metrics.snapshot();
+            assert_eq!(snap.sources.len(), lanes);
+            assert!(snap.sources.iter().all(|s| s.ring_occupancy_hwm == 0));
         }
-        mux.finish().unwrap();
-        assert!(tagged > 0, "sample_every=1 must tag delivered batches");
-        let ndjson = metrics.trace.drain_ndjson();
-        assert!(ndjson.contains("\"span\":\"source_read\""), "{ndjson}");
-        assert!(!ndjson.contains("\"span\":\"ring_"), "{ndjson}");
+    }
+
+    /// `good` batches of one record each (timestamps 10, 20, …), then a
+    /// failure.
+    struct FailsAfter {
+        good: u64,
+        served: u64,
+    }
+
+    impl PacketSource for FailsAfter {
+        fn label(&self) -> &str {
+            "fail:later"
+        }
+        fn link_type(&self) -> LinkType {
+            LinkType::Ethernet
+        }
+        fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
+            if self.served == self.good {
+                return Err(SourceError::Format("synthetic failure".into()));
+            }
+            self.served += 1;
+            batch.push(10 * self.served, 60, &[0xCD; 60]);
+            Ok(true)
+        }
     }
 
     #[test]
     fn inline_lane_surfaces_a_source_error_with_its_label() {
-        /// One good batch, then a failure.
-        struct FailsSecond(bool);
-        impl PacketSource for FailsSecond {
-            fn label(&self) -> &str {
-                "fail:second"
-            }
-            fn link_type(&self) -> LinkType {
-                LinkType::Ethernet
-            }
-            fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
-                if std::mem::replace(&mut self.0, true) {
-                    return Err(SourceError::Format("synthetic failure".into()));
-                }
-                batch.push(7, 60, &[0xCD; 60]);
-                Ok(true)
-            }
-        }
-        let mut mux = CaptureMux::inline(Box::new(FailsSecond(false)), None);
+        let mut mux = CaptureMux::inline(vec![Box::new(FailsAfter { good: 1, served: 0 })], None);
         let mut out = RecordBatch::new();
         assert!(mux.next_batch(&mut out, MUX_MAX).unwrap().is_some());
         assert_eq!(out.len(), 1);
         let err = mux.next_batch(&mut out, MUX_MAX).unwrap_err().to_string();
-        assert!(
-            err.contains("fail:second: ") && err.contains("synthetic failure"),
-            "{err}"
-        );
+        assert_eq!(err, "fail:later: synthetic failure");
         // The lane is finished: nothing more, no second error.
         assert!(mux.next_batch(&mut out, MUX_MAX).unwrap().is_none());
         mux.finish().unwrap();
+
+        // Lane 1 of three fails mid-stream. Either lane kind delivers what
+        // precedes the failure, reports it once in the same words, and is
+        // left with that lane finished and the others intact.
+        let run = |inline: bool| {
+            let mut sources = stamped_sources(&[(0..100).collect(), (0..100).collect()], false);
+            sources.insert(1, Box::new(FailsAfter { good: 3, served: 0 }));
+            let mut mux = if inline {
+                CaptureMux::inline(sources, None)
+            } else {
+                CaptureMux::start(sources, MuxConfig::default(), None)
+            };
+            let mut before = Vec::new();
+            let err = loop {
+                match mux.next_record() {
+                    Ok(Some(r)) => before.push((r.ts_nanos, r.source)),
+                    Ok(None) => panic!("the failure was swallowed"),
+                    Err(e) => break e.to_string(),
+                }
+            };
+            let mut after = Vec::new();
+            while let Some(r) = mux.next_record().unwrap() {
+                after.push((r.ts_nanos, r.source));
+            }
+            mux.finish().unwrap();
+            (before, err, after)
+        };
+        let (inline, threaded) = (run(true), run(false));
+        assert_eq!(inline, threaded);
+        let (before, err, after) = inline;
+        assert_eq!(err, "fail:later: synthetic failure");
+        // Lane 1's three records went out in their places; the failure
+        // surfaced when the merge next needed that lane.
+        assert_eq!(before.iter().filter(|r| r.1 == 1).count(), 3);
+        assert_eq!(before.last(), Some(&(30, 1)));
+        assert_eq!(before.len() + after.len(), 203);
+        assert!(after.iter().all(|r| r.1 != 1));
     }
 
     #[test]

@@ -218,8 +218,9 @@ proptest! {
 }
 
 /// A fan-in over `lanes`: lane `i`'s `j`-th record is stamped `[i, j]` and
-/// carries the timestamp reached by summing the lane's steps.
-fn mux_over(lanes: &[Vec<u64>], ring_capacity: usize) -> CaptureMux {
+/// carries the timestamp reached by summing the lane's steps. Capture
+/// threads behind rings of `ring_capacity`, or in-line lanes without one.
+fn mux_over(lanes: &[Vec<u64>], ring_capacity: Option<usize>) -> CaptureMux {
     let sources = lanes
         .iter()
         .enumerate()
@@ -240,16 +241,22 @@ fn mux_over(lanes: &[Vec<u64>], ring_capacity: usize) -> CaptureMux {
             )) as Box<dyn PacketSource>
         })
         .collect();
-    let config = MuxConfig {
-        ring_capacity,
-        overflow: Overflow::Block,
-    };
-    CaptureMux::start(sources, config, None)
+    match ring_capacity {
+        Some(ring_capacity) => {
+            let config = MuxConfig {
+                ring_capacity,
+                overflow: Overflow::Block,
+            };
+            CaptureMux::start(sources, config, None)
+        }
+        None => CaptureMux::inline(sources, None),
+    }
 }
 
 proptest! {
-    /// A batched fan-in drain — handed-over arenas and copied runs alike —
-    /// is record for record the per-record `(ts, lane)` merge, for any
+    /// A batched fan-in drain — handed-over arenas and copied runs alike,
+    /// lanes behind capture threads and lanes read in-line alike — is
+    /// record for record the per-record `(ts, lane)` merge, for any
     /// number of lanes, any `max`, timestamp ties within and across lanes,
     /// and lanes long enough to span several capture batches.
     #[test]
@@ -259,21 +266,27 @@ proptest! {
         ring_capacity in 1usize..4,
     ) {
         let mut expected = Vec::new();
-        let mut mux = mux_over(&lanes, ring_capacity);
+        let mut mux = mux_over(&lanes, Some(ring_capacity));
         while let Some(r) = mux.next_record().unwrap() {
             expected.push((r.ts_nanos, r.data.to_vec()));
         }
         mux.finish().unwrap();
 
-        let mut got = Vec::new();
-        let mut mux = mux_over(&lanes, ring_capacity);
-        let mut batch = RecordBatch::new();
-        while mux.next_batch(&mut batch, max).unwrap().is_some() {
-            prop_assert!(!batch.is_empty() && batch.len() <= max);
-            got.extend(batch.iter().map(|r| (r.ts_nanos, r.data.to_vec())));
+        // Capture threads, then the same lanes read in-line: one merge.
+        for ring_capacity in [Some(ring_capacity), None] {
+            let mut got = Vec::new();
+            let mut mux = mux_over(&lanes, ring_capacity);
+            let mut batch = RecordBatch::new();
+            while mux.next_batch(&mut batch, max).unwrap().is_some() {
+                prop_assert!(!batch.is_empty() && batch.len() <= max);
+                got.extend(batch.iter().map(|r| (r.ts_nanos, r.data.to_vec())));
+            }
+            prop_assert_eq!(mux.records_delivered(), expected.len() as u64);
+            let stats: Vec<u64> = (0..lanes.len()).map(|i| mux.lane_stats(i).packets).collect();
+            let lens: Vec<u64> = lanes.iter().map(|l| l.len() as u64).collect();
+            prop_assert_eq!(stats, lens);
+            mux.finish().unwrap();
+            prop_assert_eq!(&got, &expected, "ring {:?}", ring_capacity);
         }
-        prop_assert_eq!(mux.records_delivered(), expected.len() as u64);
-        mux.finish().unwrap();
-        prop_assert_eq!(got, expected);
     }
 }

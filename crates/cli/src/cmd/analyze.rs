@@ -6,9 +6,10 @@
 //! Input is either a positional pcap path (the classic single-file
 //! shape) or any number of repeatable `--source` specs (`pcap:FILE`,
 //! `sim:SCENARIO[,seed=N][,secs=N]`); both can be mixed. Multiple
-//! sources are captured concurrently — one capture thread per source,
-//! hand-off through bounded lock-free rings — and merged into one
-//! deterministic timestamp-ordered stream, so an N-source run is
+//! sources are merged into one deterministic timestamp-ordered stream —
+//! finite files read in-line on the analysis thread, live or `--lossy`
+//! sources captured concurrently, one capture thread each, hand-off
+//! through bounded lock-free rings — so an N-source run is
 //! byte-identical to the equivalent single-source run (see
 //! `docs/CAPTURE.md`).
 //!
@@ -52,7 +53,7 @@
 //! analysis runs. `--worker-label` names the worker in the merge node's
 //! `zoom_worker_*` metrics. See `docs/DISTRIBUTED.md`.
 
-use super::sources::{build_sources, mux_flags, start_streaming_capture};
+use super::sources::{build_sources, mux_flags, start_capture, Sources};
 use super::{
     campus_flag, parse_args_repeat, parse_duration, write_window_line, CliError, CmdResult,
     TraceOutput,
@@ -69,17 +70,10 @@ use zoom_analysis::parallel::ParallelAnalyzer;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::PacketSink;
 use zoom_capture::mux::{CaptureMux, MuxConfig};
-use zoom_capture::source::{FollowConfig, PacketSource};
+use zoom_capture::source::{FollowConfig, BATCH_RECORDS};
 use zoom_wire::handoff::RecordBatch;
 use zoom_wire::pcap::{LinkType, Reader, RecordBuf, READ_BUFFER_BYTES};
 use zoom_wire::zoom::MediaType;
-
-/// The most records one fan-in drain hands to the sink at once: large
-/// enough to amortize the batch dissection setup across a type-sorted
-/// pass, small enough that a copied batch stays cache-resident. (A
-/// single source's batches arrive handed over, `BATCH_RECORDS` at a
-/// time, whatever this says.)
-pub(crate) const MUX_BATCH: usize = 1024;
 
 /// The `--metrics <path>` snapshot file: rewritten in place every
 /// `--metrics-interval` while records flow, and once more at the end.
@@ -161,22 +155,27 @@ fn feed_pcap<S: PacketSink, R: std::io::Read>(
     Ok(())
 }
 
-/// The multi-source ingest loop: records arrive pre-merged in timestamp
-/// order from the capture fan-in, a whole run-extended batch at a time,
-/// and enter the sink through the batched dissection path; progress
-/// gauges come from the mux's delivered counts instead of a single
-/// reader's.
-fn feed_mux<S: PacketSink>(
+/// The fan-in ingest loop: records arrive pre-merged in timestamp order
+/// from the capture fan-in, a whole run-extended batch at a time — a
+/// capture batch's worth (`BATCH_RECORDS`), so a batch copied out of
+/// interleaving lanes is still in cache when the sink walks it — and
+/// enter the sink through the batched dissection path; progress gauges
+/// come from the mux's delivered counts instead of a single reader's.
+/// `after_batch` runs once a batch is in the sink (`merge` syncs its
+/// workers' accounting there).
+pub(crate) fn feed_mux<S: PacketSink>(
     mux: &mut CaptureMux,
     sink: &mut S,
     metrics_file: &mut Option<MetricsFile>,
+    mut after_batch: impl FnMut(),
 ) -> CmdResult {
     let mut batch = RecordBatch::new();
     loop {
-        let Some(link) = mux.next_batch(&mut batch, MUX_BATCH)? else {
+        let Some(link) = mux.next_batch(&mut batch, BATCH_RECORDS)? else {
             return Ok(());
         };
         sink.push_batch(&batch, link)?;
+        after_batch();
         if let Some(m) = metrics_file {
             sink.note_pcap_progress(mux.records_delivered(), mux.bytes_delivered());
             m.tick(batch.len() as u32, || sink.metrics())?;
@@ -248,6 +247,10 @@ pub fn run(args: &[String]) -> CmdResult {
         .map(|v| parse_duration(v))
         .transpose()?
         .unwrap_or(Duration::from_secs(5));
+    let follow_cfg = follow.then_some(FollowConfig {
+        poll: Duration::from_millis(200),
+        idle_exit,
+    });
     let qoe = qoe_flags(&flags)?;
     let mux_config = mux_flags(&flags)?;
     let mut metrics_file = MetricsFile::from_flags(&flags)?;
@@ -274,10 +277,6 @@ pub fn run(args: &[String]) -> CmdResult {
     // worker's capture accounting) to a merge node instead of analyzing
     // them locally. See docs/DISTRIBUTED.md.
     if let Some(target) = flags.get("emit-fragments") {
-        let follow_cfg = follow.then_some(FollowConfig {
-            poll: Duration::from_millis(200),
-            idle_exit,
-        });
         let label = flags
             .get("worker-label")
             .cloned()
@@ -296,10 +295,6 @@ pub fn run(args: &[String]) -> CmdResult {
     if streaming {
         // Streaming always goes through the capture fan-in, so follow
         // mode is source-agnostic: every pcap source polls its own file.
-        let follow_cfg = follow.then_some(FollowConfig {
-            poll: Duration::from_millis(200),
-            idle_exit,
-        });
         let sources = build_sources(&pos, &source_specs, follow_cfg)?;
         return run_streaming(
             sources,
@@ -373,12 +368,13 @@ pub fn run(args: &[String]) -> CmdResult {
     print_report(&analyzer, &flags)
 }
 
-/// The multi-source batch path: capture threads fan records into the
-/// analysis sink through the lock-free rings, then the same report as
-/// the single-file path is printed — byte-identical for equivalent
-/// inputs (see `tests/multi_source_differential.rs`).
+/// The multi-source batch path: the fan-in merges the sources' records
+/// into the analysis sink (in-line or through capture threads and rings,
+/// see [`start_capture`]), then the same report as the single-file path
+/// is printed — byte-identical for equivalent inputs (see
+/// `tests/multi_source_differential.rs`).
 fn run_batch_mux(
-    sources: Vec<Box<dyn PacketSource>>,
+    sources: Sources,
     config: AnalyzerConfig,
     shards: usize,
     flags: &HashMap<String, String>,
@@ -392,8 +388,8 @@ fn run_batch_mux(
         if let Some(t) = &trace_out {
             t.enable(&mh.trace, "analyze");
         }
-        let mut mux = CaptureMux::start(sources, mux_config, Some(&mh));
-        feed_mux(&mut mux, &mut par, &mut metrics_file)?;
+        let mut mux = start_capture(sources, mux_config, Some(&mh));
+        feed_mux(&mut mux, &mut par, &mut metrics_file, || ())?;
         finish_mux(mux, &mut par)?;
         ParallelAnalyzer::finish(&mut par)?;
         if let Some(m) = &mut metrics_file {
@@ -409,8 +405,8 @@ fn run_batch_mux(
         if let Some(t) = &trace_out {
             t.enable(&mh.trace, "analyze");
         }
-        let mut mux = CaptureMux::start(sources, mux_config, Some(&mh));
-        feed_mux(&mut mux, &mut seq, &mut metrics_file)?;
+        let mut mux = start_capture(sources, mux_config, Some(&mh));
+        feed_mux(&mut mux, &mut seq, &mut metrics_file, || ())?;
         finish_mux(mux, &mut seq)?;
         if let Some(m) = &mut metrics_file {
             m.write(&seq.metrics())?;
@@ -524,13 +520,13 @@ pub(crate) fn print_report(analyzer: &Analyzer, flags: &HashMap<String, String>)
 
 /// The streaming path: NDJSON window reports as windows close, then the
 /// final report, all on stdout. All sources — including a followed,
-/// still-growing pcap — are captured concurrently and merged through
-/// the fan-in (a lone lossless one is read in-line through the same
-/// interface, see [`start_streaming_capture`]), so the ingest loop below
-/// never knows (or cares) how many files or simulated taps are behind it.
+/// still-growing pcap — are merged through the fan-in (captured
+/// concurrently, or read in-line through the same interface, see
+/// [`start_capture`]), so the ingest loop below never knows (or cares)
+/// how many files or simulated taps are behind it.
 #[allow(clippy::too_many_arguments)]
 fn run_streaming(
-    sources: Vec<Box<dyn PacketSource>>,
+    sources: Sources,
     config: AnalyzerConfig,
     shards: usize,
     window: Option<Duration>,
@@ -567,7 +563,7 @@ fn run_streaming(
     if let Some(t) = &trace_out {
         t.enable(&mh.trace, "analyze");
     }
-    let mut mux = start_streaming_capture(sources, mux_config, &mh);
+    let mut mux = start_capture(sources, mux_config, Some(&mh));
 
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -579,7 +575,7 @@ fn run_streaming(
     // per-record loop it replaced.
     let mut batch = RecordBatch::new();
     let mut line = String::new();
-    while let Some(link) = mux.next_batch(&mut batch, MUX_BATCH)? {
+    while let Some(link) = mux.next_batch(&mut batch, BATCH_RECORDS)? {
         engine.push_batch(&batch, link)?;
         let mut wrote = false;
         for w in engine.take_windows() {
@@ -635,7 +631,7 @@ fn run_streaming(
 /// (to a TCP merge node when `target` parses as a socket address, to a
 /// spool file otherwise) instead of entering a local analyzer.
 fn run_emit(
-    sources: Vec<Box<dyn PacketSource>>,
+    sources: Sources,
     target: &str,
     label: &str,
     mux_config: MuxConfig,
@@ -643,13 +639,12 @@ fn run_emit(
 ) -> CmdResult {
     use zoom_analysis::obs::trace::spans;
     use zoom_analysis::obs::PipelineMetrics;
-    use zoom_capture::source::BATCH_RECORDS;
     use zoom_wire::frame::{FrameWriter, Totals};
 
     // One fragment stream carries one link type (the Hello pins it),
     // mirroring the one-link rule a pcap file has.
-    let link = sources[0].link_type();
-    if let Some(s) = sources.iter().find(|s| s.link_type() != link) {
+    let link = sources.list[0].link_type();
+    if let Some(s) = sources.list.iter().find(|s| s.link_type() != link) {
         return Err(CliError::config(format!(
             "sources disagree on link type ({:?} vs {:?}); emit one fragment stream per link",
             link,
@@ -682,7 +677,7 @@ fn run_emit(
         t.enable(&m.trace, &format!("worker:{label}"));
         m
     });
-    let mut mux = CaptureMux::start(sources, mux_config, worker_metrics.as_ref());
+    let mut mux = start_capture(sources, mux_config, worker_metrics.as_ref());
     // The mux batches the merged stream itself (run extension over the
     // winning lane), so every non-empty drain becomes one wire frame.
     let mut batch = RecordBatch::new();

@@ -60,7 +60,9 @@ pub fn run(args: &[String]) -> CmdResult {
     // Per-source series register against this standalone registry; the
     // verdict counters below keep its conservation invariant intact.
     let metrics = PipelineMetrics::new(0);
-    let sources = build_sources(&[], &source_specs, follow_cfg)?;
+    // One capture thread per source, always: this consumer is light, so
+    // read-ahead is worth real rate here (docs/PERFORMANCE.md).
+    let sources = build_sources(&[], &source_specs, follow_cfg)?.list;
     let mut mux = CaptureMux::start(sources, mux_config, Some(&metrics));
 
     // The output link type is pinned by the first merged record; a pcap

@@ -14,11 +14,12 @@
 //!   re-run in file mode over the journal.
 //!
 //! Every worker becomes one fragment lane in the same capture fan-in
-//! `analyze` uses, so the merged record order — and therefore the
-//! output — is the deterministic `(ts, lane)` merge the differential
-//! suites pin down. The workers' self-reported accounting is folded into
-//! this process's metrics as `zoom_worker_*` series, and the
-//! conservation invariant extends across the wire:
+//! `analyze` uses — spool files read in-line on the merge thread, live
+//! connections behind one capture thread each — so the merged record
+//! order, and therefore the output, is the deterministic `(ts, lane)`
+//! merge the differential suites pin down. The workers' self-reported
+//! accounting is folded into this process's metrics as `zoom_worker_*`
+//! series, and the conservation invariant extends across the wire:
 //! `Σ worker packets == merge packets_in + Σ drops`.
 //!
 //! With `--window` the streaming engine emits NDJSON window reports just
@@ -28,8 +29,8 @@
 //! the already-emitted window prefix and continues with bit-identical
 //! output (`docs/DISTRIBUTED.md` has the runbook).
 
-use super::analyze::{finish_mux, print_report, MetricsFile, MUX_BATCH};
-use super::sources::mux_flags;
+use super::analyze::{feed_mux, finish_mux, print_report, MetricsFile};
+use super::sources::{mux_flags, start_capture, Sources};
 use super::{
     campus_flag, parse_args, parse_duration, write_window_line, CliError, CmdResult, TraceOutput,
 };
@@ -45,8 +46,8 @@ use zoom_analysis::parallel::ParallelAnalyzer;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::PacketSink;
 use zoom_capture::fragment::{FragmentSource, WorkerAccount};
-use zoom_capture::mux::{CaptureMux, MuxConfig};
-use zoom_capture::source::PacketSource;
+use zoom_capture::mux::MuxConfig;
+use zoom_capture::source::{PacketSource, BATCH_RECORDS};
 use zoom_wire::handoff::RecordBatch;
 
 /// A boxed byte stream: a spool file or an accepted worker connection,
@@ -203,42 +204,23 @@ fn register_workers(
 /// checkpoint records. With a collector, each lane stitches incoming
 /// `Trace` frames into it (worker-side spans join this process's spans
 /// by trace ID) and tags decoded batches for downstream attribution.
+/// Spool files are finite files to the fan-in; `--listen` connections
+/// are live.
 fn into_sources(
     workers: Vec<Worker>,
+    flags: &HashMap<String, String>,
     trace: Option<&Arc<TraceCollector>>,
-) -> (Vec<Box<dyn PacketSource>>, Vec<String>) {
+) -> (Sources, Vec<String>) {
     let labels = workers.iter().map(|w| w.label.clone()).collect();
-    let sources = workers
+    let list = workers
         .into_iter()
         .map(|w| match trace {
             Some(tc) => Box::new(w.source.with_trace(Arc::clone(tc))) as Box<dyn PacketSource>,
             None => Box::new(w.source) as Box<dyn PacketSource>,
         })
         .collect();
-    (sources, labels)
-}
-
-/// The merge-side ingest loop: identical to the `analyze` fan-in feed —
-/// run-extended batches through the batched dissection path — plus the
-/// per-batch worker-metrics sync.
-fn feed<S: PacketSink>(
-    mux: &mut CaptureMux,
-    sink: &mut S,
-    metrics_file: &mut Option<MetricsFile>,
-    pairs: &[(Arc<WorkerAccount>, Arc<WorkerMetrics>)],
-) -> CmdResult {
-    let mut batch = RecordBatch::new();
-    loop {
-        let Some(link) = mux.next_batch(&mut batch, MUX_BATCH)? else {
-            return Ok(());
-        };
-        sink.push_batch(&batch, link)?;
-        sync_worker_metrics(pairs);
-        if let Some(m) = metrics_file {
-            sink.note_pcap_progress(mux.records_delivered(), mux.bytes_delivered());
-            m.tick(batch.len() as u32, || sink.metrics())?;
-        }
-    }
+    let finite_files = !flags.contains_key("listen");
+    (Sources { list, finite_files }, labels)
 }
 
 pub fn run(args: &[String]) -> CmdResult {
@@ -344,7 +326,8 @@ pub fn run(args: &[String]) -> CmdResult {
 }
 
 /// Unwindowed merge: the same batch pipeline as `analyze` over the
-/// fragment lanes, ending in the shared report printer.
+/// fragment lanes — its fan-in feed plus the per-batch worker-metrics
+/// sync — ending in the shared report printer.
 fn run_batch_merge(
     workers: Vec<Worker>,
     config: AnalyzerConfig,
@@ -361,9 +344,10 @@ fn run_batch_merge(
             t.enable(&mh.trace, "merge");
         }
         let pairs = register_workers(&mh, &workers);
-        let (sources, _) = into_sources(workers, trace_out.as_ref().map(|_| &mh.trace));
-        let mut mux = CaptureMux::start(sources, mux_config, Some(&mh));
-        let fed = feed(&mut mux, &mut par, &mut metrics_file, &pairs);
+        let (sources, _) = into_sources(workers, flags, trace_out.as_ref().map(|_| &mh.trace));
+        let mut mux = start_capture(sources, mux_config, Some(&mh));
+        let sync = || sync_worker_metrics(&pairs);
+        let fed = feed_mux(&mut mux, &mut par, &mut metrics_file, sync);
         if fed.is_err() {
             mark_incomplete_errored(&pairs);
         }
@@ -385,9 +369,10 @@ fn run_batch_merge(
             t.enable(&mh.trace, "merge");
         }
         let pairs = register_workers(&mh, &workers);
-        let (sources, _) = into_sources(workers, trace_out.as_ref().map(|_| &mh.trace));
-        let mut mux = CaptureMux::start(sources, mux_config, Some(&mh));
-        let fed = feed(&mut mux, &mut seq, &mut metrics_file, &pairs);
+        let (sources, _) = into_sources(workers, flags, trace_out.as_ref().map(|_| &mh.trace));
+        let mut mux = start_capture(sources, mux_config, Some(&mh));
+        let sync = || sync_worker_metrics(&pairs);
+        let fed = feed_mux(&mut mux, &mut seq, &mut metrics_file, sync);
         if fed.is_err() {
             mark_incomplete_errored(&pairs);
         }
@@ -447,8 +432,8 @@ fn run_streaming_merge(
         t.enable(&mh.trace, "merge");
     }
     let pairs = register_workers(&mh, &workers);
-    let (sources, labels) = into_sources(workers, trace_out.as_ref().map(|_| &mh.trace));
-    let mut mux = CaptureMux::start(sources, mux_config, Some(&mh));
+    let (sources, labels) = into_sources(workers, flags, trace_out.as_ref().map(|_| &mh.trace));
+    let mut mux = start_capture(sources, mux_config, Some(&mh));
 
     let save_checkpoint = |gate: &WindowGate| -> Result<(), CliError> {
         let Some(path) = checkpoint_path else {
@@ -475,7 +460,7 @@ fn run_streaming_merge(
     let mut batch = RecordBatch::new();
     let mut line = String::new();
     loop {
-        let link = match mux.next_batch(&mut batch, MUX_BATCH) {
+        let link = match mux.next_batch(&mut batch, BATCH_RECORDS) {
             Ok(Some(link)) => link,
             Ok(None) => break,
             Err(e) => {

@@ -140,6 +140,17 @@ pub fn build_source(
     }
 }
 
+/// The sources of one fan-in, with what [`start_capture`] needs to know
+/// about them.
+pub struct Sources {
+    /// In lane order.
+    pub list: Vec<Box<dyn PacketSource>>,
+    /// Every source is a finite file — a `pcap:` spec without `--follow`,
+    /// a fragment spool: its next batch is always there to be read, so
+    /// reading it never waits on anything but the disk.
+    pub finite_files: bool,
+}
+
 /// Builds the full source list for a command invocation: every
 /// `--source` spec in order, preceded by the legacy positional input (as
 /// a pcap source) when one was given.
@@ -147,12 +158,19 @@ pub fn build_sources(
     positional: &[String],
     specs: &[(String, String)],
     follow: Option<FollowConfig>,
-) -> Result<Vec<Box<dyn PacketSource>>, CliError> {
+) -> Result<Sources, CliError> {
     let parsed = parse_specs(positional, specs)?;
     if parsed.is_empty() {
         return Err("no input: give a pcap path or at least one --source".into());
     }
-    parsed.iter().map(|s| build_source(s, follow)).collect()
+    Ok(Sources {
+        list: parsed
+            .iter()
+            .map(|s| build_source(s, follow))
+            .collect::<Result<_, _>>()?,
+        finite_files: follow.is_none()
+            && parsed.iter().all(|s| matches!(s, SourceSpec::Pcap { .. })),
+    })
 }
 
 /// Parse `--ring-cap` / `--lossy` into the fan-in configuration.
@@ -179,23 +197,29 @@ pub fn mux_flags(flags: &HashMap<String, String>) -> Result<MuxConfig, String> {
     })
 }
 
-/// The capture front-end of a streaming analysis. A single lossless
-/// source is read in-line on the analysis thread ([`CaptureMux::inline`]):
-/// under `Overflow::Block` its capture thread would wait for analysis
-/// anyway, and a pass that overlaps read and analysis only when the
-/// scheduler hands it a second core takes 1.0× or 1.5× as long from one
-/// run to the next. Several sources, or `--lossy`, keep one capture
-/// thread each ([`CaptureMux::start`]).
-pub fn start_streaming_capture(
-    mut sources: Vec<Box<dyn PacketSource>>,
+/// Starts the fan-in of every analysis route that has one (`analyze`
+/// with `--source`, a window or `--emit-fragments`; `merge`): in-line on
+/// the calling thread or one capture thread per source, decided here and
+/// nowhere else. Under `Overflow::Block` a capture thread waits for the
+/// consumer anyway, so all it buys is read-ahead on a second core — when
+/// the scheduler grants one; a pass that overlaps read and analysis only
+/// then takes 1.0× or 1.5× as long from one run to the next, and moves
+/// every arena between cores to do it. So a lone lossless source, and any
+/// number of finite files (whose next batch is always ready), are read
+/// in-line ([`CaptureMux::inline`]). `--lossy` keeps its threads because
+/// there the thread *is* the decoupling; several live sources (followed
+/// files, `sim:` taps, `merge --listen` connections) keep theirs because
+/// each paces its own polling and would stall the others in-line
+/// ([`CaptureMux::start`]).
+pub fn start_capture(
+    sources: Sources,
     config: MuxConfig,
-    metrics: &PipelineMetrics,
+    metrics: Option<&PipelineMetrics>,
 ) -> CaptureMux {
-    if sources.len() == 1 && config.overflow == Overflow::Block {
-        let source = sources.pop().expect("one source");
-        CaptureMux::inline(source, Some(metrics))
+    if config.overflow == Overflow::Block && (sources.list.len() == 1 || sources.finite_files) {
+        CaptureMux::inline(sources.list, metrics)
     } else {
-        CaptureMux::start(sources, config, Some(metrics))
+        CaptureMux::start(sources.list, config, metrics)
     }
 }
 

@@ -45,11 +45,20 @@
 //! ## Robustness
 //!
 //! The reader never panics on hostile input: every length field is
-//! bounds-checked before allocation (frames above [`MAX_FRAME_BYTES`]
-//! are malformed by definition), truncated streams surface
-//! [`Error::Truncated`], and unknown kinds or inconsistent interior
-//! lengths surface [`Error::Malformed`]. This is property-tested with
-//! random corruption in the distributed differential suite.
+//! checked against its kind before anything is read or allocated for it
+//! (Accounting and Bye are exactly 40 bytes, Hello at most 6 + 65 535,
+//! Records and Trace at most [`MAX_FRAME_BYTES`], Trace at least its
+//! 8-byte ID; an unknown kind is malformed whatever its length), and a
+//! payload's buffer grows with the bytes that actually arrive, not with
+//! the length the peer claimed.
+//! Truncated streams surface [`Error::Truncated`], unknown kinds or
+//! inconsistent interior lengths [`Error::Malformed`]. This is
+//! property-tested with random corruption (`crates/wire/tests/proptests.rs`).
+//!
+//! A Records payload is read straight onto the tail of the caller's
+//! [`RecordBatch`] arena and its records are indexed where they landed —
+//! no staging buffer, no per-record copy; a frame that turns out malformed
+//! or truncated is rolled back out of the batch.
 //!
 //! ```
 //! use zoom_wire::frame::{FrameReader, FrameWriter, FrameEvent, Totals};
@@ -71,7 +80,7 @@
 //! assert_eq!(out.len(), 1);
 //! ```
 
-use crate::handoff::RecordBatch;
+use crate::handoff::{FramedTail, RecordBatch};
 use crate::pcap::LinkType;
 use crate::{be16, be32, be64, Error};
 use std::io::{self, Read, Write};
@@ -86,6 +95,13 @@ pub const VERSION: u8 = 1;
 /// capture hand-off batches stays well under this; anything larger is a
 /// corrupt or hostile length field and is rejected before allocation.
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
+
+/// `[kind u8][len u32 BE]` ahead of every payload.
+const FRAME_HEAD: usize = 5;
+/// An Accounting or Bye payload: five `u64`s.
+const TOTALS_BYTES: u32 = 40;
+/// The fixed part of a Hello payload: `link u32`, `label_len u16`.
+const HELLO_FIXED: u32 = 6;
 
 const KIND_HELLO: u8 = 1;
 const KIND_RECORDS: u8 = 2;
@@ -123,7 +139,7 @@ impl Totals {
     }
 
     fn parse(payload: &[u8]) -> Result<Totals, Error> {
-        if payload.len() != 40 {
+        if payload.len() != TOTALS_BYTES as usize {
             return Err(Error::Malformed);
         }
         Ok(Totals {
@@ -239,9 +255,11 @@ impl<W: Write> FrameWriter<W> {
         self.write_encoded_records(batch)
     }
 
-    /// Encode `batch` as a Records payload into the scratch buffer.
+    /// Encode `batch` as a Records frame into the scratch buffer: the
+    /// frame head first, its length still to be filled in.
     fn encode_records(&mut self, batch: &RecordBatch) {
         self.scratch.clear();
+        self.scratch.extend_from_slice(&[KIND_RECORDS, 0, 0, 0, 0]);
         self.scratch
             .extend_from_slice(&(batch.len() as u32).to_be_bytes());
         for r in batch.iter() {
@@ -253,13 +271,21 @@ impl<W: Write> FrameWriter<W> {
         }
     }
 
-    /// Write the scratch buffer — `batch`, encoded — as a Records frame.
+    /// Write the scratch buffer — `batch`, encoded — as a Records frame:
+    /// head and payload in one `write_all`, so a frame larger than the
+    /// writer's buffer costs one `write` (or `send`), not a 5-byte one
+    /// ahead of it.
     fn write_encoded_records(&mut self, batch: &RecordBatch) -> io::Result<()> {
-        let scratch = std::mem::take(&mut self.scratch);
-        let res = self.write_frame(KIND_RECORDS, &scratch);
-        self.scratch = scratch;
+        let payload = self.scratch.len() - FRAME_HEAD;
+        assert!(
+            payload <= MAX_FRAME_BYTES as usize,
+            "frame payload exceeds MAX_FRAME_BYTES"
+        );
+        self.scratch[1..FRAME_HEAD].copy_from_slice(&(payload as u32).to_be_bytes());
+        self.out.write_all(&self.scratch)?;
+        self.frames_written += 1;
         self.records_written += batch.len() as u64;
-        res
+        Ok(())
     }
 
     /// Ships a cumulative accounting update.
@@ -328,17 +354,18 @@ impl<R: Read> FrameReader<R> {
         if head[4] != VERSION {
             return Err(Error::Unsupported);
         }
-        let mut payload = Vec::new();
-        let kind = read_frame(&mut input, &mut payload)?.ok_or(Error::Truncated)?;
-        if kind != KIND_HELLO || payload.len() < 6 {
+        let (kind, len) = read_head(&mut input)?.ok_or(Error::Truncated)?;
+        if kind != KIND_HELLO || !(HELLO_FIXED..=HELLO_FIXED + u32::from(u16::MAX)).contains(&len) {
             return Err(Error::Malformed);
         }
+        let mut payload = Vec::new();
+        read_payload(&mut input, len, &mut payload)?;
         let link = LinkType::from(be32(&payload, 0));
         let label_len = be16(&payload, 4) as usize;
-        if payload.len() != 6 + label_len {
+        if payload.len() != HELLO_FIXED as usize + label_len {
             return Err(Error::Malformed);
         }
-        let label = std::str::from_utf8(&payload[6..])
+        let label = std::str::from_utf8(&payload[HELLO_FIXED as usize..])
             .map_err(|_| Error::Malformed)?
             .to_string();
         Ok(FrameReader {
@@ -383,91 +410,108 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
-    /// Decodes the next frame. Records are **appended** to `batch`;
-    /// `Ok(None)` signals EOF (check [`saw_bye`](Self::saw_bye) for
-    /// whether it was a clean end of stream).
+    /// Decodes the next frame. Records are **appended** to `batch` — read
+    /// straight onto its arena tail and indexed there — and an `Err`
+    /// leaves `batch` exactly as it was; `Ok(None)` signals EOF (check
+    /// [`saw_bye`](Self::saw_bye) for whether it was a clean end of
+    /// stream).
     pub fn next(&mut self, batch: &mut RecordBatch) -> Result<Option<FrameEvent>, Error> {
         if self.saw_bye {
             return Ok(None);
         }
-        let mut payload = std::mem::take(&mut self.payload);
-        let kind = read_frame(&mut self.input, &mut payload);
-        self.payload = payload;
-        let Some(kind) = kind? else {
+        let Some((kind, len)) = read_head(&mut self.input)? else {
             return Ok(None);
         };
+        // The length is judged against the kind before a byte of payload
+        // is read: a control frame cannot make the reader buffer more than
+        // it can mean, and an unknown kind (or a second Hello) nothing.
         match kind {
-            KIND_RECORDS => {
-                let count = decode_records(&self.payload, batch)?;
+            KIND_RECORDS if len <= MAX_FRAME_BYTES => {
+                let input = &mut self.input;
+                let count = batch.append_framed(|tail| {
+                    read_payload(input, len, tail.arena())?;
+                    index_records(tail)
+                })?;
                 self.records_read += count as u64;
                 Ok(Some(FrameEvent::Records { count }))
             }
-            KIND_ACCOUNTING => Ok(Some(FrameEvent::Accounting(Totals::parse(&self.payload)?))),
-            KIND_TRACE => {
-                if self.payload.len() < 8 {
-                    return Err(Error::Malformed);
-                }
-                Ok(Some(FrameEvent::Trace {
-                    trace_id: be64(&self.payload, 0),
-                }))
+            KIND_TRACE if (8..=MAX_FRAME_BYTES).contains(&len) => {
+                let trace_id = be64(self.stage(len)?, 0);
+                Ok(Some(FrameEvent::Trace { trace_id }))
             }
-            KIND_BYE => {
+            KIND_ACCOUNTING if len == TOTALS_BYTES => Ok(Some(FrameEvent::Accounting(
+                Totals::parse(self.stage(len)?)?,
+            ))),
+            KIND_BYE if len == TOTALS_BYTES => {
+                let totals = Totals::parse(self.stage(len)?)?;
                 self.saw_bye = true;
-                Ok(Some(FrameEvent::Bye(Totals::parse(&self.payload)?)))
+                Ok(Some(FrameEvent::Bye(totals)))
             }
-            // A second Hello (or anything unknown) mid-stream is corrupt.
             _ => Err(Error::Malformed),
         }
     }
+
+    /// Reads a control frame's payload — they are small — into the staging
+    /// buffer.
+    fn stage(&mut self, len: u32) -> Result<&[u8], Error> {
+        self.payload.clear();
+        read_payload(&mut self.input, len, &mut self.payload)?;
+        Ok(&self.payload)
+    }
 }
 
-/// Reads one `[kind][len][payload]` frame into `payload`. `Ok(None)` at
-/// a clean frame boundary EOF; `Err(Truncated)` when the stream ends
-/// mid-frame; `Err(Malformed)` on an oversized length field.
-fn read_frame<R: Read>(input: &mut R, payload: &mut Vec<u8>) -> Result<Option<u8>, Error> {
-    let mut head = [0u8; 5];
-    match input.read(&mut head[..1]) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-            return read_frame(input, payload);
+/// Reads one `[kind][len]` frame head. `Ok(None)` at a clean frame
+/// boundary EOF; `Err(Truncated)` when the stream ends inside the head.
+fn read_head<R: Read>(input: &mut R) -> Result<Option<(u8, u32)>, Error> {
+    let mut head = [0u8; FRAME_HEAD];
+    loop {
+        match input.read(&mut head[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return Err(Error::Truncated),
         }
-        Err(_) => return Err(Error::Truncated),
     }
     read_exact(input, &mut head[1..])?;
-    let kind = head[0];
-    let len = be32(&head, 1);
-    if len > MAX_FRAME_BYTES {
-        return Err(Error::Malformed);
-    }
-    payload.clear();
-    payload.resize(len as usize, 0);
-    read_exact(input, payload)?;
-    Ok(Some(kind))
+    Ok(Some((head[0], be32(&head, 1))))
 }
 
-/// Decodes a Records payload, appending to `batch`; returns the count.
-fn decode_records(payload: &[u8], batch: &mut RecordBatch) -> Result<u32, Error> {
-    if payload.len() < 4 {
+/// Appends exactly `len` payload bytes to `buf`, which grows with what
+/// arrives: a stream that ends early is `Truncated` having cost no more
+/// memory than it sent.
+fn read_payload<R: Read>(input: &mut R, len: u32, buf: &mut Vec<u8>) -> Result<(), Error> {
+    match input.take(u64::from(len)).read_to_end(buf) {
+        Ok(got) if got == len as usize => Ok(()),
+        _ => Err(Error::Truncated),
+    }
+}
+
+/// Walks the Records payload that was just landed on `tail` — `count`,
+/// then per record `ts`, `orig_len`, `cap_len` and the bytes — and
+/// indexes every record in place; returns the count.
+fn index_records(tail: &mut FramedTail<'_>) -> Result<u32, Error> {
+    let len = tail.bytes().len();
+    if len < 4 {
         return Err(Error::Malformed);
     }
-    let count = be32(payload, 0);
+    let count = be32(tail.bytes(), 0);
     let mut off = 4usize;
     for _ in 0..count {
-        if payload.len() - off < 16 {
+        let payload = tail.bytes();
+        if len - off < 16 {
             return Err(Error::Malformed);
         }
         let ts = be64(payload, off);
         let orig_len = be32(payload, off + 8);
         let cap_len = be32(payload, off + 12) as usize;
         off += 16;
-        if payload.len() - off < cap_len {
+        if len - off < cap_len {
             return Err(Error::Malformed);
         }
-        batch.push(ts, orig_len, &payload[off..off + cap_len]);
+        tail.index(ts, orig_len, off, cap_len);
         off += cap_len;
     }
-    if off != payload.len() {
+    if off != len {
         // Trailing garbage inside the frame: length fields disagree.
         return Err(Error::Malformed);
     }
@@ -481,6 +525,60 @@ fn read_exact<R: Read>(input: &mut R, buf: &mut [u8]) -> Result<(), Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Everything a batch holds, for "an `Err` left it as it was".
+    #[derive(Debug, PartialEq)]
+    struct Contents {
+        len: usize,
+        arena_bytes: usize,
+        records: Vec<(u64, u32, Vec<u8>)>,
+    }
+
+    fn contents(batch: &RecordBatch) -> Contents {
+        Contents {
+            len: batch.len(),
+            arena_bytes: batch.arena_bytes(),
+            records: batch
+                .iter()
+                .map(|r| (r.ts_nanos, r.orig_len, r.data.to_vec()))
+                .collect(),
+        }
+    }
+
+    /// A batch that already holds something, for an error to leave alone.
+    fn occupied_batch() -> RecordBatch {
+        let mut batch = RecordBatch::new();
+        batch.push(1, 70, &[0x11; 70]);
+        batch.push(2, 9_000, &[0x22; 33]);
+        batch
+    }
+
+    /// Drains `bytes` into an occupied batch until the reader fails, and
+    /// returns the failure — having checked that the failing call left
+    /// the batch exactly as the last successful one had.
+    fn first_error(bytes: &[u8]) -> Option<Error> {
+        let mut r = match FrameReader::new(bytes) {
+            Ok(r) => r,
+            Err(e) => return Some(e),
+        };
+        let mut batch = occupied_batch();
+        loop {
+            let before = contents(&batch);
+            match r.next(&mut batch) {
+                Ok(Some(_)) => {}
+                Ok(None) => return None,
+                Err(e) => {
+                    assert_eq!(contents(&batch), before, "{e:?} left records behind");
+                    return Some(e);
+                }
+            }
+        }
+    }
+
+    /// Start of the first frame after the Hello of a stream labelled `label`.
+    fn after_hello(label: &str) -> usize {
+        5 + FRAME_HEAD + HELLO_FIXED as usize + label.len()
+    }
 
     fn sample_stream() -> Vec<u8> {
         let mut w = FrameWriter::new(Vec::new(), "worker-a", LinkType::Ethernet).unwrap();
@@ -624,9 +722,7 @@ mod tests {
         let mut w = FrameWriter::new(Vec::new(), "w", LinkType::Ethernet).unwrap();
         w.write_frame(KIND_TRACE, &[0u8; 4]).unwrap(); // < 8-byte trace_id
         let bytes = w.finish(Totals::default()).unwrap();
-        let mut r = FrameReader::new(&bytes[..]).unwrap();
-        let mut out = RecordBatch::new();
-        assert_eq!(r.next(&mut out).unwrap_err(), Error::Malformed);
+        assert_eq!(first_error(&bytes), Some(Error::Malformed));
     }
 
     #[test]
@@ -658,23 +754,28 @@ mod tests {
     #[test]
     fn truncated_stream_is_an_error_not_a_clean_eof() {
         let bytes = sample_stream();
-        // Cut inside the first Records frame.
-        let cut = &bytes[..bytes.len() - 50];
-        let mut r = FrameReader::new(cut).unwrap();
-        let mut batch = RecordBatch::new();
-        let mut saw_err = false;
-        loop {
-            match r.next(&mut batch) {
-                Ok(Some(_)) => continue,
-                Ok(None) => break,
-                Err(e) => {
-                    saw_err = true;
-                    assert_eq!(e, Error::Truncated);
-                    break;
-                }
+        // Every cut inside a frame is an error that leaves the batch
+        // alone; a cut at a frame boundary is an EOF without a Bye.
+        let boundaries = {
+            let mut at = vec![after_hello("worker-a")];
+            while *at.last().unwrap() < bytes.len() {
+                let head = *at.last().unwrap();
+                at.push(head + FRAME_HEAD + be32(&bytes, head + 1) as usize);
+            }
+            at
+        };
+        assert_eq!(boundaries.len(), 5, "Records, Accounting, Records, Bye");
+        for cut in after_hello("worker-a")..bytes.len() {
+            match first_error(&bytes[..cut]) {
+                Some(e) => assert_eq!(e, Error::Truncated, "cut at {cut}"),
+                None => assert!(boundaries.contains(&cut), "cut at {cut} passed for clean"),
             }
         }
-        assert!(saw_err || !r.saw_bye(), "a cut stream must not look clean");
+        let mut r = FrameReader::new(&bytes[..boundaries[1]]).unwrap();
+        let mut batch = RecordBatch::new();
+        while r.next(&mut batch).unwrap().is_some() {}
+        assert!(!r.saw_bye(), "a cut stream must not look clean");
+        assert_eq!(batch.len(), 2);
     }
 
     #[test]
@@ -696,12 +797,21 @@ mod tests {
         let mut bytes = w.finish(Totals::default()).unwrap();
         // Bump the per-record cap_len inside the Records frame so it
         // disagrees with the frame length.
-        let records_frame_start = 5 + 5 + (6 + "w".len()); // header + hello frame
-        let cap_len_off = records_frame_start + 5 + 4 + 8 + 4;
+        let cap_len_off = after_hello("w") + FRAME_HEAD + 4 + 8 + 4;
         bytes[cap_len_off + 3] = 9; // cap_len 10 -> 9: trailing byte left over
-        let mut r = FrameReader::new(&bytes[..]).unwrap();
-        let mut out = RecordBatch::new();
-        assert_eq!(r.next(&mut out).unwrap_err(), Error::Malformed);
+        assert_eq!(first_error(&bytes), Some(Error::Malformed));
+        bytes[cap_len_off + 3] = 11; // runs past the frame's end
+        assert_eq!(first_error(&bytes), Some(Error::Malformed));
+        bytes[cap_len_off + 3] = 10;
+        assert_eq!(first_error(&bytes), None);
+        // A count the frame has no headers for, and a frame too short to
+        // hold a count at all.
+        bytes[after_hello("w") + FRAME_HEAD + 3] = 2;
+        assert_eq!(first_error(&bytes), Some(Error::Malformed));
+        let mut w = FrameWriter::new(Vec::new(), "w", LinkType::Ethernet).unwrap();
+        w.write_frame(KIND_RECORDS, &[0u8; 3]).unwrap();
+        let bytes = w.finish(Totals::default()).unwrap();
+        assert_eq!(first_error(&bytes), Some(Error::Malformed));
     }
 
     #[test]
@@ -709,10 +819,232 @@ mod tests {
         let mut bytes = sample_stream();
         // Corrupt the first Records frame's kind byte into a second
         // Hello: anything but Records/Accounting/Bye mid-stream is bad.
-        let records_frame_kind = 5 + 5 + (6 + "worker-a".len());
-        bytes[records_frame_kind] = KIND_HELLO;
-        let mut r = FrameReader::new(&bytes[..]).unwrap();
+        bytes[after_hello("worker-a")] = KIND_HELLO;
+        assert_eq!(first_error(&bytes), Some(Error::Malformed));
+    }
+
+    /// Counts what a reader hands out, and in how many `read` calls.
+    struct CountingRead<'a> {
+        bytes: &'a [u8],
+        served: usize,
+    }
+
+    impl Read for CountingRead<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.bytes.read(buf)?;
+            self.served += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn records_are_indexed_where_the_read_landed_them() {
+        let sizes = [60usize, 0, 1_400, 64, 1];
+        let mut batch = RecordBatch::new();
+        for (i, &n) in sizes.iter().enumerate() {
+            batch.push(i as u64, n as u32, &vec![i as u8; n]);
+        }
+        let mut w = FrameWriter::new(Vec::new(), "w", LinkType::Ethernet).unwrap();
+        w.write_batch(&batch).unwrap();
+        let bytes = w.finish(Totals::default()).unwrap();
+
+        let input = CountingRead {
+            bytes: &bytes,
+            served: 0,
+        };
+        let mut r = FrameReader::new(input).unwrap();
         let mut out = RecordBatch::new();
-        assert_eq!(r.next(&mut out).unwrap_err(), Error::Malformed);
+        assert_eq!(
+            r.next(&mut out).unwrap(),
+            Some(FrameEvent::Records { count: 5 })
+        );
+        // The arena holds the payload as it was on the wire: every record
+        // sits one 16-byte header past the end of the one before it.
+        for i in 0..sizes.len() - 1 {
+            let (this, next) = (out.get(i).unwrap(), out.get(i + 1).unwrap());
+            assert_eq!(
+                next.data.as_ptr() as usize,
+                this.data.as_ptr() as usize + this.data.len() + 16,
+                "record {}",
+                i + 1
+            );
+        }
+        assert_eq!(contents(&out).records, contents(&batch).records);
+        assert_eq!(out.arena_bytes(), sizes.iter().sum::<usize>());
+        assert!(matches!(
+            r.next(&mut out).unwrap(),
+            Some(FrameEvent::Bye(_))
+        ));
+        // ... and every byte of the stream was read exactly once: nothing
+        // was staged and read again, nothing asked for twice.
+        assert_eq!(r.input.served, bytes.len());
+    }
+
+    #[test]
+    fn appending_a_frame_leaves_earlier_records_where_they_were() {
+        let bytes = sample_stream();
+        let mut r = FrameReader::new(&bytes[..]).unwrap();
+        // Room enough that the arena does not move when the frames land.
+        let mut batch = RecordBatch::with_capacity(8, 4096);
+        batch.push(5, 80, &[0x55; 80]);
+        let where_it_was = batch.get(0).unwrap().data.as_ptr();
+        while r.next(&mut batch).unwrap().is_some() {}
+        assert_eq!(batch.len(), 4);
+        let first = batch.get(0).unwrap();
+        assert_eq!(
+            (first.ts_nanos, first.orig_len, first.data),
+            (5, 80, &[0x55; 80][..])
+        );
+        assert_eq!(first.data.as_ptr(), where_it_was);
+        let ts: Vec<u64> = batch.iter().map(|r| r.ts_nanos).collect();
+        assert_eq!(ts, vec![5, 10, 20, 30]);
+        assert_eq!(batch.arena_bytes(), 80 + 60 + 64 + 80);
+    }
+
+    /// Counts `write` calls and what they carried.
+    #[derive(Default)]
+    struct CountingWrite {
+        calls: Vec<usize>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_records_frame_is_one_write() {
+        let mut batch = RecordBatch::new();
+        for i in 0..128 {
+            batch.push(i, 700, &[0xAB; 700]);
+        }
+        let framed = FRAME_HEAD + 4 + 128 * (16 + 700);
+        let mut w = FrameWriter::new(CountingWrite::default(), "w", LinkType::Ethernet).unwrap();
+        let after_hello = w.out.calls.len();
+        w.write_batch(&batch).unwrap();
+        w.write_batch(&batch).unwrap();
+        assert_eq!(w.out.calls[after_hello..], [framed, framed]);
+        // Traced, the Trace frame still goes first; the Records frame
+        // behind it is still one write.
+        w.write_batch_traced(&batch, 7, |_| "{}\n".to_string())
+            .unwrap();
+        assert_eq!(w.out.calls.last(), Some(&framed));
+        assert_eq!(w.out.calls.iter().filter(|&&n| n == framed).count(), 3);
+        assert_eq!(w.frames_written, 1 + 3 + 1);
+    }
+
+    #[test]
+    fn a_storm_of_interrupts_is_retried_in_a_loop() {
+        /// `Interrupted` a million times ahead of every frame head — deep
+        /// enough to overflow the stack of a reader that retries by
+        /// calling itself.
+        struct Stormy<'a> {
+            bytes: &'a [u8],
+            interrupts_left: u32,
+        }
+        impl Read for Stormy<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                if buf.len() == 1 && self.interrupts_left > 0 {
+                    self.interrupts_left -= 1;
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                if buf.len() == 1 {
+                    self.interrupts_left = 1_000_000;
+                }
+                self.bytes.read(buf)
+            }
+        }
+        let bytes = sample_stream();
+        let mut r = FrameReader::new(Stormy {
+            bytes: &bytes,
+            interrupts_left: 1_000_000,
+        })
+        .unwrap();
+        let mut batch = RecordBatch::new();
+        while r.next(&mut batch).unwrap().is_some() {}
+        assert!(r.saw_bye());
+        assert_eq!(batch.len(), 3);
+    }
+
+    /// A stream that is all claim: header, then one frame head announcing
+    /// `len` bytes of `kind`, then `sent` bytes of payload and nothing more.
+    fn claim(kind: u8, len: u32, sent: usize) -> Vec<u8> {
+        let mut bytes = FrameWriter::new(Vec::new(), "w", LinkType::Ethernet)
+            .unwrap()
+            .out;
+        bytes.push(kind);
+        bytes.extend_from_slice(&len.to_be_bytes());
+        bytes.extend(std::iter::repeat_n(0u8, sent));
+        bytes
+    }
+
+    #[test]
+    fn a_length_is_judged_against_its_kind_before_anything_is_read() {
+        // Past the frame head there is nothing: a reader that went for the
+        // payload first would report `Truncated`.
+        for (kind, len) in [
+            (KIND_ACCOUNTING, TOTALS_BYTES - 1),
+            (KIND_ACCOUNTING, MAX_FRAME_BYTES),
+            (KIND_BYE, TOTALS_BYTES + 1),
+            (KIND_BYE, 0),
+            (KIND_HELLO, HELLO_FIXED),
+            (0, 0),
+            (6, 12),
+            (0xFF, MAX_FRAME_BYTES),
+            (KIND_RECORDS, MAX_FRAME_BYTES + 1),
+            (KIND_TRACE, MAX_FRAME_BYTES + 1),
+            (KIND_TRACE, 7),
+        ] {
+            assert_eq!(
+                first_error(&claim(kind, len, 0)),
+                Some(Error::Malformed),
+                "kind {kind} len {len}"
+            );
+        }
+        // Lengths their kinds allow are read, and found cut short.
+        for (kind, len) in [
+            (KIND_ACCOUNTING, TOTALS_BYTES),
+            (KIND_BYE, TOTALS_BYTES),
+            (KIND_RECORDS, MAX_FRAME_BYTES),
+            (KIND_TRACE, MAX_FRAME_BYTES),
+        ] {
+            assert_eq!(
+                first_error(&claim(kind, len, 7)),
+                Some(Error::Truncated),
+                "kind {kind} len {len}"
+            );
+        }
+        // The Hello itself: a label longer than its `u16` can say.
+        let mut hello = Vec::from(MAGIC);
+        hello.push(VERSION);
+        hello.push(KIND_HELLO);
+        let longest = HELLO_FIXED + u32::from(u16::MAX);
+        hello.extend_from_slice(&(longest + 1).to_be_bytes());
+        assert_eq!(FrameReader::new(&hello[..]).unwrap_err(), Error::Malformed);
+        hello.truncate(6);
+        hello.extend_from_slice(&longest.to_be_bytes());
+        assert_eq!(FrameReader::new(&hello[..]).unwrap_err(), Error::Truncated);
+    }
+
+    #[test]
+    fn a_claimed_length_reserves_nothing_until_bytes_arrive() {
+        // Ten bytes of payload behind a 16 MiB claim, Records and Trace.
+        let mut batch = RecordBatch::new();
+        let bytes = claim(KIND_RECORDS, MAX_FRAME_BYTES, 10);
+        let mut r = FrameReader::new(&bytes[..]).unwrap();
+        assert_eq!(r.next(&mut batch).unwrap_err(), Error::Truncated);
+        assert!(batch.is_empty());
+        assert!(batch.arena_capacity() < 4096, "{}", batch.arena_capacity());
+
+        let bytes = claim(KIND_TRACE, MAX_FRAME_BYTES, 10);
+        let mut r = FrameReader::new(&bytes[..]).unwrap();
+        assert_eq!(r.next(&mut batch).unwrap_err(), Error::Truncated);
+        assert!(r.payload.capacity() < 4096, "{}", r.payload.capacity());
     }
 }

@@ -11,7 +11,11 @@
 //! The layout is append-only: [`RecordBatch::push`] copies the packet bytes
 //! to the end of the arena, [`RecordBatch::iter`] yields borrowed
 //! [`RecordRef`]s in insertion order, and [`RecordBatch::clear`] resets the
-//! batch for reuse while keeping its capacity.
+//! batch for reuse while keeping its capacity. Every slot carries its
+//! record's offset *and* length, so the arena may hold bytes that belong
+//! to no record: a `ZFRG` Records frame is read onto the arena tail whole
+//! and its records indexed where they landed, framing left in between
+//! (`frame::FrameReader::next`).
 //!
 //! ```
 //! use zoom_wire::handoff::RecordBatch;
@@ -50,9 +54,9 @@ pub struct RecordRef<'a> {
 struct Slot {
     ts_nanos: u64,
     orig_len: u32,
-    /// Offset of the record's first byte in the arena; its end is the next
-    /// slot's offset (or the arena length for the last record).
-    offset: u32,
+    /// Captured length: the record is `arena[offset..offset + len]`.
+    len: u32,
+    offset: usize,
 }
 
 /// An owned, recyclable batch of packet records packed into one arena.
@@ -63,6 +67,8 @@ struct Slot {
 pub struct RecordBatch {
     slots: Vec<Slot>,
     arena: Vec<u8>,
+    /// Σ `len` over `slots`: the arena's length less any framing in it.
+    captured: usize,
     /// Causal trace ID stamped by a sampled capture site (`0` =
     /// untraced, the overwhelmingly common case). Rides the batch
     /// through every hand-off so downstream stages can attribute their
@@ -82,19 +88,28 @@ impl RecordBatch {
         RecordBatch {
             slots: Vec::with_capacity(records),
             arena: Vec::with_capacity(bytes),
+            captured: 0,
             trace_id: 0,
         }
     }
 
     /// Appends one record, copying `data` into the arena.
     pub fn push(&mut self, ts_nanos: u64, orig_len: u32, data: &[u8]) {
-        debug_assert!(self.arena.len() + data.len() <= u32::MAX as usize);
+        let offset = self.arena.len();
+        self.arena.extend_from_slice(data);
+        self.index(ts_nanos, orig_len, offset, data.len());
+    }
+
+    /// Adds the slot of a record whose bytes already lie in the arena.
+    fn index(&mut self, ts_nanos: u64, orig_len: u32, offset: usize, len: usize) {
+        assert!(offset + len <= self.arena.len(), "record outside the arena");
         self.slots.push(Slot {
             ts_nanos,
             orig_len,
-            offset: self.arena.len() as u32,
+            len: u32::try_from(len).expect("a record is shorter than 4 GiB"),
+            offset,
         });
-        self.arena.extend_from_slice(data);
+        self.captured += len;
     }
 
     /// Appends one record whose bytes `fill` writes onto the arena tail:
@@ -111,16 +126,30 @@ impl RecordBatch {
         let start = self.arena.len();
         let filled = fill(&mut self.arena);
         if matches!(filled, Ok(true)) {
-            debug_assert!(self.arena.len() <= u32::MAX as usize);
-            self.slots.push(Slot {
-                ts_nanos,
-                orig_len,
-                offset: start as u32,
-            });
+            self.index(ts_nanos, orig_len, start, self.arena.len() - start);
         } else {
             self.arena.truncate(start);
         }
         filled
+    }
+
+    /// Appends the records of a framed region: `land` writes the region —
+    /// records, framing and all — onto the arena tail through the
+    /// [`FramedTail`] it is given and indexes each record where it landed.
+    /// If `land` fails, the batch is rolled back to exactly what it held
+    /// before the call; its result is passed on either way.
+    pub(crate) fn append_framed<T, E>(
+        &mut self,
+        land: impl FnOnce(&mut FramedTail<'_>) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let (slots, start, captured) = (self.slots.len(), self.arena.len(), self.captured);
+        let landed = land(&mut FramedTail { batch: self, start });
+        if landed.is_err() {
+            self.slots.truncate(slots);
+            self.arena.truncate(start);
+            self.captured = captured;
+        }
+        landed
     }
 
     /// Number of records currently in the batch.
@@ -133,24 +162,19 @@ impl RecordBatch {
         self.slots.is_empty()
     }
 
-    /// Total captured bytes currently in the arena.
+    /// Total captured bytes currently in the arena (framing that a
+    /// frame-indexed batch holds between its records is not counted).
     pub fn arena_bytes(&self) -> usize {
-        self.arena.len()
+        self.captured
     }
 
     /// Returns the record at `index`, or `None` past the end.
     pub fn get(&self, index: usize) -> Option<RecordRef<'_>> {
         let slot = self.slots.get(index)?;
-        let start = slot.offset as usize;
-        let end = self
-            .slots
-            .get(index + 1)
-            .map(|next| next.offset as usize)
-            .unwrap_or(self.arena.len());
         Some(RecordRef {
             ts_nanos: slot.ts_nanos,
             orig_len: slot.orig_len,
-            data: &self.arena[start..end],
+            data: &self.arena[slot.offset..slot.offset + slot.len as usize],
         })
     }
 
@@ -167,7 +191,34 @@ impl RecordBatch {
     pub fn clear(&mut self) {
         self.slots.clear();
         self.arena.clear();
+        self.captured = 0;
         self.trace_id = 0;
+    }
+}
+
+/// The arena tail of a [`RecordBatch`] while [`RecordBatch::append_framed`]
+/// lands a framed region on it.
+pub(crate) struct FramedTail<'a> {
+    batch: &'a mut RecordBatch,
+    /// Arena length when the region began.
+    start: usize,
+}
+
+impl FramedTail<'_> {
+    /// The arena, for the region's bytes to be appended to.
+    pub(crate) fn arena(&mut self) -> &mut Vec<u8> {
+        &mut self.batch.arena
+    }
+
+    /// The bytes landed so far.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.batch.arena[self.start..]
+    }
+
+    /// Indexes the record at `bytes()[offset..offset + len]`.
+    pub(crate) fn index(&mut self, ts_nanos: u64, orig_len: u32, offset: usize, len: usize) {
+        self.batch
+            .index(ts_nanos, orig_len, self.start + offset, len);
     }
 }
 
@@ -207,6 +258,14 @@ impl<'a> ExactSizeIterator for BatchIter<'a> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RecordBatch {
+        /// What the arena has allocated, for the frame reader's tests: what
+        /// a hostile length field must not be able to inflate.
+        pub(crate) fn arena_capacity(&self) -> usize {
+            self.arena.capacity()
+        }
+    }
 
     #[test]
     fn push_get_iter_roundtrip() {
@@ -249,5 +308,92 @@ mod tests {
         }
         assert_eq!(b.slots.capacity(), slot_cap);
         assert_eq!(b.arena.capacity(), arena_cap);
+    }
+
+    /// Lands `records` the way a `ZFRG` Records frame arrives: a 4-byte
+    /// count, then a 16-byte header ahead of each record's bytes.
+    fn land_framed(b: &mut RecordBatch, records: &[(u64, u32, &[u8])]) -> Result<(), ()> {
+        b.append_framed(|tail| {
+            tail.arena().extend_from_slice(&[0xF0; 4]);
+            for &(ts, orig_len, data) in records {
+                tail.arena().extend_from_slice(&[0xF1; 16]);
+                let offset = tail.bytes().len();
+                tail.arena().extend_from_slice(data);
+                tail.index(ts, orig_len, offset, data.len());
+            }
+            Ok(())
+        })
+    }
+
+    fn contents(b: &RecordBatch) -> Vec<(u64, u32, Vec<u8>)> {
+        b.iter()
+            .map(|r| (r.ts_nanos, r.orig_len, r.data.to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn pushed_and_frame_indexed_records_share_one_batch() {
+        let mut b = RecordBatch::new();
+        b.push(10, 100, &[1, 2, 3]);
+        land_framed(&mut b, &[(20, 4, &[9; 4]), (30, 0, &[]), (40, 7, &[7; 7])]).unwrap();
+        b.push_with(50, 2, |arena| {
+            arena.extend_from_slice(&[5, 5]);
+            Ok(true)
+        })
+        .unwrap();
+        b.push(60, 1, &[6]);
+
+        let want = vec![
+            (10, 100, vec![1, 2, 3]),
+            (20, 4, vec![9; 4]),
+            (30, 0, vec![]),
+            (40, 7, vec![7; 7]),
+            (50, 2, vec![5, 5]),
+            (60, 1, vec![6]),
+        ];
+        assert_eq!(contents(&b), want);
+        assert_eq!(b.len(), 6);
+        assert_eq!(b.iter().len(), 6);
+        for (i, rec) in want.iter().enumerate() {
+            let r = b.get(i).unwrap();
+            assert_eq!((r.ts_nanos, r.orig_len, r.data), (rec.0, rec.1, &rec.2[..]));
+        }
+        assert!(b.get(6).is_none());
+        // Captured bytes only: the 4 + 3 × 16 bytes of framing the arena
+        // also holds are not counted.
+        assert_eq!(b.arena_bytes(), 3 + 4 + 7 + 2 + 1);
+        assert_eq!(b.arena.len(), b.arena_bytes() + 4 + 3 * 16);
+
+        // A failed `push_with` after framed records rolls back to them.
+        let torn = b.push_with(70, 9, |arena| {
+            arena.extend_from_slice(&[8; 5]);
+            Ok(false)
+        });
+        assert!(!torn.unwrap());
+        assert_eq!(contents(&b), want);
+        assert_eq!(b.arena_bytes(), 17);
+
+        b.clear();
+        assert!(b.is_empty());
+        assert_eq!((b.arena_bytes(), b.arena.len()), (0, 0));
+        land_framed(&mut b, &[(1, 1, &[1])]).unwrap();
+        assert_eq!(contents(&b), vec![(1, 1, vec![1])]);
+        assert_eq!(b.arena_bytes(), 1);
+    }
+
+    #[test]
+    fn a_failed_framed_append_rolls_back_slots_bytes_and_count() {
+        let mut b = RecordBatch::new();
+        b.push(10, 3, &[1, 2, 3]);
+        land_framed(&mut b, &[(20, 2, &[4, 5])]).unwrap();
+        let before = (contents(&b), b.arena_bytes(), b.arena.len());
+        let failed: Result<(), &str> = b.append_framed(|tail| {
+            tail.arena().extend_from_slice(&[0xEE; 40]);
+            tail.index(30, 8, 4, 8);
+            tail.index(40, 8, 28, 8);
+            Err("the frame's lengths disagree")
+        });
+        assert_eq!(failed, Err("the frame's lengths disagree"));
+        assert_eq!((contents(&b), b.arena_bytes(), b.arena.len()), before);
     }
 }

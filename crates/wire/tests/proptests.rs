@@ -347,21 +347,44 @@ proptest! {
         use zoom_wire::frame::{FrameReader, FrameWriter, Totals};
         use zoom_wire::handoff::RecordBatch;
 
+        // Two Records frames (the first may be empty and is then skipped),
+        // so damage can land behind records already decoded.
         let mut w = FrameWriter::new(Vec::new(), "w", LinkType::Ethernet).unwrap();
         let mut batch = RecordBatch::new();
-        for (ts, data) in &records {
-            batch.push(*ts, data.len() as u32, data);
+        for half in [&records[..records.len() / 2], &records[records.len() / 2..]] {
+            batch.clear();
+            for (ts, data) in half {
+                batch.push(*ts, data.len() as u32, data);
+            }
+            w.write_batch(&batch).unwrap();
         }
-        w.write_batch(&batch).unwrap();
         let stream = w.finish(Totals::default()).unwrap();
 
         // Drain a (possibly damaged) stream; must never panic and must
-        // not report a clean Bye unless the bytes still form one.
+        // not report a clean Bye unless the bytes still form one. Records
+        // are decoded in place on the batch's arena, so a frame that
+        // fails must be rolled back out of it: whatever the damage, the
+        // batch after an `Err` is the batch before the call.
+        let contents = |b: &RecordBatch| {
+            let records: Vec<(u64, u32, Vec<u8>)> =
+                b.iter().map(|r| (r.ts_nanos, r.orig_len, r.data.to_vec())).collect();
+            (b.len(), b.arena_bytes(), records)
+        };
         let drain = |bytes: &[u8]| -> Result<bool, zoom_wire::Error> {
             let mut r = FrameReader::new(bytes)?;
             let mut b = RecordBatch::new();
-            while r.next(&mut b)?.is_some() {}
-            Ok(r.saw_bye())
+            b.push(7, 7, &[7; 7]);
+            loop {
+                let before = contents(&b);
+                match r.next(&mut b) {
+                    Ok(Some(_)) => {}
+                    Ok(None) => return Ok(r.saw_bye()),
+                    Err(e) => {
+                        assert_eq!(contents(&b), before, "{e:?} left the batch changed");
+                        return Err(e);
+                    }
+                }
+            }
         };
 
         // Any truncation strictly inside the stream must surface an

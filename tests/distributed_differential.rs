@@ -17,6 +17,14 @@
 //!   open windows at crash time lose nothing.
 //! * A worker stream cut before its Bye frame surfaces as an error from
 //!   the fan-in, never a silently short report.
+//! * Fragment lanes read in-line (`CaptureMux::inline` — how `merge
+//!   FILES…` reads its spools) equal the same lanes behind capture threads
+//!   (how `merge --listen` reads its connections) equal the single
+//!   process, drained the CLI's way (`next_batch(BATCH_RECORDS)` →
+//!   `push_batch`), one and two shards, windowed and not. With
+//!   `tests/multi_source_differential.rs`, which does the same over plain
+//!   sources, this is what pins the fan-in's two lane kinds against each
+//!   other.
 
 use std::io::Cursor;
 use std::sync::atomic::Ordering;
@@ -30,7 +38,7 @@ use zoom_analysis::report::WindowReport;
 use zoom_analysis::PacketSink;
 use zoom_capture::fragment::{FragmentSource, WorkerAccount};
 use zoom_capture::mux::{CaptureMux, MuxConfig, Overflow};
-use zoom_capture::source::PacketSource;
+use zoom_capture::source::{PacketSource, BATCH_RECORDS};
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
@@ -123,6 +131,17 @@ fn sync_workers(pairs: &[(Arc<WorkerAccount>, Arc<WorkerMetrics>)]) {
     }
 }
 
+/// How a merge run reads its fragment lanes and feeds the engine.
+#[derive(Clone, Copy, Debug)]
+enum Drive {
+    /// Capture threads, record by record: the reference drive.
+    PerRecord,
+    /// As the CLI drives it — `next_batch(BATCH_RECORDS)` → `push_batch` —
+    /// over capture threads (`merge --listen`) or in-line lanes (`merge
+    /// FILES…`).
+    Batched { inline: bool },
+}
+
 /// Run the merge-node pipeline over the fragment-encoded splits exactly
 /// as `zoom-tools merge` wires it: one `FragmentSource` lane per worker,
 /// worker accounts folded into the registry, snapshot after drain.
@@ -130,6 +149,15 @@ fn fragment_run(
     splits: &[Vec<Record>],
     shards: usize,
     window: Option<Duration>,
+) -> (Vec<WindowReport>, EngineOutput, MetricsSnapshot) {
+    fragment_run_driven(splits, shards, window, Drive::PerRecord)
+}
+
+fn fragment_run_driven(
+    splits: &[Vec<Record>],
+    shards: usize,
+    window: Option<Duration>,
+    drive: Drive,
 ) -> (Vec<WindowReport>, EngineOutput, MetricsSnapshot) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
@@ -151,18 +179,32 @@ fn fragment_run(
             Box::new(src) as Box<dyn PacketSource>
         })
         .collect();
-    let mut mux = CaptureMux::start(
-        sources,
-        MuxConfig {
-            ring_capacity: 8,
-            overflow: Overflow::Block,
-        },
-        Some(&mh),
-    );
+    let config = MuxConfig {
+        ring_capacity: 8,
+        overflow: Overflow::Block,
+    };
+    let mut mux = match drive {
+        Drive::Batched { inline: true } => CaptureMux::inline(sources, Some(&mh)),
+        _ => CaptureMux::start(sources, config, Some(&mh)),
+    };
     let mut windows = Vec::new();
-    while let Some(r) = mux.next_record().expect("mux record") {
-        engine.push(r.ts_nanos, r.data, r.link).expect("push");
-        windows.extend(engine.take_windows());
+    match drive {
+        Drive::PerRecord => {
+            while let Some(r) = mux.next_record().expect("mux record") {
+                engine.push(r.ts_nanos, r.data, r.link).expect("push");
+                windows.extend(engine.take_windows());
+            }
+        }
+        Drive::Batched { .. } => {
+            let mut batch = RecordBatch::new();
+            while let Some(link) = mux
+                .next_batch(&mut batch, BATCH_RECORDS)
+                .expect("mux batch")
+            {
+                engine.push_batch(&batch, link).expect("push_batch");
+                windows.extend(engine.take_windows());
+            }
+        }
     }
     assert_eq!(mux.ring_full_drops(), 0, "lossless replay must not drop");
     mux.finish().expect("capture teardown");
@@ -283,6 +325,54 @@ fn fragment_workers_byte_identical_to_single_process() {
     }
 }
 
+/// Spool lanes read on the merge thread, connection lanes behind capture
+/// threads, and no lanes at all: one output.
+#[test]
+fn inline_fragment_lanes_match_threaded_lanes_and_the_single_process() {
+    let records = strictly_increasing_records(13, 20);
+    for window in [None, Some(Duration::from_secs(3))] {
+        for shards in [1usize, 2] {
+            let (base_windows, base_out) = single_process_run(&records, shards, window);
+            assert!(window.is_none() || base_windows.len() > 3, "windows closed");
+            for (n, how) in [
+                (1, Split::Contiguous),
+                (2, Split::RoundRobin),
+                (3, Split::Contiguous),
+            ] {
+                let splits = split_records(&records, n, how);
+                let mut source_rows = Vec::new();
+                for inline in [false, true] {
+                    let label = format!("{n} workers/inline {inline}/{shards} shards/{window:?}");
+                    let (windows, out, snap) =
+                        fragment_run_driven(&splits, shards, window, Drive::Batched { inline });
+                    assert_same_output(&windows, &out, &base_windows, &base_out, &label);
+                    assert_worker_accounting(&snap, &splits, &label);
+                    // Captured bytes only, whichever way the frames were
+                    // read: the framing a lane's arena holds is not counted.
+                    for (part, row) in splits.iter().zip(&snap.sources) {
+                        let bytes: u64 = part.iter().map(|r| r.data.len() as u64).sum();
+                        assert_eq!(
+                            (row.packets, row.bytes),
+                            (part.len() as u64, bytes),
+                            "{label}"
+                        );
+                    }
+                    source_rows.push(
+                        snap.sources
+                            .iter()
+                            .map(|s| (s.label.clone(), s.packets, s.bytes, s.batches))
+                            .collect::<Vec<_>>(),
+                    );
+                }
+                assert_eq!(
+                    source_rows[0], source_rows[1],
+                    "{n} workers: per-source counters"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn sharded_merge_matches_sequential_merge() {
     let records = strictly_increasing_records(29, 15);
@@ -367,7 +457,8 @@ fn merge_restart_resumes_from_checkpoint_without_losing_windows() {
     );
 }
 
-/// A worker cut off before its Bye frame must fail the merge loudly.
+/// A worker cut off before its Bye frame must fail the merge loudly,
+/// whichever kind of lane reads it.
 #[test]
 fn cut_worker_stream_is_an_error_not_a_short_report() {
     let records = strictly_increasing_records(5, 10);
@@ -376,22 +467,31 @@ fn cut_worker_stream_is_an_error_not_a_short_report() {
     let mut cut = frame_stream(&splits[1], "w1");
     cut.truncate(cut.len() - 50); // lose the Bye (and a record tail)
 
-    let sources: Vec<Box<dyn PacketSource>> = vec![
-        Box::new(FragmentSource::open(Cursor::new(ok)).expect("ok stream")),
-        Box::new(FragmentSource::open(Cursor::new(cut)).expect("header still valid")),
-    ];
-    let mut mux = CaptureMux::start(sources, MuxConfig::default(), None);
-    let err = loop {
-        match mux.next_record() {
-            Ok(Some(_)) => continue,
-            Ok(None) => panic!("cut stream passed for a complete merge"),
-            Err(e) => break e,
-        }
-    };
-    let msg = err.to_string();
-    assert!(
-        msg.contains("Bye") || msg.contains("truncated"),
-        "unhelpful cut-stream error: {msg}"
-    );
-    let _ = mux.finish();
+    let mut messages = Vec::new();
+    for inline in [false, true] {
+        let sources: Vec<Box<dyn PacketSource>> = vec![
+            Box::new(FragmentSource::open(Cursor::new(ok.clone())).expect("ok stream")),
+            Box::new(FragmentSource::open(Cursor::new(cut.clone())).expect("header still valid")),
+        ];
+        let mut mux = if inline {
+            CaptureMux::inline(sources, None)
+        } else {
+            CaptureMux::start(sources, MuxConfig::default(), None)
+        };
+        let err = loop {
+            match mux.next_record() {
+                Ok(Some(_)) => continue,
+                Ok(None) => panic!("cut stream passed for a complete merge"),
+                Err(e) => break e,
+            }
+        };
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with("worker:w1: ") && (msg.contains("Bye") || msg.contains("truncated")),
+            "unhelpful cut-stream error: {msg}"
+        );
+        messages.push(msg);
+        let _ = mux.finish();
+    }
+    assert_eq!(messages[0], messages[1]);
 }

@@ -15,10 +15,14 @@
 //! One shard runs the engine's in-line lane (shard state on the calling
 //! thread), more run worker threads: the 1/2/8-shard axis also pins
 //! in-line ≡ threaded.
-//! * A lone source read in-line (`CaptureMux::inline`, what a streaming
-//!   `analyze` of one lossless source does) equals the same source behind
-//!   a capture thread, drained the CLI's way (`next_batch` →
+//! * Sources read in-line (`CaptureMux::inline` — what the CLI does for a
+//!   lone lossless source and for any number of finite files) equal the
+//!   same sources behind capture threads and the single concatenated
+//!   source, drained the CLI's way (`next_batch(BATCH_RECORDS)` →
 //!   `push_batch`): same windows, same report, same per-source counters.
+//!   With `tests/distributed_differential.rs`, which does the same over
+//!   fragment lanes, this is what pins the fan-in's two lane kinds
+//!   against each other.
 
 use std::time::Duration;
 use zoom_analysis::engine::{EngineConfig, EngineOutput, StreamingEngine};
@@ -27,7 +31,7 @@ use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::report::WindowReport;
 use zoom_analysis::PacketSink;
 use zoom_capture::mux::{CaptureMux, MuxConfig, Overflow};
-use zoom_capture::source::{PacketSource, ReplaySource};
+use zoom_capture::source::{PacketSource, ReplaySource, BATCH_RECORDS};
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
@@ -208,10 +212,10 @@ fn split_sources_byte_identical_to_single_source_at_1_2_8_shards() {
     }
 }
 
-/// The CLI's streaming drain — `next_batch` into `push_batch` — over one
-/// source, read in-line or behind a capture thread.
-fn batched_single_source_run(
-    records: &[Record],
+/// The CLI's drain — `next_batch` into `push_batch` — over `splits`, read
+/// in-line or behind one capture thread each.
+fn batched_run(
+    splits: &[Vec<Record>],
     inline: bool,
     shards: usize,
     window: Option<Duration>,
@@ -225,24 +229,34 @@ fn batched_single_source_run(
     })
     .expect("valid engine config");
     let mh = engine.metrics_handle();
-    let source: Box<dyn PacketSource> = Box::new(ReplaySource::new(
-        "replay:0",
-        LinkType::Ethernet,
-        records.to_vec(),
-    ));
+    let sources: Vec<Box<dyn PacketSource>> = splits
+        .iter()
+        .enumerate()
+        .map(|(i, recs)| {
+            Box::new(ReplaySource::new(
+                &format!("replay:{i}"),
+                LinkType::Ethernet,
+                recs.clone(),
+            )) as Box<dyn PacketSource>
+        })
+        .collect();
     let mut mux = if inline {
-        CaptureMux::inline(source, Some(&mh))
+        CaptureMux::inline(sources, Some(&mh))
     } else {
-        CaptureMux::start(vec![source], MuxConfig::default(), Some(&mh))
+        CaptureMux::start(sources, MuxConfig::default(), Some(&mh))
     };
     let mut windows = Vec::new();
     let mut batch = zoom_wire::handoff::RecordBatch::new();
-    while let Some(link) = mux.next_batch(&mut batch, 1024).expect("mux batch") {
+    while let Some(link) = mux
+        .next_batch(&mut batch, BATCH_RECORDS)
+        .expect("mux batch")
+    {
         engine.push_batch(&batch, link).expect("push_batch");
         windows.extend(engine.take_windows());
     }
     assert_eq!(mux.ring_full_drops(), 0, "lossless replay must not drop");
-    assert_eq!(mux.records_delivered(), records.len() as u64);
+    let total: usize = splits.iter().map(Vec::len).sum();
+    assert_eq!(mux.records_delivered(), total as u64);
     mux.finish().expect("capture teardown");
     let out = engine.drain().expect("drain");
     let snap = out.analyzer.metrics();
@@ -254,21 +268,33 @@ fn inline_source_byte_identical_to_the_capture_thread() {
     let records = strictly_increasing_records(17, 30);
     for shards in [1usize, 2] {
         for window in [None, Some(Duration::from_secs(2))] {
-            let label = format!("inline vs threaded/{shards} shards/{window:?}");
-            let threaded = batched_single_source_run(&records, false, shards, window);
-            let inline = batched_single_source_run(&records, true, shards, window);
+            let single = batched_run(std::slice::from_ref(&records), false, shards, window);
             assert!(
-                window.is_none() || inline.0.len() > 5,
-                "{label}: windows closed"
+                window.is_none() || single.0.len() > 5,
+                "{shards} shards/{window:?}: windows closed"
             );
-            assert_same_run(&inline, &threaded, &label);
-            for run in [&inline, &threaded] {
-                assert_capture_accounting(&run.2, std::slice::from_ref(&records), &label);
+            let splits = [
+                vec![records.clone()],
+                split_records(&records, 2, Split::RoundRobin),
+                split_records(&records, 3, Split::Contiguous),
+            ];
+            for splits in &splits {
+                let label = format!(
+                    "inline vs threaded/{} sources/{shards} shards/{window:?}",
+                    splits.len()
+                );
+                let threaded = batched_run(splits, false, shards, window);
+                let inline = batched_run(splits, true, shards, window);
+                assert_same_run(&inline, &threaded, &label);
+                assert_same_run(&inline, &single, &label);
+                for run in [&inline, &threaded] {
+                    assert_capture_accounting(&run.2, splits, &label);
+                }
+                for (i, (a, b)) in inline.2.sources.iter().zip(&threaded.2.sources).enumerate() {
+                    assert_eq!(a.batches, b.batches, "{label}: source {i} batches");
+                    assert_eq!(a.ring_occupancy_hwm, 0, "{label}: source {i} has no ring");
+                }
             }
-            assert_eq!(
-                inline.2.sources[0].batches, threaded.2.sources[0].batches,
-                "{label}"
-            );
         }
     }
 }

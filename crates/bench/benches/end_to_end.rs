@@ -1,8 +1,7 @@
 //! End-to-end throughput: simulate → filter → analyze, packets per second,
-//! plus sequential-vs-sharded analyzer scaling on the campus scenario.
+//! plus the pcap ingest paths on the campus scenario.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use zoom_analysis::parallel::ParallelAnalyzer;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_capture::cidr::prefix_set;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig};
@@ -47,37 +46,10 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
-    // Analyzer scaling on the campus scenario (Table 6's workload): the
-    // same pre-filtered record stream through the sequential Analyzer and
-    // through the sharded pipeline. Results are byte-identical (see
-    // tests/parallel_differential.rs); this measures only the speedup.
+    // The campus scenario (Table 6's workload), for the ingest group
+    // below.
     let (campus, _infra) = scenario::campus_study(5, 120 * SEC, 1.0 / 2.0, 0.0);
     let records: Vec<_> = campus.into_stream().collect();
-
-    let mut g = c.benchmark_group("sharded_analysis");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(records.len() as u64));
-    g.bench_function("sequential", |b| {
-        b.iter(|| {
-            let mut analyzer = Analyzer::new(AnalyzerConfig::default());
-            for r in &records {
-                analyzer.process_packet(r.ts_nanos, &r.data, LinkType::Ethernet);
-            }
-            analyzer.summary().zoom_packets
-        })
-    });
-    for shards in [2usize, 4, 8] {
-        g.bench_function(&format!("shards_{shards}"), |b| {
-            b.iter(|| {
-                let mut par = ParallelAnalyzer::new(AnalyzerConfig::default(), shards);
-                for r in &records {
-                    par.process_packet(r.ts_nanos, &r.data, LinkType::Ethernet);
-                }
-                par.summary().zoom_packets
-            })
-        });
-    }
-    g.finish();
 
     // Ingest fast path: the same pcap image through the owning reader,
     // the buffer-reusing `read_into` loop, and the borrowed-slice

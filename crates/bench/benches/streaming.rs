@@ -22,23 +22,20 @@ fn churn_records(seed: u64, secs: u64) -> Vec<Record> {
 
 fn run_streaming(
     records: &[Record],
-    shards: usize,
     window: Option<Duration>,
     idle: Option<Duration>,
 ) -> (u64, usize) {
-    run_streaming_qoe(records, shards, window, idle, None)
+    run_streaming_qoe(records, window, idle, None)
 }
 
 fn run_streaming_qoe(
     records: &[Record],
-    shards: usize,
     window: Option<Duration>,
     idle: Option<Duration>,
     qoe: Option<QoeThresholds>,
 ) -> (u64, usize) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
-        shards,
         window,
         idle_timeout: idle,
         qoe,
@@ -61,10 +58,9 @@ fn bench(c: &mut Criterion) {
     // same window cadence (the gauge is sampled at window ticks),
     // eviction must hold the tracked-entry peak below the never-evict
     // run.
-    let (_, peak_retaining) = run_streaming(&records, 1, Some(Duration::from_secs(10)), None);
+    let (_, peak_retaining) = run_streaming(&records, Some(Duration::from_secs(10)), None);
     let (_, peak_evicting) = run_streaming(
         &records,
-        1,
         Some(Duration::from_secs(10)),
         Some(Duration::from_secs(10)),
     );
@@ -88,10 +84,10 @@ fn bench(c: &mut Criterion) {
         })
     });
     g.bench_function("streaming_unwindowed", |b| {
-        b.iter(|| run_streaming(&records, 1, None, None).0)
+        b.iter(|| run_streaming(&records, None, None).0)
     });
     g.bench_function("streaming_10s_windows", |b| {
-        b.iter(|| run_streaming(&records, 1, Some(Duration::from_secs(10)), None).0)
+        b.iter(|| run_streaming(&records, Some(Duration::from_secs(10)), None).0)
     });
     // Full QoE telemetry on: labeled series updated and the degradation
     // detector scored at every window tick. The delta against
@@ -101,7 +97,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             run_streaming_qoe(
                 &records,
-                1,
                 Some(Duration::from_secs(10)),
                 None,
                 Some(QoeThresholds::default()),
@@ -113,18 +108,12 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             run_streaming(
                 &records,
-                1,
                 Some(Duration::from_secs(10)),
                 Some(Duration::from_secs(10)),
             )
             .0
         })
     });
-    for shards in [2usize, 4] {
-        g.bench_function(&format!("streaming_10s_windows_shards_{shards}"), |b| {
-            b.iter(|| run_streaming(&records, shards, Some(Duration::from_secs(10)), None).0)
-        });
-    }
     // The zero-copy entry point: same engine, records fed as borrowed
     // slices via push_packet (what a SliceReader/read_into loop does)
     // instead of owned Records.
@@ -132,7 +121,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut engine = StreamingEngine::new(EngineConfig {
                 analyzer: AnalyzerConfig::default(),
-                shards: 1,
                 window: None,
                 idle_timeout: None,
                 qoe: None,

@@ -240,7 +240,7 @@ struct BatchResult {
     /// records per second. The headline batch pipeline rate, comparable
     /// to the per-packet `pipeline_pkts_per_sec` above.
     pipeline_pkts_per_sec: f64,
-    /// The streaming engine (1 shard, 10 s windows) fed whole batches:
+    /// The streaming engine (10 s windows) fed whole batches:
     /// records per second, including window emission.
     windowed_pipeline_pkts_per_sec: f64,
     /// Allocations per record on a second, warm windowed pass (same
@@ -344,13 +344,12 @@ fn measure_batch(img: &[u8], records: &[Record]) -> BatchResult {
     let (bn, bsecs) = best_of(|| analyze_batched(img));
     assert_eq!(bn, cn, "batch pipeline saw a different record count");
 
-    // Windowed engine: pass 1 warms the flow tables, worker arenas, and
-    // recycle rings; pass 2 replays the same flows at later timestamps,
+    // Windowed engine: pass 1 warms the flow tables and tick scratch;
+    // pass 2 replays the same flows at later timestamps,
     // so windows keep rolling while the per-record path should stay off
     // the allocator (window-close report assembly is the remainder).
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
-        shards: 1,
         window: Some(std::time::Duration::from_secs(10)),
         idle_timeout: None,
         qoe: None,

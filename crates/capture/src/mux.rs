@@ -1440,7 +1440,7 @@ mod tests {
 
     #[test]
     fn inline_lane_waits_out_a_quiet_live_source_and_reports_its_tail() {
-        let metrics = PipelineMetrics::new(0);
+        let metrics = PipelineMetrics::new();
         let mut mux = CaptureMux::inline(
             vec![Box::new(Stuttering { next: 0, calls: 0 })],
             Some(&metrics),
@@ -1466,7 +1466,7 @@ mod tests {
         // lanes' own, the registry's per-source series, the torn tails —
         // is what capture threads over the same sources report.
         let run = |inline: bool| {
-            let metrics = PipelineMetrics::new(0);
+            let metrics = PipelineMetrics::new();
             let mut sources = stamped_sources(&[(0..400).collect(), (20..30).collect()], false);
             sources.insert(1, Box::new(Stuttering { next: 0, calls: 0 }));
             let mux = if inline {
@@ -1506,7 +1506,7 @@ mod tests {
     #[test]
     fn inline_lane_traces_the_read_and_no_ring() {
         for lanes in 1..=3usize {
-            let metrics = PipelineMetrics::new(0);
+            let metrics = PipelineMetrics::new();
             metrics.trace.enable(1, "cap-test");
             let parts: Vec<Vec<u64>> = (0..lanes as u64)
                 .map(|i| (0..64).map(|t| t * 3 + i).collect())
@@ -1612,7 +1612,7 @@ mod tests {
 
     #[test]
     fn obs_registration_threads_counters_into_conservation() {
-        let metrics = PipelineMetrics::new(0);
+        let metrics = PipelineMetrics::new();
         let sources: Vec<Box<dyn PacketSource>> = vec![
             Box::new(ReplaySource::new(
                 "replay:a",
@@ -1642,7 +1642,7 @@ mod tests {
 
     #[test]
     fn sampled_batches_carry_trace_tags_through_the_fan_in() {
-        let metrics = PipelineMetrics::new(0);
+        let metrics = PipelineMetrics::new();
         metrics.trace.enable(1, "cap-test");
         let sources: Vec<Box<dyn PacketSource>> = vec![Box::new(ReplaySource::new(
             "replay:t",
@@ -1673,7 +1673,7 @@ mod tests {
 
     #[test]
     fn untraced_runs_never_tag_batches() {
-        let metrics = PipelineMetrics::new(0);
+        let metrics = PipelineMetrics::new();
         let sources: Vec<Box<dyn PacketSource>> = vec![Box::new(ReplaySource::new(
             "replay:q",
             LinkType::Ethernet,

@@ -20,7 +20,7 @@
 //! written by another process) until it has been quiet for `--idle-exit`
 //! — the follow loop is source-agnostic, not tied to a single file.
 //!
-//! All three sinks (sequential, sharded, streaming) are fed through the
+//! Both sinks (batch `Analyzer`, streaming engine) are fed through the
 //! one `PacketSink` ingest loop. `--metrics <path>` writes an
 //! observability snapshot file — JSON by default, Prometheus text
 //! exposition when the path ends in `.prom` — rewritten every
@@ -39,7 +39,7 @@
 //! `--trace out.ndjson` switches on sampled structured tracing: one
 //! capture batch in every `--trace-sample` (default 16) gets a causal
 //! trace ID, and every stage it crosses (source read, ring hand-off,
-//! dissection, shard routing, window emission) appends a pinned-schema
+//! dissection, engine push, window emission) appends a pinned-schema
 //! span event to the file. `--self-profile out.folded` aggregates the
 //! same samples into flamegraph-style folded stacks. Both are side
 //! channels: reports and window NDJSON stay byte-identical with tracing
@@ -55,8 +55,8 @@
 
 use super::sources::{build_sources, mux_flags, start_capture, Sources};
 use super::{
-    campus_flag, parse_args_repeat, parse_duration, write_window_line, CliError, CmdResult,
-    TraceOutput,
+    campus_flag, parse_args, parse_duration, reject_shards_flag, write_window_line, CliError,
+    CmdResult, FlagSpec, TraceOutput,
 };
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -66,7 +66,6 @@ use zoom_analysis::features;
 use zoom_analysis::obs::serve;
 use zoom_analysis::metrics::stall::{analyze as stall_analyze, StallConfig};
 use zoom_analysis::obs::MetricsSnapshot;
-use zoom_analysis::parallel::ParallelAnalyzer;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::PacketSink;
 use zoom_capture::mux::{CaptureMux, MuxConfig};
@@ -223,19 +222,36 @@ fn qoe_flags(flags: &HashMap<String, String>) -> Result<Option<QoeThresholds>, S
     Ok(enabled.then_some(t))
 }
 
+const FLAGS: FlagSpec = FlagSpec {
+    command: "analyze",
+    bools: &["follow", "json", "qoe-watch", "lossy"],
+    values: &[
+        "campus",
+        "family",
+        "window",
+        "idle-timeout",
+        "idle-exit",
+        "ring-cap",
+        "features",
+        "serve",
+        "metrics",
+        "metrics-interval",
+        "qoe-fps-floor",
+        "qoe-jitter-ms",
+        "qoe-collapse-ratio",
+        "trace",
+        "trace-sample",
+        "self-profile",
+        "emit-fragments",
+        "worker-label",
+    ],
+    repeats: &["source"],
+};
+
 pub fn run(args: &[String]) -> CmdResult {
-    let (pos, flags, source_specs) =
-        parse_args_repeat(args, &["follow", "json", "qoe-watch", "lossy"], &["source"])?;
+    reject_shards_flag(args)?;
+    let (pos, flags, source_specs) = parse_args(args, &FLAGS)?;
     let campus = campus_flag(&flags)?;
-    let shards: usize = match flags.get("shards") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--shards expects a positive integer, got {v:?}"))?,
-        None => 1,
-    };
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
     let window = flags.get("window").map(|v| parse_duration(v)).transpose()?;
     let idle_timeout = flags
         .get("idle-timeout")
@@ -299,7 +315,6 @@ pub fn run(args: &[String]) -> CmdResult {
         return run_streaming(
             sources,
             config,
-            shards,
             window,
             idle_timeout,
             qoe,
@@ -315,15 +330,7 @@ pub fn run(args: &[String]) -> CmdResult {
     // unchanged; only the trace side channel appears.
     if !source_specs.is_empty() || pos.len() > 1 || trace_out.is_some() {
         let sources = build_sources(&pos, &source_specs, None)?;
-        return run_batch_mux(
-            sources,
-            config,
-            shards,
-            &flags,
-            metrics_file,
-            mux_config,
-            trace_out,
-        );
+        return run_batch_mux(sources, config, &flags, metrics_file, mux_config, trace_out);
     }
 
     // Legacy single-file batch path: a direct buffer-reusing reader loop
@@ -336,28 +343,14 @@ pub fn run(args: &[String]) -> CmdResult {
     let mut reader = Reader::new(std::io::BufReader::with_capacity(READ_BUFFER_BYTES, file))
         .map_err(|e| CliError::protocol(format!("{input}: {e}")))?;
     let link = reader.link_type();
-    // The sharded path produces byte-identical results for any shard
-    // count; --shards 1 keeps everything on the calling thread. Both
-    // sinks go through the same PacketSink feed loop, which reuses one
-    // record buffer — zero steady-state allocations in the read loop.
-    let analyzer: Analyzer = if shards > 1 {
-        let mut par = ParallelAnalyzer::new(config, shards);
-        feed_pcap(&mut reader, &mut par, link, &mut metrics_file)?;
-        par.note_pcap_truncated(reader.truncated_records());
-        ParallelAnalyzer::finish(&mut par)?;
-        if let Some(m) = &mut metrics_file {
-            m.write(&par.metrics())?;
-        }
-        par.into_analyzer()
-    } else {
-        let mut seq = Analyzer::new(config);
-        feed_pcap(&mut reader, &mut seq, link, &mut metrics_file)?;
-        seq.note_pcap_truncated(reader.truncated_records());
-        if let Some(m) = &mut metrics_file {
-            m.write(&seq.metrics())?;
-        }
-        seq
-    };
+    // The feed loop reuses one record buffer — zero steady-state
+    // allocations in the read loop.
+    let mut analyzer = Analyzer::new(config);
+    feed_pcap(&mut reader, &mut analyzer, link, &mut metrics_file)?;
+    analyzer.note_pcap_truncated(reader.truncated_records());
+    if let Some(m) = &mut metrics_file {
+        m.write(&analyzer.metrics())?;
+    }
     if reader.truncated_records() > 0 {
         eprintln!(
             "warning: {} truncated record(s) at end of {input} ignored",
@@ -376,46 +369,25 @@ pub fn run(args: &[String]) -> CmdResult {
 fn run_batch_mux(
     sources: Sources,
     config: AnalyzerConfig,
-    shards: usize,
     flags: &HashMap<String, String>,
     mut metrics_file: Option<MetricsFile>,
     mux_config: MuxConfig,
     mut trace_out: Option<TraceOutput>,
 ) -> CmdResult {
-    let analyzer: Analyzer = if shards > 1 {
-        let mut par = ParallelAnalyzer::new(config, shards);
-        let mh = par.metrics_handle();
-        if let Some(t) = &trace_out {
-            t.enable(&mh.trace, "analyze");
-        }
-        let mut mux = start_capture(sources, mux_config, Some(&mh));
-        feed_mux(&mut mux, &mut par, &mut metrics_file, || ())?;
-        finish_mux(mux, &mut par)?;
-        ParallelAnalyzer::finish(&mut par)?;
-        if let Some(m) = &mut metrics_file {
-            m.write(&par.metrics())?;
-        }
-        if let Some(t) = &mut trace_out {
-            t.finish(&mh.trace)?;
-        }
-        par.into_analyzer()
-    } else {
-        let mut seq = Analyzer::new(config);
-        let mh = seq.metrics_handle();
-        if let Some(t) = &trace_out {
-            t.enable(&mh.trace, "analyze");
-        }
-        let mut mux = start_capture(sources, mux_config, Some(&mh));
-        feed_mux(&mut mux, &mut seq, &mut metrics_file, || ())?;
-        finish_mux(mux, &mut seq)?;
-        if let Some(m) = &mut metrics_file {
-            m.write(&seq.metrics())?;
-        }
-        if let Some(t) = &mut trace_out {
-            t.finish(&mh.trace)?;
-        }
-        seq
-    };
+    let mut analyzer = Analyzer::new(config);
+    let mh = analyzer.metrics_handle();
+    if let Some(t) = &trace_out {
+        t.enable(&mh.trace, "analyze");
+    }
+    let mut mux = start_capture(sources, mux_config, Some(&mh));
+    feed_mux(&mut mux, &mut analyzer, &mut metrics_file, || ())?;
+    finish_mux(mux, &mut analyzer)?;
+    if let Some(m) = &mut metrics_file {
+        m.write(&analyzer.metrics())?;
+    }
+    if let Some(t) = &mut trace_out {
+        t.finish(&mh.trace)?;
+    }
     print_report(&analyzer, flags)
 }
 
@@ -528,7 +500,6 @@ pub(crate) fn print_report(analyzer: &Analyzer, flags: &HashMap<String, String>)
 fn run_streaming(
     sources: Sources,
     config: AnalyzerConfig,
-    shards: usize,
     window: Option<Duration>,
     idle_timeout: Option<Duration>,
     qoe: Option<QoeThresholds>,
@@ -539,7 +510,6 @@ fn run_streaming(
 ) -> CmdResult {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: config,
-        shards,
         window,
         idle_timeout,
         qoe,
@@ -606,8 +576,8 @@ fn run_streaming(
         writeln!(out, "{}", a.to_json()).map_err(|e| e.to_string())?;
     }
     let output = engine.drain()?;
-    // The final snapshot is written after drain: only once the shard
-    // workers have quiesced does the conservation invariant hold.
+    // The final snapshot is written after drain, when every count has
+    // been published.
     if let Some(m) = &mut metrics_file {
         m.write(&output.analyzer.metrics())?;
     }
@@ -673,7 +643,7 @@ fn run_emit(
     // trace ID. Untraced runs pass `None` and the byte stream is
     // identical to one from a build that never heard of tracing.
     let worker_metrics = trace_out.as_ref().map(|t| {
-        let m = PipelineMetrics::new(0);
+        let m = PipelineMetrics::new();
         t.enable(&m.trace, &format!("worker:{label}"));
         m
     });

@@ -19,7 +19,8 @@
 
 use super::sources::{build_sources, mux_flags};
 use super::{
-    capture_snapshot, filter_config, parse_args_repeat, parse_duration, write_snapshot, CmdResult,
+    capture_snapshot, filter_config, parse_args, parse_duration, write_snapshot, CmdResult,
+    FlagSpec,
 };
 use std::time::Duration;
 use zoom_analysis::obs::PipelineMetrics;
@@ -28,9 +29,22 @@ use zoom_capture::pipeline::{CapturePipeline, Verdict};
 use zoom_capture::source::FollowConfig;
 use zoom_wire::pcap::{LinkType, Record, Writer};
 
+const FLAGS: FlagSpec = FlagSpec {
+    command: "capture",
+    bools: &["follow", "lossy", "no-filter"],
+    values: &[
+        "campus",
+        "anonymize",
+        "family",
+        "idle-exit",
+        "ring-cap",
+        "metrics",
+    ],
+    repeats: &["source"],
+};
+
 pub fn run(args: &[String]) -> CmdResult {
-    let (pos, flags, source_specs) =
-        parse_args_repeat(args, &["follow", "lossy", "no-filter"], &["source"])?;
+    let (pos, flags, source_specs) = parse_args(args, &FLAGS)?;
     let [output] = pos.as_slice() else {
         return Err("capture needs exactly one output pcap; give inputs with --source".into());
     };
@@ -59,7 +73,7 @@ pub fn run(args: &[String]) -> CmdResult {
 
     // Per-source series register against this standalone registry; the
     // verdict counters below keep its conservation invariant intact.
-    let metrics = PipelineMetrics::new(0);
+    let metrics = PipelineMetrics::new();
     // One capture thread per source, always: this consumer is light, so
     // read-ahead is worth real rate here (docs/PERFORMANCE.md).
     let sources = build_sources(&[], &source_specs, follow_cfg)?.list;

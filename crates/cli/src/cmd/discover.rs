@@ -2,15 +2,22 @@
 //! an arbitrary pcap: classify field positions per UDP flow, scan for RTP
 //! signatures, and hunt RTCP by learned SSRCs.
 
-use super::{parse_args, CmdResult};
+use super::{parse_args, CmdResult, FlagSpec};
 use std::collections::HashMap;
 use zoom_analysis::entropy::{find_rtcp_by_ssrc, find_rtp_offsets, scan_flow, FieldClass};
 use zoom_wire::dissect::{dissect, P2pProbe, Transport};
 use zoom_wire::flow::FiveTuple;
 use zoom_wire::pcap::Reader;
 
+const FLAGS: FlagSpec = FlagSpec {
+    command: "discover",
+    bools: &[],
+    values: &["max-offset"],
+    repeats: &[],
+};
+
 pub fn run(args: &[String]) -> CmdResult {
-    let (pos, flags) = parse_args(args, &[])?;
+    let (pos, flags, _) = parse_args(args, &FLAGS)?;
     let [input] = pos.as_slice() else {
         return Err("discover needs exactly one input pcap".into());
     };

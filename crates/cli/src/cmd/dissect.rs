@@ -1,13 +1,20 @@
 //! `zoom-tools dissect` — print Wireshark-plugin-style field trees for the
 //! packets of a pcap file (Appendix C).
 
-use super::{parse_args, CliError, CmdResult};
+use super::{parse_args, CliError, CmdResult, FlagSpec};
 use zoom_wire::dissect::{dissect, render_tree, P2pProbe, Probe, WebrtcProbe};
 use zoom_wire::family::{FamilyId, FamilySelect};
 use zoom_wire::pcap::Reader;
 
+const FLAGS: FlagSpec = FlagSpec {
+    command: "dissect",
+    bools: &[],
+    values: &["max", "family"],
+    repeats: &[],
+};
+
 pub fn run(args: &[String]) -> CmdResult {
-    let (pos, flags) = parse_args(args, &[])?;
+    let (pos, flags, _) = parse_args(args, &FLAGS)?;
     let [input] = pos.as_slice() else {
         return Err("dissect needs exactly one input pcap".into());
     };

@@ -2,13 +2,20 @@
 //! over a pcap, writing only Zoom packets, optionally anonymized: the
 //! offline equivalent of the paper's data-plane deployment.
 
-use super::{capture_snapshot, filter_config, parse_args, write_snapshot, CmdResult};
+use super::{capture_snapshot, filter_config, parse_args, write_snapshot, CmdResult, FlagSpec};
 use zoom_analysis::obs::PipelineMetrics;
 use zoom_capture::pipeline::CapturePipeline;
 use zoom_wire::pcap::{Reader, Record, RecordBuf, Writer, READ_BUFFER_BYTES};
 
+const FLAGS: FlagSpec = FlagSpec {
+    command: "filter",
+    bools: &[],
+    values: &["campus", "anonymize", "family", "metrics"],
+    repeats: &[],
+};
+
 pub fn run(args: &[String]) -> CmdResult {
-    let (pos, flags) = parse_args(args, &[])?;
+    let (pos, flags, _) = parse_args(args, &FLAGS)?;
     let [input, output] = pos.as_slice() else {
         return Err("filter needs <in.pcap> <out.pcap>".into());
     };
@@ -37,9 +44,9 @@ pub fn run(args: &[String]) -> CmdResult {
 
     let c = pipeline.counters();
     if let Some(path) = flags.get("metrics") {
-        // The capture stage has no dissect/shard pipeline behind it, so the
+        // The capture stage has no analysis pipeline behind it, so the
         // base snapshot is empty; only the `capture` section is populated.
-        let mut snap = PipelineMetrics::new(0).snapshot();
+        let mut snap = PipelineMetrics::new().snapshot();
         snap.capture = Some(capture_snapshot(c));
         write_snapshot(path, &snap)?;
     }

@@ -1,4 +1,4 @@
-//! `zoom-tools merge` — the merge half of the distributed shard tier:
+//! `zoom-tools merge` — the merge half of the distributed tier:
 //! consume wire-framed fragment streams from `analyze --emit-fragments`
 //! workers and run the ordinary analysis over the union, byte-identical
 //! to a single-process `analyze` of the same records.
@@ -32,7 +32,8 @@
 use super::analyze::{feed_mux, finish_mux, print_report, MetricsFile};
 use super::sources::{mux_flags, start_capture, Sources};
 use super::{
-    campus_flag, parse_args, parse_duration, write_window_line, CliError, CmdResult, TraceOutput,
+    campus_flag, parse_args, parse_duration, reject_shards_flag, write_window_line, CliError,
+    CmdResult, FlagSpec, TraceOutput,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write as _};
@@ -42,7 +43,6 @@ use zoom_analysis::dist::{MergeCheckpoint, WindowGate, WorkerMark};
 use zoom_analysis::engine::{EngineConfig, StreamingEngine};
 use zoom_analysis::obs::trace::TraceCollector;
 use zoom_analysis::obs::{link_state, serve, PipelineMetrics, WorkerMetrics};
-use zoom_analysis::parallel::ParallelAnalyzer;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::PacketSink;
 use zoom_capture::fragment::{FragmentSource, WorkerAccount};
@@ -223,15 +223,33 @@ fn into_sources(
     (Sources { list, finite_files }, labels)
 }
 
+const FLAGS: FlagSpec = FlagSpec {
+    command: "merge",
+    bools: &["json", "lossy", "restore"],
+    values: &[
+        "campus",
+        "window",
+        "idle-timeout",
+        "listen",
+        "workers",
+        "journal",
+        "checkpoint",
+        "ring-cap",
+        "features",
+        "serve",
+        "metrics",
+        "metrics-interval",
+        "trace",
+        "trace-sample",
+        "self-profile",
+    ],
+    repeats: &[],
+};
+
 pub fn run(args: &[String]) -> CmdResult {
-    let (files, flags) = parse_args(args, &["json", "lossy", "restore"])?;
+    reject_shards_flag(args)?;
+    let (files, flags, _) = parse_args(args, &FLAGS)?;
     let campus = campus_flag(&flags)?;
-    let shards: usize = match flags.get("shards") {
-        Some(v) => v.parse::<usize>().ok().filter(|n| *n > 0).ok_or_else(|| {
-            CliError::config(format!("--shards expects a positive integer, got {v:?}"))
-        })?,
-        None => 1,
-    };
     let window = flags.get("window").map(|v| parse_duration(v)).transpose()?;
     let idle_timeout = flags
         .get("idle-timeout")
@@ -302,7 +320,6 @@ pub fn run(args: &[String]) -> CmdResult {
         run_streaming_merge(
             workers,
             config,
-            shards,
             window,
             idle_timeout,
             gate,
@@ -313,15 +330,7 @@ pub fn run(args: &[String]) -> CmdResult {
             trace_out,
         )
     } else {
-        run_batch_merge(
-            workers,
-            config,
-            shards,
-            &flags,
-            metrics_file,
-            mux_config,
-            trace_out,
-        )
+        run_batch_merge(workers, config, &flags, metrics_file, mux_config, trace_out)
     }
 }
 
@@ -331,62 +340,33 @@ pub fn run(args: &[String]) -> CmdResult {
 fn run_batch_merge(
     workers: Vec<Worker>,
     config: AnalyzerConfig,
-    shards: usize,
     flags: &HashMap<String, String>,
     mut metrics_file: Option<MetricsFile>,
     mux_config: MuxConfig,
     mut trace_out: Option<TraceOutput>,
 ) -> CmdResult {
-    let analyzer: Analyzer = if shards > 1 {
-        let mut par = ParallelAnalyzer::new(config, shards);
-        let mh = par.metrics_handle();
-        if let Some(t) = &trace_out {
-            t.enable(&mh.trace, "merge");
-        }
-        let pairs = register_workers(&mh, &workers);
-        let (sources, _) = into_sources(workers, flags, trace_out.as_ref().map(|_| &mh.trace));
-        let mut mux = start_capture(sources, mux_config, Some(&mh));
-        let sync = || sync_worker_metrics(&pairs);
-        let fed = feed_mux(&mut mux, &mut par, &mut metrics_file, sync);
-        if fed.is_err() {
-            mark_incomplete_errored(&pairs);
-        }
-        fed?;
-        sync_worker_metrics(&pairs);
-        finish_mux(mux, &mut par)?;
-        ParallelAnalyzer::finish(&mut par)?;
-        if let Some(m) = &mut metrics_file {
-            m.write(&par.metrics())?;
-        }
-        if let Some(t) = &mut trace_out {
-            t.finish(&mh.trace)?;
-        }
-        par.into_analyzer()
-    } else {
-        let mut seq = Analyzer::new(config);
-        let mh = seq.metrics_handle();
-        if let Some(t) = &trace_out {
-            t.enable(&mh.trace, "merge");
-        }
-        let pairs = register_workers(&mh, &workers);
-        let (sources, _) = into_sources(workers, flags, trace_out.as_ref().map(|_| &mh.trace));
-        let mut mux = start_capture(sources, mux_config, Some(&mh));
-        let sync = || sync_worker_metrics(&pairs);
-        let fed = feed_mux(&mut mux, &mut seq, &mut metrics_file, sync);
-        if fed.is_err() {
-            mark_incomplete_errored(&pairs);
-        }
-        fed?;
-        sync_worker_metrics(&pairs);
-        finish_mux(mux, &mut seq)?;
-        if let Some(m) = &mut metrics_file {
-            m.write(&seq.metrics())?;
-        }
-        if let Some(t) = &mut trace_out {
-            t.finish(&mh.trace)?;
-        }
-        seq
-    };
+    let mut analyzer = Analyzer::new(config);
+    let mh = analyzer.metrics_handle();
+    if let Some(t) = &trace_out {
+        t.enable(&mh.trace, "merge");
+    }
+    let pairs = register_workers(&mh, &workers);
+    let (sources, _) = into_sources(workers, flags, trace_out.as_ref().map(|_| &mh.trace));
+    let mut mux = start_capture(sources, mux_config, Some(&mh));
+    let sync = || sync_worker_metrics(&pairs);
+    let fed = feed_mux(&mut mux, &mut analyzer, &mut metrics_file, sync);
+    if fed.is_err() {
+        mark_incomplete_errored(&pairs);
+    }
+    fed?;
+    sync_worker_metrics(&pairs);
+    finish_mux(mux, &mut analyzer)?;
+    if let Some(m) = &mut metrics_file {
+        m.write(&analyzer.metrics())?;
+    }
+    if let Some(t) = &mut trace_out {
+        t.finish(&mh.trace)?;
+    }
     print_report(&analyzer, flags)
 }
 
@@ -397,7 +377,6 @@ fn run_batch_merge(
 fn run_streaming_merge(
     workers: Vec<Worker>,
     config: AnalyzerConfig,
-    shards: usize,
     window: Option<Duration>,
     idle_timeout: Option<Duration>,
     mut gate: WindowGate,
@@ -409,7 +388,6 @@ fn run_streaming_merge(
 ) -> CmdResult {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: config,
-        shards,
         window,
         idle_timeout,
         qoe: None,

@@ -30,8 +30,9 @@ use zoom_wire::family::{FamilyId, FamilySelect};
 /// | 3    | invalid configuration (bad flag value, bad `--source`) |
 /// | 4    | parse / wire-protocol error (malformed pcap, fragment) |
 /// | 5    | I/O failure (file or socket)                           |
-/// | 6    | an analysis shard panicked                             |
 /// | 7    | checkpoint unreadable or mismatched on restore         |
+///
+/// (6 was a panicked analysis shard thread; there are none any more.)
 ///
 /// [`zoom_analysis::Error`] and [`zoom_analysis::dist::MergeError`] are
 /// both `#[non_exhaustive]`; the `From` impls below map their variants
@@ -45,6 +46,14 @@ pub struct CliError {
 }
 
 impl CliError {
+    /// Code 2: a command line the subcommand cannot read.
+    pub fn usage(message: impl Into<String>) -> CliError {
+        CliError {
+            code: 2,
+            message: message.into(),
+        }
+    }
+
     /// Code 3: a flag or spec value that parsed but is invalid.
     pub fn config(message: impl Into<String>) -> CliError {
         CliError {
@@ -68,7 +77,6 @@ impl CliError {
             message: message.into(),
         }
     }
-
 }
 
 impl fmt::Display for CliError {
@@ -96,7 +104,6 @@ impl From<zoom_analysis::Error> for CliError {
             Error::Io { .. } => 5,
             Error::Parse(_) => 4,
             Error::Config(_) => 3,
-            Error::ShardPanic(_) => 6,
             _ => 1,
         };
         CliError {
@@ -141,58 +148,75 @@ impl From<zoom_capture::source::SourceError> for CliError {
 /// Result alias for subcommands.
 pub type CmdResult = Result<(), CliError>;
 
-/// Split arguments into positional values and `--flag value` pairs.
-///
-/// Flags listed in `bool_flags` take no value (`--follow`); they appear
-/// in the map with an empty-string value so `flags.contains_key` works.
-pub fn parse_args(
-    args: &[String],
-    bool_flags: &[&str],
-) -> Result<(Vec<String>, HashMap<String, String>), String> {
-    let (pos, flags, _) = parse_args_repeat(args, bool_flags, &[])?;
-    Ok((pos, flags))
+/// The flags one subcommand accepts; anything else on its command line
+/// is a usage error, so a misspelt flag cannot silently select a default.
+pub struct FlagSpec {
+    /// The subcommand's name, for error messages.
+    pub command: &'static str,
+    /// Flags that take no value (`--follow`); they appear in the map with
+    /// an empty-string value so `flags.contains_key` works.
+    pub bools: &'static [&'static str],
+    /// Flags that take one value; the last occurrence wins.
+    pub values: &'static [&'static str],
+    /// Flags that take one value and may appear several times
+    /// (`--source a --source b`).
+    pub repeats: &'static [&'static str],
 }
 
 /// Positional arguments, last-one-wins flag map, and repeated flags in
-/// occurrence order — the result shape of [`parse_args_repeat`].
+/// occurrence order — the result shape of [`parse_args`].
 pub type ParsedArgs = (Vec<String>, HashMap<String, String>, Vec<(String, String)>);
 
-/// Like [`parse_args`], but flags listed in `repeat_flags` may appear
-/// multiple times (`--source a --source b`); their occurrences are
-/// returned in order as `(name, value)` pairs instead of landing in the
-/// last-one-wins map.
-pub fn parse_args_repeat(
-    args: &[String],
-    bool_flags: &[&str],
-    repeat_flags: &[&str],
-) -> Result<ParsedArgs, String> {
+/// Split arguments into positional values, `--flag value` pairs and the
+/// occurrences of repeatable flags, accepting only the flags in `spec`.
+pub fn parse_args(args: &[String], spec: &FlagSpec) -> Result<ParsedArgs, CliError> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
     let mut repeated = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if bool_flags.contains(&name) {
-                flags.insert(name.to_string(), String::new());
-                i += 1;
-            } else {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("flag --{name} needs a value"))?;
-                if repeat_flags.contains(&name) {
-                    repeated.push((name.to_string(), value.clone()));
-                } else {
-                    flags.insert(name.to_string(), value.clone());
-                }
-                i += 2;
-            }
-        } else {
+        let Some(name) = a.strip_prefix("--") else {
             positional.push(a.clone());
             i += 1;
+            continue;
+        };
+        if spec.bools.contains(&name) {
+            flags.insert(name.to_string(), String::new());
+            i += 1;
+            continue;
         }
+        let repeats = spec.repeats.contains(&name);
+        if !repeats && !spec.values.contains(&name) {
+            return Err(CliError::usage(format!(
+                "{}: unknown flag --{name}",
+                spec.command
+            )));
+        }
+        let value = args
+            .get(i + 1)
+            .ok_or_else(|| format!("flag --{name} needs a value"))?;
+        if repeats {
+            repeated.push((name.to_string(), value.clone()));
+        } else {
+            flags.insert(name.to_string(), value.clone());
+        }
+        i += 2;
     }
     Ok((positional, flags, repeated))
+}
+
+/// `analyze` and `merge` answer the removed `--shards` by name, with
+/// what replaces it.
+pub fn reject_shards_flag(args: &[String]) -> CmdResult {
+    if args.iter().any(|a| a == "--shards") {
+        return Err(CliError::config(
+            "--shards was removed (one analysis thread does > 1 M pkt/s; measured 1.10× on two \
+             cores): to use more cores split the taps by flow, run one 'analyze \
+             --emit-fragments' per tap and 'merge' them — docs/DISTRIBUTED.md",
+        ));
+    }
+    Ok(())
 }
 
 /// Parse a human-friendly duration: `10s`, `500ms`, `2m`, or a bare
@@ -413,22 +437,28 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    const SPEC: FlagSpec = FlagSpec {
+        command: "test",
+        bools: &["follow"],
+        values: &["max", "campus"],
+        repeats: &["source"],
+    };
+
     #[test]
     fn parses_positional_and_flags() {
-        let (pos, flags) = parse_args(&s(&["a.pcap", "--max", "5", "b.pcap"]), &[]).unwrap();
+        let (pos, flags, _) = parse_args(&s(&["a.pcap", "--max", "5", "b.pcap"]), &SPEC).unwrap();
         assert_eq!(pos, vec!["a.pcap", "b.pcap"]);
         assert_eq!(flags.get("max").unwrap(), "5");
     }
 
     #[test]
     fn missing_flag_value_errors() {
-        assert!(parse_args(&s(&["--max"]), &[]).is_err());
+        assert!(parse_args(&s(&["--max"]), &SPEC).is_err());
     }
 
     #[test]
     fn bool_flags_take_no_value() {
-        let (pos, flags) =
-            parse_args(&s(&["--follow", "a.pcap", "--max", "5"]), &["follow"]).unwrap();
+        let (pos, flags, _) = parse_args(&s(&["--follow", "a.pcap", "--max", "5"]), &SPEC).unwrap();
         assert_eq!(pos, vec!["a.pcap"]);
         assert!(flags.contains_key("follow"));
         assert_eq!(flags.get("max").unwrap(), "5");
@@ -436,14 +466,13 @@ mod tests {
 
     #[test]
     fn repeat_flags_preserve_order() {
-        let (pos, flags, repeated) = parse_args_repeat(
-            &s(&["--source", "pcap:a", "--shards", "2", "--source", "sim:p2p"]),
-            &[],
-            &["source"],
+        let (pos, flags, repeated) = parse_args(
+            &s(&["--source", "pcap:a", "--max", "2", "--source", "sim:p2p"]),
+            &SPEC,
         )
         .unwrap();
         assert!(pos.is_empty());
-        assert_eq!(flags.get("shards").unwrap(), "2");
+        assert_eq!(flags.get("max").unwrap(), "2");
         assert_eq!(
             repeated,
             vec![
@@ -451,6 +480,52 @@ mod tests {
                 ("source".to_string(), "sim:p2p".to_string()),
             ]
         );
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        for args in [
+            &["a.pcap", "--windw", "1s"][..],
+            &["--shards", "2"],
+            &["--json"],
+        ] {
+            let e = parse_args(&s(args), &SPEC).unwrap_err();
+            assert_eq!(e.code, 2, "{args:?}");
+            assert!(
+                e.message.starts_with("test: unknown flag --"),
+                "{}",
+                e.message
+            );
+        }
+    }
+
+    #[test]
+    fn removed_shards_flag_names_its_replacement() {
+        let e = reject_shards_flag(&s(&["a.pcap", "--shards", "8"])).unwrap_err();
+        assert_eq!(e.code, 3);
+        assert!(e.message.contains("--emit-fragments"), "{}", e.message);
+        assert!(reject_shards_flag(&s(&["a.pcap", "--json"])).is_ok());
+    }
+
+    /// Every subcommand that takes flags rejects one it does not know,
+    /// and still accepts one it does.
+    #[test]
+    fn every_subcommand_rejects_unknown_flags() {
+        type Run = fn(&[String]) -> CmdResult;
+        let commands: [(&str, Run); 7] = [
+            ("analyze", analyze::run),
+            ("capture", capture::run),
+            ("dissect", dissect::run),
+            ("discover", discover::run),
+            ("filter", filter::run),
+            ("merge", merge::run),
+            ("simulate", simulate::run),
+        ];
+        for (name, run) in commands {
+            let e = run(&s(&["x", "--no-such-flag", "1"])).unwrap_err();
+            assert_eq!(e.code, 2, "{name}: {}", e.message);
+            assert_eq!(e.message, format!("{name}: unknown flag --no-such-flag"));
+        }
     }
 
     #[test]
@@ -470,15 +545,15 @@ mod tests {
 
     #[test]
     fn campus_default_and_custom() {
-        let (_, flags) = parse_args(&s(&[]), &[]).unwrap();
+        let (_, flags, _) = parse_args(&s(&[]), &SPEC).unwrap();
         let (ip, len) = campus_flag(&flags).unwrap();
         assert_eq!(ip.to_string(), "10.8.0.0");
         assert_eq!(len, 16);
-        let (_, flags) = parse_args(&s(&["--campus", "192.168.0.0/24"]), &[]).unwrap();
+        let (_, flags, _) = parse_args(&s(&["--campus", "192.168.0.0/24"]), &SPEC).unwrap();
         let (ip, len) = campus_flag(&flags).unwrap();
         assert_eq!(ip.to_string(), "192.168.0.0");
         assert_eq!(len, 24);
-        let (_, flags) = parse_args(&s(&["--campus", "junk"]), &[]).unwrap();
+        let (_, flags, _) = parse_args(&s(&["--campus", "junk"]), &SPEC).unwrap();
         assert!(campus_flag(&flags).is_err());
     }
 }

@@ -2,11 +2,18 @@
 //! downstream tooling (including this repository's own `analyze`).
 
 use super::sources::scenario_records;
-use super::{parse_args, CmdResult};
+use super::{parse_args, CmdResult, FlagSpec};
 use zoom_wire::pcap::{LinkType, Writer};
 
+const FLAGS: FlagSpec = FlagSpec {
+    command: "simulate",
+    bools: &[],
+    values: &["seconds", "seed", "scenario"],
+    repeats: &[],
+};
+
 pub fn run(args: &[String]) -> CmdResult {
-    let (pos, flags) = parse_args(args, &[])?;
+    let (pos, flags, _) = parse_args(args, &FLAGS)?;
     let [output] = pos.as_slice() else {
         return Err("simulate needs exactly one output pcap".into());
     };

@@ -4,7 +4,7 @@
 //! ```text
 //! zoom-tools analyze  [in.pcap] [--source pcap:FILE|sim:SPEC]... [--campus CIDR]
 //!                     [--family auto|zoom|webrtc]
-//!                     [--shards N] [--ring-cap N] [--lossy] [--window DUR]
+//!                     [--ring-cap N] [--lossy] [--window DUR]
 //!                     [--idle-timeout DUR] [--follow] [--idle-exit DUR]
 //!                     [--json] [--features out.csv] [--serve ADDR]
 //!                     [--metrics out.json|out.prom] [--metrics-interval DUR]
@@ -15,7 +15,7 @@
 //!                     [--ring-cap N] [--lossy] [--follow] [--idle-exit DUR]
 //!                     [--metrics out.json|out.prom]
 //! zoom-tools merge    <frags...> | --listen ADDR --workers N [--journal DIR]
-//!                     [--window DUR] [--shards N] [--checkpoint PATH] [--restore]
+//!                     [--window DUR] [--checkpoint PATH] [--restore]
 //!                     [--json] [--serve ADDR] [--metrics out.json|out.prom]
 //!                     [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]
 //! zoom-tools dissect  <in.pcap> [--max N] [--family auto|zoom|webrtc]
@@ -31,7 +31,8 @@
 //!
 //! Failures exit with a distinct code per error class — see
 //! [`cmd::CliError`] for the full table (2 usage, 3 configuration,
-//! 4 parse/protocol, 5 I/O, 6 shard panic, 7 checkpoint, 1 otherwise).
+//! 4 parse/protocol, 5 I/O, 7 checkpoint, 1 otherwise). A flag a
+//! subcommand does not know is a usage error, never ignored.
 
 mod cmd;
 
@@ -40,7 +41,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
-         zoom-tools analyze  [in.pcap] [--source pcap:FILE|sim:SPEC]... [--campus CIDR] [--shards N]\n  \
+         zoom-tools analyze  [in.pcap] [--source pcap:FILE|sim:SPEC]... [--campus CIDR]\n  \
                              [--family auto|zoom|webrtc]\n  \
                              [--ring-cap N] [--lossy] [--window DUR] [--idle-timeout DUR]\n  \
                              [--follow] [--idle-exit DUR] [--json] [--features out.csv] [--serve ADDR]\n  \
@@ -48,7 +49,7 @@ fn usage() -> ExitCode {
                              [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]\n  \
                              [--emit-fragments ADDR|FILE [--worker-label NAME]]\n  \
          zoom-tools merge    <frags...> | --listen ADDR --workers N [--journal DIR]\n  \
-                             [--window DUR] [--idle-timeout DUR] [--shards N] [--campus CIDR]\n  \
+                             [--window DUR] [--idle-timeout DUR] [--campus CIDR]\n  \
                              [--checkpoint PATH] [--restore] [--json] [--serve ADDR]\n  \
                              [--ring-cap N] [--lossy] [--metrics out.json|out.prom]\n  \
                              [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]\n  \

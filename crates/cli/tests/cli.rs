@@ -177,8 +177,6 @@ fn streaming_analyze_emits_windows_then_final() {
         "5s",
         "--idle-timeout",
         "5s",
-        "--shards",
-        "2",
     ]);
     assert!(ok, "churn analyze failed: {err}");
     assert!(out.contains("\"evicted\":true"), "no eviction observed: {out}");
@@ -197,4 +195,13 @@ fn bad_usage_fails_cleanly() {
     let (_, err, ok) = run(&["simulate", "/tmp/x.pcap", "--scenario", "bogus"]);
     assert!(!ok);
     assert!(err.contains("unknown scenario"));
+    let (_, err, ok) = run(&["analyze", "/tmp/x.pcap", "--windw", "1s"]);
+    assert!(!ok);
+    assert!(
+        err.contains("error: analyze: unknown flag --windw"),
+        "{err}"
+    );
+    let (_, err, ok) = run(&["analyze", "/tmp/x.pcap", "--shards", "8"]);
+    assert!(!ok);
+    assert!(err.contains("--shards was removed"), "{err}");
 }

@@ -160,9 +160,9 @@ impl Classifier {
             .any(|&f| f != FamilyId::Zoom && self.by_family[f.index()].packets > 0)
     }
 
-    /// Fold another classifier's counters into this one (sharded merge:
-    /// every counter is a plain sum, so shard-local accounting followed by
-    /// one merge equals sequential accounting).
+    /// Fold another classifier's counters into this one (the engine's
+    /// drain: every counter is a plain sum, so the shard's accounting
+    /// followed by one merge equals sequential accounting).
     pub(crate) fn merge(&mut self, other: &Classifier) {
         self.total.merge(&other.total);
         for (mine, theirs) in self.by_family.iter_mut().zip(other.by_family.iter()) {

@@ -1,4 +1,4 @@
-//! Merge-node checkpoint/restore for the distributed shard tier.
+//! Merge-node checkpoint/restore for the distributed tier.
 //!
 //! The merge node is deliberately **stateless on disk about analysis
 //! internals**: instead of serializing engine state (per-stream jitter

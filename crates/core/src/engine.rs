@@ -1,11 +1,10 @@
 //! Streaming bounded-memory analysis with windowed reports.
 //!
-//! The batch pipelines ([`Analyzer`], [`crate::parallel::ParallelAnalyzer`])
-//! hold every flow and stream until the trace ends — fine for a finished
-//! capture, unusable on a live link where flows churn forever and results
-//! are wanted *while* traffic flows. [`StreamingEngine`] keeps the exact
-//! same analysis (same sharded routing, same event-replay merge
-//! semantics) but adds three things:
+//! The batch pipeline ([`Analyzer`]) holds every flow and stream until
+//! the trace ends — fine for a finished capture, unusable on a live link
+//! where flows churn forever and results are wanted *while* traffic
+//! flows. [`StreamingEngine`] keeps the exact same analysis but adds three
+//! things:
 //!
 //! * **Windowed reports.** With a tumbling window configured, closing a
 //!   window emits a [`WindowReport`]: per-stream counter *deltas*
@@ -23,20 +22,19 @@
 //!   the final merge and returns the finished [`AnalysisReport`] along
 //!   with the merged [`Analyzer`] for ad-hoc queries.
 //!
-//! With no window and no idle timeout the engine *is* the sharded batch
-//! pipeline: one merge at drain, byte-identical to the sequential
-//! analyzer (asserted by `tests/streaming_differential.rs`).
+//! With no window and no idle timeout the engine is a batch pipeline:
+//! one merge at drain, byte-identical to the sequential analyzer
+//! (asserted by `tests/streaming_differential.rs`).
 //!
-//! **Two lanes, one state machine.** With one shard the engine owns the
-//! shard's state and runs it on the calling thread, straight out of the
-//! caller's batch: no copy, no channel, no thread (the *in-line lane*).
-//! With more, each shard is a worker thread fed copies of its records
-//! over a bounded channel. Both lanes drive the same `ShardState`
-//! methods and the shard count alone picks between them, so `shards: 1`
-//! against `shards: N` in the differential suites pins in-line ≡
-//! threaded. One difference is visible: a panic in shard code surfaces
-//! as [`Error::ShardPanic`] from a worker thread, but is simply the
-//! caller's panic on the in-line lane.
+//! **One thread.** The engine is a router in front of one shard: the
+//! router peeks each record's headers and keeps the STUN and WebRTC
+//! registries, the shard (a shard-mode [`Analyzer`]) keeps per-flow and
+//! per-stream state and logs its media events, and the engine replays
+//! that log through the cross-flow trackers (meeting grouping, RTP-copy
+//! RTT) after every push. All of it runs on the calling thread, straight
+//! out of the caller's batch: no copy, no channel. To use more cores,
+//! split the taps by flow and run one process per tap
+//! (`docs/DISTRIBUTED.md`).
 //!
 //! Windowed mode assumes capture timestamps are approximately monotonic
 //! (true of pcaps and live captures alike); records may arrive slightly
@@ -63,16 +61,11 @@ use crate::report::{
 };
 use crate::sink::PacketSink;
 use crate::stream::{InlineList, Stream, StreamKey};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::net::IpAddr;
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
-use zoom_wire::dissect::{
-    drop_stage, peek, peek_batch, prefetch_record, PeekArena, PeekInfo, PeekTransport,
-};
+use zoom_wire::dissect::{drop_stage, peek, peek_batch, PeekArena, PeekInfo, PeekTransport};
 use zoom_wire::family::{FamilyId, FamilySelect};
 use zoom_wire::flow::{Endpoint, FiveTuple};
 use zoom_wire::handoff::RecordBatch;
@@ -80,32 +73,12 @@ use zoom_wire::pcap::LinkType;
 use zoom_wire::webrtc;
 use zoom_wire::zoom::MediaType;
 
-/// Records per message sent to a shard. Batching amortizes the channel
-/// synchronization cost over many packets.
-const BATCH: usize = 256;
-
-/// Bounded channel depth, in batches. Keeps memory bounded and applies
-/// backpressure to the router when a shard falls behind.
-const CHANNEL_DEPTH: usize = 4;
-
 /// Sample the push path's wall-clock cost on one record in this many
 /// (`zoom_stage_latency_nanos{stage="push"}`). Merge and checkpoint are
 /// per-window operations and are always timed.
 const LATENCY_SAMPLE: u64 = 64;
 
-/// Per-record routing metadata shipped alongside the packet bytes: the
-/// global sequence number, the router's [`PeekInfo`] — `None` when the
-/// peek failed and the record is undissectable — and the router's P2P
-/// verdict. Shipping the peek means the shard resumes dissection from
-/// the recorded offsets instead of re-scanning Ethernet/IP/UDP a second
-/// time.
-struct RouteMeta {
-    seq: u64,
-    info: Option<PeekInfo>,
-    hints: RouteHints,
-}
-
-/// The router's per-record flow verdicts, shipped to the shard so its
+/// The router's per-record flow verdicts, handed to the shard so its
 /// second-chance decisions match the sequential analyzer's without any
 /// shard-local registry: `p2p` is the STUN-registry probe (§4.1),
 /// `webrtc` the DTLS-SRTP flow-table probe.
@@ -115,21 +88,10 @@ struct RouteHints {
     webrtc: bool,
 }
 
-/// One batch message to a worker: packet bytes in a shared
-/// [`RecordBatch`] arena plus parallel per-record [`RouteMeta`]. The
-/// worker sends the emptied `Pending` back on a recycle channel, so at
-/// steady state the hot path copies bytes into an already-allocated
-/// arena instead of boxing every record.
-#[derive(Default)]
-struct Pending {
-    records: RecordBatch,
-    meta: Vec<RouteMeta>,
-}
-
-/// Tick-reply scratch vectors the router returns to the worker after
-/// folding a [`TickReply`], so windowed mode reuses the same delta /
-/// event / RTT-sample allocations every window instead of growing fresh
-/// ones (the windowed half of the 0-steady-state-allocs invariant).
+/// A folded [`TickReply`]'s emptied vectors, kept for the next tick, so
+/// windowed mode reuses the same delta / event / RTT-sample allocations
+/// every window instead of growing fresh ones (the windowed half of the
+/// 0-steady-state-allocs invariant).
 #[derive(Default)]
 struct TickScratch {
     deltas: Vec<StreamDelta>,
@@ -138,12 +100,10 @@ struct TickScratch {
 }
 
 /// Streaming engine configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// The analysis configuration shared by every shard.
+    /// The analysis configuration.
     pub analyzer: AnalyzerConfig,
-    /// Worker shards (clamped to at least 1).
-    pub shards: usize,
     /// Tumbling window length; `None` disables windowing (one report at
     /// drain — the batch behavior).
     pub window: Option<Duration>,
@@ -156,19 +116,7 @@ pub struct EngineConfig {
     pub qoe: Option<QoeThresholds>,
 }
 
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig {
-            analyzer: AnalyzerConfig::default(),
-            shards: 1,
-            window: None,
-            idle_timeout: None,
-            qoe: None,
-        }
-    }
-}
-
-/// Per-stream counter snapshot a worker keeps between ticks; the delta
+/// Per-stream counter snapshot the shard keeps between ticks; the delta
 /// of two snapshots is one window's activity. Every field is monotonic
 /// (including `missing`, which only grows as holes retire from the
 /// sequence tracker's window), so deltas never go negative.
@@ -219,7 +167,7 @@ struct StreamDelta {
     evicted: bool,
 }
 
-/// Everything a shard reports at a tick: counter deltas, per-stream
+/// Everything the shard reports at a tick: counter deltas, per-stream
 /// deltas, drained media events, evicted state, and live-entry gauges.
 struct TickReply {
     total_packets: u64,
@@ -236,15 +184,8 @@ struct TickReply {
     tcp_new: Vec<RttSample>,
 }
 
-enum ToWorker {
-    Batch(Pending),
-    Tick { evict_before: Option<u64> },
-}
-
-/// One shard's state machine — the shard analyzer plus the between-tick
-/// snapshots delta computation needs — driven through the same three
-/// methods whether it lives on a worker thread or in the engine itself
-/// (see [`Lane`]).
+/// The shard's state machine: the shard-mode analyzer plus the
+/// between-tick snapshots delta computation needs.
 struct ShardState {
     analyzer: Analyzer,
     snaps: FxHashMap<StreamKey, StreamSnap>,
@@ -261,10 +202,9 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn new(config: AnalyzerConfig, metrics: Arc<PipelineMetrics>, shard: usize) -> ShardState {
-        let shard = u16::try_from(shard).expect("shard count checked by StreamingEngine::new");
+    fn new(config: AnalyzerConfig, metrics: Arc<PipelineMetrics>) -> ShardState {
         ShardState {
-            analyzer: Analyzer::new_sharded(config, metrics, shard),
+            analyzer: Analyzer::new_sharded(config, metrics),
             snaps: FxHashMap::default(),
             delta_idx: FxHashMap::default(),
             total_packets: 0,
@@ -278,26 +218,7 @@ impl ShardState {
         }
     }
 
-    /// Process one record the router has peeked and routed here.
-    #[inline]
-    fn process(
-        &mut self,
-        seq: u64,
-        ts_nanos: u64,
-        data: &[u8],
-        info: Option<&PeekInfo>,
-        hints: RouteHints,
-    ) {
-        self.analyzer
-            .process_record_routed(seq, ts_nanos, data, info, hints.p2p, hints.webrtc);
-    }
-
-    /// Publish the classification counts tallied since the last call.
-    fn end_batch(&self) {
-        self.analyzer.flush_metrics();
-    }
-
-    /// Close a window on this shard. `scratch` is the previous reply's
+    /// Close a window on the shard. `scratch` is the previous reply's
     /// emptied vectors (see [`TickScratch`]), or fresh ones.
     fn tick(&mut self, evict_before: Option<u64>, scratch: TickScratch) -> TickReply {
         // Per-stream deltas vs. the previous tick's snapshots (and update
@@ -404,42 +325,10 @@ impl ShardState {
     }
 }
 
-/// The router's end of one worker thread.
-struct Worker {
-    tx: Option<SyncSender<ToWorker>>,
-    /// Per-worker reply channel: if one worker dies, the others' replies
-    /// still arrive and the dead one surfaces as a recv error instead of
-    /// a deadlock.
-    reply_rx: Receiver<TickReply>,
-    /// Emptied batches coming back from the worker thread for reuse.
-    recycle_rx: Receiver<Pending>,
-    /// Tick scratch going back to the worker thread for reuse.
-    scratch_tx: Sender<TickScratch>,
-    pending: Pending,
-    handle: Option<JoinHandle<Analyzer>>,
-}
-
-/// How routed records reach the shard state machines; the shard count
-/// alone chooses.
-enum Lane {
-    /// One shard: the engine owns its state and runs it on the calling
-    /// thread, reading the caller's batch in place. The shard logs its
-    /// events in global order already, so the engine replays the log at
-    /// the end of every push rather than only at ticks, and the log
-    /// never outgrows a batch.
-    Inline {
-        state: Box<ShardState>,
-        /// The last tick reply's emptied vectors, for the next tick.
-        scratch: TickScratch,
-    },
-    /// Several shards: one worker thread each.
-    Threaded(Vec<Worker>),
-}
-
 /// Per-stream replica of the candidate state the grouping heuristic's
 /// lookup closure reads sequentially: per payload type the running packet
 /// count and last RTP sequence/timestamp, plus the stream's last-seen
-/// time. Rebuilt incrementally from the shards' event logs. Replicas are
+/// time. Rebuilt incrementally from the shard's event log. Replicas are
 /// *not* evicted with their streams — they are what lets a stream that
 /// goes idle and returns keep its meeting assignment.
 struct Replica {
@@ -508,8 +397,8 @@ pub struct EngineOutput {
     pub peak_tracked_entries: usize,
 }
 
-/// Incremental sharded analyzer: one record in, zero or more
-/// [`WindowReport`]s out, bounded state in between.
+/// Incremental analyzer: one record in, zero or more [`WindowReport`]s
+/// out, bounded state in between.
 ///
 /// ```no_run
 /// use std::time::Duration;
@@ -517,7 +406,6 @@ pub struct EngineOutput {
 /// use zoom_wire::pcap::LinkType;
 ///
 /// let mut engine = StreamingEngine::new(EngineConfig {
-///     shards: 4,
 ///     window: Some(Duration::from_secs(10)),
 ///     idle_timeout: Some(Duration::from_secs(60)),
 ///     ..Default::default()
@@ -530,7 +418,6 @@ pub struct EngineOutput {
 /// ```
 pub struct StreamingEngine {
     analyzer_config: AnalyzerConfig,
-    shard_count: usize,
     window_nanos: Option<u64>,
     idle_nanos: Option<u64>,
     stun_timeout_nanos: u64,
@@ -550,12 +437,17 @@ pub struct StreamingEngine {
     /// `Only(Webrtc)`: the dissector probes WebRTC framing eagerly, so
     /// flow registration must not wait for the STUN gate.
     webrtc_eager: bool,
-    seq: u64,
-    lane: Lane,
+    /// Records pushed so far; paces the per-record path's latency
+    /// sampling.
+    pushed: u64,
+    /// The shard. It logs its events in record order, and the engine
+    /// replays the log at the end of every push rather than only at
+    /// ticks, so the log never outgrows a batch.
+    state: ShardState,
+    /// The last tick reply's emptied vectors, for the next tick.
+    scratch: TickScratch,
     /// Reused peek arena for [`StreamingEngine::push_batch_records`].
     peek_arena: PeekArena,
-    /// Reused per-batch shard-index scratch (pass 2 of the batch path).
-    shard_scratch: Vec<u32>,
     // -------- cross-flow trackers, fed by per-tick event replay --------
     grouper: MeetingGrouper,
     rtp_rtt: RtpRttEstimator,
@@ -567,10 +459,10 @@ pub struct StreamingEngine {
     /// Stream key → index into `replicas`. Probed when a stream is
     /// created or reappears after eviction, never per event.
     replica_index: FxHashMap<StreamKey, u32>,
-    /// `[shard][stream serial]` → index into `replicas` ([`UNSEEN`] until
-    /// the serial's first event): what a replayed event resolves its
-    /// replica through.
-    handles: Vec<Vec<u32>>,
+    /// Stream serial → index into `replicas` ([`UNSEEN`] until the
+    /// serial's first event): what a replayed event resolves its replica
+    /// through.
+    handles: Vec<u32>,
     tcp_samples: Vec<RttSample>,
     // -------- evicted-state pools (compact fragments, not Streams) -----
     evicted_streams: FxHashMap<StreamKey, Vec<StreamReport>>,
@@ -583,15 +475,12 @@ pub struct StreamingEngine {
     last_tracked: usize,
     peak_tracked: usize,
     /// Shared observability registry ([`crate::obs`]): the router writes
-    /// ingest/drop/routing counters, the shard analyzers write
-    /// classification counters through their cloned `Arc`.
+    /// ingest/drop counters, the shard analyzer writes classification
+    /// counters through its cloned `Arc`.
     metrics: Arc<PipelineMetrics>,
-    /// The router thread's unpublished `record_in` counts; see
-    /// [`IngestTally`] for when it is flushed.
+    /// The router's unpublished `record_in` counts; see [`IngestTally`]
+    /// for when it is flushed.
     tally: IngestTally,
-    /// Records routed to each shard since the last publish — the
-    /// per-shard half of the same deferral.
-    routed: Vec<Cell<u64>>,
     /// Windows closed by [`PacketSink::push`] calls, held until the next
     /// [`PacketSink::take_windows`].
     pending_windows: Vec<WindowReport>,
@@ -604,12 +493,10 @@ pub struct StreamingEngine {
 }
 
 impl StreamingEngine {
-    /// Build the engine: in-line shard state for one shard, a worker
-    /// thread per shard for more.
+    /// Build the engine.
     ///
     /// Fails with [`Error::Config`] on a zero-length window or idle
-    /// timeout, durations whose nanosecond count overflows `u64`, or more
-    /// than `u16::MAX` shards.
+    /// timeout, or durations whose nanosecond count overflows `u64`.
     pub fn new(config: EngineConfig) -> Result<StreamingEngine, Error> {
         let to_nanos = |d: Duration, what: &str| -> Result<u64, Error> {
             let n = u64::try_from(d.as_nanos())
@@ -629,30 +516,10 @@ impl StreamingEngine {
         let stun_timeout_nanos = analyzer_config.stun_timeout().as_nanos() as u64;
         let family = analyzer_config.family_select();
         let grouping = analyzer_config.grouping_config();
-        let n = config.shards.max(1);
-        if n > usize::from(u16::MAX) {
-            return Err(Error::Config(format!("{n} shards exceed {}", u16::MAX)));
-        }
-        let metrics = Arc::new(PipelineMetrics::new(n));
-        let lane = if n == 1 {
-            Lane::Inline {
-                state: Box::new(ShardState::new(
-                    analyzer_config.clone(),
-                    Arc::clone(&metrics),
-                    0,
-                )),
-                scratch: TickScratch::default(),
-            }
-        } else {
-            Lane::Threaded(
-                (0..n)
-                    .map(|i| spawn_worker(i, analyzer_config.clone(), Arc::clone(&metrics)))
-                    .collect(),
-            )
-        };
+        let metrics = Arc::new(PipelineMetrics::new());
+        let state = ShardState::new(analyzer_config.clone(), Arc::clone(&metrics));
         Ok(StreamingEngine {
             analyzer_config,
-            shard_count: n,
             window_nanos,
             idle_nanos,
             stun_timeout_nanos,
@@ -662,16 +529,16 @@ impl StreamingEngine {
             zoom_enabled: family.allows(FamilyId::Zoom),
             webrtc_enabled: family.allows(FamilyId::Webrtc),
             webrtc_eager: family == FamilySelect::Only(FamilyId::Webrtc),
-            seq: 0,
-            lane,
+            pushed: 0,
+            state,
+            scratch: TickScratch::default(),
             peek_arena: PeekArena::new(),
-            shard_scratch: Vec::new(),
             grouper: MeetingGrouper::with_config(grouping),
             rtp_rtt: RtpRttEstimator::default(),
             rtt_mark: 0,
             replicas: Vec::new(),
             replica_index: FxHashMap::default(),
-            handles: vec![Vec::new(); n],
+            handles: Vec::new(),
             tcp_samples: Vec::new(),
             evicted_streams: FxHashMap::default(),
             evicted_flows: FxHashMap::default(),
@@ -683,16 +550,10 @@ impl StreamingEngine {
             peak_tracked: 0,
             metrics,
             tally: IngestTally::default(),
-            routed: vec![Cell::new(0); n],
             pending_windows: Vec::new(),
             qoe_watch: config.qoe.map(QoeWatch::new),
             pending_alerts: Vec::new(),
         })
-    }
-
-    /// Number of worker shards.
-    pub fn shards(&self) -> usize {
-        self.shard_count
     }
 
     /// Tracked entries (flows + streams + STUN registrations + RTP-copy
@@ -726,45 +587,20 @@ impl StreamingEngine {
     }
 
     /// Publish every count this thread has been tallying off the shared
-    /// registry: ingest, per-shard routing, and — on the in-line lane —
-    /// the shard's own classification counts. Runs at the end of every
-    /// pushed batch, 1-in-[`LATENCY_SAMPLE`] per-record pushes, and
-    /// before anything reads the registry through the engine.
+    /// registry: the router's ingest counts and the shard's
+    /// classification counts. Runs at the end of every pushed batch,
+    /// 1-in-[`LATENCY_SAMPLE`] per-record pushes, and before anything
+    /// reads the registry through the engine.
     fn publish_tallies(&self) {
         self.tally.flush(&self.metrics);
-        let mut any_routed = false;
-        for (routed, shard) in self.routed.iter().zip(&self.metrics.shards) {
-            let n = routed.take();
-            if n > 0 {
-                shard.routed.add(n);
-                any_routed = true;
-            }
-        }
-        match &self.lane {
-            Lane::Inline { state, .. } => {
-                state.end_batch();
-                if any_routed {
-                    // Handed over and consumed in the same step: nothing
-                    // is ever pending or queued on this lane.
-                    let shard = &self.metrics.shards[0];
-                    shard.batches.inc();
-                    shard.drained.inc();
-                }
-            }
-            Lane::Threaded(workers) => {
-                for (w, shard) in workers.iter().zip(&self.metrics.shards) {
-                    shard.pending.set(w.pending.records.len() as u64);
-                }
-            }
-        }
+        self.state.analyzer.flush_metrics();
     }
 
     /// Feed one packet from a borrowed byte slice — the zero-copy path
     /// behind [`PacketSink::push`], for
     /// [`zoom_wire::pcap::Reader::read_into`] /
-    /// [`zoom_wire::pcap::SliceReader`] loops. With several shards the
-    /// bytes are copied once, into the shard batch; with one they are
-    /// analyzed where they lie. Nothing allocates per packet.
+    /// [`zoom_wire::pcap::SliceReader`] loops. The bytes are analyzed
+    /// where they lie; nothing allocates per packet.
     pub fn push_packet(
         &mut self,
         ts_nanos: u64,
@@ -775,7 +611,7 @@ impl StreamingEngine {
         // monotonic-clock read pair and no allocation on sampled calls
         // (which also publish the router's metrics tally), nothing at
         // all on the rest.
-        let sampled_at = self.seq.is_multiple_of(LATENCY_SAMPLE).then(|| {
+        let sampled_at = self.pushed.is_multiple_of(LATENCY_SAMPLE).then(|| {
             self.publish_tallies();
             std::time::Instant::now()
         });
@@ -786,9 +622,9 @@ impl StreamingEngine {
         self.last_ts = self.last_ts.max(ts);
 
         self.tally.record_in(data.len());
-        let (shard, info, hints) = self.route(ts, data, link);
-        self.dispatch(shard, ts, data, info, hints)?;
-        self.replay_inline_log();
+        let (info, hints) = self.route(ts, data, link);
+        self.dispatch(ts, data, info, hints);
+        self.replay_log();
         if let Some(t0) = sampled_at {
             self.metrics
                 .stage_push_nanos
@@ -799,11 +635,10 @@ impl StreamingEngine {
 
     /// Feed a whole [`RecordBatch`] through the batched hot path: one
     /// type-aware [`peek_batch`] pass over every header (with next-record
-    /// prefetch), one pass hashing every routable flow key, then one
-    /// stateful in-order pass applying the STUN registry, window
-    /// boundaries, and the hand-off to the record's shard (processed on
-    /// the spot on the in-line lane). Stateless work is batched; every
-    /// state mutation still happens in record order, so output is
+    /// prefetch), then one stateful in-order pass applying the STUN
+    /// registry, window boundaries, and the shard's processing of the
+    /// record. Stateless work is batched; every state mutation still
+    /// happens in record order, so output is
     /// byte-identical to per-record [`StreamingEngine::push_packet`]
     /// calls (pinned by `tests/batched_differential.rs`).
     pub fn push_batch_records(
@@ -833,25 +668,7 @@ impl StreamingEngine {
                 t0.elapsed().as_nanos() as u64,
             );
         }
-        // Pass 2 — hash all flow keys before any table is probed.
-        let route_start = std::time::Instant::now();
-        let n = self.shard_count;
-        let mut shards = std::mem::take(&mut self.shard_scratch);
-        shards.clear();
-        shards.extend((0..arena.len()).map(|i| match arena.peek(i) {
-            Ok(info) => shard_of(&info.five_tuple, n) as u32,
-            Err(_) => u32::MAX, // round-robin, resolved per record below
-        }));
-        if traced != 0 {
-            self.metrics.trace.record(
-                traced,
-                spans::SHARD_ROUTE,
-                "engine",
-                batch.len() as u64,
-                route_start.elapsed().as_nanos() as u64,
-            );
-        }
-        // Pass 3 — stateful, strictly in record order.
+        // Pass 2 — stateful, strictly in record order.
         let mut out = Vec::new();
         for (i, r) in batch.iter().enumerate() {
             let ts = r.ts_nanos;
@@ -859,22 +676,21 @@ impl StreamingEngine {
             self.first_ts.get_or_insert(ts);
             self.last_ts = self.last_ts.max(ts);
             self.tally.record_in(r.data.len());
-            let (shard, info, hints) = match arena.peek(i) {
+            let (info, hints) = match arena.peek(i) {
                 Ok(info) => {
                     let info = *info;
                     let hints = self.apply_registry(ts, &info, r.data);
-                    (shards[i] as usize, Some(info), hints)
+                    (Some(info), hints)
                 }
                 Err(e) => {
                     self.metrics.record_drop(drop_stage(r.data, link, e));
-                    ((self.seq % n as u64) as usize, None, RouteHints::default())
+                    (None, RouteHints::default())
                 }
             };
-            self.dispatch(shard, ts, r.data, info, hints)?;
+            self.dispatch(ts, r.data, info, hints);
         }
         self.peek_arena = arena;
-        self.shard_scratch = shards;
-        self.replay_inline_log();
+        self.replay_log();
         self.publish_tallies();
         // One histogram observation per batch: the mean per-record cost,
         // so the `stage="push"` series stays comparable with the
@@ -904,8 +720,8 @@ impl StreamingEngine {
                     let end = start + w;
                     let evict = self.idle_nanos.map(|idle| end.saturating_sub(idle));
                     let emit_start = std::time::Instant::now();
-                    let replies = self.tick_all(evict)?;
-                    out.push(self.apply_tick(replies, start, end, true));
+                    let reply = self.tick(evict);
+                    out.push(self.apply_tick(reply, start, end, true));
                     self.metrics.windows_closed.inc();
                     // Attribute the close to the batch whose record
                     // crossed the boundary (the last noted trace).
@@ -934,56 +750,26 @@ impl StreamingEngine {
         Ok(())
     }
 
-    /// Hand one routed record to its shard. In-line: process it here and
-    /// now. Threaded: append it to the shard's pending batch, flushing the
-    /// batch to the worker at [`BATCH`] records; the flushed batch is
-    /// replaced by a recycled one from the worker when available, so
-    /// steady-state enqueueing allocates nothing.
+    /// Hand one routed record to the shard.
     #[inline]
-    fn dispatch(
-        &mut self,
-        shard: usize,
-        ts: u64,
-        data: &[u8],
-        info: Option<PeekInfo>,
-        hints: RouteHints,
-    ) -> Result<(), Error> {
-        let seq = self.seq;
-        self.seq += 1;
-        let routed = &self.routed[shard];
-        routed.set(routed.get() + 1);
-        match &mut self.lane {
-            Lane::Inline { state, .. } => state.process(seq, ts, data, info.as_ref(), hints),
-            Lane::Threaded(workers) => {
-                let w = &mut workers[shard];
-                w.pending.records.push(ts, data.len() as u32, data);
-                w.pending.meta.push(RouteMeta { seq, info, hints });
-                if w.pending.records.len() >= BATCH {
-                    flush_pending(w)?;
-                    self.metrics.shards[shard].batches.inc();
-                }
-            }
-        }
-        Ok(())
+    fn dispatch(&mut self, ts: u64, data: &[u8], info: Option<PeekInfo>, hints: RouteHints) {
+        self.pushed += 1;
+        self.state
+            .analyzer
+            .process_record_routed(ts, data, info.as_ref(), hints.p2p, hints.webrtc);
     }
 
-    /// In-line lane: replay what the shard logged since the last call
-    /// through the cross-flow trackers, so the log never outgrows one
-    /// push. (Worker threads' logs come back with their tick replies.)
-    fn replay_inline_log(&mut self) {
-        let Lane::Inline { state, .. } = &mut self.lane else {
-            return;
-        };
-        let log = state.analyzer.event_log.as_mut().expect("shard mode");
+    /// Replay what the shard logged since the last call through the
+    /// cross-flow trackers, so the log never outgrows one push.
+    fn replay_log(&mut self) {
+        let log = self.state.analyzer.event_log.as_mut().expect("shard mode");
         if log.is_empty() {
             return;
         }
         let mut events = std::mem::take(log);
         self.replay_events(&events);
         events.clear();
-        if let Lane::Inline { state, .. } = &mut self.lane {
-            state.analyzer.event_log = Some(events);
-        }
+        self.state.analyzer.event_log = Some(events);
     }
 
     /// Cut a partial window now, without waiting for a boundary record:
@@ -997,8 +783,8 @@ impl StreamingEngine {
         let start = self.window_start.or(self.first_ts).unwrap_or(0);
         let end = self.last_ts.max(start);
         let evict = self.idle_nanos.map(|idle| end.saturating_sub(idle));
-        let replies = self.tick_all(evict)?;
-        let report = self.apply_tick(replies, start, end, false);
+        let reply = self.tick(evict);
+        let report = self.apply_tick(reply, start, end, false);
         self.metrics.checkpoints.inc();
         self.metrics
             .stage_checkpoint_nanos
@@ -1006,7 +792,7 @@ impl StreamingEngine {
         Ok(report)
     }
 
-    /// Final tick, worker join, and merge: the last window's report, the
+    /// Final tick and merge: the last window's report, the
     /// exact end-of-trace [`AnalysisReport`] (evicted fragments
     /// included), and the merged [`Analyzer`] over still-live state.
     pub fn drain(mut self) -> Result<EngineOutput, Error> {
@@ -1014,12 +800,12 @@ impl StreamingEngine {
         self.publish_tallies();
         let start = self.window_start.or(self.first_ts).unwrap_or(0);
         let end = self.last_ts.max(start);
-        let replies = self.tick_all(None)?;
-        let final_window = self.apply_tick(replies, start, end, false);
+        let reply = self.tick(None);
+        let final_window = self.apply_tick(reply, start, end, false);
 
         let StreamingEngine {
             analyzer_config,
-            lane,
+            state,
             grouper,
             rtp_rtt,
             registry,
@@ -1032,54 +818,33 @@ impl StreamingEngine {
             metrics,
             ..
         } = self;
-        let shards = match lane {
-            Lane::Inline { state, .. } => vec![state.analyzer],
-            Lane::Threaded(workers) => {
-                let mut shards = Vec::with_capacity(workers.len());
-                for mut w in workers {
-                    drop(w.tx.take()); // closes the channel; the worker returns
-                    let analyzer = w
-                        .handle
-                        .take()
-                        .expect("worker joined once")
-                        .join()
-                        .map_err(|p| Error::ShardPanic(panic_message(&p)))?;
-                    shards.push(analyzer);
-                }
-                shards
-            }
-        };
+        let mut shard = state.analyzer;
 
-        // ---- additive merge of shard-local state (as the batch merge
-        // does), minus the event replay — that already happened tick by
-        // tick — and minus shard TCP samples — those were shipped as
-        // per-tick deltas into `tcp_samples`.
+        // ---- move the shard's state into a sequential-mode analyzer,
+        // minus the event replay — that already happened push by push —
+        // and minus shard TCP samples — those were shipped as per-tick
+        // deltas into `tcp_samples`.
         let _merge_span = trace::span("engine.merge");
         let merge_t0 = std::time::Instant::now();
         let mut merged = Analyzer::new(analyzer_config);
         // Hand the merged analyzer the engine's registry so ad-hoc
         // queries (and `merged.report()`) see pipeline-wide accounting.
         merged.metrics = Arc::clone(&metrics);
-        let mut live_pool: FxHashMap<StreamKey, Stream> = FxHashMap::default();
-        for mut shard in shards {
-            merged.total_packets += shard.total_packets;
-            merged.zoom_packets += shard.zoom_packets;
-            merged.zoom_bytes += shard.zoom_bytes;
-            merged.webrtc_packets += shard.webrtc_packets;
-            merged.webrtc_bytes += shard.webrtc_bytes;
-            merged.undissectable += shard.undissectable;
-            merged.first_zoom_ts = match (merged.first_zoom_ts, shard.first_zoom_ts) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            merged.last_zoom_ts = merged.last_zoom_ts.max(shard.last_zoom_ts);
-            let (flows, streams) = std::mem::take(&mut shard.streams).into_parts();
-            for (ft, fs) in flows {
-                merged.streams.merge_flow(&ft, fs);
-            }
-            merged.classifier.merge(&shard.classifier);
-            live_pool.extend(streams.into_iter().map(|s| (s.key, s)));
+        merged.total_packets = shard.total_packets;
+        merged.zoom_packets = shard.zoom_packets;
+        merged.zoom_bytes = shard.zoom_bytes;
+        merged.webrtc_packets = shard.webrtc_packets;
+        merged.webrtc_bytes = shard.webrtc_bytes;
+        merged.undissectable = shard.undissectable;
+        merged.first_zoom_ts = shard.first_zoom_ts;
+        merged.last_zoom_ts = shard.last_zoom_ts;
+        let (flows, streams) = std::mem::take(&mut shard.streams).into_parts();
+        for (ft, fs) in flows {
+            merged.streams.merge_flow(&ft, fs);
         }
+        merged.classifier.merge(&shard.classifier);
+        let mut live_pool: FxHashMap<StreamKey, Stream> =
+            streams.into_iter().map(|s| (s.key, s)).collect();
         tcp_samples.sort_by_key(|s| s.at);
         merged.tcp_rtt.set_samples(tcp_samples);
 
@@ -1153,89 +918,49 @@ impl StreamingEngine {
 
     // ------------------------------------------------------- internals --
 
-    /// Flush pending batches and tick every shard, collecting replies in
-    /// shard order.
-    fn tick_all(&mut self, evict_before: Option<u64>) -> Result<Vec<TickReply>, Error> {
-        let workers = match &mut self.lane {
-            Lane::Inline { state, scratch } => {
-                return Ok(vec![state.tick(evict_before, std::mem::take(scratch))]);
-            }
-            Lane::Threaded(workers) => workers,
-        };
-        for w in workers.iter_mut() {
-            if !w.pending.records.is_empty() {
-                flush_pending(w)?;
-            }
-            send(w, ToWorker::Tick { evict_before })?;
-        }
-        let mut replies = Vec::with_capacity(workers.len());
-        for w in workers.iter() {
-            replies.push(w.reply_rx.recv().map_err(|_| {
-                Error::ShardPanic("shard worker disconnected before replying to a tick".into())
-            })?);
-        }
-        Ok(replies)
+    /// Close a window on the shard, reusing the last reply's vectors.
+    fn tick(&mut self, evict_before: Option<u64>) -> TickReply {
+        let scratch = std::mem::take(&mut self.scratch);
+        self.state.tick(evict_before, scratch)
     }
 
-    /// Fold tick replies into the cross-flow trackers and build the
+    /// Fold a tick reply into the cross-flow trackers and build the
     /// window's report.
     fn apply_tick(
         &mut self,
-        replies: Vec<TickReply>,
+        mut reply: TickReply,
         start: u64,
         end: u64,
         advance: bool,
     ) -> WindowReport {
         let merge_t0 = std::time::Instant::now();
-        let mut totals = WindowTotals::default();
-        let mut live = 0usize;
-        let mut events = Vec::new();
-        let mut all_deltas = Vec::new();
-        let mut evicted_stream_objs = Vec::new();
-        for (i, mut r) in replies.into_iter().enumerate() {
-            totals.packets += r.total_packets;
-            totals.zoom_packets += r.zoom_packets;
-            totals.zoom_bytes += r.zoom_bytes;
-            totals.new_flows += r.new_flows;
-            totals.new_streams += r.new_streams;
-            totals.evicted_flows += r.evicted_flows.len() as u64;
-            totals.evicted_streams += r.evicted_streams.len() as u64;
-            live += r.live_flows + r.live_streams;
-            events.append(&mut r.events);
-            self.tcp_samples.append(&mut r.tcp_new);
-            for (ft, fs) in r.evicted_flows {
-                merge_flow(&mut self.evicted_flows, ft, fs);
-            }
-            evicted_stream_objs.append(&mut r.evicted_streams);
-            all_deltas.append(&mut r.deltas);
-            // `append` drained the vectors but kept their capacity; hand
-            // them back so the shard's next tick reuses the allocations.
-            // (Replies arrive in shard order — index i is worker i.)
-            let spare = TickScratch {
-                deltas: r.deltas,
-                events: r.events,
-                tcp_new: r.tcp_new,
-            };
-            match &mut self.lane {
-                Lane::Inline { scratch, .. } => *scratch = spare,
-                Lane::Threaded(workers) => {
-                    let _ = workers[i].scratch_tx.send(spare);
-                }
-            }
+        let mut totals = WindowTotals {
+            packets: reply.total_packets,
+            zoom_packets: reply.zoom_packets,
+            zoom_bytes: reply.zoom_bytes,
+            new_flows: reply.new_flows,
+            new_streams: reply.new_streams,
+            evicted_flows: reply.evicted_flows.len() as u64,
+            evicted_streams: reply.evicted_streams.len() as u64,
+            ..WindowTotals::default()
+        };
+        let live = reply.live_flows + reply.live_streams;
+        self.tcp_samples.append(&mut reply.tcp_new);
+        for (ft, fs) in reply.evicted_flows {
+            merge_flow(&mut self.evicted_flows, ft, fs);
         }
 
-        // Replay this tick's media events through the persistent
-        // cross-flow trackers. Ticks partition the global sequence range
-        // in order, so incremental replay equals the batch replay. Each
-        // shard's log is in order; several shards' need interleaving.
-        if self.shard_count > 1 {
-            events.sort_unstable_by_key(|e| e.seq_no);
-        }
-        self.replay_events(&events);
+        // Replay what the shard logged since the last replay — the
+        // records of the current batch that precede the boundary —
+        // through the persistent cross-flow trackers. Pushes and ticks
+        // partition the record sequence in order, so incremental replay
+        // equals the batch replay.
+        self.replay_events(&reply.events);
+        reply.events.clear();
 
         // Evicted streams flush their final report fragment now that the
         // replay has assigned them; the heavyweight Stream is dropped.
-        for s in evicted_stream_objs {
+        for s in reply.evicted_streams {
             let uid = self.grouper.assignment(&s.key).map(|(u, _)| u);
             let meeting = self.grouper.canonical_meeting(&s.key);
             self.evicted_streams
@@ -1246,7 +971,8 @@ impl StreamingEngine {
 
         let dur_secs = end.saturating_sub(start) as f64 / 1e9;
         let rate = |v: f64| if dur_secs > 0.0 { v / dur_secs } else { 0.0 };
-        let mut streams: Vec<StreamWindow> = all_deltas
+        let mut streams: Vec<StreamWindow> = reply
+            .deltas
             .iter()
             .map(|d| StreamWindow {
                 key: d.key,
@@ -1266,6 +992,13 @@ impl StreamingEngine {
             })
             .collect();
         streams.sort_by_key(|s| s.key);
+        reply.deltas.clear();
+        // Emptied, capacity kept: the shard's next tick reuses them.
+        self.scratch = TickScratch {
+            deltas: reply.deltas,
+            events: reply.events,
+            tcp_new: reply.tcp_new,
+        };
 
         let mut meetings: BTreeMap<u32, MeetingWindow> = BTreeMap::new();
         for row in &streams {
@@ -1400,8 +1133,8 @@ impl StreamingEngine {
     /// grouper, RTT estimator, and candidate replicas — the incremental
     /// version of the batch pipeline's merge-time replay.
     ///
-    /// An event finds its replica through the `(shard, serial)` handle the
-    /// shard's stream table stamped on it: one indexed load. The keyed map
+    /// An event finds its replica through the stream serial the shard's
+    /// stream table stamped on it: one indexed load. The keyed map
     /// is probed only on a handle's first event — a new stream, or one
     /// that was evicted and came back under a new serial and must find the
     /// replica it had before (that is what keeps it in its meeting).
@@ -1422,7 +1155,7 @@ impl StreamingEngine {
                     ev.flow.src_ip,
                 );
             }
-            let by_serial = &mut self.handles[usize::from(ev.shard)];
+            let by_serial = &mut self.handles;
             let serial = ev.stream as usize;
             if serial >= by_serial.len() {
                 by_serial.resize(serial + 1, UNSEEN);
@@ -1463,42 +1196,36 @@ impl StreamingEngine {
         }
     }
 
-    /// Pick the shard, the peek to resume dissection from, and the
-    /// per-family flow verdicts for a record, mirroring the dissection
-    /// and registry decisions the sequential analyzer makes.
+    /// Pick the peek to resume dissection from and the per-family flow
+    /// verdicts for a record, mirroring the dissection and registry
+    /// decisions the sequential analyzer makes.
     ///
     /// The router stays off the Zoom parse path: a header-only
-    /// [`peek`] recovers the 5-tuple and header offsets (shipped to the
+    /// [`peek`] recovers the 5-tuple and header offsets (handed to the
     /// shard so it never re-scans Ethernet/IP/UDP), the STUN gate is
     /// applied exactly as the dissector applies it, and the expensive
     /// Zoom-vs-opaque question is answered lazily — only when one of the
     /// flow's endpoints has a fresh registry entry, because only then does
     /// the classification change what the registry (refresh) and the
     /// shard (P2P verdict) observe.
-    fn route(
-        &mut self,
-        ts: u64,
-        data: &[u8],
-        link: LinkType,
-    ) -> (usize, Option<PeekInfo>, RouteHints) {
-        let n = self.shard_count;
+    fn route(&mut self, ts: u64, data: &[u8], link: LinkType) -> (Option<PeekInfo>, RouteHints) {
         let p = match peek(data, link) {
             Ok(p) => p,
             Err(e) => {
                 // Undissectable records only touch additive counters;
                 // account the drop here (the shard sees no PeekInfo and
-                // counts nothing) and spread them round-robin.
+                // counts nothing).
                 self.metrics.record_drop(drop_stage(data, link, e));
-                return ((self.seq % n as u64) as usize, None, RouteHints::default());
+                return (None, RouteHints::default());
             }
         };
         let hints = self.apply_registry(ts, &p.info, data);
-        (shard_of(&p.info.five_tuple, n), Some(p.info), hints)
+        (Some(p.info), hints)
     }
 
     /// Apply the STUN-registry and WebRTC-flow-table sides of routing for
     /// one peeked record and return its flow verdicts. Shared verbatim by
-    /// [`route`] and the batched pass-3 loop in [`push_batch_records`], so
+    /// [`route`] and the batched pass-2 loop in [`push_batch_records`], so
     /// both paths make identical registry decisions by construction.
     ///
     /// [`route`]: StreamingEngine::route
@@ -1663,71 +1390,6 @@ impl PacketSink for StreamingEngine {
     }
 }
 
-/// Start shard `i`'s worker thread: a [`ShardState`] behind a bounded
-/// channel, with recycle channels for batch arenas and tick scratch.
-fn spawn_worker(i: usize, config: AnalyzerConfig, metrics: Arc<PipelineMetrics>) -> Worker {
-    let (tx, rx) = sync_channel::<ToWorker>(CHANNEL_DEPTH);
-    let (reply_tx, reply_rx) = channel::<TickReply>();
-    let (recycle_tx, recycle_rx) = channel::<Pending>();
-    let (scratch_tx, scratch_rx) = channel::<TickScratch>();
-    let handle = std::thread::spawn(move || {
-        let mut state = ShardState::new(config, Arc::clone(&metrics), i);
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                ToWorker::Batch(mut pending) => {
-                    for at in 0..pending.records.len() {
-                        prefetch_record(&pending.records, at + 1);
-                        let r = pending.records.get(at).expect("index in bounds");
-                        let m = &pending.meta[at];
-                        state.process(m.seq, r.ts_nanos, r.data, m.info.as_ref(), m.hints);
-                    }
-                    state.end_batch();
-                    pending.records.clear();
-                    pending.meta.clear();
-                    // This shard consumed one routed batch:
-                    // channel depth = batches - drained.
-                    metrics.shards[i].drained.inc();
-                    // Router gone mid-run is fine; the batch
-                    // just isn't recycled.
-                    let _ = recycle_tx.send(pending);
-                }
-                ToWorker::Tick { evict_before } => {
-                    // The router's previous apply_tick sent the last
-                    // reply's vectors back, when there was one.
-                    let scratch = scratch_rx.try_recv().unwrap_or_default();
-                    if reply_tx.send(state.tick(evict_before, scratch)).is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-        state.analyzer
-    });
-    Worker {
-        tx: Some(tx),
-        reply_rx,
-        recycle_rx,
-        scratch_tx,
-        pending: Pending::default(),
-        handle: Some(handle),
-    }
-}
-
-/// Send `w`'s pending batch to its thread, leaving a recycled (or fresh)
-/// one in its place.
-fn flush_pending(w: &mut Worker) -> Result<(), Error> {
-    let fresh = w.recycle_rx.try_recv().unwrap_or_default();
-    let pending = std::mem::replace(&mut w.pending, fresh);
-    send(w, ToWorker::Batch(pending))
-}
-
-fn send(w: &mut Worker, msg: ToWorker) -> Result<(), Error> {
-    w.tx.as_ref()
-        .expect("sender alive until drain")
-        .send(msg)
-        .map_err(|_| Error::ShardPanic("shard worker disconnected (channel closed)".into()))
-}
-
 fn merge_flow(into: &mut FxHashMap<FiveTuple, FlowStats>, ft: FiveTuple, fs: FlowStats) {
     match into.entry(ft) {
         std::collections::hash_map::Entry::Vacant(v) => {
@@ -1735,52 +1397,6 @@ fn merge_flow(into: &mut FxHashMap<FiveTuple, FlowStats>, ft: FiveTuple, fs: Flo
         }
         std::collections::hash_map::Entry::Occupied(mut o) => o.get_mut().absorb(&fs),
     }
-}
-
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    p.downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| p.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic payload".into())
-}
-
-/// FNV-1a over the canonical 5-tuple, reduced modulo the shard count.
-/// Both directions of a conversation hash identically, so every per-flow
-/// and per-stream state machine stays on one shard.
-pub(crate) fn shard_of(flow: &FiveTuple, n: usize) -> usize {
-    if n == 1 {
-        return 0; // nothing to choose between
-    }
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let c = flow.canonical();
-    let mut h = OFFSET;
-    let mut feed = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    match c.src_ip {
-        IpAddr::V4(a) => feed(&a.octets()),
-        IpAddr::V6(a) => feed(&a.octets()),
-    }
-    match c.dst_ip {
-        IpAddr::V4(a) => feed(&a.octets()),
-        IpAddr::V6(a) => feed(&a.octets()),
-    }
-    feed(&c.src_port.to_be_bytes());
-    feed(&c.dst_port.to_be_bytes());
-    feed(&[u8::from(c.protocol)]);
-    // FNV's low bits mix poorly for short, correlated inputs (adjacent
-    // addresses/ports), and `% n` reads exactly those bits; run the hash
-    // through a 64-bit finalizer for good dispersion at any shard count.
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^= h >> 33;
-    (h % n as u64) as usize
 }
 
 #[cfg(test)]
@@ -1804,30 +1420,6 @@ mod tests {
             dst_port: dport,
             protocol: Protocol::Udp,
         }
-    }
-
-    #[test]
-    fn both_directions_hash_to_one_shard() {
-        let up = tuple([10, 8, 0, 1], 50_000, [170, 114, 0, 1], 8801);
-        for n in [1usize, 2, 3, 8, 13] {
-            assert_eq!(shard_of(&up, n), shard_of(&up.reversed(), n));
-            assert!(shard_of(&up, n) < n);
-        }
-    }
-
-    #[test]
-    fn distinct_flows_spread_over_shards() {
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..64u16 {
-            let ft = tuple(
-                [10, 8, 0, (i % 250) as u8 + 1],
-                50_000 + i,
-                [170, 114, 0, 1],
-                8801,
-            );
-            seen.insert(shard_of(&ft, 8));
-        }
-        assert!(seen.len() >= 6, "poor dispersion: {seen:?}");
     }
 
     fn media_record(ts: u64, src_host: u8, ssrc: u32, seq: u16, rtp_ts: u32) -> Record {
@@ -1922,7 +1514,6 @@ mod tests {
         let mut engine = StreamingEngine::new(EngineConfig {
             window: Some(Duration::from_secs(5)),
             idle_timeout: Some(Duration::from_secs(10)),
-            shards: 2,
             ..Default::default()
         })
         .unwrap();
@@ -2008,57 +1599,31 @@ mod tests {
         let warm_up = batch_of((0..20).map(record));
         let steady = batch_of((20..20 + N).map(record));
 
-        // One shard: its flow-table probe and the replay's RTT probe are
-        // both paid right here — which also shows no worker thread does
-        // the shard's work. The router adds none: its registries are
-        // empty, and an empty table is not hashed for.
-        let mut inline = StreamingEngine::new(EngineConfig::default()).unwrap();
-        inline
+        // The shard's flow-table probe and the replay's RTT probe are both
+        // paid right here, on the calling thread. The router adds none:
+        // its registries are empty, and an empty table is not hashed for.
+        let mut engine = StreamingEngine::new(EngineConfig::default()).unwrap();
+        engine
             .push_batch_records(&warm_up, LinkType::Ethernet)
             .unwrap();
         let on_caller = hashes_during(|| {
-            inline
+            engine
                 .push_batch_records(&steady, LinkType::Ethernet)
                 .unwrap();
         });
-        assert_eq!(on_caller, 2 * N, "in-line lane");
+        assert_eq!(on_caller, 2 * N);
         // Replayed at the end of each push, the log never outgrows one.
-        let Lane::Inline { state, .. } = &inline.lane else {
-            panic!("one shard must take the in-line lane");
-        };
-        assert!(state.analyzer.event_log.as_ref().unwrap().is_empty());
-        assert_eq!(inline.drain().unwrap().report.summary.zoom_packets, 20 + N);
-
-        // Two shards: the same pushes cost the calling thread nothing —
-        // shard work is on the workers, the replay waits for a tick.
-        let mut threaded = StreamingEngine::new(EngineConfig {
-            shards: 2,
-            ..Default::default()
-        })
-        .unwrap();
-        threaded
-            .push_batch_records(&warm_up, LinkType::Ethernet)
-            .unwrap();
-        let on_caller = hashes_during(|| {
-            threaded
-                .push_batch_records(&steady, LinkType::Ethernet)
-                .unwrap();
-        });
-        assert_eq!(on_caller, 0, "threaded lane");
-        assert_eq!(
-            threaded.drain().unwrap().report.summary.zoom_packets,
-            20 + N
-        );
+        assert!(engine.state.analyzer.event_log.as_ref().unwrap().is_empty());
+        assert_eq!(engine.drain().unwrap().report.summary.zoom_packets, 20 + N);
     }
 
     #[test]
     fn replaying_a_known_stream_event_costs_one_hash() {
         let flow = tuple([10, 8, 0, 1], 50_000, [170, 114, 0, 1], 8801);
-        let event = |i: u64, shard: u16, stream: u32| MediaEvent {
-            seq_no: i,
+        let event = |i: u64| MediaEvent {
             ts_nanos: i * MS,
             flow,
-            ssrc: 0x21 + stream,
+            ssrc: 0x21 + i as u32 % 2,
             payload_type: 98,
             rtp_seq: i as u16,
             rtp_ts: 1_000 + i as u32 * 3_000,
@@ -2066,117 +1631,89 @@ mod tests {
             // its table never grows (a growing table rehashes).
             direction: Direction::FromServer,
             family: FamilyId::Zoom,
-            shard,
-            stream,
+            stream: i as u32 % 2,
         };
-        for shards in [1usize, 2] {
-            let mut engine = StreamingEngine::new(EngineConfig {
-                shards,
-                ..Default::default()
-            })
-            .unwrap();
-            let last_shard = shards as u16 - 1;
-            // First sight of each handle: keyed probes, grouping.
-            let first: Vec<MediaEvent> =
-                (0..4).map(|i| event(i, last_shard, i as u32 % 2)).collect();
-            engine.replay_events(&first);
-            assert_eq!(engine.replicas.len(), 2);
-            // From then on: the RTT matcher's probe, nothing else.
-            let steady: Vec<MediaEvent> = (4..104)
-                .map(|i| event(i, last_shard, i as u32 % 2))
-                .collect();
-            let hashes = hashes_during(|| engine.replay_events(&steady));
-            assert_eq!(hashes, steady.len() as u64, "{shards} shard(s)");
-            let packets: u64 = engine.replicas[0].subs.iter().map(|s| s.packets).sum();
-            assert_eq!(packets, 52);
-        }
+        let mut engine = StreamingEngine::new(EngineConfig::default()).unwrap();
+        // First sight of each handle: keyed probes, grouping.
+        let first: Vec<MediaEvent> = (0..4).map(event).collect();
+        engine.replay_events(&first);
+        assert_eq!(engine.replicas.len(), 2);
+        // From then on: the RTT matcher's probe, nothing else.
+        let steady: Vec<MediaEvent> = (4..104).map(event).collect();
+        let hashes = hashes_during(|| engine.replay_events(&steady));
+        assert_eq!(hashes, steady.len() as u64);
+        let packets: u64 = engine.replicas[0].subs.iter().map(|s| s.packets).sum();
+        assert_eq!(packets, 52);
     }
 
     #[test]
     fn evicted_stream_returns_to_its_replica_and_meeting() {
-        for shards in [1usize, 2] {
-            let mut engine = StreamingEngine::new(EngineConfig {
-                window: Some(Duration::from_secs(5)),
-                idle_timeout: Some(Duration::from_secs(10)),
-                shards,
-                ..Default::default()
-            })
-            .unwrap();
-            let mut evicted = 0;
-            let mut feed = |engine: &mut StreamingEngine, r: Record| {
-                for w in engine
-                    .push_packet(r.ts_nanos, &r.data, LinkType::Ethernet)
-                    .unwrap()
-                {
-                    evicted += w.totals.evicted_streams;
-                }
-            };
-            // Stream A speaks for 3 s; stream B keeps the clock running
-            // until A is evicted; then A comes back.
-            for i in 0..90u64 {
-                feed(
-                    &mut engine,
-                    media_record(i * 33 * MS, 1, 0xA, i as u16 + 1, 1_000 + i as u32 * 3_000),
-                );
+        let mut engine = StreamingEngine::new(EngineConfig {
+            window: Some(Duration::from_secs(5)),
+            idle_timeout: Some(Duration::from_secs(10)),
+            ..Default::default()
+        })
+        .unwrap();
+        let mut evicted = 0;
+        let mut feed = |engine: &mut StreamingEngine, r: Record| {
+            for w in engine
+                .push_packet(r.ts_nanos, &r.data, LinkType::Ethernet)
+                .unwrap()
+            {
+                evicted += w.totals.evicted_streams;
             }
-            for i in 0..900u64 {
-                let ts = 3 * SEC + i * 33 * MS;
-                feed(
-                    &mut engine,
-                    media_record(ts, 2, 0xB, i as u16 + 1, 1_000 + i as u32 * 3_000),
-                );
-            }
-            for i in 0..30u64 {
-                let ts = 33 * SEC + i * 33 * MS;
-                let n = 90 + i;
-                feed(
-                    &mut engine,
-                    media_record(ts, 1, 0xA, n as u16 + 1, 1_000 + n as u32 * 3_000),
-                );
-            }
-            assert_eq!(
-                evicted, 1,
-                "{shards} shard(s): A must be evicted exactly once"
+        };
+        // Stream A speaks for 3 s; stream B keeps the clock running
+        // until A is evicted; then A comes back.
+        for i in 0..90u64 {
+            feed(
+                &mut engine,
+                media_record(i * 33 * MS, 1, 0xA, i as u16 + 1, 1_000 + i as u32 * 3_000),
             );
-            engine.checkpoint().unwrap();
-
-            // Three stream incarnations were handled — A, B, A again under
-            // a new serial — but only two replicas exist: the returning A
-            // found the one it had.
-            let handled = engine
-                .handles
-                .iter()
-                .flatten()
-                .filter(|&&at| at != UNSEEN)
-                .count();
-            assert_eq!(handled, 3, "{shards} shard(s)");
-            assert_eq!(engine.replicas.len(), 2, "{shards} shard(s)");
-            let a_packets: u64 = engine.replicas[0].subs.iter().map(|s| s.packets).sum();
-            assert_eq!(
-                a_packets, 120,
-                "{shards} shard(s): both incarnations feed one replica"
-            );
-
-            // So it kept its identity: the evicted fragment and the live
-            // row agree on unique id and meeting.
-            let out = engine.drain().unwrap();
-            let a_rows: Vec<_> = out
-                .report
-                .streams
-                .iter()
-                .filter(|s| s.key.ssrc == 0xA)
-                .collect();
-            assert_eq!(a_rows.len(), 2, "{shards} shard(s)");
-            assert!(a_rows[0].evicted && !a_rows[1].evicted);
-            assert_eq!((a_rows[0].packets, a_rows[1].packets), (90, 30));
-            assert!(a_rows[0].meeting.is_some());
-            assert_eq!(a_rows[0].meeting, a_rows[1].meeting, "{shards} shard(s)");
-            assert_eq!(
-                a_rows[0].unique_id, a_rows[1].unique_id,
-                "{shards} shard(s)"
-            );
-            assert_eq!(out.report.summary.rtp_streams, 2);
         }
+        for i in 0..900u64 {
+            let ts = 3 * SEC + i * 33 * MS;
+            feed(
+                &mut engine,
+                media_record(ts, 2, 0xB, i as u16 + 1, 1_000 + i as u32 * 3_000),
+            );
+        }
+        for i in 0..30u64 {
+            let ts = 33 * SEC + i * 33 * MS;
+            let n = 90 + i;
+            feed(
+                &mut engine,
+                media_record(ts, 1, 0xA, n as u16 + 1, 1_000 + n as u32 * 3_000),
+            );
+        }
+        assert_eq!(evicted, 1, "A must be evicted exactly once");
+        engine.checkpoint().unwrap();
+
+        // Three stream incarnations were handled — A, B, A again under
+        // a new serial — but only two replicas exist: the returning A
+        // found the one it had.
+        let handled = engine.handles.iter().filter(|&&at| at != UNSEEN).count();
+        assert_eq!(handled, 3);
+        assert_eq!(engine.replicas.len(), 2);
+        let a_packets: u64 = engine.replicas[0].subs.iter().map(|s| s.packets).sum();
+        assert_eq!(a_packets, 120, "both incarnations feed one replica");
+
+        // So it kept its identity: the evicted fragment and the live
+        // row agree on unique id and meeting.
+        let out = engine.drain().unwrap();
+        let a_rows: Vec<_> = out
+            .report
+            .streams
+            .iter()
+            .filter(|s| s.key.ssrc == 0xA)
+            .collect();
+        assert_eq!(a_rows.len(), 2);
+        assert!(a_rows[0].evicted && !a_rows[1].evicted);
+        assert_eq!((a_rows[0].packets, a_rows[1].packets), (90, 30));
+        assert!(a_rows[0].meeting.is_some());
+        assert_eq!(a_rows[0].meeting, a_rows[1].meeting);
+        assert_eq!(a_rows[0].unique_id, a_rows[1].unique_id);
+        assert_eq!(out.report.summary.rtp_streams, 2);
     }
 
     #[test]

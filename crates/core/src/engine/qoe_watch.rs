@@ -22,9 +22,8 @@
 //! 0 recovered). A meeting that disappears from the window (ended or
 //! evicted) recovers all of its active verdicts.
 //!
-//! The detector sees only the [`WindowReport`], which is byte-identical
-//! across shard counts, so the alert sequence is deterministic and
-//! identical at 1, 2, or 8 shards (asserted in
+//! The detector sees only the [`WindowReport`], a function of the
+//! records alone, so the alert sequence is deterministic (pinned in
 //! `tests/observability.rs`).
 //!
 //! [`StreamingEngine`]: super::StreamingEngine

@@ -2,9 +2,9 @@
 //!
 //! Every fallible public API in this crate returns [`Error`] rather than
 //! a bare `String` or a panic: configuration validation
-//! ([`crate::pipeline::AnalyzerConfigBuilder::build`]), the streaming
-//! engine ([`crate::engine::StreamingEngine`]), and the parallel
-//! front-end ([`crate::parallel::ParallelAnalyzer::finish`]). Callers
+//! ([`crate::pipeline::AnalyzerConfigBuilder::build`]) and both sinks
+//! ([`crate::pipeline::Analyzer`], [`crate::engine::StreamingEngine`]).
+//! Callers
 //! that prefer strings (the CLI's `Result<(), String>` plumbing) get one
 //! for free through the `From<Error> for String` impl.
 
@@ -24,12 +24,9 @@ pub enum Error {
     },
     /// Input bytes that could not be parsed as the expected format.
     Parse(String),
-    /// An invalid configuration value (bad CIDR, zero shard count, an
-    /// out-of-range duration, …).
+    /// An invalid configuration value (bad CIDR, an out-of-range
+    /// duration, …).
     Config(String),
-    /// A worker shard of the parallel/streaming pipeline panicked; the
-    /// string carries the panic payload when it was textual.
-    ShardPanic(String),
 }
 
 impl Error {
@@ -48,7 +45,6 @@ impl fmt::Display for Error {
             Error::Io { context, source } => write!(f, "{context}: {source}"),
             Error::Parse(msg) => write!(f, "parse error: {msg}"),
             Error::Config(msg) => write!(f, "invalid configuration: {msg}"),
-            Error::ShardPanic(msg) => write!(f, "shard worker panicked: {msg}"),
         }
     }
 }

@@ -18,14 +18,12 @@
 //! * [`pipeline`] — the end-to-end [`pipeline::Analyzer`]
 //! * [`engine`] — the streaming [`engine::StreamingEngine`]: windowed
 //!   reports, idle-timeout eviction, checkpoint/drain
-//! * [`dist`] — merge-node checkpoint/restore for the distributed shard
-//!   tier ([`dist::MergeCheckpoint`], [`dist::WindowGate`])
-//! * [`parallel`] — the sharded [`parallel::ParallelAnalyzer`] front-end
-//!   with sequential-identical merge semantics
+//! * [`dist`] — merge-node checkpoint/restore for the distributed tier
+//!   ([`dist::MergeCheckpoint`], [`dist::WindowGate`])
 //! * [`report`] — owned [`report::AnalysisReport`] / windowed report
 //!   types and their JSON serialization
-//! * [`sink`] — the [`sink::PacketSink`] trait: the one ingest API all
-//!   three sinks (batch, sharded, streaming) implement
+//! * [`sink`] — the [`sink::PacketSink`] trait: the one ingest API both
+//!   sinks (batch, streaming) implement
 //! * [`obs`] — the production observability layer: lock-light metrics
 //!   registry, JSON/Prometheus snapshots, feature-gated tracing
 //! * [`error`] — the crate-wide [`Error`] type
@@ -64,7 +62,6 @@ pub mod meeting;
 pub mod metrics;
 pub mod obs;
 pub mod packet;
-pub mod parallel;
 pub mod pipeline;
 pub mod report;
 pub mod sink;

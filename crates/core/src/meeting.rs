@@ -320,7 +320,7 @@ impl MeetingGrouper {
                 r.streams.sort();
                 // `assignments` iterates in HashMap order; sort the uid
                 // list so reports are identical run-to-run (and between
-                // the sequential and sharded pipelines).
+                // the sequential analyzer and the engine).
                 r.stream_uids.sort_unstable();
                 r
             })

@@ -77,8 +77,8 @@ impl RtpRttEstimator {
 
     /// Core matching step on the already-extracted RTP identity
     /// `(ssrc, payload type, sequence, timestamp)`. Split out from
-    /// [`Self::on_packet`] so the sharded pipeline's merge-time replay can
-    /// feed logged events without rebuilding full packet metadata.
+    /// [`Self::on_packet`] so the engine's event replay can feed logged
+    /// events without rebuilding full packet metadata.
     pub(crate) fn observe(
         &mut self,
         ts_nanos: u64,
@@ -222,8 +222,8 @@ impl TcpRttEstimator {
         &self.samples
     }
 
-    /// Replace the sample vector — the sharded merge installs the k-way
-    /// time-merged union of per-shard samples.
+    /// Replace the sample vector — the engine's drain installs the
+    /// time-sorted union of its per-tick sample deltas.
     pub(crate) fn set_samples(&mut self, samples: Vec<RttSample>) {
         self.samples = samples;
     }

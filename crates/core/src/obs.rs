@@ -4,16 +4,16 @@
 //! The paper's toolchain is meant to run unattended against production
 //! campus traffic (§6: a 12-hour, 1.8-billion-packet trace), which
 //! demands the operational visibility a real deployment has: where
-//! packets are dropped, which dissect stage rejected them, how hot each
-//! shard runs, and whether eviction is discarding live streams. This
-//! module provides:
+//! packets are dropped, which dissect stage rejected them, and whether
+//! eviction is discarding live streams. This module provides:
 //!
 //! * [`Counter`] / [`Gauge`] / [`Histogram`] — relaxed-ordering atomics,
 //!   no locks, no allocation after construction, safe to share across the
-//!   router and shard threads through one `Arc<PipelineMetrics>`;
+//!   analysis, capture and scrape threads through one
+//!   `Arc<PipelineMetrics>`;
 //! * [`PipelineMetrics`] — the registry every sink
-//!   ([`crate::pipeline::Analyzer`], [`crate::parallel::ParallelAnalyzer`],
-//!   [`crate::engine::StreamingEngine`]) threads through its hot path;
+//!   ([`crate::pipeline::Analyzer`], [`crate::engine::StreamingEngine`])
+//!   threads through its hot path;
 //! * [`MetricsSnapshot`] — a plain-data copy renderable as JSON
 //!   ([`MetricsSnapshot::to_json`]) or Prometheus text exposition format
 //!   ([`MetricsSnapshot::to_prom`]);
@@ -777,23 +777,8 @@ fn prom_histogram(out: &mut String, name: &str, labels: &str, h: &HistogramSnaps
     }
 }
 
-/// Per-shard routing metrics.
-#[derive(Debug, Default)]
-pub struct ShardMetrics {
-    /// Records routed to this shard.
-    pub routed: Counter,
-    /// Batches flushed to this shard's channel.
-    pub batches: Counter,
-    /// Records batched but not yet flushed (queue depth at the router).
-    pub pending: Gauge,
-    /// Batches the shard worker drained off its channel. The difference
-    /// `batches - drained` is the shard's live channel depth — the
-    /// backlog a stalled worker accumulates.
-    pub drained: Counter,
-}
-
-/// The pipeline-wide metrics registry, shared by the router and every
-/// shard through one `Arc`.
+/// The pipeline-wide metrics registry, shared by the analysis sink, the
+/// capture threads and the scrape endpoint through one `Arc`.
 ///
 /// All fields are public so instrumentation sites pay exactly one atomic
 /// RMW with no accessor indirection; readers should go through
@@ -842,10 +827,6 @@ pub struct PipelineMetrics {
     /// Captured bytes the pcap reader delivered.
     pub pcap_bytes_read: Gauge,
 
-    /// Per-shard routing metrics (one entry per shard; a sequential
-    /// analyzer has none).
-    pub shards: Vec<ShardMetrics>,
-
     /// Tumbling windows closed by the streaming engine.
     pub windows_closed: Counter,
     /// Explicit checkpoints taken.
@@ -855,7 +836,7 @@ pub struct PipelineMetrics {
     /// Streams evicted by the idle timeout.
     pub evicted_streams: Counter,
     /// Entries (flows + streams + STUN registrations + RTT candidates)
-    /// currently tracked across shards.
+    /// currently tracked.
     pub tracked_entries: Gauge,
     /// High-water mark of `tracked_entries`.
     pub peak_tracked_entries: Gauge,
@@ -863,7 +844,7 @@ pub struct PipelineMetrics {
     /// Sampled latency of [`crate::sink::PacketSink::push`] (1-in-N
     /// clock samples; always on, unlike the verbose `obs-trace` tier).
     pub stage_push_nanos: Histogram,
-    /// Latency of window-close/drain ticks (shard flush + reply merge).
+    /// Latency of window-close/drain ticks (shard tick + reply fold).
     pub stage_merge_nanos: Histogram,
     /// Latency of explicit checkpoints.
     pub stage_checkpoint_nanos: Histogram,
@@ -894,9 +875,8 @@ pub struct PipelineMetrics {
 /// One thread's not-yet-published share of the per-record counters.
 ///
 /// The registry's counters are shared atomics; bumping five or six of
-/// them for every record costs more than the counting is worth, and the
-/// router and a shard bumping neighbours in one cache line cost more
-/// still. A sink thread counts into one of these instead — plain adds —
+/// them for every record costs more than the counting is worth. A sink
+/// thread counts into one of these instead — plain adds —
 /// and [`flush`](IngestTally::flush)es the sums into the registry at
 /// batch boundaries, every 64 records on per-record paths, and before
 /// anything reads the registry through the sink. A scrape endpoint
@@ -999,7 +979,7 @@ impl SourceMetrics {
 }
 
 /// Merge-node accounting for one fragment worker feeding the
-/// distributed shard tier (`docs/DISTRIBUTED.md`).
+/// distributed tier (`docs/DISTRIBUTED.md`).
 ///
 /// Registered on a [`PipelineMetrics`] via
 /// [`register_worker`](PipelineMetrics::register_worker). The
@@ -1062,10 +1042,15 @@ impl WorkerMetrics {
     }
 }
 
+impl Default for PipelineMetrics {
+    fn default() -> PipelineMetrics {
+        PipelineMetrics::new()
+    }
+}
+
 impl PipelineMetrics {
-    /// A zeroed registry with `shards` per-shard slots (0 for a purely
-    /// sequential sink).
-    pub fn new(shards: usize) -> PipelineMetrics {
+    /// A zeroed registry.
+    pub fn new() -> PipelineMetrics {
         PipelineMetrics {
             packets_in: Counter::new(),
             bytes_in: Counter::new(),
@@ -1083,7 +1068,6 @@ impl PipelineMetrics {
             pcap_truncated_records: Gauge::new(),
             pcap_records_read: Gauge::new(),
             pcap_bytes_read: Gauge::new(),
-            shards: (0..shards).map(|_| ShardMetrics::default()).collect(),
             windows_closed: Counter::new(),
             checkpoints: Counter::new(),
             evicted_flows: Counter::new(),
@@ -1200,16 +1184,6 @@ impl PipelineMetrics {
             pcap_truncated_records: self.pcap_truncated_records.get(),
             pcap_records_read: self.pcap_records_read.get(),
             pcap_bytes_read: self.pcap_bytes_read.get(),
-            shards: self
-                .shards
-                .iter()
-                .map(|s| ShardSnapshot {
-                    routed: s.routed.get(),
-                    batches: s.batches.get(),
-                    pending: s.pending.get(),
-                    drained: s.drained.get(),
-                })
-                .collect(),
             windows_closed: self.windows_closed.get(),
             checkpoints: self.checkpoints.get(),
             evicted_flows: self.evicted_flows.get(),
@@ -1262,7 +1236,7 @@ impl PipelineMetrics {
 
     /// The `/debug/pipeline` introspection payload: one JSON object of
     /// live operational state — ring occupancy and lag per source,
-    /// channel depth per shard, table sizes and eviction pressure,
+    /// table sizes and eviction pressure,
     /// worker link states, and the trace collector's own health. This is
     /// the "where is it stuck right now" view, complementing the
     /// cumulative `/metrics` families.
@@ -1300,22 +1274,6 @@ impl PipelineMetrics {
             sources.push_str(&o.finish());
         }
         sources.push(']');
-
-        let mut shards = String::from("[");
-        for (i, sh) in s.shards.iter().enumerate() {
-            if i > 0 {
-                shards.push(',');
-            }
-            let mut o = JsonObj::new();
-            o.u64("shard", i as u64)
-                .u64("routed", sh.routed)
-                .u64("batches", sh.batches)
-                .u64("drained", sh.drained)
-                .u64("channel_depth", sh.channel_depth())
-                .u64("pending", sh.pending);
-            shards.push_str(&o.finish());
-        }
-        shards.push(']');
 
         let mut workers = String::from("[");
         for (i, w) in s.workers.iter().enumerate() {
@@ -1357,7 +1315,6 @@ impl PipelineMetrics {
             .u64("packets_in", s.packets_in)
             .bool("conservation_holds", s.conservation_holds())
             .raw("sources", &sources)
-            .raw("shards", &shards)
             .raw("workers", &workers)
             .raw("tables", &tables.finish())
             .raw("trace", &trace_obj.finish());
@@ -1386,28 +1343,6 @@ pub fn build_info() -> (&'static str, &'static str, &'static str) {
 }
 
 // ------------------------------------------------------------ snapshot --
-
-/// Plain-data copy of one shard's routing metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSnapshot {
-    /// Records routed to this shard.
-    pub routed: u64,
-    /// Batches flushed to this shard's channel.
-    pub batches: u64,
-    /// Records batched but not yet flushed.
-    pub pending: u64,
-    /// Batches the shard worker drained off its channel.
-    pub drained: u64,
-}
-
-impl ShardSnapshot {
-    /// Batches queued in the shard's channel right now
-    /// (`batches - drained`, saturating — a worker mid-drain can be one
-    /// ahead of the flush counter for an instant).
-    pub fn channel_depth(&self) -> u64 {
-        self.batches.saturating_sub(self.drained)
-    }
-}
 
 /// Capture-pipeline verdict counters (the software Tofino of Fig. 13),
 /// folded into a snapshot by the CLI when the capture stage runs in the
@@ -1479,8 +1414,6 @@ pub struct MetricsSnapshot {
     pub pcap_records_read: u64,
     /// Captured bytes the pcap reader delivered.
     pub pcap_bytes_read: u64,
-    /// Per-shard routing snapshots.
-    pub shards: Vec<ShardSnapshot>,
     /// Tumbling windows closed.
     pub windows_closed: u64,
     /// Explicit checkpoints taken.
@@ -1643,19 +1576,6 @@ impl MetricsSnapshot {
             .u64("evicted_streams", self.evicted_streams)
             .u64("tracked_entries", self.tracked_entries)
             .u64("peak_tracked_entries", self.peak_tracked_entries);
-        let shards: Vec<String> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let mut o = JsonObj::new();
-                o.u64("routed", s.routed)
-                    .u64("batches", s.batches)
-                    .u64("pending", s.pending)
-                    .u64("drained", s.drained)
-                    .u64("channel_depth", s.channel_depth());
-                o.finish()
-            })
-            .collect();
         let size = hist_json(&self.packet_size);
         let mut stage = JsonObj::new();
         stage
@@ -1690,17 +1610,6 @@ impl MetricsSnapshot {
             .bool("conservation_holds", self.conservation_holds())
             .raw("pcap", &pcap.finish())
             .raw("packet_size", &size)
-            .raw("shards", &{
-                let mut buf = String::from("[");
-                for (i, s) in shards.iter().enumerate() {
-                    if i > 0 {
-                        buf.push(',');
-                    }
-                    buf.push_str(s);
-                }
-                buf.push(']');
-                buf
-            })
             .raw("engine", &engine.finish())
             .raw("stage_latency", &stage.finish())
             .raw("qoe", &self.qoe.to_json());
@@ -1765,8 +1674,8 @@ impl MetricsSnapshot {
     }
 
     /// Render in the Prometheus text exposition format (version 0.0.4):
-    /// `# HELP` / `# TYPE` per family, `zoom_`-prefixed names, shard
-    /// labels, and cumulative `_bucket{le=...}` histogram series.
+    /// `# HELP` / `# TYPE` per family, `zoom_`-prefixed names, and
+    /// cumulative `_bucket{le=...}` histogram series.
     pub fn to_prom(&self) -> String {
         use std::fmt::Write as _;
         fn family(out: &mut String, name: &str, kind: &str, help: &str, v: u64) {
@@ -1875,56 +1784,6 @@ impl MetricsSnapshot {
                 ),
             ] {
                 family(&mut out2, name, "gauge", help, v);
-            }
-
-            if !self.shards.is_empty() {
-                let _ = writeln!(
-                    out2,
-                    "# HELP zoom_shard_routed_total Records routed to each shard."
-                );
-                let _ = writeln!(out2, "# TYPE zoom_shard_routed_total counter");
-                for (i, s) in self.shards.iter().enumerate() {
-                    let _ = writeln!(out2, "zoom_shard_routed_total{{shard=\"{i}\"}} {}", s.routed);
-                }
-                let _ = writeln!(
-                    out2,
-                    "# HELP zoom_shard_batches_total Batches flushed to each shard's channel."
-                );
-                let _ = writeln!(out2, "# TYPE zoom_shard_batches_total counter");
-                for (i, s) in self.shards.iter().enumerate() {
-                    let _ =
-                        writeln!(out2, "zoom_shard_batches_total{{shard=\"{i}\"}} {}", s.batches);
-                }
-                let _ = writeln!(
-                    out2,
-                    "# HELP zoom_shard_pending_records Records batched at the router, not yet flushed."
-                );
-                let _ = writeln!(out2, "# TYPE zoom_shard_pending_records gauge");
-                for (i, s) in self.shards.iter().enumerate() {
-                    let _ =
-                        writeln!(out2, "zoom_shard_pending_records{{shard=\"{i}\"}} {}", s.pending);
-                }
-                let _ = writeln!(
-                    out2,
-                    "# HELP zoom_shard_drained_total Batches each shard worker drained off its channel."
-                );
-                let _ = writeln!(out2, "# TYPE zoom_shard_drained_total counter");
-                for (i, s) in self.shards.iter().enumerate() {
-                    let _ =
-                        writeln!(out2, "zoom_shard_drained_total{{shard=\"{i}\"}} {}", s.drained);
-                }
-                let _ = writeln!(
-                    out2,
-                    "# HELP zoom_shard_channel_depth Batches queued in each shard's channel."
-                );
-                let _ = writeln!(out2, "# TYPE zoom_shard_channel_depth gauge");
-                for (i, s) in self.shards.iter().enumerate() {
-                    let _ = writeln!(
-                        out2,
-                        "zoom_shard_channel_depth{{shard=\"{i}\"}} {}",
-                        s.channel_depth()
-                    );
-                }
             }
 
             for (name, help, v) in [
@@ -2201,7 +2060,7 @@ mod tests {
 
     #[test]
     fn conservation_and_drop_routing() {
-        let m = PipelineMetrics::new(2);
+        let m = PipelineMetrics::new();
         m.record_in(100);
         m.record_in(200);
         m.record_in(300);
@@ -2220,7 +2079,7 @@ mod tests {
 
     #[test]
     fn source_registry_extends_conservation_and_renders() {
-        let m = PipelineMetrics::new(0);
+        let m = PipelineMetrics::new();
         // No sources: the families are absent from both renders.
         let s = m.snapshot();
         assert!(s.sources.is_empty());
@@ -2266,7 +2125,7 @@ mod tests {
 
     #[test]
     fn worker_registry_extends_conservation_and_renders() {
-        let m = PipelineMetrics::new(0);
+        let m = PipelineMetrics::new();
         // No workers: the families are absent from both renders.
         let s = m.snapshot();
         assert!(s.workers.is_empty());
@@ -2318,14 +2177,12 @@ mod tests {
     /// reviewed diff.
     #[test]
     fn prom_render_is_pinned() {
-        let m = PipelineMetrics::new(1);
+        let m = PipelineMetrics::new();
         m.record_in(100);
         m.record_in(1500);
         m.packets_classified.inc();
         m.record_drop(DropStage::Truncated);
         m.packets_not_zoom.inc();
-        m.shards[0].routed.add(2);
-        m.shards[0].batches.inc();
         m.windows_closed.inc();
         m.tracked_entries.set(4);
         m.peak_tracked_entries.set_max(9);
@@ -2392,21 +2249,6 @@ zoom_pcap_records_read 0
 # HELP zoom_pcap_bytes_read Captured bytes delivered by the pcap reader.
 # TYPE zoom_pcap_bytes_read gauge
 zoom_pcap_bytes_read 0
-# HELP zoom_shard_routed_total Records routed to each shard.
-# TYPE zoom_shard_routed_total counter
-zoom_shard_routed_total{shard=\"0\"} 2
-# HELP zoom_shard_batches_total Batches flushed to each shard's channel.
-# TYPE zoom_shard_batches_total counter
-zoom_shard_batches_total{shard=\"0\"} 1
-# HELP zoom_shard_pending_records Records batched at the router, not yet flushed.
-# TYPE zoom_shard_pending_records gauge
-zoom_shard_pending_records{shard=\"0\"} 0
-# HELP zoom_shard_drained_total Batches each shard worker drained off its channel.
-# TYPE zoom_shard_drained_total counter
-zoom_shard_drained_total{shard=\"0\"} 0
-# HELP zoom_shard_channel_depth Batches queued in each shard's channel.
-# TYPE zoom_shard_channel_depth gauge
-zoom_shard_channel_depth{shard=\"0\"} 1
 # HELP zoom_windows_closed_total Tumbling windows closed by the streaming engine.
 # TYPE zoom_windows_closed_total counter
 zoom_windows_closed_total 1
@@ -2510,7 +2352,7 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
 
     #[test]
     fn json_snapshot_has_schema_keys() {
-        let m = PipelineMetrics::new(2);
+        let m = PipelineMetrics::new();
         m.record_in(64);
         m.packets_classified.inc();
         let mut s = m.snapshot();
@@ -2532,7 +2374,6 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
             "\"conservation_holds\":true",
             "\"pcap\":{",
             "\"packet_size\":{",
-            "\"shards\":[",
             "\"engine\":{",
             "\"stage_latency\":{",
             "\"qoe\":{",
@@ -2642,7 +2483,7 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
     /// sequences Prometheus's parser expects, never raw.
     #[test]
     fn prom_label_values_are_escaped() {
-        let m = PipelineMetrics::new(0);
+        let m = PipelineMetrics::new();
         let src = m.register_source("pcap:C:\\traces\\a \"prod\" run\n.pcap");
         src.packets.inc();
         let w = m.register_worker("box\\one\"two\nthree");
@@ -2671,7 +2512,7 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
         let (version, git_sha, features) = build_info();
         assert!(!version.is_empty());
         assert!(!git_sha.is_empty());
-        let m = PipelineMetrics::new(0);
+        let m = PipelineMetrics::new();
         let s = m.snapshot();
         let prom = s.to_prom();
         assert!(prom.starts_with("# HELP zoom_build_info"));
@@ -2686,15 +2527,13 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
 
     #[test]
     fn debug_json_exposes_live_pipeline_state() {
-        let m = PipelineMetrics::new(2);
+        let m = PipelineMetrics::new();
         let src = m.register_source("pcap:a.pcap");
         src.ring_occupancy.set(3);
         src.ring_occupancy_hwm.set_max(7);
         src.delivered_ts_nanos.set(1_000);
         let lagging = m.register_source("pcap:b.pcap");
         lagging.delivered_ts_nanos.set(400);
-        m.shards[0].batches.add(5);
-        m.shards[0].drained.add(3);
         let w = m.register_worker("box-a");
         w.link_state.set(link_state::STREAMING);
         m.trace.enable(4, "merge");
@@ -2706,23 +2545,11 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
             "\"ring_occupancy\":3",
             "\"ring_occupancy_hwm\":7",
             "\"lag_nanos\":600",
-            "\"channel_depth\":2",
             "\"link_state\":\"streaming\"",
             "\"tables\":{\"tracked_entries\":0",
             "\"trace\":{\"enabled\":true,\"node\":\"merge\",\"sample_every\":4",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-    }
-
-    #[test]
-    fn shard_channel_depth_saturates() {
-        let s = ShardSnapshot {
-            routed: 0,
-            batches: 2,
-            pending: 0,
-            drained: 3,
-        };
-        assert_eq!(s.channel_depth(), 0);
     }
 }

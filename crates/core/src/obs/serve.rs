@@ -10,9 +10,8 @@
 //!   does not assert that packets are flowing);
 //! * `GET /debug/pipeline` — a live JSON view of internal pipeline
 //!   state ([`PipelineMetrics::debug_json`]): ring occupancy and
-//!   high-water marks, per-source delivered timestamps and lag,
-//!   per-shard channel depth, worker link states, table sizes and
-//!   eviction pressure;
+//!   high-water marks, per-source delivered timestamps and lag, worker
+//!   link states, table sizes and eviction pressure;
 //! * `GET /debug/trace?n=K` — the last `K` (default 16) sampled traces
 //!   from the collector's tail ring, one JSON object per line, oldest
 //!   first. Empty body while tracing is disabled.
@@ -30,7 +29,7 @@
 //! use std::sync::Arc;
 //! use zoom_analysis::obs::{serve, PipelineMetrics};
 //!
-//! let metrics = Arc::new(PipelineMetrics::new(1));
+//! let metrics = Arc::new(PipelineMetrics::new());
 //! let handle = serve::serve("127.0.0.1:9184", Arc::clone(&metrics)).unwrap();
 //! println!("scrape http://{}/metrics", handle.addr());
 //! // ... run the pipeline ...
@@ -204,7 +203,7 @@ mod tests {
 
     #[test]
     fn serves_metrics_and_healthz() {
-        let metrics = Arc::new(PipelineMetrics::new(1));
+        let metrics = Arc::new(PipelineMetrics::new());
         metrics.record_in(100);
         metrics.packets_classified.inc();
         let handle = serve("127.0.0.1:0", Arc::clone(&metrics)).unwrap();
@@ -242,7 +241,7 @@ mod tests {
 
     #[test]
     fn debug_routes_serve_live_state() {
-        let metrics = Arc::new(PipelineMetrics::new(2));
+        let metrics = Arc::new(PipelineMetrics::new());
         let src = metrics.register_source("pcap:a.pcap");
         src.ring_occupancy_hwm.set_max(5);
         metrics.trace.enable(1, "serve-test");
@@ -279,7 +278,7 @@ mod tests {
     /// single accept thread serializes the connections.
     #[test]
     fn concurrent_scrapes_during_active_ingest() {
-        let metrics = Arc::new(PipelineMetrics::new(4));
+        let metrics = Arc::new(PipelineMetrics::new());
         let handle = serve("127.0.0.1:0", Arc::clone(&metrics)).unwrap();
         let addr = handle.addr();
 
@@ -312,7 +311,7 @@ mod tests {
     /// listener is gone shortly after shutdown returns.
     #[test]
     fn shutdown_races_inflight_scrapes_without_hanging() {
-        let metrics = Arc::new(PipelineMetrics::new(1));
+        let metrics = Arc::new(PipelineMetrics::new());
         let handle = serve("127.0.0.1:0", Arc::clone(&metrics)).unwrap();
         let addr = handle.addr();
 

@@ -1,11 +1,11 @@
-//! Structured causal tracing for the capture → shard → merge pipeline.
+//! Structured causal tracing for the capture → analysis → merge pipeline.
 //!
 //! The metrics registry ([`super::PipelineMetrics`]) answers *how much*:
 //! cumulative counters say how many packets were classified, dropped, or
 //! evicted. This module answers *where it went*: a sampled
 //! [`RecordBatch`] is tagged with a
 //! **trace ID** at its capture source, and every stage it passes through
-//! (source read → ring enqueue/dequeue → dissect → shard route → window
+//! (source read → ring enqueue/dequeue → dissect → engine push → window
 //! emit → fragment encode → merge decode) records one span event against
 //! that ID. The result is a causal tree per sampled batch, exportable as
 //! pinned-schema NDJSON (`analyze --trace out.ndjson`) and inspectable
@@ -74,7 +74,9 @@ pub mod spans {
     pub const RING_DEQUEUE: &str = "ring_dequeue";
     /// The sequential analyzer dissected + classified the batch.
     pub const DISSECT: &str = "dissect";
-    /// The parallel router peeked, hashed, and fanned the batch out.
+    /// Reserved, not emitted: the hop of the removed threaded shard
+    /// tier. The name stays in the catalogue because the exported
+    /// schema (and the benchmark's layer table) pins the set.
     pub const SHARD_ROUTE: &str = "shard_route";
     /// The streaming engine ingested the batch (peek, route, ticks).
     pub const ENGINE_PUSH: &str = "engine_push";

@@ -281,8 +281,8 @@ pub struct FlowStats {
 }
 
 impl FlowStats {
-    /// Fold in accounting of the same flow gathered elsewhere (another
-    /// shard, or a fragment evicted earlier).
+    /// Fold in accounting of the same flow gathered elsewhere (a
+    /// fragment evicted earlier).
     pub(crate) fn absorb(&mut self, other: &FlowStats) {
         self.packets += other.packets;
         self.bytes += other.bytes;
@@ -329,14 +329,12 @@ pub struct MediaSamples {
     pub jitter_ms: Samples,
 }
 
-/// A compact record of one RTP-bearing Zoom packet, logged by shard
-/// analyzers in place of the cross-flow trackers (meeting grouping and
-/// RTP-copy RTT matching) and replayed in global order at merge time —
-/// see [`crate::parallel`].
+/// A compact record of one RTP-bearing Zoom packet, logged by a
+/// shard-mode analyzer in place of the cross-flow trackers (meeting
+/// grouping and RTP-copy RTT matching) and replayed in log order by the
+/// engine — see [`crate::engine`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MediaEvent {
-    /// Router-assigned global sequence number (total order over the trace).
-    pub(crate) seq_no: u64,
     /// Capture timestamp, nanoseconds.
     pub(crate) ts_nanos: u64,
     /// The packet's directional 5-tuple.
@@ -354,11 +352,9 @@ pub(crate) struct MediaEvent {
     /// Which protocol family produced the packet (gates the replay: only
     /// Zoom events feed the RTP-copy RTT estimator).
     pub(crate) family: FamilyId,
-    /// The shard that logged the event, and the stream's
-    /// [`Stream::serial`] there: together a dense handle the replay
-    /// resolves its per-stream state by, in place of hashing
-    /// `(flow, ssrc)` per event.
-    pub(crate) shard: u16,
+    /// The stream's [`Stream::serial`] in the analyzer that logged the
+    /// event: a dense handle the replay resolves its per-stream state
+    /// by, in place of hashing `(flow, ssrc)` per event.
     pub(crate) stream: u32,
 }
 
@@ -396,10 +392,6 @@ pub struct Analyzer {
     /// [`MediaEvent`] is appended per RTP packet instead; the P2P verdict
     /// comes from the router-provided hint rather than the local registry.
     pub(crate) event_log: Option<Vec<MediaEvent>>,
-    /// Shard mode: this analyzer's shard index, stamped on its events.
-    shard: u16,
-    /// Shard mode: global sequence number of the record being processed.
-    pub(crate) current_seq: u64,
     /// Shard mode: the router's `is_p2p_flow` verdict for this record.
     pub(crate) p2p_hint: bool,
     /// Shard mode: the router's `is_webrtc_flow` verdict for this record.
@@ -415,8 +407,8 @@ pub struct Analyzer {
     /// Reused peek arena for the batched [`PacketSink::push_batch`] path.
     peek_arena: PeekArena,
     /// The observability registry ([`crate::obs`]). Sequential analyzers
-    /// own a private one; shard analyzers share the router's `Arc` so
-    /// classification counters aggregate pipeline-wide.
+    /// own a private one; the engine's shard analyzer shares the router's
+    /// `Arc` so classification counters land beside the ingest ones.
     pub(crate) metrics: Arc<PipelineMetrics>,
 }
 
@@ -442,14 +434,12 @@ impl Analyzer {
             last_zoom_ts: 0,
             undissectable: 0,
             event_log: None,
-            shard: 0,
-            current_seq: 0,
             p2p_hint: false,
             webrtc_hint: false,
             srtp_malformed: false,
             tally: IngestTally::default(),
             peek_arena: PeekArena::new(),
-            metrics: Arc::new(PipelineMetrics::new(0)),
+            metrics: Arc::new(PipelineMetrics::new()),
         }
     }
 
@@ -470,16 +460,11 @@ impl Analyzer {
 
     /// A shard-mode analyzer for [`crate::engine::StreamingEngine`]:
     /// identical to [`Analyzer::new`] except that cross-flow state is
-    /// logged as [`MediaEvent`]s (stamped with `shard`) for the engine's
-    /// replay, and the metrics registry is the router's shared one.
-    pub(crate) fn new_sharded(
-        config: AnalyzerConfig,
-        metrics: Arc<PipelineMetrics>,
-        shard: u16,
-    ) -> Analyzer {
+    /// logged as [`MediaEvent`]s for the engine's replay, and the metrics
+    /// registry is the router's shared one.
+    pub(crate) fn new_sharded(config: AnalyzerConfig, metrics: Arc<PipelineMetrics>) -> Analyzer {
         let mut a = Analyzer::new(config);
         a.event_log = Some(Vec::new());
-        a.shard = shard;
         a.metrics = metrics;
         a
     }
@@ -487,18 +472,15 @@ impl Analyzer {
     /// Shard-mode entry point: process one record whose headers the router
     /// already located. `info` is the router's [`PeekInfo`] (`None` when the
     /// peek failed — the record counts as undissectable without a second
-    /// scan), under the given global sequence number and router-determined
-    /// per-family flow verdicts.
+    /// scan), under the router-determined per-family flow verdicts.
     pub(crate) fn process_record_routed(
         &mut self,
-        seq: u64,
         ts_nanos: u64,
         data: &[u8],
         info: Option<&PeekInfo>,
         p2p_hint: bool,
         webrtc_hint: bool,
     ) {
-        self.current_seq = seq;
         self.p2p_hint = p2p_hint;
         self.webrtc_hint = webrtc_hint;
         self.total_packets += 1;
@@ -683,9 +665,8 @@ impl Analyzer {
     }
 
     fn is_p2p_flow(&mut self, d: &Dissection<'_>) -> bool {
-        // Shard mode: the router holds the one authoritative registry
-        // (it sees every packet, in order) and ships its verdict with the
-        // record, so shard-local registries never have to agree.
+        // Shard mode: the router holds the one authoritative registry and
+        // hands its verdict over with the record.
         if self.event_log.is_some() {
             return self.p2p_hint;
         }
@@ -814,7 +795,6 @@ impl Analyzer {
         // the handle the stream table just resolved.
         if let Some(log) = &mut self.event_log {
             log.push(MediaEvent {
-                seq_no: self.current_seq,
                 ts_nanos: meta.ts_nanos,
                 flow: meta.five_tuple,
                 ssrc: rtp.ssrc,
@@ -823,7 +803,6 @@ impl Analyzer {
                 rtp_ts: rtp.timestamp,
                 direction: meta.direction,
                 family: meta.family,
-                shard: self.shard,
                 stream,
             });
         }
@@ -864,7 +843,6 @@ impl Analyzer {
     /// [`AnalysisReport`] with the trace summary, per-meeting and
     /// per-stream breakdowns, RTT summaries, and drop accounting —
     /// matching the [`PacketSink`] shape shared with
-    /// [`crate::parallel::ParallelAnalyzer`] and
     /// [`crate::engine::StreamingEngine`]. To snapshot a report while
     /// keeping the analyzer queryable, use [`Analyzer::report`].
     pub fn finish(self) -> Result<AnalysisReport, Error> {
@@ -1090,8 +1068,7 @@ impl PacketSink for Analyzer {
 /// flow: the non-8801 side for server traffic, the campus side for P2P
 /// (with an empty campus list, the *source* side — see
 /// [`crate::packet::in_campus`]). Shared by the sequential grouping hook
-/// and the sharded pipeline's merge-time replay so both paths make the
-/// same call.
+/// and the engine's event replay so both paths make the same call.
 pub(crate) fn resolve_stream_endpoints(
     flow: &FiveTuple,
     campus: &[(IpAddr, u8)],
@@ -1232,11 +1209,11 @@ mod tests {
     /// (sequential analyzer) or routed route (shard analyzer).
     fn hashes_during(a: &mut Analyzer, records: &[Record]) -> u64 {
         let before = crate::fxhash::hash_computations();
-        for (i, r) in records.iter().enumerate() {
+        for r in records {
             if a.event_log.is_some() {
                 let peeked = zoom_wire::dissect::peek(&r.data, LinkType::Ethernet).unwrap();
                 let info = Some(&peeked.info);
-                a.process_record_routed(i as u64, r.ts_nanos, &r.data, info, false, false);
+                a.process_record_routed(r.ts_nanos, &r.data, info, false, false);
             } else {
                 feed(a, r);
             }
@@ -1290,11 +1267,8 @@ mod tests {
         );
         assert_eq!(seq.summary().rtp_streams, 2);
 
-        let mut shard = Analyzer::new_sharded(
-            AnalyzerConfig::default(),
-            Arc::new(PipelineMetrics::new(1)),
-            0,
-        );
+        let mut shard =
+            Analyzer::new_sharded(AnalyzerConfig::default(), Arc::new(PipelineMetrics::new()));
         hashes_during(&mut shard, &warm_up);
         assert_eq!(
             hashes_during(&mut shard, &interleaved),

@@ -2,9 +2,8 @@
 //!
 //! [`AnalysisReport`] is the value-typed result of a finished analysis —
 //! trace summary, per-meeting breakdown, per-stream metrics, and RTT
-//! summaries — returned by [`crate::pipeline::Analyzer::finish`] and
-//! [`crate::parallel::ParallelAnalyzer::finish`] instead of a borrow of
-//! the analyzer itself. [`WindowReport`] is the per-window variant the
+//! summaries — returned by [`crate::sink::PacketSink::finish`] on either
+//! sink instead of a borrow of the analyzer itself. [`WindowReport`] is the per-window variant the
 //! [`crate::engine::StreamingEngine`] emits while a trace is still
 //! flowing: per-stream *deltas* over one tumbling window plus
 //! meeting-level rollups, mirroring a live Table 6 row.
@@ -173,8 +172,8 @@ fn write_json_array<T>(
 ///
 /// Aggregation happens in the integer nanosecond domain (sum of `u64`,
 /// then one division), so the result is bit-identical regardless of the
-/// order samples were collected in — the batch and streaming paths may
-/// interleave shard samples differently.
+/// order samples were collected in — the batch and streaming paths
+/// collect them in different orders.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RttSummaryReport {
     /// Number of samples.

@@ -1,8 +1,8 @@
-//! The unified ingest API: one trait all three analysis sinks implement.
+//! The unified ingest API: one trait both analysis sinks implement.
 //!
-//! Before this trait existed the pipeline had three drifting entry
-//! points — `Analyzer::process_record`, `ParallelAnalyzer::process_record`
-//! and `StreamingEngine::push_record` — with incompatible shapes (borrow
+//! Before this trait existed the pipeline had drifting entry points —
+//! `Analyzer::process_record` and `StreamingEngine::push_record` among
+//! them — with incompatible shapes (borrow
 //! vs. owned records, infallible vs. `Result`, report-by-reference vs.
 //! owned report). Those record-taking methods have since been removed;
 //! [`PacketSink`] pins the one remaining shape:
@@ -18,7 +18,7 @@
 //! * [`metrics`](PacketSink::metrics) /
 //!   [`note_pcap_truncated`](PacketSink::note_pcap_truncated) — the
 //!   observability surface ([`crate::obs`]), written once at the sink
-//!   boundary instead of three times.
+//!   boundary.
 //!
 //! ## Migration (the old entry points no longer exist)
 //!
@@ -61,15 +61,15 @@ use zoom_wire::pcap::LinkType;
 
 /// A packet-ingest sink: feed it capture records, finish it into an
 /// [`AnalysisReport`]. Implemented by [`crate::pipeline::Analyzer`]
-/// (sequential batch), [`crate::parallel::ParallelAnalyzer`] (sharded),
-/// and [`crate::engine::StreamingEngine`] (windowed streaming).
+/// (sequential batch) and [`crate::engine::StreamingEngine`] (windowed
+/// streaming).
 pub trait PacketSink {
     /// Ingest one record as borrowed bytes (the zero-copy fast path; no
     /// per-record allocation in any implementation).
     ///
     /// A record the dissector rejects is *not* an error — it is counted
     /// in the sink's drop metrics and the call returns `Ok(())`. `Err` is
-    /// reserved for sink-level failures (e.g. a dead shard worker).
+    /// reserved for sink-level failures.
     fn push(&mut self, ts_nanos: u64, data: &[u8], link: LinkType) -> Result<(), Error>;
 
     /// Ingest a whole capture hand-off batch

@@ -221,8 +221,8 @@ impl Stream {
     /// The dominant sub-stream: most packets, ties broken by payload type.
     ///
     /// The explicit tie-break makes the choice a function of the counters
-    /// alone, which both the sequential and the sharded pipeline rely on
-    /// for reproducible grouping decisions.
+    /// alone, which both the sequential analyzer and the engine's replica
+    /// of it rely on for reproducible grouping decisions.
     fn dominant_substream(&self) -> Option<&SubStream> {
         self.substreams
             .iter()
@@ -366,7 +366,7 @@ struct FlowSlot {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FlowId(usize);
 
-/// The shard-local state tables: every flow and every media stream of a
+/// An analyzer's state tables: every flow and every media stream of a
 /// trace.
 ///
 /// A packet's 5-tuple is resolved **once**, to a slot of the flow slab
@@ -546,7 +546,8 @@ impl StreamTracker {
             .map(|s| (&s.key, &s.stats))
     }
 
-    /// Fold accounting gathered elsewhere (another shard) into flow `ft`.
+    /// Fold accounting gathered elsewhere (the engine's shard) into flow
+    /// `ft`.
     pub(crate) fn merge_flow(&mut self, ft: &FiveTuple, stats: FlowStats) {
         let slot = self.slot_of(ft);
         let f = &mut self.flows[slot];
@@ -559,8 +560,8 @@ impl StreamTracker {
         }
     }
 
-    /// Take ownership of all flows and streams (sharded merge moves
-    /// per-shard state into the merged tracker).
+    /// Take ownership of all flows and streams (the engine's drain moves
+    /// its shard's state into the merged tracker).
     pub(crate) fn into_parts(self) -> (Vec<(FiveTuple, FlowStats)>, Vec<Stream>) {
         let flows = self
             .flows
@@ -573,7 +574,7 @@ impl StreamTracker {
 
     /// Insert a fully built stream, appending it to the creation order
     /// (or replacing the stream already tracked under its key). Used by
-    /// the sharded merge, which replays global creation order.
+    /// the engine's drain, which replays global creation order.
     pub(crate) fn adopt(&mut self, stream: Stream) {
         let slot = self.slot_of(&stream.key.flow);
         match self.flows[slot].streams.get(stream.key.ssrc) {

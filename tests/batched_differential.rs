@@ -1,21 +1,17 @@
 //! Differential tests for the batched ingest hot path: feeding the
 //! analysis sinks whole [`RecordBatch`]es via `push_batch` must produce
 //! output **byte-identical** to the per-record `push` loop, for every
-//! batch size, shard count, and windowing mode.
+//! batch size and windowing mode.
 //!
 //! * The sequential `Analyzer` emits the same report JSON whether records
 //!   arrive one at a time or in batches of 1, 7, 64 or 4096 — including
 //!   on a mixed-source trace (two scenarios interleaved by timestamp).
 //! * The `StreamingEngine` emits the same window stream and the same
-//!   final report at 1/2/8 shards, windowed and unwindowed, regardless of
-//!   how the input is batched.
+//!   final report, windowed and unwindowed, regardless of how the input
+//!   is batched — the engine replays its shard's event log at the end of
+//!   every push, so batching also moves the replay cadence.
 //! * A proptest cuts the trace at arbitrary batch boundaries (including
 //!   empty batches) and asserts the report is invariant to the cut.
-//!
-//! One shard runs the engine's in-line lane, which replays the shard's
-//! event log at the end of every pushed batch — so "any batching, 1 shard
-//! ≡ any batching, N shards" here also pins that replay cadence against
-//! the worker threads' tick-time replay.
 
 use proptest::prelude::*;
 use std::time::Duration;
@@ -84,12 +80,10 @@ fn batched_report(records: &[Record], batch_size: usize) -> AnalysisReport {
 
 fn stream_per_record(
     records: &[Record],
-    shards: usize,
     window: Option<Duration>,
 ) -> (Vec<WindowReport>, EngineOutput) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
-        shards,
         window,
         idle_timeout: None,
         qoe: None,
@@ -108,13 +102,11 @@ fn stream_per_record(
 
 fn stream_batched(
     records: &[Record],
-    shards: usize,
     window: Option<Duration>,
     batch_size: usize,
 ) -> (Vec<WindowReport>, EngineOutput) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
-        shards,
         window,
         idle_timeout: None,
         qoe: None,
@@ -177,17 +169,11 @@ fn mixed_source_batched_matches_per_record() {
 #[test]
 fn engine_batched_matches_per_record_across_shards() {
     let records = multi_records();
-    for shards in [1usize, 2, 8] {
-        let want = stream_per_record(&records, shards, None);
-        assert!(want.0.is_empty(), "no window configured");
-        for size in [1usize, 64, 4096] {
-            let got = stream_batched(&records, shards, None, size);
-            assert_streams_identical(
-                &format!("{shards} shards, batch size {size}"),
-                &got,
-                &want,
-            );
-        }
+    let want = stream_per_record(&records, None);
+    assert!(want.0.is_empty(), "no window configured");
+    for size in [1usize, 64, 4096] {
+        let got = stream_batched(&records, None, size);
+        assert_streams_identical(&format!("batch size {size}"), &got, &want);
     }
 }
 
@@ -195,17 +181,11 @@ fn engine_batched_matches_per_record_across_shards() {
 fn windowed_engine_batched_matches_per_record_across_shards() {
     let records = mixed_source_records();
     let window = Some(Duration::from_secs(2));
-    for shards in [1usize, 2, 8] {
-        let want = stream_per_record(&records, shards, window);
-        assert!(want.0.len() > 3, "expected several 2s windows");
-        for size in [7usize, 4096] {
-            let got = stream_batched(&records, shards, window, size);
-            assert_streams_identical(
-                &format!("windowed, {shards} shards, batch size {size}"),
-                &got,
-                &want,
-            );
-        }
+    let want = stream_per_record(&records, window);
+    assert!(want.0.len() > 3, "expected several 2s windows");
+    for size in [7usize, 4096] {
+        let got = stream_batched(&records, window, size);
+        assert_streams_identical(&format!("windowed, batch size {size}"), &got, &want);
     }
 }
 

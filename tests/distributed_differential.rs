@@ -1,4 +1,4 @@
-//! Differential tests for the distributed shard tier: shipping a trace
+//! Differential tests for the distributed tier: shipping a trace
 //! through `zoom_wire::frame` fragment streams and merging the workers
 //! back through `FragmentSource` lanes must not change a byte of output.
 //!
@@ -21,7 +21,7 @@
 //!   FILES…` reads its spools) equal the same lanes behind capture threads
 //!   (how `merge --listen` reads its connections) equal the single
 //!   process, drained the CLI's way (`next_batch(BATCH_RECORDS)` →
-//!   `push_batch`), one and two shards, windowed and not. With
+//!   `push_batch`), windowed and not. With
 //!   `tests/multi_source_differential.rs`, which does the same over plain
 //!   sources, this is what pins the fan-in's two lane kinds against each
 //!   other.
@@ -147,21 +147,18 @@ enum Drive {
 /// worker accounts folded into the registry, snapshot after drain.
 fn fragment_run(
     splits: &[Vec<Record>],
-    shards: usize,
     window: Option<Duration>,
 ) -> (Vec<WindowReport>, EngineOutput, MetricsSnapshot) {
-    fragment_run_driven(splits, shards, window, Drive::PerRecord)
+    fragment_run_driven(splits, window, Drive::PerRecord)
 }
 
 fn fragment_run_driven(
     splits: &[Vec<Record>],
-    shards: usize,
     window: Option<Duration>,
     drive: Drive,
 ) -> (Vec<WindowReport>, EngineOutput, MetricsSnapshot) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
-        shards,
         window,
         idle_timeout: None,
         qoe: None,
@@ -218,12 +215,10 @@ fn fragment_run_driven(
 /// windowed, the streaming engine over the already-merged record order.
 fn single_process_run(
     records: &[Record],
-    shards: usize,
     window: Option<Duration>,
 ) -> (Vec<WindowReport>, EngineOutput) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
-        shards,
         window,
         idle_timeout: None,
         qoe: None,
@@ -307,7 +302,7 @@ fn fragment_workers_byte_identical_to_single_process() {
     let direct = direct.finish().expect("finish");
 
     for window in [None, Some(Duration::from_secs(10))] {
-        let (base_windows, base_out) = single_process_run(&records, 1, window);
+        let (base_windows, base_out) = single_process_run(&records, window);
         assert_eq!(
             base_out.report.to_json(),
             direct.to_json(),
@@ -316,7 +311,7 @@ fn fragment_workers_byte_identical_to_single_process() {
         for n in [1usize, 2, 8] {
             for how in [Split::RoundRobin, Split::Contiguous] {
                 let splits = split_records(&records, n, how);
-                let (windows, out, snap) = fragment_run(&splits, 1, window);
+                let (windows, out, snap) = fragment_run(&splits, window);
                 let label = format!("{n} workers/{how:?}/{window:?}");
                 assert_same_output(&windows, &out, &base_windows, &base_out, &label);
                 assert_worker_accounting(&snap, &splits, &label);
@@ -331,60 +326,44 @@ fn fragment_workers_byte_identical_to_single_process() {
 fn inline_fragment_lanes_match_threaded_lanes_and_the_single_process() {
     let records = strictly_increasing_records(13, 20);
     for window in [None, Some(Duration::from_secs(3))] {
-        for shards in [1usize, 2] {
-            let (base_windows, base_out) = single_process_run(&records, shards, window);
-            assert!(window.is_none() || base_windows.len() > 3, "windows closed");
-            for (n, how) in [
-                (1, Split::Contiguous),
-                (2, Split::RoundRobin),
-                (3, Split::Contiguous),
-            ] {
-                let splits = split_records(&records, n, how);
-                let mut source_rows = Vec::new();
-                for inline in [false, true] {
-                    let label = format!("{n} workers/inline {inline}/{shards} shards/{window:?}");
-                    let (windows, out, snap) =
-                        fragment_run_driven(&splits, shards, window, Drive::Batched { inline });
-                    assert_same_output(&windows, &out, &base_windows, &base_out, &label);
-                    assert_worker_accounting(&snap, &splits, &label);
-                    // Captured bytes only, whichever way the frames were
-                    // read: the framing a lane's arena holds is not counted.
-                    for (part, row) in splits.iter().zip(&snap.sources) {
-                        let bytes: u64 = part.iter().map(|r| r.data.len() as u64).sum();
-                        assert_eq!(
-                            (row.packets, row.bytes),
-                            (part.len() as u64, bytes),
-                            "{label}"
-                        );
-                    }
-                    source_rows.push(
-                        snap.sources
-                            .iter()
-                            .map(|s| (s.label.clone(), s.packets, s.bytes, s.batches))
-                            .collect::<Vec<_>>(),
+        let (base_windows, base_out) = single_process_run(&records, window);
+        assert!(window.is_none() || base_windows.len() > 3, "windows closed");
+        for (n, how) in [
+            (1, Split::Contiguous),
+            (2, Split::RoundRobin),
+            (3, Split::Contiguous),
+        ] {
+            let splits = split_records(&records, n, how);
+            let mut source_rows = Vec::new();
+            for inline in [false, true] {
+                let label = format!("{n} workers/inline {inline}/{window:?}");
+                let (windows, out, snap) =
+                    fragment_run_driven(&splits, window, Drive::Batched { inline });
+                assert_same_output(&windows, &out, &base_windows, &base_out, &label);
+                assert_worker_accounting(&snap, &splits, &label);
+                // Captured bytes only, whichever way the frames were
+                // read: the framing a lane's arena holds is not counted.
+                for (part, row) in splits.iter().zip(&snap.sources) {
+                    let bytes: u64 = part.iter().map(|r| r.data.len() as u64).sum();
+                    assert_eq!(
+                        (row.packets, row.bytes),
+                        (part.len() as u64, bytes),
+                        "{label}"
                     );
                 }
-                assert_eq!(
-                    source_rows[0], source_rows[1],
-                    "{n} workers: per-source counters"
+                source_rows.push(
+                    snap.sources
+                        .iter()
+                        .map(|s| (s.label.clone(), s.packets, s.bytes, s.batches))
+                        .collect::<Vec<_>>(),
                 );
             }
+            assert_eq!(
+                source_rows[0], source_rows[1],
+                "{n} workers: per-source counters"
+            );
         }
     }
-}
-
-#[test]
-fn sharded_merge_matches_sequential_merge() {
-    let records = strictly_increasing_records(29, 15);
-    let splits = split_records(&records, 2, Split::RoundRobin);
-    let window = Some(Duration::from_secs(5));
-    let (base_windows, base_out, _) = {
-        let (w, o, s) = fragment_run(&splits, 1, window);
-        (w, o, s)
-    };
-    let (windows, out, snap) = fragment_run(&splits, 4, window);
-    assert_same_output(&windows, &out, &base_windows, &base_out, "4 shards");
-    assert_worker_accounting(&snap, &splits, "4 shards");
 }
 
 /// Crash + restore: an incarnation that dies mid-trace emitted some
@@ -398,7 +377,7 @@ fn merge_restart_resumes_from_checkpoint_without_losing_windows() {
     let window = Some(Duration::from_secs(4));
 
     // Uninterrupted reference.
-    let (all_windows, all_out, _) = fragment_run(&splits, 1, window);
+    let (all_windows, all_out, _) = fragment_run(&splits, window);
     assert!(
         all_windows.len() >= 4,
         "need several windows for a meaningful crash point"
@@ -411,7 +390,6 @@ fn merge_restart_resumes_from_checkpoint_without_losing_windows() {
     let crash_at = records.len() * 6 / 10;
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
-        shards: 1,
         window,
         idle_timeout: None,
         qoe: None,
@@ -434,7 +412,7 @@ fn merge_restart_resumes_from_checkpoint_without_losing_windows() {
     let text = checkpoint.serialize();
     let restored = MergeCheckpoint::parse(&text).expect("reparse");
     let mut gate = WindowGate::resume_from(&restored);
-    let (replayed, out, _) = fragment_run(&splits, 1, window);
+    let (replayed, out, _) = fragment_run(&splits, window);
     let resumed: Vec<&WindowReport> =
         replayed.iter().filter(|_| gate.admit()).collect();
 

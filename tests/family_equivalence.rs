@@ -3,12 +3,14 @@
 //! The family dispatch refactor must be invisible on Zoom traffic: a
 //! Zoom-only trace produces **byte-identical** report JSON whether the
 //! analyzer runs with its default configuration, an explicit
-//! `FamilySelect::Only(Zoom)`, or `FamilySelect::Auto` — at every shard
-//! count, windowed and unwindowed, batched and per-record.
+//! `FamilySelect::Only(Zoom)`, or `FamilySelect::Auto` — through the
+//! analyzer and the engine, windowed and unwindowed, batched and
+//! per-record.
 //!
 //! The WebRTC family side is pinned too: a simulated WebRTC trace
-//! classifies under `Auto` (and is untouched under `Only(Zoom)`), is
-//! deterministic across shard counts and batch sizes, and attributes
+//! classifies under `Auto` (and is untouched under `Only(Zoom)`), reads
+//! the same through the engine as through the analyzer, batched or not,
+//! and attributes
 //! SRTP framing failures to `malformed_srtp` — never to Zoom's
 //! `malformed_zme` stage.
 
@@ -65,13 +67,11 @@ fn fill(batch: &mut RecordBatch, records: &[Record]) {
 fn stream(
     records: &[Record],
     config: AnalyzerConfig,
-    shards: usize,
     window: Option<Duration>,
     batch_size: Option<usize>,
 ) -> (Vec<WindowReport>, EngineOutput) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: config,
-        shards,
         window,
         idle_timeout: None,
         qoe: None,
@@ -146,17 +146,11 @@ fn zoom_report_invariant_across_family_selects() {
 #[test]
 fn zoom_engine_invariant_across_selects_shards_and_batching() {
     let records = zoom_records();
-    for shards in [1usize, 2, 8] {
-        let want = stream(&records, AnalyzerConfig::default(), shards, None, None);
-        for select in zoom_equivalent_selects() {
-            for batch_size in [None, Some(64usize)] {
-                let got = stream(&records, family_config(select), shards, None, batch_size);
-                assert_streams_identical(
-                    &format!("{shards} shards, {select:?}, batch {batch_size:?}"),
-                    &got,
-                    &want,
-                );
-            }
+    let want = stream(&records, AnalyzerConfig::default(), None, None);
+    for select in zoom_equivalent_selects() {
+        for batch_size in [None, Some(64usize)] {
+            let got = stream(&records, family_config(select), None, batch_size);
+            assert_streams_identical(&format!("{select:?}, batch {batch_size:?}"), &got, &want);
         }
     }
 }
@@ -165,18 +159,16 @@ fn zoom_engine_invariant_across_selects_shards_and_batching() {
 fn zoom_windowed_engine_invariant_across_selects_shards_and_batching() {
     let records = zoom_records();
     let window = Some(Duration::from_secs(2));
-    for shards in [1usize, 2, 8] {
-        let want = stream(&records, AnalyzerConfig::default(), shards, window, None);
-        assert!(want.0.len() > 3, "expected several 2s windows");
-        for select in zoom_equivalent_selects() {
-            for batch_size in [None, Some(4096usize)] {
-                let got = stream(&records, family_config(select), shards, window, batch_size);
-                assert_streams_identical(
-                    &format!("windowed, {shards} shards, {select:?}, batch {batch_size:?}"),
-                    &got,
-                    &want,
-                );
-            }
+    let want = stream(&records, AnalyzerConfig::default(), window, None);
+    assert!(want.0.len() > 3, "expected several 2s windows");
+    for select in zoom_equivalent_selects() {
+        for batch_size in [None, Some(4096usize)] {
+            let got = stream(&records, family_config(select), window, batch_size);
+            assert_streams_identical(
+                &format!("windowed, {select:?}, batch {batch_size:?}"),
+                &got,
+                &want,
+            );
         }
     }
 }
@@ -229,27 +221,24 @@ fn webrtc_trace_untouched_under_only_zoom() {
 #[test]
 fn webrtc_engine_deterministic_across_shards_and_batching() {
     let records = webrtc_records();
-    let want = stream(&records, AnalyzerConfig::default(), 1, None, None);
+    let want = stream(&records, AnalyzerConfig::default(), None, None);
     assert!(
         want.1.report.summary.webrtc_packets > 100,
         "baseline must classify WebRTC"
     );
-    for shards in [1usize, 2, 8] {
-        for batch_size in [None, Some(64usize)] {
-            let got = stream(&records, AnalyzerConfig::default(), shards, None, batch_size);
-            assert_streams_identical(
-                &format!("webrtc, {shards} shards, batch {batch_size:?}"),
-                &got,
-                &want,
-            );
-        }
-    }
+    assert_eq!(
+        want.1.report.to_json(),
+        sequential_report(&records, AnalyzerConfig::default()).to_json(),
+        "webrtc, engine vs analyzer"
+    );
+    let got = stream(&records, AnalyzerConfig::default(), None, Some(64));
+    assert_streams_identical("webrtc, batch 64", &got, &want);
 }
 
 /// Satellite: drop attribution. A record on a flow with an observed
 /// DTLS-SRTP handshake whose payload fails both family framings is a
 /// WebRTC-family drop (`malformed_srtp`), not a Zoom one
-/// (`malformed_zme`) — sequentially and under every shard count.
+/// (`malformed_zme`).
 #[test]
 fn srtp_framing_failure_attributed_to_webrtc_family() {
     let cfg = zoom_sim::webrtc::SessionConfig::single(7, 3 * SEC);
@@ -272,22 +261,20 @@ fn srtp_framing_failure_attributed_to_webrtc_family() {
         data,
     });
 
-    for shards in [1usize, 2, 8] {
-        let (_, out) = stream(&records, AnalyzerConfig::default(), shards, None, None);
-        assert_eq!(
-            out.report.drops.malformed_srtp, 1,
-            "{shards} shards: SRTP framing failure must count once"
-        );
-        assert_eq!(
-            out.report.drops.malformed_zme, 0,
-            "{shards} shards: the drop must not leak into Zoom's ZME stage"
-        );
-        // Conservation per family: the malformed record is the only
-        // non-classified one in the trace.
-        assert_eq!(
-            out.report.summary.total_packets,
-            out.report.summary.zoom_packets + out.report.summary.webrtc_packets + 1,
-            "{shards} shards: exactly the malformed record stays unclassified"
-        );
-    }
+    let (_, out) = stream(&records, AnalyzerConfig::default(), None, None);
+    assert_eq!(
+        out.report.drops.malformed_srtp, 1,
+        "SRTP framing failure must count once"
+    );
+    assert_eq!(
+        out.report.drops.malformed_zme, 0,
+        "the drop must not leak into Zoom's ZME stage"
+    );
+    // Conservation per family: the malformed record is the only
+    // non-classified one in the trace.
+    assert_eq!(
+        out.report.summary.total_packets,
+        out.report.summary.zoom_packets + out.report.summary.webrtc_packets + 1,
+        "exactly the malformed record stays unclassified"
+    );
 }

@@ -5,16 +5,12 @@
 //! * Any split of a strictly-increasing-timestamp trace (round-robin
 //!   interleave or time-disjoint chunks) across 2 or 4 sources produces
 //!   window reports and a final report **byte-identical** to the single
-//!   concatenated source, at 1/2/8 shards, windowed and unwindowed.
+//!   concatenated source, windowed and unwindowed.
 //! * Lossless (`Overflow::Block`) replay never drops: `ring_full_drops`
 //!   is zero, per-source packet counters match the split sizes exactly,
 //!   and the extended conservation invariant
 //!   (`Σ source_packets == packets_in + Σ ring_full_drops`) holds.
 //! * Capacity-1 rings only add backpressure, never divergence.
-//!
-//! One shard runs the engine's in-line lane (shard state on the calling
-//! thread), more run worker threads: the 1/2/8-shard axis also pins
-//! in-line ≡ threaded.
 //! * Sources read in-line (`CaptureMux::inline` — what the CLI does for a
 //!   lone lossless source and for any number of finite files) equal the
 //!   same sources behind capture threads and the single concatenated
@@ -86,17 +82,14 @@ fn split_records(records: &[Record], n: usize, how: Split) -> Vec<Vec<Record>> {
 
 /// Run one engine over the mux-merged splits; returns the windows, the
 /// drained output, and the metrics snapshot — taken after drain, when
-/// the shard workers have quiesced and both halves of the conservation
-/// invariant are stable.
+/// both halves of the conservation invariant are stable.
 fn mux_run(
     splits: Vec<Vec<Record>>,
-    shards: usize,
     window: Option<Duration>,
     ring_capacity: usize,
 ) -> (Vec<WindowReport>, EngineOutput, MetricsSnapshot) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
-        shards,
         window,
         idle_timeout: None,
         qoe: None,
@@ -186,27 +179,25 @@ fn split_sources_byte_identical_to_single_source_at_1_2_8_shards() {
     }
     let direct = direct.finish().expect("finish");
 
-    for shards in [1usize, 2, 8] {
-        for window in [None, Some(Duration::from_secs(10))] {
-            let baseline = mux_run(vec![records.clone()], shards, window, 8);
-            assert_eq!(
-                baseline.1.report.to_json(),
-                direct.to_json(),
-                "single source/{shards} shards/{window:?}: vs direct analyzer"
-            );
-            assert_capture_accounting(
-                &baseline.2,
-                std::slice::from_ref(&records),
-                &format!("single/{shards}/{window:?}"),
-            );
-            for n in [2usize, 4] {
-                for how in [Split::RoundRobin, Split::Contiguous] {
-                    let splits = split_records(&records, n, how);
-                    let run = mux_run(splits.clone(), shards, window, 8);
-                    let label = format!("{n} sources/{how:?}/{shards} shards/{window:?}");
-                    assert_same_run(&run, &baseline, &label);
-                    assert_capture_accounting(&run.2, &splits, &label);
-                }
+    for window in [None, Some(Duration::from_secs(10))] {
+        let baseline = mux_run(vec![records.clone()], window, 8);
+        assert_eq!(
+            baseline.1.report.to_json(),
+            direct.to_json(),
+            "single source/{window:?}: vs direct analyzer"
+        );
+        assert_capture_accounting(
+            &baseline.2,
+            std::slice::from_ref(&records),
+            &format!("single/{window:?}"),
+        );
+        for n in [2usize, 4] {
+            for how in [Split::RoundRobin, Split::Contiguous] {
+                let splits = split_records(&records, n, how);
+                let run = mux_run(splits.clone(), window, 8);
+                let label = format!("{n} sources/{how:?}/{window:?}");
+                assert_same_run(&run, &baseline, &label);
+                assert_capture_accounting(&run.2, &splits, &label);
             }
         }
     }
@@ -217,12 +208,10 @@ fn split_sources_byte_identical_to_single_source_at_1_2_8_shards() {
 fn batched_run(
     splits: &[Vec<Record>],
     inline: bool,
-    shards: usize,
     window: Option<Duration>,
 ) -> (Vec<WindowReport>, EngineOutput, MetricsSnapshot) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
-        shards,
         window,
         idle_timeout: Some(Duration::from_secs(5)),
         qoe: None,
@@ -266,34 +255,29 @@ fn batched_run(
 #[test]
 fn inline_source_byte_identical_to_the_capture_thread() {
     let records = strictly_increasing_records(17, 30);
-    for shards in [1usize, 2] {
-        for window in [None, Some(Duration::from_secs(2))] {
-            let single = batched_run(std::slice::from_ref(&records), false, shards, window);
-            assert!(
-                window.is_none() || single.0.len() > 5,
-                "{shards} shards/{window:?}: windows closed"
-            );
-            let splits = [
-                vec![records.clone()],
-                split_records(&records, 2, Split::RoundRobin),
-                split_records(&records, 3, Split::Contiguous),
-            ];
-            for splits in &splits {
-                let label = format!(
-                    "inline vs threaded/{} sources/{shards} shards/{window:?}",
-                    splits.len()
-                );
-                let threaded = batched_run(splits, false, shards, window);
-                let inline = batched_run(splits, true, shards, window);
-                assert_same_run(&inline, &threaded, &label);
-                assert_same_run(&inline, &single, &label);
-                for run in [&inline, &threaded] {
-                    assert_capture_accounting(&run.2, splits, &label);
-                }
-                for (i, (a, b)) in inline.2.sources.iter().zip(&threaded.2.sources).enumerate() {
-                    assert_eq!(a.batches, b.batches, "{label}: source {i} batches");
-                    assert_eq!(a.ring_occupancy_hwm, 0, "{label}: source {i} has no ring");
-                }
+    for window in [None, Some(Duration::from_secs(2))] {
+        let single = batched_run(std::slice::from_ref(&records), false, window);
+        assert!(
+            window.is_none() || single.0.len() > 5,
+            "{window:?}: windows closed"
+        );
+        let splits = [
+            vec![records.clone()],
+            split_records(&records, 2, Split::RoundRobin),
+            split_records(&records, 3, Split::Contiguous),
+        ];
+        for splits in &splits {
+            let label = format!("inline vs threaded/{} sources/{window:?}", splits.len());
+            let threaded = batched_run(splits, false, window);
+            let inline = batched_run(splits, true, window);
+            assert_same_run(&inline, &threaded, &label);
+            assert_same_run(&inline, &single, &label);
+            for run in [&inline, &threaded] {
+                assert_capture_accounting(&run.2, splits, &label);
+            }
+            for (i, (a, b)) in inline.2.sources.iter().zip(&threaded.2.sources).enumerate() {
+                assert_eq!(a.batches, b.batches, "{label}: source {i} batches");
+                assert_eq!(a.ring_occupancy_hwm, 0, "{label}: source {i} has no ring");
             }
         }
     }
@@ -302,9 +286,9 @@ fn inline_source_byte_identical_to_the_capture_thread() {
 #[test]
 fn capacity_one_rings_add_backpressure_not_divergence() {
     let records = strictly_increasing_records(23, 15);
-    let baseline = mux_run(vec![records.clone()], 2, Some(Duration::from_secs(5)), 8);
+    let baseline = mux_run(vec![records.clone()], Some(Duration::from_secs(5)), 8);
     let splits = split_records(&records, 2, Split::RoundRobin);
-    let run = mux_run(splits.clone(), 2, Some(Duration::from_secs(5)), 1);
+    let run = mux_run(splits.clone(), Some(Duration::from_secs(5)), 1);
     assert_same_run(&run, &baseline, "capacity-1 rings");
     assert_capture_accounting(&run.2, &splits, "capacity-1 rings");
 }

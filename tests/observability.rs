@@ -1,16 +1,14 @@
 //! Integration tests for the observability layer: the conservation
 //! invariant (`packets_in == packets_classified + packets_not_zoom +
-//! drops`), identical drop accounting across the sequential, parallel,
-//! and streaming sinks at 1/2/8 shards, the drop section of the JSON
-//! report, and the QoE degradation detector (exact alert NDJSON
-//! sequence, gauge recovery, shard-count determinism).
+//! drops`), identical drop accounting across the sequential and
+//! streaming sinks, the drop section of the JSON report, and the QoE
+//! degradation detector (exact alert NDJSON sequence, gauge recovery).
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 use zoom_analysis::engine::{EngineConfig, QoeThresholds, StreamingEngine};
 use zoom_analysis::obs::MetricsSnapshot;
-use zoom_analysis::parallel::ParallelAnalyzer;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::PacketSink;
 use zoom_sim::meeting::MeetingSim;
@@ -141,10 +139,9 @@ fn metrics_json_and_prom_agree_on_totals() {
 
 /// Runs the streaming engine over the records and returns the quiesced
 /// accounting snapshot.
-fn engine_accounting(records: &[Record], shards: usize, window: Option<Duration>) -> [u64; 9] {
+fn engine_accounting(records: &[Record], window: Option<Duration>) -> [u64; 9] {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
-        shards,
         window,
         idle_timeout: None,
         qoe: None,
@@ -244,10 +241,9 @@ fn qoe_scenario() -> Vec<Record> {
 /// Feed the scenario through a QoE-watching engine; returns each
 /// alert's NDJSON line (in emission order), the degraded-gauge state
 /// observed right after the alert fired, and the quiesced metrics.
-fn run_qoe(records: &[Record], shards: usize) -> (Vec<String>, Vec<(String, u64)>, MetricsSnapshot) {
+fn run_qoe(records: &[Record]) -> (Vec<String>, Vec<(String, u64)>, MetricsSnapshot) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
-        shards,
         window: Some(Duration::from_secs(2)),
         idle_timeout: None,
         qoe: Some(QoeThresholds::default()),
@@ -279,7 +275,7 @@ fn run_qoe(records: &[Record], shards: usize) -> (Vec<String>, Vec<(String, u64)
 #[test]
 fn qoe_alert_ndjson_sequence_is_exact_and_gauge_clears() {
     let records = qoe_scenario();
-    let (ndjson, gauge_trail, metrics) = run_qoe(&records, 1);
+    let (ndjson, gauge_trail, metrics) = run_qoe(&records);
     // The scenario is fully scripted, so the alert stream is pinned
     // byte-for-byte: the fps drop and bitrate collapse trip in the first
     // fully-degraded window (window 2), the RFC 3550 jitter estimator
@@ -324,30 +320,11 @@ fn qoe_alert_ndjson_sequence_is_exact_and_gauge_clears() {
     assert!(metrics.conservation_holds());
 }
 
-#[test]
-fn qoe_alerts_byte_identical_across_shards() {
-    let records = qoe_scenario();
-    let (baseline, _, m1) = run_qoe(&records, 1);
-    assert!(
-        !baseline.is_empty(),
-        "scenario must produce at least one alert"
-    );
-    assert!(
-        m1.conservation_holds(),
-        "conservation with telemetry enabled"
-    );
-    for shards in [2usize, 8] {
-        let (alerts, _, m) = run_qoe(&records, shards);
-        assert_eq!(alerts, baseline, "{shards} shards");
-        assert!(m.conservation_holds(), "{shards} shards conservation");
-    }
-}
-
 proptest! {
     /// The drop/classification accounting is a property of the trace,
-    /// not of the deployment shape: 1, 2, and 8 shards — windowed or
-    /// not — must produce the identical accounting vector, and every
-    /// vector must satisfy the conservation invariant.
+    /// not of the sink: the sequential analyzer and the engine —
+    /// windowed or not — must produce the identical accounting vector,
+    /// and it must satisfy the conservation invariant.
     #[test]
     fn drop_accounting_identical_across_shards(
         seed in 0u64..10_000,
@@ -372,21 +349,11 @@ proptest! {
                 + baseline[6] + baseline[7] + baseline[8]
         );
 
-        for shards in [1usize, 2, 8] {
-            prop_assert_eq!(
-                engine_accounting(&records, shards, window),
-                baseline,
-                "{} shards, window {:?}",
-                shards,
-                window
-            );
-        }
-
-        let mut par = ParallelAnalyzer::new(AnalyzerConfig::default(), 8);
-        feed(&mut par, &records);
-        // The inherent `finish(&mut self)` quiesces the engine without
-        // consuming the analyzer, so the metrics remain readable.
-        ParallelAnalyzer::finish(&mut par).expect("finish");
-        prop_assert_eq!(accounting(&par.metrics()), baseline, "parallel sink");
+        prop_assert_eq!(
+            engine_accounting(&records, window),
+            baseline,
+            "window {:?}",
+            window
+        );
     }
 }

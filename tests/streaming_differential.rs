@@ -2,9 +2,7 @@
 //! analysis must not change what gets measured.
 //!
 //! * With no window and no eviction, `StreamingEngine::drain` must emit a
-//!   report **byte-identical** to the sequential `Analyzer::finish` for
-//!   any shard count (the `ParallelAnalyzer` equivalence, restated at the
-//!   JSON layer).
+//!   report **byte-identical** to the sequential `Analyzer::finish`.
 //! * With windows enabled, every windowed counter is a delta: summing a
 //!   stream's deltas over all windows reproduces its whole-trace counters
 //!   exactly, and the end-of-trace report is still byte-identical.
@@ -12,11 +10,6 @@
 //!   report fragments plus live rows still sum to the batch totals, and
 //!   the peak tracked-entry count is strictly lower than without
 //!   eviction.
-//!
-//! One shard runs the engine's in-line lane (shard state on the calling
-//! thread, event log replayed after every push), more run worker threads
-//! (log replayed at ticks): every 1-vs-N comparison here also pins
-//! in-line ≡ threaded, windows, eviction and all.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -41,13 +34,11 @@ fn batch_report(records: &[Record]) -> AnalysisReport {
 
 fn stream_run(
     records: &[Record],
-    shards: usize,
     window: Option<Duration>,
     idle_timeout: Option<Duration>,
 ) -> (Vec<WindowReport>, EngineOutput) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
-        shards,
         window,
         idle_timeout,
         qoe: None,
@@ -115,18 +106,20 @@ fn window_totals<'a>(
 
 #[test]
 fn unwindowed_streaming_report_is_byte_identical_to_batch() {
-    let records: Vec<Record> = MeetingSim::new(scenario::multi_party(3, 60 * SEC)).collect();
-    assert!(records.len() > 1_000);
-    let batch = batch_report(&records);
-    assert!(batch.summary.rtp_streams > 0);
-    for shards in [1usize, 8] {
-        let (windows, out) = stream_run(&records, shards, None, None);
-        assert!(windows.is_empty(), "{shards} shards: no window configured");
-        assert_eq!(
-            out.report.to_json(),
-            batch.to_json(),
-            "{shards} shards: final JSON"
-        );
+    // The P2P meeting is recognized through the STUN endpoint registry,
+    // which the engine keeps on its router and hands to the shard as a
+    // per-record verdict.
+    for (name, config) in [
+        ("multi", scenario::multi_party(3, 60 * SEC)),
+        ("p2p", scenario::p2p_meeting(7, 120 * SEC)),
+    ] {
+        let records: Vec<Record> = MeetingSim::new(config).collect();
+        assert!(records.len() > 1_000, "{name}");
+        let batch = batch_report(&records);
+        assert!(batch.summary.rtp_streams > 0, "{name}");
+        let (windows, out) = stream_run(&records, None, None);
+        assert!(windows.is_empty(), "{name}: no window configured");
+        assert_eq!(out.report.to_json(), batch.to_json(), "{name}: final JSON");
     }
 }
 
@@ -135,37 +128,27 @@ fn window_deltas_sum_to_batch_totals_without_eviction() {
     let records: Vec<Record> = MeetingSim::new(scenario::multi_party(9, 45 * SEC)).collect();
     let batch = batch_report(&records);
     let per_key = report_totals(&batch);
-    for shards in [1usize, 8] {
-        let (windows, out) = stream_run(&records, shards, Some(Duration::from_secs(10)), None);
-        assert!(windows.len() >= 4, "{shards} shards: {}", windows.len());
-        // Window indices are consecutive from zero; the drain fragment
-        // continues past the last closed window.
-        for (i, w) in windows.iter().enumerate() {
-            assert_eq!(w.index, i as u64, "{shards} shards");
-        }
-
-        let all = windows.iter().chain(std::iter::once(&out.final_window));
-        let packets: u64 = all.clone().map(|w| w.totals.packets).sum();
-        let zoom_packets: u64 = all.clone().map(|w| w.totals.zoom_packets).sum();
-        let zoom_bytes: u64 = all.clone().map(|w| w.totals.zoom_bytes).sum();
-        let new_streams: u64 = all.clone().map(|w| w.totals.new_streams).sum();
-        assert_eq!(packets, batch.summary.total_packets, "{shards} shards");
-        assert_eq!(zoom_packets, batch.summary.zoom_packets, "{shards} shards");
-        assert_eq!(zoom_bytes, batch.summary.zoom_bytes, "{shards} shards");
-        assert_eq!(
-            new_streams,
-            batch.summary.rtp_streams as u64,
-            "{shards} shards"
-        );
-        assert_eq!(window_totals(all), per_key, "{shards} shards: per-stream");
-
-        // Windowing must not perturb the end-of-trace report at all.
-        assert_eq!(
-            out.report.to_json(),
-            batch.to_json(),
-            "{shards} shards: final JSON"
-        );
+    let (windows, out) = stream_run(&records, Some(Duration::from_secs(10)), None);
+    assert!(windows.len() >= 4, "{}", windows.len());
+    // Window indices are consecutive from zero; the drain fragment
+    // continues past the last closed window.
+    for (i, w) in windows.iter().enumerate() {
+        assert_eq!(w.index, i as u64);
     }
+
+    let all = windows.iter().chain(std::iter::once(&out.final_window));
+    let packets: u64 = all.clone().map(|w| w.totals.packets).sum();
+    let zoom_packets: u64 = all.clone().map(|w| w.totals.zoom_packets).sum();
+    let zoom_bytes: u64 = all.clone().map(|w| w.totals.zoom_bytes).sum();
+    let new_streams: u64 = all.clone().map(|w| w.totals.new_streams).sum();
+    assert_eq!(packets, batch.summary.total_packets);
+    assert_eq!(zoom_packets, batch.summary.zoom_packets);
+    assert_eq!(zoom_bytes, batch.summary.zoom_bytes);
+    assert_eq!(new_streams, batch.summary.rtp_streams as u64);
+    assert_eq!(window_totals(all), per_key, "per-stream");
+
+    // Windowing must not perturb the end-of-trace report at all.
+    assert_eq!(out.report.to_json(), batch.to_json(), "final JSON");
 }
 
 #[test]
@@ -177,49 +160,46 @@ fn eviction_fragments_sum_to_batch_totals_and_bound_memory() {
     let per_key = report_totals(&batch);
 
     // A no-eviction run establishes the unbounded peak to beat.
-    let (_, unbounded) = stream_run(&records, 2, Some(Duration::from_secs(5)), None);
+    let (_, unbounded) = stream_run(&records, Some(Duration::from_secs(5)), None);
 
-    for shards in [1usize, 2] {
-        let (windows, out) = stream_run(
-            &records,
-            shards,
-            Some(Duration::from_secs(5)),
-            Some(Duration::from_secs(5)),
-        );
-        let evicted: u64 = windows.iter().map(|w| w.totals.evicted_streams).sum();
-        assert!(evicted > 0, "{shards} shards: churn forced no evictions");
+    let (windows, out) = stream_run(
+        &records,
+        Some(Duration::from_secs(5)),
+        Some(Duration::from_secs(5)),
+    );
+    let evicted: u64 = windows.iter().map(|w| w.totals.evicted_streams).sum();
+    assert!(evicted > 0, "churn forced no evictions");
 
-        // Exactness: evicted fragments + live rows reproduce every batch
-        // counter, per stream and in the rollup.
-        assert_eq!(report_totals(&out.report), per_key, "{shards} shards");
-        assert_eq!(out.report.summary.total_packets, batch.summary.total_packets);
-        assert_eq!(out.report.summary.zoom_packets, batch.summary.zoom_packets);
-        assert_eq!(out.report.summary.zoom_bytes, batch.summary.zoom_bytes);
-        assert_eq!(out.report.summary.zoom_flows, batch.summary.zoom_flows);
-        assert_eq!(out.report.summary.rtp_streams, batch.summary.rtp_streams);
-        assert_eq!(out.report.summary.meetings, batch.summary.meetings);
+    // Exactness: evicted fragments + live rows reproduce every batch
+    // counter, per stream and in the rollup.
+    assert_eq!(report_totals(&out.report), per_key);
+    assert_eq!(out.report.summary.total_packets, batch.summary.total_packets);
+    assert_eq!(out.report.summary.zoom_packets, batch.summary.zoom_packets);
+    assert_eq!(out.report.summary.zoom_bytes, batch.summary.zoom_bytes);
+    assert_eq!(out.report.summary.zoom_flows, batch.summary.zoom_flows);
+    assert_eq!(out.report.summary.rtp_streams, batch.summary.rtp_streams);
+    assert_eq!(out.report.summary.meetings, batch.summary.meetings);
 
-        // Boundedness: idle-out keeps the tracked-entry gauge strictly
-        // below the never-evict peak, and under an absolute cap sized
-        // for the concurrently-active portion of the workload (at most
-        // two of the six meetings overlap, plus STUN/RTT candidates).
-        const TRACKED_ENTRY_CAP: usize = 160;
-        eprintln!(
-            "{shards} shards: evicting peak {}, never-evict peak {}",
-            out.peak_tracked_entries, unbounded.peak_tracked_entries
-        );
-        assert!(
-            out.peak_tracked_entries < unbounded.peak_tracked_entries,
-            "{shards} shards: peak {} !< {}",
-            out.peak_tracked_entries,
-            unbounded.peak_tracked_entries
-        );
-        assert!(
-            out.peak_tracked_entries <= TRACKED_ENTRY_CAP,
-            "{shards} shards: peak {} exceeds cap {TRACKED_ENTRY_CAP}",
-            out.peak_tracked_entries
-        );
-    }
+    // Boundedness: idle-out keeps the tracked-entry gauge strictly
+    // below the never-evict peak, and under an absolute cap sized
+    // for the concurrently-active portion of the workload (at most
+    // two of the six meetings overlap, plus STUN/RTT candidates).
+    const TRACKED_ENTRY_CAP: usize = 160;
+    eprintln!(
+        "evicting peak {}, never-evict peak {}",
+        out.peak_tracked_entries, unbounded.peak_tracked_entries
+    );
+    assert!(
+        out.peak_tracked_entries < unbounded.peak_tracked_entries,
+        "peak {} !< {}",
+        out.peak_tracked_entries,
+        unbounded.peak_tracked_entries
+    );
+    assert!(
+        out.peak_tracked_entries <= TRACKED_ENTRY_CAP,
+        "peak {} exceeds cap {TRACKED_ENTRY_CAP}",
+        out.peak_tracked_entries
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -250,12 +230,10 @@ enum Ingest {
 fn stream_via(
     img: &[u8],
     ingest: Ingest,
-    shards: usize,
     window: Option<Duration>,
 ) -> (Vec<WindowReport>, EngineOutput) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
-        shards,
         window,
         idle_timeout: None,
         qoe: None,
@@ -322,46 +300,38 @@ fn ingest_paths_byte_identical_at_1_2_8_shards() {
     assert!(records.len() > 1_000);
     let img = pcap_image(&records);
     let batch = batch_report(&records);
-    for shards in [1usize, 2, 8] {
-        for window in [None, Some(Duration::from_secs(10))] {
-            let baseline = stream_via(&img, Ingest::Owning, shards, window);
-            // Without eviction the drain report equals the batch report,
-            // whatever the ingest path.
-            assert_eq!(
-                baseline.1.report.to_json(),
-                batch.to_json(),
-                "owning/{shards} shards/{window:?}"
-            );
-            for ingest in [Ingest::ReadInto, Ingest::Slice] {
-                let run = stream_via(&img, ingest, shards, window);
-                assert_same_run(
-                    &run,
-                    &baseline,
-                    &format!("{ingest:?}/{shards} shards/{window:?}"),
-                );
-            }
+    for window in [None, Some(Duration::from_secs(10))] {
+        let baseline = stream_via(&img, Ingest::Owning, window);
+        // Without eviction the drain report equals the batch report,
+        // whatever the ingest path.
+        assert_eq!(
+            baseline.1.report.to_json(),
+            batch.to_json(),
+            "owning/{window:?}"
+        );
+        for ingest in [Ingest::ReadInto, Ingest::Slice] {
+            let run = stream_via(&img, ingest, window);
+            assert_same_run(&run, &baseline, &format!("{ingest:?}/{window:?}"));
         }
     }
 }
 
 proptest! {
     /// Randomized traces through (owning, read_into, SliceReader) ×
-    /// randomized shard count and windowing: all windows and both final
-    /// reports must serialize identically. (`window_secs` of 0 means
-    /// unwindowed.)
+    /// randomized windowing: all windows and both final reports must
+    /// serialize identically. (`window_secs` of 0 means unwindowed.)
     #[test]
     fn randomized_traces_identical_across_ingest_paths(
         seed in 0u64..100_000,
-        shards in prop_oneof![Just(1usize), Just(2), Just(8)],
         window_secs in 0u64..20,
     ) {
         let records: Vec<Record> =
             MeetingSim::new(scenario::multi_party(seed, 15 * SEC)).collect();
         let img = pcap_image(&records);
         let window = (window_secs > 0).then(|| Duration::from_secs(window_secs));
-        let baseline = stream_via(&img, Ingest::Owning, shards, window);
+        let baseline = stream_via(&img, Ingest::Owning, window);
         for ingest in [Ingest::ReadInto, Ingest::Slice] {
-            let run = stream_via(&img, ingest, shards, window);
+            let run = stream_via(&img, ingest, window);
             prop_assert_eq!(run.0.len(), baseline.0.len());
             for (x, y) in run.0.iter().zip(&baseline.0) {
                 prop_assert_eq!(x.to_json(), y.to_json());
@@ -373,19 +343,18 @@ proptest! {
 }
 
 proptest! {
-    /// For randomized window sizes and shard counts, window deltas always
-    /// sum back to the batch totals.
+    /// For randomized window sizes, window deltas always sum back to the
+    /// batch totals.
     #[test]
     fn randomized_window_sizes_preserve_totals(
         seed in 0u64..100_000,
         window_secs in 1u64..30,
-        shards in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
         let records: Vec<Record> =
             MeetingSim::new(scenario::multi_party(seed, 30 * SEC)).collect();
         let batch = batch_report(&records);
         let (windows, out) =
-            stream_run(&records, shards, Some(Duration::from_secs(window_secs)), None);
+            stream_run(&records, Some(Duration::from_secs(window_secs)), None);
         let all = windows.iter().chain(std::iter::once(&out.final_window));
         let packets: u64 = all.clone().map(|w| w.totals.packets).sum();
         prop_assert_eq!(packets, batch.summary.total_packets);

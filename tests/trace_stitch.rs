@@ -112,7 +112,6 @@ fn merge_run(
 ) -> (Vec<WindowReport>, EngineOutput, String) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
-        shards: 1,
         window: Some(Duration::from_secs(5)),
         idle_timeout: None,
         qoe: None,
@@ -228,12 +227,14 @@ fn two_worker_traces_stitch_across_the_wire() {
     );
     // The merge-side pipeline stages show up somewhere in the export.
     let all: String = ndjson.clone();
-    for span in [spans::DISSECT, spans::ENGINE_PUSH, spans::SHARD_ROUTE] {
+    for span in [spans::DISSECT, spans::ENGINE_PUSH] {
         assert!(
             all.contains(&format!("\"span\":\"{span}\"")),
             "missing merge-side {span} span"
         );
     }
+    // Reserved in the catalogue, emitted by nothing.
+    assert!(!all.contains(&format!("\"span\":\"{}\"", spans::SHARD_ROUTE)));
 }
 
 #[test]

@@ -62,7 +62,14 @@ fn bench(c: &mut Criterion) {
     });
     let udp_payload = &pkt[14 + 20 + 8..];
     g.bench_function("zoom_parse_server", |b| {
-        b.iter(|| zoom::parse(black_box(udp_payload), zoom::Framing::Server).unwrap())
+        b.iter(|| {
+            zoom::parse(
+                black_box(udp_payload),
+                udp_payload.len(),
+                zoom::Framing::Server,
+            )
+            .unwrap()
+        })
     });
     let rtp_bytes = &udp_payload[8 + 24..];
     g.bench_function("rtp_header_parse", |b| {

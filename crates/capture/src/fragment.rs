@@ -46,6 +46,9 @@ pub struct WorkerAccount {
     pub truncated: AtomicU64,
     /// Records actually decoded out of this worker's Records frames.
     pub records_received: AtomicU64,
+    /// Record bytes decoded out of them: what the worker shipped of the
+    /// `bytes` it captured.
+    pub bytes_received: AtomicU64,
     /// Whether the stream ended with a proper Bye frame.
     pub complete: AtomicBool,
 }
@@ -150,6 +153,7 @@ impl<R: Read + Send> PacketSource for FragmentSource<R> {
             // A Trace frame just announced the next Records frame: time
             // its decode for the `merge_decode` span.
             let decode_start = (self.pending_trace != 0).then(std::time::Instant::now);
+            let held = batch.arena_bytes();
             let event = self
                 .reader
                 .next(batch)
@@ -160,6 +164,9 @@ impl<R: Read + Send> PacketSource for FragmentSource<R> {
                     self.account
                         .records_received
                         .fetch_add(count as u64, Ordering::AcqRel);
+                    self.account
+                        .bytes_received
+                        .fetch_add((batch.arena_bytes() - held) as u64, Ordering::AcqRel);
                     if self.pending_trace != 0 {
                         batch.trace_id = self.pending_trace;
                         if let Some(tc) = &self.trace {

@@ -132,11 +132,12 @@ impl MetricsFile {
     }
 }
 
-/// The one ingest loop every batch sink shares: buffer-reusing reads
-/// pushed through [`PacketSink`], with periodic metrics snapshots.
-fn feed_pcap<S: PacketSink, R: std::io::Read>(
+/// The single-file ingest loop: buffer-reusing reads handed to the
+/// analyzer with the length each record had on the wire, with periodic
+/// metrics snapshots.
+fn feed_pcap<R: std::io::Read>(
     reader: &mut Reader<R>,
-    sink: &mut S,
+    analyzer: &mut Analyzer,
     link: LinkType,
     metrics_file: &mut Option<MetricsFile>,
 ) -> CmdResult {
@@ -145,10 +146,10 @@ fn feed_pcap<S: PacketSink, R: std::io::Read>(
         .read_into(&mut buf)
         .map_err(|e| CliError::protocol(e.to_string()))?
     {
-        sink.push(buf.ts_nanos(), buf.data(), link)?;
+        analyzer.process_record(buf.ts_nanos(), buf.wire_len(), buf.data(), link);
         if let Some(m) = metrics_file {
-            sink.note_pcap_progress(reader.records_read(), reader.bytes_read());
-            m.tick(1, || sink.metrics())?;
+            analyzer.note_pcap_progress(reader.records_read(), reader.bytes_read());
+            m.tick(1, || analyzer.metrics())?;
         }
     }
     Ok(())
@@ -677,6 +678,7 @@ fn run_emit(
     let drops = mux.ring_full_drops();
     let truncated = mux.truncated_records();
     mux.finish()?;
+    let shipped = writer.record_bytes_written();
     writer
         .finish(Totals {
             packets: delivered + drops,
@@ -693,7 +695,7 @@ fn run_emit(
         eprintln!("warning: {drops} record(s) dropped at full capture rings (see ring_full_drops)");
     }
     eprintln!(
-        "worker {label}: emitted {delivered} record(s) ({bytes} bytes) in {frames} frame(s) to {target}"
+        "worker {label}: emitted {delivered} record(s) ({bytes} bytes captured, {shipped} shipped) in {frames} frame(s) to {target}"
     );
     // Events whose Records frame never followed (e.g. a final partial
     // batch) land in the local trace file instead of the wire.

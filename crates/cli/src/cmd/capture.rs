@@ -88,7 +88,7 @@ pub fn run(args: &[String]) -> CmdResult {
     let mut written = 0u64;
     let mut written_bytes = 0u64;
     while let Some(r) = mux.next_record().map_err(|e| e.to_string())? {
-        metrics.record_in(r.data.len());
+        metrics.record_in((r.orig_len as usize).max(r.data.len()));
         match &writer {
             None => {
                 let outfile =

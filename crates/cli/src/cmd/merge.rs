@@ -161,6 +161,8 @@ fn sync_worker_metrics(pairs: &[(Arc<WorkerAccount>, Arc<WorkerMetrics>)]) {
         if received > have {
             wm.records_received.add(received - have);
         }
+        wm.bytes_received
+            .set(acc.bytes_received.load(Ordering::Acquire));
         let complete = acc.complete.load(Ordering::Acquire);
         wm.complete.set(u64::from(complete));
         // Don't regress an ERROR set by the ingest failure path.

@@ -675,7 +675,7 @@ impl StreamingEngine {
             self.roll_window(ts, &mut out)?;
             self.first_ts.get_or_insert(ts);
             self.last_ts = self.last_ts.max(ts);
-            self.tally.record_in(r.data.len());
+            self.tally.record_in(r.wire_len());
             let (info, hints) = match arena.peek(i) {
                 Ok(info) => {
                     let info = *info;
@@ -1235,13 +1235,14 @@ impl StreamingEngine {
 
         let flow = &info.five_tuple;
         let PeekTransport::Udp {
-            payload_off,
-            payload_len,
+            payload_len: wire_len,
+            ..
         } = info.transport
         else {
             return RouteHints::default(); // TCP: no registry interaction
         };
-        let payload = &data[payload_off..payload_off + payload_len];
+        // Lengths from the headers, bytes from what the capture kept.
+        let payload = info.transport.payload(data);
         // STUN gate, verbatim from the dissector: port 3478 or a
         // magic-cookie match, then a successful parse.
         if flow.involves_port(stun::STUN_PORT) || stun::looks_like_stun(payload) {
@@ -1269,7 +1270,7 @@ impl StreamingEngine {
         let mut hints = RouteHints::default();
         if self.registry_has_fresh(ts, flow) {
             let opaque = !flow.involves_port(zoom::ZOOM_SFU_PORT)
-                || zoom::parse(payload, zoom::Framing::Server).is_err();
+                || zoom::parse(payload, wire_len, zoom::Framing::Server).is_err();
             if opaque {
                 hints.p2p = self.probe_p2p(ts, flow);
             }
@@ -1287,11 +1288,11 @@ impl StreamingEngine {
             // sequential analyzer's dispatch does.
             let claimed_by_zoom = self.zoom_enabled
                 && hints.p2p
-                && match zoom::parse(payload, zoom::Framing::P2p) {
+                && match zoom::parse(payload, wire_len, zoom::Framing::P2p) {
                     Ok(z) => {
                         z.rtp.is_some()
                             || !z.rtcp.is_empty()
-                            || webrtc::classify(payload).is_err()
+                            || webrtc::classify(payload, wire_len).is_err()
                     }
                     Err(_) => false,
                 };
@@ -1299,7 +1300,10 @@ impl StreamingEngine {
                 if self.probe_webrtc(ts, flow) {
                     hints.webrtc = true;
                 } else if (hints.p2p || self.webrtc_eager)
-                    && matches!(webrtc::classify(payload), Ok(webrtc::Pdu::Dtls(_)))
+                    && matches!(
+                        webrtc::classify(payload, wire_len),
+                        Ok(webrtc::Pdu::Dtls(_))
+                    )
                 {
                     // A strict DTLS record opens the flow (RFC 5764:
                     // the handshake precedes SRTP) — the sequential

@@ -989,6 +989,9 @@ impl SourceMetrics {
 /// merge node actually decoded off the wire — the two sides of the
 /// worker→merge conservation invariant
 /// `Σ worker packets == merge packets_in` (modulo accounted drops).
+/// `bytes_received` beside `bytes` is what shipping analysis prefixes
+/// saves: the record bytes that crossed the wire against the bytes the
+/// worker captured.
 #[derive(Debug)]
 pub struct WorkerMetrics {
     label: String,
@@ -1004,6 +1007,8 @@ pub struct WorkerMetrics {
     pub truncated: Gauge,
     /// Records the merge node decoded out of this worker's stream.
     pub records_received: Counter,
+    /// Record bytes the merge node decoded out of this worker's stream.
+    pub bytes_received: Gauge,
     /// 1 once the worker's stream ended with a proper Bye frame.
     pub complete: Gauge,
     /// Link state of the worker's stream on the merge node: one of the
@@ -1106,6 +1111,7 @@ impl PipelineMetrics {
             ring_full_drops: Gauge::new(),
             truncated: Gauge::new(),
             records_received: Counter::new(),
+            bytes_received: Gauge::new(),
             complete: Gauge::new(),
             link_state: Gauge::new(),
         });
@@ -1224,6 +1230,7 @@ impl PipelineMetrics {
                     ring_full_drops: w.ring_full_drops.get(),
                     truncated: w.truncated.get(),
                     records_received: w.records_received.get(),
+                    bytes_received: w.bytes_received.get(),
                     complete: w.complete.get() != 0,
                     link_state: w.link_state.get(),
                 })
@@ -1285,6 +1292,8 @@ impl PipelineMetrics {
                 .str("link_state", link_state::name(w.link_state))
                 .u64("packets_reported", w.packets)
                 .u64("records_received", w.records_received)
+                .u64("bytes_reported", w.bytes)
+                .u64("bytes_received", w.bytes_received)
                 .u64("ring_full_drops", w.ring_full_drops)
                 .bool("complete", w.complete);
             workers.push_str(&o.finish());
@@ -1468,6 +1477,8 @@ pub struct WorkerSnapshot {
     pub truncated: u64,
     /// Records the merge node decoded out of this worker's stream.
     pub records_received: u64,
+    /// Record bytes the merge node decoded out of this worker's stream.
+    pub bytes_received: u64,
     /// Whether the worker's stream ended with a proper Bye frame.
     pub complete: bool,
     /// Link state of the worker's stream (see [`link_state`]).
@@ -1663,6 +1674,7 @@ impl MetricsSnapshot {
                     .u64("ring_full_drops", w.ring_full_drops)
                     .u64("truncated", w.truncated)
                     .u64("records_received", w.records_received)
+                    .u64("bytes_received", w.bytes_received)
                     .bool("complete", w.complete)
                     .str("link_state", link_state::name(w.link_state));
                 buf.push_str(&wo.finish());
@@ -2006,6 +2018,12 @@ impl MetricsSnapshot {
                         "counter",
                         "Records the merge node decoded from each worker's stream.",
                         |w| w.records_received,
+                    ),
+                    (
+                        "zoom_worker_bytes_received_total",
+                        "counter",
+                        "Record bytes the merge node decoded from each worker's stream.",
+                        |w| w.bytes_received,
                     ),
                     (
                         "zoom_worker_complete",

@@ -499,7 +499,18 @@ impl Analyzer {
     /// fast path behind [`PacketSink::push`], for use with
     /// [`zoom_wire::pcap::Reader::read_into`] and
     /// [`zoom_wire::pcap::SliceReader`] where no owned [`Record`](zoom_wire::pcap::Record) exists.
+    /// The packet is accounted as `data.len()` bytes on the wire; a loop
+    /// that has the record's `orig_len` passes it to
+    /// [`Analyzer::process_record`].
     pub fn process_packet(&mut self, ts_nanos: u64, data: &[u8], link: LinkType) {
+        self.process_record(ts_nanos, data.len(), data, link);
+    }
+
+    /// [`Analyzer::process_packet`] for a record of which the capture kept
+    /// `data` out of `wire_len` bytes (a snap-length pcap): the ingest
+    /// accounting (`bytes_in`, the `packet_size` histogram) follows the
+    /// wire, whatever the capture kept.
+    pub fn process_record(&mut self, ts_nanos: u64, wire_len: usize, data: &[u8], link: LinkType) {
         // Same 1-in-64 stage-latency sampling as the streaming engine's
         // push path: a clock read pair on sampled calls, which also
         // publish the metrics tally; nothing on the rest.
@@ -508,7 +519,7 @@ impl Analyzer {
             std::time::Instant::now()
         });
         self.total_packets += 1;
-        self.tally.record_in(data.len());
+        self.tally.record_in(wire_len);
         match dissect(ts_nanos, data, link, self.config.family_select().probe()) {
             Ok(d) => self.process_dissection_counted(&d),
             Err(e) => {
@@ -597,7 +608,9 @@ impl Analyzer {
                         let family = self.config.family_select();
                         let stun_fresh = self.is_p2p_flow(d);
                         if stun_fresh && family.allows(FamilyId::Zoom) {
-                            if let Ok(z) = zoom_wire::zoom::parse(d.payload, Framing::P2p) {
+                            let wire_len = d.transport.payload_len();
+                            if let Ok(z) = zoom_wire::zoom::parse(d.payload, wire_len, Framing::P2p)
+                            {
                                 if z.rtp.is_some() || !z.rtcp.is_empty() {
                                     let meta = meta_from_zoom(
                                         d.ts_nanos,
@@ -616,7 +629,7 @@ impl Analyzer {
                                 // family's strict framing, which this
                                 // deliberately loose parse would swallow.
                                 if !(family.allows(FamilyId::Webrtc)
-                                    && webrtc::classify(d.payload).is_ok())
+                                    && webrtc::classify(d.payload, wire_len).is_ok())
                                 {
                                     self.note_classified(
                                         FamilyId::Zoom,
@@ -648,8 +661,9 @@ impl Analyzer {
     /// STUN-registered endpoint opens a new flow — RFC 5764's handshake
     /// precedes media, so the gate admits real sessions and nothing else.
     fn webrtc_second_chance(&mut self, d: &Dissection<'_>, stun_fresh: bool) {
+        let wire_len = d.transport.payload_len();
         if self.is_webrtc_flow(d) {
-            match webrtc::classify(d.payload) {
+            match webrtc::classify(d.payload, wire_len) {
                 Ok(pdu) => self.on_webrtc(d.ts_nanos, d.five_tuple, d.ip_total_len, &pdu),
                 Err(_) => self.srtp_malformed = true,
             }
@@ -658,7 +672,7 @@ impl Analyzer {
         // Shard mode skips registration: the router holds the one
         // authoritative flow table and its hint already covered this case.
         if stun_fresh && self.event_log.is_none() {
-            if let Ok(pdu @ webrtc::Pdu::Dtls(_)) = webrtc::classify(d.payload) {
+            if let Ok(pdu @ webrtc::Pdu::Dtls(_)) = webrtc::classify(d.payload, wire_len) {
                 self.on_webrtc(d.ts_nanos, d.five_tuple, d.ip_total_len, &pdu);
             }
         }
@@ -1025,7 +1039,7 @@ impl PacketSink for Analyzer {
                 .is_multiple_of(64)
                 .then(std::time::Instant::now);
             self.total_packets += 1;
-            self.tally.record_in(r.data.len());
+            self.tally.record_in(r.wire_len());
             match arena.take_dissection(batch, i) {
                 Some(d) => self.process_dissection_counted(&d),
                 None => {

@@ -352,7 +352,7 @@ mod tests {
             if zoom_wire::stun::looks_like_stun(&payload) {
                 continue;
             }
-            match classify(&payload).expect("generated payload must classify") {
+            match classify(&payload, payload.len()).expect("generated payload must classify") {
                 Pdu::Dtls(_) => dtls += 1,
                 Pdu::Srtp(s) => {
                     assert!(matches!(s.rtp.payload_type, AUDIO_PT | VIDEO_PT));

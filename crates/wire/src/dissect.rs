@@ -10,6 +10,13 @@
 //! any other UDP payload can optionally be probed for P2P Zoom framing
 //! or for native WebRTC framing (DTLS records and SRTP/SRTCP headers).
 //!
+//! Every length a dissection reports — [`Dissection::ip_total_len`],
+//! [`Transport`]'s payload lengths, a Zoom packet's media bytes — is the
+//! length the IP/UDP headers declare, and every slice stops where the
+//! capture did: a record from a snap-length pcap or a trimmed `ZFRG`
+//! fragment dissects exactly like the full packet as long as it holds its
+//! [`analysis_prefix`], and is [`DropStage::Truncated`] when it does not.
+//!
 //! Application-layer classification is delegated to the
 //! [`ProtocolFamily`] implementations in
 //! [`crate::family`]; the [`Probe`] struct selects which families (and
@@ -54,6 +61,16 @@ pub enum Transport {
     },
 }
 
+impl Transport {
+    /// Transport payload length on the wire, from the IP/UDP headers —
+    /// [`Dissection::payload`] is shorter when the capture clipped it.
+    pub fn payload_len(&self) -> usize {
+        match *self {
+            Transport::Udp { payload_len } | Transport::Tcp { payload_len, .. } => payload_len,
+        }
+    }
+}
+
 /// Application-layer interpretation of a UDP payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum App {
@@ -83,7 +100,8 @@ pub struct Dissection<'a> {
     pub transport: Transport,
     /// Application interpretation (UDP only; TCP payloads stay opaque).
     pub app: App,
-    /// The raw transport payload — the input to entropy analysis.
+    /// The raw transport payload as captured — the input to entropy
+    /// analysis; [`Transport::payload_len`] is its length on the wire.
     pub payload: &'a [u8],
 }
 
@@ -189,13 +207,16 @@ pub struct PeekInfo {
 
 /// Transport part of a [`PeekInfo`]: pre-parsed header fields and the
 /// byte range of the transport payload within the original record.
+/// `payload_len` is the length on the wire, from the IP/UDP headers; a
+/// clipped record holds less — [`PeekTransport::payload`] slices what is
+/// there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeekTransport {
     /// UDP datagram; payload spans `payload_off .. payload_off + payload_len`.
     Udp {
         /// Payload start, bytes from the beginning of the record.
         payload_off: usize,
-        /// Payload length in bytes.
+        /// Payload length in bytes, on the wire.
         payload_len: usize,
     },
     /// TCP segment; payload spans `payload_off .. payload_off + payload_len`.
@@ -210,9 +231,30 @@ pub enum PeekTransport {
         window: u16,
         /// Payload start, bytes from the beginning of the record.
         payload_off: usize,
-        /// Payload length in bytes.
+        /// Payload length in bytes, on the wire.
         payload_len: usize,
     },
+}
+
+impl PeekTransport {
+    /// What the capture kept of the transport payload of `data`, the
+    /// record this was peeked from: `payload_len` bytes of a full capture,
+    /// the leading part of them from a clipped one.
+    ///
+    /// # Panics
+    /// Panics if `data` is shorter than the headers [`peek`] walked.
+    pub fn payload<'a>(&self, data: &'a [u8]) -> &'a [u8] {
+        let (PeekTransport::Udp {
+            payload_off,
+            payload_len,
+        }
+        | PeekTransport::Tcp {
+            payload_off,
+            payload_len,
+            ..
+        }) = *self;
+        &data[payload_off..(payload_off + payload_len).min(data.len())]
+    }
 }
 
 /// A header-only view of a record: the parsed header summary plus, for
@@ -229,7 +271,7 @@ pub enum PeekTransport {
 pub struct Peek<'a> {
     /// Header fields and payload offsets; [`dissect_from`] resumes here.
     pub info: PeekInfo,
-    /// UDP payload bytes; `None` when the packet is TCP.
+    /// UDP payload bytes as captured; `None` when the packet is TCP.
     pub udp_payload: Option<&'a [u8]>,
 }
 
@@ -284,10 +326,18 @@ pub fn peek(data: &[u8], link_type: LinkType) -> Result<Peek<'_>> {
         }
         _ => return Err(Error::Malformed),
     };
-    let transport_bytes = &data[transport_off..ip_off + ip_total_len];
+    // Lengths are what the headers declare; slices stop where the capture
+    // did.
+    let wire_end = ip_off + ip_total_len;
+    let transport_bytes = &data[transport_off..wire_end.min(data.len())];
+    let transport_wire_len = wire_end - transport_off;
     match protocol {
         Protocol::Udp => {
             let u = udp::Packet::new_checked(transport_bytes)?;
+            let udp_len = u.len() as usize;
+            if udp_len > transport_wire_len {
+                return Err(Error::Truncated);
+            }
             let five_tuple = FiveTuple {
                 src_ip,
                 dst_ip,
@@ -295,24 +345,31 @@ pub fn peek(data: &[u8], link_type: LinkType) -> Result<Peek<'_>> {
                 dst_port: u.dst_port(),
                 protocol: Protocol::Udp,
             };
-            let payload = &transport_bytes[udp::HEADER_LEN..u.len() as usize];
+            let payload_len = udp_len - udp::HEADER_LEN;
+            let transport = PeekTransport::Udp {
+                payload_off: transport_off + udp::HEADER_LEN,
+                payload_len,
+            };
+            let payload = transport.payload(data);
+            // A clipped datagram must still hold everything a parser reads.
+            if payload.len() < payload_len && payload.len() < udp_prefix(payload, payload_len) {
+                return Err(Error::Truncated);
+            }
             Ok(Peek {
                 info: PeekInfo {
                     link,
                     five_tuple,
                     ip_total_len,
-                    transport: PeekTransport::Udp {
-                        payload_off: transport_off + udp::HEADER_LEN,
-                        payload_len: payload.len(),
-                    },
+                    transport,
                 },
                 udp_payload: Some(payload),
             })
         }
         Protocol::Tcp => {
+            // The header, options and all, is everything the analysis
+            // reads of a segment.
             let t = tcp::Packet::new_checked(transport_bytes)?;
             let hl = t.header_len();
-            let payload_len = transport_bytes.len() - hl;
             Ok(Peek {
                 info: PeekInfo {
                     link,
@@ -330,13 +387,119 @@ pub fn peek(data: &[u8], link_type: LinkType) -> Result<Peek<'_>> {
                         flags: t.flags(),
                         window: t.window(),
                         payload_off: transport_off + hl,
-                        payload_len,
+                        payload_len: transport_wire_len - hl,
                     },
                 },
                 udp_payload: None,
             })
         }
         _ => Err(Error::Unsupported),
+    }
+}
+
+/// The record's **analysis prefix**: how many of its leading bytes any
+/// parser of any family may read. Everything the estimators use is a
+/// header field or a declared length; the media payload behind the
+/// headers is encrypted and never opened, so a capture (or a `ZFRG`
+/// worker, `frame::FrameWriter`) may drop it: a record cut at or past
+/// its prefix dissects exactly like the full one, a record cut short of
+/// it is [`DropStage::Truncated`].
+///
+/// * Zoom media (SFU or P2P framing) and SRTP: through the RTP header,
+///   CSRC list and extension included;
+/// * Zoom control packets and UDP payloads that carry no framing's
+///   signature: through the fixed fields the Zoom framings read off any
+///   payload (the SFU encapsulation, the media encapsulation's type,
+///   sequence and timestamp);
+/// * TCP: through the TCP header, options included;
+/// * STUN, RTCP (Zoom-encapsulated or SRTCP), DTLS, RTP with the padding
+///   bit set or a header that does not check out, anything [`peek`]
+///   rejects: the whole record — these are parsed to their end, or
+///   checked against their own length fields. When in doubt, all of it.
+///
+/// A pure function of the record's bytes, with no registry or flow state:
+/// a by-flow split puts a STUN exchange and the P2P flow it announces on
+/// different workers, so whether a flow *is* P2P cannot be asked here;
+/// what the payload would parse as under each framing can.
+pub fn analysis_prefix(data: &[u8], link_type: LinkType) -> usize {
+    let Ok(p) = peek(data, link_type) else {
+        return data.len();
+    };
+    let transport = p.info.transport;
+    let end = match transport {
+        PeekTransport::Udp {
+            payload_off,
+            payload_len,
+        } => payload_off + udp_prefix(transport.payload(data), payload_len),
+        PeekTransport::Tcp { payload_off, .. } => payload_off,
+    };
+    end.min(data.len())
+}
+
+/// The fields every Zoom media encapsulation shares (Table 1: type at
+/// byte 0, sequence at 9–10, timestamp at 11–14). The P2P framing reads
+/// them off any payload, whatever its first byte says it is.
+const ZME_COMMON_LEN: usize = 15;
+
+/// [`analysis_prefix`] of a UDP payload that was `wire_len` bytes on the
+/// wire: the leading bytes that `classify_udp` under every [`Probe`] and
+/// the analysis layer's second chances (`zoom::parse` under either
+/// framing, `webrtc::classify`) read between them. Which framing a flow
+/// gets depends on state this function does not have, so it answers for
+/// all of them; their signatures are disjoint in the first bytes, which
+/// is what makes one answer possible.
+///
+/// `payload` may be clipped: the answer is the one the full payload gives
+/// as long as `payload` is at least that long, and more than
+/// `payload.len()` otherwise — every byte decided on lies within the
+/// answer.
+fn udp_prefix(payload: &[u8], wire_len: usize) -> usize {
+    use crate::webrtc::{DTLS_APPLICATION_DATA, DTLS_CHANGE_CIPHER_SPEC};
+
+    // A STUN message is parsed to its last attribute; without the cookie
+    // nothing parses as one, port 3478 or not.
+    if stun::has_magic_cookie(payload) {
+        return wire_len;
+    }
+    let Some(&first) = payload.first() else {
+        return wire_len;
+    };
+    // The end of an RTP header at `at`, unless the padding bit is set: the
+    // padding count is the datagram's last octet.
+    let rtp_header_end = |at: usize| {
+        let rtp = crate::rtp::Packet::new_checked(payload.get(at..)?).ok()?;
+        (!rtp.has_padding()).then(|| at + rtp.payload_offset())
+    };
+    let header_end = if first >> 6 == crate::rtp::VERSION {
+        // A bare version-2 packet: SRTP, or — second byte 192–223, RFC
+        // 5761 — RTCP, which is parsed to its end.
+        match payload.get(1) {
+            Some(second) if !(192..=223).contains(second) => rtp_header_end(0),
+            _ => None,
+        }
+    } else if (DTLS_CHANGE_CIPHER_SPEC..=DTLS_APPLICATION_DATA).contains(&first) {
+        // A DTLS record is checked against its own length field.
+        None
+    } else {
+        // Everything else the Zoom framings have a reading of: a media
+        // encapsulation, behind an SFU encapsulation if 0x05 leads.
+        let zme_at = if first == zoom::SFU_TYPE_MEDIA {
+            zoom::SFU_ENCAP_LEN
+        } else {
+            0
+        };
+        match payload.get(zme_at).map(|&t| zoom::MediaType::from_byte(t)) {
+            Some(t) if t.is_rtcp() => None,
+            Some(t) => match t.payload_offset() {
+                Some(off) => rtp_header_end(zme_at + off),
+                None => Some(zme_at + ZME_COMMON_LEN),
+            },
+            None => None,
+        }
+    };
+    match header_end {
+        Some(end) => end.max(ZME_COMMON_LEN).min(wire_len),
+        None => wire_len,
     }
 }
 
@@ -347,7 +510,7 @@ pub fn peek(data: &[u8], link_type: LinkType) -> Result<Peek<'_>> {
 ///
 /// # Panics
 /// Panics if `data` is not the buffer (or an identical copy of the
-/// buffer) that produced `info` — the recorded offsets would be out of
+/// buffer) that produced `info` — the recorded offsets may be out of
 /// bounds.
 pub fn dissect_from<'a>(
     info: &PeekInfo,
@@ -357,12 +520,10 @@ pub fn dissect_from<'a>(
 ) -> Dissection<'a> {
     let probe = probe.into();
     let app = match info.transport {
-        PeekTransport::Udp {
-            payload_off,
-            payload_len,
-        } => classify_udp(
+        PeekTransport::Udp { payload_len, .. } => classify_udp(
             &info.five_tuple,
-            &data[payload_off..payload_off + payload_len],
+            info.transport.payload(data),
+            payload_len,
             probe,
         ),
         PeekTransport::Tcp { .. } => App::Opaque,
@@ -400,7 +561,10 @@ pub enum DropStage {
     NonIp,
     /// An IP packet carrying a protocol other than UDP or TCP.
     NonTransport,
-    /// A header claimed more bytes than the record holds.
+    /// The record was cut mid-header: it ends short of its
+    /// [`analysis_prefix`] (a payload cut short behind the headers is not
+    /// a drop), or a header's length field does not fit the packet around
+    /// it.
     Truncated,
     /// A structurally invalid header (bad version nibble, length field,
     /// or checksum).
@@ -698,16 +862,12 @@ pub fn dissect_batch(
             // Indexed records always have Ok peeks with UDP transport
             // (peek_batch only lists those).
             let info = arena.peeks[index].as_ref().expect("indexed record peeked ok");
-            let PeekTransport::Udp {
-                payload_off,
-                payload_len,
-            } = info.transport
-            else {
+            let PeekTransport::Udp { payload_len, .. } = info.transport else {
                 unreachable!("indexed record is UDP");
             };
             let data = batch.get(index).expect("index in bounds").data;
-            let payload = &data[payload_off..payload_off + payload_len];
-            arena.apps[index] = classify_udp(&info.five_tuple, payload, probe);
+            let payload = info.transport.payload(data);
+            arena.apps[index] = classify_udp(&info.five_tuple, payload, payload_len, probe);
         }
     }
 }
@@ -715,45 +875,37 @@ pub fn dissect_batch(
 /// Build a [`Dissection`] from pre-computed parts (shared by
 /// [`dissect_from`] and [`PeekArena::take_dissection`]).
 fn assemble<'a>(info: &PeekInfo, ts_nanos: u64, data: &'a [u8], app: App) -> Dissection<'a> {
-    match info.transport {
-        PeekTransport::Udp {
-            payload_off,
-            payload_len,
-        } => Dissection {
-            ts_nanos,
-            link: info.link,
-            five_tuple: info.five_tuple,
-            ip_total_len: info.ip_total_len,
-            transport: Transport::Udp { payload_len },
-            app,
-            payload: &data[payload_off..payload_off + payload_len],
-        },
+    let transport = match info.transport {
+        PeekTransport::Udp { payload_len, .. } => Transport::Udp { payload_len },
         PeekTransport::Tcp {
             seq,
             ack,
             flags,
             window,
-            payload_off,
             payload_len,
-        } => Dissection {
-            ts_nanos,
-            link: info.link,
-            five_tuple: info.five_tuple,
-            ip_total_len: info.ip_total_len,
-            transport: Transport::Tcp {
-                seq,
-                ack,
-                flags,
-                window,
-                payload_len,
-            },
-            app,
-            payload: &data[payload_off..payload_off + payload_len],
+            ..
+        } => Transport::Tcp {
+            seq,
+            ack,
+            flags,
+            window,
+            payload_len,
         },
+    };
+    Dissection {
+        ts_nanos,
+        link: info.link,
+        five_tuple: info.five_tuple,
+        ip_total_len: info.ip_total_len,
+        transport,
+        app,
+        payload: info.transport.payload(data),
     }
 }
 
-fn classify_udp(five_tuple: &FiveTuple, payload: &[u8], probe: Probe) -> App {
+/// `payload` is what the capture kept of a datagram that was `wire_len`
+/// bytes on the wire; [`peek`] has checked it against [`udp_prefix`].
+fn classify_udp(five_tuple: &FiveTuple, payload: &[u8], wire_len: usize, probe: Probe) -> App {
     // STUN first: port 3478 traffic, or anything that passes the magic
     // cookie check. Both families signal sessions via STUN and none of
     // their framings can be confused with it (the leading bits differ),
@@ -764,12 +916,12 @@ fn classify_udp(five_tuple: &FiveTuple, payload: &[u8], probe: Probe) -> App {
     // Families in fixed dispatch order; the first `Some` claims the
     // packet (including a Zoom claim of malformed port-8801 traffic).
     if probe.zoom {
-        if let Some(app) = ZoomFamily.classify(five_tuple, payload, probe) {
+        if let Some(app) = ZoomFamily.classify(five_tuple, payload, wire_len, probe) {
             return app;
         }
     }
     if probe.webrtc == WebrtcProbe::Auto {
-        if let Some(app) = WebrtcFamily.classify(five_tuple, payload, probe) {
+        if let Some(app) = WebrtcFamily.classify(five_tuple, payload, wire_len, probe) {
             return app;
         }
     }
@@ -922,7 +1074,7 @@ pub fn render_tree(d: &Dissection<'_>) -> String {
             }
         },
         App::Opaque => {
-            let _ = writeln!(out, "Data: {} bytes", d.payload.len());
+            let _ = writeln!(out, "Data: {} bytes", d.transport.payload_len());
         }
     }
     out
@@ -1210,6 +1362,77 @@ mod tests {
             }
             _ => panic!("expected tcp"),
         }
+    }
+
+    #[test]
+    fn analysis_prefix_ends_where_the_parsers_stop_reading() {
+        // Ethernet 14 + IPv4 20 + UDP 8 + SFU 8 + video encapsulation 24 +
+        // RTP 12; the 64 bytes of media behind them are never read.
+        let video = server_video_packet();
+        assert_eq!(
+            (video.len(), analysis_prefix(&video, LinkType::Ethernet)),
+            (150, 86)
+        );
+        let full = dissect(42, &video, LinkType::Ethernet, P2pProbe::Off).unwrap();
+        let cut = dissect(42, &video[..86], LinkType::Ethernet, P2pProbe::Off).unwrap();
+        assert_eq!((&cut.app, &cut.transport), (&full.app, &full.transport));
+        assert_eq!(cut.zoom().unwrap().media_payload_len, 64);
+        assert_eq!(cut.transport.payload_len(), 108);
+        assert_eq!((cut.payload.len(), cut.ip_total_len), (44, 136));
+        // One byte short of it, the record was cut mid-header.
+        let err = peek(&video[..85], LinkType::Ethernet).unwrap_err();
+        assert_eq!(
+            drop_stage(&video[..85], LinkType::Ethernet, err),
+            DropStage::Truncated
+        );
+
+        // TCP: through the TCP header.
+        let tcp_data = compose::tcp_ipv4_ethernet(
+            Ipv4Addr::new(10, 8, 0, 3),
+            Ipv4Addr::new(170, 114, 0, 5),
+            50_000,
+            443,
+            1,
+            2,
+            tcp::Flags::default(),
+            &[0x17; 700],
+        );
+        assert_eq!(analysis_prefix(&tcp_data, LinkType::Ethernet), 14 + 20 + 20);
+        let cut = dissect(0, &tcp_data[..54], LinkType::Ethernet, P2pProbe::Off).unwrap();
+        assert_eq!(cut.transport.payload_len(), 700);
+        assert!(cut.payload.is_empty());
+
+        // A payload with no framing's signature: the fixed fields the Zoom
+        // framings would read off it. STUN, and anything that does not
+        // dissect: all of it.
+        let plain = compose::udp_ipv4_ethernet(
+            Ipv4Addr::new(1, 1, 1, 1),
+            Ipv4Addr::new(2, 2, 2, 2),
+            1234,
+            5678,
+            &[0x01; 400],
+        );
+        assert_eq!(analysis_prefix(&plain, LinkType::Ethernet), 42 + 15);
+        let msg = stun::Repr {
+            message_type: stun::MessageType::BindingSuccess,
+            transaction_id: [1; 12],
+            xor_mapped_address: Some("10.8.0.3:50111".parse().unwrap()),
+        };
+        let mut stun_payload = vec![0u8; msg.buffer_len()];
+        msg.emit(&mut stun_payload);
+        let stun_data = compose::udp_ipv4_ethernet(
+            Ipv4Addr::new(52, 202, 62, 2),
+            Ipv4Addr::new(10, 8, 0, 3),
+            stun::STUN_PORT,
+            50_111,
+            &stun_payload,
+        );
+        assert_eq!(
+            analysis_prefix(&stun_data, LinkType::Ethernet),
+            stun_data.len()
+        );
+        assert_eq!(analysis_prefix(&video, LinkType::Other(9)), video.len());
+        assert_eq!(analysis_prefix(&video[..30], LinkType::Ethernet), 30);
     }
 
     #[test]

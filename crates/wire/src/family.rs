@@ -215,8 +215,16 @@ pub trait ProtocolFamily {
     fn peek_class(&self, five_tuple: &FiveTuple, payload: &[u8]) -> Option<PacketClass>;
 
     /// Full payload classification. `Some` claims the packet for this
-    /// family; `None` lets the next family try.
-    fn classify(&self, five_tuple: &FiveTuple, payload: &[u8], probe: Probe) -> Option<App>;
+    /// family; `None` lets the next family try. `payload` is what the
+    /// capture kept of a datagram that was `wire_len` bytes on the wire:
+    /// fields are read from the one, lengths reported from the other.
+    fn classify(
+        &self,
+        five_tuple: &FiveTuple,
+        payload: &[u8],
+        wire_len: usize,
+        probe: Probe,
+    ) -> Option<App>;
 
     /// Metric label for payloads this family claimed but could not parse.
     fn malformed_label(&self) -> &'static str;
@@ -245,19 +253,25 @@ impl ProtocolFamily for ZoomFamily {
         }
     }
 
-    fn classify(&self, five_tuple: &FiveTuple, payload: &[u8], probe: Probe) -> Option<App> {
+    fn classify(
+        &self,
+        five_tuple: &FiveTuple,
+        payload: &[u8],
+        wire_len: usize,
+        probe: Probe,
+    ) -> Option<App> {
         if five_tuple.involves_port(ZOOM_SFU_PORT) {
             // Port 8801 is authoritatively Zoom server traffic: parse
             // failures still claim the packet (the caller attributes them
             // under this family's malformed label), exactly as before the
             // family refactor.
-            return match zoom::parse(payload, Framing::Server) {
+            return match zoom::parse(payload, wire_len, Framing::Server) {
                 Ok(z) => Some(App::Zoom(Framing::Server, z)),
                 Err(_) => Some(App::Opaque),
             };
         }
         if probe.p2p == P2pProbe::Auto {
-            if let Ok((framing, z)) = zoom::parse_auto(payload) {
+            if let Ok((framing, z)) = zoom::parse_auto(payload, wire_len) {
                 if z.rtp.is_some() || !z.rtcp.is_empty() {
                     return Some(App::Zoom(framing, z));
                 }
@@ -292,8 +306,14 @@ impl ProtocolFamily for WebrtcFamily {
         }
     }
 
-    fn classify(&self, _five_tuple: &FiveTuple, payload: &[u8], _probe: Probe) -> Option<App> {
-        webrtc::classify(payload).ok().map(App::Webrtc)
+    fn classify(
+        &self,
+        _five_tuple: &FiveTuple,
+        payload: &[u8],
+        wire_len: usize,
+        _probe: Probe,
+    ) -> Option<App> {
+        webrtc::classify(payload, wire_len).ok().map(App::Webrtc)
     }
 
     fn malformed_label(&self) -> &'static str {
@@ -395,12 +415,12 @@ mod tests {
         assert_eq!(ZoomFamily.peek_class(&tuple(1, 2), &[0x01]), None);
         // Garbage on 8801 is claimed (Opaque), not passed on.
         assert_eq!(
-            ZoomFamily.classify(&ft, b"garbage", Probe::default()),
+            ZoomFamily.classify(&ft, b"garbage", 7, Probe::default()),
             Some(App::Opaque)
         );
         // Garbage elsewhere is passed on.
         assert_eq!(
-            ZoomFamily.classify(&tuple(1, 2), b"garbage", Probe::default()),
+            ZoomFamily.classify(&tuple(1, 2), b"garbage", 7, Probe::default()),
             None
         );
     }
@@ -433,11 +453,11 @@ mod tests {
             assert_eq!(WebrtcFamily.peek_class(&ft, &[first, 0, 0]), None);
         }
         assert!(matches!(
-            WebrtcFamily.classify(&ft, &dtls, Probe::default()),
+            WebrtcFamily.classify(&ft, &dtls, dtls.len(), Probe::default()),
             Some(App::Webrtc(webrtc::Pdu::Dtls(_)))
         ));
         assert_eq!(
-            WebrtcFamily.classify(&ft, b"not webrtc", Probe::default()),
+            WebrtcFamily.classify(&ft, b"not webrtc", 10, Probe::default()),
             None
         );
     }

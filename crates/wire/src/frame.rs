@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! magic   b"ZFRG"            stream identification
-//! version u8 = 1             rejected if unknown
+//! version u8 = 2             1 is read too; anything else is rejected
 //! frame*                     until EOF or a Bye frame
 //! ```
 //!
@@ -33,6 +33,15 @@
 //! emit Trace frames when tracing is enabled, so untraced streams are
 //! byte-identical to protocol version 1 as shipped before trace
 //! support — the addition is backwards compatible on the wire.
+//!
+//! Since version 2 a record ships its **analysis prefix**
+//! ([`dissect::analysis_prefix`](crate::dissect::analysis_prefix)) only:
+//! `cap_len` may be less than the bytes the worker captured, `orig_len`
+//! is what it always was, and the dissector takes every length from the
+//! packet's own headers, so the merge node's report does not change.
+//! The layout is version 1's; the number was bumped so that a version-1
+//! reader — whose dissector would drop a trimmed record as truncated —
+//! refuses the stream instead.
 //!
 //! The Hello frame must come first (the writer emits it with the stream
 //! header); Accounting frames may appear at any point and carry the
@@ -80,6 +89,7 @@
 //! assert_eq!(out.len(), 1);
 //! ```
 
+use crate::dissect::analysis_prefix;
 use crate::handoff::{FramedTail, RecordBatch};
 use crate::pcap::LinkType;
 use crate::{be16, be32, be64, Error};
@@ -88,8 +98,10 @@ use std::io::{self, Read, Write};
 /// Stream magic: identifies a fragment stream in the first four bytes.
 pub const MAGIC: [u8; 4] = *b"ZFRG";
 
-/// Current protocol version, bumped on incompatible layout changes.
-pub const VERSION: u8 = 1;
+/// The protocol version the writer stamps: 2 since Records frames carry
+/// analysis prefixes. The reader also takes version 1 (same layout,
+/// records shipped whole).
+pub const VERSION: u8 = 2;
 
 /// Upper bound on one frame's payload. A Records frame built from the
 /// capture hand-off batches stays well under this; anything larger is a
@@ -98,6 +110,8 @@ pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
 /// `[kind u8][len u32 BE]` ahead of every payload.
 const FRAME_HEAD: usize = 5;
+/// `ts u64`, `orig_len u32`, `cap_len u32` ahead of every record's bytes.
+const RECORD_HEAD: usize = 16;
 /// An Accounting or Bye payload: five `u64`s.
 const TOTALS_BYTES: u32 = 40;
 /// The fixed part of a Hello payload: `link u32`, `label_len u16`.
@@ -115,7 +129,8 @@ const KIND_TRACE: u8 = 5;
 pub struct Totals {
     /// Records the worker's capture side pulled off its sources.
     pub packets: u64,
-    /// Captured bytes across those records.
+    /// Bytes captured across those records at the worker's tap — not the
+    /// (fewer) bytes it shipped.
     pub bytes: u64,
     /// Batches the worker's fan-in handled.
     pub batches: u64,
@@ -184,8 +199,10 @@ pub enum FrameEvent {
 #[derive(Debug)]
 pub struct FrameWriter<W: Write> {
     out: W,
+    link: LinkType,
     scratch: Vec<u8>,
     records_written: u64,
+    record_bytes_written: u64,
     frames_written: u64,
 }
 
@@ -203,8 +220,10 @@ impl<W: Write> FrameWriter<W> {
         payload.extend_from_slice(label);
         let mut w = FrameWriter {
             out,
+            link,
             scratch: Vec::with_capacity(4096),
             records_written: 0,
+            record_bytes_written: 0,
             frames_written: 0,
         };
         w.write_frame(KIND_HELLO, &payload)?;
@@ -256,18 +275,22 @@ impl<W: Write> FrameWriter<W> {
     }
 
     /// Encode `batch` as a Records frame into the scratch buffer: the
-    /// frame head first, its length still to be filled in.
+    /// frame head first, its length still to be filled in. Each record
+    /// ships its analysis prefix — the bytes a parser may read — under the
+    /// length it had on the wire.
     fn encode_records(&mut self, batch: &RecordBatch) {
         self.scratch.clear();
         self.scratch.extend_from_slice(&[KIND_RECORDS, 0, 0, 0, 0]);
         self.scratch
             .extend_from_slice(&(batch.len() as u32).to_be_bytes());
         for r in batch.iter() {
+            let shipped = &r.data[..analysis_prefix(r.data, self.link)];
             self.scratch.extend_from_slice(&r.ts_nanos.to_be_bytes());
-            self.scratch.extend_from_slice(&r.orig_len.to_be_bytes());
             self.scratch
-                .extend_from_slice(&(r.data.len() as u32).to_be_bytes());
-            self.scratch.extend_from_slice(r.data);
+                .extend_from_slice(&(r.wire_len() as u32).to_be_bytes());
+            self.scratch
+                .extend_from_slice(&(shipped.len() as u32).to_be_bytes());
+            self.scratch.extend_from_slice(shipped);
         }
     }
 
@@ -285,6 +308,8 @@ impl<W: Write> FrameWriter<W> {
         self.out.write_all(&self.scratch)?;
         self.frames_written += 1;
         self.records_written += batch.len() as u64;
+        // What the payload holds besides its count and record headers.
+        self.record_bytes_written += (payload - 4 - RECORD_HEAD * batch.len()) as u64;
         Ok(())
     }
 
@@ -311,6 +336,13 @@ impl<W: Write> FrameWriter<W> {
     /// Records shipped so far across all Records frames.
     pub fn records_written(&self) -> u64 {
         self.records_written
+    }
+
+    /// Record bytes shipped so far (Σ `cap_len`, framing not counted): what
+    /// is left of the captured bytes once every record is down to its
+    /// analysis prefix.
+    pub fn record_bytes_written(&self) -> u64 {
+        self.record_bytes_written
     }
 
     /// Ends the stream with a Bye frame carrying the final totals,
@@ -351,7 +383,7 @@ impl<R: Read> FrameReader<R> {
         if head[..4] != MAGIC {
             return Err(Error::Malformed);
         }
-        if head[4] != VERSION {
+        if !(1..=VERSION).contains(&head[4]) {
             return Err(Error::Unsupported);
         }
         let (kind, len) = read_head(&mut input)?.ok_or(Error::Truncated)?;
@@ -498,13 +530,13 @@ fn index_records(tail: &mut FramedTail<'_>) -> Result<u32, Error> {
     let mut off = 4usize;
     for _ in 0..count {
         let payload = tail.bytes();
-        if len - off < 16 {
+        if len - off < RECORD_HEAD {
             return Err(Error::Malformed);
         }
         let ts = be64(payload, off);
         let orig_len = be32(payload, off + 8);
         let cap_len = be32(payload, off + 12) as usize;
-        off += 16;
+        off += RECORD_HEAD;
         if len - off < cap_len {
             return Err(Error::Malformed);
         }
@@ -637,6 +669,86 @@ mod tests {
         assert_eq!((r1.ts_nanos, r1.orig_len, r1.data.len()), (20, 1500, 64));
         let r2 = batch.get(2).unwrap();
         assert_eq!((r2.ts_nanos, r2.orig_len), (30, 80));
+    }
+
+    #[test]
+    fn a_record_ships_its_analysis_prefix_under_its_wire_length() {
+        use crate::{compose, rtp, zoom};
+        use std::net::Ipv4Addr;
+
+        // Server-framed video: Ethernet 14 + IPv4 20 + UDP 8 + SFU 8 +
+        // media encapsulation 24 + RTP 12, then 900 bytes of media.
+        let media = zoom::Builder {
+            sfu: Some(zoom::SfuEncapRepr {
+                encap_type: zoom::SFU_TYPE_MEDIA,
+                sequence: 9,
+                direction: zoom::DIR_FROM_SFU,
+            }),
+            media: zoom::MediaEncapRepr {
+                media_type: zoom::MediaType::Video,
+                sequence: 100,
+                timestamp: 9_000,
+                frame_sequence: Some(5),
+                packets_in_frame: Some(2),
+            },
+            rtp: Some(rtp::Repr {
+                marker: false,
+                payload_type: 98,
+                sequence_number: 700,
+                timestamp: 90_000,
+                ssrc: 0x99,
+                csrc_count: 0,
+                has_extension: false,
+            }),
+            payload: vec![0x5A; 900],
+        }
+        .build();
+        let video = compose::udp_ipv4_ethernet(
+            Ipv4Addr::new(52, 202, 62, 1),
+            Ipv4Addr::new(10, 8, 0, 3),
+            zoom::ZOOM_SFU_PORT,
+            50_111,
+            &media,
+        );
+        let opaque = [0xEE; 300]; // dissects as nothing: ships whole
+        let mut batch = RecordBatch::new();
+        batch.push(1, video.len() as u32, &video);
+        batch.push(2, 9_000, &opaque);
+        batch.push(3, 0, &opaque); // `orig_len` left unset by its writer
+
+        let mut w = FrameWriter::new(Vec::new(), "w", LinkType::Ethernet).unwrap();
+        w.write_batch(&batch).unwrap();
+        assert_eq!(w.record_bytes_written(), 86 + 300 + 300);
+        let mut bytes = w.finish(Totals::default()).unwrap();
+        assert_eq!(bytes[4], 2, "the version a trimming writer stamps");
+
+        // A version-1 header over the same layout is read the same way;
+        // versions this reader has not heard of are refused.
+        for version in [2, 1] {
+            bytes[4] = version;
+            let mut r = FrameReader::new(&bytes[..]).unwrap();
+            let mut out = RecordBatch::new();
+            assert_eq!(
+                r.next(&mut out).unwrap(),
+                Some(FrameEvent::Records { count: 3 })
+            );
+            let got: Vec<(u32, &[u8])> = out.iter().map(|r| (r.orig_len, r.data)).collect();
+            assert_eq!(
+                got,
+                [
+                    (video.len() as u32, &video[..86]),
+                    (9_000, &opaque[..]),
+                    (300, &opaque[..]),
+                ]
+            );
+        }
+        for version in [0, 3] {
+            bytes[4] = version;
+            assert_eq!(
+                FrameReader::new(&bytes[..]).unwrap_err(),
+                Error::Unsupported
+            );
+        }
     }
 
     #[test]

@@ -49,6 +49,15 @@ pub struct RecordRef<'a> {
     pub data: &'a [u8],
 }
 
+impl RecordRef<'_> {
+    /// Length of the record on the wire: `orig_len`, or the captured
+    /// length where a writer left `orig_len` below it (malformed in pcap,
+    /// and normalized the same way by `pcap::Writer`).
+    pub fn wire_len(&self) -> usize {
+        (self.orig_len as usize).max(self.data.len())
+    }
+}
+
 /// Per-record metadata kept alongside the shared byte arena.
 #[derive(Debug, Clone, Copy)]
 struct Slot {

@@ -55,6 +55,9 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// Wrap a buffer, validating version, header length, and total length.
+    /// The buffer must hold the whole header; it may hold less than
+    /// `total_len` bytes (a snap-length capture, a trimmed fragment), in
+    /// which case [`payload`](Packet::payload) is the captured part.
     pub fn new_checked(buffer: T) -> Result<Self> {
         let packet = Packet { buffer };
         packet.check_len()?;
@@ -71,11 +74,10 @@ impl<T: AsRef<[u8]>> Packet<T> {
             return Err(Error::Malformed);
         }
         let hl = self.header_len();
-        if hl < HEADER_LEN || data.len() < hl {
+        if hl < HEADER_LEN {
             return Err(Error::Malformed);
         }
-        let tl = self.total_len() as usize;
-        if tl < hl || data.len() < tl {
+        if data.len() < hl || (self.total_len() as usize) < hl {
             return Err(Error::Truncated);
         }
         Ok(())
@@ -159,11 +161,14 @@ impl<T: AsRef<[u8]>> Packet<T> {
         checksum::verify(&self.buffer.as_ref()[..hl])
     }
 
-    /// Payload as bounded by `total_len` (trailing link padding excluded).
+    /// Captured payload as bounded by `total_len` (trailing link padding
+    /// excluded); shorter than `total_len - header_len` when the capture
+    /// clipped the packet.
     pub fn payload(&self) -> &[u8] {
+        let data = self.buffer.as_ref();
         let hl = self.header_len();
         let tl = self.total_len() as usize;
-        &self.buffer.as_ref()[hl..tl]
+        &data[hl..tl.min(data.len())]
     }
 }
 
@@ -333,10 +338,23 @@ mod tests {
     }
 
     #[test]
-    fn truncated_total_len_rejected() {
+    fn cut_mid_header_rejected_cut_mid_payload_clipped() {
         let buf = sample();
         assert_eq!(
-            Packet::new_checked(&buf[..22]).unwrap_err(),
+            Packet::new_checked(&buf[..19]).unwrap_err(),
+            Error::Truncated
+        );
+        // Two of the four payload bytes captured: lengths come from the
+        // header, the slice from what is there.
+        let p = Packet::new_checked(&buf[..22]).unwrap();
+        assert_eq!(p.total_len(), 24);
+        assert_eq!(Repr::parse(&p).unwrap().payload_len, 4);
+        assert_eq!(p.payload(), &[1, 2]);
+        // A total length below the header length is still refused.
+        let mut short = sample();
+        short[3] = 19;
+        assert_eq!(
+            Packet::new_checked(&short[..]).unwrap_err(),
             Error::Truncated
         );
     }

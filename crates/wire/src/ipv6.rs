@@ -24,7 +24,10 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Packet { buffer }
     }
 
-    /// Wrap, validating version and length fields.
+    /// Wrap, validating that the fixed header is there and says version 6.
+    /// The buffer may hold less than `payload_len` bytes behind it (a
+    /// snap-length capture, a trimmed fragment), in which case
+    /// [`payload`](Packet::payload) is the captured part.
     pub fn new_checked(buffer: T) -> Result<Self> {
         let packet = Packet { buffer };
         packet.check_len()?;
@@ -39,9 +42,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         }
         if self.version() != 6 {
             return Err(Error::Malformed);
-        }
-        if data.len() < HEADER_LEN + self.payload_len() as usize {
-            return Err(Error::Truncated);
         }
         Ok(())
     }
@@ -86,10 +86,12 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Ipv6Addr::from(o)
     }
 
-    /// Payload bounded by the payload-length field.
+    /// Captured payload bounded by the payload-length field; shorter than
+    /// that field says when the capture clipped the packet.
     pub fn payload(&self) -> &[u8] {
-        let pl = self.payload_len() as usize;
-        &self.buffer.as_ref()[HEADER_LEN..HEADER_LEN + pl]
+        let data = self.buffer.as_ref();
+        let end = HEADER_LEN + self.payload_len() as usize;
+        &data[HEADER_LEN..end.min(data.len())]
     }
 }
 
@@ -237,11 +239,14 @@ mod tests {
     }
 
     #[test]
-    fn truncated_payload() {
+    fn cut_mid_header_rejected_cut_mid_payload_clipped() {
         let buf = sample();
         assert_eq!(
-            Packet::new_checked(&buf[..41]).unwrap_err(),
+            Packet::new_checked(&buf[..39]).unwrap_err(),
             Error::Truncated
         );
+        let p = Packet::new_checked(&buf[..41]).unwrap();
+        assert_eq!(p.payload_len(), 3);
+        assert_eq!(p.payload(), &[9]);
     }
 }

@@ -129,6 +129,12 @@ impl RecordBuf {
         &self.data
     }
 
+    /// Length of the buffered record on the wire: `orig_len`, or the
+    /// captured length where the file left `orig_len` below it.
+    pub fn wire_len(&self) -> usize {
+        (self.orig_len as usize).max(self.data.len())
+    }
+
     /// Clone the buffered record into an owning [`Record`].
     pub fn to_record(&self) -> Record {
         Record {
@@ -147,6 +153,19 @@ impl RecordBuf {
         }
     }
 }
+
+/// Longest record a file of the given snap length may hold: twice the
+/// snap length (or the classic 65 535 where the header says less), as far
+/// as a `u32` goes. A hostile header can push this to "no limit"; the
+/// readers therefore never allocate for a length they have only been told
+/// (see [`Reader::read_into`]).
+fn max_record_len(snaplen: u32) -> u32 {
+    snaplen.max(65_535).saturating_mul(2)
+}
+
+/// [`Reader::read_into`] grows its buffer this far ahead of the bytes that
+/// have arrived: more than any real record, so a real record is one read.
+const READ_STEP: usize = 256 * 1024;
 
 /// Parsed pcap global header: (byte-swapped, nanosecond timestamps,
 /// link type, snap length).
@@ -281,7 +300,7 @@ impl<R: Read> Reader<R> {
         let ts_sec = u64::from(rd32(0));
         let ts_frac = u64::from(rd32(4));
         let incl_len = rd32(8);
-        if incl_len > self.snaplen.max(65_535) * 2 {
+        if incl_len > max_record_len(self.snaplen) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "pcap record longer than twice the snap length",
@@ -311,14 +330,23 @@ impl<R: Read> Reader<R> {
     /// zero-copy fast path. Returns `Ok(false)` at end of file (including
     /// a truncated final record, which also bumps
     /// [`truncated_records`](Reader::truncated_records)); `buf` holds the
-    /// new record only when `Ok(true)` is returned.
+    /// new record only when `Ok(true)` is returned. The buffer grows with
+    /// the bytes that arrive, a step at a time, not with the length the
+    /// record header claims.
     pub fn read_into(&mut self, buf: &mut RecordBuf) -> io::Result<bool> {
         let Some(header) = self.read_header()? else {
             return Ok(false);
         };
-        buf.data.resize(header.incl_len as usize, 0);
-        let got = read_fully(&mut self.inner, &mut buf.data)?;
-        if !self.note_record(&header, got == buf.data.len()) {
+        let want = header.incl_len as usize;
+        buf.data.clear();
+        let mut complete = true;
+        while complete && buf.data.len() < want {
+            let have = buf.data.len();
+            buf.data.resize(want.min(have + READ_STEP), 0);
+            let got = read_fully(&mut self.inner, &mut buf.data[have..])?;
+            complete = have + got == buf.data.len();
+        }
+        if !self.note_record(&header, complete) {
             buf.data.clear();
             return Ok(false);
         }
@@ -513,7 +541,7 @@ impl<'a> SliceReader<'a> {
         let ts_frac = u64::from(rd32(4));
         let incl_len = rd32(8) as usize;
         let orig_len = rd32(12);
-        if incl_len as u32 > self.snaplen.max(65_535) * 2 {
+        if incl_len as u32 > max_record_len(self.snaplen) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "pcap record longer than twice the snap length",
@@ -742,6 +770,44 @@ mod tests {
         let mut s = SliceReader::new(&buf).unwrap();
         assert!(s.next_record().unwrap().is_none());
         assert_eq!(s.truncated_records(), 1);
+    }
+
+    #[test]
+    fn a_claimed_record_length_allocates_nothing_until_bytes_arrive() {
+        // 140 bytes of file: a global header whose snap length lifts the
+        // record bound to "no limit" (`0xFFFF_FFFF`: doubling it used to
+        // overflow), one record header claiming 3 GiB, 100 bytes of data.
+        let mut buf = write_trace(&[]);
+        buf[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&[0u8; 8]);
+        buf.extend_from_slice(&0xC000_0000u32.to_le_bytes());
+        buf.extend_from_slice(&0xC000_0000u32.to_le_bytes());
+        buf.extend_from_slice(&[0xAB; 100]);
+        assert_eq!(buf.len(), 140);
+
+        let mut r = Reader::new(&buf[..]).unwrap();
+        assert_eq!(r.snaplen(), u32::MAX);
+        let mut rec = RecordBuf::new();
+        assert!(!r.read_into(&mut rec).unwrap());
+        assert_eq!((r.truncated_records(), r.records_read()), (1, 0));
+        assert!(rec.data.capacity() <= READ_STEP, "{}", rec.data.capacity());
+
+        let mut r = Reader::new(&buf[..]).unwrap();
+        let mut batch = RecordBatch::new();
+        assert!(!r.read_into_batch(&mut batch).unwrap());
+        assert_eq!((r.truncated_records(), batch.len()), (1, 0));
+
+        let mut s = SliceReader::new(&buf).unwrap();
+        assert!(s.next_record().unwrap().is_none());
+        assert_eq!(s.truncated_records(), 1);
+
+        // A real record longer than one growth step still reads whole.
+        let long = Record::full(3, (0..READ_STEP + 1_000).map(|i| i as u8).collect());
+        let mut buf = write_trace(std::slice::from_ref(&long));
+        buf[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut r = Reader::new(&buf[..]).unwrap();
+        assert!(r.read_into(&mut rec).unwrap());
+        assert_eq!(rec.to_record(), long);
     }
 
     #[test]

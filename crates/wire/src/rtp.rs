@@ -137,19 +137,30 @@ impl<T: AsRef<[u8]>> Packet<T> {
         off
     }
 
-    /// Payload after all headers; padding (if flagged) is stripped using
-    /// the trailing count octet per RFC 3550 §5.1.
+    /// Payload length of a packet that was `wire_len` bytes on the wire
+    /// and whose first bytes — the checked header at least — are in the
+    /// buffer. Padding, if flagged, is stripped using the trailing count
+    /// octet per RFC 3550 §5.1; that octet is the packet's last, so a
+    /// padded packet is only measured right from a complete capture
+    /// (`dissect::analysis_prefix` never trims one).
+    pub fn payload_len(&self, wire_len: usize) -> usize {
+        let data = self.buffer.as_ref();
+        let body = wire_len.saturating_sub(self.payload_offset());
+        if self.has_padding() && body > 0 && data.len() == wire_len {
+            let pad = usize::from(data[wire_len - 1]);
+            if pad > 0 && pad <= body {
+                return body - pad;
+            }
+        }
+        body
+    }
+
+    /// Payload after all headers, padding stripped; the buffer is taken
+    /// for the whole packet.
     pub fn payload(&self) -> &[u8] {
         let data = self.buffer.as_ref();
         let start = self.payload_offset();
-        let mut end = data.len();
-        if self.has_padding() && end > start {
-            let pad = usize::from(data[end - 1]);
-            if pad > 0 && pad <= end - start {
-                end -= pad;
-            }
-        }
-        &data[start..end]
+        &data[start..start + self.payload_len(data.len())]
     }
 }
 
@@ -351,6 +362,17 @@ mod tests {
         buf[0] |= 0x20; // padding flag; last byte says 3 pad bytes
         let p = Packet::new_checked(&buf[..]).unwrap();
         assert_eq!(p.payload(), &[1, 2, 3]);
+        assert_eq!(p.payload_len(buf.len()), 3);
+    }
+
+    #[test]
+    fn payload_len_is_measured_on_the_wire() {
+        // The header of a packet that carried 900 bytes of media.
+        let header = emit(base_repr(), b"");
+        let p = Packet::new_checked(&header[..]).unwrap();
+        assert_eq!(p.payload_len(HEADER_LEN + 900), 900);
+        assert_eq!(p.payload_len(HEADER_LEN), 0);
+        assert!(p.payload().is_empty());
     }
 
     #[test]

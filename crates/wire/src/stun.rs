@@ -258,6 +258,14 @@ pub fn looks_like_stun(payload: &[u8]) -> bool {
     Packet::new_checked(payload).is_ok()
 }
 
+/// Do the first eight bytes carry the STUN signature — two leading zero
+/// bits and the magic cookie? Everything [`looks_like_stun`] accepts
+/// does; unlike it, this needs no more of the message than that, so it
+/// can tell whether a clipped payload could have been one.
+pub fn has_magic_cookie(payload: &[u8]) -> bool {
+    payload.len() >= 8 && payload[0] & 0xC0 == 0 && be32(payload, 4) == MAGIC_COOKIE
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,7 +19,12 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Packet { buffer }
     }
 
-    /// Wrap, validating the length field against the buffer.
+    /// Wrap, validating that the header is there and its length field
+    /// covers it. The buffer may hold less than the length field says (a
+    /// snap-length capture, a trimmed fragment), in which case
+    /// [`payload`](Packet::payload) is the captured part; whether the
+    /// field fits the enclosing IP packet is for the caller that knows
+    /// that packet's length.
     pub fn new_checked(buffer: T) -> Result<Self> {
         let packet = Packet { buffer };
         packet.check_len()?;
@@ -32,12 +37,8 @@ impl<T: AsRef<[u8]>> Packet<T> {
         if data.len() < HEADER_LEN {
             return Err(Error::Truncated);
         }
-        let l = self.len() as usize;
-        if l < HEADER_LEN {
+        if (self.len() as usize) < HEADER_LEN {
             return Err(Error::Malformed);
-        }
-        if data.len() < l {
-            return Err(Error::Truncated);
         }
         Ok(())
     }
@@ -67,21 +68,27 @@ impl<T: AsRef<[u8]>> Packet<T> {
         be16(self.buffer.as_ref(), 6)
     }
 
-    /// Payload bounded by the length field.
+    /// Captured payload bounded by the length field; shorter than the
+    /// field says when the capture clipped the datagram.
     pub fn payload(&self) -> &[u8] {
+        let data = self.buffer.as_ref();
         let l = self.len() as usize;
-        &self.buffer.as_ref()[HEADER_LEN..l]
+        &data[HEADER_LEN..l.min(data.len())]
     }
 
     /// Verify the checksum under an IPv4 pseudo header. A zero checksum is
-    /// accepted as "not present" per RFC 768.
+    /// accepted as "not present" per RFC 768; a clipped datagram cannot
+    /// be verified and fails.
     pub fn verify_checksum_v4(&self, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
         if self.checksum() == 0 {
             return true;
         }
         let l = self.len();
+        let Some(datagram) = self.buffer.as_ref().get(..l as usize) else {
+            return false;
+        };
         let mut s = checksum::pseudo_header_v4(src, dst, 17, l);
-        s.add(&self.buffer.as_ref()[..l as usize]);
+        s.add(datagram);
         s.finish() == 0
     }
 }
@@ -237,8 +244,13 @@ mod tests {
         buf[4] = 0;
         buf[5] = 4; // len 4 < header
         assert_eq!(Packet::new_checked(&buf[..]).unwrap_err(), Error::Malformed);
-        buf[5] = 200; // len beyond buffer
-        assert_eq!(Packet::new_checked(&buf[..]).unwrap_err(), Error::Truncated);
+        buf[5] = 200; // len beyond buffer: a clipped capture
+        let p = Packet::new_checked(&buf[..]).unwrap();
+        assert_eq!((p.len(), p.payload()), (200, &b"hello"[..]));
+        assert_eq!(
+            Packet::new_checked(&buf[..7]).unwrap_err(),
+            Error::Truncated
+        );
     }
 
     #[test]

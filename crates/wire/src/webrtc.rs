@@ -173,14 +173,16 @@ pub struct SrtpRepr {
 
 /// Parse an SRTP packet: a strict version-2 RTP header check with the
 /// RFC 5761 RTCP range excluded, yielding the header fields and the
-/// encrypted payload length.
-pub fn parse_srtp(payload: &[u8]) -> Result<SrtpRepr> {
+/// encrypted payload length — of the `wire_len` bytes the datagram had
+/// on the wire, of which `payload` holds the header at least (see
+/// [`classify`]).
+pub fn parse_srtp(payload: &[u8], wire_len: usize) -> Result<SrtpRepr> {
     if payload.len() >= 2 && (192..=223).contains(&payload[1]) {
         return Err(Error::Malformed); // RTCP range: not an RTP packet
     }
     let pkt = rtp::Packet::new_checked(payload)?;
     let repr = rtp::Repr::parse(&pkt)?;
-    let payload_len = pkt.payload().len().saturating_sub(SRTP_AUTH_TAG_LEN);
+    let payload_len = pkt.payload_len(wire_len).saturating_sub(SRTP_AUTH_TAG_LEN);
     Ok(SrtpRepr {
         rtp: repr,
         payload_len,
@@ -251,7 +253,12 @@ impl Pdu {
 /// WebRTC traffic" — the caller decides whether that counts as a
 /// malformed-framing drop (flow known to be a WebRTC session) or simply
 /// as unclassified traffic.
-pub fn classify(payload: &[u8]) -> Result<Pdu> {
+///
+/// `payload` is what the capture kept of a datagram that was `wire_len`
+/// bytes on the wire. DTLS records and SRTCP packets are checked against
+/// their own length fields and need all of it; SRTP needs its RTP header
+/// (`dissect::analysis_prefix` trims no further than that).
+pub fn classify(payload: &[u8], wire_len: usize) -> Result<Pdu> {
     if looks_like_dtls(payload) {
         return DtlsRepr::parse(payload).map(Pdu::Dtls);
     }
@@ -260,7 +267,7 @@ pub fn classify(payload: &[u8]) -> Result<Pdu> {
             return parse_srtcp(payload).map(Pdu::Srtcp);
         }
         if !(192..=223).contains(&payload[1]) {
-            return parse_srtp(payload).map(Pdu::Srtp);
+            return parse_srtp(payload, wire_len).map(Pdu::Srtp);
         }
     }
     Err(Error::Unsupported)
@@ -320,7 +327,7 @@ mod tests {
         assert_eq!(repr.epoch, 1);
         assert_eq!(repr.sequence, 0x0000_0304_0506);
         assert_eq!(repr.length, 40);
-        match classify(&buf).unwrap() {
+        match classify(&buf, buf.len()).unwrap() {
             Pdu::Dtls(d) => assert_eq!(d, repr),
             other => panic!("unexpected {other:?}"),
         }
@@ -349,11 +356,11 @@ mod tests {
     fn srtp_parse_and_payload_len() {
         let buf = srtp_packet(111, false, 80);
         assert!(looks_like_rtp(&buf));
-        let s = parse_srtp(&buf).unwrap();
+        let s = parse_srtp(&buf, buf.len()).unwrap();
         assert_eq!(s.rtp.payload_type, 111);
         assert_eq!(s.rtp.ssrc, 0xABCD_EF01);
         assert_eq!(s.payload_len, 80); // auth tag excluded
-        match classify(&buf).unwrap() {
+        match classify(&buf, buf.len()).unwrap() {
             Pdu::Srtp(p) => assert_eq!(p, s),
             other => panic!("unexpected {other:?}"),
         }
@@ -365,14 +372,14 @@ mod tests {
         let mut buf = srtp_packet(72, true, 20);
         assert_eq!(buf[1], 200);
         assert!(!looks_like_rtp(&buf));
-        assert!(parse_srtp(&buf).is_err());
+        assert!(parse_srtp(&buf, buf.len()).is_err());
         // As RTCP, the length field (zeroed by the RTP builder) is 1
         // word = 4 bytes, which fits: it classifies as SRTCP.
         buf[2] = 0;
         buf[3] = 1;
         let r = parse_srtcp(&buf).unwrap();
         assert_eq!(r.packet_type, 200);
-        assert!(matches!(classify(&buf).unwrap(), Pdu::Srtcp(_)));
+        assert!(matches!(classify(&buf, buf.len()).unwrap(), Pdu::Srtcp(_)));
     }
 
     #[test]
@@ -396,7 +403,7 @@ mod tests {
         for first in [5u8, 13, 15, 16, 33, 34] {
             let mut buf = vec![0u8; 64];
             buf[0] = first;
-            assert!(classify(&buf).is_err(), "first byte {first}");
+            assert!(classify(&buf, buf.len()).is_err(), "first byte {first}");
         }
     }
 
@@ -412,7 +419,8 @@ mod tests {
 
     #[test]
     fn pdu_labels_are_stable() {
-        assert_eq!(classify(&dtls_record(20, 1)).unwrap().label(), "dtls");
-        assert_eq!(classify(&srtp_packet(96, false, 10)).unwrap().label(), "srtp");
+        let (dtls, srtp) = (dtls_record(20, 1), srtp_packet(96, false, 10));
+        assert_eq!(classify(&dtls, dtls.len()).unwrap().label(), "dtls");
+        assert_eq!(classify(&srtp, srtp.len()).unwrap().label(), "srtp");
     }
 }

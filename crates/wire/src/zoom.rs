@@ -500,12 +500,17 @@ pub enum Framing {
     P2p,
 }
 
-/// Parse a complete Zoom UDP payload.
+/// Parse a Zoom UDP payload that was `wire_len` bytes on the wire and of
+/// which `payload` holds the first part — all of it from a full capture
+/// (`wire_len == payload.len()`), the headers at least from a snap-length
+/// capture or a trimmed fragment (`dissect::analysis_prefix`). Header
+/// fields are read from `payload`; every length in the result is the
+/// length on the wire.
 ///
 /// For [`Framing::Server`], the payload must begin with an SFU
 /// encapsulation of type 0x05; other SFU types yield a packet with
 /// `media.media_type == MediaType::Other` and no decoded payload.
-pub fn parse(payload: &[u8], framing: Framing) -> Result<ZoomPacket> {
+pub fn parse(payload: &[u8], wire_len: usize, framing: Framing) -> Result<ZoomPacket> {
     let (sfu, media_bytes) = match framing {
         Framing::Server => {
             let sfu = SfuEncap::new_checked(payload)?;
@@ -523,13 +528,15 @@ pub fn parse(payload: &[u8], framing: Framing) -> Result<ZoomPacket> {
                     },
                     rtp: None,
                     rtcp: rtcp::ItemList::new(),
-                    media_payload_len: payload.len() - SFU_ENCAP_LEN,
+                    media_payload_len: wire_len.saturating_sub(SFU_ENCAP_LEN),
                 });
             }
             (Some(repr), &payload[SFU_ENCAP_LEN..])
         }
         Framing::P2p => (None, payload),
     };
+    // What the media encapsulation measured on the wire.
+    let media_wire_len = wire_len.saturating_sub(payload.len() - media_bytes.len());
 
     let encap = MediaEncap::new_checked(media_bytes)?;
     let media = MediaEncapRepr::parse(&encap)?;
@@ -539,9 +546,9 @@ pub fn parse(payload: &[u8], framing: Framing) -> Result<ZoomPacket> {
 
     match media.media_type {
         t if t.is_rtp_media() => {
-            let inner = encap.payload().expect("rtp media always has an offset");
-            let rtp_pkt = rtp::Packet::new_checked(inner)?;
-            media_payload_len = rtp_pkt.payload().len();
+            let off = t.payload_offset().expect("rtp media always has an offset");
+            let rtp_pkt = rtp::Packet::new_checked(&media_bytes[off..])?;
+            media_payload_len = rtp_pkt.payload_len(media_wire_len.saturating_sub(off));
             rtp_repr = Some(rtp::Repr::parse(&rtp_pkt)?);
         }
         t if t.is_rtcp() => {
@@ -549,7 +556,7 @@ pub fn parse(payload: &[u8], framing: Framing) -> Result<ZoomPacket> {
             rtcp_items = rtcp::parse_compound(inner)?;
         }
         _ => {
-            media_payload_len = media_bytes.len().saturating_sub(1);
+            media_payload_len = media_wire_len.saturating_sub(1);
         }
     }
 
@@ -564,22 +571,22 @@ pub fn parse(payload: &[u8], framing: Framing) -> Result<ZoomPacket> {
 
 /// Try both framings: Zoom server traffic is identified by port 8801, but
 /// when the port is unknown (e.g. scanning a flow for Zoom-ness) this
-/// attempts server framing first, then P2P.
-pub fn parse_auto(payload: &[u8]) -> Result<(Framing, ZoomPacket)> {
-    if let Ok(p) = parse(payload, Framing::Server) {
+/// attempts server framing first, then P2P. `wire_len` as for [`parse`].
+pub fn parse_auto(payload: &[u8], wire_len: usize) -> Result<(Framing, ZoomPacket)> {
+    if let Ok(p) = parse(payload, wire_len, Framing::Server) {
         if p.rtp.is_some() || !p.rtcp.is_empty() {
             return Ok((Framing::Server, p));
         }
     }
-    if let Ok(p) = parse(payload, Framing::P2p) {
+    if let Ok(p) = parse(payload, wire_len, Framing::P2p) {
         if p.rtp.is_some() || !p.rtcp.is_empty() {
             return Ok((Framing::P2p, p));
         }
     }
     // Fall back to whatever structurally parses, preferring server framing.
-    parse(payload, Framing::Server)
+    parse(payload, wire_len, Framing::Server)
         .map(|p| (Framing::Server, p))
-        .or_else(|_| parse(payload, Framing::P2p).map(|p| (Framing::P2p, p)))
+        .or_else(|_| parse(payload, wire_len, Framing::P2p).map(|p| (Framing::P2p, p)))
 }
 
 /// Builder that composes a complete Zoom UDP payload: optional SFU encap +
@@ -666,7 +673,7 @@ mod tests {
     #[test]
     fn video_roundtrip_server() {
         let buf = video_builder().build();
-        let pkt = parse(&buf, Framing::Server).unwrap();
+        let pkt = parse(&buf, buf.len(), Framing::Server).unwrap();
         let sfu = pkt.sfu.unwrap();
         assert_eq!(sfu.sequence, 77);
         assert_eq!(sfu.direction, DIR_FROM_SFU);
@@ -704,7 +711,7 @@ mod tests {
             payload: vec![0u8; SILENT_AUDIO_PAYLOAD_LEN],
         };
         let buf = b.build();
-        let pkt = parse(&buf, Framing::P2p).unwrap();
+        let pkt = parse(&buf, buf.len(), Framing::P2p).unwrap();
         assert!(pkt.sfu.is_none());
         assert_eq!(pkt.media.media_type, MediaType::Audio);
         assert_eq!(pkt.payload_kind(), Some(RtpPayloadKind::AudioSilent));
@@ -742,7 +749,7 @@ mod tests {
             payload: sr_buf,
         };
         let buf = b.build();
-        let pkt = parse(&buf, Framing::Server).unwrap();
+        let pkt = parse(&buf, buf.len(), Framing::Server).unwrap();
         assert_eq!(pkt.media.media_type, MediaType::RtcpSrSdes);
         assert_eq!(pkt.rtcp.len(), 2);
     }
@@ -779,7 +786,7 @@ mod tests {
     fn non_media_sfu_type_is_opaque() {
         let mut buf = video_builder().build();
         buf[0] = 0x07; // unknown SFU type
-        let pkt = parse(&buf, Framing::Server).unwrap();
+        let pkt = parse(&buf, buf.len(), Framing::Server).unwrap();
         assert!(pkt.rtp.is_none());
         assert_eq!(pkt.media.media_type, MediaType::Other(0));
     }
@@ -787,13 +794,13 @@ mod tests {
     #[test]
     fn parse_auto_detects_framing() {
         let server = video_builder().build();
-        let (framing, _) = parse_auto(&server).unwrap();
+        let (framing, _) = parse_auto(&server, server.len()).unwrap();
         assert_eq!(framing, Framing::Server);
 
         let mut b = video_builder();
         b.sfu = None;
         let p2p = b.build();
-        let (framing, pkt) = parse_auto(&p2p).unwrap();
+        let (framing, pkt) = parse_auto(&p2p, p2p.len()).unwrap();
         assert_eq!(framing, Framing::P2p);
         assert_eq!(pkt.rtp.unwrap().ssrc, 0x21);
     }
@@ -803,7 +810,7 @@ mod tests {
         let buf = video_builder().build();
         // Keep SFU encap (8) + 10 bytes of a 24-byte video encap.
         assert_eq!(
-            parse(&buf[..18], Framing::Server).unwrap_err(),
+            parse(&buf[..18], 18, Framing::Server).unwrap_err(),
             Error::Truncated
         );
     }

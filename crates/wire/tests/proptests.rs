@@ -4,9 +4,164 @@
 
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
-use zoom_wire::dissect::{dissect, P2pProbe};
+use zoom_wire::dissect::{analysis_prefix, dissect, P2pProbe, Probe, Transport, WebrtcProbe};
 use zoom_wire::pcap::LinkType;
-use zoom_wire::{compose, ethernet, ipv4, rtcp, rtp, stun, tcp, udp, webrtc, zoom};
+use zoom_wire::{compose, ethernet, ipv4, rtcp, rtp, stun, tcp, udp, webrtc, zoom, Error};
+
+/// One record of every kind the dissector tells apart, on any port, for
+/// the every-offset truncation property. `kind` picks the payload shape,
+/// `ports` the 5-tuple's ports; `body` is the (encrypted, never parsed)
+/// media or filler behind the headers.
+#[allow(clippy::too_many_arguments)]
+fn record_of_kind(
+    kind: u8,
+    ports: u8,
+    csrc_count: u8,
+    has_extension: bool,
+    padded: bool,
+    body: &[u8],
+    trailer: usize,
+    raw_ip: bool,
+) -> (Vec<u8>, LinkType) {
+    let rtp_repr = rtp::Repr {
+        marker: !body.len().is_multiple_of(2),
+        payload_type: if kind == 5 { 111 } else { 98 },
+        sequence_number: 700,
+        timestamp: 90_000,
+        ssrc: 0x99,
+        csrc_count,
+        has_extension,
+    };
+    let zoom_media = |sfu: bool, media_type: zoom::MediaType| {
+        let rtp = media_type.is_rtp_media().then_some(rtp_repr);
+        let mut payload = zoom::Builder {
+            sfu: sfu.then_some(zoom::SfuEncapRepr {
+                encap_type: zoom::SFU_TYPE_MEDIA,
+                sequence: 9,
+                direction: zoom::DIR_FROM_SFU,
+            }),
+            media: zoom::MediaEncapRepr {
+                media_type,
+                sequence: 100,
+                timestamp: 9_000,
+                frame_sequence: (media_type == zoom::MediaType::Video).then_some(5),
+                packets_in_frame: (media_type == zoom::MediaType::Video).then_some(2),
+            },
+            rtp,
+            payload: body.to_vec(),
+        }
+        .build();
+        if rtp.is_some() && padded && !body.is_empty() {
+            let rtp_at = usize::from(sfu) * zoom::SFU_ENCAP_LEN
+                + media_type
+                    .payload_offset()
+                    .expect("rtp media has an offset");
+            payload[rtp_at] |= 0x20;
+            *payload.last_mut().expect("body is not empty") = 1;
+        }
+        payload
+    };
+    let sender_report = || {
+        let sr = rtcp::SenderReportRepr {
+            ssrc: 0x42,
+            info: rtcp::SenderInfo {
+                ntp_timestamp: 1,
+                rtp_timestamp: 2,
+                packet_count: 3,
+                octet_count: 4,
+            },
+            with_sdes: body.len().is_multiple_of(2),
+        };
+        let mut buf = vec![0u8; sr.buffer_len()];
+        sr.emit(&mut buf);
+        buf
+    };
+    let payload: Vec<u8> = match kind {
+        0 => zoom_media(true, zoom::MediaType::Video),
+        1 => zoom_media(true, zoom::MediaType::Audio),
+        2 => zoom_media(true, zoom::MediaType::ScreenShare),
+        3 => zoom_media(false, zoom::MediaType::Video),
+        4 => zoom_media(false, zoom::MediaType::Audio),
+        5 => {
+            // SRTP: bare RTP header, body, auth tag.
+            let mut buf = vec![0u8; rtp_repr.header_len()];
+            rtp_repr.emit(&mut rtp::Packet::new_unchecked(&mut buf[..]));
+            buf.extend_from_slice(body);
+            buf.extend_from_slice(&[0xA7; webrtc::SRTP_AUTH_TAG_LEN]);
+            if padded {
+                buf[0] |= 0x20;
+            }
+            buf
+        }
+        6 => {
+            // SRTCP: a cleartext sender report, ciphertext behind it.
+            let mut buf = sender_report();
+            buf.extend_from_slice(body);
+            buf
+        }
+        7 => {
+            let repr = webrtc::DtlsRepr {
+                content_type: webrtc::DTLS_HANDSHAKE,
+                version_minor: 0xfd,
+                epoch: 0,
+                sequence: 1,
+                length: body.len() as u16,
+            };
+            let mut buf = vec![0u8; webrtc::DTLS_HEADER_LEN];
+            repr.emit(&mut buf);
+            buf.extend_from_slice(body);
+            buf
+        }
+        8 => {
+            let msg = stun::Repr {
+                message_type: stun::MessageType::BindingSuccess,
+                transaction_id: [7; 12],
+                xor_mapped_address: Some("10.8.0.3:50111".parse().expect("an address")),
+            };
+            let mut buf = vec![0u8; msg.buffer_len()];
+            msg.emit(&mut buf);
+            buf
+        }
+        9 => {
+            let mut b = zoom_media(true, zoom::MediaType::RtcpSr);
+            b.truncate(b.len() - body.len());
+            b.extend_from_slice(&sender_report());
+            b
+        }
+        10 => zoom_media(true, zoom::MediaType::Other(7)),
+        11 => {
+            // An SFU encapsulation that announces no media.
+            let mut buf = vec![0x01, 0, 1, 0, 0, 0, 0, zoom::DIR_TO_SFU];
+            buf.extend_from_slice(body);
+            buf
+        }
+        _ => body.to_vec(),
+    };
+    let (src_port, dst_port) = match ports {
+        0 => (50_111, zoom::ZOOM_SFU_PORT),
+        1 => (zoom::ZOOM_SFU_PORT, 50_111),
+        2 => (50_111, 61_234),
+        _ => (50_111, stun::STUN_PORT),
+    };
+    let (src, dst) = (Ipv4Addr::new(10, 8, 0, 3), Ipv4Addr::new(52, 202, 62, 1));
+    let mut data = if kind == 13 {
+        let flags = tcp::Flags {
+            ack: true,
+            psh: true,
+            ..Default::default()
+        };
+        compose::tcp_ipv4_ethernet(src, dst, src_port, 443, 1_000, 2_000, flags, body)
+    } else {
+        compose::udp_ipv4_ethernet(src, dst, src_port, dst_port, &payload)
+    };
+    // Link-layer padding behind the IP packet.
+    data.extend(std::iter::repeat_n(0u8, trailer));
+    if raw_ip {
+        (data.split_off(ethernet::HEADER_LEN), LinkType::RawIp)
+    } else {
+        (data, LinkType::Ethernet)
+    }
+}
 
 proptest! {
     #[test]
@@ -87,7 +242,7 @@ proptest! {
             payload: payload.clone(),
         };
         let bytes = b.build();
-        let parsed = zoom::parse(&bytes, zoom::Framing::Server).unwrap();
+        let parsed = zoom::parse(&bytes, bytes.len(), zoom::Framing::Server).unwrap();
         let sfu = parsed.sfu.unwrap();
         prop_assert_eq!(sfu.sequence, sfu_seq);
         prop_assert_eq!(sfu.direction, direction);
@@ -107,10 +262,15 @@ proptest! {
     #[test]
     fn zoom_parser_never_panics(
         data in proptest::collection::vec(any::<u8>(), 0..256),
+        clipped in 0usize..2_000,
         framing in prop_oneof![Just(zoom::Framing::Server), Just(zoom::Framing::P2p)],
     ) {
-        let _ = zoom::parse(&data, framing);
-        let _ = zoom::parse_auto(&data);
+        // ... whether the bytes are the whole datagram or the start of a
+        // longer one.
+        for wire_len in [data.len(), data.len() + clipped] {
+            let _ = zoom::parse(&data, wire_len, framing);
+            let _ = zoom::parse_auto(&data, wire_len);
+        }
     }
 
     #[test]
@@ -203,6 +363,82 @@ proptest! {
         link in prop_oneof![Just(LinkType::Ethernet), Just(LinkType::RawIp)],
     ) {
         let _ = dissect(0, &data, link, P2pProbe::Auto);
+        prop_assert!(analysis_prefix(&data, link) <= data.len());
+    }
+
+    /// A capture may keep any leading part of a record (`tcpdump -s`), a
+    /// `ZFRG` worker keeps the analysis prefix: a record cut at **every**
+    /// offset never panics, cut at or past its prefix it dissects exactly
+    /// like the full record — under every probe, and under the parsers
+    /// the analysis layer's second chances run on the payload — and cut
+    /// short of it it is `Truncated`.
+    #[test]
+    fn a_record_cut_anywhere_dissects_like_the_full_one_or_is_truncated(
+        kind in 0u8..14,
+        ports in 0u8..4,
+        csrc_count in 0u8..3,
+        has_extension: bool,
+        padded in prop_oneof![Just(false), Just(false), Just(false), Just(true)],
+        body in proptest::collection::vec(any::<u8>(), 0..300),
+        trailer in 0usize..6,
+        raw_ip: bool,
+    ) {
+        let (data, link) = record_of_kind(
+            kind, ports, csrc_count, has_extension, padded, &body, trailer, raw_ip,
+        );
+        let prefix = analysis_prefix(&data, link);
+        prop_assert!(prefix <= data.len());
+        let webrtc_only = Probe {
+            zoom: false,
+            p2p: P2pProbe::Off,
+            webrtc: WebrtcProbe::Auto,
+        };
+        let everything = Probe {
+            zoom: true,
+            p2p: P2pProbe::Auto,
+            webrtc: WebrtcProbe::Auto,
+        };
+        for probe in [Probe::default(), P2pProbe::Auto.into(), webrtc_only, everything] {
+            let full = dissect(7, &data, link, probe).expect("a composed record dissects");
+            for cut in 0..=data.len() {
+                let got = match dissect(7, &data[..cut], link, probe) {
+                    Ok(got) => got,
+                    Err(e) => {
+                        prop_assert!(cut < prefix, "cut {} of {}, prefix {}: {:?}", cut, data.len(), prefix, e);
+                        prop_assert_eq!(e, Error::Truncated, "cut {}", cut);
+                        continue;
+                    }
+                };
+                prop_assert!(cut >= prefix, "cut {} under prefix {} dissected", cut, prefix);
+                prop_assert_eq!(
+                    (got.link, got.five_tuple, got.ip_total_len, &got.transport, &got.app),
+                    (full.link, full.five_tuple, full.ip_total_len, &full.transport, &full.app),
+                    "cut {}", cut
+                );
+                prop_assert!(full.payload.starts_with(got.payload));
+                if let Transport::Udp { payload_len } = full.transport {
+                    for framing in [zoom::Framing::Server, zoom::Framing::P2p] {
+                        prop_assert_eq!(
+                            zoom::parse(got.payload, payload_len, framing),
+                            zoom::parse(full.payload, payload_len, framing),
+                            "cut {}", cut
+                        );
+                    }
+                    prop_assert_eq!(
+                        zoom::parse_auto(got.payload, payload_len),
+                        zoom::parse_auto(full.payload, payload_len)
+                    );
+                    prop_assert_eq!(
+                        webrtc::classify(got.payload, payload_len),
+                        webrtc::classify(full.payload, payload_len)
+                    );
+                    prop_assert_eq!(
+                        stun::looks_like_stun(got.payload),
+                        stun::looks_like_stun(full.payload)
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -325,12 +561,15 @@ proptest! {
         prop_assert!(bye.is_some(), "stream must end with Bye");
         prop_assert!(r.saw_bye());
         prop_assert_eq!(accounting_frames, chunks.len());
+        // A record arrives under the length it had on the wire, holding
+        // its analysis prefix (all of it, for bytes that dissect as
+        // nothing).
         let expected: Vec<(u64, u32, Vec<u8>)> = chunks.concat();
         prop_assert_eq!(got.len(), expected.len());
         for (rec, (ts, orig, data)) in got.iter().zip(&expected) {
             prop_assert_eq!(rec.ts_nanos, *ts);
-            prop_assert_eq!(rec.orig_len, *orig);
-            prop_assert_eq!(rec.data, &data[..]);
+            prop_assert_eq!(rec.orig_len, (*orig).max(data.len() as u32));
+            prop_assert_eq!(rec.data, &data[..analysis_prefix(data, LinkType::RawIp)]);
         }
     }
 
@@ -438,9 +677,11 @@ proptest! {
     /// must become a `malformed_srtp` drop, not a crash.
     #[test]
     fn webrtc_classify_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = webrtc::classify(&data);
+        let _ = webrtc::classify(&data, data.len());
+        let _ = webrtc::classify(&data, data.len() + 1_000);
         let _ = webrtc::DtlsRepr::parse(&data);
-        let _ = webrtc::parse_srtp(&data);
+        let _ = webrtc::parse_srtp(&data, data.len());
+        let _ = webrtc::parse_srtp(&data, data.len() + 1_000);
         let _ = webrtc::parse_srtcp(&data);
     }
 
@@ -467,7 +708,7 @@ proptest! {
         let mut pkt = rtp::Packet::new_unchecked(&mut buf[..]);
         repr.emit(&mut pkt);
         buf[repr.header_len()..repr.header_len() + payload.len()].copy_from_slice(&payload);
-        match webrtc::classify(&buf) {
+        match webrtc::classify(&buf, buf.len()) {
             Ok(webrtc::Pdu::Srtp(s)) => {
                 prop_assert_eq!(s.rtp.payload_type, pt);
                 prop_assert_eq!(s.rtp.ssrc, ssrc);

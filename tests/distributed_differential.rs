@@ -11,6 +11,12 @@
 //!   `zoom_worker_*` snapshot matches the split sizes exactly and the
 //!   worker-extended conservation invariant holds
 //!   (`Σ worker packets == packets_in + Σ ring_full_drops`).
+//! * A worker ships each record's analysis prefix, not the record: the
+//!   spools weigh a fraction of the trace, the merge node's `bytes_in`
+//!   and `packet_size` histogram still read what the single process
+//!   reads, a by-flow split that puts a STUN exchange and the P2P flow it
+//!   announces on different workers changes nothing, and a version-1
+//!   spool — records shipped whole — still merges to the same bytes.
 //! * A merge "crash" mid-trace resumes from a checkpoint: replaying the
 //!   same fragments under a `WindowGate` emits exactly the missing
 //!   suffix, so crash + restore concatenates to the uninterrupted run —
@@ -42,16 +48,20 @@ use zoom_capture::source::{PacketSource, BATCH_RECORDS};
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
+use zoom_wire::dissect::{analysis_prefix, peek};
 use zoom_wire::frame::{FrameWriter, Totals};
 use zoom_wire::handoff::RecordBatch;
 use zoom_wire::pcap::{LinkType, Record};
+use zoom_wire::stun::STUN_PORT;
 
 /// A multi-party workload with strictly increasing timestamps, so the
 /// timestamp-ordered merge has exactly one valid output order and the
 /// differential below is unambiguous.
 fn strictly_increasing_records(seed: u64, secs: u64) -> Vec<Record> {
-    let mut records: Vec<Record> =
-        MeetingSim::new(scenario::multi_party(seed, secs * SEC)).collect();
+    strictly_increasing(MeetingSim::new(scenario::multi_party(seed, secs * SEC)).collect())
+}
+
+fn strictly_increasing(mut records: Vec<Record>) -> Vec<Record> {
     records.sort_by_key(|r| r.ts_nanos);
     let mut last = 0u64;
     for r in &mut records {
@@ -85,6 +95,14 @@ fn split_records(records: &[Record], n: usize, how: Split) -> Vec<Vec<Record>> {
         }
     }
     parts
+}
+
+/// What a worker ships of `records`: every record's analysis prefix.
+fn shipped_bytes(records: &[Record]) -> u64 {
+    records
+        .iter()
+        .map(|r| analysis_prefix(&r.data, LinkType::Ethernet) as u64)
+        .sum()
 }
 
 /// Encode one worker's records as the wire-framed fragment stream a
@@ -126,6 +144,8 @@ fn sync_workers(pairs: &[(Arc<WorkerAccount>, Arc<WorkerMetrics>)]) {
         if received > have {
             wm.records_received.add(received - have);
         }
+        wm.bytes_received
+            .set(acc.bytes_received.load(Ordering::Acquire));
         wm.complete
             .set(u64::from(acc.complete.load(Ordering::Acquire)));
     }
@@ -280,8 +300,15 @@ fn assert_worker_accounting(snap: &MetricsSnapshot, splits: &[Vec<Record>], labe
             part.len() as u64,
             "{label}: worker {i} received"
         );
+        // Captured at the tap, as the worker reports it; shipped, as the
+        // merge node counts it in.
         let bytes: u64 = part.iter().map(|r| r.data.len() as u64).sum();
         assert_eq!(w.bytes, bytes, "{label}: worker {i} bytes");
+        assert_eq!(
+            w.bytes_received,
+            shipped_bytes(part),
+            "{label}: worker {i} bytes received"
+        );
         assert_eq!(w.ring_full_drops, 0, "{label}: worker {i} drops");
         assert!(w.complete, "{label}: worker {i} saw Bye");
     }
@@ -341,13 +368,12 @@ fn inline_fragment_lanes_match_threaded_lanes_and_the_single_process() {
                     fragment_run_driven(&splits, window, Drive::Batched { inline });
                 assert_same_output(&windows, &out, &base_windows, &base_out, &label);
                 assert_worker_accounting(&snap, &splits, &label);
-                // Captured bytes only, whichever way the frames were
-                // read: the framing a lane's arena holds is not counted.
+                // Record bytes only, whichever way the frames were read:
+                // the framing a lane's arena holds is not counted.
                 for (part, row) in splits.iter().zip(&snap.sources) {
-                    let bytes: u64 = part.iter().map(|r| r.data.len() as u64).sum();
                     assert_eq!(
                         (row.packets, row.bytes),
-                        (part.len() as u64, bytes),
+                        (part.len() as u64, shipped_bytes(part)),
                         "{label}"
                     );
                 }
@@ -364,6 +390,122 @@ fn inline_fragment_lanes_match_threaded_lanes_and_the_single_process() {
             );
         }
     }
+}
+
+/// `frame_stream` as a version-1 worker wrote it: the same layout, every
+/// record shipped whole.
+fn frame_stream_v1(records: &[Record], label: &str) -> Vec<u8> {
+    let frame = |out: &mut Vec<u8>, kind: u8, payload: &[u8]| {
+        out.push(kind);
+        out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        out.extend_from_slice(payload);
+    };
+    let mut out = b"ZFRG\x01".to_vec();
+    let mut hello = 1u32.to_be_bytes().to_vec(); // Ethernet
+    hello.extend_from_slice(&(label.len() as u16).to_be_bytes());
+    hello.extend_from_slice(label.as_bytes());
+    frame(&mut out, 1, &hello);
+    for chunk in records.chunks(64) {
+        let mut payload = (chunk.len() as u32).to_be_bytes().to_vec();
+        for r in chunk {
+            payload.extend_from_slice(&r.ts_nanos.to_be_bytes());
+            payload.extend_from_slice(&r.orig_len.to_be_bytes());
+            payload.extend_from_slice(&(r.data.len() as u32).to_be_bytes());
+            payload.extend_from_slice(&r.data);
+        }
+        frame(&mut out, 2, &payload);
+    }
+    let bytes: u64 = records.iter().map(|r| r.data.len() as u64).sum();
+    let totals = [
+        records.len() as u64,
+        bytes,
+        records.len().div_ceil(64) as u64,
+        0,
+        0,
+    ];
+    let bye: Vec<u8> = totals.iter().flat_map(|v| v.to_be_bytes()).collect();
+    frame(&mut out, 4, &bye);
+    out
+}
+
+/// Headers cross the wire, media does not — and nothing the merge node
+/// prints or counts can tell.
+#[test]
+fn workers_ship_prefixes_and_the_merge_cannot_tell() {
+    // A P2P meeting and a WebRTC session, split the way taps split
+    // traffic — by flow — so that the STUN exchange goes to one worker and
+    // the media flow it announces to the other: the worker that trims the
+    // media never saw what makes it media.
+    let p2p: Vec<Record> = MeetingSim::new(scenario::p2p_meeting(5, 20 * SEC)).collect();
+    let webrtc = zoom_sim::webrtc::scenario(3, 15 * SEC);
+    for (name, records) in [("p2p", p2p), ("webrtc", webrtc)] {
+        let records = strictly_increasing(records);
+        let is_stun = |r: &Record| {
+            let p = peek(&r.data, LinkType::Ethernet).expect("sim records dissect");
+            p.five_tuple().involves_port(STUN_PORT)
+                && p.udp_payload.is_some_and(zoom_wire::stun::looks_like_stun)
+        };
+        let (stun, rest): (Vec<Record>, Vec<Record>) = records.iter().cloned().partition(is_stun);
+        assert!(!stun.is_empty() && rest.len() > 1_000, "{name}: split");
+        let splits = [stun, rest];
+
+        let window = Some(Duration::from_secs(1));
+        let (base_windows, base_out) = single_process_run(&records, window);
+        let (windows, out, snap) =
+            fragment_run_driven(&splits, window, Drive::Batched { inline: true });
+        assert_same_output(&windows, &out, &base_windows, &base_out, name);
+        assert_worker_accounting(&snap, &splits, name);
+
+        // Ingest accounting follows the wire, not what was shipped.
+        let base = base_out.analyzer.metrics();
+        assert_eq!(snap.bytes_in, base.bytes_in, "{name}: bytes_in");
+        assert_eq!(snap.packet_size, base.packet_size, "{name}: packet_size");
+        assert_eq!(snap.drop_truncated, 0, "{name}: truncated");
+
+        // The spools weigh what the prefixes weigh plus framing, a
+        // fraction of the capture.
+        let captured: usize = records.iter().map(|r| r.data.len()).sum();
+        let spooled: usize = splits
+            .iter()
+            .enumerate()
+            .map(|(i, part)| frame_stream(part, &format!("w{i}")).len())
+            .sum();
+        let shipped = splits.iter().map(|p| shipped_bytes(p)).sum::<u64>() as usize;
+        assert!(
+            spooled > shipped && spooled < shipped + 17 * records.len() + 200,
+            "{name}: {spooled} spooled for {shipped} shipped"
+        );
+        assert!(
+            spooled * 10 < captured * 3,
+            "{name}: {spooled} of {captured}"
+        );
+    }
+}
+
+#[test]
+fn a_version_1_spool_still_merges() {
+    let records = strictly_increasing_records(19, 10);
+    let splits = split_records(&records, 2, Split::RoundRobin);
+    let mut engine = StreamingEngine::new(EngineConfig::default()).expect("engine");
+    // One worker on the old version, one on the new.
+    let sources: Vec<Box<dyn PacketSource>> = vec![
+        Box::new(FragmentSource::open(Cursor::new(frame_stream_v1(&splits[0], "w0"))).expect("v1")),
+        Box::new(FragmentSource::open(Cursor::new(frame_stream(&splits[1], "w1"))).expect("v2")),
+    ];
+    let mut mux = CaptureMux::inline(sources, None);
+    let mut batch = RecordBatch::new();
+    while let Some(link) = mux
+        .next_batch(&mut batch, BATCH_RECORDS)
+        .expect("mux batch")
+    {
+        engine.push_batch(&batch, link).expect("push_batch");
+    }
+    mux.finish().expect("teardown");
+    let (_, base_out) = single_process_run(&records, None);
+    assert_eq!(
+        engine.drain().expect("drain").report.to_json(),
+        base_out.report.to_json()
+    );
 }
 
 /// Crash + restore: an incarnation that dies mid-trace emitted some

@@ -90,21 +90,25 @@ fn microsecond_file_truncates_timestamps_but_still_analyzes() {
 
 #[test]
 fn snaplen_clipped_records_partially_analyzable() {
-    // A capture that clips packets at 96 bytes (headers survive, media
-    // payload is cut): streams are still identified, byte counts differ.
+    // A capture that clips packets at 128 bytes: every header survives,
+    // only media payload is cut, and lengths come from the headers — the
+    // summary is the full capture's (`tests/trim_oracle.rs` compares
+    // whole reports). At 64 bytes the Zoom headers themselves are cut:
+    // those records drop as truncated, the trace still analyzes.
     let records = capture(10);
-    let clipped: Vec<Record> = records
-        .iter()
-        .map(|r| Record {
-            ts_nanos: r.ts_nanos,
-            orig_len: r.data.len() as u32,
-            data: r.data[..r.data.len().min(96)].to_vec(),
-        })
-        .collect();
-    let full = analyze(records);
-    let cut = analyze(clipped);
-    // Clipping invalidates most media packets' inner parse (lengths no
-    // longer match), but the trace must not panic and flow-level counts
-    // must still be produced.
-    assert!(cut.total_packets == full.total_packets);
+    let clipped = |snap: usize| -> Vec<Record> {
+        records
+            .iter()
+            .map(|r| Record {
+                ts_nanos: r.ts_nanos,
+                orig_len: r.data.len() as u32,
+                data: r.data[..r.data.len().min(snap)].to_vec(),
+            })
+            .collect()
+    };
+    let full = analyze(records.clone());
+    assert_eq!(analyze(clipped(128)), full);
+    let cut = analyze(clipped(64));
+    assert_eq!(cut.total_packets, full.total_packets);
+    assert!(cut.zoom_packets < full.zoom_packets);
 }

@@ -32,6 +32,9 @@
 //!   a deterministic timestamp merge on the consuming side, and exact
 //!   `ring_full_drops` accounting threaded into
 //!   [`zoom_analysis::obs`],
+//! * [`filter`] — the one loop from a fan-in through the filter to an
+//!   output pcap ([`filter_to_pcap`](filter::filter_to_pcap)), behind both
+//!   `zoom-tools capture` and `zoom-tools filter`,
 //! * [`spec`] — the typed [`SourceSpec`](spec::SourceSpec) grammar the
 //!   CLI parses `--source` values with,
 //! * [`fragment`] — the merge-node [`FragmentSource`](fragment::FragmentSource)
@@ -42,6 +45,7 @@
 
 pub mod anonymize;
 pub mod cidr;
+pub mod filter;
 pub mod fragment;
 pub mod mux;
 pub mod pipeline;

@@ -59,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use zoom_analysis::obs::trace::{spans, TraceCollector};
-use zoom_analysis::obs::{PipelineMetrics, SourceMetrics};
+use zoom_analysis::obs::{LaneKind, PipelineMetrics, SourceMetrics};
 use zoom_wire::handoff::RecordBatch;
 use zoom_wire::pcap::LinkType;
 
@@ -183,17 +183,18 @@ struct Lane {
 
 impl Lane {
     /// A lane over `source` — its label, link type and registration on
-    /// `metrics` — fed by whatever `feed` makes of the source and the
-    /// state the lane shares with it.
+    /// `metrics` as a lane of `kind` — fed by whatever `feed` makes of the
+    /// source and the state the lane shares with it.
     fn new(
         source: Box<dyn PacketSource>,
         metrics: Option<&PipelineMetrics>,
+        kind: LaneKind,
         feed: impl FnOnce(Box<dyn PacketSource>, &Arc<LaneShared>) -> Feed,
     ) -> Lane {
         let label = source.label().to_string();
         let shared = Arc::new(LaneShared {
             counters: LaneCounters::default(),
-            obs: metrics.map(|m| m.register_source(&label)),
+            obs: metrics.map(|m| m.register_source(&label, kind)),
             trace: metrics.map(|m| Arc::clone(&m.trace)),
             error: Mutex::new(None),
         });
@@ -337,7 +338,7 @@ impl CaptureMux {
     ) -> CaptureMux {
         let capacity = config.ring_capacity.max(1);
         let lanes = sources.into_iter().map(|source| {
-            Lane::new(source, metrics, |source, shared| {
+            Lane::new(source, metrics, LaneKind::Threaded, |source, shared| {
                 let (tx, rx) = ring::spsc::<RecordBatch>(capacity);
                 let (recycle_tx, recycle_rx) = ring::spsc::<RecordBatch>(capacity + 2);
                 let shared = Arc::clone(shared);
@@ -378,10 +379,12 @@ impl CaptureMux {
         metrics: Option<&PipelineMetrics>,
     ) -> CaptureMux {
         let lanes = sources.into_iter().map(|source| {
-            Lane::new(source, metrics, |source, _| Feed::Inline {
-                source,
-                spare: RecordBatch::new(),
-                live: true,
+            Lane::new(source, metrics, LaneKind::Inline, |source, _| {
+                Feed::Inline {
+                    source,
+                    spare: RecordBatch::new(),
+                    live: true,
+                }
             })
         });
         CaptureMux {
@@ -567,6 +570,11 @@ impl CaptureMux {
     /// Number of sources feeding this mux.
     pub fn sources(&self) -> usize {
         self.lanes.len()
+    }
+
+    /// Link type of source `i`.
+    pub fn link_type(&self, i: usize) -> LinkType {
+        self.lanes[i].link
     }
 
     /// Records handed to the consumer so far, across all lanes.

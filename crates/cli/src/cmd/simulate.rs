@@ -2,7 +2,7 @@
 //! downstream tooling (including this repository's own `analyze`).
 
 use super::sources::scenario_records;
-use super::{parse_args, CmdResult, FlagSpec};
+use super::{parse_args, CliError, CmdResult, FlagSpec};
 use zoom_wire::pcap::{LinkType, Writer};
 
 const FLAGS: FlagSpec = FlagSpec {
@@ -38,7 +38,7 @@ pub fn run(args: &[String]) -> CmdResult {
     // The same generator backs `--source sim:SPEC`, so a simulated file
     // and a simulated live source with matching parameters are
     // record-identical.
-    let records = scenario_records(scenario_name, seed, seconds)?;
+    let records = scenario_records(scenario_name, seed, seconds).map_err(CliError::config)?;
 
     let file = std::fs::File::create(output).map_err(|e| format!("{output}: {e}"))?;
     let mut writer = Writer::new(std::io::BufWriter::new(file), LinkType::Ethernet)

@@ -1,5 +1,5 @@
-//! Shared `--source SPEC` handling for `analyze`, `capture`, and the
-//! fragment-emitting worker path.
+//! Shared `--source SPEC` handling for `analyze`, `capture` (and `filter`,
+//! its one-file form), and the fragment-emitting worker path.
 //!
 //! Spec strings parse through the typed
 //! [`SourceSpec`] grammar — one
@@ -58,6 +58,14 @@ pub fn scenario_records(name: &str, seed: u64, seconds: u64) -> Result<Vec<Recor
         "p2p" => vec![scenario::p2p_meeting(seed, seconds * SEC)],
         "multi" => vec![scenario::multi_party(seed, seconds * SEC)],
         "churn" => scenario::churn(seed, seconds * SEC),
+        // The campus generator draws arrivals per whole minute: under one
+        // minute there is none to draw for, and the trace would be empty.
+        "campus-10x" if seconds < 60 => {
+            return Err(format!(
+                "scenario 'campus-10x' needs at least 60 seconds (its meetings arrive per whole \
+                 minute); got {seconds}"
+            ))
+        }
         "campus-10x" => scenario::campus_10x(seed, seconds * SEC),
         other => {
             return Err(format!(
@@ -197,10 +205,10 @@ pub fn mux_flags(flags: &HashMap<String, String>) -> Result<MuxConfig, String> {
     })
 }
 
-/// Starts the fan-in of every analysis route that has one (`analyze`
-/// with `--source`, a window or `--emit-fragments`; `merge`): in-line on
-/// the calling thread or one capture thread per source, decided here and
-/// nowhere else. Under `Overflow::Block` a capture thread waits for the
+/// Starts the fan-in of every route that has one (`analyze` with
+/// `--source`, a window or `--emit-fragments`; `merge`; `capture` and
+/// `filter`): in-line on the calling thread or one capture thread per
+/// source, decided here and nowhere else. Under `Overflow::Block` a capture thread waits for the
 /// consumer anyway, so all it buys is read-ahead on a second core — when
 /// the scheduler grants one; a pass that overlaps read and analysis only
 /// then takes 1.0× or 1.5× as long from one run to the next, and moves

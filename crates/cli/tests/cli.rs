@@ -15,12 +15,27 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 fn run(args: &[&str]) -> (String, String, bool) {
+    let (out, err, code) = run_code(args);
+    (out, err, code == Some(0))
+}
+
+fn run_code(args: &[&str]) -> (String, String, Option<i32>) {
     let out = Command::new(bin()).args(args).output().expect("spawn");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
+        out.status.code(),
     )
+}
+
+/// The `"key":{...}` object of a one-line `--metrics` JSON file.
+fn json_section(path: &std::path::Path, key: &str) -> String {
+    let json = std::fs::read_to_string(path).unwrap();
+    let start = json
+        .find(&format!("\"{key}\":{{"))
+        .unwrap_or_else(|| panic!("no {key} section in {json}"));
+    let end = start + json[start..].find('}').expect("section closes");
+    json[start..=end].to_string()
 }
 
 #[test]
@@ -80,14 +95,16 @@ fn full_cli_round_trip() {
     assert!(out.contains("RTP header at offset"), "{out}");
 }
 
-/// `filter` (inline reader) and `capture --source pcap:` (capture thread,
-/// ring, fan-in) run the same filter set-up over the same records, so
-/// their output files are byte-identical.
+/// `filter IN OUT` is `capture OUT --source pcap:IN` under another name:
+/// the same loop over the same in-line lane, so the same output bytes and
+/// the same accounting.
 #[test]
 fn filter_and_single_source_capture_write_the_same_file() {
     let raw = tmp("same_raw.pcap");
     let by_filter = tmp("same_filter.pcap");
     let by_capture = tmp("same_capture.pcap");
+    let filter_metrics = tmp("same_filter.json");
+    let capture_metrics = tmp("same_capture.json");
     let (_, err, ok) = run(&[
         "simulate",
         raw.to_str().unwrap(),
@@ -105,8 +122,11 @@ fn filter_and_single_source_capture_write_the_same_file() {
         by_filter.to_str().unwrap(),
         "--anonymize",
         "7",
+        "--metrics",
+        filter_metrics.to_str().unwrap(),
     ]);
     assert!(ok, "filter failed: {err}");
+    assert!(err.starts_with("filtered "), "stderr: {err}");
     let source = format!("pcap:{}", raw.to_str().unwrap());
     let (_, err, ok) = run(&[
         "capture",
@@ -115,12 +135,116 @@ fn filter_and_single_source_capture_write_the_same_file() {
         &source,
         "--anonymize",
         "7",
+        "--metrics",
+        capture_metrics.to_str().unwrap(),
     ]);
     assert!(ok, "capture failed: {err}");
     let a = std::fs::read(&by_filter).unwrap();
     let b = std::fs::read(&by_capture).unwrap();
     assert!(a.len() > 100_000, "filter wrote only {} bytes", a.len());
     assert!(a == b, "filter and capture outputs differ");
+
+    let section = json_section(&filter_metrics, "capture");
+    assert!(section.contains("\"passed\":"), "{section}");
+    assert_eq!(section, json_section(&capture_metrics, "capture"));
+    for path in [&filter_metrics, &capture_metrics] {
+        let json = std::fs::read_to_string(path).unwrap();
+        assert!(json.contains("\"conservation_holds\":true"), "{json}");
+        assert!(json.contains("\"lane\":\"inline\""), "{json}");
+    }
+}
+
+/// A torn final record is one `truncated` record, a warning and exit 0 —
+/// whichever command reads the file, on whichever kind of lane.
+#[test]
+fn a_torn_tail_reads_the_same_through_filter_and_both_capture_lanes() {
+    let raw = tmp("torn_raw.pcap");
+    let torn = tmp("torn.pcap");
+    let (_, err, ok) = run(&[
+        "simulate",
+        raw.to_str().unwrap(),
+        "--seconds",
+        "10",
+        "--seed",
+        "4",
+        "--scenario",
+        "p2p",
+    ]);
+    assert!(ok, "simulate failed: {err}");
+    let bytes = std::fs::read(&raw).unwrap();
+    std::fs::write(&torn, &bytes[..bytes.len() - 37]).unwrap();
+    // Two followed files are two live sources, which get a capture thread
+    // each; the second holds a pcap header and no records.
+    let empty = tmp("torn_empty.pcap");
+    std::fs::write(&empty, &bytes[..24]).unwrap();
+
+    let source = format!("pcap:{}", torn.to_str().unwrap());
+    let quiet = format!("pcap:{}", empty.to_str().unwrap());
+    let (torn, source, quiet) = (torn.to_str().unwrap(), source.as_str(), quiet.as_str());
+    let runs: [(&str, Vec<&str>, &str); 3] = [
+        ("filter", vec!["filter", torn], "inline"),
+        ("capture", vec!["capture", "--source", source], "inline"),
+        (
+            "follow",
+            vec![
+                "capture",
+                "--source",
+                source,
+                "--source",
+                quiet,
+                "--follow",
+                "--idle-exit",
+                "1s",
+            ],
+            "threaded",
+        ),
+    ];
+    let mut outputs = Vec::new();
+    for (name, mut args, lane) in runs {
+        let out = tmp(&format!("torn_{name}.pcap"));
+        let metrics = tmp(&format!("torn_{name}.json"));
+        // `filter IN OUT`, `capture OUT --source …`: the output is the
+        // second positional either way.
+        args.insert(if name == "filter" { 2 } else { 1 }, out.to_str().unwrap());
+        args.extend(["--metrics", metrics.to_str().unwrap()]);
+        let (_, err, code) = run_code(&args);
+        assert_eq!(code, Some(0), "{name}: {err}");
+        assert!(
+            err.contains("warning: 1 truncated record(s) at source tails ignored"),
+            "{name}: {err}"
+        );
+        let json = std::fs::read_to_string(&metrics).unwrap();
+        assert!(json.contains("\"truncated_records\":1"), "{name}: {json}");
+        assert!(
+            json.contains("\"conservation_holds\":true"),
+            "{name}: {json}"
+        );
+        assert!(
+            json.contains(&format!("\"lane\":\"{lane}\"")),
+            "{name}: {json}"
+        );
+        outputs.push(std::fs::read(&out).unwrap());
+    }
+    assert!(outputs[0].len() > 10_000);
+    assert!(outputs[0] == outputs[1] && outputs[1] == outputs[2]);
+}
+
+/// `campus-10x` draws its meetings per whole minute; a shorter trace
+/// would be empty, so it is refused, not written.
+#[test]
+fn simulate_refuses_a_campus_trace_under_a_minute() {
+    let out = tmp("campus_short.pcap");
+    let (_, err, code) = run_code(&[
+        "simulate",
+        out.to_str().unwrap(),
+        "--scenario",
+        "campus-10x",
+        "--seconds",
+        "30",
+    ]);
+    assert_eq!(code, Some(3), "{err}");
+    assert!(err.contains("needs at least 60 seconds"), "{err}");
+    assert!(!out.exists(), "an output was left behind");
 }
 
 #[test]

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use zoom_wire::dissect::DropStage;
+use zoom_wire::handoff::RecordBatch;
 use zoom_wire::zoom::MediaType;
 
 #[cfg(feature = "obs-http")]
@@ -190,10 +191,12 @@ impl Histogram {
 }
 
 /// Index of the bucket `v` falls in: the first whose bound is not below
-/// it, or `bounds.len()` for the `+Inf` bucket.
+/// it, or `bounds.len()` for the `+Inf` bucket. Bounds ascend, so that is
+/// the number of bounds below `v` — summed without a branch, because
+/// where to stop is unpredictable on mixed packet sizes.
 #[inline]
 fn bucket_of(bounds: &[u64], v: u64) -> usize {
-    bounds.iter().take_while(|&&b| v > b).count()
+    bounds.iter().map(|&b| usize::from(v > b)).sum()
 }
 
 /// Plain-data copy of a [`Histogram`]. `buckets[i]` counts observations
@@ -912,6 +915,21 @@ impl IngestTally {
         bump(&self.size_buckets[bucket_of(PACKET_SIZE_BOUNDS, bytes as u64)]);
     }
 
+    /// Count a whole batch of offered records: what
+    /// [`record_in`](Self::record_in) per record comes to, with the record
+    /// count taken from the batch and the bytes summed in a register, so a
+    /// record costs one bucket bump.
+    pub(crate) fn record_batch_in(&self, batch: &RecordBatch) {
+        let mut bytes = 0;
+        for len in batch.wire_lens() {
+            bytes += len as u64;
+            bump(&self.size_buckets[bucket_of(PACKET_SIZE_BOUNDS, len as u64)]);
+        }
+        self.packets_in
+            .set(self.packets_in.get() + batch.len() as u64);
+        self.bytes_in.set(self.bytes_in.get() + bytes);
+    }
+
     /// Publish everything tallied so far into `m` and reset to zero.
     pub(crate) fn flush(&self, m: &PipelineMetrics) {
         let packets = self.packets_in.take();
@@ -949,6 +967,7 @@ impl IngestTally {
 #[derive(Debug)]
 pub struct SourceMetrics {
     label: String,
+    lane: LaneKind,
     /// Records this source's capture thread pulled off the source.
     pub packets: Counter,
     /// Captured bytes across those records.
@@ -975,6 +994,28 @@ impl SourceMetrics {
     /// The source's display label (e.g. `pcap:trace.pcap` or `sim:p2p`).
     pub fn label(&self) -> &str {
         &self.label
+    }
+}
+
+/// How a source's batches reach the fan-in consumer — decided once, when
+/// the fan-in starts, and rendered beside the source's series so that
+/// ring gauges reading 0 can be told apart: no ring, or an idle one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneKind {
+    /// Read on the consumer's own thread: no capture thread, no ring; the
+    /// `ring_*` gauges and `ring_full_drops` stay 0 by construction.
+    Inline,
+    /// One capture thread behind a bounded hand-off ring.
+    Threaded,
+}
+
+impl LaneKind {
+    /// The rendered form: `inline` or `threaded`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            LaneKind::Inline => "inline",
+            LaneKind::Threaded => "threaded",
+        }
     }
 }
 
@@ -1127,9 +1168,10 @@ impl PipelineMetrics {
     /// registration order and, once any source is registered, the
     /// conservation invariant additionally checks that every captured
     /// record either reached the sink or was counted as a ring drop.
-    pub fn register_source(&self, label: &str) -> Arc<SourceMetrics> {
+    pub fn register_source(&self, label: &str, lane: LaneKind) -> Arc<SourceMetrics> {
         let m = Arc::new(SourceMetrics {
             label: label.to_string(),
+            lane,
             packets: Counter::new(),
             bytes: Counter::new(),
             batches: Counter::new(),
@@ -1160,6 +1202,16 @@ impl PipelineMetrics {
         self.packets_in.inc();
         self.bytes_in.add(bytes as u64);
         self.packet_size.observe(bytes as u64);
+    }
+
+    /// Count a whole batch of offered records, published once: what
+    /// [`record_in`](Self::record_in) per record comes to for a fraction
+    /// of the shared-counter traffic. For a consumer that keeps no sink
+    /// (the capture filter); the sinks count through their own tally.
+    pub fn record_batch_in(&self, batch: &RecordBatch) {
+        let tally = IngestTally::default();
+        tally.record_batch_in(batch);
+        tally.flush(self);
     }
 
     /// Sum of all dissect-stage drop counters.
@@ -1208,6 +1260,7 @@ impl PipelineMetrics {
                 .iter()
                 .map(|s| SourceSnapshot {
                     label: s.label.clone(),
+                    lane: s.lane,
                     packets: s.packets.get(),
                     bytes: s.bytes.get(),
                     batches: s.batches.get(),
@@ -1269,6 +1322,7 @@ impl PipelineMetrics {
             }
             let mut o = JsonObj::new();
             o.str("source", &src.label)
+                .str("lane", src.lane.as_str())
                 .u64("packets", src.packets)
                 .u64("ring_full_drops", src.ring_full_drops)
                 .u64("ring_occupancy", src.ring_occupancy)
@@ -1490,6 +1544,8 @@ pub struct WorkerSnapshot {
 pub struct SourceSnapshot {
     /// The source's display label (e.g. `pcap:trace.pcap`).
     pub label: String,
+    /// Whether the source is read in-line or by a capture thread.
+    pub lane: LaneKind,
     /// Records the capture thread pulled off this source.
     pub packets: u64,
     /// Captured bytes across those records.
@@ -1648,6 +1704,7 @@ impl MetricsSnapshot {
                 }
                 let mut so = JsonObj::new();
                 so.str("source", &s.label)
+                    .str("lane", s.lane.as_str())
                     .u64("packets", s.packets)
                     .u64("bytes", s.bytes)
                     .u64("batches", s.batches)
@@ -1923,6 +1980,22 @@ impl MetricsSnapshot {
             }
 
             if !self.sources.is_empty() {
+                let name = "zoom_source_lane_info";
+                let _ = writeln!(
+                    out2,
+                    "# HELP {name} How each capture source is read: lane=\"inline\" (no capture thread, no ring: the ring series stay 0) or \"threaded\"."
+                );
+                let _ = writeln!(out2, "# TYPE {name} gauge");
+                for s in &self.sources {
+                    let _ = writeln!(
+                        out2,
+                        "{name}{} 1",
+                        prom_labels(
+                            &["source", "lane"],
+                            &[s.label.clone(), s.lane.as_str().to_string()]
+                        )
+                    );
+                }
                 for (name, help, get) in [
                     (
                         "zoom_source_packets_total",
@@ -2077,6 +2150,43 @@ mod tests {
     }
 
     #[test]
+    fn branch_free_bucket_of_matches_the_scan_it_replaced() {
+        let scan = |bounds: &[u64], v: u64| bounds.iter().take_while(|&&b| v > b).count();
+        for bounds in [PACKET_SIZE_BOUNDS, STAGE_LATENCY_BOUNDS] {
+            let edges = bounds.iter().flat_map(|&b| [b - 1, b, b + 1]);
+            for v in edges.chain([0, u64::MAX]) {
+                assert_eq!(bucket_of(bounds, v), scan(bounds, v), "v={v}");
+            }
+            assert_eq!(bucket_of(bounds, 0), 0);
+            assert_eq!(bucket_of(bounds, u64::MAX), bounds.len());
+        }
+    }
+
+    #[test]
+    fn a_batch_counts_as_its_records_do() {
+        let mut batch = RecordBatch::new();
+        for (i, len) in [0usize, 60, 64, 65, 700, 1536, 1537, 9000]
+            .into_iter()
+            .enumerate()
+        {
+            batch.push(i as u64, len as u32, &vec![0; len]);
+        }
+        // A snapped record counts at its wire length, not its captured one.
+        batch.push(9, 1400, &[0; 96]);
+        let by_record = PipelineMetrics::new();
+        for r in &batch {
+            by_record.record_in(r.wire_len());
+        }
+        let by_batch = PipelineMetrics::new();
+        by_batch.record_batch_in(&batch);
+        by_batch.record_batch_in(&RecordBatch::new());
+        let (a, b) = (by_record.snapshot(), by_batch.snapshot());
+        assert_eq!(b.packets_in, 9);
+        assert_eq!((a.packets_in, a.bytes_in), (b.packets_in, b.bytes_in));
+        assert_eq!(a.packet_size, b.packet_size);
+    }
+
+    #[test]
     fn conservation_and_drop_routing() {
         let m = PipelineMetrics::new();
         m.record_in(100);
@@ -2104,8 +2214,8 @@ mod tests {
         assert!(!s.to_prom().contains("zoom_source_packets_total"));
         assert!(!s.to_json().contains("\"sources\""));
 
-        let tap = m.register_source("pcap:a.pcap");
-        let live = m.register_source("sim:p2p");
+        let tap = m.register_source("pcap:a.pcap", LaneKind::Inline);
+        let live = m.register_source("sim:p2p", LaneKind::Threaded);
         // tap captured 3 records; all reached the sink.
         tap.packets.add(3);
         tap.bytes.add(300);
@@ -2131,8 +2241,11 @@ mod tests {
         let prom = s.to_prom();
         assert!(prom.contains("zoom_source_packets_total{source=\"pcap:a.pcap\"} 3"));
         assert!(prom.contains("zoom_source_ring_full_drops_total{source=\"sim:p2p\"} 1"));
+        assert!(prom.contains("zoom_source_lane_info{source=\"pcap:a.pcap\",lane=\"inline\"} 1"));
+        assert!(prom.contains("zoom_source_lane_info{source=\"sim:p2p\",lane=\"threaded\"} 1"));
         let json = s.to_json();
-        assert!(json.contains("\"sources\":[{\"source\":\"pcap:a.pcap\""));
+        assert!(json.contains("\"sources\":[{\"source\":\"pcap:a.pcap\",\"lane\":\"inline\""));
+        assert!(json.contains("{\"source\":\"sim:p2p\",\"lane\":\"threaded\""));
         assert!(json.contains("\"ring_full_drops\":1"));
 
         // An unaccounted capture loss breaks the extended invariant even
@@ -2502,7 +2615,7 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
     #[test]
     fn prom_label_values_are_escaped() {
         let m = PipelineMetrics::new();
-        let src = m.register_source("pcap:C:\\traces\\a \"prod\" run\n.pcap");
+        let src = m.register_source("pcap:C:\\traces\\a \"prod\" run\n.pcap", LaneKind::Threaded);
         src.packets.inc();
         let w = m.register_worker("box\\one\"two\nthree");
         w.packets.set(1);
@@ -2546,11 +2659,11 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
     #[test]
     fn debug_json_exposes_live_pipeline_state() {
         let m = PipelineMetrics::new();
-        let src = m.register_source("pcap:a.pcap");
+        let src = m.register_source("pcap:a.pcap", LaneKind::Threaded);
         src.ring_occupancy.set(3);
         src.ring_occupancy_hwm.set_max(7);
         src.delivered_ts_nanos.set(1_000);
-        let lagging = m.register_source("pcap:b.pcap");
+        let lagging = m.register_source("pcap:b.pcap", LaneKind::Inline);
         lagging.delivered_ts_nanos.set(400);
         let w = m.register_worker("box-a");
         w.link_state.set(link_state::STREAMING);
@@ -2560,6 +2673,8 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
         for key in [
             "\"type\":\"debug_pipeline\"",
             "\"build\":{\"version\":",
+            "{\"source\":\"pcap:a.pcap\",\"lane\":\"threaded\"",
+            "{\"source\":\"pcap:b.pcap\",\"lane\":\"inline\"",
             "\"ring_occupancy\":3",
             "\"ring_occupancy_hwm\":7",
             "\"lag_nanos\":600",

@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn debug_routes_serve_live_state() {
         let metrics = Arc::new(PipelineMetrics::new());
-        let src = metrics.register_source("pcap:a.pcap");
+        let src = metrics.register_source("pcap:a.pcap", crate::obs::LaneKind::Threaded);
         src.ring_occupancy_hwm.set_max(5);
         metrics.trace.enable(1, "serve-test");
         let id = metrics.trace.sample().unwrap();

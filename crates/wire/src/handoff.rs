@@ -187,6 +187,13 @@ impl RecordBatch {
         })
     }
 
+    /// Every record's [`wire_len`](RecordRef::wire_len), in insertion
+    /// order, from the slot table alone: for accounting passes that have
+    /// no use for the bytes.
+    pub fn wire_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots.iter().map(|s| s.orig_len.max(s.len) as usize)
+    }
+
     /// Iterates the records in insertion order as borrowed [`RecordRef`]s.
     pub fn iter(&self) -> BatchIter<'_> {
         BatchIter {

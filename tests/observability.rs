@@ -1,16 +1,19 @@
 //! Integration tests for the observability layer: the conservation
 //! invariant (`packets_in == packets_classified + packets_not_zoom +
 //! drops`), identical drop accounting across the sequential and
-//! streaming sinks, the drop section of the JSON report, and the QoE
-//! degradation detector (exact alert NDJSON sequence, gauge recovery).
+//! streaming sinks, the drop section of the JSON report, the QoE
+//! degradation detector (exact alert NDJSON sequence, gauge recovery),
+//! and the per-source renders, which say which kind of lane a source took.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 use zoom_analysis::engine::{EngineConfig, QoeThresholds, StreamingEngine};
-use zoom_analysis::obs::MetricsSnapshot;
+use zoom_analysis::obs::{MetricsSnapshot, PipelineMetrics};
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::PacketSink;
+use zoom_capture::mux::{CaptureMux, MuxConfig};
+use zoom_capture::source::{PacketSource, ReplaySource};
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
@@ -318,6 +321,70 @@ fn qoe_alert_ndjson_sequence_is_exact_and_gauge_clears() {
         ]
     );
     assert!(metrics.conservation_holds());
+}
+
+/// Which lane a source took is a run-time decision; every per-source
+/// render states it, so ring gauges at 0 read as "no ring" on an in-line
+/// lane and as "idle ring" on a threaded one.
+#[test]
+fn every_render_says_which_lane_a_source_took() {
+    let records: Vec<Record> = (0..300).map(|i| Record::full(i, vec![0; 60])).collect();
+    let source = |label: &str| -> Vec<Box<dyn PacketSource>> {
+        vec![Box::new(ReplaySource::new(
+            label,
+            LinkType::Ethernet,
+            records.clone(),
+        ))]
+    };
+    let metrics = PipelineMetrics::new();
+    let mut inline = CaptureMux::inline(source("replay:file"), Some(&metrics));
+    let mut threaded =
+        CaptureMux::start(source("replay:tap"), MuxConfig::default(), Some(&metrics));
+    for mux in [&mut inline, &mut threaded] {
+        while let Some(r) = mux.next_record().expect("mux record") {
+            metrics.record_in(r.data.len());
+            metrics.packets_not_zoom.inc();
+        }
+    }
+    inline.finish().unwrap();
+    threaded.finish().unwrap();
+
+    let snap = metrics.snapshot();
+    assert!(snap.conservation_holds());
+    let json = snap.to_json();
+    let hwm = snap.sources[1].ring_occupancy_hwm;
+    assert!(hwm > 0, "the threaded lane's ring was never occupied");
+    assert!(
+        json.contains(concat!(
+            r#""sources":[{"source":"replay:file","lane":"inline","packets":300,"bytes":18000,"#,
+            r#""batches":3,"ring_full_drops":0,"ring_occupancy":0,"ring_occupancy_hwm":0,"#,
+            r#""delivered_ts_nanos":299},{"source":"replay:tap","lane":"threaded","packets":300,"#
+        )),
+        "{json}"
+    );
+    let prom = snap.to_prom();
+    assert!(
+        prom.contains(concat!(
+            "# TYPE zoom_source_lane_info gauge\n",
+            "zoom_source_lane_info{source=\"replay:file\",lane=\"inline\"} 1\n",
+            "zoom_source_lane_info{source=\"replay:tap\",lane=\"threaded\"} 1\n",
+            "# HELP zoom_source_packets_total",
+        )),
+        "{prom}"
+    );
+    assert!(prom.contains("zoom_source_ring_occupancy_peak{source=\"replay:file\"} 0\n"));
+    assert!(prom.contains(&format!(
+        "zoom_source_ring_occupancy_peak{{source=\"replay:tap\"}} {hwm}\n"
+    )));
+    let debug = metrics.debug_json();
+    assert!(
+        debug.contains(r#"{"source":"replay:file","lane":"inline","packets":300,"#),
+        "{debug}"
+    );
+    assert!(
+        debug.contains(r#"{"source":"replay:tap","lane":"threaded","packets":300,"#),
+        "{debug}"
+    );
 }
 
 proptest! {

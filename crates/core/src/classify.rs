@@ -160,27 +160,6 @@ impl Classifier {
             .any(|&f| f != FamilyId::Zoom && self.by_family[f.index()].packets > 0)
     }
 
-    /// Fold another classifier's counters into this one (the engine's
-    /// drain: every counter is a plain sum, so the shard's accounting
-    /// followed by one merge equals sequential accounting).
-    pub(crate) fn merge(&mut self, other: &Classifier) {
-        self.total.merge(&other.total);
-        for (mine, theirs) in self.by_family.iter_mut().zip(other.by_family.iter()) {
-            mine.merge(theirs);
-        }
-        for (mine, theirs) in self
-            .by_family_media
-            .iter_mut()
-            .flatten()
-            .zip(other.by_family_media.iter().flatten())
-        {
-            mine.merge(theirs);
-        }
-        for (key, c) in &other.by_payload_kind {
-            self.payload_kind_mut(*key).merge(c);
-        }
-    }
-
     /// `c` as percentages of all classified packets and bytes.
     fn shares(&self, c: &Counts) -> (f64, f64) {
         (
@@ -420,23 +399,5 @@ mod tests {
         assert_eq!(t6[1].detail, "Video");
         assert!((t6[1].packets_pct - 30.0).abs() < 1e-9);
         assert_eq!(t6[2].detail, "Audio");
-
-        // Sharded merge equals sequential accounting.
-        let mut a = Classifier::new();
-        let mut b = Classifier::new();
-        for _ in 0..6 {
-            a.record(FamilyId::Zoom, MediaType::Video, Some(98), 1_000);
-        }
-        for _ in 0..3 {
-            b.record(FamilyId::Webrtc, MediaType::Video, Some(96), 1_200);
-        }
-        b.record(FamilyId::Webrtc, MediaType::Audio, Some(111), 120);
-        a.merge(&b);
-        assert_eq!(a.total(), c.total());
-        assert_eq!(
-            a.family_counts(FamilyId::Webrtc),
-            c.family_counts(FamilyId::Webrtc)
-        );
-        assert_eq!(a.table6().len(), 3);
     }
 }

@@ -269,9 +269,14 @@ impl MeetingGrouper {
     /// reports use. [`assignment`](Self::assignment) returns the id as
     /// first assigned, which a later merge may have folded away.
     pub fn canonical_meeting(&self, key: &StreamKey) -> Option<u32> {
-        self.assignments
-            .get(key)
-            .map(|&(_, m)| self.meetings.find_ro(m))
+        self.assignments.get(key).map(|&(_, m)| self.canonical(m))
+    }
+
+    /// Meeting id `meeting` (as some stream was assigned it) after all
+    /// union–find merges. No table probe: [`Stream`](crate::stream::Stream)
+    /// rows carry their assigned id.
+    pub fn canonical(&self, meeting: u32) -> u32 {
+        self.meetings.find_ro(meeting)
     }
 
     /// Number of distinct meetings after all merges.

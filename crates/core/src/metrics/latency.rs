@@ -71,28 +71,13 @@ impl RtpRttEstimator {
     /// Feed every Zoom media packet.
     pub fn on_packet(&mut self, m: &PacketMeta) {
         let Some(rtp) = &m.rtp else { return };
-        let key = (rtp.ssrc, rtp.payload_type, rtp.sequence, rtp.timestamp);
-        self.observe(m.ts_nanos, key, m.direction, m.five_tuple.src_ip);
-    }
-
-    /// Core matching step on the already-extracted RTP identity
-    /// `(ssrc, payload type, sequence, timestamp)`. Split out from
-    /// [`Self::on_packet`] so the engine's event replay can feed logged
-    /// events without rebuilding full packet metadata.
-    pub(crate) fn observe(
-        &mut self,
-        ts_nanos: u64,
-        key: (u32, u8, u16, u32),
-        direction: Direction,
-        src_ip: IpAddr,
-    ) {
+        let (ts_nanos, direction) = (m.ts_nanos, m.direction);
         // 88 bits of identity in one integer: two hasher rounds instead
         // of a tuple's four.
-        let (ssrc, pt, seq, rtp_ts) = key;
-        let key = u128::from(ssrc) << 56
-            | u128::from(pt) << 48
-            | u128::from(seq) << 32
-            | u128::from(rtp_ts);
+        let key = u128::from(rtp.ssrc) << 56
+            | u128::from(rtp.payload_type) << 48
+            | u128::from(rtp.sequence) << 32
+            | u128::from(rtp.timestamp);
         match direction {
             Direction::ToServer => {
                 // Record the egress sighting (first one wins: a
@@ -108,7 +93,7 @@ impl RtpRttEstimator {
                     self.samples.push(RttSample {
                         at: ts_nanos,
                         rtt_nanos: ts_nanos.saturating_sub(t_out),
-                        to: src_ip,
+                        to: m.five_tuple.src_ip,
                     });
                 }
             }
@@ -220,12 +205,6 @@ impl TcpRttEstimator {
     /// All samples so far.
     pub fn samples(&self) -> &[RttSample] {
         &self.samples
-    }
-
-    /// Replace the sample vector — the engine's drain installs the
-    /// time-sorted union of its per-tick sample deltas.
-    pub(crate) fn set_samples(&mut self, samples: Vec<RttSample>) {
-        self.samples = samples;
     }
 
     /// Samples attributed to a particular responder.

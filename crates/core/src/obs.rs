@@ -847,7 +847,8 @@ pub struct PipelineMetrics {
     /// Sampled latency of [`crate::sink::PacketSink::push`] (1-in-N
     /// clock samples; always on, unlike the verbose `obs-trace` tier).
     pub stage_push_nanos: Histogram,
-    /// Latency of window-close/drain ticks (shard tick + reply fold).
+    /// Latency of window closes (delta pass, eviction, report) and of
+    /// the drain's end-of-trace report.
     pub stage_merge_nanos: Histogram,
     /// Latency of explicit checkpoints.
     pub stage_checkpoint_nanos: Histogram,

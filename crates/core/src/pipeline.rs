@@ -10,9 +10,7 @@
 use crate::classify::Classifier;
 use crate::error::Error;
 use crate::fxhash::FxHashMap;
-use crate::meeting::{
-    client_endpoint_of, CandidateState, GroupingConfig, MeetingGrouper, MeetingReport,
-};
+use crate::meeting::{client_endpoint_of, GroupingConfig, MeetingGrouper, MeetingReport};
 use crate::metrics::latency::{RtpRttEstimator, RttSample, TcpRttEstimator};
 use crate::obs::{bump, IngestTally, MetricsSnapshot, PipelineMetrics};
 use crate::packet::{extract, in_campus, meta_from_webrtc, meta_from_zoom, Extracted, PacketMeta};
@@ -25,8 +23,7 @@ use std::net::IpAddr;
 use std::sync::Arc;
 use std::time::Duration;
 use zoom_wire::dissect::{
-    dissect, dissect_batch, dissect_from, drop_stage, App, Dissection, PeekArena, PeekInfo,
-    Transport,
+    dissect, dissect_from, drop_stage, peek_batch, App, Dissection, PeekArena, Transport,
 };
 use zoom_wire::family::{FamilyId, FamilySelect};
 use zoom_wire::flow::{Endpoint, FiveTuple};
@@ -280,17 +277,6 @@ pub struct FlowStats {
     pub last_seen: u64,
 }
 
-impl FlowStats {
-    /// Fold in accounting of the same flow gathered elsewhere (a
-    /// fragment evicted earlier).
-    pub(crate) fn absorb(&mut self, other: &FlowStats) {
-        self.packets += other.packets;
-        self.bytes += other.bytes;
-        self.first_seen = self.first_seen.min(other.first_seen);
-        self.last_seen = self.last_seen.max(other.last_seen);
-    }
-}
-
 /// Trace-level summary (Table 6's rows).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceSummary {
@@ -329,35 +315,6 @@ pub struct MediaSamples {
     pub jitter_ms: Samples,
 }
 
-/// A compact record of one RTP-bearing Zoom packet, logged by a
-/// shard-mode analyzer in place of the cross-flow trackers (meeting
-/// grouping and RTP-copy RTT matching) and replayed in log order by the
-/// engine — see [`crate::engine`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MediaEvent {
-    /// Capture timestamp, nanoseconds.
-    pub(crate) ts_nanos: u64,
-    /// The packet's directional 5-tuple.
-    pub(crate) flow: FiveTuple,
-    /// RTP SSRC.
-    pub(crate) ssrc: u32,
-    /// RTP payload type.
-    pub(crate) payload_type: u8,
-    /// RTP sequence number.
-    pub(crate) rtp_seq: u16,
-    /// RTP timestamp.
-    pub(crate) rtp_ts: u32,
-    /// Uplink/downlink orientation.
-    pub(crate) direction: crate::packet::Direction,
-    /// Which protocol family produced the packet (gates the replay: only
-    /// Zoom events feed the RTP-copy RTT estimator).
-    pub(crate) family: FamilyId,
-    /// The stream's [`Stream::serial`] in the analyzer that logged the
-    /// event: a dense handle the replay resolves its per-stream state
-    /// by, in place of hashing `(flow, ssrc)` per event.
-    pub(crate) stream: u32,
-}
-
 /// The analyzer.
 pub struct Analyzer {
     pub(crate) config: AnalyzerConfig,
@@ -387,15 +344,6 @@ pub struct Analyzer {
     pub(crate) first_zoom_ts: Option<u64>,
     pub(crate) last_zoom_ts: u64,
     pub(crate) undissectable: u64,
-    /// `Some` puts the analyzer in *shard mode*: cross-flow trackers (the
-    /// meeting grouper and RTP-copy RTT estimator) are skipped and a
-    /// [`MediaEvent`] is appended per RTP packet instead; the P2P verdict
-    /// comes from the router-provided hint rather than the local registry.
-    pub(crate) event_log: Option<Vec<MediaEvent>>,
-    /// Shard mode: the router's `is_p2p_flow` verdict for this record.
-    pub(crate) p2p_hint: bool,
-    /// Shard mode: the router's `is_webrtc_flow` verdict for this record.
-    pub(crate) webrtc_hint: bool,
     /// Set by the WebRTC second chance when a registered flow's record
     /// failed DTLS-SRTP framing; steers drop attribution in
     /// [`Analyzer::process_dissection_counted`] to `malformed_srtp`
@@ -406,9 +354,7 @@ pub struct Analyzer {
     tally: IngestTally,
     /// Reused peek arena for the batched [`PacketSink::push_batch`] path.
     peek_arena: PeekArena,
-    /// The observability registry ([`crate::obs`]). Sequential analyzers
-    /// own a private one; the engine's shard analyzer shares the router's
-    /// `Arc` so classification counters land beside the ingest ones.
+    /// The observability registry ([`crate::obs`]).
     pub(crate) metrics: Arc<PipelineMetrics>,
 }
 
@@ -433,9 +379,6 @@ impl Analyzer {
             first_zoom_ts: None,
             last_zoom_ts: 0,
             undissectable: 0,
-            event_log: None,
-            p2p_hint: false,
-            webrtc_hint: false,
             srtp_malformed: false,
             tally: IngestTally::default(),
             peek_arena: PeekArena::new(),
@@ -453,46 +396,9 @@ impl Analyzer {
     }
 
     /// Publish the per-record counters tallied since the last flush into
-    /// the (possibly shared) registry.
+    /// the registry.
     pub(crate) fn flush_metrics(&self) {
         self.tally.flush(&self.metrics);
-    }
-
-    /// A shard-mode analyzer for [`crate::engine::StreamingEngine`]:
-    /// identical to [`Analyzer::new`] except that cross-flow state is
-    /// logged as [`MediaEvent`]s for the engine's replay, and the metrics
-    /// registry is the router's shared one.
-    pub(crate) fn new_sharded(config: AnalyzerConfig, metrics: Arc<PipelineMetrics>) -> Analyzer {
-        let mut a = Analyzer::new(config);
-        a.event_log = Some(Vec::new());
-        a.metrics = metrics;
-        a
-    }
-
-    /// Shard-mode entry point: process one record whose headers the router
-    /// already located. `info` is the router's [`PeekInfo`] (`None` when the
-    /// peek failed — the record counts as undissectable without a second
-    /// scan), under the router-determined per-family flow verdicts.
-    pub(crate) fn process_record_routed(
-        &mut self,
-        ts_nanos: u64,
-        data: &[u8],
-        info: Option<&PeekInfo>,
-        p2p_hint: bool,
-        webrtc_hint: bool,
-    ) {
-        self.p2p_hint = p2p_hint;
-        self.webrtc_hint = webrtc_hint;
-        self.total_packets += 1;
-        match info {
-            Some(pi) => {
-                let d = dissect_from(pi, ts_nanos, data, self.config.family_select().probe());
-                // The router already counted packets_in/bytes/drops; the
-                // shard adds only the classification outcome.
-                self.process_dissection_counted(&d);
-            }
-            None => self.undissectable += 1,
-        }
     }
 
     /// Process one packet from a borrowed byte slice — the zero-copy
@@ -511,9 +417,9 @@ impl Analyzer {
     /// accounting (`bytes_in`, the `packet_size` histogram) follows the
     /// wire, whatever the capture kept.
     pub fn process_record(&mut self, ts_nanos: u64, wire_len: usize, data: &[u8], link: LinkType) {
-        // Same 1-in-64 stage-latency sampling as the streaming engine's
-        // push path: a clock read pair on sampled calls, which also
-        // publish the metrics tally; nothing on the rest.
+        // 1-in-64 stage-latency sampling: a clock read pair on sampled
+        // calls, which also publish the metrics tally; nothing on the
+        // rest.
         let sampled_at = self.total_packets.is_multiple_of(64).then(|| {
             self.flush_metrics();
             std::time::Instant::now()
@@ -641,11 +547,7 @@ impl Analyzer {
                                 }
                             }
                         }
-                        let webrtc_live = if self.event_log.is_some() {
-                            self.webrtc_hint
-                        } else {
-                            !self.webrtc_flows.is_empty()
-                        };
+                        let webrtc_live = !self.webrtc_flows.is_empty();
                         if family.allows(FamilyId::Webrtc) && (stun_fresh || webrtc_live) {
                             self.webrtc_second_chance(d, stun_fresh);
                         }
@@ -669,9 +571,7 @@ impl Analyzer {
             }
             return;
         }
-        // Shard mode skips registration: the router holds the one
-        // authoritative flow table and its hint already covered this case.
-        if stun_fresh && self.event_log.is_none() {
+        if stun_fresh {
             if let Ok(pdu @ webrtc::Pdu::Dtls(_)) = webrtc::classify(d.payload, wire_len) {
                 self.on_webrtc(d.ts_nanos, d.five_tuple, d.ip_total_len, &pdu);
             }
@@ -679,11 +579,6 @@ impl Analyzer {
     }
 
     fn is_p2p_flow(&mut self, d: &Dissection<'_>) -> bool {
-        // Shard mode: the router holds the one authoritative registry and
-        // hands its verdict over with the record.
-        if self.event_log.is_some() {
-            return self.p2p_hint;
-        }
         let now = d.ts_nanos;
         let timeout = self.config.stun_timeout().as_nanos() as u64;
         for ep in [d.five_tuple.src(), d.five_tuple.dst()] {
@@ -699,11 +594,7 @@ impl Analyzer {
 
     /// Whether this packet rides a flow with an observed DTLS-SRTP
     /// handshake (refreshing the entry, like [`Analyzer::is_p2p_flow`]).
-    /// In shard mode the router's verdict is authoritative.
     fn is_webrtc_flow(&mut self, d: &Dissection<'_>) -> bool {
-        if self.event_log.is_some() {
-            return self.webrtc_hint;
-        }
         let now = d.ts_nanos;
         let timeout = self.config.stun_timeout().as_nanos() as u64;
         if let Some(last) = self.webrtc_flows.get_mut(&d.five_tuple.canonical()) {
@@ -742,8 +633,8 @@ impl Analyzer {
     /// media pipeline (streams, frames, meetings) through
     /// [`crate::packet::meta_from_webrtc`]; DTLS and SRTCP count as
     /// classified control traffic (DTLS additionally [re-]opens the flow
-    /// in sequential mode — eager `Only(Webrtc)` dissection reaches here
-    /// without passing the second chance).
+    /// — eager `Only(Webrtc)` dissection reaches here without passing the
+    /// second chance).
     fn on_webrtc(&mut self, ts_nanos: u64, five_tuple: FiveTuple, ip_len: usize, pdu: &webrtc::Pdu) {
         match pdu {
             webrtc::Pdu::Srtp(srtp) => {
@@ -757,9 +648,7 @@ impl Analyzer {
                 self.on_media(meta);
             }
             webrtc::Pdu::Dtls(dtls) => {
-                if self.event_log.is_none() {
-                    self.webrtc_flows.insert(five_tuple.canonical(), ts_nanos);
-                }
+                self.webrtc_flows.insert(five_tuple.canonical(), ts_nanos);
                 self.note_classified(FamilyId::Webrtc, ts_nanos, &five_tuple, ip_len);
                 self.classifier.record(
                     FamilyId::Webrtc,
@@ -797,57 +686,36 @@ impl Analyzer {
         );
         // The RTP-copy RTT matcher (§5.3 method 1) sees every Zoom media
         // packet — a Zoom-SFU behavior; WebRTC streams don't replicate
-        // across server legs. Shard mode leaves it to the replay below.
-        let sharded = self.event_log.is_some();
-        if !sharded && meta.family == FamilyId::Zoom {
+        // across server legs.
+        if meta.family == FamilyId::Zoom {
             self.rtp_rtt.on_packet(&meta);
         }
         let Some(rtp) = &meta.rtp else { return };
-        let (stream, created) = self.streams.on_flow_packet(flow, &meta, rtp);
-        // Cross-flow trackers: fed directly in the sequential path; in
-        // shard mode logged as events for the global-order replay, under
-        // the handle the stream table just resolved.
-        if let Some(log) = &mut self.event_log {
-            log.push(MediaEvent {
-                ts_nanos: meta.ts_nanos,
-                flow: meta.five_tuple,
-                ssrc: rtp.ssrc,
-                payload_type: rtp.payload_type,
-                rtp_seq: rtp.sequence,
-                rtp_ts: rtp.timestamp,
-                direction: meta.direction,
-                family: meta.family,
-                stream,
-            });
-        }
-        if created && !sharded {
+        let (at, created) = self.streams.on_flow_packet(flow, &meta, rtp);
+        if created {
             let key = StreamKey {
                 flow: meta.five_tuple,
                 ssrc: rtp.ssrc,
             };
-            let (client, server) =
-                resolve_stream_endpoints(&meta.five_tuple, self.config.campus_prefixes());
-            let streams = &self.streams;
-            let (uid, _meeting) = self.grouper.on_new_stream(
-                key,
-                client,
-                server,
-                rtp.timestamp,
-                rtp.sequence,
-                meta.ts_nanos,
-                |k| {
-                    streams.get(k).and_then(|s| s.candidate_state()).map(
-                        |(last_rtp_ts, last_seq, last_seen)| CandidateState {
-                            last_rtp_ts,
-                            last_seq,
-                            last_seen,
-                        },
-                    )
-                },
-            );
-            if let Some(s) = self.streams.get_mut(&key) {
-                s.unique_id = Some(uid);
-            }
+            // A key the grouper knows is a stream returning after an
+            // eviction: it is the stream it was, not a new one.
+            let (uid, meeting) = self.grouper.assignment(&key).unwrap_or_else(|| {
+                let (client, server) =
+                    resolve_stream_endpoints(&meta.five_tuple, self.config.campus_prefixes());
+                let streams = &self.streams;
+                self.grouper.on_new_stream(
+                    key,
+                    client,
+                    server,
+                    rtp.timestamp,
+                    rtp.sequence,
+                    meta.ts_nanos,
+                    |k| streams.candidate(k),
+                )
+            });
+            let stream = self.streams.at_mut(at);
+            stream.unique_id = Some(uid);
+            stream.meeting = Some(meeting);
         }
     }
 
@@ -869,7 +737,7 @@ impl Analyzer {
     pub fn report(&self) -> AnalysisReport {
         // The report reads drop accounting out of the registry.
         self.flush_metrics();
-        build_report(self, self.streams.iter().map(|s| (s, false)), 0, 0)
+        build_report(self, &[], 0)
     }
 
     /// Trace summary (Table 6).
@@ -1005,24 +873,27 @@ impl Analyzer {
     pub fn undissectable(&self) -> u64 {
         self.undissectable
     }
-}
 
-impl PacketSink for Analyzer {
-    fn push(&mut self, ts_nanos: u64, data: &[u8], link: LinkType) -> Result<(), Error> {
-        self.process_packet(ts_nanos, data, link);
-        Ok(())
-    }
-
-    /// Batched ingest: one type-sorted [`dissect_batch`] pass parses
-    /// every record's application payload with branch-predictable
-    /// per-class inner loops, then the dissections are applied in record
-    /// order — same observable state as per-record
+    /// Batched ingest: one stateless [`peek_batch`] pass walks every
+    /// record's headers (prefetching the next record's), then one pass in
+    /// record order finishes each dissection ([`dissect_from`]) and
+    /// applies it — same observable state as per-record
     /// [`Analyzer::process_packet`] calls.
-    fn push_batch(&mut self, batch: &RecordBatch, link: LinkType) -> Result<(), Error> {
+    ///
+    /// `before_record` runs in that in-order pass, ahead of each record,
+    /// with the record's timestamp: the streaming engine's window clock
+    /// closes windows there. Every state change happens in record order,
+    /// so what it sees is the state as of the previous record.
+    pub(crate) fn push_batch_with(
+        &mut self,
+        batch: &RecordBatch,
+        link: LinkType,
+        mut before_record: impl FnMut(&mut Analyzer, u64),
+    ) {
         let traced = batch.trace_id;
         let dissect_start = (traced != 0).then(std::time::Instant::now);
         let mut arena = std::mem::take(&mut self.peek_arena);
-        dissect_batch(batch, link, self.config.family_select().probe(), &mut arena);
+        peek_batch(batch, link, &mut arena);
         if let Some(t0) = dissect_start {
             self.metrics.trace.record(
                 traced,
@@ -1033,17 +904,21 @@ impl PacketSink for Analyzer {
             );
             self.metrics.trace.note_trace(traced);
         }
+        let probe = self.config.family_select().probe();
         for (i, r) in batch.iter().enumerate() {
+            before_record(self, r.ts_nanos);
             let sampled_at = self
                 .total_packets
                 .is_multiple_of(64)
                 .then(std::time::Instant::now);
             self.total_packets += 1;
             self.tally.record_in(r.wire_len());
-            match arena.take_dissection(batch, i) {
-                Some(d) => self.process_dissection_counted(&d),
-                None => {
-                    let e = arena.peek(i).expect_err("no dissection implies peek error");
+            match arena.peek(i) {
+                Ok(info) => {
+                    let d = dissect_from(info, r.ts_nanos, r.data, probe);
+                    self.process_dissection_counted(&d);
+                }
+                Err(e) => {
                     self.undissectable += 1;
                     self.metrics.record_drop(drop_stage(r.data, link, e));
                 }
@@ -1056,6 +931,17 @@ impl PacketSink for Analyzer {
         }
         self.peek_arena = arena;
         self.flush_metrics();
+    }
+}
+
+impl PacketSink for Analyzer {
+    fn push(&mut self, ts_nanos: u64, data: &[u8], link: LinkType) -> Result<(), Error> {
+        self.process_packet(ts_nanos, data, link);
+        Ok(())
+    }
+
+    fn push_batch(&mut self, batch: &RecordBatch, link: LinkType) -> Result<(), Error> {
+        self.push_batch_with(batch, link, |_, _| {});
         Ok(())
     }
 
@@ -1081,12 +967,8 @@ impl PacketSink for Analyzer {
 /// Resolve the (client endpoint, server address) pair of a new stream's
 /// flow: the non-8801 side for server traffic, the campus side for P2P
 /// (with an empty campus list, the *source* side — see
-/// [`crate::packet::in_campus`]). Shared by the sequential grouping hook
-/// and the engine's event replay so both paths make the same call.
-pub(crate) fn resolve_stream_endpoints(
-    flow: &FiveTuple,
-    campus: &[(IpAddr, u8)],
-) -> (Endpoint, IpAddr) {
+/// [`crate::packet::in_campus`]).
+fn resolve_stream_endpoints(flow: &FiveTuple, campus: &[(IpAddr, u8)]) -> (Endpoint, IpAddr) {
     match client_endpoint_of(flow) {
         Some(pair) => pair,
         None => {
@@ -1219,26 +1101,20 @@ mod tests {
         assert_eq!(groups.values().next().unwrap().len(), 2);
     }
 
-    /// Fx hashes finished while `a` ingests `records`, per-record route
-    /// (sequential analyzer) or routed route (shard analyzer).
+    /// Fx hashes finished while `a` ingests `records`.
     fn hashes_during(a: &mut Analyzer, records: &[Record]) -> u64 {
         let before = crate::fxhash::hash_computations();
         for r in records {
-            if a.event_log.is_some() {
-                let peeked = zoom_wire::dissect::peek(&r.data, LinkType::Ethernet).unwrap();
-                let info = Some(&peeked.info);
-                a.process_record_routed(r.ts_nanos, &r.data, info, false, false);
-            } else {
-                feed(a, r);
-            }
+            feed(a, r);
         }
         crate::fxhash::hash_computations() - before
     }
 
     /// The per-packet probe budget of `docs/PERFORMANCE.md`, pinned: a
     /// steady-state media packet costs one flow-table probe (none when it
-    /// follows a packet of the same flow), plus — sequential mode only —
-    /// the RTP-copy RTT estimator's one.
+    /// follows a packet of the same flow), plus the RTP-copy RTT
+    /// estimator's one. (`engine::tests` pins that the streaming engine
+    /// pays exactly this.)
     #[test]
     fn steady_state_media_packet_costs_one_probe() {
         const N: u64 = 200;
@@ -1267,34 +1143,15 @@ mod tests {
 
         let mut seq = analyzer();
         hashes_during(&mut seq, &warm_up);
-        assert_eq!(
-            hashes_during(&mut seq, &interleaved),
-            2 * N,
-            "sequential, interleaved"
-        );
+        assert_eq!(hashes_during(&mut seq, &interleaved), 2 * N, "interleaved");
         // One flow probe per burst (the first burst continues the flow
         // the interleaved run ended on or not — allow either).
         let burst_hashes = hashes_during(&mut seq, &bursts);
         assert!(
             (N + 1..=N + 2).contains(&burst_hashes),
-            "sequential, bursts: {burst_hashes}"
+            "bursts: {burst_hashes}"
         );
         assert_eq!(seq.summary().rtp_streams, 2);
-
-        let mut shard =
-            Analyzer::new_sharded(AnalyzerConfig::default(), Arc::new(PipelineMetrics::new()));
-        hashes_during(&mut shard, &warm_up);
-        assert_eq!(
-            hashes_during(&mut shard, &interleaved),
-            N,
-            "shard, interleaved"
-        );
-        let burst_hashes = hashes_during(&mut shard, &bursts);
-        assert!(
-            (1..=2).contains(&burst_hashes),
-            "shard, bursts: {burst_hashes}"
-        );
-        assert_eq!(shard.summary().zoom_packets, 20 + 2 * N);
     }
 
     #[test]

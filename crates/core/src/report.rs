@@ -270,26 +270,15 @@ pub struct StreamReport {
 }
 
 impl StreamReport {
-    pub(crate) fn from_stream(
-        s: &Stream,
-        unique_id: Option<u32>,
-        meeting: Option<u32>,
-        evicted: bool,
-    ) -> StreamReport {
-        let (lost, duplicates) = s
-            .substreams
-            .iter()
-            .map(|sub| {
-                let st = sub.seq_stats();
-                (st.missing, st.duplicates)
-            })
-            .fold((0, 0), |(l, d), (sl, sd)| (l + sl, d + sd));
+    /// `meeting` is the stream's canonical meeting id as of now.
+    pub(crate) fn from_stream(s: &Stream, meeting: Option<u32>, evicted: bool) -> StreamReport {
+        let (lost, duplicates) = s.seq_totals();
         StreamReport {
             key: s.key,
             media_type: s.media_type,
             direction: s.direction,
             family: s.family,
-            unique_id,
+            unique_id: s.unique_id,
             meeting,
             first_seen_nanos: s.first_seen,
             last_seen_nanos: s.last_seen,
@@ -488,44 +477,51 @@ fn family_row_to_json(r: &TableRow) -> String {
     o.finish()
 }
 
-/// Build a report from an analyzer plus an explicit stream sequence. The
-/// batch path passes the tracker's live streams; the streaming engine
-/// interleaves evicted fragments and adds the evicted-entity counts that
-/// the live tracker no longer holds.
-pub(crate) fn build_report<'a>(
+/// Build the end-of-trace report from an analyzer's live state plus what
+/// a streaming engine evicted from it along the way (nothing, on the
+/// batch path): `fragments` are the evicted streams' final rows, each
+/// with its [`Stream::serial`], in eviction order; `extra_flows` counts
+/// evicted flows that are not live again. Rows come out in creation
+/// order of their stream keys, a key's fragments ahead of its live row.
+pub(crate) fn build_report(
     analyzer: &Analyzer,
-    streams: impl Iterator<Item = (&'a Stream, bool)>,
+    fragments: &[(u32, StreamReport)],
     extra_flows: usize,
-    extra_streams: usize,
 ) -> AnalysisReport {
     let mut summary = analyzer.summary();
     summary.zoom_flows += extra_flows;
-    summary.rtp_streams += extra_streams;
+    summary.rtp_streams += analyzer.streams.evicted_keys();
     let meetings = analyzer.meetings();
-    let rows = streams
-        .map(|(s, evicted)| {
-            let (uid, meeting) = match analyzer.grouper.assignment(&s.key) {
-                Some((u, _)) => (Some(u), analyzer.grouper.canonical_meeting(&s.key)),
-                None => (None, None),
-            };
-            StreamReport::from_stream(s, uid, meeting, evicted)
+    // A merge after an eviction may have folded the fragment's meeting
+    // id; re-resolve so fragments and live rows agree.
+    let canonical = |m: Option<u32>| m.map(|m| analyzer.grouper.canonical(m));
+    let mut rows: Vec<(u32, StreamReport)> = fragments
+        .iter()
+        .map(|(serial, frag)| {
+            let mut frag = frag.clone();
+            frag.meeting = canonical(frag.meeting);
+            (*serial, frag)
         })
         .collect();
+    rows.extend(analyzer.streams.iter().map(|s| {
+        let row = StreamReport::from_stream(s, canonical(s.meeting), false);
+        (s.serial, row)
+    }));
+    rows.sort_by_key(|&(serial, _)| serial);
     AnalysisReport {
         summary,
         undissectable: analyzer.undissectable,
         drops: drops_from_metrics(&analyzer.metrics),
         meetings,
-        streams: rows,
+        streams: rows.into_iter().map(|(_, row)| row).collect(),
         rtp_rtt: RttSummaryReport::from_samples(analyzer.rtp_rtt.samples()),
         tcp_rtt: RttSummaryReport::from_samples(analyzer.tcp_rtt.samples()),
         families: analyzer.classifier.family_table(),
     }
 }
 
-/// Read the drop counters out of a live metrics registry. Shared by the
-/// batch path and the streaming drain so both report identical accounting.
-pub(crate) fn drops_from_metrics(m: &crate::obs::PipelineMetrics) -> DropsReport {
+/// Read the drop counters out of a live metrics registry.
+fn drops_from_metrics(m: &crate::obs::PipelineMetrics) -> DropsReport {
     DropsReport {
         pcap_truncated: m.pcap_truncated_records.get(),
         unsupported_link: m.drop_unsupported_link.get(),

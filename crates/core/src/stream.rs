@@ -8,6 +8,7 @@
 //! per-second media bit rates and the frame-level jitter estimate.
 
 use crate::fxhash::FxHashMap;
+use crate::meeting::CandidateState;
 use crate::metrics::frame::{Completion, FrameTracker};
 use crate::metrics::jitter::JitterEstimator;
 use crate::metrics::loss::{SeqStats, SeqTracker};
@@ -97,11 +98,107 @@ pub struct Stream {
     fed_jitter_ts: VecDeque<u32>,
     /// Total packets.
     pub packets: u64,
-    /// Creation serial within the tracker that built the stream: counts
-    /// up from 0 and is never reused, so a stream that is evicted and
-    /// reappears gets a new one. The streaming engine indexes its
-    /// per-stream replay state by it instead of hashing the key.
+    /// The stream key's creation rank within its tracker: counts up from
+    /// 0, and a stream that is evicted and reappears gets the rank it had
+    /// (through its [`Tombstone`]). The end-of-trace report lists evicted
+    /// fragments and live streams in this order.
     pub(crate) serial: u32,
+    /// Meeting id as the grouping heuristic first assigned it; reports
+    /// resolve it through [`MeetingGrouper::canonical`], which follows
+    /// later merges.
+    ///
+    /// [`MeetingGrouper::canonical`]: crate::meeting::MeetingGrouper::canonical
+    pub(crate) meeting: Option<u32>,
+    /// The counters as of the last window close (all zero for a stream
+    /// no window has seen); the next close reports the difference.
+    pub(crate) window_snap: StreamSnap,
+    /// What this key's earlier, evicted incarnations left behind.
+    past: Option<Box<Tombstone>>,
+}
+
+/// A stream's monotonic counters at one instant; the difference of two
+/// snapshots is one window's activity. Every field only grows (including
+/// `missing`, which grows as holes retire from the sequence tracker's
+/// window), so differences never go negative.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct StreamSnap {
+    pub(crate) packets: u64,
+    pub(crate) media_bytes: u64,
+    pub(crate) frames: u64,
+    pub(crate) jitter_len: usize,
+    pub(crate) missing: u64,
+    pub(crate) duplicates: u64,
+}
+
+impl StreamSnap {
+    pub(crate) fn of(s: &Stream) -> StreamSnap {
+        let (missing, duplicates) = s.seq_totals();
+        StreamSnap {
+            packets: s.packets,
+            media_bytes: s.media_bytes(),
+            frames: s.frames.as_ref().map(|f| f.frames().len()).unwrap_or(0) as u64,
+            jitter_len: s.frame_jitter.samples().len(),
+            missing,
+            duplicates,
+        }
+    }
+}
+
+/// What an evicted stream leaves in its tracker: enough for the grouping
+/// heuristic's step 1 to still match copies against it (a key stays a
+/// candidate for `max_idle_nanos`, far longer than the idle timeout that
+/// evicted it), and for the stream to be the stream it was if it returns.
+/// Consumed by the key's next packet.
+#[derive(Debug, Clone)]
+struct Tombstone {
+    /// The key's creation rank ([`Stream::serial`]).
+    serial: u32,
+    /// Per payload type, summed over every incarnation so far.
+    subs: InlineList<SubMark, 3>,
+    last_seen: u64,
+}
+
+/// [`Tombstone`]'s record of one sub-stream.
+#[derive(Debug, Clone, Copy, Default)]
+struct SubMark {
+    payload_type: u8,
+    packets: u64,
+    last_seq: u16,
+    last_rtp_ts: u32,
+}
+
+impl Tombstone {
+    /// Fold a (later) incarnation's sub-streams in.
+    fn absorb(&mut self, s: &Stream) {
+        self.last_seen = s.last_seen;
+        for sub in &s.substreams {
+            let pt = sub.payload_type;
+            let known = self.subs.iter_mut().find(|m| m.payload_type == pt);
+            let mark = match known {
+                Some(mark) => mark,
+                None => self.subs.push(SubMark {
+                    payload_type: pt,
+                    ..SubMark::default()
+                }),
+            };
+            mark.packets += sub.packets;
+            mark.last_seq = sub.last_seq;
+            mark.last_rtp_ts = sub.last_rtp_ts;
+        }
+    }
+
+    /// The dominant recorded sub-stream (most packets, ties to the higher
+    /// payload type), as grouping step 1 reads it.
+    fn candidate(&self) -> Option<CandidateState> {
+        self.subs
+            .iter()
+            .max_by_key(|m| (m.packets, m.payload_type))
+            .map(|m| CandidateState {
+                last_rtp_ts: m.last_rtp_ts,
+                last_seq: m.last_seq,
+                last_seen: self.last_seen,
+            })
+    }
 }
 
 impl Stream {
@@ -141,6 +238,9 @@ impl Stream {
             fed_jitter_ts: VecDeque::new(),
             packets: 0,
             serial,
+            meeting: None,
+            window_snap: StreamSnap::default(),
+            past: None,
         }
     }
 
@@ -221,8 +321,7 @@ impl Stream {
     /// The dominant sub-stream: most packets, ties broken by payload type.
     ///
     /// The explicit tie-break makes the choice a function of the counters
-    /// alone, which both the sequential analyzer and the engine's replica
-    /// of it rely on for reproducible grouping decisions.
+    /// alone, whatever order the sub-streams were first seen in.
     fn dominant_substream(&self) -> Option<&SubStream> {
         self.substreams
             .iter()
@@ -235,12 +334,36 @@ impl Stream {
         self.dominant_substream().map(|s| s.last_rtp_ts)
     }
 
-    /// Snapshot of the state grouping step 1 compares candidates on:
-    /// `(last RTP timestamp, last sequence number, last seen)`, read from
-    /// the dominant sub-stream. `None` until the first RTP packet.
-    pub fn candidate_state(&self) -> Option<(u32, u16, u64)> {
-        self.dominant_substream()
-            .map(|s| (s.last_rtp_ts, s.last_seq, self.last_seen))
+    /// Snapshot of the state grouping step 1 compares candidates on,
+    /// read from the dominant sub-stream — dominant over every
+    /// incarnation of the key, for a stream that returned after an
+    /// eviction. `None` until the first RTP packet.
+    pub fn candidate_state(&self) -> Option<CandidateState> {
+        self.history().candidate()
+    }
+
+    /// The key's sub-stream history over every incarnation, this one
+    /// included: what the stream leaves behind if it is evicted now.
+    fn history(&self) -> Tombstone {
+        let mut all = match &self.past {
+            Some(past) => (**past).clone(),
+            None => Tombstone {
+                serial: self.serial,
+                subs: InlineList::default(),
+                last_seen: 0,
+            },
+        };
+        all.absorb(self);
+        all
+    }
+
+    /// `(missing, duplicates)` summed over the sub-streams' sequence
+    /// trackers.
+    pub(crate) fn seq_totals(&self) -> (u64, u64) {
+        self.substreams.iter().fold((0, 0), |(m, d), sub| {
+            let st = sub.seq_stats();
+            (m + st.missing, d + st.duplicates)
+        })
     }
 
     /// Media payload bytes across all sub-streams.
@@ -268,8 +391,8 @@ impl Stream {
 /// per-flow and per-stream lists that hold two or three entries nearly
 /// always, where a hash map or a heap vector per owner would cost more
 /// than the scan.
-#[derive(Debug)]
-pub(crate) struct InlineList<T, const N: usize> {
+#[derive(Debug, Clone)]
+struct InlineList<T, const N: usize> {
     inline: [T; N],
     inline_len: u8,
     spill: Vec<T>,
@@ -286,20 +409,20 @@ impl<T: Copy + Default, const N: usize> Default for InlineList<T, N> {
 }
 
 impl<T: Copy + Default, const N: usize> InlineList<T, N> {
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+    fn iter(&self) -> impl Iterator<Item = &T> {
         self.inline[..usize::from(self.inline_len)]
             .iter()
             .chain(&self.spill)
     }
 
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.inline[..usize::from(self.inline_len)]
             .iter_mut()
             .chain(&mut self.spill)
     }
 
     /// Append `item`; returns it in place.
-    pub(crate) fn push(&mut self, item: T) -> &mut T {
+    fn push(&mut self, item: T) -> &mut T {
         match self.inline.get_mut(usize::from(self.inline_len)) {
             Some(free) => {
                 *free = item;
@@ -355,9 +478,9 @@ struct FlowSlot {
     key: FiveTuple,
     stats: FlowStats,
     /// Whether `stats` describes a live flow. False for a slot that only
-    /// anchors streams: after the flow's accounting was evicted while a
+    /// anchors streams, after the flow's accounting was evicted while a
     /// stream of it stayed live (possible when capture timestamps step
-    /// backwards), or for streams adopted ahead of their flow.
+    /// backwards).
     counted: bool,
     streams: StreamRefs,
 }
@@ -386,8 +509,10 @@ pub struct StreamTracker {
     last_flow: usize,
     /// Streams in creation order (stable reporting).
     streams: Vec<Stream>,
-    /// The [`Stream::serial`] the next stream created here gets.
+    /// The [`Stream::serial`] the next never-seen stream key gets.
     next_serial: u32,
+    /// One entry per key whose stream is currently evicted.
+    tombstones: FxHashMap<StreamKey, Tombstone>,
 }
 
 impl StreamTracker {
@@ -439,15 +564,16 @@ impl StreamTracker {
 
     /// Feed one RTP media packet on the flow `flow` names (the handle
     /// [`StreamTracker::touch_flow`] returned for this packet). Returns
-    /// the stream's [`Stream::serial`] and whether the packet created the
-    /// stream (the grouping heuristic hooks on creation).
+    /// the stream (for [`StreamTracker::at_mut`], valid until the next
+    /// eviction) and whether the packet created it (the grouping
+    /// heuristic hooks on creation).
     #[inline]
     pub(crate) fn on_flow_packet(
         &mut self,
         flow: FlowId,
         m: &PacketMeta,
         rtp: &RtpMeta,
-    ) -> (u32, bool) {
+    ) -> (usize, bool) {
         let slot = &mut self.flows[flow.0];
         debug_assert_eq!(slot.key, m.five_tuple);
         let (at, created) = match slot.streams.get(rtp.ssrc) {
@@ -458,24 +584,37 @@ impl StreamTracker {
                     ssrc: rtp.ssrc,
                 };
                 slot.streams.push((rtp.ssrc, self.streams.len() as u32));
-                self.streams.push(Stream::new(
-                    key,
-                    self.next_serial,
-                    m.family,
-                    m.media_type,
-                    m.direction,
-                    m.ts_nanos,
-                ));
-                // Wrapping, not checked: the engine keeps an entry per
-                // stream key ever seen, so memory runs out long before
-                // 2^32 creations do.
-                self.next_serial = self.next_serial.wrapping_add(1);
+                // Only a tracker that has evicted pays the keyed probe.
+                let past = if self.tombstones.is_empty() {
+                    None
+                } else {
+                    self.tombstones.remove(&key).map(Box::new)
+                };
+                let serial = match &past {
+                    Some(past) => past.serial,
+                    None => {
+                        // Wrapping, not checked: the grouper keeps an
+                        // entry per stream key ever seen, so memory runs
+                        // out long before 2^32 keys do.
+                        let serial = self.next_serial;
+                        self.next_serial = serial.wrapping_add(1);
+                        serial
+                    }
+                };
+                let mut stream =
+                    Stream::new(key, serial, m.family, m.media_type, m.direction, m.ts_nanos);
+                stream.past = past;
+                self.streams.push(stream);
                 (self.streams.len() - 1, true)
             }
         };
-        let stream = &mut self.streams[at];
-        stream.on_packet(m, rtp);
-        (stream.serial, created)
+        self.streams[at].on_packet(m, rtp);
+        (at, created)
+    }
+
+    /// The stream [`StreamTracker::on_flow_packet`] just resolved.
+    pub(crate) fn at_mut(&mut self, at: usize) -> &mut Stream {
+        &mut self.streams[at]
     }
 
     /// Feed one media packet: count it on its flow and track its stream.
@@ -522,6 +661,26 @@ impl StreamTracker {
         self.streams.iter()
     }
 
+    /// Iterate streams in creation order, mutably (the window clock
+    /// updates each stream's snapshot).
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut Stream> + '_ {
+        self.streams.iter_mut()
+    }
+
+    /// What grouping step 1 compares a new stream against for `key`:
+    /// the live stream's state, else what an evicted one left behind.
+    pub fn candidate(&self, key: &StreamKey) -> Option<CandidateState> {
+        match self.get(key) {
+            Some(s) => s.candidate_state(),
+            None => self.tombstones.get(key)?.candidate(),
+        }
+    }
+
+    /// Number of stream keys whose stream is currently evicted.
+    pub fn evicted_keys(&self) -> usize {
+        self.tombstones.len()
+    }
+
     /// Iterate streams of one media type.
     pub fn of_type(&self, t: MediaType) -> impl Iterator<Item = &Stream> + '_ {
         self.iter().filter(move |s| s.media_type == t)
@@ -546,53 +705,14 @@ impl StreamTracker {
             .map(|s| (&s.key, &s.stats))
     }
 
-    /// Fold accounting gathered elsewhere (the engine's shard) into flow
-    /// `ft`.
-    pub(crate) fn merge_flow(&mut self, ft: &FiveTuple, stats: FlowStats) {
-        let slot = self.slot_of(ft);
-        let f = &mut self.flows[slot];
-        if f.counted {
-            f.stats.absorb(&stats);
-        } else {
-            f.counted = true;
-            f.stats = stats;
-            self.live_flows += 1;
-        }
-    }
-
-    /// Take ownership of all flows and streams (the engine's drain moves
-    /// its shard's state into the merged tracker).
-    pub(crate) fn into_parts(self) -> (Vec<(FiveTuple, FlowStats)>, Vec<Stream>) {
-        let flows = self
-            .flows
-            .into_iter()
-            .filter(|s| s.counted)
-            .map(|s| (s.key, s.stats))
-            .collect();
-        (flows, self.streams)
-    }
-
-    /// Insert a fully built stream, appending it to the creation order
-    /// (or replacing the stream already tracked under its key). Used by
-    /// the engine's drain, which replays global creation order.
-    pub(crate) fn adopt(&mut self, stream: Stream) {
-        let slot = self.slot_of(&stream.key.flow);
-        match self.flows[slot].streams.get(stream.key.ssrc) {
-            Some(at) => self.streams[at] = stream,
-            None => {
-                self.flows[slot]
-                    .streams
-                    .push((stream.key.ssrc, self.streams.len() as u32));
-                self.streams.push(stream);
-            }
-        }
-    }
-
     /// Remove and return every stream and every flow idle since before
     /// `cutoff` (`last_seen < cutoff`), preserving creation order among
     /// both the evicted streams and the survivors. The streaming engine's
-    /// bounded-memory tick; a stream or flow that reappears later is
-    /// tracked as a fresh one.
+    /// bounded-memory tick. A flow that reappears later is tracked as a
+    /// fresh one; so is a stream (fresh counters, at the end of the
+    /// order), except that it takes its key's tombstone with it: its
+    /// creation rank and, for [`StreamTracker::candidate`], the
+    /// sub-stream state of its earlier incarnations.
     pub fn evict_idle(&mut self, cutoff: u64) -> (Vec<Stream>, Vec<(FiveTuple, FlowStats)>) {
         let mut evicted_streams = Vec::new();
         if self.streams.iter().any(|s| s.last_seen < cutoff) {
@@ -607,6 +727,9 @@ impl StreamTracker {
             }));
             for slot in &mut self.flows {
                 slot.streams.remap(&remap);
+            }
+            for s in &evicted_streams {
+                self.tombstones.insert(s.key, s.history());
             }
         }
 

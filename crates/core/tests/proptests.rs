@@ -126,7 +126,7 @@ fn flow(i: u8) -> FiveTuple {
     }
 }
 
-fn media_packet(at: u64, flow_no: u8, ssrc: u32, seq: u16) -> PacketMeta {
+fn media_packet(at: u64, flow_no: u8, ssrc: u32, pt: u8, seq: u16) -> PacketMeta {
     PacketMeta {
         ts_nanos: at,
         five_tuple: flow(flow_no),
@@ -137,11 +137,11 @@ fn media_packet(at: u64, flow_no: u8, ssrc: u32, seq: u16) -> PacketMeta {
         direction: Direction::ToServer,
         rtp: Some(RtpMeta {
             ssrc,
-            payload_type: 112,
+            payload_type: pt,
             sequence: seq,
             timestamp: u32::from(seq) * 960,
             marker: false,
-            kind: RtpPayloadKind::classify(MediaType::Audio, 112),
+            kind: RtpPayloadKind::classify(MediaType::Audio, pt),
         }),
         rtcp: None,
         frame_seq: None,
@@ -206,6 +206,47 @@ impl KeyedTracker {
             !idle
         });
         (evicted, flows)
+    }
+}
+
+/// What grouping step 1 may ask about any stream key ever seen, kept by a
+/// tracker that never evicts: per payload type the packet count and the
+/// last RTP sequence number and timestamp, and the key's last-seen time.
+#[derive(Default)]
+struct CandidateReference {
+    keys: HashMap<StreamKey, KeyHistory>,
+}
+
+/// One key's sub-streams by payload type — `(packets, last sequence,
+/// last RTP timestamp)` — and its last-seen time.
+#[derive(Default)]
+struct KeyHistory {
+    subs: HashMap<u8, (u64, u16, u32)>,
+    last_seen: u64,
+}
+
+impl CandidateReference {
+    fn on_packet(&mut self, m: &PacketMeta) {
+        let rtp = m.rtp.unwrap();
+        let key = StreamKey {
+            flow: m.five_tuple,
+            ssrc: rtp.ssrc,
+        };
+        let history = self.keys.entry(key).or_default();
+        history.last_seen = m.ts_nanos;
+        let sub = history.subs.entry(rtp.payload_type).or_default();
+        *sub = (sub.0 + 1, rtp.sequence, rtp.timestamp);
+    }
+
+    /// `(last RTP timestamp, last sequence, last seen)` of the dominant
+    /// sub-stream: most packets, ties to the higher payload type.
+    fn candidate(&self, key: &StreamKey) -> Option<(u32, u16, u64)> {
+        let history = self.keys.get(key)?;
+        history
+            .subs
+            .iter()
+            .max_by_key(|(&pt, &(packets, _, _))| (packets, pt))
+            .map(|(_, &(_, seq, ts))| (ts, seq, history.last_seen))
     }
 }
 
@@ -390,7 +431,10 @@ proptest! {
     /// counters, same evicted sets — including streams that re-appear
     /// after eviction (fresh streams, at the end of the order) and, with
     /// capture times stepping backwards, a flow evicted while one of its
-    /// streams lives on.
+    /// streams lives on. And the grouping candidate of every key ever
+    /// seen — live, evicted (read off its tombstone) or returned (its
+    /// tombstone folded into the new stream) — is what a tracker that
+    /// never evicted would answer, dominant payload type included.
     #[test]
     fn stream_tracker_matches_keyed_maps(
         ops in proptest::collection::vec(
@@ -400,6 +444,7 @@ proptest! {
     ) {
         let mut slab = StreamTracker::new();
         let mut keyed = KeyedTracker::default();
+        let mut never_evicts = CandidateReference::default();
         let mut now = 0u64;
         for (i, &(kind, flow_no, ssrc, step_ms, back_ms)) in ops.iter().enumerate() {
             now += step_ms * MS;
@@ -415,9 +460,17 @@ proptest! {
             } else {
                 // One packet in five carries a timestamp from the past.
                 let at = if kind == 1 { now.saturating_sub(back_ms * MS) } else { now };
-                let m = media_packet(at, flow_no, ssrc, i as u16);
+                let pt = [112, 99, 113][usize::from(kind) % 3];
+                let m = media_packet(at, flow_no, ssrc, pt, i as u16);
                 prop_assert_eq!(slab.on_packet(&m), Some(keyed.on_packet(&m)), "op {}", i);
+                never_evicts.on_packet(&m);
             }
+            for key in never_evicts.keys.keys() {
+                let got = slab.candidate(key).map(|c| (c.last_rtp_ts, c.last_seq, c.last_seen));
+                prop_assert_eq!(got, never_evicts.candidate(key), "candidate after op {}", i);
+            }
+            let evicted_now = never_evicts.keys.len() - keyed.streams.len();
+            prop_assert_eq!(slab.evicted_keys(), evicted_now, "tombstones after op {}", i);
             let order: Vec<StreamKey> = slab.iter().map(|s| s.key).collect();
             prop_assert_eq!(&order, &keyed.order, "creation order after op {}", i);
             prop_assert_eq!(slab.len(), keyed.streams.len());

@@ -8,8 +8,8 @@
 //!   on a mixed-source trace (two scenarios interleaved by timestamp).
 //! * The `StreamingEngine` emits the same window stream and the same
 //!   final report, windowed and unwindowed, regardless of how the input
-//!   is batched — the engine replays its shard's event log at the end of
-//!   every push, so batching also moves the replay cadence.
+//!   is batched — a window may close on any record of a batch, and the
+//!   batch's dissections were made before it did.
 //! * A proptest cuts the trace at arbitrary batch boundaries (including
 //!   empty batches) and asserts the report is invariant to the cut.
 
@@ -167,7 +167,7 @@ fn mixed_source_batched_matches_per_record() {
 }
 
 #[test]
-fn engine_batched_matches_per_record_across_shards() {
+fn engine_batched_matches_per_record() {
     let records = multi_records();
     let want = stream_per_record(&records, None);
     assert!(want.0.is_empty(), "no window configured");
@@ -178,7 +178,7 @@ fn engine_batched_matches_per_record_across_shards() {
 }
 
 #[test]
-fn windowed_engine_batched_matches_per_record_across_shards() {
+fn windowed_engine_batched_matches_per_record() {
     let records = mixed_source_records();
     let window = Some(Duration::from_secs(2));
     let want = stream_per_record(&records, window);

@@ -144,7 +144,7 @@ fn zoom_report_invariant_across_family_selects() {
 }
 
 #[test]
-fn zoom_engine_invariant_across_selects_shards_and_batching() {
+fn zoom_engine_invariant_across_selects_and_batching() {
     let records = zoom_records();
     let want = stream(&records, AnalyzerConfig::default(), None, None);
     for select in zoom_equivalent_selects() {
@@ -156,7 +156,7 @@ fn zoom_engine_invariant_across_selects_shards_and_batching() {
 }
 
 #[test]
-fn zoom_windowed_engine_invariant_across_selects_shards_and_batching() {
+fn zoom_windowed_engine_invariant_across_selects_and_batching() {
     let records = zoom_records();
     let window = Some(Duration::from_secs(2));
     let want = stream(&records, AnalyzerConfig::default(), window, None);
@@ -219,7 +219,7 @@ fn webrtc_trace_untouched_under_only_zoom() {
 }
 
 #[test]
-fn webrtc_engine_deterministic_across_shards_and_batching() {
+fn webrtc_engine_deterministic_across_batching() {
     let records = webrtc_records();
     let want = stream(&records, AnalyzerConfig::default(), None, None);
     assert!(

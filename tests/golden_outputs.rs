@@ -80,10 +80,10 @@ const fn pin(fnv1a: u64, bytes: usize, lines: usize) -> Pin {
     }
 }
 
-/// The four simulator rows were recorded at the last commit that still
-/// had a threaded shard tier (`shards: 1` and `shards: 2` produced these
-/// same bytes); the hand-built `evict_and_return` row at the last commit
-/// whose engine replayed an event log through per-key replicas.
+/// The four simulator rows were recorded when the engine could still run
+/// its state on one worker thread or two (both produced these bytes); the
+/// hand-built `evict_and_return` row at the last commit whose engine kept
+/// a second copy of every stream's grouping state beside the analyzer's.
 const GOLDEN: [Golden; 5] = [
     Golden {
         scenario: "validation_experiment(77)",
@@ -185,7 +185,15 @@ fn evict_and_return() -> Vec<Record> {
     let main_ts = |n: u64| 1_000 + n as u32 * 3_000;
     let mut records = Vec::new();
     for n in 0..90u64 {
-        records.push(video_record(n * 33 * MS, true, 1, A, 98, n as u16 + 1, main_ts(n)));
+        records.push(video_record(
+            n * 33 * MS,
+            true,
+            1,
+            A,
+            98,
+            n as u16 + 1,
+            main_ts(n),
+        ));
     }
     for n in 0..1_800u64 {
         let ts = 3 * SEC + n * 33 * MS;
@@ -208,7 +216,15 @@ fn evict_and_return() -> Vec<Record> {
     for i in 0..90u64 {
         let ts = 30 * SEC + i * 33 * MS;
         if i % 5 == 0 {
-            records.push(video_record(ts, true, 1, A, 98, main as u16 + 1, main_ts(main)));
+            records.push(video_record(
+                ts,
+                true,
+                1,
+                A,
+                98,
+                main as u16 + 1,
+                main_ts(main),
+            ));
             main += 1;
         } else {
             let fec_ts = 900_000_000 + i as u32 * 3_000;

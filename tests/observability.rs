@@ -393,7 +393,7 @@ proptest! {
     /// windowed or not — must produce the identical accounting vector,
     /// and it must satisfy the conservation invariant.
     #[test]
-    fn drop_accounting_identical_across_shards(
+    fn drop_accounting_identical_across_sinks(
         seed in 0u64..10_000,
         secs in 12u64..16,
         every in 20usize..60,

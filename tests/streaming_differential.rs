@@ -106,9 +106,7 @@ fn window_totals<'a>(
 
 #[test]
 fn unwindowed_streaming_report_is_byte_identical_to_batch() {
-    // The P2P meeting is recognized through the STUN endpoint registry,
-    // which the engine keeps on its router and hands to the shard as a
-    // per-record verdict.
+    // The P2P meeting is recognized through the STUN endpoint registry.
     for (name, config) in [
         ("multi", scenario::multi_party(3, 60 * SEC)),
         ("p2p", scenario::p2p_meeting(7, 120 * SEC)),
@@ -295,7 +293,7 @@ fn assert_same_run(
 }
 
 #[test]
-fn ingest_paths_byte_identical_at_1_2_8_shards() {
+fn ingest_paths_byte_identical() {
     let records: Vec<Record> = MeetingSim::new(scenario::multi_party(11, 45 * SEC)).collect();
     assert!(records.len() > 1_000);
     let img = pcap_image(&records);

@@ -157,10 +157,12 @@ pub struct PcapFileSource {
 }
 
 impl PcapFileSource {
-    /// Opens `path` and validates its pcap global header.
+    /// Opens `path` and validates its pcap global header. A file that
+    /// cannot be opened is [`SourceError::Io`]; one whose header is not a
+    /// pcap header is [`SourceError::Format`]. Both messages name `path`.
     pub fn open(path: &str) -> Result<PcapFileSource, SourceError> {
         let file = std::fs::File::open(path)
-            .map_err(|e| SourceError::Format(format!("{path}: {e}")))?;
+            .map_err(|e| SourceError::Io(io::Error::new(e.kind(), format!("{path}: {e}"))))?;
         let reader = Reader::new(io::BufReader::with_capacity(READ_BUFFER_BYTES, file))
             .map_err(|e| SourceError::Format(format!("{path}: {e}")))?;
         Ok(PcapFileSource {

@@ -3,15 +3,15 @@
 //! per-stream metrics, and latency estimates. Optionally export the
 //! per-second ML feature matrix (§8).
 //!
-//! Input is either a positional pcap path (the classic single-file
-//! shape) or any number of repeatable `--source` specs (`pcap:FILE`,
-//! `sim:SCENARIO[,seed=N][,secs=N]`); both can be mixed. Multiple
-//! sources are merged into one deterministic timestamp-ordered stream —
-//! finite files read in-line on the analysis thread, live or `--lossy`
-//! sources captured concurrently, one capture thread each, hand-off
-//! through bounded lock-free rings — so an N-source run is
-//! byte-identical to the equivalent single-source run (see
-//! `docs/CAPTURE.md`).
+//! Input is any number of positional pcap paths and repeatable
+//! `--source` specs (`pcap:FILE`, `sim:SCENARIO[,seed=N][,secs=N]`); a
+//! positional `FILE` is `--source pcap:FILE`. Every route starts the
+//! sources through [`start_capture`], which merges them into one
+//! deterministic timestamp-ordered stream — finite files read in-line on
+//! the analysis thread, live or `--lossy` sources captured concurrently,
+//! one capture thread each, hand-off through bounded lock-free rings — so
+//! an N-source run is byte-identical to the equivalent single-source run
+//! (see `docs/CAPTURE.md`).
 //!
 //! With `--window`, `--idle-timeout`, or `--follow` the command switches
 //! to the streaming engine: one NDJSON line per closed window on stdout,
@@ -20,10 +20,10 @@
 //! written by another process) until it has been quiet for `--idle-exit`
 //! — the follow loop is source-agnostic, not tied to a single file.
 //!
-//! Both sinks (batch `Analyzer`, streaming engine) are fed through the
-//! one `PacketSink` ingest loop. `--metrics <path>` writes an
-//! observability snapshot file — JSON by default, Prometheus text
-//! exposition when the path ends in `.prom` — rewritten every
+//! Both sinks (batch `Analyzer`, streaming engine) take the merged stream
+//! a batch at a time through `PacketSink::push_batch`. `--metrics <path>`
+//! writes an observability snapshot file — JSON by default, Prometheus
+//! text exposition when the path ends in `.prom` — rewritten every
 //! `--metrics-interval` (default 5s, works with `--follow`) and once
 //! more when the input is exhausted.
 //!
@@ -71,7 +71,6 @@ use zoom_analysis::PacketSink;
 use zoom_capture::mux::{CaptureMux, MuxConfig};
 use zoom_capture::source::{FollowConfig, BATCH_RECORDS};
 use zoom_wire::handoff::RecordBatch;
-use zoom_wire::pcap::{LinkType, Reader, RecordBuf, READ_BUFFER_BYTES};
 use zoom_wire::zoom::MediaType;
 
 /// The `--metrics <path>` snapshot file: rewritten in place every
@@ -105,11 +104,10 @@ impl MetricsFile {
         }))
     }
 
-    /// Called after every push — one record on the single-reader path, a
-    /// whole merged batch on the fan-in paths; rewrites the file when the
-    /// interval has elapsed. The clock is only consulted once at least
-    /// 256 records have accumulated, so the per-packet cost stays
-    /// negligible.
+    /// Called after every merged batch (`records` long) enters the sink;
+    /// rewrites the file when the interval has elapsed. The clock is only
+    /// consulted once at least 256 records have accumulated, so the
+    /// per-packet cost stays negligible.
     pub(crate) fn tick(
         &mut self,
         records: u32,
@@ -132,35 +130,12 @@ impl MetricsFile {
     }
 }
 
-/// The single-file ingest loop: buffer-reusing reads handed to the
-/// analyzer with the length each record had on the wire, with periodic
-/// metrics snapshots.
-fn feed_pcap<R: std::io::Read>(
-    reader: &mut Reader<R>,
-    analyzer: &mut Analyzer,
-    link: LinkType,
-    metrics_file: &mut Option<MetricsFile>,
-) -> CmdResult {
-    let mut buf = RecordBuf::new();
-    while reader
-        .read_into(&mut buf)
-        .map_err(|e| CliError::protocol(e.to_string()))?
-    {
-        analyzer.process_record(buf.ts_nanos(), buf.wire_len(), buf.data(), link);
-        if let Some(m) = metrics_file {
-            analyzer.note_pcap_progress(reader.records_read(), reader.bytes_read());
-            m.tick(1, || analyzer.metrics())?;
-        }
-    }
-    Ok(())
-}
-
-/// The fan-in ingest loop: records arrive pre-merged in timestamp order
+/// The batch ingest loop: records arrive pre-merged in timestamp order
 /// from the capture fan-in, a whole run-extended batch at a time — a
 /// capture batch's worth (`BATCH_RECORDS`), so a batch copied out of
 /// interleaving lanes is still in cache when the sink walks it — and
 /// enter the sink through the batched dissection path; progress gauges
-/// come from the mux's delivered counts instead of a single reader's.
+/// come from the mux's delivered counts.
 /// `after_batch` runs once a batch is in the sink (`merge` syncs its
 /// workers' accounting there).
 pub(crate) fn feed_mux<S: PacketSink>(
@@ -184,8 +159,8 @@ pub(crate) fn feed_mux<S: PacketSink>(
 }
 
 /// Tear down the fan-in after ingest: surface capture errors, fold
-/// source-side truncation into the sink's gauges, and warn like the
-/// single-reader path always has.
+/// source-side truncation into the sink's gauges, and warn of torn
+/// source tails and full rings on stderr.
 pub(crate) fn finish_mux<S: PacketSink>(mux: CaptureMux, sink: &mut S) -> CmdResult {
     let truncated = mux.truncated_records();
     let drops = mux.ring_full_drops();
@@ -270,7 +245,7 @@ pub fn run(args: &[String]) -> CmdResult {
     });
     let qoe = qoe_flags(&flags)?;
     let mux_config = mux_flags(&flags)?;
-    let mut metrics_file = MetricsFile::from_flags(&flags)?;
+    let metrics_file = MetricsFile::from_flags(&flags)?;
     let trace_out = TraceOutput::from_flags(&flags)?;
 
     // `--family auto|zoom|webrtc` selects which protocol families the
@@ -325,47 +300,14 @@ pub fn run(args: &[String]) -> CmdResult {
             trace_out,
         );
     }
-    // Tracing samples at batch boundaries, so a traced run always goes
-    // through the capture fan-in — the differential suites pin the
-    // single-file and fan-in paths byte-identical, so the report is
-    // unchanged; only the trace side channel appears.
-    if !source_specs.is_empty() || pos.len() > 1 || trace_out.is_some() {
-        let sources = build_sources(&pos, &source_specs, None)?;
-        return run_batch_mux(sources, config, &flags, metrics_file, mux_config, trace_out);
-    }
-
-    // Legacy single-file batch path: a direct buffer-reusing reader loop
-    // with no capture threads — the zero-copy fast path benchmarked in
-    // BENCH_ingest.json stays intact.
-    let [input] = pos.as_slice() else {
-        return Err("no input: give a pcap path or at least one --source".into());
-    };
-    let file = std::fs::File::open(input).map_err(|e| CliError::io(format!("{input}: {e}")))?;
-    let mut reader = Reader::new(std::io::BufReader::with_capacity(READ_BUFFER_BYTES, file))
-        .map_err(|e| CliError::protocol(format!("{input}: {e}")))?;
-    let link = reader.link_type();
-    // The feed loop reuses one record buffer — zero steady-state
-    // allocations in the read loop.
-    let mut analyzer = Analyzer::new(config);
-    feed_pcap(&mut reader, &mut analyzer, link, &mut metrics_file)?;
-    analyzer.note_pcap_truncated(reader.truncated_records());
-    if let Some(m) = &mut metrics_file {
-        m.write(&analyzer.metrics())?;
-    }
-    if reader.truncated_records() > 0 {
-        eprintln!(
-            "warning: {} truncated record(s) at end of {input} ignored",
-            reader.truncated_records()
-        );
-    }
-
-    print_report(&analyzer, &flags)
+    let sources = build_sources(&pos, &source_specs, None)?;
+    run_batch_mux(sources, config, &flags, metrics_file, mux_config, trace_out)
 }
 
-/// The multi-source batch path: the fan-in merges the sources' records
-/// into the analysis sink (in-line or through capture threads and rings,
-/// see [`start_capture`]), then the same report as the single-file path
-/// is printed — byte-identical for equivalent inputs (see
+/// The batch path: the fan-in merges the sources' records into the
+/// analyzer (in-line or through capture threads and rings, see
+/// [`start_capture`]), then the end-of-trace report is printed — the same
+/// bytes however the records were split across sources (see
 /// `tests/multi_source_differential.rs`).
 fn run_batch_mux(
     sources: Sources,
@@ -392,8 +334,8 @@ fn run_batch_mux(
     print_report(&analyzer, flags)
 }
 
-/// The human-readable (or `--json`) end-of-run report, shared by the
-/// legacy single-file path and the multi-source fan-in path.
+/// The human-readable (or `--json`) end-of-run report of the batch path
+/// (and of `merge`).
 pub(crate) fn print_report(analyzer: &Analyzer, flags: &HashMap<String, String>) -> CmdResult {
     if flags.contains_key("json") {
         println!("{}", analyzer.report().to_json());

@@ -5,12 +5,13 @@
 //! This is `capture` over one `pcap:` source under its older name: the
 //! same [`filter_sources`] call, so the same in-line read, the same loop,
 //! byte-identical output and an equal `--metrics` snapshot. What `filter`
-//! keeps of its own is its command line, its one-line summary of the
-//! filter's stage counters, and exit status 1 for every failure.
+//! keeps of its own is its command line and its one-line summary of the
+//! filter's stage counters. A missing input exits 5 and a file that is
+//! not a pcap 4, as on every other route (`docs/DISTRIBUTED.md`).
 
 use super::capture::{filter_sources, warn_of_losses};
 use super::sources::build_sources;
-use super::{filter_config, parse_args, CliError, CmdResult, FlagSpec};
+use super::{filter_config, parse_args, CmdResult, FlagSpec};
 use zoom_capture::mux::MuxConfig;
 use zoom_capture::pipeline::CapturePipeline;
 
@@ -27,8 +28,7 @@ pub fn run(args: &[String]) -> CmdResult {
         return Err("filter needs <in.pcap> <out.pcap>".into());
     };
     let mut pipeline = CapturePipeline::new(filter_config(&flags)?);
-    let sources = build_sources(std::slice::from_ref(input), &[], None)
-        .map_err(|e| CliError::from(e.message))?;
+    let sources = build_sources(std::slice::from_ref(input), &[], None)?;
     let run = filter_sources(
         sources,
         MuxConfig::default(),

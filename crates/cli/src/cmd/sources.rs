@@ -21,8 +21,8 @@
 //! `sim:p2p` and `sim:p2p,seed=7,secs=60` label identically
 //! (`docs/DISTRIBUTED.md` has the migration notes).
 //!
-//! A bare positional input (the legacy `analyze trace.pcap` shape) is
-//! equivalent to `--source pcap:trace.pcap`.
+//! A bare positional input (the classic `analyze trace.pcap` shape) is
+//! `--source pcap:trace.pcap`: the same source, the same route.
 
 use super::CliError;
 use std::collections::HashMap;
@@ -205,10 +205,10 @@ pub fn mux_flags(flags: &HashMap<String, String>) -> Result<MuxConfig, String> {
     })
 }
 
-/// Starts the fan-in of every route that has one (`analyze` with
-/// `--source`, a window or `--emit-fragments`; `merge`; `capture` and
-/// `filter`): in-line on the calling thread or one capture thread per
-/// source, decided here and nowhere else. Under `Overflow::Block` a capture thread waits for the
+/// Starts the fan-in of every route (`analyze`, batch, windowed or
+/// `--emit-fragments`; `merge`; `capture` and `filter`): in-line on the
+/// calling thread or one capture thread per source, decided here and
+/// nowhere else. Under `Overflow::Block` a capture thread waits for the
 /// consumer anyway, so all it buys is read-ahead on a second core — when
 /// the scheduler grants one; a pass that overlaps read and analysis only
 /// then takes 1.0× or 1.5× as long from one run to the next, and moves

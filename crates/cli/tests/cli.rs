@@ -229,6 +229,140 @@ fn a_torn_tail_reads_the_same_through_filter_and_both_capture_lanes() {
     assert!(outputs[0] == outputs[1] && outputs[1] == outputs[2]);
 }
 
+/// `json` with the value of each of `keys` — a number or a `{…}` object —
+/// cut out, comma included.
+fn without_keys(json: &str, keys: &[&str]) -> String {
+    let mut json = json.to_string();
+    for key in keys {
+        let name = format!("\"{key}\":");
+        let start = json
+            .find(&name)
+            .unwrap_or_else(|| panic!("no {key} in {json}"));
+        let value = start + name.len();
+        let mut depth = 0;
+        let mut end = value;
+        for (i, c) in json[value..].char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' if depth > 0 => depth -= 1,
+                ',' | '}' if depth == 0 => {
+                    end = value + i;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        let end = if json[end..].starts_with(',') { end + 1 } else { end };
+        json.replace_range(start..end, "");
+    }
+    json
+}
+
+/// `analyze FILE` is `analyze --source pcap:FILE`: one route, so the same
+/// report bytes, the same stderr and the same `--metrics` snapshot — all
+/// but the run's `uptime_seconds` and its timing histograms — on a clean
+/// file and on one with a torn last record. Both register their file as
+/// an in-line source and check both halves of the conservation invariant.
+#[test]
+fn a_positional_file_and_a_pcap_source_take_one_route() {
+    let clean = tmp("route_clean.pcap");
+    let torn = tmp("route_torn.pcap");
+    let (_, err, ok) = run(&[
+        "simulate",
+        clean.to_str().unwrap(),
+        "--seconds",
+        "10",
+        "--seed",
+        "6",
+        "--scenario",
+        "multi",
+    ]);
+    assert!(ok, "simulate failed: {err}");
+    let bytes = std::fs::read(&clean).unwrap();
+    std::fs::write(&torn, &bytes[..bytes.len() - 37]).unwrap();
+
+    for (name, file) in [("clean", &clean), ("torn", &torn)] {
+        let file = file.to_str().unwrap();
+        let source = format!("pcap:{file}");
+        let by_path = tmp(&format!("route_{name}_path.json"));
+        let by_source = tmp(&format!("route_{name}_source.json"));
+        let (out_a, err_a, code_a) = run_code(&[
+            "analyze",
+            file,
+            "--json",
+            "--metrics",
+            by_path.to_str().unwrap(),
+        ]);
+        let (out_b, err_b, code_b) = run_code(&[
+            "analyze",
+            "--source",
+            &source,
+            "--json",
+            "--metrics",
+            by_source.to_str().unwrap(),
+        ]);
+        assert_eq!(
+            (code_a, code_b),
+            (Some(0), Some(0)),
+            "{name}: {err_a} / {err_b}"
+        );
+        assert!(out_a.len() > 1_000, "{name}: {out_a}");
+        assert!(out_a == out_b, "{name}: reports differ");
+        assert_eq!(err_a, err_b, "{name}");
+        let timing = ["uptime_seconds", "stage_latency"];
+        let metrics = without_keys(&std::fs::read_to_string(&by_path).unwrap(), &timing);
+        assert_eq!(
+            metrics,
+            without_keys(&std::fs::read_to_string(&by_source).unwrap(), &timing),
+            "{name}"
+        );
+        assert!(metrics.contains("\"lane\":\"inline\""), "{name}: {metrics}");
+        assert!(
+            metrics.contains("\"conservation_holds\":true"),
+            "{name}: {metrics}"
+        );
+        let cut = usize::from(name == "torn");
+        assert!(
+            metrics.contains(&format!("\"truncated_records\":{cut}")),
+            "{name}: {metrics}"
+        );
+        assert_eq!(
+            err_a.contains("warning: 1 truncated record(s) at source tails ignored"),
+            name == "torn",
+            "{name}: {err_a}"
+        );
+    }
+}
+
+/// An input that cannot be opened exits 5 and one that is not a capture
+/// file exits 4, whichever command reads it — the table in
+/// `docs/DISTRIBUTED.md`. Both messages name the file.
+#[test]
+fn unreadable_inputs_exit_alike_on_every_route() {
+    let missing = tmp("exit_missing.pcap");
+    let _ = std::fs::remove_file(&missing);
+    let garbage = tmp("exit_garbage.pcap");
+    std::fs::write(&garbage, [0x42u8; 64]).unwrap();
+    let out = tmp("exit_out.pcap");
+    let out = out.to_str().unwrap();
+    for (input, code) in [(&missing, 5), (&garbage, 4)] {
+        let input = input.to_str().unwrap();
+        let source = format!("pcap:{input}");
+        let commands: [&[&str]; 5] = [
+            &["analyze", input],
+            &["analyze", "--source", &source],
+            &["capture", "--source", &source, out],
+            &["filter", input, out],
+            &["merge", input],
+        ];
+        for args in commands {
+            let (_, err, got) = run_code(args);
+            assert_eq!(got, Some(code), "{args:?}: {err}");
+            assert!(err.contains(input), "{args:?}: {err}");
+        }
+    }
+}
+
 /// `campus-10x` draws its meetings per whole minute; a shorter trace
 /// would be empty, so it is refused, not written.
 #[test]

@@ -15,7 +15,7 @@
 //! network problem from a user-behaviour change.
 
 use super::VIDEO_SAMPLING_RATE;
-use crate::position_hinted;
+use crate::{position_hinted, RecentTimestamps};
 use std::collections::VecDeque;
 
 /// One fully delivered frame.
@@ -96,7 +96,7 @@ pub struct FrameTracker {
     /// Timestamps of recently completed frames: a retransmitted duplicate
     /// arriving after completion must not re-open (and re-count) the
     /// frame.
-    completed_ts: VecDeque<u32>,
+    completed_ts: RecentTimestamps<128>,
     /// Emptied `seqs` vectors recovered from completed (or purged) frames
     /// and handed to the next frame opened, so steady-state frame
     /// reconstruction never allocates per frame.
@@ -129,7 +129,7 @@ impl FrameTracker {
             completed: Vec::new(),
             recent: VecDeque::new(),
             last_completed_ts: None,
-            completed_ts: VecDeque::new(),
+            completed_ts: RecentTimestamps::new(),
             spare_seqs: Vec::new(),
         }
     }
@@ -155,7 +155,7 @@ impl FrameTracker {
         let slot = match slot {
             Some(i) => i,
             None => {
-                if self.completed_ts.contains(&rtp_timestamp) {
+                if self.completed_ts.contains(rtp_timestamp) {
                     return; // late duplicate of an already-completed frame
                 }
                 self.pending.push(Pending {
@@ -208,10 +208,7 @@ impl FrameTracker {
                 encoder_interval_nanos,
             });
             self.recent.push_back(at);
-            self.completed_ts.push_back(rtp_timestamp);
-            if self.completed_ts.len() > 128 {
-                self.completed_ts.pop_front();
-            }
+            self.completed_ts.push(rtp_timestamp);
             if self.spare_seqs.len() < SPARE_SEQS {
                 p.seqs.clear();
                 self.spare_seqs.push(std::mem::take(&mut p.seqs));

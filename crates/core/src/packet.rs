@@ -8,7 +8,6 @@ use std::net::IpAddr;
 use zoom_wire::dissect::{App, Dissection, Transport};
 use zoom_wire::family::FamilyId;
 use zoom_wire::flow::FiveTuple;
-use zoom_wire::rtcp;
 use zoom_wire::webrtc::{self, SrtpRepr};
 use zoom_wire::zoom::{Framing, MediaType, RtpPayloadKind, DIR_FROM_SFU, ZOOM_SFU_PORT};
 
@@ -210,15 +209,12 @@ pub fn meta_from_zoom(
         marker: r.marker,
         kind: RtpPayloadKind::classify(z.media.media_type, r.payload_type),
     });
-    let rtcp = z.rtcp.iter().find_map(|item| match item {
-        rtcp::Item::SenderReport { ssrc, info, .. } => Some(RtcpMeta {
-            ssrc: *ssrc,
-            ntp_timestamp: info.ntp_timestamp,
-            rtp_timestamp: info.rtp_timestamp,
-            packet_count: info.packet_count,
-            octet_count: info.octet_count,
-        }),
-        _ => None,
+    let rtcp = z.rtcp.sender_report().map(|(ssrc, info)| RtcpMeta {
+        ssrc,
+        ntp_timestamp: info.ntp_timestamp,
+        rtp_timestamp: info.rtp_timestamp,
+        packet_count: info.packet_count,
+        octet_count: info.octet_count,
     });
     PacketMeta {
         ts_nanos,
@@ -483,6 +479,25 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// The structs every packet moves, by value, from the dissector to the
+    /// trackers. At these sizes (64-bit targets) the release build moves
+    /// them without a call to `memmove`; when `ZoomPacket` still carried
+    /// its 128-byte inline RTCP item list (176 bytes; `App` 184,
+    /// `Dissection` 296), libc `memmove` took 16 % of a batch analysis's
+    /// profile samples, most of them these moves. A field that pushes one
+    /// past its pin brings the per-packet `memmove` calls back.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn per_packet_structs_keep_their_size() {
+        use std::mem::size_of;
+        use zoom_wire::dissect::{App, Dissection};
+        use zoom_wire::zoom::ZoomPacket;
+        assert_eq!(size_of::<ZoomPacket>(), 80);
+        assert_eq!(size_of::<App>(), 88);
+        assert_eq!(size_of::<Dissection<'_>>(), 200);
+        assert_eq!(size_of::<PacketMeta>(), 128);
     }
 
     #[test]

@@ -15,9 +15,8 @@ use crate::metrics::loss::{SeqStats, SeqTracker};
 use crate::metrics::VIDEO_SAMPLING_RATE;
 use crate::packet::{Direction, PacketMeta, RtpMeta};
 use crate::pipeline::FlowStats;
-use crate::position_hinted;
 use crate::stats::RateRows;
-use std::collections::VecDeque;
+use crate::{position_hinted, RecentTimestamps};
 use zoom_wire::family::FamilyId;
 use zoom_wire::flow::FiveTuple;
 use zoom_wire::zoom::{MediaType, RtpPayloadKind};
@@ -95,7 +94,7 @@ pub struct Stream {
     /// reorderings (a frame first seen late) still feed it — that lateness
     /// IS jitter, per RFC 3550. Kept for video and screen share only, the
     /// media the estimator is fed for.
-    fed_jitter_ts: VecDeque<u32>,
+    fed_jitter_ts: RecentTimestamps<64>,
     /// Total packets.
     pub packets: u64,
     /// The stream key's creation rank within its tracker: counts up from
@@ -235,7 +234,7 @@ impl Stream {
             frames,
             frame_jitter: JitterEstimator::video(),
             rates: RateRows::new(),
-            fed_jitter_ts: VecDeque::new(),
+            fed_jitter_ts: RecentTimestamps::new(),
             packets: 0,
             serial,
             meeting: None,
@@ -276,13 +275,10 @@ impl Stream {
             // A frame's packets arrive back to back, so all but its first
             // match the newest entry and skip the scan.
             if (self.media_type == MediaType::Video || self.media_type == MediaType::ScreenShare)
-                && self.fed_jitter_ts.back() != Some(&rtp.timestamp)
-                && !self.fed_jitter_ts.contains(&rtp.timestamp)
+                && self.fed_jitter_ts.newest() != Some(rtp.timestamp)
+                && !self.fed_jitter_ts.contains(rtp.timestamp)
             {
-                self.fed_jitter_ts.push_back(rtp.timestamp);
-                if self.fed_jitter_ts.len() > 64 {
-                    self.fed_jitter_ts.pop_front();
-                }
+                self.fed_jitter_ts.push(rtp.timestamp);
                 self.frame_jitter.on_frame(m.ts_nanos, rtp.timestamp);
             }
         }

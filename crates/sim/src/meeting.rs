@@ -1644,7 +1644,10 @@ mod tests {
             if let Some(z) = d.zoom() {
                 if !z.rtcp.is_empty() {
                     srs += 1;
-                    assert!(matches!(z.rtcp[0], rtcp::Item::SenderReport { .. }));
+                    let compound = z.rtcp_compound(d.payload).expect("compound bytes");
+                    let items = rtcp::parse_compound(compound).unwrap();
+                    assert!(matches!(items[0], rtcp::Item::SenderReport { .. }));
+                    assert!(z.rtcp.sender_report().is_some());
                 }
             }
         }

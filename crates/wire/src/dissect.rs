@@ -1042,7 +1042,12 @@ pub fn render_tree(d: &Dissection<'_>) -> String {
                     z.media_payload_len
                 );
             }
-            for item in &z.rtcp {
+            // The packet keeps a summary; the items are re-walked from the
+            // bytes it was parsed from, which validated as a compound then.
+            let items = z
+                .rtcp_compound(d.payload)
+                .and_then(|c| crate::rtcp::parse_compound(c).ok());
+            for item in items.iter().flatten() {
                 let _ = writeln!(out, "Real-Time Control Protocol: {item:?}");
             }
         }
@@ -1995,5 +2000,68 @@ mod more_tests {
         );
         let d = dissect(0, &data, LinkType::Ethernet, P2pProbe::Off).unwrap();
         assert!(render_tree(&d).contains("Data: 2 bytes"));
+    }
+
+    /// The RTCP lines of a tree come from re-walking the compound in the
+    /// dissection's payload; they read exactly as when the parsed packet
+    /// carried the item list itself.
+    #[test]
+    fn render_tree_sr_sdes_packet_output() {
+        let sr = crate::rtcp::SenderReportRepr {
+            ssrc: 0x42,
+            info: crate::rtcp::SenderInfo {
+                ntp_timestamp: 0x83AA_7E80_0000_0001,
+                rtp_timestamp: 90_000,
+                packet_count: 3,
+                octet_count: 4_000,
+            },
+            with_sdes: true,
+        };
+        let mut body = vec![0u8; sr.buffer_len()];
+        sr.emit(&mut body);
+        let payload = zoom::Builder {
+            sfu: Some(zoom::SfuEncapRepr {
+                encap_type: zoom::SFU_TYPE_MEDIA,
+                sequence: 1,
+                direction: zoom::DIR_FROM_SFU,
+            }),
+            media: zoom::MediaEncapRepr {
+                media_type: zoom::MediaType::RtcpSrSdes,
+                sequence: 2,
+                timestamp: 3,
+                frame_sequence: None,
+                packets_in_frame: None,
+            },
+            rtp: None,
+            payload: body,
+        }
+        .build();
+        let data = crate::compose::udp_ipv4_ethernet(
+            std::net::Ipv4Addr::new(170, 114, 0, 1),
+            std::net::Ipv4Addr::new(10, 8, 0, 1),
+            zoom::ZOOM_SFU_PORT,
+            50_000,
+            &payload,
+        );
+        let d = dissect(9, &data, LinkType::Ethernet, P2pProbe::Off).unwrap();
+        assert_eq!(
+            render_tree(&d),
+            "Frame: 92 bytes on wire, ts=9 ns\n\
+             Ethernet II, Src: 02:00:aa:72:00:01, Dst: 02:00:0a:08:00:01\n\
+             Internet Protocol, Src: 170.114.0.1, Dst: 10.8.0.1\n\
+             User Datagram Protocol, Src Port: 8801, Dst Port: 50000, Payload: 64 bytes\n\
+             Zoom SFU Encapsulation\n\
+             \x20   Type: 5\n\
+             \x20   Sequence: 1\n\
+             \x20   Direction: 4 (from SFU)\n\
+             Zoom Media Encapsulation (server-based)\n\
+             \x20   Type: 34 (RTCP: SR + SDES)\n\
+             \x20   Sequence: 2\n\
+             \x20   Timestamp: 3\n\
+             Real-Time Control Protocol: SenderReport { ssrc: 66, info: SenderInfo { \
+             ntp_timestamp: 9487534653230284801, rtp_timestamp: 90000, packet_count: 3, \
+             octet_count: 4000 }, report_count: 0 }\n\
+             Real-Time Control Protocol: SourceDescription { ssrcs: [66] }\n"
+        );
     }
 }

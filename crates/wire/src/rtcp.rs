@@ -4,8 +4,10 @@
 //! once per second per media stream, sometimes followed by an empty source
 //! description (SDES) chunk — and notably *no* receiver reports, which is
 //! why the performance metrics of §5 must be derived from RTP alone. This
-//! module parses compound RTCP packets (SR, RR, SDES, BYE) and emits
-//! Zoom-style SR(+empty SDES) compounds for the simulator.
+//! module parses compound RTCP packets (SR, RR, SDES, BYE) — into the full
+//! item list ([`parse_compound`]) or into the [`Summary`] the analysis
+//! reads ([`summarize`]), one walk behind both — and emits Zoom-style
+//! SR(+empty SDES) compounds for the simulator.
 
 use crate::{be16, be32, be64, set_be16, set_be32, set_be64, Error, Result};
 
@@ -210,8 +212,9 @@ const EMPTY_ITEM: Item = Item::Other {
 
 /// A small-vector compound: up to [`INLINE_RTCP_ITEMS`] items stored
 /// inline, the whole list moved to a heap `Vec` beyond that. Dereferences
-/// to `[Item]`, so it reads like the `Vec<Item>` it replaced — without
-/// the per-packet allocation on the dissection hot path.
+/// to `[Item]`, so it reads like the `Vec<Item>` it replaced — without an
+/// allocation per Zoom compound. What [`parse_compound`] returns; a parsed
+/// Zoom packet keeps only the [`Summary`].
 #[derive(Clone)]
 pub struct ItemList {
     len: u8,
@@ -292,53 +295,48 @@ impl PartialEq for ItemList {
 
 impl Eq for ItemList {}
 
-/// Parse a compound RTCP packet into its items.
-///
-/// Rejects buffers whose first sub-packet is not version 2 or whose length
-/// words overrun the buffer.
-pub fn parse_compound(data: &[u8]) -> Result<ItemList> {
-    let mut items = ItemList::new();
-    let mut rest = data;
-    if rest.len() < 4 {
-        return Err(Error::Truncated);
+/// One sub-packet of a compound as [`walk`] found it: the common header's
+/// count and type fields and the body behind them, every length the
+/// sub-packet's decoding depends on already checked.
+#[derive(Clone, Copy)]
+struct SubPacket<'a> {
+    /// The 5-bit count field (report blocks, SDES chunks, BYE sources).
+    count: u8,
+    packet_type: u8,
+    /// The bytes after the 4-byte common header, up to where the length
+    /// word ends the sub-packet.
+    body: &'a [u8],
+}
+
+impl SubPacket<'_> {
+    /// The originating SSRC and sender info of an SR (whose body [`walk`]
+    /// has checked to be long enough).
+    fn sender_report(&self) -> (u32, SenderInfo) {
+        let body = self.body;
+        let info = SenderInfo {
+            ntp_timestamp: be64(body, 4),
+            rtp_timestamp: be32(body, 12),
+            packet_count: be32(body, 16),
+            octet_count: be32(body, 20),
+        };
+        (be32(body, 0), info)
     }
-    while rest.len() >= 4 {
-        if rest[0] >> 6 != 2 {
-            return Err(Error::Malformed);
-        }
-        let rc = rest[0] & 0x1F;
-        let pt = rest[1];
-        let len_words = be16(rest, 2) as usize;
-        let total = (len_words + 1) * 4;
-        if rest.len() < total {
-            return Err(Error::Truncated);
-        }
-        let body = &rest[4..total];
-        let item = match PacketType::from(pt) {
+
+    fn item(&self) -> Item {
+        let (rc, body) = (self.count, self.body);
+        match PacketType::from(self.packet_type) {
             PacketType::SenderReport => {
-                if body.len() < 24 {
-                    return Err(Error::Truncated);
-                }
+                let (ssrc, info) = self.sender_report();
                 Item::SenderReport {
-                    ssrc: be32(body, 0),
-                    info: SenderInfo {
-                        ntp_timestamp: be64(body, 4),
-                        rtp_timestamp: be32(body, 12),
-                        packet_count: be32(body, 16),
-                        octet_count: be32(body, 20),
-                    },
+                    ssrc,
+                    info,
                     report_count: rc,
                 }
             }
-            PacketType::ReceiverReport => {
-                if body.len() < 4 {
-                    return Err(Error::Truncated);
-                }
-                Item::ReceiverReport {
-                    ssrc: be32(body, 0),
-                    report_count: rc,
-                }
-            }
+            PacketType::ReceiverReport => Item::ReceiverReport {
+                ssrc: be32(body, 0),
+                report_count: rc,
+            },
             PacketType::SourceDescription => {
                 // Each chunk: SSRC + item list; Zoom emits chunks with a
                 // single terminating zero item. We collect chunk SSRCs.
@@ -372,17 +370,126 @@ pub fn parse_compound(data: &[u8]) -> Result<ItemList> {
                 Item::Bye { ssrcs }
             }
             _ => Item::Other {
-                packet_type: pt,
-                len: total,
+                packet_type: self.packet_type,
+                len: 4 + body.len(),
             },
+        }
+    }
+}
+
+/// Walk a compound RTCP packet, handing each sub-packet to `each` in
+/// order — the one validator behind [`parse_compound`] and [`summarize`].
+///
+/// Rejects buffers with a sub-packet that is not version 2, whose length
+/// word overruns the buffer, or (SR, RR) whose body is too short for its
+/// fixed fields. `each` may already have seen the sub-packets before the
+/// one that fails.
+fn walk<'a>(data: &'a [u8], mut each: impl FnMut(SubPacket<'a>)) -> Result<()> {
+    if data.len() < 4 {
+        return Err(Error::Truncated);
+    }
+    let mut rest = data;
+    while rest.len() >= 4 {
+        if rest[0] >> 6 != 2 {
+            return Err(Error::Malformed);
+        }
+        let total = (usize::from(be16(rest, 2)) + 1) * 4;
+        if rest.len() < total {
+            return Err(Error::Truncated);
+        }
+        let sub = SubPacket {
+            count: rest[0] & 0x1F,
+            packet_type: rest[1],
+            body: &rest[4..total],
         };
-        items.push(item);
+        let fixed = match PacketType::from(sub.packet_type) {
+            PacketType::SenderReport => 24,
+            PacketType::ReceiverReport => 4,
+            _ => 0,
+        };
+        if sub.body.len() < fixed {
+            return Err(Error::Truncated);
+        }
+        each(sub);
         rest = &rest[total..];
     }
-    if items.is_empty() {
-        return Err(Error::Malformed);
-    }
+    Ok(())
+}
+
+/// Parse a compound RTCP packet into its items.
+///
+/// Rejects buffers whose first sub-packet is not version 2 or whose length
+/// words overrun the buffer.
+pub fn parse_compound(data: &[u8]) -> Result<ItemList> {
+    let mut items = ItemList::new();
+    walk(data, |sub| items.push(sub.item()))?;
     Ok(items)
+}
+
+/// What the analysis reads of a compound RTCP packet: how many sub-packets
+/// it holds and its first sender report. [`summarize`] fills it from the
+/// same walk [`parse_compound`] makes, so it accepts exactly the compounds
+/// `parse_compound` accepts, with the same errors — without the
+/// [`ItemList`], whose inline items are 128 bytes a parsed packet would
+/// otherwise carry (and copy) whatever its type. The fields are flat
+/// so that the whole summary stays 32 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Summary {
+    items: u32,
+    has_sender_report: bool,
+    ssrc: u32,
+    ntp_timestamp: u64,
+    rtp_timestamp: u32,
+    packet_count: u32,
+    octet_count: u32,
+}
+
+impl Summary {
+    /// Sub-packets in the compound; 0 for a packet that carried none.
+    pub fn len(&self) -> usize {
+        self.items as usize
+    }
+
+    /// True when no compound was parsed.
+    pub fn is_empty(&self) -> bool {
+        self.items == 0
+    }
+
+    /// The originating SSRC and sender info of the compound's first SR,
+    /// wherever in the compound it sits.
+    pub fn sender_report(&self) -> Option<(u32, SenderInfo)> {
+        self.has_sender_report.then_some((
+            self.ssrc,
+            SenderInfo {
+                ntp_timestamp: self.ntp_timestamp,
+                rtp_timestamp: self.rtp_timestamp,
+                packet_count: self.packet_count,
+                octet_count: self.octet_count,
+            },
+        ))
+    }
+}
+
+/// Validate a compound RTCP packet exactly as [`parse_compound`] does and
+/// keep its [`Summary`]; allocates nothing.
+pub fn summarize(data: &[u8]) -> Result<Summary> {
+    let mut s = Summary::default();
+    walk(data, |sub| {
+        s.items += 1;
+        if !s.has_sender_report && PacketType::from(sub.packet_type) == PacketType::SenderReport {
+            let (ssrc, info) = sub.sender_report();
+            s = Summary {
+                has_sender_report: true,
+                ssrc,
+                ntp_timestamp: info.ntp_timestamp,
+                rtp_timestamp: info.rtp_timestamp,
+                packet_count: info.packet_count,
+                octet_count: info.octet_count,
+                ..s
+            };
+        }
+    })?;
+    Ok(s)
 }
 
 /// Search a buffer for any of the given SSRC values at 4-byte-aligned

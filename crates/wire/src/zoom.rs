@@ -466,7 +466,13 @@ impl MediaEncapRepr {
 }
 
 /// A fully parsed Zoom UDP payload: optional SFU encapsulation, media
-/// encapsulation, and the decoded inner RTP header or RTCP items.
+/// encapsulation, and the decoded inner RTP header or a summary of the
+/// RTCP compound.
+///
+/// Every field is a small value, so the packet stays small (80 bytes on a
+/// 64-bit target) and moves through the dissector in registers and short
+/// copies; the RTCP items themselves are rebuilt on demand from the bytes
+/// ([`ZoomPacket::rtcp_compound`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZoomPacket {
     /// Present on server-based traffic, absent on P2P.
@@ -475,8 +481,9 @@ pub struct ZoomPacket {
     pub media: MediaEncapRepr,
     /// Decoded RTP header for media types 13/15/16.
     pub rtp: Option<rtp::Repr>,
-    /// Decoded RTCP items for types 33/34.
-    pub rtcp: rtcp::ItemList,
+    /// Item count and first sender report of the RTCP compound for types
+    /// 33/34; empty for every other type.
+    pub rtcp: rtcp::Summary,
     /// Length in bytes of the RTP payload (media bytes after the RTP
     /// header), or of the undecoded remainder for other types.
     pub media_payload_len: usize,
@@ -488,6 +495,20 @@ impl ZoomPacket {
         self.rtp
             .as_ref()
             .map(|r| RtpPayloadKind::classify(self.media.media_type, r.payload_type))
+    }
+
+    /// Where the RTCP compound sits in `payload`, the bytes this packet
+    /// was [`parse`]d from (a dissection's
+    /// [`payload`](crate::dissect::Dissection::payload)): behind the SFU
+    /// encapsulation, if any, and the media encapsulation. `None` unless
+    /// the packet carried a compound. [`rtcp::parse_compound`] on the
+    /// slice yields every item [`ZoomPacket::rtcp`] summarizes.
+    pub fn rtcp_compound<'a>(&self, payload: &'a [u8]) -> Option<&'a [u8]> {
+        if self.rtcp.is_empty() {
+            return None;
+        }
+        let sfu = if self.sfu.is_some() { SFU_ENCAP_LEN } else { 0 };
+        payload.get(sfu + self.media.media_type.payload_offset()?..)
     }
 }
 
@@ -527,7 +548,7 @@ pub fn parse(payload: &[u8], wire_len: usize, framing: Framing) -> Result<ZoomPa
                         packets_in_frame: None,
                     },
                     rtp: None,
-                    rtcp: rtcp::ItemList::new(),
+                    rtcp: rtcp::Summary::default(),
                     media_payload_len: wire_len.saturating_sub(SFU_ENCAP_LEN),
                 });
             }
@@ -541,7 +562,7 @@ pub fn parse(payload: &[u8], wire_len: usize, framing: Framing) -> Result<ZoomPa
     let encap = MediaEncap::new_checked(media_bytes)?;
     let media = MediaEncapRepr::parse(&encap)?;
     let mut rtp_repr = None;
-    let mut rtcp_items = rtcp::ItemList::new();
+    let mut rtcp_summary = rtcp::Summary::default();
     let mut media_payload_len = 0;
 
     match media.media_type {
@@ -553,7 +574,7 @@ pub fn parse(payload: &[u8], wire_len: usize, framing: Framing) -> Result<ZoomPa
         }
         t if t.is_rtcp() => {
             let inner = encap.payload().expect("rtcp always has an offset");
-            rtcp_items = rtcp::parse_compound(inner)?;
+            rtcp_summary = rtcp::summarize(inner)?;
         }
         _ => {
             media_payload_len = media_wire_len.saturating_sub(1);
@@ -564,7 +585,7 @@ pub fn parse(payload: &[u8], wire_len: usize, framing: Framing) -> Result<ZoomPa
         sfu,
         media,
         rtp: rtp_repr,
-        rtcp: rtcp_items,
+        rtcp: rtcp_summary,
         media_payload_len,
     })
 }
@@ -746,12 +767,25 @@ mod tests {
                 packets_in_frame: None,
             },
             rtp: None,
-            payload: sr_buf,
+            payload: sr_buf.clone(),
         };
         let buf = b.build();
         let pkt = parse(&buf, buf.len(), Framing::Server).unwrap();
         assert_eq!(pkt.media.media_type, MediaType::RtcpSrSdes);
         assert_eq!(pkt.rtcp.len(), 2);
+        assert_eq!(pkt.rtcp.sender_report(), Some((0x21, sr.info)));
+        // The compound sits behind both encapsulations and re-walks into
+        // the items the summary counted.
+        let compound = pkt.rtcp_compound(&buf).unwrap();
+        assert_eq!(compound, &sr_buf[..]);
+        assert_eq!(rtcp::parse_compound(compound).unwrap().len(), 2);
+
+        let p2p = Builder { sfu: None, ..b }.build();
+        let pkt = parse(&p2p, p2p.len(), Framing::P2p).unwrap();
+        assert_eq!(pkt.rtcp_compound(&p2p), Some(&sr_buf[..]));
+        let video = video_builder().build();
+        let pkt = parse(&video, video.len(), Framing::Server).unwrap();
+        assert_eq!(pkt.rtcp_compound(&video), None);
     }
 
     #[test]

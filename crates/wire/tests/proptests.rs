@@ -303,6 +303,50 @@ proptest! {
         let _ = rtcp::parse_compound(&data);
     }
 
+    /// The summary a parsed Zoom packet keeps and the item list
+    /// `parse_compound` builds come from one walk: the same bytes are
+    /// accepted or refused with the same error, and the summary's item
+    /// count and first sender report are the list's. Checked on arbitrary
+    /// bytes and on compounds of every sub-packet type (SR and RR bodies
+    /// long enough or not) cut short or with one byte flipped.
+    #[test]
+    fn rtcp_summary_agrees_with_the_item_list(
+        subs in proptest::collection::vec((0u8..6, 0u8..32, 0u8..12), 1..6),
+        filler in proptest::collection::vec(any::<u8>(), 1..64),
+        cut in 0usize..300,
+        flip_at in 0usize..300,
+        flip: u8,
+        noise in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let mut compound = Vec::new();
+        for (i, &(kind, count, words)) in subs.iter().enumerate() {
+            let pt = [200u8, 201, 202, 203, 204]
+                .get(usize::from(kind))
+                .copied()
+                .unwrap_or(filler[0]);
+            compound.extend_from_slice(&[0x80 | count, pt, 0, words]);
+            compound.extend((0..usize::from(words) * 4).map(|j| filler[(i + j) % filler.len()]));
+        }
+        compound.truncate(cut);
+        if let Some(b) = compound.get_mut(flip_at) {
+            *b ^= flip;
+        }
+        for data in [&compound, &noise] {
+            match (rtcp::parse_compound(data), rtcp::summarize(data)) {
+                (Ok(items), Ok(summary)) => {
+                    prop_assert_eq!(summary.len(), items.len());
+                    let first_sr = items.iter().find_map(|item| match item {
+                        rtcp::Item::SenderReport { ssrc, info, .. } => Some((*ssrc, *info)),
+                        _ => None,
+                    });
+                    prop_assert_eq!(summary.sender_report(), first_sr);
+                }
+                (Err(list), Err(summary)) => prop_assert_eq!(list, summary),
+                (list, summary) => prop_assert!(false, "{:?} vs {:?} on {:?}", list, summary, data),
+            }
+        }
+    }
+
     #[test]
     fn rtcp_sr_roundtrips(ssrc: u32, ntp: u64, rts: u32, pk: u32, oc: u32, sdes: bool) {
         let sr = rtcp::SenderReportRepr {
@@ -327,6 +371,14 @@ proptest! {
             other => prop_assert!(false, "unexpected {:?}", other),
         }
         prop_assert_eq!(items.len(), if sdes { 2 } else { 1 });
+        let summary = rtcp::summarize(&buf).unwrap();
+        prop_assert_eq!(summary.len(), items.len());
+        prop_assert_eq!(summary.sender_report(), Some((ssrc, rtcp::SenderInfo {
+            ntp_timestamp: ntp,
+            rtp_timestamp: rts,
+            packet_count: pk,
+            octet_count: oc,
+        })));
     }
 
     #[test]

@@ -168,7 +168,7 @@ fn assert_capture_accounting(snap: &MetricsSnapshot, splits: &[Vec<Record>], lab
 }
 
 #[test]
-fn split_sources_byte_identical_to_single_source_at_1_2_8_shards() {
+fn split_sources_byte_identical_to_a_single_source() {
     let records = strictly_increasing_records(11, 30);
     assert!(records.len() > 1_000);
 

@@ -50,7 +50,7 @@ use crate::error::Error;
 use crate::fxhash::FxHashSet;
 use crate::meeting::MeetingGrouper;
 use crate::obs::trace::spans;
-use crate::obs::{trace, MetricsSnapshot, PipelineMetrics};
+use crate::obs::{MetricsSnapshot, PipelineMetrics};
 use crate::pipeline::{Analyzer, AnalyzerConfig};
 use crate::report::{
     build_report, AnalysisReport, MeetingWindow, RttSummaryReport, StreamReport, StreamWindow,
@@ -272,7 +272,6 @@ impl StreamingEngine {
     /// window keeps its index and stays open — its eventual close covers
     /// only post-checkpoint activity.
     pub fn checkpoint(&mut self) -> Result<WindowReport, Error> {
-        let _span = trace::span("engine.checkpoint");
         self.analyzer.flush_metrics();
         let t0 = Instant::now();
         let (start, end) = self.clock.open_span();
@@ -292,7 +291,6 @@ impl StreamingEngine {
     /// end-of-trace [`AnalysisReport`] (evicted fragments included), and
     /// the [`Analyzer`] over still-live state.
     pub fn drain(self) -> Result<EngineOutput, Error> {
-        let _span = trace::span("engine.drain");
         let StreamingEngine {
             mut analyzer,
             mut clock,

@@ -460,61 +460,6 @@ impl TraceCollector {
     }
 }
 
-// -------------------------------------------- legacy coarse span hooks --
-
-/// A coarse timed span around an engine operation (merge, checkpoint,
-/// drain); the pre-PR-10 verbose tier, kept for the `obs-trace` build.
-/// With the feature on it emits `[obs] span=… elapsed_us=…` to stderr on
-/// drop; off (the default) it is zero-sized and free.
-#[cfg(feature = "obs-trace")]
-pub struct Span {
-    name: &'static str,
-    start: Instant,
-}
-
-/// Open a coarse span around an operation (see [`Span`]).
-#[cfg(feature = "obs-trace")]
-#[must_use = "a span times until it is dropped"]
-pub fn span(name: &'static str) -> Span {
-    Span {
-        name,
-        start: Instant::now(),
-    }
-}
-
-#[cfg(feature = "obs-trace")]
-impl Drop for Span {
-    fn drop(&mut self) {
-        eprintln!(
-            "[obs] span={} elapsed_us={}",
-            self.name,
-            self.start.elapsed().as_micros()
-        );
-    }
-}
-
-/// Emit one structured stderr event line (`obs-trace` builds only).
-#[cfg(feature = "obs-trace")]
-pub fn event(name: &'static str, detail: &str) {
-    eprintln!("[obs] event={name} {detail}");
-}
-
-/// Zero-sized disabled span (default build).
-#[cfg(not(feature = "obs-trace"))]
-pub struct Span;
-
-/// No-op; returns a zero-sized [`Span`] (default build).
-#[cfg(not(feature = "obs-trace"))]
-#[inline(always)]
-pub fn span(_name: &'static str) -> Span {
-    Span
-}
-
-/// No-op (default build).
-#[cfg(not(feature = "obs-trace"))]
-#[inline(always)]
-pub fn event(_name: &'static str, _detail: &str) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,11 +620,5 @@ mod tests {
         let id = tc.sample().unwrap();
         tc.note_trace(id);
         assert_eq!(tc.last_trace_id(), id);
-    }
-
-    #[test]
-    fn legacy_span_stubs_still_compile() {
-        let _s = span("test");
-        event("test", "detail=1");
     }
 }

@@ -17,9 +17,11 @@
 //!   first. Empty body while tracing is disabled.
 //!
 //! Everything else is `404`, non-`GET` methods are `405`. Each request
-//! is served on the accept thread with a short read timeout, which is
-//! plenty for the intended single-scraper (Prometheus) deployment and
-//! keeps the implementation free of any thread-pool machinery.
+//! is served on the accept thread, and its whole request head must
+//! arrive within one short deadline, which is plenty for the intended
+//! single-scraper (Prometheus) deployment and keeps the implementation
+//! free of any thread-pool machinery: a slow client forfeits its request
+//! instead of holding the thread.
 //!
 //! The server holds only an `Arc<PipelineMetrics>`, so it can run next
 //! to any sink — including [`StreamingEngine`](crate::engine::StreamingEngine),
@@ -43,7 +45,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use super::PipelineMetrics;
 
@@ -51,8 +53,9 @@ use super::PipelineMetrics;
 /// both idle CPU cost and shutdown latency.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
-/// Per-connection read/write timeout; a scraper that stalls longer
-/// forfeits the request rather than wedging the accept loop.
+/// Per-connection budget for reading the whole request head, and the
+/// write timeout; a scraper that stalls longer forfeits the request
+/// rather than wedging the accept loop.
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// A running scrape endpoint; stops serving when shut down or dropped.
@@ -131,14 +134,21 @@ fn accept_loop(listener: TcpListener, metrics: Arc<PipelineMetrics>, stop: Arc<A
 
 fn handle_conn(mut stream: TcpStream, metrics: &PipelineMetrics) -> io::Result<()> {
     stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
 
-    // Read until the end of the request head (or the timeout). The
-    // request body, if any, is irrelevant to both routes.
+    // Read until the end of the request head or the deadline. One
+    // deadline bounds the whole head, not each read: a client dribbling
+    // a byte at a time must not hold the accept thread. The request
+    // body, if any, is irrelevant to every route.
+    let deadline = Instant::now() + IO_TIMEOUT;
     let mut buf = [0u8; 1024];
     let mut head = Vec::new();
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        stream.set_read_timeout(Some(left))?;
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
@@ -303,6 +313,41 @@ mod tests {
             s.join().expect("scraper thread panicked");
         }
         assert!(get(addr, "/metrics").contains("zoom_packets_in_total 2000"));
+        handle.shutdown();
+    }
+
+    /// A client that sends its request head one byte at a time gets the
+    /// same budget as any other: the accept thread moves on to the next
+    /// connection well before the dribble would finish.
+    #[test]
+    fn a_dribbling_client_does_not_block_other_scrapes() {
+        let metrics = Arc::new(PipelineMetrics::new());
+        let handle = serve("127.0.0.1:0", Arc::clone(&metrics)).unwrap();
+        let addr = handle.addr();
+
+        let mut slow = TcpStream::connect(addr).unwrap();
+        let (connected, first_byte) = std::sync::mpsc::channel();
+        let dribbler = thread::spawn(move || {
+            slow.write_all(b"G").unwrap();
+            connected.send(()).unwrap();
+            // 38 bytes at 100 ms each: ~4 s if the server waited for all.
+            for &b in b"ET /metrics HTTP/1.1\r\nHost: dribble\r\n\r\n" {
+                thread::sleep(Duration::from_millis(100));
+                if slow.write_all(&[b]).is_err() {
+                    break;
+                }
+            }
+        });
+        first_byte.recv().unwrap();
+        // Let the accept thread pick up the dribbling connection first.
+        thread::sleep(Duration::from_millis(100));
+
+        let start = Instant::now();
+        let health = get(addr, "/healthz");
+        let took = start.elapsed();
+        assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
+        assert!(took < Duration::from_millis(1_500), "healthz took {took:?}");
+        dribbler.join().expect("dribbler panicked");
         handle.shutdown();
     }
 

@@ -339,14 +339,12 @@ pub fn fig11(args: &ExpArgs) {
     for record in sim {
         analyzer.process_packet(record.ts_nanos, &record.data, LinkType::Ethernet);
     }
-    let rtp = analyzer.rtp_rtt_samples();
+    let rtp: Vec<_> = analyzer.rtp_rtt_samples().collect();
     let server: std::net::IpAddr = "170.114.1.10".parse().unwrap();
     let tcp_server = analyzer.tcp_rtt().samples_to(server);
     let tcp_clients: Vec<_> = analyzer
         .tcp_rtt_samples()
-        .iter()
         .filter(|s| s.to != server)
-        .copied()
         .collect();
     let mean = |v: &[zoom_analysis::metrics::latency::RttSample]| {
         v.iter().map(|s| s.rtt_ms()).sum::<f64>() / v.len().max(1) as f64
@@ -355,7 +353,7 @@ pub fn fig11(args: &ExpArgs) {
     println!(
         "  (1) RTP stream copies:   {:>6} samples, mean RTT to SFU {:.1} ms",
         rtp.len(),
-        mean(rtp)
+        mean(&rtp)
     );
     println!(
         "  (2) TCP to server:       {:>6} samples, mean {:.1} ms",
@@ -380,7 +378,6 @@ pub fn fig11(args: &ExpArgs) {
             .chain(
                 analyzer
                     .tcp_rtt_samples()
-                    .iter()
                     .map(|s| format!("tcp,{:.3},{:.3},{}", s.at as f64 / 1e9, s.rtt_ms(), s.to)),
             ),
     );

@@ -63,6 +63,7 @@ use std::io::Write as _;
 use std::time::Duration;
 use zoom_analysis::engine::{EngineConfig, QoeThresholds, StreamingEngine};
 use zoom_analysis::features;
+use zoom_analysis::meeting::sorted_addrs;
 use zoom_analysis::obs::serve;
 use zoom_analysis::metrics::stall::{analyze as stall_analyze, StallConfig};
 use zoom_analysis::obs::MetricsSnapshot;
@@ -363,26 +364,27 @@ pub(crate) fn print_report(analyzer: &Analyzer, flags: &HashMap<String, String>)
 
     // RTT context feeds the stall analysis threshold.
     let rtts = analyzer.rtp_rtt_samples();
-    let mean_rtt_nanos = if rtts.is_empty() {
+    let rtt_count = rtts.len();
+    let mean_rtt_nanos = if rtt_count == 0 {
         50_000_000
     } else {
-        (rtts.iter().map(|s| s.rtt_nanos).sum::<u64>() / rtts.len() as u64).max(1)
+        (rtts.map(|s| s.rtt_nanos).sum::<u64>() / rtt_count as u64).max(1)
     };
 
     println!("\n=== meetings ===");
     for m in analyzer.meetings() {
         println!(
-            "meeting {}: {} visible participant(s), {} stream(s), servers {:?}",
+            "meeting {}: {} visible participant(s), {} stream(s), servers {{{}}}",
             m.id,
             m.participant_estimate,
             m.streams.len(),
-            m.servers
+            sorted_addrs(&m.servers).join(", ")
         );
     }
 
     println!("\n=== streams ===");
     for s in analyzer.streams().iter() {
-        let frames = s.frames.as_ref().map(|f| f.frames().len()).unwrap_or(0);
+        let frames = s.frames.as_ref().map_or(0, |f| f.frame_count());
         print!(
             "  {} ssrc=0x{:02x} [{}] pkts={} rate={:.0} kbit/s frames={} jitter={:.2} ms",
             s.key.flow,
@@ -413,20 +415,17 @@ pub(crate) fn print_report(analyzer: &Analyzer, flags: &HashMap<String, String>)
         println!();
     }
 
-    if !rtts.is_empty() {
+    if rtt_count > 0 {
         println!(
-            "\nRTT to SFU (RTP copies): {} samples, mean {:.1} ms",
-            rtts.len(),
+            "\nRTT to SFU (RTP copies): {rtt_count} samples, mean {:.1} ms",
             mean_rtt_nanos as f64 / 1e6
         );
     }
     let tcp = analyzer.tcp_rtt_samples();
-    if !tcp.is_empty() {
-        let mean = tcp.iter().map(|s| s.rtt_ms()).sum::<f64>() / tcp.len() as f64;
-        println!(
-            "RTT via TCP control:     {} samples, mean {mean:.1} ms",
-            tcp.len()
-        );
+    let tcp_count = tcp.len();
+    if tcp_count > 0 {
+        let mean = tcp.map(|s| s.rtt_ms()).sum::<f64>() / tcp_count as f64;
+        println!("RTT via TCP control:     {tcp_count} samples, mean {mean:.1} ms");
     }
 
     export_features(analyzer, flags)?;

@@ -381,6 +381,48 @@ fn simulate_refuses_a_campus_trace_under_a_minute() {
     assert!(!out.exists(), "an output was left behind");
 }
 
+/// The text report lists each meeting's servers sorted, as the JSON
+/// report does, so two runs of the same trace print the same bytes.
+#[test]
+fn text_analyze_prints_the_same_bytes_every_run() {
+    // Thirty seconds of the P2P scenario: the meeting moves from the SFU
+    // to a peer, so it has two servers.
+    let raw = tmp("text_raw.pcap");
+    let (_, err, ok) = run(&[
+        "simulate",
+        raw.to_str().unwrap(),
+        "--seconds",
+        "30",
+        "--seed",
+        "7",
+        "--scenario",
+        "p2p",
+    ]);
+    assert!(ok, "simulate failed: {err}");
+    let (first, err, ok) = run(&["analyze", raw.to_str().unwrap()]);
+    assert!(ok, "analyze failed: {err}");
+    let servers: Vec<&str> = first
+        .lines()
+        .filter_map(|l| {
+            l.split_once("servers {")
+                .map(|(_, rest)| rest.trim_end_matches('}'))
+        })
+        .collect();
+    assert!(
+        servers.iter().any(|list| list.contains(", ")),
+        "no meeting with two servers to order: {first}"
+    );
+    for list in &servers {
+        let addrs: Vec<&str> = list.split(", ").collect();
+        assert!(addrs.windows(2).all(|w| w[0] < w[1]), "unsorted: {list}");
+    }
+    for _ in 0..3 {
+        let (again, _, ok) = run(&["analyze", raw.to_str().unwrap()]);
+        assert!(ok);
+        assert_eq!(again, first);
+    }
+}
+
 #[test]
 fn streaming_analyze_emits_windows_then_final() {
     let raw = tmp("stream_raw.pcap");

@@ -475,9 +475,9 @@ impl WindowClock {
 
         totals.active_streams = streams.iter().filter(|r| r.packets > 0).count() as u64;
         totals.meetings = analyzer.grouper.meeting_count();
-        let rtt_samples = analyzer.rtp_rtt.samples();
-        totals.rtp_rtt = RttSummaryReport::from_samples(&rtt_samples[self.rtt_mark..]);
-        self.rtt_mark = rtt_samples.len();
+        let rtt_log = analyzer.rtp_rtt.log();
+        totals.rtp_rtt = RttSummaryReport::from_nanos(rtt_log.rtt_nanos_since(self.rtt_mark));
+        self.rtt_mark = rtt_log.len();
         totals.tracked_entries = analyzer.streams.flow_count()
             + analyzer.streams.len()
             + analyzer.p2p_endpoints.len()

@@ -94,6 +94,14 @@ pub struct MeetingReport {
     pub participant_estimate: usize,
 }
 
+/// A meeting's client or server set as strings, sorted: the order every
+/// report prints them in (the set's own order changes run to run).
+pub fn sorted_addrs(addrs: &HashSet<IpAddr>) -> Vec<String> {
+    let mut out: Vec<String> = addrs.iter().map(IpAddr::to_string).collect();
+    out.sort();
+    out
+}
+
 /// Union–find over meeting ids.
 #[derive(Debug, Default)]
 struct UnionFind {

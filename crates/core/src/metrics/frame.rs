@@ -16,9 +16,8 @@
 
 use super::VIDEO_SAMPLING_RATE;
 use crate::{position_hinted, RecentTimestamps};
-use std::collections::VecDeque;
 
-/// One fully delivered frame.
+/// One fully delivered frame, as [`FrameTracker::frames`] yields it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameRecord {
     /// Arrival time of the first packet of the frame.
@@ -66,6 +65,35 @@ pub enum Completion {
     MarkerBit,
 }
 
+/// A completed frame as the tracker keeps it: 32 bytes where a
+/// [`FrameRecord`] takes 48. The encoder interval is not stored — it is a
+/// function of this frame's and the previous entry's RTP timestamps, and
+/// [`FrameTracker::frames`] derives it on the way out.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameEntry {
+    first_packet_at: u64,
+    completed_at: u64,
+    rtp_timestamp: u32,
+    size_bytes: u32,
+    packets: u32,
+}
+
+/// Method 2: the encoder's frame interval implied by the RTP timestamp
+/// step from the previous completed frame, in nanoseconds. Rejects a zero
+/// step and wraps/reorders that imply absurd intervals.
+fn encoder_interval_nanos(
+    prev: Option<u32>,
+    rtp_timestamp: u32,
+    sampling_rate: u32,
+) -> Option<u64> {
+    let delta = rtp_timestamp.wrapping_sub(prev?);
+    if delta == 0 || delta > sampling_rate * 30 {
+        None
+    } else {
+        Some(u64::from(delta) * 1_000_000_000 / u64::from(sampling_rate))
+    }
+}
+
 #[derive(Debug)]
 struct Pending {
     rtp_timestamp: u32,
@@ -88,11 +116,9 @@ pub struct FrameTracker {
     pending: Vec<Pending>,
     /// Index into `pending` of the frame the previous packet joined.
     last_hit: usize,
-    completed: Vec<FrameRecord>,
-    /// Completion times within the trailing window (method 1's circular
-    /// buffer).
-    recent: VecDeque<u64>,
-    last_completed_ts: Option<u32>,
+    /// Every completed frame, in completion order — the one record kept
+    /// per frame for the whole run.
+    completed: Vec<FrameEntry>,
     /// Timestamps of recently completed frames: a retransmitted duplicate
     /// arriving after completion must not re-open (and re-count) the
     /// frame.
@@ -127,8 +153,6 @@ impl FrameTracker {
             pending: Vec::new(),
             last_hit: 0,
             completed: Vec::new(),
-            recent: VecDeque::new(),
-            last_completed_ts: None,
             completed_ts: RecentTimestamps::new(),
             spare_seqs: Vec::new(),
         }
@@ -189,25 +213,17 @@ impl FrameTracker {
         };
         if complete {
             let mut p = self.pending.remove(slot);
-            let encoder_interval_nanos = self.last_completed_ts.and_then(|prev| {
-                let delta = rtp_timestamp.wrapping_sub(prev);
-                // Reject wraps/reorders that imply absurd intervals.
-                if delta == 0 || delta > self.sampling_rate * 30 {
-                    None
-                } else {
-                    Some(u64::from(delta) * 1_000_000_000 / u64::from(self.sampling_rate))
-                }
-            });
-            self.last_completed_ts = Some(rtp_timestamp);
-            self.completed.push(FrameRecord {
+            // A frame holds at most 65 536 distinct sequence numbers of
+            // at most 65 535 payload bytes each (a UDP datagram's length
+            // is 16 bits): under 2^32 bytes, so this never saturates.
+            let size_bytes = u32::try_from(p.bytes).unwrap_or(u32::MAX);
+            self.completed.push(FrameEntry {
                 first_packet_at: p.first_at,
                 completed_at: at,
                 rtp_timestamp,
-                size_bytes: p.bytes,
+                size_bytes,
                 packets: p.seqs.len() as u32,
-                encoder_interval_nanos,
             });
-            self.recent.push_back(at);
             self.completed_ts.push(rtp_timestamp);
             if self.spare_seqs.len() < SPARE_SEQS {
                 p.seqs.clear();
@@ -230,21 +246,38 @@ impl FrameTracker {
     }
 
     /// Method 1's instantaneous frame rate: completed frames within the
-    /// second before `now`.
-    pub fn instantaneous_fps(&mut self, now: u64) -> usize {
-        while let Some(&front) = self.recent.front() {
-            if now.saturating_sub(front) > 1_000_000_000 {
-                self.recent.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.recent.len()
+    /// second before `now`, counted back from the newest.
+    pub fn instantaneous_fps(&self, now: u64) -> usize {
+        self.completed
+            .iter()
+            .rev()
+            .take_while(|e| now.saturating_sub(e.completed_at) <= 1_000_000_000)
+            .count()
     }
 
     /// All completed frames, in completion order.
-    pub fn frames(&self) -> &[FrameRecord] {
-        &self.completed
+    pub fn frames(&self) -> impl ExactSizeIterator<Item = FrameRecord> + '_ {
+        let log = &self.completed;
+        log.iter().enumerate().map(move |(i, e)| {
+            let prev = i.checked_sub(1).map(|p| log[p].rtp_timestamp);
+            FrameRecord {
+                first_packet_at: e.first_packet_at,
+                completed_at: e.completed_at,
+                rtp_timestamp: e.rtp_timestamp,
+                size_bytes: e.size_bytes as usize,
+                packets: e.packets,
+                encoder_interval_nanos: encoder_interval_nanos(
+                    prev,
+                    e.rtp_timestamp,
+                    self.sampling_rate,
+                ),
+            }
+        })
+    }
+
+    /// Number of completed frames.
+    pub fn frame_count(&self) -> usize {
+        self.completed.len()
     }
 
     /// Frames that never completed (lost packets).
@@ -272,6 +305,10 @@ mod tests {
 
     const MS: u64 = 1_000_000;
 
+    fn frames(t: &FrameTracker) -> Vec<FrameRecord> {
+        t.frames().collect()
+    }
+
     /// Feed a 3-packet frame at the given base time/timestamp.
     fn feed_frame(t: &mut FrameTracker, at: u64, ts: u32, seq0: u16) {
         t.on_packet(at, ts, seq0, false, 1_000, Some(3));
@@ -284,7 +321,7 @@ mod tests {
         let mut t = FrameTracker::video();
         feed_frame(&mut t, 1_000 * MS, 90_000, 1);
         assert_eq!(t.frames().len(), 1);
-        let f = &t.frames()[0];
+        let f = &frames(&t)[0];
         assert_eq!(f.size_bytes, 2_500);
         assert_eq!(f.packets, 3);
         assert_eq!(f.frame_delay_nanos(), MS / 2);
@@ -301,7 +338,7 @@ mod tests {
         t.on_packet(10 * MS, 100, 1, false, 500, Some(2));
         t.on_packet(9 * MS, 100, 2, true, 500, Some(2));
         assert_eq!(t.frames().len(), 1);
-        let f = &t.frames()[0];
+        let f = &frames(&t)[0];
         assert!(f.completed_at < f.first_packet_at);
         assert_eq!(f.frame_delay_nanos(), 0);
     }
@@ -334,7 +371,7 @@ mod tests {
         let mut t = FrameTracker::video();
         feed_frame(&mut t, 1_000 * MS, 90_000, 1);
         feed_frame(&mut t, 1_033 * MS, 90_000 + 3_000, 10); // Δ=3000 ticks = 1/30 s
-        let f = &t.frames()[1];
+        let f = &frames(&t)[1];
         assert_eq!(f.encoder_interval_nanos, Some(33_333_333));
         assert!((f.encoder_fps().unwrap() - 30.0).abs() < 0.01);
     }
@@ -345,10 +382,10 @@ mod tests {
         t.on_packet(0, 100, 1, false, 500, Some(3));
         t.on_packet(MS, 100, 1, false, 500, Some(3)); // retransmission
         t.on_packet(2 * MS, 100, 2, false, 500, Some(3));
-        assert!(t.frames().is_empty());
+        assert_eq!(t.frame_count(), 0);
         t.on_packet(3 * MS, 100, 3, true, 500, Some(3));
         assert_eq!(t.frames().len(), 1);
-        assert_eq!(t.frames()[0].size_bytes, 1_500);
+        assert_eq!(frames(&t)[0].size_bytes, 1_500);
     }
 
     #[test]
@@ -356,10 +393,10 @@ mod tests {
         let mut t = FrameTracker::screen_share();
         t.on_packet(0, 200, 1, false, 1_000, None);
         t.on_packet(MS, 200, 2, false, 1_000, None);
-        assert!(t.frames().is_empty());
+        assert_eq!(t.frame_count(), 0);
         t.on_packet(2 * MS, 200, 3, true, 300, None);
         assert_eq!(t.frames().len(), 1);
-        assert_eq!(t.frames()[0].size_bytes, 2_300);
+        assert_eq!(frames(&t)[0].size_bytes, 2_300);
     }
 
     #[test]
@@ -411,7 +448,7 @@ mod tests {
                 Some(2),
             );
         }
-        assert!(t.frames().is_empty());
+        assert_eq!(t.frame_count(), 0);
         assert!(t.incomplete() > 0);
         // Much later, a new packet triggers the purge path.
         t.on_packet(60_000 * MS, 999_999, 9_999, false, 10, Some(2));
@@ -425,9 +462,43 @@ mod tests {
         feed_frame(&mut t, 33 * MS, 50, 10); // wraps
                                              // Wrap of ~150 ticks is tiny and fine; a huge "backwards" wrap is
                                              // what gets rejected:
-        let f = &t.frames()[1];
+        let f = &frames(&t)[1];
         assert!(f.encoder_interval_nanos.is_some());
         feed_frame(&mut t, 66 * MS, 40, 20); // goes backwards → huge delta
-        assert_eq!(t.frames()[2].encoder_interval_nanos, None);
+        assert_eq!(frames(&t)[2].encoder_interval_nanos, None);
+    }
+
+    #[test]
+    fn frames_rederive_each_interval_from_the_previous_entry() {
+        // The timestamps of the cases above, in one stream: a first
+        // frame, a 1/30 s step, a huge forward jump, a 151-tick wrap
+        // past u32::MAX, and a step backwards.
+        let steps: [(u32, Option<u64>); 5] = [
+            (90_000, None),
+            (93_000, Some(33_333_333)),
+            (u32::MAX - 100, None),
+            (50, Some(151 * 1_000_000_000 / 90_000)),
+            (40, None),
+        ];
+        let mut t = FrameTracker::video();
+        for (i, &(ts, _)) in steps.iter().enumerate() {
+            feed_frame(&mut t, i as u64 * 33 * MS, ts, i as u16 * 10);
+        }
+        // A repeated timestamp cannot complete twice in a row through
+        // `on_packet` (`completed_ts` drops it), so append the zero step
+        // to the log directly: it must read back as no interval.
+        let last = *t.completed.last().unwrap();
+        t.completed.push(FrameEntry {
+            completed_at: last.completed_at + 33 * MS,
+            ..last
+        });
+        let got: Vec<Option<u64>> = t.frames().map(|f| f.encoder_interval_nanos).collect();
+        let mut want: Vec<Option<u64>> = steps.iter().map(|&(_, w)| w).collect();
+        want.push(None);
+        assert_eq!(got, want);
+        assert_eq!(t.frames().len(), 6);
+        assert!(frames(&t)
+            .iter()
+            .all(|f| f.size_bytes == 2_500 && f.packets == 3));
     }
 }

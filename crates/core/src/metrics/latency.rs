@@ -40,6 +40,91 @@ impl RttSample {
     }
 }
 
+/// One RTT observation as an [`RttLog`] keeps it: 24 bytes where an
+/// [`RttSample`] takes 40, because the responder is an index into the
+/// log's intern table rather than an `IpAddr`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RttEntry {
+    at: u64,
+    rtt_nanos: u64,
+    to: u32,
+}
+
+/// Every RTT sample of one estimator, in match order, with responder
+/// addresses interned: a run has many samples but few responders (the
+/// SFUs, the control servers, the campus clients that ACK).
+#[derive(Debug, Default)]
+pub struct RttLog {
+    entries: Vec<RttEntry>,
+    /// Distinct responders, by first appearance.
+    responders: Vec<IpAddr>,
+    /// Responder → its index in `responders`. The addresses come off the
+    /// wire, so lookups go through a hash, never a scan.
+    index: FxHashMap<IpAddr, u32>,
+    /// The responder interned last: consecutive matches mostly come
+    /// from the same SFU.
+    last: Option<(IpAddr, u32)>,
+}
+
+impl RttLog {
+    fn push(&mut self, at: u64, rtt_nanos: u64, to: IpAddr) {
+        let to = match self.last {
+            Some((ip, i)) if ip == to => i,
+            _ => {
+                let responders = &mut self.responders;
+                let i = *self.index.entry(to).or_insert_with(|| {
+                    responders.push(to);
+                    u32::try_from(responders.len() - 1).expect("under 2^32 responders")
+                });
+                self.last = Some((to, i));
+                i
+            }
+        };
+        self.entries.push(RttEntry { at, rtt_nanos, to });
+    }
+
+    fn sample(&self, e: &RttEntry) -> RttSample {
+        RttSample {
+            at: e.at,
+            rtt_nanos: e.rtt_nanos,
+            to: self.responders[e.to as usize],
+        }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether no sample was taken yet.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// All samples, in match order.
+    pub fn samples(&self) -> impl ExactSizeIterator<Item = RttSample> + '_ {
+        self.entries.iter().map(|e| self.sample(e))
+    }
+
+    /// Round-trip times of the samples from index `from` on — what a
+    /// window summarises since its previous close.
+    pub fn rtt_nanos_since(&self, from: usize) -> impl Iterator<Item = u64> + '_ {
+        self.entries[from..].iter().map(|e| e.rtt_nanos)
+    }
+
+    /// Samples attributed to a particular responder.
+    pub fn samples_to(&self, ip: IpAddr) -> Vec<RttSample> {
+        let Some(&i) = self.index.get(&ip) else {
+            return Vec::new();
+        };
+        self.entries
+            .iter()
+            .filter(|e| e.to == i)
+            .map(|e| self.sample(e))
+            .collect()
+    }
+}
+
 /// Method 1: RTT to the SFU by matching forwarded stream copies.
 #[derive(Debug)]
 pub struct RtpRttEstimator {
@@ -48,7 +133,7 @@ pub struct RtpRttEstimator {
     /// Insertion order for eviction.
     order: VecDeque<(u128, u64)>,
     window_nanos: u64,
-    samples: Vec<RttSample>,
+    log: RttLog,
 }
 
 impl Default for RtpRttEstimator {
@@ -64,7 +149,7 @@ impl RtpRttEstimator {
             outstanding: FxHashMap::default(),
             order: VecDeque::new(),
             window_nanos,
-            samples: Vec::new(),
+            log: RttLog::default(),
         }
     }
 
@@ -90,11 +175,11 @@ impl RtpRttEstimator {
             }
             Direction::FromServer => {
                 if let Some(t_out) = self.outstanding.remove(&key) {
-                    self.samples.push(RttSample {
-                        at: ts_nanos,
-                        rtt_nanos: ts_nanos.saturating_sub(t_out),
-                        to: m.five_tuple.src_ip,
-                    });
+                    self.log.push(
+                        ts_nanos,
+                        ts_nanos.saturating_sub(t_out),
+                        m.five_tuple.src_ip,
+                    );
                 }
             }
             Direction::Unknown => {}
@@ -126,8 +211,13 @@ impl RtpRttEstimator {
     }
 
     /// All samples so far.
-    pub fn samples(&self) -> &[RttSample] {
-        &self.samples
+    pub fn samples(&self) -> impl ExactSizeIterator<Item = RttSample> + '_ {
+        self.log.samples()
+    }
+
+    /// The sample log itself.
+    pub fn log(&self) -> &RttLog {
+        &self.log
     }
 
     /// Unmatched uplink packets currently held.
@@ -143,7 +233,7 @@ pub struct TcpRttEstimator {
     pending: FxHashMap<(FiveTuple, u32), u64>,
     order: VecDeque<((FiveTuple, u32), u64)>,
     window_nanos: u64,
-    samples: Vec<RttSample>,
+    log: RttLog,
 }
 
 impl Default for TcpRttEstimator {
@@ -159,7 +249,7 @@ impl TcpRttEstimator {
             pending: FxHashMap::default(),
             order: VecDeque::new(),
             window_nanos,
-            samples: Vec::new(),
+            log: RttLog::default(),
         }
     }
 
@@ -178,11 +268,11 @@ impl TcpRttEstimator {
         if t.has_ack {
             let key = (t.five_tuple.reversed(), t.ack);
             if let Some(t_data) = self.pending.remove(&key) {
-                self.samples.push(RttSample {
-                    at: t.ts_nanos,
-                    rtt_nanos: t.ts_nanos.saturating_sub(t_data),
-                    to: t.five_tuple.src_ip,
-                });
+                self.log.push(
+                    t.ts_nanos,
+                    t.ts_nanos.saturating_sub(t_data),
+                    t.five_tuple.src_ip,
+                );
             }
         }
     }
@@ -203,17 +293,18 @@ impl TcpRttEstimator {
     }
 
     /// All samples so far.
-    pub fn samples(&self) -> &[RttSample] {
-        &self.samples
+    pub fn samples(&self) -> impl ExactSizeIterator<Item = RttSample> + '_ {
+        self.log.samples()
+    }
+
+    /// The sample log itself.
+    pub fn log(&self) -> &RttLog {
+        &self.log
     }
 
     /// Samples attributed to a particular responder.
     pub fn samples_to(&self, ip: IpAddr) -> Vec<RttSample> {
-        self.samples
-            .iter()
-            .filter(|s| s.to == ip)
-            .copied()
-            .collect()
+        self.log.samples_to(ip)
     }
 }
 
@@ -221,7 +312,7 @@ impl TcpRttEstimator {
 mod tests {
     use super::*;
     use crate::packet::RtpMeta;
-    use std::net::Ipv4Addr;
+    use std::net::{Ipv4Addr, Ipv6Addr};
     use zoom_wire::ipv4::Protocol;
     use zoom_wire::zoom::{Framing, MediaType, RtpPayloadKind};
 
@@ -279,7 +370,7 @@ mod tests {
         e.on_packet(&media(1_000 * MS, Direction::ToServer, 5));
         e.on_packet(&media(1_046 * MS, Direction::FromServer, 5));
         assert_eq!(e.samples().len(), 1);
-        let s = e.samples()[0];
+        let s = e.samples().next().unwrap();
         assert_eq!(s.rtt_nanos, 46 * MS);
         assert!((s.rtt_ms() - 46.0).abs() < 1e-9);
         assert_eq!(s.to, IpAddr::V4(Ipv4Addr::new(170, 114, 0, 9)));
@@ -293,7 +384,7 @@ mod tests {
         let mut other_pt = media(12 * MS, Direction::FromServer, 5);
         other_pt.rtp.as_mut().unwrap().payload_type = 110;
         e.on_packet(&other_pt);
-        assert!(e.samples().is_empty());
+        assert!(e.log().is_empty());
     }
 
     #[test]
@@ -302,7 +393,7 @@ mod tests {
         e.on_packet(&media(0, Direction::ToServer, 5));
         e.on_packet(&media(130 * MS, Direction::ToServer, 5)); // retransmit
         e.on_packet(&media(150 * MS, Direction::FromServer, 5));
-        assert_eq!(e.samples()[0].rtt_nanos, 150 * MS);
+        assert_eq!(e.samples().next().unwrap().rtt_nanos, 150 * MS);
     }
 
     #[test]
@@ -313,7 +404,7 @@ mod tests {
         e.on_packet(&media(5_000 * MS, Direction::ToServer, 6));
         assert_eq!(e.outstanding(), 1);
         e.on_packet(&media(5_010 * MS, Direction::FromServer, 5));
-        assert!(e.samples().is_empty());
+        assert!(e.log().is_empty());
     }
 
     fn tcp(at: u64, up: bool, seq: u32, ack: u32, len: usize) -> TcpMeta {
@@ -368,7 +459,7 @@ mod tests {
         let mut e = TcpRttEstimator::default();
         e.on_segment(&tcp(0, true, 1_000, 0, 100));
         e.on_segment(&tcp(40 * MS, false, 500, 1_050, 0)); // acks half
-        assert!(e.samples().is_empty());
+        assert!(e.log().is_empty());
     }
 
     #[test]
@@ -383,6 +474,64 @@ mod tests {
             0,
         ));
         assert_eq!(e.samples().len(), 1);
-        assert_eq!(e.samples()[0].rtt_nanos, 25 * MS);
+        assert_eq!(e.samples().next().unwrap().rtt_nanos, 25 * MS);
+    }
+
+    #[test]
+    fn interleaved_v4_and_v6_responders_keep_their_samples() {
+        let v4 = IpAddr::V4(Ipv4Addr::new(170, 114, 0, 9));
+        let v6 = IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 9));
+        // The v4-mapped form of `v4` is a distinct responder.
+        let mapped = IpAddr::V6(Ipv4Addr::new(170, 114, 0, 9).to_ipv6_mapped());
+        let mut log = RttLog::default();
+        let order = [v4, v6, v6, v4, mapped, v6, v4, mapped];
+        for (i, &to) in order.iter().enumerate() {
+            log.push(i as u64 * MS, (i as u64 + 1) * MS, to);
+        }
+        assert_eq!(log.len(), order.len());
+        assert_eq!(log.responders.len(), 3);
+        let all: Vec<RttSample> = log.samples().collect();
+        for (i, s) in all.iter().enumerate() {
+            assert_eq!(
+                (s.at, s.rtt_nanos, s.to),
+                (i as u64 * MS, (i as u64 + 1) * MS, order[i])
+            );
+        }
+        for to in [v4, v6, mapped] {
+            let want: Vec<RttSample> = all.iter().filter(|s| s.to == to).copied().collect();
+            assert_eq!(log.samples_to(to), want);
+        }
+        assert_eq!(log.samples_to(v4).len(), 3);
+        assert_eq!(log.samples_to(v6).len(), 3);
+        assert_eq!(log.samples_to(mapped).len(), 2);
+        assert!(log
+            .samples_to(IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)))
+            .is_empty());
+        assert_eq!(log.rtt_nanos_since(6).collect::<Vec<_>>(), [7 * MS, 8 * MS]);
+    }
+
+    #[test]
+    fn ten_thousand_responders_intern_once_each() {
+        let responder = |i: u32| {
+            if i.is_multiple_of(2) {
+                IpAddr::V4(Ipv4Addr::from(0x0a00_0000 + i))
+            } else {
+                IpAddr::V6(Ipv6Addr::from(0x2001_0db8_u128 << 96 | u128::from(i)))
+            }
+        };
+        let mut log = RttLog::default();
+        for i in 0..10_000u32 {
+            log.push(u64::from(i), u64::from(i) + 1, responder(i));
+        }
+        assert_eq!(log.responders.len(), 10_000);
+        assert_eq!(log.len(), 10_000);
+        for i in 0..10_000u32 {
+            let got = log.samples_to(responder(i));
+            assert_eq!(got.len(), 1, "responder {i}");
+            assert_eq!(
+                (got[0].at, got[0].rtt_nanos),
+                (u64::from(i), u64::from(i) + 1)
+            );
+        }
     }
 }

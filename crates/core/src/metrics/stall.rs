@@ -86,26 +86,24 @@ impl Default for StallConfig {
 ///
 /// `frames` must be in completion order (as produced by
 /// [`crate::metrics::frame::FrameTracker::frames`]).
-pub fn analyze(frames: &[FrameRecord], config: StallConfig) -> StallReport {
-    let mut report = StallReport {
-        frames: frames.len(),
-        ..Default::default()
-    };
+pub fn analyze(frames: impl IntoIterator<Item = FrameRecord>, config: StallConfig) -> StallReport {
+    let mut report = StallReport::default();
     let retx_threshold = config.rtt_nanos + ZOOM_RETRANSMIT_TIMEOUT_NANOS;
 
     // Playable media in the buffer, nanoseconds. Starts full (initial
     // buffering is not a stall).
     let mut buffer = config.jitter_buffer_nanos as i64;
     let mut stall_start: Option<u64> = None;
+    let mut prev: Option<FrameRecord> = None;
 
-    for (i, f) in frames.iter().enumerate() {
+    for f in frames {
+        report.frames += 1;
         if f.frame_delay_nanos() > retx_threshold {
             report.retransmission_recovered += 1;
         }
-        if i == 0 {
+        let Some(prev) = prev.replace(f) else {
             continue;
-        }
-        let prev = &frames[i - 1];
+        };
         // Media time this frame adds (the packetization interval).
         let media = f.encoder_interval_nanos.unwrap_or(0) as i64;
         if let Some(start) = stall_start {
@@ -135,7 +133,7 @@ pub fn analyze(frames: &[FrameRecord], config: StallConfig) -> StallReport {
         }
     }
     if let Some(start) = stall_start {
-        if let Some(last) = frames.last() {
+        if let Some(last) = prev {
             if last.completed_at > start {
                 let stall = Stall {
                     start,
@@ -171,7 +169,7 @@ mod tests {
 
     #[test]
     fn steady_stream_never_stalls() {
-        let report = analyze(&steady(300, 33), StallConfig::default());
+        let report = analyze(steady(300, 33), StallConfig::default());
         assert!(report.stalls.is_empty());
         assert_eq!(report.stalled_nanos, 0);
         assert_eq!(report.retransmission_recovered, 0);
@@ -184,7 +182,7 @@ mod tests {
         // One frame took 300 ms first-packet → completion.
         frames[50].completed_at = frames[50].first_packet_at + 300 * MS;
         let report = analyze(
-            &frames,
+            frames,
             StallConfig {
                 rtt_nanos: 50 * MS,
                 jitter_buffer_nanos: 150 * MS,
@@ -209,7 +207,7 @@ mod tests {
                 encoder_interval_nanos: Some(33 * MS),
             })
             .collect();
-        let report = analyze(&frames, StallConfig::default());
+        let report = analyze(frames, StallConfig::default());
         assert!(!report.stalls.is_empty());
         assert!(report.stalled_nanos > 0);
     }
@@ -222,7 +220,7 @@ mod tests {
             f.completed_at += 120 * MS;
             f.first_packet_at += 120 * MS;
         }
-        let report = analyze(&frames, StallConfig::default());
+        let report = analyze(frames, StallConfig::default());
         assert!(report.stalls.is_empty(), "stalls: {:?}", report.stalls);
     }
 
@@ -234,7 +232,7 @@ mod tests {
             f.completed_at += 400 * MS;
             f.first_packet_at += 400 * MS;
         }
-        let report = analyze(&frames, StallConfig::default());
+        let report = analyze(frames, StallConfig::default());
         assert_eq!(report.stalls.len(), 1);
         let stall = report.stalls[0];
         // Rebuffering takes ~half the buffer of media time to recover.
@@ -244,7 +242,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let report = analyze(&[], StallConfig::default());
+        let report = analyze([], StallConfig::default());
         assert_eq!(report.frames, 0);
         assert_eq!(report.retransmission_fraction(), 0.0);
     }

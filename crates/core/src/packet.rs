@@ -500,6 +500,17 @@ mod tests {
         assert_eq!(size_of::<PacketMeta>(), 128);
     }
 
+    /// What the analyzer keeps for the whole run: one entry per completed
+    /// frame and one per RTT match.
+    #[test]
+    fn per_event_log_entries_keep_their_size() {
+        use crate::metrics::frame::FrameEntry;
+        use crate::metrics::latency::RttEntry;
+        use std::mem::size_of;
+        assert_eq!(size_of::<FrameEntry>(), 32);
+        assert_eq!(size_of::<RttEntry>(), 24);
+    }
+
     #[test]
     fn empty_campus_means_everything_on_campus() {
         assert!(in_campus(&[], "203.0.113.9".parse().unwrap()));

@@ -773,12 +773,12 @@ impl Analyzer {
     }
 
     /// RTP-copy RTT samples (§5.3 method 1).
-    pub fn rtp_rtt_samples(&self) -> &[RttSample] {
+    pub fn rtp_rtt_samples(&self) -> impl ExactSizeIterator<Item = RttSample> + '_ {
         self.rtp_rtt.samples()
     }
 
     /// TCP control-connection RTT samples (§5.3 method 2).
-    pub fn tcp_rtt_samples(&self) -> &[RttSample] {
+    pub fn tcp_rtt_samples(&self) -> impl ExactSizeIterator<Item = RttSample> + '_ {
         self.tcp_rtt.samples()
     }
 
@@ -1092,7 +1092,7 @@ mod tests {
         assert_eq!(summary.zoom_flows, 2);
         assert_eq!(summary.meetings, 1, "copies must group into one meeting");
         // Method-1 RTT: every packet matched at ~40 ms.
-        let rtts = a.rtp_rtt_samples();
+        let rtts: Vec<_> = a.rtp_rtt_samples().collect();
         assert_eq!(rtts.len(), 100);
         assert!(rtts.iter().all(|s| (39.9..40.1).contains(&s.rtt_ms())));
         // The two streams share a unique id.

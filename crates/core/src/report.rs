@@ -15,7 +15,7 @@
 //! property `tests/streaming_differential.rs` leans on.
 
 use crate::classify::TableRow;
-use crate::meeting::MeetingReport;
+use crate::meeting::{sorted_addrs, MeetingReport};
 use crate::packet::Direction;
 use crate::pipeline::{Analyzer, TraceSummary};
 use crate::stream::{Stream, StreamKey};
@@ -187,9 +187,9 @@ pub struct RttSummaryReport {
 }
 
 impl RttSummaryReport {
-    /// Summarize a slice of samples (any order).
-    pub fn from_samples(samples: &[crate::metrics::latency::RttSample]) -> RttSummaryReport {
-        let mut nanos: Vec<u64> = samples.iter().map(|s| s.rtt_nanos).collect();
+    /// Summarize round-trip times in nanoseconds (any order).
+    pub fn from_nanos(rtt_nanos: impl IntoIterator<Item = u64>) -> RttSummaryReport {
+        let mut nanos: Vec<u64> = rtt_nanos.into_iter().collect();
         nanos.sort_unstable();
         let n = nanos.len();
         if n == 0 {
@@ -284,7 +284,7 @@ impl StreamReport {
             last_seen_nanos: s.last_seen,
             packets: s.packets,
             media_bytes: s.media_bytes(),
-            frames: s.frames.as_ref().map(|f| f.frames().len()).unwrap_or(0) as u64,
+            frames: s.frames.as_ref().map_or(0, |f| f.frame_count()) as u64,
             mean_bitrate_bps: s.mean_media_bitrate(),
             jitter_ms: s.frame_jitter.jitter_ms(),
             lost,
@@ -327,10 +327,8 @@ fn direction_label(d: Direction) -> &'static str {
 }
 
 fn meeting_to_json(m: &MeetingReport) -> String {
-    let mut clients: Vec<String> = m.clients.iter().map(|ip| ip.to_string()).collect();
-    clients.sort();
-    let mut servers: Vec<String> = m.servers.iter().map(|ip| ip.to_string()).collect();
-    servers.sort();
+    let clients = sorted_addrs(&m.clients);
+    let servers = sorted_addrs(&m.servers);
     let mut o = JsonObj::new();
     o.u64("id", u64::from(m.id))
         .usize("participant_estimate", m.participant_estimate)
@@ -514,8 +512,8 @@ pub(crate) fn build_report(
         drops: drops_from_metrics(&analyzer.metrics),
         meetings,
         streams: rows.into_iter().map(|(_, row)| row).collect(),
-        rtp_rtt: RttSummaryReport::from_samples(analyzer.rtp_rtt.samples()),
-        tcp_rtt: RttSummaryReport::from_samples(analyzer.tcp_rtt.samples()),
+        rtp_rtt: RttSummaryReport::from_nanos(analyzer.rtp_rtt.log().rtt_nanos_since(0)),
+        tcp_rtt: RttSummaryReport::from_nanos(analyzer.tcp_rtt.log().rtt_nanos_since(0)),
         families: analyzer.classifier.family_table(),
     }
 }
@@ -568,7 +566,7 @@ pub struct WindowTotals {
 
 impl Default for RttSummaryReport {
     fn default() -> Self {
-        RttSummaryReport::from_samples(&[])
+        RttSummaryReport::from_nanos([])
     }
 }
 
@@ -729,16 +727,8 @@ mod tests {
 
     #[test]
     fn rtt_summary_is_order_independent() {
-        use crate::metrics::latency::RttSample;
-        use std::net::{IpAddr, Ipv4Addr};
-        let to = IpAddr::V4(Ipv4Addr::new(1, 2, 3, 4));
-        let mk = |rtt| RttSample {
-            at: 0,
-            rtt_nanos: rtt,
-            to,
-        };
-        let a = RttSummaryReport::from_samples(&[mk(10_000_000), mk(30_000_000), mk(20_000_000)]);
-        let b = RttSummaryReport::from_samples(&[mk(30_000_000), mk(10_000_000), mk(20_000_000)]);
+        let a = RttSummaryReport::from_nanos([10_000_000, 30_000_000, 20_000_000]);
+        let b = RttSummaryReport::from_nanos([30_000_000, 10_000_000, 20_000_000]);
         assert_eq!(a, b);
         assert_eq!(a.samples, 3);
         assert!((a.mean_ms - 20.0).abs() < 1e-9);

@@ -135,7 +135,7 @@ impl StreamSnap {
         StreamSnap {
             packets: s.packets,
             media_bytes: s.media_bytes(),
-            frames: s.frames.as_ref().map(|f| f.frames().len()).unwrap_or(0) as u64,
+            frames: s.frames.as_ref().map_or(0, |f| f.frame_count()) as u64,
             jitter_len: s.frame_jitter.samples().len(),
             missing,
             duplicates,

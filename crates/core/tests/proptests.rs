@@ -330,7 +330,7 @@ proptest! {
             }
         }
         prop_assert_eq!(t.frames().len(), frames.len());
-        for (f, &(pkts, payload)) in t.frames().iter().zip(&frames) {
+        for (f, &(pkts, payload)) in t.frames().zip(&frames) {
             prop_assert_eq!(f.packets, u32::from(pkts));
             prop_assert_eq!(f.size_bytes, payload * pkts as usize);
         }
@@ -422,7 +422,7 @@ proptest! {
             reference.on_packet(at, ts, seq, marker, 700, expected);
             prop_assert_eq!(fast.incomplete(), reference.pending.len(), "after packet {}", i);
         }
-        prop_assert_eq!(fast.frames(), reference.completed.as_slice());
+        prop_assert_eq!(fast.frames().collect::<Vec<_>>(), reference.completed);
     }
 
     /// The flow-table/slab stream tracker agrees with the keyed maps it

@@ -87,11 +87,11 @@ fn report(
         println!("{r}");
     }
     let rtts = analyzer.rtp_rtt_samples();
+    let count = rtts.len();
     if let Some(s) = rtts.last() {
         println!(
-            "  rtt-to-sfu {:>5.1} ms ({} samples so far)",
-            s.rtt_ms(),
-            rtts.len()
+            "  rtt-to-sfu {:>5.1} ms ({count} samples so far)",
+            s.rtt_ms()
         );
     }
 }

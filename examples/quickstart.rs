@@ -92,7 +92,7 @@ fn main() -> std::io::Result<()> {
         );
     }
 
-    let rtts = analyzer.rtp_rtt_samples();
+    let rtts: Vec<_> = analyzer.rtp_rtt_samples().collect();
     if !rtts.is_empty() {
         let mean: f64 = rtts.iter().map(|s| s.rtt_ms()).sum::<f64>() / rtts.len() as f64;
         println!(
@@ -101,7 +101,7 @@ fn main() -> std::io::Result<()> {
             mean
         );
     }
-    let tcp = analyzer.tcp_rtt_samples();
+    let tcp: Vec<_> = analyzer.tcp_rtt_samples().collect();
     if !tcp.is_empty() {
         let mean: f64 = tcp.iter().map(|s| s.rtt_ms()).sum::<f64>() / tcp.len() as f64;
         println!(

@@ -143,7 +143,7 @@ fn fig10a_frame_rate_estimate_tracks_sdk_feed() {
 #[test]
 fn fig10b_latency_estimate_matches_and_is_denser() {
     let v = run();
-    let rtts = v.analyzer.rtp_rtt_samples();
+    let rtts: Vec<_> = v.analyzer.rtp_rtt_samples().collect();
     // Passive estimation yields far more samples than the 1 Hz SDK feed
     // (the paper: "significantly more data points").
     assert!(

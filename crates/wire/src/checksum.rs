@@ -9,10 +9,17 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 /// Incremental one's-complement sum accumulator.
 ///
 /// Fold order does not matter for the one's-complement sum, so data can be
-/// added in arbitrary chunks (header, pseudo-header, payload).
+/// added in arbitrary chunks (header, pseudo-header, payload) as long as
+/// each chunk starts at an even offset of the checksummed bytes.
+///
+/// The sum is kept in 64 bits with end-around carry. Since 2¹⁶ ≡ 1
+/// (mod 2¹⁶ − 1), a big-endian word of any even width is congruent to the
+/// sum of its 16-bit halves, so [`Summer::add`] adds eight bytes at a time
+/// and [`Summer::finish`] folds the result to the RFC 1071 value. No input
+/// length overflows it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Summer {
-    sum: u32,
+    sum: u64,
 }
 
 impl Summer {
@@ -21,35 +28,54 @@ impl Summer {
         Self::default()
     }
 
+    /// One's-complement addition: a carry out of bit 63 re-enters at
+    /// bit 0. The result is zero only when both operands are.
+    fn add_word(&mut self, word: u64) {
+        let (sum, carry) = self.sum.overflowing_add(word);
+        self.sum = sum + u64::from(carry);
+    }
+
     /// Add a byte slice; an odd trailing byte is padded with zero as per
     /// RFC 1071.
     pub fn add(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(2);
-        for c in &mut chunks {
-            self.sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            self.add_word(u64::from_be_bytes([
+                w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7],
+            ]));
         }
-        if let [last] = chunks.remainder() {
-            self.sum += u32::from(u16::from_be_bytes([*last, 0]));
+        let mut pairs = words.remainder().chunks_exact(2);
+        for p in &mut pairs {
+            self.add_u16(u16::from_be_bytes([p[0], p[1]]));
+        }
+        if let [last] = pairs.remainder() {
+            self.add_u16(u16::from_be_bytes([*last, 0]));
         }
     }
 
     /// Add a single big-endian `u16` word.
     pub fn add_u16(&mut self, word: u16) {
-        self.sum += u32::from(word);
+        self.add_word(u64::from(word));
     }
 
     /// Add a `u32` as two 16-bit words.
     pub fn add_u32(&mut self, word: u32) {
-        self.add_u16((word >> 16) as u16);
-        self.add_u16(word as u16);
+        self.add_word(u64::from(word));
+    }
+
+    /// Add the sum of another accumulator, as if its bytes had been
+    /// added here. Exact when those bytes start at an even offset.
+    pub fn merge(&mut self, other: Summer) {
+        self.add_word(other.sum);
     }
 
     /// Finish: fold carries and return the one's complement.
-    pub fn finish(mut self) -> u16 {
-        while self.sum >> 16 != 0 {
-            self.sum = (self.sum & 0xFFFF) + (self.sum >> 16);
+    pub fn finish(self) -> u16 {
+        let mut sum = self.sum;
+        while sum >> 16 != 0 {
+            sum = (sum & 0xFFFF) + (sum >> 16);
         }
-        !(self.sum as u16)
+        !(sum as u16)
     }
 }
 
@@ -124,6 +150,89 @@ mod tests {
         s.add(&data[..100]);
         s.add(&data[100..]);
         assert_eq!(s.finish(), whole);
+    }
+
+    #[test]
+    fn long_inputs_do_not_overflow() {
+        // 100 000 words of 0xFFFF: the sum is a nonzero multiple of
+        // 2^16 - 1, so it folds to 0xFFFF and the checksum is zero.
+        let data = vec![0xFF; 200_000];
+        assert_eq!(checksum(&data), 0x0000);
+        assert_eq!(checksum(&data), reference(&[&data]));
+    }
+
+    /// RFC 1071 the long way: one 16-bit word at a time, each slice
+    /// padding its own odd tail.
+    fn reference(slices: &[&[u8]]) -> u16 {
+        let mut sum: u64 = 0;
+        for slice in slices {
+            for pair in slice.chunks(2) {
+                sum += u64::from(u16::from_be_bytes([pair[0], *pair.get(1).unwrap_or(&0)]));
+            }
+        }
+        while sum >> 16 != 0 {
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    /// Up to 300 KiB, sometimes with every byte's high nibble set so the
+    /// words sit near 0xFFFF, and up to five cut points into it.
+    fn pieces(mut data: Vec<u8>, high: bool, cuts: &[usize], even: bool) -> Vec<Vec<u8>> {
+        if high {
+            for b in &mut data {
+                *b |= 0xF0;
+            }
+        }
+        let mut at: Vec<usize> = cuts
+            .iter()
+            .map(|c| c % (data.len() + 1))
+            .map(|c| if even { c & !1 } else { c })
+            .collect();
+        at.sort_unstable();
+        let mut out = Vec::new();
+        let mut from = 0;
+        for to in at {
+            out.push(data[from..to].to_vec());
+            from = to;
+        }
+        out.push(data[from..].to_vec());
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn split_adds_match_the_reference(
+            data in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..300 * 1024),
+            high: bool,
+            cuts in proptest::collection::vec(proptest::arbitrary::any::<usize>(), 0..6),
+        ) {
+            let pieces = pieces(data, high, &cuts, false);
+            let slices: Vec<&[u8]> = pieces.iter().map(Vec::as_slice).collect();
+            let mut s = Summer::new();
+            for piece in &slices {
+                s.add(piece);
+            }
+            proptest::prop_assert_eq!(s.finish(), reference(&slices));
+        }
+
+        #[test]
+        fn merged_even_offset_sums_match_one_add(
+            data in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..300 * 1024),
+            high: bool,
+            cuts in proptest::collection::vec(proptest::arbitrary::any::<usize>(), 0..6),
+        ) {
+            let pieces = pieces(data, high, &cuts, true);
+            let whole = pieces.concat();
+            let mut merged = Summer::new();
+            for piece in &pieces {
+                let mut part = Summer::new();
+                part.add(piece);
+                merged.merge(part);
+            }
+            proptest::prop_assert_eq!(merged.finish(), checksum(&whole));
+            proptest::prop_assert_eq!(checksum(&whole), reference(&[&whole]));
+        }
     }
 
     #[test]

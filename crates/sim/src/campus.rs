@@ -20,6 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
+use zoom_wire::checksum::Summer;
 use zoom_wire::compose;
 use zoom_wire::pcap::Record;
 use zoom_wire::tcp;
@@ -342,6 +343,66 @@ impl BackgroundGen {
     }
 }
 
+impl BackgroundGen {
+    /// A record buffer with room for `headers` in front of `len` random
+    /// payload bytes, drawn in place, and their sum.
+    fn draw_payload(&mut self, headers: usize, len: usize) -> (Vec<u8>, Summer) {
+        let mut data = vec![0u8; headers + len];
+        self.rng.fill(&mut data[headers..]);
+        let mut sum = Summer::new();
+        sum.add(&data[headers..]);
+        (data, sum)
+    }
+
+    /// A UDP datagram of `len` random bytes between `client`'s ephemeral
+    /// port and `server`'s `port`, built in one buffer. The ephemeral port
+    /// is drawn after the payload.
+    fn udp(
+        &mut self,
+        client: Ipv4Addr,
+        server: Ipv4Addr,
+        outbound: bool,
+        port: u16,
+        len: usize,
+    ) -> Vec<u8> {
+        let (mut data, sum) = self.draw_payload(compose::UDP_HEADERS_LEN, len);
+        let ephemeral = self.rng.gen_range(30_000..60_000);
+        let headers = if outbound {
+            compose::udp_ipv4_ethernet_headers(client, server, ephemeral, port, len, sum)
+        } else {
+            compose::udp_ipv4_ethernet_headers(server, client, port, ephemeral, len, sum)
+        };
+        data[..compose::UDP_HEADERS_LEN].copy_from_slice(&headers);
+        data
+    }
+
+    /// An HTTPS segment of `len` random bytes, built in one buffer. The
+    /// ephemeral port, then the sequence and acknowledgment numbers, are
+    /// drawn after the payload.
+    fn tcp(&mut self, client: Ipv4Addr, server: Ipv4Addr, outbound: bool, len: usize) -> Vec<u8> {
+        let (mut data, sum) = self.draw_payload(compose::TCP_HEADERS_LEN, len);
+        let ephemeral = self.rng.gen_range(30_000..60_000);
+        let seq = self.rng.gen();
+        let ack = self.rng.gen();
+        let flags = tcp::Flags {
+            ack: true,
+            psh: len > 0,
+            ..Default::default()
+        };
+        let headers = if outbound {
+            compose::tcp_ipv4_ethernet_headers(
+                client, server, ephemeral, 443, seq, ack, flags, len, sum,
+            )
+        } else {
+            compose::tcp_ipv4_ethernet_headers(
+                server, client, 443, ephemeral, seq, ack, flags, len, sum,
+            )
+        };
+        data[..compose::TCP_HEADERS_LEN].copy_from_slice(&headers);
+        data
+    }
+}
+
 impl Iterator for BackgroundGen {
     type Item = Record;
 
@@ -375,82 +436,17 @@ impl Iterator for BackgroundGen {
             // DNS.
             0 => {
                 let len = self.rng.gen_range(30..90);
-                let mut payload = vec![0u8; len];
-                self.rng.fill(&mut payload[..]);
-                if outbound {
-                    compose::udp_ipv4_ethernet(
-                        client,
-                        server,
-                        self.rng.gen_range(30_000..60_000),
-                        53,
-                        &payload,
-                    )
-                } else {
-                    compose::udp_ipv4_ethernet(
-                        server,
-                        client,
-                        53,
-                        self.rng.gen_range(30_000..60_000),
-                        &payload,
-                    )
-                }
+                self.udp(client, server, outbound, 53, len)
             }
             // QUIC-ish UDP 443.
             1 | 2 => {
                 let len = self.rng.gen_range(100..1_300);
-                let mut payload = vec![0u8; len];
-                self.rng.fill(&mut payload[..]);
-                if outbound {
-                    compose::udp_ipv4_ethernet(
-                        client,
-                        server,
-                        self.rng.gen_range(30_000..60_000),
-                        443,
-                        &payload,
-                    )
-                } else {
-                    compose::udp_ipv4_ethernet(
-                        server,
-                        client,
-                        443,
-                        self.rng.gen_range(30_000..60_000),
-                        &payload,
-                    )
-                }
+                self.udp(client, server, outbound, 443, len)
             }
             // HTTPS TCP (the bulk).
             _ => {
                 let len = self.rng.gen_range(0..1_400);
-                let mut payload = vec![0u8; len];
-                self.rng.fill(&mut payload[..]);
-                let flags = tcp::Flags {
-                    ack: true,
-                    psh: !payload.is_empty(),
-                    ..Default::default()
-                };
-                if outbound {
-                    compose::tcp_ipv4_ethernet(
-                        client,
-                        server,
-                        self.rng.gen_range(30_000..60_000),
-                        443,
-                        self.rng.gen(),
-                        self.rng.gen(),
-                        flags,
-                        &payload,
-                    )
-                } else {
-                    compose::tcp_ipv4_ethernet(
-                        server,
-                        client,
-                        443,
-                        self.rng.gen_range(30_000..60_000),
-                        self.rng.gen(),
-                        self.rng.gen(),
-                        flags,
-                        &payload,
-                    )
-                }
+                self.tcp(client, server, outbound, len)
             }
         };
         Some(Record::full(self.now, data))

@@ -24,9 +24,9 @@ use crate::rate::RateController;
 use crate::time::{EventQueue, Nanos, MS, SEC, US};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
+use zoom_wire::checksum::Summer;
 use zoom_wire::compose;
 use zoom_wire::pcap::Record;
 use zoom_wire::rtcp;
@@ -186,9 +186,83 @@ struct PacketSpec {
     flow_midx: usize,
 }
 
-/// Interned media-section bytes (media encap + RTP + payload), shared
-/// between the uplink packet and all forwarded copies.
-type MediaBytes = Rc<Vec<u8>>;
+/// A media section — media encapsulation, RTP header if any, payload —
+/// and its one's-complement sum. Built once per sent packet and shared
+/// between the uplink record and all forwarded copies, each of which sums
+/// only its own headers in front of it.
+struct MediaSection {
+    bytes: Vec<u8>,
+    sum: Summer,
+}
+
+impl MediaSection {
+    /// The encapsulation headers followed by `body_len` bytes that `body`
+    /// writes, summed in one pass.
+    fn build(
+        media: MediaEncapRepr,
+        rtp: Option<rtp::Repr>,
+        body_len: usize,
+        body: impl FnOnce(&mut [u8]),
+    ) -> MediaSection {
+        let header_len = media.header_len() + rtp.map_or(0, |r| r.header_len());
+        let mut bytes = vec![0u8; header_len + body_len];
+        let off = media.emit(&mut bytes);
+        if let Some(rtp) = rtp {
+            rtp.emit(&mut rtp::Packet::new_unchecked(&mut bytes[off..header_len]));
+        }
+        body(&mut bytes[header_len..]);
+        let mut sum = Summer::new();
+        sum.add(&bytes);
+        MediaSection { bytes, sum }
+    }
+}
+
+/// Interned media section, shared between the uplink packet and all
+/// forwarded copies.
+type MediaBytes = Rc<MediaSection>;
+
+/// The 8-byte SFU encapsulation header.
+fn sfu_header(encap_type: u8, sequence: u16, direction: u8) -> [u8; zoom::SFU_ENCAP_LEN] {
+    let mut header = [0u8; zoom::SFU_ENCAP_LEN];
+    SfuEncapRepr {
+        encap_type,
+        sequence,
+        direction,
+    }
+    .emit(&mut zoom::SfuEncap::new_unchecked(&mut header[..]));
+    header
+}
+
+/// One UDP record in a single buffer: the Ethernet/IPv4/UDP headers, the
+/// SFU header on server-routed flows, then `section`. The section's
+/// stored sum stands in for a pass over its bytes (it starts at an even
+/// offset of the UDP payload, so the merge is exact).
+fn udp_record(
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    sport: u16,
+    dport: u16,
+    sfu: Option<[u8; zoom::SFU_ENCAP_LEN]>,
+    section: &MediaSection,
+) -> Record {
+    let sfu = sfu.as_ref().map_or(&[][..], |h| &h[..]);
+    let mut sum = Summer::new();
+    sum.add(sfu);
+    sum.merge(section.sum);
+    let payload_len = sfu.len() + section.bytes.len();
+    let mut data = Vec::with_capacity(compose::UDP_HEADERS_LEN + payload_len);
+    data.extend_from_slice(&compose::udp_ipv4_ethernet_headers(
+        src,
+        dst,
+        sport,
+        dport,
+        payload_len,
+        sum,
+    ));
+    data.extend_from_slice(sfu);
+    data.extend_from_slice(&section.bytes);
+    Record::full(0, data)
+}
 
 /// Simulator events.
 enum Ev {
@@ -250,7 +324,8 @@ struct PState {
     rate: RateController,
     audio_src: Option<AudioSource>,
     screen_src: Option<ScreenShareSource>,
-    rtp_seq: HashMap<SubStreamKey, u16>,
+    /// Last RTP sequence number per sub-stream: a few entries, scanned.
+    rtp_seq: Vec<(SubStreamKey, u16)>,
     media_seq: [u16; 3],
     other_seq: u16,
     frame_seq: u16,
@@ -261,7 +336,10 @@ struct PState {
     tcp_seq: u32,
     tcp_server_seq: u32,
     qos: QosLogger,
-    frame_asm: HashMap<(u32, u32), FrameAsm>,
+    /// Frames in reassembly keyed by (SSRC, RTP timestamp): a handful at a
+    /// time (only frames that lost a packet for good outlive their last
+    /// packet, by at most 5 s), so a scan beats hashing.
+    frame_asm: Vec<((u32, u32), FrameAsm)>,
     jitter_truth: f64,
     last_transit: Option<i64>,
     screen_active: bool,
@@ -342,7 +420,7 @@ impl MeetingSim {
                 rate,
                 audio_src,
                 screen_src,
-                rtp_seq: HashMap::new(),
+                rtp_seq: Vec::new(),
                 media_seq: [0; 3],
                 other_seq: 0,
                 frame_seq: 0,
@@ -356,7 +434,7 @@ impl MeetingSim {
                 tcp_seq: rng.gen::<u32>() / 2,
                 tcp_server_seq: rng.gen::<u32>() / 2,
                 qos: QosLogger::new(),
-                frame_asm: HashMap::new(),
+                frame_asm: Vec::new(),
                 jitter_truth: 0.0,
                 last_transit: None,
                 screen_active: false,
@@ -495,8 +573,15 @@ impl MeetingSim {
     }
 
     fn next_rtp_seq(&mut self, i: usize, media: u8, pt: u8) -> u16 {
-        let p = &mut self.participants[i];
-        let seq = p.rtp_seq.entry((media, pt)).or_insert(0);
+        let seqs = &mut self.participants[i].rtp_seq;
+        let at = match seqs.iter().position(|(key, _)| *key == (media, pt)) {
+            Some(at) => at,
+            None => {
+                seqs.push(((media, pt), 0));
+                seqs.len() - 1
+            }
+        };
+        let seq = &mut seqs[at].1;
         *seq = seq.wrapping_add(1);
         *seq
     }
@@ -703,8 +788,6 @@ impl MeetingSim {
                 },
                 with_sdes,
             };
-            let mut body = vec![0u8; sr.buffer_len()];
-            sr.emit(&mut body);
             let media_type = if with_sdes {
                 MediaType::RtcpSrSdes
             } else {
@@ -718,7 +801,7 @@ impl MeetingSim {
                 rtp_seq: 0,
                 rtp_ts: 0,
                 ssrc,
-                payload_len: body.len(),
+                payload_len: sr.buffer_len(),
                 frame_seq: None,
                 pkts_in_frame: None,
                 frame_bytes: 0,
@@ -726,7 +809,7 @@ impl MeetingSim {
                 has_extension: false,
                 flow_midx: media,
             };
-            self.send_rtcp(now, spec, body, media);
+            self.send_rtcp(now, spec, &sr, media);
         }
     }
 
@@ -751,23 +834,20 @@ impl MeetingSim {
     /// Non-media control packet body: Zoom media encapsulation with an
     /// unknown type (we use 30) carrying a sequence number, sometimes
     /// under a non-0x05 SFU encapsulation type.
-    fn control_media_bytes(&mut self, now: Nanos, seq: u16) -> Vec<u8> {
+    fn control_section(&mut self, now: Nanos, seq: u16) -> MediaSection {
         let body_len = self.rng.gen_range(120..1_000);
-        let mut payload = vec![0u8; body_len];
-        self.rng.fill(&mut payload[..]);
-        zoom::Builder {
-            sfu: None,
-            media: MediaEncapRepr {
+        MediaSection::build(
+            MediaEncapRepr {
                 media_type: MediaType::Other(30),
                 sequence: seq,
                 timestamp: (now / MS) as u32,
                 frame_sequence: None,
                 packets_in_frame: None,
             },
-            rtp: None,
-            payload,
-        }
-        .build()
+            None,
+            body_len,
+            |body| self.rng.fill(body),
+        )
     }
 
     fn keepalive_sfu(&mut self, now: Nanos, i: usize, seq: u16) {
@@ -779,41 +859,26 @@ impl MeetingSim {
         } else {
             SFU_TYPE_MEDIA
         };
-        let body = self.control_media_bytes(now, seq);
+        let body = self.control_section(now, seq);
         let (src, sport, dst, dport) = self.flow_for(i, MEDIA_AUDIO);
-        let sfu_seq = {
-            let p = &mut self.participants[i];
-            p.sfu_seq = p.sfu_seq.wrapping_add(1);
-            p.sfu_seq
-        };
-        let wrap = |direction: u8| -> Vec<u8> {
-            let mut out = vec![0u8; zoom::SFU_ENCAP_LEN + body.len()];
-            SfuEncapRepr {
-                encap_type: sfu_type,
-                sequence: sfu_seq,
-                direction,
-            }
-            .emit(&mut zoom::SfuEncap::new_unchecked(
-                &mut out[..zoom::SFU_ENCAP_LEN],
-            ));
-            out[zoom::SFU_ENCAP_LEN..].copy_from_slice(&body);
-            out
-        };
-        let up = compose::udp_ipv4_ethernet(src, dst, sport, dport, &wrap(DIR_TO_SFU));
-        let down = compose::udp_ipv4_ethernet(dst, src, dport, sport, &wrap(DIR_FROM_SFU));
+        let sfu_seq = self.next_sfu_seq(i);
         let d1 = {
             let p = &mut self.participants[i];
             p.path.campus_up.traverse(now, &mut self.rng)
         };
         if let Some(d1) = d1 {
-            self.queue.push(now + d1, Ev::Emit(Record::full(0, up)));
+            let sfu = sfu_header(sfu_type, sfu_seq, DIR_TO_SFU);
+            let up = udp_record(src, dst, sport, dport, Some(sfu), &body);
+            self.queue.push(now + d1, Ev::Emit(up));
         }
         let d2 = {
             let p = &mut self.participants[i];
             p.path.wan_down.traverse(now, &mut self.rng)
         };
         if let Some(d2) = d2 {
-            self.queue.push(now + d2, Ev::Emit(Record::full(0, down)));
+            let sfu = sfu_header(sfu_type, sfu_seq, DIR_FROM_SFU);
+            let down = udp_record(dst, src, dport, sport, Some(sfu), &body);
+            self.queue.push(now + d2, Ev::Emit(down));
         }
     }
 
@@ -823,7 +888,7 @@ impl MeetingSim {
         if !crosses_tap {
             return;
         }
-        let body = self.control_media_bytes(now, seq);
+        let body = self.control_section(now, seq);
         let (src, sport, dst, dport) = self.flow_for(i, 0);
         let d = {
             let p = &mut self.participants[i];
@@ -834,7 +899,7 @@ impl MeetingSim {
             }
         };
         if let Some(d) = d {
-            let rec = Record::full(0, compose::udp_ipv4_ethernet(src, dst, sport, dport, &body));
+            let rec = udp_record(src, dst, sport, dport, None, &body);
             self.queue.push(now + d, Ev::Emit(rec));
         }
     }
@@ -1020,7 +1085,7 @@ impl MeetingSim {
         let jitter = p.jitter_truth as Nanos;
         p.qos.network_truth(now, rtt, jitter);
         p.frame_asm
-            .retain(|_, asm| now.saturating_sub(asm.first_at) < 5 * SEC);
+            .retain(|(_, asm)| now.saturating_sub(asm.first_at) < 5 * SEC);
     }
 
     // ----------------------- packet transmission -----------------------
@@ -1055,52 +1120,38 @@ impl MeetingSim {
             p.media_seq[midx] = p.media_seq[midx].wrapping_add(1);
             p.media_seq[midx]
         };
-        let mut payload = vec![0u8; spec.payload_len];
-        self.rng.fill(&mut payload[..]);
-        Rc::new(
-            zoom::Builder {
-                sfu: None,
-                media: MediaEncapRepr {
-                    media_type: spec.media,
-                    sequence: mseq,
-                    timestamp: (now / MS) as u32,
-                    frame_sequence: spec.frame_seq,
-                    packets_in_frame: spec.pkts_in_frame,
-                },
-                rtp: Some(rtp::Repr {
-                    marker: spec.marker,
-                    payload_type: spec.payload_type,
-                    sequence_number: spec.rtp_seq,
-                    timestamp: spec.rtp_ts,
-                    ssrc: spec.ssrc,
-                    csrc_count: 0,
-                    has_extension: spec.has_extension,
-                }),
-                payload,
-            }
-            .build(),
-        )
+        Rc::new(MediaSection::build(
+            MediaEncapRepr {
+                media_type: spec.media,
+                sequence: mseq,
+                timestamp: (now / MS) as u32,
+                frame_sequence: spec.frame_seq,
+                packets_in_frame: spec.pkts_in_frame,
+            },
+            Some(rtp::Repr {
+                marker: spec.marker,
+                payload_type: spec.payload_type,
+                sequence_number: spec.rtp_seq,
+                timestamp: spec.rtp_ts,
+                ssrc: spec.ssrc,
+                csrc_count: 0,
+                has_extension: spec.has_extension,
+            }),
+            spec.payload_len,
+            |payload| self.rng.fill(payload),
+        ))
     }
 
-    /// Wrap media bytes in the SFU encapsulation, using participant `i`'s
-    /// per-flow SFU sequence counter.
-    fn wrap_sfu(&mut self, i: usize, direction: u8, media_bytes: &[u8]) -> Vec<u8> {
-        let sfu_seq = {
-            let p = &mut self.participants[i];
-            p.sfu_seq = p.sfu_seq.wrapping_add(1);
-            p.sfu_seq
-        };
-        let mut out = vec![0u8; zoom::SFU_ENCAP_LEN + media_bytes.len()];
-        SfuEncapRepr {
-            encap_type: SFU_TYPE_MEDIA,
-            sequence: sfu_seq,
-            direction,
-        }
-        .emit(&mut zoom::SfuEncap::new_unchecked(
-            &mut out[..zoom::SFU_ENCAP_LEN],
-        ));
-        out[zoom::SFU_ENCAP_LEN..].copy_from_slice(media_bytes);
-        out
+    /// Participant `i`'s next SFU encapsulation sequence number.
+    fn next_sfu_seq(&mut self, i: usize) -> u16 {
+        let p = &mut self.participants[i];
+        p.sfu_seq = p.sfu_seq.wrapping_add(1);
+        p.sfu_seq
+    }
+
+    /// The SFU header of participant `i`'s next media packet.
+    fn next_media_sfu_header(&mut self, i: usize, direction: u8) -> [u8; zoom::SFU_ENCAP_LEN] {
+        sfu_header(SFU_TYPE_MEDIA, self.next_sfu_seq(i), direction)
     }
 
     /// Send a media packet from its sender, attempt-aware for
@@ -1124,27 +1175,32 @@ impl MeetingSim {
         }
     }
 
-    fn send_rtcp(&mut self, now: Nanos, spec: PacketSpec, body: Vec<u8>, media: usize) {
+    fn send_rtcp(
+        &mut self,
+        now: Nanos,
+        spec: PacketSpec,
+        sr: &rtcp::SenderReportRepr,
+        media: usize,
+    ) {
         let mseq = {
             let p = &mut self.participants[spec.sender];
             p.media_seq[media] = p.media_seq[media].wrapping_add(1);
             p.media_seq[media]
         };
-        let media_bytes = Rc::new(
-            zoom::Builder {
-                sfu: None,
-                media: MediaEncapRepr {
-                    media_type: spec.media,
-                    sequence: mseq,
-                    timestamp: (now / MS) as u32,
-                    frame_sequence: None,
-                    packets_in_frame: None,
-                },
-                rtp: None,
-                payload: body,
-            }
-            .build(),
-        );
+        let media_bytes = Rc::new(MediaSection::build(
+            MediaEncapRepr {
+                media_type: spec.media,
+                sequence: mseq,
+                timestamp: (now / MS) as u32,
+                frame_sequence: None,
+                packets_in_frame: None,
+            },
+            None,
+            sr.buffer_len(),
+            |body| {
+                sr.emit(body);
+            },
+        ));
         match self.mode {
             Mode::Sfu => self.send_media_sfu(now, spec, media_bytes, 2), // no retx
             Mode::P2p => self.send_media_p2p(now, spec, media_bytes, 2),
@@ -1177,11 +1233,8 @@ impl MeetingSim {
             (now, true)
         };
         if on_campus && leg1_ok {
-            let up_payload = self.wrap_sfu(i, DIR_TO_SFU, &media_bytes);
-            let rec = Record::full(
-                0,
-                compose::udp_ipv4_ethernet(src, dst, sport, dport, &up_payload),
-            );
+            let sfu = self.next_media_sfu_header(i, DIR_TO_SFU);
+            let rec = udp_record(src, dst, sport, dport, Some(sfu), &media_bytes);
             self.queue.push(tap_time, Ev::Emit(rec));
         }
         if !leg1_ok {
@@ -1269,18 +1322,16 @@ impl MeetingSim {
         };
         let t_tap = t_sfu + d3;
         if on_campus {
-            let down_payload = self.wrap_sfu(j, DIR_FROM_SFU, &media_bytes);
+            let sfu = self.next_media_sfu_header(j, DIR_FROM_SFU);
             let dst_ip = self.participants[j].cfg.ip;
             let dport = self.participants[j].ports[spec.flow_midx];
-            let rec = Record::full(
-                0,
-                compose::udp_ipv4_ethernet(
-                    self.cfg.sfu_ip,
-                    dst_ip,
-                    ZOOM_SFU_PORT,
-                    dport,
-                    &down_payload,
-                ),
+            let rec = udp_record(
+                self.cfg.sfu_ip,
+                dst_ip,
+                ZOOM_SFU_PORT,
+                dport,
+                Some(sfu),
+                &media_bytes,
             );
             self.queue.push(t_tap, Ev::Emit(rec));
         }
@@ -1357,10 +1408,7 @@ impl MeetingSim {
         };
         let t_tap = now + d_a;
         if crosses_tap {
-            let rec = Record::full(
-                0,
-                compose::udp_ipv4_ethernet(src, dst, sport, dport, &media_bytes),
-            );
+            let rec = udp_record(src, dst, sport, dport, None, &media_bytes);
             self.queue.push(t_tap, Ev::Emit(rec));
         }
         let d_b = {
@@ -1410,17 +1458,27 @@ impl MeetingSim {
         if spec.part_of_frame && spec.media == MediaType::Video {
             let key = (spec.ssrc, spec.rtp_ts);
             let expected = spec.pkts_in_frame.unwrap_or(1);
-            let asm = p.frame_asm.entry(key).or_insert_with(|| FrameAsm {
-                expected,
-                seqs: Vec::new(),
-                bytes: spec.frame_bytes,
-                first_at: now,
-            });
+            let at = match p.frame_asm.iter().position(|(k, _)| *k == key) {
+                Some(at) => at,
+                None => {
+                    p.frame_asm.push((
+                        key,
+                        FrameAsm {
+                            expected,
+                            seqs: Vec::new(),
+                            bytes: spec.frame_bytes,
+                            first_at: now,
+                        },
+                    ));
+                    p.frame_asm.len() - 1
+                }
+            };
+            let asm = &mut p.frame_asm[at].1;
             if !asm.seqs.contains(&spec.rtp_seq) {
                 asm.seqs.push(spec.rtp_seq);
                 if asm.seqs.len() >= usize::from(asm.expected) {
                     let bytes = asm.bytes;
-                    p.frame_asm.remove(&key);
+                    p.frame_asm.swap_remove(at);
                     p.qos.frame_delivered(now, bytes);
                 }
             }
@@ -1445,6 +1503,7 @@ impl Iterator for MeetingSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use zoom_wire::dissect::{self, P2pProbe};
     use zoom_wire::pcap::LinkType;
 

@@ -17,7 +17,7 @@ use crate::meeting::{AudioParams, MeetingConfig, MeetingSim, ParticipantConfig, 
 use crate::path::CongestionEvent;
 use crate::time::{Nanos, MS, SEC};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 use zoom_wire::checksum::Summer;
@@ -348,9 +348,8 @@ impl BackgroundGen {
     /// payload bytes, drawn in place, and their sum.
     fn draw_payload(&mut self, headers: usize, len: usize) -> (Vec<u8>, Summer) {
         let mut data = vec![0u8; headers + len];
-        self.rng.fill(&mut data[headers..]);
         let mut sum = Summer::new();
-        sum.add(&data[headers..]);
+        sum.fill_and_add(&mut data[headers..], || self.rng.next_u64());
         (data, sum)
     }
 

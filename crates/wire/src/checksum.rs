@@ -12,13 +12,19 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 /// added in arbitrary chunks (header, pseudo-header, payload) as long as
 /// each chunk starts at an even offset of the checksummed bytes.
 ///
-/// The sum is kept in 64 bits with end-around carry. Since 2¹⁶ ≡ 1
-/// (mod 2¹⁶ − 1), a big-endian word of any even width is congruent to the
-/// sum of its 16-bit halves, so [`Summer::add`] adds eight bytes at a time
-/// and [`Summer::finish`] folds the result to the RFC 1071 value. No input
-/// length overflows it.
+/// Two properties of the sum (RFC 1071 §2) make it cheap to compute in
+/// wide words. Since 2¹⁶ ≡ 1 (mod 2¹⁶ − 1), a word of any even width is
+/// congruent to the sum of its 16-bit halves, so whole words can be added
+/// and the carries folded once at the end. And the sum is independent of
+/// byte order up to a final byte swap, so the words are read in the
+/// host's little-endian order: [`Summer::add`] sums 32-bit words into a
+/// 64-bit accumulator, which compiles to vector adds, and
+/// [`Summer::finish`] swaps the folded result back. The accumulator keeps
+/// its end-around carry, so no input length overflows it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Summer {
+    /// The sum of the little-endian 16-bit words added so far, modulo
+    /// 2¹⁶ − 1; zero only if every word was.
     sum: u64,
 }
 
@@ -30,6 +36,7 @@ impl Summer {
 
     /// One's-complement addition: a carry out of bit 63 re-enters at
     /// bit 0. The result is zero only when both operands are.
+    #[inline]
     fn add_word(&mut self, word: u64) {
         let (sum, carry) = self.sum.overflowing_add(word);
         self.sum = sum + u64::from(carry);
@@ -38,29 +45,56 @@ impl Summer {
     /// Add a byte slice; an odd trailing byte is padded with zero as per
     /// RFC 1071.
     pub fn add(&mut self, data: &[u8]) {
-        let mut words = data.chunks_exact(8);
-        for w in &mut words {
-            self.add_word(u64::from_be_bytes([
-                w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7],
-            ]));
+        // 2^28 words of under 2^32 each cannot overflow the block sum.
+        for block in data.chunks(1 << 30) {
+            let mut words = block.chunks_exact(4);
+            let mut sum = 0u64;
+            for w in &mut words {
+                sum += u64::from(u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
+            }
+            // Up to three trailing bytes, zero-padded to a word: the
+            // padding is the odd byte's RFC 1071 zero.
+            let tail = words
+                .remainder()
+                .iter()
+                .rev()
+                .fold(0u32, |word, &b| word << 8 | u32::from(b));
+            sum += u64::from(tail);
+            self.add_word(sum);
         }
-        let mut pairs = words.remainder().chunks_exact(2);
-        for p in &mut pairs {
-            self.add_u16(u16::from_be_bytes([p[0], p[1]]));
+    }
+
+    /// Fill `buf` from a stream of 64-bit words and add the bytes, in one
+    /// pass: each word is written little-endian to the next eight bytes,
+    /// and a short tail takes the leading bytes of one more word — the
+    /// layout `rand`'s `fill_bytes` uses, so a generator's bytes are
+    /// checksummed as they are drawn.
+    #[inline]
+    pub fn fill_and_add(&mut self, buf: &mut [u8], mut next_word: impl FnMut() -> u64) {
+        let mut chunks = buf.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            let word = next_word();
+            chunk.copy_from_slice(&word.to_le_bytes());
+            self.add_word(word);
         }
-        if let [last] = pairs.remainder() {
-            self.add_u16(u16::from_be_bytes([*last, 0]));
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            let word = next_word().to_le_bytes();
+            tail.copy_from_slice(&word[..tail.len()]);
+            let mut padded = [0u8; 8];
+            padded[..tail.len()].copy_from_slice(tail);
+            self.add_word(u64::from_le_bytes(padded));
         }
     }
 
     /// Add a single big-endian `u16` word.
     pub fn add_u16(&mut self, word: u16) {
-        self.add_word(u64::from(word));
+        self.add_word(u64::from(word.swap_bytes()));
     }
 
     /// Add a `u32` as two 16-bit words.
     pub fn add_u32(&mut self, word: u32) {
-        self.add_word(u64::from(word));
+        self.add_word(u64::from(word.swap_bytes()));
     }
 
     /// Add the sum of another accumulator, as if its bytes had been
@@ -75,7 +109,7 @@ impl Summer {
         while sum >> 16 != 0 {
             sum = (sum & 0xFFFF) + (sum >> 16);
         }
-        !(sum as u16)
+        !(sum as u16).swap_bytes()
     }
 }
 
@@ -214,6 +248,28 @@ mod tests {
                 s.add(piece);
             }
             proptest::prop_assert_eq!(s.finish(), reference(&slices));
+        }
+
+        #[test]
+        fn fill_and_add_sums_what_it_writes(len in 0usize..2048, seed: u64) {
+            let mut state = seed;
+            let mut next = || {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                state
+            };
+            let mut filled = vec![0u8; len];
+            let mut s = Summer::new();
+            s.fill_and_add(&mut filled, &mut next);
+            // The words again, laid out little-endian and cut to `len`.
+            let mut state = seed;
+            let words: Vec<u8> = (0..len.div_ceil(8))
+                .flat_map(|_| {
+                    state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                    state.to_le_bytes()
+                })
+                .collect();
+            proptest::prop_assert_eq!(&filled[..], &words[..len]);
+            proptest::prop_assert_eq!(s.finish(), reference(&[&filled]));
         }
 
         #[test]

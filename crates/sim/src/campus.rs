@@ -344,12 +344,13 @@ impl BackgroundGen {
 }
 
 impl BackgroundGen {
-    /// A record buffer with room for `headers` in front of `len` random
-    /// payload bytes, drawn in place, and their sum.
+    /// A record buffer: room for `headers`, then `len` random payload
+    /// bytes drawn straight into it, and their sum.
     fn draw_payload(&mut self, headers: usize, len: usize) -> (Vec<u8>, Summer) {
-        let mut data = vec![0u8; headers + len];
+        let mut data = Vec::with_capacity(headers + len);
+        data.resize(headers, 0);
         let mut sum = Summer::new();
-        sum.fill_and_add(&mut data[headers..], || self.rng.next_u64());
+        sum.extend_and_add(&mut data, len, || self.rng.next_u64());
         (data, sum)
     }
 

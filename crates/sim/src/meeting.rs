@@ -23,7 +23,7 @@ use crate::qos::{QosLogger, QosSample};
 use crate::rate::RateController;
 use crate::time::{EventQueue, Nanos, MS, SEC, US};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 use zoom_wire::checksum::Summer;
@@ -196,21 +196,40 @@ struct MediaSection {
 }
 
 impl MediaSection {
-    /// The encapsulation headers followed by `body_len` bytes that `body`
-    /// writes, summed in one pass.
-    fn build(
-        media: MediaEncapRepr,
-        rtp: Option<rtp::Repr>,
-        body_len: usize,
-        body: impl FnOnce(&mut [u8]),
-    ) -> MediaSection {
+    /// The media encapsulation and RTP header, if any, in a buffer with
+    /// room for `body_len` more bytes.
+    fn headers(media: MediaEncapRepr, rtp: Option<rtp::Repr>, body_len: usize) -> Vec<u8> {
         let header_len = media.header_len() + rtp.map_or(0, |r| r.header_len());
-        let mut bytes = vec![0u8; header_len + body_len];
+        let mut bytes = Vec::with_capacity(header_len + body_len);
+        bytes.resize(header_len, 0);
         let off = media.emit(&mut bytes);
         if let Some(rtp) = rtp {
-            rtp.emit(&mut rtp::Packet::new_unchecked(&mut bytes[off..header_len]));
+            rtp.emit(&mut rtp::Packet::new_unchecked(&mut bytes[off..]));
         }
-        body(&mut bytes[header_len..]);
+        bytes
+    }
+
+    /// The headers followed by `len` bytes of `rng`'s stream, drawn
+    /// straight into the section and summed as they are drawn.
+    fn random(
+        media: MediaEncapRepr,
+        rtp: Option<rtp::Repr>,
+        len: usize,
+        rng: &mut StdRng,
+    ) -> MediaSection {
+        let mut bytes = Self::headers(media, rtp, len);
+        let mut sum = Summer::new();
+        sum.add(&bytes);
+        sum.extend_and_add(&mut bytes, len, || rng.next_u64());
+        MediaSection { bytes, sum }
+    }
+
+    /// The headers followed by an RTCP sender report.
+    fn report(media: MediaEncapRepr, sr: &rtcp::SenderReportRepr) -> MediaSection {
+        let mut bytes = Self::headers(media, None, sr.buffer_len());
+        let at = bytes.len();
+        bytes.resize(at + sr.buffer_len(), 0);
+        sr.emit(&mut bytes[at..]);
         let mut sum = Summer::new();
         sum.add(&bytes);
         MediaSection { bytes, sum }
@@ -836,7 +855,7 @@ impl MeetingSim {
     /// under a non-0x05 SFU encapsulation type.
     fn control_section(&mut self, now: Nanos, seq: u16) -> MediaSection {
         let body_len = self.rng.gen_range(120..1_000);
-        MediaSection::build(
+        MediaSection::random(
             MediaEncapRepr {
                 media_type: MediaType::Other(30),
                 sequence: seq,
@@ -846,7 +865,7 @@ impl MeetingSim {
             },
             None,
             body_len,
-            |body| self.rng.fill(body),
+            &mut self.rng,
         )
     }
 
@@ -1120,7 +1139,7 @@ impl MeetingSim {
             p.media_seq[midx] = p.media_seq[midx].wrapping_add(1);
             p.media_seq[midx]
         };
-        Rc::new(MediaSection::build(
+        Rc::new(MediaSection::random(
             MediaEncapRepr {
                 media_type: spec.media,
                 sequence: mseq,
@@ -1138,7 +1157,7 @@ impl MeetingSim {
                 has_extension: spec.has_extension,
             }),
             spec.payload_len,
-            |payload| self.rng.fill(payload),
+            &mut self.rng,
         ))
     }
 
@@ -1187,7 +1206,7 @@ impl MeetingSim {
             p.media_seq[media] = p.media_seq[media].wrapping_add(1);
             p.media_seq[media]
         };
-        let media_bytes = Rc::new(MediaSection::build(
+        let media_bytes = Rc::new(MediaSection::report(
             MediaEncapRepr {
                 media_type: spec.media,
                 sequence: mseq,
@@ -1195,11 +1214,7 @@ impl MeetingSim {
                 frame_sequence: None,
                 packets_in_frame: None,
             },
-            None,
-            sr.buffer_len(),
-            |body| {
-                sr.emit(body);
-            },
+            sr,
         ));
         match self.mode {
             Mode::Sfu => self.send_media_sfu(now, spec, media_bytes, 2), // no retx

@@ -64,27 +64,42 @@ impl Summer {
         }
     }
 
-    /// Fill `buf` from a stream of 64-bit words and add the bytes, in one
-    /// pass: each word is written little-endian to the next eight bytes,
-    /// and a short tail takes the leading bytes of one more word — the
-    /// layout `rand`'s `fill_bytes` uses, so a generator's bytes are
-    /// checksummed as they are drawn.
+    /// Append `len` bytes drawn from a stream of 64-bit words to `buf`
+    /// and add them in the same pass: each word goes in little-endian,
+    /// eight bytes at a time, and a short tail takes the leading bytes of
+    /// one more word — the layout `rand`'s `fill_bytes` writes, so a
+    /// generator's bytes are summed as they are drawn. The bytes count
+    /// where they land: `buf` must start at an even offset of the
+    /// checksummed data, the appended bytes may start at an odd one.
     #[inline]
-    pub fn fill_and_add(&mut self, buf: &mut [u8], mut next_word: impl FnMut() -> u64) {
-        let mut chunks = buf.chunks_exact_mut(8);
+    pub fn extend_and_add(
+        &mut self,
+        buf: &mut Vec<u8>,
+        len: usize,
+        mut next_word: impl FnMut() -> u64,
+    ) {
+        let start = buf.len();
+        buf.resize(start + len, 0);
+        let mut sum = Summer::new();
+        let mut chunks = buf[start..].chunks_exact_mut(8);
         for chunk in &mut chunks {
             let word = next_word();
             chunk.copy_from_slice(&word.to_le_bytes());
-            self.add_word(word);
+            sum.add_word(word);
         }
         let tail = chunks.into_remainder();
         if !tail.is_empty() {
-            let word = next_word().to_le_bytes();
-            tail.copy_from_slice(&word[..tail.len()]);
-            let mut padded = [0u8; 8];
-            padded[..tail.len()].copy_from_slice(tail);
-            self.add_word(u64::from_le_bytes(padded));
+            let word = next_word() & (u64::MAX >> (64 - 8 * tail.len()));
+            tail.copy_from_slice(&word.to_le_bytes()[..tail.len()]);
+            sum.add_word(word);
         }
+        if start % 2 == 1 {
+            // One byte later, every byte changes place in its 16-bit
+            // word: the sum times 2^8, which modulo 2^16 - 1 is a byte
+            // swap of the folded value.
+            sum.sum = u64::from(sum.fold().rotate_left(8));
+        }
+        self.merge(sum);
     }
 
     /// Add a single big-endian `u16` word.
@@ -103,13 +118,19 @@ impl Summer {
         self.add_word(other.sum);
     }
 
-    /// Finish: fold carries and return the one's complement.
-    pub fn finish(self) -> u16 {
+    /// The sum folded to 16 bits with end-around carry: zero only if the
+    /// sum was.
+    fn fold(self) -> u16 {
         let mut sum = self.sum;
         while sum >> 16 != 0 {
             sum = (sum & 0xFFFF) + (sum >> 16);
         }
-        !(sum as u16).swap_bytes()
+        sum as u16
+    }
+
+    /// Finish: fold carries and return the one's complement.
+    pub fn finish(self) -> u16 {
+        !self.fold().swap_bytes()
     }
 }
 
@@ -251,25 +272,32 @@ mod tests {
         }
 
         #[test]
-        fn fill_and_add_sums_what_it_writes(len in 0usize..2048, seed: u64) {
-            let mut state = seed;
-            let mut next = || {
-                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-                state
+        fn extend_and_add_sums_what_it_appends(
+            prefix in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..64),
+            len in 0usize..2048,
+            seed: u64,
+        ) {
+            let step = |state: &mut u64| {
+                *state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                *state
             };
-            let mut filled = vec![0u8; len];
+            let mut buf = prefix.clone();
             let mut s = Summer::new();
-            s.fill_and_add(&mut filled, &mut next);
+            s.add(&prefix);
+            let mut state = seed;
+            s.extend_and_add(&mut buf, len, || step(&mut state));
             // The words again, laid out little-endian and cut to `len`.
             let mut state = seed;
             let words: Vec<u8> = (0..len.div_ceil(8))
-                .flat_map(|_| {
-                    state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-                    state.to_le_bytes()
-                })
+                .flat_map(|_| step(&mut state).to_le_bytes())
                 .collect();
-            proptest::prop_assert_eq!(&filled[..], &words[..len]);
-            proptest::prop_assert_eq!(s.finish(), reference(&[&filled]));
+            proptest::prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
+            proptest::prop_assert_eq!(&buf[prefix.len()..], &words[..len]);
+            // An odd prefix pads its last byte for `add`: the reference
+            // sums the whole buffer, so the check covers odd offsets.
+            proptest::prop_assert_eq!(s.finish(), reference(&[&buf]));
         }
 
         #[test]

@@ -1168,11 +1168,6 @@ impl MeetingSim {
         p.sfu_seq
     }
 
-    /// The SFU header of participant `i`'s next media packet.
-    fn next_media_sfu_header(&mut self, i: usize, direction: u8) -> [u8; zoom::SFU_ENCAP_LEN] {
-        sfu_header(SFU_TYPE_MEDIA, self.next_sfu_seq(i), direction)
-    }
-
     /// Send a media packet from its sender, attempt-aware for
     /// retransmission.
     fn send_media(&mut self, now: Nanos, spec: PacketSpec, attempt: u8) {
@@ -1248,7 +1243,7 @@ impl MeetingSim {
             (now, true)
         };
         if on_campus && leg1_ok {
-            let sfu = self.next_media_sfu_header(i, DIR_TO_SFU);
+            let sfu = sfu_header(SFU_TYPE_MEDIA, self.next_sfu_seq(i), DIR_TO_SFU);
             let rec = udp_record(src, dst, sport, dport, Some(sfu), &media_bytes);
             self.queue.push(tap_time, Ev::Emit(rec));
         }
@@ -1337,7 +1332,7 @@ impl MeetingSim {
         };
         let t_tap = t_sfu + d3;
         if on_campus {
-            let sfu = self.next_media_sfu_header(j, DIR_FROM_SFU);
+            let sfu = sfu_header(SFU_TYPE_MEDIA, self.next_sfu_seq(j), DIR_FROM_SFU);
             let dst_ip = self.participants[j].cfg.ip;
             let dport = self.participants[j].ports[spec.flow_midx];
             let rec = udp_record(

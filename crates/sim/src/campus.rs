@@ -341,9 +341,7 @@ impl BackgroundGen {
             campus_net: config.campus_net,
         }
     }
-}
 
-impl BackgroundGen {
     /// A record buffer: room for `headers`, then `len` random payload
     /// bytes drawn straight into it, and their sum.
     fn draw_payload(&mut self, headers: usize, len: usize) -> (Vec<u8>, Summer) {

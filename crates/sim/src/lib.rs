@@ -18,6 +18,17 @@
 //! * [`scenario`] — canned experiment scenarios used by the bench harness
 //!
 //! Everything is seeded; no wall clocks, no global RNG.
+//!
+//! # Determinism contract
+//!
+//! A scenario and its seed fix every byte of the trace: the same inputs
+//! give the same records — timestamps, lengths, headers, checksums and
+//! the random payload bytes — on every run, build and machine. Nothing
+//! may depend on hash-map iteration order, uninitialised memory or
+//! addresses. `tests/trace_bytes.rs` pins the record count and an FNV-1a
+//! digest over every record for six short seeded scenarios, so a change
+//! to how records are built that moves any byte fails there; a change
+//! that means to move them updates those constants and says why.
 
 pub mod campus;
 pub mod codec;

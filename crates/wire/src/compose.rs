@@ -2,7 +2,10 @@
 //!
 //! The simulator and tests need complete, checksummed Ethernet/IPv4/UDP and
 //! TCP packets; these helpers stack the per-layer emitters so callers only
-//! provide addresses, ports, and the application payload.
+//! provide addresses, ports, and the application payload. The header
+//! writers take the payload's length and one's-complement sum instead of
+//! its bytes, so a caller that builds the payload itself — or sends one
+//! payload in many packets — sums it once and copies it once.
 
 use crate::checksum::{self, Summer};
 use crate::ethernet::{self, Address, EtherType};

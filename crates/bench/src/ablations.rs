@@ -179,7 +179,7 @@ pub fn p2p_timeout_sweep(args: &ExpArgs) {
 
 #[cfg(test)]
 mod tests {
-    // The ablations are exercised by `exp_ablations` and asserted inline;
+    // The ablations are exercised by `zoom-bench ablations` and asserted inline;
     // a smoke test keeps them compiling under `cargo test`.
     #[test]
     fn ablation_module_links() {

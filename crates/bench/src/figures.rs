@@ -5,7 +5,7 @@
 //! figure must satisfy (crossovers, clusters, correlations); see
 //! `EXPERIMENTS.md`.
 
-use crate::harness::{write_csv, CampusRun, ExpArgs};
+use crate::harness::{no_meetings, write_csv, CampusRun, ExpArgs};
 use std::collections::HashMap;
 use zoom_analysis::entropy::{extract_series, scan_flow, FieldClass};
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
@@ -392,8 +392,9 @@ pub struct CaptureExperiment {
     pub zoom_rate: TimeBins,
 }
 
-/// Run it (requires `--background` > 0 to be meaningful).
-pub fn capture_experiment(args: &ExpArgs) -> CaptureExperiment {
+/// Run it (requires `--background` > 0 to be meaningful); an error if the
+/// scenario has no meetings.
+pub fn capture_experiment(args: &ExpArgs) -> Result<CaptureExperiment, String> {
     let background = if args.background_ratio > 0.0 {
         args.background_ratio
     } else {
@@ -412,6 +413,9 @@ pub fn capture_experiment(args: &ExpArgs) -> CaptureExperiment {
         },
         &infra,
     );
+    if scenario_obj.truth.is_empty() {
+        return Err(no_meetings(args));
+    }
     let mut capture = CapturePipeline::new(PipelineConfig {
         campus_nets: prefix_set(&[scenario::CAMPUS_NET]),
         excluded_nets: Default::default(),
@@ -432,22 +436,17 @@ pub fn capture_experiment(args: &ExpArgs) -> CaptureExperiment {
         // Exercise the anonymizer path on a sample.
         let _ = verdict == Verdict::ZoomServer;
     }
-    CaptureExperiment {
+    Ok(CaptureExperiment {
         counters: capture.counters(),
         tracker: capture.tracker_stats(),
         all_rate,
         zoom_rate,
-    }
+    })
 }
 
-/// Fig. 13: per-stage match counts of the capture pipeline.
-pub fn fig13(args: &ExpArgs) {
-    fig13_from(&capture_experiment(args));
-}
-
-/// Fig. 13 reporting over an existing capture run (lets `run_all` share
-/// one run between Figs. 13 and 17).
-pub fn fig13_from(exp: &CaptureExperiment) {
+/// Fig. 13: per-stage match counts of the capture pipeline, over a
+/// capture run (`all` shares one run between Figs. 13 and 17).
+pub fn fig13(exp: &CaptureExperiment) {
     let c = exp.counters;
     println!("Fig. 13: Zoom packet capture pipeline (per-stage counts)");
     println!("  packets in:           {}", c.total);
@@ -647,13 +646,9 @@ pub fn fig16(run: &CampusRun, args: &ExpArgs) {
     );
 }
 
-/// Fig. 17: packet rate, all campus traffic vs filtered Zoom traffic.
-pub fn fig17(args: &ExpArgs) {
-    fig17_from(&capture_experiment(args), args);
-}
-
-/// Fig. 17 reporting over an existing capture run.
-pub fn fig17_from(exp: &CaptureExperiment, args: &ExpArgs) {
+/// Fig. 17: packet rate, all campus traffic vs filtered Zoom traffic,
+/// over a capture run.
+pub fn fig17(exp: &CaptureExperiment, args: &ExpArgs) {
     let rows = exp
         .all_rate
         .iter()

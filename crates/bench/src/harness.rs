@@ -1,5 +1,5 @@
-//! Shared plumbing for the experiment binaries: argument parsing, CSV
-//! output, and the standard capture→analysis run.
+//! Shared plumbing for the experiments: argument parsing, CSV output, and
+//! the standard capture→analysis run.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -11,9 +11,41 @@ use zoom_sim::infra::Infrastructure;
 use zoom_sim::scenario;
 use zoom_wire::pcap::LinkType;
 
+/// Every experiment the binary runs, by its command-line name.
+pub const EXPERIMENTS: [&str; 20] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "fig2",
+    "fig5",
+    "fig6",
+    "fig8",
+    "fig10",
+    "fig11",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "ablations",
+    "all",
+];
+
+/// The one-line usage message, listing the experiment names.
+pub fn usage() -> String {
+    format!(
+        "usage: zoom-bench <{}> [--seed N] [--minutes M] [--scale D] [--background R] [--out DIR]",
+        EXPERIMENTS.join("|")
+    )
+}
+
 /// Common experiment parameters, parsed from `--seed`, `--minutes`,
 /// `--scale` (denominator), `--background`, and `--out` flags.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpArgs {
     pub seed: u64,
     pub minutes: u64,
@@ -36,40 +68,75 @@ impl Default for ExpArgs {
     }
 }
 
+/// The arguments an experiment starts from before its flags apply;
+/// `None` for the experiments that take no arguments.
+fn defaults(name: &str) -> Option<ExpArgs> {
+    let standard = ExpArgs::default();
+    match name {
+        "table1" | "table5" | "table7" => None,
+        "fig8" => Some(ExpArgs {
+            minutes: 10,
+            ..standard
+        }),
+        "fig13" | "fig17" => Some(ExpArgs {
+            minutes: 30,
+            scale_denom: 4.0,
+            background_ratio: 13.6,
+            ..standard
+        }),
+        _ => Some(standard),
+    }
+}
+
 impl ExpArgs {
-    /// Parse from `std::env::args`, applying experiment-specific
-    /// defaults first.
-    pub fn parse(mut defaults: ExpArgs) -> ExpArgs {
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i + 1 < args.len() + 1 {
-            let flag = args.get(i).map(String::as_str);
-            let value = args.get(i + 1);
-            match (flag, value) {
-                (Some("--seed"), Some(v)) => {
-                    defaults.seed = v.parse().expect("--seed <u64>");
-                    i += 2;
+    /// Parse `<experiment> [flags]` (the arguments after the program
+    /// name) into the experiment's name and its arguments: its own
+    /// defaults, overridden by the flags given. An unknown name or flag,
+    /// a flag without a value and a value that does not parse are
+    /// errors, never skipped.
+    pub fn parse(args: &[String]) -> Result<(&'static str, ExpArgs), String> {
+        let (name, flags) = args.split_first().ok_or("no experiment named")?;
+        let name = EXPERIMENTS
+            .into_iter()
+            .find(|n| n == name)
+            .ok_or_else(|| format!("unknown experiment {name}"))?;
+        let Some(mut parsed) = defaults(name) else {
+            return match flags.first() {
+                Some(flag) => Err(format!("{name} takes no arguments, got {flag}")),
+                None => Ok((name, ExpArgs::default())),
+            };
+        };
+        let mut flags = flags.iter();
+        while let Some(flag) = flags.next() {
+            if !["--seed", "--minutes", "--scale", "--background", "--out"].contains(&flag.as_str())
+            {
+                return Err(format!("unknown flag {flag}"));
+            }
+            let value = flags
+                .next()
+                .ok_or_else(|| format!("flag {flag} needs a value"))?;
+            let bad = |expected: &str| format!("{flag} {value}: expected {expected}");
+            match flag.as_str() {
+                "--seed" => parsed.seed = value.parse().map_err(|_| bad("an unsigned integer"))?,
+                "--minutes" => {
+                    parsed.minutes = (value.parse().ok())
+                        .filter(|m: &u64| m.checked_mul(60 * zoom_sim::time::SEC).is_some())
+                        .ok_or_else(|| bad("whole minutes"))?;
                 }
-                (Some("--minutes"), Some(v)) => {
-                    defaults.minutes = v.parse().expect("--minutes <u64>");
-                    i += 2;
+                "--scale" => {
+                    parsed.scale_denom = (value.parse().ok())
+                        .filter(|d: &f64| d.is_finite() && *d > 0.0)
+                        .ok_or_else(|| bad("a positive number"))?;
                 }
-                (Some("--scale"), Some(v)) => {
-                    defaults.scale_denom = v.parse().expect("--scale <denominator>");
-                    i += 2;
+                "--background" => {
+                    parsed.background_ratio = (value.parse().ok())
+                        .filter(|r: &f64| r.is_finite() && *r >= 0.0)
+                        .ok_or_else(|| bad("a ratio ≥ 0"))?;
                 }
-                (Some("--background"), Some(v)) => {
-                    defaults.background_ratio = v.parse().expect("--background <ratio>");
-                    i += 2;
-                }
-                (Some("--out"), Some(v)) => {
-                    defaults.out_dir = PathBuf::from(v);
-                    i += 2;
-                }
-                _ => i += 1,
+                _ => parsed.out_dir = PathBuf::from(value),
             }
         }
-        defaults
+        Ok((name, parsed))
     }
 
     /// Duration in nanoseconds.
@@ -112,8 +179,18 @@ pub struct CampusRun {
     pub infra: Infrastructure,
 }
 
-/// Run the campus workload through capture + analysis.
-pub fn run_campus(args: &ExpArgs) -> CampusRun {
+/// The error for a campus scenario that drew no meetings: every campus
+/// experiment would print zeros beside the paper's numbers.
+pub(crate) fn no_meetings(args: &ExpArgs) -> String {
+    format!(
+        "{} minutes at 1/{} scale draw no meetings; raise --minutes or lower --scale",
+        args.minutes, args.scale_denom
+    )
+}
+
+/// Run the campus workload through capture + analysis; an error if the
+/// scenario has no meetings.
+pub fn run_campus(args: &ExpArgs) -> Result<CampusRun, String> {
     let (scenario_obj, infra) = scenario::campus_study(
         args.seed,
         args.duration(),
@@ -127,6 +204,9 @@ pub fn run_campus(args: &ExpArgs) -> CampusRun {
         args.minutes,
         args.scale_denom
     );
+    if truth.is_empty() {
+        return Err(no_meetings(args));
+    }
     let mut capture = CapturePipeline::new(PipelineConfig {
         campus_nets: prefix_set(&[scenario::CAMPUS_NET]),
         excluded_nets: Default::default(),
@@ -143,12 +223,12 @@ pub fn run_campus(args: &ExpArgs) -> CampusRun {
             analyzer.process_packet(out.ts_nanos, &out.data, LinkType::Ethernet);
         }
     }
-    CampusRun {
+    Ok(CampusRun {
         analyzer,
         capture,
         truth,
         infra,
-    }
+    })
 }
 
 /// Render a fixed-width table row.
@@ -164,11 +244,85 @@ pub fn row3(
 mod tests {
     use super::*;
 
+    fn parse(line: &str) -> Result<(&'static str, ExpArgs), String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        ExpArgs::parse(&argv)
+    }
+
     #[test]
     fn defaults_and_duration() {
         let a = ExpArgs::default();
         assert_eq!(a.duration(), 20 * 60 * 1_000_000_000);
         assert!((a.scale() - 1.0 / 24.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn each_experiment_starts_from_its_own_defaults() {
+        assert_eq!(parse("table2"), Ok(("table2", ExpArgs::default())));
+        assert_eq!(parse("fig8").unwrap().1.minutes, 10);
+        for name in ["fig13", "fig17"] {
+            let a = parse(name).unwrap().1;
+            assert_eq!(
+                (a.minutes, a.scale_denom, a.background_ratio),
+                (30, 4.0, 13.6)
+            );
+        }
+        let a = parse("fig13 --minutes 20 --scale 24 --seed 3 --out o")
+            .unwrap()
+            .1;
+        assert_eq!((a.minutes, a.scale_denom, a.seed), (20, 24.0, 3));
+        assert_eq!((a.background_ratio, a.out_dir), (13.6, PathBuf::from("o")));
+        for name in EXPERIMENTS {
+            assert_eq!(parse(name).unwrap().0, name);
+        }
+    }
+
+    #[test]
+    fn what_parse_does_not_understand_is_an_error() {
+        for (line, error) in [
+            ("", "no experiment named"),
+            ("fig99", "unknown experiment fig99"),
+            ("table6 --minute 5", "unknown flag --minute"),
+            ("table6 extra", "unknown flag extra"),
+            ("table6 --minutes 5 --seed", "flag --seed needs a value"),
+            (
+                "table6 --minutes five",
+                "--minutes five: expected whole minutes",
+            ),
+            (
+                "table6 --minutes 400000000",
+                "--minutes 400000000: expected whole minutes",
+            ),
+            (
+                "table6 --seed -1",
+                "--seed -1: expected an unsigned integer",
+            ),
+            ("table6 --scale 0", "--scale 0: expected a positive number"),
+            (
+                "fig17 --background nan",
+                "--background nan: expected a ratio ≥ 0",
+            ),
+            ("table1 --seed 3", "table1 takes no arguments, got --seed"),
+        ] {
+            assert_eq!(parse(line), Err(error.to_string()), "{line:?}");
+        }
+        for name in EXPERIMENTS {
+            assert!(usage().contains(name));
+        }
+    }
+
+    #[test]
+    fn a_campus_without_meetings_is_refused() {
+        // At 1/24 scale five minutes draw no meetings (nothing is
+        // generated, so this is cheap); the error names the knobs.
+        let args = ExpArgs {
+            minutes: 5,
+            ..ExpArgs::default()
+        };
+        let expected = "5 minutes at 1/24 scale draw no meetings; raise --minutes or lower --scale";
+        assert_eq!(run_campus(&args).err().as_deref(), Some(expected));
+        let capture = crate::figures::capture_experiment(&args);
+        assert_eq!(capture.err().as_deref(), Some(expected));
     }
 
     #[test]

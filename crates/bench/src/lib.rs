@@ -1,10 +1,9 @@
-//! # zoom-bench — experiment harness and performance benchmarks
+//! # zoom-bench — the paper's experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), shared
-//! helpers here, and Criterion benchmarks of every pipeline component in
-//! `benches/`. `EXPERIMENTS.md` at the repository root maps each
-//! experiment to its paper counterpart and records measured-vs-paper
-//! shapes.
+//! One binary (`src/main.rs`) runs any table or figure of the paper by
+//! name; the experiments themselves live here. `EXPERIMENTS.md` at the
+//! repository root maps each experiment to its paper counterpart and
+//! records measured-vs-paper shapes.
 
 pub mod ablations;
 pub mod figures;

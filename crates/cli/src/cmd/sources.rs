@@ -259,9 +259,9 @@ mod tests {
 
     #[test]
     fn campus_10x_is_heavy_churn() {
-        // The bench-gate standard load: ~10x the `churn` scenario's
-        // meeting population inside a one-minute trace, so the batch
-        // pipeline is measured under real flow-table pressure.
+        // The heavy-churn load: ~10x the `churn` scenario's meeting
+        // population inside a one-minute trace, so an analysis of it
+        // runs under real flow-table pressure.
         let records = scenario_records("campus-10x", 7, 60).unwrap();
         assert!(
             records.len() > 100_000,

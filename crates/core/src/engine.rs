@@ -253,20 +253,6 @@ impl StreamingEngine {
         Ok(self.take_windows())
     }
 
-    /// Feed a whole [`RecordBatch`] and return every window closed and
-    /// not yet taken — [`PacketSink::push_batch`] followed by
-    /// [`PacketSink::take_windows`]. Byte-identical to per-record
-    /// [`StreamingEngine::push_packet`] calls (pinned by
-    /// `tests/batched_differential.rs`).
-    pub fn push_batch_records(
-        &mut self,
-        batch: &RecordBatch,
-        link: LinkType,
-    ) -> Result<Vec<WindowReport>, Error> {
-        self.push_batch(batch, link)?;
-        Ok(self.take_windows())
-    }
-
     /// Cut a partial window now, without waiting for a boundary record:
     /// same tick (eviction included) as a window close, but the current
     /// window keeps its index and stays open — its eventual close covers

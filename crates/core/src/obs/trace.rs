@@ -169,7 +169,7 @@ fn mix(h: u64, ordinal: u64) -> u64 {
 ///
 /// Disabled by default: [`is_enabled`](TraceCollector::is_enabled) is a
 /// single relaxed load, and a disabled collector records nothing — the
-/// `bench-gate` batch-pipeline rate is unaffected with tracing off.
+/// batch pipeline's rate is unaffected with tracing off.
 #[derive(Debug)]
 pub struct TraceCollector {
     /// 0 = disabled; otherwise the sampling period (1 = every batch,

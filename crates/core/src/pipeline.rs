@@ -403,8 +403,8 @@ impl Analyzer {
 
     /// Process one packet from a borrowed byte slice — the zero-copy
     /// fast path behind [`PacketSink::push`], for use with
-    /// [`zoom_wire::pcap::Reader::read_into`] and
-    /// [`zoom_wire::pcap::SliceReader`] where no owned [`Record`](zoom_wire::pcap::Record) exists.
+    /// [`zoom_wire::pcap::Reader::read_into`] where no owned
+    /// [`Record`](zoom_wire::pcap::Record) exists.
     /// The packet is accounted as `data.len()` bytes on the wire; a loop
     /// that has the record's `orig_len` passes it to
     /// [`Analyzer::process_record`].

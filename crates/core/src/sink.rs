@@ -1,11 +1,5 @@
-//! The unified ingest API: one trait both analysis sinks implement.
-//!
-//! Before this trait existed the pipeline had drifting entry points —
-//! `Analyzer::process_record` and `StreamingEngine::push_record` among
-//! them — with incompatible shapes (borrow
-//! vs. owned records, infallible vs. `Result`, report-by-reference vs.
-//! owned report). Those record-taking methods have since been removed;
-//! [`PacketSink`] pins the one remaining shape:
+//! The unified ingest API: one trait both analysis sinks implement, in
+//! one shape:
 //!
 //! * [`push`](PacketSink::push) — borrowed bytes in, `Result` out: the
 //!   zero-copy fast path every sink already had inherently
@@ -19,16 +13,6 @@
 //!   [`note_pcap_truncated`](PacketSink::note_pcap_truncated) — the
 //!   observability surface ([`crate::obs`]), written once at the sink
 //!   boundary.
-//!
-//! ## Migration (the old entry points no longer exist)
-//!
-//! ```text
-//! removed                                  replacement
-//! ---------------------------------------  -------------------------------------
-//! a.process_record(&rec, link)             a.push(rec.ts_nanos, &rec.data, link)?
-//! a.finish() (borrowing snapshot)          a.finish()? (consuming) / a.report()
-//! engine.push_record(&rec, link)? -> wins  engine.push(..)?; engine.take_windows()
-//! ```
 //!
 //! A generic feed loop over any sink:
 //!

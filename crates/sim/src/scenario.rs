@@ -172,8 +172,8 @@ pub fn churn(seed: u64, duration: Nanos) -> Vec<MeetingConfig> {
 /// (60 s) trace carries ~10x the [`churn`] scenario's meeting count.
 pub const CAMPUS_10X_SCALE: f64 = 12.0;
 
-/// The `campus-10x` workload — the standard heavy load for
-/// `BENCH_ingest.json` and the CI bench gate: the campus study with its
+/// The `campus-10x` workload — the standard heavy load
+/// (`zoom-tools simulate --scenario campus-10x`): the campus study with its
 /// `scale` knob cranked far past the default. The diurnal arrival model
 /// needs tens of minutes to build concurrency, so a bench-length trace
 /// buys its meeting population through scale instead of wall-clock

@@ -11,10 +11,8 @@
 //!   allocate a fresh [`Record`] per packet (simple, `'static`, clonable);
 //! * the **zero-copy fast path** — [`Reader::read_into`] reuses one
 //!   growable [`RecordBuf`] across records (zero steady-state
-//!   allocations), [`Reader::read_into_batch`] appends records straight
-//!   to a capture hand-off [`RecordBatch`], and [`SliceReader`] yields
-//!   records *borrowed* straight out of an in-memory trace image (e.g. an
-//!   `mmap`ed file) without copying payload bytes at all.
+//!   allocations), and [`Reader::read_into_batch`] appends records
+//!   straight to a capture hand-off [`RecordBatch`].
 //!
 //! The owning path is implemented on top of `read_into`, and `read_into`
 //! and `read_into_batch` share one header parser and one accounting
@@ -425,145 +423,6 @@ impl<R: Read> Iterator for RecordIter<R> {
     }
 }
 
-/// One record borrowed from a [`SliceReader`]'s trace image: no payload
-/// copy, `data` points into the underlying buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SliceRecord<'a> {
-    /// Nanoseconds since the Unix epoch.
-    pub ts_nanos: u64,
-    /// Original (on-the-wire) length.
-    pub orig_len: u32,
-    /// Captured bytes, borrowed from the trace image.
-    pub data: &'a [u8],
-}
-
-impl SliceRecord<'_> {
-    /// Copy into an owning [`Record`].
-    pub fn to_record(&self) -> Record {
-        Record {
-            ts_nanos: self.ts_nanos,
-            orig_len: self.orig_len,
-            data: self.data.to_vec(),
-        }
-    }
-}
-
-/// Zero-copy pcap reader over an in-memory trace image (a `Vec<u8>`, an
-/// `mmap`ed file, an embedded test trace): records are yielded as
-/// [`SliceRecord`]s borrowing directly from the image.
-///
-/// Semantics mirror [`Reader`] exactly — same magic/byte-order handling,
-/// same sanity limit, and the same truncated-tail policy (`Ok(None)` plus
-/// the [`truncated_records`](SliceReader::truncated_records) counter).
-pub struct SliceReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    swapped: bool,
-    nanos: bool,
-    link_type: LinkType,
-    snaplen: u32,
-    truncated: u64,
-    records_read: u64,
-    bytes_read: u64,
-}
-
-impl<'a> SliceReader<'a> {
-    /// Validate the global header of an in-memory trace.
-    pub fn new(data: &'a [u8]) -> io::Result<SliceReader<'a>> {
-        let hdr: &[u8; 24] = data
-            .get(..24)
-            .and_then(|s| s.try_into().ok())
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::UnexpectedEof, "pcap image shorter than header")
-            })?;
-        let (swapped, nanos, link_type, snaplen) = parse_global_header(hdr)?;
-        Ok(SliceReader {
-            data,
-            pos: 24,
-            swapped,
-            nanos,
-            link_type,
-            snaplen,
-            truncated: 0,
-            records_read: 0,
-            bytes_read: 0,
-        })
-    }
-
-    /// The trace's link type.
-    pub fn link_type(&self) -> LinkType {
-        self.link_type
-    }
-
-    /// The trace's snap length.
-    pub fn snaplen(&self) -> u32 {
-        self.snaplen
-    }
-
-    /// Records dropped because the image ended mid-record.
-    pub fn truncated_records(&self) -> u64 {
-        self.truncated
-    }
-
-    /// Complete records delivered so far.
-    pub fn records_read(&self) -> u64 {
-        self.records_read
-    }
-
-    /// Captured payload bytes delivered so far (record data only, not
-    /// pcap framing).
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
-    /// The next borrowed record; `Ok(None)` at the end of the image or at
-    /// a truncated tail (which bumps
-    /// [`truncated_records`](SliceReader::truncated_records)).
-    pub fn next_record(&mut self) -> io::Result<Option<SliceRecord<'a>>> {
-        let rest = &self.data[self.pos..];
-        if rest.is_empty() {
-            return Ok(None);
-        }
-        if rest.len() < 16 {
-            self.truncated += 1;
-            self.pos = self.data.len();
-            return Ok(None);
-        }
-        let rd32 = |o: usize| {
-            let v = u32::from_le_bytes([rest[o], rest[o + 1], rest[o + 2], rest[o + 3]]);
-            if self.swapped {
-                v.swap_bytes()
-            } else {
-                v
-            }
-        };
-        let ts_sec = u64::from(rd32(0));
-        let ts_frac = u64::from(rd32(4));
-        let incl_len = rd32(8) as usize;
-        let orig_len = rd32(12);
-        if incl_len as u32 > max_record_len(self.snaplen) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "pcap record longer than twice the snap length",
-            ));
-        }
-        let Some(data) = rest.get(16..16 + incl_len) else {
-            self.truncated += 1;
-            self.pos = self.data.len();
-            return Ok(None);
-        };
-        self.pos += 16 + incl_len;
-        self.records_read += 1;
-        self.bytes_read += incl_len as u64;
-        let frac_nanos = if self.nanos { ts_frac } else { ts_frac * 1_000 };
-        Ok(Some(SliceRecord {
-            ts_nanos: ts_sec * 1_000_000_000 + frac_nanos,
-            orig_len,
-            data,
-        }))
-    }
-}
-
 /// Streaming pcap writer (nanosecond resolution, native byte order).
 pub struct Writer<W: Write> {
     inner: W,
@@ -697,14 +556,6 @@ mod tests {
         let recs: Vec<_> = r.records().map(|x| x.unwrap()).collect();
         assert_eq!(recs[0].ts_nanos, 1_000_000_000 + 500_000);
         assert_eq!(recs[0].data, vec![0xAA, 0xBB]);
-
-        // The slice reader agrees on the same image.
-        let mut s = SliceReader::new(&buf).unwrap();
-        assert_eq!(s.link_type(), LinkType::RawIp);
-        let rec = s.next_record().unwrap().unwrap();
-        assert_eq!(rec.ts_nanos, 1_000_000_000 + 500_000);
-        assert_eq!(rec.data, &[0xAA, 0xBB]);
-        assert!(s.next_record().unwrap().is_none());
     }
 
     #[test]
@@ -727,15 +578,12 @@ mod tests {
             .map(|x| x.unwrap())
             .collect();
         assert_eq!(recs[0].data, vec![0x42]);
-        let mut s = SliceReader::new(&buf).unwrap();
-        assert_eq!(s.next_record().unwrap().unwrap().data, &[0x42]);
     }
 
     #[test]
     fn bad_magic_rejected() {
         let buf = [0u8; 24];
         assert!(Reader::new(&buf[..]).is_err());
-        assert!(SliceReader::new(&buf).is_err());
     }
 
     #[test]
@@ -751,11 +599,6 @@ mod tests {
         assert_eq!(r.next_record().unwrap().unwrap().data, vec![1, 2, 3, 4]);
         assert!(r.next_record().unwrap().is_none());
         assert_eq!(r.truncated_records(), 1);
-
-        let mut s = SliceReader::new(&buf).unwrap();
-        assert_eq!(s.next_record().unwrap().unwrap().data, &[1, 2, 3, 4]);
-        assert!(s.next_record().unwrap().is_none());
-        assert_eq!(s.truncated_records(), 1);
     }
 
     #[test]
@@ -766,10 +609,6 @@ mod tests {
         let mut r = Reader::new(&buf[..]).unwrap();
         assert!(r.next_record().unwrap().is_none());
         assert_eq!(r.truncated_records(), 1);
-
-        let mut s = SliceReader::new(&buf).unwrap();
-        assert!(s.next_record().unwrap().is_none());
-        assert_eq!(s.truncated_records(), 1);
     }
 
     #[test]
@@ -796,10 +635,6 @@ mod tests {
         let mut batch = RecordBatch::new();
         assert!(!r.read_into_batch(&mut batch).unwrap());
         assert_eq!((r.truncated_records(), batch.len()), (1, 0));
-
-        let mut s = SliceReader::new(&buf).unwrap();
-        assert!(s.next_record().unwrap().is_none());
-        assert_eq!(s.truncated_records(), 1);
 
         // A real record longer than one growth step still reads whole.
         let long = Record::full(3, (0..READ_STEP + 1_000).map(|i| i as u8).collect());
@@ -855,11 +690,6 @@ mod tests {
         while r.read_into(&mut buf).unwrap() {}
         assert_eq!(r.records_read(), 2);
         assert_eq!(r.bytes_read(), 160);
-
-        let mut s = SliceReader::new(&img).unwrap();
-        while s.next_record().unwrap().is_some() {}
-        assert_eq!(s.records_read(), 2);
-        assert_eq!(s.bytes_read(), 160);
 
         // A truncated tail is not counted as read.
         let mut cut = img.clone();
@@ -956,24 +786,5 @@ mod tests {
                 assert!(!direct.read_into_batch(&mut batch).unwrap());
             }
         }
-    }
-
-    #[test]
-    fn slice_reader_yields_borrowed_records_identical_to_owning() {
-        let records = vec![
-            Record::full(7, vec![1; 128]),
-            Record::full(8, (0..=255).collect()),
-        ];
-        let img = write_trace(&records);
-        let mut s = SliceReader::new(&img).unwrap();
-        assert_eq!(s.link_type(), LinkType::Ethernet);
-        let mut got = Vec::new();
-        while let Some(rec) = s.next_record().unwrap() {
-            // Borrowed straight from the image: same backing allocation.
-            let img_range = img.as_ptr_range();
-            assert!(img_range.contains(&rec.data.as_ptr()));
-            got.push(rec.to_record());
-        }
-        assert_eq!(got, records);
     }
 }

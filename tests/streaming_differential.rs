@@ -22,7 +22,7 @@ use zoom_analysis::stream::StreamKey;
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
-use zoom_wire::pcap::{LinkType, Reader, Record, RecordBuf, SliceReader, Writer};
+use zoom_wire::pcap::{LinkType, Reader, Record, RecordBuf, Writer};
 
 fn batch_report(records: &[Record]) -> AnalysisReport {
     let mut a = Analyzer::new(AnalyzerConfig::default());
@@ -215,14 +215,12 @@ fn pcap_image(records: &[Record]) -> Vec<u8> {
     w.finish().expect("flush")
 }
 
-/// The three ingest paths under differential test: the owning
-/// `next_record` loop, the buffer-reusing `read_into` loop, and the
-/// borrowed-slice `SliceReader` loop.
+/// The two ingest paths under differential test: the owning
+/// `next_record` loop and the buffer-reusing `read_into` loop.
 #[derive(Clone, Copy, Debug)]
 enum Ingest {
     Owning,
     ReadInto,
-    Slice,
 }
 
 fn stream_via(
@@ -257,13 +255,6 @@ fn stream_via(
                         .push_packet(buf.ts_nanos(), buf.data(), link)
                         .expect("push"),
                 );
-            }
-        }
-        Ingest::Slice => {
-            let mut r = SliceReader::new(img).expect("pcap header");
-            let link = r.link_type();
-            while let Some(rec) = r.next_record().expect("record") {
-                windows.extend(engine.push_packet(rec.ts_nanos, rec.data, link).expect("push"));
             }
         }
     }
@@ -307,15 +298,13 @@ fn ingest_paths_byte_identical() {
             batch.to_json(),
             "owning/{window:?}"
         );
-        for ingest in [Ingest::ReadInto, Ingest::Slice] {
-            let run = stream_via(&img, ingest, window);
-            assert_same_run(&run, &baseline, &format!("{ingest:?}/{window:?}"));
-        }
+        let run = stream_via(&img, Ingest::ReadInto, window);
+        assert_same_run(&run, &baseline, &format!("read_into/{window:?}"));
     }
 }
 
 proptest! {
-    /// Randomized traces through (owning, read_into, SliceReader) ×
+    /// Randomized traces through (owning, read_into) ×
     /// randomized windowing: all windows and both final reports must
     /// serialize identically. (`window_secs` of 0 means unwindowed.)
     #[test]
@@ -328,15 +317,13 @@ proptest! {
         let img = pcap_image(&records);
         let window = (window_secs > 0).then(|| Duration::from_secs(window_secs));
         let baseline = stream_via(&img, Ingest::Owning, window);
-        for ingest in [Ingest::ReadInto, Ingest::Slice] {
-            let run = stream_via(&img, ingest, window);
-            prop_assert_eq!(run.0.len(), baseline.0.len());
-            for (x, y) in run.0.iter().zip(&baseline.0) {
-                prop_assert_eq!(x.to_json(), y.to_json());
-            }
-            prop_assert_eq!(run.1.final_window.to_json(), baseline.1.final_window.to_json());
-            prop_assert_eq!(run.1.report.to_json(), baseline.1.report.to_json());
+        let run = stream_via(&img, Ingest::ReadInto, window);
+        prop_assert_eq!(run.0.len(), baseline.0.len());
+        for (x, y) in run.0.iter().zip(&baseline.0) {
+            prop_assert_eq!(x.to_json(), y.to_json());
         }
+        prop_assert_eq!(run.1.final_window.to_json(), baseline.1.final_window.to_json());
+        prop_assert_eq!(run.1.report.to_json(), baseline.1.report.to_json());
     }
 }
 

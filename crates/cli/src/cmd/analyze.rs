@@ -63,11 +63,10 @@ use std::io::Write as _;
 use std::time::Duration;
 use zoom_analysis::engine::{EngineConfig, QoeThresholds, StreamingEngine};
 use zoom_analysis::features;
-use zoom_analysis::meeting::sorted_addrs;
 use zoom_analysis::obs::serve;
-use zoom_analysis::metrics::stall::{analyze as stall_analyze, StallConfig};
 use zoom_analysis::obs::MetricsSnapshot;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
+use zoom_analysis::report;
 use zoom_analysis::PacketSink;
 use zoom_capture::mux::{CaptureMux, MuxConfig};
 use zoom_capture::source::{FollowConfig, BATCH_RECORDS};
@@ -344,90 +343,7 @@ pub(crate) fn print_report(analyzer: &Analyzer, flags: &HashMap<String, String>)
         return Ok(());
     }
 
-    let summary = analyzer.summary();
-    println!("=== trace summary ===");
-    println!("packets:      {}", summary.total_packets);
-    println!(
-        "zoom packets: {} ({} bytes)",
-        summary.zoom_packets, summary.zoom_bytes
-    );
-    println!("zoom flows:   {}", summary.zoom_flows);
-    println!("rtp streams:  {}", summary.rtp_streams);
-    println!("meetings:     {}", summary.meetings);
-    println!("duration:     {:.1} s", summary.duration_nanos as f64 / 1e9);
-    let (dp, db) = analyzer.classifier().decoded_fraction();
-    println!(
-        "decoded:      {:.1} % pkts / {:.1} % bytes",
-        dp * 100.0,
-        db * 100.0
-    );
-
-    // RTT context feeds the stall analysis threshold.
-    let rtts = analyzer.rtp_rtt_samples();
-    let rtt_count = rtts.len();
-    let mean_rtt_nanos = if rtt_count == 0 {
-        50_000_000
-    } else {
-        (rtts.map(|s| s.rtt_nanos).sum::<u64>() / rtt_count as u64).max(1)
-    };
-
-    println!("\n=== meetings ===");
-    for m in analyzer.meetings() {
-        println!(
-            "meeting {}: {} visible participant(s), {} stream(s), servers {{{}}}",
-            m.id,
-            m.participant_estimate,
-            m.streams.len(),
-            sorted_addrs(&m.servers).join(", ")
-        );
-    }
-
-    println!("\n=== streams ===");
-    for s in analyzer.streams().iter() {
-        let frames = s.frames.as_ref().map_or(0, |f| f.frame_count());
-        print!(
-            "  {} ssrc=0x{:02x} [{}] pkts={} rate={:.0} kbit/s frames={} jitter={:.2} ms",
-            s.key.flow,
-            s.key.ssrc,
-            s.media_type.label(),
-            s.packets,
-            s.mean_media_bitrate() / 1e3,
-            frames,
-            s.frame_jitter.jitter_ms(),
-        );
-        if let Some(f) = &s.frames {
-            let report = stall_analyze(
-                f.frames(),
-                StallConfig {
-                    rtt_nanos: mean_rtt_nanos,
-                    ..Default::default()
-                },
-            );
-            if !report.stalls.is_empty() || report.retransmission_recovered > 0 {
-                print!(
-                    " stalls={} ({:.0} ms) retx-frames={}",
-                    report.stalls.len(),
-                    report.stalled_nanos as f64 / 1e6,
-                    report.retransmission_recovered
-                );
-            }
-        }
-        println!();
-    }
-
-    if rtt_count > 0 {
-        println!(
-            "\nRTT to SFU (RTP copies): {rtt_count} samples, mean {:.1} ms",
-            mean_rtt_nanos as f64 / 1e6
-        );
-    }
-    let tcp = analyzer.tcp_rtt_samples();
-    let tcp_count = tcp.len();
-    if tcp_count > 0 {
-        let mean = tcp.map(|s| s.rtt_ms()).sum::<f64>() / tcp_count as f64;
-        println!("RTT via TCP control:     {tcp_count} samples, mean {mean:.1} ms");
-    }
-
+    print!("{}", report::render_text(analyzer));
     export_features(analyzer, flags)?;
     Ok(())
 }
@@ -654,22 +570,9 @@ fn export_features(analyzer: &Analyzer, flags: &HashMap<String, String>) -> CmdR
     let mut out = std::io::BufWriter::new(
         std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?,
     );
-    let mut total = 0usize;
-    let mut first = true;
-    for s in analyzer.streams().of_type(MediaType::Video) {
-        let rows = features::extract_features(s);
-        total += rows.len();
-        let csv = features::to_csv(&rows);
-        let body = if first {
-            first = false;
-            csv
-        } else {
-            // Skip the header on subsequent streams.
-            csv.split_once('\n').map(|x| x.1).unwrap_or("").to_string()
-        };
-        out.write_all(body.as_bytes()).map_err(|e| e.to_string())?;
-    }
-    out.flush().map_err(|e| e.to_string())?;
+    let total = features::write_csv(&mut out, analyzer.streams().of_type(MediaType::Video))
+        .and_then(|total| out.flush().map(|()| total))
+        .map_err(|e| format!("{path}: {e}"))?;
     eprintln!("wrote {total} feature rows to {path}");
     Ok(())
 }

@@ -11,6 +11,7 @@
 
 use crate::stream::Stream;
 use std::collections::HashMap;
+use std::io::Write;
 
 /// One feature row: a (stream, second) observation.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,28 +97,54 @@ pub fn extract_features(stream: &Stream) -> Vec<FeatureRow> {
         .collect()
 }
 
+/// The CSV header line.
+const CSV_HEADER: &str = "ssrc,second,media_bps,ip_bps,pps,delivered_fps,encoder_fps,\
+                          mean_frame_size,max_frame_delay_ms,jitter_ms\n";
+
 /// Render rows as CSV (with header) — the export format for labeling.
 pub fn to_csv(rows: &[FeatureRow]) -> String {
-    let mut out = String::from(
-        "ssrc,second,media_bps,ip_bps,pps,delivered_fps,encoder_fps,\
-         mean_frame_size,max_frame_delay_ms,jitter_ms\n",
-    );
+    let mut out = CSV_HEADER.as_bytes().to_vec();
     for r in rows {
-        out.push_str(&format!(
-            "{},{},{:.0},{:.0},{:.1},{:.1},{},{:.0},{:.2},{}\n",
-            r.ssrc,
-            r.second,
-            r.media_bps,
-            r.ip_bps,
-            r.pps,
-            r.delivered_fps,
-            r.encoder_fps.map(|v| format!("{v:.1}")).unwrap_or_default(),
-            r.mean_frame_size,
-            r.max_frame_delay_ms,
-            r.jitter_ms.map(|v| format!("{v:.3}")).unwrap_or_default(),
-        ));
+        write_row(&mut out, r).expect("writing to a Vec cannot fail");
     }
-    out
+    String::from_utf8(out).expect("the rows are ASCII")
+}
+
+/// Write the CSV header, then every row of each stream in turn: the
+/// `--features` export. The header is written even when there are no
+/// streams, so an empty export is still a well-formed table. Returns the
+/// number of rows written.
+pub fn write_csv<'a>(
+    out: &mut impl Write,
+    streams: impl IntoIterator<Item = &'a Stream>,
+) -> std::io::Result<usize> {
+    out.write_all(CSV_HEADER.as_bytes())?;
+    let mut total = 0;
+    for s in streams {
+        let rows = extract_features(s);
+        for r in &rows {
+            write_row(out, r)?;
+        }
+        total += rows.len();
+    }
+    Ok(total)
+}
+
+fn write_row(out: &mut impl Write, r: &FeatureRow) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "{},{},{:.0},{:.0},{:.1},{:.1},{},{:.0},{:.2},{}",
+        r.ssrc,
+        r.second,
+        r.media_bps,
+        r.ip_bps,
+        r.pps,
+        r.delivered_fps,
+        r.encoder_fps.map(|v| format!("{v:.1}")).unwrap_or_default(),
+        r.mean_frame_size,
+        r.max_frame_delay_ms,
+        r.jitter_ms.map(|v| format!("{v:.3}")).unwrap_or_default(),
+    )
 }
 
 #[cfg(test)]
@@ -205,5 +232,13 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("ssrc,second"));
         assert!(lines[1].starts_with("33,3,500000,560000,55.0,28.0,28.5,1800,4.25,"));
+    }
+
+    #[test]
+    fn export_without_video_streams_is_the_header_alone() {
+        let mut out = Vec::new();
+        assert_eq!(write_csv(&mut out, []).unwrap(), 0);
+        assert_eq!(out, CSV_HEADER.as_bytes());
+        assert!(CSV_HEADER.starts_with("ssrc,second,") && CSV_HEADER.ends_with("jitter_ms\n"));
     }
 }

@@ -533,6 +533,114 @@ fn drops_from_metrics(m: &crate::obs::PipelineMetrics) -> DropsReport {
     }
 }
 
+// ---------------------------------------------------------------- text --
+
+/// The human-readable end-of-run report `zoom-tools analyze` and `merge`
+/// print without `--json`: trace summary, meetings, one line per live
+/// stream (with its stall and retransmission counts when it has any), and
+/// the RTT means.
+pub fn render_text(analyzer: &Analyzer) -> String {
+    use crate::metrics::stall::{analyze as stall_analyze, StallConfig};
+    let mut out = String::new();
+    let summary = analyzer.summary();
+    let _ = writeln!(out, "=== trace summary ===");
+    let _ = writeln!(out, "packets:      {}", summary.total_packets);
+    let _ = writeln!(
+        out,
+        "zoom packets: {} ({} bytes)",
+        summary.zoom_packets, summary.zoom_bytes
+    );
+    let _ = writeln!(out, "zoom flows:   {}", summary.zoom_flows);
+    let _ = writeln!(out, "rtp streams:  {}", summary.rtp_streams);
+    let _ = writeln!(out, "meetings:     {}", summary.meetings);
+    let _ = writeln!(
+        out,
+        "duration:     {:.1} s",
+        summary.duration_nanos as f64 / 1e9
+    );
+    let (dp, db) = analyzer.classifier().decoded_fraction();
+    let _ = writeln!(
+        out,
+        "decoded:      {:.1} % pkts / {:.1} % bytes",
+        dp * 100.0,
+        db * 100.0
+    );
+
+    // RTT context feeds the stall analysis threshold.
+    let rtts = analyzer.rtp_rtt_samples();
+    let rtt_count = rtts.len();
+    let mean_rtt_nanos = if rtt_count == 0 {
+        50_000_000
+    } else {
+        (rtts.map(|s| s.rtt_nanos).sum::<u64>() / rtt_count as u64).max(1)
+    };
+
+    let _ = writeln!(out, "\n=== meetings ===");
+    for m in analyzer.meetings() {
+        let _ = writeln!(
+            out,
+            "meeting {}: {} visible participant(s), {} stream(s), servers {{{}}}",
+            m.id,
+            m.participant_estimate,
+            m.streams.len(),
+            sorted_addrs(&m.servers).join(", ")
+        );
+    }
+
+    let _ = writeln!(out, "\n=== streams ===");
+    for s in analyzer.streams().iter() {
+        let frames = s.frames.as_ref().map_or(0, |f| f.frame_count());
+        let _ = write!(
+            out,
+            "  {} ssrc=0x{:02x} [{}] pkts={} rate={:.0} kbit/s frames={} jitter={:.2} ms",
+            s.key.flow,
+            s.key.ssrc,
+            s.media_type.label(),
+            s.packets,
+            s.mean_media_bitrate() / 1e3,
+            frames,
+            s.frame_jitter.jitter_ms(),
+        );
+        if let Some(f) = &s.frames {
+            let report = stall_analyze(
+                f.frames(),
+                StallConfig {
+                    rtt_nanos: mean_rtt_nanos,
+                    ..Default::default()
+                },
+            );
+            if !report.stalls.is_empty() || report.retransmission_recovered > 0 {
+                let _ = write!(
+                    out,
+                    " stalls={} ({:.0} ms) retx-frames={}",
+                    report.stalls.len(),
+                    report.stalled_nanos as f64 / 1e6,
+                    report.retransmission_recovered
+                );
+            }
+        }
+        out.push('\n');
+    }
+
+    if rtt_count > 0 {
+        let _ = writeln!(
+            out,
+            "\nRTT to SFU (RTP copies): {rtt_count} samples, mean {:.1} ms",
+            mean_rtt_nanos as f64 / 1e6
+        );
+    }
+    let tcp = analyzer.tcp_rtt_samples();
+    let tcp_count = tcp.len();
+    if tcp_count > 0 {
+        let mean = tcp.map(|s| s.rtt_ms()).sum::<f64>() / tcp_count as f64;
+        let _ = writeln!(
+            out,
+            "RTT via TCP control:     {tcp_count} samples, mean {mean:.1} ms"
+        );
+    }
+    out
+}
+
 // ------------------------------------------------------------- windows --
 
 /// Trace-level deltas over one tumbling window, plus the cumulative

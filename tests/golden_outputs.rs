@@ -10,6 +10,8 @@
 //! * **windowed** — `StreamingEngine { window: 1 s, idle_timeout: 10 s }`
 //!   → every closed window's `to_json()` line in order, the drain's final
 //!   window, then the drained report, one line each,
+//! * **features** — the batch analyzer's `--features` CSV, and
+//! * **text** — its text report (`analyze` without `--json`),
 //!
 //! against constants recorded from the code. A change that means to move
 //! an output edits the constant and says why in its description; a change
@@ -18,12 +20,15 @@
 use std::net::Ipv4Addr;
 use std::time::Duration;
 use zoom_analysis::engine::{EngineConfig, StreamingEngine};
+use zoom_analysis::features;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
+use zoom_analysis::report::render_text;
 use zoom_analysis::PacketSink;
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
 use zoom_wire::pcap::{LinkType, Record};
+use zoom_wire::zoom::MediaType;
 use zoom_wire::{compose, rtp, zoom};
 
 /// Digest, byte length and line count of one rendered output.
@@ -64,6 +69,10 @@ struct Golden {
     records: fn() -> Vec<Record>,
     batch: Pin,
     windowed: Pin,
+    /// The batch analyzer's `--features` CSV.
+    features: Pin,
+    /// The batch analyzer's text report (`analyze` without `--json`).
+    text: Pin,
 }
 
 fn merged(configs: Vec<zoom_sim::meeting::MeetingConfig>) -> Vec<Record> {
@@ -90,30 +99,40 @@ const GOLDEN: [Golden; 5] = [
         records: || MeetingSim::new(scenario::validation_experiment(77)).collect(),
         batch: pin(0x32cb_7767_f234_1a94, 3_319, 1),
         windowed: pin(0x2cc0_8582_1891_f89c, 801_680, 332),
+        features: pin(0x11af_8ebd_401e_1001, 69_454, 1322),
+        text: pin(0xc4ec_ddf5_2e8a_59bc, 1_391, 24),
     },
     Golden {
         scenario: "multi_party(9, 30 s)",
         records: || MeetingSim::new(scenario::multi_party(9, 30 * SEC)).collect(),
         batch: pin(0x7595_5abf_e113_3032, 4_657, 1),
         windowed: pin(0x8314_1674_741b_ac2d, 99_341, 32),
+        features: pin(0xaafc_e8fb_187a_e3a3, 8_382, 163),
+        text: pin(0xfc4a_c0d4_b6a2_18c5, 1_903, 28),
     },
     Golden {
         scenario: "p2p_meeting(5, 30 s)",
         records: || MeetingSim::new(scenario::p2p_meeting(5, 30 * SEC)).collect(),
         batch: pin(0xd5eb_2cd3_bf83_2638, 3_256, 1),
         windowed: pin(0xc9cf_c272_6580_977e, 45_701, 32),
+        features: pin(0xe31e_3395_76de_64ac, 3_159, 61),
+        text: pin(0x996e_1fed_4da8_af7f, 1_256, 22),
     },
     Golden {
         scenario: "churn(3, 60 s)",
         records: || merged(scenario::churn(3, 60 * SEC)),
         batch: pin(0x7a8f_22f0_826e_77f7, 17_302, 1),
         windowed: pin(0x1f83_8c2a_6025_2500, 235_518, 62),
+        features: pin(0x3a33_55bd_38b4_68df, 19_090, 373),
+        text: pin(0x3e02_a987_055a_8a73, 6_532, 69),
     },
     Golden {
         scenario: "evict_and_return",
         records: evict_and_return,
         batch: pin(0xb8e9_fe7d_990d_3143, 2_412, 1),
         windowed: pin(0xbd2e_d987_3233_70b1, 47_780, 64),
+        features: pin(0xf012_6399_a2bb_4e34, 4_323, 98),
+        text: pin(0x327d_fea3_4385_6844, 974, 19),
     },
 ];
 
@@ -252,14 +271,27 @@ fn evict_and_return() -> Vec<Record> {
     records
 }
 
-fn batch_output(records: &[Record]) -> String {
+fn batch_analyzer(records: &[Record]) -> Analyzer {
     let mut analyzer = Analyzer::new(AnalyzerConfig::default());
     for r in records {
         analyzer
             .push(r.ts_nanos, &r.data, LinkType::Ethernet)
             .expect("push");
     }
-    analyzer.finish().expect("finish").to_json()
+    analyzer
+}
+
+fn batch_output(records: &[Record]) -> String {
+    batch_analyzer(records).finish().expect("finish").to_json()
+}
+
+/// The `--features` CSV and the text report of a batch pass.
+fn features_and_text(records: &[Record]) -> (String, String) {
+    let analyzer = batch_analyzer(records);
+    let mut csv = Vec::new();
+    features::write_csv(&mut csv, analyzer.streams().of_type(MediaType::Video)).expect("csv");
+    let csv = String::from_utf8(csv).expect("ASCII");
+    (csv, render_text(&analyzer))
 }
 
 fn windowed_output(records: &[Record]) -> String {
@@ -287,15 +319,14 @@ fn windowed_output(records: &[Record]) -> String {
     out
 }
 
-#[test]
-fn batch_and_windowed_outputs_match_their_pins() {
+/// Each scenario's rows that `outputs` renders, checked against their
+/// pins; the message lists every row that moved.
+fn check_pins(outputs: impl Fn(&Golden, &[Record]) -> Vec<(&'static str, Pin, String)>) {
     let mut moved = Vec::new();
     for g in &GOLDEN {
         let records = (g.records)();
-        for (sink, expected, actual) in [
-            ("batch", g.batch, Pin::of(&batch_output(&records))),
-            ("windowed", g.windowed, Pin::of(&windowed_output(&records))),
-        ] {
+        for (sink, expected, text) in outputs(g, &records) {
+            let actual = Pin::of(&text);
             if actual != expected {
                 moved.push(format!(
                     "{} / {sink}:\n  expected {expected}\n  actual   {actual}",
@@ -310,4 +341,22 @@ fn batch_and_windowed_outputs_match_their_pins() {
         moved.len(),
         moved.join("\n")
     );
+}
+
+#[test]
+fn batch_and_windowed_outputs_match_their_pins() {
+    check_pins(|g, records| {
+        vec![
+            ("batch", g.batch, batch_output(records)),
+            ("windowed", g.windowed, windowed_output(records)),
+        ]
+    });
+}
+
+#[test]
+fn feature_csv_and_text_report_match_their_pins() {
+    check_pins(|g, records| {
+        let (csv, text) = features_and_text(records);
+        vec![("features", g.features, csv), ("text", g.text, text)]
+    });
 }

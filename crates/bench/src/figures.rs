@@ -7,9 +7,13 @@
 
 use crate::harness::{no_meetings, write_csv, CampusRun, ExpArgs};
 use std::collections::HashMap;
+use std::time::Duration;
+use zoom_analysis::engine::{EngineConfig, StreamingEngine};
 use zoom_analysis::entropy::{extract_series, scan_flow, FieldClass};
+use zoom_analysis::metrics::latency::RttTotals;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::stats::{pearson, Samples, TimeBins};
+use zoom_analysis::PacketSink;
 use zoom_capture::cidr::prefix_set;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
 use zoom_sim::meeting::MeetingSim;
@@ -202,7 +206,7 @@ pub fn fig6(args: &ExpArgs) {
                 );
             }
             if let Some(frames) = &s.frames {
-                println!("    frames: {}", frames.frames().len());
+                println!("    frames: {}", frames.count());
             }
         }
     }
@@ -244,11 +248,24 @@ pub fn fig8(args: &ExpArgs) {
 /// rate (a), latency (b), frame-level jitter (c) over a 5.5-minute
 /// validation run with two congestion bursts.
 pub fn fig10(args: &ExpArgs) {
+    // One-second windows give the per-second RTT; the drained analyzer
+    // holds the per-second frame rows and jitter samples.
     let mut sim = MeetingSim::new(scenario::validation_experiment(args.seed));
-    let mut analyzer = Analyzer::new(AnalyzerConfig::default());
+    let mut engine = StreamingEngine::new(EngineConfig {
+        window: Some(Duration::from_secs(1)),
+        ..EngineConfig::default()
+    })
+    .expect("valid engine config");
+    let mut windows = Vec::new();
     for record in &mut sim {
-        analyzer.process_packet(record.ts_nanos, &record.data, LinkType::Ethernet);
+        engine
+            .push(record.ts_nanos, &record.data, LinkType::Ethernet)
+            .expect("push");
+        windows.extend(engine.take_windows());
     }
+    let drained = engine.drain().expect("drain");
+    windows.push(drained.final_window);
+    let analyzer = drained.analyzer;
     let gt = sim.ground_truth();
     let sdk: &[QosSample] = &gt[0];
 
@@ -260,19 +277,18 @@ pub fn fig10(args: &ExpArgs) {
         .expect("downlink video stream");
 
     // (a) frame rate per second: estimate vs feed.
-    let mut est_fps: HashMap<u64, f64> = HashMap::new();
-    if let Some(frames) = &stream.frames {
-        for f in frames.frames() {
-            *est_fps.entry(f.completed_at / SEC).or_default() += 1.0;
-        }
-    }
-    // (b) latency: per-second mean of RTP-RTT samples.
-    let mut rtt_by_sec: HashMap<u64, (f64, u32)> = HashMap::new();
-    for s in analyzer.rtp_rtt_samples() {
-        let e = rtt_by_sec.entry(s.at / SEC).or_default();
-        e.0 += s.rtt_ms();
-        e.1 += 1;
-    }
+    let est_fps: HashMap<u64, f64> = stream
+        .frames
+        .iter()
+        .flat_map(|f| f.rows())
+        .map(|r| (r.second, f64::from(r.frames)))
+        .collect();
+    // (b) latency: per-second mean RTP-RTT, one window per second.
+    let rtt_by_sec: HashMap<u64, f64> = windows
+        .iter()
+        .filter(|w| w.totals.rtp_rtt.samples > 0)
+        .map(|w| (w.start_nanos / SEC, w.totals.rtp_rtt.mean_ms))
+        .collect();
     // (c) jitter: estimator samples per second.
     let jitter_by_sec: HashMap<u64, f64> = stream
         .frame_jitter
@@ -284,10 +300,7 @@ pub fn fig10(args: &ExpArgs) {
     let rows = sdk.iter().map(|s| {
         let sec = s.at / SEC;
         let fps = est_fps.get(&sec).copied().unwrap_or(0.0);
-        let rtt = rtt_by_sec
-            .get(&sec)
-            .map(|(sum, n)| sum / f64::from(*n))
-            .unwrap_or(f64::NAN);
+        let rtt = rtt_by_sec.get(&sec).copied().unwrap_or(f64::NAN);
         let jit = jitter_by_sec.get(&sec).copied().unwrap_or(f64::NAN);
         format!(
             "{sec},{fps:.1},{:.1},{rtt:.2},{:.2},{jit:.3},{:.3}",
@@ -313,7 +326,7 @@ pub fn fig10(args: &ExpArgs) {
     println!("  (a) mean |fps estimate − feed| = {mean_err:.2} fps");
     println!(
         "  (b) rtt samples: {} (feed: {} @1 Hz, latency refresh 5 s)",
-        analyzer.rtp_rtt_samples().len(),
+        analyzer.rtp_rtt().samples(),
         sdk.len()
     );
     let max_est_jitter = stream
@@ -334,52 +347,69 @@ pub fn fig10(args: &ExpArgs) {
 
 /// Fig. 11: the two latency methods side by side.
 pub fn fig11(args: &ExpArgs) {
+    // Per-second RTT of both methods: the estimators' totals differenced
+    // across every second boundary the trace crosses.
     let sim = MeetingSim::new(scenario::validation_experiment(args.seed));
     let mut analyzer = Analyzer::new(AnalyzerConfig::default());
+    let mut seconds: Vec<(u64, RttTotals, RttTotals)> = Vec::new();
+    let mut second = None;
+    let mut marks = (RttTotals::default(), RttTotals::default());
+    let mut close = |sec: u64, a: &Analyzer| {
+        let now = (a.rtp_rtt().totals(), a.tcp_rtt().totals());
+        seconds.push((sec, now.0.since(marks.0), now.1.since(marks.1)));
+        marks = now;
+    };
     for record in sim {
+        let sec = record.ts_nanos / SEC;
+        match second {
+            Some(open) if open != sec => close(open, &analyzer),
+            _ => {}
+        }
+        second = Some(sec);
         analyzer.process_packet(record.ts_nanos, &record.data, LinkType::Ethernet);
     }
-    let rtp: Vec<_> = analyzer.rtp_rtt_samples().collect();
+    if let Some(open) = second {
+        close(open, &analyzer);
+    }
+
     let server: std::net::IpAddr = "170.114.1.10".parse().unwrap();
-    let tcp_server = analyzer.tcp_rtt().samples_to(server);
-    let tcp_clients: Vec<_> = analyzer
-        .tcp_rtt_samples()
-        .filter(|s| s.to != server)
-        .collect();
-    let mean = |v: &[zoom_analysis::metrics::latency::RttSample]| {
-        v.iter().map(|s| s.rtt_ms()).sum::<f64>() / v.len().max(1) as f64
-    };
+    let rtp = analyzer.rtp_rtt().totals();
+    let tcp = analyzer.tcp_rtt().totals();
+    let tcp_server = analyzer.tcp_rtt().to(server);
+    let tcp_clients = tcp.since(tcp_server);
+    let mean = |t: RttTotals| t.mean_ms().unwrap_or(0.0);
     println!("Fig. 11: latency measurement methods");
     println!(
         "  (1) RTP stream copies:   {:>6} samples, mean RTT to SFU {:.1} ms",
-        rtp.len(),
-        mean(&rtp)
+        rtp.samples,
+        mean(rtp)
     );
     println!(
         "  (2) TCP to server:       {:>6} samples, mean {:.1} ms",
-        tcp_server.len(),
-        mean(&tcp_server)
+        tcp_server.samples,
+        mean(tcp_server)
     );
     println!(
         "      TCP to client:       {:>6} samples, mean {:.1} ms",
-        tcp_clients.len(),
-        mean(&tcp_clients)
+        tcp_clients.samples,
+        mean(tcp_clients)
     );
     println!(
         "  RTP method yields {}x the probe density of the TCP method",
-        rtp.len() / tcp_server.len().max(1)
+        rtp.samples / tcp_server.samples.max(1)
     );
+    let rows = |method: &'static str, pick: fn(&(u64, RttTotals, RttTotals)) -> RttTotals| {
+        seconds.iter().filter_map(move |s| {
+            let t = pick(s);
+            let mean = t.mean_ms()?;
+            Some(format!("{method},{},{},{mean:.3}", s.0, t.samples))
+        })
+    };
     write_csv(
         args,
         "fig11_samples.csv",
-        "method,t_seconds,rtt_ms,responder",
-        rtp.iter()
-            .map(|s| format!("rtp,{:.3},{:.3},{}", s.at as f64 / 1e9, s.rtt_ms(), s.to))
-            .chain(
-                analyzer
-                    .tcp_rtt_samples()
-                    .map(|s| format!("tcp,{:.3},{:.3},{}", s.at as f64 / 1e9, s.rtt_ms(), s.to)),
-            ),
+        "method,t_seconds,samples,mean_rtt_ms",
+        rows("rtp", |s| s.1).chain(rows("tcp", |s| s.2)),
     );
 }
 
@@ -539,25 +569,47 @@ pub fn fig15(run: &CampusRun, args: &ExpArgs) {
         ("screen_share", MediaType::ScreenShare),
     ] {
         let mut s = run.analyzer.media_samples(media);
+        let mut emit =
+            |metric: &str, len: usize, points: Vec<(f64, f64)>, median: f64, p95: f64| {
+                if len == 0 {
+                    return;
+                }
+                for (value, frac) in points {
+                    rows.push(format!("{label},{metric},{value:.4},{frac:.4}"));
+                }
+                println!(
+                    "  {label:<13} {metric:<18} n={len:<7} median={median:<10.3} p95={p95:.3}"
+                );
+            };
         for (metric, samples) in [
             ("data_rate_mbps", &mut s.bitrate_mbps),
             ("frame_rate_fps", &mut s.fps),
-            ("frame_size_bytes", &mut s.frame_size),
-            ("jitter_ms", &mut s.jitter_ms),
         ] {
-            if samples.is_empty() {
-                continue;
-            }
-            for (value, frac) in samples.cdf_points(200) {
-                rows.push(format!("{label},{metric},{value:.4},{frac:.4}"));
-            }
-            println!(
-                "  {label:<13} {metric:<18} n={:<7} median={:<10.3} p95={:.3}",
+            emit(
+                metric,
                 samples.len(),
+                samples.cdf_points(200),
                 samples.median(),
-                samples.quantile(0.95)
+                samples.quantile(0.95),
             );
         }
+        // Frame sizes come from a histogram: each value within 1/128.
+        let sizes = &s.frame_size;
+        emit(
+            "frame_size_bytes",
+            sizes.len() as usize,
+            sizes.cdf_points(200),
+            sizes.median() as f64,
+            sizes.quantile(0.95) as f64,
+        );
+        let jitter = &mut s.jitter_ms;
+        emit(
+            "jitter_ms",
+            jitter.len(),
+            jitter.cdf_points(200),
+            jitter.median(),
+            jitter.quantile(0.95),
+        );
     }
     write_csv(args, "fig15_cdfs.csv", "media,metric,value,cdf", rows);
 

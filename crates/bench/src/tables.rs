@@ -183,7 +183,7 @@ pub fn table4(run: &CampusRun) {
             "Latency (§5.3)",
             true,
             true,
-            a.rtp_rtt_samples().len() > 0 || a.tcp_rtt_samples().len() > 0,
+            a.rtp_rtt().samples() > 0 || a.tcp_rtt().samples() > 0,
         ),
         ("Jitter (§5.4)", true, true, !video.jitter_ms.is_empty()),
     ];

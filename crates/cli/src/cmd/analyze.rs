@@ -55,8 +55,8 @@
 
 use super::sources::{build_sources, mux_flags, start_capture, Sources};
 use super::{
-    campus_flag, parse_args, parse_duration, reject_shards_flag, write_window_line, CliError,
-    CmdResult, FlagSpec, TraceOutput,
+    campus_flag, parse_args, parse_duration, reject_features_with_eviction, reject_shards_flag,
+    write_window_line, CliError, CmdResult, FlagSpec, TraceOutput,
 };
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -227,6 +227,7 @@ const FLAGS: FlagSpec = FlagSpec {
 pub fn run(args: &[String]) -> CmdResult {
     reject_shards_flag(args)?;
     let (pos, flags, source_specs) = parse_args(args, &FLAGS)?;
+    reject_features_with_eviction(&flags)?;
     let campus = campus_flag(&flags)?;
     let window = flags.get("window").map(|v| parse_duration(v)).transpose()?;
     let idle_timeout = flags

@@ -32,8 +32,8 @@
 use super::analyze::{feed_mux, finish_mux, print_report, MetricsFile};
 use super::sources::{mux_flags, start_capture, Sources};
 use super::{
-    campus_flag, parse_args, parse_duration, reject_shards_flag, write_window_line, CliError,
-    CmdResult, FlagSpec, TraceOutput,
+    campus_flag, parse_args, parse_duration, reject_features_with_eviction, reject_shards_flag,
+    write_window_line, CliError, CmdResult, FlagSpec, TraceOutput,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write as _};
@@ -251,6 +251,7 @@ const FLAGS: FlagSpec = FlagSpec {
 pub fn run(args: &[String]) -> CmdResult {
     reject_shards_flag(args)?;
     let (files, flags, _) = parse_args(args, &FLAGS)?;
+    reject_features_with_eviction(&flags)?;
     let campus = campus_flag(&flags)?;
     let window = flags.get("window").map(|v| parse_duration(v)).transpose()?;
     let idle_timeout = flags

@@ -219,6 +219,19 @@ pub fn reject_shards_flag(args: &[String]) -> CmdResult {
     Ok(())
 }
 
+/// Refuse `--features` together with `--idle-timeout`: a feature row
+/// needs its stream's whole history, and eviction drops the stream, so
+/// every evicted stream's rows would be missing from the CSV.
+pub fn reject_features_with_eviction(flags: &HashMap<String, String>) -> CmdResult {
+    if flags.contains_key("features") && flags.contains_key("idle-timeout") {
+        return Err(CliError::usage(
+            "--features cannot be combined with --idle-timeout: features need each stream's \
+             whole history, and eviction drops evicted streams from the export",
+        ));
+    }
+    Ok(())
+}
+
 /// Parse a human-friendly duration: `10s`, `500ms`, `2m`, or a bare
 /// number of seconds (`10`). Fractions are accepted (`1.5s`).
 pub fn parse_duration(spec: &str) -> Result<Duration, String> {
@@ -322,7 +335,8 @@ impl TraceOutput {
         self.drain(trace)?;
         if let Some(f) = &mut self.file {
             use std::io::Write as _;
-            f.flush().map_err(|e| CliError::io(format!("--trace: {e}")))?;
+            f.flush()
+                .map_err(|e| CliError::io(format!("--trace: {e}")))?;
         }
         if let Some(p) = &self.profile_path {
             std::fs::write(p, trace.folded_stacks())

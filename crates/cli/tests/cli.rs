@@ -483,6 +483,45 @@ fn streaming_analyze_emits_windows_then_final() {
     assert!(err.contains("peak tracked entries"), "stderr: {err}");
 }
 
+/// Features need every stream's whole history and eviction drops
+/// streams, so `--features` with `--idle-timeout` is refused (exit 2)
+/// before any input is read or any file written — on `analyze` and
+/// `merge` alike.
+#[test]
+fn features_with_an_idle_timeout_are_refused() {
+    let raw = tmp("evict_features.pcap");
+    let csv = tmp("evict_features.csv");
+    let (_, err, ok) = run(&[
+        "simulate",
+        raw.to_str().unwrap(),
+        "--seconds",
+        "10",
+        "--scenario",
+        "churn",
+    ]);
+    assert!(ok, "simulate failed: {err}");
+    let pcap = raw.to_str().unwrap();
+    let features = csv.to_str().unwrap();
+    let eviction = ["--idle-timeout", "2s", "--features", features];
+    for args in [
+        [&["analyze", pcap, "--window", "1s"][..], &eviction].concat(),
+        [&["merge", pcap][..], &eviction].concat(),
+    ] {
+        let (out, err, code) = run_code(&args);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains("--features cannot be combined with --idle-timeout"),
+            "{err}"
+        );
+        assert!(out.is_empty(), "{out}");
+        assert!(!csv.exists(), "{args:?} wrote {features}");
+    }
+    // Windows alone keep every stream, and the export works.
+    let (_, err, ok) = run(&["analyze", pcap, "--window", "1s", "--features", features]);
+    assert!(ok, "{err}");
+    assert!(std::fs::read_to_string(&csv).unwrap().lines().count() > 1);
+}
+
 #[test]
 fn bad_usage_fails_cleanly() {
     let (_, _, ok) = run(&[]);

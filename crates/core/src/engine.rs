@@ -49,6 +49,7 @@ pub use qoe_watch::{AlertState, QoeAlert, QoeThresholds, QoeWatch};
 use crate::error::Error;
 use crate::fxhash::FxHashSet;
 use crate::meeting::MeetingGrouper;
+use crate::metrics::latency::RttTotals;
 use crate::obs::trace::spans;
 use crate::obs::{MetricsSnapshot, PipelineMetrics};
 use crate::pipeline::{Analyzer, AnalyzerConfig};
@@ -57,6 +58,7 @@ use crate::report::{
     WindowReport, WindowTotals,
 };
 use crate::sink::PacketSink;
+use crate::stats::LogHistogram;
 use crate::stream::{Stream, StreamSnap};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -144,8 +146,9 @@ struct WindowClock {
     flows_seen: u64,
     streams_seen: u64,
     evicted_flows_cum: u64,
-    /// RTP-copy RTT samples before this index were reported in a window.
-    rtt_mark: usize,
+    /// The RTP-copy RTT totals and histogram as of the last close; a
+    /// window's RTT summary is the difference.
+    rtt_mark: (RttTotals, LogHistogram),
     last_tracked: usize,
     peak_tracked: usize,
     // -------- what eviction took out of the analyzer --------------------
@@ -197,7 +200,7 @@ impl StreamingEngine {
             flows_seen: 0,
             streams_seen: 0,
             evicted_flows_cum: 0,
-            rtt_mark: 0,
+            rtt_mark: Default::default(),
             last_tracked: 0,
             peak_tracked: 0,
             fragments: Vec::new(),
@@ -461,9 +464,14 @@ impl WindowClock {
 
         totals.active_streams = streams.iter().filter(|r| r.packets > 0).count() as u64;
         totals.meetings = analyzer.grouper.meeting_count();
-        let rtt_log = analyzer.rtp_rtt.log();
-        totals.rtp_rtt = RttSummaryReport::from_nanos(rtt_log.rtt_nanos_since(self.rtt_mark));
-        self.rtt_mark = rtt_log.len();
+        let rtt = analyzer.rtp_rtt.stats();
+        let (mark_totals, mark_histogram) = &mut self.rtt_mark;
+        totals.rtp_rtt = RttSummaryReport::of(
+            rtt.totals().since(*mark_totals),
+            &rtt.histogram().since(mark_histogram),
+        );
+        *mark_totals = rtt.totals();
+        mark_histogram.clone_from(rtt.histogram());
         totals.tracked_entries = analyzer.streams.flow_count()
             + analyzer.streams.len()
             + analyzer.p2p_endpoints.len()

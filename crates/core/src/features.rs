@@ -9,6 +9,7 @@
 //! of stream lifetime, ready to be labeled with viewer opinions and fed
 //! to a model.
 
+use crate::metrics::frame::FrameRow;
 use crate::stream::Stream;
 use std::collections::HashMap;
 use std::io::Write;
@@ -42,29 +43,10 @@ pub struct FeatureRow {
 /// Extract the per-second feature matrix of one stream.
 pub fn extract_features(stream: &Stream) -> Vec<FeatureRow> {
     const SEC: u64 = 1_000_000_000;
-    // Rate rows are time-ordered and seconds without traffic have none.
+    // Rate and frame rows are time-ordered and seconds without traffic
+    // (or without a completed frame) have none.
     let mut rates = stream.rates.rows().iter().peekable();
-    let mut delivered: HashMap<u64, f64> = HashMap::new();
-    let mut enc_sum: HashMap<u64, (f64, u32)> = HashMap::new();
-    let mut size_sum: HashMap<u64, (f64, u32)> = HashMap::new();
-    let mut delay_max: HashMap<u64, f64> = HashMap::new();
-    if let Some(frames) = &stream.frames {
-        for f in frames.frames() {
-            let s = f.completed_at / SEC;
-            *delivered.entry(s).or_default() += 1.0;
-            if let Some(fps) = f.encoder_fps() {
-                let e = enc_sum.entry(s).or_default();
-                e.0 += fps;
-                e.1 += 1;
-            }
-            let e = size_sum.entry(s).or_default();
-            e.0 += f.size_bytes as f64;
-            e.1 += 1;
-            let d = f.frame_delay_nanos() as f64 / 1e6;
-            let entry = delay_max.entry(s).or_insert(0.0);
-            *entry = entry.max(d);
-        }
-    }
+    let mut frames = stream.frames.iter().flat_map(|f| f.rows()).peekable();
     let jitter: HashMap<u64, f64> = stream
         .frame_jitter
         .samples()
@@ -78,19 +60,18 @@ pub fn extract_features(stream: &Stream) -> Vec<FeatureRow> {
         .map(|second| {
             while rates.next_if(|r| r.second < second).is_some() {}
             let rate = rates.next_if(|r| r.second == second);
+            while frames.next_if(|r| r.second < second).is_some() {}
+            let frame = frames.next_if(|r| r.second == second);
             FeatureRow {
                 ssrc: stream.key.ssrc,
                 second,
                 media_bps: rate.map_or(0.0, |r| r.media_bytes as f64 * 8.0),
                 ip_bps: rate.map_or(0.0, |r| r.ip_bytes as f64 * 8.0),
                 pps: rate.map_or(0.0, |r| r.packets as f64),
-                delivered_fps: delivered.get(&second).copied().unwrap_or(0.0),
-                encoder_fps: enc_sum.get(&second).map(|(sum, n)| sum / f64::from(*n)),
-                mean_frame_size: size_sum
-                    .get(&second)
-                    .map(|(sum, n)| sum / f64::from(*n))
-                    .unwrap_or(0.0),
-                max_frame_delay_ms: delay_max.get(&second).copied().unwrap_or(0.0),
+                delivered_fps: frame.map_or(0.0, |r| f64::from(r.frames)),
+                encoder_fps: frame.and_then(FrameRow::encoder_fps),
+                mean_frame_size: frame.map_or(0.0, FrameRow::mean_frame_size),
+                max_frame_delay_ms: frame.map_or(0.0, |r| r.max_frame_delay_nanos as f64 / 1e6),
                 jitter_ms: jitter.get(&second).copied(),
             }
         })

@@ -15,9 +15,10 @@
 //! network problem from a user-behaviour change.
 
 use super::VIDEO_SAMPLING_RATE;
+use crate::stats::row_of;
 use crate::{position_hinted, RecentTimestamps};
 
-/// One fully delivered frame, as [`FrameTracker::frames`] yields it.
+/// One fully delivered frame, as [`FrameTracker::on_packet`] returns it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameRecord {
     /// Arrival time of the first packet of the frame.
@@ -65,19 +66,6 @@ pub enum Completion {
     MarkerBit,
 }
 
-/// A completed frame as the tracker keeps it: 32 bytes where a
-/// [`FrameRecord`] takes 48. The encoder interval is not stored — it is a
-/// function of this frame's and the previous entry's RTP timestamps, and
-/// [`FrameTracker::frames`] derives it on the way out.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FrameEntry {
-    first_packet_at: u64,
-    completed_at: u64,
-    rtp_timestamp: u32,
-    size_bytes: u32,
-    packets: u32,
-}
-
 /// Method 2: the encoder's frame interval implied by the RTP timestamp
 /// step from the previous completed frame, in nanoseconds. Rejects a zero
 /// step and wraps/reorders that imply absurd intervals.
@@ -116,9 +104,8 @@ pub struct FrameTracker {
     pending: Vec<Pending>,
     /// Index into `pending` of the frame the previous packet joined.
     last_hit: usize,
-    /// Every completed frame, in completion order — the one record kept
-    /// per frame for the whole run.
-    completed: Vec<FrameEntry>,
+    /// RTP timestamp of the frame completed last: Method 2's reference.
+    last_completed_ts: Option<u32>,
     /// Timestamps of recently completed frames: a retransmitted duplicate
     /// arriving after completion must not re-open (and re-count) the
     /// frame.
@@ -152,14 +139,16 @@ impl FrameTracker {
             sampling_rate,
             pending: Vec::new(),
             last_hit: 0,
-            completed: Vec::new(),
+            last_completed_ts: None,
             completed_ts: RecentTimestamps::new(),
             spare_seqs: Vec::new(),
         }
     }
 
     /// Feed one main-substream media packet (callers must filter out FEC:
-    /// it shares timestamps but is not part of the frame).
+    /// it shares timestamps but is not part of the frame). Returns the
+    /// frame this packet completed, if it completed one; the tracker keeps
+    /// nothing of it but its RTP timestamp.
     pub fn on_packet(
         &mut self,
         at: u64,
@@ -168,7 +157,7 @@ impl FrameTracker {
         marker: bool,
         payload_len: usize,
         pkts_in_frame: Option<u8>,
-    ) {
+    ) -> Option<FrameRecord> {
         // A frame is pending or recently completed, never both (it leaves
         // `pending` on completion and cannot re-open while `completed_ts`
         // remembers it), so the common case — another packet of an open
@@ -180,7 +169,7 @@ impl FrameTracker {
             Some(i) => i,
             None => {
                 if self.completed_ts.contains(rtp_timestamp) {
-                    return; // late duplicate of an already-completed frame
+                    return None; // late duplicate of an already-completed frame
                 }
                 self.pending.push(Pending {
                     rtp_timestamp,
@@ -196,7 +185,7 @@ impl FrameTracker {
         self.last_hit = slot;
         let pending = &mut self.pending[slot];
         if pending.seqs.contains(&sequence) {
-            return; // retransmission duplicate
+            return None; // retransmission duplicate
         }
         pending.seqs.push(sequence);
         pending.bytes += payload_len;
@@ -211,25 +200,28 @@ impl FrameTracker {
                 .unwrap_or(false),
             Completion::MarkerBit => pending.marker_seen,
         };
-        if complete {
+        let completed = complete.then(|| {
             let mut p = self.pending.remove(slot);
-            // A frame holds at most 65 536 distinct sequence numbers of
-            // at most 65 535 payload bytes each (a UDP datagram's length
-            // is 16 bits): under 2^32 bytes, so this never saturates.
-            let size_bytes = u32::try_from(p.bytes).unwrap_or(u32::MAX);
-            self.completed.push(FrameEntry {
+            let frame = FrameRecord {
                 first_packet_at: p.first_at,
                 completed_at: at,
                 rtp_timestamp,
-                size_bytes,
+                size_bytes: p.bytes,
                 packets: p.seqs.len() as u32,
-            });
+                encoder_interval_nanos: encoder_interval_nanos(
+                    self.last_completed_ts,
+                    rtp_timestamp,
+                    self.sampling_rate,
+                ),
+            };
+            self.last_completed_ts = Some(rtp_timestamp);
             self.completed_ts.push(rtp_timestamp);
             if self.spare_seqs.len() < SPARE_SEQS {
                 p.seqs.clear();
                 self.spare_seqs.push(std::mem::take(&mut p.seqs));
             }
-        }
+            frame
+        });
         // Bound pending state: discard frames that have not completed
         // within 5 seconds (packets lost beyond recovery).
         if self.pending.len() > 64 {
@@ -243,59 +235,88 @@ impl FrameTracker {
                 keep
             });
         }
-    }
-
-    /// Method 1's instantaneous frame rate: completed frames within the
-    /// second before `now`, counted back from the newest.
-    pub fn instantaneous_fps(&self, now: u64) -> usize {
-        self.completed
-            .iter()
-            .rev()
-            .take_while(|e| now.saturating_sub(e.completed_at) <= 1_000_000_000)
-            .count()
-    }
-
-    /// All completed frames, in completion order.
-    pub fn frames(&self) -> impl ExactSizeIterator<Item = FrameRecord> + '_ {
-        let log = &self.completed;
-        log.iter().enumerate().map(move |(i, e)| {
-            let prev = i.checked_sub(1).map(|p| log[p].rtp_timestamp);
-            FrameRecord {
-                first_packet_at: e.first_packet_at,
-                completed_at: e.completed_at,
-                rtp_timestamp: e.rtp_timestamp,
-                size_bytes: e.size_bytes as usize,
-                packets: e.packets,
-                encoder_interval_nanos: encoder_interval_nanos(
-                    prev,
-                    e.rtp_timestamp,
-                    self.sampling_rate,
-                ),
-            }
-        })
-    }
-
-    /// Number of completed frames.
-    pub fn frame_count(&self) -> usize {
-        self.completed.len()
+        completed
     }
 
     /// Frames that never completed (lost packets).
     pub fn incomplete(&self) -> usize {
         self.pending.len()
     }
+}
 
-    /// Per-second delivered frame rate over `[0, end)`; index = second.
-    pub fn fps_bins(&self, end: u64) -> Vec<u32> {
-        let n = end.div_ceil(1_000_000_000) as usize;
-        let mut bins = vec![0u32; n];
-        for f in &self.completed {
-            let idx = (f.completed_at / 1_000_000_000) as usize;
-            if idx < n {
-                bins[idx] += 1;
-            }
+/// One second of a stream's completed frames (by completion time): what
+/// the per-second readers need of them — delivered fps, mean frame size
+/// and encoder fps, and the worst frame delay.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FrameRow {
+    /// Whole seconds since time zero.
+    pub second: u64,
+    /// Frames completed (Method 1's delivered frame rate).
+    pub frames: u32,
+    /// Their sizes summed, bytes.
+    pub size_bytes: u64,
+    /// Method 2's encoder frame rates summed, over the frames that have
+    /// one, in completion order.
+    pub encoder_fps_sum: f64,
+    /// How many frames have an encoder frame rate.
+    pub encoder_fps_frames: u32,
+    /// The longest frame delay, nanoseconds.
+    pub max_frame_delay_nanos: u64,
+}
+
+impl FrameRow {
+    /// Mean frame size, bytes (0 for a row without frames).
+    pub fn mean_frame_size(&self) -> f64 {
+        if self.frames == 0 {
+            0.0
+        } else {
+            self.size_bytes as f64 / f64::from(self.frames)
         }
-        bins
+    }
+
+    /// Mean encoder frame rate, if any frame had one.
+    pub fn encoder_fps(&self) -> Option<f64> {
+        (self.encoder_fps_frames > 0)
+            .then(|| self.encoder_fps_sum / f64::from(self.encoder_fps_frames))
+    }
+}
+
+/// Per-second frame rows of one stream, in time order; only seconds in
+/// which a frame completed have a row (like [`crate::stats::RateRows`]).
+#[derive(Debug, Clone, Default)]
+pub struct FrameRows {
+    rows: Vec<FrameRow>,
+}
+
+impl FrameRows {
+    /// Fold one completed frame into its second's row.
+    pub fn add(&mut self, f: &FrameRecord) {
+        let second = f.completed_at / 1_000_000_000;
+        let row = row_of(
+            &mut self.rows,
+            second,
+            |r| r.second,
+            |second| FrameRow {
+                second,
+                frames: 0,
+                size_bytes: 0,
+                encoder_fps_sum: 0.0,
+                encoder_fps_frames: 0,
+                max_frame_delay_nanos: 0,
+            },
+        );
+        row.frames += 1;
+        row.size_bytes += f.size_bytes as u64;
+        if let Some(fps) = f.encoder_fps() {
+            row.encoder_fps_sum += fps;
+            row.encoder_fps_frames += 1;
+        }
+        row.max_frame_delay_nanos = row.max_frame_delay_nanos.max(f.frame_delay_nanos());
+    }
+
+    /// The rows, in time order.
+    pub fn rows(&self) -> &[FrameRow] {
+        &self.rows
     }
 }
 
@@ -305,23 +326,21 @@ mod tests {
 
     const MS: u64 = 1_000_000;
 
-    fn frames(t: &FrameTracker) -> Vec<FrameRecord> {
-        t.frames().collect()
-    }
-
-    /// Feed a 3-packet frame at the given base time/timestamp.
-    fn feed_frame(t: &mut FrameTracker, at: u64, ts: u32, seq0: u16) {
-        t.on_packet(at, ts, seq0, false, 1_000, Some(3));
-        t.on_packet(at + MS / 4, ts, seq0 + 1, false, 1_000, Some(3));
-        t.on_packet(at + MS / 2, ts, seq0 + 2, true, 500, Some(3));
+    /// Feed a 3-packet frame at the given base time/timestamp; returns
+    /// what the last packet completed.
+    fn feed_frame(t: &mut FrameTracker, at: u64, ts: u32, seq0: u16) -> Option<FrameRecord> {
+        assert_eq!(t.on_packet(at, ts, seq0, false, 1_000, Some(3)), None);
+        assert_eq!(
+            t.on_packet(at + MS / 4, ts, seq0 + 1, false, 1_000, Some(3)),
+            None
+        );
+        t.on_packet(at + MS / 2, ts, seq0 + 2, true, 500, Some(3))
     }
 
     #[test]
     fn completes_on_packet_count() {
         let mut t = FrameTracker::video();
-        feed_frame(&mut t, 1_000 * MS, 90_000, 1);
-        assert_eq!(t.frames().len(), 1);
-        let f = &frames(&t)[0];
+        let f = feed_frame(&mut t, 1_000 * MS, 90_000, 1).expect("completed");
         assert_eq!(f.size_bytes, 2_500);
         assert_eq!(f.packets, 3);
         assert_eq!(f.frame_delay_nanos(), MS / 2);
@@ -335,10 +354,10 @@ mod tests {
         // saturates at zero instead of panicking (test profile) or
         // wrapping to ~1.8e19 ns (release).
         let mut t = FrameTracker::video();
-        t.on_packet(10 * MS, 100, 1, false, 500, Some(2));
-        t.on_packet(9 * MS, 100, 2, true, 500, Some(2));
-        assert_eq!(t.frames().len(), 1);
-        let f = &frames(&t)[0];
+        assert_eq!(t.on_packet(10 * MS, 100, 1, false, 500, Some(2)), None);
+        let f = t
+            .on_packet(9 * MS, 100, 2, true, 500, Some(2))
+            .expect("completed");
         assert!(f.completed_at < f.first_packet_at);
         assert_eq!(f.frame_delay_nanos(), 0);
     }
@@ -346,32 +365,31 @@ mod tests {
     #[test]
     fn late_duplicate_after_completion_is_ignored_then_reopens() {
         let mut t = FrameTracker::video();
-        feed_frame(&mut t, 0, 500, 1);
+        assert!(feed_frame(&mut t, 0, 500, 1).is_some());
         // Duplicate of the completed frame: ignored while remembered.
-        t.on_packet(MS, 500, 1, false, 1_000, Some(3));
-        assert_eq!(t.frames().len(), 1);
+        assert_eq!(t.on_packet(MS, 500, 1, false, 1_000, Some(3)), None);
         assert_eq!(t.incomplete(), 0);
         // 128 further completions push it out of `completed_ts`; the
         // same timestamp then opens a fresh frame.
         for i in 0..128u32 {
-            feed_frame(
+            let f = feed_frame(
                 &mut t,
                 u64::from(i + 1) * 33 * MS,
                 10_000 + i * 3_000,
                 (i * 3) as u16 + 10,
             );
+            assert!(f.is_some());
         }
-        t.on_packet(5_000 * MS, 500, 1, false, 1_000, Some(3));
+        assert_eq!(t.on_packet(5_000 * MS, 500, 1, false, 1_000, Some(3)), None);
         assert_eq!(t.incomplete(), 1);
-        assert_eq!(t.frames().len(), 129);
     }
 
     #[test]
     fn method2_interval_from_rtp_delta() {
         let mut t = FrameTracker::video();
         feed_frame(&mut t, 1_000 * MS, 90_000, 1);
-        feed_frame(&mut t, 1_033 * MS, 90_000 + 3_000, 10); // Δ=3000 ticks = 1/30 s
-        let f = &frames(&t)[1];
+        // Δ = 3000 ticks = 1/30 s.
+        let f = feed_frame(&mut t, 1_033 * MS, 90_000 + 3_000, 10).expect("completed");
         assert_eq!(f.encoder_interval_nanos, Some(33_333_333));
         assert!((f.encoder_fps().unwrap() - 30.0).abs() < 0.01);
     }
@@ -381,57 +399,46 @@ mod tests {
         let mut t = FrameTracker::video();
         t.on_packet(0, 100, 1, false, 500, Some(3));
         t.on_packet(MS, 100, 1, false, 500, Some(3)); // retransmission
-        t.on_packet(2 * MS, 100, 2, false, 500, Some(3));
-        assert_eq!(t.frame_count(), 0);
-        t.on_packet(3 * MS, 100, 3, true, 500, Some(3));
-        assert_eq!(t.frames().len(), 1);
-        assert_eq!(frames(&t)[0].size_bytes, 1_500);
+        assert_eq!(t.on_packet(2 * MS, 100, 2, false, 500, Some(3)), None);
+        let f = t.on_packet(3 * MS, 100, 3, true, 500, Some(3));
+        assert_eq!(f.map(|f| f.size_bytes), Some(1_500));
     }
 
     #[test]
     fn marker_bit_completion_for_screen_share() {
         let mut t = FrameTracker::screen_share();
-        t.on_packet(0, 200, 1, false, 1_000, None);
-        t.on_packet(MS, 200, 2, false, 1_000, None);
-        assert_eq!(t.frame_count(), 0);
-        t.on_packet(2 * MS, 200, 3, true, 300, None);
-        assert_eq!(t.frames().len(), 1);
-        assert_eq!(frames(&t)[0].size_bytes, 2_300);
-    }
-
-    #[test]
-    fn instantaneous_fps_window() {
-        let mut t = FrameTracker::video();
-        for i in 0..30u64 {
-            feed_frame(
-                &mut t,
-                i * 33 * MS,
-                90_000 + i as u32 * 3_000,
-                (i * 10) as u16,
-            );
-        }
-        // All 30 frames completed within ~1 s.
-        let fps = t.instantaneous_fps(30 * 33 * MS);
-        assert!((28..=30).contains(&fps), "fps {fps}");
-        // Two seconds later the window is empty.
-        assert_eq!(t.instantaneous_fps(3_000 * MS), 0);
+        assert_eq!(t.on_packet(0, 200, 1, false, 1_000, None), None);
+        assert_eq!(t.on_packet(MS, 200, 2, false, 1_000, None), None);
+        let f = t.on_packet(2 * MS, 200, 3, true, 300, None);
+        assert_eq!(f.map(|f| f.size_bytes), Some(2_300));
     }
 
     #[test]
     fn fps_bins_count_per_second() {
+        // Ten frames in the first second, two in the third, and a
+        // straggler completing back in the first: one row per second
+        // that completed a frame, in time order.
         let mut t = FrameTracker::video();
+        let mut rows = FrameRows::default();
+        let mut feed = |at: u64, ts: u32, seq: u16| {
+            rows.add(&feed_frame(&mut t, at, ts, seq).expect("completed"));
+        };
         for i in 0..10u64 {
-            feed_frame(
-                &mut t,
-                i * 100 * MS,
-                1_000 + i as u32 * 9_000,
-                (i * 10) as u16,
-            );
+            feed(i * 100 * MS, 1_000 + i as u32 * 9_000, (i * 10) as u16);
         }
-        let bins = t.fps_bins(2_000 * MS);
-        assert_eq!(bins.len(), 2);
-        assert_eq!(bins[0], 10);
-        assert_eq!(bins[1], 0);
+        feed(2_100 * MS, 200_000, 200);
+        feed(2_200 * MS, 209_000, 210);
+        feed(900 * MS, 100, 300);
+        let frames: Vec<(u64, u32)> = rows.rows().iter().map(|r| (r.second, r.frames)).collect();
+        assert_eq!(frames, [(0, 11), (2, 2)]);
+        let first = rows.rows()[0];
+        assert_eq!(first.size_bytes, 11 * 2_500);
+        assert_eq!(first.mean_frame_size(), 2_500.0);
+        assert_eq!(first.max_frame_delay_nanos, MS / 2);
+        // Nine frames of the first second are 9 000 ticks (10 fps) after
+        // the one before; the straggler jumps back (no encoder rate).
+        assert_eq!(first.encoder_fps_frames, 9);
+        assert!((first.encoder_fps().unwrap() - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -439,7 +446,7 @@ mod tests {
         let mut t = FrameTracker::video();
         // 100 frames each missing one packet.
         for i in 0..100u32 {
-            t.on_packet(
+            let f = t.on_packet(
                 u64::from(i) * 40 * MS,
                 i * 3_000,
                 (i * 10) as u16,
@@ -447,8 +454,8 @@ mod tests {
                 800,
                 Some(2),
             );
+            assert_eq!(f, None);
         }
-        assert_eq!(t.frame_count(), 0);
         assert!(t.incomplete() > 0);
         // Much later, a new packet triggers the purge path.
         t.on_packet(60_000 * MS, 999_999, 9_999, false, 10, Some(2));
@@ -459,13 +466,12 @@ mod tests {
     fn timestamp_wrap_rejected_for_method2() {
         let mut t = FrameTracker::video();
         feed_frame(&mut t, 0, u32::MAX - 100, 1);
-        feed_frame(&mut t, 33 * MS, 50, 10); // wraps
-                                             // Wrap of ~150 ticks is tiny and fine; a huge "backwards" wrap is
-                                             // what gets rejected:
-        let f = &frames(&t)[1];
+        // Wrap of ~150 ticks is tiny and fine; a huge "backwards" wrap is
+        // what gets rejected:
+        let f = feed_frame(&mut t, 33 * MS, 50, 10).expect("completed");
         assert!(f.encoder_interval_nanos.is_some());
-        feed_frame(&mut t, 66 * MS, 40, 20); // goes backwards → huge delta
-        assert_eq!(frames(&t)[2].encoder_interval_nanos, None);
+        let f = feed_frame(&mut t, 66 * MS, 40, 20).expect("completed"); // goes backwards → huge delta
+        assert_eq!(f.encoder_interval_nanos, None);
     }
 
     #[test]
@@ -481,24 +487,15 @@ mod tests {
             (40, None),
         ];
         let mut t = FrameTracker::video();
-        for (i, &(ts, _)) in steps.iter().enumerate() {
-            feed_frame(&mut t, i as u64 * 33 * MS, ts, i as u16 * 10);
+        for (i, &(ts, want)) in steps.iter().enumerate() {
+            let f = feed_frame(&mut t, i as u64 * 33 * MS, ts, i as u16 * 10).expect("completed");
+            assert_eq!(f.encoder_interval_nanos, want, "step {i}");
+            assert_eq!((f.size_bytes, f.packets), (2_500, 3));
         }
         // A repeated timestamp cannot complete twice in a row through
-        // `on_packet` (`completed_ts` drops it), so append the zero step
-        // to the log directly: it must read back as no interval.
-        let last = *t.completed.last().unwrap();
-        t.completed.push(FrameEntry {
-            completed_at: last.completed_at + 33 * MS,
-            ..last
-        });
-        let got: Vec<Option<u64>> = t.frames().map(|f| f.encoder_interval_nanos).collect();
-        let mut want: Vec<Option<u64>> = steps.iter().map(|&(_, w)| w).collect();
-        want.push(None);
-        assert_eq!(got, want);
-        assert_eq!(t.frames().len(), 6);
-        assert!(frames(&t)
-            .iter()
-            .all(|f| f.size_bytes == 2_500 && f.packets == 3));
+        // `on_packet` (`completed_ts` drops it); the zero step it would
+        // be has no interval.
+        assert_eq!(encoder_interval_nanos(Some(40), 40, 90_000), None);
+        assert_eq!(encoder_interval_nanos(None, 40, 90_000), None);
     }
 }

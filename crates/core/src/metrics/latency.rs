@@ -16,112 +16,115 @@
 
 use crate::fxhash::FxHashMap;
 use crate::packet::{Direction, PacketMeta, TcpMeta};
+use crate::stats::LogHistogram;
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::net::IpAddr;
 use zoom_wire::flow::FiveTuple;
 
-/// One RTT observation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RttSample {
-    /// When the returning packet was seen.
-    pub at: u64,
-    /// Round-trip time, nanoseconds.
-    pub rtt_nanos: u64,
-    /// The endpoint the RTT is measured to (the SFU for RTP samples; the
-    /// ACK sender for TCP samples).
-    pub to: IpAddr,
+/// Count and sum of a set of RTT samples: what the mean is exactly, and
+/// what a window's mean is by difference.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RttTotals {
+    /// Number of samples.
+    pub samples: u64,
+    /// Their round-trip times summed, nanoseconds.
+    pub sum_nanos: u128,
 }
 
-impl RttSample {
-    /// RTT in milliseconds.
-    pub fn rtt_ms(&self) -> f64 {
-        self.rtt_nanos as f64 / 1e6
-    }
-}
-
-/// One RTT observation as an [`RttLog`] keeps it: 24 bytes where an
-/// [`RttSample`] takes 40, because the responder is an index into the
-/// log's intern table rather than an `IpAddr`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RttEntry {
-    at: u64,
-    rtt_nanos: u64,
-    to: u32,
-}
-
-/// Every RTT sample of one estimator, in match order, with responder
-/// addresses interned: a run has many samples but few responders (the
-/// SFUs, the control servers, the campus clients that ACK).
-#[derive(Debug, Default)]
-pub struct RttLog {
-    entries: Vec<RttEntry>,
-    /// Distinct responders, by first appearance.
-    responders: Vec<IpAddr>,
-    /// Responder → its index in `responders`. The addresses come off the
-    /// wire, so lookups go through a hash, never a scan.
-    index: FxHashMap<IpAddr, u32>,
-    /// The responder interned last: consecutive matches mostly come
-    /// from the same SFU.
-    last: Option<(IpAddr, u32)>,
-}
-
-impl RttLog {
-    fn push(&mut self, at: u64, rtt_nanos: u64, to: IpAddr) {
-        let to = match self.last {
-            Some((ip, i)) if ip == to => i,
-            _ => {
-                let responders = &mut self.responders;
-                let i = *self.index.entry(to).or_insert_with(|| {
-                    responders.push(to);
-                    u32::try_from(responders.len() - 1).expect("under 2^32 responders")
-                });
-                self.last = Some((to, i));
-                i
-            }
-        };
-        self.entries.push(RttEntry { at, rtt_nanos, to });
+impl RttTotals {
+    fn add(&mut self, rtt_nanos: u64) {
+        self.samples += 1;
+        self.sum_nanos += u128::from(rtt_nanos);
     }
 
-    fn sample(&self, e: &RttEntry) -> RttSample {
-        RttSample {
-            at: e.at,
-            rtt_nanos: e.rtt_nanos,
-            to: self.responders[e.to as usize],
+    /// The samples taken after `earlier`, a state these totals passed
+    /// through.
+    pub fn since(self, earlier: RttTotals) -> RttTotals {
+        RttTotals {
+            samples: self.samples - earlier.samples,
+            sum_nanos: self.sum_nanos - earlier.sum_nanos,
         }
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// Mean RTT in whole nanoseconds (the sum divided once, rounding
+    /// down); `None` without samples.
+    pub fn mean_nanos(self) -> Option<u64> {
+        let n = u128::from(self.samples);
+        // The mean of u64 values fits a u64.
+        (n > 0).then(|| (self.sum_nanos / n) as u64)
     }
 
-    /// Whether no sample was taken yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// [`RttTotals::mean_nanos`] in milliseconds.
+    pub fn mean_ms(self) -> Option<f64> {
+        self.mean_nanos().map(|m| m as f64 / 1e6)
     }
+}
 
-    /// All samples, in match order.
-    pub fn samples(&self) -> impl ExactSizeIterator<Item = RttSample> + '_ {
-        self.entries.iter().map(|e| self.sample(e))
-    }
+/// What an estimator keeps of its RTT samples — a fixed amount of state
+/// however many it takes: their count and sum, a [`LogHistogram`] of the
+/// round-trip times in nanoseconds, and a count and sum per responder (a
+/// run has many samples but few responders: the SFUs, the control
+/// servers, the campus clients that ACK).
+#[derive(Debug, Default)]
+pub struct RttStats {
+    totals: RttTotals,
+    histogram: LogHistogram,
+    /// Per responder, by first appearance.
+    responders: Vec<(IpAddr, RttTotals)>,
+    /// Responder → its index in `responders`. The addresses come off the
+    /// wire, so lookups go through a hash, never a scan.
+    index: FxHashMap<IpAddr, u32>,
+    /// Index of the responder counted last: consecutive matches mostly
+    /// come from the same SFU.
+    last: usize,
+}
 
-    /// Round-trip times of the samples from index `from` on — what a
-    /// window summarises since its previous close.
-    pub fn rtt_nanos_since(&self, from: usize) -> impl Iterator<Item = u64> + '_ {
-        self.entries[from..].iter().map(|e| e.rtt_nanos)
-    }
-
-    /// Samples attributed to a particular responder.
-    pub fn samples_to(&self, ip: IpAddr) -> Vec<RttSample> {
-        let Some(&i) = self.index.get(&ip) else {
-            return Vec::new();
+impl RttStats {
+    fn record(&mut self, rtt_nanos: u64, to: IpAddr) {
+        self.totals.add(rtt_nanos);
+        self.histogram.record(rtt_nanos);
+        let at = match self.responders.get(self.last) {
+            Some(&(ip, _)) if ip == to => self.last,
+            _ => {
+                let responders = &mut self.responders;
+                let at = *self.index.entry(to).or_insert_with(|| {
+                    responders.push((to, RttTotals::default()));
+                    u32::try_from(responders.len() - 1).expect("under 2^32 responders")
+                }) as usize;
+                self.last = at;
+                at
+            }
         };
-        self.entries
-            .iter()
-            .filter(|e| e.to == i)
-            .map(|e| self.sample(e))
-            .collect()
+        self.responders[at].1.add(rtt_nanos);
+    }
+
+    /// Count and sum over every sample.
+    pub fn totals(&self) -> RttTotals {
+        self.totals
+    }
+
+    /// Number of samples.
+    pub fn samples(&self) -> u64 {
+        self.totals.samples
+    }
+
+    /// The round-trip times, nanoseconds.
+    pub fn histogram(&self) -> &LogHistogram {
+        &self.histogram
+    }
+
+    /// Count and sum over the samples attributed to `ip` (zero when it
+    /// never responded).
+    pub fn to(&self, ip: IpAddr) -> RttTotals {
+        self.index
+            .get(&ip)
+            .map_or_else(RttTotals::default, |&i| self.responders[i as usize].1)
+    }
+
+    /// Every responder with its count and sum, by first appearance.
+    pub fn responders(&self) -> impl Iterator<Item = (IpAddr, RttTotals)> + '_ {
+        self.responders.iter().copied()
     }
 }
 
@@ -133,7 +136,7 @@ pub struct RtpRttEstimator {
     /// Insertion order for eviction.
     order: VecDeque<(u128, u64)>,
     window_nanos: u64,
-    log: RttLog,
+    stats: RttStats,
 }
 
 impl Default for RtpRttEstimator {
@@ -149,7 +152,7 @@ impl RtpRttEstimator {
             outstanding: FxHashMap::default(),
             order: VecDeque::new(),
             window_nanos,
-            log: RttLog::default(),
+            stats: RttStats::default(),
         }
     }
 
@@ -175,11 +178,8 @@ impl RtpRttEstimator {
             }
             Direction::FromServer => {
                 if let Some(t_out) = self.outstanding.remove(&key) {
-                    self.log.push(
-                        ts_nanos,
-                        ts_nanos.saturating_sub(t_out),
-                        m.five_tuple.src_ip,
-                    );
+                    self.stats
+                        .record(ts_nanos.saturating_sub(t_out), m.five_tuple.src_ip);
                 }
             }
             Direction::Unknown => {}
@@ -210,14 +210,9 @@ impl RtpRttEstimator {
         self.evict(now);
     }
 
-    /// All samples so far.
-    pub fn samples(&self) -> impl ExactSizeIterator<Item = RttSample> + '_ {
-        self.log.samples()
-    }
-
-    /// The sample log itself.
-    pub fn log(&self) -> &RttLog {
-        &self.log
+    /// What the samples so far add up to.
+    pub fn stats(&self) -> &RttStats {
+        &self.stats
     }
 
     /// Unmatched uplink packets currently held.
@@ -233,7 +228,7 @@ pub struct TcpRttEstimator {
     pending: FxHashMap<(FiveTuple, u32), u64>,
     order: VecDeque<((FiveTuple, u32), u64)>,
     window_nanos: u64,
-    log: RttLog,
+    stats: RttStats,
 }
 
 impl Default for TcpRttEstimator {
@@ -249,7 +244,7 @@ impl TcpRttEstimator {
             pending: FxHashMap::default(),
             order: VecDeque::new(),
             window_nanos,
-            log: RttLog::default(),
+            stats: RttStats::default(),
         }
     }
 
@@ -268,11 +263,8 @@ impl TcpRttEstimator {
         if t.has_ack {
             let key = (t.five_tuple.reversed(), t.ack);
             if let Some(t_data) = self.pending.remove(&key) {
-                self.log.push(
-                    t.ts_nanos,
-                    t.ts_nanos.saturating_sub(t_data),
-                    t.five_tuple.src_ip,
-                );
+                self.stats
+                    .record(t.ts_nanos.saturating_sub(t_data), t.five_tuple.src_ip);
             }
         }
     }
@@ -292,19 +284,9 @@ impl TcpRttEstimator {
         }
     }
 
-    /// All samples so far.
-    pub fn samples(&self) -> impl ExactSizeIterator<Item = RttSample> + '_ {
-        self.log.samples()
-    }
-
-    /// The sample log itself.
-    pub fn log(&self) -> &RttLog {
-        &self.log
-    }
-
-    /// Samples attributed to a particular responder.
-    pub fn samples_to(&self, ip: IpAddr) -> Vec<RttSample> {
-        self.log.samples_to(ip)
+    /// What the samples so far add up to.
+    pub fn stats(&self) -> &RttStats {
+        &self.stats
     }
 }
 
@@ -369,11 +351,17 @@ mod tests {
         let mut e = RtpRttEstimator::default();
         e.on_packet(&media(1_000 * MS, Direction::ToServer, 5));
         e.on_packet(&media(1_046 * MS, Direction::FromServer, 5));
-        assert_eq!(e.samples().len(), 1);
-        let s = e.samples().next().unwrap();
-        assert_eq!(s.rtt_nanos, 46 * MS);
-        assert!((s.rtt_ms() - 46.0).abs() < 1e-9);
-        assert_eq!(s.to, IpAddr::V4(Ipv4Addr::new(170, 114, 0, 9)));
+        let stats = e.stats();
+        assert_eq!(stats.samples(), 1);
+        assert_eq!(stats.totals().mean_nanos(), Some(46 * MS));
+        assert_eq!(stats.totals().mean_ms(), Some(46.0));
+        let median = stats.histogram().median();
+        assert!(median.abs_diff(46 * MS) <= 46 * MS / 128, "{median}");
+        let sfu = IpAddr::V4(Ipv4Addr::new(170, 114, 0, 9));
+        assert_eq!(
+            stats.responders().collect::<Vec<_>>(),
+            [(sfu, stats.totals())]
+        );
     }
 
     #[test]
@@ -384,7 +372,7 @@ mod tests {
         let mut other_pt = media(12 * MS, Direction::FromServer, 5);
         other_pt.rtp.as_mut().unwrap().payload_type = 110;
         e.on_packet(&other_pt);
-        assert!(e.log().is_empty());
+        assert_eq!(e.stats().samples(), 0);
     }
 
     #[test]
@@ -393,7 +381,7 @@ mod tests {
         e.on_packet(&media(0, Direction::ToServer, 5));
         e.on_packet(&media(130 * MS, Direction::ToServer, 5)); // retransmit
         e.on_packet(&media(150 * MS, Direction::FromServer, 5));
-        assert_eq!(e.samples().next().unwrap().rtt_nanos, 150 * MS);
+        assert_eq!(e.stats().totals().mean_nanos(), Some(150 * MS));
     }
 
     #[test]
@@ -404,7 +392,7 @@ mod tests {
         e.on_packet(&media(5_000 * MS, Direction::ToServer, 6));
         assert_eq!(e.outstanding(), 1);
         e.on_packet(&media(5_010 * MS, Direction::FromServer, 5));
-        assert!(e.log().is_empty());
+        assert_eq!(e.stats().samples(), 0);
     }
 
     fn tcp(at: u64, up: bool, seq: u32, ack: u32, len: usize) -> TcpMeta {
@@ -447,11 +435,11 @@ mod tests {
         // Server data at t=100 ms, client ACK at t=103 ms → RTT to client.
         e.on_segment(&tcp(100 * MS, false, 500, 1_100, 50));
         e.on_segment(&tcp(103 * MS, true, 1_100, 550, 0));
-        assert_eq!(e.samples().len(), 2);
+        assert_eq!(e.stats().samples(), 2);
         let server = IpAddr::V4(Ipv4Addr::new(170, 114, 0, 9));
         let client = IpAddr::V4(Ipv4Addr::new(10, 8, 0, 1));
-        assert_eq!(e.samples_to(server)[0].rtt_nanos, 40 * MS);
-        assert_eq!(e.samples_to(client)[0].rtt_nanos, 3 * MS);
+        assert_eq!(e.stats().to(server).mean_nanos(), Some(40 * MS));
+        assert_eq!(e.stats().to(client).mean_nanos(), Some(3 * MS));
     }
 
     #[test]
@@ -459,7 +447,7 @@ mod tests {
         let mut e = TcpRttEstimator::default();
         e.on_segment(&tcp(0, true, 1_000, 0, 100));
         e.on_segment(&tcp(40 * MS, false, 500, 1_050, 0)); // acks half
-        assert!(e.log().is_empty());
+        assert_eq!(e.stats().samples(), 0);
     }
 
     #[test]
@@ -473,8 +461,8 @@ mod tests {
             (u32::MAX - 10).wrapping_add(100),
             0,
         ));
-        assert_eq!(e.samples().len(), 1);
-        assert_eq!(e.samples().next().unwrap().rtt_nanos, 25 * MS);
+        assert_eq!(e.stats().samples(), 1);
+        assert_eq!(e.stats().totals().mean_nanos(), Some(25 * MS));
     }
 
     #[test]
@@ -483,31 +471,30 @@ mod tests {
         let v6 = IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 9));
         // The v4-mapped form of `v4` is a distinct responder.
         let mapped = IpAddr::V6(Ipv4Addr::new(170, 114, 0, 9).to_ipv6_mapped());
-        let mut log = RttLog::default();
+        let mut stats = RttStats::default();
         let order = [v4, v6, v6, v4, mapped, v6, v4, mapped];
         for (i, &to) in order.iter().enumerate() {
-            log.push(i as u64 * MS, (i as u64 + 1) * MS, to);
+            stats.record((i as u64 + 1) * MS, to);
         }
-        assert_eq!(log.len(), order.len());
-        assert_eq!(log.responders.len(), 3);
-        let all: Vec<RttSample> = log.samples().collect();
-        for (i, s) in all.iter().enumerate() {
-            assert_eq!(
-                (s.at, s.rtt_nanos, s.to),
-                (i as u64 * MS, (i as u64 + 1) * MS, order[i])
-            );
+        assert_eq!(stats.samples(), order.len() as u64);
+        assert_eq!(stats.totals().sum_nanos, u128::from(36 * MS));
+        // Samples 1, 4 and 7 ms went to v4; 2, 3 and 6 to v6; 5 and 8 to
+        // its v4-mapped twin.
+        let want = |samples, sum_ms: u64| RttTotals {
+            samples,
+            sum_nanos: u128::from(sum_ms * MS),
+        };
+        assert_eq!(
+            stats.responders().collect::<Vec<_>>(),
+            [(v4, want(3, 12)), (v6, want(3, 11)), (mapped, want(2, 13))]
+        );
+        for (ip, totals) in stats.responders() {
+            assert_eq!(stats.to(ip), totals);
         }
-        for to in [v4, v6, mapped] {
-            let want: Vec<RttSample> = all.iter().filter(|s| s.to == to).copied().collect();
-            assert_eq!(log.samples_to(to), want);
-        }
-        assert_eq!(log.samples_to(v4).len(), 3);
-        assert_eq!(log.samples_to(v6).len(), 3);
-        assert_eq!(log.samples_to(mapped).len(), 2);
-        assert!(log
-            .samples_to(IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)))
-            .is_empty());
-        assert_eq!(log.rtt_nanos_since(6).collect::<Vec<_>>(), [7 * MS, 8 * MS]);
+        assert_eq!(stats.to(mapped).mean_nanos(), Some(6_500_000));
+        let stranger = IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1));
+        assert_eq!(stats.to(stranger), RttTotals::default());
+        assert_eq!(stats.to(stranger).mean_nanos(), None);
     }
 
     #[test]
@@ -519,19 +506,30 @@ mod tests {
                 IpAddr::V6(Ipv6Addr::from(0x2001_0db8_u128 << 96 | u128::from(i)))
             }
         };
-        let mut log = RttLog::default();
+        let mut stats = RttStats::default();
         for i in 0..10_000u32 {
-            log.push(u64::from(i), u64::from(i) + 1, responder(i));
+            stats.record(u64::from(i) + 1, responder(i));
         }
-        assert_eq!(log.responders.len(), 10_000);
-        assert_eq!(log.len(), 10_000);
+        assert_eq!(stats.responders().count(), 10_000);
+        assert_eq!(stats.samples(), 10_000);
         for i in 0..10_000u32 {
-            let got = log.samples_to(responder(i));
-            assert_eq!(got.len(), 1, "responder {i}");
-            assert_eq!(
-                (got[0].at, got[0].rtt_nanos),
-                (u64::from(i), u64::from(i) + 1)
-            );
+            let got = stats.to(responder(i));
+            assert_eq!(got.samples, 1, "responder {i}");
+            assert_eq!(got.mean_nanos(), Some(u64::from(i) + 1));
         }
+    }
+
+    #[test]
+    fn totals_since_an_earlier_state_are_the_later_samples() {
+        let mut stats = RttStats::default();
+        let sfu = IpAddr::V4(Ipv4Addr::new(170, 114, 0, 9));
+        stats.record(10 * MS, sfu);
+        let mark = stats.totals();
+        stats.record(20 * MS, sfu);
+        stats.record(31 * MS, sfu);
+        let window = stats.totals().since(mark);
+        assert_eq!(window.samples, 2);
+        assert_eq!(window.mean_nanos(), Some(25_500_000));
+        assert_eq!(window.mean_ms(), Some(25.5));
     }
 }

@@ -15,30 +15,25 @@
 //!   lateness (delivery interval minus media interval) accumulates as
 //!   drain; when the buffer empties, a stall begins, and playable time
 //!   must build back up before playback resumes.
+//!
+//! Both are computed online: a stream steps its [`StallTracker`] once per
+//! frame as the frame completes, and no frame is kept.
 
 use crate::metrics::frame::FrameRecord;
 
 /// Retransmission-timeout constant observed by the paper (§5.5).
 pub const ZOOM_RETRANSMIT_TIMEOUT_NANOS: u64 = 100_000_000;
 
-/// One detected stall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stall {
-    /// When the buffer ran dry.
-    pub start: u64,
-    /// When enough media had re-buffered to resume.
-    pub end: u64,
-}
+/// The RTT the retransmission threshold assumes before the first RTT
+/// sample has been taken.
+pub const FALLBACK_RTT_NANOS: u64 = 50_000_000;
 
-impl Stall {
-    /// Stall duration in nanoseconds.
-    pub fn duration_nanos(&self) -> u64 {
-        self.end - self.start
-    }
-}
+/// Receive jitter-buffer depth the analyzer models; Zoom-class apps hold
+/// roughly 100–200 ms of media.
+pub const JITTER_BUFFER_NANOS: u64 = 150_000_000;
 
 /// Report of the frame-delay analysis of one stream.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallReport {
     /// Frames whose delivery exceeded RTT + retransmission timeout — the
     /// §5.5 retransmission indicator.
@@ -46,7 +41,7 @@ pub struct StallReport {
     /// Total frames analyzed.
     pub frames: usize,
     /// Detected playback stalls.
-    pub stalls: Vec<Stall>,
+    pub stalls: usize,
     /// Total stalled time, nanoseconds.
     pub stalled_nanos: u64,
 }
@@ -62,89 +57,90 @@ impl StallReport {
     }
 }
 
-/// Configuration of the analysis.
-#[derive(Debug, Clone, Copy)]
-pub struct StallConfig {
-    /// Current RTT estimate to the SFU (from Method-1/-2 latency), used
-    /// for the retransmission threshold.
-    pub rtt_nanos: u64,
-    /// Receive jitter-buffer depth; Zoom-class apps hold roughly
-    /// 100–200 ms of media.
-    pub jitter_buffer_nanos: u64,
+/// The jitter-buffer model of one stream, stepped once per completed
+/// frame, in completion order: a fixed amount of state, however long the
+/// stream runs.
+#[derive(Debug, Clone)]
+pub struct StallTracker {
+    jitter_buffer_nanos: u64,
+    /// Playable media in the buffer, nanoseconds. Starts full (initial
+    /// buffering is not a stall).
+    buffer: i64,
+    /// When the ongoing stall began, if playback is stalled.
+    stall_start: Option<u64>,
+    /// Completion time of the previous frame.
+    prev_completed_at: Option<u64>,
+    /// Counts over the stalls that have ended.
+    done: StallReport,
 }
 
-impl Default for StallConfig {
+impl Default for StallTracker {
     fn default() -> Self {
-        StallConfig {
-            rtt_nanos: 50_000_000,
-            jitter_buffer_nanos: 150_000_000,
-        }
+        StallTracker::new(JITTER_BUFFER_NANOS)
     }
 }
 
-/// Analyze a stream's completed frames.
-///
-/// `frames` must be in completion order (as produced by
-/// [`crate::metrics::frame::FrameTracker::frames`]).
-pub fn analyze(frames: impl IntoIterator<Item = FrameRecord>, config: StallConfig) -> StallReport {
-    let mut report = StallReport::default();
-    let retx_threshold = config.rtt_nanos + ZOOM_RETRANSMIT_TIMEOUT_NANOS;
-
-    // Playable media in the buffer, nanoseconds. Starts full (initial
-    // buffering is not a stall).
-    let mut buffer = config.jitter_buffer_nanos as i64;
-    let mut stall_start: Option<u64> = None;
-    let mut prev: Option<FrameRecord> = None;
-
-    for f in frames {
-        report.frames += 1;
-        if f.frame_delay_nanos() > retx_threshold {
-            report.retransmission_recovered += 1;
+impl StallTracker {
+    /// Tracker modelling a receive buffer of `jitter_buffer_nanos`.
+    pub fn new(jitter_buffer_nanos: u64) -> StallTracker {
+        StallTracker {
+            jitter_buffer_nanos,
+            buffer: jitter_buffer_nanos as i64,
+            stall_start: None,
+            prev_completed_at: None,
+            done: StallReport::default(),
         }
-        let Some(prev) = prev.replace(f) else {
-            continue;
+    }
+
+    /// Step the model over the next completed frame. `rtt_nanos` is the
+    /// RTT estimate to the SFU as of the frame's completion; the frame
+    /// counts as retransmission-recovered when its delay exceeds that plus
+    /// [`ZOOM_RETRANSMIT_TIMEOUT_NANOS`].
+    pub fn on_frame(&mut self, f: &FrameRecord, rtt_nanos: u64) {
+        self.done.frames += 1;
+        if f.frame_delay_nanos() > rtt_nanos.saturating_add(ZOOM_RETRANSMIT_TIMEOUT_NANOS) {
+            self.done.retransmission_recovered += 1;
+        }
+        let Some(prev) = self.prev_completed_at.replace(f.completed_at) else {
+            return;
         };
         // Media time this frame adds (the packetization interval).
         let media = f.encoder_interval_nanos.unwrap_or(0) as i64;
-        if let Some(start) = stall_start {
+        let full = self.jitter_buffer_nanos as i64;
+        if let Some(start) = self.stall_start {
             // Stalled: playback is paused, so arriving media only
             // accumulates; resume once half the buffer has re-built
             // (standard rebuffering behaviour).
-            buffer += media;
-            if buffer >= config.jitter_buffer_nanos as i64 / 2 {
-                let stall = Stall {
-                    start,
-                    end: f.completed_at.max(start),
-                };
-                report.stalled_nanos += stall.duration_nanos();
-                report.stalls.push(stall);
-                stall_start = None;
+            self.buffer += media;
+            if self.buffer >= full / 2 {
+                self.done.stalls += 1;
+                self.done.stalled_nanos += f.completed_at.max(start) - start;
+                self.stall_start = None;
             }
-            continue;
+            return;
         }
         // Playing: wall time consumes the buffer, media refills it.
-        let wall = f.completed_at.saturating_sub(prev.completed_at) as i64;
-        buffer += media - wall;
-        buffer = buffer.min(config.jitter_buffer_nanos as i64);
-        if buffer <= 0 {
+        let wall = f.completed_at.saturating_sub(prev) as i64;
+        self.buffer = (self.buffer + media - wall).min(full);
+        if self.buffer <= 0 {
             // Buffer dry: playback stalls.
-            stall_start = Some(f.completed_at);
-            buffer = 0;
+            self.stall_start = Some(f.completed_at);
+            self.buffer = 0;
         }
     }
-    if let Some(start) = stall_start {
-        if let Some(last) = prev {
-            if last.completed_at > start {
-                let stall = Stall {
-                    start,
-                    end: last.completed_at,
-                };
-                report.stalled_nanos += stall.duration_nanos();
-                report.stalls.push(stall);
+
+    /// The report as of now: a stall still under way counts up to the
+    /// last frame's completion.
+    pub fn report(&self) -> StallReport {
+        let mut report = self.done;
+        if let (Some(start), Some(last)) = (self.stall_start, self.prev_completed_at) {
+            if last > start {
+                report.stalls += 1;
+                report.stalled_nanos += last - start;
             }
         }
+        report
     }
-    report
 }
 
 #[cfg(test)]
@@ -152,6 +148,15 @@ mod tests {
     use super::*;
 
     const MS: u64 = 1_000_000;
+
+    /// Step a default tracker over `frames` at a fixed RTT.
+    fn analyze(frames: impl IntoIterator<Item = FrameRecord>, rtt_nanos: u64) -> StallReport {
+        let mut t = StallTracker::default();
+        for f in frames {
+            t.on_frame(&f, rtt_nanos);
+        }
+        t.report()
+    }
 
     /// Frames delivered at a steady cadence matching their media time.
     fn steady(n: usize, interval_ms: u64) -> Vec<FrameRecord> {
@@ -169,8 +174,8 @@ mod tests {
 
     #[test]
     fn steady_stream_never_stalls() {
-        let report = analyze(steady(300, 33), StallConfig::default());
-        assert!(report.stalls.is_empty());
+        let report = analyze(steady(300, 33), FALLBACK_RTT_NANOS);
+        assert_eq!(report.stalls, 0);
         assert_eq!(report.stalled_nanos, 0);
         assert_eq!(report.retransmission_recovered, 0);
         assert_eq!(report.frames, 300);
@@ -181,15 +186,11 @@ mod tests {
         let mut frames = steady(100, 33);
         // One frame took 300 ms first-packet → completion.
         frames[50].completed_at = frames[50].first_packet_at + 300 * MS;
-        let report = analyze(
-            frames,
-            StallConfig {
-                rtt_nanos: 50 * MS,
-                jitter_buffer_nanos: 150 * MS,
-            },
-        );
+        let report = analyze(frames.clone(), 50 * MS);
         assert_eq!(report.retransmission_recovered, 1);
         assert!((report.retransmission_fraction() - 0.01).abs() < 1e-9);
+        // The threshold follows the RTT each frame is stepped with.
+        assert_eq!(analyze(frames, 250 * MS).retransmission_recovered, 0);
     }
 
     #[test]
@@ -207,8 +208,8 @@ mod tests {
                 encoder_interval_nanos: Some(33 * MS),
             })
             .collect();
-        let report = analyze(frames, StallConfig::default());
-        assert!(!report.stalls.is_empty());
+        let report = analyze(frames, FALLBACK_RTT_NANOS);
+        assert!(report.stalls > 0);
         assert!(report.stalled_nanos > 0);
     }
 
@@ -220,8 +221,8 @@ mod tests {
             f.completed_at += 120 * MS;
             f.first_packet_at += 120 * MS;
         }
-        let report = analyze(frames, StallConfig::default());
-        assert!(report.stalls.is_empty(), "stalls: {:?}", report.stalls);
+        let report = analyze(frames, FALLBACK_RTT_NANOS);
+        assert_eq!(report.stalls, 0, "{report:?}");
     }
 
     #[test]
@@ -232,17 +233,40 @@ mod tests {
             f.completed_at += 400 * MS;
             f.first_packet_at += 400 * MS;
         }
-        let report = analyze(frames, StallConfig::default());
-        assert_eq!(report.stalls.len(), 1);
-        let stall = report.stalls[0];
+        let report = analyze(frames, FALLBACK_RTT_NANOS);
+        assert_eq!(report.stalls, 1);
         // Rebuffering takes ~half the buffer of media time to recover.
-        assert!(stall.duration_nanos() > 30 * MS);
-        assert!(stall.duration_nanos() < 600 * MS);
+        assert!(report.stalled_nanos > 30 * MS);
+        assert!(report.stalled_nanos < 600 * MS);
+    }
+
+    #[test]
+    fn stall_under_way_counts_up_to_the_last_frame() {
+        // Deliveries stop keeping up and never recover: the open stall
+        // is in the report, and keeps growing with each frame.
+        let mut t = StallTracker::default();
+        let mut last = StallReport::default();
+        for i in 0..20u64 {
+            let f = FrameRecord {
+                first_packet_at: i * 200 * MS,
+                completed_at: i * 200 * MS + MS,
+                rtp_timestamp: i as u32 * 300,
+                size_bytes: 1_000,
+                packets: 1,
+                encoder_interval_nanos: Some(3 * MS),
+            };
+            t.on_frame(&f, FALLBACK_RTT_NANOS);
+            let now = t.report();
+            assert!(now.stalled_nanos >= last.stalled_nanos);
+            last = now;
+        }
+        assert_eq!(last.stalls, 1);
+        assert_eq!(last.stalled_nanos, 18 * 200 * MS);
     }
 
     #[test]
     fn empty_input() {
-        let report = analyze([], StallConfig::default());
+        let report = analyze([], FALLBACK_RTT_NANOS);
         assert_eq!(report.frames, 0);
         assert_eq!(report.retransmission_fraction(), 0.0);
     }

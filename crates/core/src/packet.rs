@@ -500,15 +500,16 @@ mod tests {
         assert_eq!(size_of::<PacketMeta>(), 128);
     }
 
-    /// What the analyzer keeps for the whole run: one entry per completed
-    /// frame and one per RTT match.
+    /// What the analyzer keeps per stream and second: a rate row for
+    /// every stream, a frame row for a video or screen-share stream that
+    /// completed a frame. Nothing is kept per frame or per RTT match.
     #[test]
-    fn per_event_log_entries_keep_their_size() {
-        use crate::metrics::frame::FrameEntry;
-        use crate::metrics::latency::RttEntry;
+    fn per_second_rows_keep_their_size() {
+        use crate::metrics::frame::FrameRow;
+        use crate::stats::RateRow;
         use std::mem::size_of;
-        assert_eq!(size_of::<FrameEntry>(), 32);
-        assert_eq!(size_of::<RttEntry>(), 24);
+        assert_eq!(size_of::<RateRow>(), 32);
+        assert_eq!(size_of::<FrameRow>(), 40);
     }
 
     #[test]

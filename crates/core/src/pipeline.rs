@@ -11,12 +11,12 @@ use crate::classify::Classifier;
 use crate::error::Error;
 use crate::fxhash::FxHashMap;
 use crate::meeting::{client_endpoint_of, GroupingConfig, MeetingGrouper, MeetingReport};
-use crate::metrics::latency::{RtpRttEstimator, RttSample, TcpRttEstimator};
+use crate::metrics::latency::{RtpRttEstimator, RttStats, TcpRttEstimator};
 use crate::obs::{bump, IngestTally, MetricsSnapshot, PipelineMetrics};
 use crate::packet::{extract, in_campus, meta_from_webrtc, meta_from_zoom, Extracted, PacketMeta};
 use crate::report::{build_report, AnalysisReport};
 use crate::sink::PacketSink;
-use crate::stats::Samples;
+use crate::stats::{LogHistogram, Samples};
 use crate::stream::{FlowId, Stream, StreamKey, StreamTracker};
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -309,8 +309,9 @@ pub struct MediaSamples {
     /// Delivered frame rate per second of stream lifetime (includes
     /// zero-frame seconds — the screen-share idle bins of Fig. 15b).
     pub fps: Samples,
-    /// Frame sizes, bytes.
-    pub frame_size: Samples,
+    /// Frame sizes, bytes, of every frame completed (evicted streams'
+    /// included).
+    pub frame_size: LogHistogram,
     /// Frame-level jitter samples, ms.
     pub jitter_ms: Samples,
 }
@@ -325,6 +326,9 @@ pub struct Analyzer {
     pub(crate) grouper: MeetingGrouper,
     pub(crate) rtp_rtt: RtpRttEstimator,
     pub(crate) tcp_rtt: TcpRttEstimator,
+    /// Sizes of the completed frames, per media type that has frames
+    /// (Fig. 15c): a handful of entries.
+    frame_sizes: Vec<(MediaType, LogHistogram)>,
     /// STUN-registered endpoints → last exchange time (§4.1 registers).
     pub(crate) p2p_endpoints: FxHashMap<Endpoint, u64>,
     /// Canonical 5-tuples with an observed DTLS-SRTP handshake → last
@@ -369,6 +373,7 @@ impl Analyzer {
             grouper,
             rtp_rtt: RtpRttEstimator::default(),
             tcp_rtt: TcpRttEstimator::default(),
+            frame_sizes: Vec::new(),
             p2p_endpoints: FxHashMap::default(),
             webrtc_flows: FxHashMap::default(),
             total_packets: 0,
@@ -691,7 +696,12 @@ impl Analyzer {
             self.rtp_rtt.on_packet(&meta);
         }
         let Some(rtp) = &meta.rtp else { return };
-        let (at, created) = self.streams.on_flow_packet(flow, &meta, rtp);
+        let rtt = self.rtp_rtt.stats().totals();
+        let (at, created, frame) = self.streams.on_flow_packet(flow, &meta, rtp, &rtt);
+        if let Some(f) = frame {
+            let media = self.streams.at_mut(at).media_type;
+            self.frame_sizes_mut(media).record(f.size_bytes as u64);
+        }
         if created {
             let key = StreamKey {
                 flow: meta.five_tuple,
@@ -772,19 +782,28 @@ impl Analyzer {
         self.streams.flows()
     }
 
-    /// RTP-copy RTT samples (§5.3 method 1).
-    pub fn rtp_rtt_samples(&self) -> impl ExactSizeIterator<Item = RttSample> + '_ {
-        self.rtp_rtt.samples()
+    /// RTP-copy RTT (§5.3 method 1): count, mean, distribution, and
+    /// per-SFU totals.
+    pub fn rtp_rtt(&self) -> &RttStats {
+        self.rtp_rtt.stats()
     }
 
-    /// TCP control-connection RTT samples (§5.3 method 2).
-    pub fn tcp_rtt_samples(&self) -> impl ExactSizeIterator<Item = RttSample> + '_ {
-        self.tcp_rtt.samples()
+    /// TCP control-connection RTT (§5.3 method 2): count, mean,
+    /// distribution, and totals per responder (servers and clients).
+    pub fn tcp_rtt(&self) -> &RttStats {
+        self.tcp_rtt.stats()
     }
 
-    /// The TCP estimator itself (per-responder queries).
-    pub fn tcp_rtt(&self) -> &TcpRttEstimator {
-        &self.tcp_rtt
+    /// The frame-size histogram of `media`, created on first use.
+    fn frame_sizes_mut(&mut self, media: MediaType) -> &mut LogHistogram {
+        let at = match self.frame_sizes.iter().position(|(m, _)| *m == media) {
+            Some(at) => at,
+            None => {
+                self.frame_sizes.push((media, LogHistogram::new()));
+                self.frame_sizes.len() - 1
+            }
+        };
+        &mut self.frame_sizes[at].1
     }
 
     /// Meeting reports (§4.3).
@@ -795,27 +814,23 @@ impl Analyzer {
     /// One-second metric samples for one media type (Fig. 15's inputs).
     pub fn media_samples(&self, media: MediaType) -> MediaSamples {
         let mut out = MediaSamples::default();
+        if let Some((_, sizes)) = self.frame_sizes.iter().find(|(m, _)| *m == media) {
+            out.frame_size = sizes.clone();
+        }
         for s in self.streams.of_type(media) {
             for row in s.rates.rows() {
                 out.bitrate_mbps.push(row.media_bytes as f64 * 8.0 / 1e6);
             }
             if let Some(frames) = &s.frames {
-                for f in frames.frames() {
-                    out.frame_size.push(f.size_bytes as f64);
-                }
                 // Per-second delivered fps over the stream's lifetime,
                 // zero bins included.
                 let first_sec = s.first_seen / 1_000_000_000;
                 let last_sec = s.last_seen / 1_000_000_000;
-                if last_sec > first_sec {
-                    let mut counts: HashMap<u64, u32> = HashMap::new();
-                    for f in frames.frames() {
-                        *counts.entry(f.completed_at / 1_000_000_000).or_default() += 1;
-                    }
-                    for sec in first_sec..last_sec {
-                        out.fps
-                            .push(f64::from(counts.get(&sec).copied().unwrap_or(0)));
-                    }
+                let mut rows = frames.rows().iter().peekable();
+                for sec in first_sec..last_sec {
+                    while rows.next_if(|r| r.second < sec).is_some() {}
+                    let n = rows.next_if(|r| r.second == sec).map_or(0, |r| r.frames);
+                    out.fps.push(f64::from(n));
                 }
             }
             for &(_, j) in s.frame_jitter.samples() {
@@ -836,12 +851,12 @@ impl Analyzer {
                 .iter()
                 .map(|r| (r.second, r.media_bytes as f64 * 8.0 / 1e6))
                 .collect();
-            let mut fps: HashMap<u64, f64> = HashMap::new();
-            if let Some(frames) = &s.frames {
-                for f in frames.frames() {
-                    *fps.entry(f.completed_at / 1_000_000_000).or_default() += 1.0;
-                }
-            }
+            let fps: HashMap<u64, f64> = s
+                .frames
+                .iter()
+                .flat_map(|f| f.rows())
+                .map(|r| (r.second, f64::from(r.frames)))
+                .collect();
             for &(t, j) in s.frame_jitter.samples() {
                 let sec = t / 1_000_000_000;
                 if let Some(&rate) = rates.get(&sec) {
@@ -1092,9 +1107,15 @@ mod tests {
         assert_eq!(summary.zoom_flows, 2);
         assert_eq!(summary.meetings, 1, "copies must group into one meeting");
         // Method-1 RTT: every packet matched at ~40 ms.
-        let rtts: Vec<_> = a.rtp_rtt_samples().collect();
-        assert_eq!(rtts.len(), 100);
-        assert!(rtts.iter().all(|s| (39.9..40.1).contains(&s.rtt_ms())));
+        let rtt = a.rtp_rtt();
+        assert_eq!(rtt.samples(), 100);
+        let mean = rtt.totals().mean_ms().unwrap();
+        assert!((39.9..40.1).contains(&mean), "mean {mean}");
+        // The extremes, read from the histogram, within 1/128 of 40 ms.
+        for q in [0.0, 1.0] {
+            let v = rtt.histogram().quantile(q) as f64 / 1e6;
+            assert!((v - 40.0).abs() <= 40.0 / 128.0 + 0.1, "q{q}: {v}");
+        }
         // The two streams share a unique id.
         let groups = a.duplicate_stream_groups();
         assert_eq!(groups.len(), 1);

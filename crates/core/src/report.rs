@@ -16,9 +16,11 @@
 
 use crate::classify::TableRow;
 use crate::meeting::{sorted_addrs, MeetingReport};
+use crate::metrics::latency::{RttStats, RttTotals};
 use crate::packet::Direction;
 use crate::pipeline::{Analyzer, TraceSummary};
-use crate::stream::{Stream, StreamKey};
+use crate::stats::LogHistogram;
+use crate::stream::{Stream, StreamFrames, StreamKey};
 use std::borrow::BorrowMut;
 use std::fmt::Write as _;
 use zoom_wire::family::FamilyId;
@@ -168,46 +170,58 @@ fn write_json_array<T>(
 
 // ------------------------------------------------------------- reports --
 
-/// Order-independent summary of a set of RTT samples.
+/// Summary of a set of RTT samples, built from what an estimator keeps of
+/// them ([`RttStats`]): their count and sum, and a [`LogHistogram`].
 ///
-/// Aggregation happens in the integer nanosecond domain (sum of `u64`,
-/// then one division), so the result is bit-identical regardless of the
-/// order samples were collected in — the batch and streaming paths
-/// collect them in different orders.
+/// `samples` and `mean_ms` are exact: the mean is the integer nanosecond
+/// sum divided once by the count, rounding down, then read in
+/// milliseconds. `p50_ms` and `p95_ms` are the values at ranks
+/// `round((n − 1)·0.5)` and `round((n − 1)·0.95)` of the `n` samples in
+/// ascending order (counted from 0), read from the histogram: each is
+/// within [`LogHistogram::MAX_RELATIVE_ERROR`] (1/128) of that order
+/// statistic. Everything is a function of the counts alone, so the
+/// summary is bit-identical whatever order the samples came in — the
+/// batch and streaming paths see them in different orders.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RttSummaryReport {
     /// Number of samples.
     pub samples: usize,
     /// Mean RTT, milliseconds.
     pub mean_ms: f64,
-    /// Median RTT, milliseconds (nearest rank).
+    /// Median RTT, milliseconds (within 1/128).
     pub p50_ms: f64,
-    /// 95th-percentile RTT, milliseconds (nearest rank).
+    /// 95th-percentile RTT, milliseconds (within 1/128).
     pub p95_ms: f64,
 }
 
 impl RttSummaryReport {
+    /// Summarize samples with these totals and this histogram of their
+    /// round-trip times in nanoseconds.
+    pub fn of(totals: RttTotals, histogram: &LogHistogram) -> RttSummaryReport {
+        let ms = |nanos: u64| nanos as f64 / 1e6;
+        RttSummaryReport {
+            samples: totals.samples as usize,
+            mean_ms: totals.mean_ms().unwrap_or(0.0),
+            p50_ms: ms(histogram.quantile(0.5)),
+            p95_ms: ms(histogram.quantile(0.95)),
+        }
+    }
+
+    /// Summarize everything an estimator has taken.
+    pub fn of_stats(stats: &RttStats) -> RttSummaryReport {
+        RttSummaryReport::of(stats.totals(), stats.histogram())
+    }
+
     /// Summarize round-trip times in nanoseconds (any order).
     pub fn from_nanos(rtt_nanos: impl IntoIterator<Item = u64>) -> RttSummaryReport {
-        let mut nanos: Vec<u64> = rtt_nanos.into_iter().collect();
-        nanos.sort_unstable();
-        let n = nanos.len();
-        if n == 0 {
-            return RttSummaryReport {
-                samples: 0,
-                mean_ms: 0.0,
-                p50_ms: 0.0,
-                p95_ms: 0.0,
-            };
+        let mut totals = RttTotals::default();
+        let mut histogram = LogHistogram::new();
+        for v in rtt_nanos {
+            totals.samples += 1;
+            totals.sum_nanos += u128::from(v);
+            histogram.record(v);
         }
-        let sum: u128 = nanos.iter().map(|&v| u128::from(v)).sum();
-        let rank = |q: f64| nanos[((n - 1) as f64 * q).round() as usize] as f64 / 1e6;
-        RttSummaryReport {
-            samples: n,
-            mean_ms: (sum / n as u128) as f64 / 1e6,
-            p50_ms: rank(0.5),
-            p95_ms: rank(0.95),
-        }
+        RttSummaryReport::of(totals, &histogram)
     }
 
     fn to_json(self) -> String {
@@ -284,7 +298,7 @@ impl StreamReport {
             last_seen_nanos: s.last_seen,
             packets: s.packets,
             media_bytes: s.media_bytes(),
-            frames: s.frames.as_ref().map_or(0, |f| f.frame_count()) as u64,
+            frames: s.frames.as_ref().map_or(0, StreamFrames::count),
             mean_bitrate_bps: s.mean_media_bitrate(),
             jitter_ms: s.frame_jitter.jitter_ms(),
             lost,
@@ -512,8 +526,8 @@ pub(crate) fn build_report(
         drops: drops_from_metrics(&analyzer.metrics),
         meetings,
         streams: rows.into_iter().map(|(_, row)| row).collect(),
-        rtp_rtt: RttSummaryReport::from_nanos(analyzer.rtp_rtt.log().rtt_nanos_since(0)),
-        tcp_rtt: RttSummaryReport::from_nanos(analyzer.tcp_rtt.log().rtt_nanos_since(0)),
+        rtp_rtt: RttSummaryReport::of_stats(analyzer.rtp_rtt()),
+        tcp_rtt: RttSummaryReport::of_stats(analyzer.tcp_rtt()),
         families: analyzer.classifier.family_table(),
     }
 }
@@ -539,8 +553,11 @@ fn drops_from_metrics(m: &crate::obs::PipelineMetrics) -> DropsReport {
 /// print without `--json`: trace summary, meetings, one line per live
 /// stream (with its stall and retransmission counts when it has any), and
 /// the RTT means.
+///
+/// A frame counts as retransmission-recovered when its delay exceeded the
+/// RTP-copy mean RTT as of its completion plus 100 ms (50 ms + 100 ms
+/// before the first RTT sample); see [`crate::metrics::stall`].
 pub fn render_text(analyzer: &Analyzer) -> String {
-    use crate::metrics::stall::{analyze as stall_analyze, StallConfig};
     let mut out = String::new();
     let summary = analyzer.summary();
     let _ = writeln!(out, "=== trace summary ===");
@@ -566,15 +583,6 @@ pub fn render_text(analyzer: &Analyzer) -> String {
         db * 100.0
     );
 
-    // RTT context feeds the stall analysis threshold.
-    let rtts = analyzer.rtp_rtt_samples();
-    let rtt_count = rtts.len();
-    let mean_rtt_nanos = if rtt_count == 0 {
-        50_000_000
-    } else {
-        (rtts.map(|s| s.rtt_nanos).sum::<u64>() / rtt_count as u64).max(1)
-    };
-
     let _ = writeln!(out, "\n=== meetings ===");
     for m in analyzer.meetings() {
         let _ = writeln!(
@@ -589,7 +597,6 @@ pub fn render_text(analyzer: &Analyzer) -> String {
 
     let _ = writeln!(out, "\n=== streams ===");
     for s in analyzer.streams().iter() {
-        let frames = s.frames.as_ref().map_or(0, |f| f.frame_count());
         let _ = write!(
             out,
             "  {} ssrc=0x{:02x} [{}] pkts={} rate={:.0} kbit/s frames={} jitter={:.2} ms",
@@ -598,22 +605,16 @@ pub fn render_text(analyzer: &Analyzer) -> String {
             s.media_type.label(),
             s.packets,
             s.mean_media_bitrate() / 1e3,
-            frames,
+            s.frames.as_ref().map_or(0, StreamFrames::count),
             s.frame_jitter.jitter_ms(),
         );
         if let Some(f) = &s.frames {
-            let report = stall_analyze(
-                f.frames(),
-                StallConfig {
-                    rtt_nanos: mean_rtt_nanos,
-                    ..Default::default()
-                },
-            );
-            if !report.stalls.is_empty() || report.retransmission_recovered > 0 {
+            let report = f.stalls();
+            if report.stalls > 0 || report.retransmission_recovered > 0 {
                 let _ = write!(
                     out,
                     " stalls={} ({:.0} ms) retx-frames={}",
-                    report.stalls.len(),
+                    report.stalls,
                     report.stalled_nanos as f64 / 1e6,
                     report.retransmission_recovered
                 );
@@ -622,20 +623,20 @@ pub fn render_text(analyzer: &Analyzer) -> String {
         out.push('\n');
     }
 
-    if rtt_count > 0 {
+    let rtp = analyzer.rtp_rtt().totals();
+    if let Some(mean) = rtp.mean_ms() {
         let _ = writeln!(
             out,
-            "\nRTT to SFU (RTP copies): {rtt_count} samples, mean {:.1} ms",
-            mean_rtt_nanos as f64 / 1e6
+            "\nRTT to SFU (RTP copies): {} samples, mean {mean:.1} ms",
+            rtp.samples
         );
     }
-    let tcp = analyzer.tcp_rtt_samples();
-    let tcp_count = tcp.len();
-    if tcp_count > 0 {
-        let mean = tcp.map(|s| s.rtt_ms()).sum::<f64>() / tcp_count as f64;
+    let tcp = analyzer.tcp_rtt().totals();
+    if let Some(mean) = tcp.mean_ms() {
         let _ = writeln!(
             out,
-            "RTT via TCP control:     {tcp_count} samples, mean {mean:.1} ms"
+            "RTT via TCP control:     {} samples, mean {mean:.1} ms",
+            tcp.samples
         );
     }
     out
@@ -840,7 +841,9 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.samples, 3);
         assert!((a.mean_ms - 20.0).abs() < 1e-9);
-        assert!((a.p50_ms - 20.0).abs() < 1e-9);
+        // The median is read from the histogram: within 1/128 of 20 ms.
+        assert!((a.p50_ms - 20.0).abs() <= 20.0 / 128.0, "{}", a.p50_ms);
+        assert!((a.p95_ms - 30.0).abs() <= 30.0 / 128.0, "{}", a.p95_ms);
     }
 
     #[test]

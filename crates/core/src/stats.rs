@@ -196,6 +196,29 @@ impl RateRow {
     }
 }
 
+/// The row of `second` in `rows`, which are kept in time order: the last
+/// row (one comparison — capture timestamps are nearly monotonic), else
+/// found, appended or inserted in order by binary search, made by `empty`.
+#[inline]
+pub(crate) fn row_of<T>(
+    rows: &mut Vec<T>,
+    second: u64,
+    second_of: impl Fn(&T) -> u64,
+    empty: impl FnOnce(u64) -> T,
+) -> &mut T {
+    let at = match rows.last() {
+        Some(last) if second_of(last) == second => rows.len() - 1,
+        _ => match rows.binary_search_by_key(&second, second_of) {
+            Ok(at) => at,
+            Err(at) => {
+                rows.insert(at, empty(second));
+                at
+            }
+        },
+    };
+    &mut rows[at]
+}
+
 /// Per-second rate rows of one stream — the paper's one-second
 /// granularity (§5, Fig. 15) — for long-lived streams whose start and
 /// end are not known up front.
@@ -220,32 +243,20 @@ impl RateRows {
     #[inline]
     pub fn add(&mut self, t_nanos: u64, ip_bytes: u64, media_bytes: u64) {
         let second = t_nanos / 1_000_000_000;
-        let row = match self.rows.last_mut() {
-            Some(last) if last.second == second => last,
-            _ => self.straggler_row(second),
-        };
+        let row = row_of(
+            &mut self.rows,
+            second,
+            |r| r.second,
+            |second| RateRow {
+                second,
+                ip_bytes: 0,
+                packets: 0,
+                media_bytes: 0,
+            },
+        );
         row.ip_bytes += ip_bytes;
         row.packets += 1;
         row.media_bytes += media_bytes;
-    }
-
-    /// The row for `second` when it is not the last one: found, appended,
-    /// or inserted in order.
-    fn straggler_row(&mut self, second: u64) -> &mut RateRow {
-        let at = match self.rows.binary_search_by_key(&second, |r| r.second) {
-            Ok(at) => at,
-            Err(at) => {
-                let empty = RateRow {
-                    second,
-                    ip_bytes: 0,
-                    packets: 0,
-                    media_bytes: 0,
-                };
-                self.rows.insert(at, empty);
-                at
-            }
-        };
-        &mut self.rows[at]
     }
 
     /// The rows, in time order.
@@ -261,6 +272,174 @@ impl RateRows {
     /// True when no packet was counted.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+}
+
+/// Bits of sub-bucket resolution: above [`EXACT_BELOW`], each power of two
+/// is split into `2^SUB_BITS` equal buckets.
+const SUB_BITS: u32 = 6;
+const SUB_BUCKETS: u64 = 1 << SUB_BITS;
+/// Values below this get a bucket each and are kept exactly.
+const EXACT_BELOW: u64 = 2 * SUB_BUCKETS;
+
+/// A fixed-size, mergeable histogram of `u64` values with log-linear
+/// buckets — what the analyzer keeps of a distribution instead of its
+/// samples.
+///
+/// Values below 128 are counted exactly. Above, every power of two
+/// `[2^e, 2^(e+1))` is cut into 64 equal buckets, so a bucket is at most
+/// 1/64 of its lower bound wide, and its midpoint — the value every query
+/// reports for it — is within [`LogHistogram::MAX_RELATIVE_ERROR`] = 1/128
+/// of any value in it. All of `u64` fits in 3 776 buckets (30 KiB); the
+/// count vector only grows to the highest bucket hit, so a histogram of
+/// round-trip times in nanoseconds holds about 1 300 of them.
+///
+/// Counts only grow, so the histogram of the values recorded between two
+/// instants is the difference of the histograms at those instants
+/// ([`LogHistogram::since`]), and the histogram of two value sets is the
+/// bucket-wise sum of theirs ([`LogHistogram::merge`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LogHistogram {
+    /// Count per bucket, up to the highest non-empty one.
+    counts: Vec<u64>,
+    total: u64,
+}
+
+impl LogHistogram {
+    /// Bound on `|reported − v| / v` for a value `v` and what a query
+    /// reports for it (its bucket's midpoint; exact below 128).
+    pub const MAX_RELATIVE_ERROR: f64 = 1.0 / 128.0;
+
+    /// No values.
+    pub fn new() -> LogHistogram {
+        LogHistogram::default()
+    }
+
+    fn bucket(v: u64) -> usize {
+        if v < EXACT_BELOW {
+            return v as usize;
+        }
+        // v ≥ 2^7, so its top set bit is at 7 or above and shift ≥ 1.
+        let shift = 63 - v.leading_zeros() - SUB_BITS;
+        ((shift as usize) << SUB_BITS) + (v >> shift) as usize
+    }
+
+    /// The value a query reports for bucket `i`: its midpoint.
+    fn midpoint(i: usize) -> u64 {
+        if (i as u64) < EXACT_BELOW {
+            return i as u64;
+        }
+        let shift = (i >> SUB_BITS) as u32 - 1;
+        let lower = ((i as u64 & (SUB_BUCKETS - 1)) + SUB_BUCKETS) << shift;
+        lower + (1 << (shift - 1))
+    }
+
+    /// Count one value.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        let i = Self::bucket(v);
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] += 1;
+        self.total += 1;
+    }
+
+    /// Number of values counted.
+    pub fn len(&self) -> u64 {
+        self.total
+    }
+
+    /// True when no value was counted.
+    pub fn is_empty(&self) -> bool {
+        self.total == 0
+    }
+
+    /// Add `other`'s counts: the histogram of both value sets.
+    pub fn merge(&mut self, other: &LogHistogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+        self.total += other.total;
+    }
+
+    /// The histogram of the values counted after `earlier`, a state this
+    /// histogram passed through: the difference of the two.
+    pub fn since(&self, earlier: &LogHistogram) -> LogHistogram {
+        let mut counts = self.counts.clone();
+        for (c, e) in counts.iter_mut().zip(&earlier.counts) {
+            *c -= e;
+        }
+        while counts.last() == Some(&0) {
+            counts.pop();
+        }
+        LogHistogram {
+            counts,
+            total: self.total - earlier.total,
+        }
+    }
+
+    /// The `rank`-th smallest value (from 0), as its bucket's midpoint.
+    fn at_rank(&self, rank: u64) -> u64 {
+        let mut seen = 0;
+        for (i, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen > rank {
+                return Self::midpoint(i);
+            }
+        }
+        unreachable!("rank {rank} of {} values", self.total)
+    }
+
+    /// The `q`-quantile (0 ≤ q ≤ 1): the value at rank `round((n − 1)·q)`
+    /// of the `n` values in ascending order, counted from 0 — within
+    /// [`LogHistogram::MAX_RELATIVE_ERROR`] of that order statistic. 0
+    /// when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
+        if self.total == 0 {
+            return 0;
+        }
+        let rank = ((self.total - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64;
+        self.at_rank(rank)
+    }
+
+    /// Median ([`LogHistogram::quantile`] at 0.5).
+    pub fn median(&self) -> u64 {
+        self.quantile(0.5)
+    }
+
+    /// Fraction of the values whose bucket midpoint is ≤ `x`.
+    pub fn cdf_at(&self, x: f64) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let below: u64 = self
+            .counts
+            .iter()
+            .enumerate()
+            .take_while(|&(i, _)| Self::midpoint(i) as f64 <= x)
+            .map(|(_, &c)| c)
+            .sum();
+        below as f64 / self.total as f64
+    }
+
+    /// An `n`-point CDF as (value, cumulative-fraction) pairs, evenly
+    /// spaced in rank, like [`Samples::cdf_points`].
+    pub fn cdf_points(&self, n: usize) -> Vec<(f64, f64)> {
+        if self.total == 0 || n == 0 {
+            return Vec::new();
+        }
+        let len = self.total;
+        (1..=n)
+            .map(|i| {
+                let frac = i as f64 / n as f64;
+                let rank = ((len as f64 * frac).ceil() as u64).clamp(1, len) - 1;
+                (self.at_rank(rank) as f64, frac)
+            })
+            .collect()
     }
 }
 
@@ -292,6 +471,109 @@ mod tests {
                 (5_000_000_000, 40, 1, 4)
             ]
         );
+    }
+
+    /// xorshift64*: seeded, dependency-free test values.
+    fn values(seed: u64, n: usize, spread: impl Fn(u64) -> u64) -> Vec<u64> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                spread(x.wrapping_mul(0x2545_f491_4f6c_dd1d))
+            })
+            .collect()
+    }
+
+    fn histogram_of(vs: &[u64]) -> LogHistogram {
+        let mut h = LogHistogram::new();
+        for &v in vs {
+            h.record(v);
+        }
+        h
+    }
+
+    fn within_error(reported: u64, exact: u64) -> bool {
+        (reported as f64 - exact as f64).abs() <= exact as f64 * LogHistogram::MAX_RELATIVE_ERROR
+    }
+
+    #[test]
+    fn histogram_buckets_tile_u64_within_the_stated_error() {
+        // Every bucket edge and its neighbours, 0, 1 and the top of u64.
+        let mut edges = vec![0, 1, 127, 128, 129, u64::MAX - 1, u64::MAX];
+        for e in 7..64 {
+            for m in 0..SUB_BUCKETS {
+                let lower = (SUB_BUCKETS + m) << (e - SUB_BITS);
+                edges.extend([lower - 1, lower, lower + 1]);
+            }
+        }
+        for v in edges {
+            let i = LogHistogram::bucket(v);
+            let mid = LogHistogram::midpoint(i);
+            assert_eq!(LogHistogram::bucket(mid), i, "midpoint of {v}'s bucket");
+            assert!(within_error(mid, v), "{v} reads as {mid}");
+            if v < 128 {
+                assert_eq!(mid, v);
+            }
+        }
+        assert_eq!(LogHistogram::bucket(u64::MAX), 3_775);
+    }
+
+    #[test]
+    fn histogram_quantiles_track_exact_order_statistics() {
+        type Spread = fn(u64) -> u64;
+        let spreads: [(&str, Spread); 4] = [
+            ("small", |x| x % 300),
+            ("rtt-like", |x| 1_000_000 + x % 400_000_000),
+            ("wide", |x| x >> (x % 64)),
+            ("near u64::MAX", |x| u64::MAX - x % 1_000_000),
+        ];
+        for (name, spread) in spreads {
+            for (seed, n) in [(1, 1), (2, 2), (3, 7), (7, 1_000), (11, 20_001)] {
+                let mut vs = values(seed, n, spread);
+                let h = histogram_of(&vs);
+                vs.sort_unstable();
+                assert_eq!(h.len(), n as u64);
+                for q in [0.0, 0.05, 0.5, 0.95, 1.0] {
+                    let exact = vs[((n - 1) as f64 * q).round() as usize];
+                    let got = h.quantile(q);
+                    assert!(
+                        within_error(got, exact),
+                        "{name} n={n} q={q}: {got} vs {exact}"
+                    );
+                }
+            }
+        }
+        let h = histogram_of(&[0, 1]);
+        assert_eq!((h.quantile(0.0), h.median(), h.quantile(1.0)), (0, 1, 1));
+        assert_eq!(LogHistogram::new().quantile(0.5), 0);
+    }
+
+    #[test]
+    fn histograms_merge_and_subtract_like_their_value_sets() {
+        let a = values(5, 3_000, |x| x % 90_000_000);
+        let b = values(9, 2_000, |x| x >> (x % 64));
+        let mut merged = histogram_of(&a);
+        merged.merge(&histogram_of(&b));
+        let union: Vec<u64> = a.iter().chain(&b).copied().collect();
+        assert_eq!(merged, histogram_of(&union));
+        // A window's values are the difference of the histograms at its
+        // two ends.
+        let whole = histogram_of(&union);
+        assert_eq!(whole.since(&histogram_of(&a)), histogram_of(&b));
+        assert_eq!(whole.since(&whole), LogHistogram::new());
+        assert_eq!(whole.since(&LogHistogram::new()), whole);
+    }
+
+    #[test]
+    fn histogram_cdf_reads_exact_values_exactly() {
+        let h = histogram_of(&[1, 2, 2, 3, 10, 100]);
+        assert_eq!(h.cdf_at(0.0), 0.0);
+        assert_eq!(h.cdf_at(2.0), 0.5);
+        assert_eq!(h.cdf_at(100.0), 1.0);
+        let pts = h.cdf_points(3);
+        assert_eq!(pts, vec![(2.0, 1.0 / 3.0), (3.0, 2.0 / 3.0), (100.0, 1.0)]);
     }
 
     #[test]

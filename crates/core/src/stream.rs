@@ -4,14 +4,18 @@
 //! *sub-streams* are told apart by RTP payload type (main vs FEC — same
 //! timestamps, separate sequence spaces, §4.2.3). On top of each video or
 //! screen-share stream sit frames, reconstructed by
-//! [`crate::metrics::frame::FrameTracker`]; every stream also accumulates
-//! per-second media bit rates and the frame-level jitter estimate.
+//! [`crate::metrics::frame::FrameTracker`] and folded, as each completes,
+//! into a count, per-second [`FrameRow`]s and the stall model
+//! ([`StreamFrames`]); every stream also accumulates per-second media bit
+//! rates and the frame-level jitter estimate.
 
 use crate::fxhash::FxHashMap;
 use crate::meeting::CandidateState;
-use crate::metrics::frame::{Completion, FrameTracker};
+use crate::metrics::frame::{Completion, FrameRecord, FrameRow, FrameRows, FrameTracker};
 use crate::metrics::jitter::JitterEstimator;
+use crate::metrics::latency::RttTotals;
 use crate::metrics::loss::{SeqStats, SeqTracker};
+use crate::metrics::stall::{StallReport, StallTracker, FALLBACK_RTT_NANOS};
 use crate::metrics::VIDEO_SAMPLING_RATE;
 use crate::packet::{Direction, PacketMeta, RtpMeta};
 use crate::pipeline::FlowStats;
@@ -82,8 +86,9 @@ pub struct Stream {
     pub substreams: Vec<SubStream>,
     /// Index into `substreams` of the one the previous packet hit.
     last_sub: usize,
-    /// Frame reconstruction (video and screen share only).
-    pub frames: Option<FrameTracker>,
+    /// Frame reconstruction and what the completed frames add up to
+    /// (video and screen share only).
+    pub frames: Option<StreamFrames>,
     /// Frame-level jitter over the main sub-stream.
     pub frame_jitter: JitterEstimator,
     /// Per-second IP bytes, packets and media payload bytes.
@@ -115,6 +120,58 @@ pub struct Stream {
     past: Option<Box<Tombstone>>,
 }
 
+/// A video or screen-share stream's frames: the tracker that reassembles
+/// them, and the three things each completed frame is folded into before
+/// it is dropped — no frame is kept.
+#[derive(Debug)]
+pub struct StreamFrames {
+    tracker: FrameTracker,
+    count: u64,
+    rows: FrameRows,
+    stalls: StallTracker,
+}
+
+impl StreamFrames {
+    fn new(tracker: FrameTracker) -> StreamFrames {
+        StreamFrames {
+            tracker,
+            count: 0,
+            rows: FrameRows::default(),
+            stalls: StallTracker::default(),
+        }
+    }
+
+    /// Fold a completed frame in. The stall model's retransmission
+    /// threshold uses the RTP-copy mean RTT as of now (`rtt`), or
+    /// [`FALLBACK_RTT_NANOS`] before the first sample.
+    fn fold(&mut self, f: &FrameRecord, rtt: &RttTotals) {
+        self.count += 1;
+        self.rows.add(f);
+        let rtt_nanos = rtt.mean_nanos().unwrap_or(FALLBACK_RTT_NANOS);
+        self.stalls.on_frame(f, rtt_nanos);
+    }
+
+    /// Frames completed.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Per-second rows of the completed frames, in time order.
+    pub fn rows(&self) -> &[FrameRow] {
+        self.rows.rows()
+    }
+
+    /// Stalls and retransmission-recovered frames so far.
+    pub fn stalls(&self) -> StallReport {
+        self.stalls.report()
+    }
+
+    /// Frames still collecting packets.
+    pub fn incomplete(&self) -> usize {
+        self.tracker.incomplete()
+    }
+}
+
 /// A stream's monotonic counters at one instant; the difference of two
 /// snapshots is one window's activity. Every field only grows (including
 /// `missing`, which grows as holes retire from the sequence tracker's
@@ -135,7 +192,7 @@ impl StreamSnap {
         StreamSnap {
             packets: s.packets,
             media_bytes: s.media_bytes(),
-            frames: s.frames.as_ref().map_or(0, |f| f.frame_count()) as u64,
+            frames: s.frames.as_ref().map_or(0, StreamFrames::count),
             jitter_len: s.frame_jitter.samples().len(),
             missing,
             duplicates,
@@ -209,7 +266,7 @@ impl Stream {
         direction: Direction,
         now: u64,
     ) -> Stream {
-        let frames = match (family, media_type) {
+        let tracker = match (family, media_type) {
             // Zoom video carries a packets-in-frame field (Table 1);
             // WebRTC video has no such field, so frames complete on the
             // RTP marker bit like screen share does.
@@ -231,7 +288,7 @@ impl Stream {
             unique_id: None,
             substreams: Vec::new(),
             last_sub: 0,
-            frames,
+            frames: tracker.map(StreamFrames::new),
             frame_jitter: JitterEstimator::video(),
             rates: RateRows::new(),
             fed_jitter_ts: RecentTimestamps::new(),
@@ -243,7 +300,10 @@ impl Stream {
         }
     }
 
-    fn on_packet(&mut self, m: &PacketMeta, rtp: &RtpMeta) {
+    /// Count one packet; returns the frame it completed, if any, after
+    /// folding it into [`Stream::frames`] (`rtt`: the RTP-copy RTT so far,
+    /// for the stall model).
+    fn on_packet(&mut self, m: &PacketMeta, rtp: &RtpMeta, rtt: &RttTotals) -> Option<FrameRecord> {
         self.last_seen = m.ts_nanos;
         self.packets += 1;
         self.rates
@@ -258,30 +318,34 @@ impl Stream {
 
         // Frames and jitter: main sub-stream only (FEC shares timestamps
         // but is not part of the frame).
-        if !rtp.kind.is_fec() {
-            if let Some(frames) = &mut self.frames {
-                frames.on_packet(
-                    m.ts_nanos,
-                    rtp.timestamp,
-                    rtp.sequence,
-                    rtp.marker,
-                    m.media_payload_len,
-                    m.pkts_in_frame,
-                );
-            }
-            // Feed the jitter estimator once per frame, on the frame's
-            // first sighting. Duplicates (Zoom retransmissions reuse the
-            // timestamp) must not re-trigger; first-seen-late frames do.
-            // A frame's packets arrive back to back, so all but its first
-            // match the newest entry and skip the scan.
-            if (self.media_type == MediaType::Video || self.media_type == MediaType::ScreenShare)
-                && self.fed_jitter_ts.newest() != Some(rtp.timestamp)
-                && !self.fed_jitter_ts.contains(rtp.timestamp)
-            {
-                self.fed_jitter_ts.push(rtp.timestamp);
-                self.frame_jitter.on_frame(m.ts_nanos, rtp.timestamp);
-            }
+        if rtp.kind.is_fec() {
+            return None;
         }
+        let completed = self.frames.as_mut().and_then(|frames| {
+            let f = frames.tracker.on_packet(
+                m.ts_nanos,
+                rtp.timestamp,
+                rtp.sequence,
+                rtp.marker,
+                m.media_payload_len,
+                m.pkts_in_frame,
+            )?;
+            frames.fold(&f, rtt);
+            Some(f)
+        });
+        // Feed the jitter estimator once per frame, on the frame's
+        // first sighting. Duplicates (Zoom retransmissions reuse the
+        // timestamp) must not re-trigger; first-seen-late frames do.
+        // A frame's packets arrive back to back, so all but its first
+        // match the newest entry and skip the scan.
+        if (self.media_type == MediaType::Video || self.media_type == MediaType::ScreenShare)
+            && self.fed_jitter_ts.newest() != Some(rtp.timestamp)
+            && !self.fed_jitter_ts.contains(rtp.timestamp)
+        {
+            self.fed_jitter_ts.push(rtp.timestamp);
+            self.frame_jitter.on_frame(m.ts_nanos, rtp.timestamp);
+        }
+        completed
     }
 
     /// The sub-stream of this packet's payload type, created on first
@@ -559,17 +623,19 @@ impl StreamTracker {
     }
 
     /// Feed one RTP media packet on the flow `flow` names (the handle
-    /// [`StreamTracker::touch_flow`] returned for this packet). Returns
-    /// the stream (for [`StreamTracker::at_mut`], valid until the next
-    /// eviction) and whether the packet created it (the grouping
-    /// heuristic hooks on creation).
+    /// [`StreamTracker::touch_flow`] returned for this packet); `rtt` is
+    /// the RTP-copy RTT so far, for the stall model. Returns the stream
+    /// (for [`StreamTracker::at_mut`], valid until the next eviction),
+    /// whether the packet created it (the grouping heuristic hooks on
+    /// creation), and the frame it completed, if any.
     #[inline]
     pub(crate) fn on_flow_packet(
         &mut self,
         flow: FlowId,
         m: &PacketMeta,
         rtp: &RtpMeta,
-    ) -> (usize, bool) {
+        rtt: &RttTotals,
+    ) -> (usize, bool, Option<FrameRecord>) {
         let slot = &mut self.flows[flow.0];
         debug_assert_eq!(slot.key, m.five_tuple);
         let (at, created) = match slot.streams.get(rtp.ssrc) {
@@ -604,8 +670,8 @@ impl StreamTracker {
                 (self.streams.len() - 1, true)
             }
         };
-        self.streams[at].on_packet(m, rtp);
-        (at, created)
+        let frame = self.streams[at].on_packet(m, rtp, rtt);
+        (at, created, frame)
     }
 
     /// The stream [`StreamTracker::on_flow_packet`] just resolved.
@@ -613,13 +679,14 @@ impl StreamTracker {
         &mut self.streams[at]
     }
 
-    /// Feed one media packet: count it on its flow and track its stream.
-    /// Returns the key and whether the packet created a new stream;
-    /// `None` (and nothing counted) for a packet without RTP.
+    /// Feed one media packet: count it on its flow and track its stream
+    /// (with no RTT estimate for the stall model). Returns the key and
+    /// whether the packet created a new stream; `None` (and nothing
+    /// counted) for a packet without RTP.
     pub fn on_packet(&mut self, m: &PacketMeta) -> Option<(StreamKey, bool)> {
         let rtp = m.rtp.as_ref()?;
         let flow = self.touch_flow(&m.five_tuple, m.ts_nanos, m.ip_len);
-        let (_, created) = self.on_flow_packet(flow, m, rtp);
+        let (_, created, _) = self.on_flow_packet(flow, m, rtp, &RttTotals::default());
         let key = StreamKey {
             flow: m.five_tuple,
             ssrc: rtp.ssrc,
@@ -816,7 +883,7 @@ mod tests {
         assert_eq!(s.substreams.len(), 2);
         assert!(s.substream(110).unwrap().kind.is_fec());
         // FEC packets don't create frames; the single main packet does.
-        assert_eq!(s.frames.as_ref().unwrap().frames().len(), 1);
+        assert_eq!(s.frames.as_ref().unwrap().count(), 1);
     }
 
     #[test]

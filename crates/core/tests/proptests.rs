@@ -319,18 +319,19 @@ proptest! {
         let mut t = FrameTracker::video();
         let mut seq = 0u16;
         let mut at = 0u64;
+        let mut completed = Vec::new();
         for (i, &(pkts, payload)) in frames.iter().enumerate() {
             let ts = (i as u32 + 1) * 3_000;
             for k in 0..pkts {
                 seq = seq.wrapping_add(1);
                 at += 1_000_000;
-                t.on_packet(at, ts, seq, k + 1 == pkts, payload, Some(pkts));
+                completed.extend(t.on_packet(at, ts, seq, k + 1 == pkts, payload, Some(pkts)));
                 // Duplicate delivery of the same packet:
-                t.on_packet(at + 1, ts, seq, k + 1 == pkts, payload, Some(pkts));
+                completed.extend(t.on_packet(at + 1, ts, seq, k + 1 == pkts, payload, Some(pkts)));
             }
         }
-        prop_assert_eq!(t.frames().len(), frames.len());
-        for (f, &(pkts, payload)) in t.frames().zip(&frames) {
+        prop_assert_eq!(completed.len(), frames.len());
+        for (f, &(pkts, payload)) in completed.iter().zip(&frames) {
             prop_assert_eq!(f.packets, u32::from(pkts));
             prop_assert_eq!(f.size_bytes, payload * pkts as usize);
         }
@@ -409,6 +410,7 @@ proptest! {
     ) {
         let completion = if marker_mode { Completion::MarkerBit } else { Completion::PacketCount };
         let mut fast = FrameTracker::new(completion, 90_000);
+        let mut completed = Vec::new();
         let mut reference = MapFrameTracker::new(completion);
         for (i, &(frame, seq, jitter_ms, marker, expected, lag)) in packets.iter().enumerate() {
             // Frames drift forward with the packet index; `lag` reaches
@@ -418,11 +420,11 @@ proptest! {
             let at = i as u64 * 40 * MS + jitter_ms * MS;
             let expected = (expected < 3).then_some(expected);
             let marker = marker && seq >= 2;
-            fast.on_packet(at, ts, seq, marker, 700, expected);
+            completed.extend(fast.on_packet(at, ts, seq, marker, 700, expected));
             reference.on_packet(at, ts, seq, marker, 700, expected);
             prop_assert_eq!(fast.incomplete(), reference.pending.len(), "after packet {}", i);
         }
-        prop_assert_eq!(fast.frames().collect::<Vec<_>>(), reference.completed);
+        prop_assert_eq!(completed, reference.completed);
     }
 
     /// The flow-table/slab stream tracker agrees with the keyed maps it

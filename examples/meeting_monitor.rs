@@ -21,7 +21,7 @@ fn main() {
     let mut analyzer = Analyzer::new(AnalyzerConfig::default());
 
     // Snapshot state so we can print deltas per interval.
-    let mut last_frames: HashMap<StreamKey, usize> = HashMap::new();
+    let mut last_frames: HashMap<StreamKey, u64> = HashMap::new();
     let mut last_bytes: HashMap<StreamKey, u64> = HashMap::new();
     let mut next_report = 5 * SEC;
 
@@ -60,7 +60,7 @@ fn main() {
 fn report(
     at: u64,
     analyzer: &mut Analyzer,
-    last_frames: &mut HashMap<StreamKey, usize>,
+    last_frames: &mut HashMap<StreamKey, u64>,
     last_bytes: &mut HashMap<StreamKey, u64>,
 ) {
     println!("t={:>4}s", at / SEC);
@@ -69,7 +69,7 @@ fn report(
         if s.media_type != MediaType::Video && s.media_type != MediaType::ScreenShare {
             continue;
         }
-        let frames_total = s.frames.as_ref().map(|f| f.frames().len()).unwrap_or(0);
+        let frames_total = s.frames.as_ref().map_or(0, |f| f.count());
         let bytes_total = s.media_bytes();
         let df = frames_total - last_frames.insert(s.key, frames_total).unwrap_or(0);
         let db = bytes_total - last_bytes.insert(s.key, bytes_total).unwrap_or(0);
@@ -86,12 +86,11 @@ fn report(
     for r in rows {
         println!("{r}");
     }
-    let rtts = analyzer.rtp_rtt_samples();
-    let count = rtts.len();
-    if let Some(s) = rtts.last() {
+    let rtt = analyzer.rtp_rtt().totals();
+    if let Some(mean) = rtt.mean_ms() {
         println!(
-            "  rtt-to-sfu {:>5.1} ms ({count} samples so far)",
-            s.rtt_ms()
+            "  rtt-to-sfu {mean:>5.1} ms mean ({} samples so far)",
+            rtt.samples
         );
     }
 }

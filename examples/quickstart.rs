@@ -68,11 +68,7 @@ fn main() -> std::io::Result<()> {
             stream.media_type.label(),
             stream.packets,
             stream.mean_media_bitrate() / 1e3,
-            stream
-                .frames
-                .as_ref()
-                .map(|f| f.frames().len())
-                .unwrap_or(0),
+            stream.frames.as_ref().map_or(0, |f| f.count()),
             stream.frame_jitter.jitter_ms(),
         );
     }
@@ -85,29 +81,26 @@ fn main() -> std::io::Result<()> {
             "median bit rate:       {:.2} Mbit/s",
             video.bitrate_mbps.median()
         );
-        println!("median frame size:     {:.0} B", video.frame_size.median());
+        println!("median frame size:     {} B", video.frame_size.median());
         println!(
             "p95 frame jitter:      {:.2} ms",
             video.jitter_ms.quantile(0.95)
         );
     }
 
-    let rtts: Vec<_> = analyzer.rtp_rtt_samples().collect();
-    if !rtts.is_empty() {
-        let mean: f64 = rtts.iter().map(|s| s.rtt_ms()).sum::<f64>() / rtts.len() as f64;
+    let rtp = analyzer.rtp_rtt();
+    if let Some(mean) = rtp.totals().mean_ms() {
         println!(
-            "\nRTT to SFU (RTP copies): {} samples, mean {:.1} ms",
-            rtts.len(),
-            mean
+            "\nRTT to SFU (RTP copies): {} samples, mean {mean:.1} ms, p95 {:.1} ms",
+            rtp.samples(),
+            rtp.histogram().quantile(0.95) as f64 / 1e6
         );
     }
-    let tcp: Vec<_> = analyzer.tcp_rtt_samples().collect();
-    if !tcp.is_empty() {
-        let mean: f64 = tcp.iter().map(|s| s.rtt_ms()).sum::<f64>() / tcp.len() as f64;
+    let tcp = analyzer.tcp_rtt().totals();
+    if let Some(mean) = tcp.mean_ms() {
         println!(
-            "RTT via TCP control:     {} samples, mean {:.1} ms",
-            tcp.len(),
-            mean
+            "RTT via TCP control:     {} samples, mean {mean:.1} ms",
+            tcp.samples
         );
     }
     // 4. The same results as one owned, machine-readable report — what

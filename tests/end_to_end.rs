@@ -61,9 +61,9 @@ fn multi_party_meeting_full_chain() {
 
     // Method-1 RTT: copies of campus uplinks come back to the other
     // campus client; nominal tap↔SFU RTT is 2×22 ms + 0.7 ms processing.
-    let rtts: Vec<_> = analyzer.rtp_rtt_samples().collect();
-    assert!(rtts.len() > 200, "rtt samples {}", rtts.len());
-    let mean = rtts.iter().map(|s| s.rtt_ms()).sum::<f64>() / rtts.len() as f64;
+    let rtts = analyzer.rtp_rtt().totals();
+    assert!(rtts.samples > 200, "rtt samples {}", rtts.samples);
+    let mean = rtts.mean_ms().expect("samples");
     assert!((35.0..60.0).contains(&mean), "mean rtt {mean}");
 
     // Decoded fraction: the vast majority of packets are media/RTCP,

@@ -112,12 +112,14 @@ fn fps_scores(est: &HashMap<u64, f64>, sdk_feed: &[QosSample]) -> (f64, f64, f64
 #[test]
 fn fig10a_frame_rate_estimate_tracks_sdk_feed() {
     let v = run();
-    // Method-1 per-second delivered fps, from the analyzer's frame list…
-    let mut from_frames: HashMap<u64, f64> = HashMap::new();
+    // Method-1 per-second delivered fps, from the analyzer's per-second
+    // frame rows…
     let frames = downlink_video(&v.analyzer).frames.as_ref().unwrap();
-    for f in frames.frames() {
-        *from_frames.entry(f.completed_at / SEC).or_default() += 1.0;
-    }
+    let from_frames: HashMap<u64, f64> = frames
+        .rows()
+        .iter()
+        .map(|r| (r.second, f64::from(r.frames)))
+        .collect();
     // …and from the engine's one-second windows.
     let from_windows: HashMap<u64, f64> = downlink_video_windows(&v)
         .into_iter()
@@ -143,33 +145,38 @@ fn fig10a_frame_rate_estimate_tracks_sdk_feed() {
 #[test]
 fn fig10b_latency_estimate_matches_and_is_denser() {
     let v = run();
-    let rtts: Vec<_> = v.analyzer.rtp_rtt_samples().collect();
+    let rtts = v.analyzer.rtp_rtt().samples();
     // Passive estimation yields far more samples than the 1 Hz SDK feed
     // (the paper: "significantly more data points").
     assert!(
-        rtts.len() > 3 * v.sdk_feed.len(),
-        "{} rtt samples vs {} feed samples",
-        rtts.len(),
+        rtts > 3 * v.sdk_feed.len() as u64,
+        "{rtts} rtt samples vs {} feed samples",
         v.sdk_feed.len()
     );
     // The estimate measures tap↔SFU, the feed client↔SFU: in the calm
     // period the error is the tiny campus leg plus estimator noise. In a
     // burst the estimate rises with the feed but reads well under it;
-    // the gap is pinned so that it cannot widen unnoticed.
+    // the gap is pinned so that it cannot widen unnoticed. The estimate
+    // over a period is the mean of its one-second windows' samples:
+    // Σ count·mean over Σ count (each window's mean is exact to 1 ns).
     let error_over = |period: std::ops::Range<u64>| {
-        let est: Vec<f64> = rtts
+        let (count, sum_ms) = v
+            .windows
             .iter()
-            .filter(|s| period.contains(&s.at))
-            .map(|s| s.rtt_ms())
-            .collect();
+            .filter(|w| period.contains(&w.start_nanos))
+            .map(|w| &w.totals.rtp_rtt)
+            .fold((0, 0.0), |(n, sum), r| {
+                (n + r.samples, sum + r.samples as f64 * r.mean_ms)
+            });
         let truth: Vec<f64> = v
             .sdk_feed
             .iter()
             .filter(|s| period.contains(&s.at))
             .map(|s| s.true_latency_ms)
             .collect();
-        assert!(!est.is_empty() && !truth.is_empty());
-        (mean(&est), mean(&est) - mean(&truth))
+        assert!(count > 0 && !truth.is_empty());
+        let est = sum_ms / count as f64;
+        (est, est - mean(&truth))
     };
     let (calm_mean, calm_error) = error_over(10 * SEC..90 * SEC);
     let (burst_mean, burst_error) = error_over(104 * SEC..112 * SEC);
@@ -279,9 +286,9 @@ fn tcp_rtt_splits_upstream_and_downstream() {
     let server: std::net::IpAddr = "170.114.1.10".parse().unwrap();
     let client: std::net::IpAddr = "10.8.3.3".parse().unwrap();
     let mean_to = |addr| {
-        let samples = v.analyzer.tcp_rtt().samples_to(addr);
-        assert!(!samples.is_empty(), "no TCP RTT samples to {addr}");
-        mean(&samples.iter().map(|s| s.rtt_ms()).collect::<Vec<_>>())
+        let to = v.analyzer.tcp_rtt().to(addr);
+        to.mean_ms()
+            .unwrap_or_else(|| panic!("no TCP RTT samples to {addr}"))
     };
     // The server sits across the WAN (~44 ms RTT); the client is on
     // campus (~3 ms RTT).

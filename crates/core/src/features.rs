@@ -82,17 +82,8 @@ pub fn extract_features(stream: &Stream) -> Vec<FeatureRow> {
 const CSV_HEADER: &str = "ssrc,second,media_bps,ip_bps,pps,delivered_fps,encoder_fps,\
                           mean_frame_size,max_frame_delay_ms,jitter_ms\n";
 
-/// Render rows as CSV (with header) — the export format for labeling.
-pub fn to_csv(rows: &[FeatureRow]) -> String {
-    let mut out = CSV_HEADER.as_bytes().to_vec();
-    for r in rows {
-        write_row(&mut out, r).expect("writing to a Vec cannot fail");
-    }
-    String::from_utf8(out).expect("the rows are ASCII")
-}
-
 /// Write the CSV header, then every row of each stream in turn: the
-/// `--features` export. The header is written even when there are no
+/// `--features` export, the format for labeling. The header is written even when there are no
 /// streams, so an empty export is still a well-formed table. Returns the
 /// number of rows written.
 pub fn write_csv<'a>(
@@ -208,7 +199,11 @@ mod tests {
             max_frame_delay_ms: 4.25,
             jitter_ms: None,
         }];
-        let csv = to_csv(&rows);
+        let mut csv = CSV_HEADER.as_bytes().to_vec();
+        for r in &rows {
+            write_row(&mut csv, r).unwrap();
+        }
+        let csv = String::from_utf8(csv).unwrap();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("ssrc,second"));

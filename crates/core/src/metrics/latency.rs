@@ -121,11 +121,6 @@ impl RttStats {
             .get(&ip)
             .map_or_else(RttTotals::default, |&i| self.responders[i as usize].1)
     }
-
-    /// Every responder with its count and sum, by first appearance.
-    pub fn responders(&self) -> impl Iterator<Item = (IpAddr, RttTotals)> + '_ {
-        self.responders.iter().copied()
-    }
 }
 
 /// Method 1: RTT to the SFU by matching forwarded stream copies.
@@ -358,10 +353,7 @@ mod tests {
         let median = stats.histogram().median();
         assert!(median.abs_diff(46 * MS) <= 46 * MS / 128, "{median}");
         let sfu = IpAddr::V4(Ipv4Addr::new(170, 114, 0, 9));
-        assert_eq!(
-            stats.responders().collect::<Vec<_>>(),
-            [(sfu, stats.totals())]
-        );
+        assert_eq!(stats.to(sfu), stats.totals());
     }
 
     #[test]
@@ -485,10 +477,10 @@ mod tests {
             sum_nanos: u128::from(sum_ms * MS),
         };
         assert_eq!(
-            stats.responders().collect::<Vec<_>>(),
+            stats.responders,
             [(v4, want(3, 12)), (v6, want(3, 11)), (mapped, want(2, 13))]
         );
-        for (ip, totals) in stats.responders() {
+        for &(ip, totals) in &stats.responders {
             assert_eq!(stats.to(ip), totals);
         }
         assert_eq!(stats.to(mapped).mean_nanos(), Some(6_500_000));
@@ -510,7 +502,7 @@ mod tests {
         for i in 0..10_000u32 {
             stats.record(u64::from(i) + 1, responder(i));
         }
-        assert_eq!(stats.responders().count(), 10_000);
+        assert_eq!(stats.responders.len(), 10_000);
         assert_eq!(stats.samples(), 10_000);
         for i in 0..10_000u32 {
             let got = stats.to(responder(i));

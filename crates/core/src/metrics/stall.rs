@@ -11,7 +11,7 @@
 //! * **Jitter-buffer drain / stalls.** "If the delay is larger than the
 //!   packetization time over the course of several frames, the jitter
 //!   buffer gets drained and the video will eventually stall" (§5.5). We
-//!   model a receive-side jitter buffer with a configurable depth: frame
+//!   model a receive-side jitter buffer of [`JITTER_BUFFER_NANOS`]: frame
 //!   lateness (delivery interval minus media interval) accumulates as
 //!   drain; when the buffer empties, a stall begins, and playable time
 //!   must build back up before playback resumes.
@@ -62,7 +62,6 @@ impl StallReport {
 /// stream runs.
 #[derive(Debug, Clone)]
 pub struct StallTracker {
-    jitter_buffer_nanos: u64,
     /// Playable media in the buffer, nanoseconds. Starts full (initial
     /// buffering is not a stall).
     buffer: i64,
@@ -75,23 +74,18 @@ pub struct StallTracker {
 }
 
 impl Default for StallTracker {
+    /// A full buffer of [`JITTER_BUFFER_NANOS`], no frame seen.
     fn default() -> Self {
-        StallTracker::new(JITTER_BUFFER_NANOS)
-    }
-}
-
-impl StallTracker {
-    /// Tracker modelling a receive buffer of `jitter_buffer_nanos`.
-    pub fn new(jitter_buffer_nanos: u64) -> StallTracker {
         StallTracker {
-            jitter_buffer_nanos,
-            buffer: jitter_buffer_nanos as i64,
+            buffer: JITTER_BUFFER_NANOS as i64,
             stall_start: None,
             prev_completed_at: None,
             done: StallReport::default(),
         }
     }
+}
 
+impl StallTracker {
     /// Step the model over the next completed frame. `rtt_nanos` is the
     /// RTT estimate to the SFU as of the frame's completion; the frame
     /// counts as retransmission-recovered when its delay exceeds that plus
@@ -106,7 +100,7 @@ impl StallTracker {
         };
         // Media time this frame adds (the packetization interval).
         let media = f.encoder_interval_nanos.unwrap_or(0) as i64;
-        let full = self.jitter_buffer_nanos as i64;
+        let full = JITTER_BUFFER_NANOS as i64;
         if let Some(start) = self.stall_start {
             // Stalled: playback is paused, so arriving media only
             // accumulates; resume once half the buffer has re-built

@@ -165,11 +165,6 @@ impl StreamFrames {
     pub fn stalls(&self) -> StallReport {
         self.stalls.report()
     }
-
-    /// Frames still collecting packets.
-    pub fn incomplete(&self) -> usize {
-        self.tracker.incomplete()
-    }
 }
 
 /// A stream's monotonic counters at one instant; the difference of two
@@ -884,6 +879,43 @@ mod tests {
         assert!(s.substream(110).unwrap().kind.is_fec());
         // FEC packets don't create frames; the single main packet does.
         assert_eq!(s.frames.as_ref().unwrap().count(), 1);
+    }
+
+    #[test]
+    fn completed_frames_fold_into_count_rows_and_stall_model() {
+        // Two-packet frames whose second packet lands 200 ms after the
+        // first: over the 150 ms retransmission threshold while no RTT
+        // is known (50 ms + 100 ms), under it once the mean RTT as of the
+        // frame's completion is 150 ms (250 ms).
+        let mut t = StreamTracker::new();
+        let frame = |t: &mut StreamTracker, i: u64, rtt: &RttTotals| {
+            let at = i * 400 * MS;
+            let mut out = None;
+            for (k, dt) in [(0u16, 0), (1, 200 * MS)] {
+                let mut m = meta(at + dt, 0x21, 98, i as u16 * 2 + k, i as u32 * 3_000, k == 1);
+                m.pkts_in_frame = Some(2);
+                let flow = t.touch_flow(&m.five_tuple, m.ts_nanos, m.ip_len);
+                let rtp = m.rtp.unwrap();
+                out = t.on_flow_packet(flow, &m, &rtp, rtt).2;
+            }
+            out.expect("the second packet completes the frame")
+        };
+        let slow = RttTotals {
+            samples: 2,
+            sum_nanos: 300 * u128::from(MS),
+        };
+        for i in 0..3 {
+            let f = frame(&mut t, i, &RttTotals::default());
+            assert_eq!(f.frame_delay_nanos(), 200 * MS);
+        }
+        frame(&mut t, 3, &slow);
+        let frames = t.iter().next().unwrap().frames.as_ref().unwrap();
+        assert_eq!(frames.count(), 4);
+        assert_eq!(frames.stalls().retransmission_recovered, 3);
+        assert_eq!(frames.stalls().frames, 4);
+        let rows: Vec<(u64, u32)> = frames.rows().iter().map(|r| (r.second, r.frames)).collect();
+        assert_eq!(rows, [(0, 2), (1, 2)]);
+        assert_eq!(frames.rows()[0].max_frame_delay_nanos, 200 * MS);
     }
 
     #[test]

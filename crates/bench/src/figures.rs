@@ -252,6 +252,10 @@ pub fn fig10(args: &ExpArgs) {
     // holds the per-second frame rows and jitter samples.
     let mut sim = MeetingSim::new(scenario::validation_experiment(args.seed));
     let mut engine = StreamingEngine::new(EngineConfig {
+        analyzer: AnalyzerConfig::builder()
+            .per_second_rows(true)
+            .build()
+            .expect("valid analyzer config"),
         window: Some(Duration::from_secs(1)),
         ..EngineConfig::default()
     })
@@ -275,12 +279,12 @@ pub fn fig10(args: &ExpArgs) {
         .of_type(MediaType::Video)
         .find(|s| s.key.flow.dst_ip.to_string() == "10.8.3.3" && s.key.flow.src_port == 8801)
         .expect("downlink video stream");
+    let seconds = stream.seconds().expect("per-second rows kept");
 
     // (a) frame rate per second: estimate vs feed.
-    let est_fps: HashMap<u64, f64> = stream
-        .frames
+    let est_fps: HashMap<u64, f64> = seconds
+        .frames()
         .iter()
-        .flat_map(|f| f.rows())
         .map(|r| (r.second, f64::from(r.frames)))
         .collect();
     // (b) latency: per-second mean RTP-RTT, one window per second.
@@ -290,9 +294,8 @@ pub fn fig10(args: &ExpArgs) {
         .map(|w| (w.start_nanos / SEC, w.totals.rtp_rtt.mean_ms))
         .collect();
     // (c) jitter: estimator samples per second.
-    let jitter_by_sec: HashMap<u64, f64> = stream
-        .frame_jitter
-        .samples()
+    let jitter_by_sec: HashMap<u64, f64> = seconds
+        .jitter()
         .iter()
         .map(|&(t, j)| (t / SEC, j))
         .collect();
@@ -329,9 +332,8 @@ pub fn fig10(args: &ExpArgs) {
         analyzer.rtp_rtt().samples(),
         sdk.len()
     );
-    let max_est_jitter = stream
-        .frame_jitter
-        .samples()
+    let max_est_jitter = seconds
+        .jitter()
         .iter()
         .map(|&(_, j)| j)
         .fold(0.0f64, f64::max);
@@ -520,7 +522,8 @@ pub fn fig14(run: &CampusRun, args: &ExpArgs) {
     ] {
         let mut tb = TimeBins::new(minute, args.duration());
         for s in run.analyzer.streams().of_type(media) {
-            for row in s.rates.rows() {
+            let seconds = s.seconds().expect("per-second rows kept");
+            for row in seconds.rates() {
                 tb.add(row.start_nanos(), row.media_bytes as f64);
             }
         }

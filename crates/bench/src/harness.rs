@@ -215,7 +215,12 @@ pub fn run_campus(args: &ExpArgs) -> Result<CampusRun, String> {
         anonymizer: None,
         family: zoom_wire::family::FamilySelect::Only(zoom_wire::family::FamilyId::Zoom),
     });
-    let mut analyzer = Analyzer::new(AnalyzerConfig::default());
+    // The tables and Fig. 14–16 read the per-second series.
+    let config = AnalyzerConfig::builder()
+        .per_second_rows(true)
+        .build()
+        .expect("valid analyzer config");
+    let mut analyzer = Analyzer::new(config);
     let stream: CampusStream = scenario_obj.into_stream();
     for record in stream {
         let (_, out) = capture.process_record(&record, LinkType::Ethernet);

@@ -260,9 +260,11 @@ pub fn run(args: &[String]) -> CmdResult {
         .transpose()?
         .unwrap_or_default();
 
+    // Only the `--features` export reads the per-second series.
     let config = AnalyzerConfig::builder()
         .campus_prefix(campus.0, campus.1)
         .family(family)
+        .per_second_rows(flags.contains_key("features"))
         .build()?;
 
     // The fragment-emitting worker path: capture and merge the sources

@@ -272,8 +272,10 @@ pub fn run(args: &[String]) -> CmdResult {
         ));
     }
 
+    // Only the `--features` export reads the per-second series.
     let config = AnalyzerConfig::builder()
         .campus_prefix(campus.0, campus.1)
+        .per_second_rows(flags.contains_key("features"))
         .build()?;
 
     // Gather workers: spool files, or live connections.

@@ -9,10 +9,10 @@
 //!
 //! * [`SourceSpec::Pcap`] — a pcap file ([`PcapFileSource`]); with
 //!   `--follow` the file is polled for appended records per source.
-//! * [`SourceSpec::Sim`] — a simulated live tap: the scenario's records
-//!   are generated up front, then delivered through the AF_PACKET-style
-//!   [`live_ring`] backend by a feeder thread, so the ingest side
-//!   exercises the same ring hand-off a real socket capture would.
+//! * [`SourceSpec::Sim`] — a simulated live tap: a feeder thread
+//!   generates the scenario's records as the ring takes them and delivers
+//!   them through the AF_PACKET-style [`live_ring`] backend, so the ingest
+//!   side exercises the same ring hand-off a real socket capture would.
 //!   Scenarios match `simulate`: `validation`, `p2p`, `multi`, `churn`,
 //!   `campus-10x`, `webrtc` (the *name* is validated here, where the catalogue
 //!   lives — the grammar itself accepts any name).
@@ -32,52 +32,70 @@ use zoom_capture::source::{
     live_ring, FollowConfig, PacketSource, PcapFileSource, BATCH_RECORDS,
 };
 use zoom_capture::spec::SourceSpec;
-use zoom_sim::meeting::{MeetingConfig, MeetingSim};
+use zoom_sim::campus::CampusStream;
+use zoom_sim::meeting::MeetingConfig;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
 use zoom_wire::pcap::{LinkType, Record};
 
-/// Generates one scenario's records, timestamp-sorted — the same
-/// workloads (and the same `MeetingConfig` tweaks) as `simulate`, so a
-/// `sim:` source is record-identical to analyzing a `simulate` output
-/// file with matching parameters.
-pub fn scenario_records(name: &str, seed: u64, seconds: u64) -> Result<Vec<Record>, String> {
-    // The WebRTC scenario generates records directly (no MeetingConfig:
-    // a WebRTC session is not a Zoom meeting), already timestamp-sorted.
-    if name == "webrtc" {
-        return Ok(zoom_sim::webrtc::scenario(seed, seconds * SEC));
-    }
-    let configs: Vec<MeetingConfig> = match name {
-        "validation" => {
-            let mut cfg = scenario::validation_experiment(seed);
-            for p in &mut cfg.participants {
-                p.leave_at = seconds * SEC;
+/// One simulated scenario, checked and ready to generate — the same
+/// workloads (and the same `MeetingConfig` tweaks) for `simulate` and a
+/// `sim:` source, so a `sim:` source is record-identical to analyzing a
+/// `simulate` output file with matching parameters.
+pub enum Scenario {
+    /// Zoom meetings, as one border tap observing them all sees them.
+    Meetings(Vec<MeetingConfig>),
+    /// A WebRTC session (no `MeetingConfig`: it is not a Zoom meeting).
+    WebRtc { seed: u64, seconds: u64 },
+}
+
+impl Scenario {
+    /// The scenario `name` at `seed`, `seconds` long; an error for an
+    /// unknown name or a length the scenario cannot fill.
+    pub fn new(name: &str, seed: u64, seconds: u64) -> Result<Scenario, String> {
+        let configs: Vec<MeetingConfig> = match name {
+            "webrtc" => return Ok(Scenario::WebRtc { seed, seconds }),
+            "validation" => {
+                let mut cfg = scenario::validation_experiment(seed);
+                for p in &mut cfg.participants {
+                    p.leave_at = seconds * SEC;
+                }
+                vec![cfg]
             }
-            vec![cfg]
+            "p2p" => vec![scenario::p2p_meeting(seed, seconds * SEC)],
+            "multi" => vec![scenario::multi_party(seed, seconds * SEC)],
+            "churn" => scenario::churn(seed, seconds * SEC),
+            // The campus generator draws arrivals per whole minute: under
+            // one minute there is none to draw for, and the trace would be
+            // empty.
+            "campus-10x" if seconds < 60 => {
+                return Err(format!(
+                    "scenario 'campus-10x' needs at least 60 seconds (its meetings arrive per \
+                     whole minute); got {seconds}"
+                ))
+            }
+            "campus-10x" => scenario::campus_10x(seed, seconds * SEC),
+            other => {
+                return Err(format!(
+                    "unknown scenario '{other}' (validation|p2p|multi|churn|campus-10x|webrtc)"
+                ))
+            }
+        };
+        Ok(Scenario::Meetings(configs))
+    }
+
+    /// The records, timestamp-sorted and generated as they are read: the
+    /// meetings' record streams are merged lazily, one record held per
+    /// meeting, never the whole trace.
+    pub fn records(self) -> Box<dyn Iterator<Item = Record>> {
+        match self {
+            Scenario::Meetings(configs) => Box::new(CampusStream::of_meetings(configs)),
+            // Generated whole, already timestamp-sorted.
+            Scenario::WebRtc { seed, seconds } => {
+                Box::new(zoom_sim::webrtc::scenario(seed, seconds * SEC).into_iter())
+            }
         }
-        "p2p" => vec![scenario::p2p_meeting(seed, seconds * SEC)],
-        "multi" => vec![scenario::multi_party(seed, seconds * SEC)],
-        "churn" => scenario::churn(seed, seconds * SEC),
-        // The campus generator draws arrivals per whole minute: under one
-        // minute there is none to draw for, and the trace would be empty.
-        "campus-10x" if seconds < 60 => {
-            return Err(format!(
-                "scenario 'campus-10x' needs at least 60 seconds (its meetings arrive per whole \
-                 minute); got {seconds}"
-            ))
-        }
-        "campus-10x" => scenario::campus_10x(seed, seconds * SEC),
-        other => {
-            return Err(format!(
-                "unknown scenario '{other}' (validation|p2p|multi|churn|campus-10x|webrtc)"
-            ))
-        }
-    };
-    // Multi-meeting scenarios interleave by timestamp so the capture
-    // looks like one border tap observing them all.
-    let mut records: Vec<Record> = configs.into_iter().flat_map(MeetingSim::new).collect();
-    records.sort_by_key(|r| r.ts_nanos);
-    Ok(records)
+    }
 }
 
 /// Parses the spec strings of one invocation into typed form: every
@@ -119,8 +137,7 @@ pub fn build_source(
             seed,
             secs,
         } => {
-            let records =
-                scenario_records(scenario, *seed, *secs).map_err(CliError::config)?;
+            let scenario = Scenario::new(scenario, *seed, *secs).map_err(CliError::config)?;
             // The label is the canonical spec so shorthand and explicit
             // forms of the same tap share one metrics series.
             let (mut handle, source) = live_ring(&spec.to_string(), LinkType::Ethernet, 8);
@@ -130,7 +147,7 @@ pub fn build_source(
             // source is dropped.
             std::thread::spawn(move || {
                 let mut batch = handle.take_batch();
-                for r in &records {
+                for r in scenario.records() {
                     if batch.len() >= BATCH_RECORDS {
                         match handle.push_batch_blocking(batch) {
                             Ok(()) => batch = handle.take_batch(),
@@ -262,12 +279,11 @@ mod tests {
         // The heavy-churn load: ~10x the `churn` scenario's meeting
         // population inside a one-minute trace, so an analysis of it
         // runs under real flow-table pressure.
-        let records = scenario_records("campus-10x", 7, 60).unwrap();
-        assert!(
-            records.len() > 100_000,
-            "campus-10x too light: {} records",
-            records.len()
-        );
+        let records = Scenario::new("campus-10x", 7, 60)
+            .unwrap()
+            .records()
+            .count();
+        assert!(records > 100_000, "campus-10x too light: {records} records");
         let churn: usize = scenario::churn(7, 60 * SEC).len();
         let meetings = scenario::campus_10x(7, 60 * SEC).len();
         assert!(
@@ -291,7 +307,7 @@ mod tests {
     fn sim_source_delivers_scenario_records() {
         use zoom_wire::handoff::RecordBatch;
 
-        let expected = scenario_records("p2p", 3, 5).unwrap();
+        let expected = Scenario::new("p2p", 3, 5).unwrap().records().count();
         let mut src = build_source(&spec("sim:p2p,seed=3,secs=5"), None).unwrap();
         assert_eq!(src.label(), "sim:p2p,seed=3,secs=5");
         let mut got = 0usize;
@@ -304,6 +320,42 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(got, expected.len());
+        assert_eq!(got, expected);
+    }
+
+    /// Each record's timestamp and an FNV-1a digest of its length and
+    /// bytes.
+    fn fingerprint(r: &Record) -> (u64, u64) {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in r.orig_len.to_le_bytes().iter().chain(&r.data) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        (r.ts_nanos, h)
+    }
+
+    #[test]
+    fn lazy_merge_equals_collect_and_stable_sort() {
+        use zoom_sim::meeting::MeetingSim;
+        for (name, configs) in [
+            ("churn", scenario::churn(7, 60 * SEC)),
+            ("multi", vec![scenario::multi_party(7, 60 * SEC)]),
+            ("campus-10x", scenario::campus_10x(7, 60 * SEC)),
+        ] {
+            let mut want: Vec<(u64, u64)> = configs
+                .into_iter()
+                .flat_map(MeetingSim::new)
+                .map(|r| fingerprint(&r))
+                .collect();
+            want.sort_by_key(|&(ts, _)| ts);
+            let got: Vec<(u64, u64)> = Scenario::new(name, 7, 60)
+                .unwrap()
+                .records()
+                .map(|r| fingerprint(&r))
+                .collect();
+            assert_eq!(got.len(), want.len(), "{name}: record count");
+            let first_difference = got.iter().zip(&want).position(|(g, w)| g != w);
+            assert_eq!(first_difference, None, "{name}: first differing record");
+        }
     }
 }

@@ -423,7 +423,7 @@ impl WindowClock {
             let now = StreamSnap::of(s);
             if now != s.window_snap {
                 streams.push(stream_window(s, now, false, grouper, dur_secs));
-                s.window_snap = now;
+                s.close_window(now);
             }
         }
         for s in &gone_streams {
@@ -587,8 +587,7 @@ fn stream_window(
 ) -> StreamWindow {
     let rate = |v: f64| if dur_secs > 0.0 { v / dur_secs } else { 0.0 };
     let prev = s.window_snap;
-    let jitter_new = &s.frame_jitter.samples()[prev.jitter_len..];
-    let jitter_sum: f64 = jitter_new.iter().map(|&(_, j)| j).sum();
+    let (jitter_sum, jitter_samples) = s.window_jitter;
     let media_bytes = now.media_bytes - prev.media_bytes;
     let frames = now.frames - prev.frames;
     StreamWindow {
@@ -602,7 +601,7 @@ fn stream_window(
         frames,
         bitrate_bps: rate(media_bytes as f64 * 8.0),
         fps: rate(frames as f64),
-        jitter_ms: (!jitter_new.is_empty()).then(|| jitter_sum / jitter_new.len() as f64),
+        jitter_ms: (jitter_samples > 0).then(|| jitter_sum / f64::from(jitter_samples)),
         lost: now.missing - prev.missing,
         duplicates: now.duplicates - prev.duplicates,
         evicted,

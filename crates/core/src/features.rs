@@ -7,7 +7,11 @@
 //! computes for a stream (bit rates, packet rate, delivered and encoder
 //! frame rates, frame sizes, frame delay, jitter) into one row per second
 //! of stream lifetime, ready to be labeled with viewer opinions and fed
-//! to a model.
+//! to a model. The signals are the stream's per-second series
+//! ([`crate::stream::StreamSeconds`]), which only an analyzer built with
+//! [`per_second_rows`] keeps.
+//!
+//! [`per_second_rows`]: crate::pipeline::AnalyzerConfigBuilder::per_second_rows
 
 use crate::metrics::frame::FrameRow;
 use crate::stream::Stream;
@@ -41,15 +45,24 @@ pub struct FeatureRow {
 }
 
 /// Extract the per-second feature matrix of one stream.
+///
+/// # Panics
+///
+/// If the stream keeps no per-second series: the analyzer was not built
+/// with [`per_second_rows`].
+///
+/// [`per_second_rows`]: crate::pipeline::AnalyzerConfigBuilder::per_second_rows
 pub fn extract_features(stream: &Stream) -> Vec<FeatureRow> {
     const SEC: u64 = 1_000_000_000;
+    let seconds = stream
+        .seconds()
+        .expect("feature rows need an analyzer built with per_second_rows(true)");
     // Rate and frame rows are time-ordered and seconds without traffic
     // (or without a completed frame) have none.
-    let mut rates = stream.rates.rows().iter().peekable();
-    let mut frames = stream.frames.iter().flat_map(|f| f.rows()).peekable();
-    let jitter: HashMap<u64, f64> = stream
-        .frame_jitter
-        .samples()
+    let mut rates = seconds.rates().iter().peekable();
+    let mut frames = seconds.frames().iter().peekable();
+    let jitter: HashMap<u64, f64> = seconds
+        .jitter()
         .iter()
         .map(|&(t, j)| (t / SEC, j))
         .collect();
@@ -163,7 +176,7 @@ mod tests {
 
     #[test]
     fn features_cover_every_second_of_lifetime() {
-        let mut tracker = StreamTracker::new();
+        let mut tracker = StreamTracker::with_per_second_rows();
         // 30 fps for 5 seconds.
         let mut key = None;
         for i in 0..150u64 {

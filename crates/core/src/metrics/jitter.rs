@@ -22,8 +22,7 @@ pub struct JitterEstimator {
     sampling_rate: f64,
     jitter_nanos: f64,
     last: Option<(u64, u32)>,
-    /// (time, jitter ms) samples captured once per second.
-    samples: Vec<(u64, f64)>,
+    /// The wall-clock second of the last per-second sample.
     last_sample_second: Option<u64>,
 }
 
@@ -34,7 +33,6 @@ impl JitterEstimator {
             sampling_rate: f64::from(sampling_rate),
             jitter_nanos: 0.0,
             last: None,
-            samples: Vec::new(),
             last_sample_second: None,
         }
     }
@@ -45,8 +43,11 @@ impl JitterEstimator {
     }
 
     /// Feed the first packet of each frame (a new RTP timestamp on the
-    /// main sub-stream).
-    pub fn on_frame(&mut self, arrival_nanos: u64, rtp_timestamp: u32) {
+    /// main sub-stream). Returns the estimate in milliseconds when this
+    /// frame is the first of its wall-clock second — the once-per-second
+    /// sample of Fig. 15d's 1 s bins — and `None` otherwise. The estimator
+    /// keeps no samples; the caller folds or stores them.
+    pub fn on_frame(&mut self, arrival_nanos: u64, rtp_timestamp: u32) -> Option<f64> {
         if let Some((prev_arrival, prev_ts)) = self.last {
             let r_delta = arrival_nanos as f64 - prev_arrival as f64;
             // Signed RTP delta (handles wraparound).
@@ -56,12 +57,12 @@ impl JitterEstimator {
             self.jitter_nanos += (d.abs() - self.jitter_nanos) / 16.0;
         }
         self.last = Some((arrival_nanos, rtp_timestamp));
-        // One sample per wall-clock second (Fig. 15d's 1 s bins).
         let second = arrival_nanos / 1_000_000_000;
-        if self.last_sample_second != Some(second) {
-            self.last_sample_second = Some(second);
-            self.samples.push((arrival_nanos, self.jitter_ms()));
+        if self.last_sample_second == Some(second) {
+            return None;
         }
+        self.last_sample_second = Some(second);
+        Some(self.jitter_ms())
     }
 
     /// Current jitter estimate in nanoseconds.
@@ -72,11 +73,6 @@ impl JitterEstimator {
     /// Current jitter estimate in milliseconds.
     pub fn jitter_ms(&self) -> f64 {
         self.jitter_nanos / 1e6
-    }
-
-    /// Once-per-second samples of the estimate.
-    pub fn samples(&self) -> &[(u64, f64)] {
-        &self.samples
     }
 }
 
@@ -149,9 +145,10 @@ mod tests {
     #[test]
     fn samples_once_per_second() {
         let mut j = JitterEstimator::video();
-        for i in 0..90u64 {
-            j.on_frame(i * 33_333_333, (i as u32) * 3_000); // ~3 s
-        }
-        assert_eq!(j.samples().len(), 3);
+        // 90 frames at 30 fps: about 3 s.
+        let samples: Vec<f64> = (0..90u64)
+            .filter_map(|i| j.on_frame(i * 33_333_333, (i as u32) * 3_000))
+            .collect();
+        assert_eq!(samples.len(), 3);
     }
 }

@@ -13,12 +13,24 @@
 //! the monitor to whichever endpoint sent the ACK — server-side and
 //! client-side RTTs separately, locating congestion upstream or
 //! downstream of the tap.
+//!
+//! **The matching window.** Both methods hold their probes — the uplink
+//! sightings of Method 1, the armed data segments of Method 2 — in one
+//! kind of candidate table, and the rule is the same for both: a probe
+//! first sighted at `t` is answered by a copy or ACK that arrives at any
+//! time in `t ..= t + window_nanos` (5 s by default), and by nothing
+//! after. A probe sighted again inside its window keeps its first time (a
+//! retransmission must not shrink the RTT); a sighting after the window
+//! has closed starts a new probe. Expired probes leave the table in sweeps
+//! driven by capture time: one whenever a sighting comes a quarter window
+//! after the last sweep, and one at every window close of the streaming
+//! engine.
 
 use crate::fxhash::FxHashMap;
 use crate::packet::{Direction, PacketMeta, TcpMeta};
 use crate::stats::LogHistogram;
 use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
+use std::hash::Hash;
 use std::net::IpAddr;
 use zoom_wire::flow::FiveTuple;
 
@@ -123,14 +135,70 @@ impl RttStats {
     }
 }
 
+/// Probes awaiting their answer: key → the time the probe was first
+/// sighted, under the module's matching-window rule.
+#[derive(Debug)]
+struct Candidates<K> {
+    first_seen: FxHashMap<K, u64>,
+    window_nanos: u64,
+    /// The capture time from which the next [`Candidates::sight`] sweeps
+    /// expired probes out.
+    next_sweep: u64,
+}
+
+impl<K: Hash + Eq> Candidates<K> {
+    fn new(window_nanos: u64) -> Candidates<K> {
+        Candidates {
+            first_seen: FxHashMap::default(),
+            window_nanos,
+            next_sweep: 0,
+        }
+    }
+
+    /// A sighting of `key` at `now`: a new probe, unless `key` is already
+    /// a probe whose window is still open (first sighting wins).
+    fn sight(&mut self, key: K, now: u64) {
+        let window = self.window_nanos;
+        match self.first_seen.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(now);
+            }
+            Entry::Occupied(mut e) => {
+                if now.saturating_sub(*e.get()) > window {
+                    e.insert(now);
+                }
+            }
+        }
+        if now >= self.next_sweep {
+            self.sweep(now);
+        }
+    }
+
+    /// Answer probe `key` at `now`: it leaves the table, and its first
+    /// sighting time comes back if its window is still open.
+    fn answer(&mut self, key: &K, now: u64) -> Option<u64> {
+        let t = self.first_seen.remove(key)?;
+        (now.saturating_sub(t) <= self.window_nanos).then_some(t)
+    }
+
+    /// Drop every probe whose window has closed at `now`.
+    fn sweep(&mut self, now: u64) {
+        let window = self.window_nanos;
+        self.first_seen
+            .retain(|_, t| now.saturating_sub(*t) <= window);
+        self.next_sweep = now.saturating_add(window / 4);
+    }
+
+    fn len(&self) -> usize {
+        self.first_seen.len()
+    }
+}
+
 /// Method 1: RTT to the SFU by matching forwarded stream copies.
 #[derive(Debug)]
 pub struct RtpRttEstimator {
     /// Packed (ssrc, pt, seq, ts) of uplink packets → first-seen time.
-    outstanding: FxHashMap<u128, u64>,
-    /// Insertion order for eviction.
-    order: VecDeque<(u128, u64)>,
-    window_nanos: u64,
+    uplink: Candidates<u128>,
     stats: RttStats,
 }
 
@@ -141,12 +209,11 @@ impl Default for RtpRttEstimator {
 }
 
 impl RtpRttEstimator {
-    /// Estimator that forgets unmatched uplink packets after `window`.
+    /// Estimator that matches a downlink copy to an uplink packet up to
+    /// `window_nanos` after the uplink sighting.
     pub fn new(window_nanos: u64) -> RtpRttEstimator {
         RtpRttEstimator {
-            outstanding: FxHashMap::default(),
-            order: VecDeque::new(),
-            window_nanos,
+            uplink: Candidates::new(window_nanos),
             stats: RttStats::default(),
         }
     }
@@ -162,17 +229,9 @@ impl RtpRttEstimator {
             | u128::from(rtp.sequence) << 32
             | u128::from(rtp.timestamp);
         match direction {
-            Direction::ToServer => {
-                // Record the egress sighting (first one wins: a
-                // retransmission should not shrink the measured RTT).
-                if let Entry::Vacant(e) = self.outstanding.entry(key) {
-                    e.insert(ts_nanos);
-                    self.order.push_back((key, ts_nanos));
-                }
-                self.evict(ts_nanos);
-            }
+            Direction::ToServer => self.uplink.sight(key, ts_nanos),
             Direction::FromServer => {
-                if let Some(t_out) = self.outstanding.remove(&key) {
+                if let Some(t_out) = self.uplink.answer(&key, ts_nanos) {
                     self.stats
                         .record(ts_nanos.saturating_sub(t_out), m.five_tuple.src_ip);
                 }
@@ -181,28 +240,11 @@ impl RtpRttEstimator {
         }
     }
 
-    fn evict(&mut self, now: u64) {
-        while let Some(&(key, t)) = self.order.front() {
-            if now.saturating_sub(t) > self.window_nanos {
-                self.order.pop_front();
-                // Only remove if the stored time still matches (it may
-                // have been matched and re-inserted meanwhile).
-                if let Entry::Occupied(e) = self.outstanding.entry(key) {
-                    if *e.get() == t {
-                        e.remove();
-                    }
-                }
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Drop unmatched uplink packets older than the matching window —
-    /// the streaming engine's per-tick bound on candidate state. Lossless
-    /// (the evicted entries could never match again anyway).
+    /// Drop every unmatched uplink packet whose matching window has
+    /// closed at `now` — the streaming engine's per-tick bound on
+    /// candidate state. Lossless: none of them could match again.
     pub(crate) fn prune(&mut self, now: u64) {
-        self.evict(now);
+        self.uplink.sweep(now);
     }
 
     /// What the samples so far add up to.
@@ -212,7 +254,7 @@ impl RtpRttEstimator {
 
     /// Unmatched uplink packets currently held.
     pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
+        self.uplink.len()
     }
 }
 
@@ -220,9 +262,7 @@ impl RtpRttEstimator {
 #[derive(Debug)]
 pub struct TcpRttEstimator {
     /// (data-direction 5-tuple, expected ack) → send time.
-    pending: FxHashMap<(FiveTuple, u32), u64>,
-    order: VecDeque<((FiveTuple, u32), u64)>,
-    window_nanos: u64,
+    pending: Candidates<(FiveTuple, u32)>,
     stats: RttStats,
 }
 
@@ -236,9 +276,7 @@ impl TcpRttEstimator {
     /// Estimator with the given matching window.
     pub fn new(window_nanos: u64) -> TcpRttEstimator {
         TcpRttEstimator {
-            pending: FxHashMap::default(),
-            order: VecDeque::new(),
-            window_nanos,
+            pending: Candidates::new(window_nanos),
             stats: RttStats::default(),
         }
     }
@@ -248,33 +286,15 @@ impl TcpRttEstimator {
         // A data segment arms a probe: we await an ACK covering seq+len.
         if t.payload_len > 0 {
             let expected = t.seq.wrapping_add(t.payload_len as u32);
-            let key = (t.five_tuple, expected);
-            self.pending.entry(key).or_insert(t.ts_nanos);
-            self.order.push_back((key, t.ts_nanos));
-            self.evict(t.ts_nanos);
+            self.pending.sight((t.five_tuple, expected), t.ts_nanos);
         }
         // An ACK answers a probe armed in the reverse direction; the RTT
         // is attributed to the ACK's sender.
         if t.has_ack {
             let key = (t.five_tuple.reversed(), t.ack);
-            if let Some(t_data) = self.pending.remove(&key) {
+            if let Some(t_data) = self.pending.answer(&key, t.ts_nanos) {
                 self.stats
                     .record(t.ts_nanos.saturating_sub(t_data), t.five_tuple.src_ip);
-            }
-        }
-    }
-
-    fn evict(&mut self, now: u64) {
-        while let Some(&(key, t)) = self.order.front() {
-            if now.saturating_sub(t) > self.window_nanos {
-                self.order.pop_front();
-                if let Entry::Occupied(e) = self.pending.entry(key) {
-                    if *e.get() == t {
-                        e.remove();
-                    }
-                }
-            } else {
-                break;
             }
         }
     }
@@ -289,6 +309,7 @@ impl TcpRttEstimator {
 mod tests {
     use super::*;
     use crate::packet::RtpMeta;
+    use std::collections::{HashMap, VecDeque};
     use std::net::{Ipv4Addr, Ipv6Addr};
     use zoom_wire::ipv4::Protocol;
     use zoom_wire::zoom::{Framing, MediaType, RtpPayloadKind};
@@ -387,6 +408,172 @@ mod tests {
         assert_eq!(e.stats().samples(), 0);
     }
 
+    /// Uplink at 0, an optional uplink of another packet at `between`,
+    /// then the copy at `copy`, all in a 1 s window: samples matched.
+    fn copy_matches(between: Option<u64>, copy: u64) -> u64 {
+        let mut e = RtpRttEstimator::new(1_000 * MS);
+        e.on_packet(&media(0, Direction::ToServer, 5));
+        if let Some(at) = between {
+            e.on_packet(&media(at, Direction::ToServer, 6));
+        }
+        e.on_packet(&media(copy, Direction::FromServer, 5));
+        e.stats().samples()
+    }
+
+    #[test]
+    fn a_copy_matches_up_to_the_window_edge_and_not_after() {
+        const W: u64 = 1_000 * MS;
+        assert_eq!(copy_matches(None, W), 1);
+        assert_eq!(copy_matches(Some(W), W), 1);
+        assert_eq!(copy_matches(None, W + 1), 0);
+        // An uplink packet at the edge sweeps the probe out one
+        // nanosecond later, not at the edge itself.
+        assert_eq!(copy_matches(Some(W), W + 1), 0);
+        assert_eq!(copy_matches(Some(W + 1), W + 1), 0);
+    }
+
+    #[test]
+    fn a_sighting_after_the_window_starts_a_new_probe() {
+        let mut e = RtpRttEstimator::new(1_000 * MS);
+        e.on_packet(&media(0, Direction::ToServer, 5));
+        // Inside the window the first sighting wins…
+        e.on_packet(&media(1_000 * MS, Direction::ToServer, 5));
+        // …after it, the sighting is a probe of its own.
+        e.on_packet(&media(2_500 * MS, Direction::ToServer, 5));
+        e.on_packet(&media(2_540 * MS, Direction::FromServer, 5));
+        assert_eq!(e.stats().totals().mean_nanos(), Some(40 * MS));
+    }
+
+    /// The insertion-order queue the candidate table replaced: a sighting
+    /// is kept if its key is free, and every sighting queued, then every
+    /// queued sighting more than a window old is dropped unless its key
+    /// has been sighted anew since.
+    struct Fifo {
+        first_seen: HashMap<u32, u64>,
+        order: VecDeque<(u32, u64)>,
+        window: u64,
+    }
+
+    impl Fifo {
+        fn sight(&mut self, key: u32, now: u64) {
+            self.first_seen.entry(key).or_insert(now);
+            self.order.push_back((key, now));
+            self.evict(now);
+        }
+
+        fn evict(&mut self, now: u64) {
+            while let Some(&(key, t)) = self.order.front() {
+                if now - t <= self.window {
+                    break;
+                }
+                self.order.pop_front();
+                if self.first_seen.get(&key) == Some(&t) {
+                    self.first_seen.remove(&key);
+                }
+            }
+        }
+    }
+
+    /// Drive a candidate table and the queue it replaced through one
+    /// time-ordered sequence of probes (retransmitted inside their
+    /// window), answers (some long after their window) and prunes:
+    /// after every prune both hold the same number of probes.
+    fn prunes_leave_what_the_queue_left<K: Hash + Eq>(
+        key: impl Fn(u32) -> K,
+        mut sight: impl FnMut(K, u64),
+        mut answer: impl FnMut(K, u64),
+        mut prune: impl FnMut(u64) -> usize,
+    ) {
+        const W: u64 = 1_000 * MS;
+        let mut fifo = Fifo {
+            first_seen: HashMap::new(),
+            order: VecDeque::new(),
+            window: W,
+        };
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let (mut now, mut next, mut prunes) = (0, 0u32, 0);
+        // When each probe was first sent.
+        let mut sent = vec![0];
+        for _ in 0..20_000 {
+            now += draw(40) * MS;
+            match draw(20) {
+                // A retransmission of one of the last ten probes if that
+                // is still inside its window, else a new probe.
+                0..=9 => {
+                    let again = next.saturating_sub(draw(10) as u32);
+                    let k = if draw(3) == 0 && now - sent[again as usize] <= W {
+                        again
+                    } else {
+                        next += 1;
+                        sent.push(now);
+                        next
+                    };
+                    fifo.sight(k, now);
+                    sight(key(k), now);
+                }
+                // An answer to one of the last 100 probes: up to 4 s old.
+                10..=18 => {
+                    let k = next.saturating_sub(draw(100) as u32);
+                    fifo.first_seen.remove(&k);
+                    answer(key(k), now);
+                }
+                _ => {
+                    fifo.evict(now);
+                    assert_eq!(prune(now), fifo.first_seen.len(), "at {now}");
+                    prunes += 1;
+                }
+            }
+        }
+        assert!(prunes > 500, "{prunes} prunes");
+    }
+
+    #[test]
+    fn rtp_prune_leaves_what_the_queue_left() {
+        let e = std::cell::RefCell::new(RtpRttEstimator::new(1_000 * MS));
+        let at = |k: u32, t, dir| {
+            let mut m = media(t, dir, k as u16);
+            m.rtp.as_mut().unwrap().timestamp = k;
+            m
+        };
+        prunes_leave_what_the_queue_left(
+            |k| k,
+            |k, t| e.borrow_mut().on_packet(&at(k, t, Direction::ToServer)),
+            |k, t| e.borrow_mut().on_packet(&at(k, t, Direction::FromServer)),
+            |t| {
+                let mut e = e.borrow_mut();
+                e.prune(t);
+                e.outstanding()
+            },
+        );
+        assert!(e.borrow().stats().samples() > 1_000);
+    }
+
+    #[test]
+    fn tcp_prune_leaves_what_the_queue_left() {
+        let e = std::cell::RefCell::new(TcpRttEstimator::new(1_000 * MS));
+        prunes_leave_what_the_queue_left(
+            |k| k,
+            // Data segments of one byte each: the ACK for `k` is `k`.
+            |k, t| {
+                e.borrow_mut()
+                    .on_segment(&tcp(t, true, k.wrapping_sub(1), 0, 1))
+            },
+            |k, t| e.borrow_mut().on_segment(&tcp(t, false, 0, k, 0)),
+            |t| {
+                let mut e = e.borrow_mut();
+                e.pending.sweep(t);
+                e.pending.len()
+            },
+        );
+        assert!(e.borrow().stats().samples() > 1_000);
+    }
+
     fn tcp(at: u64, up: bool, seq: u32, ack: u32, len: usize) -> TcpMeta {
         let client = IpAddr::V4(Ipv4Addr::new(10, 8, 0, 1));
         let server = IpAddr::V4(Ipv4Addr::new(170, 114, 0, 9));
@@ -432,6 +619,44 @@ mod tests {
         let client = IpAddr::V4(Ipv4Addr::new(10, 8, 0, 1));
         assert_eq!(e.stats().to(server).mean_nanos(), Some(40 * MS));
         assert_eq!(e.stats().to(client).mean_nanos(), Some(3 * MS));
+    }
+
+    /// Data at 0, an optional data segment of another probe at
+    /// `between`, then the ACK at `ack`, all in a 1 s window: samples
+    /// matched.
+    fn ack_matches(between: Option<u64>, ack: u64) -> u64 {
+        let mut e = TcpRttEstimator::new(1_000 * MS);
+        e.on_segment(&tcp(0, true, 1_000, 0, 100));
+        if let Some(at) = between {
+            e.on_segment(&tcp(at, true, 1_100, 0, 100));
+        }
+        e.on_segment(&tcp(ack, false, 500, 1_100, 0));
+        e.stats().samples()
+    }
+
+    #[test]
+    fn tcp_ack_matches_up_to_the_window_edge_and_not_after() {
+        const W: u64 = 1_000 * MS;
+        assert_eq!(ack_matches(None, W), 1);
+        assert_eq!(ack_matches(Some(W), W), 1);
+        assert_eq!(ack_matches(None, W + 1), 0);
+        assert_eq!(ack_matches(Some(W), W + 1), 0);
+        assert_eq!(ack_matches(Some(W + 1), W + 1), 0);
+    }
+
+    #[test]
+    fn tcp_retransmission_inside_the_window_keeps_the_first_send() {
+        let mut e = TcpRttEstimator::new(1_000 * MS);
+        e.on_segment(&tcp(0, true, 1_000, 0, 100));
+        e.on_segment(&tcp(300 * MS, true, 1_000, 0, 100));
+        e.on_segment(&tcp(340 * MS, false, 500, 1_100, 0));
+        assert_eq!(e.stats().totals().mean_nanos(), Some(340 * MS));
+        // Past the window a resend is a probe of its own.
+        e.on_segment(&tcp(2_000 * MS, true, 1_100, 0, 100));
+        e.on_segment(&tcp(3_500 * MS, true, 1_100, 0, 100));
+        e.on_segment(&tcp(3_520 * MS, false, 500, 1_200, 0));
+        assert_eq!(e.stats().samples(), 2);
+        assert_eq!(e.stats().totals().sum_nanos, u128::from(360 * MS));
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! that *are* observable: duplicates, out-of-order arrivals, and
 //! unaccounted gaps.
 
-use std::collections::VecDeque;
-
 /// Summary counters for one RTP sub-stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SeqStats {
@@ -54,6 +52,71 @@ impl SeqStats {
 /// be recognized; beyond it a hole is counted as missing.
 const WINDOW: usize = 2_048;
 
+/// Up to [`WINDOW`] seen-bits, oldest first, in a fixed ring: a
+/// sub-stream's sequence state has one size however long it runs.
+#[derive(Debug, Clone)]
+struct SeenBits {
+    words: [u64; WINDOW / 64],
+    /// Ring position of the oldest bit.
+    head: usize,
+    len: usize,
+}
+
+impl SeenBits {
+    fn new() -> SeenBits {
+        SeenBits {
+            words: [0; WINDOW / 64],
+            head: 0,
+            len: 0,
+        }
+    }
+
+    /// Word and mask of the `i`-th oldest bit.
+    fn slot(&self, i: usize) -> (usize, u64) {
+        let at = (self.head + i) % WINDOW;
+        (at / 64, 1 << (at % 64))
+    }
+
+    fn get(&self, i: usize) -> bool {
+        let (w, mask) = self.slot(i);
+        self.words[w] & mask != 0
+    }
+
+    fn set(&mut self, i: usize) {
+        let (w, mask) = self.slot(i);
+        self.words[w] |= mask;
+    }
+
+    /// Remove and return the oldest bit.
+    fn pop_front(&mut self) -> Option<bool> {
+        if self.len == 0 {
+            return None;
+        }
+        let seen = self.get(0);
+        self.head = (self.head + 1) % WINDOW;
+        self.len -= 1;
+        Some(seen)
+    }
+
+    /// Append a bit; when the ring is full the oldest bit leaves first,
+    /// and is returned.
+    fn push_back(&mut self, seen: bool) -> Option<bool> {
+        let left = if self.len == WINDOW {
+            self.pop_front()
+        } else {
+            None
+        };
+        let (w, mask) = self.slot(self.len);
+        if seen {
+            self.words[w] |= mask;
+        } else {
+            self.words[w] &= !mask;
+        }
+        self.len += 1;
+        left
+    }
+}
+
 /// Tracks one sub-stream's 16-bit sequence space with wraparound.
 #[derive(Debug)]
 pub struct SeqTracker {
@@ -61,7 +124,7 @@ pub struct SeqTracker {
     /// Extended (unwrapped) highest sequence seen.
     highest_ext: Option<u64>,
     /// Seen-bits for the trailing window ending at `highest_ext`.
-    window: VecDeque<bool>,
+    window: SeenBits,
 }
 
 impl Default for SeqTracker {
@@ -76,7 +139,7 @@ impl SeqTracker {
         SeqTracker {
             stats: SeqStats::default(),
             highest_ext: None,
-            window: VecDeque::new(),
+            window: SeenBits::new(),
         }
     }
 
@@ -96,30 +159,27 @@ impl SeqTracker {
 
         if ext > highest {
             // Forward progress: extend the window, marking skipped
-            // sequence numbers unseen for now.
+            // sequence numbers unseen for now. Sequence numbers pushed out
+            // of the window retire; holes retired unseen become confirmed
+            // missing.
             let advance = (ext - highest) as usize;
-            for _ in 0..advance.saturating_sub(1).min(WINDOW) {
-                self.window.push_back(false);
-            }
-            self.window.push_back(true);
-            self.stats.unique += 1;
-            self.highest_ext = Some(ext);
-            // Retire sequence numbers that fell out of the window; holes
-            // retired unseen become confirmed missing.
-            while self.window.len() > WINDOW {
-                if let Some(false) = self.window.pop_front() {
+            let skipped = std::iter::repeat_n(false, advance.saturating_sub(1).min(WINDOW));
+            for seen in skipped.chain([true]) {
+                if let Some(false) = self.window.push_back(seen) {
                     self.stats.missing += 1;
                 }
             }
+            self.stats.unique += 1;
+            self.highest_ext = Some(ext);
         } else {
             // ext <= highest: late arrival.
             let offset = (highest - ext) as usize;
-            if offset < self.window.len() {
-                let idx = self.window.len() - 1 - offset;
-                if self.window[idx] {
+            if offset < self.window.len {
+                let idx = self.window.len - 1 - offset;
+                if self.window.get(idx) {
                     self.stats.duplicates += 1;
                 } else {
-                    self.window[idx] = true;
+                    self.window.set(idx);
                     self.stats.unique += 1;
                     self.stats.reordered += 1;
                 }
@@ -223,6 +283,83 @@ mod tests {
         assert_eq!(st.unique, 2);
         assert!(st.missing > 0);
         assert!(st.missing <= WINDOW as u64);
+    }
+
+    /// The seen-window as a queue of bools that grows past [`WINDOW`] and
+    /// is then trimmed from the front — what [`SeenBits`] replaced.
+    fn queue_model(seqs: &[u16]) -> SeqStats {
+        use std::collections::VecDeque;
+        let mut stats = SeqStats::default();
+        let mut highest: Option<u64> = None;
+        let mut window: VecDeque<bool> = VecDeque::new();
+        for &seq in seqs {
+            stats.received += 1;
+            let Some(h) = highest else {
+                highest = Some(u64::from(seq) + 65_536);
+                window.push_back(true);
+                stats.unique += 1;
+                continue;
+            };
+            let diff = i64::from(seq.wrapping_sub(h as u16) as i16);
+            let ext = h.wrapping_add_signed(diff);
+            if ext > h {
+                for _ in 0..((ext - h) as usize).saturating_sub(1).min(WINDOW) {
+                    window.push_back(false);
+                }
+                window.push_back(true);
+                stats.unique += 1;
+                highest = Some(ext);
+                while window.len() > WINDOW {
+                    if let Some(false) = window.pop_front() {
+                        stats.missing += 1;
+                    }
+                }
+            } else if let Some(idx) = (window.len() - 1).checked_sub((h - ext) as usize) {
+                if window[idx] {
+                    stats.duplicates += 1;
+                } else {
+                    window[idx] = true;
+                    stats.unique += 1;
+                    stats.reordered += 1;
+                }
+            } else {
+                stats.duplicates += 1;
+            }
+        }
+        stats.missing += window.iter().filter(|&&seen| !seen).count() as u64;
+        stats
+    }
+
+    #[test]
+    fn bit_ring_counts_what_the_queue_counted() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut draw = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        for run in 0..200 {
+            let mut seq = draw(65_536) as u16;
+            let seqs: Vec<u16> = (0..3_000)
+                .map(|_| {
+                    // Mostly the next number; now and then a hole, a
+                    // step back, a jump past the window, or a wrap.
+                    seq = match draw(40) {
+                        0 => seq.wrapping_add(2 + draw(30) as u16),
+                        1 => seq.wrapping_sub(draw(3_000) as u16),
+                        2 if run % 4 == 0 => seq.wrapping_add(2_000 + draw(20_000) as u16),
+                        _ => seq.wrapping_add(1),
+                    };
+                    seq
+                })
+                .collect();
+            let mut t = SeqTracker::new();
+            for &s in &seqs {
+                t.on_sequence(s);
+            }
+            assert_eq!(t.finish(), queue_model(&seqs), "run {run}");
+        }
     }
 
     #[test]

@@ -500,9 +500,10 @@ mod tests {
         assert_eq!(size_of::<PacketMeta>(), 128);
     }
 
-    /// What the analyzer keeps per stream and second: a rate row for
-    /// every stream, a frame row for a video or screen-share stream that
-    /// completed a frame. Nothing is kept per frame or per RTT match.
+    /// What an analyzer built with `per_second_rows` keeps per stream and
+    /// second: a rate row for every stream, a frame row for a video or
+    /// screen-share stream that completed a frame. Nothing is kept per
+    /// frame or per RTT match.
     #[test]
     fn per_second_rows_keep_their_size() {
         use crate::metrics::frame::FrameRow;

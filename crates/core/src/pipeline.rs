@@ -17,7 +17,7 @@ use crate::packet::{extract, in_campus, meta_from_webrtc, meta_from_zoom, Extrac
 use crate::report::{build_report, AnalysisReport};
 use crate::sink::PacketSink;
 use crate::stats::{LogHistogram, Samples};
-use crate::stream::{FlowId, Stream, StreamKey, StreamTracker};
+use crate::stream::{FlowId, Stream, StreamKey, StreamSeconds, StreamTracker};
 use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -53,6 +53,9 @@ pub struct AnalyzerConfig {
     /// [`FamilySelect::Auto`], keeps Zoom-only output byte-identical:
     /// WebRTC claims a packet only behind its session gate).
     family: FamilySelect,
+    /// Whether every stream keeps its per-second series
+    /// ([`crate::stream::StreamSeconds`]).
+    per_second_rows: bool,
 }
 
 impl Default for AnalyzerConfig {
@@ -63,6 +66,7 @@ impl Default for AnalyzerConfig {
             stun_timeout_nanos: 120 * 1_000_000_000,
             grouping: GroupingConfig::default(),
             family: FamilySelect::Auto,
+            per_second_rows: false,
         }
     }
 }
@@ -153,6 +157,7 @@ pub struct AnalyzerConfigBuilder {
     stun_timeout: Option<Duration>,
     grouping: Option<GroupingConfig>,
     family: Option<FamilySelect>,
+    per_second_rows: bool,
     invalid: Option<String>,
 }
 
@@ -230,6 +235,18 @@ impl AnalyzerConfigBuilder {
         self
     }
 
+    /// Keep every stream's per-second series — rate rows, frame rows and
+    /// jitter samples, [`crate::stream::StreamSeconds`] — for the readers
+    /// that need them: the `--features` export
+    /// ([`crate::features::extract_features`]),
+    /// [`Analyzer::media_samples`] and [`Analyzer::fig16_samples`]. Off by
+    /// default: the series grow with every second a stream lives, and no
+    /// report, window line or text report reads them.
+    pub fn per_second_rows(mut self, keep: bool) -> Self {
+        self.per_second_rows = keep;
+        self
+    }
+
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<AnalyzerConfig, Error> {
         if let Some(msg) = self.invalid {
@@ -259,6 +276,7 @@ impl AnalyzerConfigBuilder {
             stun_timeout_nanos,
             grouping: self.grouping.unwrap_or_default(),
             family: self.family.unwrap_or_default(),
+            per_second_rows: self.per_second_rows,
         })
     }
 }
@@ -366,10 +384,15 @@ impl Analyzer {
     /// Analyzer with the given configuration.
     pub fn new(config: AnalyzerConfig) -> Analyzer {
         let grouper = MeetingGrouper::with_config(config.grouping_config());
+        let streams = if config.per_second_rows {
+            StreamTracker::with_per_second_rows()
+        } else {
+            StreamTracker::new()
+        };
         Analyzer {
             config,
             classifier: Classifier::new(),
-            streams: StreamTracker::new(),
+            streams,
             grouper,
             rtp_rtt: RtpRttEstimator::default(),
             tcp_rtt: TcpRttEstimator::default(),
@@ -811,29 +834,50 @@ impl Analyzer {
         self.grouper.reports()
     }
 
+    /// The per-second series of every stream of `media`.
+    ///
+    /// # Panics
+    ///
+    /// If the analyzer was not built with
+    /// [`AnalyzerConfigBuilder::per_second_rows`].
+    fn seconds_of(&self, media: MediaType) -> impl Iterator<Item = (&Stream, &StreamSeconds)> {
+        assert!(
+            self.config.per_second_rows,
+            "per-second samples need an analyzer built with per_second_rows(true)"
+        );
+        self.streams
+            .of_type(media)
+            .filter_map(|s| Some((s, s.seconds()?)))
+    }
+
     /// One-second metric samples for one media type (Fig. 15's inputs).
+    ///
+    /// # Panics
+    ///
+    /// If the analyzer was not built with
+    /// [`AnalyzerConfigBuilder::per_second_rows`].
     pub fn media_samples(&self, media: MediaType) -> MediaSamples {
         let mut out = MediaSamples::default();
         if let Some((_, sizes)) = self.frame_sizes.iter().find(|(m, _)| *m == media) {
             out.frame_size = sizes.clone();
         }
-        for s in self.streams.of_type(media) {
-            for row in s.rates.rows() {
+        for (s, seconds) in self.seconds_of(media) {
+            for row in seconds.rates() {
                 out.bitrate_mbps.push(row.media_bytes as f64 * 8.0 / 1e6);
             }
-            if let Some(frames) = &s.frames {
+            if s.frames.is_some() {
                 // Per-second delivered fps over the stream's lifetime,
                 // zero bins included.
                 let first_sec = s.first_seen / 1_000_000_000;
                 let last_sec = s.last_seen / 1_000_000_000;
-                let mut rows = frames.rows().iter().peekable();
+                let mut rows = seconds.frames().iter().peekable();
                 for sec in first_sec..last_sec {
                     while rows.next_if(|r| r.second < sec).is_some() {}
                     let n = rows.next_if(|r| r.second == sec).map_or(0, |r| r.frames);
                     out.fps.push(f64::from(n));
                 }
             }
-            for &(_, j) in s.frame_jitter.samples() {
+            for &(_, j) in seconds.jitter() {
                 out.jitter_ms.push(j);
             }
         }
@@ -842,22 +886,25 @@ impl Analyzer {
 
     /// Joined per-(stream, second) samples of (jitter ms, bit rate Mbit/s,
     /// fps) for video — the scatter data of Fig. 16.
+    ///
+    /// # Panics
+    ///
+    /// If the analyzer was not built with
+    /// [`AnalyzerConfigBuilder::per_second_rows`].
     pub fn fig16_samples(&self) -> Vec<(f64, f64, f64)> {
         let mut out = Vec::new();
-        for s in self.streams.of_type(MediaType::Video) {
-            let rates: HashMap<u64, f64> = s
-                .rates
-                .rows()
+        for (_, seconds) in self.seconds_of(MediaType::Video) {
+            let rates: HashMap<u64, f64> = seconds
+                .rates()
                 .iter()
                 .map(|r| (r.second, r.media_bytes as f64 * 8.0 / 1e6))
                 .collect();
-            let fps: HashMap<u64, f64> = s
-                .frames
+            let fps: HashMap<u64, f64> = seconds
+                .frames()
                 .iter()
-                .flat_map(|f| f.rows())
                 .map(|r| (r.second, f64::from(r.frames)))
                 .collect();
-            for &(t, j) in s.frame_jitter.samples() {
+            for &(t, j) in seconds.jitter() {
                 let sec = t / 1_000_000_000;
                 if let Some(&rate) = rates.get(&sec) {
                     out.push((j, rate, fps.get(&sec).copied().unwrap_or(0.0)));
@@ -1177,7 +1224,12 @@ mod tests {
 
     #[test]
     fn media_samples_cover_video_metrics() {
-        let mut a = analyzer();
+        let mut a = Analyzer::new(
+            AnalyzerConfig::builder()
+                .per_second_rows(true)
+                .build()
+                .unwrap(),
+        );
         for i in 0..200u64 {
             let seq = i as u16 + 1;
             let rtp_ts = 1_000 + (i as u32) * 3_000;

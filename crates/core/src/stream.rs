@@ -5,9 +5,16 @@
 //! timestamps, separate sequence spaces, §4.2.3). On top of each video or
 //! screen-share stream sit frames, reconstructed by
 //! [`crate::metrics::frame::FrameTracker`] and folded, as each completes,
-//! into a count, per-second [`FrameRow`]s and the stall model
-//! ([`StreamFrames`]); every stream also accumulates per-second media bit
-//! rates and the frame-level jitter estimate.
+//! into a count and the stall model ([`StreamFrames`]); every stream also
+//! keeps the frame-level jitter estimate and, for the window clock, the
+//! sum and count of its per-second jitter samples since the last window
+//! close.
+//!
+//! The per-second series — rate rows, frame rows and jitter samples, one
+//! entry per stream-second — are kept in a [`StreamSeconds`] only by a
+//! tracker built to keep them ([`StreamTracker::with_per_second_rows`]):
+//! they grow with every second a stream lives, and only `--features` and
+//! the per-second experiments read them.
 
 use crate::fxhash::FxHashMap;
 use crate::meeting::CandidateState;
@@ -19,7 +26,7 @@ use crate::metrics::stall::{StallReport, StallTracker, FALLBACK_RTT_NANOS};
 use crate::metrics::VIDEO_SAMPLING_RATE;
 use crate::packet::{Direction, PacketMeta, RtpMeta};
 use crate::pipeline::FlowStats;
-use crate::stats::RateRows;
+use crate::stats::{RateRow, RateRows};
 use crate::{position_hinted, RecentTimestamps};
 use zoom_wire::family::FamilyId;
 use zoom_wire::flow::FiveTuple;
@@ -91,8 +98,8 @@ pub struct Stream {
     pub frames: Option<StreamFrames>,
     /// Frame-level jitter over the main sub-stream.
     pub frame_jitter: JitterEstimator,
-    /// Per-second IP bytes, packets and media payload bytes.
-    pub rates: RateRows,
+    /// The per-second series, when the tracker keeps them.
+    seconds: Option<Box<StreamSeconds>>,
     /// Recently fed RTP timestamps: the jitter estimator gets exactly one
     /// observation per frame (its first sighting), and a retransmitted
     /// duplicate of an already-seen frame must not re-trigger it. Genuine
@@ -116,18 +123,20 @@ pub struct Stream {
     /// The counters as of the last window close (all zero for a stream
     /// no window has seen); the next close reports the difference.
     pub(crate) window_snap: StreamSnap,
+    /// The per-second jitter samples taken since the last window close,
+    /// summed in the order they were taken, and their count.
+    pub(crate) window_jitter: (f64, u32),
     /// What this key's earlier, evicted incarnations left behind.
     past: Option<Box<Tombstone>>,
 }
 
 /// A video or screen-share stream's frames: the tracker that reassembles
-/// them, and the three things each completed frame is folded into before
-/// it is dropped — no frame is kept.
+/// them, and what each completed frame is folded into before it is
+/// dropped — no frame is kept.
 #[derive(Debug)]
 pub struct StreamFrames {
     tracker: FrameTracker,
     count: u64,
-    rows: FrameRows,
     stalls: StallTracker,
 }
 
@@ -136,7 +145,6 @@ impl StreamFrames {
         StreamFrames {
             tracker,
             count: 0,
-            rows: FrameRows::default(),
             stalls: StallTracker::default(),
         }
     }
@@ -146,7 +154,6 @@ impl StreamFrames {
     /// [`FALLBACK_RTT_NANOS`] before the first sample.
     fn fold(&mut self, f: &FrameRecord, rtt: &RttTotals) {
         self.count += 1;
-        self.rows.add(f);
         let rtt_nanos = rtt.mean_nanos().unwrap_or(FALLBACK_RTT_NANOS);
         self.stalls.on_frame(f, rtt_nanos);
     }
@@ -156,14 +163,43 @@ impl StreamFrames {
         self.count
     }
 
-    /// Per-second rows of the completed frames, in time order.
-    pub fn rows(&self) -> &[FrameRow] {
-        self.rows.rows()
-    }
-
     /// Stalls and retransmission-recovered frames so far.
     pub fn stalls(&self) -> StallReport {
         self.stalls.report()
+    }
+}
+
+/// A stream's per-second series, one entry per second of its life: what
+/// `--features` and the Fig. 15/16 experiments read. Kept only by a
+/// [`StreamTracker::with_per_second_rows`] tracker (an analyzer built with
+/// [`per_second_rows`]), since the rows grow for as long as the stream
+/// lives; every other output is computed without them.
+///
+/// [`per_second_rows`]: crate::pipeline::AnalyzerConfigBuilder::per_second_rows
+#[derive(Debug, Default)]
+pub struct StreamSeconds {
+    rates: RateRows,
+    frames: FrameRows,
+    jitter: Vec<(u64, f64)>,
+}
+
+impl StreamSeconds {
+    /// Per-second IP bytes, packets and media payload bytes, in time
+    /// order; only seconds that saw a packet have a row.
+    pub fn rates(&self) -> &[RateRow] {
+        self.rates.rows()
+    }
+
+    /// Per-second rows of the completed frames (video and screen share),
+    /// in time order; only seconds in which a frame completed have a row.
+    pub fn frames(&self) -> &[FrameRow] {
+        self.frames.rows()
+    }
+
+    /// The frame-level jitter estimate, in ms, sampled at the first frame
+    /// of each wall-clock second: `(arrival time, jitter ms)`.
+    pub fn jitter(&self) -> &[(u64, f64)] {
+        &self.jitter
     }
 }
 
@@ -176,7 +212,6 @@ pub(crate) struct StreamSnap {
     pub(crate) packets: u64,
     pub(crate) media_bytes: u64,
     pub(crate) frames: u64,
-    pub(crate) jitter_len: usize,
     pub(crate) missing: u64,
     pub(crate) duplicates: u64,
 }
@@ -188,7 +223,6 @@ impl StreamSnap {
             packets: s.packets,
             media_bytes: s.media_bytes(),
             frames: s.frames.as_ref().map_or(0, StreamFrames::count),
-            jitter_len: s.frame_jitter.samples().len(),
             missing,
             duplicates,
         }
@@ -260,6 +294,7 @@ impl Stream {
         media_type: MediaType,
         direction: Direction,
         now: u64,
+        keep_seconds: bool,
     ) -> Stream {
         let tracker = match (family, media_type) {
             // Zoom video carries a packets-in-frame field (Table 1);
@@ -285,14 +320,27 @@ impl Stream {
             last_sub: 0,
             frames: tracker.map(StreamFrames::new),
             frame_jitter: JitterEstimator::video(),
-            rates: RateRows::new(),
+            seconds: keep_seconds.then(Box::default),
             fed_jitter_ts: RecentTimestamps::new(),
             packets: 0,
             serial,
             meeting: None,
             window_snap: StreamSnap::default(),
+            window_jitter: (0.0, 0),
             past: None,
         }
+    }
+
+    /// The per-second series, if the tracker keeps them
+    /// ([`StreamTracker::with_per_second_rows`]).
+    pub fn seconds(&self) -> Option<&StreamSeconds> {
+        self.seconds.as_deref()
+    }
+
+    /// Start the next window: `snap` is what this one closed on.
+    pub(crate) fn close_window(&mut self, snap: StreamSnap) {
+        self.window_snap = snap;
+        self.window_jitter = (0.0, 0);
     }
 
     /// Count one packet; returns the frame it completed, if any, after
@@ -301,8 +349,11 @@ impl Stream {
     fn on_packet(&mut self, m: &PacketMeta, rtp: &RtpMeta, rtt: &RttTotals) -> Option<FrameRecord> {
         self.last_seen = m.ts_nanos;
         self.packets += 1;
-        self.rates
-            .add(m.ts_nanos, m.ip_len as u64, m.media_payload_len as u64);
+        if let Some(seconds) = &mut self.seconds {
+            seconds
+                .rates
+                .add(m.ts_nanos, m.ip_len as u64, m.media_payload_len as u64);
+        }
 
         let sub = self.substream_mut(rtp);
         sub.packets += 1;
@@ -326,6 +377,9 @@ impl Stream {
                 m.pkts_in_frame,
             )?;
             frames.fold(&f, rtt);
+            if let Some(seconds) = &mut self.seconds {
+                seconds.frames.add(&f);
+            }
             Some(f)
         });
         // Feed the jitter estimator once per frame, on the frame's
@@ -338,7 +392,13 @@ impl Stream {
             && !self.fed_jitter_ts.contains(rtp.timestamp)
         {
             self.fed_jitter_ts.push(rtp.timestamp);
-            self.frame_jitter.on_frame(m.ts_nanos, rtp.timestamp);
+            if let Some(j) = self.frame_jitter.on_frame(m.ts_nanos, rtp.timestamp) {
+                self.window_jitter.0 += j;
+                self.window_jitter.1 += 1;
+                if let Some(seconds) = &mut self.seconds {
+                    seconds.jitter.push((m.ts_nanos, j));
+                }
+            }
         }
         completed
     }
@@ -568,12 +628,24 @@ pub struct StreamTracker {
     next_serial: u32,
     /// One entry per key whose stream is currently evicted.
     tombstones: FxHashMap<StreamKey, Tombstone>,
+    /// Whether each stream keeps its per-second series
+    /// ([`StreamSeconds`]).
+    keep_seconds: bool,
 }
 
 impl StreamTracker {
-    /// Empty tracker.
+    /// Empty tracker whose streams keep no per-second series.
     pub fn new() -> StreamTracker {
         StreamTracker::default()
+    }
+
+    /// Empty tracker whose streams keep their per-second series
+    /// ([`Stream::seconds`]).
+    pub fn with_per_second_rows() -> StreamTracker {
+        StreamTracker {
+            keep_seconds: true,
+            ..StreamTracker::default()
+        }
     }
 
     /// The slot of `ft`, created (uncounted) when new. One table probe,
@@ -658,8 +730,15 @@ impl StreamTracker {
                         serial
                     }
                 };
-                let mut stream =
-                    Stream::new(key, serial, m.family, m.media_type, m.direction, m.ts_nanos);
+                let mut stream = Stream::new(
+                    key,
+                    serial,
+                    m.family,
+                    m.media_type,
+                    m.direction,
+                    m.ts_nanos,
+                    self.keep_seconds,
+                );
                 stream.past = past;
                 self.streams.push(stream);
                 (self.streams.len() - 1, true)
@@ -887,7 +966,7 @@ mod tests {
         // first: over the 150 ms retransmission threshold while no RTT
         // is known (50 ms + 100 ms), under it once the mean RTT as of the
         // frame's completion is 150 ms (250 ms).
-        let mut t = StreamTracker::new();
+        let mut t = StreamTracker::with_per_second_rows();
         let frame = |t: &mut StreamTracker, i: u64, rtt: &RttTotals| {
             let at = i * 400 * MS;
             let mut out = None;
@@ -909,18 +988,20 @@ mod tests {
             assert_eq!(f.frame_delay_nanos(), 200 * MS);
         }
         frame(&mut t, 3, &slow);
-        let frames = t.iter().next().unwrap().frames.as_ref().unwrap();
+        let stream = t.iter().next().unwrap();
+        let frames = stream.frames.as_ref().unwrap();
         assert_eq!(frames.count(), 4);
         assert_eq!(frames.stalls().retransmission_recovered, 3);
         assert_eq!(frames.stalls().frames, 4);
-        let rows: Vec<(u64, u32)> = frames.rows().iter().map(|r| (r.second, r.frames)).collect();
-        assert_eq!(rows, [(0, 2), (1, 2)]);
-        assert_eq!(frames.rows()[0].max_frame_delay_nanos, 200 * MS);
+        let rows = stream.seconds().unwrap().frames();
+        let per_second: Vec<(u64, u32)> = rows.iter().map(|r| (r.second, r.frames)).collect();
+        assert_eq!(per_second, [(0, 2), (1, 2)]);
+        assert_eq!(rows[0].max_frame_delay_nanos, 200 * MS);
     }
 
     #[test]
     fn media_rate_accumulates() {
-        let mut t = StreamTracker::new();
+        let mut t = StreamTracker::with_per_second_rows();
         let (k, _) = t.on_packet(&meta(0, 0x21, 98, 1, 100, true)).unwrap();
         t.on_packet(&meta(100 * MS, 0x21, 98, 2, 200, true))
             .unwrap();
@@ -928,14 +1009,14 @@ mod tests {
             .unwrap();
         let s = t.get(&k).unwrap();
         assert_eq!(s.media_bytes(), 2_700);
-        assert_eq!(s.rates.len(), 2); // two seconds touched
+        assert_eq!(s.seconds().unwrap().rates().len(), 2); // two seconds touched
         assert!(s.mean_media_bitrate() > 0.0);
         assert_eq!(s.duration_nanos(), 1_500 * MS);
     }
 
     #[test]
     fn jitter_fed_once_per_timestamp() {
-        let mut t = StreamTracker::new();
+        let mut t = StreamTracker::with_per_second_rows();
         // Two packets of the same frame, then the next frame.
         let (k, _) = t.on_packet(&meta(0, 0x21, 98, 1, 100, false)).unwrap();
         t.on_packet(&meta(MS / 4, 0x21, 98, 2, 100, true)).unwrap();
@@ -943,8 +1024,34 @@ mod tests {
             .unwrap();
         let s = t.get(&k).unwrap();
         // Only two jitter observations (one per distinct timestamp).
-        assert!(s.frame_jitter.samples().len() <= 2);
+        assert!(s.seconds().unwrap().jitter().len() <= 2);
         assert_eq!(s.last_rtp_timestamp(), Some(3_100));
+    }
+
+    #[test]
+    fn per_second_series_are_kept_only_when_asked_for() {
+        let feed = |t: &mut StreamTracker| {
+            let mut key = None;
+            for i in 0..90u64 {
+                let m = meta(i * 33 * MS, 0x21, 98, i as u16, i as u32 * 3_000, true);
+                key = Some(t.on_packet(&m).unwrap().0);
+            }
+            key.unwrap()
+        };
+        let mut without = StreamTracker::new();
+        let mut with = StreamTracker::with_per_second_rows();
+        let (k, k2) = (feed(&mut without), feed(&mut with));
+        let (bare, kept) = (without.get(&k).unwrap(), with.get(&k2).unwrap());
+        assert!(bare.seconds().is_none());
+        let rows = kept.seconds().unwrap();
+        assert_eq!((rows.rates().len(), rows.frames().len()), (3, 3));
+        // One jitter sample per second, summed for the window clock
+        // whether or not the samples are kept.
+        assert_eq!(rows.jitter().len(), 3);
+        let sum: f64 = rows.jitter().iter().map(|&(_, j)| j).sum();
+        assert_eq!(kept.window_jitter, (sum, 3));
+        assert_eq!(bare.window_jitter, kept.window_jitter);
+        assert_eq!(bare.frames.as_ref().unwrap().count(), 90);
     }
 
     #[test]

@@ -452,6 +452,12 @@ impl Iterator for BackgroundGen {
 }
 
 /// K-way time-ordered merge of meeting streams plus optional background.
+///
+/// Each source's own records come out in time order (a meeting pops its
+/// event queue), and of two records with one timestamp the one of the
+/// earlier source comes first: the merge yields exactly what concatenating
+/// the sources' records and stable-sorting them by timestamp would, while
+/// holding one record per source.
 pub struct CampusStream {
     sources: Vec<SourceState>,
     heap: BinaryHeap<std::cmp::Reverse<(Nanos, usize)>>,
@@ -481,6 +487,12 @@ impl SourceState {
 }
 
 impl CampusStream {
+    /// The records of `meetings` — one border tap watching them all — in
+    /// time order, generated as they are read.
+    pub fn of_meetings(meetings: impl IntoIterator<Item = MeetingConfig>) -> CampusStream {
+        CampusStream::new(meetings.into_iter().map(MeetingSim::new).collect(), None)
+    }
+
     fn new(meetings: Vec<MeetingSim>, background: Option<BackgroundGen>) -> CampusStream {
         let mut sources: Vec<SourceState> = meetings
             .into_iter()

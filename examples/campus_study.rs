@@ -33,8 +33,13 @@ fn main() {
         anonymizer: None,
         family: zoom_wire::family::FamilySelect::Only(zoom_wire::family::FamilyId::Zoom),
     });
-    // ...and the analyzer consumes only what passes.
-    let mut analyzer = Analyzer::new(AnalyzerConfig::default());
+    // ...and the analyzer consumes only what passes, keeping the
+    // per-second series the media samples below are read from.
+    let config = AnalyzerConfig::builder()
+        .per_second_rows(true)
+        .build()
+        .expect("valid config");
+    let mut analyzer = Analyzer::new(config);
 
     for record in scenario.into_stream() {
         let (verdict, passed) = capture.process_record(&record, LinkType::Ethernet);

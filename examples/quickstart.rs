@@ -36,6 +36,7 @@ fn main() -> std::io::Result<()> {
     let link = reader.link_type();
     let analyzer_config = AnalyzerConfig::builder()
         .campus(scenario::CAMPUS_NET)
+        .per_second_rows(true) // for `media_samples` below
         .build()
         .expect("valid campus CIDR");
     let mut analyzer = Analyzer::new(analyzer_config);

@@ -36,7 +36,13 @@ struct Validation {
 /// Run the experiment once; participant 0 is the campus "SDK client".
 fn run() -> Validation {
     let mut sim = MeetingSim::new(scenario::validation_experiment(77));
-    let mut analyzer = Analyzer::new(AnalyzerConfig::default());
+    // The analyzer's scores read its per-second frame rows and jitter
+    // samples; the engine's read its windows alone.
+    let config = AnalyzerConfig::builder()
+        .per_second_rows(true)
+        .build()
+        .expect("valid config");
+    let mut analyzer = Analyzer::new(config);
     let mut engine = StreamingEngine::new(EngineConfig {
         window: Some(Duration::from_secs(1)),
         ..EngineConfig::default()
@@ -114,9 +120,9 @@ fn fig10a_frame_rate_estimate_tracks_sdk_feed() {
     let v = run();
     // Method-1 per-second delivered fps, from the analyzer's per-second
     // frame rows…
-    let frames = downlink_video(&v.analyzer).frames.as_ref().unwrap();
-    let from_frames: HashMap<u64, f64> = frames
-        .rows()
+    let seconds = downlink_video(&v.analyzer).seconds().unwrap();
+    let from_frames: HashMap<u64, f64> = seconds
+        .frames()
         .iter()
         .map(|r| (r.second, f64::from(r.frames)))
         .collect();
@@ -208,7 +214,7 @@ fn fig10c_jitter_estimate_exceeds_zooms_implausible_feed() {
     // jitter estimate peaks well above 2 ms during the bursts and stays
     // small in the calm period (it does not invent congestion). Per
     // sample from the analyzer, per one-second mean from the windows.
-    let samples = downlink_video(&v.analyzer).frame_jitter.samples();
+    let samples = downlink_video(&v.analyzer).seconds().unwrap().jitter();
     let per_sample = |period: std::ops::Range<u64>| -> Vec<f64> {
         samples
             .iter()

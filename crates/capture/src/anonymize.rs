@@ -15,10 +15,19 @@
 use std::net::{IpAddr, Ipv4Addr};
 
 /// A keyed one-way anonymizer.
+///
+/// The key is folded into the hash state once, at construction: every
+/// hash this anonymizer computes starts from one of five key states, so an
+/// address costs the FNV-1a rounds of its own bytes only.
 #[derive(Debug, Clone, Copy)]
 pub struct Anonymizer {
-    key: u64,
     mode: Mode,
+    /// FNV-1a state after the key bytes of octet position `i` (`key ^ i <<
+    /// 56`); position 0 is the plain key, which full mode and the high half
+    /// of an IPv6 address use too.
+    octet_keys: [u64; 4],
+    /// FNV-1a state after `key ^ 1`, for the low half of an IPv6 address.
+    v6_low_key: u64,
 }
 
 /// How much structure to preserve.
@@ -32,14 +41,23 @@ pub enum Mode {
     PrefixPreserving,
 }
 
-fn keyed_hash(key: u64, data: u64) -> u64 {
-    // FNV-1a over the 16 bytes of (key, data), then a xorshift-multiply
-    // finalizer (splitmix64 tail) for diffusion.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.to_le_bytes().into_iter().chain(data.to_le_bytes()) {
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// FNV-1a rounds over the 8 little-endian bytes of `word`, from state `h`.
+fn fnv_fold(mut h: u64, word: u64) -> u64 {
+    for b in word.to_le_bytes() {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
+    h
+}
+
+/// The keyed hash of `data`, given the FNV-1a state after its key: FNV-1a
+/// over the 16 bytes of (key, data), then a xorshift-multiply finalizer
+/// (splitmix64 tail) for diffusion.
+fn keyed_hash(key_state: u64, data: u64) -> u64 {
+    let mut h = fnv_fold(key_state, data);
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h ^= h >> 27;
@@ -51,14 +69,19 @@ impl Anonymizer {
     /// Create with an explicit key (the "anonymization secret" an operator
     /// would rotate per capture campaign).
     pub fn new(key: u64, mode: Mode) -> Self {
-        Anonymizer { key, mode }
+        let state = |k: u64| fnv_fold(FNV_OFFSET, k);
+        Anonymizer {
+            mode,
+            octet_keys: [0u64, 1, 2, 3].map(|i| state(key ^ (i << 56))),
+            v6_low_key: state(key ^ 1),
+        }
     }
 
     /// Anonymize an IPv4 address.
     pub fn anonymize_v4(&self, ip: Ipv4Addr) -> Ipv4Addr {
         match self.mode {
             Mode::Full => {
-                let mapped = keyed_hash(self.key, u64::from(u32::from(ip))) as u32;
+                let mapped = keyed_hash(self.octet_keys[0], u64::from(u32::from(ip))) as u32;
                 Ipv4Addr::from(mapped)
             }
             Mode::PrefixPreserving => {
@@ -69,8 +92,7 @@ impl Anonymizer {
                     // Substitute this octet keyed by position and the
                     // *original* higher-order octets, so equal prefixes map
                     // to equal prefixes.
-                    let h =
-                        keyed_hash(self.key ^ ((i as u64) << 56), prefix | (u64::from(o) << 40));
+                    let h = keyed_hash(self.octet_keys[i], prefix | (u64::from(o) << 40));
                     out[i] = (h & 0xFF) as u8;
                     prefix = (prefix << 8) | u64::from(o);
                 }
@@ -85,8 +107,8 @@ impl Anonymizer {
             IpAddr::V4(v4) => IpAddr::V4(self.anonymize_v4(v4)),
             IpAddr::V6(v6) => {
                 let seg = u128::from_be_bytes(v6.octets());
-                let hi = keyed_hash(self.key, (seg >> 64) as u64);
-                let lo = keyed_hash(self.key ^ 1, seg as u64);
+                let hi = keyed_hash(self.octet_keys[0], (seg >> 64) as u64);
+                let lo = keyed_hash(self.v6_low_key, seg as u64);
                 IpAddr::V6(std::net::Ipv6Addr::from(
                     (u128::from(hi) << 64 | u128::from(lo)).to_be_bytes(),
                 ))
@@ -156,5 +178,63 @@ mod tests {
         let ip: IpAddr = "2001:db8::1234".parse().unwrap();
         assert_eq!(a.anonymize(ip), a.anonymize(ip));
         assert_ne!(a.anonymize(ip), ip);
+    }
+
+    /// Outputs of the construction as it stood before the key was folded
+    /// in at construction: the fold must not move a single output byte.
+    #[test]
+    fn golden_vectors_in_both_modes() {
+        // (key, address, full-mode output, prefix-preserving output)
+        type Octets = [u8; 4];
+        let golden: [(u64, Octets, Octets, Octets); 8] = [
+            (0, [0, 0, 0, 0], [174, 29, 72, 63], [63, 108, 13, 219]),
+            (
+                12345,
+                [10, 8, 0, 2],
+                [80, 233, 200, 129],
+                [179, 81, 182, 243],
+            ),
+            (
+                12345,
+                [10, 8, 255, 255],
+                [225, 68, 247, 128],
+                [179, 81, 183, 85],
+            ),
+            (7, [192, 168, 1, 1], [16, 202, 203, 9], [227, 180, 136, 45]),
+            (
+                42,
+                [255, 255, 255, 255],
+                [68, 210, 77, 14],
+                [103, 234, 211, 20],
+            ),
+            (u64::MAX, [1, 2, 3, 4], [0, 196, 54, 49], [80, 234, 1, 118]),
+            (
+                0x0123_4567_89AB_CDEF,
+                [172, 16, 31, 200],
+                [181, 236, 223, 64],
+                [122, 114, 176, 81],
+            ),
+            (
+                1 << 56,
+                [128, 0, 0, 1],
+                [77, 87, 64, 149],
+                [162, 8, 209, 231],
+            ),
+        ];
+        for (key, addr, full, prefix) in golden {
+            let ip = Ipv4Addr::from(addr);
+            let got_full = Anonymizer::new(key, Mode::Full).anonymize_v4(ip);
+            let got_prefix = Anonymizer::new(key, Mode::PrefixPreserving).anonymize_v4(ip);
+            assert_eq!(got_full.octets(), full, "key {key:#x}, {ip}, full");
+            assert_eq!(got_prefix.octets(), prefix, "key {key:#x}, {ip}, prefix");
+        }
+        let v6: IpAddr = "2001:db8::1234".parse().unwrap();
+        for (key, want) in [
+            (9, "24f8:376d:ebec:51c6:3b94:1365:e35e:b2fc"),
+            (12345, "1ce1:fabc:726b:15a2:d4a0:691e:194:4c9b"),
+        ] {
+            let got = Anonymizer::new(key, Mode::PrefixPreserving).anonymize(v6);
+            assert_eq!(got, want.parse::<IpAddr>().unwrap(), "key {key}");
+        }
     }
 }

@@ -8,9 +8,13 @@
 //! `[start, end]` address ranges that each name the longest prefix covering
 //! them, behind a 64 Ki-bit (8 KB) bitmap of the /16 blocks any prefix
 //! touches. A lookup is one bit test for an address outside every prefix —
-//! the common case on a border link — and one binary search over the
-//! ranges otherwise. Nothing on the lookup path hashes, so its cost does
-//! not depend on how many distinct prefix lengths the set holds.
+//! the common case on a border link. Otherwise the block's rank among the
+//! touched blocks (a 4 KB table of set bits before each bitmap word, plus
+//! one popcount) indexes the first range reaching into the block, and a
+//! short forward scan over the block's ranges — one or two for the
+//! published Zoom list — finishes. Nothing on the lookup path hashes or
+//! searches the whole set, so its cost depends neither on how many
+//! prefixes nor on how many distinct prefix lengths the set holds.
 //!
 //! [`PrefixMap::insert`] rebuilds the ranges; it is meant for set-up, not
 //! for the packet path.
@@ -123,11 +127,18 @@ const SUMMARY_WORDS: usize = (1 << 16) / 64;
 #[derive(Clone)]
 pub(crate) struct IntervalTable<T> {
     summary: Box<[u64; SUMMARY_WORDS]>,
+    /// Set bits of `summary` in the words before each word: with a popcount
+    /// of the bits below a block in its own word, the block's rank among
+    /// the touched blocks.
+    rank: Box<[u32; SUMMARY_WORDS]>,
+    /// Per touched /16 block, by rank: index into `ranges` of the first
+    /// range that reaches into the block.
+    first: Vec<u32>,
     /// `(start, end, payload)`, ascending and non-overlapping.
     ranges: Vec<(u32, u32, T)>,
 }
 
-/// The ranges only: the bitmap is derived from them.
+/// The ranges only: the bitmap and its index are derived from them.
 impl<T: fmt::Debug> fmt::Debug for IntervalTable<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(&self.ranges).finish()
@@ -138,6 +149,8 @@ impl<T: Copy + PartialEq> IntervalTable<T> {
     pub(crate) fn new() -> Self {
         IntervalTable {
             summary: Box::new([0; SUMMARY_WORDS]),
+            rank: Box::new([0; SUMMARY_WORDS]),
+            first: Vec::new(),
             ranges: Vec::new(),
         }
     }
@@ -148,28 +161,55 @@ impl<T: Copy + PartialEq> IntervalTable<T> {
     pub(crate) fn push(&mut self, start: u32, end: u32, value: T) {
         debug_assert!(start <= end);
         debug_assert!(self.ranges.last().is_none_or(|&(_, e, _)| e < start));
-        let (lo, hi) = ((start >> 16) as usize, (end >> 16) as usize);
-        for word in lo / 64..=hi / 64 {
-            let from = lo.max(word * 64) % 64;
-            let to = hi.min(word * 64 + 63) % 64;
-            self.summary[word] |= (u64::MAX >> (63 - (to - from))) << from;
-        }
+        // Ranges arrive in address order, so the blocks up to the one the
+        // previous range ends in already have their first range.
+        let decided = self
+            .ranges
+            .last()
+            .map_or(0, |&(_, e, _)| (e >> 16) as usize + 1);
         match self.ranges.last_mut() {
             Some((_, e, v)) if *v == value && e.checked_add(1) == Some(start) => *e = end,
             _ => self.ranges.push((start, end, value)),
         }
+        let index = (self.ranges.len() - 1) as u32;
+        let fresh = ((start >> 16) as usize).max(decided);
+        for block in fresh..=(end >> 16) as usize {
+            self.summary[block / 64] |= 1 << (block % 64);
+            self.first.push(index);
+        }
+        // Words up to the one the previous range ended in keep their rank;
+        // words past this range's end have no bits a lookup could reach.
+        for word in decided.saturating_sub(1) / 64 + 1..=(end >> 16) as usize / 64 {
+            self.rank[word] = self.rank[word - 1] + self.summary[word - 1].count_ones();
+        }
+    }
+
+    /// Index into `ranges` of the first range that reaches into `block`,
+    /// or `None` when no range touches it: one bit test, then the block's
+    /// rank among the touched blocks.
+    #[inline]
+    fn first_in_block(&self, block: usize) -> Option<usize> {
+        let (word, bit) = (block / 64, block % 64);
+        let bits = self.summary[word];
+        if bits & (1 << bit) == 0 {
+            return None;
+        }
+        let rank = self.rank[word] + (bits & ((1 << bit) - 1)).count_ones();
+        Some(self.first[rank as usize] as usize)
     }
 
     /// Payload of the range containing `addr`.
     #[inline]
     pub(crate) fn get(&self, addr: u32) -> Option<T> {
-        let block = (addr >> 16) as usize;
-        if self.summary[block / 64] & (1 << (block % 64)) == 0 {
-            return None;
+        let from = self.first_in_block((addr >> 16) as usize)?;
+        // The block's ranges, then (only if `addr` lies past them all) the
+        // next range, which starts in a later block.
+        for &(start, end, value) in &self.ranges[from..] {
+            if addr <= end {
+                return (start <= addr).then_some(value);
+            }
         }
-        let after = self.ranges.partition_point(|&(start, _, _)| start <= addr);
-        let &(_, end, value) = self.ranges.get(after.checked_sub(1)?)?;
-        (addr <= end).then_some(value)
+        None
     }
 }
 
@@ -383,6 +423,37 @@ mod tests {
         m.insert("10.0.0.0/8".parse().unwrap(), 2);
         assert_eq!(m.len(), 1);
         assert_eq!(*m.longest_match(Ipv4Addr::new(10, 1, 1, 1)).unwrap().1, 2);
+    }
+
+    #[test]
+    fn a_blocks_rank_finds_its_first_range() {
+        // Nested, adjacent, block-spanning and block-sharing prefixes, the
+        // ends of the address space, and ranges merged across prefixes.
+        let mut m = PrefixMap::new();
+        let prefixes = [
+            "0.0.0.0/32",
+            "0.0.255.255/32",
+            "10.0.0.0/8",
+            "10.8.0.0/16",
+            "10.8.3.0/24",
+            "10.8.4.0/24",
+            "10.9.255.0/24",
+            "10.10.0.0/24",
+            "170.114.0.0/15",
+            "170.114.3.0/25",
+            "170.114.3.128/25",
+            "192.0.2.7/32",
+            "255.255.255.255/32",
+        ];
+        for (i, s) in prefixes.iter().enumerate() {
+            m.insert(s.parse().unwrap(), i);
+        }
+        let t = &m.table;
+        for block in 0..1 << 16 {
+            let (lo, hi) = ((block as u32) << 16, (block as u32) << 16 | 0xFFFF);
+            let want = t.ranges.iter().position(|&(s, e, _)| s <= hi && e >= lo);
+            assert_eq!(t.first_in_block(block), want, "block {block:#06x}");
+        }
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! runs it over whatever fan-in its sources call for, `zoom-tools filter`
 //! over one file; nothing else filters to a file.
 //!
+//! Records are judged where they lie in the batch's arena; a passing one
+//! is anonymized there and written from there, so a rejected record is
+//! never copied and a passing one only into the output's buffer.
+//!
 //! Accounting goes to the registry once per batch
 //! ([`PipelineMetrics::record_batch_in`] plus one add per verdict
 //! counter), not once per record: the registry's counters are atomics the
@@ -19,7 +23,7 @@ use crate::source::{SourceError, BATCH_RECORDS};
 use std::io::Write;
 use zoom_analysis::obs::PipelineMetrics;
 use zoom_wire::handoff::RecordBatch;
-use zoom_wire::pcap::{LinkType, Record, Writer};
+use zoom_wire::pcap::{LinkType, Writer};
 
 /// The filter and the pcap behind it, fed one merged batch at a time.
 pub struct FilterWriter<'a, W: Write> {
@@ -28,8 +32,6 @@ pub struct FilterWriter<'a, W: Write> {
     /// The output until the first batch pins its link type.
     unopened: Option<W>,
     writer: Option<(Writer<W>, LinkType)>,
-    /// The one output record, reused: only what gets written is copied.
-    rec: Record,
     written: u64,
     written_bytes: u64,
 }
@@ -47,7 +49,6 @@ impl<'a, W: Write> FilterWriter<'a, W> {
             metrics,
             unopened: Some(out),
             writer: None,
-            rec: Record::full(0, Vec::new()),
             written: 0,
             written_bytes: 0,
         }
@@ -55,9 +56,14 @@ impl<'a, W: Write> FilterWriter<'a, W> {
 
     /// Offer one merged batch of `link`-typed records. The first batch
     /// pins the output's link type; a pcap file cannot mix link types, so
-    /// a later batch of another is an error. `metrics` is up to date with
-    /// the whole batch when this returns.
-    pub fn push_batch(&mut self, batch: &RecordBatch, link: LinkType) -> Result<(), SourceError> {
+    /// a later batch of another is an error. Passing records are
+    /// anonymized inside `batch`. `metrics` is up to date with the whole
+    /// batch when this returns.
+    pub fn push_batch(
+        &mut self,
+        batch: &mut RecordBatch,
+        link: LinkType,
+    ) -> Result<(), SourceError> {
         let w = match &mut self.writer {
             Some((_, pinned)) if *pinned != link => {
                 return Err(SourceError::Format(format!(
@@ -74,11 +80,11 @@ impl<'a, W: Write> FilterWriter<'a, W> {
             }
         };
         self.metrics.record_batch_in(batch);
-        let rec = &mut self.rec;
         let (mut passed, mut not_zoom) = (0u64, 0u64);
-        for r in batch {
-            match &mut self.pipeline {
-                Some(p) => match p.process_into(r.ts_nanos, r.orig_len, r.data, link, rec) {
+        for i in 0..batch.len() {
+            if let Some(p) = &mut self.pipeline {
+                let r = batch.get(i).expect("index in bounds");
+                match p.classify(r.ts_nanos, r.data, link) {
                     Verdict::Unparseable => {
                         self.metrics.drop_malformed.inc();
                         continue;
@@ -87,18 +93,13 @@ impl<'a, W: Write> FilterWriter<'a, W> {
                         not_zoom += 1;
                         continue;
                     }
-                    _ => {}
-                },
-                None => {
-                    rec.ts_nanos = r.ts_nanos;
-                    rec.orig_len = r.orig_len;
-                    rec.data.clear();
-                    rec.data.extend_from_slice(r.data);
+                    _ => p.anonymize_in_place(batch.data_mut(i).expect("index in bounds"), link),
                 }
             }
+            let r = batch.get(i).expect("index in bounds");
             passed += 1;
-            self.written_bytes += rec.data.len() as u64;
-            w.write_record(rec)?;
+            self.written_bytes += r.data.len() as u64;
+            w.write_ref(r)?;
         }
         self.written += passed;
         self.metrics.packets_classified.add(passed);
@@ -155,7 +156,7 @@ pub fn filter_to_pcap<W: Write>(
     let mut sink = FilterWriter::new(pipeline, metrics, out);
     let mut batch = RecordBatch::new();
     while let Some(link) = mux.next_batch(&mut batch, BATCH_RECORDS)? {
-        sink.push_batch(&batch, link)?;
+        sink.push_batch(&mut batch, link)?;
     }
     let (out, written, written_bytes) = sink.finish(empty_link)?;
     let summary = FilterSummary {

@@ -283,43 +283,28 @@ impl CapturePipeline {
         verdict
     }
 
-    /// Classify a borrowed packet and, only when it passes, copy it into
-    /// `out` (reusing its buffer) and anonymize it there. A rejected
-    /// packet is never copied and leaves `out` as it was.
-    pub fn process_into(
-        &mut self,
-        ts_nanos: u64,
-        orig_len: u32,
-        data: &[u8],
-        link: LinkType,
-        out: &mut Record,
-    ) -> Verdict {
-        let verdict = self.classify(ts_nanos, data, link);
-        if verdict.passes() {
-            out.ts_nanos = ts_nanos;
-            out.orig_len = orig_len;
-            out.data.clear();
-            out.data.extend_from_slice(data);
-            if let Some(anon) = self.config.anonymizer {
-                self.anonymize_packet(&mut out.data, link, anon);
-            }
-        }
-        verdict
+    /// Classify and, when the packet passes, emit the (optionally
+    /// anonymized) output record. Allocates per passing record; the
+    /// filter loop ([`crate::filter::FilterWriter`]) instead classifies
+    /// records where they lie in a batch and rewrites the passing ones
+    /// there.
+    pub fn process_record(&mut self, record: &Record, link: LinkType) -> (Verdict, Option<Record>) {
+        let verdict = self.classify(record.ts_nanos, &record.data, link);
+        let out = verdict.passes().then(|| {
+            let mut out = record.clone();
+            self.anonymize_in_place(&mut out.data, link);
+            out
+        });
+        (verdict, out)
     }
 
-    /// Classify and, when the packet passes, emit the (optionally
-    /// anonymized) output record. Allocates per passing record; loops
-    /// should reuse one record through [`CapturePipeline::process_into`].
-    pub fn process_record(&mut self, record: &Record, link: LinkType) -> (Verdict, Option<Record>) {
-        let mut out = Record::full(0, Vec::new());
-        let verdict = self.process_into(
-            record.ts_nanos,
-            record.orig_len,
-            &record.data,
-            link,
-            &mut out,
-        );
-        (verdict, verdict.passes().then_some(out))
+    /// Rewrite the campus addresses of a passing packet in place, when the
+    /// pipeline is configured to anonymize, and fix its checksums; a no-op
+    /// otherwise. The packet keeps its length.
+    pub(crate) fn anonymize_in_place(&self, data: &mut [u8], link: LinkType) {
+        if let Some(anon) = self.config.anonymizer {
+            self.anonymize_packet(data, link, anon);
+        }
     }
 
     /// Class bits of one address: a single table lookup.

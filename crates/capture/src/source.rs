@@ -45,14 +45,18 @@
 
 use crate::ring::{self, Consumer, Producer};
 use std::fmt;
-use std::io;
+use std::io::{self, Read};
 use std::time::Duration;
 use zoom_wire::handoff::RecordBatch;
 use zoom_wire::pcap::{LinkType, Reader, Record, READ_BUFFER_BYTES};
 
 /// Records per batch a well-behaved source aims for. Batches may be
 /// smaller (a follow-mode poll that found less data) but should not be
-/// much larger, so ring occupancy stays predictable.
+/// much larger, so ring occupancy stays predictable. A pcap file's batch
+/// is one read chunk ([`PcapFileSource`]), bounded in bytes rather than
+/// records: on real traces it holds fewer than this, and a chunk of
+/// smaller packets that holds more is copied out in runs by the fan-in
+/// ([`crate::mux::CaptureMux::next_batch`]).
 pub const BATCH_RECORDS: usize = 128;
 
 /// Soft cap on captured bytes per batch, bounding arena growth for
@@ -145,13 +149,19 @@ impl Default for FollowConfig {
 /// A pcap file on disk as a [`PacketSource`] — the adapter that turns the
 /// original single-file ingest path into one source among many.
 ///
+/// Each batch is one chunk of the file, landed on the batch's arena by a
+/// single `read` and indexed where it lies ([`Reader::read_chunk`]): the
+/// records reach the consumer with no user-space copy on the way.
+///
 /// In follow mode the source keeps polling the file for appended records
 /// (a live capture being written by another process) and only reports
 /// exhaustion after [`FollowConfig::idle_exit`] of quiet, reproducing the
-/// pre-existing `analyze --follow` loop per source.
+/// pre-existing `analyze --follow` loop per source. A record the writer
+/// has only half appended is held back until the rest arrives; it counts
+/// as truncated only if the source ends first.
 pub struct PcapFileSource {
     label: String,
-    reader: Reader<io::BufReader<std::fs::File>>,
+    reader: Reader<ReadAhead>,
     follow: Option<FollowConfig>,
     quiet: Duration,
 }
@@ -161,10 +171,11 @@ impl PcapFileSource {
     /// cannot be opened is [`SourceError::Io`]; one whose header is not a
     /// pcap header is [`SourceError::Format`]. Both messages name `path`.
     pub fn open(path: &str) -> Result<PcapFileSource, SourceError> {
-        let file = std::fs::File::open(path)
-            .map_err(|e| SourceError::Io(io::Error::new(e.kind(), format!("{path}: {e}"))))?;
-        let reader = Reader::new(io::BufReader::with_capacity(READ_BUFFER_BYTES, file))
-            .map_err(|e| SourceError::Format(format!("{path}: {e}")))?;
+        let io_error =
+            |e: io::Error| SourceError::Io(io::Error::new(e.kind(), format!("{path}: {e}")));
+        let file = std::fs::File::open(path).map_err(io_error)?;
+        let file = ReadAhead::new(file).map_err(io_error)?;
+        let reader = Reader::new(file).map_err(|e| SourceError::Format(format!("{path}: {e}")))?;
         Ok(PcapFileSource {
             label: format!("pcap:{path}"),
             reader,
@@ -180,6 +191,44 @@ impl PcapFileSource {
     }
 }
 
+/// A file whose first chunk was read to check its header: the header and
+/// the records behind it arrive with one `read`, as every later chunk does.
+struct ReadAhead {
+    file: std::fs::File,
+    /// What the first read returned and has not been handed on yet.
+    head: Vec<u8>,
+    at: usize,
+}
+
+impl ReadAhead {
+    fn new(mut file: std::fs::File) -> io::Result<ReadAhead> {
+        let mut head = vec![0; READ_BUFFER_BYTES];
+        let got = loop {
+            match file.read(&mut head) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                got => break got?,
+            }
+        };
+        head.truncate(got);
+        Ok(ReadAhead { file, head, at: 0 })
+    }
+}
+
+impl Read for ReadAhead {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.at == self.head.len() {
+            return self.file.read(buf);
+        }
+        let n = buf.len().min(self.head.len() - self.at);
+        buf[..n].copy_from_slice(&self.head[self.at..self.at + n]);
+        self.at += n;
+        if self.at == self.head.len() {
+            (self.head, self.at) = (Vec::new(), 0);
+        }
+        Ok(n)
+    }
+}
+
 impl PacketSource for PcapFileSource {
     fn label(&self) -> &str {
         &self.label
@@ -190,30 +239,21 @@ impl PacketSource for PcapFileSource {
     }
 
     fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
-        while batch.len() < BATCH_RECORDS && batch.arena_bytes() < BATCH_BYTES {
-            // Straight from the file buffer into the arena the ring carries.
-            if self.reader.read_into_batch(batch)? {
-                self.quiet = Duration::ZERO;
-                continue;
-            }
-            // End of file. A reader at a clean record boundary can be
-            // retried once the producer appends more data; a torn tail is
-            // counted in `truncated_records` (retrying it is racy either
-            // way — `idle_exit` bounds how long we wait).
-            let Some(follow) = self.follow else {
-                return Ok(false);
-            };
-            if !batch.is_empty() {
-                // Hand over what we have before pacing the next poll.
-                return Ok(true);
-            }
-            if self.quiet >= follow.idle_exit {
-                return Ok(false);
-            }
-            std::thread::sleep(follow.poll);
-            self.quiet += follow.poll;
-            return Ok(true);
+        let more = self.reader.read_chunk(batch)?;
+        if !batch.is_empty() {
+            self.quiet = Duration::ZERO;
+            return Ok(more || self.follow.is_some());
         }
+        // End of file. In follow mode the producer may append more (or
+        // finish a torn record) before `idle_exit` runs out.
+        let Some(follow) = self.follow else {
+            return Ok(false);
+        };
+        if self.quiet >= follow.idle_exit {
+            return Ok(false);
+        }
+        std::thread::sleep(follow.poll);
+        self.quiet += follow.poll;
         Ok(true)
     }
 
@@ -498,6 +538,52 @@ mod tests {
         let ts = drain(&mut src);
         writer.join().unwrap();
         assert_eq!(ts, vec![1_000, 2_000]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn follow_mode_holds_a_torn_append_until_the_rest_arrives() {
+        let dir = std::env::temp_dir().join(format!("zc-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn.pcap");
+        let mut w = zoom_wire::pcap::Writer::new(Vec::new(), LinkType::Ethernet).unwrap();
+        for i in 0..1_000 {
+            w.write_record(&rec(i * 1_000, 60 + (i as usize % 7) * 100))
+                .unwrap();
+        }
+        let img = w.finish().unwrap();
+        let mut w = zoom_wire::pcap::Writer::new(Vec::new(), LinkType::Ethernet).unwrap();
+        w.write_record(&rec(1_000_000, 700)).unwrap();
+        let last = w.finish().unwrap()[24..].to_vec();
+        std::fs::write(&path, &img).unwrap();
+
+        let mut src = PcapFileSource::open(path.to_str().unwrap())
+            .unwrap()
+            .follow(FollowConfig {
+                poll: Duration::from_millis(5),
+                idle_exit: Duration::from_millis(200),
+            });
+
+        // The writer appends the first 30 bytes of a record, pauses past
+        // several polls, then appends the rest.
+        let path2 = path.clone();
+        let writer = std::thread::spawn(move || {
+            use std::io::Write as _;
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path2)
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            f.write_all(&last[..30]).unwrap();
+            std::thread::sleep(Duration::from_millis(60));
+            f.write_all(&last[30..]).unwrap();
+        });
+
+        let ts = drain(&mut src);
+        writer.join().unwrap();
+        assert_eq!(ts.len(), 1_001);
+        assert_eq!(ts.last(), Some(&1_000_000));
+        assert_eq!(src.truncated_records(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

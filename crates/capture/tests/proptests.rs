@@ -5,9 +5,11 @@ use std::net::Ipv4Addr;
 use zoom_capture::anonymize::{Anonymizer, Mode};
 use zoom_capture::cidr::{Cidr, PrefixMap};
 use zoom_capture::mux::{CaptureMux, MuxConfig, Overflow};
-use zoom_capture::pipeline::{CapturePipeline, PipelineConfig};
+use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
 use zoom_capture::source::{PacketSource, ReplaySource};
 use zoom_capture::stun_tracker::StunTracker;
+use zoom_capture::zoom_nets::{Owner, ZoomIpList, ZoomNetwork};
+use zoom_wire::family::FamilySelect;
 use zoom_wire::flow::Endpoint;
 use zoom_wire::handoff::RecordBatch;
 use zoom_wire::pcap::{LinkType, Record};
@@ -133,6 +135,151 @@ proptest! {
                 + c.dropped + c.unparseable
         );
         prop_assert_eq!(c.passed, c.zoom_ip_matched + c.stun_registered + c.p2p_matched);
+    }
+}
+
+/// Prefixes drawn around a few anchors, which sit on /16 block edges as
+/// often as not: `(anchor, length, sibling)` picks give nested prefixes
+/// (one anchor, several lengths), adjacent ones (`sibling` steps to the
+/// next prefix of the same length) and duplicates; lengths 33 and 34 stand
+/// for /0 and /32, so both come up often.
+fn prefixes(anchors: &[(u32, u8)], picks: &[(usize, u8, u32)]) -> Vec<Cidr> {
+    let anchors: Vec<u32> = anchors
+        .iter()
+        .map(|&(a, edge)| match edge {
+            0 => a,
+            1 => a & 0xFFFF_0000,
+            _ => a | 0xFFFF,
+        })
+        .collect();
+    picks
+        .iter()
+        .map(|&(anchor, len, sibling)| {
+            let len = match len {
+                33 => 0,
+                34 => 32,
+                len => len,
+            };
+            let step = if len == 0 {
+                0
+            } else {
+                sibling << (32 - u32::from(len))
+            };
+            Cidr::new(
+                Ipv4Addr::from(anchors[anchor % anchors.len()].wrapping_add(step)),
+                len,
+            )
+        })
+        .collect()
+}
+
+/// Every prefix edge and every /16 block edge around them and around
+/// `extra`, each at -1, 0 and +1, and both ends of the address space.
+fn edge_probes(sets: &[&[Cidr]], extra: &[u32]) -> Vec<u32> {
+    let mut edges = vec![0, u32::MAX];
+    edges.extend(extra);
+    for cidr in sets.iter().flat_map(|set| set.iter()) {
+        let first = u32::from(cidr.address());
+        edges.extend([first, first.wrapping_add((cidr.size() - 1) as u32)]);
+    }
+    let blocks: Vec<u32> = edges
+        .iter()
+        .flat_map(|&e| [e & 0xFFFF_0000, e | 0xFFFF])
+        .collect();
+    edges.extend(blocks);
+    edges
+        .iter()
+        .flat_map(|&e| [e.wrapping_sub(1), e, e.wrapping_add(1)])
+        .collect()
+}
+
+proptest! {
+    /// The rank-indexed class lookup answers as a linear longest-prefix
+    /// scan does: through [`PrefixMap::longest_match`] (the payload is the
+    /// longest prefix's index) and through the capture pipeline's class
+    /// table (campus, excluded and Zoom bits, read back from the verdict of
+    /// a STUN packet an address sends itself, and from whether a passing
+    /// one has its source anonymized).
+    #[test]
+    fn class_lookup_matches_a_linear_scan(
+        anchors in proptest::collection::vec((any::<u32>(), 0u8..3), 1..4),
+        campus in proptest::collection::vec((0usize..4, 0u8..=34, 0u32..4), 0..8),
+        excluded in proptest::collection::vec((0usize..4, 0u8..=34, 0u32..4), 0..6),
+        zoom in proptest::collection::vec((0usize..4, 0u8..=34, 0u32..4), 0..10),
+        random_probes in proptest::collection::vec(any::<u32>(), 0..16),
+    ) {
+        let campus = prefixes(&anchors, &campus);
+        let excluded = prefixes(&anchors, &excluded);
+        let zoom = prefixes(&anchors, &zoom);
+        let probes = edge_probes(&[&campus, &excluded, &zoom], &random_probes);
+
+        // Longest-prefix match, payload = the longest prefix's position in
+        // `zoom` (of equal prefixes the later, which replaced the earlier).
+        let mut map = PrefixMap::new();
+        for (i, &cidr) in zoom.iter().enumerate() {
+            map.insert(cidr, i);
+        }
+        for &probe in &probes {
+            let ip = Ipv4Addr::from(probe);
+            let mut best: Option<(Cidr, usize)> = None;
+            for (i, &cidr) in zoom.iter().enumerate() {
+                if cidr.contains(ip) && best.is_none_or(|(b, _)| cidr.prefix_len() >= b.prefix_len()) {
+                    best = Some((cidr, i));
+                }
+            }
+            prop_assert_eq!(map.longest_match(ip).map(|(c, &v)| (c, v)), best, "at {}", ip);
+        }
+
+        let set = |cidrs: &[Cidr]| {
+            let mut set = PrefixMap::new();
+            for &cidr in cidrs {
+                set.insert(cidr, ());
+            }
+            set
+        };
+        let anon = Anonymizer::new(99, Mode::PrefixPreserving);
+        let mut pipeline = CapturePipeline::new(PipelineConfig {
+            campus_nets: set(&campus),
+            excluded_nets: set(&excluded),
+            zoom_list: ZoomIpList::from_networks(
+                zoom.iter().map(|&cidr| ZoomNetwork { cidr, owner: Owner::Other }).collect(),
+            ),
+            stun_timeout_nanos: u64::MAX,
+            anonymizer: Some(anon),
+            family: FamilySelect::Auto,
+        });
+        let stun = {
+            let msg = zoom_wire::stun::Repr {
+                message_type: zoom_wire::stun::MessageType::BindingRequest,
+                transaction_id: [5; 12],
+                xor_mapped_address: None,
+            };
+            let mut p = vec![0u8; msg.buffer_len()];
+            msg.emit(&mut p);
+            p
+        };
+        for &probe in &probes {
+            let ip = Ipv4Addr::from(probe);
+            let covered = |cidrs: &[Cidr]| cidrs.iter().any(|c| c.contains(ip));
+            let (is_campus, is_excluded, is_zoom) = (covered(&campus), covered(&excluded), covered(&zoom));
+            let want = if is_campus && is_excluded {
+                Verdict::Excluded
+            } else if is_zoom {
+                Verdict::ZoomServer
+            } else if is_campus {
+                Verdict::RtcStun
+            } else {
+                Verdict::NotZoom
+            };
+            let packet = zoom_wire::compose::udp_ipv4_ethernet(ip, ip, 40_000, 40_001, &stun);
+            let (verdict, out) = pipeline.process_record(&Record::full(0, packet), LinkType::Ethernet);
+            prop_assert_eq!(verdict, want, "at {}", ip);
+            if let Some(out) = out {
+                let src = Ipv4Addr::from(<[u8; 4]>::try_from(&out.data[26..30]).unwrap());
+                let want_src = if is_campus { anon.anonymize_v4(ip) } else { ip };
+                prop_assert_eq!(src, want_src, "source of {}", ip);
+            }
+        }
     }
 }
 

@@ -13,9 +13,10 @@
 //! [`RecordRef`]s in insertion order, and [`RecordBatch::clear`] resets the
 //! batch for reuse while keeping its capacity. Every slot carries its
 //! record's offset *and* length, so the arena may hold bytes that belong
-//! to no record: a `ZFRG` Records frame is read onto the arena tail whole
-//! and its records indexed where they landed, framing left in between
-//! (`frame::FrameReader::next`).
+//! to no record: a `ZFRG` Records frame (`frame::FrameReader::next`) or a
+//! chunk of a pcap file (`pcap::Reader::read_chunk`) is read onto the
+//! arena tail whole and its records indexed where they landed, framing
+//! left in between.
 //!
 //! ```
 //! use zoom_wire::handoff::RecordBatch;
@@ -121,27 +122,6 @@ impl RecordBatch {
         self.captured += len;
     }
 
-    /// Appends one record whose bytes `fill` writes onto the arena tail:
-    /// the staging-free counterpart of [`push`](Self::push), for a reader
-    /// that can move its own buffer straight into the arena. Unless `fill`
-    /// returns `Ok(true)` the arena is rolled back and no record is added;
-    /// its result is passed on either way.
-    pub(crate) fn push_with(
-        &mut self,
-        ts_nanos: u64,
-        orig_len: u32,
-        fill: impl FnOnce(&mut Vec<u8>) -> std::io::Result<bool>,
-    ) -> std::io::Result<bool> {
-        let start = self.arena.len();
-        let filled = fill(&mut self.arena);
-        if matches!(filled, Ok(true)) {
-            self.index(ts_nanos, orig_len, start, self.arena.len() - start);
-        } else {
-            self.arena.truncate(start);
-        }
-        filled
-    }
-
     /// Appends the records of a framed region: `land` writes the region —
     /// records, framing and all — onto the arena tail through the
     /// [`FramedTail`] it is given and indexes each record where it landed.
@@ -185,6 +165,13 @@ impl RecordBatch {
             orig_len: slot.orig_len,
             data: &self.arena[slot.offset..slot.offset + slot.len as usize],
         })
+    }
+
+    /// The captured bytes of the record at `index`, to rewrite where they
+    /// lie (lengths stay as they are); `None` past the end.
+    pub fn data_mut(&mut self, index: usize) -> Option<&mut [u8]> {
+        let slot = self.slots.get(index)?;
+        Some(&mut self.arena[slot.offset..slot.offset + slot.len as usize])
     }
 
     /// Every record's [`wire_len`](RecordRef::wire_len), in insertion
@@ -231,10 +218,27 @@ impl FramedTail<'_> {
         &self.batch.arena[self.start..]
     }
 
+    /// The bytes landed so far, to be written into.
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.batch.arena[self.start..]
+    }
+
     /// Indexes the record at `bytes()[offset..offset + len]`.
     pub(crate) fn index(&mut self, ts_nanos: u64, orig_len: u32, offset: usize, len: usize) {
         self.batch
             .index(ts_nanos, orig_len, self.start + offset, len);
+    }
+
+    /// Drops the landed bytes past `len`, which must not cut into an
+    /// indexed record: a region's trailing bytes that belong to no record.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        let end = self.start + len;
+        let last = self.batch.slots.last();
+        assert!(
+            last.is_none_or(|s| s.offset + s.len as usize <= end),
+            "truncate into an indexed record"
+        );
+        self.batch.arena.truncate(end);
     }
 }
 
@@ -352,11 +356,7 @@ mod tests {
         let mut b = RecordBatch::new();
         b.push(10, 100, &[1, 2, 3]);
         land_framed(&mut b, &[(20, 4, &[9; 4]), (30, 0, &[]), (40, 7, &[7; 7])]).unwrap();
-        b.push_with(50, 2, |arena| {
-            arena.extend_from_slice(&[5, 5]);
-            Ok(true)
-        })
-        .unwrap();
+        land_framed(&mut b, &[(50, 2, &[5, 5])]).unwrap();
         b.push(60, 1, &[6]);
 
         let want = vec![
@@ -375,19 +375,29 @@ mod tests {
             assert_eq!((r.ts_nanos, r.orig_len, r.data), (rec.0, rec.1, &rec.2[..]));
         }
         assert!(b.get(6).is_none());
-        // Captured bytes only: the 4 + 3 × 16 bytes of framing the arena
-        // also holds are not counted.
+        // Captured bytes only: the 2 × 4 + 4 × 16 bytes of framing the
+        // arena also holds are not counted.
         assert_eq!(b.arena_bytes(), 3 + 4 + 7 + 2 + 1);
-        assert_eq!(b.arena.len(), b.arena_bytes() + 4 + 3 * 16);
+        assert_eq!(b.arena.len(), b.arena_bytes() + 2 * 4 + 4 * 16);
 
-        // A failed `push_with` after framed records rolls back to them.
-        let torn = b.push_with(70, 9, |arena| {
-            arena.extend_from_slice(&[8; 5]);
-            Ok(false)
-        });
-        assert!(!torn.unwrap());
-        assert_eq!(contents(&b), want);
-        assert_eq!(b.arena_bytes(), 17);
+        // Trailing bytes that belong to no record can be dropped again.
+        let before = b.arena.len();
+        b.append_framed(|tail| {
+            tail.arena().extend_from_slice(&[0xF2; 16]);
+            tail.arena().extend_from_slice(&[8; 5]);
+            tail.index(70, 5, 16, 5);
+            tail.arena().extend_from_slice(&[0xF3; 9]);
+            tail.truncate(21);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(b.arena.len(), before + 21);
+        assert_eq!(b.get(6).unwrap().data, &[8; 5]);
+
+        // Records are rewritten where they lie.
+        b.data_mut(6).unwrap().copy_from_slice(&[9; 5]);
+        assert_eq!(b.get(6).unwrap().data, &[9; 5]);
+        assert!(b.data_mut(7).is_none());
 
         b.clear();
         assert!(b.is_empty());

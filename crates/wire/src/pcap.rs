@@ -5,32 +5,36 @@
 //! and raw IP (101). This is all the paper's offline toolchain needs to
 //! exchange traces with tcpdump/Wireshark.
 //!
-//! Two ingest paths are offered:
+//! Three ingest paths are offered:
 //!
 //! * the **owning** path — [`Reader::next_record`] / [`Reader::records`]
 //!   allocate a fresh [`Record`] per packet (simple, `'static`, clonable);
-//! * the **zero-copy fast path** — [`Reader::read_into`] reuses one
-//!   growable [`RecordBuf`] across records (zero steady-state
-//!   allocations), and [`Reader::read_into_batch`] appends records
-//!   straight to a capture hand-off [`RecordBatch`].
+//! * the **reusing** path — [`Reader::read_into`] reuses one growable
+//!   [`RecordBuf`] across records (zero steady-state allocations);
+//! * the **chunk** path — [`Reader::read_chunk`] lands a whole chunk of
+//!   the file on a capture hand-off [`RecordBatch`]'s arena with one
+//!   `read` and indexes every complete record where it landed: no copy
+//!   between the kernel's and the batch's, which is what a capture source
+//!   hands on.
 //!
-//! The owning path is implemented on top of `read_into`, and `read_into`
-//! and `read_into_batch` share one header parser and one accounting
-//! step, so the paths cannot drift.
+//! The owning path is implemented on top of `read_into`, and all three
+//! share one record-header parser and count records, bytes and torn tails
+//! alike, so the paths cannot drift.
 
-use crate::handoff::RecordBatch;
+use crate::handoff::{RecordBatch, RecordRef};
 use crate::Error;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 
 /// Magic for microsecond-resolution files.
 pub const MAGIC_USEC: u32 = 0xA1B2_C3D4;
 /// Magic for nanosecond-resolution files.
 pub const MAGIC_NSEC: u32 = 0xA1B2_3C4D;
 
-/// `BufReader` capacity for pcap files. With std's 8 KiB default a read
-/// loop issues one `read` call per handful of records; reading a
-/// page-cached 207 MB trace took 38–48 ms at 8 KiB and 27–29 ms from
-/// 64 KiB up.
+/// Bytes per `read` of a pcap file — the chunk [`Reader::read_chunk`]
+/// lands — and per `write` of a capture's output. With std's 8 KiB
+/// `BufReader` default a read loop issued one `read` call per handful of
+/// records; reading a page-cached 207 MB trace took 38–48 ms at 8 KiB and
+/// 27–29 ms from 64 KiB up.
 pub const READ_BUFFER_BYTES: usize = 64 * 1024;
 
 /// Link types we understand.
@@ -165,9 +169,18 @@ fn max_record_len(snaplen: u32) -> u32 {
 /// have arrived: more than any real record, so a real record is one read.
 const READ_STEP: usize = 256 * 1024;
 
-/// Parsed pcap global header: (byte-swapped, nanosecond timestamps,
-/// link type, snap length).
-fn parse_global_header(hdr: &[u8; 24]) -> io::Result<(bool, bool, LinkType, u32)> {
+/// How a file's record headers read: byte order, timestamp resolution
+/// and the longest record its snap length allows.
+#[derive(Debug, Clone, Copy)]
+struct Format {
+    swapped: bool,
+    nanos: bool,
+    max_len: u32,
+}
+
+/// Parsed pcap global header: the record format, link type and snap
+/// length.
+fn parse_global_header(hdr: &[u8; 24]) -> io::Result<(Format, LinkType, u32)> {
     let magic = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
     let (swapped, nanos) = match magic {
         MAGIC_USEC => (false, false),
@@ -189,7 +202,42 @@ fn parse_global_header(hdr: &[u8; 24]) -> io::Result<(bool, bool, LinkType, u32)
             v
         }
     };
-    Ok((swapped, nanos, LinkType::from(rd32(20)), rd32(16)))
+    let snaplen = rd32(16);
+    let format = Format {
+        swapped,
+        nanos,
+        max_len: max_record_len(snaplen),
+    };
+    Ok((format, LinkType::from(rd32(20)), snaplen))
+}
+
+impl Format {
+    /// Parse and check one 16-byte record header.
+    fn record_header(self, hdr: &[u8]) -> io::Result<RecordHeader> {
+        let rd32 = |o: usize| {
+            let v = u32::from_le_bytes([hdr[o], hdr[o + 1], hdr[o + 2], hdr[o + 3]]);
+            if self.swapped {
+                v.swap_bytes()
+            } else {
+                v
+            }
+        };
+        let ts_sec = u64::from(rd32(0));
+        let ts_frac = u64::from(rd32(4));
+        let incl_len = rd32(8);
+        if incl_len > self.max_len {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "pcap record longer than twice the snap length",
+            ));
+        }
+        let frac_nanos = if self.nanos { ts_frac } else { ts_frac * 1_000 };
+        Ok(RecordHeader {
+            ts_nanos: ts_sec * 1_000_000_000 + frac_nanos,
+            incl_len,
+            orig_len: rd32(12),
+        })
+    }
 }
 
 /// Read until `buf` is full or EOF; returns the bytes actually read.
@@ -208,6 +256,14 @@ fn read_fully<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     Ok(n)
 }
 
+/// Length of a pcap record header.
+const RECORD_HEADER_BYTES: usize = 16;
+
+/// Room [`Reader::read_chunk`] makes, on first use, for the torn record it
+/// carries from one chunk to the next: any Ethernet-sized record fits, so
+/// a warm capture loop does not grow it.
+const CARRY_BYTES: usize = 2 * 1024;
+
 /// One record's parsed header.
 struct RecordHeader {
     ts_nanos: u64,
@@ -219,10 +275,12 @@ struct RecordHeader {
 /// Streaming pcap reader.
 pub struct Reader<R: Read> {
     inner: R,
-    swapped: bool,
-    nanos: bool,
+    format: Format,
     link_type: LinkType,
     snaplen: u32,
+    /// The torn record at the end of what [`read_chunk`](Reader::read_chunk)
+    /// has landed so far, waiting for the rest of its bytes.
+    carry: Vec<u8>,
     truncated: u64,
     records_read: u64,
     bytes_read: u64,
@@ -233,13 +291,13 @@ impl<R: Read> Reader<R> {
     pub fn new(mut inner: R) -> io::Result<Self> {
         let mut hdr = [0u8; 24];
         inner.read_exact(&mut hdr)?;
-        let (swapped, nanos, link_type, snaplen) = parse_global_header(&hdr)?;
+        let (format, link_type, snaplen) = parse_global_header(&hdr)?;
         Ok(Reader {
             inner,
-            swapped,
-            nanos,
+            format,
             link_type,
             snaplen,
+            carry: Vec::new(),
             truncated: 0,
             records_read: 0,
             bytes_read: 0,
@@ -258,9 +316,12 @@ impl<R: Read> Reader<R> {
 
     /// Records dropped because the file ended mid-record (a capture cut
     /// off mid-write). Such a tail yields `Ok(None)` / `Ok(false)` rather
-    /// than an error; this counter is the warning channel.
+    /// than an error; this counter is the warning channel. A torn record
+    /// [`read_chunk`](Reader::read_chunk) still holds counts too: it is
+    /// what a reader stopped now would drop, and it stops counting if the
+    /// rest of its bytes arrive.
     pub fn truncated_records(&self) -> u64 {
-        self.truncated
+        self.truncated + u64::from(!self.carry.is_empty())
     }
 
     /// Complete records delivered so far, whichever read path delivered
@@ -278,7 +339,8 @@ impl<R: Read> Reader<R> {
     /// Read and check the next 16-byte record header. `Ok(None)` at end
     /// of file; a header cut short counts as a truncated record.
     fn read_header(&mut self) -> io::Result<Option<RecordHeader>> {
-        let mut hdr = [0u8; 16];
+        debug_assert!(self.carry.is_empty(), "read_into after read_chunk");
+        let mut hdr = [0u8; RECORD_HEADER_BYTES];
         let got = read_fully(&mut self.inner, &mut hdr)?;
         if got == 0 {
             return Ok(None);
@@ -287,29 +349,7 @@ impl<R: Read> Reader<R> {
             self.truncated += 1;
             return Ok(None);
         }
-        let rd32 = |o: usize| {
-            let v = u32::from_le_bytes([hdr[o], hdr[o + 1], hdr[o + 2], hdr[o + 3]]);
-            if self.swapped {
-                v.swap_bytes()
-            } else {
-                v
-            }
-        };
-        let ts_sec = u64::from(rd32(0));
-        let ts_frac = u64::from(rd32(4));
-        let incl_len = rd32(8);
-        if incl_len > max_record_len(self.snaplen) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "pcap record longer than twice the snap length",
-            ));
-        }
-        let frac_nanos = if self.nanos { ts_frac } else { ts_frac * 1_000 };
-        Ok(Some(RecordHeader {
-            ts_nanos: ts_sec * 1_000_000_000 + frac_nanos,
-            incl_len,
-            orig_len: rd32(12),
-        }))
+        self.format.record_header(&hdr).map(Some)
     }
 
     /// Account the record behind `header`: delivered when its payload was
@@ -372,41 +412,93 @@ impl<R: Read> Reader<R> {
     pub fn records(self) -> RecordIter<R> {
         RecordIter { reader: self }
     }
-}
 
-impl<R: BufRead> Reader<R> {
-    /// Append the next record to `batch`: [`read_into`](Reader::read_into)
-    /// for a capture hand-off, without the staging buffer. The header is
-    /// parsed and checked the same way; the payload moves from the
-    /// reader's own buffer straight onto the arena tail, with no zero-fill
-    /// and no second copy. Returns `Ok(false)` at end of file — a torn
-    /// final record is rolled back out of the arena and counted in
-    /// [`truncated_records`](Reader::truncated_records), exactly as
-    /// `read_into` counts it.
-    pub fn read_into_batch(&mut self, batch: &mut RecordBatch) -> io::Result<bool> {
-        let Some(header) = self.read_header()? else {
-            return Ok(false);
-        };
-        let inner = &mut self.inner;
-        let complete = batch.push_with(header.ts_nanos, header.orig_len, |arena| {
-            let mut left = header.incl_len as usize;
-            while left > 0 {
-                let chunk = match inner.fill_buf() {
-                    Ok(chunk) => chunk,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                };
-                if chunk.is_empty() {
-                    return Ok(false);
+    /// Lands the next chunk of the file on `batch`'s arena tail with one
+    /// `read` of [`READ_BUFFER_BYTES`] and indexes every complete record
+    /// where it landed: the capture path, with no copy between the
+    /// kernel's bytes and the batch's. Records are appended; each is
+    /// checked, decoded and counted exactly as
+    /// [`read_into`](Reader::read_into) does.
+    ///
+    /// The torn record at the end of the chunk stays with the reader and
+    /// leads the next chunk, so a file another process is still writing
+    /// loses nothing at a torn append; until the rest arrives it counts in
+    /// [`truncated_records`](Reader::truncated_records). Only when not
+    /// one record is complete (a record longer than the chunk) does a
+    /// call read again, and the arena grows with the bytes that arrive,
+    /// not with the length a header claims.
+    ///
+    /// Returns `Ok(false)` once a read found the end of the file (records
+    /// may still have been appended: a follow-mode caller polls again
+    /// later), `Ok(true)` otherwise. A record header whose length exceeds
+    /// the snap-length bound is an error once the records before it are
+    /// delivered; an `Err` leaves `batch` as it was.
+    pub fn read_chunk(&mut self, batch: &mut RecordBatch) -> io::Result<bool> {
+        let Reader {
+            inner,
+            format,
+            carry,
+            ..
+        } = self;
+        if carry.capacity() == 0 {
+            carry.reserve(CARRY_BYTES);
+        }
+        let (mut records, mut bytes) = (0u64, 0u64);
+        let more = batch.append_framed(|tail| {
+            // Room for the carry and one chunk, sized exactly: a warm
+            // arena keeps it, and the two a lane alternates stay small.
+            let arena = tail.arena();
+            arena.reserve_exact(carry.len().max(CARRY_BYTES) + READ_BUFFER_BYTES);
+            arena.extend_from_slice(carry);
+            // `filled` bytes of the tail have landed; past them it is
+            // zeroed room for the next read.
+            let (mut filled, mut done, mut more) = (carry.len(), 0, true);
+            loop {
+                while let Some(hdr) = tail.bytes()[..filled].get(done..done + RECORD_HEADER_BYTES) {
+                    let header = match format.record_header(hdr) {
+                        Ok(header) => header,
+                        // The records before the bad header go out now;
+                        // the next call starts at it and fails.
+                        Err(_) if records > 0 => break,
+                        Err(e) => {
+                            carry.clear();
+                            return Err(e);
+                        }
+                    };
+                    let at = done + RECORD_HEADER_BYTES;
+                    let end = at + header.incl_len as usize;
+                    if end > filled {
+                        break;
+                    }
+                    tail.index(header.ts_nanos, header.orig_len, at, end - at);
+                    records += 1;
+                    bytes += u64::from(header.incl_len);
+                    done = end;
                 }
-                let take = chunk.len().min(left);
-                arena.extend_from_slice(&chunk[..take]);
-                inner.consume(take);
-                left -= take;
+                if records > 0 || !more {
+                    break;
+                }
+                if filled == tail.bytes().len() {
+                    let arena = tail.arena();
+                    arena.resize(arena.len() + READ_BUFFER_BYTES, 0);
+                }
+                let got = loop {
+                    match inner.read(&mut tail.bytes_mut()[filled..]) {
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                        got => break got?,
+                    }
+                };
+                more = got > 0;
+                filled += got;
             }
-            Ok(true)
+            carry.clear();
+            carry.extend_from_slice(&tail.bytes()[done..filled]);
+            tail.truncate(done);
+            Ok(more)
         })?;
-        Ok(self.note_record(&header, complete))
+        self.records_read += records;
+        self.bytes_read += bytes;
+        Ok(more)
     }
 }
 
@@ -449,7 +541,17 @@ impl<W: Write> Writer<W> {
     /// length — malformed in pcap) is normalized so the file stays
     /// well-formed for other tools.
     pub fn write_record(&mut self, record: &Record) -> io::Result<()> {
-        let mut hdr = [0u8; 16];
+        self.write_ref(RecordRef {
+            ts_nanos: record.ts_nanos,
+            orig_len: record.orig_len,
+            data: &record.data,
+        })
+    }
+
+    /// Append one record borrowed from a [`RecordBatch`], from where it
+    /// lies: [`write_record`](Writer::write_record) without an owning copy.
+    pub fn write_ref(&mut self, record: RecordRef<'_>) -> io::Result<()> {
+        let mut hdr = [0u8; RECORD_HEADER_BYTES];
         let secs = (record.ts_nanos / 1_000_000_000) as u32;
         let nanos = (record.ts_nanos % 1_000_000_000) as u32;
         let orig_len = record.orig_len.max(record.data.len() as u32);
@@ -458,7 +560,7 @@ impl<W: Write> Writer<W> {
         hdr[8..12].copy_from_slice(&(record.data.len() as u32).to_le_bytes());
         hdr[12..16].copy_from_slice(&orig_len.to_le_bytes());
         self.inner.write_all(&hdr)?;
-        self.inner.write_all(&record.data)
+        self.inner.write_all(record.data)
     }
 
     /// Flush and recover the underlying writer.
@@ -633,8 +735,10 @@ mod tests {
 
         let mut r = Reader::new(&buf[..]).unwrap();
         let mut batch = RecordBatch::new();
-        assert!(!r.read_into_batch(&mut batch).unwrap());
+        assert!(!r.read_chunk(&mut batch).unwrap());
         assert_eq!((r.truncated_records(), batch.len()), (1, 0));
+        assert_eq!(r.carry.capacity(), CARRY_BYTES);
+        assert!(batch.arena_capacity() <= CARRY_BYTES + READ_BUFFER_BYTES);
 
         // A real record longer than one growth step still reads whole.
         let long = Record::full(3, (0..READ_STEP + 1_000).map(|i| i as u8).collect());
@@ -700,8 +804,8 @@ mod tests {
         assert_eq!(r.bytes_read(), 100);
     }
 
-    /// A reader that hands out at most `step` bytes per `fill_buf`, so a
-    /// record's payload reaches the arena in several pieces.
+    /// A reader that hands out at most `step` bytes per `read`, so a
+    /// chunk lands in several pieces and records straddle them.
     struct Trickle<'a> {
         data: &'a [u8],
         step: usize,
@@ -716,75 +820,273 @@ mod tests {
         }
     }
 
-    impl BufRead for Trickle<'_> {
-        fn fill_buf(&mut self) -> io::Result<&[u8]> {
-            Ok(&self.data[..self.step.min(self.data.len())])
+    /// A pcap image in any of the four header formats: `swapped` writes
+    /// big-endian fields on this little-endian layout, `nanos` the
+    /// nanosecond magic. Timestamps must be whole microseconds for the
+    /// µs format to carry them.
+    fn image(swapped: bool, nanos: bool, snaplen: u32, records: &[Record]) -> Vec<u8> {
+        let field = |v: u32| {
+            if swapped {
+                v.to_be_bytes()
+            } else {
+                v.to_le_bytes()
+            }
+        };
+        let mut img = Vec::new();
+        img.extend_from_slice(&field(if nanos { MAGIC_NSEC } else { MAGIC_USEC }));
+        img.extend_from_slice(&[0; 12]);
+        img.extend_from_slice(&field(snaplen));
+        img.extend_from_slice(&field(1));
+        for r in records {
+            let frac = r.ts_nanos % 1_000_000_000;
+            img.extend_from_slice(&field((r.ts_nanos / 1_000_000_000) as u32));
+            img.extend_from_slice(&field(if nanos { frac } else { frac / 1_000 } as u32));
+            img.extend_from_slice(&field(r.data.len() as u32));
+            img.extend_from_slice(&field(r.orig_len));
+            img.extend_from_slice(&r.data);
         }
+        img
+    }
 
-        fn consume(&mut self, n: usize) {
-            self.data = &self.data[n..];
+    /// What a reader delivered: per record its timestamp, original
+    /// length, captured length and a digest of its bytes; then
+    /// `records_read`, `bytes_read`, `truncated_records`, and the error
+    /// that ended it.
+    type Outcome = (Vec<(u64, u32, usize, u64)>, (u64, u64, u64), Option<String>);
+
+    fn summary(r: &Record) -> (u64, u32, usize, u64) {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        r.data.hash(&mut h);
+        (r.ts_nanos, r.orig_len, r.data.len(), h.finish())
+    }
+
+    fn read_into_outcome(img: &[u8], step: usize) -> Outcome {
+        let mut r = Reader::new(Trickle { data: img, step }).unwrap();
+        let (mut records, mut buf) = (Vec::new(), RecordBuf::new());
+        let err = loop {
+            match r.read_into(&mut buf) {
+                Ok(true) => records.push(summary(&buf.to_record())),
+                Ok(false) => break None,
+                Err(e) => break Some(e.to_string()),
+            }
+        };
+        let counts = (r.records_read(), r.bytes_read(), r.truncated_records());
+        (records, counts, err)
+    }
+
+    fn read_chunk_outcome(img: &[u8], step: usize) -> Outcome {
+        let mut r = Reader::new(Trickle { data: img, step }).unwrap();
+        let mut batch = RecordBatch::new();
+        batch.push(1, 3, &[1, 2, 3]); // appended to, not replaced
+        let err = loop {
+            let before = (batch.len(), batch.arena_bytes());
+            match r.read_chunk(&mut batch) {
+                Ok(true) => assert!(batch.len() > before.0, "a live read landed no record"),
+                // End of file is sticky until more bytes arrive.
+                Ok(false) => {
+                    let end = (batch.len(), r.truncated_records());
+                    assert!(!r.read_chunk(&mut batch).unwrap());
+                    assert_eq!((batch.len(), r.truncated_records()), end);
+                    break None;
+                }
+                Err(e) => {
+                    assert_eq!(
+                        (batch.len(), batch.arena_bytes()),
+                        before,
+                        "an Err kept records"
+                    );
+                    break Some(e.to_string());
+                }
+            }
+        };
+        let records: Vec<_> = batch
+            .iter()
+            .skip(1)
+            .map(|r| {
+                summary(&Record {
+                    ts_nanos: r.ts_nanos,
+                    orig_len: r.orig_len,
+                    data: r.data.to_vec(),
+                })
+            })
+            .collect();
+        let captured: usize = records.iter().map(|r| r.2).sum();
+        assert_eq!(batch.arena_bytes(), 3 + captured);
+        let counts = (r.records_read(), r.bytes_read(), r.truncated_records());
+        (records, counts, err)
+    }
+
+    #[test]
+    fn chunk_reader_agrees_with_read_into() {
+        // The snap length lifts the record bound to 2 × 65 535.
+        let bound = max_record_len(1_000) as usize;
+        let sizes = [60, 1514, 61, 0, 9_000, bound, 200, 64 * 1024, 1_400];
+        let records: Vec<Record> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| Record {
+                ts_nanos: 1_600_000_000_000_000_000 + i as u64 * 1_250_000,
+                orig_len: len as u32 + (i as u32 % 3) * 7,
+                data: (0..len).map(|b| (b * 31 + i) as u8).collect(),
+            })
+            .collect();
+        for (swapped, nanos) in [(false, false), (false, true), (true, false), (true, true)] {
+            let img = image(swapped, nanos, 1_000, &records);
+            let want = read_into_outcome(&img, usize::MAX);
+            let all: Vec<_> = records.iter().map(summary).collect();
+            assert_eq!(want.0, all, "swapped {swapped}, nanos {nanos}");
+            for step in (1..=24).chain([1_000, 70_000, usize::MAX]) {
+                assert_eq!(
+                    read_into_outcome(&img, step),
+                    want,
+                    "read_into, step {step}"
+                );
+                assert_eq!(
+                    read_chunk_outcome(&img, step),
+                    want,
+                    "read_chunk, step {step}"
+                );
+            }
+
+            // One byte past the bound is an error, after the records before it.
+            let mut over = records[..3].to_vec();
+            over.push(Record::full(9, vec![0; bound + 1]));
+            over.push(Record::full(10, vec![1; 60]));
+            let img = image(swapped, nanos, 1_000, &over);
+            for step in [1, 7, 100, usize::MAX] {
+                let want = read_into_outcome(&img, step);
+                assert_eq!(want.0, all[..3], "step {step}");
+                assert!(want.2.as_deref().unwrap().contains("twice the snap length"));
+                assert_eq!(
+                    read_chunk_outcome(&img, step),
+                    want,
+                    "over-long, step {step}"
+                );
+            }
         }
     }
 
     #[test]
-    fn read_into_batch_matches_read_into_and_rolls_back_torn_tails() {
-        let records = vec![
-            Record::full(10, vec![0xAB; 1400]),
-            Record::full(20, Vec::new()),
-            Record {
-                ts_nanos: 30,
-                orig_len: 9000,
-                data: (0..=255).collect(),
-            },
-        ];
-        let img = write_trace(&records);
-        // Whole image, then cuts inside the last payload, inside the last
-        // header, and at a clean record boundary.
-        let last = 16 + 256;
-        for cut in [0, 2, last - 6, last] {
-            let img = &img[..img.len() - cut];
-            let mut staged = Vec::new();
-            let mut reader = Reader::new(img).unwrap();
-            let mut buf = RecordBuf::new();
-            while reader.read_into(&mut buf).unwrap() {
-                staged.push(buf.to_record());
-            }
-            for step in [1usize, 7, 64 * 1024] {
-                let mut direct = Reader::new(Trickle { data: img, step }).unwrap();
-                let mut batch = RecordBatch::new();
-                batch.push(1, 3, &[1, 2, 3]); // appended to, not replaced
-                while direct.read_into_batch(&mut batch).unwrap() {}
-                let got: Vec<Record> = batch
-                    .iter()
-                    .skip(1)
-                    .map(|r| Record {
-                        ts_nanos: r.ts_nanos,
-                        orig_len: r.orig_len,
-                        data: r.data.to_vec(),
-                    })
-                    .collect();
-                assert_eq!(got, staged, "cut {cut}, step {step}");
-                assert_eq!(
-                    batch.arena_bytes(),
-                    3 + staged.iter().map(|r| r.data.len()).sum::<usize>(),
-                    "cut {cut}, step {step}: a torn payload stayed in the arena"
-                );
-                assert_eq!(
-                    (
-                        direct.records_read(),
-                        direct.bytes_read(),
-                        direct.truncated_records()
-                    ),
-                    (
-                        reader.records_read(),
-                        reader.bytes_read(),
-                        reader.truncated_records()
-                    ),
-                    "cut {cut}, step {step}"
-                );
-                // End of file is sticky until more bytes arrive.
-                assert!(!direct.read_into_batch(&mut batch).unwrap());
+    fn chunk_reader_agrees_with_read_into_at_every_torn_offset() {
+        let records: Vec<Record> = [60usize, 1, 300, 0, 75]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| Record::full(i as u64 * 1_000, vec![i as u8; len]))
+            .collect();
+        for (swapped, nanos) in [(false, true), (true, false)] {
+            let img = image(swapped, nanos, 65_535, &records);
+            for cut in 24..=img.len() {
+                let img = &img[..cut];
+                for step in [1, 5, 16, 17, usize::MAX] {
+                    let want = read_into_outcome(img, step);
+                    assert_eq!(
+                        read_chunk_outcome(img, step),
+                        want,
+                        "cut {cut}, step {step}"
+                    );
+                }
             }
         }
+    }
+
+    /// A file another process is still appending to: the bytes written so
+    /// far, shared with the writer.
+    struct Growing {
+        data: std::rc::Rc<std::cell::RefCell<Vec<u8>>>,
+        pos: usize,
+    }
+
+    impl Read for Growing {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let data = self.data.borrow();
+            let n = buf.len().min(data.len() - self.pos);
+            buf[..n].copy_from_slice(&data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_torn_append_completes_when_the_rest_arrives() {
+        let records = [
+            Record::full(1, vec![0x11; 100]),
+            Record::full(2, vec![0x22; 700]),
+        ];
+        let img = write_trace(&records);
+        let second = img.len() - (16 + 700);
+        for split in [
+            second + 1,
+            second + 10,
+            second + 16,
+            second + 30,
+            img.len() - 1,
+        ] {
+            let data = std::rc::Rc::new(std::cell::RefCell::new(img[..split].to_vec()));
+            let mut r = Reader::new(Growing {
+                data: data.clone(),
+                pos: 0,
+            })
+            .unwrap();
+            let mut batch = RecordBatch::new();
+            assert!(r.read_chunk(&mut batch).unwrap());
+            assert!(!r.read_chunk(&mut batch).unwrap());
+            assert_eq!(
+                (batch.len(), r.truncated_records()),
+                (1, 1),
+                "split {split}"
+            );
+
+            data.borrow_mut().extend_from_slice(&img[split..]);
+            assert!(r.read_chunk(&mut batch).unwrap());
+            assert!(!r.read_chunk(&mut batch).unwrap());
+            let got: Vec<Record> = batch
+                .iter()
+                .map(|r| Record::full(r.ts_nanos, r.data.to_vec()))
+                .collect();
+            assert_eq!(got, records, "split {split}");
+            assert_eq!(
+                (r.records_read(), r.truncated_records()),
+                (2, 0),
+                "split {split}"
+            );
+        }
+    }
+
+    #[test]
+    fn chunks_land_in_one_read_each_and_carry_only_the_torn_record() {
+        let records: Vec<Record> = (0..400u64)
+            .map(|i| Record::full(i, vec![i as u8; 200 + (i as usize * 37) % 1_300]))
+            .collect();
+        let img = write_trace(&records);
+
+        /// Counts the `read` calls it passes on.
+        struct Counting<'a>(&'a [u8], usize);
+        impl Read for Counting<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1 += 1;
+                self.0.read(buf)
+            }
+        }
+        let mut r = Reader::new(Counting(&img, 0)).unwrap();
+        let mut batch = RecordBatch::new();
+        let (mut got, mut calls, mut carried) = (0, 0, 0);
+        while r.read_chunk(&mut batch).unwrap() {
+            calls += 1;
+            got += batch.len();
+            carried += r.carry.len();
+            assert!(r.carry.len() < 16 + 1_500, "carried {}", r.carry.len());
+            batch.clear();
+        }
+        assert_eq!(got, records.len());
+        let chunks = (img.len() - 24).div_ceil(READ_BUFFER_BYTES);
+        assert_eq!(calls, chunks);
+        // One read per chunk, one for the header, one that finds the end.
+        assert_eq!(r.inner.1, chunks + 2);
+        assert!(
+            carried * 20 < img.len(),
+            "carried {carried} of {}",
+            img.len()
+        );
     }
 }

@@ -487,7 +487,7 @@ fn the_registry_is_exact_after_every_batch() {
         .next_batch(&mut batch, BATCH_RECORDS)
         .expect("mux batch")
     {
-        sink.push_batch(&batch, link).expect("push");
+        sink.push_batch(&mut batch, link).expect("push");
         batches += 1;
         // The per-record count of the same records, bumped one at a time.
         for r in &batch {

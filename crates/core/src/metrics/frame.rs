@@ -82,14 +82,62 @@ fn encoder_interval_nanos(
     }
 }
 
+/// A frame still collecting packets.
 #[derive(Debug)]
 struct Pending {
     rtp_timestamp: u32,
     first_at: u64,
-    seqs: Vec<u16>,
+    seqs: SeqSet,
     bytes: usize,
     expected: Option<u8>,
     marker_seen: bool,
+}
+
+/// The distinct sequence numbers of one frame's packets. A frame's
+/// packets are numbered one after another, so a bitmap around the first
+/// number seen holds them where they fall; a number out of its reach
+/// (reordering by more than [`SEQ_BEHIND`], or a frame of some 190
+/// packets) goes to a list on the heap.
+#[derive(Debug)]
+struct SeqSet {
+    /// The number bit 0 of `bits` stands for.
+    base: u16,
+    bits: [u64; 4],
+    len: u32,
+    far: Vec<u16>,
+}
+
+/// How far before a frame's first sequence number its bitmap reaches.
+const SEQ_BEHIND: u16 = 64;
+
+impl SeqSet {
+    fn new(first: u16) -> SeqSet {
+        SeqSet {
+            base: first.wrapping_sub(SEQ_BEHIND),
+            bits: [0; 4],
+            len: 0,
+            far: Vec::new(),
+        }
+    }
+
+    /// Add `seq`; false when it was there already.
+    #[inline]
+    fn insert(&mut self, seq: u16) -> bool {
+        let at = usize::from(seq.wrapping_sub(self.base));
+        if let Some(word) = self.bits.get_mut(at / 64) {
+            let bit = 1 << (at % 64);
+            if *word & bit != 0 {
+                return false;
+            }
+            *word |= bit;
+        } else if self.far.contains(&seq) {
+            return false;
+        } else {
+            self.far.push(seq);
+        }
+        self.len += 1;
+        true
+    }
 }
 
 /// Per-stream frame tracker.
@@ -97,10 +145,10 @@ struct Pending {
 pub struct FrameTracker {
     completion: Completion,
     sampling_rate: u32,
-    /// Frames still collecting packets, oldest first. A handful at most
-    /// in steady state (bounded by the purge below), so a scan beats a
-    /// hash — and consecutive packets nearly always belong to the frame
-    /// hit last.
+    /// Frames still collecting packets, in no particular order. A
+    /// handful at most in steady state (bounded by the purge below), so a
+    /// scan beats a hash — and consecutive packets nearly always belong
+    /// to the frame hit last.
     pending: Vec<Pending>,
     /// Index into `pending` of the frame the previous packet joined.
     last_hit: usize,
@@ -110,15 +158,16 @@ pub struct FrameTracker {
     /// arriving after completion must not re-open (and re-count) the
     /// frame.
     completed_ts: RecentTimestamps<128>,
-    /// Emptied `seqs` vectors recovered from completed (or purged) frames
-    /// and handed to the next frame opened, so steady-state frame
-    /// reconstruction never allocates per frame.
-    spare_seqs: Vec<Vec<u16>>,
+    /// No pending frame opened before this: while it is less than the
+    /// purge age ago, the purge below has nothing to drop.
+    opened_since: u64,
 }
 
-/// Spare `seqs` vectors kept for reuse; more in-flight frames than this
-/// fall back to fresh allocations.
-const SPARE_SEQS: usize = 8;
+/// Pending frames beyond which the tracker purges stale ones.
+const MAX_PENDING: usize = 64;
+
+/// How long a frame may stay pending once more than [`MAX_PENDING`] are.
+const PURGE_AGE_NANOS: u64 = 5_000_000_000;
 
 impl FrameTracker {
     /// Tracker for video streams (90 kHz, packet-count completion).
@@ -141,7 +190,7 @@ impl FrameTracker {
             last_hit: 0,
             last_completed_ts: None,
             completed_ts: RecentTimestamps::new(),
-            spare_seqs: Vec::new(),
+            opened_since: u64::MAX,
         }
     }
 
@@ -171,10 +220,11 @@ impl FrameTracker {
                 if self.completed_ts.contains(rtp_timestamp) {
                     return None; // late duplicate of an already-completed frame
                 }
+                self.opened_since = self.opened_since.min(at);
                 self.pending.push(Pending {
                     rtp_timestamp,
                     first_at: at,
-                    seqs: self.spare_seqs.pop().unwrap_or_default(),
+                    seqs: SeqSet::new(sequence),
                     bytes: 0,
                     expected: pkts_in_frame,
                     marker_seen: false,
@@ -184,10 +234,9 @@ impl FrameTracker {
         };
         self.last_hit = slot;
         let pending = &mut self.pending[slot];
-        if pending.seqs.contains(&sequence) {
+        if !pending.seqs.insert(sequence) {
             return None; // retransmission duplicate
         }
-        pending.seqs.push(sequence);
         pending.bytes += payload_len;
         pending.marker_seen |= marker;
         if pending.expected.is_none() {
@@ -196,18 +245,17 @@ impl FrameTracker {
         let complete = match self.completion {
             Completion::PacketCount => pending
                 .expected
-                .map(|n| pending.seqs.len() >= usize::from(n.max(1)))
-                .unwrap_or(false),
+                .is_some_and(|n| pending.seqs.len >= u32::from(n.max(1))),
             Completion::MarkerBit => pending.marker_seen,
         };
         let completed = complete.then(|| {
-            let mut p = self.pending.remove(slot);
+            let p = self.pending.swap_remove(slot);
             let frame = FrameRecord {
                 first_packet_at: p.first_at,
                 completed_at: at,
                 rtp_timestamp,
                 size_bytes: p.bytes,
-                packets: p.seqs.len() as u32,
+                packets: p.seqs.len,
                 encoder_interval_nanos: encoder_interval_nanos(
                     self.last_completed_ts,
                     rtp_timestamp,
@@ -216,24 +264,21 @@ impl FrameTracker {
             };
             self.last_completed_ts = Some(rtp_timestamp);
             self.completed_ts.push(rtp_timestamp);
-            if self.spare_seqs.len() < SPARE_SEQS {
-                p.seqs.clear();
-                self.spare_seqs.push(std::mem::take(&mut p.seqs));
-            }
             frame
         });
         // Bound pending state: discard frames that have not completed
         // within 5 seconds (packets lost beyond recovery).
-        if self.pending.len() > 64 {
-            let spare = &mut self.spare_seqs;
-            self.pending.retain_mut(|p| {
-                let keep = at.saturating_sub(p.first_at) < 5_000_000_000;
-                if !keep && spare.len() < SPARE_SEQS {
-                    p.seqs.clear();
-                    spare.push(std::mem::take(&mut p.seqs));
-                }
-                keep
-            });
+        if self.pending.len() > MAX_PENDING
+            && at.saturating_sub(self.opened_since) >= PURGE_AGE_NANOS
+        {
+            self.pending
+                .retain(|p| at.saturating_sub(p.first_at) < PURGE_AGE_NANOS);
+            self.opened_since = self
+                .pending
+                .iter()
+                .map(|p| p.first_at)
+                .min()
+                .unwrap_or(u64::MAX);
         }
         completed
     }
@@ -325,6 +370,260 @@ mod tests {
     use super::*;
 
     const MS: u64 = 1_000_000;
+
+    /// Drive the bitmap tracker and the vector tracker it replaced
+    /// through one random packet sequence each run — packets of a frame
+    /// in order, reordered, duplicated or lost; sequence numbers
+    /// wrapping and jumping past the bitmap's reach; frames of up to 255
+    /// packets; timestamps reused after their frames completed; capture
+    /// time stepping back; runs that leave far more than 64 frames
+    /// pending — comparing every frame returned and the pending count
+    /// after each packet.
+    #[test]
+    fn bitmap_tracker_completes_what_the_vector_tracker_completed() {
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut completed = 0;
+        for run in 0..300u64 {
+            let completion = if run % 3 == 2 {
+                Completion::MarkerBit
+            } else {
+                Completion::PacketCount
+            };
+            let mut new = FrameTracker::new(completion, VIDEO_SAMPLING_RATE);
+            let mut old = vec_tracker::VecTracker::new(completion, VIDEO_SAMPLING_RATE);
+            // Lossy runs abandon most frames, piling up pending ones.
+            let loss = if run % 5 == 0 { 60 } else { draw(8) };
+            let (mut at, mut seq, mut ts) =
+                (draw(1 << 40), draw(65_536) as u16, draw(1 << 32) as u32);
+            let mut sent: Vec<u32> = Vec::new();
+            for _ in 0..400 {
+                // A frame of 1..=N packets, N sometimes past the bitmap.
+                let n = if draw(20) == 0 {
+                    1 + draw(255)
+                } else {
+                    1 + draw(8)
+                } as u16;
+                ts = match draw(30) {
+                    // A timestamp seen before: a late duplicate frame.
+                    0 if !sent.is_empty() => sent[draw(sent.len() as u64) as usize],
+                    1 => ts.wrapping_sub(draw(9_000) as u32),
+                    _ => ts.wrapping_add(3_000),
+                };
+                sent.push(ts);
+                let mut packets: Vec<u16> = (0..n).map(|k| seq.wrapping_add(k)).collect();
+                seq = seq.wrapping_add(n);
+                if draw(10) == 0 {
+                    seq = seq.wrapping_add(draw(40_000) as u16);
+                }
+                // Reorder, duplicate, lose.
+                for _ in 0..draw(3) {
+                    let (a, b) = (draw(n.into()) as usize, draw(n.into()) as usize);
+                    packets.swap(a, b);
+                }
+                if draw(4) == 0 {
+                    let dup = packets[draw(n.into()) as usize];
+                    packets.insert(draw(u64::from(n) + 1) as usize, dup);
+                }
+                if draw(6) == 0 {
+                    // A stray far from the frame's own numbers.
+                    packets.push(seq.wrapping_add(300 + draw(60_000) as u16));
+                }
+                let claimed = match draw(12) {
+                    0 => None,
+                    1 => Some(0),
+                    _ => Some(n.min(255) as u8),
+                };
+                for (k, &s) in packets.iter().enumerate() {
+                    if draw(100) < loss {
+                        continue;
+                    }
+                    at = match draw(50) {
+                        0 => at.saturating_sub(draw(2_000) * MS),
+                        1 => at + draw(8_000) * MS,
+                        _ => at + draw(3 * MS),
+                    };
+                    let marker = k + 1 == packets.len() || draw(40) == 0;
+                    let pif = if draw(15) == 0 {
+                        Some(draw(256) as u8)
+                    } else {
+                        claimed
+                    };
+                    let len = draw(1_400) as usize;
+                    let want = old.on_packet(at, ts, s, marker, len, pif);
+                    let got = new.on_packet(at, ts, s, marker, len, pif);
+                    assert_eq!(got, want, "run {run}");
+                    assert_eq!(new.incomplete(), old.incomplete(), "run {run}");
+                    completed += u64::from(got.is_some());
+                }
+            }
+        }
+        assert!(completed > 10_000, "{completed} frames completed");
+    }
+
+    /// The tracker the bitmap one replaced, kept as its oracle: each
+    /// pending frame's sequence numbers in a heap vector, a completed
+    /// frame taken out with `Vec::remove`, emptied vectors recycled
+    /// through a spare pool, a purge pass on every packet while more
+    /// than 64 frames are pending.
+    mod vec_tracker {
+        use super::super::*;
+
+        #[derive(Debug)]
+        struct Pending {
+            rtp_timestamp: u32,
+            first_at: u64,
+            seqs: Vec<u16>,
+            bytes: usize,
+            expected: Option<u8>,
+            marker_seen: bool,
+        }
+
+        /// Per-stream frame tracker.
+        #[derive(Debug)]
+        pub(super) struct VecTracker {
+            completion: Completion,
+            sampling_rate: u32,
+            /// Frames still collecting packets, oldest first. A handful at most
+            /// in steady state (bounded by the purge below), so a scan beats a
+            /// hash — and consecutive packets nearly always belong to the frame
+            /// hit last.
+            pending: Vec<Pending>,
+            /// Index into `pending` of the frame the previous packet joined.
+            last_hit: usize,
+            /// RTP timestamp of the frame completed last: Method 2's reference.
+            last_completed_ts: Option<u32>,
+            /// Timestamps of recently completed frames: a retransmitted duplicate
+            /// arriving after completion must not re-open (and re-count) the
+            /// frame.
+            completed_ts: RecentTimestamps<128>,
+            /// Emptied `seqs` vectors recovered from completed (or purged) frames
+            /// and handed to the next frame opened, so steady-state frame
+            /// reconstruction never allocates per frame.
+            spare_seqs: Vec<Vec<u16>>,
+        }
+
+        /// Spare `seqs` vectors kept for reuse; more in-flight frames than this
+        /// fall back to fresh allocations.
+        const SPARE_SEQS: usize = 8;
+
+        impl VecTracker {
+            pub(super) fn new(completion: Completion, sampling_rate: u32) -> VecTracker {
+                VecTracker {
+                    completion,
+                    sampling_rate,
+                    pending: Vec::new(),
+                    last_hit: 0,
+                    last_completed_ts: None,
+                    completed_ts: RecentTimestamps::new(),
+                    spare_seqs: Vec::new(),
+                }
+            }
+
+            /// Feed one main-substream media packet (callers must filter out FEC:
+            /// it shares timestamps but is not part of the frame). Returns the
+            /// frame this packet completed, if it completed one; the tracker keeps
+            /// nothing of it but its RTP timestamp.
+            pub(super) fn on_packet(
+                &mut self,
+                at: u64,
+                rtp_timestamp: u32,
+                sequence: u16,
+                marker: bool,
+                payload_len: usize,
+                pkts_in_frame: Option<u8>,
+            ) -> Option<FrameRecord> {
+                // A frame is pending or recently completed, never both (it leaves
+                // `pending` on completion and cannot re-open while `completed_ts`
+                // remembers it), so the common case — another packet of an open
+                // frame — is settled without scanning `completed_ts` at all.
+                let slot = position_hinted(&self.pending, self.last_hit, |p| {
+                    p.rtp_timestamp == rtp_timestamp
+                });
+                let slot = match slot {
+                    Some(i) => i,
+                    None => {
+                        if self.completed_ts.contains(rtp_timestamp) {
+                            return None; // late duplicate of an already-completed frame
+                        }
+                        self.pending.push(Pending {
+                            rtp_timestamp,
+                            first_at: at,
+                            seqs: self.spare_seqs.pop().unwrap_or_default(),
+                            bytes: 0,
+                            expected: pkts_in_frame,
+                            marker_seen: false,
+                        });
+                        self.pending.len() - 1
+                    }
+                };
+                self.last_hit = slot;
+                let pending = &mut self.pending[slot];
+                if pending.seqs.contains(&sequence) {
+                    return None; // retransmission duplicate
+                }
+                pending.seqs.push(sequence);
+                pending.bytes += payload_len;
+                pending.marker_seen |= marker;
+                if pending.expected.is_none() {
+                    pending.expected = pkts_in_frame;
+                }
+                let complete = match self.completion {
+                    Completion::PacketCount => pending
+                        .expected
+                        .map(|n| pending.seqs.len() >= usize::from(n.max(1)))
+                        .unwrap_or(false),
+                    Completion::MarkerBit => pending.marker_seen,
+                };
+                let completed = complete.then(|| {
+                    let mut p = self.pending.remove(slot);
+                    let frame = FrameRecord {
+                        first_packet_at: p.first_at,
+                        completed_at: at,
+                        rtp_timestamp,
+                        size_bytes: p.bytes,
+                        packets: p.seqs.len() as u32,
+                        encoder_interval_nanos: encoder_interval_nanos(
+                            self.last_completed_ts,
+                            rtp_timestamp,
+                            self.sampling_rate,
+                        ),
+                    };
+                    self.last_completed_ts = Some(rtp_timestamp);
+                    self.completed_ts.push(rtp_timestamp);
+                    if self.spare_seqs.len() < SPARE_SEQS {
+                        p.seqs.clear();
+                        self.spare_seqs.push(std::mem::take(&mut p.seqs));
+                    }
+                    frame
+                });
+                // Bound pending state: discard frames that have not completed
+                // within 5 seconds (packets lost beyond recovery).
+                if self.pending.len() > 64 {
+                    let spare = &mut self.spare_seqs;
+                    self.pending.retain_mut(|p| {
+                        let keep = at.saturating_sub(p.first_at) < 5_000_000_000;
+                        if !keep && spare.len() < SPARE_SEQS {
+                            p.seqs.clear();
+                            spare.push(std::mem::take(&mut p.seqs));
+                        }
+                        keep
+                    });
+                }
+                completed
+            }
+
+            /// Frames that never completed (lost packets).
+            pub(super) fn incomplete(&self) -> usize {
+                self.pending.len()
+            }
+        }
+    }
 
     /// Feed a 3-packet frame at the given base time/timestamp; returns
     /// what the last packet completed.

@@ -93,7 +93,8 @@ pub struct RttStats {
 }
 
 impl RttStats {
-    fn record(&mut self, rtt_nanos: u64, to: IpAddr) {
+    /// Count one sample of `rtt_nanos` answered by `to`.
+    pub(crate) fn record(&mut self, rtt_nanos: u64, to: IpAddr) {
         self.totals.add(rtt_nanos);
         self.histogram.record(rtt_nanos);
         let at = match self.responders.get(self.last) {

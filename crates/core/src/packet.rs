@@ -5,7 +5,7 @@
 //! flow, stream, latency, and grouping trackers without re-parsing.
 
 use std::net::IpAddr;
-use zoom_wire::dissect::{App, Dissection, Transport};
+use zoom_wire::dissect::Transport;
 use zoom_wire::family::FamilyId;
 use zoom_wire::flow::FiveTuple;
 use zoom_wire::webrtc::{self, SrtpRepr};
@@ -103,35 +103,33 @@ pub struct TcpMeta {
     pub ip_len: usize,
 }
 
-/// What the analyzer extracted from one capture record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Extracted {
-    /// A Zoom media/control packet with its metadata.
-    Zoom(PacketMeta),
-    /// A TCP segment (control-connection RTT input).
-    Tcp(TcpMeta),
-    /// STUN exchange — input to P2P flow detection (both families).
-    Stun {
-        /// Capture timestamp, nanoseconds.
+impl TcpMeta {
+    /// The facts of a segment with transport header `t`; `None` for UDP.
+    pub(crate) fn of(
         ts_nanos: u64,
-        /// The exchange's 5-tuple.
         five_tuple: FiveTuple,
-    },
-    /// A native-WebRTC PDU (produced when the dissector's WebRTC probe
-    /// is enabled; the session-gated auto path classifies in the
-    /// analyzer instead).
-    Webrtc {
-        /// Capture timestamp, nanoseconds.
-        ts_nanos: u64,
-        /// The packet's 5-tuple.
-        five_tuple: FiveTuple,
-        /// Total IP-layer bytes.
         ip_len: usize,
-        /// The parsed PDU.
-        pdu: webrtc::Pdu,
-    },
-    /// Parsed but not interesting to the analyzer.
-    Other,
+        t: &Transport,
+    ) -> Option<TcpMeta> {
+        match *t {
+            Transport::Tcp {
+                seq,
+                ack,
+                flags,
+                payload_len,
+                ..
+            } => Some(TcpMeta {
+                ts_nanos,
+                five_tuple,
+                seq,
+                ack,
+                has_ack: flags.ack,
+                payload_len,
+                ip_len,
+            }),
+            Transport::Udp { .. } => None,
+        }
+    }
 }
 
 /// Is this address inside any of the given campus prefixes? Used to
@@ -160,11 +158,10 @@ pub fn in_campus(campus: &[(IpAddr, u8)], ip: IpAddr) -> bool {
     })
 }
 
-/// Build a [`PacketMeta`] from an already-parsed Zoom packet.
-///
-/// Shared by [`extract`] and by the analyzer's second-chance P2P path
-/// (re-parsing an opaque UDP payload once its endpoint is known to have
-/// completed a STUN exchange).
+/// Build a [`PacketMeta`] from an already-parsed Zoom packet: a server
+/// or P2P framing the dissector found, or the analyzer's second-chance
+/// P2P parse of an opaque UDP payload once its endpoint is known to have
+/// completed a STUN exchange.
 pub fn meta_from_zoom(
     ts_nanos: u64,
     five_tuple: FiveTuple,
@@ -278,54 +275,12 @@ pub fn meta_from_webrtc(
     }
 }
 
-/// Convert a dissection into analyzer metadata.
-pub fn extract(d: &Dissection<'_>, campus: &[(IpAddr, u8)]) -> Extracted {
-    match &d.app {
-        App::Stun(_) => Extracted::Stun {
-            ts_nanos: d.ts_nanos,
-            five_tuple: d.five_tuple,
-        },
-        App::Zoom(framing, z) => Extracted::Zoom(meta_from_zoom(
-            d.ts_nanos,
-            d.five_tuple,
-            d.ip_total_len,
-            *framing,
-            z,
-            campus,
-        )),
-        App::Webrtc(pdu) => Extracted::Webrtc {
-            ts_nanos: d.ts_nanos,
-            five_tuple: d.five_tuple,
-            ip_len: d.ip_total_len,
-            pdu: *pdu,
-        },
-        App::Opaque => match &d.transport {
-            Transport::Tcp {
-                seq,
-                ack,
-                flags,
-                payload_len,
-                ..
-            } => Extracted::Tcp(TcpMeta {
-                ts_nanos: d.ts_nanos,
-                five_tuple: d.five_tuple,
-                seq: *seq,
-                ack: *ack,
-                has_ack: flags.ack,
-                payload_len: *payload_len,
-                ip_len: d.ip_total_len,
-            }),
-            Transport::Udp { .. } => Extracted::Other,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;
     use zoom_wire::compose;
-    use zoom_wire::dissect::{dissect, P2pProbe};
+    use zoom_wire::dissect::{dissect, App, P2pProbe};
     use zoom_wire::pcap::LinkType;
     use zoom_wire::rtp;
     use zoom_wire::zoom;
@@ -383,8 +338,8 @@ mod tests {
     fn extracts_video_meta_with_direction() {
         let data = video_packet(zoom::DIR_FROM_SFU);
         let d = dissect(5, &data, LinkType::Ethernet, P2pProbe::Off).unwrap();
-        match extract(&d, &campus()) {
-            Extracted::Zoom(m) => {
+        match zoom_meta(&d) {
+            Some(m) => {
                 assert_eq!(m.direction, Direction::FromServer);
                 assert_eq!(m.media_type, zoom::MediaType::Video);
                 let rtp = m.rtp.unwrap();
@@ -399,9 +354,24 @@ mod tests {
 
         let data = video_packet(zoom::DIR_TO_SFU);
         let d = dissect(5, &data, LinkType::Ethernet, P2pProbe::Off).unwrap();
-        match extract(&d, &campus()) {
-            Extracted::Zoom(m) => assert_eq!(m.direction, Direction::ToServer),
+        match zoom_meta(&d) {
+            Some(m) => assert_eq!(m.direction, Direction::ToServer),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// The metadata of a dissected Zoom packet, as the analyzer builds it.
+    fn zoom_meta(d: &zoom_wire::dissect::Dissection<'_>) -> Option<PacketMeta> {
+        match &d.app {
+            App::Zoom(framing, z) => Some(meta_from_zoom(
+                d.ts_nanos,
+                d.five_tuple,
+                d.ip_total_len,
+                *framing,
+                z,
+                &campus(),
+            )),
+            _ => None,
         }
     }
 
@@ -422,8 +392,9 @@ mod tests {
             b"abc",
         );
         let d = dissect(1, &data, LinkType::Ethernet, P2pProbe::Off).unwrap();
-        match extract(&d, &campus()) {
-            Extracted::Tcp(t) => {
+        assert_eq!(d.app, App::Opaque);
+        match TcpMeta::of(d.ts_nanos, d.five_tuple, d.ip_total_len, &d.transport) {
+            Some(t) => {
                 assert_eq!(t.seq, 100);
                 assert_eq!(t.ack, 200);
                 assert!(t.has_ack);
@@ -458,15 +429,10 @@ mod tests {
             ..Default::default()
         };
         let d = dissect(3, &data, LinkType::Ethernet, probe).unwrap();
-        match extract(&d, &campus()) {
-            Extracted::Webrtc {
-                five_tuple,
-                ip_len,
-                pdu: zoom_wire::webrtc::Pdu::Srtp(s),
-                ..
-            } => {
-                assert_eq!(five_tuple.src_port, 51_000);
-                let m = meta_from_webrtc(3, five_tuple, ip_len, &s, &campus());
+        match &d.app {
+            App::Webrtc(zoom_wire::webrtc::Pdu::Srtp(s)) => {
+                assert_eq!(d.five_tuple.src_port, 51_000);
+                let m = meta_from_webrtc(3, d.five_tuple, d.ip_total_len, s, &campus());
                 assert_eq!(m.family, FamilyId::Webrtc);
                 assert_eq!(m.framing, Framing::P2p);
                 assert_eq!(m.media_type, MediaType::Video);

@@ -13,7 +13,7 @@ use crate::fxhash::FxHashMap;
 use crate::meeting::{client_endpoint_of, GroupingConfig, MeetingGrouper, MeetingReport};
 use crate::metrics::latency::{RtpRttEstimator, RttStats, TcpRttEstimator};
 use crate::obs::{bump, IngestTally, MetricsSnapshot, PipelineMetrics};
-use crate::packet::{extract, in_campus, meta_from_webrtc, meta_from_zoom, Extracted, PacketMeta};
+use crate::packet::{in_campus, meta_from_webrtc, meta_from_zoom, PacketMeta, TcpMeta};
 use crate::report::{build_report, AnalysisReport};
 use crate::sink::PacketSink;
 use crate::stats::{LogHistogram, Samples};
@@ -23,7 +23,8 @@ use std::net::IpAddr;
 use std::sync::Arc;
 use std::time::Duration;
 use zoom_wire::dissect::{
-    dissect, dissect_from, drop_stage, peek_batch, App, Dissection, PeekArena, Transport,
+    classify_udp_with, drop_stage, peek, prefetch_record, AppView, Dissection, PeekInfo,
+    PeekTransport, Probe, Transport,
 };
 use zoom_wire::family::{FamilyId, FamilySelect};
 use zoom_wire::flow::{Endpoint, FiveTuple};
@@ -374,8 +375,6 @@ pub struct Analyzer {
     /// This thread's unpublished share of the per-record counters in
     /// [`Analyzer::metrics`]; see [`IngestTally`] for when it is flushed.
     tally: IngestTally,
-    /// Reused peek arena for the batched [`PacketSink::push_batch`] path.
-    peek_arena: PeekArena,
     /// The observability registry ([`crate::obs`]).
     pub(crate) metrics: Arc<PipelineMetrics>,
 }
@@ -409,7 +408,6 @@ impl Analyzer {
             undissectable: 0,
             srtp_malformed: false,
             tally: IngestTally::default(),
-            peek_arena: PeekArena::new(),
             metrics: Arc::new(PipelineMetrics::new()),
         }
     }
@@ -454,11 +452,12 @@ impl Analyzer {
         });
         self.total_packets += 1;
         self.tally.record_in(wire_len);
-        match dissect(ts_nanos, data, link, self.config.family_select().probe()) {
-            Ok(d) => self.process_dissection_counted(&d),
+        let probe = self.config.family_select().probe();
+        match &peek(data, link) {
+            Ok(p) => self.process_peeked(&p.info, ts_nanos, data, probe),
             Err(e) => {
                 self.undissectable += 1;
-                self.metrics.record_drop(drop_stage(data, link, e));
+                self.metrics.record_drop(drop_stage(data, link, *e));
             }
         }
         if let Some(t0) = sampled_at {
@@ -468,13 +467,35 @@ impl Analyzer {
         }
     }
 
-    /// [`Analyzer::process_dissection`] plus classification accounting:
-    /// did this record end up counted under a protocol family or not?
-    fn process_dissection_counted(&mut self, d: &Dissection<'_>) {
+    /// Finish a record [`peek`] accepted: classify its UDP payload
+    /// ([`classify_udp_with`], the parse [`zoom_wire::dissect::dissect`]
+    /// runs too) and apply the result where the parser left it.
+    #[inline]
+    fn process_peeked(&mut self, info: &PeekInfo, ts_nanos: u64, data: &[u8], probe: Probe) {
+        let r = RecordView {
+            ts_nanos,
+            five_tuple: &info.five_tuple,
+            ip_len: info.ip_total_len,
+            transport: info.transport.into(),
+            payload: info.transport.payload(data),
+        };
+        match info.transport {
+            PeekTransport::Udp { payload_len, .. } => {
+                classify_udp_with(r.five_tuple, r.payload, payload_len, probe, |app| {
+                    self.apply_counted(&r, app)
+                })
+            }
+            PeekTransport::Tcp { .. } => self.apply_counted(&r, AppView::Opaque),
+        }
+    }
+
+    /// [`Analyzer::apply`] plus classification accounting: did this
+    /// record end up counted under a protocol family or not?
+    fn apply_counted(&mut self, r: &RecordView<'_>, app: AppView<'_>) {
         let zoom_before = self.zoom_packets;
         let webrtc_before = self.webrtc_packets;
         self.srtp_malformed = false;
-        self.process_dissection(d);
+        self.apply(r, app);
         if self.zoom_packets > zoom_before {
             bump(&self.tally.classified);
         } else if self.webrtc_packets > webrtc_before {
@@ -487,8 +508,8 @@ impl Analyzer {
                 // handshake but its framing failed to parse: the drop
                 // belongs to the WebRTC family, not to Zoom's ZME stage.
                 bump(&self.tally.malformed_srtp);
-            } else if matches!(d.transport, Transport::Udp { .. })
-                && d.five_tuple.involves_port(ZOOM_SFU_PORT)
+            } else if matches!(r.transport, Transport::Udp { .. })
+                && r.five_tuple.involves_port(ZOOM_SFU_PORT)
             {
                 // A UDP record on the Zoom media port that still failed to
                 // classify means its Zoom Media Encapsulation did not parse.
@@ -499,89 +520,93 @@ impl Analyzer {
 
     /// Process a pre-dissected packet.
     pub fn process_dissection(&mut self, d: &Dissection<'_>) {
-        match extract(d, self.config.campus_prefixes()) {
-            Extracted::Stun {
-                ts_nanos,
-                five_tuple,
-            } => {
+        let r = RecordView {
+            ts_nanos: d.ts_nanos,
+            five_tuple: &d.five_tuple,
+            ip_len: d.ip_total_len,
+            transport: d.transport.clone(),
+            payload: d.payload,
+        };
+        self.apply(&r, d.app.view());
+    }
+
+    /// Apply one record's application-layer reading to the analysis
+    /// state.
+    fn apply(&mut self, r: &RecordView<'_>, app: AppView<'_>) {
+        let campus = self.config.campus_prefixes();
+        match app {
+            AppView::Stun(_) => {
                 // Register the non-3478 endpoint: it will carry the P2P
                 // media flow (§4.1).
-                let client = if five_tuple.dst_port == zoom_wire::stun::STUN_PORT {
-                    five_tuple.src()
+                let ft = r.five_tuple;
+                let client = if ft.dst_port == zoom_wire::stun::STUN_PORT {
+                    ft.src()
                 } else {
-                    five_tuple.dst()
+                    ft.dst()
                 };
-                self.p2p_endpoints.insert(client, ts_nanos);
-                self.note_classified(FamilyId::Zoom, ts_nanos, &five_tuple, d.ip_total_len);
+                self.p2p_endpoints.insert(client, r.ts_nanos);
+                self.note_classified(FamilyId::Zoom, r.ts_nanos, ft, r.ip_len);
             }
-            Extracted::Zoom(meta) => self.on_media(meta),
-            Extracted::Webrtc {
-                ts_nanos,
-                five_tuple,
-                ip_len,
-                pdu,
-            } => self.on_webrtc(ts_nanos, five_tuple, ip_len, &pdu),
-            Extracted::Tcp(t) => {
-                let is_control = self.config.zoom_server_prefixes().is_empty()
-                    || in_campus(self.config.zoom_server_prefixes(), t.five_tuple.src_ip)
-                    || in_campus(self.config.zoom_server_prefixes(), t.five_tuple.dst_ip);
+            AppView::Zoom(framing, z) => {
+                let meta = meta_from_zoom(r.ts_nanos, *r.five_tuple, r.ip_len, framing, z, campus);
+                self.on_media(&meta);
+            }
+            AppView::Webrtc(pdu) => self.on_webrtc(r.ts_nanos, *r.five_tuple, r.ip_len, pdu),
+            AppView::Opaque => {
+                let Some(t) = TcpMeta::of(r.ts_nanos, *r.five_tuple, r.ip_len, &r.transport) else {
+                    // Second chances: a UDP payload on a STUN-registered
+                    // endpoint may be a P2P media flow.
+                    return self.udp_second_chance(r, r.transport.payload_len());
+                };
+                let zoom_servers = self.config.zoom_server_prefixes();
+                let is_control = zoom_servers.is_empty()
+                    || in_campus(zoom_servers, t.five_tuple.src_ip)
+                    || in_campus(zoom_servers, t.five_tuple.dst_ip);
                 if is_control {
                     self.note_classified(FamilyId::Zoom, t.ts_nanos, &t.five_tuple, t.ip_len);
                     self.tcp_rtt.on_segment(&t);
                 }
             }
-            Extracted::Other => {
-                // Second chances: a UDP payload on a STUN-registered
-                // endpoint may be a P2P media flow — re-parse with the
-                // family framings (port reuse false-positives fail these
-                // parses, exactly the filter the paper describes). Zoom
-                // gets the first try, preserving the pre-family dispatch
-                // order bit for bit.
-                if let Transport::Udp { .. } = d.transport {
-                    if matches!(d.app, App::Opaque) {
-                        let family = self.config.family_select();
-                        let stun_fresh = self.is_p2p_flow(d);
-                        if stun_fresh && family.allows(FamilyId::Zoom) {
-                            let wire_len = d.transport.payload_len();
-                            if let Ok(z) = zoom_wire::zoom::parse(d.payload, wire_len, Framing::P2p)
-                            {
-                                if z.rtp.is_some() || !z.rtcp.is_empty() {
-                                    let meta = meta_from_zoom(
-                                        d.ts_nanos,
-                                        d.five_tuple,
-                                        d.ip_total_len,
-                                        Framing::P2p,
-                                        &z,
-                                        self.config.campus_prefixes(),
-                                    );
-                                    self.on_media(meta);
-                                    return;
-                                }
-                                // Keep-alives and control packets on the
-                                // P2P flow still count as Zoom traffic —
-                                // unless the payload carries the WebRTC
-                                // family's strict framing, which this
-                                // deliberately loose parse would swallow.
-                                if !(family.allows(FamilyId::Webrtc)
-                                    && webrtc::classify(d.payload, wire_len).is_ok())
-                                {
-                                    self.note_classified(
-                                        FamilyId::Zoom,
-                                        d.ts_nanos,
-                                        &d.five_tuple,
-                                        d.ip_total_len,
-                                    );
-                                    return;
-                                }
-                            }
-                        }
-                        let webrtc_live = !self.webrtc_flows.is_empty();
-                        if family.allows(FamilyId::Webrtc) && (stun_fresh || webrtc_live) {
-                            self.webrtc_second_chance(d, stun_fresh);
-                        }
-                    }
+        }
+    }
+
+    /// Second chances for a UDP payload no family claimed: on a
+    /// STUN-registered endpoint it may be a P2P media flow — re-parse
+    /// with the family framings (port reuse false-positives fail these
+    /// parses, exactly the filter the paper describes). Zoom gets the
+    /// first try, preserving the pre-family dispatch order bit for bit.
+    fn udp_second_chance(&mut self, r: &RecordView<'_>, wire_len: usize) {
+        let family = self.config.family_select();
+        let stun_fresh = self.is_p2p_flow(r);
+        if stun_fresh && family.allows(FamilyId::Zoom) {
+            if let Ok(z) = zoom_wire::zoom::parse(r.payload, wire_len, Framing::P2p) {
+                if z.rtp.is_some() || !z.rtcp.is_empty() {
+                    let meta = meta_from_zoom(
+                        r.ts_nanos,
+                        *r.five_tuple,
+                        r.ip_len,
+                        Framing::P2p,
+                        &z,
+                        self.config.campus_prefixes(),
+                    );
+                    self.on_media(&meta);
+                    return;
+                }
+                // Keep-alives and control packets on the P2P flow still
+                // count as Zoom traffic — unless the payload carries the
+                // WebRTC family's strict framing, which this deliberately
+                // loose parse would swallow.
+                if !(family.allows(FamilyId::Webrtc)
+                    && webrtc::classify(r.payload, wire_len).is_ok())
+                {
+                    self.note_classified(FamilyId::Zoom, r.ts_nanos, r.five_tuple, r.ip_len);
+                    return;
                 }
             }
+        }
+        let webrtc_live = !self.webrtc_flows.is_empty();
+        if family.allows(FamilyId::Webrtc) && (stun_fresh || webrtc_live) {
+            self.webrtc_second_chance(r, wire_len, stun_fresh);
         }
     }
 
@@ -590,26 +615,25 @@ impl Analyzer {
     /// is that family's malformed drop), and a strict DTLS record on a
     /// STUN-registered endpoint opens a new flow — RFC 5764's handshake
     /// precedes media, so the gate admits real sessions and nothing else.
-    fn webrtc_second_chance(&mut self, d: &Dissection<'_>, stun_fresh: bool) {
-        let wire_len = d.transport.payload_len();
-        if self.is_webrtc_flow(d) {
-            match webrtc::classify(d.payload, wire_len) {
-                Ok(pdu) => self.on_webrtc(d.ts_nanos, d.five_tuple, d.ip_total_len, &pdu),
+    fn webrtc_second_chance(&mut self, r: &RecordView<'_>, wire_len: usize, stun_fresh: bool) {
+        if self.is_webrtc_flow(r) {
+            match webrtc::classify(r.payload, wire_len) {
+                Ok(pdu) => self.on_webrtc(r.ts_nanos, *r.five_tuple, r.ip_len, &pdu),
                 Err(_) => self.srtp_malformed = true,
             }
             return;
         }
         if stun_fresh {
-            if let Ok(pdu @ webrtc::Pdu::Dtls(_)) = webrtc::classify(d.payload, wire_len) {
-                self.on_webrtc(d.ts_nanos, d.five_tuple, d.ip_total_len, &pdu);
+            if let Ok(pdu @ webrtc::Pdu::Dtls(_)) = webrtc::classify(r.payload, wire_len) {
+                self.on_webrtc(r.ts_nanos, *r.five_tuple, r.ip_len, &pdu);
             }
         }
     }
 
-    fn is_p2p_flow(&mut self, d: &Dissection<'_>) -> bool {
-        let now = d.ts_nanos;
+    fn is_p2p_flow(&mut self, r: &RecordView<'_>) -> bool {
+        let now = r.ts_nanos;
         let timeout = self.config.stun_timeout().as_nanos() as u64;
-        for ep in [d.five_tuple.src(), d.five_tuple.dst()] {
+        for ep in [r.five_tuple.src(), r.five_tuple.dst()] {
             if let Some(last) = self.p2p_endpoints.get_mut(&ep) {
                 if now.saturating_sub(*last) <= timeout {
                     *last = now; // refresh: long calls stay matched
@@ -622,10 +646,10 @@ impl Analyzer {
 
     /// Whether this packet rides a flow with an observed DTLS-SRTP
     /// handshake (refreshing the entry, like [`Analyzer::is_p2p_flow`]).
-    fn is_webrtc_flow(&mut self, d: &Dissection<'_>) -> bool {
-        let now = d.ts_nanos;
+    fn is_webrtc_flow(&mut self, r: &RecordView<'_>) -> bool {
+        let now = r.ts_nanos;
         let timeout = self.config.stun_timeout().as_nanos() as u64;
-        if let Some(last) = self.webrtc_flows.get_mut(&d.five_tuple.canonical()) {
+        if let Some(last) = self.webrtc_flows.get_mut(&r.five_tuple.canonical()) {
             if now.saturating_sub(*last) <= timeout {
                 *last = now;
                 return true;
@@ -673,7 +697,7 @@ impl Analyzer {
                     srtp,
                     self.config.campus_prefixes(),
                 );
-                self.on_media(meta);
+                self.on_media(&meta);
             }
             webrtc::Pdu::Dtls(dtls) => {
                 self.webrtc_flows.insert(five_tuple.canonical(), ts_nanos);
@@ -704,7 +728,7 @@ impl Analyzer {
     /// Count, classify, and track one media-bearing packet of either
     /// family (Zoom ZME or WebRTC SRTP — [`PacketMeta::family`] says
     /// which).
-    fn on_media(&mut self, meta: PacketMeta) {
+    fn on_media(&mut self, meta: &PacketMeta) {
         let flow = self.note_classified(meta.family, meta.ts_nanos, &meta.five_tuple, meta.ip_len);
         self.classifier.record(
             meta.family,
@@ -716,11 +740,12 @@ impl Analyzer {
         // packet — a Zoom-SFU behavior; WebRTC streams don't replicate
         // across server legs.
         if meta.family == FamilyId::Zoom {
-            self.rtp_rtt.on_packet(&meta);
+            self.rtp_rtt.on_packet(meta);
         }
         let Some(rtp) = &meta.rtp else { return };
-        let rtt = self.rtp_rtt.stats().totals();
-        let (at, created, frame) = self.streams.on_flow_packet(flow, &meta, rtp, &rtt);
+        let (at, created, frame) =
+            self.streams
+                .on_flow_packet(flow, meta, rtp, self.rtp_rtt.stats());
         if let Some(f) = frame {
             let media = self.streams.at_mut(at).media_type;
             self.frame_sizes_mut(media).record(f.size_bytes as u64);
@@ -936,16 +961,15 @@ impl Analyzer {
         self.undissectable
     }
 
-    /// Batched ingest: one stateless [`peek_batch`] pass walks every
-    /// record's headers (prefetching the next record's), then one pass in
-    /// record order finishes each dissection ([`dissect_from`]) and
-    /// applies it — same observable state as per-record
+    /// Batched ingest: one pass over the batch in record order, each
+    /// record peeked once ([`peek`]) and applied straight from the peek
+    /// — same observable state as per-record
     /// [`Analyzer::process_packet`] calls.
     ///
-    /// `before_record` runs in that in-order pass, ahead of each record,
-    /// with the record's timestamp: the streaming engine's window clock
-    /// closes windows there. Every state change happens in record order,
-    /// so what it sees is the state as of the previous record.
+    /// `before_record` runs ahead of each record, with the record's
+    /// timestamp: the streaming engine's window clock closes windows
+    /// there. Every state change happens in record order, so what it sees
+    /// is the state as of the previous record.
     pub(crate) fn push_batch_with(
         &mut self,
         batch: &RecordBatch,
@@ -953,10 +977,17 @@ impl Analyzer {
         mut before_record: impl FnMut(&mut Analyzer, u64),
     ) {
         let traced = batch.trace_id;
-        let dissect_start = (traced != 0).then(std::time::Instant::now);
-        let mut arena = std::mem::take(&mut self.peek_arena);
-        peek_batch(batch, link, &mut arena);
-        if let Some(t0) = dissect_start {
+        if traced != 0 {
+            // A window the batch closes is attributed to its trace. The
+            // dissect span is the batch's header walk, timed on its own
+            // ahead of the loop, which walks each record again: a clock
+            // read pair per record would cost the traced batch more than
+            // the walk does.
+            self.metrics.trace.note_trace(traced);
+            let t0 = std::time::Instant::now();
+            for r in batch.iter() {
+                let _ = std::hint::black_box(peek(r.data, link));
+            }
             self.metrics.trace.record(
                 traced,
                 crate::obs::trace::spans::DISSECT,
@@ -964,25 +995,23 @@ impl Analyzer {
                 batch.len() as u64,
                 t0.elapsed().as_nanos() as u64,
             );
-            self.metrics.trace.note_trace(traced);
         }
         let probe = self.config.family_select().probe();
+        self.tally.record_batch_in(batch);
         for (i, r) in batch.iter().enumerate() {
+            prefetch_record(batch, i + 1);
             before_record(self, r.ts_nanos);
             let sampled_at = self
                 .total_packets
                 .is_multiple_of(64)
                 .then(std::time::Instant::now);
             self.total_packets += 1;
-            self.tally.record_in(r.wire_len());
-            match arena.peek(i) {
-                Ok(info) => {
-                    let d = dissect_from(info, r.ts_nanos, r.data, probe);
-                    self.process_dissection_counted(&d);
-                }
+            // By reference: the peek is read where `peek` wrote it.
+            match &peek(r.data, link) {
+                Ok(p) => self.process_peeked(&p.info, r.ts_nanos, r.data, probe),
                 Err(e) => {
                     self.undissectable += 1;
-                    self.metrics.record_drop(drop_stage(r.data, link, e));
+                    self.metrics.record_drop(drop_stage(r.data, link, *e));
                 }
             }
             if let Some(t0) = sampled_at {
@@ -991,9 +1020,20 @@ impl Analyzer {
                     .observe(t0.elapsed().as_nanos() as u64);
             }
         }
-        self.peek_arena = arena;
         self.flush_metrics();
     }
+}
+
+/// One record as [`Analyzer::apply`] reads it: the header facts of a
+/// peek (or of a [`Dissection`]) without the link header, and the
+/// transport payload as captured.
+struct RecordView<'a> {
+    ts_nanos: u64,
+    five_tuple: &'a FiveTuple,
+    /// Bytes in the IP packet.
+    ip_len: usize,
+    transport: Transport,
+    payload: &'a [u8],
 }
 
 impl PacketSink for Analyzer {

@@ -20,7 +20,7 @@ use crate::fxhash::FxHashMap;
 use crate::meeting::CandidateState;
 use crate::metrics::frame::{Completion, FrameRecord, FrameRow, FrameRows, FrameTracker};
 use crate::metrics::jitter::JitterEstimator;
-use crate::metrics::latency::RttTotals;
+use crate::metrics::latency::RttStats;
 use crate::metrics::loss::{SeqStats, SeqTracker};
 use crate::metrics::stall::{StallReport, StallTracker, FALLBACK_RTT_NANOS};
 use crate::metrics::VIDEO_SAMPLING_RATE;
@@ -152,9 +152,9 @@ impl StreamFrames {
     /// Fold a completed frame in. The stall model's retransmission
     /// threshold uses the RTP-copy mean RTT as of now (`rtt`), or
     /// [`FALLBACK_RTT_NANOS`] before the first sample.
-    fn fold(&mut self, f: &FrameRecord, rtt: &RttTotals) {
+    fn fold(&mut self, f: &FrameRecord, rtt: &RttStats) {
         self.count += 1;
-        let rtt_nanos = rtt.mean_nanos().unwrap_or(FALLBACK_RTT_NANOS);
+        let rtt_nanos = rtt.totals().mean_nanos().unwrap_or(FALLBACK_RTT_NANOS);
         self.stalls.on_frame(f, rtt_nanos);
     }
 
@@ -346,7 +346,7 @@ impl Stream {
     /// Count one packet; returns the frame it completed, if any, after
     /// folding it into [`Stream::frames`] (`rtt`: the RTP-copy RTT so far,
     /// for the stall model).
-    fn on_packet(&mut self, m: &PacketMeta, rtp: &RtpMeta, rtt: &RttTotals) -> Option<FrameRecord> {
+    fn on_packet(&mut self, m: &PacketMeta, rtp: &RtpMeta, rtt: &RttStats) -> Option<FrameRecord> {
         self.last_seen = m.ts_nanos;
         self.packets += 1;
         if let Some(seconds) = &mut self.seconds {
@@ -701,7 +701,7 @@ impl StreamTracker {
         flow: FlowId,
         m: &PacketMeta,
         rtp: &RtpMeta,
-        rtt: &RttTotals,
+        rtt: &RttStats,
     ) -> (usize, bool, Option<FrameRecord>) {
         let slot = &mut self.flows[flow.0];
         debug_assert_eq!(slot.key, m.five_tuple);
@@ -760,7 +760,7 @@ impl StreamTracker {
     pub fn on_packet(&mut self, m: &PacketMeta) -> Option<(StreamKey, bool)> {
         let rtp = m.rtp.as_ref()?;
         let flow = self.touch_flow(&m.five_tuple, m.ts_nanos, m.ip_len);
-        let (_, created, _) = self.on_flow_packet(flow, m, rtp, &RttTotals::default());
+        let (_, created, _) = self.on_flow_packet(flow, m, rtp, &RttStats::default());
         let key = StreamKey {
             flow: m.five_tuple,
             ssrc: rtp.ssrc,
@@ -967,7 +967,7 @@ mod tests {
         // is known (50 ms + 100 ms), under it once the mean RTT as of the
         // frame's completion is 150 ms (250 ms).
         let mut t = StreamTracker::with_per_second_rows();
-        let frame = |t: &mut StreamTracker, i: u64, rtt: &RttTotals| {
+        let frame = |t: &mut StreamTracker, i: u64, rtt: &RttStats| {
             let at = i * 400 * MS;
             let mut out = None;
             for (k, dt) in [(0u16, 0), (1, 200 * MS)] {
@@ -979,12 +979,12 @@ mod tests {
             }
             out.expect("the second packet completes the frame")
         };
-        let slow = RttTotals {
-            samples: 2,
-            sum_nanos: 300 * u128::from(MS),
-        };
+        let mut slow = RttStats::default();
+        let sfu = IpAddr::V4(Ipv4Addr::new(170, 114, 0, 9));
+        slow.record(100 * MS, sfu);
+        slow.record(200 * MS, sfu);
         for i in 0..3 {
-            let f = frame(&mut t, i, &RttTotals::default());
+            let f = frame(&mut t, i, &RttStats::default());
             assert_eq!(f.frame_delay_nanos(), 200 * MS);
         }
         frame(&mut t, 3, &slow);

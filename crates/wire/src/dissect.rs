@@ -84,6 +84,45 @@ pub enum App {
     Opaque,
 }
 
+/// An application-layer reading by reference: what [`classify_udp_with`]
+/// hands its continuation, the parsed packet left where the parser put
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AppView<'p> {
+    /// A parsed STUN message.
+    Stun(&'p stun::Repr),
+    /// A parsed Zoom packet with the framing that succeeded.
+    Zoom(Framing, &'p ZoomPacket),
+    /// A parsed native-WebRTC PDU.
+    Webrtc(&'p crate::webrtc::Pdu),
+    /// The payload did not match anything we decode.
+    Opaque,
+}
+
+impl AppView<'_> {
+    /// The owned [`App`].
+    pub fn to_app(self) -> App {
+        match self {
+            AppView::Stun(repr) => App::Stun(*repr),
+            AppView::Zoom(framing, z) => App::Zoom(framing, z.clone()),
+            AppView::Webrtc(pdu) => App::Webrtc(*pdu),
+            AppView::Opaque => App::Opaque,
+        }
+    }
+}
+
+impl App {
+    /// This reading by reference.
+    pub fn view(&self) -> AppView<'_> {
+        match self {
+            App::Stun(repr) => AppView::Stun(repr),
+            App::Zoom(framing, z) => AppView::Zoom(*framing, z),
+            App::Webrtc(pdu) => AppView::Webrtc(pdu),
+            App::Opaque => AppView::Opaque,
+        }
+    }
+}
+
 /// A fully dissected packet, borrowing payload bytes from the input.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dissection<'a> {
@@ -190,9 +229,9 @@ impl From<P2pProbe> for Probe {
 /// can be shipped across threads alongside the record it describes.
 ///
 /// [`dissect_from`] resumes a full dissection from a `PeekInfo` without
-/// re-scanning the Ethernet/IP/UDP/TCP headers: the sharded pipeline
-/// peeks once on the router thread and finishes the (application-layer)
-/// dissection on the shard, instead of parsing the whole stack twice.
+/// re-scanning the Ethernet/IP/UDP/TCP headers, and the analyzer
+/// classifies a record's payload ([`classify_udp_with`]) straight from
+/// the peek, so the header walk happens once per record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeekInfo {
     /// Link header, when the trace has one.
@@ -264,9 +303,8 @@ impl PeekTransport {
 /// [`dissect`] — it returns `Err` for precisely the records `dissect`
 /// rejects (guaranteed by construction: `dissect` *is* `peek` followed by
 /// [`dissect_from`]) — but never touches application payloads, making it
-/// an order of magnitude cheaper. The sharded analysis pipeline uses it
-/// to route records by flow, shipping [`Peek::info`] to the shard so the
-/// header walk happens exactly once per record.
+/// an order of magnitude cheaper. The analyzer's per-record loop starts
+/// every record with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Peek<'a> {
     /// Header fields and payload offsets; [`dissect_from`] resumes here.
@@ -300,13 +338,17 @@ pub fn peek(data: &[u8], link_type: LinkType) -> Result<Peek<'_>> {
         LinkType::Other(_) => return Err(Error::Unsupported),
     };
     let ip_bytes = &data[ip_off..];
-    if ip_bytes.is_empty() {
-        return Err(Error::Truncated);
-    }
-    let (src_ip, dst_ip, protocol, transport_off, ip_total_len) = match ip_bytes[0] >> 4 {
-        4 => {
+    // Each IP version finishes the walk in its own copy of
+    // `peek_transport`, which writes the addresses once, where the peek
+    // returns them.
+    match ip_bytes.first().map(|b| b >> 4) {
+        None => Err(Error::Truncated),
+        Some(4) => {
             let ip = ipv4::Packet::new_checked(ip_bytes)?;
-            (
+            peek_transport(
+                data,
+                link,
+                ip_off,
                 IpAddr::V4(ip.src_addr()),
                 IpAddr::V4(ip.dst_addr()),
                 ip.protocol(),
@@ -314,9 +356,12 @@ pub fn peek(data: &[u8], link_type: LinkType) -> Result<Peek<'_>> {
                 ip.total_len() as usize,
             )
         }
-        6 => {
+        Some(6) => {
             let ip = ipv6::Packet::new_checked(ip_bytes)?;
-            (
+            peek_transport(
+                data,
+                link,
+                ip_off,
                 IpAddr::V6(ip.src_addr()),
                 IpAddr::V6(ip.dst_addr()),
                 ip.next_header(),
@@ -324,8 +369,23 @@ pub fn peek(data: &[u8], link_type: LinkType) -> Result<Peek<'_>> {
                 ipv6::HEADER_LEN + ip.payload_len() as usize,
             )
         }
-        _ => return Err(Error::Malformed),
-    };
+        Some(_) => Err(Error::Malformed),
+    }
+}
+
+/// [`peek`] from the transport header on.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn peek_transport(
+    data: &[u8],
+    link: Option<ethernet::Repr>,
+    ip_off: usize,
+    src_ip: IpAddr,
+    dst_ip: IpAddr,
+    protocol: Protocol,
+    transport_off: usize,
+    ip_total_len: usize,
+) -> Result<Peek<'_>> {
     // Lengths are what the headers declare; slices stop where the capture
     // did.
     let wire_end = ip_off + ip_total_len;
@@ -338,13 +398,6 @@ pub fn peek(data: &[u8], link_type: LinkType) -> Result<Peek<'_>> {
             if udp_len > transport_wire_len {
                 return Err(Error::Truncated);
             }
-            let five_tuple = FiveTuple {
-                src_ip,
-                dst_ip,
-                src_port: u.src_port(),
-                dst_port: u.dst_port(),
-                protocol: Protocol::Udp,
-            };
             let payload_len = udp_len - udp::HEADER_LEN;
             let transport = PeekTransport::Udp {
                 payload_off: transport_off + udp::HEADER_LEN,
@@ -358,7 +411,13 @@ pub fn peek(data: &[u8], link_type: LinkType) -> Result<Peek<'_>> {
             Ok(Peek {
                 info: PeekInfo {
                     link,
-                    five_tuple,
+                    five_tuple: FiveTuple {
+                        src_ip,
+                        dst_ip,
+                        src_port: u.src_port(),
+                        dst_port: u.dst_port(),
+                        protocol: Protocol::Udp,
+                    },
                     ip_total_len,
                     transport,
                 },
@@ -617,12 +676,15 @@ pub fn drop_stage(data: &[u8], link_type: LinkType, err: Error) -> DropStage {
 /// Coarse packet class assigned by [`peek_batch`] from header fields and
 /// the first payload bytes only — cheap enough to compute during the
 /// header walk, precise enough to sort application-layer dispatch into
-/// branch-predictable per-class loops.
+/// branch-predictable per-class loops ([`dissect_batch`]).
 ///
-/// The class *predicts* which `classify_udp`-internal branch the record
-/// will take; [`dissect_batch`] still runs the full classification per
-/// record, so a mispredicted class costs only a branch miss, never a
-/// wrong result.
+/// The class *predicts* which [`classify_udp_with`] branch the record will
+/// take; [`dissect_batch`] still runs the full classification per record,
+/// so a mispredicted class costs only a branch miss, never a wrong
+/// result. No analysis route sorts by class: the analyzer peeks and
+/// classifies each record once, in record order. The classes, the
+/// arena and the batch functions serve the benchmark's layer probes and
+/// this crate's tests.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketClass {
@@ -788,7 +850,9 @@ pub fn prefetch_record(batch: &crate::handoff::RecordBatch, index: usize) {
 /// filling `arena` with each record's [`PeekInfo`] (or rejection error)
 /// and a [`PacketClass`] tag, and building the per-class index lists that
 /// [`dissect_batch`] dispatches from. Prefetches the next record's header
-/// bytes ahead of each parse.
+/// bytes ahead of each parse. The analyzer does not run it (it peeks each
+/// record once, in its own in-order pass); the benchmark's
+/// `wire.dissect.*` probes do.
 ///
 /// Accepts and rejects exactly what per-record [`peek`] does, record by
 /// record (pinned by tests).
@@ -875,57 +939,87 @@ pub fn dissect_batch(
 /// Build a [`Dissection`] from pre-computed parts (shared by
 /// [`dissect_from`] and [`PeekArena::take_dissection`]).
 fn assemble<'a>(info: &PeekInfo, ts_nanos: u64, data: &'a [u8], app: App) -> Dissection<'a> {
-    let transport = match info.transport {
-        PeekTransport::Udp { payload_len, .. } => Transport::Udp { payload_len },
-        PeekTransport::Tcp {
-            seq,
-            ack,
-            flags,
-            window,
-            payload_len,
-            ..
-        } => Transport::Tcp {
-            seq,
-            ack,
-            flags,
-            window,
-            payload_len,
-        },
-    };
     Dissection {
         ts_nanos,
         link: info.link,
         five_tuple: info.five_tuple,
         ip_total_len: info.ip_total_len,
-        transport,
+        transport: info.transport.into(),
         app,
         payload: info.transport.payload(data),
     }
 }
 
-/// `payload` is what the capture kept of a datagram that was `wire_len`
-/// bytes on the wire; [`peek`] has checked it against [`udp_prefix`].
+impl From<PeekTransport> for Transport {
+    /// The header fields of a peeked transport, without the payload's
+    /// byte range.
+    fn from(t: PeekTransport) -> Transport {
+        match t {
+            PeekTransport::Udp { payload_len, .. } => Transport::Udp { payload_len },
+            PeekTransport::Tcp {
+                seq,
+                ack,
+                flags,
+                window,
+                payload_len,
+                ..
+            } => Transport::Tcp {
+                seq,
+                ack,
+                flags,
+                window,
+                payload_len,
+            },
+        }
+    }
+}
+
+/// [`classify_udp_with`] with the reading owned, for [`dissect_from`] and
+/// [`dissect_batch`].
 fn classify_udp(five_tuple: &FiveTuple, payload: &[u8], wire_len: usize, probe: Probe) -> App {
+    classify_udp_with(five_tuple, payload, wire_len, probe, |app| app.to_app())
+}
+
+/// The application layer of a UDP datagram under `probe`, handed to
+/// `then` where the parser left it: the step [`dissect_from`] adds to a
+/// [`peek`] (which takes the reading owned, as an [`App`]), and all the
+/// analyzer runs after its own peek of a record — it builds its packet
+/// metadata from the parsed headers, with no [`App`] or [`Dissection`] in
+/// between. `payload` is what the capture kept of a datagram that was
+/// `wire_len` bytes on the wire; [`peek`] has checked that it holds the
+/// record's [`analysis_prefix`].
+#[inline]
+pub fn classify_udp_with<R>(
+    five_tuple: &FiveTuple,
+    payload: &[u8],
+    wire_len: usize,
+    probe: Probe,
+    then: impl FnOnce(AppView<'_>) -> R,
+) -> R {
     // STUN first: port 3478 traffic, or anything that passes the magic
     // cookie check. Both families signal sessions via STUN and none of
     // their framings can be confused with it (the leading bits differ),
     // so the check is shared and runs before any family.
-    if let Some(app) = family::classify_stun(five_tuple, payload) {
-        return app;
+    if let Some(repr) = family::classify_stun(five_tuple, payload) {
+        return then(AppView::Stun(&repr));
     }
     // Families in fixed dispatch order; the first `Some` claims the
-    // packet (including a Zoom claim of malformed port-8801 traffic).
+    // packet (including a Zoom claim of malformed port-8801 traffic). A
+    // family that passes does not call `then`, so it is still ours.
+    let mut then = Some(then);
     if probe.zoom {
-        if let Some(app) = ZoomFamily.classify(five_tuple, payload, wire_len, probe) {
-            return app;
+        let f = |app: AppView<'_>| then.take().expect("called once")(app);
+        if let Some(r) = ZoomFamily.classify_with(five_tuple, payload, wire_len, probe, f) {
+            return r;
         }
     }
     if probe.webrtc == WebrtcProbe::Auto {
-        if let Some(app) = WebrtcFamily.classify(five_tuple, payload, wire_len, probe) {
-            return app;
+        let f = |app: AppView<'_>| then.take().expect("called once")(app);
+        if let Some(r) = WebrtcFamily.classify_with(five_tuple, payload, wire_len, probe, f) {
+            return r;
         }
     }
-    App::Opaque
+    then.take().expect("no family called it")(AppView::Opaque)
 }
 
 /// Render a Wireshark-style field tree for a dissection — the textual

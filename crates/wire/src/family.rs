@@ -5,14 +5,14 @@
 //! RTP-generic; only the encapsulation dissection is Zoom-specific. This
 //! module lifts that Zoom-specific part behind the [`ProtocolFamily`]
 //! trait so a second conferencing system plugs into the same
-//! peek → class → dissect pipeline:
+//! peek → classify pipeline:
 //!
 //! * [`FamilyId`] names a family and provides the stable `family=` label
 //!   every metric and report row uses;
 //! * [`ProtocolFamily`] is the per-family contract — a cheap peek-time
-//!   [`PacketClass`] prediction for the batched type-sorted dispatch, the
-//!   full payload classification, and the family-owned malformed-drop
-//!   label (satisfying the per-family conservation invariant);
+//!   [`PacketClass`] prediction (read by `peek_batch` only), the full
+//!   payload classification, and the family-owned malformed-drop label
+//!   (satisfying the per-family conservation invariant);
 //! * [`ZoomFamily`] wraps the original ZME/SFU dissection with
 //!   byte-identical behaviour;
 //! * [`WebrtcFamily`] recognizes native WebRTC sessions
@@ -29,7 +29,7 @@
 //! `docs/PROTOCOLS.md` for the full contract and a worked guide to
 //! adding a family.
 
-use crate::dissect::{App, P2pProbe, PacketClass, Probe, WebrtcProbe};
+use crate::dissect::{App, AppView, P2pProbe, PacketClass, Probe, WebrtcProbe};
 use crate::flow::FiveTuple;
 use crate::stun;
 use crate::webrtc;
@@ -186,18 +186,22 @@ impl FromStr for FamilySelect {
 
 /// The per-family dissection contract.
 ///
-/// A family supplies three things, matching the three stages of the
-/// batched pipeline:
+/// A family supplies three things:
 ///
 /// 1. **Peek** ([`peek_class`](ProtocolFamily::peek_class)): a cheap
-///    header/first-bytes prediction of the [`PacketClass`], used by
-///    `peek_batch` to sort application-layer dispatch into
-///    branch-predictable per-class loops. Predictions may be wrong — a
-///    misprediction costs a branch miss, never a wrong result.
-/// 2. **Classify** ([`classify`](ProtocolFamily::classify)): the full
-///    payload parse. `Some(app)` claims the packet for this family
-///    (including `Some(App::Opaque)` — "mine, but malformed", which
-///    stops later families from seeing it); `None` passes it on.
+///    header/first-bytes prediction of the [`PacketClass`], which
+///    `peek_batch` tags each record with. No analysis route reads the
+///    tags any more — the analyzer peeks and classifies each record once,
+///    in record order — so the prediction serves the benchmark's
+///    `peek_batch` / `dissect_batch` probes and this crate's tests.
+///    Predictions may be wrong — a misprediction costs a branch miss,
+///    never a wrong result.
+/// 2. **Classify** ([`classify_with`](ProtocolFamily::classify_with)):
+///    the full payload parse, handing its reading to a continuation
+///    where the parser left it ([`classify`](ProtocolFamily::classify)
+///    returns it owned). `Some` claims the packet for this family
+///    (including [`AppView::Opaque`] — "mine, but malformed", which stops
+///    later families from seeing it); `None` passes it on.
 /// 3. **Drop attribution** ([`malformed_label`](ProtocolFamily::malformed_label)):
 ///    the metric label under which this family's framing failures are
 ///    counted, so the conservation invariant holds *per family*.
@@ -214,17 +218,32 @@ pub trait ProtocolFamily {
     /// signals.
     fn peek_class(&self, five_tuple: &FiveTuple, payload: &[u8]) -> Option<PacketClass>;
 
-    /// Full payload classification. `Some` claims the packet for this
-    /// family; `None` lets the next family try. `payload` is what the
-    /// capture kept of a datagram that was `wire_len` bytes on the wire:
-    /// fields are read from the one, lengths reported from the other.
+    /// Full payload classification, handing the result to `then` where
+    /// the parser left it. `Some` claims the packet for this family;
+    /// `None` lets the next family try (and `then` is not called).
+    /// `payload` is what the capture kept of a datagram that was
+    /// `wire_len` bytes on the wire: fields are read from the one,
+    /// lengths reported from the other.
+    fn classify_with<R>(
+        &self,
+        five_tuple: &FiveTuple,
+        payload: &[u8],
+        wire_len: usize,
+        probe: Probe,
+        then: impl FnOnce(AppView<'_>) -> R,
+    ) -> Option<R>;
+
+    /// [`classify_with`](ProtocolFamily::classify_with), the result
+    /// owned.
     fn classify(
         &self,
         five_tuple: &FiveTuple,
         payload: &[u8],
         wire_len: usize,
         probe: Probe,
-    ) -> Option<App>;
+    ) -> Option<App> {
+        self.classify_with(five_tuple, payload, wire_len, probe, |app| app.to_app())
+    }
 
     /// Metric label for payloads this family claimed but could not parse.
     fn malformed_label(&self) -> &'static str;
@@ -253,27 +272,31 @@ impl ProtocolFamily for ZoomFamily {
         }
     }
 
-    fn classify(
+    #[inline]
+    fn classify_with<R>(
         &self,
         five_tuple: &FiveTuple,
         payload: &[u8],
         wire_len: usize,
         probe: Probe,
-    ) -> Option<App> {
+        then: impl FnOnce(AppView<'_>) -> R,
+    ) -> Option<R> {
         if five_tuple.involves_port(ZOOM_SFU_PORT) {
             // Port 8801 is authoritatively Zoom server traffic: parse
             // failures still claim the packet (the caller attributes them
             // under this family's malformed label), exactly as before the
             // family refactor.
-            return match zoom::parse(payload, wire_len, Framing::Server) {
-                Ok(z) => Some(App::Zoom(Framing::Server, z)),
-                Err(_) => Some(App::Opaque),
-            };
+            // Matched by reference: the packet is read where the parser
+            // wrote it, not moved out of the `Result` first.
+            return Some(match &zoom::parse(payload, wire_len, Framing::Server) {
+                Ok(z) => then(AppView::Zoom(Framing::Server, z)),
+                Err(_) => then(AppView::Opaque),
+            });
         }
         if probe.p2p == P2pProbe::Auto {
-            if let Ok((framing, z)) = zoom::parse_auto(payload, wire_len) {
+            if let Ok((framing, z)) = &zoom::parse_auto(payload, wire_len) {
                 if z.rtp.is_some() || !z.rtcp.is_empty() {
-                    return Some(App::Zoom(framing, z));
+                    return Some(then(AppView::Zoom(*framing, z)));
                 }
             }
         }
@@ -306,14 +329,16 @@ impl ProtocolFamily for WebrtcFamily {
         }
     }
 
-    fn classify(
+    fn classify_with<R>(
         &self,
         _five_tuple: &FiveTuple,
         payload: &[u8],
         wire_len: usize,
         _probe: Probe,
-    ) -> Option<App> {
-        webrtc::classify(payload, wire_len).ok().map(App::Webrtc)
+        then: impl FnOnce(AppView<'_>) -> R,
+    ) -> Option<R> {
+        let pdu = webrtc::classify(payload, wire_len).ok()?;
+        Some(then(AppView::Webrtc(&pdu)))
     }
 
     fn malformed_label(&self) -> &'static str {
@@ -323,12 +348,10 @@ impl ProtocolFamily for WebrtcFamily {
 
 /// Shared STUN classification, run by the dispatcher before any family:
 /// both families signal sessions via STUN, so it belongs to neither.
-pub(crate) fn classify_stun(five_tuple: &FiveTuple, payload: &[u8]) -> Option<App> {
+pub(crate) fn classify_stun(five_tuple: &FiveTuple, payload: &[u8]) -> Option<stun::Repr> {
     if five_tuple.involves_port(stun::STUN_PORT) || stun::looks_like_stun(payload) {
         if let Ok(p) = stun::Packet::new_checked(payload) {
-            if let Ok(repr) = stun::Repr::parse(&p) {
-                return Some(App::Stun(repr));
-            }
+            return stun::Repr::parse(&p).ok();
         }
     }
     None

@@ -1,9 +1,12 @@
 //! The ingest hot path stays off the allocator once it is warm: a second
-//! pass of `Reader::read_into` over a pcap image, and of chunk reads
-//! (`Reader::read_chunk`) plus `peek_batch` classification, allocates
-//! nothing; a time-shifted replay through a `StreamingEngine` with 10 s
-//! windows allocates less than 0.05 times per record (window-close report
-//! assembly is the remainder).
+//! pass of `Reader::read_into` over a pcap image, of chunk reads
+//! (`Reader::read_chunk`) plus `peek_batch` classification, and of chunk
+//! reads into `Analyzer::push_batch` — the route `analyze FILE` takes —
+//! allocates nothing; through a `StreamingEngine` with 1 s windows, a
+//! batch that closes no window allocates nothing either; a time-shifted
+//! replay through a `StreamingEngine` with 10 s windows allocates less
+//! than 0.05 times per record (window-close report assembly is the
+//! remainder).
 //! And what the analyzer retains does not grow with the run: analyzing a
 //! four times longer trace — of one meeting, or of meetings that come and
 //! go — raises the peak live heap by well under a byte per added record.
@@ -129,6 +132,34 @@ fn classify_pass(
     seen
 }
 
+/// Chunk reads into `sink`, reusing one batch, until at least `n` records
+/// have gone by or the image ends — the route `analyze FILE` takes. Per
+/// batch: the allocations it cost, and whether it closed a window.
+fn sink_pass(
+    reader: &mut Reader<&[u8]>,
+    n: u64,
+    batch: &mut RecordBatch,
+    sink: &mut impl PacketSink,
+) -> Vec<(u64, bool)> {
+    let link = reader.link_type();
+    let mut seen = 0;
+    let mut batches = Vec::new();
+    while seen < n {
+        let (allocs, (more, closed)) = allocations(|| {
+            batch.clear();
+            let more = reader.read_chunk(batch).expect("chunk");
+            sink.push_batch(batch, link).expect("push_batch");
+            (more, !sink.take_windows().is_empty())
+        });
+        batches.push((allocs, closed));
+        seen += batch.len() as u64;
+        if !more {
+            break;
+        }
+    }
+    batches
+}
+
 /// One windowed pass over the trace with every timestamp shifted by
 /// `offset`, taking window reports as they close.
 fn windowed_pass(
@@ -187,6 +218,70 @@ fn warm_ingest_passes_stay_off_the_allocator() {
     );
     assert_eq!(allocs, 0, "warm read_chunk + peek_batch pass allocated");
 
+    // The route `analyze FILE` takes: chunk reads straight into the
+    // analyzer, over the trace and then the same trace a span later, one
+    // reader. The second half meets every flow, stream and table size the
+    // first one grew.
+    let span = records.last().map_or(0, |r| r.ts_nanos + SEC);
+    let mut writer = Writer::new(Vec::new(), LinkType::Ethernet).expect("header");
+    let shifted = records.iter().map(|r| (r, span));
+    for (r, shift) in records.iter().map(|r| (r, 0)).chain(shifted) {
+        let mut r = r.clone();
+        r.ts_nanos += shift;
+        writer.write_record(&r).expect("record");
+    }
+    let replay = writer.finish().expect("flush");
+    // Two passes over the image with one reader and one batch; the
+    // second one's batches.
+    type Pass<'a> = dyn FnMut(&mut Reader<&[u8]>, &mut RecordBatch) -> Vec<(u64, bool)> + 'a;
+    let warm = |sink: &mut Pass<'_>| {
+        let mut reader = Reader::new(&replay[..]).expect("pcap header");
+        let mut batch = RecordBatch::new();
+        sink(&mut reader, &mut batch);
+        sink(&mut reader, &mut batch)
+    };
+    let mut analyzer = Analyzer::new(AnalyzerConfig::default());
+    let second = warm(&mut |reader, batch| sink_pass(reader, n, batch, &mut analyzer));
+    let allocs: u64 = second.iter().map(|&(a, _)| a).sum();
+    eprintln!(
+        "analyzer: {allocs} allocations over {} warm batches",
+        second.len()
+    );
+    assert!(
+        second.len() > 100,
+        "{} batches in the warm pass",
+        second.len()
+    );
+    assert_eq!(
+        allocs, 0,
+        "warm read_chunk + Analyzer::push_batch pass allocated"
+    );
+    analyzer.finish().expect("finish");
+
+    // The same through the windowed engine, 1 s windows: a batch that
+    // closed no window allocates nothing (a close assembles its report).
+    let mut engine = StreamingEngine::new(EngineConfig {
+        analyzer: AnalyzerConfig::default(),
+        window: Some(Duration::from_secs(1)),
+        idle_timeout: None,
+        qoe: None,
+    })
+    .expect("engine");
+    let second = warm(&mut |reader, batch| sink_pass(reader, n, batch, &mut engine));
+    let quiet: Vec<u64> = second.iter().filter(|b| !b.1).map(|b| b.0).collect();
+    eprintln!(
+        "1 s windows: {} of {} warm batches closed no window",
+        quiet.len(),
+        second.len()
+    );
+    assert!(quiet.len() > second.len() / 2);
+    assert_eq!(
+        quiet.iter().sum::<u64>(),
+        0,
+        "a warm windowed batch that closed no window allocated"
+    );
+    engine.drain().expect("drain");
+
     // Windowed engine: the first pass warms the flow tables, the second
     // replays the same flows later, so windows keep rolling.
     let mut engine = StreamingEngine::new(EngineConfig {
@@ -196,7 +291,6 @@ fn warm_ingest_passes_stay_off_the_allocator() {
         qoe: None,
     })
     .expect("engine");
-    let span = records.last().map_or(0, |r| r.ts_nanos + SEC);
     windowed_pass(&mut engine, &records, &mut batch, 0);
     let (allocs, ()) = allocations(|| windowed_pass(&mut engine, &records, &mut batch, span));
     let per_record = allocs as f64 / n as f64;

@@ -13,25 +13,27 @@
 //! an N-source run is byte-identical to the equivalent single-source run
 //! (see `docs/CAPTURE.md`).
 //!
-//! With `--window`, `--idle-timeout`, or `--follow` the command switches
-//! to the streaming engine: one NDJSON line per closed window on stdout,
-//! followed by the final end-of-trace report. `--follow` keeps polling
-//! every pcap source for newly appended records (a live capture being
-//! written by another process) until it has been quiet for `--idle-exit`
-//! — the follow loop is source-agnostic, not tied to a single file.
+//! Every route runs the one analysis loop ([`ingest::run`]), which
+//! feeds the merged stream a batch at a time through the streaming
+//! engine. Without `--window` the engine has no window — it is the batch
+//! analyzer — and the command prints the end-of-trace report (text, or
+//! `--json`). With `--window` or `--follow` it prints one NDJSON line per
+//! closed window on stdout, followed by the final end-of-trace report;
+//! `--idle-timeout` (which needs `--window`: eviction runs when a window
+//! closes) evicts idle flows and streams at each close. `--follow` keeps
+//! polling every pcap source for newly appended records (a live capture
+//! being written by another process) until it has been quiet for
+//! `--idle-exit` — the follow loop is source-agnostic, not tied to a
+//! single file.
 //!
-//! Both sinks (batch `Analyzer`, streaming engine) take the merged stream
-//! a batch at a time through `PacketSink::push_batch`. `--metrics <path>`
-//! writes an observability snapshot file — JSON by default, Prometheus
-//! text exposition when the path ends in `.prom` — rewritten every
-//! `--metrics-interval` (default 5s, works with `--follow`) and once
-//! more when the input is exhausted.
-//!
-//! Streaming mode adds live telemetry: `--serve ADDR` exposes
-//! `GET /metrics` (Prometheus text, including the per-meeting
+//! `--metrics <path>` writes an observability snapshot file — JSON by
+//! default, Prometheus text exposition when the path ends in `.prom` —
+//! rewritten every `--metrics-interval` (default 5s, works with
+//! `--follow`) and once more when the input is exhausted. `--serve ADDR`
+//! exposes `GET /metrics` (Prometheus text, including the per-meeting
 //! `zoom_qoe_*` labeled series) and `GET /healthz` on a std-only HTTP
-//! endpoint for the duration of the run, and `--qoe-watch` runs the
-//! degradation detector over every closed window, interleaving
+//! endpoint for the duration of the run. `--qoe-watch` (with `--window`)
+//! runs the degradation detector over every closed window, interleaving
 //! `{"type":"qoe_alert",...}` NDJSON lines with the window reports on
 //! stdout (thresholds: `--qoe-fps-floor`, `--qoe-jitter-ms`,
 //! `--qoe-collapse-ratio`).
@@ -53,127 +55,20 @@
 //! analysis runs. `--worker-label` names the worker in the merge node's
 //! `zoom_worker_*` metrics. See `docs/DISTRIBUTED.md`.
 
+use super::ingest::{self, MetricsFile, Run};
 use super::sources::{build_sources, mux_flags, start_capture, Sources};
 use super::{
-    campus_flag, parse_args, parse_duration, reject_features_with_eviction, reject_shards_flag,
-    write_window_line, CliError, CmdResult, FlagSpec, TraceOutput,
+    campus_flag, check_eviction_flags, parse_args, parse_duration, reject_shards_flag, CliError,
+    CmdResult, FlagSpec, TraceOutput,
 };
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::time::Duration;
+use zoom_analysis::dist::WindowGate;
 use zoom_analysis::engine::{EngineConfig, QoeThresholds, StreamingEngine};
-use zoom_analysis::features;
-use zoom_analysis::obs::serve;
-use zoom_analysis::obs::MetricsSnapshot;
-use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
-use zoom_analysis::report;
-use zoom_analysis::PacketSink;
-use zoom_capture::mux::{CaptureMux, MuxConfig};
+use zoom_analysis::pipeline::AnalyzerConfig;
+use zoom_capture::mux::MuxConfig;
 use zoom_capture::source::{FollowConfig, BATCH_RECORDS};
 use zoom_wire::handoff::RecordBatch;
-use zoom_wire::zoom::MediaType;
-
-/// The `--metrics <path>` snapshot file: rewritten in place every
-/// `--metrics-interval` while records flow, and once more at the end.
-/// A `.prom` extension selects the Prometheus text exposition format;
-/// anything else gets the JSON snapshot.
-pub(crate) struct MetricsFile {
-    path: String,
-    interval: Duration,
-    last: std::time::Instant,
-    pushes: u32,
-}
-
-impl MetricsFile {
-    pub(crate) fn from_flags(
-        flags: &HashMap<String, String>,
-    ) -> Result<Option<MetricsFile>, String> {
-        let Some(path) = flags.get("metrics") else {
-            return Ok(None);
-        };
-        let interval = flags
-            .get("metrics-interval")
-            .map(|v| parse_duration(v))
-            .transpose()?
-            .unwrap_or(Duration::from_secs(5));
-        Ok(Some(MetricsFile {
-            path: path.clone(),
-            interval,
-            last: std::time::Instant::now(),
-            pushes: 0,
-        }))
-    }
-
-    /// Called after every merged batch (`records` long) enters the sink;
-    /// rewrites the file when the interval has elapsed. The clock is only
-    /// consulted once at least 256 records have accumulated, so the
-    /// per-packet cost stays negligible.
-    pub(crate) fn tick(
-        &mut self,
-        records: u32,
-        snap: impl FnOnce() -> MetricsSnapshot,
-    ) -> CmdResult {
-        self.pushes = self.pushes.saturating_add(records);
-        if self.pushes < 256 {
-            return Ok(());
-        }
-        self.pushes = 0;
-        if self.last.elapsed() < self.interval {
-            return Ok(());
-        }
-        self.last = std::time::Instant::now();
-        self.write(&snap())
-    }
-
-    pub(crate) fn write(&mut self, snap: &MetricsSnapshot) -> CmdResult {
-        super::write_snapshot(&self.path, snap)
-    }
-}
-
-/// The batch ingest loop: records arrive pre-merged in timestamp order
-/// from the capture fan-in, a whole run-extended batch at a time — a
-/// capture batch's worth (`BATCH_RECORDS`), so a batch copied out of
-/// interleaving lanes is still in cache when the sink walks it — and
-/// enter the sink through the batched dissection path; progress gauges
-/// come from the mux's delivered counts.
-/// `after_batch` runs once a batch is in the sink (`merge` syncs its
-/// workers' accounting there).
-pub(crate) fn feed_mux<S: PacketSink>(
-    mux: &mut CaptureMux,
-    sink: &mut S,
-    metrics_file: &mut Option<MetricsFile>,
-    mut after_batch: impl FnMut(),
-) -> CmdResult {
-    let mut batch = RecordBatch::new();
-    loop {
-        let Some(link) = mux.next_batch(&mut batch, BATCH_RECORDS)? else {
-            return Ok(());
-        };
-        sink.push_batch(&batch, link)?;
-        after_batch();
-        if let Some(m) = metrics_file {
-            sink.note_pcap_progress(mux.records_delivered(), mux.bytes_delivered());
-            m.tick(batch.len() as u32, || sink.metrics())?;
-        }
-    }
-}
-
-/// Tear down the fan-in after ingest: surface capture errors, fold
-/// source-side truncation into the sink's gauges, and warn of torn
-/// source tails and full rings on stderr.
-pub(crate) fn finish_mux<S: PacketSink>(mux: CaptureMux, sink: &mut S) -> CmdResult {
-    let truncated = mux.truncated_records();
-    let drops = mux.ring_full_drops();
-    mux.finish()?;
-    sink.note_pcap_truncated(truncated);
-    if truncated > 0 {
-        eprintln!("warning: {truncated} truncated record(s) at source tails ignored");
-    }
-    if drops > 0 {
-        eprintln!("warning: {drops} record(s) dropped at full capture rings (see ring_full_drops)");
-    }
-    Ok(())
-}
 
 /// Parse the `--qoe-*` flags into detector thresholds. `--qoe-watch`
 /// enables the detector with defaults; any explicit threshold flag also
@@ -227,7 +122,7 @@ const FLAGS: FlagSpec = FlagSpec {
 pub fn run(args: &[String]) -> CmdResult {
     reject_shards_flag(args)?;
     let (pos, flags, source_specs) = parse_args(args, &FLAGS)?;
-    reject_features_with_eviction(&flags)?;
+    check_eviction_flags(&flags)?;
     let campus = campus_flag(&flags)?;
     let window = flags.get("window").map(|v| parse_duration(v)).transpose()?;
     let idle_timeout = flags
@@ -280,180 +175,29 @@ pub fn run(args: &[String]) -> CmdResult {
         return run_emit(sources, target, &label, mux_config, trace_out);
     }
 
-    let streaming = window.is_some() || idle_timeout.is_some() || follow;
     if qoe.is_some() && window.is_none() {
-        return Err("--qoe-watch needs --window: the detector evaluates closed windows".into());
+        return Err(CliError::usage(
+            "--qoe-watch needs --window: the detector evaluates closed windows",
+        ));
     }
-    if flags.contains_key("serve") && !streaming {
-        return Err("--serve needs streaming mode (--window, --idle-timeout, or --follow)".into());
-    }
-    if streaming {
-        // Streaming always goes through the capture fan-in, so follow
-        // mode is source-agnostic: every pcap source polls its own file.
-        let sources = build_sources(&pos, &source_specs, follow_cfg)?;
-        return run_streaming(
-            sources,
-            config,
-            window,
-            idle_timeout,
-            qoe,
-            &flags,
-            metrics_file,
-            mux_config,
-            trace_out,
-        );
-    }
-    let sources = build_sources(&pos, &source_specs, None)?;
-    run_batch_mux(sources, config, &flags, metrics_file, mux_config, trace_out)
-}
-
-/// The batch path: the fan-in merges the sources' records into the
-/// analyzer (in-line or through capture threads and rings, see
-/// [`start_capture`]), then the end-of-trace report is printed — the same
-/// bytes however the records were split across sources (see
-/// `tests/multi_source_differential.rs`).
-fn run_batch_mux(
-    sources: Sources,
-    config: AnalyzerConfig,
-    flags: &HashMap<String, String>,
-    mut metrics_file: Option<MetricsFile>,
-    mux_config: MuxConfig,
-    mut trace_out: Option<TraceOutput>,
-) -> CmdResult {
-    let mut analyzer = Analyzer::new(config);
-    let mh = analyzer.metrics_handle();
-    if let Some(t) = &trace_out {
-        t.enable(&mh.trace, "analyze");
-    }
-    let mut mux = start_capture(sources, mux_config, Some(&mh));
-    feed_mux(&mut mux, &mut analyzer, &mut metrics_file, || ())?;
-    finish_mux(mux, &mut analyzer)?;
-    if let Some(m) = &mut metrics_file {
-        m.write(&analyzer.metrics())?;
-    }
-    if let Some(t) = &mut trace_out {
-        t.finish(&mh.trace)?;
-    }
-    print_report(&analyzer, flags)
-}
-
-/// The human-readable (or `--json`) end-of-run report of the batch path
-/// (and of `merge`).
-pub(crate) fn print_report(analyzer: &Analyzer, flags: &HashMap<String, String>) -> CmdResult {
-    if flags.contains_key("json") {
-        println!("{}", analyzer.report().to_json());
-        export_features(analyzer, flags)?;
-        return Ok(());
-    }
-
-    print!("{}", report::render_text(analyzer));
-    export_features(analyzer, flags)?;
-    Ok(())
-}
-
-/// The streaming path: NDJSON window reports as windows close, then the
-/// final report, all on stdout. All sources — including a followed,
-/// still-growing pcap — are merged through the fan-in (captured
-/// concurrently, or read in-line through the same interface, see
-/// [`start_capture`]), so the ingest loop below never knows (or cares)
-/// how many files or simulated taps are behind it.
-#[allow(clippy::too_many_arguments)]
-fn run_streaming(
-    sources: Sources,
-    config: AnalyzerConfig,
-    window: Option<Duration>,
-    idle_timeout: Option<Duration>,
-    qoe: Option<QoeThresholds>,
-    flags: &HashMap<String, String>,
-    mut metrics_file: Option<MetricsFile>,
-    mux_config: MuxConfig,
-    mut trace_out: Option<TraceOutput>,
-) -> CmdResult {
-    let mut engine = StreamingEngine::new(EngineConfig {
+    // Follow mode is source-agnostic: every pcap source polls its own file.
+    let sources = build_sources(&pos, &source_specs, follow_cfg)?;
+    let engine = StreamingEngine::new(EngineConfig {
         analyzer: config,
         window,
         idle_timeout,
         qoe,
     })?;
-
-    // The scrape endpoint holds only the metrics Arc, so it serves live
-    // snapshots for the whole run and stops when the handle drops.
-    let serve_handle = flags
-        .get("serve")
-        .map(|addr| serve::serve(addr.as_str(), engine.metrics_handle()))
-        .transpose()
-        .map_err(|e| format!("--serve: {e}"))?;
-    if let Some(h) = &serve_handle {
-        eprintln!(
-            "serving /metrics, /healthz, and /debug/* on http://{}",
-            h.addr()
-        );
-    }
-
-    let mh = engine.metrics_handle();
-    if let Some(t) = &trace_out {
-        t.enable(&mh.trace, "analyze");
-    }
-    let mut mux = start_capture(sources, mux_config, Some(&mh));
-
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    // next_batch blocks (sleeping) only when nothing is buffered and a
-    // live source is quiet — a followed pcap keeps its lane alive until
-    // its own idle-exit elapses, so follow semantics are per source, not
-    // global — and hands back a partial batch rather than sitting on
-    // buffered records, so window emission latency matches the
-    // per-record loop it replaced.
-    let mut batch = RecordBatch::new();
-    let mut line = String::new();
-    while let Some(link) = mux.next_batch(&mut batch, BATCH_RECORDS)? {
-        engine.push_batch(&batch, link)?;
-        let mut wrote = false;
-        for w in engine.take_windows() {
-            write_window_line(&mut out, &mut line, &w)?;
-            wrote = true;
-        }
-        for a in engine.take_alerts() {
-            writeln!(out, "{}", a.to_json()).map_err(|e| e.to_string())?;
-            wrote = true;
-        }
-        if wrote {
-            // Live followers tail this NDJSON; don't sit on closed
-            // windows while the mux waits for quiet sources.
-            out.flush().map_err(|e| e.to_string())?;
-        }
-        if let Some(m) = &mut metrics_file {
-            engine.note_pcap_progress(mux.records_delivered(), mux.bytes_delivered());
-            m.tick(batch.len() as u32, || engine.metrics())?;
-        }
-        if let Some(t) = &mut trace_out {
-            t.drain(&mh.trace)?;
-        }
-    }
-    finish_mux(mux, &mut engine)?;
-    // Alerts from windows the last pushes closed; drain itself cuts a
-    // partial window the detector deliberately skips.
-    for a in engine.take_alerts() {
-        writeln!(out, "{}", a.to_json()).map_err(|e| e.to_string())?;
-    }
-    let output = engine.drain()?;
-    // The final snapshot is written after drain, when every count has
-    // been published.
-    if let Some(m) = &mut metrics_file {
-        m.write(&output.analyzer.metrics())?;
-    }
-    if let Some(t) = &mut trace_out {
-        t.finish(&mh.trace)?;
-    }
-    write_window_line(&mut out, &mut line, &output.final_window)?;
-    writeln!(out, "{}", output.report.to_json()).map_err(|e| e.to_string())?;
-    out.flush().map_err(|e| e.to_string())?;
-    eprintln!(
-        "streamed {} packets, peak tracked entries {}",
-        output.report.summary.total_packets, output.peak_tracked_entries
-    );
-    export_features(&output.analyzer, flags)?;
-    Ok(())
+    let run = Run {
+        node: "analyze",
+        flags: &flags,
+        mux_config,
+        metrics_file,
+        trace_out,
+        ndjson: window.is_some() || follow,
+        gate: WindowGate::default(),
+    };
+    ingest::run(engine, sources, run, &mut ())
 }
 
 /// The worker half of the distributed tier: capture + deterministic
@@ -562,20 +306,5 @@ fn run_emit(
     if let (Some(t), Some(m)) = (&mut trace_out, &worker_metrics) {
         t.finish(&m.trace)?;
     }
-    Ok(())
-}
-
-/// Optional ML feature export (`--features out.csv`).
-fn export_features(analyzer: &Analyzer, flags: &HashMap<String, String>) -> CmdResult {
-    let Some(path) = flags.get("features") else {
-        return Ok(());
-    };
-    let mut out = std::io::BufWriter::new(
-        std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?,
-    );
-    let total = features::write_csv(&mut out, analyzer.streams().of_type(MediaType::Video))
-        .and_then(|total| out.flush().map(|()| total))
-        .map_err(|e| format!("{path}: {e}"))?;
-    eprintln!("wrote {total} feature rows to {path}");
     Ok(())
 }

@@ -17,38 +17,38 @@
 //! `analyze` uses — spool files read in-line on the merge thread, live
 //! connections behind one capture thread each — so the merged record
 //! order, and therefore the output, is the deterministic `(ts, lane)`
-//! merge the differential suites pin down. The workers' self-reported
-//! accounting is folded into this process's metrics as `zoom_worker_*`
-//! series, and the conservation invariant extends across the wire:
+//! merge the differential suites pin down. The merged stream then runs
+//! through `analyze`'s own analysis loop ([`ingest::run`]), so every
+//! flag the two commands share (`--window`, `--idle-timeout`, `--json`,
+//! `--features`, `--serve`, `--metrics`, `--trace`) prints the same
+//! bytes on both. The workers' self-reported accounting is folded into
+//! this process's metrics as `zoom_worker_*` series after every batch,
+//! and the conservation invariant extends across the wire:
 //! `Σ worker packets == merge packets_in + Σ drops`.
 //!
-//! With `--window` the streaming engine emits NDJSON window reports just
-//! like `analyze --window`; `--checkpoint PATH` then persists a
-//! [`MergeCheckpoint`] after every emitted window, and `--restore`
-//! resumes from one — the replay (same files, or the journal) suppresses
-//! the already-emitted window prefix and continues with bit-identical
-//! output (`docs/DISTRIBUTED.md` has the runbook).
+//! With `--window`, `--checkpoint PATH` persists a [`MergeCheckpoint`]
+//! after every emitted window, and `--restore` resumes from one — the
+//! replay (same files, or the journal) suppresses the already-emitted
+//! window prefix and continues with bit-identical output
+//! (`docs/DISTRIBUTED.md` has the runbook).
 
-use super::analyze::{feed_mux, finish_mux, print_report, MetricsFile};
-use super::sources::{mux_flags, start_capture, Sources};
+use super::ingest::{self, Hooks, MetricsFile, Run};
+use super::sources::{mux_flags, Sources};
 use super::{
-    campus_flag, parse_args, parse_duration, reject_features_with_eviction, reject_shards_flag,
-    write_window_line, CliError, CmdResult, FlagSpec, TraceOutput,
+    campus_flag, check_eviction_flags, parse_args, parse_duration, reject_shards_flag, CliError,
+    CmdResult, FlagSpec, TraceOutput,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write as _};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 use zoom_analysis::dist::{MergeCheckpoint, WindowGate, WorkerMark};
 use zoom_analysis::engine::{EngineConfig, StreamingEngine};
 use zoom_analysis::obs::trace::TraceCollector;
-use zoom_analysis::obs::{link_state, serve, PipelineMetrics, WorkerMetrics};
-use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
-use zoom_analysis::PacketSink;
+use zoom_analysis::obs::{link_state, PipelineMetrics, WorkerMetrics};
+use zoom_analysis::pipeline::AnalyzerConfig;
 use zoom_capture::fragment::{FragmentSource, WorkerAccount};
-use zoom_capture::mux::MuxConfig;
-use zoom_capture::source::{PacketSource, BATCH_RECORDS};
-use zoom_wire::handoff::RecordBatch;
+use zoom_capture::source::PacketSource;
 
 /// A boxed byte stream: a spool file or an accepted worker connection,
 /// optionally teed into the journal.
@@ -144,76 +144,117 @@ fn listen_workers(
     Ok(workers)
 }
 
-/// Copy each worker's latest self-reported totals into its registered
-/// `zoom_worker_*` series. Cheap (a few atomics per worker), so it runs
-/// inline with ingest and once more before every snapshot.
-fn sync_worker_metrics(pairs: &[(Arc<WorkerAccount>, Arc<WorkerMetrics>)]) {
-    use std::sync::atomic::Ordering;
-    for (acc, wm) in pairs {
-        let t = acc.totals();
-        wm.packets.set(t.packets);
-        wm.bytes.set(t.bytes);
-        wm.batches.set(t.batches);
-        wm.ring_full_drops.set(t.ring_full_drops);
-        wm.truncated.set(t.truncated);
-        let received = acc.records_received.load(Ordering::Acquire);
-        let have = wm.records_received.get();
-        if received > have {
-            wm.records_received.add(received - have);
-        }
-        wm.bytes_received
-            .set(acc.bytes_received.load(Ordering::Acquire));
-        let complete = acc.complete.load(Ordering::Acquire);
-        wm.complete.set(u64::from(complete));
-        // Don't regress an ERROR set by the ingest failure path.
-        if wm.link_state.get() != link_state::ERROR {
-            wm.link_state.set(if complete {
-                link_state::DONE
-            } else if received > 0 {
-                link_state::STREAMING
-            } else {
-                link_state::PENDING
-            });
+/// The workers as the analysis loop sees them: each one's account and
+/// its registered `zoom_worker_*` series, and where checkpoints go.
+struct Lanes {
+    workers: Vec<(String, Arc<WorkerAccount>, Arc<WorkerMetrics>)>,
+    checkpoint: Option<String>,
+}
+
+impl Lanes {
+    /// Register every worker against the metrics registry.
+    fn register(
+        metrics: &PipelineMetrics,
+        workers: &[Worker],
+        checkpoint: Option<String>,
+    ) -> Lanes {
+        let workers = workers
+            .iter()
+            .map(|w| {
+                let series = metrics.register_worker(&w.label);
+                (w.label.clone(), Arc::clone(&w.account), series)
+            })
+            .collect();
+        Lanes {
+            workers,
+            checkpoint,
         }
     }
 }
 
-/// Mark every worker that never finished cleanly as errored; called when
-/// the ingest loop surfaces a failure so `/debug/pipeline` and the final
-/// metrics snapshot show which link(s) died.
-fn mark_incomplete_errored(pairs: &[(Arc<WorkerAccount>, Arc<WorkerMetrics>)]) {
-    use std::sync::atomic::Ordering;
-    for (acc, wm) in pairs {
-        if !acc.complete.load(Ordering::Acquire) {
-            wm.link_state.set(link_state::ERROR);
+impl Hooks for Lanes {
+    /// Copy each worker's latest self-reported totals into its
+    /// `zoom_worker_*` series. Cheap (a few atomics per worker), so it
+    /// runs after every batch.
+    fn sync(&mut self) {
+        for (_, acc, wm) in &self.workers {
+            let t = acc.totals();
+            wm.packets.set(t.packets);
+            wm.bytes.set(t.bytes);
+            wm.batches.set(t.batches);
+            wm.ring_full_drops.set(t.ring_full_drops);
+            wm.truncated.set(t.truncated);
+            let received = acc.records_received.load(Ordering::Acquire);
+            let have = wm.records_received.get();
+            if received > have {
+                wm.records_received.add(received - have);
+            }
+            wm.bytes_received
+                .set(acc.bytes_received.load(Ordering::Acquire));
+            let complete = acc.complete.load(Ordering::Acquire);
+            wm.complete.set(u64::from(complete));
+            // Don't regress an ERROR set by `lane_failed`.
+            if wm.link_state.get() != link_state::ERROR {
+                wm.link_state.set(if complete {
+                    link_state::DONE
+                } else if received > 0 {
+                    link_state::STREAMING
+                } else {
+                    link_state::PENDING
+                });
+            }
         }
+    }
+
+    /// Mark every worker that never finished cleanly as errored, so
+    /// `/debug/pipeline` shows which link(s) died.
+    fn lane_failed(&mut self) {
+        for (_, acc, wm) in &self.workers {
+            if !acc.complete.load(Ordering::Acquire) {
+                wm.link_state.set(link_state::ERROR);
+            }
+        }
+    }
+
+    /// Save the checkpoint: windows seen so far and each worker's
+    /// consumed records.
+    fn windows_written(&mut self, gate: &WindowGate) -> CmdResult {
+        let Some(path) = &self.checkpoint else {
+            return Ok(());
+        };
+        let cp = MergeCheckpoint {
+            windows_emitted: gate.windows_seen(),
+            workers: self
+                .workers
+                .iter()
+                .map(|(label, acc, _)| WorkerMark {
+                    label: label.clone(),
+                    consumed: acc.records_received.load(Ordering::Acquire),
+                })
+                .collect(),
+        };
+        cp.save(std::path::Path::new(path))?;
+        Ok(())
+    }
+
+    fn summary(&self, packets: u64, peak_tracked: usize) -> String {
+        format!(
+            "merged {packets} packets from {} worker(s), peak tracked entries {peak_tracked}",
+            self.workers.len()
+        )
     }
 }
 
-/// Register every worker against the metrics registry and return the
-/// (account, series) pairs the ingest loop keeps in sync.
-fn register_workers(
-    metrics: &PipelineMetrics,
-    workers: &[Worker],
-) -> Vec<(Arc<WorkerAccount>, Arc<WorkerMetrics>)> {
-    workers
-        .iter()
-        .map(|w| (Arc::clone(&w.account), metrics.register_worker(&w.label)))
-        .collect()
-}
-
-/// Split the gathered workers into mux lanes plus the label list the
-/// checkpoint records. With a collector, each lane stitches incoming
-/// `Trace` frames into it (worker-side spans join this process's spans
-/// by trace ID) and tags decoded batches for downstream attribution.
-/// Spool files are finite files to the fan-in; `--listen` connections
-/// are live.
+/// Turn the gathered workers into mux lanes. With a collector, each lane
+/// stitches incoming `Trace` frames into it (worker-side spans join this
+/// process's spans by trace ID) and tags decoded batches for downstream
+/// attribution. Spool files are finite files to the fan-in; `--listen`
+/// connections are live.
 fn into_sources(
     workers: Vec<Worker>,
     flags: &HashMap<String, String>,
     trace: Option<&Arc<TraceCollector>>,
-) -> (Sources, Vec<String>) {
-    let labels = workers.iter().map(|w| w.label.clone()).collect();
+) -> Sources {
     let list = workers
         .into_iter()
         .map(|w| match trace {
@@ -222,7 +263,7 @@ fn into_sources(
         })
         .collect();
     let finite_files = !flags.contains_key("listen");
-    (Sources { list, finite_files }, labels)
+    Sources { list, finite_files }
 }
 
 const FLAGS: FlagSpec = FlagSpec {
@@ -251,7 +292,7 @@ const FLAGS: FlagSpec = FlagSpec {
 pub fn run(args: &[String]) -> CmdResult {
     reject_shards_flag(args)?;
     let (files, flags, _) = parse_args(args, &FLAGS)?;
-    reject_features_with_eviction(&flags)?;
+    check_eviction_flags(&flags)?;
     let campus = campus_flag(&flags)?;
     let window = flags.get("window").map(|v| parse_duration(v)).transpose()?;
     let idle_timeout = flags
@@ -321,182 +362,23 @@ pub fn run(args: &[String]) -> CmdResult {
         );
     }
 
-    if window.is_some() || idle_timeout.is_some() {
-        run_streaming_merge(
-            workers,
-            config,
-            window,
-            idle_timeout,
-            gate,
-            checkpoint_path.as_deref(),
-            &flags,
-            metrics_file,
-            mux_config,
-            trace_out,
-        )
-    } else {
-        run_batch_merge(workers, config, &flags, metrics_file, mux_config, trace_out)
-    }
-}
-
-/// Unwindowed merge: the same batch pipeline as `analyze` over the
-/// fragment lanes — its fan-in feed plus the per-batch worker-metrics
-/// sync — ending in the shared report printer.
-fn run_batch_merge(
-    workers: Vec<Worker>,
-    config: AnalyzerConfig,
-    flags: &HashMap<String, String>,
-    mut metrics_file: Option<MetricsFile>,
-    mux_config: MuxConfig,
-    mut trace_out: Option<TraceOutput>,
-) -> CmdResult {
-    let mut analyzer = Analyzer::new(config);
-    let mh = analyzer.metrics_handle();
-    if let Some(t) = &trace_out {
-        t.enable(&mh.trace, "merge");
-    }
-    let pairs = register_workers(&mh, &workers);
-    let (sources, _) = into_sources(workers, flags, trace_out.as_ref().map(|_| &mh.trace));
-    let mut mux = start_capture(sources, mux_config, Some(&mh));
-    let sync = || sync_worker_metrics(&pairs);
-    let fed = feed_mux(&mut mux, &mut analyzer, &mut metrics_file, sync);
-    if fed.is_err() {
-        mark_incomplete_errored(&pairs);
-    }
-    fed?;
-    sync_worker_metrics(&pairs);
-    finish_mux(mux, &mut analyzer)?;
-    if let Some(m) = &mut metrics_file {
-        m.write(&analyzer.metrics())?;
-    }
-    if let Some(t) = &mut trace_out {
-        t.finish(&mh.trace)?;
-    }
-    print_report(&analyzer, flags)
-}
-
-/// Windowed merge: NDJSON window reports exactly as `analyze --window`
-/// prints them, gated for checkpoint restore and checkpointed after
-/// every emitted window.
-#[allow(clippy::too_many_arguments)]
-fn run_streaming_merge(
-    workers: Vec<Worker>,
-    config: AnalyzerConfig,
-    window: Option<Duration>,
-    idle_timeout: Option<Duration>,
-    mut gate: WindowGate,
-    checkpoint_path: Option<&str>,
-    flags: &HashMap<String, String>,
-    mut metrics_file: Option<MetricsFile>,
-    mux_config: MuxConfig,
-    mut trace_out: Option<TraceOutput>,
-) -> CmdResult {
-    let mut engine = StreamingEngine::new(EngineConfig {
+    let engine = StreamingEngine::new(EngineConfig {
         analyzer: config,
         window,
         idle_timeout,
         qoe: None,
     })?;
-
-    let serve_handle = flags
-        .get("serve")
-        .map(|addr| serve::serve(addr.as_str(), engine.metrics_handle()))
-        .transpose()
-        .map_err(|e| CliError::io(format!("--serve: {e}")))?;
-    if let Some(h) = &serve_handle {
-        eprintln!(
-            "serving /metrics, /healthz, and /debug/* on http://{}",
-            h.local_addr()
-        );
-    }
-
     let mh = engine.metrics_handle();
-    if let Some(t) = &trace_out {
-        t.enable(&mh.trace, "merge");
-    }
-    let pairs = register_workers(&mh, &workers);
-    let (sources, labels) = into_sources(workers, flags, trace_out.as_ref().map(|_| &mh.trace));
-    let mut mux = start_capture(sources, mux_config, Some(&mh));
-
-    let save_checkpoint = |gate: &WindowGate| -> Result<(), CliError> {
-        let Some(path) = checkpoint_path else {
-            return Ok(());
-        };
-        use std::sync::atomic::Ordering;
-        let cp = MergeCheckpoint {
-            windows_emitted: gate.windows_seen(),
-            workers: labels
-                .iter()
-                .zip(&pairs)
-                .map(|(label, (acc, _))| WorkerMark {
-                    label: label.clone(),
-                    consumed: acc.records_received.load(Ordering::Acquire),
-                })
-                .collect(),
-        };
-        cp.save(std::path::Path::new(path))?;
-        Ok(())
+    let mut lanes = Lanes::register(&mh, &workers, checkpoint_path);
+    let sources = into_sources(workers, &flags, trace_out.as_ref().map(|_| &mh.trace));
+    let run = Run {
+        node: "merge",
+        flags: &flags,
+        mux_config,
+        metrics_file,
+        trace_out,
+        ndjson: window.is_some(),
+        gate,
     };
-
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let mut batch = RecordBatch::new();
-    let mut line = String::new();
-    loop {
-        let link = match mux.next_batch(&mut batch, BATCH_RECORDS) {
-            Ok(Some(link)) => link,
-            Ok(None) => break,
-            Err(e) => {
-                // Surface which worker link(s) died in /debug/pipeline
-                // and the final snapshot before propagating.
-                mark_incomplete_errored(&pairs);
-                return Err(e.into());
-            }
-        };
-        engine.push_batch(&batch, link)?;
-        sync_worker_metrics(&pairs);
-        let mut wrote = false;
-        for w in engine.take_windows() {
-            if gate.admit() {
-                write_window_line(&mut out, &mut line, &w)?;
-                wrote = true;
-            }
-        }
-        if wrote {
-            out.flush().map_err(|e| e.to_string())?;
-            save_checkpoint(&gate)?;
-        }
-        if let Some(m) = &mut metrics_file {
-            engine.note_pcap_progress(mux.records_delivered(), mux.bytes_delivered());
-            m.tick(batch.len() as u32, || engine.metrics())?;
-        }
-        if let Some(t) = &mut trace_out {
-            t.drain(&mh.trace)?;
-        }
-    }
-    sync_worker_metrics(&pairs);
-    finish_mux(mux, &mut engine)?;
-    let output = engine.drain()?;
-    if let Some(m) = &mut metrics_file {
-        m.write(&output.analyzer.metrics())?;
-    }
-    if let Some(t) = &mut trace_out {
-        t.finish(&mh.trace)?;
-    }
-    write_window_line(&mut out, &mut line, &output.final_window)?;
-    writeln!(out, "{}", output.report.to_json()).map_err(|e| e.to_string())?;
-    out.flush().map_err(|e| e.to_string())?;
-    save_checkpoint(&gate)?;
-    eprintln!(
-        "merged {} packets from {} worker(s), peak tracked entries {}",
-        output.report.summary.total_packets,
-        labels.len(),
-        output.peak_tracked_entries
-    );
-    if let Some(h) = serve_handle {
-        // Graceful: stop accepting scrapes before the process exits so
-        // a scraper mid-request gets a response, not a reset.
-        h.shutdown();
-    }
-    Ok(())
+    ingest::run(engine, sources, run, &mut lanes)
 }

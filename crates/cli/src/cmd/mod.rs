@@ -6,6 +6,7 @@ pub mod capture;
 pub mod discover;
 pub mod dissect;
 pub mod filter;
+pub mod ingest;
 pub mod merge;
 pub mod simulate;
 pub mod sources;
@@ -26,7 +27,7 @@ use zoom_wire::family::{FamilyId, FamilySelect};
 /// | code | meaning                                                |
 /// |------|--------------------------------------------------------|
 /// | 1    | generic runtime failure                                |
-/// | 2    | usage (bad subcommand / malformed arguments)           |
+/// | 2    | usage (bad subcommand, malformed arguments, a flag that needs another) |
 /// | 3    | invalid configuration (bad flag value, bad `--source`) |
 /// | 4    | parse / wire-protocol error (malformed pcap, fragment) |
 /// | 5    | I/O failure (file or socket)                           |
@@ -219,14 +220,28 @@ pub fn reject_shards_flag(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-/// Refuse `--features` together with `--idle-timeout`: a feature row
-/// needs its stream's whole history, and eviction drops the stream, so
-/// every evicted stream's rows would be missing from the CSV.
-pub fn reject_features_with_eviction(flags: &HashMap<String, String>) -> CmdResult {
-    if flags.contains_key("features") && flags.contains_key("idle-timeout") {
+/// Refuse the two `--idle-timeout` combinations that cannot work, with
+/// exit 2, before any input is read:
+///
+/// * with `--features`: a feature row needs its stream's whole history,
+///   and eviction drops the stream, so every evicted stream's rows would
+///   be missing from the CSV;
+/// * without `--window`: eviction runs when a window closes, so on its
+///   own the timeout would never evict anything.
+pub fn check_eviction_flags(flags: &HashMap<String, String>) -> CmdResult {
+    if !flags.contains_key("idle-timeout") {
+        return Ok(());
+    }
+    if flags.contains_key("features") {
         return Err(CliError::usage(
             "--features cannot be combined with --idle-timeout: features need each stream's \
              whole history, and eviction drops evicted streams from the export",
+        ));
+    }
+    if !flags.contains_key("window") {
+        return Err(CliError::usage(
+            "--idle-timeout needs --window: idle streams are evicted when a window closes, \
+             so without windows nothing would be evicted",
         ));
     }
     Ok(())

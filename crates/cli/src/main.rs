@@ -4,19 +4,22 @@
 //! ```text
 //! zoom-tools analyze  [in.pcap] [--source pcap:FILE|sim:SPEC]... [--campus CIDR]
 //!                     [--family auto|zoom|webrtc]
-//!                     [--ring-cap N] [--lossy] [--window DUR]
-//!                     [--idle-timeout DUR] [--follow] [--idle-exit DUR]
+//!                     [--ring-cap N] [--lossy] [--window DUR [--idle-timeout DUR]]
+//!                     [--follow] [--idle-exit DUR] [--qoe-watch]
 //!                     [--json] [--features out.csv] [--serve ADDR]
 //!                     [--metrics out.json|out.prom] [--metrics-interval DUR]
 //!                     [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]
+//!                     [--emit-fragments ADDR|FILE [--worker-label NAME]]
 //! zoom-tools capture  <out.pcap> --source pcap:FILE|sim:SPEC [--source ...]
 //!                     [--campus CIDR] [--family auto|zoom|webrtc]
 //!                     [--anonymize KEY] [--no-filter]
 //!                     [--ring-cap N] [--lossy] [--follow] [--idle-exit DUR]
 //!                     [--metrics out.json|out.prom]
 //! zoom-tools merge    <frags...> | --listen ADDR --workers N [--journal DIR]
-//!                     [--window DUR] [--checkpoint PATH] [--restore]
-//!                     [--json] [--serve ADDR] [--metrics out.json|out.prom]
+//!                     [--window DUR [--idle-timeout DUR]] [--campus CIDR]
+//!                     [--checkpoint PATH] [--restore] [--json] [--features out.csv]
+//!                     [--serve ADDR] [--ring-cap N] [--lossy]
+//!                     [--metrics out.json|out.prom] [--metrics-interval DUR]
 //!                     [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]
 //! zoom-tools dissect  <in.pcap> [--max N] [--family auto|zoom|webrtc]
 //! zoom-tools discover <in.pcap> [--max-offset N]
@@ -25,6 +28,11 @@
 //! zoom-tools simulate <out.pcap> [--seconds N] [--seed N]
 //!                     [--scenario validation|p2p|multi|churn|campus-10x|webrtc]
 //! ```
+//!
+//! `analyze` and `merge` run one analysis loop (`cmd::ingest`): the text
+//! or `--json` report, or with `--window` (`analyze`: or `--follow`) one
+//! NDJSON line per window and the final report; every flag they share
+//! does the same on both.
 //!
 //! Argument parsing is hand-rolled (the workspace deliberately avoids
 //! extra dependencies); every subcommand lives in its own module.
@@ -43,15 +51,17 @@ fn usage() -> ExitCode {
         "usage:\n  \
          zoom-tools analyze  [in.pcap] [--source pcap:FILE|sim:SPEC]... [--campus CIDR]\n  \
                              [--family auto|zoom|webrtc]\n  \
-                             [--ring-cap N] [--lossy] [--window DUR] [--idle-timeout DUR]\n  \
-                             [--follow] [--idle-exit DUR] [--json] [--features out.csv] [--serve ADDR]\n  \
+                             [--ring-cap N] [--lossy] [--window DUR [--idle-timeout DUR]]\n  \
+                             [--follow] [--idle-exit DUR] [--qoe-watch] [--json] [--features out.csv]\n  \
+                             [--serve ADDR]\n  \
                              [--metrics out.json|out.prom] [--metrics-interval DUR]\n  \
                              [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]\n  \
                              [--emit-fragments ADDR|FILE [--worker-label NAME]]\n  \
          zoom-tools merge    <frags...> | --listen ADDR --workers N [--journal DIR]\n  \
-                             [--window DUR] [--idle-timeout DUR] [--campus CIDR]\n  \
-                             [--checkpoint PATH] [--restore] [--json] [--serve ADDR]\n  \
-                             [--ring-cap N] [--lossy] [--metrics out.json|out.prom]\n  \
+                             [--window DUR [--idle-timeout DUR]] [--campus CIDR]\n  \
+                             [--checkpoint PATH] [--restore] [--json] [--features out.csv]\n  \
+                             [--serve ADDR] [--ring-cap N] [--lossy]\n  \
+                             [--metrics out.json|out.prom] [--metrics-interval DUR]\n  \
                              [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]\n  \
          zoom-tools capture  <out.pcap> --source pcap:FILE|sim:SPEC [--source ...] [--campus CIDR]\n  \
                              [--anonymize KEY] [--no-filter] [--ring-cap N] [--lossy]\n  \

@@ -544,3 +544,119 @@ fn bad_usage_fails_cleanly() {
     assert!(!ok);
     assert!(err.contains("--shards was removed"), "{err}");
 }
+
+/// Every flag combination `analyze` and `merge` refuse, with its exit
+/// code and its whole message: 2 where one flag means nothing without
+/// another, 3 for the merge input and checkpoint settings. Each is
+/// refused before any input is opened (the input here does not exist,
+/// which would exit 5) and prints nothing on stdout.
+#[test]
+fn flag_combination_refusals_are_pinned() {
+    let missing = tmp("refusal_missing.pcap");
+    let _ = std::fs::remove_file(&missing);
+    let x = missing.to_str().unwrap();
+    let csv = tmp("refusal.csv");
+    let csv = csv.to_str().unwrap();
+    let features = "--features cannot be combined with --idle-timeout: features need each \
+                    stream's whole history, and eviction drops evicted streams from the export";
+    let idle = "--idle-timeout needs --window: idle streams are evicted when a window closes, \
+                so without windows nothing would be evicted";
+    let qoe = "--qoe-watch needs --window: the detector evaluates closed windows";
+    let sample = "--trace-sample needs --trace FILE or --self-profile FILE";
+    let cases: [(&[&str], i32, &str); 14] = [
+        (&["analyze", x, "--idle-timeout", "2s", "--features", csv], 2, features),
+        (&["analyze", x, "--idle-timeout", "2s"], 2, idle),
+        (&["analyze", x, "--follow", "--idle-timeout", "2s"], 2, idle),
+        (&["analyze", x, "--qoe-watch"], 2, qoe),
+        (&["analyze", x, "--qoe-fps-floor", "5"], 2, qoe),
+        (&["analyze", x, "--trace-sample", "4"], 3, sample),
+        (&["merge", x, "--idle-timeout", "2s", "--features", csv], 2, features),
+        (&["merge", x, "--idle-timeout", "2s"], 2, idle),
+        (&["merge", x, "--restore"], 3, "--restore needs --checkpoint PATH"),
+        (
+            &["merge", x, "--checkpoint", csv],
+            3,
+            "--checkpoint needs --window: only windowed output can be resumed incrementally",
+        ),
+        (
+            &["merge", x, "--listen", "127.0.0.1:0", "--workers", "1"],
+            3,
+            "--listen and positional fragment files are mutually exclusive",
+        ),
+        (&["merge", "--listen", "127.0.0.1:0"], 3, "merge --listen needs --workers N"),
+        (&["merge", x, "--trace-sample", "4"], 3, sample),
+        (
+            &["merge"],
+            3,
+            "no input: give fragment files or --listen ADDR --workers N",
+        ),
+    ];
+    for (args, code, message) in cases {
+        let (out, err, got) = run_code(args);
+        assert_eq!(got, Some(code), "{args:?}: {err}");
+        assert_eq!(err, format!("error: {message}\n"), "{args:?}");
+        assert!(out.is_empty(), "{args:?}: {out}");
+    }
+    assert!(!std::path::Path::new(csv).exists());
+}
+
+/// A one-worker spool of a trace and the trace itself, each run through
+/// its command: the same stdout and the same `--features` CSV, windowed
+/// or not, and `--serve` up on both without a window.
+#[test]
+fn merge_of_a_spool_prints_what_analyze_prints() {
+    let raw = tmp("route_churn.pcap");
+    let spool = tmp("route_churn.zfrg");
+    let (_, err, ok) = run(&[
+        "simulate",
+        raw.to_str().unwrap(),
+        "--seconds",
+        "20",
+        "--seed",
+        "3",
+        "--scenario",
+        "churn",
+    ]);
+    assert!(ok, "simulate failed: {err}");
+    let pcap = raw.to_str().unwrap();
+    let spool = spool.to_str().unwrap();
+    let (_, err, ok) = run(&["analyze", pcap, "--emit-fragments", spool]);
+    assert!(ok, "emit failed: {err}");
+
+    for (name, flags) in [
+        ("batch", &[][..]),
+        ("windowed", &["--window", "1s"][..]),
+    ] {
+        let by_analyze = tmp(&format!("route_{name}_analyze.csv"));
+        let by_merge = tmp(&format!("route_{name}_merge.csv"));
+        let (out_a, err_a, ok_a) = run(&[
+            &["analyze", pcap][..],
+            flags,
+            &["--features", by_analyze.to_str().unwrap()],
+        ]
+        .concat());
+        let (out_m, err_m, ok_m) = run(&[
+            &["merge", spool][..],
+            flags,
+            &["--features", by_merge.to_str().unwrap()],
+        ]
+        .concat());
+        assert!(ok_a && ok_m, "{name}: {err_a} / {err_m}");
+        assert!(out_a == out_m, "{name}: stdout differs");
+        let csv = std::fs::read(&by_analyze).unwrap();
+        assert!(csv.split(|b| *b == b'\n').count() > 100, "{name}");
+        assert!(csv == std::fs::read(&by_merge).unwrap(), "{name}: CSVs differ");
+    }
+
+    let (json, _, ok) = run(&["analyze", pcap, "--json"]);
+    assert!(ok);
+    for args in [&["analyze", pcap][..], &["merge", spool]] {
+        let (out, err, ok) = run(&[args, &["--json", "--serve", "127.0.0.1:0"]].concat());
+        assert!(ok, "{args:?}: {err}");
+        assert!(
+            err.starts_with("serving /metrics, /healthz, and /debug/* on http://127.0.0.1:"),
+            "{args:?}: {err}"
+        );
+        assert_eq!(out, json, "{args:?}");
+    }
+}

@@ -242,6 +242,52 @@ impl StreamingEngine {
         self.analyzer.metrics_handle()
     }
 
+    /// Ingest a capture hand-off batch — [`PacketSink::push_batch`],
+    /// callable without the trait in scope. Windows the batch closes wait
+    /// in [`take_windows`](Self::take_windows).
+    pub fn push_batch(&mut self, batch: &RecordBatch, link: LinkType) -> Result<(), Error> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let t0 = Instant::now();
+        let StreamingEngine { analyzer, clock } = self;
+        // Windows closed while this batch streams in attribute their emit
+        // spans to this batch's trace (the analyzer notes it).
+        analyzer.push_batch_with(batch, link, |a, ts| clock.before_record(a, ts));
+        if batch.trace_id != 0 {
+            clock.metrics.trace.record(
+                batch.trace_id,
+                spans::ENGINE_PUSH,
+                "engine",
+                batch.len() as u64,
+                t0.elapsed().as_nanos() as u64,
+            );
+        }
+        Ok(())
+    }
+
+    /// Every window closed and not yet taken, oldest first.
+    pub fn take_windows(&mut self) -> Vec<WindowReport> {
+        std::mem::take(&mut self.clock.closed)
+    }
+
+    /// Snapshot of the engine's registry ([`PacketSink::metrics`]).
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.analyzer.metrics()
+    }
+
+    /// The capture side's torn-tail count
+    /// ([`PacketSink::note_pcap_truncated`]).
+    pub fn note_pcap_truncated(&mut self, records: u64) {
+        self.analyzer.note_pcap_truncated(records);
+    }
+
+    /// The capture side's delivery progress
+    /// ([`PacketSink::note_pcap_progress`]).
+    pub fn note_pcap_progress(&mut self, records: u64, bytes: u64) {
+        self.analyzer.note_pcap_progress(records, bytes);
+    }
+
     /// Feed one packet from a borrowed byte slice and return every window
     /// closed and not yet taken — [`PacketSink::push`] followed by
     /// [`PacketSink::take_windows`]. The bytes are analyzed where they
@@ -616,40 +662,23 @@ impl PacketSink for StreamingEngine {
     }
 
     fn push_batch(&mut self, batch: &RecordBatch, link: LinkType) -> Result<(), Error> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let t0 = Instant::now();
-        let StreamingEngine { analyzer, clock } = self;
-        // Windows closed while this batch streams in attribute their emit
-        // spans to this batch's trace (the analyzer notes it).
-        analyzer.push_batch_with(batch, link, |a, ts| clock.before_record(a, ts));
-        if batch.trace_id != 0 {
-            clock.metrics.trace.record(
-                batch.trace_id,
-                spans::ENGINE_PUSH,
-                "engine",
-                batch.len() as u64,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        Ok(())
+        StreamingEngine::push_batch(self, batch, link)
     }
 
     fn take_windows(&mut self) -> Vec<WindowReport> {
-        std::mem::take(&mut self.clock.closed)
+        StreamingEngine::take_windows(self)
     }
 
     fn metrics(&self) -> MetricsSnapshot {
-        self.analyzer.metrics()
+        StreamingEngine::metrics(self)
     }
 
     fn note_pcap_truncated(&mut self, records: u64) {
-        self.analyzer.note_pcap_truncated(records);
+        StreamingEngine::note_pcap_truncated(self, records);
     }
 
     fn note_pcap_progress(&mut self, records: u64, bytes: u64) {
-        self.analyzer.note_pcap_progress(records, bytes);
+        StreamingEngine::note_pcap_progress(self, records, bytes);
     }
 
     fn finish(self) -> Result<AnalysisReport, Error> {

@@ -72,13 +72,6 @@ impl ServeHandle {
         self.addr
     }
 
-    /// Alias for [`addr`](Self::addr) matching the std
-    /// `TcpListener::local_addr` spelling — both the merge service and
-    /// `analyze --serve` log this after binding port 0.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// Stop accepting connections and join the server thread.
     pub fn shutdown(mut self) {
         self.stop_and_join();

@@ -22,7 +22,6 @@ use zoom_analysis::engine::{EngineConfig, EngineOutput, StreamingEngine};
 use zoom_analysis::obs::trace::{spans, TraceCollector};
 use zoom_analysis::pipeline::AnalyzerConfig;
 use zoom_analysis::report::WindowReport;
-use zoom_analysis::PacketSink;
 use zoom_capture::fragment::FragmentSource;
 use zoom_capture::mux::{CaptureMux, MuxConfig, Overflow};
 use zoom_capture::source::PacketSource;

@@ -132,8 +132,6 @@ pub struct FilterSummary {
     pub written_bytes: u64,
     /// Σ records the sources dropped at torn tails.
     pub truncated: u64,
-    /// Σ records dropped at full hand-off rings.
-    pub ring_full_drops: u64,
     /// Capture-side counters per source, in lane order.
     pub lanes: Vec<LaneStats>,
 }
@@ -164,7 +162,6 @@ pub fn filter_to_pcap<W: Write>(
         written,
         written_bytes,
         truncated: mux.truncated_records(),
-        ring_full_drops: mux.ring_full_drops(),
         lanes: (0..mux.sources()).map(|i| mux.lane_stats(i)).collect(),
     };
     mux.finish()?;

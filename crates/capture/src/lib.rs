@@ -23,14 +23,14 @@
 //! ingest front-end that feeds the analysis engine (`docs/CAPTURE.md`):
 //!
 //! * [`source`] — the [`PacketSource`](source::PacketSource) abstraction
-//!   with pcap-file, in-memory replay, and simulated AF_PACKET-style
-//!   live-ring adapters,
-//! * [`ring`] — the bounded lock-free SPSC ring used for every
-//!   capture→analysis hand-off,
+//!   with pcap-file and iterator (simulated tap, in-memory replay)
+//!   adapters,
+//! * [`ring`] — the bounded lock-free SPSC ring behind every capture
+//!   thread's hand-off,
 //! * [`mux`] — the N-sources→one-engine fan-in
-//!   ([`CaptureMux`](mux::CaptureMux)): one capture thread per source,
-//!   a deterministic timestamp merge on the consuming side, and exact
-//!   `ring_full_drops` accounting threaded into
+//!   ([`CaptureMux`](mux::CaptureMux)): each source read in-line or on a
+//!   capture thread of its own, a deterministic, lossless timestamp merge
+//!   drained a batch at a time, and per-source accounting threaded into
 //!   [`zoom_analysis::obs`],
 //! * [`filter`] — the one loop from a fan-in through the filter to an
 //!   output pcap ([`filter_to_pcap`](filter::filter_to_pcap)), behind both

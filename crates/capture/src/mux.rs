@@ -1,37 +1,33 @@
-//! N-sources → one-engine fan-in with bounded lock-free hand-off.
+//! N-sources → one-engine fan-in, lossless, drained a batch at a time.
 //!
-//! [`CaptureMux`] runs one capture thread per [`PacketSource`]
-//! ([`CaptureMux::start`]; sources that never make their reader wait —
-//! finite files — or a lone lossless one can instead be read in-line on
-//! the consumer's thread, [`CaptureMux::inline`]). Each
-//! thread pulls record batches off its source and offers them to the
-//! analysis side through a bounded SPSC ring ([`crate::ring`]), so
-//! **capture never blocks on analysis**: when the ring is full the
-//! thread either drops the batch with exact accounting
-//! ([`Overflow::Drop`], live semantics — the drop lands in
-//! `ring_full_drops` and stays inside the conservation invariant) or
-//! holds it and retries ([`Overflow::Block`], lossless replay semantics
-//! for trace files, where the "capture" can wait because the data
-//! already sits on disk).
+//! [`CaptureMux`] reads each [`PacketSource`] either in-line on the
+//! consumer's thread ([`CaptureMux::inline`]: no thread, no ring) or on a
+//! capture thread of its own that hands batches over through a bounded
+//! SPSC ring ([`crate::ring`]; [`CaptureMux::start`]).
+//! [`CaptureMux::with_lanes`] picks per source. A capture thread whose ring
+//! is full waits for the consumer: every input the toolchain reads — a
+//! file, a followed file, a generator, a worker connection — can wait, so
+//! the fan-in never drops a record. Exhausted batches are recycled back to
+//! their filler, so the steady state allocates nothing on either side.
 //!
 //! The consuming side merges the per-source streams into one
 //! deterministic, timestamp-ordered record sequence: the next record is
 //! always the minimum `(ts_nanos, lane_index)` across lanes, which is
 //! what makes an N-source run byte-identical to the equivalent
 //! single-source run (pinned by `tests/multi_source_differential.rs`).
-//! Exhausted batches are recycled back to their capture thread through a
-//! second ring, so the steady state allocates nothing on either side.
+//! [`CaptureMux::next_batch`] is the one drain: each merge scan yields a
+//! whole run of the winning lane's records.
 //!
-//! Per-source accounting (`packets`, `bytes`, `batches`,
-//! `ring_full_drops`) is threaded into a
-//! [`zoom_analysis::obs::PipelineMetrics`] registry when one is supplied
-//! to [`CaptureMux::start`], extending the pipeline's conservation
-//! invariant upstream over capture (see
+//! Per-source accounting (`packets`, `bytes`, `batches`) is threaded into
+//! a [`zoom_analysis::obs::PipelineMetrics`] registry when one is
+//! supplied, extending the pipeline's conservation invariant upstream
+//! over capture (see
 //! [`MetricsSnapshot::conservation_holds`](zoom_analysis::obs::MetricsSnapshot::conservation_holds)).
 //!
 //! ```
 //! use zoom_capture::mux::{CaptureMux, MuxConfig};
 //! use zoom_capture::source::ReplaySource;
+//! use zoom_wire::handoff::RecordBatch;
 //! use zoom_wire::pcap::{LinkType, Record};
 //!
 //! let even: Vec<Record> = (0..4).map(|i| Record::full(2 * i, vec![0; 60])).collect();
@@ -44,9 +40,10 @@
 //!     MuxConfig::default(),
 //!     None,
 //! );
+//! let mut batch = RecordBatch::new();
 //! let mut ts = Vec::new();
-//! while let Some(r) = mux.next_record()? {
-//!     ts.push(r.ts_nanos);
+//! while mux.next_batch(&mut batch, 128)?.is_some() {
+//!     ts.extend(batch.iter().map(|r| r.ts_nanos));
 //! }
 //! assert_eq!(ts, vec![0, 1, 2, 3, 4, 5, 6, 7]); // merged in time order
 //! mux.finish()?;
@@ -63,46 +60,27 @@ use zoom_analysis::obs::{LaneKind, PipelineMetrics, SourceMetrics};
 use zoom_wire::handoff::RecordBatch;
 use zoom_wire::pcap::LinkType;
 
-/// What a capture thread does when its hand-off ring is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Overflow {
-    /// Hold the batch and retry until the consumer frees a slot —
-    /// lossless, for replaying trace files where the producer can wait.
-    Block,
-    /// Drop the batch and count every record in `ring_full_drops` —
-    /// live-capture semantics: the tap keeps up, the monitor owns the
-    /// loss and accounts for it.
-    Drop,
-}
-
 /// Fan-in tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct MuxConfig {
-    /// Hand-off ring depth per source, in batches (not records). With
-    /// `BATCH_RECORDS`-sized batches the default of 8 buffers ~1k
+    /// Hand-off ring depth per capture thread, in batches (not records).
+    /// With `BATCH_RECORDS`-sized batches the default of 8 buffers ~1k
     /// records per source; see `docs/CAPTURE.md` for the sizing math.
     pub ring_capacity: usize,
-    /// Full-ring policy; [`Overflow::Block`] by default (file replay).
-    pub overflow: Overflow,
 }
 
 impl Default for MuxConfig {
     fn default() -> MuxConfig {
-        MuxConfig {
-            ring_capacity: 8,
-            overflow: Overflow::Block,
-        }
+        MuxConfig { ring_capacity: 8 }
     }
 }
 
-/// Capture-thread-side counters for one lane, read by the consumer for
-/// stats and by tests for exact drop accounting.
+/// Capture-side counters for one lane, read by the consumer for stats.
 #[derive(Debug, Default)]
 struct LaneCounters {
     packets: AtomicU64,
     bytes: AtomicU64,
     batches: AtomicU64,
-    ring_full_drops: AtomicU64,
     truncated: AtomicU64,
 }
 
@@ -122,32 +100,14 @@ struct LaneShared {
 pub struct LaneStats {
     /// The source's display label.
     pub label: String,
-    /// Records the capture thread pulled off the source.
+    /// Records read off the source.
     pub packets: u64,
     /// Captured bytes across those records.
     pub bytes: u64,
-    /// Batches handed to (or dropped at) the ring.
+    /// Batches read off the source.
     pub batches: u64,
-    /// Records dropped at a full ring ([`Overflow::Drop`] only).
-    pub ring_full_drops: u64,
     /// Records the source itself dropped (e.g. a torn pcap tail).
     pub truncated: u64,
-}
-
-/// One record borrowed from the merged stream, tagged with its lane.
-#[derive(Debug, Clone, Copy)]
-pub struct MuxRecord<'a> {
-    /// Capture timestamp in nanoseconds.
-    pub ts_nanos: u64,
-    /// Original on-the-wire length.
-    pub orig_len: u32,
-    /// The producing source's link type.
-    pub link: LinkType,
-    /// Index of the producing source (order given to
-    /// [`CaptureMux::start`]).
-    pub source: usize,
-    /// Captured bytes, borrowed from the lane's current batch.
-    pub data: &'a [u8],
 }
 
 /// Where a lane's batches come from.
@@ -336,54 +296,60 @@ impl CaptureMux {
         config: MuxConfig,
         metrics: Option<&PipelineMetrics>,
     ) -> CaptureMux {
-        let capacity = config.ring_capacity.max(1);
-        let lanes = sources.into_iter().map(|source| {
-            Lane::new(source, metrics, LaneKind::Threaded, |source, shared| {
-                let (tx, rx) = ring::spsc::<RecordBatch>(capacity);
-                let (recycle_tx, recycle_rx) = ring::spsc::<RecordBatch>(capacity + 2);
-                let shared = Arc::clone(shared);
-                let thread = std::thread::spawn(move || {
-                    capture_thread(source, tx, recycle_rx, shared, config.overflow)
-                });
-                Feed::Thread {
-                    rx,
-                    recycle_tx,
-                    thread: Some(thread),
-                }
-            })
-        });
-        CaptureMux {
-            lanes: lanes.collect(),
-            delivered: 0,
-            delivered_bytes: 0,
-        }
+        let lanes = sources.into_iter().map(|s| (s, LaneKind::Threaded));
+        CaptureMux::with_lanes(lanes.collect(), config, metrics)
     }
 
     /// A fan-in that spawns nothing: every source is read on the thread
-    /// that calls [`next_batch`](CaptureMux::next_batch) /
-    /// [`next_record`](CaptureMux::next_record), straight into the arena
-    /// the merge scan then draws from (and, when nothing interleaves with
-    /// it, hands to the caller). Same records, same order, same accounting
-    /// as [`start`](CaptureMux::start) over the same sources under
-    /// [`Overflow::Block`] — there a capture thread waits for the consumer
-    /// anyway, so all the thread buys is read-ahead on a second core, and
-    /// only when the scheduler grants one. In-line, a pass costs the same
-    /// wall time whether it gets one core or two. Meant for one source, or
-    /// for sources that always have their next batch ready (finite files):
-    /// a quiet live source paces its poll by sleeping, and in-line that
-    /// sleep stalls every lane. Nothing is ever dropped (`ring_full_drops`
-    /// stays 0) and the ring gauges and `ring_enqueue` / `ring_dequeue`
-    /// spans do not appear: there is no ring.
+    /// that calls [`next_batch`](CaptureMux::next_batch), straight into the
+    /// arena the merge scan then draws from (and, when nothing interleaves
+    /// with it, hands to the caller). Same records, same order, same
+    /// accounting as [`start`](CaptureMux::start) over the same sources —
+    /// there a capture thread waits for the consumer anyway, so all the
+    /// thread buys is read-ahead on a second core, and only when the
+    /// scheduler grants one. In-line, a pass costs the same wall time
+    /// whether it gets one core or two. Meant for sources that always have
+    /// their next batch ready (files, generators), plus at most one that
+    /// may make its reader wait: a quiet followed file paces its poll by
+    /// sleeping, and in-line that sleep stalls every lane. The ring gauges
+    /// and `ring_enqueue` / `ring_dequeue` spans do not appear: there is no
+    /// ring.
     pub fn inline(
         sources: Vec<Box<dyn PacketSource>>,
         metrics: Option<&PipelineMetrics>,
     ) -> CaptureMux {
-        let lanes = sources.into_iter().map(|source| {
-            Lane::new(source, metrics, LaneKind::Inline, |source, _| {
-                Feed::Inline {
+        let lanes = sources.into_iter().map(|s| (s, LaneKind::Inline));
+        CaptureMux::with_lanes(lanes.collect(), MuxConfig::default(), metrics)
+    }
+
+    /// A fan-in whose every source is read as its [`LaneKind`] says: on a
+    /// capture thread behind a ring of `config.ring_capacity` batches, or
+    /// in-line (see [`inline`](CaptureMux::inline)). Lane order, merge
+    /// order and accounting do not depend on the kinds.
+    pub fn with_lanes(
+        sources: Vec<(Box<dyn PacketSource>, LaneKind)>,
+        config: MuxConfig,
+        metrics: Option<&PipelineMetrics>,
+    ) -> CaptureMux {
+        let capacity = config.ring_capacity.max(1);
+        let lanes = sources.into_iter().map(|(source, kind)| {
+            Lane::new(source, metrics, kind, |source, shared| match kind {
+                LaneKind::Inline => Feed::Inline {
                     source,
                     spare: RecordBatch::new(),
                     live: true,
+                },
+                LaneKind::Threaded => {
+                    let (tx, rx) = ring::spsc::<RecordBatch>(capacity);
+                    let (recycle_tx, recycle_rx) = ring::spsc::<RecordBatch>(capacity + 2);
+                    let shared = Arc::clone(shared);
+                    let thread =
+                        std::thread::spawn(move || capture_thread(source, tx, recycle_rx, shared));
+                    Feed::Thread {
+                        rx,
+                        recycle_tx,
+                        thread: Some(thread),
+                    }
                 }
             })
         });
@@ -394,65 +360,12 @@ impl CaptureMux {
         }
     }
 
-    /// The next record in merged timestamp order, blocking while a live
-    /// lane is momentarily empty (analysis may wait for capture; never
-    /// the reverse). `Ok(None)` once every source is exhausted.
-    pub fn next_record(&mut self) -> Result<Option<MuxRecord<'_>>, SourceError> {
-        let best = loop {
-            let mut best: Option<(u64, usize)> = None;
-            let mut waiting = false;
-            for i in 0..self.lanes.len() {
-                let lane = &mut self.lanes[i];
-                if lane.done {
-                    continue;
-                }
-                if !lane.refill()? {
-                    if !lane.done {
-                        waiting = true;
-                    }
-                    continue;
-                }
-                let ts = lane.peek_ts().expect("refill returned true");
-                if best.map(|(bts, _)| ts < bts).unwrap_or(true) {
-                    best = Some((ts, i));
-                }
-            }
-            if waiting {
-                // Some live lane has nothing buffered yet: emitting from
-                // another lane now could break global timestamp order
-                // (the quiet lane may still produce an older record), so
-                // strict (ts, lane) determinism means waiting for it.
-                std::thread::sleep(Duration::from_micros(50));
-                continue;
-            }
-            match best {
-                Some((_, i)) => break i,
-                None => return Ok(None),
-            }
-        };
-        let lane = &mut self.lanes[best];
-        let (batch, cursor) = lane.current.as_mut().expect("refill succeeded");
-        let idx = *cursor;
-        *cursor += 1;
-        let r = batch.get(idx).expect("cursor in bounds");
-        self.delivered += 1;
-        self.delivered_bytes += r.data.len() as u64;
-        Ok(Some(MuxRecord {
-            ts_nanos: r.ts_nanos,
-            orig_len: r.orig_len,
-            link: lane.link,
-            source: best,
-            data: r.data,
-        }))
-    }
-
     /// Fill `out` with the next run of merged records, up to `max` (and,
     /// where records are copied, up to [`BATCH_BYTES`] like every source's
-    /// own batches), and return their (shared) link type. Record order is
-    /// exactly [`CaptureMux::next_record`]'s strict `(ts, lane)` merge
-    /// order — a batched drain is record-for-record identical to a
-    /// per-record drain (pinned by tests) — but each merge scan is
-    /// amortized over a whole *run* of records from the winning lane.
+    /// own batches), and return their (shared) link type. Records come in
+    /// strict `(ts, lane)` merge order whatever `max` is — `max` = 1 is a
+    /// per-record drain — and each merge scan is amortized over a whole
+    /// *run* of records from the winning lane.
     ///
     /// When that run is the winning lane's whole untouched capture batch
     /// (always, with one source), the batch is **handed over** instead of
@@ -467,7 +380,8 @@ impl CaptureMux {
     /// `PacketSink::push_batch`), or when a live lane is momentarily
     /// empty — strict ordering forbids emitting past it, and handing
     /// the partial batch to the caller beats sleeping on buffered work.
-    /// Blocks (like `next_record`) only when nothing is buffered at all;
+    /// Blocks only when nothing is buffered at all (analysis may wait for
+    /// capture; never the reverse);
     /// `Ok(None)` once every source is exhausted.
     pub fn next_batch(
         &mut self,
@@ -595,14 +509,6 @@ impl CaptureMux {
             .sum()
     }
 
-    /// Σ records dropped at full hand-off rings.
-    pub fn ring_full_drops(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.shared.counters.ring_full_drops.load(Ordering::Acquire))
-            .sum()
-    }
-
     /// Capture-side counters for lane `i`.
     pub fn lane_stats(&self, i: usize) -> LaneStats {
         let lane = &self.lanes[i];
@@ -612,7 +518,6 @@ impl CaptureMux {
             packets: c.packets.load(Ordering::Acquire),
             bytes: c.bytes.load(Ordering::Acquire),
             batches: c.batches.load(Ordering::Acquire),
-            ring_full_drops: c.ring_full_drops.load(Ordering::Acquire),
             truncated: c.truncated.load(Ordering::Acquire),
         }
     }
@@ -679,21 +584,16 @@ fn note_read(shared: &LaneShared, label: &str, batch: &mut RecordBatch, read_sta
 }
 
 /// The per-source capture loop: fill a (recycled) batch, account it,
-/// offer it to the ring under the overflow policy, repeat until the
-/// source is exhausted or the consumer is gone.
+/// push it to the ring — waiting while the ring is full — and repeat until
+/// the source is exhausted or the consumer is gone.
 fn capture_thread(
     mut source: Box<dyn PacketSource>,
     mut tx: Producer<RecordBatch>,
     mut recycle_rx: Consumer<RecordBatch>,
     shared: Arc<LaneShared>,
-    overflow: Overflow,
 ) {
-    let mut spare: Option<RecordBatch> = None;
     loop {
-        let mut batch = spare
-            .take()
-            .or_else(|| recycle_rx.try_pop())
-            .unwrap_or_default();
+        let mut batch = recycle_rx.try_pop().unwrap_or_default();
         batch.clear();
         let read_start = Instant::now();
         let live = match source.next_batch(&mut batch) {
@@ -705,43 +605,31 @@ fn capture_thread(
         };
         if !batch.is_empty() {
             let n = batch.len() as u64;
-            let c = &shared.counters;
             note_read(&shared, source.label(), &mut batch, read_start);
             let traced = batch.trace_id;
             let enqueue_start = Instant::now();
-            match offer(&mut tx, batch, overflow) {
-                Offered::Delivered => {
-                    if let Some(obs) = &shared.obs {
-                        // Occupancy right after our own push: exact from
-                        // this side, racy-but-monotone for the peak.
-                        let occ = tx.len() as u64;
-                        obs.ring_occupancy.set(occ);
-                        obs.ring_occupancy_hwm.set_max(occ);
-                    }
-                    if traced != 0 {
-                        if let Some(tc) = &shared.trace {
-                            // Under Overflow::Block this includes the
-                            // time spent waiting for a slot — which is
-                            // exactly the backpressure we want visible.
-                            tc.record(
-                                traced,
-                                spans::RING_ENQUEUE,
-                                source.label(),
-                                n,
-                                enqueue_start.elapsed().as_nanos() as u64,
-                            );
-                        }
-                    }
+            if !push_waiting(&mut tx, batch) {
+                break; // consumer gone
+            }
+            if let Some(obs) = &shared.obs {
+                // Occupancy right after our own push: exact from this
+                // side, racy-but-monotone for the peak.
+                let occ = tx.len() as u64;
+                obs.ring_occupancy.set(occ);
+                obs.ring_occupancy_hwm.set_max(occ);
+            }
+            if traced != 0 {
+                if let Some(tc) = &shared.trace {
+                    // Includes the time spent waiting for a slot — which
+                    // is exactly the backpressure we want visible.
+                    tc.record(
+                        traced,
+                        spans::RING_ENQUEUE,
+                        source.label(),
+                        n,
+                        enqueue_start.elapsed().as_nanos() as u64,
+                    );
                 }
-                Offered::Dropped(mut b) => {
-                    c.ring_full_drops.fetch_add(n, Ordering::AcqRel);
-                    if let Some(obs) = &shared.obs {
-                        obs.ring_full_drops.add(n);
-                    }
-                    b.clear();
-                    spare = Some(b);
-                }
-                Offered::ConsumerGone => break,
             }
         } else if tx.is_closed() {
             break;
@@ -757,35 +645,16 @@ fn capture_thread(
     // Dropping `tx` marks the lane closed once drained.
 }
 
-enum Offered {
-    Delivered,
-    Dropped(RecordBatch),
-    ConsumerGone,
-}
-
-fn offer(tx: &mut Producer<RecordBatch>, batch: RecordBatch, overflow: Overflow) -> Offered {
-    match overflow {
-        Overflow::Drop => match tx.try_push(batch) {
-            Ok(()) => Offered::Delivered,
-            Err(b) if tx.is_closed() => {
-                drop(b);
-                Offered::ConsumerGone
-            }
-            Err(b) => Offered::Dropped(b),
-        },
-        Overflow::Block => {
-            let mut pending = batch;
-            loop {
-                match tx.try_push(pending) {
-                    Ok(()) => return Offered::Delivered,
-                    Err(b) => {
-                        if tx.is_closed() {
-                            return Offered::ConsumerGone;
-                        }
-                        pending = b;
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
-                }
+/// Pushes `batch`, retrying while the ring is full; false once the
+/// consumer is gone.
+fn push_waiting(tx: &mut Producer<RecordBatch>, mut batch: RecordBatch) -> bool {
+    loop {
+        match tx.try_push(batch) {
+            Ok(()) => return true,
+            Err(_) if tx.is_closed() => return false,
+            Err(back) => {
+                batch = back;
+                std::thread::sleep(Duration::from_micros(100));
             }
         }
     }
@@ -803,101 +672,66 @@ mod tests {
             .collect()
     }
 
-    fn mux_of(parts: Vec<Vec<u64>>, config: MuxConfig) -> CaptureMux {
-        let sources: Vec<Box<dyn PacketSource>> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(i, ts)| {
-                Box::new(ReplaySource::new(
-                    &format!("replay:{i}"),
-                    LinkType::Ethernet,
-                    records(ts),
-                )) as Box<dyn PacketSource>
-            })
-            .collect();
-        CaptureMux::start(sources, config, None)
+    /// Capture threads over `parts`, lane `i` stamped as
+    /// [`stamped_sources`] stamps it.
+    fn mux_of(parts: &[Vec<u64>], config: MuxConfig) -> CaptureMux {
+        CaptureMux::start(stamped_sources(parts, false), config, None)
+    }
+
+    /// Drains `mux` `max` records at a most: each record's timestamp and
+    /// its first byte (the lane, for [`stamped_sources`]).
+    fn drain_stamped(mux: &mut CaptureMux, max: usize) -> Vec<(u64, u8)> {
+        let mut out = Vec::new();
+        let mut batch = RecordBatch::new();
+        while mux.next_batch(&mut batch, max).unwrap().is_some() {
+            out.extend(batch.iter().map(|r| (r.ts_nanos, r.data[0])));
+        }
+        out
     }
 
     fn drain_ts(mux: &mut CaptureMux) -> Vec<u64> {
-        let mut out = Vec::new();
-        while let Some(r) = mux.next_record().unwrap() {
-            out.push(r.ts_nanos);
-        }
-        out
+        drain_stamped(mux, MUX_MAX).into_iter().map(|(ts, _)| ts).collect()
     }
 
     #[test]
     fn merge_is_globally_time_ordered() {
         let mut mux = mux_of(
-            vec![vec![0, 3, 6, 9], vec![1, 4, 7], vec![2, 5, 8]],
+            &[vec![0, 3, 6, 9], vec![1, 4, 7], vec![2, 5, 8]],
             MuxConfig::default(),
         );
         assert_eq!(mux.sources(), 3);
         assert_eq!(drain_ts(&mut mux), (0..10).collect::<Vec<_>>());
         assert_eq!(mux.records_delivered(), 10);
-        assert_eq!(mux.ring_full_drops(), 0);
         mux.finish().unwrap();
     }
 
     #[test]
     fn timestamp_ties_break_by_lane_index() {
-        let mut mux = mux_of(vec![vec![5, 5], vec![5, 5]], MuxConfig::default());
-        let mut lanes = Vec::new();
-        while let Some(r) = mux.next_record().unwrap() {
-            lanes.push(r.source);
+        for max in [1, MUX_MAX] {
+            let mut mux = mux_of(&[vec![5, 5], vec![5, 5]], MuxConfig::default());
+            let lanes: Vec<u8> = drain_stamped(&mut mux, max)
+                .into_iter()
+                .map(|(_, lane)| lane)
+                .collect();
+            // All four records tie on ts; lane 0 drains first.
+            assert_eq!(lanes, vec![0, 0, 1, 1], "max={max}");
+            mux.finish().unwrap();
         }
-        // All four records tie on ts; lane 0 drains first.
-        assert_eq!(lanes, vec![0, 0, 1, 1]);
-        mux.finish().unwrap();
     }
 
     #[test]
     fn block_policy_never_drops_even_with_tiny_rings() {
         let n = 2_000u64;
         let mut mux = mux_of(
-            vec![(0..n).step_by(2).collect(), (1..n).step_by(2).collect()],
-            MuxConfig {
-                ring_capacity: 1,
-                overflow: Overflow::Block,
-            },
+            &[(0..n).step_by(2).collect(), (1..n).step_by(2).collect()],
+            MuxConfig { ring_capacity: 1 },
         );
         let ts = drain_ts(&mut mux);
         assert_eq!(ts.len(), n as usize);
         assert!(ts.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(mux.ring_full_drops(), 0);
         let s0 = mux.lane_stats(0);
         assert_eq!(s0.packets, n / 2);
         assert_eq!(s0.bytes, (n / 2) * 60);
-        mux.finish().unwrap();
-    }
-
-    #[test]
-    fn drop_policy_accounts_every_lost_record() {
-        // A slow consumer over a capacity-1 ring with eager batches:
-        // some batches must drop; captured == delivered + dropped must
-        // hold exactly.
-        let n = 5_000u64;
-        let mut mux = mux_of(
-            vec![(0..n).collect()],
-            MuxConfig {
-                ring_capacity: 1,
-                overflow: Overflow::Drop,
-            },
-        );
-        let mut delivered = 0u64;
-        while let Some(_r) = mux.next_record().unwrap() {
-            delivered += 1;
-            if delivered.is_multiple_of(128) {
-                std::thread::sleep(Duration::from_micros(300));
-            }
-        }
-        let stats = mux.lane_stats(0);
-        assert_eq!(stats.packets, n, "all records were captured");
-        assert_eq!(
-            stats.packets,
-            delivered + stats.ring_full_drops,
-            "captured == delivered + dropped"
-        );
         mux.finish().unwrap();
     }
 
@@ -914,30 +748,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_drain_matches_per_record_order() {
-        let parts = vec![vec![0, 3, 6, 9, 12, 13], vec![1, 4, 7, 10], vec![2, 5, 8, 11]];
-        for max in [1usize, 3, 7, 4096] {
-            let mut mux = mux_of(parts.clone(), MuxConfig::default());
-            let (ts, sizes) = drain_batched(&mut mux, max);
-            assert_eq!(ts, (0..14).collect::<Vec<_>>(), "max={max}");
-            assert!(sizes.iter().all(|&s| s >= 1 && s <= max), "max={max}");
-            assert_eq!(mux.records_delivered(), 14);
-            assert_eq!(mux.bytes_delivered(), 14 * 60);
-            mux.finish().unwrap();
-        }
-    }
-
-    #[test]
     fn batched_ties_break_by_lane_index() {
         // Interleaved ties: the run extension must stop at a tie owned
         // by an earlier lane, exactly like per-record (ts, lane) order.
-        let mut mux = mux_of(vec![vec![5, 5, 9], vec![5, 5, 9]], MuxConfig::default());
-        let mut order = Vec::new();
-        let mut batch = RecordBatch::new();
-        while mux.next_batch(&mut batch, 4096).unwrap().is_some() {
-            order.extend(batch.iter().map(|r| r.ts_nanos));
-        }
-        assert_eq!(order, vec![5, 5, 5, 5, 9, 9]);
+        let mut mux = mux_of(&[vec![5, 5, 9], vec![5, 5, 9]], MuxConfig::default());
+        assert_eq!(
+            drain_stamped(&mut mux, MUX_MAX),
+            vec![(5, 0), (5, 0), (5, 1), (5, 1), (9, 0), (9, 1)]
+        );
         mux.finish().unwrap();
     }
 
@@ -1120,7 +938,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, ts)| {
-                let records = ts
+                let records: Vec<Record> = ts
                     .iter()
                     .enumerate()
                     .map(|(j, &t)| {
@@ -1148,23 +966,14 @@ mod tests {
         truncated: u64,
     }
 
-    /// Drains `mux` by `next_batch(max)`, or record by record without one.
-    fn drain_all(mut mux: CaptureMux, max: Option<usize>) -> Drained {
+    /// Drains `mux` by `next_batch(max)`.
+    fn drain_all(mut mux: CaptureMux, max: usize) -> Drained {
         let mut records = Vec::new();
         let stamp = |data: &[u8]| [data[0], data[1], data[2]];
-        match max {
-            Some(max) => {
-                let mut batch = RecordBatch::new();
-                while let Some(link) = mux.next_batch(&mut batch, max).unwrap() {
-                    assert!(!batch.is_empty() && batch.len() <= max, "max={max}");
-                    records.extend(batch.iter().map(|r| (link, r.ts_nanos, stamp(r.data))));
-                }
-            }
-            None => {
-                while let Some(r) = mux.next_record().unwrap() {
-                    records.push((r.link, r.ts_nanos, stamp(r.data)));
-                }
-            }
+        let mut batch = RecordBatch::new();
+        while let Some(link) = mux.next_batch(&mut batch, max).unwrap() {
+            assert!(!batch.is_empty() && batch.len() <= max, "max={max}");
+            records.extend(batch.iter().map(|r| (link, r.ts_nanos, stamp(r.data))));
         }
         let drained = Drained {
             records,
@@ -1225,28 +1034,35 @@ mod tests {
             want.sort_by_key(|&(_, t, stamp)| (t, stamp));
 
             // `max` below a capture batch takes the copy loop, above it the
-            // hand-over where a lane runs alone; `None` is per record. Both
-            // lane kinds must agree record for record, counter for counter.
-            for max in [
-                Some(1usize),
-                Some(100),
-                Some(BATCH_RECORDS),
-                Some(MUX_MAX),
-                None,
-            ] {
+            // hand-over where a lane runs alone; 1 is per record. Every
+            // choice of lane kinds — threads, in-line, or both side by
+            // side — must agree record for record, counter for counter.
+            for max in [1usize, 100, BATCH_RECORDS, MUX_MAX] {
                 let sources = || stamped_sources(parts, *mixed_links);
                 let threaded = drain_all(
                     CaptureMux::start(sources(), MuxConfig::default(), None),
                     max,
                 );
                 let inline = drain_all(CaptureMux::inline(sources(), None), max);
-                assert_eq!(inline, threaded, "{name}, max={max:?}");
-                assert_eq!(inline.records, want, "{name}, max={max:?}");
+                let alternating = sources()
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, s)| match i % 2 {
+                        0 => (s, LaneKind::Inline),
+                        _ => (s, LaneKind::Threaded),
+                    })
+                    .collect();
+                let mixed = drain_all(
+                    CaptureMux::with_lanes(alternating, MuxConfig::default(), None),
+                    max,
+                );
+                assert_eq!(inline, threaded, "{name}, max={max}");
+                assert_eq!(mixed, threaded, "{name}, max={max}");
+                assert_eq!(inline.records, want, "{name}, max={max}");
                 assert_eq!(
                     inline.delivered,
                     (want.len() as u64, want.len() as u64 * 60)
                 );
-                assert!(inline.stats.iter().all(|s| s.ring_full_drops == 0));
             }
         }
     }
@@ -1258,10 +1074,10 @@ mod tests {
             None,
         );
         assert_eq!(mux.sources(), 3);
-        let mut lanes = Vec::new();
-        while let Some(r) = mux.next_record().unwrap() {
-            lanes.push(r.source);
-        }
+        let lanes: Vec<u8> = drain_stamped(&mut mux, 1)
+            .into_iter()
+            .map(|(_, lane)| lane)
+            .collect();
         assert_eq!(lanes, vec![2, 0, 0, 1, 1, 2]);
         mux.finish().unwrap();
 
@@ -1462,7 +1278,6 @@ mod tests {
             .next_batch(&mut RecordBatch::new(), MUX_MAX)
             .unwrap()
             .is_none());
-        assert!(mux.next_record().unwrap().is_none());
         mux.finish().unwrap();
         let snap = metrics.snapshot();
         assert_eq!(snap.sources[0].label, "test:stutter");
@@ -1482,7 +1297,7 @@ mod tests {
             } else {
                 CaptureMux::start(sources, MuxConfig::default(), Some(&metrics))
             };
-            let drained = drain_all(mux, Some(crate::source::BATCH_RECORDS));
+            let drained = drain_all(mux, crate::source::BATCH_RECORDS);
             let per_source: Vec<_> = metrics
                 .snapshot()
                 .sources
@@ -1591,17 +1406,27 @@ mod tests {
             } else {
                 CaptureMux::start(sources, MuxConfig::default(), None)
             };
+            // Lane 0 and 2 are stamped 0 and 1; the failing lane's
+            // records are all 0xCD.
+            let lane = |data: &[u8]| match data[0] {
+                0 => 0,
+                0xCD => 1,
+                _ => 2,
+            };
+            // One record per drain: the failure surfaces where a
+            // per-record merge meets it.
+            let mut batch = RecordBatch::new();
             let mut before = Vec::new();
             let err = loop {
-                match mux.next_record() {
-                    Ok(Some(r)) => before.push((r.ts_nanos, r.source)),
+                match mux.next_batch(&mut batch, 1) {
+                    Ok(Some(_)) => before.extend(batch.iter().map(|r| (r.ts_nanos, lane(r.data)))),
                     Ok(None) => panic!("the failure was swallowed"),
                     Err(e) => break e.to_string(),
                 }
             };
             let mut after = Vec::new();
-            while let Some(r) = mux.next_record().unwrap() {
-                after.push((r.ts_nanos, r.source));
+            while mux.next_batch(&mut batch, 1).unwrap().is_some() {
+                after.extend(batch.iter().map(|r| (r.ts_nanos, lane(r.data))));
             }
             mux.finish().unwrap();
             (before, err, after)
@@ -1634,10 +1459,11 @@ mod tests {
             )),
         ];
         let mut mux = CaptureMux::start(sources, MuxConfig::default(), Some(&metrics));
-        while let Some(r) = mux.next_record().unwrap() {
+        let mut batch = RecordBatch::new();
+        while mux.next_batch(&mut batch, MUX_MAX).unwrap().is_some() {
             // Stand-in for the sink: count what it would ingest.
-            metrics.record_in(r.data.len());
-            metrics.packets_not_zoom.inc();
+            metrics.record_batch_in(&batch);
+            metrics.packets_not_zoom.add(batch.len() as u64);
         }
         mux.finish().unwrap();
         let snap = metrics.snapshot();
@@ -1715,8 +1541,9 @@ mod tests {
             MuxConfig::default(),
             None,
         );
+        let mut batch = RecordBatch::new();
         let err = loop {
-            match mux.next_record() {
+            match mux.next_batch(&mut batch, MUX_MAX) {
                 Ok(Some(_)) => continue,
                 Ok(None) => panic!("error was swallowed"),
                 Err(e) => break e,

@@ -4,13 +4,12 @@
 //! consumer (see [`crate::mux`]) owns the [`Consumer`] end. Both ends are
 //! wait-free: a push or pop is one load-acquire of the opposite index, one
 //! slot move, and one store-release of the own index — no locks, no CAS
-//! loops, no allocation. The bound is what guarantees the tentpole
-//! property of the capture front-end: **capture never blocks on
-//! analysis**. When the analysis side falls behind, the ring fills and
-//! the producer's [`try_push`](Producer::try_push) fails fast, letting the
-//! capture thread either drop (live semantics, counted in
-//! `ring_full_drops`) or retry (lossless replay semantics) — its choice,
-//! never an invisible stall inside the ring.
+//! loops, no allocation. The bound caps how far a capture thread reads
+//! ahead of the analysis: when the analysis side falls behind, the ring
+//! fills and the producer's [`try_push`](Producer::try_push) fails fast;
+//! the capture thread then waits and retries — every input the toolchain
+//! reads can wait — so the stall is the capture thread's, visible in its
+//! `ring_enqueue` span, never an invisible one inside the ring.
 //!
 //! The implementation is the textbook Lamport queue with monotonically
 //! increasing head/tail positions (wrapping arithmetic, slot = position

@@ -1,22 +1,18 @@
 //! Packet sources: where records enter the capture front-end.
 //!
 //! A [`PacketSource`] produces timestamp-ordered record batches; the
-//! fan-in layer ([`crate::mux`]) runs one capture thread per source and
-//! hands the batches to the analysis engine through bounded SPSC rings
-//! ([`crate::ring`]). Three adapters cover the deployment shapes from the
-//! paper's monitor (§6.1):
+//! fan-in layer ([`crate::mux`]) merges the sources into one stream,
+//! reading each on the consumer's thread or, for a source that may make
+//! its reader wait, on a capture thread of its own behind a bounded SPSC
+//! ring ([`crate::ring`]). Two adapters cover every input the toolchain
+//! reads:
 //!
 //! * [`PcapFileSource`] — an on-disk trace, optionally in *follow* mode
 //!   (poll a file another process is still writing, the `analyze
-//!   --follow` behavior, now per source instead of hard-coded to one
-//!   file).
-//! * [`LiveRingSource`] — an AF_PACKET-style ring backend: a producer
-//!   thread (in production the kernel; offline, a traffic generator)
-//!   pushes batches into a bounded ring via a [`LiveHandle`]. This is the
-//!   simulated stand-in for a live socket capture with the same API and
-//!   drop semantics.
-//! * [`ReplaySource`] — pre-loaded in-memory records, for tests and
-//!   benches.
+//!   --follow` behavior, per source instead of hard-coded to one file).
+//! * [`ReplaySource`] — records from any iterator: a simulated tap
+//!   generating its scenario as it is read, or pre-loaded records for
+//!   tests and benches.
 //!
 //! Batches are filled into caller-provided [`RecordBatch`]es so the
 //! steady state allocates nothing (see [`RecordBatch::clear`]).
@@ -43,7 +39,6 @@
 //! # Ok::<(), zoom_capture::source::SourceError>(())
 //! ```
 
-use crate::ring::{self, Consumer, Producer};
 use std::fmt;
 use std::io::{self, Read};
 use std::time::Duration;
@@ -99,9 +94,10 @@ impl From<io::Error> for SourceError {
 ///   `Ok(false)` may arrive together** — always drain the batch before
 ///   acting on the flag.
 /// * An *empty* batch with `Ok(true)` means "no data right now, poll
-///   again" — this is how follow-mode and live sources express
-///   quiescence without blocking the contract. Sources may sleep briefly
-///   internally to pace the poll; they run on a dedicated capture thread.
+///   again" — this is how a followed file or a worker connection
+///   expresses quiescence without blocking the contract. Such a source
+///   may sleep briefly to pace the poll; the fan-in gives it a capture
+///   thread of its own when another such source shares it.
 /// * Records within one source must be in non-decreasing `ts_nanos`
 ///   order; the fan-in merge relies on it ([`crate::mux`]).
 ///
@@ -264,25 +260,33 @@ impl PacketSource for PcapFileSource {
 
 // ---------------------------------------------------------------- replay --
 
-/// Pre-loaded in-memory records as a [`PacketSource`], for tests,
-/// benches, and the differential suites.
+/// Records from an iterator as a [`PacketSource`]: a `sim:` tap whose
+/// generator runs as the fan-in reads it, or pre-loaded records for tests,
+/// benches and the differential suites. It never makes its reader wait.
 pub struct ReplaySource {
     label: String,
     link: LinkType,
-    records: Vec<Record>,
-    cursor: usize,
+    records: std::iter::Peekable<Box<dyn Iterator<Item = Record> + Send>>,
+    /// Timestamp of the last record served, to check the ordering
+    /// contract in debug builds.
+    last_ts: u64,
 }
 
 impl ReplaySource {
     /// A source that serves `records` (which must be in non-decreasing
-    /// `ts_nanos` order) in [`BATCH_RECORDS`]-sized batches.
-    pub fn new(label: &str, link: LinkType, records: Vec<Record>) -> ReplaySource {
-        debug_assert!(records.windows(2).all(|w| w[0].ts_nanos <= w[1].ts_nanos));
+    /// `ts_nanos` order) in [`BATCH_RECORDS`]-sized batches, pulling them
+    /// off the iterator only as each batch is filled.
+    pub fn new<I>(label: &str, link: LinkType, records: I) -> ReplaySource
+    where
+        I: IntoIterator<Item = Record>,
+        I::IntoIter: Send + 'static,
+    {
+        let records: Box<dyn Iterator<Item = Record> + Send> = Box::new(records.into_iter());
         ReplaySource {
             label: label.to_string(),
             link,
-            records,
-            cursor: 0,
+            records: records.peekable(),
+            last_ts: 0,
         }
     }
 }
@@ -297,148 +301,15 @@ impl PacketSource for ReplaySource {
     }
 
     fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
-        while self.cursor < self.records.len()
-            && batch.len() < BATCH_RECORDS
-            && batch.arena_bytes() < BATCH_BYTES
-        {
-            let r = &self.records[self.cursor];
+        while batch.len() < BATCH_RECORDS && batch.arena_bytes() < BATCH_BYTES {
+            let Some(r) = self.records.next() else {
+                return Ok(false);
+            };
+            debug_assert!(r.ts_nanos >= self.last_ts, "{}: records out of order", self.label);
+            self.last_ts = r.ts_nanos;
             batch.push(r.ts_nanos, r.orig_len, &r.data);
-            self.cursor += 1;
         }
-        Ok(self.cursor < self.records.len())
-    }
-}
-
-// ------------------------------------------------------------- live ring --
-
-/// Creates an AF_PACKET-style simulated live capture: a bounded ring of
-/// record batches with a [`LiveHandle`] for the producing side (in
-/// production the kernel's ring; offline, a generator thread) and a
-/// [`LiveRingSource`] for the capture side. `capacity` is the ring depth
-/// in batches.
-///
-/// Batches are recycled from consumer back to producer through a second
-/// ring, so a producer that calls [`LiveHandle::take_batch`] allocates
-/// only until the ring is primed — zero allocation at steady state, the
-/// same discipline as the kernel mapping its ring pages once.
-pub fn live_ring(
-    label: &str,
-    link: LinkType,
-    capacity: usize,
-) -> (LiveHandle, LiveRingSource) {
-    let (data_tx, data_rx) = ring::spsc::<RecordBatch>(capacity);
-    let (recycle_tx, recycle_rx) = ring::spsc::<RecordBatch>(capacity + 2);
-    (
-        LiveHandle {
-            data_tx,
-            recycle_rx,
-            dropped_batches: 0,
-        },
-        LiveRingSource {
-            label: label.to_string(),
-            link,
-            data_rx,
-            recycle_tx,
-            poll: Duration::from_millis(1),
-        },
-    )
-}
-
-/// The producing end of a [`live_ring`]: what the packet-delivering side
-/// (kernel stand-in) holds.
-pub struct LiveHandle {
-    data_tx: Producer<RecordBatch>,
-    recycle_rx: Consumer<RecordBatch>,
-    dropped_batches: u64,
-}
-
-impl LiveHandle {
-    /// A batch to fill: recycled from the consumer when available, fresh
-    /// otherwise. Recycled batches arrive cleared with their capacity
-    /// intact.
-    pub fn take_batch(&mut self) -> RecordBatch {
-        self.recycle_rx.try_pop().unwrap_or_default()
-    }
-
-    /// Offers a batch without blocking — live-capture semantics: a full
-    /// ring means the consumer fell behind and the batch is dropped on
-    /// the floor (returned for recycling, counted in
-    /// [`dropped_batches`](LiveHandle::dropped_batches)), exactly like a
-    /// NIC ring overrun.
-    pub fn try_push_batch(&mut self, batch: RecordBatch) -> Result<(), RecordBatch> {
-        self.data_tx.try_push(batch).map_err(|mut b| {
-            self.dropped_batches += 1;
-            b.clear();
-            b
-        })
-    }
-
-    /// Offers a batch, waiting for ring space — lossless-feeder semantics
-    /// for deterministic replay through the live API. Returns the batch
-    /// back when the consuming source is gone.
-    pub fn push_batch_blocking(&mut self, batch: RecordBatch) -> Result<(), RecordBatch> {
-        let mut pending = batch;
-        loop {
-            match self.data_tx.try_push(pending) {
-                Ok(()) => return Ok(()),
-                Err(back) => {
-                    if self.data_tx.is_closed() {
-                        return Err(back);
-                    }
-                    pending = back;
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
-        }
-    }
-
-    /// Whether the consuming [`LiveRingSource`] has been dropped.
-    pub fn is_closed(&self) -> bool {
-        self.data_tx.is_closed()
-    }
-
-    /// Batches dropped at a full ring by
-    /// [`try_push_batch`](LiveHandle::try_push_batch).
-    pub fn dropped_batches(&self) -> u64 {
-        self.dropped_batches
-    }
-}
-
-/// The consuming end of a [`live_ring`], as a [`PacketSource`]. Exhausted
-/// once the [`LiveHandle`] is dropped and the ring is drained.
-pub struct LiveRingSource {
-    label: String,
-    link: LinkType,
-    data_rx: Consumer<RecordBatch>,
-    recycle_tx: Producer<RecordBatch>,
-    poll: Duration,
-}
-
-impl PacketSource for LiveRingSource {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn link_type(&self) -> LinkType {
-        self.link
-    }
-
-    fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
-        match self.data_rx.try_pop() {
-            Some(mut filled) => {
-                // Take the filled batch and send the caller's empty one
-                // back to the producer for reuse.
-                std::mem::swap(batch, &mut filled);
-                filled.clear();
-                let _ = self.recycle_tx.try_push(filled);
-                Ok(true)
-            }
-            None if self.data_rx.is_closed() => Ok(false),
-            None => {
-                std::thread::sleep(self.poll);
-                Ok(true)
-            }
-        }
+        Ok(self.records.peek().is_some())
     }
 }
 
@@ -585,37 +456,5 @@ mod tests {
         assert_eq!(ts.last(), Some(&1_000_000));
         assert_eq!(src.truncated_records(), 0);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn live_ring_transfers_and_closes() {
-        let (mut handle, mut src) = live_ring("live:test", LinkType::Ethernet, 4);
-        let feeder = std::thread::spawn(move || {
-            for i in 0..50u64 {
-                let mut b = handle.take_batch();
-                b.push(i * 100, 60, &[0u8; 60]);
-                handle.push_batch_blocking(b).unwrap();
-            }
-            assert_eq!(handle.dropped_batches(), 0);
-        });
-        let ts = drain(&mut src);
-        feeder.join().unwrap();
-        assert_eq!(ts.len(), 50);
-        assert!(ts.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn live_ring_drops_when_full() {
-        let (mut handle, src) = live_ring("live:lossy", LinkType::Ethernet, 1);
-        let mut b = handle.take_batch();
-        b.push(1, 60, &[0u8; 60]);
-        handle.try_push_batch(b).unwrap();
-        let mut b = handle.take_batch();
-        b.push(2, 60, &[0u8; 60]);
-        let back = handle.try_push_batch(b).unwrap_err();
-        assert!(back.is_empty(), "dropped batch comes back cleared");
-        assert_eq!(handle.dropped_batches(), 1);
-        drop(src);
-        assert!(handle.is_closed());
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use zoom_capture::anonymize::{Anonymizer, Mode};
 use zoom_capture::cidr::{Cidr, PrefixMap};
-use zoom_capture::mux::{CaptureMux, MuxConfig, Overflow};
+use zoom_capture::mux::{CaptureMux, MuxConfig};
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
 use zoom_capture::source::{PacketSource, ReplaySource};
 use zoom_capture::stun_tracker::StunTracker;
@@ -364,37 +364,37 @@ proptest! {
     }
 }
 
-/// A fan-in over `lanes`: lane `i`'s `j`-th record is stamped `[i, j]` and
-/// carries the timestamp reached by summing the lane's steps. Capture
-/// threads behind rings of `ring_capacity`, or in-line lanes without one.
+/// Lane `i`'s records: the `j`-th is stamped `[i, j]` and carries the
+/// timestamp reached by summing the lane's steps.
+fn lane_records(i: usize, steps: &[u64]) -> Vec<Record> {
+    let mut ts = 0;
+    steps
+        .iter()
+        .enumerate()
+        .map(|(j, step)| {
+            ts += step;
+            Record::full(ts, vec![i as u8, (j >> 8) as u8, j as u8])
+        })
+        .collect()
+}
+
+/// A fan-in over `lanes` (see [`lane_records`]): capture threads behind
+/// rings of `ring_capacity`, or in-line lanes without one.
 fn mux_over(lanes: &[Vec<u64>], ring_capacity: Option<usize>) -> CaptureMux {
     let sources = lanes
         .iter()
         .enumerate()
         .map(|(i, steps)| {
-            let mut ts = 0;
-            let records = steps
-                .iter()
-                .enumerate()
-                .map(|(j, step)| {
-                    ts += step;
-                    Record::full(ts, vec![i as u8, (j >> 8) as u8, j as u8])
-                })
-                .collect();
             Box::new(ReplaySource::new(
                 &format!("replay:{i}"),
                 LinkType::Ethernet,
-                records,
+                lane_records(i, steps),
             )) as Box<dyn PacketSource>
         })
         .collect();
     match ring_capacity {
         Some(ring_capacity) => {
-            let config = MuxConfig {
-                ring_capacity,
-                overflow: Overflow::Block,
-            };
-            CaptureMux::start(sources, config, None)
+            CaptureMux::start(sources, MuxConfig { ring_capacity }, None)
         }
         None => CaptureMux::inline(sources, None),
     }
@@ -412,12 +412,15 @@ proptest! {
         max in prop_oneof![Just(1usize), Just(3), Just(127), Just(128), Just(200), Just(4096)],
         ring_capacity in 1usize..4,
     ) {
-        let mut expected = Vec::new();
-        let mut mux = mux_over(&lanes, Some(ring_capacity));
-        while let Some(r) = mux.next_record().unwrap() {
-            expected.push((r.ts_nanos, r.data.to_vec()));
-        }
-        mux.finish().unwrap();
+        // The per-record merge, spelled out: by `(ts, lane)`, a lane's
+        // records in their own order.
+        let mut expected: Vec<(u64, Vec<u8>)> = lanes
+            .iter()
+            .enumerate()
+            .flat_map(|(i, steps)| lane_records(i, steps))
+            .map(|r| (r.ts_nanos, r.data))
+            .collect();
+        expected.sort_by_key(|(ts, data)| (*ts, data[0]));
 
         // Capture threads, then the same lanes read in-line: one merge.
         for ring_capacity in [Some(ring_capacity), None] {

@@ -7,11 +7,11 @@
 //! `--source` specs (`pcap:FILE`, `sim:SCENARIO[,seed=N][,secs=N]`); a
 //! positional `FILE` is `--source pcap:FILE`. Every route starts the
 //! sources through [`start_capture`], which merges them into one
-//! deterministic timestamp-ordered stream — finite files read in-line on
-//! the analysis thread, live or `--lossy` sources captured concurrently,
-//! one capture thread each, hand-off through bounded lock-free rings — so
-//! an N-source run is byte-identical to the equivalent single-source run
-//! (see `docs/CAPTURE.md`).
+//! deterministic, lossless timestamp-ordered stream — read in-line on the
+//! analysis thread, except that several followed files get one capture
+//! thread each, hand-off through bounded lock-free rings — so an N-source
+//! run is byte-identical to the equivalent single-source run (see
+//! `docs/CAPTURE.md`).
 //!
 //! Every route runs the one analysis loop ([`ingest::run`]), which
 //! feeds the merged stream a batch at a time through the streaming
@@ -56,17 +56,16 @@
 //! `zoom_worker_*` metrics. See `docs/DISTRIBUTED.md`.
 
 use super::ingest::{self, MetricsFile, Run};
-use super::sources::{build_sources, mux_flags, start_capture, Sources};
+use super::sources::{build_sources, start_capture, Sources};
 use super::{
-    campus_flag, check_eviction_flags, parse_args, parse_duration, reject_shards_flag, CliError,
-    CmdResult, FlagSpec, TraceOutput,
+    campus_flag, check_eviction_flags, parse_args, parse_duration, CliError, CmdResult, FlagSpec,
+    TraceOutput,
 };
 use std::collections::HashMap;
 use std::time::Duration;
 use zoom_analysis::dist::WindowGate;
 use zoom_analysis::engine::{EngineConfig, QoeThresholds, StreamingEngine};
 use zoom_analysis::pipeline::AnalyzerConfig;
-use zoom_capture::mux::MuxConfig;
 use zoom_capture::source::{FollowConfig, BATCH_RECORDS};
 use zoom_wire::handoff::RecordBatch;
 
@@ -95,14 +94,13 @@ fn qoe_flags(flags: &HashMap<String, String>) -> Result<Option<QoeThresholds>, S
 
 const FLAGS: FlagSpec = FlagSpec {
     command: "analyze",
-    bools: &["follow", "json", "qoe-watch", "lossy"],
+    bools: &["follow", "json", "qoe-watch"],
     values: &[
         "campus",
         "family",
         "window",
         "idle-timeout",
         "idle-exit",
-        "ring-cap",
         "features",
         "serve",
         "metrics",
@@ -120,7 +118,6 @@ const FLAGS: FlagSpec = FlagSpec {
 };
 
 pub fn run(args: &[String]) -> CmdResult {
-    reject_shards_flag(args)?;
     let (pos, flags, source_specs) = parse_args(args, &FLAGS)?;
     check_eviction_flags(&flags)?;
     let campus = campus_flag(&flags)?;
@@ -140,7 +137,6 @@ pub fn run(args: &[String]) -> CmdResult {
         idle_exit,
     });
     let qoe = qoe_flags(&flags)?;
-    let mux_config = mux_flags(&flags)?;
     let metrics_file = MetricsFile::from_flags(&flags)?;
     let trace_out = TraceOutput::from_flags(&flags)?;
 
@@ -172,7 +168,7 @@ pub fn run(args: &[String]) -> CmdResult {
             .cloned()
             .unwrap_or_else(|| "worker".to_string());
         let sources = build_sources(&pos, &source_specs, follow_cfg)?;
-        return run_emit(sources, target, &label, mux_config, trace_out);
+        return run_emit(sources, target, &label, trace_out);
     }
 
     if qoe.is_some() && window.is_none() {
@@ -191,7 +187,6 @@ pub fn run(args: &[String]) -> CmdResult {
     let run = Run {
         node: "analyze",
         flags: &flags,
-        mux_config,
         metrics_file,
         trace_out,
         ndjson: window.is_some() || follow,
@@ -209,7 +204,6 @@ fn run_emit(
     sources: Sources,
     target: &str,
     label: &str,
-    mux_config: MuxConfig,
     mut trace_out: Option<TraceOutput>,
 ) -> CmdResult {
     use zoom_analysis::obs::trace::spans;
@@ -252,7 +246,7 @@ fn run_emit(
         t.enable(&m.trace, &format!("worker:{label}"));
         m
     });
-    let mut mux = start_capture(sources, mux_config, worker_metrics.as_ref());
+    let mut mux = start_capture(sources, worker_metrics.as_ref());
     // The mux batches the merged stream itself (run extension over the
     // winning lane), so every non-empty drain becomes one wire frame.
     let mut batch = RecordBatch::new();
@@ -279,24 +273,21 @@ fn run_emit(
 
     let delivered = mux.records_delivered();
     let bytes = mux.bytes_delivered();
-    let drops = mux.ring_full_drops();
     let truncated = mux.truncated_records();
     mux.finish()?;
     let shipped = writer.record_bytes_written();
     writer
         .finish(Totals {
-            packets: delivered + drops,
+            packets: delivered,
             bytes,
             batches: frames,
-            ring_full_drops: drops,
+            // The fan-in never drops; the field stays for the wire format.
+            ring_full_drops: 0,
             truncated,
         })
         .map_err(|e| CliError::io(format!("{target}: {e}")))?;
     if truncated > 0 {
         eprintln!("warning: {truncated} truncated record(s) at source tails ignored");
-    }
-    if drops > 0 {
-        eprintln!("warning: {drops} record(s) dropped at full capture rings (see ring_full_drops)");
     }
     eprintln!(
         "worker {label}: emitted {delivered} record(s) ({bytes} bytes captured, {shipped} shipped) in {frames} frame(s) to {target}"

@@ -4,10 +4,9 @@
 //! (the software Tofino), and written to a single output pcap.
 //!
 //! The fan-in is whatever [`start_capture`] picks for the sources, as on
-//! every analysis route: finite `pcap:` files and a lone lossless source
-//! are read in-line on this thread; `--lossy`, and several followed files
-//! or `sim:` taps, get one capture thread and ring each — the offline
-//! stand-in for a port-mirrored multi-tap deployment. Behind it runs the
+//! every analysis route: `pcap:` files, `sim:` taps and a lone followed
+//! file are read in-line on this thread; several followed files get one
+//! capture thread and ring each. Behind it runs the
 //! one filter loop there is ([`zoom_capture::filter::filter_to_pcap`]);
 //! `filter IN OUT` is [`filter_sources`] over one `pcap:` source.
 //! `--no-filter` skips classification and writes every merged record,
@@ -16,10 +15,10 @@
 //! Capture-side accounting flows into the same observability registry
 //! `analyze` uses: `--metrics PATH` snapshots per-source
 //! `zoom_source_*` series plus the capture-stage counters, and the
-//! extended conservation invariant (`Σ source_packets == packets_in +
-//! Σ ring_full_drops`) holds over the written file.
+//! extended conservation invariant (`Σ source_packets == packets_in`)
+//! holds over the written file.
 
-use super::sources::{build_sources, mux_flags, start_capture, Sources};
+use super::sources::{build_sources, start_capture, Sources};
 use super::{
     capture_snapshot, filter_config, parse_args, parse_duration, write_snapshot, CliError,
     CmdResult, FlagSpec,
@@ -27,22 +26,14 @@ use super::{
 use std::time::Duration;
 use zoom_analysis::obs::PipelineMetrics;
 use zoom_capture::filter::{filter_to_pcap, FilterSummary};
-use zoom_capture::mux::MuxConfig;
 use zoom_capture::pipeline::CapturePipeline;
 use zoom_capture::source::FollowConfig;
 use zoom_wire::pcap::READ_BUFFER_BYTES;
 
 const FLAGS: FlagSpec = FlagSpec {
     command: "capture",
-    bools: &["follow", "lossy", "no-filter"],
-    values: &[
-        "campus",
-        "anonymize",
-        "family",
-        "idle-exit",
-        "ring-cap",
-        "metrics",
-    ],
+    bools: &["follow", "no-filter"],
+    values: &["campus", "anonymize", "family", "idle-exit", "metrics"],
     repeats: &["source"],
 };
 
@@ -70,26 +61,18 @@ pub fn run(args: &[String]) -> CmdResult {
         poll: Duration::from_millis(200),
         idle_exit,
     });
-    let mux_config = mux_flags(&flags)?;
     let mut pipeline = filtering.then(|| CapturePipeline::new(config));
 
     let sources = build_sources(&[], &source_specs, follow_cfg)?;
-    let run = filter_sources(
-        sources,
-        mux_config,
-        pipeline.as_mut(),
-        output,
-        flags.get("metrics"),
-    )?;
+    let run = filter_sources(sources, pipeline.as_mut(), output, flags.get("metrics"))?;
 
     for s in &run.lanes {
         eprintln!(
-            "source {}: {} packets ({} bytes) in {} batches, {} ring-full drops{}",
+            "source {}: {} packets ({} bytes) in {} batches{}",
             s.label,
             s.packets,
             s.bytes,
             s.batches,
-            s.ring_full_drops,
             if s.truncated > 0 {
                 format!(", {} truncated", s.truncated)
             } else {
@@ -115,7 +98,6 @@ pub fn run(args: &[String]) -> CmdResult {
 /// `--no-filter`.
 pub fn filter_sources(
     sources: Sources,
-    mux_config: MuxConfig,
     mut pipeline: Option<&mut CapturePipeline>,
     output: &str,
     metrics_path: Option<&String>,
@@ -123,7 +105,7 @@ pub fn filter_sources(
     // Per-source series register against this standalone registry; the
     // loop's verdict counts keep its conservation invariant intact.
     let metrics = PipelineMetrics::new();
-    let mux = start_capture(sources, mux_config, Some(&metrics));
+    let mux = start_capture(sources, Some(&metrics));
     let outfile = std::fs::File::create(output).map_err(|e| format!("{output}: {e}"))?;
     let out = std::io::BufWriter::with_capacity(READ_BUFFER_BYTES, outfile);
     let (_, run) =
@@ -140,19 +122,12 @@ pub fn filter_sources(
     Ok(run)
 }
 
-/// The stderr warnings of a run that lost records: torn source tails,
-/// full rings.
+/// The stderr warning of a run that lost records at torn source tails.
 pub fn warn_of_losses(run: &FilterSummary) {
     if run.truncated > 0 {
         eprintln!(
             "warning: {} truncated record(s) at source tails ignored",
             run.truncated
-        );
-    }
-    if run.ring_full_drops > 0 {
-        eprintln!(
-            "warning: {} record(s) dropped at full capture rings (see ring_full_drops)",
-            run.ring_full_drops
         );
     }
 }

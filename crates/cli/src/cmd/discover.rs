@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use zoom_analysis::entropy::{find_rtcp_by_ssrc, find_rtp_offsets, scan_flow, FieldClass};
 use zoom_wire::dissect::{dissect, P2pProbe, Transport};
 use zoom_wire::flow::FiveTuple;
-use zoom_wire::pcap::Reader;
+use zoom_wire::pcap::{Reader, RecordBuf};
 
 const FLAGS: FlagSpec = FlagSpec {
     command: "discover",
@@ -35,8 +35,9 @@ pub fn run(args: &[String]) -> CmdResult {
         Reader::new(std::io::BufReader::new(file)).map_err(|e| format!("{input}: {e}"))?;
     let link = reader.link_type();
     let mut flows: HashMap<FiveTuple, Vec<(u64, Vec<u8>)>> = HashMap::new();
-    while let Some(record) = reader.next_record().map_err(|e| e.to_string())? {
-        if let Ok(d) = dissect(record.ts_nanos, &record.data, link, P2pProbe::Off) {
+    let mut record = RecordBuf::new();
+    while reader.read_into(&mut record).map_err(|e| e.to_string())? {
+        if let Ok(d) = dissect(record.ts_nanos(), record.data(), link, P2pProbe::Off) {
             if matches!(d.transport, Transport::Udp { .. }) {
                 flows
                     .entry(d.five_tuple)

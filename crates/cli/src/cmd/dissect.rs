@@ -4,7 +4,7 @@
 use super::{parse_args, CliError, CmdResult, FlagSpec};
 use zoom_wire::dissect::{dissect, render_tree, P2pProbe, Probe, WebrtcProbe};
 use zoom_wire::family::{FamilyId, FamilySelect};
-use zoom_wire::pcap::Reader;
+use zoom_wire::pcap::{Reader, RecordBuf};
 
 const FLAGS: FlagSpec = FlagSpec {
     command: "dissect",
@@ -50,14 +50,15 @@ pub fn run(args: &[String]) -> CmdResult {
     let link = reader.link_type();
     let mut index = 0u64;
     let mut shown = 0usize;
-    while let Some(record) = reader.next_record().map_err(|e| e.to_string())? {
+    let mut record = RecordBuf::new();
+    while reader.read_into(&mut record).map_err(|e| e.to_string())? {
         index += 1;
         if shown >= max {
             break;
         }
-        match dissect(record.ts_nanos, &record.data, link, probe) {
+        match dissect(record.ts_nanos(), record.data(), link, probe) {
             Ok(d) => {
-                println!("--- packet {index} ({} bytes) ---", record.data.len());
+                println!("--- packet {index} ({} bytes) ---", record.data().len());
                 print!("{}", render_tree(&d));
                 shown += 1;
             }

@@ -12,7 +12,6 @@
 use super::capture::{filter_sources, warn_of_losses};
 use super::sources::build_sources;
 use super::{filter_config, parse_args, CmdResult, FlagSpec};
-use zoom_capture::mux::MuxConfig;
 use zoom_capture::pipeline::CapturePipeline;
 
 const FLAGS: FlagSpec = FlagSpec {
@@ -29,13 +28,7 @@ pub fn run(args: &[String]) -> CmdResult {
     };
     let mut pipeline = CapturePipeline::new(filter_config(&flags)?);
     let sources = build_sources(std::slice::from_ref(input), &[], None)?;
-    let run = filter_sources(
-        sources,
-        MuxConfig::default(),
-        Some(&mut pipeline),
-        output,
-        flags.get("metrics"),
-    )?;
+    let run = filter_sources(sources, Some(&mut pipeline), output, flags.get("metrics"))?;
     warn_of_losses(&run);
 
     let c = pipeline.counters();

@@ -6,8 +6,7 @@
 //!
 //! Everything done per batch lives here once, so every route gets it:
 //! closed windows and QoE alerts on stdout, the `--serve` endpoint,
-//! `--metrics` ticks, the `--trace` drain, and the torn-tail and ring-drop
-//! warnings. At the end the run prints either NDJSON (windows, then the
+//! `--metrics` ticks, the `--trace` drain, and the torn-tail warning. At the end the run prints either NDJSON (windows, then the
 //! last window and the final report) or the text / `--json` report, from
 //! the drained engine, then writes the `--features` CSV. What `merge`
 //! adds — worker accounting and checkpoints — comes in through [`Hooks`].
@@ -24,7 +23,6 @@ use zoom_analysis::features;
 use zoom_analysis::obs::{serve, MetricsSnapshot};
 use zoom_analysis::pipeline::Analyzer;
 use zoom_analysis::report;
-use zoom_capture::mux::MuxConfig;
 use zoom_capture::source::BATCH_RECORDS;
 use zoom_wire::handoff::RecordBatch;
 use zoom_wire::zoom::MediaType;
@@ -83,7 +81,6 @@ pub(crate) struct Run<'a> {
     /// The trace node label: the command's name.
     pub node: &'static str,
     pub flags: &'a HashMap<String, String>,
-    pub mux_config: MuxConfig,
     pub metrics_file: Option<MetricsFile>,
     pub trace_out: Option<TraceOutput>,
     /// Print NDJSON — each window as it closes, then the last window and
@@ -142,7 +139,7 @@ pub(crate) fn run(
     if let Some(t) = &run.trace_out {
         t.enable(&mh.trace, run.node);
     }
-    let mut mux = start_capture(sources, run.mux_config, Some(&mh));
+    let mut mux = start_capture(sources, Some(&mh));
 
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -191,16 +188,12 @@ pub(crate) fn run(
     hooks.sync();
 
     // Tear down the fan-in: surface capture errors, fold source-side
-    // truncation into the gauges, and warn of torn tails and full rings.
+    // truncation into the gauges, and warn of torn tails.
     let truncated = mux.truncated_records();
-    let drops = mux.ring_full_drops();
     mux.finish()?;
     engine.note_pcap_truncated(truncated);
     if truncated > 0 {
         eprintln!("warning: {truncated} truncated record(s) at source tails ignored");
-    }
-    if drops > 0 {
-        eprintln!("warning: {drops} record(s) dropped at full capture rings (see ring_full_drops)");
     }
 
     let output = engine.drain()?;

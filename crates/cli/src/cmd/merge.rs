@@ -33,10 +33,10 @@
 //! (`docs/DISTRIBUTED.md` has the runbook).
 
 use super::ingest::{self, Hooks, MetricsFile, Run};
-use super::sources::{mux_flags, Sources};
+use super::sources::Sources;
 use super::{
-    campus_flag, check_eviction_flags, parse_args, parse_duration, reject_shards_flag, CliError,
-    CmdResult, FlagSpec, TraceOutput,
+    campus_flag, check_eviction_flags, parse_args, parse_duration, CliError, CmdResult, FlagSpec,
+    TraceOutput,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write as _};
@@ -248,27 +248,27 @@ impl Hooks for Lanes {
 /// Turn the gathered workers into mux lanes. With a collector, each lane
 /// stitches incoming `Trace` frames into it (worker-side spans join this
 /// process's spans by trace ID) and tags decoded batches for downstream
-/// attribution. Spool files are finite files to the fan-in; `--listen`
-/// connections are live.
+/// attribution. A spool file always has its next batch ready; a
+/// `--listen` connection may wait on its worker.
 fn into_sources(
     workers: Vec<Worker>,
     flags: &HashMap<String, String>,
     trace: Option<&Arc<TraceCollector>>,
 ) -> Sources {
-    let list = workers
+    let list: Vec<Box<dyn PacketSource>> = workers
         .into_iter()
         .map(|w| match trace {
             Some(tc) => Box::new(w.source.with_trace(Arc::clone(tc))) as Box<dyn PacketSource>,
             None => Box::new(w.source) as Box<dyn PacketSource>,
         })
         .collect();
-    let finite_files = !flags.contains_key("listen");
-    Sources { list, finite_files }
+    let may_wait = vec![flags.contains_key("listen"); list.len()];
+    Sources { list, may_wait }
 }
 
 const FLAGS: FlagSpec = FlagSpec {
     command: "merge",
-    bools: &["json", "lossy", "restore"],
+    bools: &["json", "restore"],
     values: &[
         "campus",
         "window",
@@ -277,7 +277,6 @@ const FLAGS: FlagSpec = FlagSpec {
         "workers",
         "journal",
         "checkpoint",
-        "ring-cap",
         "features",
         "serve",
         "metrics",
@@ -290,7 +289,6 @@ const FLAGS: FlagSpec = FlagSpec {
 };
 
 pub fn run(args: &[String]) -> CmdResult {
-    reject_shards_flag(args)?;
     let (files, flags, _) = parse_args(args, &FLAGS)?;
     check_eviction_flags(&flags)?;
     let campus = campus_flag(&flags)?;
@@ -299,7 +297,6 @@ pub fn run(args: &[String]) -> CmdResult {
         .get("idle-timeout")
         .map(|v| parse_duration(v))
         .transpose()?;
-    let mux_config = mux_flags(&flags)?;
     let metrics_file = MetricsFile::from_flags(&flags)?;
     let trace_out = TraceOutput::from_flags(&flags)?;
     let checkpoint_path = flags.get("checkpoint").cloned();
@@ -374,7 +371,6 @@ pub fn run(args: &[String]) -> CmdResult {
     let run = Run {
         node: "merge",
         flags: &flags,
-        mux_config,
         metrics_file,
         trace_out,
         ndjson: window.is_some(),

@@ -187,6 +187,12 @@ pub fn parse_args(args: &[String], spec: &FlagSpec) -> Result<ParsedArgs, CliErr
             i += 1;
             continue;
         }
+        if let Some((_, _, why)) = REMOVED_FLAGS
+            .iter()
+            .find(|(flag, commands, _)| *flag == name && commands.contains(&spec.command))
+        {
+            return Err(CliError::config(*why));
+        }
         let repeats = spec.repeats.contains(&name);
         if !repeats && !spec.values.contains(&name) {
             return Err(CliError::usage(format!(
@@ -207,18 +213,31 @@ pub fn parse_args(args: &[String], spec: &FlagSpec) -> Result<ParsedArgs, CliErr
     Ok((positional, flags, repeated))
 }
 
-/// `analyze` and `merge` answer the removed `--shards` by name, with
-/// what replaces it.
-pub fn reject_shards_flag(args: &[String]) -> CmdResult {
-    if args.iter().any(|a| a == "--shards") {
-        return Err(CliError::config(
-            "--shards was removed (one analysis thread does > 1 M pkt/s; measured 1.10× on two \
-             cores): to use more cores split the taps by flow, run one 'analyze \
-             --emit-fragments' per tap and 'merge' them — docs/DISTRIBUTED.md",
-        ));
-    }
-    Ok(())
-}
+/// Flags that were removed, the commands that took them, and why: such a
+/// flag is refused with exit 3 and its reason, not as an unknown flag.
+const REMOVED_FLAGS: &[(&str, &[&str], &str)] = &[
+    (
+        "shards",
+        &["analyze", "merge"],
+        "--shards was removed (one analysis thread does > 1 M pkt/s; measured 1.10× on two \
+         cores): to use more cores split the taps by flow, run one 'analyze \
+         --emit-fragments' per tap and 'merge' them — docs/DISTRIBUTED.md",
+    ),
+    (
+        "lossy",
+        &["analyze", "merge", "capture"],
+        "--lossy was removed: every input this tool reads (a pcap, a followed pcap, a sim: \
+         tap, a fragment worker) can wait for the analysis, so the capture fan-in never \
+         drops a record — docs/CAPTURE.md",
+    ),
+    (
+        "ring-cap",
+        &["analyze", "merge", "capture"],
+        "--ring-cap was removed: it sized the rings --lossy dropped at; the capture threads \
+         left (several --follow files, merge --listen) wait at a fixed 8 batches — \
+         docs/CAPTURE.md",
+    ),
+];
 
 /// Refuse the two `--idle-timeout` combinations that cannot work, with
 /// exit 2, before any input is read:
@@ -530,10 +549,14 @@ mod tests {
 
     #[test]
     fn removed_shards_flag_names_its_replacement() {
-        let e = reject_shards_flag(&s(&["a.pcap", "--shards", "8"])).unwrap_err();
+        let analyze = FlagSpec {
+            command: "analyze",
+            ..SPEC
+        };
+        let e = parse_args(&s(&["a.pcap", "--shards", "8"]), &analyze).unwrap_err();
         assert_eq!(e.code, 3);
         assert!(e.message.contains("--emit-fragments"), "{}", e.message);
-        assert!(reject_shards_flag(&s(&["a.pcap", "--json"])).is_ok());
+        assert!(parse_args(&s(&["a.pcap", "--follow"]), &analyze).is_ok());
     }
 
     /// Every subcommand that takes flags rejects one it does not know,

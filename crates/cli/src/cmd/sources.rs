@@ -9,13 +9,12 @@
 //!
 //! * [`SourceSpec::Pcap`] — a pcap file ([`PcapFileSource`]); with
 //!   `--follow` the file is polled for appended records per source.
-//! * [`SourceSpec::Sim`] — a simulated live tap: a feeder thread
-//!   generates the scenario's records as the ring takes them and delivers
-//!   them through the AF_PACKET-style [`live_ring`] backend, so the ingest
-//!   side exercises the same ring hand-off a real socket capture would.
-//!   Scenarios match `simulate`: `validation`, `p2p`, `multi`, `churn`,
-//!   `campus-10x`, `webrtc` (the *name* is validated here, where the catalogue
-//!   lives — the grammar itself accepts any name).
+//! * [`SourceSpec::Sim`] — a simulated tap ([`ReplaySource`] over
+//!   [`Scenario::records`]): the scenario's records are generated as the
+//!   fan-in reads them, on the thread that reads them. Scenarios match
+//!   `simulate`: `validation`, `p2p`, `multi`, `churn`, `campus-10x`,
+//!   `webrtc` (the *name* is validated here, where the catalogue lives —
+//!   the grammar itself accepts any name).
 //!
 //! Source labels are the spec's canonical `Display` form, so
 //! `sim:p2p` and `sim:p2p,seed=7,secs=60` label identically
@@ -25,12 +24,9 @@
 //! `--source pcap:trace.pcap`: the same source, the same route.
 
 use super::CliError;
-use std::collections::HashMap;
-use zoom_analysis::obs::PipelineMetrics;
-use zoom_capture::mux::{CaptureMux, MuxConfig, Overflow};
-use zoom_capture::source::{
-    live_ring, FollowConfig, PacketSource, PcapFileSource, BATCH_RECORDS,
-};
+use zoom_analysis::obs::{LaneKind, PipelineMetrics};
+use zoom_capture::mux::{CaptureMux, MuxConfig};
+use zoom_capture::source::{FollowConfig, PacketSource, PcapFileSource, ReplaySource};
 use zoom_capture::spec::SourceSpec;
 use zoom_sim::campus::CampusStream;
 use zoom_sim::meeting::MeetingConfig;
@@ -87,7 +83,7 @@ impl Scenario {
     /// The records, timestamp-sorted and generated as they are read: the
     /// meetings' record streams are merged lazily, one record held per
     /// meeting, never the whole trace.
-    pub fn records(self) -> Box<dyn Iterator<Item = Record>> {
+    pub fn records(self) -> Box<dyn Iterator<Item = Record> + Send> {
         match self {
             Scenario::Meetings(configs) => Box::new(CampusStream::of_meetings(configs)),
             // Generated whole, already timestamp-sorted.
@@ -140,27 +136,11 @@ pub fn build_source(
             let scenario = Scenario::new(scenario, *seed, *secs).map_err(CliError::config)?;
             // The label is the canonical spec so shorthand and explicit
             // forms of the same tap share one metrics series.
-            let (mut handle, source) = live_ring(&spec.to_string(), LinkType::Ethernet, 8);
-            // The feeder thread stands in for the kernel side of a live
-            // ring: it pushes batches losslessly (the generator can
-            // wait; a real NIC cannot) and exits when the consuming
-            // source is dropped.
-            std::thread::spawn(move || {
-                let mut batch = handle.take_batch();
-                for r in scenario.records() {
-                    if batch.len() >= BATCH_RECORDS {
-                        match handle.push_batch_blocking(batch) {
-                            Ok(()) => batch = handle.take_batch(),
-                            Err(_) => return, // consumer gone
-                        }
-                    }
-                    batch.push(r.ts_nanos, r.orig_len, &r.data);
-                }
-                if !batch.is_empty() {
-                    let _ = handle.push_batch_blocking(batch);
-                }
-            });
-            Ok(Box::new(source))
+            Ok(Box::new(ReplaySource::new(
+                &spec.to_string(),
+                LinkType::Ethernet,
+                scenario.records(),
+            )))
         }
     }
 }
@@ -170,10 +150,11 @@ pub fn build_source(
 pub struct Sources {
     /// In lane order.
     pub list: Vec<Box<dyn PacketSource>>,
-    /// Every source is a finite file — a `pcap:` spec without `--follow`,
-    /// a fragment spool: its next batch is always there to be read, so
-    /// reading it never waits on anything but the disk.
-    pub finite_files: bool,
+    /// Per source, in lane order: whether reading it may wait — a pcap
+    /// under `--follow` polls its file, a `merge --listen` connection waits
+    /// on its worker. Every other source (a pcap file, a `sim:` generator,
+    /// a fragment spool) always has its next batch ready.
+    pub may_wait: Vec<bool>,
 }
 
 /// Builds the full source list for a command invocation: every
@@ -193,59 +174,38 @@ pub fn build_sources(
             .iter()
             .map(|s| build_source(s, follow))
             .collect::<Result<_, _>>()?,
-        finite_files: follow.is_none()
-            && parsed.iter().all(|s| matches!(s, SourceSpec::Pcap { .. })),
-    })
-}
-
-/// Parse `--ring-cap` / `--lossy` into the fan-in configuration.
-/// Defaults to lossless (`Overflow::Block`): file replay can wait, so
-/// reports stay deterministic. `--lossy` switches to live semantics —
-/// full rings drop batches with exact `ring_full_drops` accounting.
-pub fn mux_flags(flags: &HashMap<String, String>) -> Result<MuxConfig, String> {
-    let ring_capacity = match flags.get("ring-cap") {
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|n| *n > 0)
-            .ok_or_else(|| format!("--ring-cap expects a positive batch count, got {v:?}"))?,
-        None => MuxConfig::default().ring_capacity,
-    };
-    let overflow = if flags.contains_key("lossy") {
-        Overflow::Drop
-    } else {
-        Overflow::Block
-    };
-    Ok(MuxConfig {
-        ring_capacity,
-        overflow,
+        may_wait: parsed
+            .iter()
+            .map(|s| follow.is_some() && matches!(s, SourceSpec::Pcap { .. }))
+            .collect(),
     })
 }
 
 /// Starts the fan-in of every route (`analyze`, batch, windowed or
-/// `--emit-fragments`; `merge`; `capture` and `filter`): in-line on the
-/// calling thread or one capture thread per source, decided here and
-/// nowhere else. Under `Overflow::Block` a capture thread waits for the
-/// consumer anyway, so all it buys is read-ahead on a second core — when
-/// the scheduler grants one; a pass that overlaps read and analysis only
-/// then takes 1.0× or 1.5× as long from one run to the next, and moves
-/// every arena between cores to do it. So a lone lossless source, and any
-/// number of finite files (whose next batch is always ready), are read
-/// in-line ([`CaptureMux::inline`]). `--lossy` keeps its threads because
-/// there the thread *is* the decoupling; several live sources (followed
-/// files, `sim:` taps, `merge --listen` connections) keep theirs because
-/// each paces its own polling and would stall the others in-line
-/// ([`CaptureMux::start`]).
-pub fn start_capture(
-    sources: Sources,
-    config: MuxConfig,
-    metrics: Option<&PipelineMetrics>,
-) -> CaptureMux {
-    if config.overflow == Overflow::Block && (sources.list.len() == 1 || sources.finite_files) {
-        CaptureMux::inline(sources.list, metrics)
-    } else {
-        CaptureMux::start(sources.list, config, metrics)
-    }
+/// `--emit-fragments`; `merge`; `capture` and `filter`), deciding here and
+/// nowhere else which source gets a capture thread. The fan-in never drops:
+/// a capture thread waits for the consumer anyway, so all it buys is
+/// read-ahead on a second core — when the scheduler grants one; a pass
+/// that overlaps read and analysis only then takes 1.0× or 1.5× as long
+/// from one run to the next, and moves every arena between cores to do it.
+/// So a source whose next batch is always ready is read in-line
+/// ([`CaptureMux::inline`]), and so is a lone source that may wait: while
+/// it is quiet, strict `(ts, lane)` order holds the other lanes back
+/// anyway. Only where several sources may wait (followed files, `merge
+/// --listen` connections) does each of those get a capture thread
+/// ([`CaptureMux::start`]): each paces its own polling, and in-line their
+/// sleeps would add up.
+pub fn start_capture(sources: Sources, metrics: Option<&PipelineMetrics>) -> CaptureMux {
+    let threads = sources.may_wait.iter().filter(|w| **w).count() > 1;
+    let lanes = sources.list.into_iter().zip(sources.may_wait).map(|(s, waits)| {
+        let kind = if threads && waits {
+            LaneKind::Threaded
+        } else {
+            LaneKind::Inline
+        };
+        (s, kind)
+    });
+    CaptureMux::with_lanes(lanes.collect(), MuxConfig::default(), metrics)
 }
 
 #[cfg(test)]
@@ -321,6 +281,44 @@ mod tests {
             }
         }
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn only_a_source_that_may_wait_beside_another_gets_a_thread() {
+        use std::time::Duration;
+        use zoom_wire::handoff::RecordBatch;
+        let dir = std::env::temp_dir().join(format!("zt-lanes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut specs = Vec::new();
+        for name in ["a.pcap", "b.pcap"] {
+            let path = dir.join(name);
+            let header = zoom_wire::pcap::Writer::new(Vec::new(), LinkType::Ethernet)
+                .and_then(|w| w.finish())
+                .unwrap();
+            std::fs::write(&path, header).unwrap();
+            specs.push(("source".to_string(), format!("pcap:{}", path.display())));
+        }
+        specs.push(("source".to_string(), "sim:p2p,seed=3,secs=5".to_string()));
+        let follow = FollowConfig {
+            poll: Duration::from_millis(1),
+            idle_exit: Duration::from_millis(20),
+        };
+        // The lane kind of each source, in spec order (pcap a, pcap b, sim).
+        let lanes = |specs: &[(String, String)], follow: Option<FollowConfig>| {
+            let metrics = PipelineMetrics::new();
+            let mut mux = start_capture(build_sources(&[], specs, follow).unwrap(), Some(&metrics));
+            let mut batch = RecordBatch::new();
+            while mux.next_batch(&mut batch, 128).unwrap().is_some() {}
+            mux.finish().unwrap();
+            // Snapshot rows are label-sorted: `pcap:…a`, `pcap:…b`, `sim:…`.
+            let snap = metrics.snapshot();
+            snap.sources.iter().map(|s| s.lane).collect::<Vec<_>>()
+        };
+        use LaneKind::{Inline, Threaded};
+        assert_eq!(lanes(&specs, None), [Inline, Inline, Inline]);
+        assert_eq!(lanes(&specs[1..], Some(follow)), [Inline, Inline]);
+        assert_eq!(lanes(&specs, Some(follow)), [Threaded, Threaded, Inline]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Each record's timestamp and an FNV-1a digest of its length and

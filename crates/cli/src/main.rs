@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! zoom-tools analyze  [in.pcap] [--source pcap:FILE|sim:SPEC]... [--campus CIDR]
-//!                     [--family auto|zoom|webrtc]
-//!                     [--ring-cap N] [--lossy] [--window DUR [--idle-timeout DUR]]
+//!                     [--family auto|zoom|webrtc] [--window DUR [--idle-timeout DUR]]
 //!                     [--follow] [--idle-exit DUR] [--qoe-watch]
 //!                     [--json] [--features out.csv] [--serve ADDR]
 //!                     [--metrics out.json|out.prom] [--metrics-interval DUR]
@@ -12,19 +11,18 @@
 //!                     [--emit-fragments ADDR|FILE [--worker-label NAME]]
 //! zoom-tools capture  <out.pcap> --source pcap:FILE|sim:SPEC [--source ...]
 //!                     [--campus CIDR] [--family auto|zoom|webrtc]
-//!                     [--anonymize KEY] [--no-filter]
-//!                     [--ring-cap N] [--lossy] [--follow] [--idle-exit DUR]
+//!                     [--anonymize KEY] [--no-filter] [--follow] [--idle-exit DUR]
 //!                     [--metrics out.json|out.prom]
 //! zoom-tools merge    <frags...> | --listen ADDR --workers N [--journal DIR]
 //!                     [--window DUR [--idle-timeout DUR]] [--campus CIDR]
 //!                     [--checkpoint PATH] [--restore] [--json] [--features out.csv]
-//!                     [--serve ADDR] [--ring-cap N] [--lossy]
+//!                     [--serve ADDR]
 //!                     [--metrics out.json|out.prom] [--metrics-interval DUR]
 //!                     [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]
 //! zoom-tools dissect  <in.pcap> [--max N] [--family auto|zoom|webrtc]
 //! zoom-tools discover <in.pcap> [--max-offset N]
-//! zoom-tools filter   <in.pcap> <out.pcap> [--campus CIDR] [--anonymize KEY]
-//!                     [--metrics out.json|out.prom]
+//! zoom-tools filter   <in.pcap> <out.pcap> [--campus CIDR] [--family auto|zoom|webrtc]
+//!                     [--anonymize KEY] [--metrics out.json|out.prom]
 //! zoom-tools simulate <out.pcap> [--seconds N] [--seed N]
 //!                     [--scenario validation|p2p|multi|churn|campus-10x|webrtc]
 //! ```
@@ -46,32 +44,35 @@ mod cmd;
 
 use std::process::ExitCode;
 
+/// Each command's synopsis, continuation lines aligned under its first
+/// argument.
+const USAGE: &str = "\
+usage:
+  zoom-tools analyze  [in.pcap] [--source pcap:FILE|sim:SPEC]... [--campus CIDR]
+                      [--family auto|zoom|webrtc] [--window DUR [--idle-timeout DUR]]
+                      [--follow] [--idle-exit DUR] [--qoe-watch] [--json] [--features out.csv]
+                      [--serve ADDR]
+                      [--metrics out.json|out.prom] [--metrics-interval DUR]
+                      [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]
+                      [--emit-fragments ADDR|FILE [--worker-label NAME]]
+  zoom-tools merge    <frags...> | --listen ADDR --workers N [--journal DIR]
+                      [--window DUR [--idle-timeout DUR]] [--campus CIDR]
+                      [--checkpoint PATH] [--restore] [--json] [--features out.csv]
+                      [--serve ADDR]
+                      [--metrics out.json|out.prom] [--metrics-interval DUR]
+                      [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]
+  zoom-tools capture  <out.pcap> --source pcap:FILE|sim:SPEC [--source ...] [--campus CIDR]
+                      [--family auto|zoom|webrtc] [--anonymize KEY] [--no-filter]
+                      [--follow] [--idle-exit DUR] [--metrics out.json|out.prom]
+  zoom-tools dissect  <in.pcap> [--max N] [--family auto|zoom|webrtc]
+  zoom-tools discover <in.pcap> [--max-offset N]
+  zoom-tools filter   <in.pcap> <out.pcap> [--campus CIDR] [--family auto|zoom|webrtc]
+                      [--anonymize KEY] [--metrics out.json|out.prom]
+  zoom-tools simulate <out.pcap> [--seconds N] [--seed N]
+                      [--scenario validation|p2p|multi|churn|campus-10x|webrtc]";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  \
-         zoom-tools analyze  [in.pcap] [--source pcap:FILE|sim:SPEC]... [--campus CIDR]\n  \
-                             [--family auto|zoom|webrtc]\n  \
-                             [--ring-cap N] [--lossy] [--window DUR [--idle-timeout DUR]]\n  \
-                             [--follow] [--idle-exit DUR] [--qoe-watch] [--json] [--features out.csv]\n  \
-                             [--serve ADDR]\n  \
-                             [--metrics out.json|out.prom] [--metrics-interval DUR]\n  \
-                             [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]\n  \
-                             [--emit-fragments ADDR|FILE [--worker-label NAME]]\n  \
-         zoom-tools merge    <frags...> | --listen ADDR --workers N [--journal DIR]\n  \
-                             [--window DUR [--idle-timeout DUR]] [--campus CIDR]\n  \
-                             [--checkpoint PATH] [--restore] [--json] [--features out.csv]\n  \
-                             [--serve ADDR] [--ring-cap N] [--lossy]\n  \
-                             [--metrics out.json|out.prom] [--metrics-interval DUR]\n  \
-                             [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]\n  \
-         zoom-tools capture  <out.pcap> --source pcap:FILE|sim:SPEC [--source ...] [--campus CIDR]\n  \
-                             [--anonymize KEY] [--no-filter] [--ring-cap N] [--lossy]\n  \
-                             [--follow] [--idle-exit DUR] [--metrics out.json|out.prom]\n  \
-         zoom-tools dissect  <in.pcap> [--max N] [--family auto|zoom|webrtc]\n  \
-         zoom-tools discover <in.pcap> [--max-offset N]\n  \
-         zoom-tools filter   <in.pcap> <out.pcap> [--campus CIDR] [--anonymize KEY] [--metrics out.json]\n  \
-         zoom-tools simulate <out.pcap> [--seconds N] [--seed N]\n  \
-                             [--scenario validation|p2p|multi|churn|campus-10x|webrtc]"
-    );
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 

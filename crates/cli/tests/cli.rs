@@ -540,9 +540,54 @@ fn bad_usage_fails_cleanly() {
         err.contains("error: analyze: unknown flag --windw"),
         "{err}"
     );
-    let (_, err, ok) = run(&["analyze", "/tmp/x.pcap", "--shards", "8"]);
-    assert!(!ok);
-    assert!(err.contains("--shards was removed"), "{err}");
+}
+
+/// The no-argument usage: each command's continuation lines start in the
+/// column of its first argument, not flush with the command names.
+#[test]
+fn usage_continuation_lines_align_under_the_arguments() {
+    let (out, err, code) = run_code(&[]);
+    assert_eq!(code, Some(2));
+    assert!(out.is_empty(), "{out}");
+    let mut column = None;
+    let mut continuations = 0;
+    for line in err.lines().skip(1) {
+        let body = line.trim_start();
+        let indent = line.len() - body.len();
+        if let Some(command) = body.strip_prefix("zoom-tools ") {
+            let args = command.trim_start_matches(|c: char| c.is_ascii_lowercase());
+            let padding = args.len() - args.trim_start().len();
+            column = Some(line.len() - args.len() + padding);
+            assert_eq!(indent, 2, "{line:?}");
+        } else {
+            assert!(body.starts_with('['), "{line:?}");
+            assert_eq!(Some(indent), column, "{line:?}");
+            continuations += 1;
+        }
+    }
+    assert!(continuations >= 10, "{err}");
+}
+
+/// `sim:` taps never make their reader wait, so several of them are read
+/// in-line on the analysis thread like several pcap files: every source
+/// row says so, and the conservation invariant holds.
+#[test]
+fn several_sim_sources_are_read_in_line() {
+    let metrics = tmp("two_sims.json");
+    let (_, err, ok) = run(&[
+        "analyze",
+        "--source",
+        "sim:p2p,seed=7,secs=5",
+        "--source",
+        "sim:multi,seed=3,secs=5",
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(ok, "{err}");
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    assert_eq!(json.matches("\"lane\":").count(), 2, "{json}");
+    assert_eq!(json.matches("\"lane\":\"inline\"").count(), 2, "{json}");
+    assert!(json.contains("\"conservation_holds\":true"), "{json}");
 }
 
 /// Every flag combination `analyze` and `merge` refuse, with its exit
@@ -563,7 +608,32 @@ fn flag_combination_refusals_are_pinned() {
                 so without windows nothing would be evicted";
     let qoe = "--qoe-watch needs --window: the detector evaluates closed windows";
     let sample = "--trace-sample needs --trace FILE or --self-profile FILE";
-    let cases: [(&[&str], i32, &str); 14] = [
+    let shards = "--shards was removed (one analysis thread does > 1 M pkt/s; measured 1.10× on \
+                  two cores): to use more cores split the taps by flow, run one 'analyze \
+                  --emit-fragments' per tap and 'merge' them — docs/DISTRIBUTED.md";
+    let lossy = "--lossy was removed: every input this tool reads (a pcap, a followed pcap, a \
+                 sim: tap, a fragment worker) can wait for the analysis, so the capture fan-in \
+                 never drops a record — docs/CAPTURE.md";
+    let ring_cap = "--ring-cap was removed: it sized the rings --lossy dropped at; the capture \
+                    threads left (several --follow files, merge --listen) wait at a fixed 8 \
+                    batches — docs/CAPTURE.md";
+    let source = format!("pcap:{x}");
+    let capture: &[&str] = &["capture", csv, "--source", &source];
+    let cases: [(&[&str], i32, &str); 24] = [
+        (&["analyze", x, "--shards", "8"], 3, shards),
+        (&["merge", x, "--shards", "8"], 3, shards),
+        (&["analyze", x, "--lossy"], 3, lossy),
+        (&["merge", x, "--lossy"], 3, lossy),
+        (&[capture, &["--lossy"]].concat(), 3, lossy),
+        (&["analyze", x, "--ring-cap", "8"], 3, ring_cap),
+        (&["merge", x, "--ring-cap", "8"], 3, ring_cap),
+        (&[capture, &["--ring-cap", "8"]].concat(), 3, ring_cap),
+        (&["analyze", x, "--follow", "--ring-cap", "1", "--lossy"], 3, ring_cap),
+        (
+            &["analyze", x, "--no-such-flag", "1"],
+            2,
+            "analyze: unknown flag --no-such-flag",
+        ),
         (&["analyze", x, "--idle-timeout", "2s", "--features", csv], 2, features),
         (&["analyze", x, "--idle-timeout", "2s"], 2, idle),
         (&["analyze", x, "--follow", "--idle-timeout", "2s"], 2, idle),

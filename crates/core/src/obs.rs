@@ -920,9 +920,10 @@ row_family! {
     /// [`register_source`](PipelineMetrics::register_source); the capture
     /// thread keeps the returned `Arc` and bumps the counters lock-free.
     /// The drop counter participates in the conservation invariant:
-    /// packets a source captured either reach the sink (`packets_in`) or
-    /// are dropped at a full hand-off ring (`ring_full_drops`), never
-    /// silently lost. `delivered_ts_nanos` is what the per-source lag is
+    /// packets a source captured reach the sink (`packets_in`) or are
+    /// counted in `ring_full_drops`, never silently lost — and the capture
+    /// fan-in waits at a full ring rather than drop, so the counter stays
+    /// 0. `delivered_ts_nanos` is what the per-source lag is
     /// read from: a lane whose timestamp trails the furthest-ahead lane is
     /// the one holding the deterministic `(ts, lane)` merge back.
     SourceMetrics;

@@ -25,7 +25,7 @@ use crate::time::{EventQueue, Nanos, MS, SEC, US};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::net::Ipv4Addr;
-use std::rc::Rc;
+use std::sync::Arc;
 use zoom_wire::checksum::Summer;
 use zoom_wire::compose;
 use zoom_wire::pcap::Record;
@@ -238,7 +238,7 @@ impl MediaSection {
 
 /// Interned media section, shared between the uplink packet and all
 /// forwarded copies.
-type MediaBytes = Rc<MediaSection>;
+type MediaBytes = Arc<MediaSection>;
 
 /// The 8-byte SFU encapsulation header.
 fn sfu_header(encap_type: u8, sequence: u16, direction: u8) -> [u8; zoom::SFU_ENCAP_LEN] {
@@ -458,8 +458,13 @@ impl MeetingSim {
                 last_transit: None,
                 screen_active: false,
             });
-            queue.push(pc.join_at, Ev::Join(i));
-            queue.push(pc.leave_at, Ev::Leave(i));
+            // A participant due to leave before it joins (a meeting cut
+            // shorter than its arrival) never joins: its join would
+            // follow its leave and start media that nothing stops.
+            if pc.join_at <= pc.leave_at {
+                queue.push(pc.join_at, Ev::Join(i));
+                queue.push(pc.leave_at, Ev::Leave(i));
+            }
         }
         if let Some(at) = cfg.p2p_switch_at {
             if cfg.participants.len() == 2 {
@@ -1139,7 +1144,7 @@ impl MeetingSim {
             p.media_seq[midx] = p.media_seq[midx].wrapping_add(1);
             p.media_seq[midx]
         };
-        Rc::new(MediaSection::random(
+        Arc::new(MediaSection::random(
             MediaEncapRepr {
                 media_type: spec.media,
                 sequence: mseq,
@@ -1201,7 +1206,7 @@ impl MeetingSim {
             p.media_seq[media] = p.media_seq[media].wrapping_add(1);
             p.media_seq[media]
         };
-        let media_bytes = Rc::new(MediaSection::report(
+        let media_bytes = Arc::new(MediaSection::report(
             MediaEncapRepr {
                 media_type: spec.media,
                 sequence: mseq,
@@ -1307,7 +1312,7 @@ impl MeetingSim {
             if j == spec.sender || !self.alive(j) {
                 continue;
             }
-            self.forward_copy(now, spec, Rc::clone(&media_bytes), j, sent_at, 0);
+            self.forward_copy(now, spec, Arc::clone(&media_bytes), j, sent_at, 0);
         }
     }
 
@@ -1789,5 +1794,19 @@ mod tests {
         }
         assert_eq!(uplink_media, 0);
         assert!(downlink_media > 100);
+    }
+
+    #[test]
+    fn a_meeting_shorter_than_an_arrival_ends() {
+        // `multi_party` seats its last participants 5 s and 8 s in: cut at
+        // 4 s, neither may join after its leave and stream forever.
+        let duration = 4 * SEC;
+        let sim = MeetingSim::new(crate::scenario::multi_party(3, duration));
+        let mut records = 0u64;
+        for r in sim {
+            assert!(r.ts_nanos < duration + 10 * SEC, "record at {} ns", r.ts_nanos);
+            records += 1;
+        }
+        assert!(records > 100, "{records} records");
     }
 }

@@ -134,7 +134,9 @@ pub struct Totals {
     pub bytes: u64,
     /// Batches the worker's fan-in handled.
     pub batches: u64,
-    /// Records the worker dropped at full capture rings (lossy policy).
+    /// Records the worker dropped at full capture rings: 0 from a current
+    /// worker, whose fan-in never drops; kept so that a spool from an older
+    /// worker run with a loss policy still reconciles.
     pub ring_full_drops: u64,
     /// Records the worker's sources dropped (torn pcap tails).
     pub truncated: u64,

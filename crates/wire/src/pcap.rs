@@ -5,21 +5,20 @@
 //! and raw IP (101). This is all the paper's offline toolchain needs to
 //! exchange traces with tcpdump/Wireshark.
 //!
-//! Three ingest paths are offered:
+//! Two ingest paths are offered:
 //!
-//! * the **owning** path — [`Reader::next_record`] / [`Reader::records`]
-//!   allocate a fresh [`Record`] per packet (simple, `'static`, clonable);
-//! * the **reusing** path — [`Reader::read_into`] reuses one growable
-//!   [`RecordBuf`] across records (zero steady-state allocations);
 //! * the **chunk** path — [`Reader::read_chunk`] lands a whole chunk of
 //!   the file on a capture hand-off [`RecordBatch`]'s arena with one
 //!   `read` and indexes every complete record where it landed: no copy
 //!   between the kernel's and the batch's, which is what a capture source
-//!   hands on.
+//!   hands on, and what every analysis route reads with;
+//! * the **per-record** path — [`Reader::read_into`] reuses one growable
+//!   [`RecordBuf`] across records (zero steady-state allocations) for the
+//!   tools that walk a trace record by record; [`RecordBuf::to_record`]
+//!   copies one out where an owned [`Record`] is needed.
 //!
-//! The owning path is implemented on top of `read_into`, and all three
-//! share one record-header parser and count records, bytes and torn tails
-//! alike, so the paths cannot drift.
+//! Both share one record-header parser and count records, bytes and torn
+//! tails alike, so the paths cannot drift.
 
 use crate::handoff::{RecordBatch, RecordRef};
 use crate::Error;
@@ -143,15 +142,6 @@ impl RecordBuf {
             ts_nanos: self.ts_nanos,
             orig_len: self.orig_len,
             data: self.data.clone(),
-        }
-    }
-
-    /// Convert into an owning [`Record`], giving up the buffer.
-    pub fn into_record(self) -> Record {
-        Record {
-            ts_nanos: self.ts_nanos,
-            orig_len: self.orig_len,
-            data: self.data,
         }
     }
 }
@@ -393,26 +383,6 @@ impl<R: Read> Reader<R> {
         Ok(true)
     }
 
-    /// Read the next record; `Ok(None)` at a clean end of file *or* at a
-    /// truncated final record (see
-    /// [`truncated_records`](Reader::truncated_records)).
-    ///
-    /// This is the owning path: it allocates a fresh `Vec` per record.
-    /// Hot loops should prefer [`read_into`](Reader::read_into).
-    pub fn next_record(&mut self) -> io::Result<Option<Record>> {
-        let mut buf = RecordBuf::new();
-        if self.read_into(&mut buf)? {
-            Ok(Some(buf.into_record()))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Iterate over all remaining records, stopping at the first error.
-    pub fn records(self) -> RecordIter<R> {
-        RecordIter { reader: self }
-    }
-
     /// Lands the next chunk of the file on `batch`'s arena tail with one
     /// `read` of [`READ_BUFFER_BYTES`] and indexes every complete record
     /// where it landed: the capture path, with no copy between the
@@ -502,19 +472,6 @@ impl<R: Read> Reader<R> {
     }
 }
 
-/// Iterator adapter over a [`Reader`].
-pub struct RecordIter<R: Read> {
-    reader: Reader<R>,
-}
-
-impl<R: Read> Iterator for RecordIter<R> {
-    type Item = io::Result<Record>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.reader.next_record().transpose()
-    }
-}
-
 /// Streaming pcap writer (nanosecond resolution, native byte order).
 pub struct Writer<W: Write> {
     inner: W,
@@ -590,11 +547,21 @@ mod tests {
         buf
     }
 
+    /// Every record `r` has left, each copied out of one reused buffer.
+    fn read_all<R: Read>(mut r: Reader<R>) -> Vec<Record> {
+        let mut buf = RecordBuf::new();
+        let mut out = Vec::new();
+        while r.read_into(&mut buf).unwrap() {
+            out.push(buf.to_record());
+        }
+        out
+    }
+
     fn roundtrip(records: &[Record]) -> Vec<Record> {
         let buf = write_trace(records);
         let r = Reader::new(&buf[..]).unwrap();
         assert_eq!(r.link_type(), LinkType::Ethernet);
-        r.records().map(|x| x.unwrap()).collect()
+        read_all(r)
     }
 
     #[test]
@@ -655,7 +622,7 @@ mod tests {
         buf.extend_from_slice(&[0xAA, 0xBB]);
         let r = Reader::new(&buf[..]).unwrap();
         assert_eq!(r.link_type(), LinkType::RawIp);
-        let recs: Vec<_> = r.records().map(|x| x.unwrap()).collect();
+        let recs = read_all(r);
         assert_eq!(recs[0].ts_nanos, 1_000_000_000 + 500_000);
         assert_eq!(recs[0].data, vec![0xAA, 0xBB]);
     }
@@ -674,11 +641,7 @@ mod tests {
         buf.extend_from_slice(&1u32.to_be_bytes());
         buf.extend_from_slice(&1u32.to_be_bytes());
         buf.push(0x42);
-        let recs: Vec<_> = Reader::new(&buf[..])
-            .unwrap()
-            .records()
-            .map(|x| x.unwrap())
-            .collect();
+        let recs = read_all(Reader::new(&buf[..]).unwrap());
         assert_eq!(recs[0].data, vec![0x42]);
     }
 
@@ -698,8 +661,10 @@ mod tests {
         ]);
         buf.truncate(buf.len() - 2);
         let mut r = Reader::new(&buf[..]).unwrap();
-        assert_eq!(r.next_record().unwrap().unwrap().data, vec![1, 2, 3, 4]);
-        assert!(r.next_record().unwrap().is_none());
+        let mut rec = RecordBuf::new();
+        assert!(r.read_into(&mut rec).unwrap());
+        assert_eq!(rec.data(), [1, 2, 3, 4]);
+        assert!(!r.read_into(&mut rec).unwrap());
         assert_eq!(r.truncated_records(), 1);
     }
 
@@ -709,7 +674,7 @@ mod tests {
         let mut buf = write_trace(&[Record::full(0, vec![1, 2, 3, 4])]);
         buf.truncate(buf.len() - 4 - 10); // keep 6 of the 16 header bytes
         let mut r = Reader::new(&buf[..]).unwrap();
-        assert!(r.next_record().unwrap().is_none());
+        assert!(!r.read_into(&mut RecordBuf::new()).unwrap());
         assert_eq!(r.truncated_records(), 1);
     }
 
@@ -762,12 +727,6 @@ mod tests {
         ];
         let img = write_trace(&records);
 
-        let owned: Vec<Record> = Reader::new(&img[..])
-            .unwrap()
-            .records()
-            .map(|x| x.unwrap())
-            .collect();
-
         let mut fast = Vec::new();
         let mut reader = Reader::new(&img[..]).unwrap();
         let mut buf = RecordBuf::new();
@@ -775,7 +734,7 @@ mod tests {
             assert!(buf.data().len() <= buf.data.capacity());
             fast.push(buf.to_record());
         }
-        assert_eq!(fast, owned);
+        assert_eq!(fast, records);
         // The buffer grew once to the largest record and stayed there.
         assert_eq!(buf.data.capacity(), 1400);
         assert_eq!(reader.truncated_records(), 0);

@@ -526,7 +526,7 @@ proptest! {
             0..20,
         )
     ) {
-        use zoom_wire::pcap::{Reader, Record, Writer};
+        use zoom_wire::pcap::{Reader, Record, RecordBuf, Writer};
         let records: Vec<Record> = records
             .into_iter()
             // Keep timestamps in the representable range (u32 seconds).
@@ -540,11 +540,12 @@ proptest! {
             }
             w.finish().unwrap();
         }
-        let got: Vec<Record> = Reader::new(&buf[..])
-            .unwrap()
-            .records()
-            .map(|r| r.unwrap())
-            .collect();
+        let mut reader = Reader::new(&buf[..]).unwrap();
+        let mut rec = RecordBuf::new();
+        let mut got = Vec::new();
+        while reader.read_into(&mut rec).unwrap() {
+            got.push(rec.to_record());
+        }
         prop_assert_eq!(got, records);
     }
 

@@ -8,7 +8,7 @@ use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
 use zoom_wire::dissect::{dissect, render_tree, P2pProbe};
-use zoom_wire::pcap::{LinkType, Reader};
+use zoom_wire::pcap::{LinkType, Reader, RecordBuf};
 
 fn main() -> std::io::Result<()> {
     let mut args = std::env::args().skip(1);
@@ -19,9 +19,10 @@ fn main() -> std::io::Result<()> {
         let link = reader.link_type();
         let mut shown = 0;
         let mut index = 0u64;
-        while let Some(record) = reader.next_record()? {
+        let mut record = RecordBuf::new();
+        while reader.read_into(&mut record)? {
             index += 1;
-            match dissect(record.ts_nanos, &record.data, link, P2pProbe::Auto) {
+            match dissect(record.ts_nanos(), record.data(), link, P2pProbe::Auto) {
                 Ok(d) => {
                     println!("--- packet {index} ---");
                     print!("{}", render_tree(&d));

@@ -9,7 +9,7 @@ use zoom_analysis::PacketSink;
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
-use zoom_wire::pcap::{LinkType, Reader, Writer};
+use zoom_wire::pcap::{LinkType, Reader, RecordBuf, Writer};
 use zoom_wire::zoom::MediaType;
 
 fn main() -> std::io::Result<()> {
@@ -40,9 +40,10 @@ fn main() -> std::io::Result<()> {
         .build()
         .expect("valid campus CIDR");
     let mut analyzer = Analyzer::new(analyzer_config);
-    while let Some(record) = reader.next_record()? {
+    let mut record = RecordBuf::new();
+    while reader.read_into(&mut record)? {
         analyzer
-            .push(record.ts_nanos, &record.data, link)
+            .push(record.ts_nanos(), record.data(), link)
             .expect("push");
     }
 

@@ -43,7 +43,7 @@ use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::report::WindowReport;
 use zoom_analysis::PacketSink;
 use zoom_capture::fragment::{FragmentSource, WorkerAccount};
-use zoom_capture::mux::{CaptureMux, MuxConfig, Overflow};
+use zoom_capture::mux::{CaptureMux, MuxConfig};
 use zoom_capture::source::{PacketSource, BATCH_RECORDS};
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
@@ -154,7 +154,8 @@ fn sync_workers(pairs: &[(Arc<WorkerAccount>, Arc<WorkerMetrics>)]) {
 /// How a merge run reads its fragment lanes and feeds the engine.
 #[derive(Clone, Copy, Debug)]
 enum Drive {
-    /// Capture threads, record by record: the reference drive.
+    /// Capture threads, one record per drain, pushed record by record:
+    /// the reference drive.
     PerRecord,
     /// As the CLI drives it — `next_batch(BATCH_RECORDS)` → `push_batch` —
     /// over capture threads (`merge --listen`) or in-line lanes (`merge
@@ -196,34 +197,27 @@ fn fragment_run_driven(
             Box::new(src) as Box<dyn PacketSource>
         })
         .collect();
-    let config = MuxConfig {
-        ring_capacity: 8,
-        overflow: Overflow::Block,
-    };
     let mut mux = match drive {
         Drive::Batched { inline: true } => CaptureMux::inline(sources, Some(&mh)),
-        _ => CaptureMux::start(sources, config, Some(&mh)),
+        _ => CaptureMux::start(sources, MuxConfig::default(), Some(&mh)),
+    };
+    let max = match drive {
+        Drive::PerRecord => 1,
+        Drive::Batched { .. } => BATCH_RECORDS,
     };
     let mut windows = Vec::new();
-    match drive {
-        Drive::PerRecord => {
-            while let Some(r) = mux.next_record().expect("mux record") {
-                engine.push(r.ts_nanos, r.data, r.link).expect("push");
-                windows.extend(engine.take_windows());
+    let mut batch = RecordBatch::new();
+    while let Some(link) = mux.next_batch(&mut batch, max).expect("mux batch") {
+        match drive {
+            Drive::PerRecord => {
+                for r in batch.iter() {
+                    engine.push(r.ts_nanos, r.data, link).expect("push");
+                }
             }
+            Drive::Batched { .. } => engine.push_batch(&batch, link).expect("push_batch"),
         }
-        Drive::Batched { .. } => {
-            let mut batch = RecordBatch::new();
-            while let Some(link) = mux
-                .next_batch(&mut batch, BATCH_RECORDS)
-                .expect("mux batch")
-            {
-                engine.push_batch(&batch, link).expect("push_batch");
-                windows.extend(engine.take_windows());
-            }
-        }
+        windows.extend(engine.take_windows());
     }
-    assert_eq!(mux.ring_full_drops(), 0, "lossless replay must not drop");
     mux.finish().expect("capture teardown");
     sync_workers(&pairs);
     let out = engine.drain().expect("drain");
@@ -598,8 +592,9 @@ fn cut_worker_stream_is_an_error_not_a_short_report() {
         } else {
             CaptureMux::start(sources, MuxConfig::default(), None)
         };
+        let mut batch = RecordBatch::new();
         let err = loop {
-            match mux.next_record() {
+            match mux.next_batch(&mut batch, BATCH_RECORDS) {
                 Ok(Some(_)) => continue,
                 Ok(None) => panic!("cut stream passed for a complete merge"),
                 Err(e) => break e,

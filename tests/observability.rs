@@ -17,6 +17,7 @@ use zoom_capture::source::{PacketSource, ReplaySource};
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
+use zoom_wire::handoff::RecordBatch;
 use zoom_wire::pcap::{LinkType, Record};
 
 /// A frame too short for an Ethernet header: dissects as a truncated
@@ -340,10 +341,13 @@ fn every_render_says_which_lane_a_source_took() {
     let mut inline = CaptureMux::inline(source("replay:file"), Some(&metrics));
     let mut threaded =
         CaptureMux::start(source("replay:tap"), MuxConfig::default(), Some(&metrics));
+    let mut batch = RecordBatch::new();
     for mux in [&mut inline, &mut threaded] {
-        while let Some(r) = mux.next_record().expect("mux record") {
-            metrics.record_in(r.data.len());
-            metrics.packets_not_zoom.inc();
+        while mux.next_batch(&mut batch, 128).expect("mux batch").is_some() {
+            for r in batch.iter() {
+                metrics.record_in(r.data.len());
+                metrics.packets_not_zoom.inc();
+            }
         }
     }
     inline.finish().unwrap();

@@ -6,7 +6,7 @@ use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
-use zoom_wire::pcap::{LinkType, Reader, Record, Writer, MAGIC_USEC};
+use zoom_wire::pcap::{LinkType, Reader, Record, RecordBuf, Writer, MAGIC_USEC};
 
 fn capture(duration_secs: u64) -> Vec<Record> {
     let mut cfg = scenario::validation_experiment(55);
@@ -14,6 +14,18 @@ fn capture(duration_secs: u64) -> Vec<Record> {
         p.leave_at = duration_secs * SEC;
     }
     MeetingSim::new(cfg).collect()
+}
+
+/// Every record of the pcap image `img`, copied out of one reused buffer.
+fn read_back(img: &[u8]) -> Vec<Record> {
+    let mut reader = Reader::new(img).unwrap();
+    assert_eq!(reader.link_type(), LinkType::Ethernet);
+    let mut buf = RecordBuf::new();
+    let mut out = Vec::new();
+    while reader.read_into(&mut buf).unwrap() {
+        out.push(buf.to_record());
+    }
+    out
 }
 
 fn analyze(records: impl IntoIterator<Item = Record>) -> zoom_analysis::pipeline::TraceSummary {
@@ -37,9 +49,7 @@ fn nanosecond_roundtrip_is_lossless() {
         }
         w.finish().unwrap();
     }
-    let reader = Reader::new(&buf[..]).unwrap();
-    assert_eq!(reader.link_type(), LinkType::Ethernet);
-    let replayed: Vec<Record> = reader.records().map(|r| r.unwrap()).collect();
+    let replayed = read_back(&buf);
     assert_eq!(replayed.len(), records.len());
     assert_eq!(replayed, records, "byte-exact roundtrip");
 
@@ -70,11 +80,7 @@ fn microsecond_file_truncates_timestamps_but_still_analyzes() {
         buf.extend_from_slice(&(r.data.len() as u32).to_le_bytes());
         buf.extend_from_slice(&r.data);
     }
-    let replayed: Vec<Record> = Reader::new(&buf[..])
-        .unwrap()
-        .records()
-        .map(|r| r.unwrap())
-        .collect();
+    let replayed = read_back(&buf);
     assert_eq!(replayed.len(), records.len());
     // Timestamps rounded down to µs.
     for (a, b) in records.iter().zip(&replayed) {

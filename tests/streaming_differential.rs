@@ -201,12 +201,11 @@ fn eviction_fragments_sum_to_batch_totals_and_bound_memory() {
 }
 
 // ---------------------------------------------------------------------
-// Ingest-path equivalence: the zero-copy fast paths must not change a
-// byte of output relative to the owning-record path.
+// Ingest-path equivalence: reading a trace back from pcap bytes must not
+// change a byte of output relative to pushing the records from memory.
 // ---------------------------------------------------------------------
 
-/// Serialize the synthetic records into an in-memory classic pcap image,
-/// so every ingest path starts from identical bytes.
+/// Serialize the synthetic records into an in-memory classic pcap image.
 fn pcap_image(records: &[Record]) -> Vec<u8> {
     let mut w = Writer::new(Vec::new(), LinkType::Ethernet).expect("write header");
     for r in records {
@@ -215,19 +214,8 @@ fn pcap_image(records: &[Record]) -> Vec<u8> {
     w.finish().expect("flush")
 }
 
-/// The two ingest paths under differential test: the owning
-/// `next_record` loop and the buffer-reusing `read_into` loop.
-#[derive(Clone, Copy, Debug)]
-enum Ingest {
-    Owning,
-    ReadInto,
-}
-
-fn stream_via(
-    img: &[u8],
-    ingest: Ingest,
-    window: Option<Duration>,
-) -> (Vec<WindowReport>, EngineOutput) {
+/// The pcap image through the buffer-reusing `read_into` loop.
+fn stream_via_pcap(img: &[u8], window: Option<Duration>) -> (Vec<WindowReport>, EngineOutput) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
         window,
@@ -236,27 +224,15 @@ fn stream_via(
     })
     .expect("valid engine config");
     let mut windows = Vec::new();
-    match ingest {
-        Ingest::Owning => {
-            let mut r = Reader::new(img).expect("pcap header");
-            let link = r.link_type();
-            while let Some(rec) = r.next_record().expect("record") {
-                engine.push(rec.ts_nanos, &rec.data, link).expect("push");
-                windows.extend(engine.take_windows());
-            }
-        }
-        Ingest::ReadInto => {
-            let mut r = Reader::new(img).expect("pcap header");
-            let link = r.link_type();
-            let mut buf = RecordBuf::new();
-            while r.read_into(&mut buf).expect("record") {
-                windows.extend(
-                    engine
-                        .push_packet(buf.ts_nanos(), buf.data(), link)
-                        .expect("push"),
-                );
-            }
-        }
+    let mut r = Reader::new(img).expect("pcap header");
+    let link = r.link_type();
+    let mut buf = RecordBuf::new();
+    while r.read_into(&mut buf).expect("record") {
+        windows.extend(
+            engine
+                .push_packet(buf.ts_nanos(), buf.data(), link)
+                .expect("push"),
+        );
     }
     let out = engine.drain().expect("drain");
     (windows, out)
@@ -290,21 +266,21 @@ fn ingest_paths_byte_identical() {
     let img = pcap_image(&records);
     let batch = batch_report(&records);
     for window in [None, Some(Duration::from_secs(10))] {
-        let baseline = stream_via(&img, Ingest::Owning, window);
+        let baseline = stream_run(&records, window, None);
         // Without eviction the drain report equals the batch report,
         // whatever the ingest path.
         assert_eq!(
             baseline.1.report.to_json(),
             batch.to_json(),
-            "owning/{window:?}"
+            "in memory/{window:?}"
         );
-        let run = stream_via(&img, Ingest::ReadInto, window);
+        let run = stream_via_pcap(&img, window);
         assert_same_run(&run, &baseline, &format!("read_into/{window:?}"));
     }
 }
 
 proptest! {
-    /// Randomized traces through (owning, read_into) ×
+    /// Randomized traces through (in memory, read_into) ×
     /// randomized windowing: all windows and both final reports must
     /// serialize identically. (`window_secs` of 0 means unwindowed.)
     #[test]
@@ -316,8 +292,8 @@ proptest! {
             MeetingSim::new(scenario::multi_party(seed, 15 * SEC)).collect();
         let img = pcap_image(&records);
         let window = (window_secs > 0).then(|| Duration::from_secs(window_secs));
-        let baseline = stream_via(&img, Ingest::Owning, window);
-        let run = stream_via(&img, Ingest::ReadInto, window);
+        let baseline = stream_run(&records, window, None);
+        let run = stream_via_pcap(&img, window);
         prop_assert_eq!(run.0.len(), baseline.0.len());
         for (x, y) in run.0.iter().zip(&baseline.0) {
             prop_assert_eq!(x.to_json(), y.to_json());

@@ -23,7 +23,7 @@ use zoom_analysis::obs::trace::{spans, TraceCollector};
 use zoom_analysis::pipeline::AnalyzerConfig;
 use zoom_analysis::report::WindowReport;
 use zoom_capture::fragment::FragmentSource;
-use zoom_capture::mux::{CaptureMux, MuxConfig, Overflow};
+use zoom_capture::mux::{CaptureMux, MuxConfig};
 use zoom_capture::source::PacketSource;
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
@@ -134,14 +134,7 @@ fn merge_run(
             Box::new(src) as Box<dyn PacketSource>
         })
         .collect();
-    let mut mux = CaptureMux::start(
-        sources,
-        MuxConfig {
-            ring_capacity: 8,
-            overflow: Overflow::Block,
-        },
-        Some(&mh),
-    );
+    let mut mux = CaptureMux::start(sources, MuxConfig::default(), Some(&mh));
     let mut windows = Vec::new();
     let mut batch = RecordBatch::new();
     while let Some(link) = mux.next_batch(&mut batch, 512).expect("mux batch") {

@@ -83,6 +83,7 @@ pub fn jitter_packet_vs_frame(args: &ExpArgs) {
     let mut last_arrival: Option<u64> = None;
     let mut last_gap: Option<i64> = None;
     for record in sim {
+        analyzer.process_packet(record.ts_nanos, &record.data, LinkType::Ethernet);
         let Ok(d) = zoom_wire::dissect::dissect(
             record.ts_nanos,
             &record.data,
@@ -106,7 +107,6 @@ pub fn jitter_packet_vs_frame(args: &ExpArgs) {
                 last_arrival = Some(record.ts_nanos);
             }
         }
-        analyzer.process_dissection(&d);
     }
     let stream = analyzer
         .streams()

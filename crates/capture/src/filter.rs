@@ -12,8 +12,8 @@
 //!
 //! Accounting goes to the registry once per batch
 //! ([`PipelineMetrics::record_batch_in`] plus one add per verdict
-//! counter), not once per record: the registry's counters are atomics the
-//! capture threads' per-source series share, and a filter that rejects
+//! counter), not once per record: the registry's counters are atomics a
+//! scrape reads from another thread, and a filter that rejects
 //! nine records in ten spends little else per record. A scrape therefore
 //! lags the loop by at most one batch, and is never ahead of it.
 

@@ -16,9 +16,8 @@
 //! accounting (cumulative `Totals` in Accounting/Bye frames). The source
 //! mirrors the latest totals into a shared [`WorkerAccount`] so the
 //! merge process can fold `zoom_worker_*` metrics into its conservation
-//! invariant while the fan-in lane — a capture thread behind a socket,
-//! the merge thread itself over a spool file — owns the source
-//! exclusively.
+//! invariant while the fan-in lane — read on the merge thread, over a
+//! socket or a spool file alike — owns the source exclusively.
 
 use crate::source::{PacketSource, SourceError};
 use std::io::Read;
@@ -40,7 +39,8 @@ pub struct WorkerAccount {
     pub bytes: AtomicU64,
     /// Batches the worker's fan-in handled (cumulative).
     pub batches: AtomicU64,
-    /// Records the worker dropped at its own full capture rings.
+    /// Records the worker reported dropping at capture (the wire format
+    /// keeps the field; a current worker never drops and sends 0).
     pub ring_full_drops: AtomicU64,
     /// Records the worker's sources dropped (torn pcap tails).
     pub truncated: AtomicU64,

@@ -25,13 +25,13 @@
 //! * [`source`] — the [`PacketSource`](source::PacketSource) abstraction
 //!   with pcap-file and iterator (simulated tap, in-memory replay)
 //!   adapters,
-//! * [`ring`] — the bounded lock-free SPSC ring behind every capture
-//!   thread's hand-off,
 //! * [`mux`] — the N-sources→one-engine fan-in
-//!   ([`CaptureMux`](mux::CaptureMux)): each source read in-line or on a
-//!   capture thread of its own, a deterministic, lossless timestamp merge
-//!   drained a batch at a time, and per-source accounting threaded into
+//!   ([`CaptureMux`](mux::CaptureMux)): every source read in-line on the
+//!   consumer's thread, a deterministic, lossless timestamp merge drained
+//!   a batch at a time, and per-source accounting threaded into
 //!   [`zoom_analysis::obs`],
+//! * [`ring`] — a bounded lock-free SPSC ring. No route reads through it
+//!   any more; it stays for the repository benchmark's hand-off probe,
 //! * [`filter`] — the one loop from a fan-in through the filter to an
 //!   output pcap ([`filter_to_pcap`](filter::filter_to_pcap)), behind both
 //!   `zoom-tools capture` and `zoom-tools filter`,

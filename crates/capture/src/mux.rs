@@ -1,22 +1,23 @@
 //! N-sources → one-engine fan-in, lossless, drained a batch at a time.
 //!
-//! [`CaptureMux`] reads each [`PacketSource`] either in-line on the
-//! consumer's thread ([`CaptureMux::inline`]: no thread, no ring) or on a
-//! capture thread of its own that hands batches over through a bounded
-//! SPSC ring ([`crate::ring`]; [`CaptureMux::start`]).
-//! [`CaptureMux::with_lanes`] picks per source. A capture thread whose ring
-//! is full waits for the consumer: every input the toolchain reads — a
-//! file, a followed file, a generator, a worker connection — can wait, so
-//! the fan-in never drops a record. Exhausted batches are recycled back to
-//! their filler, so the steady state allocates nothing on either side.
+//! [`CaptureMux`] reads every [`PacketSource`] in-line, on the thread that
+//! calls [`CaptureMux::next_batch`]: no capture thread, no ring. The merge
+//! below waits for its slowest live lane whatever reads that lane, so a
+//! thread per source would only add read-ahead — and the kernel already
+//! buffers a socket or a file for its reader. A source that may make its
+//! reader wait (a followed file, a worker connection) paces itself: it
+//! blocks in its read, or sleeps its poll interval before it reports
+//! "nothing new yet". Nothing is ever dropped. Each lane reads into one
+//! spare arena and gets back the arenas it handed on, so the steady state
+//! allocates nothing.
 //!
-//! The consuming side merges the per-source streams into one
-//! deterministic, timestamp-ordered record sequence: the next record is
-//! always the minimum `(ts_nanos, lane_index)` across lanes, which is
-//! what makes an N-source run byte-identical to the equivalent
-//! single-source run (pinned by `tests/multi_source_differential.rs`).
-//! [`CaptureMux::next_batch`] is the one drain: each merge scan yields a
-//! whole run of the winning lane's records.
+//! The merge yields one deterministic, timestamp-ordered record sequence:
+//! the next record is always the minimum `(ts_nanos, lane_index)` across
+//! lanes, which is what makes an N-source run byte-identical to the
+//! equivalent single-source run (pinned by
+//! `tests/multi_source_differential.rs`). [`CaptureMux::next_batch`] is
+//! the one drain: each merge scan yields a whole run of the winning
+//! lane's records.
 //!
 //! Per-source accounting (`packets`, `bytes`, `batches`) is threaded into
 //! a [`zoom_analysis::obs::PipelineMetrics`] registry when one is
@@ -37,7 +38,7 @@
 //!         Box::new(ReplaySource::new("replay:even", LinkType::Ethernet, even)),
 //!         Box::new(ReplaySource::new("replay:odd", LinkType::Ethernet, odd)),
 //!     ],
-//!     MuxConfig::default(),
+//!     MuxConfig,
 //!     None,
 //! );
 //! let mut batch = RecordBatch::new();
@@ -50,50 +51,17 @@
 //! # Ok::<(), zoom_capture::source::SourceError>(())
 //! ```
 
-use crate::ring::{self, Consumer, Producer};
 use crate::source::{PacketSource, SourceError, BATCH_BYTES};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 use zoom_analysis::obs::trace::{spans, TraceCollector};
-use zoom_analysis::obs::{LaneKind, PipelineMetrics, SourceMetrics};
+use zoom_analysis::obs::{PipelineMetrics, SourceMetrics};
 use zoom_wire::handoff::RecordBatch;
 use zoom_wire::pcap::LinkType;
 
-/// Fan-in tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct MuxConfig {
-    /// Hand-off ring depth per capture thread, in batches (not records).
-    /// With `BATCH_RECORDS`-sized batches the default of 8 buffers ~1k
-    /// records per source; see `docs/CAPTURE.md` for the sizing math.
-    pub ring_capacity: usize,
-}
-
-impl Default for MuxConfig {
-    fn default() -> MuxConfig {
-        MuxConfig { ring_capacity: 8 }
-    }
-}
-
-/// Capture-side counters for one lane, read by the consumer for stats.
-#[derive(Debug, Default)]
-struct LaneCounters {
-    packets: AtomicU64,
-    bytes: AtomicU64,
-    batches: AtomicU64,
-    truncated: AtomicU64,
-}
-
-/// State shared between one capture thread and the consumer.
-struct LaneShared {
-    counters: LaneCounters,
-    obs: Option<Arc<SourceMetrics>>,
-    /// Pipeline trace collector; capture threads sample batches here and
-    /// stamp the winners' `trace_id` so downstream stages can attribute
-    /// their spans. Disabled collectors cost one relaxed load per batch.
-    trace: Option<Arc<TraceCollector>>,
-    error: Mutex<Option<String>>,
-}
+/// Fan-in settings. There are none left: every lane is read in-line.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MuxConfig;
 
 /// Plain-data copy of one lane's capture-side counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,175 +78,142 @@ pub struct LaneStats {
     pub truncated: u64,
 }
 
-/// Where a lane's batches come from.
-enum Feed {
-    /// A capture thread behind a ring pair: filled batches arrive on `rx`,
-    /// spent arenas go back down `recycle_tx`.
-    Thread {
-        rx: Consumer<RecordBatch>,
-        recycle_tx: Producer<RecordBatch>,
-        thread: Option<std::thread::JoinHandle<()>>,
-    },
-    /// The source itself, read on the consumer's thread
-    /// ([`CaptureMux::inline`]): no thread, no ring.
-    Inline {
-        source: Box<dyn PacketSource>,
-        /// The cleared arena the next read fills.
-        spare: RecordBatch,
-        /// Whether the source may still yield records.
-        live: bool,
-    },
-}
-
 struct Lane {
-    label: String,
+    source: Box<dyn PacketSource>,
     link: LinkType,
-    feed: Feed,
-    shared: Arc<LaneShared>,
+    stats: LaneStats,
+    obs: Option<Arc<SourceMetrics>>,
+    /// Pipeline trace collector: reads are sampled here and the winners'
+    /// `trace_id` stamped on the batch so downstream stages can attribute
+    /// their spans. A disabled collector costs one relaxed load per batch.
+    trace: Option<Arc<TraceCollector>>,
+    /// The cleared arena the next read fills.
+    spare: RecordBatch,
     /// Batch currently being consumed, with the cursor of the next
     /// record to emit.
     current: Option<(RecordBatch, usize)>,
+    /// Whether the source may still yield records.
+    live: bool,
+    /// Source exhausted (or failed) and every record it read delivered.
     done: bool,
 }
 
 impl Lane {
-    /// A lane over `source` — its label, link type and registration on
-    /// `metrics` as a lane of `kind` — fed by whatever `feed` makes of the
-    /// source and the state the lane shares with it.
-    fn new(
-        source: Box<dyn PacketSource>,
-        metrics: Option<&PipelineMetrics>,
-        kind: LaneKind,
-        feed: impl FnOnce(Box<dyn PacketSource>, &Arc<LaneShared>) -> Feed,
-    ) -> Lane {
+    fn new(source: Box<dyn PacketSource>, metrics: Option<&PipelineMetrics>) -> Lane {
         let label = source.label().to_string();
-        let shared = Arc::new(LaneShared {
-            counters: LaneCounters::default(),
-            obs: metrics.map(|m| m.register_source(&label, kind)),
-            trace: metrics.map(|m| Arc::clone(&m.trace)),
-            error: Mutex::new(None),
-        });
         Lane {
-            label,
             link: source.link_type(),
-            feed: feed(source, &shared),
-            shared,
+            obs: metrics.map(|m| m.register_source(&label)),
+            trace: metrics.map(|m| Arc::clone(&m.trace)),
+            stats: LaneStats {
+                label,
+                packets: 0,
+                bytes: 0,
+                batches: 0,
+                truncated: 0,
+            },
+            source,
+            spare: RecordBatch::new(),
             current: None,
+            live: true,
             done: false,
         }
     }
 
-    /// Peeks the timestamp of this lane's next record, `Ok(None)` if the
+    /// Peeks the timestamp of this lane's next record, `None` if the
     /// lane has nothing buffered right now.
     fn peek_ts(&self) -> Option<u64> {
         let (batch, cursor) = self.current.as_ref()?;
         batch.get(*cursor).map(|r| r.ts_nanos)
     }
 
-    /// Returns a cleared arena to whoever fills this lane's batches.
-    fn recycle(&mut self, batch: RecordBatch) {
-        match &mut self.feed {
-            Feed::Thread { recycle_tx, .. } => {
-                let _ = recycle_tx.try_push(batch);
-            }
-            Feed::Inline { spare, .. } => *spare = batch,
-        }
-    }
-
-    /// Tries to make `current` hold an unconsumed record. Returns false
-    /// while the lane is live but momentarily empty.
+    /// Tries to make `current` hold an unconsumed record, reading the
+    /// source when it does not. Returns false while the lane is live but
+    /// its source had nothing new (it paced that poll itself), and once
+    /// the lane is done.
     fn refill(&mut self) -> Result<bool, SourceError> {
         loop {
             if let Some((batch, cursor)) = &self.current {
                 if *cursor < batch.len() {
                     return Ok(true);
                 }
-                // Exhausted: hand the batch back for reuse.
+                // Exhausted: its arena takes the next read.
                 let (mut batch, _) = self.current.take().expect("checked above");
                 batch.clear();
-                self.recycle(batch);
+                self.spare = batch;
             }
-            let batch = match &mut self.feed {
-                Feed::Thread { rx, .. } => match rx.try_pop() {
-                    Some(batch) if !batch.is_empty() => {
-                        if let Some(obs) = &self.shared.obs {
-                            obs.ring_occupancy.set(rx.len() as u64);
-                        }
-                        if batch.trace_id != 0 {
-                            if let Some(tc) = &self.shared.trace {
-                                tc.record(
-                                    batch.trace_id,
-                                    spans::RING_DEQUEUE,
-                                    &self.label,
-                                    batch.len() as u64,
-                                    0,
-                                );
-                            }
-                        }
-                        batch
-                    }
-                    Some(_) => continue, // empty batch: recycle via the loop
-                    None if rx.is_closed() => {
-                        self.done = true;
-                        if let Some(msg) = self.shared.error.lock().unwrap().take() {
-                            return Err(SourceError::Format(msg));
-                        }
-                        return Ok(false);
-                    }
-                    None => return Ok(false),
-                },
-                Feed::Inline {
-                    source,
-                    spare,
-                    live,
-                } => {
-                    if !*live {
-                        self.done = true;
-                        self.shared
-                            .counters
-                            .truncated
-                            .store(source.truncated_records(), Ordering::Release);
-                        return Ok(false);
-                    }
-                    let mut batch = std::mem::take(spare);
-                    let read_start = Instant::now();
-                    match source.next_batch(&mut batch) {
-                        Ok(more) => *live = more,
-                        Err(e) => {
-                            self.done = true;
-                            return Err(SourceError::Format(format!("{}: {e}", self.label)));
-                        }
-                    }
-                    if batch.is_empty() {
-                        // A live source with nothing new yet (it paced the
-                        // poll itself), or the end: the next call decides.
-                        *spare = batch;
-                        if *live {
-                            return Ok(false);
-                        }
-                        continue;
-                    }
-                    note_read(&self.shared, &self.label, &mut batch, read_start);
-                    batch
-                }
-            };
-            if let Some(obs) = &self.shared.obs {
-                if let Some(last) = batch.get(batch.len() - 1) {
-                    // How far this lane's delivered stream has advanced;
-                    // per-source lag is derived from the spread of these
-                    // at render time.
-                    obs.delivered_ts_nanos.set(last.ts_nanos);
+            if !self.live {
+                self.done = true;
+                self.stats.truncated = self.source.truncated_records();
+                return Ok(false);
+            }
+            let mut batch = std::mem::take(&mut self.spare);
+            let read_start = Instant::now();
+            match self.source.next_batch(&mut batch) {
+                Ok(more) => self.live = more,
+                Err(e) => {
+                    self.done = true;
+                    return Err(SourceError::Format(format!("{}: {e}", self.stats.label)));
                 }
             }
+            if batch.is_empty() {
+                // Nothing new yet, or the end: the next call decides.
+                self.spare = batch;
+                if self.live {
+                    return Ok(false);
+                }
+                continue;
+            }
+            self.note_read(&mut batch, read_start);
             self.current = Some((batch, 0));
             return Ok(true);
         }
     }
+
+    /// Accounts one non-empty batch read off the source — lane counters,
+    /// the registry's per-source series — and, on a traced run, samples
+    /// it: the winner's `trace_id` is stamped on the batch and the read
+    /// recorded as its `source_read` span.
+    fn note_read(&mut self, batch: &mut RecordBatch, read_start: Instant) {
+        let n = batch.len() as u64;
+        let nbytes = batch.arena_bytes() as u64;
+        self.stats.packets += n;
+        self.stats.bytes += nbytes;
+        self.stats.batches += 1;
+        if let Some(obs) = &self.obs {
+            obs.packets.add(n);
+            obs.bytes.add(nbytes);
+            obs.batches.inc();
+            if let Some(last) = batch.get(batch.len() - 1) {
+                // How far this lane's delivered stream has advanced;
+                // per-source lag is derived from the spread of these at
+                // render time.
+                obs.delivered_ts_nanos.set(last.ts_nanos);
+            }
+        }
+        if let Some(tc) = &self.trace {
+            // A batch pre-tagged by the source itself (a fragment lane
+            // stitching a worker's trace through) keeps the foreign ID and
+            // has this read attributed to it.
+            if batch.trace_id == 0 {
+                batch.trace_id = tc.sample().unwrap_or(0);
+            }
+            if batch.trace_id != 0 {
+                tc.record(
+                    batch.trace_id,
+                    spans::SOURCE_READ,
+                    &self.stats.label,
+                    n,
+                    read_start.elapsed().as_nanos() as u64,
+                );
+            }
+        }
+    }
 }
 
-/// The fan-in: one capture thread per source, a deterministic
-/// `(ts, lane)` merge on the consuming side. See the
-/// [module documentation](self) for semantics and a usage example.
+/// The fan-in: every source read in-line, a deterministic `(ts, lane)`
+/// merge over them. See the [module documentation](self) for semantics
+/// and a usage example.
 pub struct CaptureMux {
     lanes: Vec<Lane>,
     /// Records handed to the consumer so far (post-merge).
@@ -288,73 +223,20 @@ pub struct CaptureMux {
 }
 
 impl CaptureMux {
-    /// Spawns one capture thread per source and returns the consuming
-    /// end. When `metrics` is given, every source is registered on it
-    /// (appearing in snapshots and the extended conservation invariant).
+    /// The fan-in over `sources`, in lane order. It starts nothing: each
+    /// source is read on the thread that calls
+    /// [`next_batch`](CaptureMux::next_batch), straight into the arena the
+    /// merge scan then draws from (and, when nothing interleaves with it,
+    /// hands to the caller). When `metrics` is given, every source is
+    /// registered on it (appearing in snapshots and the extended
+    /// conservation invariant).
     pub fn start(
         sources: Vec<Box<dyn PacketSource>>,
-        config: MuxConfig,
+        _config: MuxConfig,
         metrics: Option<&PipelineMetrics>,
     ) -> CaptureMux {
-        let lanes = sources.into_iter().map(|s| (s, LaneKind::Threaded));
-        CaptureMux::with_lanes(lanes.collect(), config, metrics)
-    }
-
-    /// A fan-in that spawns nothing: every source is read on the thread
-    /// that calls [`next_batch`](CaptureMux::next_batch), straight into the
-    /// arena the merge scan then draws from (and, when nothing interleaves
-    /// with it, hands to the caller). Same records, same order, same
-    /// accounting as [`start`](CaptureMux::start) over the same sources —
-    /// there a capture thread waits for the consumer anyway, so all the
-    /// thread buys is read-ahead on a second core, and only when the
-    /// scheduler grants one. In-line, a pass costs the same wall time
-    /// whether it gets one core or two. Meant for sources that always have
-    /// their next batch ready (files, generators), plus at most one that
-    /// may make its reader wait: a quiet followed file paces its poll by
-    /// sleeping, and in-line that sleep stalls every lane. The ring gauges
-    /// and `ring_enqueue` / `ring_dequeue` spans do not appear: there is no
-    /// ring.
-    pub fn inline(
-        sources: Vec<Box<dyn PacketSource>>,
-        metrics: Option<&PipelineMetrics>,
-    ) -> CaptureMux {
-        let lanes = sources.into_iter().map(|s| (s, LaneKind::Inline));
-        CaptureMux::with_lanes(lanes.collect(), MuxConfig::default(), metrics)
-    }
-
-    /// A fan-in whose every source is read as its [`LaneKind`] says: on a
-    /// capture thread behind a ring of `config.ring_capacity` batches, or
-    /// in-line (see [`inline`](CaptureMux::inline)). Lane order, merge
-    /// order and accounting do not depend on the kinds.
-    pub fn with_lanes(
-        sources: Vec<(Box<dyn PacketSource>, LaneKind)>,
-        config: MuxConfig,
-        metrics: Option<&PipelineMetrics>,
-    ) -> CaptureMux {
-        let capacity = config.ring_capacity.max(1);
-        let lanes = sources.into_iter().map(|(source, kind)| {
-            Lane::new(source, metrics, kind, |source, shared| match kind {
-                LaneKind::Inline => Feed::Inline {
-                    source,
-                    spare: RecordBatch::new(),
-                    live: true,
-                },
-                LaneKind::Threaded => {
-                    let (tx, rx) = ring::spsc::<RecordBatch>(capacity);
-                    let (recycle_tx, recycle_rx) = ring::spsc::<RecordBatch>(capacity + 2);
-                    let shared = Arc::clone(shared);
-                    let thread =
-                        std::thread::spawn(move || capture_thread(source, tx, recycle_rx, shared));
-                    Feed::Thread {
-                        rx,
-                        recycle_tx,
-                        thread: Some(thread),
-                    }
-                }
-            })
-        });
         CaptureMux {
-            lanes: lanes.collect(),
+            lanes: sources.into_iter().map(|s| Lane::new(s, metrics)).collect(),
             delivered: 0,
             delivered_bytes: 0,
         }
@@ -367,22 +249,20 @@ impl CaptureMux {
     /// per-record drain — and each merge scan is amortized over a whole
     /// *run* of records from the winning lane.
     ///
-    /// When that run is the winning lane's whole untouched capture batch
-    /// (always, with one source), the batch is **handed over** instead of
-    /// copied: its arena is swapped into `out` and the arena the caller
-    /// passed in goes back to the capture thread for refilling. The
-    /// caller therefore gets the source's own batches (up to
-    /// `BATCH_RECORDS` records each) and must not expect `out` to keep
-    /// its allocation from one call to the next.
+    /// When that run is the winning lane's whole untouched batch (always,
+    /// with one source), the batch is **handed over** instead of copied:
+    /// its arena is swapped into `out` and the arena the caller passed in
+    /// becomes the lane's next read. The caller therefore gets the
+    /// source's own batches and must not expect `out` to keep its
+    /// allocation from one call to the next.
     ///
     /// A batch is cut early when the next record's lane has a different
     /// link type (one [`LinkType`] per batch, matching
-    /// `PacketSink::push_batch`), or when a live lane is momentarily
-    /// empty — strict ordering forbids emitting past it, and handing
-    /// the partial batch to the caller beats sleeping on buffered work.
-    /// Blocks only when nothing is buffered at all (analysis may wait for
-    /// capture; never the reverse);
-    /// `Ok(None)` once every source is exhausted.
+    /// `PacketSink::push_batch`), or when a live lane had nothing new —
+    /// strict ordering forbids emitting past it, and handing the partial
+    /// batch to the caller beats polling again on buffered work. With
+    /// nothing buffered it polls that lane again: the source paced its own
+    /// poll. `Ok(None)` once every source is exhausted.
     pub fn next_batch(
         &mut self,
         out: &mut RecordBatch,
@@ -402,9 +282,7 @@ impl CaptureMux {
                     continue;
                 }
                 if !lane.refill()? {
-                    if !lane.done {
-                        waiting = true;
-                    }
+                    waiting |= !lane.done;
                     continue;
                 }
                 let ts = lane.peek_ts().expect("refill returned true");
@@ -422,11 +300,10 @@ impl CaptureMux {
             }
             if waiting {
                 if link.is_some() {
-                    // Never sleep on buffered work: hand the partial
+                    // Never poll again on buffered work: hand the partial
                     // batch over and let the next call do the waiting.
                     break;
                 }
-                std::thread::sleep(Duration::from_micros(50));
                 continue;
             }
             let Some((_, i)) = best else { break }; // every lane exhausted
@@ -456,14 +333,14 @@ impl CaptureMux {
                 self.delivered += out.len() as u64;
                 self.delivered_bytes += out.arena_bytes() as u64;
                 // `current` now holds the (cleared) arena the caller passed
-                // in; it goes back to the lane's filler for the next fill.
+                // in; it takes the lane's next read.
                 let (spare, _) = lane.current.take().expect("refill succeeded");
-                lane.recycle(spare);
+                lane.spare = spare;
                 break;
             }
-            // A sampled capture batch hands its trace tag to the merged
-            // batch (first tag wins) so downstream stages keep
-            // attributing spans after the fan-in copy.
+            // A sampled lane batch hands its trace tag to the merged batch
+            // (first tag wins) so downstream stages keep attributing spans
+            // after the fan-in copy.
             if out.trace_id == 0 && batch.trace_id != 0 {
                 out.trace_id = batch.trace_id;
             }
@@ -503,160 +380,19 @@ impl CaptureMux {
 
     /// Σ records the sources themselves dropped (torn pcap tails).
     pub fn truncated_records(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.shared.counters.truncated.load(Ordering::Acquire))
-            .sum()
+        self.lanes.iter().map(|l| l.stats.truncated).sum()
     }
 
     /// Capture-side counters for lane `i`.
     pub fn lane_stats(&self, i: usize) -> LaneStats {
-        let lane = &self.lanes[i];
-        let c = &lane.shared.counters;
-        LaneStats {
-            label: lane.label.clone(),
-            packets: c.packets.load(Ordering::Acquire),
-            bytes: c.bytes.load(Ordering::Acquire),
-            batches: c.batches.load(Ordering::Acquire),
-            truncated: c.truncated.load(Ordering::Acquire),
-        }
+        self.lanes[i].stats.clone()
     }
 
-    /// Shuts the fan-in down: closes every ring (capture threads exit at
-    /// the next push or poll) and joins them. Returns the first capture
-    /// error, if any. Dropping the mux without calling this also stops
-    /// the threads, just without surfacing their errors.
-    pub fn finish(mut self) -> Result<(), SourceError> {
-        let mut threads = Vec::new();
-        let mut shared = Vec::new();
-        for mut lane in self.lanes.drain(..) {
-            if let Feed::Thread { thread, .. } = &mut lane.feed {
-                threads.extend(thread.take());
-            }
-            shared.push(Arc::clone(&lane.shared));
-            drop(lane); // closes both rings
-        }
-        for t in threads {
-            let _ = t.join();
-        }
-        for s in shared {
-            if let Some(msg) = s.error.lock().unwrap().take() {
-                return Err(SourceError::Format(msg));
-            }
-        }
+    /// Ends the fan-in, closing every source. A source's failure has
+    /// already surfaced from [`next_batch`](CaptureMux::next_batch), so
+    /// this always succeeds.
+    pub fn finish(self) -> Result<(), SourceError> {
         Ok(())
-    }
-}
-
-/// Accounts one non-empty batch read off a source — lane counters, the
-/// registry's per-source counters — and, on a traced run, samples it:
-/// the winner's `trace_id` is stamped on the batch and the read recorded
-/// as its `source_read` span.
-fn note_read(shared: &LaneShared, label: &str, batch: &mut RecordBatch, read_start: Instant) {
-    let n = batch.len() as u64;
-    let nbytes = batch.arena_bytes() as u64;
-    let c = &shared.counters;
-    c.packets.fetch_add(n, Ordering::AcqRel);
-    c.bytes.fetch_add(nbytes, Ordering::AcqRel);
-    c.batches.fetch_add(1, Ordering::AcqRel);
-    if let Some(obs) = &shared.obs {
-        obs.packets.add(n);
-        obs.bytes.add(nbytes);
-        obs.batches.inc();
-    }
-    if let Some(tc) = &shared.trace {
-        // A batch pre-tagged by the source itself (a fragment lane
-        // stitching a worker's trace through) keeps the foreign ID and
-        // has this read attributed to it.
-        if batch.trace_id == 0 {
-            batch.trace_id = tc.sample().unwrap_or(0);
-        }
-        if batch.trace_id != 0 {
-            tc.record(
-                batch.trace_id,
-                spans::SOURCE_READ,
-                label,
-                n,
-                read_start.elapsed().as_nanos() as u64,
-            );
-        }
-    }
-}
-
-/// The per-source capture loop: fill a (recycled) batch, account it,
-/// push it to the ring — waiting while the ring is full — and repeat until
-/// the source is exhausted or the consumer is gone.
-fn capture_thread(
-    mut source: Box<dyn PacketSource>,
-    mut tx: Producer<RecordBatch>,
-    mut recycle_rx: Consumer<RecordBatch>,
-    shared: Arc<LaneShared>,
-) {
-    loop {
-        let mut batch = recycle_rx.try_pop().unwrap_or_default();
-        batch.clear();
-        let read_start = Instant::now();
-        let live = match source.next_batch(&mut batch) {
-            Ok(live) => live,
-            Err(e) => {
-                *shared.error.lock().unwrap() = Some(format!("{}: {e}", source.label()));
-                break;
-            }
-        };
-        if !batch.is_empty() {
-            let n = batch.len() as u64;
-            note_read(&shared, source.label(), &mut batch, read_start);
-            let traced = batch.trace_id;
-            let enqueue_start = Instant::now();
-            if !push_waiting(&mut tx, batch) {
-                break; // consumer gone
-            }
-            if let Some(obs) = &shared.obs {
-                // Occupancy right after our own push: exact from this
-                // side, racy-but-monotone for the peak.
-                let occ = tx.len() as u64;
-                obs.ring_occupancy.set(occ);
-                obs.ring_occupancy_hwm.set_max(occ);
-            }
-            if traced != 0 {
-                if let Some(tc) = &shared.trace {
-                    // Includes the time spent waiting for a slot — which
-                    // is exactly the backpressure we want visible.
-                    tc.record(
-                        traced,
-                        spans::RING_ENQUEUE,
-                        source.label(),
-                        n,
-                        enqueue_start.elapsed().as_nanos() as u64,
-                    );
-                }
-            }
-        } else if tx.is_closed() {
-            break;
-        }
-        if !live {
-            break;
-        }
-    }
-    shared
-        .counters
-        .truncated
-        .store(source.truncated_records(), Ordering::Release);
-    // Dropping `tx` marks the lane closed once drained.
-}
-
-/// Pushes `batch`, retrying while the ring is full; false once the
-/// consumer is gone.
-fn push_waiting(tx: &mut Producer<RecordBatch>, mut batch: RecordBatch) -> bool {
-    loop {
-        match tx.try_push(batch) {
-            Ok(()) => return true,
-            Err(_) if tx.is_closed() => return false,
-            Err(back) => {
-                batch = back;
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        }
     }
 }
 
@@ -664,6 +400,7 @@ fn push_waiting(tx: &mut Producer<RecordBatch>, mut batch: RecordBatch) -> bool 
 mod tests {
     use super::*;
     use crate::source::ReplaySource;
+    use std::sync::Mutex;
     use zoom_wire::pcap::Record;
 
     fn records(ts: impl IntoIterator<Item = u64>) -> Vec<Record> {
@@ -672,10 +409,14 @@ mod tests {
             .collect()
     }
 
-    /// Capture threads over `parts`, lane `i` stamped as
-    /// [`stamped_sources`] stamps it.
-    fn mux_of(parts: &[Vec<u64>], config: MuxConfig) -> CaptureMux {
-        CaptureMux::start(stamped_sources(parts, false), config, None)
+    /// A fan-in over `parts`, lane `i` stamped as [`stamped_sources`]
+    /// stamps it.
+    fn mux_of(parts: &[Vec<u64>]) -> CaptureMux {
+        start(stamped_sources(parts, false), None)
+    }
+
+    fn start(sources: Vec<Box<dyn PacketSource>>, metrics: Option<&PipelineMetrics>) -> CaptureMux {
+        CaptureMux::start(sources, MuxConfig, metrics)
     }
 
     /// Drains `mux` `max` records at a most: each record's timestamp and
@@ -695,10 +436,7 @@ mod tests {
 
     #[test]
     fn merge_is_globally_time_ordered() {
-        let mut mux = mux_of(
-            &[vec![0, 3, 6, 9], vec![1, 4, 7], vec![2, 5, 8]],
-            MuxConfig::default(),
-        );
+        let mut mux = mux_of(&[vec![0, 3, 6, 9], vec![1, 4, 7], vec![2, 5, 8]]);
         assert_eq!(mux.sources(), 3);
         assert_eq!(drain_ts(&mut mux), (0..10).collect::<Vec<_>>());
         assert_eq!(mux.records_delivered(), 10);
@@ -708,7 +446,7 @@ mod tests {
     #[test]
     fn timestamp_ties_break_by_lane_index() {
         for max in [1, MUX_MAX] {
-            let mut mux = mux_of(&[vec![5, 5], vec![5, 5]], MuxConfig::default());
+            let mut mux = mux_of(&[vec![5, 5], vec![5, 5]]);
             let lanes: Vec<u8> = drain_stamped(&mut mux, max)
                 .into_iter()
                 .map(|(_, lane)| lane)
@@ -717,22 +455,6 @@ mod tests {
             assert_eq!(lanes, vec![0, 0, 1, 1], "max={max}");
             mux.finish().unwrap();
         }
-    }
-
-    #[test]
-    fn block_policy_never_drops_even_with_tiny_rings() {
-        let n = 2_000u64;
-        let mut mux = mux_of(
-            &[(0..n).step_by(2).collect(), (1..n).step_by(2).collect()],
-            MuxConfig { ring_capacity: 1 },
-        );
-        let ts = drain_ts(&mut mux);
-        assert_eq!(ts.len(), n as usize);
-        assert!(ts.windows(2).all(|w| w[0] < w[1]));
-        let s0 = mux.lane_stats(0);
-        assert_eq!(s0.packets, n / 2);
-        assert_eq!(s0.bytes, (n / 2) * 60);
-        mux.finish().unwrap();
     }
 
     fn drain_batched(mux: &mut CaptureMux, max: usize) -> (Vec<u64>, Vec<usize>) {
@@ -751,7 +473,7 @@ mod tests {
     fn batched_ties_break_by_lane_index() {
         // Interleaved ties: the run extension must stop at a tie owned
         // by an earlier lane, exactly like per-record (ts, lane) order.
-        let mut mux = mux_of(&[vec![5, 5, 9], vec![5, 5, 9]], MuxConfig::default());
+        let mut mux = mux_of(&[vec![5, 5, 9], vec![5, 5, 9]]);
         assert_eq!(
             drain_stamped(&mut mux, MUX_MAX),
             vec![(5, 0), (5, 0), (5, 1), (5, 1), (9, 0), (9, 1)]
@@ -814,11 +536,9 @@ mod tests {
     #[test]
     fn single_source_batches_are_handed_over_not_copied() {
         use crate::source::BATCH_RECORDS;
-        let config = MuxConfig::default();
-        let batches = 40 * config.ring_capacity;
-        let n = (batches * BATCH_RECORDS) as u64;
+        let n = (320 * BATCH_RECORDS) as u64;
         let (source, filled) = ArenaLoggingSource::boxed((0..n).collect());
-        let mut mux = CaptureMux::start(vec![source], config, None);
+        let mut mux = start(vec![source], None);
 
         // The caller's own arena, sized so that refilling it moves nothing.
         let mut out = RecordBatch::with_capacity(BATCH_RECORDS, BATCH_RECORDS * 60);
@@ -843,24 +563,17 @@ mod tests {
         assert_eq!(mux.bytes_delivered(), n * 60);
         mux.finish().unwrap();
 
-        // What the caller passed in went back down the recycle ring and
-        // was refilled by the source ...
+        // What the caller passed in was the lane's next read ...
         assert!(
             delivered.contains(&callers_arena),
             "the caller's arena never came back"
         );
-        // ... so the whole drain cycles a fixed set of arenas: a full
-        // ring, the one being filled, the one delivered, one in recycle.
-        let warm = &delivered[delivered.len() / 2..];
-        let mut distinct = warm.to_vec();
+        // ... so the whole drain cycles two arenas: the one delivered and
+        // the one being filled.
+        let mut distinct = delivered.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        assert!(
-            distinct.len() <= config.ring_capacity + 3,
-            "{} batches touched {} arenas",
-            warm.len(),
-            distinct.len()
-        );
+        assert_eq!(distinct.len(), 2, "{} batches", delivered.len());
     }
 
     #[test]
@@ -869,7 +582,7 @@ mod tests {
         // lane 1 is alone once lane 0 is spent: both arrive uncopied.
         let (lane0, filled0) = ArenaLoggingSource::boxed((0..100).collect());
         let (lane1, filled1) = ArenaLoggingSource::boxed((1_000..1_100).collect());
-        let mut mux = CaptureMux::start(vec![lane0, lane1], MuxConfig::default(), None);
+        let mut mux = start(vec![lane0, lane1], None);
         let mut out = RecordBatch::new();
         let mut first_ts = Vec::new();
         let mut arenas = Vec::new();
@@ -895,7 +608,7 @@ mod tests {
                 .iter()
                 .map(|ts| ArenaLoggingSource::boxed(ts.clone()).0)
                 .collect();
-            let mut mux = CaptureMux::start(sources, MuxConfig::default(), None);
+            let mut mux = start(sources, None);
             let order = drain_ts(&mut mux);
             mux.finish().unwrap();
             order
@@ -904,7 +617,7 @@ mod tests {
 
         let (lane0, filled0) = ArenaLoggingSource::boxed(parts[0].clone());
         let (lane1, _) = ArenaLoggingSource::boxed(parts[1].clone());
-        let mut mux = CaptureMux::start(vec![lane0, lane1], MuxConfig::default(), None);
+        let mut mux = start(vec![lane0, lane1], None);
         let mut out = RecordBatch::new();
         let mut order = Vec::new();
         while mux.next_batch(&mut out, MUX_MAX).unwrap().is_some() {
@@ -954,9 +667,7 @@ mod tests {
             .collect()
     }
 
-    /// Everything one drain of a fan-in can be compared by. (Not the batch
-    /// sizes: a threaded lane cuts batches where its ring happens to run
-    /// dry.)
+    /// Everything one drain of a fan-in can be compared by.
     #[derive(Debug, PartialEq)]
     struct Drained {
         /// Link type, timestamp and lane stamp of every record, in order.
@@ -986,7 +697,7 @@ mod tests {
     }
 
     #[test]
-    fn inline_lane_delivers_what_the_threaded_lane_delivers() {
+    fn the_merge_is_the_spelled_out_order_at_every_max() {
         use crate::source::BATCH_RECORDS;
         let n = (5 * BATCH_RECORDS + 17) as u64;
         let cases: [(&str, Vec<Vec<u64>>, bool); 5] = [
@@ -1033,43 +744,27 @@ mod tests {
             }
             want.sort_by_key(|&(_, t, stamp)| (t, stamp));
 
-            // `max` below a capture batch takes the copy loop, above it the
+            // `max` below a lane batch takes the copy loop, above it the
             // hand-over where a lane runs alone; 1 is per record. Every
-            // choice of lane kinds — threads, in-line, or both side by
-            // side — must agree record for record, counter for counter.
+            // `max` delivers the same records and counts them alike.
             for max in [1usize, 100, BATCH_RECORDS, MUX_MAX] {
-                let sources = || stamped_sources(parts, *mixed_links);
-                let threaded = drain_all(
-                    CaptureMux::start(sources(), MuxConfig::default(), None),
-                    max,
-                );
-                let inline = drain_all(CaptureMux::inline(sources(), None), max);
-                let alternating = sources()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, s)| match i % 2 {
-                        0 => (s, LaneKind::Inline),
-                        _ => (s, LaneKind::Threaded),
-                    })
-                    .collect();
-                let mixed = drain_all(
-                    CaptureMux::with_lanes(alternating, MuxConfig::default(), None),
-                    max,
-                );
-                assert_eq!(inline, threaded, "{name}, max={max}");
-                assert_eq!(mixed, threaded, "{name}, max={max}");
-                assert_eq!(inline.records, want, "{name}, max={max}");
+                let drained = drain_all(start(stamped_sources(parts, *mixed_links), None), max);
+                assert_eq!(drained.records, want, "{name}, max={max}");
                 assert_eq!(
-                    inline.delivered,
+                    drained.delivered,
                     (want.len() as u64, want.len() as u64 * 60)
                 );
+                let packets: Vec<u64> = drained.stats.iter().map(|s| s.packets).collect();
+                let lens: Vec<u64> = parts.iter().map(|p| p.len() as u64).collect();
+                assert_eq!(packets, lens, "{name}, max={max}");
+                assert_eq!(drained.truncated, 0);
             }
         }
     }
 
     #[test]
     fn inline_lanes_break_ties_by_lane_index_and_cut_at_a_link_change() {
-        let mut mux = CaptureMux::inline(
+        let mut mux = start(
             stamped_sources(&[vec![5, 5], vec![5, 5], vec![4, 5]], false),
             None,
         );
@@ -1083,8 +778,7 @@ mod tests {
 
         // One link type per batch: the drain stops where the next record's
         // lane has another, whatever `max` allows.
-        let mut mux =
-            CaptureMux::inline(stamped_sources(&[vec![1, 2, 5], vec![3, 4, 6]], true), None);
+        let mut mux = start(stamped_sources(&[vec![1, 2, 5], vec![3, 4, 6]], true), None);
         let mut batch = RecordBatch::new();
         let mut runs = Vec::new();
         while let Some(link) = mux.next_batch(&mut batch, MUX_MAX).unwrap() {
@@ -1103,7 +797,7 @@ mod tests {
     }
 
     /// A source that insists on the thread it was built on: a capture
-    /// thread would trip the assertion.
+    /// thread would trip the assertion, and lose the lane's records.
     struct SameThread {
         inner: Box<dyn PacketSource>,
         home: std::thread::ThreadId,
@@ -1129,6 +823,9 @@ mod tests {
             assert_eq!(std::thread::current().id(), self.home, "read off-thread");
             self.inner.next_batch(batch)
         }
+        fn truncated_records(&self) -> u64 {
+            self.inner.truncated_records()
+        }
     }
 
     #[test]
@@ -1137,7 +834,7 @@ mod tests {
         let batches = 50;
         let n = (batches * BATCH_RECORDS) as u64;
         let (inner, filled) = ArenaLoggingSource::boxed((0..n).collect());
-        let mut mux = CaptureMux::inline(vec![SameThread::boxed(inner)], None);
+        let mut mux = start(vec![SameThread::boxed(inner)], None);
 
         let mut out = RecordBatch::with_capacity(BATCH_RECORDS, BATCH_RECORDS * 60);
         out.push(0, 60, &[0; 60]);
@@ -1184,7 +881,7 @@ mod tests {
                 SameThread::boxed(inner)
             })
             .collect();
-        let mut mux = CaptureMux::inline(sources, None);
+        let mut mux = start(sources, None);
 
         let filled_by_a_source =
             |arena: usize| fills.iter().any(|f| f.lock().unwrap().contains(&arena));
@@ -1265,7 +962,7 @@ mod tests {
     #[test]
     fn inline_lane_waits_out_a_quiet_live_source_and_reports_its_tail() {
         let metrics = PipelineMetrics::new();
-        let mut mux = CaptureMux::inline(
+        let mut mux = start(
             vec![Box::new(Stuttering { next: 0, calls: 0 })],
             Some(&metrics),
         );
@@ -1283,46 +980,99 @@ mod tests {
         assert_eq!(snap.sources[0].label, "test:stutter");
         assert_eq!(snap.source_packets_total(), 50);
         assert_eq!(snap.sources[0].delivered_ts_nanos, 49);
-        assert_eq!(snap.sources[0].ring_occupancy_hwm, 0);
 
-        // Beside other lanes: same records, and every counter — the
-        // lanes' own, the registry's per-source series, the torn tails —
-        // is what capture threads over the same sources report.
-        let run = |inline: bool| {
-            let metrics = PipelineMetrics::new();
-            let mut sources = stamped_sources(&[(0..400).collect(), (20..30).collect()], false);
-            sources.insert(1, Box::new(Stuttering { next: 0, calls: 0 }));
-            let mux = if inline {
-                CaptureMux::inline(sources, Some(&metrics))
-            } else {
-                CaptureMux::start(sources, MuxConfig::default(), Some(&metrics))
-            };
-            let drained = drain_all(mux, crate::source::BATCH_RECORDS);
-            let per_source: Vec<_> = metrics
-                .snapshot()
-                .sources
-                .iter()
-                .map(|s| {
-                    (
-                        s.label.clone(),
-                        s.packets,
-                        s.bytes,
-                        s.batches,
-                        s.ring_full_drops,
-                        s.delivered_ts_nanos,
-                    )
-                })
-                .collect();
-            (drained, per_source)
-        };
-        let (inline, threaded) = (run(true), run(false));
-        assert_eq!(inline, threaded);
-        assert_eq!(inline.0.truncated, 3);
-        assert_eq!(inline.0.delivered.0, 400 + 50 + 10);
-        let stutter = &inline.0.stats[1];
+        // Beside other lanes: every record in its place, and the lanes'
+        // own counters, the registry's per-source series and the torn
+        // tails all count what each source read.
+        let metrics = PipelineMetrics::new();
+        let mut sources = stamped_sources(&[(0..400).collect(), (20..30).collect()], false);
+        sources.insert(1, Box::new(Stuttering { next: 0, calls: 0 }));
+        let drained = drain_all(start(sources, Some(&metrics)), crate::source::BATCH_RECORDS);
+        let ts: Vec<u64> = drained.records.iter().map(|r| r.1).collect();
+        let mut want: Vec<u64> = (0..400).chain(0..50).chain(20..30).collect();
+        want.sort_unstable();
+        assert_eq!(ts, want);
+        assert_eq!(drained.truncated, 3);
+        assert_eq!(drained.delivered.0, 400 + 50 + 10);
+        let stutter = &drained.stats[1];
         assert_eq!(
             (stutter.packets, stutter.batches, stutter.truncated),
             (50, 5, 3)
+        );
+        let per_source: Vec<_> = metrics
+            .snapshot()
+            .sources
+            .iter()
+            .map(|s| (s.label.clone(), s.packets, s.batches, s.delivered_ts_nanos))
+            .collect();
+        assert_eq!(
+            per_source,
+            [
+                ("replay:0".to_string(), 400, 4, 399),
+                ("test:stutter".to_string(), 50, 5, 49),
+                ("replay:1".to_string(), 10, 1, 29),
+            ]
+        );
+    }
+
+    #[test]
+    fn start_reads_two_waiting_sources_on_the_callers_thread() {
+        // Two sources that make their reader wait, the case that once got
+        // a capture thread each: both are read where the drain runs, so
+        // every record arrives (a read off-thread would panic there and
+        // lose its lane).
+        let mut mux = start(
+            vec![
+                SameThread::boxed(Box::new(Stuttering { next: 0, calls: 0 })),
+                SameThread::boxed(Box::new(Stuttering { next: 0, calls: 0 })),
+            ],
+            None,
+        );
+        let (ts, _) = drain_batched(&mut mux, MUX_MAX);
+        let want: Vec<u64> = (0..50).flat_map(|t| [t, t]).collect();
+        assert_eq!(ts, want);
+        assert_eq!(mux.truncated_records(), 6);
+        mux.finish().unwrap();
+    }
+
+    #[test]
+    fn quiet_followed_files_end_on_wall_clock_time() {
+        use crate::source::{FollowConfig, PcapFileSource};
+        use std::time::Duration;
+        let dir = std::env::temp_dir().join(format!("zc-quiet-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let header = zoom_wire::pcap::Writer::new(Vec::new(), LinkType::Ethernet)
+            .and_then(|w| w.finish())
+            .unwrap();
+        let follow = FollowConfig {
+            poll: Duration::from_millis(10),
+            idle_exit: Duration::from_millis(300),
+        };
+        let sources = ["a.pcap", "b.pcap"]
+            .iter()
+            .map(|name| {
+                let path = dir.join(name);
+                std::fs::write(&path, &header).unwrap();
+                let source = PcapFileSource::open(path.to_str().unwrap()).unwrap();
+                Box::new(source.follow(follow)) as Box<dyn PacketSource>
+            })
+            .collect();
+        let began = std::time::Instant::now();
+        let mut mux = start(sources, None);
+        assert!(mux
+            .next_batch(&mut RecordBatch::new(), MUX_MAX)
+            .unwrap()
+            .is_none());
+        let took = began.elapsed();
+        mux.finish().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        // Each file's quiet is time since its last record, not the sum of
+        // its own sleeps: the two sleep in turn, and still end together.
+        assert!(took >= follow.idle_exit, "ended early: {took:?}");
+        let slack = Duration::from_millis(200);
+        assert!(
+            took < follow.idle_exit + 2 * follow.poll + slack,
+            "two quiet files took {took:?}"
         );
     }
 
@@ -1334,7 +1084,7 @@ mod tests {
             let parts: Vec<Vec<u64>> = (0..lanes as u64)
                 .map(|i| (0..64).map(|t| t * 3 + i).collect())
                 .collect();
-            let mut mux = CaptureMux::inline(stamped_sources(&parts, false), Some(&metrics));
+            let mut mux = start(stamped_sources(&parts, false), Some(&metrics));
             let mut batch = RecordBatch::new();
             let mut tagged = 0u64;
             while mux.next_batch(&mut batch, MUX_MAX).unwrap().is_some() {
@@ -1353,9 +1103,7 @@ mod tests {
                 );
             }
             assert!(!ndjson.contains("\"span\":\"ring_"), "{ndjson}");
-            let snap = metrics.snapshot();
-            assert_eq!(snap.sources.len(), lanes);
-            assert!(snap.sources.iter().all(|s| s.ring_occupancy_hwm == 0));
+            assert_eq!(metrics.snapshot().sources.len(), lanes);
         }
     }
 
@@ -1385,7 +1133,7 @@ mod tests {
 
     #[test]
     fn inline_lane_surfaces_a_source_error_with_its_label() {
-        let mut mux = CaptureMux::inline(vec![Box::new(FailsAfter { good: 1, served: 0 })], None);
+        let mut mux = start(vec![Box::new(FailsAfter { good: 1, served: 0 })], None);
         let mut out = RecordBatch::new();
         assert!(mux.next_batch(&mut out, MUX_MAX).unwrap().is_some());
         assert_eq!(out.len(), 1);
@@ -1395,17 +1143,13 @@ mod tests {
         assert!(mux.next_batch(&mut out, MUX_MAX).unwrap().is_none());
         mux.finish().unwrap();
 
-        // Lane 1 of three fails mid-stream. Either lane kind delivers what
-        // precedes the failure, reports it once in the same words, and is
-        // left with that lane finished and the others intact.
-        let run = |inline: bool| {
+        // Lane 1 of three fails mid-stream. The fan-in delivers what
+        // precedes the failure, reports it once, and is left with that
+        // lane finished and the others intact.
+        let (before, err, after) = {
             let mut sources = stamped_sources(&[(0..100).collect(), (0..100).collect()], false);
             sources.insert(1, Box::new(FailsAfter { good: 3, served: 0 }));
-            let mut mux = if inline {
-                CaptureMux::inline(sources, None)
-            } else {
-                CaptureMux::start(sources, MuxConfig::default(), None)
-            };
+            let mut mux = start(sources, None);
             // Lane 0 and 2 are stamped 0 and 1; the failing lane's
             // records are all 0xCD.
             let lane = |data: &[u8]| match data[0] {
@@ -1431,9 +1175,6 @@ mod tests {
             mux.finish().unwrap();
             (before, err, after)
         };
-        let (inline, threaded) = (run(true), run(false));
-        assert_eq!(inline, threaded);
-        let (before, err, after) = inline;
         assert_eq!(err, "fail:later: synthetic failure");
         // Lane 1's three records went out in their places; the failure
         // surfaced when the merge next needed that lane.
@@ -1458,7 +1199,7 @@ mod tests {
                 records(vec![1, 3]),
             )),
         ];
-        let mut mux = CaptureMux::start(sources, MuxConfig::default(), Some(&metrics));
+        let mut mux = start(sources, Some(&metrics));
         let mut batch = RecordBatch::new();
         while mux.next_batch(&mut batch, MUX_MAX).unwrap().is_some() {
             // Stand-in for the sink: count what it would ingest.
@@ -1470,7 +1211,6 @@ mod tests {
         assert_eq!(snap.sources.len(), 2);
         assert_eq!(snap.sources[0].label, "replay:a");
         assert_eq!(snap.source_packets_total(), 4);
-        assert_eq!(snap.ring_full_drops_total(), 0);
         assert!(snap.conservation_holds());
     }
 
@@ -1483,7 +1223,7 @@ mod tests {
             LinkType::Ethernet,
             records(0..64),
         ))];
-        let mut mux = CaptureMux::start(sources, MuxConfig::default(), Some(&metrics));
+        let mut mux = start(sources, Some(&metrics));
         let mut batch = RecordBatch::new();
         let mut tagged = 0u64;
         while mux.next_batch(&mut batch, 4096).unwrap().is_some() {
@@ -1494,15 +1234,10 @@ mod tests {
         mux.finish().unwrap();
         assert!(tagged > 0, "sample_every=1 must tag merged batches");
         let ndjson = metrics.trace.drain_ndjson();
-        for span in ["source_read", "ring_enqueue", "ring_dequeue"] {
-            assert!(
-                ndjson.contains(&format!("\"span\":\"{span}\"")),
-                "missing {span} in:\n{ndjson}"
-            );
-        }
-        let snap = metrics.snapshot();
-        assert!(snap.sources[0].ring_occupancy_hwm >= 1);
-        assert_eq!(snap.sources[0].delivered_ts_nanos, 63);
+        assert!(ndjson.contains("\"span\":\"source_read\""), "{ndjson}");
+        // No ring, no ring spans: the names stay reserved in the catalogue.
+        assert!(!ndjson.contains("\"span\":\"ring_"), "{ndjson}");
+        assert_eq!(metrics.snapshot().sources[0].delivered_ts_nanos, 63);
     }
 
     #[test]
@@ -1513,7 +1248,7 @@ mod tests {
             LinkType::Ethernet,
             records(0..16),
         ))];
-        let mut mux = CaptureMux::start(sources, MuxConfig::default(), Some(&metrics));
+        let mut mux = start(sources, Some(&metrics));
         let mut batch = RecordBatch::new();
         while mux.next_batch(&mut batch, 4096).unwrap().is_some() {
             assert_eq!(batch.trace_id, 0);
@@ -1536,11 +1271,7 @@ mod tests {
                 Err(SourceError::Format("synthetic failure".into()))
             }
         }
-        let mut mux = CaptureMux::start(
-            vec![Box::new(Failing)],
-            MuxConfig::default(),
-            None,
-        );
+        let mut mux = start(vec![Box::new(Failing)], None);
         let mut batch = RecordBatch::new();
         let err = loop {
             match mux.next_batch(&mut batch, MUX_MAX) {

@@ -1,15 +1,12 @@
-//! Bounded lock-free SPSC ring for capture→analysis hand-off.
+//! Bounded lock-free SPSC ring.
 //!
-//! Each capture thread owns the [`Producer`] end of one ring; the fan-in
-//! consumer (see [`crate::mux`]) owns the [`Consumer`] end. Both ends are
+//! No route reads through it: the capture fan-in ([`crate::mux`]) reads
+//! every source in-line. It stays for the repository benchmark, whose
+//! `capture.ring.hop_ns` probe times a hand-off through it. Both ends are
 //! wait-free: a push or pop is one load-acquire of the opposite index, one
 //! slot move, and one store-release of the own index — no locks, no CAS
-//! loops, no allocation. The bound caps how far a capture thread reads
-//! ahead of the analysis: when the analysis side falls behind, the ring
-//! fills and the producer's [`try_push`](Producer::try_push) fails fast;
-//! the capture thread then waits and retries — every input the toolchain
-//! reads can wait — so the stall is the capture thread's, visible in its
-//! `ring_enqueue` span, never an invisible one inside the ring.
+//! loops, no allocation. When the ring is full the producer's
+//! [`try_push`](Producer::try_push) fails fast and hands the value back.
 //!
 //! The implementation is the textbook Lamport queue with monotonically
 //! increasing head/tail positions (wrapping arithmetic, slot = position
@@ -132,7 +129,7 @@ impl<T: Send> Producer<T> {
     }
 
     /// Whether the consumer endpoint has been dropped. Pushing to a
-    /// closed ring always fails; capture threads use this to shut down.
+    /// closed ring always fails; a producer thread uses this to shut down.
     pub fn is_closed(&self) -> bool {
         !self.shared.consumer_alive.load(Ordering::Acquire)
     }

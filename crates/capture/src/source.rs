@@ -2,10 +2,9 @@
 //!
 //! A [`PacketSource`] produces timestamp-ordered record batches; the
 //! fan-in layer ([`crate::mux`]) merges the sources into one stream,
-//! reading each on the consumer's thread or, for a source that may make
-//! its reader wait, on a capture thread of its own behind a bounded SPSC
-//! ring ([`crate::ring`]). Two adapters cover every input the toolchain
-//! reads:
+//! reading every one of them on the consumer's thread. Two adapters cover
+//! every input the toolchain reads from a file or a generator (a worker
+//! connection is [`crate::fragment::FragmentSource`]):
 //!
 //! * [`PcapFileSource`] — an on-disk trace, optionally in *follow* mode
 //!   (poll a file another process is still writing, the `analyze
@@ -41,13 +40,13 @@
 
 use std::fmt;
 use std::io::{self, Read};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use zoom_wire::handoff::RecordBatch;
 use zoom_wire::pcap::{LinkType, Reader, Record, READ_BUFFER_BYTES};
 
 /// Records per batch a well-behaved source aims for. Batches may be
 /// smaller (a follow-mode poll that found less data) but should not be
-/// much larger, so ring occupancy stays predictable. A pcap file's batch
+/// much larger, so a merged run stays bounded. A pcap file's batch
 /// is one read chunk ([`PcapFileSource`]), bounded in bytes rather than
 /// records: on real traces it holds fewer than this, and a chunk of
 /// smaller packets that holds more is copied out in runs by the fan-in
@@ -94,10 +93,11 @@ impl From<io::Error> for SourceError {
 ///   `Ok(false)` may arrive together** — always drain the batch before
 ///   acting on the flag.
 /// * An *empty* batch with `Ok(true)` means "no data right now, poll
-///   again" — this is how a followed file or a worker connection
-///   expresses quiescence without blocking the contract. Such a source
-///   may sleep briefly to pace the poll; the fan-in gives it a capture
-///   thread of its own when another such source shares it.
+///   again" — this is how a followed file expresses quiescence. Such a
+///   source **paces its own polls**: the fan-in reads every source
+///   in-line and calls again at once, so a followed file sleeps out its
+///   poll interval before it reads again, and a source may instead block
+///   until data arrives, as a worker connection does.
 /// * Records within one source must be in non-decreasing `ts_nanos`
 ///   order; the fan-in merge relies on it ([`crate::mux`]).
 ///
@@ -127,9 +127,10 @@ pub trait PacketSource: Send {
 /// quiet file and how long a quiet spell ends the source.
 #[derive(Debug, Clone, Copy)]
 pub struct FollowConfig {
-    /// Sleep between polls of a file that had no new complete record.
+    /// Interval between polls of a file that has no new complete record.
     pub poll: Duration,
-    /// End the source after this much continuous quiet.
+    /// End the source once this much wall-clock time has passed since
+    /// its last record (or since it was opened, if it had none).
     pub idle_exit: Duration,
 }
 
@@ -151,15 +152,23 @@ impl Default for FollowConfig {
 ///
 /// In follow mode the source keeps polling the file for appended records
 /// (a live capture being written by another process) and only reports
-/// exhaustion after [`FollowConfig::idle_exit`] of quiet, reproducing the
-/// pre-existing `analyze --follow` loop per source. A record the writer
+/// exhaustion once [`FollowConfig::idle_exit`] has passed since its last
+/// record, by the wall clock. A quiet file sleeps *before* its next read
+/// until [`FollowConfig::poll`] has passed since the read that found
+/// nothing: files read in turn on one thread are each polled every `poll`,
+/// not every `poll` times their number, and each ends on time. A record the writer
 /// has only half appended is held back until the rest arrives; it counts
 /// as truncated only if the source ends first.
 pub struct PcapFileSource {
     label: String,
     reader: Reader<ReadAhead>,
     follow: Option<FollowConfig>,
-    quiet: Duration,
+    /// In follow mode, when the last record was read (the file's opening,
+    /// before any).
+    last_record: Instant,
+    /// In follow mode, when a quiet file is read next: every `poll` on a
+    /// fixed schedule while it stays quiet, so late wake-ups do not add up.
+    next_poll: Option<Instant>,
 }
 
 impl PcapFileSource {
@@ -176,7 +185,8 @@ impl PcapFileSource {
             label: format!("pcap:{path}"),
             reader,
             follow: None,
-            quiet: Duration::ZERO,
+            last_record: Instant::now(),
+            next_poll: None,
         })
     }
 
@@ -235,9 +245,17 @@ impl PacketSource for PcapFileSource {
     }
 
     fn next_batch(&mut self, batch: &mut RecordBatch) -> Result<bool, SourceError> {
+        if let Some(due) = self.next_poll {
+            if let Some(wait) = due.checked_duration_since(Instant::now()) {
+                std::thread::sleep(wait);
+            }
+        }
         let more = self.reader.read_chunk(batch)?;
         if !batch.is_empty() {
-            self.quiet = Duration::ZERO;
+            if self.follow.is_some() {
+                self.next_poll = None;
+                self.last_record = Instant::now();
+            }
             return Ok(more || self.follow.is_some());
         }
         // End of file. In follow mode the producer may append more (or
@@ -245,11 +263,12 @@ impl PacketSource for PcapFileSource {
         let Some(follow) = self.follow else {
             return Ok(false);
         };
-        if self.quiet >= follow.idle_exit {
+        if self.last_record.elapsed() >= follow.idle_exit {
             return Ok(false);
         }
-        std::thread::sleep(follow.poll);
-        self.quiet += follow.poll;
+        let now = Instant::now();
+        let due = self.next_poll.unwrap_or(now) + follow.poll;
+        self.next_poll = Some(if due > now { due } else { now + follow.poll });
         Ok(true)
     }
 

@@ -378,9 +378,8 @@ fn lane_records(i: usize, steps: &[u64]) -> Vec<Record> {
         .collect()
 }
 
-/// A fan-in over `lanes` (see [`lane_records`]): capture threads behind
-/// rings of `ring_capacity`, or in-line lanes without one.
-fn mux_over(lanes: &[Vec<u64>], ring_capacity: Option<usize>) -> CaptureMux {
+/// A fan-in over `lanes` (see [`lane_records`]).
+fn mux_over(lanes: &[Vec<u64>]) -> CaptureMux {
     let sources = lanes
         .iter()
         .enumerate()
@@ -392,25 +391,18 @@ fn mux_over(lanes: &[Vec<u64>], ring_capacity: Option<usize>) -> CaptureMux {
             )) as Box<dyn PacketSource>
         })
         .collect();
-    match ring_capacity {
-        Some(ring_capacity) => {
-            CaptureMux::start(sources, MuxConfig { ring_capacity }, None)
-        }
-        None => CaptureMux::inline(sources, None),
-    }
+    CaptureMux::start(sources, MuxConfig, None)
 }
 
 proptest! {
-    /// A batched fan-in drain — handed-over arenas and copied runs alike,
-    /// lanes behind capture threads and lanes read in-line alike — is
-    /// record for record the per-record `(ts, lane)` merge, for any
+    /// A batched fan-in drain — handed-over arenas and copied runs alike —
+    /// is record for record the per-record `(ts, lane)` merge, for any
     /// number of lanes, any `max`, timestamp ties within and across lanes,
     /// and lanes long enough to span several capture batches.
     #[test]
     fn batched_drain_is_the_per_record_merge(
         lanes in proptest::collection::vec(proptest::collection::vec(0u64..3, 0..400), 1..4),
         max in prop_oneof![Just(1usize), Just(3), Just(127), Just(128), Just(200), Just(4096)],
-        ring_capacity in 1usize..4,
     ) {
         // The per-record merge, spelled out: by `(ts, lane)`, a lane's
         // records in their own order.
@@ -422,21 +414,18 @@ proptest! {
             .collect();
         expected.sort_by_key(|(ts, data)| (*ts, data[0]));
 
-        // Capture threads, then the same lanes read in-line: one merge.
-        for ring_capacity in [Some(ring_capacity), None] {
-            let mut got = Vec::new();
-            let mut mux = mux_over(&lanes, ring_capacity);
-            let mut batch = RecordBatch::new();
-            while mux.next_batch(&mut batch, max).unwrap().is_some() {
-                prop_assert!(!batch.is_empty() && batch.len() <= max);
-                got.extend(batch.iter().map(|r| (r.ts_nanos, r.data.to_vec())));
-            }
-            prop_assert_eq!(mux.records_delivered(), expected.len() as u64);
-            let stats: Vec<u64> = (0..lanes.len()).map(|i| mux.lane_stats(i).packets).collect();
-            let lens: Vec<u64> = lanes.iter().map(|l| l.len() as u64).collect();
-            prop_assert_eq!(stats, lens);
-            mux.finish().unwrap();
-            prop_assert_eq!(&got, &expected, "ring {:?}", ring_capacity);
+        let mut got = Vec::new();
+        let mut mux = mux_over(&lanes);
+        let mut batch = RecordBatch::new();
+        while mux.next_batch(&mut batch, max).unwrap().is_some() {
+            prop_assert!(!batch.is_empty() && batch.len() <= max);
+            got.extend(batch.iter().map(|r| (r.ts_nanos, r.data.to_vec())));
         }
+        prop_assert_eq!(mux.records_delivered(), expected.len() as u64);
+        let stats: Vec<u64> = (0..lanes.len()).map(|i| mux.lane_stats(i).packets).collect();
+        let lens: Vec<u64> = lanes.iter().map(|l| l.len() as u64).collect();
+        prop_assert_eq!(stats, lens);
+        mux.finish().unwrap();
+        prop_assert_eq!(&got, &expected);
     }
 }

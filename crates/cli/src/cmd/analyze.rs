@@ -7,11 +7,9 @@
 //! `--source` specs (`pcap:FILE`, `sim:SCENARIO[,seed=N][,secs=N]`); a
 //! positional `FILE` is `--source pcap:FILE`. Every route starts the
 //! sources through [`start_capture`], which merges them into one
-//! deterministic, lossless timestamp-ordered stream — read in-line on the
-//! analysis thread, except that several followed files get one capture
-//! thread each, hand-off through bounded lock-free rings — so an N-source
-//! run is byte-identical to the equivalent single-source run (see
-//! `docs/CAPTURE.md`).
+//! deterministic, lossless timestamp-ordered stream — every source read
+//! in-line on the analysis thread — so an N-source run is byte-identical
+//! to the equivalent single-source run (see `docs/CAPTURE.md`).
 //!
 //! Every route runs the one analysis loop ([`ingest::run`]), which
 //! feeds the merged stream a batch at a time through the streaming
@@ -212,8 +210,8 @@ fn run_emit(
 
     // One fragment stream carries one link type (the Hello pins it),
     // mirroring the one-link rule a pcap file has.
-    let link = sources.list[0].link_type();
-    if let Some(s) = sources.list.iter().find(|s| s.link_type() != link) {
+    let link = sources[0].link_type();
+    if let Some(s) = sources.iter().find(|s| s.link_type() != link) {
         return Err(CliError::config(format!(
             "sources disagree on link type ({:?} vs {:?}); emit one fragment stream per link",
             link,

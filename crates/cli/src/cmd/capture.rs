@@ -3,10 +3,9 @@
 //! stream, optionally filtered and anonymized by the capture pipeline
 //! (the software Tofino), and written to a single output pcap.
 //!
-//! The fan-in is whatever [`start_capture`] picks for the sources, as on
-//! every analysis route: `pcap:` files, `sim:` taps and a lone followed
-//! file are read in-line on this thread; several followed files get one
-//! capture thread and ring each. Behind it runs the
+//! The fan-in is [`start_capture`]'s, as on every analysis route: `pcap:`
+//! files, followed or not, and `sim:` taps are all read in-line on this
+//! thread. Behind it runs the
 //! one filter loop there is ([`zoom_capture::filter::filter_to_pcap`]);
 //! `filter IN OUT` is [`filter_sources`] over one `pcap:` source.
 //! `--no-filter` skips classification and writes every merged record,
@@ -92,7 +91,7 @@ pub fn run(args: &[String]) -> CmdResult {
 }
 
 /// The one route from sources to a filtered pcap, behind `capture` and
-/// `filter`: the fan-in [`start_capture`] picks, the library's filter loop
+/// `filter`: the fan-in of [`start_capture`], the library's filter loop
 /// into `output`, and the `--metrics` snapshot with the filter's stage
 /// counters as its `capture` section. `pipeline` is `None` under
 /// `--no-filter`.

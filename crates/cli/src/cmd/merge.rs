@@ -14,8 +14,8 @@
 //!   re-run in file mode over the journal.
 //!
 //! Every worker becomes one fragment lane in the same capture fan-in
-//! `analyze` uses — spool files read in-line on the merge thread, live
-//! connections behind one capture thread each — so the merged record
+//! `analyze` uses — spool files and live connections alike read in-line
+//! on the merge thread — so the merged record
 //! order, and therefore the output, is the deterministic `(ts, lane)`
 //! merge the differential suites pin down. The merged stream then runs
 //! through `analyze`'s own analysis loop ([`ingest::run`]), so every
@@ -38,7 +38,6 @@ use super::{
     campus_flag, check_eviction_flags, parse_args, parse_duration, CliError, CmdResult, FlagSpec,
     TraceOutput,
 };
-use std::collections::HashMap;
 use std::io::{Read, Write as _};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -248,22 +247,15 @@ impl Hooks for Lanes {
 /// Turn the gathered workers into mux lanes. With a collector, each lane
 /// stitches incoming `Trace` frames into it (worker-side spans join this
 /// process's spans by trace ID) and tags decoded batches for downstream
-/// attribution. A spool file always has its next batch ready; a
-/// `--listen` connection may wait on its worker.
-fn into_sources(
-    workers: Vec<Worker>,
-    flags: &HashMap<String, String>,
-    trace: Option<&Arc<TraceCollector>>,
-) -> Sources {
-    let list: Vec<Box<dyn PacketSource>> = workers
+/// attribution.
+fn into_sources(workers: Vec<Worker>, trace: Option<&Arc<TraceCollector>>) -> Sources {
+    workers
         .into_iter()
         .map(|w| match trace {
             Some(tc) => Box::new(w.source.with_trace(Arc::clone(tc))) as Box<dyn PacketSource>,
             None => Box::new(w.source) as Box<dyn PacketSource>,
         })
-        .collect();
-    let may_wait = vec![flags.contains_key("listen"); list.len()];
-    Sources { list, may_wait }
+        .collect()
 }
 
 const FLAGS: FlagSpec = FlagSpec {
@@ -367,7 +359,7 @@ pub fn run(args: &[String]) -> CmdResult {
     })?;
     let mh = engine.metrics_handle();
     let mut lanes = Lanes::register(&mh, &workers, checkpoint_path);
-    let sources = into_sources(workers, &flags, trace_out.as_ref().map(|_| &mh.trace));
+    let sources = into_sources(workers, trace_out.as_ref().map(|_| &mh.trace));
     let run = Run {
         node: "merge",
         flags: &flags,

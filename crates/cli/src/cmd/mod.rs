@@ -233,9 +233,8 @@ const REMOVED_FLAGS: &[(&str, &[&str], &str)] = &[
     (
         "ring-cap",
         &["analyze", "merge", "capture"],
-        "--ring-cap was removed: it sized the rings --lossy dropped at; the capture threads \
-         left (several --follow files, merge --listen) wait at a fixed 8 batches — \
-         docs/CAPTURE.md",
+        "--ring-cap was removed: it sized the rings --lossy dropped at, and there are no \
+         rings left — every source is read in-line — docs/CAPTURE.md",
     ),
 ];
 

@@ -24,7 +24,7 @@
 //! `--source pcap:trace.pcap`: the same source, the same route.
 
 use super::CliError;
-use zoom_analysis::obs::{LaneKind, PipelineMetrics};
+use zoom_analysis::obs::PipelineMetrics;
 use zoom_capture::mux::{CaptureMux, MuxConfig};
 use zoom_capture::source::{FollowConfig, PacketSource, PcapFileSource, ReplaySource};
 use zoom_capture::spec::SourceSpec;
@@ -145,17 +145,8 @@ pub fn build_source(
     }
 }
 
-/// The sources of one fan-in, with what [`start_capture`] needs to know
-/// about them.
-pub struct Sources {
-    /// In lane order.
-    pub list: Vec<Box<dyn PacketSource>>,
-    /// Per source, in lane order: whether reading it may wait — a pcap
-    /// under `--follow` polls its file, a `merge --listen` connection waits
-    /// on its worker. Every other source (a pcap file, a `sim:` generator,
-    /// a fragment spool) always has its next batch ready.
-    pub may_wait: Vec<bool>,
-}
+/// The sources of one fan-in, in lane order.
+pub type Sources = Vec<Box<dyn PacketSource>>;
 
 /// Builds the full source list for a command invocation: every
 /// `--source` spec in order, preceded by the legacy positional input (as
@@ -169,43 +160,18 @@ pub fn build_sources(
     if parsed.is_empty() {
         return Err("no input: give a pcap path or at least one --source".into());
     }
-    Ok(Sources {
-        list: parsed
-            .iter()
-            .map(|s| build_source(s, follow))
-            .collect::<Result<_, _>>()?,
-        may_wait: parsed
-            .iter()
-            .map(|s| follow.is_some() && matches!(s, SourceSpec::Pcap { .. }))
-            .collect(),
-    })
+    parsed.iter().map(|s| build_source(s, follow)).collect()
 }
 
 /// Starts the fan-in of every route (`analyze`, batch, windowed or
-/// `--emit-fragments`; `merge`; `capture` and `filter`), deciding here and
-/// nowhere else which source gets a capture thread. The fan-in never drops:
-/// a capture thread waits for the consumer anyway, so all it buys is
-/// read-ahead on a second core — when the scheduler grants one; a pass
-/// that overlaps read and analysis only then takes 1.0× or 1.5× as long
-/// from one run to the next, and moves every arena between cores to do it.
-/// So a source whose next batch is always ready is read in-line
-/// ([`CaptureMux::inline`]), and so is a lone source that may wait: while
-/// it is quiet, strict `(ts, lane)` order holds the other lanes back
-/// anyway. Only where several sources may wait (followed files, `merge
-/// --listen` connections) does each of those get a capture thread
-/// ([`CaptureMux::start`]): each paces its own polling, and in-line their
-/// sleeps would add up.
+/// `--emit-fragments`; `merge`; `capture` and `filter`): every source is
+/// read in-line on the calling thread, followed files and `merge
+/// --listen` connections too. The strict `(ts, lane)` merge waits for its
+/// slowest live lane whatever reads it, so a capture thread per source
+/// would buy read-ahead only — and the kernel's file and socket buffers
+/// already give a reader that.
 pub fn start_capture(sources: Sources, metrics: Option<&PipelineMetrics>) -> CaptureMux {
-    let threads = sources.may_wait.iter().filter(|w| **w).count() > 1;
-    let lanes = sources.list.into_iter().zip(sources.may_wait).map(|(s, waits)| {
-        let kind = if threads && waits {
-            LaneKind::Threaded
-        } else {
-            LaneKind::Inline
-        };
-        (s, kind)
-    });
-    CaptureMux::with_lanes(lanes.collect(), MuxConfig::default(), metrics)
+    CaptureMux::start(sources, MuxConfig, metrics)
 }
 
 #[cfg(test)]
@@ -281,44 +247,6 @@ mod tests {
             }
         }
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn only_a_source_that_may_wait_beside_another_gets_a_thread() {
-        use std::time::Duration;
-        use zoom_wire::handoff::RecordBatch;
-        let dir = std::env::temp_dir().join(format!("zt-lanes-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut specs = Vec::new();
-        for name in ["a.pcap", "b.pcap"] {
-            let path = dir.join(name);
-            let header = zoom_wire::pcap::Writer::new(Vec::new(), LinkType::Ethernet)
-                .and_then(|w| w.finish())
-                .unwrap();
-            std::fs::write(&path, header).unwrap();
-            specs.push(("source".to_string(), format!("pcap:{}", path.display())));
-        }
-        specs.push(("source".to_string(), "sim:p2p,seed=3,secs=5".to_string()));
-        let follow = FollowConfig {
-            poll: Duration::from_millis(1),
-            idle_exit: Duration::from_millis(20),
-        };
-        // The lane kind of each source, in spec order (pcap a, pcap b, sim).
-        let lanes = |specs: &[(String, String)], follow: Option<FollowConfig>| {
-            let metrics = PipelineMetrics::new();
-            let mut mux = start_capture(build_sources(&[], specs, follow).unwrap(), Some(&metrics));
-            let mut batch = RecordBatch::new();
-            while mux.next_batch(&mut batch, 128).unwrap().is_some() {}
-            mux.finish().unwrap();
-            // Snapshot rows are label-sorted: `pcap:…a`, `pcap:…b`, `sim:…`.
-            let snap = metrics.snapshot();
-            snap.sources.iter().map(|s| s.lane).collect::<Vec<_>>()
-        };
-        use LaneKind::{Inline, Threaded};
-        assert_eq!(lanes(&specs, None), [Inline, Inline, Inline]);
-        assert_eq!(lanes(&specs[1..], Some(follow)), [Inline, Inline]);
-        assert_eq!(lanes(&specs, Some(follow)), [Threaded, Threaded, Inline]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Each record's timestamp and an FNV-1a digest of its length and

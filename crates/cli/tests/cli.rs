@@ -150,12 +150,12 @@ fn filter_and_single_source_capture_write_the_same_file() {
     for path in [&filter_metrics, &capture_metrics] {
         let json = std::fs::read_to_string(path).unwrap();
         assert!(json.contains("\"conservation_holds\":true"), "{json}");
-        assert!(json.contains("\"lane\":\"inline\""), "{json}");
+        assert!(json.contains("\"sources\":[{\"source\":\"pcap:"), "{json}");
     }
 }
 
 /// A torn final record is one `truncated` record, a warning and exit 0 —
-/// whichever command reads the file, on whichever kind of lane.
+/// whichever command reads the file, followed or not.
 #[test]
 fn a_torn_tail_reads_the_same_through_filter_and_both_capture_lanes() {
     let raw = tmp("torn_raw.pcap");
@@ -173,17 +173,17 @@ fn a_torn_tail_reads_the_same_through_filter_and_both_capture_lanes() {
     assert!(ok, "simulate failed: {err}");
     let bytes = std::fs::read(&raw).unwrap();
     std::fs::write(&torn, &bytes[..bytes.len() - 37]).unwrap();
-    // Two followed files are two live sources, which get a capture thread
-    // each; the second holds a pcap header and no records.
+    // Under --follow, beside a second followed file that holds a pcap
+    // header and no records.
     let empty = tmp("torn_empty.pcap");
     std::fs::write(&empty, &bytes[..24]).unwrap();
 
     let source = format!("pcap:{}", torn.to_str().unwrap());
     let quiet = format!("pcap:{}", empty.to_str().unwrap());
     let (torn, source, quiet) = (torn.to_str().unwrap(), source.as_str(), quiet.as_str());
-    let runs: [(&str, Vec<&str>, &str); 3] = [
-        ("filter", vec!["filter", torn], "inline"),
-        ("capture", vec!["capture", "--source", source], "inline"),
+    let runs: [(&str, Vec<&str>); 3] = [
+        ("filter", vec!["filter", torn]),
+        ("capture", vec!["capture", "--source", source]),
         (
             "follow",
             vec![
@@ -196,11 +196,10 @@ fn a_torn_tail_reads_the_same_through_filter_and_both_capture_lanes() {
                 "--idle-exit",
                 "1s",
             ],
-            "threaded",
         ),
     ];
     let mut outputs = Vec::new();
-    for (name, mut args, lane) in runs {
+    for (name, mut args) in runs {
         let out = tmp(&format!("torn_{name}.pcap"));
         let metrics = tmp(&format!("torn_{name}.json"));
         // `filter IN OUT`, `capture OUT --source …`: the output is the
@@ -217,10 +216,6 @@ fn a_torn_tail_reads_the_same_through_filter_and_both_capture_lanes() {
         assert!(json.contains("\"truncated_records\":1"), "{name}: {json}");
         assert!(
             json.contains("\"conservation_holds\":true"),
-            "{name}: {json}"
-        );
-        assert!(
-            json.contains(&format!("\"lane\":\"{lane}\"")),
             "{name}: {json}"
         );
         outputs.push(std::fs::read(&out).unwrap());
@@ -262,7 +257,7 @@ fn without_keys(json: &str, keys: &[&str]) -> String {
 /// report bytes, the same stderr and the same `--metrics` snapshot — all
 /// but the run's `uptime_seconds` and its timing histograms — on a clean
 /// file and on one with a torn last record. Both register their file as
-/// an in-line source and check both halves of the conservation invariant.
+/// a source and check both halves of the conservation invariant.
 #[test]
 fn a_positional_file_and_a_pcap_source_take_one_route() {
     let clean = tmp("route_clean.pcap");
@@ -316,7 +311,10 @@ fn a_positional_file_and_a_pcap_source_take_one_route() {
             without_keys(&std::fs::read_to_string(&by_source).unwrap(), &timing),
             "{name}"
         );
-        assert!(metrics.contains("\"lane\":\"inline\""), "{name}: {metrics}");
+        assert!(
+            metrics.contains("\"sources\":[{\"source\":\"pcap:"),
+            "{name}: {metrics}"
+        );
         assert!(
             metrics.contains("\"conservation_holds\":true"),
             "{name}: {metrics}"
@@ -568,9 +566,8 @@ fn usage_continuation_lines_align_under_the_arguments() {
     assert!(continuations >= 10, "{err}");
 }
 
-/// `sim:` taps never make their reader wait, so several of them are read
-/// in-line on the analysis thread like several pcap files: every source
-/// row says so, and the conservation invariant holds.
+/// Several `sim:` taps are read like several pcap files: one source row
+/// each, and the conservation invariant holds.
 #[test]
 fn several_sim_sources_are_read_in_line() {
     let metrics = tmp("two_sims.json");
@@ -585,8 +582,7 @@ fn several_sim_sources_are_read_in_line() {
     ]);
     assert!(ok, "{err}");
     let json = std::fs::read_to_string(&metrics).unwrap();
-    assert_eq!(json.matches("\"lane\":").count(), 2, "{json}");
-    assert_eq!(json.matches("\"lane\":\"inline\"").count(), 2, "{json}");
+    assert_eq!(json.matches("{\"source\":\"sim:").count(), 2, "{json}");
     assert!(json.contains("\"conservation_holds\":true"), "{json}");
 }
 
@@ -614,9 +610,8 @@ fn flag_combination_refusals_are_pinned() {
     let lossy = "--lossy was removed: every input this tool reads (a pcap, a followed pcap, a \
                  sim: tap, a fragment worker) can wait for the analysis, so the capture fan-in \
                  never drops a record — docs/CAPTURE.md";
-    let ring_cap = "--ring-cap was removed: it sized the rings --lossy dropped at; the capture \
-                    threads left (several --follow files, merge --listen) wait at a fixed 8 \
-                    batches — docs/CAPTURE.md";
+    let ring_cap = "--ring-cap was removed: it sized the rings --lossy dropped at, and there \
+                    are no rings left — every source is read in-line — docs/CAPTURE.md";
     let source = format!("pcap:{x}");
     let capture: &[&str] = &["capture", csv, "--source", &source];
     let cases: [(&[&str], i32, &str); 24] = [
@@ -729,4 +724,120 @@ fn merge_of_a_spool_prints_what_analyze_prints() {
         );
         assert_eq!(out, json, "{args:?}");
     }
+}
+
+/// A 20 s `multi` trace in a scratch file, as the CI smoke's inputs are.
+fn multi_trace(name: &str) -> PathBuf {
+    let path = tmp(name);
+    let (_, err, ok) = run(&[
+        "simulate",
+        path.to_str().unwrap(),
+        "--seconds",
+        "20",
+        "--seed",
+        "7",
+        "--scenario",
+        "multi",
+    ]);
+    assert!(ok, "simulate failed: {err}");
+    path
+}
+
+/// Followed files are read in-line like finite ones: two followed
+/// sources — a trace and a header-only file — print what the trace alone
+/// prints, windowed with eviction, and `capture --follow` over them writes
+/// what the finite `capture` writes.
+#[test]
+fn followed_sources_give_what_the_finite_run_gives() {
+    let trace = multi_trace("follow_obs.pcap");
+    let empty = tmp("follow_empty.pcap");
+    std::fs::write(&empty, &std::fs::read(&trace).unwrap()[..24]).unwrap();
+    let trace_source = format!("pcap:{}", trace.to_str().unwrap());
+    let empty_source = format!("pcap:{}", empty.to_str().unwrap());
+    let sources = ["--source", &trace_source, "--source", &empty_source];
+    let follow = ["--follow", "--idle-exit", "1s"];
+    let windowed = ["--window", "1s", "--idle-timeout", "10s", "--json"];
+
+    let (one_file, err, ok) = run(&[&["analyze", trace.to_str().unwrap()][..], &windowed].concat());
+    assert!(ok, "{err}");
+    assert!(one_file.lines().count() > 10, "{one_file}");
+    let (followed, err, ok) = run(&[&["analyze"][..], &sources, &follow, &windowed].concat());
+    assert!(ok, "{err}");
+    assert!(followed == one_file, "two followed sources print other bytes");
+
+    let finite = tmp("follow_finite.pcap");
+    let live = tmp("follow_live.pcap");
+    let metrics = tmp("follow_live.json");
+    let (_, err, ok) = run(&[&["capture", finite.to_str().unwrap()][..], &sources, &["--anonymize", "7"]].concat());
+    assert!(ok, "{err}");
+    let metrics_flag = ["--anonymize", "7", "--metrics", metrics.to_str().unwrap()];
+    let (_, err, ok) = run(&[&["capture", live.to_str().unwrap()][..], &sources, &follow, &metrics_flag].concat());
+    assert!(ok, "{err}");
+    let finite = std::fs::read(&finite).unwrap();
+    assert!(finite.len() > 10_000);
+    assert!(finite == std::fs::read(&live).unwrap(), "followed capture differs");
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    assert!(json.contains("\"conservation_holds\":true"), "{json}");
+}
+
+/// `merge --listen` reads its worker connections in-line, as `merge
+/// FILES…` reads spools: two workers streaming over TCP merge to what one
+/// process prints for both inputs, and the `--journal` spools replay to
+/// it too. Worker `box-a` connects first, so it is lane 0. Windowed, so
+/// that a record merged out of timestamp order shows in the output.
+#[test]
+fn merge_listen_with_two_workers_prints_the_single_process_run() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let trace = multi_trace("listen_obs.pcap");
+    let trace_source = format!("pcap:{}", trace.to_str().unwrap());
+    let sim_source = "sim:multi,seed=9,secs=10";
+    let journal = tmp("listen_journal");
+
+    let mut merge = Command::new(bin())
+        .args(["merge", "--listen", "127.0.0.1:0", "--workers", "2", "--journal"])
+        .arg(&journal)
+        .args(["--window", "1s", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn merge");
+    let mut stderr = BufReader::new(merge.stderr.take().unwrap()).lines();
+    let mut line_with = |text: &str| loop {
+        let line = stderr.next().expect("merge stderr ended").unwrap();
+        if line.contains(text) {
+            return line;
+        }
+    };
+    let listening = line_with("listening for 2 worker(s) on ");
+    let addr = listening.rsplit(' ').next().unwrap().to_string();
+    let worker = |source: &str, label: &str| {
+        Command::new(bin())
+            .args(["analyze", "--source", source, "--emit-fragments", &addr])
+            .args(["--worker-label", label])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn worker")
+    };
+    let mut box_a = worker(&trace_source, "box-a");
+    line_with("worker box-a connected");
+    let mut box_b = worker(sim_source, "box-b");
+    line_with("worker box-b connected");
+    assert!(box_a.wait().unwrap().success());
+    assert!(box_b.wait().unwrap().success());
+    let merged = merge.wait_with_output().unwrap();
+    assert!(merged.status.success());
+
+    let sources = ["--source", &trace_source, "--source", sim_source];
+    let windowed = ["--window", "1s", "--json"];
+    let (single, err, ok) = run(&[&["analyze"][..], &sources, &windowed].concat());
+    assert!(ok, "{err}");
+    assert!(single.lines().count() > 10, "{single}");
+    assert!(merged.stdout == single.as_bytes(), "merge --listen differs from one process");
+    let spools = ["worker-0.frag", "worker-1.frag"].map(|f| journal.join(f));
+    let spools = [spools[0].to_str().unwrap(), spools[1].to_str().unwrap()];
+    let (replayed, err, ok) = run(&[&["merge"][..], &spools, &windowed].concat());
+    assert!(ok, "{err}");
+    assert!(replayed == single, "the journal replays to other bytes");
 }

@@ -698,7 +698,7 @@ macro_rules! scalar_metrics {
 
 scalar_metrics! {
     /// The pipeline-wide metrics registry, shared by the analysis sink, the
-    /// capture threads and the scrape endpoint through one `Arc`.
+    /// capture fan-in and the scrape endpoint through one `Arc`.
     ///
     /// The scalar fields are public so instrumentation sites pay exactly
     /// one atomic RMW with no accessor indirection; readers should go
@@ -917,15 +917,14 @@ row_family! {
     /// Capture-side accounting for one packet source feeding the pipeline.
     ///
     /// Registered on a [`PipelineMetrics`] via
-    /// [`register_source`](PipelineMetrics::register_source); the capture
-    /// thread keeps the returned `Arc` and bumps the counters lock-free.
-    /// The drop counter participates in the conservation invariant:
-    /// packets a source captured reach the sink (`packets_in`) or are
-    /// counted in `ring_full_drops`, never silently lost — and the capture
-    /// fan-in waits at a full ring rather than drop, so the counter stays
-    /// 0. `delivered_ts_nanos` is what the per-source lag is
-    /// read from: a lane whose timestamp trails the furthest-ahead lane is
-    /// the one holding the deterministic `(ts, lane)` merge back.
+    /// [`register_source`](PipelineMetrics::register_source); the fan-in
+    /// lane reading the source keeps the returned `Arc` and bumps the
+    /// counters lock-free. `packets` takes part in the conservation
+    /// invariant: every record a source captured reaches the sink
+    /// (`packets_in`) — the fan-in never drops. `delivered_ts_nanos` is
+    /// what the per-source lag is read from: a lane whose timestamp trails
+    /// the furthest-ahead lane is the one holding the deterministic
+    /// `(ts, lane)` merge back.
     SourceMetrics;
     /// Plain-data copy of one source's capture-side counters.
     SourceSnapshot;
@@ -934,16 +933,11 @@ row_family! {
     keys {
         /// The source's display label (e.g. `pcap:trace.pcap`).
         label: String,
-        /// Whether the source is read in-line or by a capture thread.
-        lane: LaneKind,
     }
     rows {
         packets: Counter => Counter Num debug(0) prom("zoom_source_packets_total") "Records pulled off each capture source.";
         bytes: Counter => Counter Num prom("zoom_source_bytes_total") "Captured bytes across each source's records.";
-        batches: Counter => Counter Num prom("zoom_source_batches_total") "Batches each source handed to the fan-in ring.";
-        ring_full_drops: Counter => Counter Num debug(0) prom("zoom_source_ring_full_drops_total") "Records dropped at a full hand-off ring, per source.";
-        ring_occupancy: Gauge => Gauge Num debug(0) prom("zoom_source_ring_occupancy") "Batches queued in each source's hand-off ring at the last sample.";
-        ring_occupancy_hwm: Gauge => Gauge Num debug(0) prom("zoom_source_ring_occupancy_peak") "High-water mark of each source's ring occupancy.";
+        batches: Counter => Counter Num prom("zoom_source_batches_total") "Batches each source handed to the fan-in.";
         delivered_ts_nanos: Gauge => Gauge Num debug(0) "Capture timestamp of the last record delivered from each source.";
     }
 }
@@ -995,28 +989,6 @@ impl WorkerMetrics {
     /// The worker's display label from its Hello frame.
     pub fn label(&self) -> &str {
         &self.label
-    }
-}
-
-/// How a source's batches reach the fan-in consumer — decided once, when
-/// the fan-in starts, and rendered beside the source's series so that
-/// ring gauges reading 0 can be told apart: no ring, or an idle one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneKind {
-    /// Read on the consumer's own thread: no capture thread, no ring; the
-    /// `ring_*` gauges and `ring_full_drops` stay 0 by construction.
-    Inline,
-    /// One capture thread behind a bounded hand-off ring.
-    Threaded,
-}
-
-impl LaneKind {
-    /// The rendered form: `inline` or `threaded`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            LaneKind::Inline => "inline",
-            LaneKind::Threaded => "threaded",
-        }
     }
 }
 
@@ -1072,13 +1044,13 @@ impl PipelineMetrics {
     /// Registers a packet source and returns its zeroed counter block.
     ///
     /// Called once per source at capture start (off the hot path, hence
-    /// the mutex); the capture thread then updates the returned counters
+    /// the mutex); the fan-in then updates the returned counters
     /// lock-free. Sources appear in [`MetricsSnapshot::sources`] in
     /// registration order and, once any source is registered, the
     /// conservation invariant additionally checks that every captured
-    /// record either reached the sink or was counted as a ring drop.
-    pub fn register_source(&self, label: &str, lane: LaneKind) -> Arc<SourceMetrics> {
-        let m = Arc::new(SourceMetrics::new(label.to_string(), lane));
+    /// record reached the sink.
+    pub fn register_source(&self, label: &str) -> Arc<SourceMetrics> {
+        let m = Arc::new(SourceMetrics::new(label.to_string()));
         self.sources.lock().unwrap().push(Arc::clone(&m));
         m
     }
@@ -1114,7 +1086,7 @@ impl PipelineMetrics {
     }
 
     /// The `/debug/pipeline` introspection payload: one JSON object of
-    /// live operational state — ring occupancy and lag per source,
+    /// live operational state — progress and lag per source,
     /// table sizes and eviction pressure,
     /// worker link states, and the trace collector's own health. This is
     /// the "where is it stuck right now" view, complementing the
@@ -1134,7 +1106,7 @@ impl PipelineMetrics {
         };
         let sources = json_array(s.sources.iter().map(|src| {
             let mut o = row_object(SOURCE_ROWS, src, |r| r.debug, |o| {
-                o.str("source", &src.label).str("lane", src.lane.as_str());
+                o.str("source", &src.label);
             });
             o.u64("lag_nanos", s.lag_nanos(src));
             o.finish()
@@ -1302,11 +1274,6 @@ impl MetricsSnapshot {
         self.sources.iter().map(|s| s.packets).sum()
     }
 
-    /// Sum of ring-full capture drops across all registered sources.
-    pub fn ring_full_drops_total(&self) -> u64 {
-        self.sources.iter().map(|s| s.ring_full_drops).sum()
-    }
-
     /// Sum of records all registered fragment workers reported capturing.
     pub fn worker_packets_total(&self) -> u64 {
         self.workers.iter().map(|w| w.packets).sum()
@@ -1326,30 +1293,24 @@ impl MetricsSnapshot {
     /// The conservation invariant every sink maintains once ingest has
     /// quiesced: every offered record is classified, counted not-Zoom, or
     /// attributed to exactly one drop stage. When capture sources are
-    /// registered the invariant extends upstream: every captured record
-    /// either reached the sink or was counted as a ring-full drop, so
-    /// `Σ source_packets == packets_classified + packets_not_zoom +
-    /// Σ dissect drops + Σ ring_full_drops` — capture loss is part of the
-    /// ledger, never silent.
+    /// registered the invariant extends upstream: the fan-in never drops,
+    /// so every captured record reached the sink —
+    /// `Σ source_packets == packets_in`.
     /// When fragment workers feed a merge node the ledger extends one
     /// more hop upstream: every record a worker reported capturing was
-    /// either decoded at the merge (`records_received`) or dropped at
-    /// the worker's own rings, and everything decoded reached the sink
-    /// (modulo merge-side ring drops already covered by the source
-    /// half) — `Σ worker packets_in == merge packets_in` when nothing
-    /// drops anywhere.
+    /// either decoded at the merge (`records_received`) or reported
+    /// dropped by the worker, and everything decoded reached the sink —
+    /// `Σ worker packets == merge packets_in` when nothing drops anywhere.
     pub fn conservation_holds(&self) -> bool {
         let sink_ok =
             self.packets_in == self.packets_classified + self.packets_not_zoom + self.drops_total();
-        let capture_ok = self.sources.is_empty()
-            || self.source_packets_total() == self.packets_in + self.ring_full_drops_total();
+        let capture_ok = self.sources.is_empty() || self.source_packets_total() == self.packets_in;
         let workers_ok = self.workers.is_empty()
             || (self
                 .workers
                 .iter()
                 .all(|w| w.packets == w.records_received + w.ring_full_drops)
-                && self.worker_records_received_total()
-                    == self.packets_in + self.ring_full_drops_total());
+                && self.worker_records_received_total() == self.packets_in);
         sink_ok && capture_ok && workers_ok
     }
 
@@ -1380,7 +1341,7 @@ impl MetricsSnapshot {
         if !self.sources.is_empty() {
             let sources = self.sources.iter().map(|s| {
                 row_object(SOURCE_ROWS, s, |r| Some(r.json), |o| {
-                    o.str("source", &s.label).str("lane", s.lane.as_str());
+                    o.str("source", &s.label);
                 })
                 .finish()
             });
@@ -1417,12 +1378,6 @@ impl MetricsSnapshot {
             prom_rows(&mut out, CAPTURE_ROWS, &[(String::new(), c)]);
         }
         if !self.sources.is_empty() {
-            let lane = "zoom_source_lane_info";
-            prom_header(&mut out, lane, Kind::Gauge, "How each capture source is read: lane=\"inline\" (no capture thread, no ring: the ring series stay 0) or \"threaded\".");
-            for s in &self.sources {
-                let labels = prom_labels(&["source", "lane"], &[s.label.as_str(), s.lane.as_str()]);
-                prom_line(&mut out, lane, &labels, 1);
-            }
             let items: Vec<_> = (self.sources.iter())
                 .map(|s| (prom_labels(&["source"], &[&s.label]), s))
                 .collect();
@@ -1582,17 +1537,15 @@ mod tests {
         assert!(!s.to_prom().contains("zoom_source_packets_total"));
         assert!(!s.to_json().contains("\"sources\""));
 
-        let tap = m.register_source("pcap:a.pcap", LaneKind::Inline);
-        let live = m.register_source("sim:p2p", LaneKind::Threaded);
-        // tap captured 3 records; all reached the sink.
+        let tap = m.register_source("pcap:a.pcap");
+        let live = m.register_source("sim:p2p");
+        // tap captured 3 records and live 3; all reached the sink.
         tap.packets.add(3);
         tap.bytes.add(300);
         tap.batches.inc();
-        // live captured 4 records; one was dropped at a full ring.
-        live.packets.add(4);
-        live.bytes.add(400);
+        live.packets.add(3);
+        live.bytes.add(300);
         live.batches.add(2);
-        live.ring_full_drops.inc();
         for _ in 0..6 {
             m.record_in(100);
         }
@@ -1600,21 +1553,17 @@ mod tests {
         m.packets_not_zoom.inc();
 
         let s = m.snapshot();
-        assert_eq!(s.source_packets_total(), 7);
-        assert_eq!(s.ring_full_drops_total(), 1);
-        // 7 captured == 6 offered to the sink + 1 ring drop, and the
-        // sink-side ledger balances too.
+        assert_eq!(s.source_packets_total(), 6);
+        // 6 captured == 6 offered to the sink, and the sink-side ledger
+        // balances too.
         assert!(s.conservation_holds());
 
         let prom = s.to_prom();
         assert!(prom.contains("zoom_source_packets_total{source=\"pcap:a.pcap\"} 3"));
-        assert!(prom.contains("zoom_source_ring_full_drops_total{source=\"sim:p2p\"} 1"));
-        assert!(prom.contains("zoom_source_lane_info{source=\"pcap:a.pcap\",lane=\"inline\"} 1"));
-        assert!(prom.contains("zoom_source_lane_info{source=\"sim:p2p\",lane=\"threaded\"} 1"));
+        assert!(prom.contains("zoom_source_batches_total{source=\"sim:p2p\"} 2"));
         let json = s.to_json();
-        assert!(json.contains("\"sources\":[{\"source\":\"pcap:a.pcap\",\"lane\":\"inline\""));
-        assert!(json.contains("{\"source\":\"sim:p2p\",\"lane\":\"threaded\""));
-        assert!(json.contains("\"ring_full_drops\":1"));
+        assert!(json.contains("\"sources\":[{\"source\":\"pcap:a.pcap\",\"packets\":3,"));
+        assert!(json.contains("{\"source\":\"sim:p2p\",\"packets\":3,\"bytes\":300,\"batches\":2,"));
 
         // An unaccounted capture loss breaks the extended invariant even
         // though the sink-side ledger still balances.
@@ -1849,8 +1798,8 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
         assert_eq!(prom, format!("{header}{expected}"));
     }
 
-    /// A registry with every section populated: two sources of either
-    /// lane kind and different delivered timestamps, two workers in
+    /// A registry with every section populated: two sources with
+    /// different delivered timestamps, two workers in
     /// different link states, every capture verdict, all six QoE
     /// families (one with a cap eviction and an escaped label), drops,
     /// pcap gauges, engine counters, histograms and trace events.
@@ -1887,19 +1836,16 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
         m.stage_merge_nanos.observe(2_000_000);
         m.stage_checkpoint_nanos.observe(50);
 
-        let inline = m.register_source("pcap:a.pcap", LaneKind::Inline);
-        inline.packets.add(6);
-        inline.bytes.add(4_000);
-        inline.batches.inc();
-        inline.delivered_ts_nanos.set(1_000);
-        let threaded = m.register_source("sim:p2p", LaneKind::Threaded);
-        threaded.packets.add(6);
-        threaded.bytes.add(5_022);
-        threaded.batches.add(3);
-        threaded.ring_full_drops.inc();
-        threaded.ring_occupancy.set(2);
-        threaded.ring_occupancy_hwm.set_max(3);
-        threaded.delivered_ts_nanos.set(400);
+        let file = m.register_source("pcap:a.pcap");
+        file.packets.add(6);
+        file.bytes.add(4_000);
+        file.batches.inc();
+        file.delivered_ts_nanos.set(1_000);
+        let tap = m.register_source("sim:p2p");
+        tap.packets.add(5);
+        tap.bytes.add(5_022);
+        tap.batches.add(3);
+        tap.delivered_ts_nanos.set(400);
 
         let done = m.register_worker("box-a");
         done.packets.set(6);
@@ -1910,12 +1856,12 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
         done.complete.set(1);
         done.link_state.set(link_state::DONE);
         let live = m.register_worker("box-b");
-        live.packets.set(7);
+        live.packets.set(6);
         live.bytes.set(5_100);
         live.batches.set(2);
         live.ring_full_drops.set(1);
         live.truncated.set(1);
-        live.records_received.add(6);
+        live.records_received.add(5);
         live.bytes_received.set(800);
         live.link_state.set(link_state::STREAMING);
 
@@ -2132,7 +2078,7 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
     #[test]
     fn prom_label_values_are_escaped() {
         let m = PipelineMetrics::new();
-        let src = m.register_source("pcap:C:\\traces\\a \"prod\" run\n.pcap", LaneKind::Threaded);
+        let src = m.register_source("pcap:C:\\traces\\a \"prod\" run\n.pcap");
         src.packets.inc();
         let w = m.register_worker("box\\one\"two\nthree");
         w.packets.set(1);
@@ -2176,11 +2122,10 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
     #[test]
     fn debug_json_exposes_live_pipeline_state() {
         let m = PipelineMetrics::new();
-        let src = m.register_source("pcap:a.pcap", LaneKind::Threaded);
-        src.ring_occupancy.set(3);
-        src.ring_occupancy_hwm.set_max(7);
+        let src = m.register_source("pcap:a.pcap");
+        src.packets.add(3);
         src.delivered_ts_nanos.set(1_000);
-        let lagging = m.register_source("pcap:b.pcap", LaneKind::Inline);
+        let lagging = m.register_source("pcap:b.pcap");
         lagging.delivered_ts_nanos.set(400);
         let w = m.register_worker("box-a");
         w.link_state.set(link_state::STREAMING);
@@ -2190,10 +2135,8 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
         for key in [
             "\"type\":\"debug_pipeline\"",
             "\"build\":{\"version\":",
-            "{\"source\":\"pcap:a.pcap\",\"lane\":\"threaded\"",
-            "{\"source\":\"pcap:b.pcap\",\"lane\":\"inline\"",
-            "\"ring_occupancy\":3",
-            "\"ring_occupancy_hwm\":7",
+            "{\"source\":\"pcap:a.pcap\",\"packets\":3,\"delivered_ts_nanos\":1000,",
+            "{\"source\":\"pcap:b.pcap\",\"packets\":0,\"delivered_ts_nanos\":400,",
             "\"lag_nanos\":600",
             "\"link_state\":\"streaming\"",
             "\"tables\":{\"tracked_entries\":0",

@@ -245,8 +245,8 @@ mod tests {
     #[test]
     fn debug_routes_serve_live_state() {
         let metrics = Arc::new(PipelineMetrics::new());
-        let src = metrics.register_source("pcap:a.pcap", crate::obs::LaneKind::Threaded);
-        src.ring_occupancy_hwm.set_max(5);
+        let src = metrics.register_source("pcap:a.pcap");
+        src.delivered_ts_nanos.set(5);
         metrics.trace.enable(1, "serve-test");
         let id = metrics.trace.sample().unwrap();
         metrics
@@ -259,7 +259,7 @@ mod tests {
         assert!(debug.starts_with("HTTP/1.1 200 OK"), "{debug}");
         assert!(debug.contains("application/json"), "{debug}");
         assert!(debug.contains("\"type\":\"debug_pipeline\""), "{debug}");
-        assert!(debug.contains("\"ring_occupancy_hwm\":5"), "{debug}");
+        assert!(debug.contains("\"delivered_ts_nanos\":5"), "{debug}");
         assert!(debug.contains("\"sample_every\":1"), "{debug}");
 
         let tail = get(addr, "/debug/trace?n=4");

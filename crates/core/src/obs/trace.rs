@@ -66,11 +66,14 @@ use zoom_wire::handoff::RecordBatch;
 /// field is one of [`SPAN_CATALOGUE`] (foreign events re-ingested on a
 /// merge node were validated by the emitting worker).
 pub mod spans {
-    /// A capture thread filled one batch from its packet source.
+    /// The fan-in filled one batch from a packet source.
     pub const SOURCE_READ: &str = "source_read";
-    /// The filled batch was offered to the SPSC hand-off ring.
+    /// Reserved, not emitted: a capture thread's push onto the hand-off
+    /// ring it no longer has (every source is read in-line). Kept in the
+    /// catalogue, as [`SHARD_ROUTE`] is, because the benchmark's layer
+    /// table pins the set.
     pub const RING_ENQUEUE: &str = "ring_enqueue";
-    /// The fan-in consumer popped the batch off its lane's ring.
+    /// Reserved, not emitted: the fan-in's pop off that ring.
     pub const RING_DEQUEUE: &str = "ring_dequeue";
     /// The sequential analyzer dissected + classified the batch.
     pub const DISSECT: &str = "dissect";
@@ -227,7 +230,7 @@ impl TraceCollector {
 
     /// Turn tracing on: sample one batch in `sample_every` (clamped to
     /// ≥ 1) and stamp every event with `node`. Idempotent; meant to be
-    /// called once at startup, before capture threads spawn.
+    /// called once at startup, before the fan-in reads a source.
     pub fn enable(&self, sample_every: u64, node: &str) {
         *self.node.lock().unwrap() = node.to_string();
         self.node_hash.store(label_hash(node), Ordering::Relaxed);
@@ -548,7 +551,7 @@ mod tests {
         let id2 = tc.sample().unwrap();
         tc.record(id1, spans::SOURCE_READ, "s", 8, 0);
         tc.record(id2, spans::SOURCE_READ, "s", 8, 0);
-        tc.record(id1, spans::RING_ENQUEUE, "s", 8, 0);
+        tc.record(id1, spans::DISSECT, "s", 8, 0);
         let one = tc.drain_trace_ndjson(id1);
         assert_eq!(one.lines().count(), 2);
         assert!(one.lines().all(|l| l.contains(&format!("{id1:016x}"))));

@@ -23,7 +23,7 @@ use std::net::IpAddr;
 use std::sync::Arc;
 use std::time::Duration;
 use zoom_wire::dissect::{
-    classify_udp_with, drop_stage, peek, prefetch_record, AppView, Dissection, PeekInfo,
+    classify_udp_with, drop_stage, peek, prefetch_record, AppView, PeekInfo,
     PeekTransport, Probe, Transport,
 };
 use zoom_wire::family::{FamilyId, FamilySelect};
@@ -369,7 +369,7 @@ pub struct Analyzer {
     pub(crate) undissectable: u64,
     /// Set by the WebRTC second chance when a registered flow's record
     /// failed DTLS-SRTP framing; steers drop attribution in
-    /// [`Analyzer::process_dissection_counted`] to `malformed_srtp`
+    /// [`Analyzer::apply_counted`] to `malformed_srtp`
     /// instead of Zoom's `malformed_zme`.
     srtp_malformed: bool,
     /// This thread's unpublished share of the per-record counters in
@@ -516,18 +516,6 @@ impl Analyzer {
                 bump(&self.tally.malformed_zme);
             }
         }
-    }
-
-    /// Process a pre-dissected packet.
-    pub fn process_dissection(&mut self, d: &Dissection<'_>) {
-        let r = RecordView {
-            ts_nanos: d.ts_nanos,
-            five_tuple: &d.five_tuple,
-            ip_len: d.ip_total_len,
-            transport: d.transport.clone(),
-            payload: d.payload,
-        };
-        self.apply(&r, d.app.view());
     }
 
     /// Apply one record's application-layer reading to the analysis
@@ -1025,8 +1013,7 @@ impl Analyzer {
 }
 
 /// One record as [`Analyzer::apply`] reads it: the header facts of a
-/// peek (or of a [`Dissection`]) without the link header, and the
-/// transport payload as captured.
+/// peek without the link header, and the transport payload as captured.
 struct RecordView<'a> {
     ts_nanos: u64,
     five_tuple: &'a FiveTuple,

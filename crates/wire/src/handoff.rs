@@ -1,12 +1,12 @@
-//! Arena-packed record batches for cross-thread capture hand-off.
+//! Arena-packed record batches for capture hand-off.
 //!
-//! A capture thread that forwards packets to an analysis engine one
+//! A capture loop that forwards packets to an analysis engine one
 //! [`Record`](crate::pcap::Record) at a time pays one heap allocation per
-//! packet plus one ring-buffer slot per packet. [`RecordBatch`] amortizes
-//! both: records are packed back-to-back into a single byte arena with
-//! per-record timestamp/length side tables, so a whole batch crosses the
-//! thread boundary as one object and — once the receiver recycles empty
-//! batches back to the producer — the steady state allocates nothing.
+//! packet. [`RecordBatch`] amortizes it: records are packed back-to-back
+//! into a single byte arena with per-record timestamp/length side tables,
+//! so a whole batch is handed on as one object and — once the receiver
+//! gives empty batches back to the reader — the steady state allocates
+//! nothing.
 //!
 //! The layout is append-only: [`RecordBatch::push`] copies the packet bytes
 //! to the end of the arena, [`RecordBatch::iter`] yields borrowed

@@ -6,14 +6,13 @@
 //! STUN-register statistics.
 //!
 //! And the one filter loop ([`filter_to_pcap`]) against the per-record
-//! loop it replaced, over both kinds of fan-in lane: sources read in-line
-//! and sources behind capture threads give the same output bytes, the
-//! same registry (ring gauges and lane kind aside) and the same filter
-//! state, for one and two sources, filtering, anonymizing or merging
-//! only; and the registry is exact after every batch, not just at the end.
+//! loop it replaced: the same output bytes, the same registry and the
+//! same filter state, for one and two sources, filtering, anonymizing or
+//! merging only; and the registry is exact after every batch, not just at
+//! the end.
 
 use std::net::{IpAddr, Ipv4Addr};
-use zoom_analysis::obs::{LaneKind, MetricsSnapshot, PipelineMetrics};
+use zoom_analysis::obs::{MetricsSnapshot, PipelineMetrics};
 use zoom_capture::anonymize::{Anonymizer, Mode};
 use zoom_capture::cidr::{prefix_set, Cidr};
 use zoom_capture::filter::{filter_to_pcap, FilterWriter};
@@ -280,20 +279,17 @@ fn replay_sources(parts: &[Vec<Record>], links: &[LinkType]) -> Vec<Box<dyn Pack
         .collect()
 }
 
-/// Start the fan-in over `parts` as lanes of `kind`, on `metrics`.
-fn start_mux(parts: &[Vec<Record>], kind: LaneKind, metrics: &PipelineMetrics) -> CaptureMux {
+/// Start the fan-in over `parts`, on `metrics`.
+fn start_mux(parts: &[Vec<Record>], metrics: &PipelineMetrics) -> CaptureMux {
     let sources = replay_sources(parts, &vec![LinkType::Ethernet; parts.len()]);
-    match kind {
-        LaneKind::Inline => CaptureMux::inline(sources, Some(metrics)),
-        LaneKind::Threaded => CaptureMux::start(sources, MuxConfig::default(), Some(metrics)),
-    }
+    CaptureMux::start(sources, MuxConfig, Some(metrics))
 }
 
-/// The shipped loop over lanes of `kind`.
-fn run_filter_loop(parts: &[Vec<Record>], kind: LaneKind, mode: Job) -> FilterRun {
+/// The shipped loop.
+fn run_filter_loop(parts: &[Vec<Record>], mode: Job) -> FilterRun {
     let metrics = PipelineMetrics::new();
     let mut pipeline = mode.pipeline();
-    let mux = start_mux(parts, kind, &metrics);
+    let mux = start_mux(parts, &metrics);
     let (pcap, summary) =
         filter_to_pcap(mux, pipeline.as_mut(), &metrics, Vec::new()).expect("filter run");
     let total: u64 = parts.iter().map(|p| p.len() as u64).sum();
@@ -312,7 +308,7 @@ fn run_filter_loop(parts: &[Vec<Record>], kind: LaneKind, mode: Job) -> FilterRu
 fn run_per_record_reference(parts: &[Vec<Record>], mode: Job) -> FilterRun {
     let metrics = PipelineMetrics::new();
     let mut pipeline = mode.pipeline();
-    let mut mux = start_mux(parts, LaneKind::Threaded, &metrics);
+    let mut mux = start_mux(parts, &metrics);
     let mut writer = Writer::new(Vec::new(), LinkType::Ethernet).unwrap();
     let mut batch = RecordBatch::new();
     while let Some(link) = mux.next_batch(&mut batch, 1).expect("mux batch") {
@@ -350,15 +346,10 @@ fn run_per_record_reference(parts: &[Vec<Record>], mode: Job) -> FilterRun {
     }
 }
 
-/// `run` with what legitimately differs between lane kinds (and between
-/// two runs' clocks) blanked: the ring gauges, the lane kind, the uptime.
-fn lane_blind(mut run: FilterRun) -> FilterRun {
+/// `run` with what legitimately differs between two runs' clocks
+/// blanked: the uptime.
+fn clock_blind(mut run: FilterRun) -> FilterRun {
     run.metrics.uptime_seconds = 0;
-    for s in &mut run.metrics.sources {
-        s.lane = LaneKind::Inline;
-        s.ring_occupancy = 0;
-        s.ring_occupancy_hwm = 0;
-    }
     run
 }
 
@@ -385,7 +376,7 @@ fn salt_with_unparseable(records: &mut Vec<Record>, every: usize) -> u64 {
 }
 
 #[test]
-fn the_filter_loop_is_the_same_over_inline_and_threaded_lanes() {
+fn the_filter_loop_is_the_per_record_loop() {
     let mut records = border_records();
     let unparseable = salt_with_unparseable(&mut records, 997);
     let one = vec![records.clone()];
@@ -400,25 +391,14 @@ fn the_filter_loop_is_the_same_over_inline_and_threaded_lanes() {
         let mut plain = Vec::new();
         for mode in [Job::Filter, Job::FilterAnonymized, Job::MergeOnly] {
             let label = format!("{} source(s), {mode:?}", parts.len());
-            let inline = run_filter_loop(parts, LaneKind::Inline, mode);
-            let threaded = run_filter_loop(parts, LaneKind::Threaded, mode);
+            let shipped = run_filter_loop(parts, mode);
             let reference = run_per_record_reference(parts, mode);
 
-            for s in &inline.metrics.sources {
-                assert_eq!(s.lane, LaneKind::Inline, "{label}");
-                assert_eq!((s.ring_occupancy, s.ring_occupancy_hwm), (0, 0), "{label}");
-            }
-            assert!(threaded
-                .metrics
-                .sources
-                .iter()
-                .all(|s| s.lane == LaneKind::Threaded && s.ring_occupancy_hwm > 0));
-
-            let m = &inline.metrics;
+            let m = &shipped.metrics;
             assert!(m.conservation_holds(), "{label}");
             assert_eq!(m.packets_in, records.len() as u64, "{label}");
             assert_eq!(m.source_packets_total(), m.packets_in, "{label}");
-            match inline.filter {
+            match shipped.filter {
                 Some((c, ..)) => {
                     assert_eq!(m.drop_malformed, unparseable, "{label}");
                     assert_eq!(c.unparseable, unparseable, "{label}");
@@ -428,21 +408,16 @@ fn the_filter_loop_is_the_same_over_inline_and_threaded_lanes() {
                 None => assert_eq!(m.packets_classified, m.packets_in, "{label}"),
             }
             match mode {
-                Job::Filter => plain = inline.pcap.clone(),
+                Job::Filter => plain = shipped.pcap.clone(),
                 Job::FilterAnonymized => {
-                    assert_eq!(plain.len(), inline.pcap.len(), "{label}");
-                    assert!(plain != inline.pcap, "{label}: nothing was anonymized");
+                    assert_eq!(plain.len(), shipped.pcap.len(), "{label}");
+                    assert!(plain != shipped.pcap, "{label}: nothing was anonymized");
                 }
                 Job::MergeOnly => {}
             }
 
-            let inline = lane_blind(inline);
             assert!(
-                inline == lane_blind(threaded),
-                "{label}: in-line != threaded"
-            );
-            assert!(
-                inline == lane_blind(reference),
+                clock_blind(shipped) == clock_blind(reference),
                 "{label}: batch loop != per-record loop"
             );
         }
@@ -450,25 +425,19 @@ fn the_filter_loop_is_the_same_over_inline_and_threaded_lanes() {
 }
 
 #[test]
-fn sources_of_two_link_types_fail_alike_on_either_lane_kind() {
+fn sources_of_two_link_types_fail_with_one_pointed_error() {
     let records = border_records();
     let parts = vec![records[..400].to_vec(), records[200..600].to_vec()];
     let links = [LinkType::Ethernet, LinkType::RawIp];
     let metrics = PipelineMetrics::new();
-    let errors = [
-        CaptureMux::inline(replay_sources(&parts, &links), Some(&metrics)),
-        CaptureMux::start(replay_sources(&parts, &links), MuxConfig::default(), None),
-    ]
-    .map(|mux| {
-        filter_to_pcap(mux, None, &PipelineMetrics::new(), Vec::new())
-            .expect_err("a pcap holds one link type")
-            .to_string()
-    });
+    let mux = CaptureMux::start(replay_sources(&parts, &links), MuxConfig, Some(&metrics));
+    let error = filter_to_pcap(mux, None, &PipelineMetrics::new(), Vec::new())
+        .expect_err("a pcap holds one link type")
+        .to_string();
     assert_eq!(
-        errors[0],
+        error,
         "sources disagree on link type (Ethernet vs RawIp); a pcap holds exactly one"
     );
-    assert_eq!(errors[0], errors[1]);
 }
 
 #[test]
@@ -480,7 +449,7 @@ fn the_registry_is_exact_after_every_batch() {
     let mut pipeline = CapturePipeline::new(border_config(None));
     let mut reference = CapturePipeline::new(border_config(None));
     let by_record = PipelineMetrics::new();
-    let mut mux = start_mux(&[records.clone()], LaneKind::Inline, &metrics);
+    let mut mux = start_mux(&[records.clone()], &metrics);
     let mut sink = FilterWriter::new(Some(&mut pipeline), &metrics, Vec::new());
 
     let mut batch = RecordBatch::new();

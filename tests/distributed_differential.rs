@@ -10,7 +10,7 @@
 //! * The workers' self-reported accounting survives the wire: the
 //!   `zoom_worker_*` snapshot matches the split sizes exactly and the
 //!   worker-extended conservation invariant holds
-//!   (`Σ worker packets == packets_in + Σ ring_full_drops`).
+//!   (`Σ worker packets == packets_in`).
 //! * A worker ships each record's analysis prefix, not the record: the
 //!   spools weigh a fraction of the trace, the merge node's `bytes_in`
 //!   and `packet_size` histogram still read what the single process
@@ -23,14 +23,9 @@
 //!   open windows at crash time lose nothing.
 //! * A worker stream cut before its Bye frame surfaces as an error from
 //!   the fan-in, never a silently short report.
-//! * Fragment lanes read in-line (`CaptureMux::inline` — how `merge
-//!   FILES…` reads its spools) equal the same lanes behind capture threads
-//!   (how `merge --listen` reads its connections) equal the single
-//!   process, drained the CLI's way (`next_batch(BATCH_RECORDS)` →
-//!   `push_batch`), windowed and not. With
-//!   `tests/multi_source_differential.rs`, which does the same over plain
-//!   sources, this is what pins the fan-in's two lane kinds against each
-//!   other.
+//! * Fragment lanes drained the CLI's way (`next_batch(BATCH_RECORDS)` →
+//!   `push_batch`, how `merge` reads spools and connections alike) equal
+//!   the per-record drain and the single process, windowed and not.
 
 use std::io::Cursor;
 use std::sync::atomic::Ordering;
@@ -151,16 +146,13 @@ fn sync_workers(pairs: &[(Arc<WorkerAccount>, Arc<WorkerMetrics>)]) {
     }
 }
 
-/// How a merge run reads its fragment lanes and feeds the engine.
+/// How a merge run drains its fragment lanes and feeds the engine.
 #[derive(Clone, Copy, Debug)]
 enum Drive {
-    /// Capture threads, one record per drain, pushed record by record:
-    /// the reference drive.
+    /// One record per drain, pushed record by record: the reference drive.
     PerRecord,
-    /// As the CLI drives it — `next_batch(BATCH_RECORDS)` → `push_batch` —
-    /// over capture threads (`merge --listen`) or in-line lanes (`merge
-    /// FILES…`).
-    Batched { inline: bool },
+    /// As the CLI drives it: `next_batch(BATCH_RECORDS)` → `push_batch`.
+    Batched,
 }
 
 /// Run the merge-node pipeline over the fragment-encoded splits exactly
@@ -197,13 +189,10 @@ fn fragment_run_driven(
             Box::new(src) as Box<dyn PacketSource>
         })
         .collect();
-    let mut mux = match drive {
-        Drive::Batched { inline: true } => CaptureMux::inline(sources, Some(&mh)),
-        _ => CaptureMux::start(sources, MuxConfig::default(), Some(&mh)),
-    };
+    let mut mux = CaptureMux::start(sources, MuxConfig, Some(&mh));
     let max = match drive {
         Drive::PerRecord => 1,
-        Drive::Batched { .. } => BATCH_RECORDS,
+        Drive::Batched => BATCH_RECORDS,
     };
     let mut windows = Vec::new();
     let mut batch = RecordBatch::new();
@@ -214,7 +203,7 @@ fn fragment_run_driven(
                     engine.push(r.ts_nanos, r.data, link).expect("push");
                 }
             }
-            Drive::Batched { .. } => engine.push_batch(&batch, link).expect("push_batch"),
+            Drive::Batched => engine.push_batch(&batch, link).expect("push_batch"),
         }
         windows.extend(engine.take_windows());
     }
@@ -341,10 +330,10 @@ fn fragment_workers_byte_identical_to_single_process() {
     }
 }
 
-/// Spool lanes read on the merge thread, connection lanes behind capture
-/// threads, and no lanes at all: one output.
+/// Fragment lanes drained a batch at a time, and no lanes at all: one
+/// output.
 #[test]
-fn inline_fragment_lanes_match_threaded_lanes_and_the_single_process() {
+fn batched_fragment_lanes_match_the_single_process() {
     let records = strictly_increasing_records(13, 20);
     for window in [None, Some(Duration::from_secs(3))] {
         let (base_windows, base_out) = single_process_run(&records, window);
@@ -355,33 +344,19 @@ fn inline_fragment_lanes_match_threaded_lanes_and_the_single_process() {
             (3, Split::Contiguous),
         ] {
             let splits = split_records(&records, n, how);
-            let mut source_rows = Vec::new();
-            for inline in [false, true] {
-                let label = format!("{n} workers/inline {inline}/{window:?}");
-                let (windows, out, snap) =
-                    fragment_run_driven(&splits, window, Drive::Batched { inline });
-                assert_same_output(&windows, &out, &base_windows, &base_out, &label);
-                assert_worker_accounting(&snap, &splits, &label);
-                // Record bytes only, whichever way the frames were read:
-                // the framing a lane's arena holds is not counted.
-                for (part, row) in splits.iter().zip(&snap.sources) {
-                    assert_eq!(
-                        (row.packets, row.bytes),
-                        (part.len() as u64, shipped_bytes(part)),
-                        "{label}"
-                    );
-                }
-                source_rows.push(
-                    snap.sources
-                        .iter()
-                        .map(|s| (s.label.clone(), s.packets, s.bytes, s.batches))
-                        .collect::<Vec<_>>(),
+            let label = format!("{n} workers/{window:?}");
+            let (windows, out, snap) = fragment_run_driven(&splits, window, Drive::Batched);
+            assert_same_output(&windows, &out, &base_windows, &base_out, &label);
+            assert_worker_accounting(&snap, &splits, &label);
+            // Record bytes only: the framing a lane's arena holds is not
+            // counted.
+            for (part, row) in splits.iter().zip(&snap.sources) {
+                assert_eq!(
+                    (row.packets, row.bytes),
+                    (part.len() as u64, shipped_bytes(part)),
+                    "{label}"
                 );
             }
-            assert_eq!(
-                source_rows[0], source_rows[1],
-                "{n} workers: per-source counters"
-            );
         }
     }
 }
@@ -446,7 +421,7 @@ fn workers_ship_prefixes_and_the_merge_cannot_tell() {
         let window = Some(Duration::from_secs(1));
         let (base_windows, base_out) = single_process_run(&records, window);
         let (windows, out, snap) =
-            fragment_run_driven(&splits, window, Drive::Batched { inline: true });
+            fragment_run_driven(&splits, window, Drive::Batched);
         assert_same_output(&windows, &out, &base_windows, &base_out, name);
         assert_worker_accounting(&snap, &splits, name);
 
@@ -486,7 +461,7 @@ fn a_version_1_spool_still_merges() {
         Box::new(FragmentSource::open(Cursor::new(frame_stream_v1(&splits[0], "w0"))).expect("v1")),
         Box::new(FragmentSource::open(Cursor::new(frame_stream(&splits[1], "w1"))).expect("v2")),
     ];
-    let mut mux = CaptureMux::inline(sources, None);
+    let mut mux = CaptureMux::start(sources, MuxConfig, None);
     let mut batch = RecordBatch::new();
     while let Some(link) = mux
         .next_batch(&mut batch, BATCH_RECORDS)
@@ -571,8 +546,7 @@ fn merge_restart_resumes_from_checkpoint_without_losing_windows() {
     );
 }
 
-/// A worker cut off before its Bye frame must fail the merge loudly,
-/// whichever kind of lane reads it.
+/// A worker cut off before its Bye frame must fail the merge loudly.
 #[test]
 fn cut_worker_stream_is_an_error_not_a_short_report() {
     let records = strictly_increasing_records(5, 10);
@@ -581,32 +555,22 @@ fn cut_worker_stream_is_an_error_not_a_short_report() {
     let mut cut = frame_stream(&splits[1], "w1");
     cut.truncate(cut.len() - 50); // lose the Bye (and a record tail)
 
-    let mut messages = Vec::new();
-    for inline in [false, true] {
-        let sources: Vec<Box<dyn PacketSource>> = vec![
-            Box::new(FragmentSource::open(Cursor::new(ok.clone())).expect("ok stream")),
-            Box::new(FragmentSource::open(Cursor::new(cut.clone())).expect("header still valid")),
-        ];
-        let mut mux = if inline {
-            CaptureMux::inline(sources, None)
-        } else {
-            CaptureMux::start(sources, MuxConfig::default(), None)
-        };
-        let mut batch = RecordBatch::new();
-        let err = loop {
-            match mux.next_batch(&mut batch, BATCH_RECORDS) {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("cut stream passed for a complete merge"),
-                Err(e) => break e,
-            }
-        };
-        let msg = err.to_string();
-        assert!(
-            msg.starts_with("worker:w1: ") && (msg.contains("Bye") || msg.contains("truncated")),
-            "unhelpful cut-stream error: {msg}"
-        );
-        messages.push(msg);
-        let _ = mux.finish();
-    }
-    assert_eq!(messages[0], messages[1]);
+    let sources: Vec<Box<dyn PacketSource>> = vec![
+        Box::new(FragmentSource::open(Cursor::new(ok)).expect("ok stream")),
+        Box::new(FragmentSource::open(Cursor::new(cut)).expect("header still valid")),
+    ];
+    let mut mux = CaptureMux::start(sources, MuxConfig, None);
+    let mut batch = RecordBatch::new();
+    let err = loop {
+        match mux.next_batch(&mut batch, BATCH_RECORDS) {
+            Ok(Some(_)) => continue,
+            Ok(None) => panic!("cut stream passed for a complete merge"),
+            Err(e) => break e,
+        }
+    };
+    let msg = err.to_string();
+    assert!(
+        msg.starts_with("worker:w1: ") && (msg.contains("Bye") || msg.contains("truncated")),
+        "unhelpful cut-stream error: {msg}"
+    );
 }

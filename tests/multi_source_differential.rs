@@ -8,17 +8,10 @@
 //!   concatenated source, windowed and unwindowed.
 //! * The fan-in never drops: per-source packet counters match the split
 //!   sizes exactly, and the extended conservation invariant
-//!   (`Σ source_packets == packets_in + Σ ring_full_drops`, the last term
-//!   0) holds.
-//! * Capacity-1 rings only add backpressure, never divergence.
-//! * Sources read in-line (`CaptureMux::inline` — what the CLI does for
-//!   every source that never makes its reader wait) equal the
-//!   same sources behind capture threads and the single concatenated
-//!   source, drained the CLI's way (`next_batch(BATCH_RECORDS)` →
-//!   `push_batch`): same windows, same report, same per-source counters.
-//!   With `tests/distributed_differential.rs`, which does the same over
-//!   fragment lanes, this is what pins the fan-in's two lane kinds
-//!   against each other.
+//!   (`Σ source_packets == packets_in`) holds.
+//! * Drained the CLI's way (`next_batch(BATCH_RECORDS)` → `push_batch`),
+//!   the split sources equal the single concatenated source drained the
+//!   same way: same windows, same report, same per-source counters.
 
 use std::time::Duration;
 use zoom_analysis::engine::{EngineConfig, EngineOutput, StreamingEngine};
@@ -86,7 +79,6 @@ fn split_records(records: &[Record], n: usize, how: Split) -> Vec<Vec<Record>> {
 fn mux_run(
     splits: Vec<Vec<Record>>,
     window: Option<Duration>,
-    ring_capacity: usize,
 ) -> (Vec<WindowReport>, EngineOutput, MetricsSnapshot) {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
@@ -107,7 +99,7 @@ fn mux_run(
             )) as Box<dyn PacketSource>
         })
         .collect();
-    let mut mux = CaptureMux::start(sources, MuxConfig { ring_capacity }, Some(&mh));
+    let mut mux = CaptureMux::start(sources, MuxConfig, Some(&mh));
     let mut windows = Vec::new();
     let mut batch = zoom_wire::handoff::RecordBatch::new();
     while let Some(link) = mux
@@ -150,12 +142,10 @@ fn assert_same_run(
 fn assert_capture_accounting(snap: &MetricsSnapshot, splits: &[Vec<Record>], label: &str) {
     assert!(snap.conservation_holds(), "{label}: conservation");
     assert_eq!(snap.sources.len(), splits.len(), "{label}: source count");
-    assert_eq!(snap.ring_full_drops_total(), 0, "{label}: drops");
     let total: u64 = splits.iter().map(|s| s.len() as u64).sum();
     assert_eq!(snap.source_packets_total(), total, "{label}: Σ source packets");
     assert_eq!(snap.packets_in, total, "{label}: packets_in");
-    // Snapshot sources are label-sorted; labels are replay:0..replay:N
-    // with N < 10, so index order survives the sort.
+    // Snapshot sources are in registration order, which is lane order.
     for (i, part) in splits.iter().enumerate() {
         let s = &snap.sources[i];
         assert_eq!(s.label, format!("replay:{i}"), "{label}: label order");
@@ -178,7 +168,7 @@ fn split_sources_byte_identical_to_a_single_source() {
     let direct = direct.finish().expect("finish");
 
     for window in [None, Some(Duration::from_secs(10))] {
-        let baseline = mux_run(vec![records.clone()], window, 8);
+        let baseline = mux_run(vec![records.clone()], window);
         assert_eq!(
             baseline.1.report.to_json(),
             direct.to_json(),
@@ -192,7 +182,7 @@ fn split_sources_byte_identical_to_a_single_source() {
         for n in [2usize, 4] {
             for how in [Split::RoundRobin, Split::Contiguous] {
                 let splits = split_records(&records, n, how);
-                let run = mux_run(splits.clone(), window, 8);
+                let run = mux_run(splits.clone(), window);
                 let label = format!("{n} sources/{how:?}/{window:?}");
                 assert_same_run(&run, &baseline, &label);
                 assert_capture_accounting(&run.2, &splits, &label);
@@ -201,11 +191,9 @@ fn split_sources_byte_identical_to_a_single_source() {
     }
 }
 
-/// The CLI's drain — `next_batch` into `push_batch` — over `splits`, read
-/// in-line or behind one capture thread each.
+/// The CLI's drain — `next_batch` into `push_batch` — over `splits`.
 fn batched_run(
     splits: &[Vec<Record>],
-    inline: bool,
     window: Option<Duration>,
 ) -> (Vec<WindowReport>, EngineOutput, MetricsSnapshot) {
     let mut engine = StreamingEngine::new(EngineConfig {
@@ -227,11 +215,7 @@ fn batched_run(
             )) as Box<dyn PacketSource>
         })
         .collect();
-    let mut mux = if inline {
-        CaptureMux::inline(sources, Some(&mh))
-    } else {
-        CaptureMux::start(sources, MuxConfig::default(), Some(&mh))
-    };
+    let mut mux = CaptureMux::start(sources, MuxConfig, Some(&mh));
     let mut windows = Vec::new();
     let mut batch = zoom_wire::handoff::RecordBatch::new();
     while let Some(link) = mux
@@ -250,42 +234,23 @@ fn batched_run(
 }
 
 #[test]
-fn inline_source_byte_identical_to_the_capture_thread() {
+fn batched_drain_of_split_sources_matches_one_source() {
     let records = strictly_increasing_records(17, 30);
     for window in [None, Some(Duration::from_secs(2))] {
-        let single = batched_run(std::slice::from_ref(&records), false, window);
+        let single = batched_run(std::slice::from_ref(&records), window);
         assert!(
             window.is_none() || single.0.len() > 5,
             "{window:?}: windows closed"
         );
-        let splits = [
-            vec![records.clone()],
+        assert_capture_accounting(&single.2, std::slice::from_ref(&records), "single");
+        for splits in [
             split_records(&records, 2, Split::RoundRobin),
             split_records(&records, 3, Split::Contiguous),
-        ];
-        for splits in &splits {
-            let label = format!("inline vs threaded/{} sources/{window:?}", splits.len());
-            let threaded = batched_run(splits, false, window);
-            let inline = batched_run(splits, true, window);
-            assert_same_run(&inline, &threaded, &label);
-            assert_same_run(&inline, &single, &label);
-            for run in [&inline, &threaded] {
-                assert_capture_accounting(&run.2, splits, &label);
-            }
-            for (i, (a, b)) in inline.2.sources.iter().zip(&threaded.2.sources).enumerate() {
-                assert_eq!(a.batches, b.batches, "{label}: source {i} batches");
-                assert_eq!(a.ring_occupancy_hwm, 0, "{label}: source {i} has no ring");
-            }
+        ] {
+            let label = format!("{} sources/{window:?}", splits.len());
+            let run = batched_run(&splits, window);
+            assert_same_run(&run, &single, &label);
+            assert_capture_accounting(&run.2, &splits, &label);
         }
     }
-}
-
-#[test]
-fn capacity_one_rings_add_backpressure_not_divergence() {
-    let records = strictly_increasing_records(23, 15);
-    let baseline = mux_run(vec![records.clone()], Some(Duration::from_secs(5)), 8);
-    let splits = split_records(&records, 2, Split::RoundRobin);
-    let run = mux_run(splits.clone(), Some(Duration::from_secs(5)), 1);
-    assert_same_run(&run, &baseline, "capacity-1 rings");
-    assert_capture_accounting(&run.2, &splits, "capacity-1 rings");
 }

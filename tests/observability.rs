@@ -3,7 +3,7 @@
 //! drops`), identical drop accounting across the sequential and
 //! streaming sinks, the drop section of the JSON report, the QoE
 //! degradation detector (exact alert NDJSON sequence, gauge recovery),
-//! and the per-source renders, which say which kind of lane a source took.
+//! and the per-source renders.
 
 use std::time::Duration;
 
@@ -324,71 +324,57 @@ fn qoe_alert_ndjson_sequence_is_exact_and_gauge_clears() {
     assert!(metrics.conservation_holds());
 }
 
-/// Which lane a source took is a run-time decision; every per-source
-/// render states it, so ring gauges at 0 read as "no ring" on an in-line
-/// lane and as "idle ring" on a threaded one.
+/// Every per-source render lists each source once, with its own
+/// counters and nothing of a hand-off ring: the fan-in reads every source
+/// in-line.
 #[test]
-fn every_render_says_which_lane_a_source_took() {
+fn every_render_lists_each_source_with_its_own_counters() {
     let records: Vec<Record> = (0..300).map(|i| Record::full(i, vec![0; 60])).collect();
-    let source = |label: &str| -> Vec<Box<dyn PacketSource>> {
-        vec![Box::new(ReplaySource::new(
-            label,
-            LinkType::Ethernet,
-            records.clone(),
-        ))]
-    };
+    let sources: Vec<Box<dyn PacketSource>> = ["replay:file", "replay:tap"]
+        .iter()
+        .map(|label| {
+            Box::new(ReplaySource::new(label, LinkType::Ethernet, records.clone()))
+                as Box<dyn PacketSource>
+        })
+        .collect();
     let metrics = PipelineMetrics::new();
-    let mut inline = CaptureMux::inline(source("replay:file"), Some(&metrics));
-    let mut threaded =
-        CaptureMux::start(source("replay:tap"), MuxConfig::default(), Some(&metrics));
+    let mut mux = CaptureMux::start(sources, MuxConfig, Some(&metrics));
     let mut batch = RecordBatch::new();
-    for mux in [&mut inline, &mut threaded] {
-        while mux.next_batch(&mut batch, 128).expect("mux batch").is_some() {
-            for r in batch.iter() {
-                metrics.record_in(r.data.len());
-                metrics.packets_not_zoom.inc();
-            }
+    while mux.next_batch(&mut batch, 128).expect("mux batch").is_some() {
+        for r in batch.iter() {
+            metrics.record_in(r.data.len());
+            metrics.packets_not_zoom.inc();
         }
     }
-    inline.finish().unwrap();
-    threaded.finish().unwrap();
+    mux.finish().unwrap();
 
     let snap = metrics.snapshot();
     assert!(snap.conservation_holds());
     let json = snap.to_json();
-    let hwm = snap.sources[1].ring_occupancy_hwm;
-    assert!(hwm > 0, "the threaded lane's ring was never occupied");
     assert!(
         json.contains(concat!(
-            r#""sources":[{"source":"replay:file","lane":"inline","packets":300,"bytes":18000,"#,
-            r#""batches":3,"ring_full_drops":0,"ring_occupancy":0,"ring_occupancy_hwm":0,"#,
-            r#""delivered_ts_nanos":299},{"source":"replay:tap","lane":"threaded","packets":300,"#
+            r#""sources":[{"source":"replay:file","packets":300,"bytes":18000,"#,
+            r#""batches":3,"delivered_ts_nanos":299},{"source":"replay:tap","packets":300,"#
         )),
         "{json}"
     );
     let prom = snap.to_prom();
     assert!(
         prom.contains(concat!(
-            "# TYPE zoom_source_lane_info gauge\n",
-            "zoom_source_lane_info{source=\"replay:file\",lane=\"inline\"} 1\n",
-            "zoom_source_lane_info{source=\"replay:tap\",lane=\"threaded\"} 1\n",
-            "# HELP zoom_source_packets_total",
+            "zoom_source_packets_total{source=\"replay:file\"} 300\n",
+            "zoom_source_packets_total{source=\"replay:tap\"} 300\n",
         )),
         "{prom}"
     );
-    assert!(prom.contains("zoom_source_ring_occupancy_peak{source=\"replay:file\"} 0\n"));
-    assert!(prom.contains(&format!(
-        "zoom_source_ring_occupancy_peak{{source=\"replay:tap\"}} {hwm}\n"
-    )));
     let debug = metrics.debug_json();
     assert!(
-        debug.contains(r#"{"source":"replay:file","lane":"inline","packets":300,"#),
+        debug.contains(r#"{"source":"replay:file","packets":300,"delivered_ts_nanos":299,"#),
         "{debug}"
     );
-    assert!(
-        debug.contains(r#"{"source":"replay:tap","lane":"threaded","packets":300,"#),
-        "{debug}"
-    );
+    for render in [&json, &prom, &debug] {
+        assert!(!render.contains("\"lane\"") && !render.contains("lane="), "{render}");
+        assert!(!render.contains("ring_"), "{render}");
+    }
 }
 
 proptest! {

@@ -134,7 +134,7 @@ fn merge_run(
             Box::new(src) as Box<dyn PacketSource>
         })
         .collect();
-    let mut mux = CaptureMux::start(sources, MuxConfig::default(), Some(&mh));
+    let mut mux = CaptureMux::start(sources, MuxConfig, Some(&mh));
     let mut windows = Vec::new();
     let mut batch = RecordBatch::new();
     while let Some(link) = mux.next_batch(&mut batch, 512).expect("mux batch") {

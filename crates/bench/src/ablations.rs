@@ -113,7 +113,7 @@ pub fn jitter_packet_vs_frame(args: &ExpArgs) {
         .of_type(MediaType::Video)
         .find(|s| s.key.flow.dst_ip.to_string() == "10.8.3.3" && s.key.flow.src_port == 8801)
         .expect("downlink video stream");
-    let frame_j_ms = stream.frame_jitter.jitter_ms();
+    let frame_j_ms = stream.jitter_ms();
     let naive_j_ms = naive_j / 1e6;
     println!("Ablation: jitter estimator on a CALM network");
     println!("  frame-level (paper §5.4): {frame_j_ms:.2} ms");

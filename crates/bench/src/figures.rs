@@ -205,7 +205,7 @@ pub fn fig6(args: &ExpArgs) {
                     sub.packets
                 );
             }
-            if let Some(frames) = &s.frames {
+            if let Some(frames) = s.frames() {
                 println!("    frames: {}", frames.count());
             }
         }
@@ -268,7 +268,7 @@ pub fn fig10(args: &ExpArgs) {
         windows.extend(engine.take_windows());
     }
     let drained = engine.drain().expect("drain");
-    windows.push(drained.final_window);
+    windows.push(drained.final_window().clone());
     let analyzer = drained.analyzer;
     let gt = sim.ground_truth();
     let sdk: &[QosSample] = &gt[0];

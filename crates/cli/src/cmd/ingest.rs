@@ -8,7 +8,8 @@
 //! closed windows and QoE alerts on stdout, the `--serve` endpoint,
 //! `--metrics` ticks, the `--trace` drain, and the torn-tail warning. At the end the run prints either NDJSON (windows, then the
 //! last window and the final report) or the text / `--json` report, from
-//! the drained engine, then writes the `--features` CSV. What `merge`
+//! the drained engine, written into the buffered stdout as it is
+//! rendered, then writes the `--features` CSV. What `merge`
 //! adds — worker accounting and checkpoints — comes in through [`Hooks`].
 
 use super::sources::{start_capture, Sources};
@@ -18,7 +19,7 @@ use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zoom_analysis::dist::WindowGate;
-use zoom_analysis::engine::StreamingEngine;
+use zoom_analysis::engine::{EngineOutput, StreamingEngine};
 use zoom_analysis::features;
 use zoom_analysis::obs::{serve, MetricsSnapshot};
 use zoom_analysis::pipeline::Analyzer;
@@ -124,7 +125,7 @@ pub(crate) fn run(
     let mh = engine.metrics_handle();
     // The scrape endpoint holds only the metrics Arc, so it serves live
     // snapshots for the whole run and stops when the handle drops.
-    let _serve = match run.flags.get("serve") {
+    let scrape = match run.flags.get("serve") {
         Some(addr) => {
             let h = serve::serve(addr.as_str(), Arc::clone(&mh))
                 .map_err(|e| CliError::io(format!("--serve: {e}")))?;
@@ -142,7 +143,7 @@ pub(crate) fn run(
     let mut mux = start_capture(sources, Some(&mh));
 
     let stdout = std::io::stdout();
-    let mut out = stdout.lock();
+    let mut out = std::io::BufWriter::new(stdout.lock());
     // next_batch blocks (sleeping) only when nothing is buffered and a
     // live source is quiet — a followed pcap keeps its lane alive until
     // its own idle-exit elapses — and hands back a partial batch rather
@@ -197,39 +198,53 @@ pub(crate) fn run(
     }
 
     let output = engine.drain()?;
+    // The last window's rows are cut only for a reader: the NDJSON line,
+    // or the `zoom_qoe_*` series a `--metrics` file or `--serve` endpoint
+    // shows.
+    if run.ndjson || run.metrics_file.is_some() || scrape.is_some() {
+        output.final_window();
+    }
     // The final snapshot is written after drain, when every count has
     // been published.
     if let Some(m) = &run.metrics_file {
-        super::write_snapshot(&m.path, &output.analyzer.metrics_handle().snapshot())?;
+        super::write_snapshot(&m.path, &mh.snapshot())?;
     }
     if let Some(t) = &mut run.trace_out {
         t.finish(&mh.trace)?;
     }
     if run.ndjson {
-        write_window_line(&mut out, &mut line, &output.final_window)?;
-        writeln!(out, "{}", output.report.to_json()).map_err(|e| e.to_string())?;
-        out.flush().map_err(|e| e.to_string())?;
-        hooks.windows_written(&run.gate)?;
-        eprintln!(
-            "{}",
-            hooks.summary(
-                output.report.summary.total_packets,
-                output.peak_tracked_entries
-            )
-        );
-    } else {
-        // Only NDJSON prints the last window, a row per stream: free it
-        // before the report is rendered.
-        drop(output.final_window);
-        if run.flags.contains_key("json") {
-            writeln!(out, "{}", output.report.to_json())
-        } else {
-            write!(out, "{}", report::render_text(&output.analyzer))
-        }
-        .and_then(|()| out.flush())
-        .map_err(|e| e.to_string())?;
+        write_window_line(&mut out, &mut line, output.final_window())?;
     }
-    export_features(&output.analyzer, run.flags)
+    let json = run.ndjson || run.flags.contains_key("json");
+    let EngineOutput {
+        report: final_report,
+        analyzer,
+        peak_tracked_entries,
+        ..
+    } = output;
+    let packets = final_report.summary.total_packets;
+    // Only the text report and `--features` read the live state from
+    // here on: free it before the report is written when neither will.
+    let analyzer = (!json || run.flags.contains_key("features")).then_some(analyzer);
+    match &analyzer {
+        Some(analyzer) if !json => {
+            drop(final_report);
+            report::write_text(analyzer, &mut out)
+        }
+        _ => final_report
+            .write_json(&mut out)
+            .and_then(|()| out.write_all(b"\n")),
+    }
+    .and_then(|()| out.flush())
+    .map_err(|e| e.to_string())?;
+    if run.ndjson {
+        hooks.windows_written(&run.gate)?;
+        eprintln!("{}", hooks.summary(packets, peak_tracked_entries));
+    }
+    match &analyzer {
+        Some(analyzer) => export_features(analyzer, run.flags),
+        None => Ok(()),
+    }
 }
 
 /// Optional ML feature export (`--features out.csv`).

@@ -780,6 +780,60 @@ fn followed_sources_give_what_the_finite_run_gives() {
     assert!(json.contains("\"conservation_holds\":true"), "{json}");
 }
 
+/// `--follow` without `--window` prints NDJSON like a windowed run: the
+/// run's one window, a row per stream, then the report `--json` prints.
+/// The drain cuts that window only for a reader, and this is one.
+#[test]
+fn an_unwindowed_follow_still_prints_its_final_window() {
+    let trace = multi_trace("follow_final.pcap");
+    let trace = trace.to_str().unwrap();
+    let (followed, err, ok) = run(&["analyze", trace, "--follow", "--idle-exit", "1s"]);
+    assert!(ok, "{err}");
+    let (report, err, ok) = run(&["analyze", trace, "--json"]);
+    assert!(ok, "{err}");
+    let lines: Vec<&str> = followed.lines().collect();
+    assert_eq!(lines.len(), 2, "{followed}");
+    let window = lines[0];
+    assert!(
+        window.starts_with(r#"{"type":"window","index":0,"#),
+        "{window}"
+    );
+    let streams = report.matches(r#"{"flow":"#).count();
+    assert!(streams > 5, "{report}");
+    assert_eq!(window.matches(r#"{"flow":"#).count(), streams, "{window}");
+    assert_eq!(format!("{}\n", lines[1]), report);
+}
+
+/// An unwindowed `--metrics` file shows the QoE series cut from the run's
+/// one window and the tracked-entry gauges of the drain's tick: these
+/// lines are what the run printed when the drain cut that window for
+/// every caller (seed-7 `multi` trace of 20 s).
+#[test]
+fn unwindowed_metrics_render_the_qoe_series_and_tracked_entries() {
+    let trace = multi_trace("metrics_qoe.pcap");
+    let prom = tmp("metrics_qoe.prom");
+    let (_, err, ok) = run(&[
+        "analyze",
+        trace.to_str().unwrap(),
+        "--metrics",
+        prom.to_str().unwrap(),
+    ]);
+    assert!(ok, "{err}");
+    let text = std::fs::read_to_string(&prom).unwrap();
+    for line in [
+        r#"zoom_qoe_bitrate_bps{meeting="0",media="audio",family="zoom"} 68223.34980577503"#,
+        r#"zoom_qoe_bitrate_bps{meeting="0",media="video",family="zoom"} 2880970.1559484443"#,
+        r#"zoom_qoe_fps{meeting="0",media="video",family="zoom"} 19.544313407092602"#,
+        r#"zoom_qoe_jitter_ms{meeting="0",media="video",family="zoom"} 1.6087144938527"#,
+        r#"zoom_qoe_frame_size_bytes_sum{media="video",family="zoom"} 18197"#,
+        r#"zoom_qoe_frame_size_bytes_count{media="video",family="zoom"} 6"#,
+        "zoom_tracked_entries 26",
+        "zoom_peak_tracked_entries 26",
+    ] {
+        assert!(text.lines().any(|l| l == line), "no {line} in {text}");
+    }
+}
+
 /// `merge --listen` reads its worker connections in-line, as `merge
 /// FILES…` reads spools: two workers streaming over TCP merge to what one
 /// process prints for both inputs, and the `--journal` spools replay to

@@ -24,10 +24,12 @@
 //!   ([`crate::stream::StreamTracker::evict_idle`]), so it stays a
 //!   grouping candidate and is the same stream if it returns.
 //! * **Checkpoint/drain.** [`StreamingEngine::checkpoint`] cuts a partial
-//!   window without ending the run; [`StreamingEngine::drain`] cuts the
+//!   window without ending the run; [`StreamingEngine::drain`] ticks the
 //!   last one and returns the finished [`AnalysisReport`] — the
 //!   analyzer's report with the evicted fragments in their places —
-//!   along with the [`Analyzer`] itself for ad-hoc queries.
+//!   along with the [`Analyzer`] itself for ad-hoc queries. The last
+//!   window's rows are cut only if [`EngineOutput::final_window`] is
+//!   asked for them.
 //!
 //! With no window and no idle timeout the clock only notes the first and
 //! last timestamp, and the engine *is* a batch pipeline (asserted by
@@ -60,6 +62,7 @@ use crate::report::{
 use crate::sink::PacketSink;
 use crate::stats::LogHistogram;
 use crate::stream::{Stream, StreamSnap};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -93,8 +96,6 @@ pub struct EngineConfig {
 
 /// Everything [`StreamingEngine::drain`] produces.
 pub struct EngineOutput {
-    /// The last (usually partial) window's report.
-    pub final_window: WindowReport,
     /// The exact end-of-trace report, evicted fragments included.
     pub report: AnalysisReport,
     /// The engine's analyzer — the still-live state — for ad-hoc queries
@@ -103,6 +104,27 @@ pub struct EngineOutput {
     /// Highest tracked-entry count observed at any tick — the
     /// bounded-memory gauge benches and tests assert on.
     pub peak_tracked_entries: usize,
+    /// The last window as the drain's tick left it: no rows yet.
+    last_tick: WindowReport,
+    /// The last window, cut from `last_tick` on first request.
+    last_window: OnceCell<WindowReport>,
+}
+
+impl EngineOutput {
+    /// The last (usually partial) window's report. Its per-stream rows
+    /// and meeting rollup are cut at the first call, which also refreshes
+    /// the `zoom_qoe_*` series from them as every window close does: a
+    /// caller that prints the window, or keeps a metrics sink for the
+    /// series, asks for it; a caller that reads only the report does not
+    /// pay for a row per stream.
+    pub fn final_window(&self) -> &WindowReport {
+        self.last_window.get_or_init(|| {
+            let mut window = self.last_tick.clone();
+            cut_window(&self.analyzer, &[], &mut window);
+            update_qoe_series(&self.analyzer.metrics, &window);
+            window
+        })
+    }
 }
 
 /// Incremental analyzer: one record in, zero or more [`WindowReport`]s
@@ -322,9 +344,10 @@ impl StreamingEngine {
         Ok(report)
     }
 
-    /// Final tick and report: the last window's report, the exact
-    /// end-of-trace [`AnalysisReport`] (evicted fragments included), and
-    /// the [`Analyzer`] over still-live state.
+    /// Final tick and report: the exact end-of-trace [`AnalysisReport`]
+    /// (evicted fragments included), the [`Analyzer`] over still-live
+    /// state, and the last window, whose rows are cut when
+    /// [`EngineOutput::final_window`] asks for them.
     pub fn drain(self) -> Result<EngineOutput, Error> {
         let StreamingEngine {
             mut analyzer,
@@ -332,7 +355,12 @@ impl StreamingEngine {
         } = self;
         analyzer.flush_metrics();
         let (start, end) = clock.open_span();
-        let final_window = clock.close(&mut analyzer, start, end, None, false);
+        let t0 = Instant::now();
+        let (last_tick, _) = clock.tick(&mut analyzer, start, end, None);
+        clock
+            .metrics
+            .stage_merge_nanos
+            .observe(t0.elapsed().as_nanos() as u64);
 
         let t0 = Instant::now();
         // Evicted flows count once each, and not at all while live again.
@@ -347,10 +375,11 @@ impl StreamingEngine {
             .stage_merge_nanos
             .observe(t0.elapsed().as_nanos() as u64);
         Ok(EngineOutput {
-            final_window,
             report,
             analyzer,
             peak_tracked_entries: clock.peak_tracked,
+            last_tick,
+            last_window: OnceCell::new(),
         })
     }
 }
@@ -415,11 +444,12 @@ impl WindowClock {
         (start, self.last_ts.max(start))
     }
 
-    /// Close a window over `[start, end)`: evict what has been idle since
-    /// before `evict_before`, read every stream's deltas off the
-    /// analyzer's stream table (and off what was just evicted), prune the
-    /// analyzer's registries, and build the report. `advance` is false for the partial windows of
-    /// checkpoint and drain, which keep the window index.
+    /// Close a window over `[start, end)`: tick (evicting what has been
+    /// idle since before `evict_before`), keep the evicted streams' final
+    /// rows for the end-of-trace report, cut the window's rows off the
+    /// analyzer's stream table and off what was just evicted, and refresh
+    /// the QoE series from them. `advance` is false for a checkpoint's
+    /// partial window, which keeps the window index.
     fn close(
         &mut self,
         analyzer: &mut Analyzer,
@@ -429,6 +459,60 @@ impl WindowClock {
         advance: bool,
     ) -> WindowReport {
         let t0 = Instant::now();
+        let (mut report, gone_streams) = self.tick(analyzer, start, end, evict_before);
+        if advance {
+            self.window_index = self.window_index.saturating_add(1);
+        }
+        // The heavyweight `Stream` is dropped, its final report row kept.
+        for s in &gone_streams {
+            let meeting = s.meeting.map(|m| analyzer.grouper.canonical(m));
+            self.fragments
+                .push((s.serial, StreamReport::from_stream(s, meeting, true)));
+        }
+        cut_window(analyzer, &gone_streams, &mut report);
+        // Every live stream's next window starts where this one closed.
+        for s in analyzer.streams.iter_mut() {
+            s.close_window(StreamSnap::of(s));
+        }
+
+        update_qoe_series(&self.metrics, &report);
+        // The detector only sees real window closes: checkpoint and
+        // drain cut partial windows whose timing depends on when the
+        // caller asked, which would make the alert stream nondeterministic.
+        if advance {
+            if let Some(watch) = &mut self.qoe_watch {
+                let alerts = watch.observe(&report);
+                for a in &alerts {
+                    let v = match a.state {
+                        AlertState::Degraded => 1,
+                        AlertState::Recovered => 0,
+                    };
+                    self.metrics
+                        .qoe
+                        .degraded
+                        .with(&[&a.meeting, a.kind], |g| g.set(v));
+                }
+                self.pending_alerts.extend(alerts);
+            }
+        }
+        self.metrics
+            .stage_merge_nanos
+            .observe(t0.elapsed().as_nanos() as u64);
+        report
+    }
+
+    /// The tick of the current window, cut at `[start, end)`: the
+    /// trace-level deltas since the last one, eviction of what has been
+    /// idle since before `evict_before`, the registry prunes, and the
+    /// tracked-entry gauges. Returns the window with its totals but no
+    /// rows (nor the `active_streams` they give), and the evicted streams.
+    fn tick(
+        &mut self,
+        analyzer: &mut Analyzer,
+        start: u64,
+        end: u64,
+        evict_before: Option<u64>,
+    ) -> (WindowReport, Vec<Stream>) {
         // Gauges BEFORE eviction so new_* deltas stay consistent: seen =
         // live + evicted-so-far is invariant across the eviction below.
         // (Every evicted stream left exactly one fragment.)
@@ -458,45 +542,6 @@ impl WindowClock {
         self.evicted_flows
             .extend(gone_flows.into_iter().map(|(ft, _)| ft));
 
-        // One row per live stream whose counters moved since the last
-        // close, and one per evicted stream even if it was silent, flagged
-        // as its final fragment: the heavyweight `Stream` is dropped, its
-        // final report row kept for the end-of-trace report.
-        let dur_secs = end.saturating_sub(start) as f64 / 1e9;
-        let grouper = &analyzer.grouper;
-        let mut streams = Vec::new();
-        for s in analyzer.streams.iter_mut() {
-            let now = StreamSnap::of(s);
-            if now != s.window_snap {
-                streams.push(stream_window(s, now, false, grouper, dur_secs));
-                s.close_window(now);
-            }
-        }
-        for s in &gone_streams {
-            let row = stream_window(s, StreamSnap::of(s), true, grouper, dur_secs);
-            self.fragments
-                .push((s.serial, StreamReport::from_stream(s, row.meeting, true)));
-            streams.push(row);
-        }
-        streams.sort_by_key(|s| s.key);
-
-        let mut meetings: BTreeMap<u32, MeetingWindow> = BTreeMap::new();
-        for row in &streams {
-            if let Some(id) = row.meeting {
-                let m = meetings.entry(id).or_insert(MeetingWindow {
-                    id,
-                    active_streams: 0,
-                    packets: 0,
-                    media_bytes: 0,
-                });
-                if row.packets > 0 {
-                    m.active_streams += 1;
-                }
-                m.packets += row.packets;
-                m.media_bytes += row.media_bytes;
-            }
-        }
-
         // Bound the registries too: STUN entries and WebRTC flows past
         // the timeout can never match again, and neither can RTT
         // candidates past the matching window — every prune is lossless.
@@ -508,7 +553,6 @@ impl WindowClock {
         analyzer.webrtc_flows.retain(|_, last| *last >= stun_cutoff);
         analyzer.rtp_rtt.prune(end);
 
-        totals.active_streams = streams.iter().filter(|r| r.packets > 0).count() as u64;
         totals.meetings = analyzer.grouper.meeting_count();
         let rtt = analyzer.rtp_rtt.stats();
         let (mark_totals, mark_histogram) = &mut self.rtt_mark;
@@ -532,74 +576,15 @@ impl WindowClock {
         self.metrics
             .peak_tracked_entries
             .set_max(totals.tracked_entries as u64);
-
-        let index = self.window_index;
-        if advance {
-            self.window_index = self.window_index.saturating_add(1);
-        }
-        let report = WindowReport {
-            index,
+        let window = WindowReport {
+            index: self.window_index,
             start_nanos: start,
             end_nanos: end,
             totals,
-            meetings: meetings.into_values().collect(),
-            streams,
+            meetings: Vec::new(),
+            streams: Vec::new(),
         };
-
-        self.update_qoe_series(&report);
-        // The detector only sees real window closes: checkpoint and
-        // drain cut partial windows whose timing depends on when the
-        // caller asked, which would make the alert stream nondeterministic.
-        if advance {
-            if let Some(watch) = &mut self.qoe_watch {
-                let alerts = watch.observe(&report);
-                for a in &alerts {
-                    let v = match a.state {
-                        AlertState::Degraded => 1,
-                        AlertState::Recovered => 0,
-                    };
-                    self.metrics
-                        .qoe
-                        .degraded
-                        .with(&[&a.meeting, a.kind], |g| g.set(v));
-                }
-                self.pending_alerts.extend(alerts);
-            }
-        }
-        self.metrics
-            .stage_merge_nanos
-            .observe(t0.elapsed().as_nanos() as u64);
-        report
-    }
-
-    /// Refresh the `zoom_qoe_*` labeled families from a just-built
-    /// window. Runs once per window close/checkpoint — never on the
-    /// per-packet path — so the `with()` label allocations are
-    /// amortized to nothing.
-    fn update_qoe_series(&self, report: &WindowReport) {
-        let qoe = &self.metrics.qoe;
-        for ((meeting, media, family), agg) in qoe_watch::aggregate(report) {
-            let labels = [meeting.as_str(), media, family];
-            qoe.bitrate_bps.with(&labels, |g| g.set(agg.bitrate_bps));
-            qoe.fps.with(&labels, |g| g.set(agg.fps_mean));
-            if let Some(j) = agg.jitter_mean {
-                qoe.jitter_ms.with(&labels, |g| g.set(j));
-            }
-            if agg.duplicates > 0 {
-                qoe.retransmissions.with(&labels, |c| c.add(agg.duplicates));
-            }
-        }
-        for s in &report.streams {
-            if s.frames > 0 {
-                qoe.frame_size_bytes.with(
-                    &[crate::obs::media_slug(s.media_type), s.family.label()],
-                    |h| h.observe(s.media_bytes / s.frames),
-                );
-            }
-        }
-        if report.totals.rtp_rtt.samples > 0 {
-            qoe.estimated_rtt_ms.set(report.totals.rtp_rtt.mean_ms);
-        }
+        (window, gone_streams)
     }
 
     /// A window no record fell into (trace gap): zero deltas, cumulative
@@ -619,6 +604,75 @@ impl WindowClock {
             meetings: Vec::new(),
             streams: Vec::new(),
         }
+    }
+}
+
+/// Cut the rows of a just-ticked `window`: one per live stream whose
+/// counters moved since the last close, and one per stream the tick
+/// evicted (`gone`), even a silent one, flagged as its final fragment;
+/// then the per-meeting rollup of those rows.
+fn cut_window(analyzer: &Analyzer, gone: &[Stream], window: &mut WindowReport) {
+    let dur_secs = window.end_nanos.saturating_sub(window.start_nanos) as f64 / 1e9;
+    let grouper = &analyzer.grouper;
+    let mut streams = Vec::new();
+    for s in analyzer.streams.iter() {
+        let now = StreamSnap::of(s);
+        if now != s.window_snap {
+            streams.push(stream_window(s, now, false, grouper, dur_secs));
+        }
+    }
+    for s in gone {
+        streams.push(stream_window(s, StreamSnap::of(s), true, grouper, dur_secs));
+    }
+    streams.sort_by_key(|s| s.key);
+
+    let mut meetings: BTreeMap<u32, MeetingWindow> = BTreeMap::new();
+    for row in &streams {
+        if let Some(id) = row.meeting {
+            let m = meetings.entry(id).or_insert(MeetingWindow {
+                id,
+                active_streams: 0,
+                packets: 0,
+                media_bytes: 0,
+            });
+            if row.packets > 0 {
+                m.active_streams += 1;
+            }
+            m.packets += row.packets;
+            m.media_bytes += row.media_bytes;
+        }
+    }
+    window.totals.active_streams = streams.iter().filter(|r| r.packets > 0).count() as u64;
+    window.meetings = meetings.into_values().collect();
+    window.streams = streams;
+}
+
+/// Refresh the `zoom_qoe_*` labeled families from a just-cut window.
+/// Runs once per window close/checkpoint — never on the per-packet path —
+/// so the `with()` label allocations are amortized to nothing.
+fn update_qoe_series(metrics: &PipelineMetrics, report: &WindowReport) {
+    let qoe = &metrics.qoe;
+    for ((meeting, media, family), agg) in qoe_watch::aggregate(report) {
+        let labels = [meeting.as_str(), media, family];
+        qoe.bitrate_bps.with(&labels, |g| g.set(agg.bitrate_bps));
+        qoe.fps.with(&labels, |g| g.set(agg.fps_mean));
+        if let Some(j) = agg.jitter_mean {
+            qoe.jitter_ms.with(&labels, |g| g.set(j));
+        }
+        if agg.duplicates > 0 {
+            qoe.retransmissions.with(&labels, |c| c.add(agg.duplicates));
+        }
+    }
+    for s in &report.streams {
+        if s.frames > 0 {
+            qoe.frame_size_bytes.with(
+                &[crate::obs::media_slug(s.media_type), s.family.label()],
+                |h| h.observe(s.media_bytes / s.frames),
+            );
+        }
+    }
+    if report.totals.rtp_rtt.samples > 0 {
+        qoe.estimated_rtt_ms.set(report.totals.rtp_rtt.mean_ms);
     }
 }
 
@@ -768,16 +822,17 @@ mod tests {
         assert_eq!(windows[1].index, 1);
         assert_eq!(windows[0].start_nanos, 0);
         assert_eq!(windows[0].end_nanos, 10 * SEC);
+        let last = out.final_window();
         let windowed: u64 = windows
             .iter()
-            .chain(std::iter::once(&out.final_window))
+            .chain(std::iter::once(last))
             .map(|w| w.totals.zoom_packets)
             .sum();
         assert_eq!(windowed, 750);
         assert_eq!(out.report.summary.zoom_packets, 750);
         let stream_pkts: u64 = windows
             .iter()
-            .chain(std::iter::once(&out.final_window))
+            .chain(std::iter::once(last))
             .flat_map(|w| w.streams.iter())
             .map(|s| s.packets)
             .sum();
@@ -1063,9 +1118,10 @@ mod tests {
         // The clock jumped to the late packet's window, and the index
         // counts every window skipped on the way.
         let out = engine.drain().unwrap();
-        assert_eq!(out.final_window.start_nanos, TEN_YEARS);
-        assert_eq!(out.final_window.index, TEN_YEARS / SEC);
-        assert_eq!(out.final_window.totals.zoom_packets, 1);
+        let last = out.final_window();
+        assert_eq!(last.start_nanos, TEN_YEARS);
+        assert_eq!(last.index, TEN_YEARS / SEC);
+        assert_eq!(last.totals.zoom_packets, 1);
         assert_eq!(out.report.summary.zoom_packets, 2);
     }
 
@@ -1086,11 +1142,12 @@ mod tests {
         }
         assert_eq!(windows.len() as u64, 1 + MAX_EMPTY_RUN);
         let out = engine.drain().unwrap();
-        let start = out.final_window.start_nanos;
+        let last = out.final_window();
+        let start = last.start_nanos;
         assert_eq!(start, u64::MAX - u64::MAX % SEC);
-        assert_eq!(out.final_window.end_nanos, u64::MAX);
-        assert_eq!(out.final_window.index, start / SEC);
-        assert_eq!(out.final_window.totals.zoom_packets, 3);
+        assert_eq!(last.end_nanos, u64::MAX);
+        assert_eq!(last.index, start / SEC);
+        assert_eq!(last.totals.zoom_packets, 3);
         assert_eq!(out.report.summary.zoom_packets, 4);
     }
 }

@@ -878,7 +878,7 @@ impl Analyzer {
             for row in seconds.rates() {
                 out.bitrate_mbps.push(row.media_bytes as f64 * 8.0 / 1e6);
             }
-            if s.frames.is_some() {
+            if s.frames().is_some() {
                 // Per-second delivered fps over the stream's lifetime,
                 // zero bins included.
                 let first_sec = s.first_seen / 1_000_000_000;

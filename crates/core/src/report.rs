@@ -23,6 +23,7 @@ use crate::stats::LogHistogram;
 use crate::stream::{Stream, StreamFrames, StreamKey};
 use std::borrow::BorrowMut;
 use std::fmt::Write as _;
+use std::io;
 use zoom_wire::family::FamilyId;
 use zoom_wire::zoom::MediaType;
 
@@ -146,12 +147,6 @@ impl std::fmt::Write for Escaped<'_> {
     }
 }
 
-fn json_array(items: impl IntoIterator<Item = String>) -> String {
-    let mut buf = String::new();
-    write_json_array(&mut buf, items, |buf, item| buf.push_str(&item));
-    buf
-}
-
 /// Append `[item,item,…]`, each item serialized in place by `write`.
 fn write_json_array<T>(
     buf: &mut String,
@@ -224,12 +219,6 @@ impl RttSummaryReport {
         RttSummaryReport::of(totals, &histogram)
     }
 
-    fn to_json(self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
-    }
-
     fn write_json(self, out: &mut String) {
         let mut o = JsonObj::append_to(out);
         o.usize("samples", self.samples)
@@ -298,17 +287,17 @@ impl StreamReport {
             last_seen_nanos: s.last_seen,
             packets: s.packets,
             media_bytes: s.media_bytes(),
-            frames: s.frames.as_ref().map_or(0, StreamFrames::count),
+            frames: s.frames().map_or(0, StreamFrames::count),
             mean_bitrate_bps: s.mean_media_bitrate(),
-            jitter_ms: s.frame_jitter.jitter_ms(),
+            jitter_ms: s.jitter_ms(),
             lost,
             duplicates,
             evicted,
         }
     }
 
-    fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
+    fn write_json(&self, out: &mut String) {
+        let mut o = JsonObj::append_to(out);
         o.str("flow", self.key.flow)
             .u64("ssrc", u64::from(self.key.ssrc))
             .str("media", self.media_type.label());
@@ -328,7 +317,7 @@ impl StreamReport {
             .u64("lost", self.lost)
             .u64("duplicates", self.duplicates)
             .bool("evicted", self.evicted);
-        o.finish()
+        o.finish();
     }
 }
 
@@ -340,30 +329,31 @@ fn direction_label(d: Direction) -> &'static str {
     }
 }
 
-fn meeting_to_json(m: &MeetingReport) -> String {
-    let clients = sorted_addrs(&m.clients);
-    let servers = sorted_addrs(&m.servers);
-    let mut o = JsonObj::new();
+fn write_meeting_json(m: &MeetingReport, out: &mut String) {
+    // Addresses need no escaping.
+    let addrs = |out: &mut String, addrs: Vec<String>| {
+        write_json_array(out, addrs, |out, a| {
+            out.push('"');
+            out.push_str(&a);
+            out.push('"');
+        });
+    };
+    let mut o = JsonObj::append_to(out);
     o.u64("id", u64::from(m.id))
         .usize("participant_estimate", m.participant_estimate)
-        .raw(
-            "stream_uids",
-            &json_array(m.stream_uids.iter().map(|u| u.to_string())),
-        )
-        .raw(
-            "clients",
-            &json_array(clients.into_iter().map(|s| format!("\"{s}\""))),
-        )
-        .raw(
-            "servers",
-            &json_array(servers.into_iter().map(|s| format!("\"{s}\""))),
-        )
+        .nested("stream_uids", |out| {
+            write_json_array(out, &m.stream_uids, |out, u| {
+                let _ = write!(out, "{u}");
+            });
+        })
+        .nested("clients", |out| addrs(out, sorted_addrs(&m.clients)))
+        .nested("servers", |out| addrs(out, sorted_addrs(&m.servers)))
         .usize("streams", m.streams.len());
-    o.finish()
+    o.finish();
 }
 
-fn summary_to_json(s: &TraceSummary) -> String {
-    let mut o = JsonObj::new();
+fn write_summary_json(s: &TraceSummary, out: &mut String) {
+    let mut o = JsonObj::append_to(out);
     o.u64("total_packets", s.total_packets)
         .u64("zoom_packets", s.zoom_packets)
         .u64("zoom_bytes", s.zoom_bytes);
@@ -377,7 +367,7 @@ fn summary_to_json(s: &TraceSummary) -> String {
         .usize("rtp_streams", s.rtp_streams)
         .usize("meetings", s.meetings)
         .u64("duration_nanos", s.duration_nanos);
-    o.finish()
+    o.finish();
 }
 
 /// Per-stage drop accounting surfaced in the final report (the same
@@ -409,8 +399,8 @@ pub struct DropsReport {
 }
 
 impl DropsReport {
-    pub(crate) fn to_json(self) -> String {
-        let mut o = JsonObj::new();
+    fn write_json(self, out: &mut String) {
+        let mut o = JsonObj::append_to(out);
         o.u64("pcap_truncated", self.pcap_truncated)
             .u64("unsupported_link", self.unsupported_link)
             .u64("non_ip", self.non_ip)
@@ -422,7 +412,7 @@ impl DropsReport {
         if self.malformed_srtp > 0 {
             o.u64("malformed_srtp", self.malformed_srtp);
         }
-        o.finish()
+        o.finish();
     }
 }
 
@@ -454,39 +444,67 @@ pub struct AnalysisReport {
 impl AnalysisReport {
     /// Serialize as one NDJSON-friendly line, tagged `"type":"final"`.
     pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
+        let mut out = String::new();
+        self.render_json(&mut out, |_| {});
+        out
+    }
+
+    /// Write what [`to_json`](Self::to_json) returns to `out`, a meeting
+    /// or stream row at a time: the line is never held whole, so a report
+    /// of thousands of streams costs one row's buffer to print.
+    pub fn write_json(&self, out: &mut impl io::Write) -> io::Result<()> {
+        let mut buf = String::new();
+        let mut written = Ok(());
+        let mut spill = |buf: &mut String| {
+            if written.is_ok() {
+                written = out.write_all(buf.as_bytes());
+            }
+            buf.clear();
+        };
+        self.render_json(&mut buf, &mut spill);
+        spill(&mut buf);
+        written
+    }
+
+    /// Serialize into `buf`, handing it to `spill` — which may empty it —
+    /// after each meeting and stream row.
+    fn render_json(&self, buf: &mut String, mut spill: impl FnMut(&mut String)) {
+        let mut o = JsonObj::append_to(buf);
         o.str("type", "final")
-            .raw("summary", &summary_to_json(&self.summary))
+            .nested("summary", |out| write_summary_json(&self.summary, out))
             .u64("undissectable", self.undissectable)
-            .raw("drops", &self.drops.to_json())
-            .raw("rtp_rtt", &self.rtp_rtt.to_json())
-            .raw("tcp_rtt", &self.tcp_rtt.to_json());
+            .nested("drops", |out| self.drops.write_json(out))
+            .nested("rtp_rtt", |out| self.rtp_rtt.write_json(out))
+            .nested("tcp_rtt", |out| self.tcp_rtt.write_json(out));
         if !self.families.is_empty() {
-            o.raw(
-                "families",
-                &json_array(self.families.iter().map(family_row_to_json)),
-            );
+            o.nested("families", |out| {
+                write_json_array(out, &self.families, |out, r| write_family_row_json(r, out));
+            });
         }
-        o.raw(
-            "meetings",
-            &json_array(self.meetings.iter().map(meeting_to_json)),
-        )
-        .raw(
-            "streams",
-            &json_array(self.streams.iter().map(|s| s.to_json())),
-        );
-        o.finish()
+        o.nested("meetings", |out| {
+            write_json_array(out, &self.meetings, |out, m| {
+                write_meeting_json(m, out);
+                spill(out);
+            });
+        });
+        o.nested("streams", |out| {
+            write_json_array(out, &self.streams, |out, s| {
+                s.write_json(out);
+                spill(out);
+            });
+        });
+        o.finish();
     }
 }
 
 /// One cross-family classification row: family, media detail, shares.
-fn family_row_to_json(r: &TableRow) -> String {
-    let mut o = JsonObj::new();
+fn write_family_row_json(r: &TableRow, out: &mut String) {
+    let mut o = JsonObj::append_to(out);
     o.str("family", &r.label)
         .str("media", &r.detail)
         .f64("packets_pct", r.packets_pct)
         .f64("bytes_pct", r.bytes_pct);
-    o.finish()
+    o.finish();
 }
 
 /// Build the end-of-trace report from an analyzer's live state plus what
@@ -558,46 +576,52 @@ fn drops_from_metrics(m: &crate::obs::PipelineMetrics) -> DropsReport {
 /// RTP-copy mean RTT as of its completion plus 100 ms (50 ms + 100 ms
 /// before the first RTT sample); see [`crate::metrics::stall`].
 pub fn render_text(analyzer: &Analyzer) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
+    write_text(analyzer, &mut out).expect("a Vec takes every write");
+    String::from_utf8(out).expect("the report is UTF-8")
+}
+
+/// Write what [`render_text`] returns to `out`, a line at a time.
+pub fn write_text(analyzer: &Analyzer, out: &mut impl io::Write) -> io::Result<()> {
     let summary = analyzer.summary();
-    let _ = writeln!(out, "=== trace summary ===");
-    let _ = writeln!(out, "packets:      {}", summary.total_packets);
-    let _ = writeln!(
+    writeln!(out, "=== trace summary ===")?;
+    writeln!(out, "packets:      {}", summary.total_packets)?;
+    writeln!(
         out,
         "zoom packets: {} ({} bytes)",
         summary.zoom_packets, summary.zoom_bytes
-    );
-    let _ = writeln!(out, "zoom flows:   {}", summary.zoom_flows);
-    let _ = writeln!(out, "rtp streams:  {}", summary.rtp_streams);
-    let _ = writeln!(out, "meetings:     {}", summary.meetings);
-    let _ = writeln!(
+    )?;
+    writeln!(out, "zoom flows:   {}", summary.zoom_flows)?;
+    writeln!(out, "rtp streams:  {}", summary.rtp_streams)?;
+    writeln!(out, "meetings:     {}", summary.meetings)?;
+    writeln!(
         out,
         "duration:     {:.1} s",
         summary.duration_nanos as f64 / 1e9
-    );
+    )?;
     let (dp, db) = analyzer.classifier().decoded_fraction();
-    let _ = writeln!(
+    writeln!(
         out,
         "decoded:      {:.1} % pkts / {:.1} % bytes",
         dp * 100.0,
         db * 100.0
-    );
+    )?;
 
-    let _ = writeln!(out, "\n=== meetings ===");
+    writeln!(out, "\n=== meetings ===")?;
     for m in analyzer.meetings() {
-        let _ = writeln!(
+        writeln!(
             out,
             "meeting {}: {} visible participant(s), {} stream(s), servers {{{}}}",
             m.id,
             m.participant_estimate,
             m.streams.len(),
             sorted_addrs(&m.servers).join(", ")
-        );
+        )?;
     }
 
-    let _ = writeln!(out, "\n=== streams ===");
+    writeln!(out, "\n=== streams ===")?;
     for s in analyzer.streams().iter() {
-        let _ = write!(
+        write!(
             out,
             "  {} ssrc=0x{:02x} [{}] pkts={} rate={:.0} kbit/s frames={} jitter={:.2} ms",
             s.key.flow,
@@ -605,41 +629,41 @@ pub fn render_text(analyzer: &Analyzer) -> String {
             s.media_type.label(),
             s.packets,
             s.mean_media_bitrate() / 1e3,
-            s.frames.as_ref().map_or(0, StreamFrames::count),
-            s.frame_jitter.jitter_ms(),
-        );
-        if let Some(f) = &s.frames {
+            s.frames().map_or(0, StreamFrames::count),
+            s.jitter_ms(),
+        )?;
+        if let Some(f) = s.frames() {
             let report = f.stalls();
             if report.stalls > 0 || report.retransmission_recovered > 0 {
-                let _ = write!(
+                write!(
                     out,
                     " stalls={} ({:.0} ms) retx-frames={}",
                     report.stalls,
                     report.stalled_nanos as f64 / 1e6,
                     report.retransmission_recovered
-                );
+                )?;
             }
         }
-        out.push('\n');
+        writeln!(out)?;
     }
 
     let rtp = analyzer.rtp_rtt().totals();
     if let Some(mean) = rtp.mean_ms() {
-        let _ = writeln!(
+        writeln!(
             out,
             "\nRTT to SFU (RTP copies): {} samples, mean {mean:.1} ms",
             rtp.samples
-        );
+        )?;
     }
     let tcp = analyzer.tcp_rtt().totals();
     if let Some(mean) = tcp.mean_ms() {
-        let _ = writeln!(
+        writeln!(
             out,
             "RTT via TCP control:     {} samples, mean {mean:.1} ms",
             tcp.samples
-        );
+        )?;
     }
-    out
+    Ok(())
 }
 
 // ------------------------------------------------------------- windows --
@@ -866,8 +890,13 @@ mod tests {
         let ips = [ip(10, 8, 0, 9), ip(10, 8, 0, 1), ip(170, 114, 0, 1)];
         let mut reversed = ips;
         reversed.reverse();
-        let a = meeting_to_json(&make(&ips));
-        let b = meeting_to_json(&make(&reversed));
+        let json = |m: MeetingReport| {
+            let mut out = String::new();
+            write_meeting_json(&m, &mut out);
+            out
+        };
+        let a = json(make(&ips));
+        let b = json(make(&reversed));
         assert_eq!(a, b);
         // And the order is the *sorted* one, pinned exactly.
         assert!(a.contains("\"clients\":[\"10.8.0.1\",\"10.8.0.9\",\"170.114.0.1\"]"));

@@ -89,24 +89,16 @@ pub struct Stream {
     /// grouping heuristic's step 1).
     pub unique_id: Option<u32>,
     /// Sub-streams, one per RTP payload type, in first-seen order (a
-    /// stream carries two or three: main, FEC, perhaps a probe).
+    /// stream carries two or three: main, FEC, perhaps a probe), each
+    /// allocated as it is first seen: the vector holds no spare slot.
     pub substreams: Vec<SubStream>,
     /// Index into `substreams` of the one the previous packet hit.
     last_sub: usize,
-    /// Frame reconstruction and what the completed frames add up to
-    /// (video and screen share only).
-    pub frames: Option<StreamFrames>,
-    /// Frame-level jitter over the main sub-stream.
-    pub frame_jitter: JitterEstimator,
+    /// Frames and frame-level jitter: video and screen share only, so an
+    /// audio stream pays one null pointer for them.
+    video: Option<Box<StreamVideo>>,
     /// The per-second series, when the tracker keeps them.
     seconds: Option<Box<StreamSeconds>>,
-    /// Recently fed RTP timestamps: the jitter estimator gets exactly one
-    /// observation per frame (its first sighting), and a retransmitted
-    /// duplicate of an already-seen frame must not re-trigger it. Genuine
-    /// reorderings (a frame first seen late) still feed it — that lateness
-    /// IS jitter, per RFC 3550. Kept for video and screen share only, the
-    /// media the estimator is fed for.
-    fed_jitter_ts: RecentTimestamps<64>,
     /// Total packets.
     pub packets: u64,
     /// The stream key's creation rank within its tracker: counts up from
@@ -128,6 +120,22 @@ pub struct Stream {
     pub(crate) window_jitter: (f64, u32),
     /// What this key's earlier, evicted incarnations left behind.
     past: Option<Box<Tombstone>>,
+}
+
+/// What only a video or screen-share stream keeps: its frames and the
+/// frame-level jitter over its main sub-stream. Boxed in [`Stream`],
+/// which for audio holds no frames and feeds no jitter estimator.
+#[derive(Debug)]
+struct StreamVideo {
+    frames: StreamFrames,
+    /// Frame-level jitter over the main sub-stream.
+    jitter: JitterEstimator,
+    /// Recently fed RTP timestamps: the jitter estimator gets exactly one
+    /// observation per frame (its first sighting), and a retransmitted
+    /// duplicate of an already-seen frame must not re-trigger it. Genuine
+    /// reorderings (a frame first seen late) still feed it — that lateness
+    /// IS jitter, per RFC 3550.
+    fed_jitter_ts: RecentTimestamps<64>,
 }
 
 /// A video or screen-share stream's frames: the tracker that reassembles
@@ -222,7 +230,7 @@ impl StreamSnap {
         StreamSnap {
             packets: s.packets,
             media_bytes: s.media_bytes(),
-            frames: s.frames.as_ref().map_or(0, StreamFrames::count),
+            frames: s.frames().map_or(0, StreamFrames::count),
             missing,
             duplicates,
         }
@@ -318,16 +326,36 @@ impl Stream {
             unique_id: None,
             substreams: Vec::new(),
             last_sub: 0,
-            frames: tracker.map(StreamFrames::new),
-            frame_jitter: JitterEstimator::video(),
+            video: tracker.map(|tracker| {
+                Box::new(StreamVideo {
+                    frames: StreamFrames::new(tracker),
+                    jitter: JitterEstimator::video(),
+                    fed_jitter_ts: RecentTimestamps::new(),
+                })
+            }),
             seconds: keep_seconds.then(Box::default),
-            fed_jitter_ts: RecentTimestamps::new(),
             packets: 0,
             serial,
             meeting: None,
             window_snap: StreamSnap::default(),
             window_jitter: (0.0, 0),
             past: None,
+        }
+    }
+
+    /// Frame reconstruction and what the completed frames add up to
+    /// (video and screen share only).
+    pub fn frames(&self) -> Option<&StreamFrames> {
+        self.video.as_ref().map(|v| &v.frames)
+    }
+
+    /// The frame-level jitter estimate over the main sub-stream, in ms.
+    /// An audio stream feeds no estimator and reads what a fresh one
+    /// does.
+    pub fn jitter_ms(&self) -> f64 {
+        match &self.video {
+            Some(v) => v.jitter.jitter_ms(),
+            None => JitterEstimator::video().jitter_ms(),
         }
     }
 
@@ -362,37 +390,39 @@ impl Stream {
         sub.last_rtp_ts = rtp.timestamp;
         sub.seq.on_sequence(rtp.sequence);
 
-        // Frames and jitter: main sub-stream only (FEC shares timestamps
-        // but is not part of the frame).
+        // Frames and jitter: video and screen share, main sub-stream only
+        // (FEC shares timestamps but is not part of the frame).
         if rtp.kind.is_fec() {
             return None;
         }
-        let completed = self.frames.as_mut().and_then(|frames| {
-            let f = frames.tracker.on_packet(
+        let video = self.video.as_deref_mut()?;
+        let completed = video
+            .frames
+            .tracker
+            .on_packet(
                 m.ts_nanos,
                 rtp.timestamp,
                 rtp.sequence,
                 rtp.marker,
                 m.media_payload_len,
                 m.pkts_in_frame,
-            )?;
-            frames.fold(&f, rtt);
-            if let Some(seconds) = &mut self.seconds {
-                seconds.frames.add(&f);
-            }
-            Some(f)
-        });
+            )
+            .inspect(|f| {
+                video.frames.fold(f, rtt);
+                if let Some(seconds) = &mut self.seconds {
+                    seconds.frames.add(f);
+                }
+            });
         // Feed the jitter estimator once per frame, on the frame's
         // first sighting. Duplicates (Zoom retransmissions reuse the
         // timestamp) must not re-trigger; first-seen-late frames do.
         // A frame's packets arrive back to back, so all but its first
         // match the newest entry and skip the scan.
-        if (self.media_type == MediaType::Video || self.media_type == MediaType::ScreenShare)
-            && self.fed_jitter_ts.newest() != Some(rtp.timestamp)
-            && !self.fed_jitter_ts.contains(rtp.timestamp)
+        if video.fed_jitter_ts.newest() != Some(rtp.timestamp)
+            && !video.fed_jitter_ts.contains(rtp.timestamp)
         {
-            self.fed_jitter_ts.push(rtp.timestamp);
-            if let Some(j) = self.frame_jitter.on_frame(m.ts_nanos, rtp.timestamp) {
+            video.fed_jitter_ts.push(rtp.timestamp);
+            if let Some(j) = video.jitter.on_frame(m.ts_nanos, rtp.timestamp) {
                 self.window_jitter.0 += j;
                 self.window_jitter.1 += 1;
                 if let Some(seconds) = &mut self.seconds {
@@ -409,6 +439,7 @@ impl Stream {
         let pt = rtp.payload_type;
         let hit = position_hinted(&self.substreams, self.last_sub, |s| s.payload_type == pt)
             .unwrap_or_else(|| {
+                self.substreams.reserve_exact(1);
                 self.substreams.push(SubStream {
                     payload_type: pt,
                     kind: rtp.kind,
@@ -957,7 +988,7 @@ mod tests {
         assert_eq!(s.substreams.len(), 2);
         assert!(s.substream(110).unwrap().kind.is_fec());
         // FEC packets don't create frames; the single main packet does.
-        assert_eq!(s.frames.as_ref().unwrap().count(), 1);
+        assert_eq!(s.frames().unwrap().count(), 1);
     }
 
     #[test]
@@ -989,7 +1020,7 @@ mod tests {
         }
         frame(&mut t, 3, &slow);
         let stream = t.iter().next().unwrap();
-        let frames = stream.frames.as_ref().unwrap();
+        let frames = stream.frames().unwrap();
         assert_eq!(frames.count(), 4);
         assert_eq!(frames.stalls().retransmission_recovered, 3);
         assert_eq!(frames.stalls().frames, 4);
@@ -1051,7 +1082,21 @@ mod tests {
         let sum: f64 = rows.jitter().iter().map(|&(_, j)| j).sum();
         assert_eq!(kept.window_jitter, (sum, 3));
         assert_eq!(bare.window_jitter, kept.window_jitter);
-        assert_eq!(bare.frames.as_ref().unwrap().count(), 90);
+        assert_eq!(bare.frames().unwrap().count(), 90);
+    }
+
+    /// What one live stream holds inline, and what a video or
+    /// screen-share stream adds behind its one pointer — the per-stream
+    /// companion of `packet::tests::per_second_rows_keep_their_size`: a
+    /// field added inline shows up here. At the paper's campus scale
+    /// thousands of streams are live at once; an audio stream used to
+    /// carry the video part inline, 1 192 B a stream.
+    #[test]
+    fn live_stream_state_keeps_its_size() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Stream>(), 208);
+        assert_eq!(size_of::<SubStream>(), 360);
+        assert_eq!(size_of::<StreamVideo>(), 992);
     }
 
     #[test]

@@ -111,18 +111,6 @@ impl AppView<'_> {
     }
 }
 
-impl App {
-    /// This reading by reference.
-    pub fn view(&self) -> AppView<'_> {
-        match self {
-            App::Stun(repr) => AppView::Stun(repr),
-            App::Zoom(framing, z) => AppView::Zoom(*framing, z),
-            App::Webrtc(pdu) => AppView::Webrtc(pdu),
-            App::Opaque => AppView::Opaque,
-        }
-    }
-}
-
 /// A fully dissected packet, borrowing payload bytes from the input.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dissection<'a> {

@@ -69,7 +69,7 @@ fn report(
         if s.media_type != MediaType::Video && s.media_type != MediaType::ScreenShare {
             continue;
         }
-        let frames_total = s.frames.as_ref().map_or(0, |f| f.count());
+        let frames_total = s.frames().map_or(0, |f| f.count());
         let bytes_total = s.media_bytes();
         let df = frames_total - last_frames.insert(s.key, frames_total).unwrap_or(0);
         let db = bytes_total - last_bytes.insert(s.key, bytes_total).unwrap_or(0);
@@ -79,7 +79,7 @@ fn report(
             s.key.ssrc,
             df as f64 / 5.0,
             db as f64 * 8.0 / 5.0 / 1e3,
-            s.frame_jitter.jitter_ms(),
+            s.jitter_ms(),
         ));
     }
     rows.sort();

@@ -70,8 +70,8 @@ fn main() -> std::io::Result<()> {
             stream.media_type.label(),
             stream.packets,
             stream.mean_media_bitrate() / 1e3,
-            stream.frames.as_ref().map_or(0, |f| f.count()),
-            stream.frame_jitter.jitter_ms(),
+            stream.frames().map_or(0, |f| f.count()),
+            stream.jitter_ms(),
         );
     }
 

@@ -250,8 +250,8 @@ fn assert_same_output(
         assert_eq!(x.to_json(), y.to_json(), "{label}: window {}", x.index);
     }
     assert_eq!(
-        out.final_window.to_json(),
-        base_out.final_window.to_json(),
+        out.final_window().to_json(),
+        base_out.final_window().to_json(),
         "{label}: final window"
     );
     assert_eq!(
@@ -535,8 +535,8 @@ fn merge_restart_resumes_from_checkpoint_without_losing_windows() {
         assert_eq!(x.to_json(), y.to_json(), "stitched window {}", y.index);
     }
     assert_eq!(
-        out.final_window.to_json(),
-        all_out.final_window.to_json(),
+        out.final_window().to_json(),
+        all_out.final_window().to_json(),
         "final window after restore"
     );
     assert_eq!(

@@ -110,8 +110,8 @@ fn assert_streams_identical(
         assert_eq!(x.to_json(), y.to_json(), "{label}: window {i}");
     }
     assert_eq!(
-        got.1.final_window.to_json(),
-        want.1.final_window.to_json(),
+        got.1.final_window().to_json(),
+        want.1.final_window().to_json(),
         "{label}: final window"
     );
     assert_eq!(

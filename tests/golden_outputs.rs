@@ -334,7 +334,7 @@ fn windowed_output(records: &[Record], per_second_rows: bool) -> String {
         }
     }
     let drained = engine.drain().expect("drain");
-    out.push_str(&drained.final_window.to_json());
+    out.push_str(&drained.final_window().to_json());
     out.push('\n');
     out.push_str(&drained.report.to_json());
     out.push('\n');

@@ -56,7 +56,7 @@ fn run() -> Validation {
             .expect("push");
         windows.extend(engine.take_windows());
     }
-    windows.push(engine.drain().expect("drain").final_window);
+    windows.push(engine.drain().expect("drain").final_window().clone());
     let mut gt = sim.ground_truth();
     Validation {
         analyzer,

@@ -127,8 +127,8 @@ fn assert_same_run(
         assert_eq!(x.to_json(), y.to_json(), "{label}: window {}", x.index);
     }
     assert_eq!(
-        a.1.final_window.to_json(),
-        b.1.final_window.to_json(),
+        a.1.final_window().to_json(),
+        b.1.final_window().to_json(),
         "{label}: final window"
     );
     assert_eq!(

@@ -134,7 +134,7 @@ fn window_deltas_sum_to_batch_totals_without_eviction() {
         assert_eq!(w.index, i as u64);
     }
 
-    let all = windows.iter().chain(std::iter::once(&out.final_window));
+    let all = windows.iter().chain(std::iter::once(out.final_window()));
     let packets: u64 = all.clone().map(|w| w.totals.packets).sum();
     let zoom_packets: u64 = all.clone().map(|w| w.totals.zoom_packets).sum();
     let zoom_bytes: u64 = all.clone().map(|w| w.totals.zoom_bytes).sum();
@@ -248,8 +248,8 @@ fn assert_same_run(
         assert_eq!(x.to_json(), y.to_json(), "{label}: window {}", x.index);
     }
     assert_eq!(
-        a.1.final_window.to_json(),
-        b.1.final_window.to_json(),
+        a.1.final_window().to_json(),
+        b.1.final_window().to_json(),
         "{label}: final window"
     );
     assert_eq!(
@@ -298,7 +298,7 @@ proptest! {
         for (x, y) in run.0.iter().zip(&baseline.0) {
             prop_assert_eq!(x.to_json(), y.to_json());
         }
-        prop_assert_eq!(run.1.final_window.to_json(), baseline.1.final_window.to_json());
+        prop_assert_eq!(run.1.final_window().to_json(), baseline.1.final_window().to_json());
         prop_assert_eq!(run.1.report.to_json(), baseline.1.report.to_json());
     }
 }
@@ -316,7 +316,7 @@ proptest! {
         let batch = batch_report(&records);
         let (windows, out) =
             stream_run(&records, Some(Duration::from_secs(window_secs)), None);
-        let all = windows.iter().chain(std::iter::once(&out.final_window));
+        let all = windows.iter().chain(std::iter::once(out.final_window()));
         let packets: u64 = all.clone().map(|w| w.totals.packets).sum();
         prop_assert_eq!(packets, batch.summary.total_packets);
         prop_assert_eq!(window_totals(all), report_totals(&batch));

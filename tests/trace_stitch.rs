@@ -300,8 +300,8 @@ fn tracing_is_a_side_channel_output_stays_byte_identical() {
             );
         }
         assert_eq!(
-            out.final_window.to_json(),
-            base_out.final_window.to_json(),
+            out.final_window().to_json(),
+            base_out.final_window().to_json(),
             "sample {sample_every}: final window"
         );
         assert_eq!(

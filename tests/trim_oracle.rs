@@ -106,7 +106,7 @@ fn analyze(records: &[Record], family: FamilySelect) -> (String, MetricsSnapshot
     let out = format!(
         "{}\n{windows}{}\n{}\n",
         analyzer.finish().expect("finish").to_json(),
-        drained.final_window.to_json(),
+        drained.final_window().to_json(),
         drained.report.to_json(),
     );
     (out, batch_metrics, drained.analyzer.metrics())

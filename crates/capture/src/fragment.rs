@@ -58,7 +58,8 @@ impl WorkerAccount {
         self.packets.store(t.packets, Ordering::Release);
         self.bytes.store(t.bytes, Ordering::Release);
         self.batches.store(t.batches, Ordering::Release);
-        self.ring_full_drops.store(t.ring_full_drops, Ordering::Release);
+        self.ring_full_drops
+            .store(t.ring_full_drops, Ordering::Release);
         self.truncated.store(t.truncated, Ordering::Release);
     }
 
@@ -255,7 +256,10 @@ mod tests {
 
     #[test]
     fn delivers_records_and_final_accounting() {
-        let data = stream(&[(1, &[0xAA; 60][..]), (2, &[0xBB; 61]), (3, &[0xCC; 62])], 2);
+        let data = stream(
+            &[(1, &[0xAA; 60][..]), (2, &[0xBB; 61]), (3, &[0xCC; 62])],
+            2,
+        );
         let mut src = FragmentSource::open(&data[..]).unwrap();
         assert_eq!(src.label(), "worker:t0");
         assert_eq!(src.worker_label(), "t0");
@@ -322,9 +326,7 @@ mod tests {
         let stitched = merge.drain_ndjson();
         assert!(stitched.contains("\"node\":\"worker:t0\""));
         assert!(stitched.contains("\"span\":\"merge_decode\""));
-        assert!(stitched
-            .lines()
-            .all(|l| l.contains(&format!("{id:016x}"))));
+        assert!(stitched.lines().all(|l| l.contains(&format!("{id:016x}"))));
 
         // An untraced merge decodes the same stream unchanged.
         let mut plain = FragmentSource::open(&data[..]).unwrap();

@@ -431,7 +431,10 @@ mod tests {
     }
 
     fn drain_ts(mux: &mut CaptureMux) -> Vec<u64> {
-        drain_stamped(mux, MUX_MAX).into_iter().map(|(ts, _)| ts).collect()
+        drain_stamped(mux, MUX_MAX)
+            .into_iter()
+            .map(|(ts, _)| ts)
+            .collect()
     }
 
     #[test]

@@ -649,14 +649,16 @@ mod tests {
         let mut p = pipeline(); // sample(): family = Only(Zoom)
         let client = Ipv4Addr::new(10, 8, 0, 9);
         let peer = Ipv4Addr::new(93, 40, 6, 6); // off-campus, non-Zoom
-        let stun_pkt =
-            compose::udp_ipv4_ethernet(client, peer, 52_000, 3478, &stun_payload());
+        let stun_pkt = compose::udp_ipv4_ethernet(client, peer, 52_000, 3478, &stun_payload());
         assert_eq!(
             p.classify(0, &stun_pkt, LinkType::Ethernet),
             Verdict::NotZoom
         );
         let media = compose::udp_ipv4_ethernet(client, peer, 52_000, 52_001, b"srtp");
-        assert_eq!(p.classify(SEC, &media, LinkType::Ethernet), Verdict::NotZoom);
+        assert_eq!(
+            p.classify(SEC, &media, LinkType::Ethernet),
+            Verdict::NotZoom
+        );
         assert_eq!(p.counters().rtc_stun_registered, 0);
         assert_eq!(p.counters().rtc_p2p_matched, 0);
     }
@@ -674,8 +676,7 @@ mod tests {
         assert_eq!(p.classify(0, &media, LinkType::Ethernet), Verdict::NotZoom);
 
         // A non-Zoom STUN binding registers the campus endpoint...
-        let stun_pkt =
-            compose::udp_ipv4_ethernet(client, peer, 52_000, 3478, &stun_payload());
+        let stun_pkt = compose::udp_ipv4_ethernet(client, peer, 52_000, 3478, &stun_payload());
         assert_eq!(
             p.classify(SEC, &stun_pkt, LinkType::Ethernet),
             Verdict::RtcStun

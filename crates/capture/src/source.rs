@@ -324,7 +324,11 @@ impl PacketSource for ReplaySource {
             let Some(r) = self.records.next() else {
                 return Ok(false);
             };
-            debug_assert!(r.ts_nanos >= self.last_ts, "{}: records out of order", self.label);
+            debug_assert!(
+                r.ts_nanos >= self.last_ts,
+                "{}: records out of order",
+                self.label
+            );
             self.last_ts = r.ts_nanos;
             batch.push(r.ts_nanos, r.orig_len, &r.data);
         }
@@ -421,7 +425,10 @@ mod tests {
             let img2 = w.finish().unwrap();
             // Append just the record (skip the 24-byte global header).
             use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new().append(true).open(&path2).unwrap();
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path2)
+                .unwrap();
             f.write_all(&img2[24..]).unwrap();
         });
 

@@ -88,7 +88,10 @@ impl fmt::Display for SpecError {
                 write!(f, "sim: source needs a scenario name ({GRAMMAR})")
             }
             SpecError::BadOption(o) => {
-                write!(f, "bad sim option {o:?} (expected key=value, keys: seed, secs)")
+                write!(
+                    f,
+                    "bad sim option {o:?} (expected key=value, keys: seed, secs)"
+                )
             }
             SpecError::BadOptionValue { key, value } => {
                 write!(f, "sim option {key}={value:?} is not an unsigned integer")
@@ -134,10 +137,13 @@ impl FromStr for SourceSpec {
                         "secs" => &mut secs,
                         other => return Err(SpecError::UnknownOption(other.to_string())),
                     };
-                    *slot = value.trim().parse().map_err(|_| SpecError::BadOptionValue {
-                        key: key.trim().to_string(),
-                        value: value.to_string(),
-                    })?;
+                    *slot = value
+                        .trim()
+                        .parse()
+                        .map_err(|_| SpecError::BadOptionValue {
+                            key: key.trim().to_string(),
+                            value: value.to_string(),
+                        })?;
                 }
                 Ok(SourceSpec::Sim {
                     scenario: scenario.to_string(),
@@ -210,7 +216,10 @@ mod tests {
         assert_eq!(e, SpecError::UnknownKind("ftp".into()));
         assert!(e.to_string().contains("\"ftp\""));
 
-        assert_eq!("pcap:".parse::<SourceSpec>().unwrap_err(), SpecError::EmptyPath);
+        assert_eq!(
+            "pcap:".parse::<SourceSpec>().unwrap_err(),
+            SpecError::EmptyPath
+        );
         assert_eq!(
             "sim:".parse::<SourceSpec>().unwrap_err(),
             SpecError::MissingScenario
@@ -233,7 +242,11 @@ mod tests {
 
     #[test]
     fn display_is_canonical_and_roundtrips() {
-        for s in ["pcap:t.pcap", "sim:p2p,seed=7,secs=60", "sim:churn,seed=1,secs=9"] {
+        for s in [
+            "pcap:t.pcap",
+            "sim:p2p,seed=7,secs=60",
+            "sim:churn,seed=1,secs=9",
+        ] {
             let spec: SourceSpec = s.parse().unwrap();
             assert_eq!(spec.to_string(), s);
             assert_eq!(spec.to_string().parse::<SourceSpec>().unwrap(), spec);

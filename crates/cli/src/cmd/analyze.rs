@@ -218,18 +218,16 @@ fn run_emit(
             s.link_type()
         )));
     }
-    let out: Box<dyn std::io::Write + Send> =
-        if let Ok(addr) = target.parse::<std::net::SocketAddr>() {
-            Box::new(
-                std::net::TcpStream::connect(addr)
-                    .map_err(|e| CliError::io(format!("{target}: {e}")))?,
-            )
-        } else {
-            Box::new(
-                std::fs::File::create(target)
-                    .map_err(|e| CliError::io(format!("{target}: {e}")))?,
-            )
-        };
+    let out: Box<dyn std::io::Write + Send> = if let Ok(addr) =
+        target.parse::<std::net::SocketAddr>()
+    {
+        Box::new(
+            std::net::TcpStream::connect(addr)
+                .map_err(|e| CliError::io(format!("{target}: {e}")))?,
+        )
+    } else {
+        Box::new(std::fs::File::create(target).map_err(|e| CliError::io(format!("{target}: {e}")))?)
+    };
     let mut writer = FrameWriter::new(std::io::BufWriter::new(out), label, link)
         .map_err(|e| CliError::io(format!("{target}: {e}")))?;
 
@@ -251,7 +249,9 @@ fn run_emit(
     let mut frames = 0u64;
     while mux.next_batch(&mut batch, BATCH_RECORDS)?.is_some() {
         let written = if batch.trace_id != 0 {
-            let m = worker_metrics.as_ref().expect("traced batch implies metrics");
+            let m = worker_metrics
+                .as_ref()
+                .expect("traced batch implies metrics");
             writer.write_batch_traced(&batch, batch.trace_id, |encode_nanos| {
                 m.trace.record(
                     batch.trace_id,

@@ -252,9 +252,8 @@ fn export_features(analyzer: &Analyzer, flags: &HashMap<String, String>) -> CmdR
     let Some(path) = flags.get("features") else {
         return Ok(());
     };
-    let mut out = std::io::BufWriter::new(
-        std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?,
-    );
+    let mut out =
+        std::io::BufWriter::new(std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?);
     let total = features::write_csv(&mut out, analyzer.streams().of_type(MediaType::Video))
         .and_then(|total| out.flush().map(|()| total))
         .map_err(|e| format!("{path}: {e}"))?;

@@ -80,8 +80,8 @@ struct Worker {
 }
 
 fn open_worker(input: Input, context: &str) -> Result<Worker, CliError> {
-    let source = FragmentSource::open(input)
-        .map_err(|e| CliError::protocol(format!("{context}: {e}")))?;
+    let source =
+        FragmentSource::open(input).map_err(|e| CliError::protocol(format!("{context}: {e}")))?;
     let account = source.account();
     let label = source.worker_label().to_string();
     Ok(Worker {
@@ -96,8 +96,7 @@ fn file_workers(files: &[String]) -> Result<Vec<Worker>, CliError> {
     files
         .iter()
         .map(|path| {
-            let f = std::fs::File::open(path)
-                .map_err(|e| CliError::io(format!("{path}: {e}")))?;
+            let f = std::fs::File::open(path).map_err(|e| CliError::io(format!("{path}: {e}")))?;
             open_worker(Box::new(std::io::BufReader::new(f)), path)
         })
         .collect()
@@ -113,8 +112,8 @@ fn listen_workers(
     if let Some(dir) = journal {
         std::fs::create_dir_all(dir).map_err(|e| CliError::io(format!("{dir}: {e}")))?;
     }
-    let listener = std::net::TcpListener::bind(addr)
-        .map_err(|e| CliError::io(format!("{addr}: {e}")))?;
+    let listener =
+        std::net::TcpListener::bind(addr).map_err(|e| CliError::io(format!("{addr}: {e}")))?;
     let local = listener
         .local_addr()
         .map_err(|e| CliError::io(format!("{addr}: {e}")))?;

@@ -193,7 +193,9 @@ mod tests {
         assert_eq!(build_sources(&[], &reps, None).err().unwrap().code, 3);
 
         assert!(build_source(&spec("pcap:/definitely/not/there.pcap"), None).is_err());
-        let e = build_source(&spec("sim:unknown-scenario"), None).err().unwrap();
+        let e = build_source(&spec("sim:unknown-scenario"), None)
+            .err()
+            .unwrap();
         assert_eq!(e.code, 3);
         assert!(e
             .message

@@ -247,7 +247,11 @@ fn without_keys(json: &str, keys: &[&str]) -> String {
                 _ => {}
             }
         }
-        let end = if json[end..].starts_with(',') { end + 1 } else { end };
+        let end = if json[end..].starts_with(',') {
+            end + 1
+        } else {
+            end
+        };
         json.replace_range(start..end, "");
     }
     json
@@ -443,7 +447,10 @@ fn streaming_analyze_emits_windows_then_final() {
         .iter()
         .filter(|l| l.starts_with("{\"type\":\"window\""))
         .count();
-    assert!(windows >= 3, "expected >=3 window lines, got {windows}: {out}");
+    assert!(
+        windows >= 3,
+        "expected >=3 window lines, got {windows}: {out}"
+    );
     let last = lines.last().expect("non-empty output");
     assert!(
         last.starts_with("{\"type\":\"final\""),
@@ -477,7 +484,10 @@ fn streaming_analyze_emits_windows_then_final() {
         "5s",
     ]);
     assert!(ok, "churn analyze failed: {err}");
-    assert!(out.contains("\"evicted\":true"), "no eviction observed: {out}");
+    assert!(
+        out.contains("\"evicted\":true"),
+        "no eviction observed: {out}"
+    );
     assert!(err.contains("peak tracked entries"), "stderr: {err}");
 }
 
@@ -623,21 +633,37 @@ fn flag_combination_refusals_are_pinned() {
         (&["analyze", x, "--ring-cap", "8"], 3, ring_cap),
         (&["merge", x, "--ring-cap", "8"], 3, ring_cap),
         (&[capture, &["--ring-cap", "8"]].concat(), 3, ring_cap),
-        (&["analyze", x, "--follow", "--ring-cap", "1", "--lossy"], 3, ring_cap),
+        (
+            &["analyze", x, "--follow", "--ring-cap", "1", "--lossy"],
+            3,
+            ring_cap,
+        ),
         (
             &["analyze", x, "--no-such-flag", "1"],
             2,
             "analyze: unknown flag --no-such-flag",
         ),
-        (&["analyze", x, "--idle-timeout", "2s", "--features", csv], 2, features),
+        (
+            &["analyze", x, "--idle-timeout", "2s", "--features", csv],
+            2,
+            features,
+        ),
         (&["analyze", x, "--idle-timeout", "2s"], 2, idle),
         (&["analyze", x, "--follow", "--idle-timeout", "2s"], 2, idle),
         (&["analyze", x, "--qoe-watch"], 2, qoe),
         (&["analyze", x, "--qoe-fps-floor", "5"], 2, qoe),
         (&["analyze", x, "--trace-sample", "4"], 3, sample),
-        (&["merge", x, "--idle-timeout", "2s", "--features", csv], 2, features),
+        (
+            &["merge", x, "--idle-timeout", "2s", "--features", csv],
+            2,
+            features,
+        ),
         (&["merge", x, "--idle-timeout", "2s"], 2, idle),
-        (&["merge", x, "--restore"], 3, "--restore needs --checkpoint PATH"),
+        (
+            &["merge", x, "--restore"],
+            3,
+            "--restore needs --checkpoint PATH",
+        ),
         (
             &["merge", x, "--checkpoint", csv],
             3,
@@ -648,7 +674,11 @@ fn flag_combination_refusals_are_pinned() {
             3,
             "--listen and positional fragment files are mutually exclusive",
         ),
-        (&["merge", "--listen", "127.0.0.1:0"], 3, "merge --listen needs --workers N"),
+        (
+            &["merge", "--listen", "127.0.0.1:0"],
+            3,
+            "merge --listen needs --workers N",
+        ),
         (&["merge", x, "--trace-sample", "4"], 3, sample),
         (
             &["merge"],
@@ -688,10 +718,7 @@ fn merge_of_a_spool_prints_what_analyze_prints() {
     let (_, err, ok) = run(&["analyze", pcap, "--emit-fragments", spool]);
     assert!(ok, "emit failed: {err}");
 
-    for (name, flags) in [
-        ("batch", &[][..]),
-        ("windowed", &["--window", "1s"][..]),
-    ] {
+    for (name, flags) in [("batch", &[][..]), ("windowed", &["--window", "1s"][..])] {
         let by_analyze = tmp(&format!("route_{name}_analyze.csv"));
         let by_merge = tmp(&format!("route_{name}_merge.csv"));
         let (out_a, err_a, ok_a) = run(&[
@@ -710,7 +737,10 @@ fn merge_of_a_spool_prints_what_analyze_prints() {
         assert!(out_a == out_m, "{name}: stdout differs");
         let csv = std::fs::read(&by_analyze).unwrap();
         assert!(csv.split(|b| *b == b'\n').count() > 100, "{name}");
-        assert!(csv == std::fs::read(&by_merge).unwrap(), "{name}: CSVs differ");
+        assert!(
+            csv == std::fs::read(&by_merge).unwrap(),
+            "{name}: CSVs differ"
+        );
     }
 
     let (json, _, ok) = run(&["analyze", pcap, "--json"]);
@@ -763,19 +793,36 @@ fn followed_sources_give_what_the_finite_run_gives() {
     assert!(one_file.lines().count() > 10, "{one_file}");
     let (followed, err, ok) = run(&[&["analyze"][..], &sources, &follow, &windowed].concat());
     assert!(ok, "{err}");
-    assert!(followed == one_file, "two followed sources print other bytes");
+    assert!(
+        followed == one_file,
+        "two followed sources print other bytes"
+    );
 
     let finite = tmp("follow_finite.pcap");
     let live = tmp("follow_live.pcap");
     let metrics = tmp("follow_live.json");
-    let (_, err, ok) = run(&[&["capture", finite.to_str().unwrap()][..], &sources, &["--anonymize", "7"]].concat());
+    let (_, err, ok) = run(&[
+        &["capture", finite.to_str().unwrap()][..],
+        &sources,
+        &["--anonymize", "7"],
+    ]
+    .concat());
     assert!(ok, "{err}");
     let metrics_flag = ["--anonymize", "7", "--metrics", metrics.to_str().unwrap()];
-    let (_, err, ok) = run(&[&["capture", live.to_str().unwrap()][..], &sources, &follow, &metrics_flag].concat());
+    let (_, err, ok) = run(&[
+        &["capture", live.to_str().unwrap()][..],
+        &sources,
+        &follow,
+        &metrics_flag,
+    ]
+    .concat());
     assert!(ok, "{err}");
     let finite = std::fs::read(&finite).unwrap();
     assert!(finite.len() > 10_000);
-    assert!(finite == std::fs::read(&live).unwrap(), "followed capture differs");
+    assert!(
+        finite == std::fs::read(&live).unwrap(),
+        "followed capture differs"
+    );
     let json = std::fs::read_to_string(&metrics).unwrap();
     assert!(json.contains("\"conservation_holds\":true"), "{json}");
 }
@@ -849,7 +896,14 @@ fn merge_listen_with_two_workers_prints_the_single_process_run() {
     let journal = tmp("listen_journal");
 
     let mut merge = Command::new(bin())
-        .args(["merge", "--listen", "127.0.0.1:0", "--workers", "2", "--journal"])
+        .args([
+            "merge",
+            "--listen",
+            "127.0.0.1:0",
+            "--workers",
+            "2",
+            "--journal",
+        ])
         .arg(&journal)
         .args(["--window", "1s", "--json"])
         .stdout(Stdio::piped())
@@ -888,7 +942,10 @@ fn merge_listen_with_two_workers_prints_the_single_process_run() {
     let (single, err, ok) = run(&[&["analyze"][..], &sources, &windowed].concat());
     assert!(ok, "{err}");
     assert!(single.lines().count() > 10, "{single}");
-    assert!(merged.stdout == single.as_bytes(), "merge --listen differs from one process");
+    assert!(
+        merged.stdout == single.as_bytes(),
+        "merge --listen differs from one process"
+    );
     let spools = ["worker-0.frag", "worker-1.frag"].map(|f| journal.join(f));
     let spools = [spools[0].to_str().unwrap(), spools[1].to_str().unwrap()];
     let (replayed, err, ok) = run(&[&["merge"][..], &spools, &windowed].concat());

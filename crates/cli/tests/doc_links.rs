@@ -74,5 +74,9 @@ fn relative_doc_links_resolve() {
         }
     }
     assert!(checked > 10, "link extraction found only {checked} links");
-    assert!(broken.is_empty(), "broken relative links:\n{}", broken.join("\n"));
+    assert!(
+        broken.is_empty(),
+        "broken relative links:\n{}",
+        broken.join("\n")
+    );
 }

@@ -137,9 +137,9 @@ impl MergeCheckpoint {
                 // The label may contain spaces only if quoted-free labels
                 // forbid them; worker labels come from Hello frames the
                 // emitter controls, so split at the *last* space.
-                let (label, count) = rest.rsplit_once(' ').ok_or_else(|| {
-                    MergeError::Checkpoint(format!("bad worker line {line:?}"))
-                })?;
+                let (label, count) = rest
+                    .rsplit_once(' ')
+                    .ok_or_else(|| MergeError::Checkpoint(format!("bad worker line {line:?}")))?;
                 cp.workers.push(WorkerMark {
                     label: label.trim().to_string(),
                     consumed: count.trim().parse().map_err(|_| {
@@ -267,9 +267,7 @@ mod tests {
         assert!(MergeCheckpoint::parse("").is_err());
         assert!(MergeCheckpoint::parse("something else\n").is_err());
         assert!(MergeCheckpoint::parse("zoom-merge-checkpoint v1\n").is_err());
-        assert!(
-            MergeCheckpoint::parse("zoom-merge-checkpoint v1\nwindows_emitted x\n").is_err()
-        );
+        assert!(MergeCheckpoint::parse("zoom-merge-checkpoint v1\nwindows_emitted x\n").is_err());
         assert!(MergeCheckpoint::parse(
             "zoom-merge-checkpoint v1\nwindows_emitted 1\nworker only-label\n"
         )
@@ -292,7 +290,10 @@ mod tests {
         cp2.windows_emitted = 20;
         cp2.save(&path).unwrap();
         assert_eq!(MergeCheckpoint::load(&path).unwrap().windows_emitted, 20);
-        assert!(!path.with_extension("tmp").exists(), "temp file renamed away");
+        assert!(
+            !path.with_extension("tmp").exists(),
+            "temp file renamed away"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

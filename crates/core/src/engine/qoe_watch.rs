@@ -156,14 +156,16 @@ pub(crate) fn aggregate(
             .meeting
             .map(|m| m.to_string())
             .unwrap_or_else(|| "none".to_string());
-        let a = acc.entry((meeting, media_slug(s.media_type), s.family.label())).or_insert(Acc {
-            bitrate: 0.0,
-            fps_sum: 0.0,
-            streams: 0,
-            jitter_sum: 0.0,
-            jitter_n: 0,
-            duplicates: 0,
-        });
+        let a = acc
+            .entry((meeting, media_slug(s.media_type), s.family.label()))
+            .or_insert(Acc {
+                bitrate: 0.0,
+                fps_sum: 0.0,
+                streams: 0,
+                jitter_sum: 0.0,
+                jitter_n: 0,
+                duplicates: 0,
+            });
         a.bitrate += s.bitrate_bps;
         a.fps_sum += s.fps;
         a.streams += 1;
@@ -281,13 +283,25 @@ impl QoeWatch {
             let floor = t.collapse_ratio * s.baseline_bps;
             if !s.collapse {
                 if s.baseline_bps > 0.0 && a.bitrate_bps < floor {
-                    edge(key, "bitrate_collapse", AlertState::Degraded, a.bitrate_bps, floor);
+                    edge(
+                        key,
+                        "bitrate_collapse",
+                        AlertState::Degraded,
+                        a.bitrate_bps,
+                        floor,
+                    );
                     s.collapse = true; // baseline stays frozen
                 } else {
                     s.baseline_bps = a.bitrate_bps;
                 }
             } else if a.bitrate_bps >= floor {
-                edge(key, "bitrate_collapse", AlertState::Recovered, a.bitrate_bps, floor);
+                edge(
+                    key,
+                    "bitrate_collapse",
+                    AlertState::Recovered,
+                    a.bitrate_bps,
+                    floor,
+                );
                 s.collapse = false;
                 s.baseline_bps = a.bitrate_bps;
             }
@@ -375,12 +389,16 @@ mod tests {
     #[test]
     fn fps_episode_opens_once_and_closes_on_recovery() {
         let mut w = QoeWatch::new(QoeThresholds::default());
-        assert!(w.observe(&window(0, vec![row(Some(1), 25.0, 1e6, None)])).is_empty());
+        assert!(w
+            .observe(&window(0, vec![row(Some(1), 25.0, 1e6, None)]))
+            .is_empty());
         let a = w.observe(&window(1, vec![row(Some(1), 4.0, 1e6, None)]));
         assert_eq!(a.len(), 1);
         assert_eq!((a[0].kind, a[0].state), ("low_fps", AlertState::Degraded));
         // Still degraded: no repeat alert.
-        assert!(w.observe(&window(2, vec![row(Some(1), 3.0, 1e6, None)])).is_empty());
+        assert!(w
+            .observe(&window(2, vec![row(Some(1), 3.0, 1e6, None)]))
+            .is_empty());
         let a = w.observe(&window(3, vec![row(Some(1), 24.0, 1e6, None)]));
         assert_eq!(a.len(), 1);
         assert_eq!((a[0].kind, a[0].state), ("low_fps", AlertState::Recovered));
@@ -389,15 +407,25 @@ mod tests {
     #[test]
     fn collapse_baseline_freezes_until_recovery() {
         let mut w = QoeWatch::new(QoeThresholds::default());
-        assert!(w.observe(&window(0, vec![row(Some(1), 25.0, 1_000_000.0, None)])).is_empty());
+        assert!(w
+            .observe(&window(0, vec![row(Some(1), 25.0, 1_000_000.0, None)]))
+            .is_empty());
         let a = w.observe(&window(1, vec![row(Some(1), 25.0, 100_000.0, None)]));
-        assert_eq!((a[0].kind, a[0].state), ("bitrate_collapse", AlertState::Degraded));
+        assert_eq!(
+            (a[0].kind, a[0].state),
+            ("bitrate_collapse", AlertState::Degraded)
+        );
         assert_eq!(a[0].threshold, 500_000.0);
         // 200 kbps is double the collapsed rate but still under half the
         // frozen 1 Mbps baseline — the episode stays open.
-        assert!(w.observe(&window(2, vec![row(Some(1), 25.0, 200_000.0, None)])).is_empty());
+        assert!(w
+            .observe(&window(2, vec![row(Some(1), 25.0, 200_000.0, None)]))
+            .is_empty());
         let a = w.observe(&window(3, vec![row(Some(1), 25.0, 600_000.0, None)]));
-        assert_eq!((a[0].kind, a[0].state), ("bitrate_collapse", AlertState::Recovered));
+        assert_eq!(
+            (a[0].kind, a[0].state),
+            ("bitrate_collapse", AlertState::Recovered)
+        );
     }
 
     #[test]

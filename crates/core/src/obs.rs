@@ -410,18 +410,32 @@ impl QoeSnapshot {
         }
         for f in QOE_FAMILIES {
             match f.series {
-                Series::Float(get) => family(out, f, get(self), |o, l, v| prom_line(o, f.prom, l, v)),
-                Series::Count(get) => family(out, f, get(self), |o, l, v| prom_line(o, f.prom, l, v)),
+                Series::Float(get) => {
+                    family(out, f, get(self), |o, l, v| prom_line(o, f.prom, l, v))
+                }
+                Series::Count(get) => {
+                    family(out, f, get(self), |o, l, v| prom_line(o, f.prom, l, v))
+                }
                 Series::Hist(get) => {
                     family(out, f, get(self), |o, l, h| prom_histogram(o, f.prom, l, h))
                 }
             }
         }
         let rtt = "zoom_qoe_estimated_rtt_ms";
-        prom_header(out, rtt, Kind::Gauge, "Mean RTP-copy RTT over the last closed window.");
+        prom_header(
+            out,
+            rtt,
+            Kind::Gauge,
+            "Mean RTP-copy RTT over the last closed window.",
+        );
         prom_line(out, rtt, "", self.estimated_rtt_ms);
         let evicted = "zoom_qoe_series_evicted_total";
-        prom_header(out, evicted, Kind::Counter, "Labeled series dropped at the cardinality cap.");
+        prom_header(
+            out,
+            evicted,
+            Kind::Counter,
+            "Labeled series dropped at the cardinality cap.",
+        );
         for (fam, v) in &self.series_evicted {
             prom_line(out, evicted, &prom_labels(&["family"], &[fam]), v);
         }
@@ -545,7 +559,10 @@ fn prom_histogram(out: &mut String, name: &str, labels: &str, h: &HistogramSnaps
     let mut cumulative = 0u64;
     for (i, bound) in h.bounds.iter().enumerate() {
         cumulative += h.buckets[i];
-        let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{bound}\"}} {cumulative}");
+        let _ = writeln!(
+            out,
+            "{name}_bucket{{{labels}{sep}le=\"{bound}\"}} {cumulative}"
+        );
     }
     let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", h.count);
     prom_line(out, &format!("{name}_sum"), labels, h.sum);
@@ -853,7 +870,6 @@ impl IngestTally {
     }
 }
 
-
 // Declares a family of per-instance rows once (one instance per capture
 // source, or per fragment worker). Each row names the field, its
 // instrument (and snapshot type, when not `u64`), kind, JSON form,
@@ -1015,7 +1031,6 @@ pub mod link_state {
     }
 }
 
-
 impl Default for PipelineMetrics {
     fn default() -> PipelineMetrics {
         PipelineMetrics::new()
@@ -1105,16 +1120,26 @@ impl PipelineMetrics {
             rows
         };
         let sources = json_array(s.sources.iter().map(|src| {
-            let mut o = row_object(SOURCE_ROWS, src, |r| r.debug, |o| {
-                o.str("source", &src.label);
-            });
+            let mut o = row_object(
+                SOURCE_ROWS,
+                src,
+                |r| r.debug,
+                |o| {
+                    o.str("source", &src.label);
+                },
+            );
             o.u64("lag_nanos", s.lag_nanos(src));
             o.finish()
         }));
         let workers = json_array(s.workers.iter().map(|w| {
-            row_object(WORKER_ROWS, w, |r| r.debug, |o| {
-                o.str("worker", &w.label);
-            })
+            row_object(
+                WORKER_ROWS,
+                w,
+                |r| r.debug,
+                |o| {
+                    o.str("worker", &w.label);
+                },
+            )
             .finish()
         }));
 
@@ -1161,7 +1186,11 @@ pub fn build_info() -> (&'static str, &'static str, &'static str) {
     (
         env!("CARGO_PKG_VERSION"),
         option_env!("ZOOM_GIT_SHA").unwrap_or("unknown"),
-        if cfg!(feature = "obs-http") { "obs-http" } else { "" },
+        if cfg!(feature = "obs-http") {
+            "obs-http"
+        } else {
+            ""
+        },
     )
 }
 
@@ -1209,7 +1238,6 @@ pub struct CaptureMetricsSnapshot {
     pub total_bytes: u64,
 }
 
-
 /// The capture filter's rows, in Prometheus order: the verdicts under one
 /// family, then the totals. `total` leads the JSON object (rank 0).
 pub const CAPTURE_ROWS: &[Metric<CaptureMetricsSnapshot>] = &[
@@ -1221,10 +1249,34 @@ pub const CAPTURE_ROWS: &[Metric<CaptureMetricsSnapshot>] = &[
     verdict("rtc_p2p_matched", |c| c.rtc_p2p_matched),
     verdict("dropped", |c| c.dropped),
     verdict("unparseable", |c| c.unparseable),
-    capture_total(0, "total", "zoom_capture_packets_total", "Packets offered to the capture filter.", |c| c.total),
-    capture_total(1, "passed", "zoom_capture_passed_total", "Packets that reached the capture output.", |c| c.passed),
-    capture_total(1, "passed_bytes", "zoom_capture_passed_bytes_total", "Bytes across passing packets.", |c| c.passed_bytes),
-    capture_total(1, "total_bytes", "zoom_capture_bytes_total", "Bytes across all offered packets.", |c| c.total_bytes),
+    capture_total(
+        0,
+        "total",
+        "zoom_capture_packets_total",
+        "Packets offered to the capture filter.",
+        |c| c.total,
+    ),
+    capture_total(
+        1,
+        "passed",
+        "zoom_capture_passed_total",
+        "Packets that reached the capture output.",
+        |c| c.passed,
+    ),
+    capture_total(
+        1,
+        "passed_bytes",
+        "zoom_capture_passed_bytes_total",
+        "Bytes across passing packets.",
+        |c| c.passed_bytes,
+    ),
+    capture_total(
+        1,
+        "total_bytes",
+        "zoom_capture_bytes_total",
+        "Bytes across all offered packets.",
+        |c| c.total_bytes,
+    ),
 ];
 
 /// A capture-filter verdict row of `zoom_capture_verdicts_total{stage}`.
@@ -1336,22 +1388,35 @@ impl MetricsSnapshot {
         }
         o.raw("qoe", &self.qoe.to_json());
         if let Some(c) = &self.capture {
-            o.raw("capture", &row_object(CAPTURE_ROWS, c, |r| Some(r.json), |_| {}).finish());
+            o.raw(
+                "capture",
+                &row_object(CAPTURE_ROWS, c, |r| Some(r.json), |_| {}).finish(),
+            );
         }
         if !self.sources.is_empty() {
             let sources = self.sources.iter().map(|s| {
-                row_object(SOURCE_ROWS, s, |r| Some(r.json), |o| {
-                    o.str("source", &s.label);
-                })
+                row_object(
+                    SOURCE_ROWS,
+                    s,
+                    |r| Some(r.json),
+                    |o| {
+                        o.str("source", &s.label);
+                    },
+                )
                 .finish()
             });
             o.raw("sources", &json_array(sources));
         }
         if !self.workers.is_empty() {
             let workers = self.workers.iter().map(|w| {
-                row_object(WORKER_ROWS, w, |r| Some(r.json), |o| {
-                    o.str("worker", &w.label);
-                })
+                row_object(
+                    WORKER_ROWS,
+                    w,
+                    |r| Some(r.json),
+                    |o| {
+                        o.str("worker", &w.label);
+                    },
+                )
                 .finish()
             });
             o.raw("workers", &json_array(workers));
@@ -1365,11 +1430,24 @@ impl MetricsSnapshot {
     pub fn to_prom(&self) -> String {
         let mut out = String::with_capacity(4096);
         let (version, git_sha, features) = build_info();
-        let build = prom_labels(&["version", "git_sha", "features"], &[version, git_sha, features]);
-        prom_header(&mut out, "zoom_build_info", Kind::Gauge, "Build metadata; the value is always 1.");
+        let build = prom_labels(
+            &["version", "git_sha", "features"],
+            &[version, git_sha, features],
+        );
+        prom_header(
+            &mut out,
+            "zoom_build_info",
+            Kind::Gauge,
+            "Build metadata; the value is always 1.",
+        );
         prom_line(&mut out, "zoom_build_info", &build, 1);
         let uptime = "zoom_uptime_seconds";
-        prom_header(&mut out, uptime, Kind::Gauge, "Seconds since the metrics registry was created.");
+        prom_header(
+            &mut out,
+            uptime,
+            Kind::Gauge,
+            "Seconds since the metrics registry was created.",
+        );
         prom_line(&mut out, uptime, "", self.uptime_seconds);
 
         prom_rows(&mut out, SCALARS, &[(String::new(), self)]);
@@ -1383,7 +1461,12 @@ impl MetricsSnapshot {
                 .collect();
             prom_rows(&mut out, SOURCE_ROWS, &items);
             let lag = "zoom_source_lag_nanos";
-            prom_header(&mut out, lag, Kind::Gauge, "Trace-time lag of each source lane behind the furthest-ahead lane.");
+            prom_header(
+                &mut out,
+                lag,
+                Kind::Gauge,
+                "Trace-time lag of each source lane behind the furthest-ahead lane.",
+            );
             for (labels, s) in &items {
                 prom_line(&mut out, lag, labels, self.lag_nanos(s));
             }
@@ -1404,26 +1487,47 @@ impl MetricsSnapshot {
 /// kind and help of every declared metric.
 pub fn catalogue_markdown() -> String {
     let mut out = String::from("<!-- generated: metric catalogue -->\n");
-    catalogue_table(&mut out, "Pipeline (`MetricsSnapshot`)", SCALARS, "", |r| {
-        match JSON_SECTIONS[usize::from(r.json.0)] {
+    catalogue_table(
+        &mut out,
+        "Pipeline (`MetricsSnapshot`)",
+        SCALARS,
+        "",
+        |r| match JSON_SECTIONS[usize::from(r.json.0)] {
             Some(section) => format!("{section}.{}", r.json.1),
             None => r.json.1.to_string(),
-        }
-    });
-    catalogue_table(&mut out, "Capture sources, one row each", SOURCE_ROWS, "source", |r| {
-        format!("sources[i].{}", r.json.1)
-    });
-    catalogue_table(&mut out, "Fragment workers (merge node), one row each", WORKER_ROWS, "worker", |r| {
-        format!("workers[i].{}", r.json.1)
-    });
-    catalogue_table(&mut out, "Capture filter (`filter`, `capture`)", CAPTURE_ROWS, "", |r| {
-        format!("capture.{}", r.json.1)
-    });
+        },
+    );
+    catalogue_table(
+        &mut out,
+        "Capture sources, one row each",
+        SOURCE_ROWS,
+        "source",
+        |r| format!("sources[i].{}", r.json.1),
+    );
+    catalogue_table(
+        &mut out,
+        "Fragment workers (merge node), one row each",
+        WORKER_ROWS,
+        "worker",
+        |r| format!("workers[i].{}", r.json.1),
+    );
+    catalogue_table(
+        &mut out,
+        "Capture filter (`filter`, `capture`)",
+        CAPTURE_ROWS,
+        "",
+        |r| format!("capture.{}", r.json.1),
+    );
     out.push_str("\n### QoE series (labeled)\n\n| JSON | Prometheus | kind | help |\n");
     out.push_str("|------|------------|------|------|\n");
     for f in QOE_FAMILIES {
         let (json, prom, labels) = (f.json, f.prom, f.labels.join(","));
-        let _ = writeln!(out, "| `qoe.{json}` | `{prom}{{{labels}}}` | {} | {} |", f.kind.as_str(), f.help);
+        let _ = writeln!(
+            out,
+            "| `qoe.{json}` | `{prom}{{{labels}}}` | {} | {} |",
+            f.kind.as_str(),
+            f.help
+        );
     }
     out.push_str("\n<!-- end generated -->\n");
     out
@@ -1438,7 +1542,10 @@ fn catalogue_table<S>(
     instance: &str,
     json: impl Fn(&Metric<S>) -> String,
 ) {
-    let _ = write!(out, "\n### {title}\n\n| JSON | Prometheus | kind | help |\n");
+    let _ = write!(
+        out,
+        "\n### {title}\n\n| JSON | Prometheus | kind | help |\n"
+    );
     out.push_str("|------|------------|------|------|\n");
     for r in rows {
         let prom = match (r.prom, r.label) {
@@ -1447,7 +1554,13 @@ fn catalogue_table<S>(
             (Some(name), None) if instance.is_empty() => format!("`{name}`"),
             (Some(name), None) => format!("`{name}{{{instance}}}`"),
         };
-        let _ = writeln!(out, "| `{}` | {prom} | {} | {} |", json(r), r.kind.as_str(), r.help);
+        let _ = writeln!(
+            out,
+            "| `{}` | {prom} | {} | {} |",
+            json(r),
+            r.kind.as_str(),
+            r.help
+        );
     }
 }
 
@@ -1870,9 +1983,7 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
                 .bitrate_bps
                 .with(&[meeting, "video", "zoom"], |g| g.set(640_000.5));
         }
-        m.qoe
-            .fps
-            .with(&["3", "video", "zoom"], |g| g.set(29.97));
+        m.qoe.fps.with(&["3", "video", "zoom"], |g| g.set(29.97));
         m.qoe
             .jitter_ms
             .with(&["3", "audio", "webrtc"], |g| g.set(4.25));
@@ -1882,9 +1993,7 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
         m.qoe
             .retransmissions
             .with(&["3", "video", "zoom"], |c| c.add(2));
-        m.qoe
-            .degraded
-            .with(&["3", "weird\\\"kind\n"], |g| g.set(1));
+        m.qoe.degraded.with(&["3", "weird\\\"kind\n"], |g| g.set(1));
         m.qoe.estimated_rtt_ms.set(23.5);
 
         m.trace.enable(4, "merge");
@@ -1926,7 +2035,10 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
         let (m, capture) = populated();
         let mut s = m.snapshot();
         s.capture = Some(capture);
-        assert_eq!(s.to_prom(), with_build_info(include_str!("obs/pinned/full.prom")));
+        assert_eq!(
+            s.to_prom(),
+            with_build_info(include_str!("obs/pinned/full.prom"))
+        );
         assert_eq!(
             s.to_json(),
             with_build_info(include_str!("obs/pinned/full.json").trim_end())
@@ -2082,9 +2194,7 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
         src.packets.inc();
         let w = m.register_worker("box\\one\"two\nthree");
         w.packets.set(1);
-        m.qoe
-            .degraded
-            .with(&["5", "weird\\\"kind\n"], |g| g.set(1));
+        m.qoe.degraded.with(&["5", "weird\\\"kind\n"], |g| g.set(1));
         let prom = m.snapshot().to_prom();
         assert!(prom.contains(
             r#"zoom_source_packets_total{source="pcap:C:\\traces\\a \"prod\" run\n.pcap"} 1"#

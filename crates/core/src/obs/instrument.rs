@@ -143,7 +143,11 @@ impl Histogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             bounds: self.bounds,
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+            buckets: self
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
             sum: self.sum.load(Ordering::Relaxed),
             count: self.count.load(Ordering::Relaxed),
         }
@@ -198,7 +202,11 @@ impl HistogramSnapshot {
                     // +Inf bucket: no finite upper edge to interpolate to.
                     return self.bounds.last().copied().unwrap_or(0) as f64;
                 }
-                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] as f64 };
+                let lo = if i == 0 {
+                    0.0
+                } else {
+                    self.bounds[i - 1] as f64
+                };
                 let hi = self.bounds[i] as f64;
                 let frac = ((target - cum as f64) / n as f64).max(0.0);
                 return lo + frac * (hi - lo);

@@ -158,7 +158,11 @@ fn handle_conn(mut stream: TcpStream, metrics: &PipelineMetrics) -> io::Result<(
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
 
     let (status, content_type, body) = if method != "GET" {
-        ("405 Method Not Allowed", "text/plain", "method not allowed\n".to_string())
+        (
+            "405 Method Not Allowed",
+            "text/plain",
+            "method not allowed\n".to_string(),
+        )
     } else {
         // Route on the path alone: `/metrics?x=y` is still `/metrics`.
         let (route, query) = match path.split_once('?') {
@@ -179,7 +183,11 @@ fn handle_conn(mut stream: TcpStream, metrics: &PipelineMetrics) -> io::Result<(
                     .find_map(|kv| kv.strip_prefix("n="))
                     .and_then(|v| v.parse::<usize>().ok())
                     .unwrap_or(16);
-                ("200 OK", "application/x-ndjson", metrics.trace.tail_ndjson(n))
+                (
+                    "200 OK",
+                    "application/x-ndjson",
+                    metrics.trace.tail_ndjson(n),
+                )
             }
             _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
         }
@@ -234,12 +242,14 @@ mod tests {
         assert!(out.starts_with("HTTP/1.1 405"), "{out}");
 
         handle.shutdown();
-        assert!(TcpStream::connect(addr).is_err() || {
-            // A race on some platforms may allow one last connect; a
-            // subsequent one must fail once the listener is gone.
-            thread::sleep(Duration::from_millis(50));
-            TcpStream::connect(addr).is_err()
-        });
+        assert!(
+            TcpStream::connect(addr).is_err() || {
+                // A race on some platforms may allow one last connect; a
+                // subsequent one must fail once the listener is gone.
+                thread::sleep(Duration::from_millis(50));
+                TcpStream::connect(addr).is_err()
+            }
+        );
     }
 
     #[test]
@@ -288,7 +298,12 @@ mod tests {
         let scrapers: Vec<_> = (0..4)
             .map(|i| {
                 thread::spawn(move || {
-                    let paths = ["/metrics", "/healthz", "/debug/pipeline", "/debug/trace?n=2"];
+                    let paths = [
+                        "/metrics",
+                        "/healthz",
+                        "/debug/pipeline",
+                        "/debug/trace?n=2",
+                    ];
                     for round in 0..8 {
                         let body = get(addr, paths[(i + round) % paths.len()]);
                         assert!(body.starts_with("HTTP/1.1 200 OK"), "{body}");
@@ -356,7 +371,9 @@ mod tests {
         let racer = thread::spawn(move || {
             let mut served = 0u32;
             for _ in 0..200 {
-                let Ok(mut s) = TcpStream::connect(addr) else { break };
+                let Ok(mut s) = TcpStream::connect(addr) else {
+                    break;
+                };
                 let _ = write!(s, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
                 let mut out = String::new();
                 if s.read_to_string(&mut out).is_ok() && !out.is_empty() {
@@ -372,6 +389,9 @@ mod tests {
         handle.shutdown(); // joins the accept thread; must not deadlock
         let _served = racer.join().expect("racing scraper panicked");
         thread::sleep(Duration::from_millis(50));
-        assert!(TcpStream::connect(addr).is_err(), "listener outlived shutdown");
+        assert!(
+            TcpStream::connect(addr).is_err(),
+            "listener outlived shutdown"
+        );
     }
 }

@@ -318,7 +318,14 @@ impl TraceCollector {
     /// point events; `records` is whatever population the span covered.
     /// Costs one line render and two short uncontended mutex pushes —
     /// per batch, never per packet.
-    pub fn record(&self, trace_id: u64, span: &'static str, site: &str, records: u64, dur_nanos: u64) {
+    pub fn record(
+        &self,
+        trace_id: u64,
+        span: &'static str,
+        site: &str,
+        records: u64,
+        dur_nanos: u64,
+    ) {
         if trace_id == 0 || !self.is_enabled() {
             return;
         }
@@ -577,9 +584,7 @@ mod tests {
         assert_eq!(stitched.lines().count(), 3);
         // Every line carries the one trace ID; node labels show both
         // sides of the hop.
-        assert!(stitched
-            .lines()
-            .all(|l| l.contains(&format!("{id:016x}"))));
+        assert!(stitched.lines().all(|l| l.contains(&format!("{id:016x}"))));
         assert!(stitched.contains("\"node\":\"worker:box-a\""));
         assert!(stitched.contains("\"node\":\"merge\""));
         // The tail groups them under one trace for /debug/trace.

@@ -23,14 +23,14 @@ use std::net::IpAddr;
 use std::sync::Arc;
 use std::time::Duration;
 use zoom_wire::dissect::{
-    classify_udp_with, drop_stage, peek, prefetch_record, AppView, PeekInfo,
-    PeekTransport, Probe, Transport,
+    classify_udp_with, drop_stage, peek, prefetch_record, AppView, PeekInfo, PeekTransport, Probe,
+    Transport,
 };
 use zoom_wire::family::{FamilyId, FamilySelect};
 use zoom_wire::flow::{Endpoint, FiveTuple};
-use zoom_wire::webrtc;
 use zoom_wire::handoff::RecordBatch;
 use zoom_wire::pcap::LinkType;
+use zoom_wire::webrtc;
 use zoom_wire::zoom::{Framing, MediaType, ZOOM_SFU_PORT};
 
 /// Analyzer configuration.
@@ -675,7 +675,13 @@ impl Analyzer {
     /// classified control traffic (DTLS additionally [re-]opens the flow
     /// — eager `Only(Webrtc)` dissection reaches here without passing the
     /// second chance).
-    fn on_webrtc(&mut self, ts_nanos: u64, five_tuple: FiveTuple, ip_len: usize, pdu: &webrtc::Pdu) {
+    fn on_webrtc(
+        &mut self,
+        ts_nanos: u64,
+        five_tuple: FiveTuple,
+        ip_len: usize,
+        pdu: &webrtc::Pdu,
+    ) {
         match pdu {
             webrtc::Pdu::Srtp(srtp) => {
                 let meta = meta_from_webrtc(
@@ -789,7 +795,9 @@ impl Analyzer {
     /// Trace summary (Table 6).
     pub fn summary(&self) -> TraceSummary {
         TraceSummary {
-            total_packets: self.total_packets.max(self.zoom_packets + self.webrtc_packets),
+            total_packets: self
+                .total_packets
+                .max(self.zoom_packets + self.webrtc_packets),
             zoom_packets: self.zoom_packets,
             zoom_bytes: self.zoom_bytes,
             zoom_flows: self.streams.flow_count(),
@@ -1078,7 +1086,8 @@ mod tests {
 
     /// Test shorthand for the PacketSink ingest path.
     fn feed(a: &mut Analyzer, record: &Record) {
-        a.push(record.ts_nanos, &record.data, LinkType::Ethernet).unwrap();
+        a.push(record.ts_nanos, &record.data, LinkType::Ethernet)
+            .unwrap();
     }
     use zoom_wire::compose;
     use zoom_wire::rtp;
@@ -1172,8 +1181,14 @@ mod tests {
         for i in 0..100u64 {
             let seq = i as u16 + 1;
             let rtp_ts = 1_000 + (i as u32) * 3_000;
-            feed(&mut a, &media_record(i * 33 * MS, true, 0x21, seq, rtp_ts, 1, true));
-            feed(&mut a, &media_record(i * 33 * MS + 40 * MS, false, 0x21, seq, rtp_ts, 1, true));
+            feed(
+                &mut a,
+                &media_record(i * 33 * MS, true, 0x21, seq, rtp_ts, 1, true),
+            );
+            feed(
+                &mut a,
+                &media_record(i * 33 * MS + 40 * MS, false, 0x21, seq, rtp_ts, 1, true),
+            );
         }
         let summary = a.summary();
         assert_eq!(summary.zoom_packets, 200);
@@ -1260,7 +1275,10 @@ mod tests {
         for i in 0..200u64 {
             let seq = i as u16 + 1;
             let rtp_ts = 1_000 + (i as u32) * 3_000;
-            feed(&mut a, &media_record(i * 33 * MS, true, 0x21, seq, rtp_ts, 1, true));
+            feed(
+                &mut a,
+                &media_record(i * 33 * MS, true, 0x21, seq, rtp_ts, 1, true),
+            );
         }
         let samples = a.media_samples(MediaType::Video);
         assert!(!samples.bitrate_mbps.is_empty());

@@ -1002,7 +1002,14 @@ mod tests {
             let at = i * 400 * MS;
             let mut out = None;
             for (k, dt) in [(0u16, 0), (1, 200 * MS)] {
-                let mut m = meta(at + dt, 0x21, 98, i as u16 * 2 + k, i as u32 * 3_000, k == 1);
+                let mut m = meta(
+                    at + dt,
+                    0x21,
+                    98,
+                    i as u16 * 2 + k,
+                    i as u32 * 3_000,
+                    k == 1,
+                );
                 m.pkts_in_frame = Some(2);
                 let flow = t.touch_flow(&m.five_tuple, m.ts_nanos, m.ip_len);
                 let rtp = m.rtp.unwrap();

@@ -1804,7 +1804,11 @@ mod tests {
         let sim = MeetingSim::new(crate::scenario::multi_party(3, duration));
         let mut records = 0u64;
         for r in sim {
-            assert!(r.ts_nanos < duration + 10 * SEC, "record at {} ns", r.ts_nanos);
+            assert!(
+                r.ts_nanos < duration + 10 * SEC,
+                "record at {} ns",
+                r.ts_nanos
+            );
             records += 1;
         }
         assert!(records > 100, "{records} records");

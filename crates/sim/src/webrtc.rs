@@ -120,12 +120,12 @@ pub fn session_records(cfg: SessionConfig) -> Vec<Record> {
     // ClientHello/ServerHello+certs/keys/Finished plus the change-cipher
     // records: six records over ~100 ms, alternating directions.
     let handshake = [
-        (DTLS_HANDSHAKE, true, 180usize),  // ClientHello
-        (DTLS_HANDSHAKE, false, 700),      // ServerHello..ServerHelloDone
-        (DTLS_HANDSHAKE, true, 300),       // ClientKeyExchange
+        (DTLS_HANDSHAKE, true, 180usize), // ClientHello
+        (DTLS_HANDSHAKE, false, 700),     // ServerHello..ServerHelloDone
+        (DTLS_HANDSHAKE, true, 300),      // ClientKeyExchange
         (DTLS_CHANGE_CIPHER_SPEC, true, 1),
         (DTLS_CHANGE_CIPHER_SPEC, false, 1),
-        (DTLS_HANDSHAKE, false, 60),       // Finished
+        (DTLS_HANDSHAKE, false, 60), // Finished
     ];
     let mut seq: u64 = 0;
     for (i, (content_type, uplink, body_len)) in handshake.into_iter().enumerate() {
@@ -281,7 +281,13 @@ pub fn scenario(seed: u64, duration: Nanos) -> Vec<Record> {
 
 /// One SRTP packet: cleartext RTP header, random "encrypted" payload,
 /// and the trailing auth tag.
-fn srtp_event(ts: Nanos, uplink: bool, repr: rtp::Repr, payload_len: usize, rng: &mut StdRng) -> Event {
+fn srtp_event(
+    ts: Nanos,
+    uplink: bool,
+    repr: rtp::Repr,
+    payload_len: usize,
+    rng: &mut StdRng,
+) -> Event {
     let total = repr.header_len() + payload_len + SRTP_AUTH_TAG_LEN;
     let mut buf = vec![0u8; total];
     let mut pkt = rtp::Packet::new_unchecked(&mut buf[..]);
@@ -378,10 +384,9 @@ mod tests {
         // more than one client address appears.
         let mut clients = std::collections::HashSet::new();
         for rec in &records {
-            let ip = zoom_wire::ipv4::Packet::new_checked(
-                &rec.data[zoom_wire::ethernet::HEADER_LEN..],
-            )
-            .unwrap();
+            let ip =
+                zoom_wire::ipv4::Packet::new_checked(&rec.data[zoom_wire::ethernet::HEADER_LEN..])
+                    .unwrap();
             let (src, dst) = (ip.src_addr(), ip.dst_addr());
             let campus = if src.octets()[0] == 10 { src } else { dst };
             clients.insert(campus);

@@ -913,7 +913,9 @@ pub fn dissect_batch(
             }
             // Indexed records always have Ok peeks with UDP transport
             // (peek_batch only lists those).
-            let info = arena.peeks[index].as_ref().expect("indexed record peeked ok");
+            let info = arena.peeks[index]
+                .as_ref()
+                .expect("indexed record peeked ok");
             let PeekTransport::Udp { payload_len, .. } = info.transport else {
                 unreachable!("indexed record is UDP");
             };
@@ -1413,7 +1415,10 @@ mod tests {
             p.udp_payload.unwrap()
         );
         let d = dissect_from(&p.info, 42, &data, P2pProbe::Off);
-        assert_eq!(d, dissect(42, &data, LinkType::Ethernet, P2pProbe::Off).unwrap());
+        assert_eq!(
+            d,
+            dissect(42, &data, LinkType::Ethernet, P2pProbe::Off).unwrap()
+        );
         assert!(d.zoom().is_some());
 
         // TCP: header fields carried through PeekInfo verbatim.
@@ -1605,7 +1610,10 @@ mod tests {
         // Same packet as a raw-IP capture.
         let raw = &icmp[ethernet::HEADER_LEN..];
         let err = peek(raw, LinkType::RawIp).unwrap_err();
-        assert_eq!(drop_stage(raw, LinkType::RawIp, err), DropStage::NonTransport);
+        assert_eq!(
+            drop_stage(raw, LinkType::RawIp, err),
+            DropStage::NonTransport
+        );
 
         // Truncated frame.
         let err = peek(b"x", LinkType::Ethernet).unwrap_err();
@@ -1617,7 +1625,10 @@ mod tests {
         // Bad IP version nibble over raw IP: malformed.
         let junk = [0xF0u8; 40];
         let err = peek(&junk, LinkType::RawIp).unwrap_err();
-        assert_eq!(drop_stage(&junk, LinkType::RawIp, err), DropStage::Malformed);
+        assert_eq!(
+            drop_stage(&junk, LinkType::RawIp, err),
+            DropStage::Malformed
+        );
 
         // Labels are stable metric suffixes.
         assert_eq!(DropStage::NonIp.label(), "non_ip");
@@ -2013,8 +2024,13 @@ mod more_tests {
             b"raw",
         );
         // Strip the Ethernet header: what a DLT_RAW capture stores.
-        let d = dissect(0, &eth[ethernet::HEADER_LEN..], LinkType::RawIp, P2pProbe::Off)
-            .unwrap();
+        let d = dissect(
+            0,
+            &eth[ethernet::HEADER_LEN..],
+            LinkType::RawIp,
+            P2pProbe::Off,
+        )
+        .unwrap();
         assert!(d.link.is_none());
         assert_eq!(d.five_tuple.src_port, 1_000);
         assert_eq!(d.payload, b"raw");

@@ -415,10 +415,7 @@ mod tests {
         // Auto and Only(Zoom) map to the exact pre-refactor probe: this
         // is what pins Zoom-only byte-identity at the dissector level.
         assert_eq!(FamilySelect::Auto.probe(), Probe::default());
-        assert_eq!(
-            FamilySelect::Only(FamilyId::Zoom).probe(),
-            Probe::default()
-        );
+        assert_eq!(FamilySelect::Only(FamilyId::Zoom).probe(), Probe::default());
         let w = FamilySelect::Only(FamilyId::Webrtc).probe();
         assert!(!w.zoom);
         assert_eq!(w.webrtc, WebrtcProbe::Auto);
@@ -463,10 +460,7 @@ mod tests {
             repr.emit(&mut buf);
             buf
         };
-        assert_eq!(
-            WebrtcFamily.peek_class(&ft, &dtls),
-            Some(PacketClass::Dtls)
-        );
+        assert_eq!(WebrtcFamily.peek_class(&ft, &dtls), Some(PacketClass::Dtls));
         assert_eq!(
             WebrtcFamily.peek_class(&ft, &[0x80, 111]),
             Some(PacketClass::Rtp)

@@ -778,7 +778,10 @@ mod tests {
             r.next(&mut out).unwrap(),
             Some(FrameEvent::Records { count: 1 })
         );
-        assert!(matches!(r.next(&mut out).unwrap(), Some(FrameEvent::Bye(_))));
+        assert!(matches!(
+            r.next(&mut out).unwrap(),
+            Some(FrameEvent::Bye(_))
+        ));
         assert!(r.saw_bye());
     }
 

@@ -297,7 +297,10 @@ mod tests {
         assert_eq!(b.arena_bytes(), 7);
 
         let r0 = b.get(0).unwrap();
-        assert_eq!((r0.ts_nanos, r0.orig_len, r0.data), (10, 100, &[1, 2, 3][..]));
+        assert_eq!(
+            (r0.ts_nanos, r0.orig_len, r0.data),
+            (10, 100, &[1, 2, 3][..])
+        );
         let r2 = b.get(2).unwrap();
         assert_eq!(r2.data.len(), 0);
         assert!(b.get(3).is_none());

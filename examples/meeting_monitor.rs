@@ -7,8 +7,8 @@
 
 use std::collections::HashMap;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
-use zoom_analysis::PacketSink;
 use zoom_analysis::stream::StreamKey;
+use zoom_analysis::PacketSink;
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;

@@ -32,8 +32,7 @@ use zoom_wire::pcap::{LinkType, Record};
 const BATCH_SIZES: [usize; 4] = [1, 7, 64, 4096];
 
 fn multi_records() -> Vec<Record> {
-    let mut records: Vec<Record> =
-        MeetingSim::new(scenario::multi_party(3, 30 * SEC)).collect();
+    let mut records: Vec<Record> = MeetingSim::new(scenario::multi_party(3, 30 * SEC)).collect();
     records.sort_by_key(|r| r.ts_nanos);
     records
 }
@@ -41,8 +40,7 @@ fn multi_records() -> Vec<Record> {
 /// Two scenarios merged by timestamp — the shape a `CaptureMux` fan-in
 /// delivers, so batching is exercised across interleaved sources.
 fn mixed_source_records() -> Vec<Record> {
-    let mut records: Vec<Record> =
-        MeetingSim::new(scenario::multi_party(3, 20 * SEC)).collect();
+    let mut records: Vec<Record> = MeetingSim::new(scenario::multi_party(3, 20 * SEC)).collect();
     records.extend(
         scenario::churn(11, 20 * SEC)
             .into_iter()
@@ -55,7 +53,8 @@ fn mixed_source_records() -> Vec<Record> {
 fn per_record_report(records: &[Record]) -> AnalysisReport {
     let mut a = Analyzer::new(AnalyzerConfig::default());
     for r in records {
-        a.push(r.ts_nanos, &r.data, LinkType::Ethernet).expect("push");
+        a.push(r.ts_nanos, &r.data, LinkType::Ethernet)
+            .expect("push");
     }
     a.finish().expect("finish")
 }
@@ -73,7 +72,8 @@ fn batched_report(records: &[Record], batch_size: usize) -> AnalysisReport {
     let mut batch = RecordBatch::new();
     for chunk in records.chunks(batch_size) {
         fill(&mut batch, chunk);
-        a.push_batch(&batch, LinkType::Ethernet).expect("push_batch");
+        a.push_batch(&batch, LinkType::Ethernet)
+            .expect("push_batch");
     }
     a.finish().expect("finish")
 }
@@ -116,7 +116,9 @@ fn stream_batched(
     let mut batch = RecordBatch::new();
     for chunk in records.chunks(batch_size) {
         fill(&mut batch, chunk);
-        engine.push_batch(&batch, LinkType::Ethernet).expect("push_batch");
+        engine
+            .push_batch(&batch, LinkType::Ethernet)
+            .expect("push_batch");
         windows.extend(engine.take_windows());
     }
     let out = engine.drain().expect("drain");

@@ -267,7 +267,11 @@ fn assert_worker_accounting(snap: &MetricsSnapshot, splits: &[Vec<Record>], labe
     assert!(snap.conservation_holds(), "{label}: conservation");
     assert_eq!(snap.workers.len(), splits.len(), "{label}: worker count");
     let total: u64 = splits.iter().map(|s| s.len() as u64).sum();
-    assert_eq!(snap.worker_packets_total(), total, "{label}: Σ worker packets");
+    assert_eq!(
+        snap.worker_packets_total(),
+        total,
+        "{label}: Σ worker packets"
+    );
     assert_eq!(
         snap.worker_records_received_total(),
         total,
@@ -420,8 +424,7 @@ fn workers_ship_prefixes_and_the_merge_cannot_tell() {
 
         let window = Some(Duration::from_secs(1));
         let (base_windows, base_out) = single_process_run(&records, window);
-        let (windows, out, snap) =
-            fragment_run_driven(&splits, window, Drive::Batched);
+        let (windows, out, snap) = fragment_run_driven(&splits, window, Drive::Batched);
         assert_same_output(&windows, &out, &base_windows, &base_out, name);
         assert_worker_accounting(&snap, &splits, name);
 
@@ -524,12 +527,10 @@ fn merge_restart_resumes_from_checkpoint_without_losing_windows() {
     let restored = MergeCheckpoint::parse(&text).expect("reparse");
     let mut gate = WindowGate::resume_from(&restored);
     let (replayed, out, _) = fragment_run(&splits, window);
-    let resumed: Vec<&WindowReport> =
-        replayed.iter().filter(|_| gate.admit()).collect();
+    let resumed: Vec<&WindowReport> = replayed.iter().filter(|_| gate.admit()).collect();
 
     // Crash output + resumed output == uninterrupted output.
-    let stitched: Vec<&WindowReport> =
-        emitted.iter().chain(resumed.iter().copied()).collect();
+    let stitched: Vec<&WindowReport> = emitted.iter().chain(resumed.iter().copied()).collect();
     assert_eq!(stitched.len(), all_windows.len(), "stitched window count");
     for (x, y) in stitched.iter().zip(&all_windows) {
         assert_eq!(x.to_json(), y.to_json(), "stitched window {}", y.index);

@@ -31,8 +31,7 @@ use zoom_wire::pcap::{LinkType, Record};
 /// touched: SFU media (multi-party) and the STUN-registered P2P second
 /// chance, where the keep-alive claim now checks the WebRTC framing.
 fn zoom_records() -> Vec<Record> {
-    let mut records: Vec<Record> =
-        MeetingSim::new(scenario::multi_party(3, 20 * SEC)).collect();
+    let mut records: Vec<Record> = MeetingSim::new(scenario::multi_party(3, 20 * SEC)).collect();
     records.extend(MeetingSim::new(scenario::p2p_meeting(5, 20 * SEC)));
     records.sort_by_key(|r| r.ts_nanos);
     records
@@ -52,7 +51,8 @@ fn family_config(select: FamilySelect) -> AnalyzerConfig {
 fn sequential_report(records: &[Record], config: AnalyzerConfig) -> AnalysisReport {
     let mut a = Analyzer::new(config);
     for r in records {
-        a.push(r.ts_nanos, &r.data, LinkType::Ethernet).expect("push");
+        a.push(r.ts_nanos, &r.data, LinkType::Ethernet)
+            .expect("push");
     }
     a.finish().expect("finish")
 }
@@ -91,7 +91,9 @@ fn stream(
             let mut batch = RecordBatch::new();
             for chunk in records.chunks(size) {
                 fill(&mut batch, chunk);
-                engine.push_batch(&batch, LinkType::Ethernet).expect("push_batch");
+                engine
+                    .push_batch(&batch, LinkType::Ethernet)
+                    .expect("push_batch");
                 windows.extend(engine.take_windows());
             }
         }
@@ -130,12 +132,18 @@ fn zoom_equivalent_selects() -> [FamilySelect; 2] {
 fn zoom_report_invariant_across_family_selects() {
     let records = zoom_records();
     let want = sequential_report(&records, AnalyzerConfig::default());
-    assert!(want.summary.zoom_packets > 0, "trace must carry Zoom traffic");
+    assert!(
+        want.summary.zoom_packets > 0,
+        "trace must carry Zoom traffic"
+    );
     assert_eq!(
         want.summary.webrtc_packets, 0,
         "a Zoom-only trace must not classify as WebRTC"
     );
-    assert!(want.families.is_empty(), "no family table on Zoom-only traces");
+    assert!(
+        want.families.is_empty(),
+        "no family table on Zoom-only traces"
+    );
     let want = want.to_json();
     for select in zoom_equivalent_selects() {
         let got = sequential_report(&records, family_config(select)).to_json();
@@ -211,7 +219,10 @@ fn webrtc_trace_untouched_under_only_zoom() {
         report.summary.webrtc_packets, 0,
         "Only(Zoom) must not classify WebRTC traffic"
     );
-    assert!(report.families.is_empty(), "no family table without WebRTC packets");
+    assert!(
+        report.families.is_empty(),
+        "no family table without WebRTC packets"
+    );
     assert!(
         report.streams.iter().all(|s| s.family == FamilyId::Zoom),
         "any tracked stream stays in the Zoom family"

@@ -32,7 +32,8 @@ use zoom_wire::pcap::{LinkType, Record};
 /// mux tie-breaks by source index — but then "the equivalent single
 /// source" is itself ambiguous.)
 fn strictly_increasing_records(seed: u64, secs: u64) -> Vec<Record> {
-    let mut records: Vec<Record> = MeetingSim::new(scenario::multi_party(seed, secs * SEC)).collect();
+    let mut records: Vec<Record> =
+        MeetingSim::new(scenario::multi_party(seed, secs * SEC)).collect();
     records.sort_by_key(|r| r.ts_nanos);
     let mut last = 0u64;
     for r in &mut records {
@@ -143,7 +144,11 @@ fn assert_capture_accounting(snap: &MetricsSnapshot, splits: &[Vec<Record>], lab
     assert!(snap.conservation_holds(), "{label}: conservation");
     assert_eq!(snap.sources.len(), splits.len(), "{label}: source count");
     let total: u64 = splits.iter().map(|s| s.len() as u64).sum();
-    assert_eq!(snap.source_packets_total(), total, "{label}: Σ source packets");
+    assert_eq!(
+        snap.source_packets_total(),
+        total,
+        "{label}: Σ source packets"
+    );
     assert_eq!(snap.packets_in, total, "{label}: packets_in");
     // Snapshot sources are in registration order, which is lane order.
     for (i, part) in splits.iter().enumerate() {
@@ -163,7 +168,9 @@ fn split_sources_byte_identical_to_a_single_source() {
     // The sequential no-mux report anchors the whole family.
     let mut direct = Analyzer::new(AnalyzerConfig::default());
     for r in &records {
-        direct.push(r.ts_nanos, &r.data, LinkType::Ethernet).expect("push");
+        direct
+            .push(r.ts_nanos, &r.data, LinkType::Ethernet)
+            .expect("push");
     }
     let direct = direct.finish().expect("finish");
 

@@ -333,14 +333,21 @@ fn every_render_lists_each_source_with_its_own_counters() {
     let sources: Vec<Box<dyn PacketSource>> = ["replay:file", "replay:tap"]
         .iter()
         .map(|label| {
-            Box::new(ReplaySource::new(label, LinkType::Ethernet, records.clone()))
-                as Box<dyn PacketSource>
+            Box::new(ReplaySource::new(
+                label,
+                LinkType::Ethernet,
+                records.clone(),
+            )) as Box<dyn PacketSource>
         })
         .collect();
     let metrics = PipelineMetrics::new();
     let mut mux = CaptureMux::start(sources, MuxConfig, Some(&metrics));
     let mut batch = RecordBatch::new();
-    while mux.next_batch(&mut batch, 128).expect("mux batch").is_some() {
+    while mux
+        .next_batch(&mut batch, 128)
+        .expect("mux batch")
+        .is_some()
+    {
         for r in batch.iter() {
             metrics.record_in(r.data.len());
             metrics.packets_not_zoom.inc();
@@ -372,7 +379,10 @@ fn every_render_lists_each_source_with_its_own_counters() {
         "{debug}"
     );
     for render in [&json, &prom, &debug] {
-        assert!(!render.contains("\"lane\"") && !render.contains("lane="), "{render}");
+        assert!(
+            !render.contains("\"lane\"") && !render.contains("lane="),
+            "{render}"
+        );
         assert!(!render.contains("ring_"), "{render}");
     }
 }

@@ -16,9 +16,9 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 use zoom_analysis::engine::{EngineConfig, EngineOutput, StreamingEngine};
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
-use zoom_analysis::PacketSink;
 use zoom_analysis::report::{AnalysisReport, WindowReport};
 use zoom_analysis::stream::StreamKey;
+use zoom_analysis::PacketSink;
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
@@ -27,7 +27,8 @@ use zoom_wire::pcap::{LinkType, Reader, Record, RecordBuf, Writer};
 fn batch_report(records: &[Record]) -> AnalysisReport {
     let mut a = Analyzer::new(AnalyzerConfig::default());
     for r in records {
-        a.push(r.ts_nanos, &r.data, LinkType::Ethernet).expect("push");
+        a.push(r.ts_nanos, &r.data, LinkType::Ethernet)
+            .expect("push");
     }
     a.finish().expect("finish")
 }
@@ -171,7 +172,10 @@ fn eviction_fragments_sum_to_batch_totals_and_bound_memory() {
     // Exactness: evicted fragments + live rows reproduce every batch
     // counter, per stream and in the rollup.
     assert_eq!(report_totals(&out.report), per_key);
-    assert_eq!(out.report.summary.total_packets, batch.summary.total_packets);
+    assert_eq!(
+        out.report.summary.total_packets,
+        batch.summary.total_packets
+    );
     assert_eq!(out.report.summary.zoom_packets, batch.summary.zoom_packets);
     assert_eq!(out.report.summary.zoom_bytes, batch.summary.zoom_bytes);
     assert_eq!(out.report.summary.zoom_flows, batch.summary.zoom_flows);

@@ -241,7 +241,14 @@ fn trace_ndjson_schema_is_pinned() {
             line.starts_with("{\"type\":\"trace_span\",\"trace_id\":\""),
             "schema drift: {line}"
         );
-        for key in ["\"span\":\"", "\"node\":\"", "\"site\":\"", "\"ts_nanos\":", "\"dur_nanos\":", "\"records\":"] {
+        for key in [
+            "\"span\":\"",
+            "\"node\":\"",
+            "\"site\":\"",
+            "\"ts_nanos\":",
+            "\"dur_nanos\":",
+            "\"records\":",
+        ] {
             assert!(line.contains(key), "missing {key} in {line}");
         }
         let order = [

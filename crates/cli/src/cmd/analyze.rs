@@ -193,6 +193,10 @@ pub fn run(args: &[String]) -> CmdResult {
     ingest::run(engine, sources, run, &mut ())
 }
 
+/// Capacity of the buffer between a worker's frame writer and its spool
+/// file or socket.
+const SPOOL_BUFFER_BYTES: usize = 64 * 1024;
+
 /// The worker half of the distributed tier: capture + deterministic
 /// merge exactly as analysis would, but the merged records — plus this
 /// worker's accounting — leave over the `zoom_wire::frame` protocol
@@ -228,8 +232,13 @@ fn run_emit(
     } else {
         Box::new(std::fs::File::create(target).map_err(|e| CliError::io(format!("{target}: {e}")))?)
     };
-    let mut writer = FrameWriter::new(std::io::BufWriter::new(out), label, link)
-        .map_err(|e| CliError::io(format!("{target}: {e}")))?;
+    // Frames leave in writes of up to `SPOOL_BUFFER_BYTES` (a Records
+    // frame of the benchmark's traces is ≈ 9.8 KB), and whatever is
+    // buffered leaves whenever the sources go quiet, so a followed source
+    // that stops growing has every frame it read on disk or on the wire.
+    let out = std::io::BufWriter::with_capacity(SPOOL_BUFFER_BYTES, out);
+    let io_err = |e: std::io::Error| CliError::io(format!("{target}: {e}"));
+    let mut writer = FrameWriter::new(out, label, link).map_err(io_err)?;
 
     // Tracing on a worker stamps sampled batches at its own capture
     // sources and ships their span events as `Trace` frames, each
@@ -247,7 +256,10 @@ fn run_emit(
     // winning lane), so every non-empty drain becomes one wire frame.
     let mut batch = RecordBatch::new();
     let mut frames = 0u64;
-    while mux.next_batch(&mut batch, BATCH_RECORDS)?.is_some() {
+    while mux
+        .next_batch_or_idle(&mut batch, BATCH_RECORDS, || writer.flush().map_err(io_err))?
+        .is_some()
+    {
         let written = if batch.trace_id != 0 {
             let m = worker_metrics
                 .as_ref()
@@ -265,7 +277,7 @@ fn run_emit(
         } else {
             writer.write_batch(&batch)
         };
-        written.map_err(|e| CliError::io(format!("{target}: {e}")))?;
+        written.map_err(io_err)?;
         frames += 1;
     }
 
@@ -283,7 +295,7 @@ fn run_emit(
             ring_full_drops: 0,
             truncated,
         })
-        .map_err(|e| CliError::io(format!("{target}: {e}")))?;
+        .map_err(io_err)?;
     if truncated > 0 {
         eprintln!("warning: {truncated} truncated record(s) at source tails ignored");
     }

@@ -3,6 +3,8 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use zoom_wire::frame::FrameReader;
+use zoom_wire::handoff::RecordBatch;
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_zoom-tools")
@@ -825,6 +827,51 @@ fn followed_sources_give_what_the_finite_run_gives() {
     );
     let json = std::fs::read_to_string(&metrics).unwrap();
     assert!(json.contains("\"conservation_holds\":true"), "{json}");
+}
+
+/// The records of every whole Records frame in a spool's bytes, up to
+/// where they end or a frame is cut.
+fn spooled_records(bytes: &[u8]) -> u64 {
+    let Ok(mut reader) = FrameReader::new(bytes) else {
+        return 0;
+    };
+    let mut batch = RecordBatch::new();
+    while let Ok(Some(_)) = reader.next(&mut batch) {
+        batch.clear();
+    }
+    reader.records_read()
+}
+
+/// A worker flushes its spool whenever its sources go quiet: 1 s into a
+/// follow of a trace that does not grow, with its idle exit 2 s after the
+/// last record, every record it read is on disk in a whole frame.
+#[test]
+fn a_following_worker_has_every_frame_on_disk_while_its_source_is_quiet() {
+    let trace = multi_trace("emit_follow.pcap");
+    let (finite, live) = (tmp("emit_finite.zfrg"), tmp("emit_live.zfrg"));
+    let source = format!("pcap:{}", trace.to_str().unwrap());
+    let emit = ["analyze", "--source", &source, "--emit-fragments"];
+    let (_, err, ok) = run(&[&emit[..], &[finite.to_str().unwrap()]].concat());
+    assert!(ok, "{err}");
+    let mut worker = Command::new(bin())
+        .args(emit)
+        .arg(&live)
+        .args(["--follow", "--idle-exit", "2s"])
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn");
+    std::thread::sleep(std::time::Duration::from_secs(1));
+    let at_one_second = std::fs::read(&live).unwrap();
+    assert!(worker.wait().unwrap().success());
+    let records = spooled_records(&std::fs::read(&finite).unwrap());
+    assert!(records > 10_000, "{records} records");
+    assert_eq!(
+        spooled_records(&at_one_second),
+        records,
+        "{} bytes on disk at 1 s",
+        at_one_second.len()
+    );
+    assert!(std::fs::read(&live).unwrap().starts_with(&at_one_second));
 }
 
 /// `--follow` without `--window` prints NDJSON like a windowed run: the

@@ -145,23 +145,30 @@ impl UnionFind {
     }
 }
 
+/// What the grouper keeps of one stream.
+#[derive(Debug, Clone, Copy)]
+struct Assignment {
+    uid: u32,
+    /// Meeting id as assigned (reports resolve it through the
+    /// union–find).
+    meeting: u32,
+    client: IpAddr,
+    server: IpAddr,
+}
+
 /// The two-step grouping heuristic.
 pub struct MeetingGrouper {
     config: GroupingConfig,
     next_uid: u32,
     /// SSRC → streams carrying it (step-1 candidate index).
     by_ssrc: FxHashMap<u32, Vec<StreamKey>>,
-    /// Per-stream: (unique id, meeting id as assigned).
-    assignments: FxHashMap<StreamKey, (u32, u32)>,
+    /// Per stream: its ids and endpoints, under one copy of its key.
+    assignments: FxHashMap<StreamKey, Assignment>,
     /// Step-2 mappings.
     by_uid: FxHashMap<u32, u32>,
     by_client_ip: FxHashMap<IpAddr, u32>,
     by_client_endpoint: FxHashMap<Endpoint, u32>,
     meetings: UnionFind,
-    /// Meeting metadata accumulated at the canonical-at-insert id (merged
-    /// at report time through the union-find).
-    clients: FxHashMap<StreamKey, IpAddr>,
-    servers: FxHashMap<StreamKey, IpAddr>,
 }
 
 impl MeetingGrouper {
@@ -181,8 +188,6 @@ impl MeetingGrouper {
             by_client_ip: FxHashMap::default(),
             by_client_endpoint: FxHashMap::default(),
             meetings: UnionFind::default(),
-            clients: FxHashMap::default(),
-            servers: FxHashMap::default(),
         }
     }
 
@@ -224,7 +229,7 @@ impl MeetingGrouper {
                 if seq_delta.unsigned_abs() > self.config.max_seq_delta {
                     continue;
                 }
-                uid = self.assignments.get(cand_key).map(|&(u, _)| u);
+                uid = self.assignments.get(cand_key).map(|a| a.uid);
                 if uid.is_some() {
                     break;
                 }
@@ -262,22 +267,26 @@ impl MeetingGrouper {
         self.by_client_endpoint.insert(client, meeting);
 
         self.by_ssrc.entry(key.ssrc).or_default().push(key);
-        self.assignments.insert(key, (uid, meeting));
-        self.clients.insert(key, client.ip);
-        self.servers.insert(key, server);
+        let assignment = Assignment {
+            uid,
+            meeting,
+            client: client.ip,
+            server,
+        };
+        self.assignments.insert(key, assignment);
         (uid, meeting)
     }
 
     /// The unique id and meeting of a stream, if registered.
     pub fn assignment(&self, key: &StreamKey) -> Option<(u32, u32)> {
-        self.assignments.get(key).copied()
+        self.assignments.get(key).map(|a| (a.uid, a.meeting))
     }
 
     /// The stream's meeting id after all union–find merges — the id
     /// reports use. [`assignment`](Self::assignment) returns the id as
     /// first assigned, which a later merge may have folded away.
     pub fn canonical_meeting(&self, key: &StreamKey) -> Option<u32> {
-        self.assignments.get(key).map(|&(_, m)| self.canonical(m))
+        self.assignments.get(key).map(|a| self.canonical(a.meeting))
     }
 
     /// Meeting id `meeting` (as some stream was assigned it) after all
@@ -292,7 +301,7 @@ impl MeetingGrouper {
         let roots: HashSet<u32> = self
             .assignments
             .values()
-            .map(|&(_, m)| self.meetings.find_ro(m))
+            .map(|a| self.meetings.find_ro(a.meeting))
             .collect();
         roots.len()
     }
@@ -300,13 +309,8 @@ impl MeetingGrouper {
     /// Build the final meeting reports.
     pub fn reports(&self) -> Vec<MeetingReport> {
         let mut by_root: FxHashMap<u32, MeetingReport> = FxHashMap::default();
-        let assignments: Vec<(StreamKey, u32, u32)> = self
-            .assignments
-            .iter()
-            .map(|(k, &(u, m))| (*k, u, m))
-            .collect();
-        for (key, uid, m) in assignments {
-            let root = self.meetings.find_ro(m);
+        for (&key, a) in &self.assignments {
+            let root = self.meetings.find_ro(a.meeting);
             let report = by_root.entry(root).or_insert_with(|| MeetingReport {
                 id: root,
                 stream_uids: Vec::new(),
@@ -315,15 +319,11 @@ impl MeetingGrouper {
                 streams: Vec::new(),
                 participant_estimate: 0,
             });
-            if !report.stream_uids.contains(&uid) {
-                report.stream_uids.push(uid);
+            if !report.stream_uids.contains(&a.uid) {
+                report.stream_uids.push(a.uid);
             }
-            if let Some(&c) = self.clients.get(&key) {
-                report.clients.insert(c);
-            }
-            if let Some(&s) = self.servers.get(&key) {
-                report.servers.insert(s);
-            }
+            report.clients.insert(a.client);
+            report.servers.insert(a.server);
             report.streams.push(key);
         }
         let mut reports: Vec<MeetingReport> = by_root

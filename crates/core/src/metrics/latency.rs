@@ -22,15 +22,30 @@
 //! after. A probe sighted again inside its window keeps its first time (a
 //! retransmission must not shrink the RTT); a sighting after the window
 //! has closed starts a new probe. Expired probes leave the table in sweeps
-//! driven by capture time: one whenever a sighting comes a quarter window
-//! after the last sweep, and one at every window close of the streaming
-//! engine.
+//! driven by capture time: one whenever a sighting or a copy comes a
+//! quarter window after the last sweep — before it is looked up — and one
+//! at every window close of the streaming engine.
+//!
+//! **What a probe holds.** The table is a set of probes whose equality
+//! and hash read the probe's identity only; the time rides along. An RTP
+//! probe is one `u128`, 16 bytes: the 88-bit identity (SSRC, payload
+//! type, sequence, timestamp) and the sighting time modulo 2^40 ns
+//! (≈ 18 min). Its age at `now` is `(now − t) mod 2^40`; an age in the
+//! upper half (more than 2^39 ns, ≈ 9 min) belongs to a sighting after
+//! `now` and reads as 0, as a sighting after `now` does in full
+//! arithmetic. Every lookup that finds a sweep due sweeps first, and a
+//! sweep more than a window after the latest sighting empties the table
+//! outright, so while capture time runs forward no age is read past a
+//! few windows, however long the gaps in the trace: the modular age is
+//! the true one. It differs in one case only: when capture time steps
+//! back by more than about 2^39 ns while a probe is held, that probe
+//! reads as old rather than as sighted after `now`. A TCP probe keeps
+//! its full `u64` time.
 
-use crate::fxhash::FxHashMap;
-use crate::packet::{Direction, PacketMeta, TcpMeta};
+use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::packet::{Direction, PacketMeta, RtpMeta, TcpMeta};
 use crate::stats::LogHistogram;
-use std::collections::hash_map::Entry;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
 use zoom_wire::flow::FiveTuple;
 
@@ -136,70 +151,167 @@ impl RttStats {
     }
 }
 
-/// Probes awaiting their answer: key → the time the probe was first
-/// sighted, under the module's matching-window rule.
-#[derive(Debug)]
-struct Candidates<K> {
-    first_seen: FxHashMap<K, u64>,
-    window_nanos: u64,
-    /// The capture time from which the next [`Candidates::sight`] sweeps
-    /// expired probes out.
-    next_sweep: u64,
+/// A probe in a candidate table: an identity, under which the table
+/// holds at most one probe, and the time the probe was sighted.
+trait Probe: Copy + Hash + Eq {
+    /// Nanoseconds from the sighting to `now`; 0 for a sighting after
+    /// `now`.
+    fn age(&self, now: u64) -> u64;
 }
 
-impl<K: Hash + Eq> Candidates<K> {
-    fn new(window_nanos: u64) -> Candidates<K> {
+/// Probes awaiting their answer, under the module's matching-window rule.
+#[derive(Debug)]
+struct Candidates<P> {
+    probes: FxHashSet<P>,
+    window_nanos: u64,
+    /// The capture time from which the next sighting or answer sweeps
+    /// expired probes out first.
+    next_sweep: u64,
+    /// The latest sighting time: no probe held was sighted after it.
+    latest: u64,
+}
+
+impl<P: Probe> Candidates<P> {
+    fn new(window_nanos: u64) -> Candidates<P> {
         Candidates {
-            first_seen: FxHashMap::default(),
+            probes: FxHashSet::default(),
             window_nanos,
             next_sweep: 0,
+            latest: 0,
         }
     }
 
-    /// A sighting of `key` at `now`: a new probe, unless `key` is already
-    /// a probe whose window is still open (first sighting wins).
-    fn sight(&mut self, key: K, now: u64) {
-        let window = self.window_nanos;
-        match self.first_seen.entry(key) {
-            Entry::Vacant(e) => {
-                e.insert(now);
-            }
-            Entry::Occupied(mut e) => {
-                if now.saturating_sub(*e.get()) > window {
-                    e.insert(now);
-                }
-            }
-        }
+    /// Sweep when one is due at `now`.
+    fn sweep_if_due(&mut self, now: u64) {
         if now >= self.next_sweep {
             self.sweep(now);
         }
     }
 
-    /// Answer probe `key` at `now`: it leaves the table, and its first
-    /// sighting time comes back if its window is still open.
-    fn answer(&mut self, key: &K, now: u64) -> Option<u64> {
-        let t = self.first_seen.remove(key)?;
-        (now.saturating_sub(t) <= self.window_nanos).then_some(t)
+    /// A sighting of `probe` at `now`: a new probe, unless its identity
+    /// is already a probe whose window is still open (first sighting
+    /// wins).
+    fn sight(&mut self, probe: P, now: u64) {
+        self.sweep_if_due(now);
+        self.latest = self.latest.max(now);
+        if !self.probes.insert(probe)
+            && self
+                .probes
+                .get(&probe)
+                .is_some_and(|old| old.age(now) > self.window_nanos)
+        {
+            self.probes.replace(probe);
+        }
+    }
+
+    /// Answer the probe with `probe`'s identity at `now`: it leaves the
+    /// table, and its age comes back if its window is still open.
+    fn answer(&mut self, probe: &P, now: u64) -> Option<u64> {
+        self.sweep_if_due(now);
+        let age = self.probes.take(probe)?.age(now);
+        (age <= self.window_nanos).then_some(age)
     }
 
     /// Drop every probe whose window has closed at `now`.
     fn sweep(&mut self, now: u64) {
         let window = self.window_nanos;
-        self.first_seen
-            .retain(|_, t| now.saturating_sub(*t) <= window);
+        if now.saturating_sub(self.latest) > window {
+            // Every probe has expired, however long ago it was sighted —
+            // which an RTP probe's 40 bits of time alone could not tell.
+            self.probes.clear();
+        } else {
+            self.probes.retain(|p| p.age(now) <= window);
+        }
         self.next_sweep = now.saturating_add(window / 4);
     }
 
     fn len(&self) -> usize {
-        self.first_seen.len()
+        self.probes.len()
+    }
+}
+
+/// Bits of an RTP probe that hold its sighting time.
+const TIME_BITS: u32 = 40;
+const TIME_MASK: u128 = (1 << TIME_BITS) - 1;
+
+/// An uplink RTP sighting: (SSRC, payload type, sequence, timestamp) in
+/// the top 88 bits, the sighting time modulo 2^40 ns in the low 40.
+#[derive(Debug, Clone, Copy)]
+struct RtpProbe(u128);
+
+impl RtpProbe {
+    fn new(rtp: &RtpMeta, now: u64) -> RtpProbe {
+        let identity = u128::from(rtp.ssrc) << 56
+            | u128::from(rtp.payload_type) << 48
+            | u128::from(rtp.sequence) << 32
+            | u128::from(rtp.timestamp);
+        RtpProbe(identity << TIME_BITS | u128::from(now) & TIME_MASK)
+    }
+
+    fn identity(self) -> u128 {
+        self.0 >> TIME_BITS
+    }
+}
+
+impl PartialEq for RtpProbe {
+    fn eq(&self, other: &RtpProbe) -> bool {
+        self.identity() == other.identity()
+    }
+}
+
+impl Eq for RtpProbe {}
+
+impl Hash for RtpProbe {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // 88 bits of identity in one integer: two hasher rounds.
+        self.identity().hash(state);
+    }
+}
+
+impl Probe for RtpProbe {
+    fn age(&self, now: u64) -> u64 {
+        let age = (u128::from(now).wrapping_sub(self.0) & TIME_MASK) as u64;
+        if age >> (TIME_BITS - 1) == 0 {
+            age
+        } else {
+            0
+        }
+    }
+}
+
+/// An armed TCP data segment: (data-direction 5-tuple, expected ACK) and
+/// the time it was sent.
+#[derive(Debug, Clone, Copy)]
+struct TcpProbe {
+    awaits: (FiveTuple, u32),
+    sent: u64,
+}
+
+impl PartialEq for TcpProbe {
+    fn eq(&self, other: &TcpProbe) -> bool {
+        self.awaits == other.awaits
+    }
+}
+
+impl Eq for TcpProbe {}
+
+impl Hash for TcpProbe {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.awaits.hash(state);
+    }
+}
+
+impl Probe for TcpProbe {
+    fn age(&self, now: u64) -> u64 {
+        now.saturating_sub(self.sent)
     }
 }
 
 /// Method 1: RTT to the SFU by matching forwarded stream copies.
 #[derive(Debug)]
 pub struct RtpRttEstimator {
-    /// Packed (ssrc, pt, seq, ts) of uplink packets → first-seen time.
-    uplink: Candidates<u128>,
+    /// Uplink packets awaiting their forwarded copy.
+    uplink: Candidates<RtpProbe>,
     stats: RttStats,
 }
 
@@ -223,18 +335,12 @@ impl RtpRttEstimator {
     pub fn on_packet(&mut self, m: &PacketMeta) {
         let Some(rtp) = &m.rtp else { return };
         let (ts_nanos, direction) = (m.ts_nanos, m.direction);
-        // 88 bits of identity in one integer: two hasher rounds instead
-        // of a tuple's four.
-        let key = u128::from(rtp.ssrc) << 56
-            | u128::from(rtp.payload_type) << 48
-            | u128::from(rtp.sequence) << 32
-            | u128::from(rtp.timestamp);
+        let probe = RtpProbe::new(rtp, ts_nanos);
         match direction {
-            Direction::ToServer => self.uplink.sight(key, ts_nanos),
+            Direction::ToServer => self.uplink.sight(probe, ts_nanos),
             Direction::FromServer => {
-                if let Some(t_out) = self.uplink.answer(&key, ts_nanos) {
-                    self.stats
-                        .record(ts_nanos.saturating_sub(t_out), m.five_tuple.src_ip);
+                if let Some(rtt) = self.uplink.answer(&probe, ts_nanos) {
+                    self.stats.record(rtt, m.five_tuple.src_ip);
                 }
             }
             Direction::Unknown => {}
@@ -262,8 +368,8 @@ impl RtpRttEstimator {
 /// Method 2: RTTs from the TCP control connection.
 #[derive(Debug)]
 pub struct TcpRttEstimator {
-    /// (data-direction 5-tuple, expected ack) → send time.
-    pending: Candidates<(FiveTuple, u32)>,
+    /// Data segments awaiting the ACK that covers them.
+    pending: Candidates<TcpProbe>,
     stats: RttStats,
 }
 
@@ -287,15 +393,21 @@ impl TcpRttEstimator {
         // A data segment arms a probe: we await an ACK covering seq+len.
         if t.payload_len > 0 {
             let expected = t.seq.wrapping_add(t.payload_len as u32);
-            self.pending.sight((t.five_tuple, expected), t.ts_nanos);
+            let probe = TcpProbe {
+                awaits: (t.five_tuple, expected),
+                sent: t.ts_nanos,
+            };
+            self.pending.sight(probe, t.ts_nanos);
         }
         // An ACK answers a probe armed in the reverse direction; the RTT
         // is attributed to the ACK's sender.
         if t.has_ack {
-            let key = (t.five_tuple.reversed(), t.ack);
-            if let Some(t_data) = self.pending.answer(&key, t.ts_nanos) {
-                self.stats
-                    .record(t.ts_nanos.saturating_sub(t_data), t.five_tuple.src_ip);
+            let probe = TcpProbe {
+                awaits: (t.five_tuple.reversed(), t.ack),
+                sent: t.ts_nanos,
+            };
+            if let Some(rtt) = self.pending.answer(&probe, t.ts_nanos) {
+                self.stats.record(rtt, t.five_tuple.src_ip);
             }
         }
     }
@@ -309,7 +421,6 @@ impl TcpRttEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::RtpMeta;
     use std::collections::{HashMap, VecDeque};
     use std::net::{Ipv4Addr, Ipv6Addr};
     use zoom_wire::ipv4::Protocol;
@@ -573,6 +684,132 @@ mod tests {
             },
         );
         assert!(e.borrow().stats().samples() > 1_000);
+    }
+
+    /// The table the probe set replaced — identity → full first-sighting
+    /// time — on the probe set's sweep schedule.
+    struct FullTimeTable {
+        first_seen: FxHashMap<u128, u64>,
+        window: u64,
+        next_sweep: u64,
+    }
+
+    impl FullTimeTable {
+        fn sweep(&mut self, now: u64) {
+            let window = self.window;
+            self.first_seen
+                .retain(|_, t| now.saturating_sub(*t) <= window);
+            self.next_sweep = now.saturating_add(window / 4);
+        }
+
+        fn sweep_if_due(&mut self, now: u64) {
+            if now >= self.next_sweep {
+                self.sweep(now);
+            }
+        }
+
+        fn sight(&mut self, id: u128, now: u64) {
+            self.sweep_if_due(now);
+            let t = self.first_seen.entry(id).or_insert(now);
+            if now.saturating_sub(*t) > self.window {
+                *t = now;
+            }
+        }
+
+        fn answer(&mut self, id: u128, now: u64) -> Option<u64> {
+            self.sweep_if_due(now);
+            let age = now.saturating_sub(self.first_seen.remove(&id)?);
+            (age <= self.window).then_some(age)
+        }
+    }
+
+    #[test]
+    fn rtp_probes_answer_what_full_times_answered() {
+        const W: u64 = 1_000 * MS;
+        let probe = |id: u128, now: u64| RtpProbe(id << TIME_BITS | u128::from(now) & TIME_MASK);
+        let mut rng = 0x51_7c_c1_b7_27_22_0a_95_u64;
+        let mut draw = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut set = Candidates::<RtpProbe>::new(W);
+        let mut full = FullTimeTable {
+            first_seen: FxHashMap::default(),
+            window: W,
+            next_sweep: 0,
+        };
+        let (mut now, mut latest) = (0u64, 0u64);
+        let (mut matched, mut steps_back, mut gaps) = (0, 0, 0);
+        for step in 0..200_000 {
+            // Capture time: mostly forward, sometimes jittered back a
+            // little, now and then stepped back up to 2^38 ns behind the
+            // latest time, or forward by more than 2^40 ns.
+            now = match draw(1_000) {
+                0 => {
+                    steps_back += 1;
+                    latest.saturating_sub(draw(1 << 38))
+                }
+                1 => {
+                    gaps += 1;
+                    now + (1 << 40) + draw(3 * W)
+                }
+                2..=99 => now
+                    .saturating_sub(draw(30 * MS))
+                    .max(latest.saturating_sub(1 << 38)),
+                _ => now + draw(20 * MS),
+            };
+            latest = latest.max(now);
+            // Identities in the 88 bits a probe keeps, from a pool small
+            // enough to be sighted again and answered.
+            let id =
+                u128::from(draw(300)).wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c) & ((1 << 88) - 1);
+            match draw(10) {
+                0..=4 => {
+                    set.sight(probe(id, now), now);
+                    full.sight(id, now);
+                }
+                5..=8 => {
+                    let got = set.answer(&probe(id, now), now);
+                    assert_eq!(got, full.answer(id, now), "step {step} at {now}");
+                    matched += usize::from(got.is_some());
+                }
+                _ => {
+                    set.sweep(now);
+                    full.sweep(now);
+                }
+            }
+            assert_eq!(set.len(), full.first_seen.len(), "step {step} at {now}");
+        }
+        assert!(matched > 5_000 && steps_back > 100 && gaps > 100);
+    }
+
+    #[test]
+    fn a_step_back_of_more_than_2_pow_39_ns_reads_as_age() {
+        // A probe sighted after `now` reads as age 0, as in full
+        // arithmetic — up to 2^39 ns after. Further, its age reads
+        // modulo 2^40: the one case where the 40-bit time differs.
+        let rtt_of = |sighted: u64, copy: u64| {
+            let mut e = RtpRttEstimator::default();
+            e.on_packet(&media(sighted, Direction::ToServer, 5));
+            e.on_packet(&media(copy, Direction::FromServer, 5));
+            e.stats().totals().mean_nanos()
+        };
+        assert_eq!(rtt_of(500_000 * MS, 100 * MS), Some(0));
+        assert_eq!(rtt_of((1 << 39) + 100 * MS, 100 * MS), Some(0));
+        assert_eq!(rtt_of((1 << 39) + 100 * MS + 1, 100 * MS), None);
+        assert_eq!(rtt_of(700_000 * MS, 100 * MS), None);
+        // Past a gap of 2^40 ns the probe has expired, whatever its low
+        // bits say.
+        assert_eq!(rtt_of(0, 1 << 40), None);
+        assert_eq!(rtt_of(7 * MS, (1 << 40) + 50 * MS), None);
+    }
+
+    #[test]
+    fn an_rtp_probe_takes_16_bytes() {
+        assert_eq!(std::mem::size_of::<RtpProbe>(), 16);
+        assert_eq!(std::mem::size_of::<TcpProbe>(), 56);
     }
 
     fn tcp(at: u64, up: bool, seq: u32, ack: u32, len: usize) -> TcpMeta {

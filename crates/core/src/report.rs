@@ -525,25 +525,36 @@ pub(crate) fn build_report(
     // A merge after an eviction may have folded the fragment's meeting
     // id; re-resolve so fragments and live rows agree.
     let canonical = |m: Option<u32>| m.map(|m| analyzer.grouper.canonical(m));
-    let mut rows: Vec<(u32, StreamReport)> = fragments
+    // The rows in serial order, fragments before the live stream of the
+    // same serial: sort (serial, index) pairs, then build each row once,
+    // in place.
+    let live = analyzer.streams.as_slice();
+    let mut order: Vec<(u32, u32)> = fragments
         .iter()
-        .map(|(serial, frag)| {
-            let mut frag = frag.clone();
-            frag.meeting = canonical(frag.meeting);
-            (*serial, frag)
+        .map(|(serial, _)| *serial)
+        .chain(live.iter().map(|s| s.serial))
+        .zip(0..)
+        .collect();
+    order.sort_unstable();
+    let streams = order
+        .into_iter()
+        .map(|(_, at)| match fragments.get(at as usize) {
+            Some((_, frag)) => StreamReport {
+                meeting: canonical(frag.meeting),
+                ..frag.clone()
+            },
+            None => {
+                let s = &live[at as usize - fragments.len()];
+                StreamReport::from_stream(s, canonical(s.meeting), false)
+            }
         })
         .collect();
-    rows.extend(analyzer.streams.iter().map(|s| {
-        let row = StreamReport::from_stream(s, canonical(s.meeting), false);
-        (s.serial, row)
-    }));
-    rows.sort_by_key(|&(serial, _)| serial);
     AnalysisReport {
         summary,
         undissectable: analyzer.undissectable,
         drops: drops_from_metrics(&analyzer.metrics),
         meetings,
-        streams: rows.into_iter().map(|(_, row)| row).collect(),
+        streams,
         rtp_rtt: RttSummaryReport::of_stats(analyzer.rtp_rtt()),
         tcp_rtt: RttSummaryReport::of_stats(analyzer.tcp_rtt()),
         families: analyzer.classifier.family_table(),

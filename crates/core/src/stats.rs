@@ -290,18 +290,24 @@ const EXACT_BELOW: u64 = 2 * SUB_BUCKETS;
 /// `[2^e, 2^(e+1))` is cut into 64 equal buckets, so a bucket is at most
 /// 1/64 of its lower bound wide, and its midpoint — the value every query
 /// reports for it — is within [`LogHistogram::MAX_RELATIVE_ERROR`] = 1/128
-/// of any value in it. All of `u64` fits in 3 776 buckets (30 KiB); the
-/// count vector only grows to the highest bucket hit, so a histogram of
-/// round-trip times in nanoseconds holds about 1 300 of them.
+/// of any value in it. All of `u64` fits in 3 776 buckets (30 KiB), but
+/// the count vector holds only the buckets from the lowest non-empty one
+/// to the highest, and grows to exactly that span: round-trip times in
+/// nanoseconds, 10 ms to 500 ms, span buckets 1 164 to 1 527 — 364
+/// counts, 2.9 KB.
 ///
 /// Counts only grow, so the histogram of the values recorded between two
 /// instants is the difference of the histograms at those instants
 /// ([`LogHistogram::since`]), and the histogram of two value sets is the
-/// bucket-wise sum of theirs ([`LogHistogram::merge`]).
+/// bucket-wise sum of theirs ([`LogHistogram::merge`]). Two histograms
+/// are equal when they count the same values into the same buckets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LogHistogram {
-    /// Count per bucket, up to the highest non-empty one.
+    /// Count per bucket from bucket `first` on; empty, or non-zero at
+    /// both ends.
     counts: Vec<u64>,
+    /// Bucket of `counts[0]`; 0 when empty.
+    first: usize,
     total: u64,
 }
 
@@ -338,11 +344,27 @@ impl LogHistogram {
     #[inline]
     pub fn record(&mut self, v: u64) {
         let i = Self::bucket(v);
-        if i >= self.counts.len() {
-            self.counts.resize(i + 1, 0);
-        }
-        self.counts[i] += 1;
+        self.cover(i, i + 1);
+        self.counts[i - self.first] += 1;
         self.total += 1;
+    }
+
+    /// Grow the count vector, exactly, to span buckets `from .. to`.
+    fn cover(&mut self, from: usize, to: usize) {
+        if self.counts.is_empty() {
+            self.first = from;
+        }
+        if from < self.first {
+            let grow = self.first - from;
+            self.counts.reserve_exact(grow);
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.first = from;
+        }
+        let end = self.first + self.counts.len();
+        if to > end {
+            self.counts.reserve_exact(to - end);
+            self.counts.resize(to - self.first, 0);
+        }
     }
 
     /// Number of values counted.
@@ -357,10 +379,12 @@ impl LogHistogram {
 
     /// Add `other`'s counts: the histogram of both value sets.
     pub fn merge(&mut self, other: &LogHistogram) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
+        if other.counts.is_empty() {
+            return;
         }
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+        self.cover(other.first, other.first + other.counts.len());
+        let at = other.first - self.first;
+        for (c, o) in self.counts[at..].iter_mut().zip(&other.counts) {
             *c += o;
         }
         self.total += other.total;
@@ -369,15 +393,22 @@ impl LogHistogram {
     /// The histogram of the values counted after `earlier`, a state this
     /// histogram passed through: the difference of the two.
     pub fn since(&self, earlier: &LogHistogram) -> LogHistogram {
-        let mut counts = self.counts.clone();
-        for (c, e) in counts.iter_mut().zip(&earlier.counts) {
-            *c -= e;
-        }
-        while counts.last() == Some(&0) {
-            counts.pop();
-        }
+        let count = |i: usize| {
+            let bucket = self.first + i;
+            let before = bucket
+                .checked_sub(earlier.first)
+                .and_then(|j| earlier.counts.get(j));
+            self.counts[i] - before.unwrap_or(&0)
+        };
+        let Some(lo) = (0..self.counts.len()).find(|&i| count(i) != 0) else {
+            return LogHistogram::new();
+        };
+        let hi = (lo..self.counts.len())
+            .rfind(|&i| count(i) != 0)
+            .expect("lo is non-zero");
         LogHistogram {
-            counts,
+            counts: (lo..=hi).map(count).collect(),
+            first: self.first + lo,
             total: self.total - earlier.total,
         }
     }
@@ -388,7 +419,7 @@ impl LogHistogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen > rank {
-                return Self::midpoint(i);
+                return Self::midpoint(self.first + i);
             }
         }
         unreachable!("rank {rank} of {} values", self.total)
@@ -420,7 +451,7 @@ impl LogHistogram {
             .counts
             .iter()
             .enumerate()
-            .take_while(|&(i, _)| Self::midpoint(i) as f64 <= x)
+            .take_while(|&(i, _)| Self::midpoint(self.first + i) as f64 <= x)
             .map(|(_, &c)| c)
             .sum();
         below as f64 / self.total as f64
@@ -564,6 +595,132 @@ mod tests {
         assert_eq!(whole.since(&histogram_of(&a)), histogram_of(&b));
         assert_eq!(whole.since(&whole), LogHistogram::new());
         assert_eq!(whole.since(&LogHistogram::new()), whole);
+    }
+
+    /// A histogram's counts from bucket 0, what [`LogHistogram`] kept
+    /// before it spanned only its non-empty buckets: every query answered
+    /// from them.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Dense {
+        counts: Vec<u64>,
+    }
+
+    impl Dense {
+        fn of(h: &LogHistogram) -> Dense {
+            let mut counts = vec![0; LogHistogram::bucket(u64::MAX) + 1];
+            counts[h.first..h.first + h.counts.len()].copy_from_slice(&h.counts);
+            Dense { counts }
+        }
+
+        fn record(&mut self, v: u64) {
+            self.counts[LogHistogram::bucket(v)] += 1;
+        }
+
+        fn total(&self) -> u64 {
+            self.counts.iter().sum()
+        }
+
+        fn at_rank(&self, rank: u64) -> u64 {
+            let mut seen = 0;
+            for (i, &c) in self.counts.iter().enumerate() {
+                seen += c;
+                if seen > rank {
+                    return LogHistogram::midpoint(i);
+                }
+            }
+            unreachable!()
+        }
+
+        fn quantile(&self, q: f64) -> u64 {
+            match self.total() {
+                0 => 0,
+                n => self.at_rank(((n - 1) as f64 * q).round() as u64),
+            }
+        }
+
+        fn cdf_at(&self, x: f64) -> f64 {
+            let below: u64 = (0..self.counts.len())
+                .take_while(|&i| LogHistogram::midpoint(i) as f64 <= x)
+                .map(|i| self.counts[i])
+                .sum();
+            match self.total() {
+                0 => 0.0,
+                n => below as f64 / n as f64,
+            }
+        }
+
+        fn cdf_points(&self, n: usize) -> Vec<(f64, f64)> {
+            let len = self.total();
+            if len == 0 || n == 0 {
+                return Vec::new();
+            }
+            (1..=n)
+                .map(|i| {
+                    let frac = i as f64 / n as f64;
+                    let rank = ((len as f64 * frac).ceil() as u64).clamp(1, len) - 1;
+                    (self.at_rank(rank) as f64, frac)
+                })
+                .collect()
+        }
+    }
+
+    /// Every query of `h` answers what its dense counts answer, and `h`
+    /// keeps its span exactly: non-empty at both ends, no spare slot.
+    fn answers_like_dense(h: &LogHistogram, dense: &Dense, what: &str) {
+        assert_eq!(Dense::of(h), *dense, "{what}");
+        assert_eq!(h.len(), dense.total(), "{what}");
+        assert!(h.counts.first() != Some(&0), "{what}");
+        assert!(h.counts.last() != Some(&0), "{what}");
+        assert_eq!(h.counts.capacity(), h.counts.len(), "{what}");
+        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), dense.quantile(q), "{what} q={q}");
+        }
+        for x in [0.0, 127.0, 1e6, 2e7, 4.6e7, 1e8, 3e8, 1e12, f64::MAX] {
+            assert_eq!(h.cdf_at(x), dense.cdf_at(x), "{what} x={x}");
+        }
+        assert_eq!(h.cdf_points(20), dense.cdf_points(20), "{what}");
+    }
+
+    #[test]
+    fn histograms_answer_what_their_dense_counts_answer() {
+        type Spread = fn(u64) -> u64;
+        let spreads: [Spread; 4] = [
+            |x| 10_000_000 + x % 490_000_000,
+            |x| x % 300,
+            |x| x >> (x % 64),
+            |x| u64::MAX - x % 1_000_000,
+        ];
+        for (s, spread) in spreads.into_iter().enumerate() {
+            let vs = values(s as u64 + 3, 6_000, spread);
+            let mut h = LogHistogram::new();
+            let mut dense = Dense::of(&h);
+            let mut marks = vec![(h.clone(), dense.clone())];
+            for (i, &v) in vs.iter().enumerate() {
+                h.record(v);
+                dense.record(v);
+                if i % 997 == 0 {
+                    answers_like_dense(&h, &dense, &format!("spread {s}, value {i}"));
+                    marks.push((h.clone(), dense.clone()));
+                }
+            }
+            // A window's histogram, and two merged: each as its dense
+            // counts' difference and sum.
+            for (mark, mark_dense) in &marks {
+                let window = h.since(mark);
+                let mut diff = dense.clone();
+                for (d, m) in diff.counts.iter_mut().zip(&mark_dense.counts) {
+                    *d -= m;
+                }
+                answers_like_dense(&window, &diff, &format!("spread {s}, since"));
+                assert_eq!(window.since(&window), LogHistogram::new());
+                let mut merged = mark.clone();
+                merged.merge(&window);
+                assert_eq!(merged, h, "spread {s}: mark + window");
+                let mut other = window.clone();
+                other.merge(mark);
+                assert_eq!(other, h, "spread {s}: window + mark");
+            }
+        }
     }
 
     #[test]

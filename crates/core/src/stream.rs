@@ -689,6 +689,10 @@ impl StreamTracker {
         let next = self.flows.len();
         let slot = *self.index.entry(*ft).or_insert(next as u32) as usize;
         if slot == next {
+            if self.flows.len() == self.flows.capacity() {
+                // By a quarter, as the stream slab grows.
+                self.flows.reserve_exact(self.flows.len() / 4 + 16);
+            }
             self.flows.push(FlowSlot {
                 key: *ft,
                 stats: FlowStats::default(),
@@ -771,6 +775,12 @@ impl StreamTracker {
                     self.keep_seconds,
                 );
                 stream.past = past;
+                if self.streams.len() == self.streams.capacity() {
+                    // Grow by a quarter, not double: a `Stream` is 208 B,
+                    // and a doubled slab of a few hundred streams holds
+                    // tens of KB idle at the peak.
+                    self.streams.reserve_exact(self.streams.len() / 4 + 16);
+                }
                 self.streams.push(stream);
                 (self.streams.len() - 1, true)
             }
@@ -827,6 +837,11 @@ impl StreamTracker {
     /// Iterate streams in creation order.
     pub fn iter(&self) -> impl Iterator<Item = &Stream> + '_ {
         self.streams.iter()
+    }
+
+    /// The streams in creation order, as a slice.
+    pub(crate) fn as_slice(&self) -> &[Stream] {
+        &self.streams
     }
 
     /// Iterate streams in creation order, mutably (the window clock
@@ -1102,7 +1117,7 @@ mod tests {
     fn live_stream_state_keeps_its_size() {
         use std::mem::size_of;
         assert_eq!(size_of::<Stream>(), 208);
-        assert_eq!(size_of::<SubStream>(), 360);
+        assert_eq!(size_of::<SubStream>(), 112);
         assert_eq!(size_of::<StreamVideo>(), 992);
     }
 

@@ -347,6 +347,11 @@ impl<W: Write> FrameWriter<W> {
         self.record_bytes_written
     }
 
+    /// Push every frame written so far through to the underlying writer.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+
     /// Ends the stream with a Bye frame carrying the final totals,
     /// flushes, and returns the underlying writer.
     pub fn finish(mut self, totals: Totals) -> io::Result<W> {

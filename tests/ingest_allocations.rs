@@ -430,14 +430,18 @@ fn campus_analysis() -> (u64, EngineOutput) {
     out
 }
 
-/// Live heap a batch analysis may hold per live stream, at its peak (the
-/// drain), fixed costs shared out: 4 381 B measured on [`campus_pipe`]'s
-/// 264 streams, plus 10 %. Each `Stream` keeps its video-only state
-/// (frames, frame-level jitter) behind one pointer that audio leaves
-/// null, and its sub-streams in a vector sized exactly, and the drain
-/// cuts no window nobody reads; with the video state inline, doubling
-/// sub-stream vectors and the window cut it measured 7 012 B.
-const MAX_BYTES_PER_LIVE_STREAM: u64 = 4_820;
+/// Live heap a batch analysis may hold per live stream, at its peak,
+/// fixed costs shared out: 2 590 B measured on [`campus_pipe`]'s 264
+/// streams, plus 10 %. Each `Stream` keeps its video-only state (frames,
+/// frame-level jitter) behind one pointer that audio leaves null, its
+/// sub-streams in a vector sized exactly, each with the holes of its
+/// sequence window rather than a bit per number; an RTP-copy probe is 16
+/// bytes, the meeting grouper keeps one entry per stream, and the drain
+/// cuts no window nobody reads. With a 256-byte seen-bit window per
+/// sub-stream and 32-byte probes it measured 4 381 B; with the video
+/// state inline, doubling sub-stream vectors and the window cut too,
+/// 7 012 B.
+const MAX_BYTES_PER_LIVE_STREAM: u64 = 2_849;
 
 #[test]
 fn retained_bytes_per_live_stream() {
@@ -492,4 +496,42 @@ fn report_is_written_not_held() {
         raised <= MAX_REPORT_WRITE_BYTES,
         "writing the report raised the live heap {raised} B"
     );
+}
+
+/// Heap one sequence tracker may hold, whatever it is fed: the 256 bytes
+/// of a seen-bit per window slot, which it switches to once its list of
+/// hole runs would take more.
+const MAX_SEQUENCE_STATE_BYTES: i64 = 256;
+
+#[test]
+fn sequence_state_is_bounded_under_any_loss() {
+    use zoom_analysis::metrics::loss::SeqTracker;
+    // Every other number lost over three windows of 2 048: from 0, then
+    // again past a jump of 30 000 numbers, and from a start that wraps
+    // the 16-bit space.
+    let lossy = |from: u16| (0..3 * 2_048u16).map(move |i| from.wrapping_add(2 * i));
+    let cases: [(&str, Vec<u16>); 3] = [
+        ("alternating loss across whole windows", lossy(0).collect()),
+        (
+            "a 30 000-number jump",
+            lossy(0).chain(lossy(6 * 2_048 + 30_000)).collect(),
+        ),
+        ("a wrap", lossy(u16::MAX - 4_095).collect()),
+    ];
+    for (what, seqs) in cases {
+        let start = LIVE.with(Cell::get);
+        let mut held = 0;
+        let mut tracker = SeqTracker::new();
+        for &s in &seqs {
+            tracker.on_sequence(s);
+            held = held.max(LIVE.with(Cell::get) - start);
+        }
+        let stats = tracker.finish();
+        eprintln!(
+            "{what}: at most {held} B of sequence state, {} missing",
+            stats.missing
+        );
+        assert!(stats.missing >= 2_048, "{what}: {stats:?}");
+        assert!(held <= MAX_SEQUENCE_STATE_BYTES, "{what}: {held} B held");
+    }
 }

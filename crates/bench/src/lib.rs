@@ -5,6 +5,8 @@
 //! repository root maps each experiment to its paper counterpart and
 //! records measured-vs-paper shapes.
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod figures;
 pub mod harness;

@@ -11,6 +11,8 @@
 //! figures. A command line it cannot parse exits 2 with the usage line; an
 //! experiment that cannot run on its arguments exits 1.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use zoom_bench::figures::{self, capture_experiment};
 use zoom_bench::harness::{run_campus, usage, ExpArgs};

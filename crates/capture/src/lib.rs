@@ -30,8 +30,8 @@
 //!   consumer's thread, a deterministic, lossless timestamp merge drained
 //!   a batch at a time, and per-source accounting threaded into
 //!   [`zoom_analysis::obs`],
-//! * [`ring`] — a bounded lock-free SPSC ring. No route reads through it
-//!   any more; it stays for the repository benchmark's hand-off probe,
+//! * [`ring`] — a bounded SPSC queue behind one lock. No route reads
+//!   through it; it stays for the repository benchmark's hand-off probe,
 //! * [`filter`] — the one loop from a fan-in through the filter to an
 //!   output pcap ([`filter_to_pcap`](filter::filter_to_pcap)), behind both
 //!   `zoom-tools capture` and `zoom-tools filter`,
@@ -42,6 +42,7 @@
 //!   same fan-in (`docs/DISTRIBUTED.md`).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod anonymize;
 pub mod cidr;

@@ -1,17 +1,13 @@
-//! Bounded lock-free SPSC ring.
+//! Bounded single-producer, single-consumer queue: one [`Mutex`] over a
+//! [`VecDeque`] and both ends' liveness flags.
 //!
 //! No route reads through it: the capture fan-in ([`crate::mux`]) reads
-//! every source in-line. It stays for the repository benchmark, whose
-//! `capture.ring.hop_ns` probe times a hand-off through it. Both ends are
-//! wait-free: a push or pop is one load-acquire of the opposite index, one
-//! slot move, and one store-release of the own index — no locks, no CAS
-//! loops, no allocation. When the ring is full the producer's
-//! [`try_push`](Producer::try_push) fails fast and hands the value back.
-//!
-//! The implementation is the textbook Lamport queue with monotonically
-//! increasing head/tail positions (wrapping arithmetic, slot = position
-//! mod capacity) and the two indices on separate cache lines to avoid
-//! false sharing.
+//! every source in-line. It stays only for the repository benchmark,
+//! whose `capture.ring.hop_ns` probe times a hand-off through it. The
+//! items and the flags sit under the same lock, so the consumer never
+//! sees "closed" while an item is still queued. When the queue is full
+//! the producer's [`try_push`](Producer::try_push) fails fast and hands
+//! the value back.
 //!
 //! ```
 //! use zoom_capture::ring::spsc;
@@ -32,47 +28,20 @@
 //! assert!(rx.is_closed()); // empty *and* producer gone
 //! ```
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Pads the wrapped value to its own cache line so the producer-owned and
-/// consumer-owned indices never false-share.
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
-struct Shared<T> {
-    /// `capacity` storage slots; slot `i` holds the item at ring position
-    /// `p` iff `p % capacity == i` and `head <= p < tail`.
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    /// Next position to pop (consumer-owned, monotonic, wrapping).
-    head: CachePadded<AtomicUsize>,
-    /// Next position to push (producer-owned, monotonic, wrapping).
-    tail: CachePadded<AtomicUsize>,
-    producer_alive: AtomicBool,
-    consumer_alive: AtomicBool,
+struct Ring<T> {
+    items: VecDeque<T>,
+    capacity: usize,
+    producer_alive: bool,
+    consumer_alive: bool,
 }
 
-// SAFETY: the ring transfers `T`s between exactly two threads; every slot
-// is accessed by at most one side at a time (ownership is handed over by
-// the release/acquire pair on `tail`/`head`).
-unsafe impl<T: Send> Send for Shared<T> {}
-unsafe impl<T: Send> Sync for Shared<T> {}
-
-impl<T> Drop for Shared<T> {
-    fn drop(&mut self) {
-        // Both handles are gone: exclusive access. Drop any items still
-        // in flight.
-        let head = self.head.0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        let cap = self.slots.len();
-        let mut pos = head;
-        while pos != tail {
-            unsafe { (*self.slots[pos % cap].get()).assume_init_drop() };
-            pos = pos.wrapping_add(1);
-        }
-    }
+/// Locks the ring. Every critical section is a single step that leaves
+/// the state whole, so a panic elsewhere cannot poison it.
+fn lock<T>(ring: &Mutex<Ring<T>>) -> MutexGuard<'_, Ring<T>> {
+    ring.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Creates a bounded SPSC ring with room for `capacity` in-flight items
@@ -83,63 +52,50 @@ impl<T> Drop for Shared<T> {
 /// anything).
 pub fn spsc<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     assert!(capacity > 0, "spsc ring capacity must be at least 1");
-    let shared = Arc::new(Shared {
-        slots: (0..capacity)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect(),
-        head: CachePadded(AtomicUsize::new(0)),
-        tail: CachePadded(AtomicUsize::new(0)),
-        producer_alive: AtomicBool::new(true),
-        consumer_alive: AtomicBool::new(true),
-    });
+    let ring = Arc::new(Mutex::new(Ring {
+        items: VecDeque::with_capacity(capacity),
+        capacity,
+        producer_alive: true,
+        consumer_alive: true,
+    }));
     (
         Producer {
-            shared: Arc::clone(&shared),
+            ring: Arc::clone(&ring),
         },
-        Consumer { shared },
+        Consumer { ring },
     )
 }
 
 /// The push end of an [`spsc`] ring. Owned by exactly one thread.
-pub struct Producer<T: Send> {
-    shared: Arc<Shared<T>>,
+pub struct Producer<T> {
+    ring: Arc<Mutex<Ring<T>>>,
 }
 
-impl<T: Send> Producer<T> {
-    /// Attempts to enqueue `value` without blocking.
+impl<T> Producer<T> {
+    /// Attempts to enqueue `value` without waiting for room.
     ///
     /// Returns `Err(value)` when the ring is full (or the consumer is
     /// gone), handing the item back so the caller decides the overflow
-    /// policy: drop it and bump a drop counter (live capture), or hold it
-    /// and retry (lossless replay).
+    /// policy: drop it, or hold it and retry.
     pub fn try_push(&mut self, value: T) -> Result<(), T> {
-        let shared = &*self.shared;
-        let cap = shared.slots.len();
-        let tail = shared.tail.0.load(Ordering::Relaxed);
-        let head = shared.head.0.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) == cap || !shared.consumer_alive.load(Ordering::Acquire) {
+        let mut ring = lock(&self.ring);
+        if ring.items.len() == ring.capacity || !ring.consumer_alive {
             return Err(value);
         }
-        // SAFETY: `head <= tail < head + cap`, so slot `tail % cap` is
-        // vacant and — by the SPSC contract — untouched by the consumer
-        // until the release-store below publishes it.
-        unsafe { (*shared.slots[tail % cap].get()).write(value) };
-        shared.tail.0.store(tail.wrapping_add(1), Ordering::Release);
+        ring.items.push_back(value);
         Ok(())
     }
 
     /// Whether the consumer endpoint has been dropped. Pushing to a
-    /// closed ring always fails; a producer thread uses this to shut down.
+    /// closed ring always fails.
     pub fn is_closed(&self) -> bool {
-        !self.shared.consumer_alive.load(Ordering::Acquire)
+        !lock(&self.ring).consumer_alive
     }
 
     /// Items currently in flight (racy by nature; exact only when the
     /// other endpoint is quiescent).
     pub fn len(&self) -> usize {
-        let head = self.shared.head.0.load(Ordering::Acquire);
-        let tail = self.shared.tail.0.load(Ordering::Relaxed);
-        tail.wrapping_sub(head)
+        lock(&self.ring).items.len()
     }
 
     /// Whether the ring currently holds no items (racy; see
@@ -148,59 +104,43 @@ impl<T: Send> Producer<T> {
         self.len() == 0
     }
 
-    /// The fixed slot count the ring was created with.
+    /// The fixed item count the ring was created with.
     pub fn capacity(&self) -> usize {
-        self.shared.slots.len()
+        lock(&self.ring).capacity
     }
 }
 
-impl<T: Send> Drop for Producer<T> {
+impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
-        self.shared.producer_alive.store(false, Ordering::Release);
+        lock(&self.ring).producer_alive = false;
     }
 }
 
 /// The pop end of an [`spsc`] ring. Owned by exactly one thread.
-pub struct Consumer<T: Send> {
-    shared: Arc<Shared<T>>,
+pub struct Consumer<T> {
+    ring: Arc<Mutex<Ring<T>>>,
 }
 
-impl<T: Send> Consumer<T> {
-    /// Attempts to dequeue the oldest item without blocking. Returns
+impl<T> Consumer<T> {
+    /// Attempts to dequeue the oldest item without waiting. Returns
     /// `None` when the ring is momentarily empty — check
     /// [`is_closed`](Consumer::is_closed) to distinguish "no data yet"
     /// from "producer finished".
     pub fn try_pop(&mut self) -> Option<T> {
-        let shared = &*self.shared;
-        let cap = shared.slots.len();
-        let head = shared.head.0.load(Ordering::Relaxed);
-        let tail = shared.tail.0.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        // SAFETY: `head < tail`, so slot `head % cap` was published by
-        // the producer's release-store and is now exclusively ours.
-        let value = unsafe { (*shared.slots[head % cap].get()).assume_init_read() };
-        shared.head.0.store(head.wrapping_add(1), Ordering::Release);
-        Some(value)
+        lock(&self.ring).items.pop_front()
     }
 
     /// Whether the ring is drained for good: the producer endpoint was
-    /// dropped *and* every published item has been popped.
+    /// dropped *and* every pushed item has been popped.
     pub fn is_closed(&self) -> bool {
-        // Order matters: read the liveness flag before the emptiness
-        // check, so a producer that pushes and then exits can't slip the
-        // push past a stale "alive" read.
-        let alive = self.shared.producer_alive.load(Ordering::Acquire);
-        !alive && self.is_empty()
+        let ring = lock(&self.ring);
+        !ring.producer_alive && ring.items.is_empty()
     }
 
     /// Items currently in flight (racy by nature; exact only when the
     /// other endpoint is quiescent).
     pub fn len(&self) -> usize {
-        let head = self.shared.head.0.load(Ordering::Relaxed);
-        let tail = self.shared.tail.0.load(Ordering::Acquire);
-        tail.wrapping_sub(head)
+        lock(&self.ring).items.len()
     }
 
     /// Whether the ring currently holds no items (racy; see
@@ -209,15 +149,15 @@ impl<T: Send> Consumer<T> {
         self.len() == 0
     }
 
-    /// The fixed slot count the ring was created with.
+    /// The fixed item count the ring was created with.
     pub fn capacity(&self) -> usize {
-        self.shared.slots.len()
+        lock(&self.ring).capacity
     }
 }
 
-impl<T: Send> Drop for Consumer<T> {
+impl<T> Drop for Consumer<T> {
     fn drop(&mut self) {
-        self.shared.consumer_alive.store(false, Ordering::Release);
+        lock(&self.ring).consumer_alive = false;
     }
 }
 

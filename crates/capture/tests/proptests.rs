@@ -333,7 +333,9 @@ proptest! {
     /// Cross-thread delivery preserves order for arbitrary capacities: a
     /// producer thread spinning on a full ring delivers every item
     /// exactly once, in order — nothing lost, duplicated, or reordered
-    /// at any capacity/backlog combination.
+    /// at any capacity/backlog combination. The consumer reads until the
+    /// ring reports closed, so "closed" must not come while an item the
+    /// producer pushed before it went is still pending.
     #[test]
     fn spsc_ring_cross_thread_fifo(capacity in 1usize..=8, n in 1usize..600) {
         let (mut tx, mut rx) = zoom_capture::ring::spsc::<usize>(capacity);
@@ -350,9 +352,10 @@ proptest! {
                     }
                 }
             }
+            drop(tx);
         });
         let mut got = Vec::with_capacity(n);
-        while got.len() < n {
+        while !rx.is_closed() {
             match rx.try_pop() {
                 Some(v) => got.push(v),
                 None => std::thread::yield_now(),

@@ -40,6 +40,8 @@
 //! 4 parse/protocol, 5 I/O, 7 checkpoint, 1 otherwise). A flag a
 //! subcommand does not know is a usage error, never ignored.
 
+#![forbid(unsafe_code)]
+
 mod cmd;
 
 use std::process::ExitCode;

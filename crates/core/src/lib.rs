@@ -50,6 +50,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod classify;
 pub mod dist;

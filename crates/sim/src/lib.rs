@@ -30,6 +30,8 @@
 //! to how records are built that moves any byte fails there; a change
 //! that means to move them updates those constants and says why.
 
+#![forbid(unsafe_code)]
+
 pub mod campus;
 pub mod codec;
 pub mod infra;

@@ -17,15 +17,15 @@
 //! fragment dissects exactly like the full packet as long as it holds its
 //! [`analysis_prefix`], and is [`DropStage::Truncated`] when it does not.
 //!
-//! Application-layer classification is delegated to the
-//! [`ProtocolFamily`] implementations in
-//! [`crate::family`]; the [`Probe`] struct selects which families (and
-//! which of their optional heuristics) run. The historic
-//! [`P2pProbe`]-taking call shape still compiles everywhere: every entry
-//! point accepts `impl Into<Probe>`.
+//! Application-layer classification is delegated to the families'
+//! claim functions in [`crate::family`], called by [`classify_udp_with`]
+//! in a fixed order (STUN, Zoom, WebRTC); the [`Probe`] struct selects
+//! which families (and which of their optional heuristics) run. The
+//! historic [`P2pProbe`]-taking call shape still compiles everywhere:
+//! every entry point accepts `impl Into<Probe>`.
 
 use crate::ethernet::{self, EtherType};
-use crate::family::{self, ProtocolFamily, WebrtcFamily, ZoomFamily};
+use crate::family;
 use crate::flow::FiveTuple;
 use crate::ipv4::{self, Protocol};
 use crate::ipv6;
@@ -216,10 +216,9 @@ impl From<P2pProbe> for Probe {
 /// and byte offsets into the original record — no borrows, `Copy`, so it
 /// can be shipped across threads alongside the record it describes.
 ///
-/// [`dissect_from`] resumes a full dissection from a `PeekInfo` without
-/// re-scanning the Ethernet/IP/UDP/TCP headers, and the analyzer
-/// classifies a record's payload ([`classify_udp_with`]) straight from
-/// the peek, so the header walk happens once per record.
+/// [`dissect`] and the analyzer both classify a record's payload
+/// ([`classify_udp_with`]) straight from the peek, so the header walk
+/// happens once per record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeekInfo {
     /// Link header, when the trace has one.
@@ -289,13 +288,13 @@ impl PeekTransport {
 ///
 /// [`peek`] applies exactly the link/IP/transport validation of
 /// [`dissect`] — it returns `Err` for precisely the records `dissect`
-/// rejects (guaranteed by construction: `dissect` *is* `peek` followed by
-/// [`dissect_from`]) — but never touches application payloads, making it
-/// an order of magnitude cheaper. The analyzer's per-record loop starts
-/// every record with it.
+/// rejects (guaranteed by construction: `dissect` *is* `peek` followed
+/// by [`classify_udp_with`]) — but never touches application payloads,
+/// making it an order of magnitude cheaper. The analyzer's per-record
+/// loop starts every record with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Peek<'a> {
-    /// Header fields and payload offsets; [`dissect_from`] resumes here.
+    /// Header fields and payload offsets; [`dissect`] resumes here.
     pub info: PeekInfo,
     /// UDP payload bytes as captured; `None` when the packet is TCP.
     pub udp_payload: Option<&'a [u8]>,
@@ -309,7 +308,7 @@ impl Peek<'_> {
 }
 
 /// Parse the link/IP/transport headers once, recording payload byte
-/// offsets so the dissection can be resumed later by [`dissect_from`].
+/// offsets so the application layer can be classified from them.
 /// Accepts and rejects exactly the records [`dissect`] does.
 pub fn peek(data: &[u8], link_type: LinkType) -> Result<Peek<'_>> {
     let (link, ip_off) = match link_type {
@@ -550,35 +549,9 @@ fn udp_prefix(payload: &[u8], wire_len: usize) -> usize {
     }
 }
 
-/// Resume a full dissection from a [`PeekInfo`] over the *same* record
-/// bytes the peek ran on. Infallible: every validation already happened
-/// in [`peek`], only the application layer (STUN/Zoom classification)
-/// remains.
-///
-/// # Panics
-/// Panics if `data` is not the buffer (or an identical copy of the
-/// buffer) that produced `info` — the recorded offsets may be out of
-/// bounds.
-pub fn dissect_from<'a>(
-    info: &PeekInfo,
-    ts_nanos: u64,
-    data: &'a [u8],
-    probe: impl Into<Probe>,
-) -> Dissection<'a> {
-    let probe = probe.into();
-    let app = match info.transport {
-        PeekTransport::Udp { payload_len, .. } => classify_udp(
-            &info.five_tuple,
-            info.transport.payload(data),
-            payload_len,
-            probe,
-        ),
-        PeekTransport::Tcp { .. } => App::Opaque,
-    };
-    assemble(info, ts_nanos, data, app)
-}
-
-/// Dissect one capture record: [`peek`] + [`dissect_from`] in one call.
+/// Dissect one capture record: [`peek`], then the application layer of
+/// a UDP payload ([`classify_udp_with`]; TCP payloads stay
+/// [`App::Opaque`]).
 ///
 /// Returns `Err` only for packets that cannot be interpreted at the IP
 /// layer or below; an unparseable application payload simply yields
@@ -589,8 +562,16 @@ pub fn dissect<'a>(
     link_type: LinkType,
     probe: impl Into<Probe>,
 ) -> Result<Dissection<'a>> {
-    let p = peek(data, link_type)?;
-    Ok(dissect_from(&p.info, ts_nanos, data, probe))
+    let info = peek(data, link_type)?.info;
+    Ok(Dissection {
+        ts_nanos,
+        link: info.link,
+        five_tuple: info.five_tuple,
+        ip_total_len: info.ip_total_len,
+        transport: info.transport.into(),
+        app: app_of(&info, data, probe.into()),
+        payload: info.transport.payload(data),
+    })
 }
 
 /// Why a record was rejected by [`peek`]/[`dissect`], at per-stage
@@ -661,112 +642,28 @@ pub fn drop_stage(data: &[u8], link_type: LinkType, err: Error) -> DropStage {
     }
 }
 
-/// Coarse packet class assigned by [`peek_batch`] from header fields and
-/// the first payload bytes only — cheap enough to compute during the
-/// header walk, precise enough to sort application-layer dispatch into
-/// branch-predictable per-class loops ([`dissect_batch`]).
-///
-/// The class *predicts* which [`classify_udp_with`] branch the record will
-/// take; [`dissect_batch`] still runs the full classification per record,
-/// so a mispredicted class costs only a branch miss, never a wrong
-/// result. No analysis route sorts by class: the analyzer peeks and
-/// classifies each record once, in record order. The classes, the
-/// arena and the batch functions serve the benchmark's layer probes and
-/// this crate's tests.
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PacketClass {
-    /// Port 3478 traffic or a payload passing the STUN magic-cookie check.
-    Stun,
-    /// Port 8801 (Zoom SFU) traffic whose first payload byte announces a
-    /// media encapsulation ([`zoom::SFU_TYPE_MEDIA`]).
-    ZmeMedia,
-    /// Port 8801 traffic that is not a media frame: SFU control traffic.
-    ZmeControl,
-    /// A payload carrying the DTLS record signature (WebRTC session
-    /// setup).
-    Dtls,
-    /// A version-2 RTP/RTCP-shaped payload outside every Zoom signal —
-    /// native WebRTC media (SRTP/SRTCP) sorts here.
-    Rtp,
-    /// Valid UDP or TCP that matches no family's signals (P2P Zoom
-    /// hides here until the STUN tracker flags the flow).
-    NotZoom,
-    /// [`peek`] rejected the record; the stored [`Error`] feeds
-    /// [`drop_stage`] accounting.
-    Undissectable,
-}
-
-impl PacketClass {
-    /// Stable lower-case label for metrics and logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            PacketClass::Stun => "stun",
-            PacketClass::ZmeMedia => "zme_media",
-            PacketClass::ZmeControl => "zme_control",
-            PacketClass::Dtls => "dtls",
-            PacketClass::Rtp => "rtp",
-            PacketClass::NotZoom => "not_zoom",
-            PacketClass::Undissectable => "undissectable",
-        }
-    }
-}
-
-/// Number of classes that carry application-layer work (everything but
-/// [`PacketClass::Undissectable`], which has nothing left to parse). The
-/// slot order is the family×class dispatch order of [`dissect_batch`]:
-/// shared STUN, then the Zoom family's classes, then WebRTC's, then the
-/// residue.
-const APP_CLASSES: usize = 6;
-
-fn app_class_slot(class: PacketClass) -> Option<usize> {
-    match class {
-        PacketClass::Stun => Some(0),
-        PacketClass::ZmeMedia => Some(1),
-        PacketClass::ZmeControl => Some(2),
-        PacketClass::Dtls => Some(3),
-        PacketClass::Rtp => Some(4),
-        PacketClass::NotZoom => Some(5),
-        PacketClass::Undissectable => None,
-    }
-}
-
-/// Caller-owned, reusable scratch space for [`peek_batch`] /
-/// [`dissect_batch`]: per-record peek outcomes, [`PacketClass`] tags,
-/// per-class index lists (the sorted dispatch order), and the
-/// application-layer results. [`PeekArena::clear`] retains every
-/// allocation, so a steady-state batch loop reuses one arena with zero
-/// allocations once the high-water capacity is reached.
+/// Caller-owned, reusable scratch space for [`peek_batch`] and
+/// [`dissect_batch`]: each record's peek outcome and, after
+/// [`dissect_batch`], its application-layer reading. Reused across
+/// batches it keeps its allocations, so a steady-state batch loop does
+/// not allocate once the high-water capacity is reached. No analysis
+/// route runs the batch functions (the analyzer peeks and classifies
+/// each record once, in its own in-order pass); the benchmark's
+/// `wire.dissect.*` probes do.
 #[derive(Debug, Default)]
 pub struct PeekArena {
-    peeks: Vec<core::result::Result<PeekInfo, Error>>,
-    classes: Vec<PacketClass>,
+    peeks: Vec<Result<PeekInfo>>,
     apps: Vec<App>,
-    /// Record indices per app-bearing class, in record order within each
-    /// class. TCP records classify as `NotZoom` but are *not* indexed —
-    /// their app layer is always [`App::Opaque`], so there is no work to
-    /// sort.
-    by_class: [Vec<u32>; APP_CLASSES],
 }
 
 impl PeekArena {
     /// Creates an empty arena; capacity grows on first use and is then
-    /// retained across [`clear`](PeekArena::clear).
+    /// retained across batches.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Empties the arena while keeping all capacity.
-    pub fn clear(&mut self) {
-        self.peeks.clear();
-        self.classes.clear();
-        self.apps.clear();
-        for list in &mut self.by_class {
-            list.clear();
-        }
-    }
-
-    /// Number of records described by the last [`peek_batch`] run.
+    /// Number of records described by the last batch run.
     pub fn len(&self) -> usize {
         self.peeks.len()
     }
@@ -775,50 +672,13 @@ impl PeekArena {
     pub fn is_empty(&self) -> bool {
         self.peeks.is_empty()
     }
-
-    /// The peek outcome for record `index`: header info, or the error
-    /// [`peek`] returned. Panics past the end of the last batch.
-    pub fn peek(&self, index: usize) -> core::result::Result<&PeekInfo, Error> {
-        self.peeks[index].as_ref().map_err(|e| *e)
-    }
-
-    /// The class tag assigned to record `index`.
-    pub fn class(&self, index: usize) -> PacketClass {
-        self.classes[index]
-    }
-
-    /// How many records of the last batch were tagged `class`.
-    pub fn class_count(&self, class: PacketClass) -> usize {
-        match app_class_slot(class) {
-            Some(slot) => self.by_class[slot].len(),
-            None => self.peeks.iter().filter(|p| p.is_err()).count(),
-        }
-    }
-
-    /// Reassemble the full [`Dissection`] of record `index`, moving the
-    /// application-layer result out of the arena (the slot is left
-    /// [`App::Opaque`]). Requires a prior [`dissect_batch`] over the same
-    /// `batch`; returns `None` for records [`peek`] rejected.
-    ///
-    /// Taking (rather than cloning) keeps the hot path allocation-free:
-    /// a parsed [`ZoomPacket`] owns its RTCP list, and the consumer wants
-    /// the value anyway.
-    pub fn take_dissection<'a>(
-        &mut self,
-        batch: &'a crate::handoff::RecordBatch,
-        index: usize,
-    ) -> Option<Dissection<'a>> {
-        let info = *self.peeks[index].as_ref().ok()?;
-        let record = batch.get(index)?;
-        let app = std::mem::replace(&mut self.apps[index], App::Opaque);
-        Some(assemble(&info, record.ts_nanos, record.data, app))
-    }
 }
 
 /// Hint the CPU to pull record `index`'s header bytes into cache while
 /// the current record is still being parsed. No-op past the end of the
 /// batch and on architectures without a stable prefetch intrinsic.
 #[inline]
+#[allow(unsafe_code)]
 pub fn prefetch_record(batch: &crate::handoff::RecordBatch, index: usize) {
     if let Some(r) = batch.get(index) {
         #[cfg(target_arch = "x86_64")]
@@ -835,67 +695,23 @@ pub fn prefetch_record(batch: &crate::handoff::RecordBatch, index: usize) {
 }
 
 /// Batch counterpart of [`peek`]: one pass over `batch` in record order,
-/// filling `arena` with each record's [`PeekInfo`] (or rejection error)
-/// and a [`PacketClass`] tag, and building the per-class index lists that
-/// [`dissect_batch`] dispatches from. Prefetches the next record's header
-/// bytes ahead of each parse. The analyzer does not run it (it peeks each
-/// record once, in its own in-order pass); the benchmark's
-/// `wire.dissect.*` probes do.
-///
-/// Accepts and rejects exactly what per-record [`peek`] does, record by
-/// record (pinned by tests).
+/// filling `arena` with each record's [`PeekInfo`] (or rejection error),
+/// the next record's header bytes prefetched ahead of each parse.
+/// Accepts and rejects exactly what per-record [`peek`] does.
 pub fn peek_batch(batch: &crate::handoff::RecordBatch, link_type: LinkType, arena: &mut PeekArena) {
-    arena.clear();
-    let n = batch.len();
-    arena.peeks.reserve(n);
-    arena.classes.reserve(n);
-    for index in 0..n {
+    arena.peeks.clear();
+    arena.apps.clear();
+    for (index, record) in batch.iter().enumerate() {
         prefetch_record(batch, index + 1);
-        // Index came from the 0..n loop: get() cannot fail.
-        let record = batch.get(index).expect("index in bounds");
-        let (outcome, class) = match peek(record.data, link_type) {
-            Ok(p) => {
-                let class = match p.udp_payload {
-                    Some(payload) => {
-                        let ft = &p.info.five_tuple;
-                        // Shared STUN signal first, then each family's
-                        // peek prediction in dispatch order.
-                        if ft.involves_port(stun::STUN_PORT) || stun::looks_like_stun(payload) {
-                            PacketClass::Stun
-                        } else {
-                            ZoomFamily
-                                .peek_class(ft, payload)
-                                .or_else(|| WebrtcFamily.peek_class(ft, payload))
-                                .unwrap_or(PacketClass::NotZoom)
-                        }
-                    }
-                    // TCP: valid headers, no UDP app layer to classify.
-                    None => PacketClass::NotZoom,
-                };
-                if matches!(p.info.transport, PeekTransport::Udp { .. }) {
-                    if let Some(slot) = app_class_slot(class) {
-                        arena.by_class[slot].push(index as u32);
-                    }
-                }
-                (Ok(p.info), class)
-            }
-            Err(e) => (Err(e), PacketClass::Undissectable),
-        };
-        arena.peeks.push(outcome);
-        arena.classes.push(class);
+        arena
+            .peeks
+            .push(peek(record.data, link_type).map(|p| p.info));
     }
 }
 
-/// Batch counterpart of [`dissect`]: [`peek_batch`] plus application-layer
-/// classification dispatched **class by class** — all STUN records, then
-/// all ZME media, then ZME control, then not-zoom — so each inner loop
-/// takes the same branches for every record. Results land in the arena in
-/// record order; [`PeekArena::take_dissection`] reassembles any record's
-/// full [`Dissection`].
-///
-/// Only the (stateless) parsing is reordered; callers consume records in
-/// original order, so output is byte-identical to a per-record
-/// [`dissect`] loop (pinned by tests and the differential suites).
+/// Batch counterpart of [`dissect`]: [`peek_batch`], then each record's
+/// application-layer reading in record order ([`App::Opaque`] for a
+/// rejected record), exactly as a per-record [`dissect`] loop reads them.
 pub fn dissect_batch(
     batch: &crate::handoff::RecordBatch,
     link_type: LinkType,
@@ -904,39 +720,26 @@ pub fn dissect_batch(
 ) {
     let probe = probe.into();
     peek_batch(batch, link_type, arena);
-    arena.apps.resize(batch.len(), App::Opaque);
-    for slot in 0..APP_CLASSES {
-        for i in 0..arena.by_class[slot].len() {
-            let index = arena.by_class[slot][i] as usize;
-            if let Some(&next) = arena.by_class[slot].get(i + 1) {
-                prefetch_record(batch, next as usize);
-            }
-            // Indexed records always have Ok peeks with UDP transport
-            // (peek_batch only lists those).
-            let info = arena.peeks[index]
-                .as_ref()
-                .expect("indexed record peeked ok");
-            let PeekTransport::Udp { payload_len, .. } = info.transport else {
-                unreachable!("indexed record is UDP");
-            };
-            let data = batch.get(index).expect("index in bounds").data;
-            let payload = info.transport.payload(data);
-            arena.apps[index] = classify_udp(&info.five_tuple, payload, payload_len, probe);
-        }
+    for (peeked, record) in arena.peeks.iter().zip(batch.iter()) {
+        arena.apps.push(match peeked {
+            Ok(info) => app_of(info, record.data, probe),
+            Err(_) => App::Opaque,
+        });
     }
 }
 
-/// Build a [`Dissection`] from pre-computed parts (shared by
-/// [`dissect_from`] and [`PeekArena::take_dissection`]).
-fn assemble<'a>(info: &PeekInfo, ts_nanos: u64, data: &'a [u8], app: App) -> Dissection<'a> {
-    Dissection {
-        ts_nanos,
-        link: info.link,
-        five_tuple: info.five_tuple,
-        ip_total_len: info.ip_total_len,
-        transport: info.transport.into(),
-        app,
-        payload: info.transport.payload(data),
+/// The owned application-layer reading of a record `info` was peeked
+/// from: [`classify_udp_with`] for UDP, [`App::Opaque`] for TCP.
+fn app_of(info: &PeekInfo, data: &[u8], probe: Probe) -> App {
+    match info.transport {
+        PeekTransport::Udp { payload_len, .. } => classify_udp_with(
+            &info.five_tuple,
+            info.transport.payload(data),
+            payload_len,
+            probe,
+            |app| app.to_app(),
+        ),
+        PeekTransport::Tcp { .. } => App::Opaque,
     }
 }
 
@@ -964,14 +767,8 @@ impl From<PeekTransport> for Transport {
     }
 }
 
-/// [`classify_udp_with`] with the reading owned, for [`dissect_from`] and
-/// [`dissect_batch`].
-fn classify_udp(five_tuple: &FiveTuple, payload: &[u8], wire_len: usize, probe: Probe) -> App {
-    classify_udp_with(five_tuple, payload, wire_len, probe, |app| app.to_app())
-}
-
 /// The application layer of a UDP datagram under `probe`, handed to
-/// `then` where the parser left it: the step [`dissect_from`] adds to a
+/// `then` where the parser left it: the step [`dissect`] adds to a
 /// [`peek`] (which takes the reading owned, as an [`App`]), and all the
 /// analyzer runs after its own peek of a record — it builds its packet
 /// metadata from the parsed headers, with no [`App`] or [`Dissection`] in
@@ -999,13 +796,13 @@ pub fn classify_udp_with<R>(
     let mut then = Some(then);
     if probe.zoom {
         let f = |app: AppView<'_>| then.take().expect("called once")(app);
-        if let Some(r) = ZoomFamily.classify_with(five_tuple, payload, wire_len, probe, f) {
+        if let Some(r) = family::claim_zoom(five_tuple, payload, wire_len, probe, f) {
             return r;
         }
     }
     if probe.webrtc == WebrtcProbe::Auto {
         let f = |app: AppView<'_>| then.take().expect("called once")(app);
-        if let Some(r) = WebrtcFamily.classify_with(five_tuple, payload, wire_len, probe, f) {
+        if let Some(r) = family::claim_webrtc(payload, wire_len, f) {
             return r;
         }
     }
@@ -1397,9 +1194,9 @@ mod tests {
 
     #[test]
     fn peek_offsets_resume_identical_dissection() {
-        // dissect == peek + dissect_from holds by construction; pin the
-        // recorded offsets against the borrowed slices so a regression in
-        // the offset arithmetic cannot hide behind that identity.
+        // dissect == peek + classify_udp_with holds by construction; pin
+        // the recorded offsets against the borrowed slices so a regression
+        // in the offset arithmetic cannot hide behind that identity.
         let data = server_video_packet();
         let p = peek(&data, LinkType::Ethernet).unwrap();
         assert_eq!(p.info.five_tuple.src_port, ZOOM_SFU_PORT);
@@ -1414,11 +1211,10 @@ mod tests {
             &data[payload_off..payload_off + payload_len],
             p.udp_payload.unwrap()
         );
-        let d = dissect_from(&p.info, 42, &data, P2pProbe::Off);
-        assert_eq!(
-            d,
-            dissect(42, &data, LinkType::Ethernet, P2pProbe::Off).unwrap()
-        );
+        let d = dissect(42, &data, LinkType::Ethernet, P2pProbe::Off).unwrap();
+        assert_eq!(d.five_tuple, p.info.five_tuple);
+        assert_eq!(d.transport, Transport::from(p.info.transport));
+        assert_eq!(d.payload, p.udp_payload.unwrap());
         assert!(d.zoom().is_some());
 
         // TCP: header fields carried through PeekInfo verbatim.
@@ -1438,11 +1234,8 @@ mod tests {
         );
         let p = peek(&tcp_data, LinkType::Ethernet).unwrap();
         assert!(p.udp_payload.is_none());
-        let d = dissect_from(&p.info, 7, &tcp_data, P2pProbe::Off);
-        assert_eq!(
-            d,
-            dissect(7, &tcp_data, LinkType::Ethernet, P2pProbe::Off).unwrap()
-        );
+        let d = dissect(7, &tcp_data, LinkType::Ethernet, P2pProbe::Off).unwrap();
+        assert_eq!(d.transport, Transport::from(p.info.transport));
         match d.transport {
             Transport::Tcp {
                 seq,
@@ -1644,8 +1437,9 @@ mod batch_tests {
     use crate::zoom::ZOOM_SFU_PORT;
     use std::net::Ipv4Addr;
 
-    /// A mixed batch exercising every class: STUN, ZME media, ZME
-    /// control, plain UDP, TCP, P2P-framed Zoom, and two rejects.
+    /// A mixed batch of every kind of record the dissector tells apart:
+    /// STUN, ZME media, ZME control, plain UDP, TCP, P2P-framed Zoom,
+    /// WebRTC DTLS and SRTP, and two rejects.
     fn mixed_batch() -> RecordBatch {
         let mut batch = RecordBatch::new();
         let mut push = |data: &[u8]| {
@@ -1736,8 +1530,8 @@ mod batch_tests {
             b"x",
         ));
 
-        // P2P-framed Zoom on ephemeral ports (classifies NotZoom until a
-        // probe runs).
+        // P2P-framed Zoom on ephemeral ports (opaque unless P2P probing
+        // runs).
         let p2p = zoom::Builder {
             sfu: None,
             media: zoom::MediaEncapRepr {
@@ -1767,6 +1561,46 @@ mod batch_tests {
             &p2p,
         ));
 
+        // WebRTC: a DTLS handshake record and an SRTP packet (opaque
+        // unless WebRTC probing runs).
+        let dtls = {
+            let repr = crate::webrtc::DtlsRepr {
+                content_type: crate::webrtc::DTLS_HANDSHAKE,
+                version_minor: 0xfd,
+                epoch: 0,
+                sequence: 0,
+                length: 8,
+            };
+            let mut buf = vec![0u8; repr.buffer_len()];
+            repr.emit(&mut buf);
+            buf
+        };
+        push(&compose::udp_ipv4_ethernet(
+            Ipv4Addr::new(10, 8, 0, 3),
+            Ipv4Addr::new(203, 0, 113, 7),
+            50_111,
+            61_234,
+            &dtls,
+        ));
+        let rtp = crate::rtp::Repr {
+            marker: false,
+            payload_type: 111,
+            sequence_number: 1,
+            timestamp: 960,
+            ssrc: 0x7,
+            csrc_count: 0,
+            has_extension: false,
+        };
+        let mut srtp = vec![0u8; rtp.header_len() + 40];
+        rtp.emit(&mut crate::rtp::Packet::new_unchecked(&mut srtp[..]));
+        push(&compose::udp_ipv4_ethernet(
+            Ipv4Addr::new(203, 0, 113, 7),
+            Ipv4Addr::new(10, 8, 0, 3),
+            61_234,
+            50_111,
+            &srtp,
+        ));
+
         // Two rejects: an ARP ethertype and a truncated frame.
         let mut arp = compose::udp_ipv4_ethernet(
             Ipv4Addr::new(1, 1, 1, 1),
@@ -1790,56 +1624,33 @@ mod batch_tests {
         peek_batch(&batch, LinkType::Ethernet, &mut arena);
         assert_eq!(arena.len(), batch.len());
         for (i, r) in batch.iter().enumerate() {
-            match peek(r.data, LinkType::Ethernet) {
-                Ok(p) => assert_eq!(arena.peek(i).unwrap(), &p.info, "record {i}"),
-                Err(e) => {
-                    assert_eq!(arena.peek(i).unwrap_err(), e, "record {i}");
-                    assert_eq!(arena.class(i), PacketClass::Undissectable);
-                }
-            }
+            let expected = peek(r.data, LinkType::Ethernet).map(|p| p.info);
+            assert_eq!(arena.peeks[i], expected, "record {i}");
         }
-    }
-
-    #[test]
-    fn peek_batch_assigns_expected_classes() {
-        let batch = mixed_batch();
-        let mut arena = PeekArena::new();
-        peek_batch(&batch, LinkType::Ethernet, &mut arena);
-        let classes: Vec<PacketClass> = (0..batch.len()).map(|i| arena.class(i)).collect();
-        assert_eq!(
-            classes,
-            vec![
-                PacketClass::Stun,
-                PacketClass::ZmeMedia,
-                PacketClass::ZmeControl,
-                PacketClass::NotZoom,
-                PacketClass::NotZoom, // TCP
-                PacketClass::NotZoom, // P2P Zoom hides here pre-probe
-                PacketClass::Undissectable,
-                PacketClass::Undissectable,
-            ]
-        );
-        assert_eq!(arena.class_count(PacketClass::Stun), 1);
-        assert_eq!(arena.class_count(PacketClass::ZmeMedia), 1);
-        assert_eq!(arena.class_count(PacketClass::ZmeControl), 1);
-        // TCP is NotZoom by class but carries no app work to index.
-        assert_eq!(arena.class_count(PacketClass::NotZoom), 2);
-        assert_eq!(arena.class_count(PacketClass::Undissectable), 2);
-        assert_eq!(PacketClass::ZmeMedia.label(), "zme_media");
     }
 
     #[test]
     fn dissect_batch_matches_per_record_dissect() {
         let batch = mixed_batch();
-        for probe in [P2pProbe::Off, P2pProbe::Auto] {
+        let webrtc = Probe {
+            webrtc: WebrtcProbe::Auto,
+            ..Probe::default()
+        };
+        for probe in [P2pProbe::Off.into(), P2pProbe::Auto.into(), webrtc] {
             let mut arena = PeekArena::new();
             dissect_batch(&batch, LinkType::Ethernet, probe, &mut arena);
+            assert_eq!(arena.len(), batch.len());
             for (i, r) in batch.iter().enumerate() {
                 let expected = dissect(r.ts_nanos, r.data, LinkType::Ethernet, probe);
-                let got = arena.take_dissection(&batch, i);
-                match (expected, got) {
-                    (Ok(e), Some(g)) => assert_eq!(e, g, "record {i}, probe {probe:?}"),
-                    (Err(_), None) => {}
+                match (expected, &arena.peeks[i]) {
+                    (Ok(e), Ok(info)) => {
+                        assert_eq!(info, &peek(r.data, LinkType::Ethernet).unwrap().info);
+                        assert_eq!(arena.apps[i], e.app, "record {i}, probe {probe:?}");
+                    }
+                    (Err(e), Err(g)) => {
+                        assert_eq!(e, *g, "record {i}");
+                        assert_eq!(arena.apps[i], App::Opaque, "record {i}");
+                    }
                     (e, g) => panic!("record {i} mismatch: {e:?} vs {g:?}"),
                 }
             }
@@ -1851,100 +1662,10 @@ mod batch_tests {
         let batch = mixed_batch();
         let mut arena = PeekArena::new();
         dissect_batch(&batch, LinkType::Ethernet, P2pProbe::Off, &mut arena);
-        let caps = (
-            arena.peeks.capacity(),
-            arena.classes.capacity(),
-            arena.apps.capacity(),
-        );
+        let caps = (arena.peeks.capacity(), arena.apps.capacity());
         dissect_batch(&batch, LinkType::Ethernet, P2pProbe::Off, &mut arena);
-        assert_eq!(
-            caps,
-            (
-                arena.peeks.capacity(),
-                arena.classes.capacity(),
-                arena.apps.capacity(),
-            )
-        );
+        assert_eq!(caps, (arena.peeks.capacity(), arena.apps.capacity()));
         assert_eq!(arena.len(), batch.len());
-    }
-
-    #[test]
-    fn webrtc_records_sort_into_their_own_classes() {
-        // Append WebRTC-shaped records to the mixed batch: they take the
-        // Dtls/Rtp dispatch classes without disturbing the Zoom classes.
-        let mut batch = mixed_batch();
-        let zoom_len = batch.len();
-        let dtls = {
-            let repr = crate::webrtc::DtlsRepr {
-                content_type: crate::webrtc::DTLS_HANDSHAKE,
-                version_minor: 0xfd,
-                epoch: 0,
-                sequence: 0,
-                length: 8,
-            };
-            let mut buf = vec![0u8; repr.buffer_len()];
-            repr.emit(&mut buf);
-            buf
-        };
-        let dtls_rec = compose::udp_ipv4_ethernet(
-            Ipv4Addr::new(10, 8, 0, 3),
-            Ipv4Addr::new(203, 0, 113, 7),
-            50_111,
-            61_234,
-            &dtls,
-        );
-        batch.push(9_000, dtls_rec.len() as u32, &dtls_rec);
-        let rtp = crate::rtp::Repr {
-            marker: false,
-            payload_type: 111,
-            sequence_number: 1,
-            timestamp: 960,
-            ssrc: 0x7,
-            csrc_count: 0,
-            has_extension: false,
-        };
-        let mut srtp = vec![0u8; rtp.header_len() + 40];
-        rtp.emit(&mut crate::rtp::Packet::new_unchecked(&mut srtp[..]));
-        let srtp_rec = compose::udp_ipv4_ethernet(
-            Ipv4Addr::new(203, 0, 113, 7),
-            Ipv4Addr::new(10, 8, 0, 3),
-            61_234,
-            50_111,
-            &srtp,
-        );
-        batch.push(10_000, srtp_rec.len() as u32, &srtp_rec);
-
-        let mut arena = PeekArena::new();
-        peek_batch(&batch, LinkType::Ethernet, &mut arena);
-        assert_eq!(arena.class(zoom_len), PacketClass::Dtls);
-        assert_eq!(arena.class(zoom_len + 1), PacketClass::Rtp);
-        assert_eq!(arena.class_count(PacketClass::Dtls), 1);
-        assert_eq!(arena.class_count(PacketClass::Rtp), 1);
-        assert_eq!(PacketClass::Dtls.label(), "dtls");
-        assert_eq!(PacketClass::Rtp.label(), "rtp");
-        // The Zoom-side classes are exactly what the Zoom-only batch had.
-        assert_eq!(arena.class_count(PacketClass::Stun), 1);
-        assert_eq!(arena.class_count(PacketClass::ZmeMedia), 1);
-        assert_eq!(arena.class_count(PacketClass::ZmeControl), 1);
-        assert_eq!(arena.class_count(PacketClass::NotZoom), 2);
-
-        // Batched dispatch still matches per-record dissection with a
-        // WebRTC-probing configuration.
-        let probe = Probe {
-            webrtc: WebrtcProbe::Auto,
-            ..Probe::default()
-        };
-        let mut arena = PeekArena::new();
-        dissect_batch(&batch, LinkType::Ethernet, probe, &mut arena);
-        for (i, r) in batch.iter().enumerate() {
-            let expected = dissect(r.ts_nanos, r.data, LinkType::Ethernet, probe);
-            let got = arena.take_dissection(&batch, i);
-            match (expected, got) {
-                (Ok(e), Some(g)) => assert_eq!(e, g, "record {i}"),
-                (Err(_), None) => {}
-                (e, g) => panic!("record {i} mismatch: {e:?} vs {g:?}"),
-            }
-        }
     }
 
     #[test]

@@ -1,35 +1,27 @@
-//! Pluggable protocol families: the contract that generalizes the
-//! pipeline beyond Zoom.
+//! Protocol families: which conferencing system a UDP payload belongs
+//! to.
 //!
 //! The paper's estimators (bitrate, fps, jitter, loss, RTT) are
-//! RTP-generic; only the encapsulation dissection is Zoom-specific. This
-//! module lifts that Zoom-specific part behind the [`ProtocolFamily`]
-//! trait so a second conferencing system plugs into the same
-//! peek → classify pipeline:
+//! RTP-generic; only the encapsulation dissection is Zoom-specific. A
+//! family is that specific part:
 //!
 //! * [`FamilyId`] names a family and provides the stable `family=` label
 //!   every metric and report row uses;
-//! * [`ProtocolFamily`] is the per-family contract — a cheap peek-time
-//!   [`PacketClass`] prediction (read by `peek_batch` only), the full
-//!   payload classification, and the family-owned malformed-drop label
-//!   (satisfying the per-family conservation invariant);
-//! * [`ZoomFamily`] wraps the original ZME/SFU dissection with
-//!   byte-identical behaviour;
-//! * [`WebrtcFamily`] recognizes native WebRTC sessions
-//!   (DTLS-SRTP framing + standard RTP/RTCP, see [`crate::webrtc`]);
 //! * [`FamilySelect`] is the user-facing `--family auto|zoom|webrtc`
-//!   switch, mapping to the dissector [`Probe`] configuration.
+//!   switch, mapping to the dissector [`Probe`] configuration;
+//! * `claim_zoom` (ZME/SFU, server and P2P framings) and `claim_webrtc`
+//!   (DTLS-SRTP framing + standard RTP/RTCP, see [`crate::webrtc`]) are
+//!   each family's claim on a payload, and `classify_stun` the STUN check
+//!   both share.
 //!
-//! Families are zero-sized types dispatched statically in the hot loop —
-//! the trait buys the *contract*, not vtables. The dispatch order is
-//! fixed (shared STUN check, then Zoom, then WebRTC) and the byte-level
-//! signatures cannot overlap: DTLS content types (20–23) and RTP version
-//! bits (`10`) are disjoint from every ZME leading byte, so enabling one
-//! family never changes another family's output. See
-//! `docs/PROTOCOLS.md` for the full contract and a worked guide to
-//! adding a family.
+//! [`classify_udp_with`](crate::dissect::classify_udp_with) calls them in
+//! a fixed order: STUN, then Zoom, then WebRTC; the first claim wins. The
+//! byte-level signatures cannot overlap: DTLS content types (20–23) and
+//! RTP version bits (`10`) are disjoint from every ZME leading byte, so
+//! enabling one family never changes another family's output. See
+//! `docs/PROTOCOLS.md` for the dispatch and a guide to adding a family.
 
-use crate::dissect::{App, AppView, P2pProbe, PacketClass, Probe, WebrtcProbe};
+use crate::dissect::{AppView, P2pProbe, Probe, WebrtcProbe};
 use crate::flow::FiveTuple;
 use crate::stun;
 use crate::webrtc;
@@ -184,166 +176,52 @@ impl FromStr for FamilySelect {
     }
 }
 
-/// The per-family dissection contract.
-///
-/// A family supplies three things:
-///
-/// 1. **Peek** ([`peek_class`](ProtocolFamily::peek_class)): a cheap
-///    header/first-bytes prediction of the [`PacketClass`], which
-///    `peek_batch` tags each record with. No analysis route reads the
-///    tags any more — the analyzer peeks and classifies each record once,
-///    in record order — so the prediction serves the benchmark's
-///    `peek_batch` / `dissect_batch` probes and this crate's tests.
-///    Predictions may be wrong — a misprediction costs a branch miss,
-///    never a wrong result.
-/// 2. **Classify** ([`classify_with`](ProtocolFamily::classify_with)):
-///    the full payload parse, handing its reading to a continuation
-///    where the parser left it ([`classify`](ProtocolFamily::classify)
-///    returns it owned). `Some` claims the packet for this family
-///    (including [`AppView::Opaque`] — "mine, but malformed", which stops
-///    later families from seeing it); `None` passes it on.
-/// 3. **Drop attribution** ([`malformed_label`](ProtocolFamily::malformed_label)):
-///    the metric label under which this family's framing failures are
-///    counted, so the conservation invariant holds *per family*.
-///
-/// Implementations are zero-sized and dispatched statically; the shared
-/// STUN parse (both families signal sessions via STUN) runs once in the
-/// dispatcher, before any family sees the payload.
-pub trait ProtocolFamily {
-    /// Which family this is.
-    fn id(&self) -> FamilyId;
-
-    /// Cheap peek-time class prediction from header fields and the first
-    /// payload bytes; `None` when the packet shows none of this family's
-    /// signals.
-    fn peek_class(&self, five_tuple: &FiveTuple, payload: &[u8]) -> Option<PacketClass>;
-
-    /// Full payload classification, handing the result to `then` where
-    /// the parser left it. `Some` claims the packet for this family;
-    /// `None` lets the next family try (and `then` is not called).
-    /// `payload` is what the capture kept of a datagram that was
-    /// `wire_len` bytes on the wire: fields are read from the one,
-    /// lengths reported from the other.
-    fn classify_with<R>(
-        &self,
-        five_tuple: &FiveTuple,
-        payload: &[u8],
-        wire_len: usize,
-        probe: Probe,
-        then: impl FnOnce(AppView<'_>) -> R,
-    ) -> Option<R>;
-
-    /// [`classify_with`](ProtocolFamily::classify_with), the result
-    /// owned.
-    fn classify(
-        &self,
-        five_tuple: &FiveTuple,
-        payload: &[u8],
-        wire_len: usize,
-        probe: Probe,
-    ) -> Option<App> {
-        self.classify_with(five_tuple, payload, wire_len, probe, |app| app.to_app())
+/// The Zoom family's claim on a UDP payload: ZME/SFU encapsulations,
+/// server and P2P framings. Port 8801 is authoritatively Zoom server
+/// traffic, so a payload there is always claimed — one that fails to
+/// parse as [`AppView::Opaque`], which the analysis layer counts as
+/// `malformed_zme` and which keeps WebRTC from seeing it. Elsewhere the
+/// payload is claimed only under [`P2pProbe::Auto`], and only when it
+/// parses as P2P- or server-framed Zoom carrying RTP or RTCP. `None`
+/// passes it on, and `then` is not called. `payload` is what the capture
+/// kept of a datagram that was `wire_len` bytes on the wire.
+#[inline]
+pub(crate) fn claim_zoom<R>(
+    five_tuple: &FiveTuple,
+    payload: &[u8],
+    wire_len: usize,
+    probe: Probe,
+    then: impl FnOnce(AppView<'_>) -> R,
+) -> Option<R> {
+    if five_tuple.involves_port(ZOOM_SFU_PORT) {
+        // Matched by reference: the packet is read where the parser
+        // wrote it, not moved out of the `Result` first.
+        return Some(match &zoom::parse(payload, wire_len, Framing::Server) {
+            Ok(z) => then(AppView::Zoom(Framing::Server, z)),
+            Err(_) => then(AppView::Opaque),
+        });
     }
-
-    /// Metric label for payloads this family claimed but could not parse.
-    fn malformed_label(&self) -> &'static str;
-}
-
-/// The Zoom family: ZME/SFU encapsulations, server and P2P framings.
-/// First implementor of [`ProtocolFamily`]; behaviour is byte-identical
-/// to the pre-trait dissector.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ZoomFamily;
-
-impl ProtocolFamily for ZoomFamily {
-    fn id(&self) -> FamilyId {
-        FamilyId::Zoom
-    }
-
-    fn peek_class(&self, five_tuple: &FiveTuple, payload: &[u8]) -> Option<PacketClass> {
-        if five_tuple.involves_port(ZOOM_SFU_PORT) {
-            Some(if payload.first() == Some(&zoom::SFU_TYPE_MEDIA) {
-                PacketClass::ZmeMedia
-            } else {
-                PacketClass::ZmeControl
-            })
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn classify_with<R>(
-        &self,
-        five_tuple: &FiveTuple,
-        payload: &[u8],
-        wire_len: usize,
-        probe: Probe,
-        then: impl FnOnce(AppView<'_>) -> R,
-    ) -> Option<R> {
-        if five_tuple.involves_port(ZOOM_SFU_PORT) {
-            // Port 8801 is authoritatively Zoom server traffic: parse
-            // failures still claim the packet (the caller attributes them
-            // under this family's malformed label), exactly as before the
-            // family refactor.
-            // Matched by reference: the packet is read where the parser
-            // wrote it, not moved out of the `Result` first.
-            return Some(match &zoom::parse(payload, wire_len, Framing::Server) {
-                Ok(z) => then(AppView::Zoom(Framing::Server, z)),
-                Err(_) => then(AppView::Opaque),
-            });
-        }
-        if probe.p2p == P2pProbe::Auto {
-            if let Ok((framing, z)) = &zoom::parse_auto(payload, wire_len) {
-                if z.rtp.is_some() || !z.rtcp.is_empty() {
-                    return Some(then(AppView::Zoom(*framing, z)));
-                }
+    if probe.p2p == P2pProbe::Auto {
+        if let Ok((framing, z)) = &zoom::parse_auto(payload, wire_len) {
+            if z.rtp.is_some() || !z.rtcp.is_empty() {
+                return Some(then(AppView::Zoom(*framing, z)));
             }
         }
-        None
     }
-
-    fn malformed_label(&self) -> &'static str {
-        "malformed_zme"
-    }
+    None
 }
 
-/// The native WebRTC family: DTLS-SRTP session framing with standard
-/// RTP/RTCP ([`crate::webrtc`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WebrtcFamily;
-
-impl ProtocolFamily for WebrtcFamily {
-    fn id(&self) -> FamilyId {
-        FamilyId::Webrtc
-    }
-
-    fn peek_class(&self, _five_tuple: &FiveTuple, payload: &[u8]) -> Option<PacketClass> {
-        if webrtc::looks_like_dtls(payload) {
-            Some(PacketClass::Dtls)
-        } else if !payload.is_empty() && payload[0] >> 6 == crate::rtp::VERSION {
-            // Any version-2 packet: SRTP or SRTCP — one dispatch class.
-            Some(PacketClass::Rtp)
-        } else {
-            None
-        }
-    }
-
-    fn classify_with<R>(
-        &self,
-        _five_tuple: &FiveTuple,
-        payload: &[u8],
-        wire_len: usize,
-        _probe: Probe,
-        then: impl FnOnce(AppView<'_>) -> R,
-    ) -> Option<R> {
-        let pdu = webrtc::classify(payload, wire_len).ok()?;
-        Some(then(AppView::Webrtc(&pdu)))
-    }
-
-    fn malformed_label(&self) -> &'static str {
-        "malformed_srtp"
-    }
+/// The native WebRTC family's claim on a UDP payload: a DTLS record or
+/// an SRTP/SRTCP header ([`webrtc::classify`]). Anything else is passed
+/// on (`None`, and `then` is not called); on a flow registered as
+/// WebRTC the analysis layer counts such a payload as `malformed_srtp`.
+pub(crate) fn claim_webrtc<R>(
+    payload: &[u8],
+    wire_len: usize,
+    then: impl FnOnce(AppView<'_>) -> R,
+) -> Option<R> {
+    let pdu = webrtc::classify(payload, wire_len).ok()?;
+    Some(then(AppView::Webrtc(&pdu)))
 }
 
 /// Shared STUN classification, run by the dispatcher before any family:
@@ -360,6 +238,7 @@ pub(crate) fn classify_stun(five_tuple: &FiveTuple, payload: &[u8]) -> Option<st
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dissect::App;
     use crate::ipv4::Protocol;
     use std::net::{IpAddr, Ipv4Addr};
 
@@ -382,10 +261,6 @@ mod tests {
         for (i, id) in ALL_FAMILIES.iter().enumerate() {
             assert_eq!(id.index(), i);
         }
-        assert_eq!(ZoomFamily.id(), FamilyId::Zoom);
-        assert_eq!(WebrtcFamily.id(), FamilyId::Webrtc);
-        assert_eq!(ZoomFamily.malformed_label(), "malformed_zme");
-        assert_eq!(WebrtcFamily.malformed_label(), "malformed_srtp");
     }
 
     #[test]
@@ -421,33 +296,27 @@ mod tests {
         assert_eq!(w.webrtc, WebrtcProbe::Auto);
     }
 
+    fn owned(app: AppView<'_>) -> App {
+        app.to_app()
+    }
+
     #[test]
-    fn zoom_family_peeks_and_claims_8801() {
+    fn zoom_claims_8801_and_passes_the_rest() {
         let ft = tuple(ZOOM_SFU_PORT, 50_111);
-        assert_eq!(
-            ZoomFamily.peek_class(&ft, &[zoom::SFU_TYPE_MEDIA, 0, 0]),
-            Some(PacketClass::ZmeMedia)
-        );
-        assert_eq!(
-            ZoomFamily.peek_class(&ft, &[0x01, 0, 0]),
-            Some(PacketClass::ZmeControl)
-        );
-        assert_eq!(ZoomFamily.peek_class(&tuple(1, 2), &[0x01]), None);
         // Garbage on 8801 is claimed (Opaque), not passed on.
         assert_eq!(
-            ZoomFamily.classify(&ft, b"garbage", 7, Probe::default()),
+            claim_zoom(&ft, b"garbage", 7, Probe::default(), owned),
             Some(App::Opaque)
         );
         // Garbage elsewhere is passed on.
         assert_eq!(
-            ZoomFamily.classify(&tuple(1, 2), b"garbage", 7, Probe::default()),
+            claim_zoom(&tuple(1, 2), b"garbage", 7, Probe::default(), owned),
             None
         );
     }
 
     #[test]
-    fn webrtc_family_peeks_dtls_and_rtp() {
-        let ft = tuple(50_111, 61_234);
+    fn webrtc_claims_dtls_and_passes_the_rest() {
         let dtls = {
             let repr = webrtc::DtlsRepr {
                 content_type: webrtc::DTLS_HANDSHAKE,
@@ -460,22 +329,15 @@ mod tests {
             repr.emit(&mut buf);
             buf
         };
-        assert_eq!(WebrtcFamily.peek_class(&ft, &dtls), Some(PacketClass::Dtls));
-        assert_eq!(
-            WebrtcFamily.peek_class(&ft, &[0x80, 111]),
-            Some(PacketClass::Rtp)
-        );
-        // ZME leading bytes never peek as WebRTC.
-        for first in [5u8, 13, 15, 16, 33, 34] {
-            assert_eq!(WebrtcFamily.peek_class(&ft, &[first, 0, 0]), None);
-        }
         assert!(matches!(
-            WebrtcFamily.classify(&ft, &dtls, dtls.len(), Probe::default()),
+            claim_webrtc(&dtls, dtls.len(), owned),
             Some(App::Webrtc(webrtc::Pdu::Dtls(_)))
         ));
-        assert_eq!(
-            WebrtcFamily.classify(&ft, b"not webrtc", 10, Probe::default()),
-            None
-        );
+        assert_eq!(claim_webrtc(b"not webrtc", 10, owned), None);
+        // ZME leading bytes are never claimed as WebRTC.
+        for first in [5u8, 13, 15, 16, 33, 34] {
+            let zme = [first, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+            assert_eq!(claim_webrtc(&zme, zme.len(), owned), None);
+        }
     }
 }

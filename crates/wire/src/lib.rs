@@ -11,8 +11,9 @@
 //! * Zoom's proprietary encapsulations: [`zoom`] (Zoom SFU Encapsulation and
 //!   Zoom Media Encapsulation, Table 1/2 + Fig. 7 of the paper)
 //! * Native WebRTC framing: [`webrtc`] (DTLS records, SRTP/SRTCP headers)
-//! * Protocol-family plug-in contract: [`family`] (the `ProtocolFamily`
-//!   trait generalizing dissection beyond Zoom, see `docs/PROTOCOLS.md`)
+//! * Protocol families: [`family`] (family ids, `--family` selection,
+//!   and each family's claim on a UDP payload, called STUN → Zoom →
+//!   WebRTC; see `docs/PROTOCOLS.md`)
 //! * Trace I/O: [`pcap`] (classic libpcap format, µs and ns resolution)
 //! * Capture hand-off: [`handoff`] (arena-packed record batches for
 //!   crossing capture→analysis thread boundaries without per-packet
@@ -52,6 +53,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod checksum;
 pub mod compose;

@@ -9,8 +9,8 @@
 //! number, timestamp, and payload type, exactly the fields the
 //! analysis-layer estimators consume.
 //!
-//! This module provides the strict framing checks the
-//! [`WebrtcFamily`](crate::family::WebrtcFamily) classifier uses:
+//! This module provides the strict framing checks the WebRTC family's
+//! claim on a payload ([`crate::family`]) uses:
 //!
 //! * [`DtlsRepr`] — the 13-byte DTLS record header (content type,
 //!   version, epoch, 48-bit sequence, length), with [`looks_like_dtls`]

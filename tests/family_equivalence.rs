@@ -1,6 +1,7 @@
-//! Refactor-equivalence suite for the pluggable `ProtocolFamily` API.
+//! Equivalence suite for the protocol-family dispatch (STUN, then Zoom,
+//! then WebRTC; `zoom_wire::family`).
 //!
-//! The family dispatch refactor must be invisible on Zoom traffic: a
+//! The family dispatch must be invisible on Zoom traffic: a
 //! Zoom-only trace produces **byte-identical** report JSON whether the
 //! analyzer runs with its default configuration, an explicit
 //! `FamilySelect::Only(Zoom)`, or `FamilySelect::Auto` — through the

@@ -1,7 +1,7 @@
 //! Ablation experiments for the design choices `DESIGN.md` calls out:
 //! what breaks when a piece of the methodology is removed.
 
-use crate::harness::ExpArgs;
+use crate::harness::{feed, ExpArgs};
 use zoom_analysis::meeting::GroupingConfig;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_capture::cidr::prefix_set;
@@ -10,7 +10,7 @@ use zoom_capture::zoom_nets::{Owner, ZoomIpList, ZoomNetwork};
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::{Nanos, MS, SEC};
-use zoom_wire::pcap::LinkType;
+use zoom_wire::pcap::{LinkType, Record};
 use zoom_wire::zoom::MediaType;
 
 /// Ablation 1 — grouping without step 1 (duplicate-stream detection).
@@ -34,9 +34,7 @@ pub fn grouping_without_step1(args: &ExpArgs) {
                 .build()
                 .expect("valid config"),
         );
-        for record in sim {
-            analyzer.process_packet(record.ts_nanos, &record.data, LinkType::Ethernet);
-        }
+        feed(&mut analyzer, sim);
         let groups = analyzer.duplicate_stream_groups();
         let multi = groups.values().filter(|g| g.len() >= 2).count();
         (analyzer.summary().meetings, multi)
@@ -82,15 +80,14 @@ pub fn jitter_packet_vs_frame(args: &ExpArgs) {
     let mut naive_j = 0.0f64;
     let mut last_arrival: Option<u64> = None;
     let mut last_gap: Option<i64> = None;
-    for record in sim {
-        analyzer.process_packet(record.ts_nanos, &record.data, LinkType::Ethernet);
+    let naive = |record: &Record| {
         let Ok(d) = zoom_wire::dissect::dissect(
             record.ts_nanos,
             &record.data,
             LinkType::Ethernet,
             zoom_wire::dissect::P2pProbe::Off,
         ) else {
-            continue;
+            return;
         };
         if let Some(z) = d.zoom() {
             if z.media.media_type == MediaType::Video
@@ -107,7 +104,8 @@ pub fn jitter_packet_vs_frame(args: &ExpArgs) {
                 last_arrival = Some(record.ts_nanos);
             }
         }
-    }
+    };
+    feed(&mut analyzer, sim.inspect(naive));
     let stream = analyzer
         .streams()
         .of_type(MediaType::Video)

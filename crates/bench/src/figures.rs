@@ -5,7 +5,7 @@
 //! figure must satisfy (crossovers, clusters, correlations); see
 //! `EXPERIMENTS.md`.
 
-use crate::harness::{no_meetings, write_csv, CampusRun, ExpArgs};
+use crate::harness::{feed, no_meetings, write_csv, CampusRun, ExpArgs};
 use std::collections::HashMap;
 use std::time::Duration;
 use zoom_analysis::engine::{EngineConfig, StreamingEngine};
@@ -13,7 +13,6 @@ use zoom_analysis::entropy::{extract_series, scan_flow, FieldClass};
 use zoom_analysis::metrics::latency::RttTotals;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::stats::{pearson, Samples, TimeBins};
-use zoom_analysis::PacketSink;
 use zoom_capture::cidr::prefix_set;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
 use zoom_sim::meeting::MeetingSim;
@@ -180,9 +179,7 @@ pub fn fig5(args: &ExpArgs) {
 pub fn fig6(args: &ExpArgs) {
     let sim = MeetingSim::new(scenario::multi_party(args.seed, 60 * SEC));
     let mut analyzer = Analyzer::new(AnalyzerConfig::default());
-    for record in sim {
-        analyzer.process_packet(record.ts_nanos, &record.data, LinkType::Ethernet);
-    }
+    feed(&mut analyzer, sim);
     println!("Fig. 6: aggregation levels within a Zoom meeting");
     for meeting in analyzer.meetings() {
         println!(
@@ -221,9 +218,7 @@ pub fn fig8(args: &ExpArgs) {
         scenario::campus_study(args.seed, args.duration(), args.scale(), 0.0);
     let truth: Vec<_> = scenario_obj.truth.clone();
     let mut analyzer = Analyzer::new(AnalyzerConfig::default());
-    for record in scenario_obj.into_stream() {
-        analyzer.process_packet(record.ts_nanos, &record.data, LinkType::Ethernet);
-    }
+    feed(&mut analyzer, scenario_obj.into_stream());
     let meetings = analyzer.meetings();
     println!("Fig. 8: stream grouping — truth vs heuristic");
     println!("  true meetings:      {}", truth.len());
@@ -260,13 +255,8 @@ pub fn fig10(args: &ExpArgs) {
         ..EngineConfig::default()
     })
     .expect("valid engine config");
-    let mut windows = Vec::new();
-    for record in &mut sim {
-        engine
-            .push(record.ts_nanos, &record.data, LinkType::Ethernet)
-            .expect("push");
-        windows.extend(engine.take_windows());
-    }
+    feed(&mut engine, &mut sim);
+    let mut windows = engine.take_windows();
     let drained = engine.drain().expect("drain");
     windows.push(drained.final_window().clone());
     let analyzer = drained.analyzer;
@@ -354,24 +344,16 @@ pub fn fig11(args: &ExpArgs) {
     let sim = MeetingSim::new(scenario::validation_experiment(args.seed));
     let mut analyzer = Analyzer::new(AnalyzerConfig::default());
     let mut seconds: Vec<(u64, RttTotals, RttTotals)> = Vec::new();
-    let mut second = None;
     let mut marks = (RttTotals::default(), RttTotals::default());
-    let mut close = |sec: u64, a: &Analyzer| {
-        let now = (a.rtp_rtt().totals(), a.tcp_rtt().totals());
+    // Each run of records in one second is fed whole, then the second
+    // closes.
+    let mut records = sim.peekable();
+    while let Some(sec) = records.peek().map(|r| r.ts_nanos / SEC) {
+        let of_sec = std::iter::from_fn(|| records.next_if(|r| r.ts_nanos / SEC == sec));
+        feed(&mut analyzer, of_sec);
+        let now = (analyzer.rtp_rtt().totals(), analyzer.tcp_rtt().totals());
         seconds.push((sec, now.0.since(marks.0), now.1.since(marks.1)));
         marks = now;
-    };
-    for record in sim {
-        let sec = record.ts_nanos / SEC;
-        match second {
-            Some(open) if open != sec => close(open, &analyzer),
-            _ => {}
-        }
-        second = Some(sec);
-        analyzer.process_packet(record.ts_nanos, &record.data, LinkType::Ethernet);
-    }
-    if let Some(open) = second {
-        close(open, &analyzer);
     }
 
     let server: std::net::IpAddr = "170.114.1.10".parse().unwrap();

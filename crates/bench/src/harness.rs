@@ -4,12 +4,15 @@
 use std::io::Write;
 use std::path::PathBuf;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
+use zoom_analysis::PacketSink;
 use zoom_capture::cidr::prefix_set;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig};
+use zoom_capture::source::BATCH_RECORDS;
 use zoom_sim::campus::CampusStream;
 use zoom_sim::infra::Infrastructure;
 use zoom_sim::scenario;
-use zoom_wire::pcap::LinkType;
+use zoom_wire::handoff::RecordBatch;
+use zoom_wire::pcap::{LinkType, Record};
 
 /// Every experiment the binary runs, by its command-line name.
 pub const EXPERIMENTS: [&str; 20] = [
@@ -222,18 +225,32 @@ pub fn run_campus(args: &ExpArgs) -> Result<CampusRun, String> {
         .expect("valid analyzer config");
     let mut analyzer = Analyzer::new(config);
     let stream: CampusStream = scenario_obj.into_stream();
-    for record in stream {
-        let (_, out) = capture.process_record(&record, LinkType::Ethernet);
-        if let Some(out) = out {
-            analyzer.process_packet(out.ts_nanos, &out.data, LinkType::Ethernet);
-        }
-    }
+    feed(
+        &mut analyzer,
+        stream.filter_map(|record| capture.process_record(&record, LinkType::Ethernet).1),
+    );
     Ok(CampusRun {
         analyzer,
         capture,
         truth,
         infra,
     })
+}
+
+/// Feed `records` to `sink` through `PacketSink::push_batch`, in the
+/// batches of up to [`BATCH_RECORDS`] records `analyze --source sim:`
+/// hands its engine.
+pub fn feed(sink: &mut impl PacketSink, records: impl IntoIterator<Item = Record>) {
+    let mut records = records.into_iter().peekable();
+    let mut batch = RecordBatch::new();
+    while records.peek().is_some() {
+        batch.clear();
+        for r in records.by_ref().take(BATCH_RECORDS) {
+            batch.push(r.ts_nanos, r.orig_len, &r.data);
+        }
+        sink.push_batch(&batch, LinkType::Ethernet)
+            .expect("an analysis sink accepts a generated trace");
+    }
 }
 
 /// Render a fixed-width table row.

@@ -2,12 +2,14 @@
 //! an arbitrary pcap: classify field positions per UDP flow, scan for RTP
 //! signatures, and hunt RTCP by learned SSRCs.
 
+use super::sources::{build_sources, start_capture};
 use super::{parse_args, CmdResult, FlagSpec};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use zoom_analysis::entropy::{find_rtcp_by_ssrc, find_rtp_offsets, scan_flow, FieldClass};
+use zoom_capture::source::BATCH_RECORDS;
 use zoom_wire::dissect::{dissect, P2pProbe, Transport};
 use zoom_wire::flow::FiveTuple;
-use zoom_wire::pcap::{Reader, RecordBuf};
+use zoom_wire::handoff::RecordBatch;
 
 const FLAGS: FlagSpec = FlagSpec {
     command: "discover",
@@ -30,25 +32,26 @@ pub fn run(args: &[String]) -> CmdResult {
         .transpose()?
         .unwrap_or(48);
 
-    let file = std::fs::File::open(input).map_err(|e| format!("{input}: {e}"))?;
-    let mut reader =
-        Reader::new(std::io::BufReader::new(file)).map_err(|e| format!("{input}: {e}"))?;
-    let link = reader.link_type();
+    let mut mux = start_capture(build_sources(std::slice::from_ref(input), &[], None)?, None);
+    let mut batch = RecordBatch::new();
     let mut flows: HashMap<FiveTuple, Vec<(u64, Vec<u8>)>> = HashMap::new();
-    let mut record = RecordBuf::new();
-    while reader.read_into(&mut record).map_err(|e| e.to_string())? {
-        if let Ok(d) = dissect(record.ts_nanos(), record.data(), link, P2pProbe::Off) {
-            if matches!(d.transport, Transport::Udp { .. }) {
-                flows
-                    .entry(d.five_tuple)
-                    .or_default()
-                    .push((d.ts_nanos, d.payload.to_vec()));
+    while let Some(link) = mux.next_batch(&mut batch, BATCH_RECORDS)? {
+        for record in batch.iter() {
+            if let Ok(d) = dissect(record.ts_nanos, record.data, link, P2pProbe::Off) {
+                if matches!(d.transport, Transport::Udp { .. }) {
+                    flows
+                        .entry(d.five_tuple)
+                        .or_default()
+                        .push((d.ts_nanos, d.payload.to_vec()));
+                }
             }
         }
     }
     type FlowPackets = Vec<(FiveTuple, Vec<(u64, Vec<u8>)>)>;
     let mut ordered: FlowPackets = flows.into_iter().collect();
-    ordered.sort_by_key(|(_, v)| std::cmp::Reverse(v.len()));
+    // Longest first; flows of one length in five-tuple order, so the
+    // output is a function of the input.
+    ordered.sort_by(|(a, x), (b, y)| y.len().cmp(&x.len()).then(a.cmp(b)));
 
     for (flow, packets) in ordered.iter().take(5) {
         if packets.len() < 50 {
@@ -75,7 +78,7 @@ pub fn run(args: &[String]) -> CmdResult {
         }
         // RTCP by SSRC correlation.
         if let Some(&(off, _)) = hits.first() {
-            let mut ssrcs = std::collections::HashSet::new();
+            let mut ssrcs = BTreeSet::new();
             let mut non_rtp = Vec::new();
             for (t, p) in packets {
                 if p.len() >= off + 12 && zoom_wire::rtp::Packet::new_checked(&p[off..]).is_ok() {
@@ -88,7 +91,7 @@ pub fn run(args: &[String]) -> CmdResult {
             println!("  SSRCs: {ssrcs:x?}");
             let mut rtcp_hits: Vec<(usize, usize)> =
                 find_rtcp_by_ssrc(&non_rtp, &ssrcs).into_iter().collect();
-            rtcp_hits.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+            rtcp_hits.sort_by_key(|&(offset, n)| (std::cmp::Reverse(n), offset));
             for (offset, count) in rtcp_hits.iter().take(3) {
                 println!("  SSRC seen at offset {offset} in {count} non-RTP packets (RTCP?)");
             }

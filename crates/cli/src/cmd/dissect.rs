@@ -1,10 +1,12 @@
 //! `zoom-tools dissect` — print Wireshark-plugin-style field trees for the
 //! packets of a pcap file (Appendix C).
 
+use super::sources::{build_sources, start_capture};
 use super::{parse_args, CliError, CmdResult, FlagSpec};
+use zoom_capture::source::BATCH_RECORDS;
 use zoom_wire::dissect::{dissect, render_tree, P2pProbe, Probe, WebrtcProbe};
 use zoom_wire::family::{FamilyId, FamilySelect};
-use zoom_wire::pcap::{Reader, RecordBuf};
+use zoom_wire::handoff::RecordBatch;
 
 const FLAGS: FlagSpec = FlagSpec {
     command: "dissect",
@@ -44,25 +46,24 @@ pub fn run(args: &[String]) -> CmdResult {
         other => other.probe(),
     };
 
-    let file = std::fs::File::open(input).map_err(|e| format!("{input}: {e}"))?;
-    let mut reader =
-        Reader::new(std::io::BufReader::new(file)).map_err(|e| format!("{input}: {e}"))?;
-    let link = reader.link_type();
+    let mut mux = start_capture(build_sources(std::slice::from_ref(input), &[], None)?, None);
+    let mut batch = RecordBatch::new();
     let mut index = 0u64;
     let mut shown = 0usize;
-    let mut record = RecordBuf::new();
-    while reader.read_into(&mut record).map_err(|e| e.to_string())? {
-        index += 1;
-        if shown >= max {
-            break;
-        }
-        match dissect(record.ts_nanos(), record.data(), link, probe) {
-            Ok(d) => {
-                println!("--- packet {index} ({} bytes) ---", record.data().len());
-                print!("{}", render_tree(&d));
-                shown += 1;
+    while let Some(link) = mux.next_batch(&mut batch, BATCH_RECORDS)? {
+        for record in batch.iter() {
+            index += 1;
+            if shown >= max {
+                return Ok(());
             }
-            Err(e) => println!("--- packet {index}: not dissectable ({e}) ---"),
+            match dissect(record.ts_nanos, record.data, link, probe) {
+                Ok(d) => {
+                    println!("--- packet {index} ({} bytes) ---", record.data.len());
+                    print!("{}", render_tree(&d));
+                    shown += 1;
+                }
+                Err(e) => println!("--- packet {index}: not dissectable ({e}) ---"),
+            }
         }
     }
     Ok(())

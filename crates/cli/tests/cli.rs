@@ -352,12 +352,14 @@ fn unreadable_inputs_exit_alike_on_every_route() {
     for (input, code) in [(&missing, 5), (&garbage, 4)] {
         let input = input.to_str().unwrap();
         let source = format!("pcap:{input}");
-        let commands: [&[&str]; 5] = [
+        let commands: [&[&str]; 7] = [
             &["analyze", input],
             &["analyze", "--source", &source],
             &["capture", "--source", &source, out],
             &["filter", input, out],
             &["merge", input],
+            &["dissect", input],
+            &["discover", input],
         ];
         for args in commands {
             let (_, err, got) = run_code(args);
@@ -365,6 +367,30 @@ fn unreadable_inputs_exit_alike_on_every_route() {
             assert!(err.contains(input), "{args:?}: {err}");
         }
     }
+}
+
+/// `discover` ranks flows and lists SSRCs in an order of the trace's
+/// making, not of hash-table layout: two runs print the same bytes.
+#[test]
+fn discover_prints_the_same_bytes_every_run() {
+    let raw = tmp("discover_multi.pcap");
+    let (_, err, ok) = run(&[
+        "simulate",
+        raw.to_str().unwrap(),
+        "--seconds",
+        "20",
+        "--seed",
+        "7",
+        "--scenario",
+        "multi",
+    ]);
+    assert!(ok, "simulate failed: {err}");
+    let (first, err, ok) = run(&["discover", raw.to_str().unwrap()]);
+    assert!(ok, "discover failed: {err}");
+    assert!(first.contains("SSRCs: ["), "{first}");
+    let (second, err, ok) = run(&["discover", raw.to_str().unwrap()]);
+    assert!(ok, "discover failed: {err}");
+    assert!(first == second, "two runs of discover differ");
 }
 
 /// `campus-10x` draws its meetings per whole minute; a shorter trace

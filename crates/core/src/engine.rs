@@ -133,7 +133,8 @@ impl EngineOutput {
 /// ```no_run
 /// use std::time::Duration;
 /// use zoom_analysis::engine::{EngineConfig, StreamingEngine};
-/// use zoom_wire::pcap::LinkType;
+/// use zoom_analysis::PacketSink;
+/// use zoom_wire::pcap::{LinkType, Record};
 ///
 /// let mut engine = StreamingEngine::new(EngineConfig {
 ///     window: Some(Duration::from_secs(10)),
@@ -141,7 +142,13 @@ impl EngineOutput {
 ///     ..Default::default()
 /// })
 /// .expect("valid config");
-/// // for each record: for w in engine.push_packet(ts, &data, LinkType::Ethernet)? { ... }
+/// let records: Vec<Record> = Vec::new(); // or a capture's batches, through `push_batch`
+/// for r in &records {
+///     engine.push(r.ts_nanos, &r.data, LinkType::Ethernet)?;
+///     for w in engine.take_windows() {
+///         println!("{}", w.to_json());
+///     }
+/// }
 /// let output = engine.drain().expect("drain");
 /// println!("{}", output.report.to_json());
 /// # Ok::<(), zoom_analysis::Error>(())
@@ -308,20 +315,6 @@ impl StreamingEngine {
     /// ([`PacketSink::note_pcap_progress`]).
     pub fn note_pcap_progress(&mut self, records: u64, bytes: u64) {
         self.analyzer.note_pcap_progress(records, bytes);
-    }
-
-    /// Feed one packet from a borrowed byte slice and return every window
-    /// closed and not yet taken — [`PacketSink::push`] followed by
-    /// [`PacketSink::take_windows`]. The bytes are analyzed where they
-    /// lie; nothing allocates per packet.
-    pub fn push_packet(
-        &mut self,
-        ts_nanos: u64,
-        data: &[u8],
-        link: LinkType,
-    ) -> Result<Vec<WindowReport>, Error> {
-        self.push(ts_nanos, data, link)?;
-        Ok(self.take_windows())
     }
 
     /// Cut a partial window now, without waiting for a boundary record:
@@ -711,8 +704,7 @@ fn stream_window(
 impl PacketSink for StreamingEngine {
     fn push(&mut self, ts_nanos: u64, data: &[u8], link: LinkType) -> Result<(), Error> {
         self.clock.before_record(&mut self.analyzer, ts_nanos);
-        self.analyzer.process_packet(ts_nanos, data, link);
-        Ok(())
+        self.analyzer.push(ts_nanos, data, link)
     }
 
     fn push_batch(&mut self, batch: &RecordBatch, link: LinkType) -> Result<(), Error> {
@@ -798,6 +790,17 @@ mod tests {
         Record::full(ts, data)
     }
 
+    /// Push one record and take every window it closed.
+    fn push_and_take(
+        engine: &mut StreamingEngine,
+        ts_nanos: u64,
+        data: &[u8],
+        link: LinkType,
+    ) -> Vec<WindowReport> {
+        engine.push(ts_nanos, data, link).unwrap();
+        engine.take_windows()
+    }
+
     #[test]
     fn windows_close_on_boundaries_and_deltas_sum() {
         let mut engine = StreamingEngine::new(EngineConfig {
@@ -810,11 +813,12 @@ mod tests {
         let mut windows = Vec::new();
         for i in 0..750u64 {
             let r = media_record(i * 33 * MS, 1, 0x21, i as u16 + 1, 1_000 + i as u32 * 3_000);
-            windows.extend(
-                engine
-                    .push_packet(r.ts_nanos, &r.data, LinkType::Ethernet)
-                    .unwrap(),
-            );
+            windows.extend(push_and_take(
+                &mut engine,
+                r.ts_nanos,
+                &r.data,
+                LinkType::Ethernet,
+            ));
         }
         let out = engine.drain().unwrap();
         assert_eq!(windows.len(), 2);
@@ -854,11 +858,12 @@ mod tests {
         let mut rows = Vec::new();
         for i in 0..90u64 {
             let r = media_record(i * 33 * MS, 1, 0xA, i as u16 + 1, 1_000 + i as u32 * 3_000);
-            rows.extend(
-                engine
-                    .push_packet(r.ts_nanos, &r.data, LinkType::Ethernet)
-                    .unwrap(),
-            );
+            rows.extend(push_and_take(
+                &mut engine,
+                r.ts_nanos,
+                &r.data,
+                LinkType::Ethernet,
+            ));
         }
         for i in 0..900u64 {
             let r = media_record(
@@ -868,11 +873,12 @@ mod tests {
                 i as u16 + 1,
                 1_000 + i as u32 * 3_000,
             );
-            rows.extend(
-                engine
-                    .push_packet(r.ts_nanos, &r.data, LinkType::Ethernet)
-                    .unwrap(),
-            );
+            rows.extend(push_and_take(
+                &mut engine,
+                r.ts_nanos,
+                &r.data,
+                LinkType::Ethernet,
+            ));
         }
         for w in &rows {
             evicted_seen += w.totals.evicted_streams;
@@ -997,10 +1003,7 @@ mod tests {
         .unwrap();
         let mut evicted = 0;
         let mut feed = |engine: &mut StreamingEngine, r: Record| {
-            for w in engine
-                .push_packet(r.ts_nanos, &r.data, LinkType::Ethernet)
-                .unwrap()
-            {
+            for w in push_and_take(engine, r.ts_nanos, &r.data, LinkType::Ethernet) {
                 evicted += w.totals.evicted_streams;
             }
         };
@@ -1063,17 +1066,19 @@ mod tests {
         .unwrap();
         let mut windows = Vec::new();
         let early = media_record(0, 1, 0x1, 1, 100);
-        windows.extend(
-            engine
-                .push_packet(early.ts_nanos, &early.data, LinkType::Ethernet)
-                .unwrap(),
-        );
+        windows.extend(push_and_take(
+            &mut engine,
+            early.ts_nanos,
+            &early.data,
+            LinkType::Ethernet,
+        ));
         let late = media_record(4 * SEC + 1, 1, 0x1, 2, 200);
-        windows.extend(
-            engine
-                .push_packet(late.ts_nanos, &late.data, LinkType::Ethernet)
-                .unwrap(),
-        );
+        windows.extend(push_and_take(
+            &mut engine,
+            late.ts_nanos,
+            &late.data,
+            LinkType::Ethernet,
+        ));
         // Record at 4.000000001 s closes [0,1) and skips [1,2), [2,3), [3,4).
         assert_eq!(windows.len(), 4);
         assert_eq!(windows[0].totals.zoom_packets, 1);
@@ -1101,11 +1106,8 @@ mod tests {
         let early = media_record(SEC / 2, 1, 0x1, 1, 100);
         let late = media_record(TEN_YEARS + SEC / 2, 1, 0x1, 2, 200);
         let link = LinkType::Ethernet;
-        assert!(engine
-            .push_packet(early.ts_nanos, &early.data, link)
-            .unwrap()
-            .is_empty());
-        let windows = engine.push_packet(late.ts_nanos, &late.data, link).unwrap();
+        assert!(push_and_take(&mut engine, early.ts_nanos, &early.data, link).is_empty());
+        let windows = push_and_take(&mut engine, late.ts_nanos, &late.data, link);
         // [0, 1 s) with the early packet, then the bounded empty run.
         assert_eq!(windows.len() as u64, 1 + MAX_EMPTY_RUN);
         assert_eq!(windows[0].totals.zoom_packets, 1);
@@ -1130,15 +1132,13 @@ mod tests {
         let mut engine = one_second_engine();
         let link = LinkType::Ethernet;
         let early = media_record(SEC / 2, 1, 0x1, 1, 100);
-        engine
-            .push_packet(early.ts_nanos, &early.data, link)
-            .unwrap();
+        push_and_take(&mut engine, early.ts_nanos, &early.data, link);
         let mut windows = Vec::new();
         // The last window on the clock starts within a second of the end
         // of time; a record in it, and then one that steps back.
         for (ts, seq) in [(u64::MAX - 1, 2), (u64::MAX, 3), (u64::MAX - 5 * SEC, 4)] {
             let r = media_record(ts, 1, 0x1, seq, 100 * u32::from(seq));
-            windows.extend(engine.push_packet(ts, &r.data, link).unwrap());
+            windows.extend(push_and_take(&mut engine, ts, &r.data, link));
         }
         assert_eq!(windows.len() as u64, 1 + MAX_EMPTY_RUN);
         let out = engine.drain().unwrap();

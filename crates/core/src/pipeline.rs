@@ -427,46 +427,6 @@ impl Analyzer {
         self.tally.flush(&self.metrics);
     }
 
-    /// Process one packet from a borrowed byte slice — the zero-copy
-    /// fast path behind [`PacketSink::push`], for use with
-    /// [`zoom_wire::pcap::Reader::read_into`] where no owned
-    /// [`Record`](zoom_wire::pcap::Record) exists.
-    /// The packet is accounted as `data.len()` bytes on the wire; a loop
-    /// that has the record's `orig_len` passes it to
-    /// [`Analyzer::process_record`].
-    pub fn process_packet(&mut self, ts_nanos: u64, data: &[u8], link: LinkType) {
-        self.process_record(ts_nanos, data.len(), data, link);
-    }
-
-    /// [`Analyzer::process_packet`] for a record of which the capture kept
-    /// `data` out of `wire_len` bytes (a snap-length pcap): the ingest
-    /// accounting (`bytes_in`, the `packet_size` histogram) follows the
-    /// wire, whatever the capture kept.
-    pub fn process_record(&mut self, ts_nanos: u64, wire_len: usize, data: &[u8], link: LinkType) {
-        // 1-in-64 stage-latency sampling: a clock read pair on sampled
-        // calls, which also publish the metrics tally; nothing on the
-        // rest.
-        let sampled_at = self.total_packets.is_multiple_of(64).then(|| {
-            self.flush_metrics();
-            std::time::Instant::now()
-        });
-        self.total_packets += 1;
-        self.tally.record_in(wire_len);
-        let probe = self.config.family_select().probe();
-        match &peek(data, link) {
-            Ok(p) => self.process_peeked(&p.info, ts_nanos, data, probe),
-            Err(e) => {
-                self.undissectable += 1;
-                self.metrics.record_drop(drop_stage(data, link, *e));
-            }
-        }
-        if let Some(t0) = sampled_at {
-            self.metrics
-                .stage_push_nanos
-                .observe(t0.elapsed().as_nanos() as u64);
-        }
-    }
-
     /// Finish a record [`peek`] accepted: classify its UDP payload
     /// ([`classify_udp_with`], the parse [`zoom_wire::dissect::dissect`]
     /// runs too) and apply the result where the parser left it.
@@ -958,9 +918,8 @@ impl Analyzer {
     }
 
     /// Batched ingest: one pass over the batch in record order, each
-    /// record peeked once ([`peek`]) and applied straight from the peek
-    /// — same observable state as per-record
-    /// [`Analyzer::process_packet`] calls.
+    /// record run through [`Analyzer::ingest`] — same observable state as
+    /// per-record [`PacketSink::push`] calls.
     ///
     /// `before_record` runs ahead of each record, with the record's
     /// timestamp: the streaming engine's window clock closes windows
@@ -997,26 +956,35 @@ impl Analyzer {
         for (i, r) in batch.iter().enumerate() {
             prefetch_record(batch, i + 1);
             before_record(self, r.ts_nanos);
-            let sampled_at = self
-                .total_packets
-                .is_multiple_of(64)
-                .then(std::time::Instant::now);
-            self.total_packets += 1;
-            // By reference: the peek is read where `peek` wrote it.
-            match &peek(r.data, link) {
-                Ok(p) => self.process_peeked(&p.info, r.ts_nanos, r.data, probe),
-                Err(e) => {
-                    self.undissectable += 1;
-                    self.metrics.record_drop(drop_stage(r.data, link, *e));
-                }
-            }
-            if let Some(t0) = sampled_at {
-                self.metrics
-                    .stage_push_nanos
-                    .observe(t0.elapsed().as_nanos() as u64);
-            }
+            self.ingest(r.ts_nanos, r.data, link, probe);
         }
         self.flush_metrics();
+    }
+
+    /// The one per-record body, behind both [`PacketSink::push`] and
+    /// [`Analyzer::push_batch_with`]: sample the stage clock (1 record in
+    /// 64), count the record, peek it once and apply it straight from the
+    /// peek. The caller has tallied the record's bytes in.
+    #[inline(always)]
+    fn ingest(&mut self, ts_nanos: u64, data: &[u8], link: LinkType, probe: Probe) {
+        let sampled_at = self
+            .total_packets
+            .is_multiple_of(64)
+            .then(std::time::Instant::now);
+        self.total_packets += 1;
+        // By reference: the peek is read where `peek` wrote it.
+        match &peek(data, link) {
+            Ok(p) => self.process_peeked(&p.info, ts_nanos, data, probe),
+            Err(e) => {
+                self.undissectable += 1;
+                self.metrics.record_drop(drop_stage(data, link, *e));
+            }
+        }
+        if let Some(t0) = sampled_at {
+            self.metrics
+                .stage_push_nanos
+                .observe(t0.elapsed().as_nanos() as u64);
+        }
     }
 }
 
@@ -1033,7 +1001,12 @@ struct RecordView<'a> {
 
 impl PacketSink for Analyzer {
     fn push(&mut self, ts_nanos: u64, data: &[u8], link: LinkType) -> Result<(), Error> {
-        self.process_packet(ts_nanos, data, link);
+        // No batch end to publish the tally at: publish every 64 records.
+        if self.total_packets.is_multiple_of(64) {
+            self.flush_metrics();
+        }
+        self.tally.record_in(data.len());
+        self.ingest(ts_nanos, data, link, self.config.family_select().probe());
         Ok(())
     }
 

@@ -1,9 +1,10 @@
 //! The unified ingest API: one trait both analysis sinks implement, in
 //! one shape:
 //!
-//! * [`push`](PacketSink::push) — borrowed bytes in, `Result` out: the
-//!   zero-copy fast path every sink already had inherently
-//!   (`process_packet` / `push_packet`) becomes the canonical API;
+//! * [`push_batch`](PacketSink::push_batch) — a capture hand-off
+//!   [`RecordBatch`] in, `Result` out: what every CLI route runs;
+//! * [`push`](PacketSink::push) — one record's borrowed bytes in, through
+//!   the same per-record body, allocating nothing;
 //! * [`finish`](PacketSink::finish) — consumes the sink, returns the
 //!   owned [`AnalysisReport`];
 //! * [`take_windows`](PacketSink::take_windows) — drains any window
@@ -19,11 +20,12 @@
 //! ```
 //! use zoom_analysis::{PacketSink, Error};
 //! use zoom_analysis::report::AnalysisReport;
-//! use zoom_wire::pcap::{LinkType, Record};
+//! use zoom_wire::handoff::RecordBatch;
+//! use zoom_wire::pcap::LinkType;
 //!
-//! fn feed<S: PacketSink>(mut sink: S, records: &[Record]) -> Result<AnalysisReport, Error> {
-//!     for r in records {
-//!         sink.push(r.ts_nanos, &r.data, LinkType::Ethernet)?;
+//! fn feed<S: PacketSink>(mut sink: S, batches: &[RecordBatch]) -> Result<AnalysisReport, Error> {
+//!     for batch in batches {
+//!         sink.push_batch(batch, LinkType::Ethernet)?;
 //!         for w in sink.take_windows() {
 //!             println!("{}", w.to_json());
 //!         }
@@ -48,25 +50,22 @@ use zoom_wire::pcap::LinkType;
 /// (sequential batch) and [`crate::engine::StreamingEngine`] (windowed
 /// streaming).
 pub trait PacketSink {
-    /// Ingest one record as borrowed bytes (the zero-copy fast path; no
-    /// per-record allocation in any implementation).
+    /// Ingest one record as borrowed bytes: the per-record body
+    /// [`push_batch`](PacketSink::push_batch) runs, on the caller's
+    /// bytes, allocating nothing. The record is accounted as `data.len()`
+    /// bytes on the wire.
     ///
     /// A record the dissector rejects is *not* an error — it is counted
     /// in the sink's drop metrics and the call returns `Ok(())`. `Err` is
     /// reserved for sink-level failures.
     fn push(&mut self, ts_nanos: u64, data: &[u8], link: LinkType) -> Result<(), Error>;
 
-    /// Ingest a whole capture hand-off batch
-    /// ([`zoom_wire::handoff::RecordBatch`], the unit a
-    /// `zoom-capture` fan-in ring carries) of records sharing one link
-    /// type. Provided: the default loops [`push`](PacketSink::push) over
-    /// the borrowed records and stops at the first sink-level error.
-    fn push_batch(&mut self, batch: &RecordBatch, link: LinkType) -> Result<(), Error> {
-        for r in batch.iter() {
-            self.push(r.ts_nanos, r.data, link)?;
-        }
-        Ok(())
-    }
+    /// Ingest a whole capture hand-off batch ([`RecordBatch`], the unit
+    /// a `zoom-capture` fan-in hands over) of records sharing one link
+    /// type, each accounted at its `orig_len`. Every record runs
+    /// [`push`](PacketSink::push)'s body in order, so how the records are
+    /// cut into batches changes nothing.
+    fn push_batch(&mut self, batch: &RecordBatch, link: LinkType) -> Result<(), Error>;
 
     /// Drain window reports completed by previous [`push`](PacketSink::push)
     /// calls. Batch sinks never produce any; the streaming engine yields

@@ -8,30 +8,34 @@ use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
 use zoom_wire::dissect::{dissect, render_tree, P2pProbe};
-use zoom_wire::pcap::{LinkType, Reader, RecordBuf};
+use zoom_wire::handoff::RecordBatch;
+use zoom_wire::pcap::{LinkType, Reader};
 
 fn main() -> std::io::Result<()> {
     let mut args = std::env::args().skip(1);
     if let Some(path) = args.next() {
         let max: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
-        let file = std::fs::File::open(&path)?;
-        let mut reader = Reader::new(std::io::BufReader::new(file))?;
+        let mut reader = Reader::new(std::fs::File::open(&path)?)?;
         let link = reader.link_type();
         let mut shown = 0;
         let mut index = 0u64;
-        let mut record = RecordBuf::new();
-        while reader.read_into(&mut record)? {
-            index += 1;
-            match dissect(record.ts_nanos(), record.data(), link, P2pProbe::Auto) {
-                Ok(d) => {
-                    println!("--- packet {index} ---");
-                    print!("{}", render_tree(&d));
-                    shown += 1;
+        let (mut batch, mut more) = (RecordBatch::new(), true);
+        while more {
+            batch.clear();
+            more = reader.read_chunk(&mut batch)?;
+            for record in batch.iter() {
+                index += 1;
+                match dissect(record.ts_nanos, record.data, link, P2pProbe::Auto) {
+                    Ok(d) => {
+                        println!("--- packet {index} ---");
+                        print!("{}", render_tree(&d));
+                        shown += 1;
+                    }
+                    Err(e) => println!("--- packet {index}: not dissectable ({e}) ---"),
                 }
-                Err(e) => println!("--- packet {index}: not dissectable ({e}) ---"),
-            }
-            if shown >= max {
-                break;
+                if shown >= max {
+                    return Ok(());
+                }
             }
         }
         return Ok(());

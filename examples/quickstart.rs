@@ -9,7 +9,8 @@ use zoom_analysis::PacketSink;
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
-use zoom_wire::pcap::{LinkType, Reader, RecordBuf, Writer};
+use zoom_wire::handoff::RecordBatch;
+use zoom_wire::pcap::{LinkType, Reader, Writer};
 use zoom_wire::zoom::MediaType;
 
 fn main() -> std::io::Result<()> {
@@ -30,9 +31,9 @@ fn main() -> std::io::Result<()> {
     }
     println!("wrote capture to {}", path.display());
 
-    // 2. Read the capture back and run the passive analyzer on it.
-    let file = std::fs::File::open(&path)?;
-    let mut reader = Reader::new(std::io::BufReader::new(file))?;
+    // 2. Read the capture back, a chunk of records at a time, and run the
+    //    passive analyzer on it.
+    let mut reader = Reader::new(std::fs::File::open(&path)?)?;
     let link = reader.link_type();
     let analyzer_config = AnalyzerConfig::builder()
         .campus(scenario::CAMPUS_NET)
@@ -40,11 +41,11 @@ fn main() -> std::io::Result<()> {
         .build()
         .expect("valid campus CIDR");
     let mut analyzer = Analyzer::new(analyzer_config);
-    let mut record = RecordBuf::new();
-    while reader.read_into(&mut record)? {
-        analyzer
-            .push(record.ts_nanos(), record.data(), link)
-            .expect("push");
+    let (mut batch, mut more) = (RecordBatch::new(), true);
+    while more {
+        batch.clear();
+        more = reader.read_chunk(&mut batch)?;
+        analyzer.push_batch(&batch, link).expect("push_batch");
     }
 
     // 3. Report what passive analysis alone could see.

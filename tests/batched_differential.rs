@@ -12,10 +12,15 @@
 //!   batch's dissections were made before it did.
 //! * A proptest cuts the trace at arbitrary batch boundaries (including
 //!   empty batches) and asserts the report is invariant to the cut.
+//!
+//! Every case compares the sinks' `metrics()` snapshots too, all but the
+//! wall-clock `uptime_seconds` and `stage_latency` histograms: one
+//! per-record body behind both entries counts the same.
 
 use proptest::prelude::*;
 use std::time::Duration;
 use zoom_analysis::engine::{EngineConfig, EngineOutput, StreamingEngine};
+use zoom_analysis::obs::MetricsSnapshot;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::report::{AnalysisReport, WindowReport};
 use zoom_analysis::PacketSink;
@@ -50,13 +55,34 @@ fn mixed_source_records() -> Vec<Record> {
     records
 }
 
-fn per_record_report(records: &[Record]) -> AnalysisReport {
+/// A sink's metrics snapshot without what the wall clock decides: the
+/// `uptime_seconds` gauge and the `stage_latency` histograms.
+fn counted(sink: &impl PacketSink) -> MetricsSnapshot {
+    let mut m = sink.metrics();
+    m.uptime_seconds = 0;
+    for h in [
+        &mut m.stage_push_nanos,
+        &mut m.stage_merge_nanos,
+        &mut m.stage_checkpoint_nanos,
+    ] {
+        h.buckets.clear();
+        h.sum = 0;
+        h.count = 0;
+    }
+    m
+}
+
+/// The report and the counted metrics of one analysis.
+type Run = (AnalysisReport, MetricsSnapshot);
+
+fn per_record_report(records: &[Record]) -> Run {
     let mut a = Analyzer::new(AnalyzerConfig::default());
     for r in records {
         a.push(r.ts_nanos, &r.data, LinkType::Ethernet)
             .expect("push");
     }
-    a.finish().expect("finish")
+    let m = counted(&a);
+    (a.finish().expect("finish"), m)
 }
 
 /// Packs `records[lo..hi)` into a cleared, reused `RecordBatch`.
@@ -67,7 +93,7 @@ fn fill(batch: &mut RecordBatch, records: &[Record]) {
     }
 }
 
-fn batched_report(records: &[Record], batch_size: usize) -> AnalysisReport {
+fn batched_report(records: &[Record], batch_size: usize) -> Run {
     let mut a = Analyzer::new(AnalyzerConfig::default());
     let mut batch = RecordBatch::new();
     for chunk in records.chunks(batch_size) {
@@ -75,13 +101,21 @@ fn batched_report(records: &[Record], batch_size: usize) -> AnalysisReport {
         a.push_batch(&batch, LinkType::Ethernet)
             .expect("push_batch");
     }
-    a.finish().expect("finish")
+    let m = counted(&a);
+    (a.finish().expect("finish"), m)
 }
 
-fn stream_per_record(
-    records: &[Record],
-    window: Option<Duration>,
-) -> (Vec<WindowReport>, EngineOutput) {
+/// Two analyses agree on every report byte and every counted metric.
+fn assert_runs_identical(label: &str, got: &Run, want: &Run) {
+    assert_eq!(got.0.to_json(), want.0.to_json(), "{label}: report");
+    assert_eq!(got.1, want.1, "{label}: metrics");
+}
+
+/// The windows, the drained output and the counted metrics of one
+/// engine run.
+type StreamRun = (Vec<WindowReport>, EngineOutput, MetricsSnapshot);
+
+fn stream_per_record(records: &[Record], window: Option<Duration>) -> StreamRun {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
         window,
@@ -96,15 +130,12 @@ fn stream_per_record(
             .expect("push");
         windows.extend(engine.take_windows());
     }
+    let m = counted(&engine);
     let out = engine.drain().expect("drain");
-    (windows, out)
+    (windows, out, m)
 }
 
-fn stream_batched(
-    records: &[Record],
-    window: Option<Duration>,
-    batch_size: usize,
-) -> (Vec<WindowReport>, EngineOutput) {
+fn stream_batched(records: &[Record], window: Option<Duration>, batch_size: usize) -> StreamRun {
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: AnalyzerConfig::default(),
         window,
@@ -121,15 +152,12 @@ fn stream_batched(
             .expect("push_batch");
         windows.extend(engine.take_windows());
     }
+    let m = counted(&engine);
     let out = engine.drain().expect("drain");
-    (windows, out)
+    (windows, out, m)
 }
 
-fn assert_streams_identical(
-    label: &str,
-    got: &(Vec<WindowReport>, EngineOutput),
-    want: &(Vec<WindowReport>, EngineOutput),
-) {
+fn assert_streams_identical(label: &str, got: &StreamRun, want: &StreamRun) {
     assert_eq!(got.0.len(), want.0.len(), "{label}: window count");
     for (i, (x, y)) in got.0.iter().zip(&want.0).enumerate() {
         assert_eq!(x.to_json(), y.to_json(), "{label}: window {i}");
@@ -144,16 +172,17 @@ fn assert_streams_identical(
         want.1.report.to_json(),
         "{label}: final report"
     );
+    assert_eq!(got.2, want.2, "{label}: metrics");
 }
 
 #[test]
 fn analyzer_batched_matches_per_record_at_all_batch_sizes() {
     let records = multi_records();
     assert!(records.len() > 4096, "trace must outsize the largest batch");
-    let want = per_record_report(&records).to_json();
+    let want = per_record_report(&records);
     for size in BATCH_SIZES {
-        let got = batched_report(&records, size).to_json();
-        assert_eq!(got, want, "batch size {size}");
+        let got = batched_report(&records, size);
+        assert_runs_identical(&format!("batch size {size}"), &got, &want);
     }
 }
 
@@ -161,10 +190,10 @@ fn analyzer_batched_matches_per_record_at_all_batch_sizes() {
 fn mixed_source_batched_matches_per_record() {
     let records = mixed_source_records();
     assert!(records.len() > 4096);
-    let want = per_record_report(&records).to_json();
+    let want = per_record_report(&records);
     for size in BATCH_SIZES {
-        let got = batched_report(&records, size).to_json();
-        assert_eq!(got, want, "mixed sources, batch size {size}");
+        let got = batched_report(&records, size);
+        assert_runs_identical(&format!("mixed sources, batch size {size}"), &got, &want);
     }
 }
 
@@ -205,7 +234,7 @@ proptest! {
         let mut records: Vec<Record> =
             MeetingSim::new(scenario::multi_party(seed, 10 * SEC)).collect();
         records.sort_by_key(|r| r.ts_nanos);
-        let want = per_record_report(&records).to_json();
+        let (want, want_metrics) = per_record_report(&records);
 
         let mut a = Analyzer::new(AnalyzerConfig::default());
         let mut batch = RecordBatch::new();
@@ -224,7 +253,8 @@ proptest! {
             a.push_batch(&batch, LinkType::Ethernet).expect("push_batch");
             at += take;
         }
+        prop_assert_eq!(counted(&a), want_metrics);
         let got = a.finish().expect("finish").to_json();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(got, want.to_json());
     }
 }

@@ -3,6 +3,7 @@
 
 use std::net::IpAddr;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
+use zoom_analysis::PacketSink;
 use zoom_capture::anonymize::{Anonymizer, Mode};
 use zoom_capture::cidr::prefix_set;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
@@ -36,7 +37,9 @@ fn pipeline_filters_background_and_keeps_zoom() {
     for record in stream {
         let (_, out) = capture.process_record(&record, LinkType::Ethernet);
         if let Some(out) = out {
-            analyzer.process_packet(out.ts_nanos, &out.data, LinkType::Ethernet);
+            analyzer
+                .push(out.ts_nanos, &out.data, LinkType::Ethernet)
+                .expect("push");
         }
     }
     let c = capture.counters();
@@ -97,7 +100,9 @@ fn anonymized_output_remains_fully_analyzable() {
         for record in stream {
             let (_, out) = capture.process_record(&record, LinkType::Ethernet);
             if let Some(out) = out {
-                analyzer.process_packet(out.ts_nanos, &out.data, LinkType::Ethernet);
+                analyzer
+                    .push(out.ts_nanos, &out.data, LinkType::Ethernet)
+                    .expect("push");
             }
         }
         analyzer.summary()

@@ -2,6 +2,7 @@
 //! a multi-party meeting with mixed media.
 
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
+use zoom_analysis::PacketSink;
 use zoom_capture::cidr::prefix_set;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig};
 use zoom_capture::zoom_nets::{Owner, ZoomIpList, ZoomNetwork};
@@ -38,7 +39,9 @@ fn multi_party_meeting_full_chain() {
             "every simulated packet is Zoom traffic, got {verdict:?}"
         );
         let out = out.unwrap();
-        analyzer.process_packet(out.ts_nanos, &out.data, LinkType::Ethernet);
+        analyzer
+            .push(out.ts_nanos, &out.data, LinkType::Ethernet)
+            .expect("push");
     }
 
     let summary = analyzer.summary();
@@ -96,7 +99,9 @@ fn p2p_meeting_stays_one_meeting_across_switch() {
             p2p_passed += 1;
         }
         let out = out.unwrap();
-        analyzer.process_packet(out.ts_nanos, &out.data, LinkType::Ethernet);
+        analyzer
+            .push(out.ts_nanos, &out.data, LinkType::Ethernet)
+            .expect("push");
     }
     assert!(p2p_passed > 1_000, "p2p packets {p2p_passed}");
 

@@ -1,8 +1,10 @@
 //! The ingest hot path stays off the allocator once it is warm: a second
 //! pass of `Reader::read_into` over a pcap image, of chunk reads
-//! (`Reader::read_chunk`) plus `peek_batch` classification, and of chunk
+//! (`Reader::read_chunk`) plus `peek_batch` classification, of chunk
 //! reads into `Analyzer::push_batch` — the route `analyze FILE` takes —
-//! allocates nothing; through a `StreamingEngine` with 1 s windows, a
+//! and of per-record `PacketSink::push` calls on an `Analyzer` and on an
+//! unwindowed `StreamingEngine` allocates nothing; through a
+//! `StreamingEngine` with 1 s windows, a
 //! batch that closes no window allocates nothing either; a time-shifted
 //! replay through a `StreamingEngine` with 10 s windows allocates less
 //! than 0.05 times per record (window-close report assembly is the
@@ -165,6 +167,15 @@ fn sink_pass(
     batches
 }
 
+/// Every record through `PacketSink::push`, one at a time, with its
+/// timestamp shifted by `offset`.
+fn push_pass(sink: &mut impl PacketSink, records: &[Record], offset: u64) {
+    for r in records {
+        sink.push(r.ts_nanos + offset, &r.data, LinkType::Ethernet)
+            .expect("push");
+    }
+}
+
 /// One windowed pass over the trace with every timestamp shifted by
 /// `offset`, taking window reports as they close.
 fn windowed_pass(
@@ -262,6 +273,20 @@ fn warm_ingest_passes_stay_off_the_allocator() {
         "warm read_chunk + Analyzer::push_batch pass allocated"
     );
     analyzer.finish().expect("finish");
+
+    // `PacketSink::push`, one record at a time: the body `push_batch` runs,
+    // on the caller's bytes. The trace warms the sink, the same trace a
+    // span later is measured.
+    let mut analyzer = Analyzer::new(AnalyzerConfig::default());
+    push_pass(&mut analyzer, &records, 0);
+    let (allocs, ()) = allocations(|| push_pass(&mut analyzer, &records, span));
+    assert_eq!(allocs, 0, "warm Analyzer::push pass allocated");
+    analyzer.finish().expect("finish");
+    let mut engine = StreamingEngine::new(EngineConfig::default()).expect("engine");
+    push_pass(&mut engine, &records, 0);
+    let (allocs, ()) = allocations(|| push_pass(&mut engine, &records, span));
+    assert_eq!(allocs, 0, "warm StreamingEngine::push pass allocated");
+    engine.drain().expect("drain");
 
     // The same through the windowed engine, 1 s windows: a batch that
     // closed no window allocates nothing (a close assembles its report).

@@ -3,6 +3,7 @@
 //! the workload generator actually created (§4.3, Figs. 8 & 9).
 
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
+use zoom_analysis::PacketSink;
 use zoom_sim::campus::{CampusConfig, CampusScenario};
 use zoom_sim::infra::Infrastructure;
 use zoom_sim::time::SEC;
@@ -30,7 +31,9 @@ fn meeting_count_close_to_truth() {
 
     let mut analyzer = Analyzer::new(AnalyzerConfig::default());
     for record in scenario.into_stream() {
-        analyzer.process_packet(record.ts_nanos, &record.data, LinkType::Ethernet);
+        analyzer
+            .push(record.ts_nanos, &record.data, LinkType::Ethernet)
+            .expect("push");
     }
     let summary = analyzer.summary();
     // The heuristic may merge meetings (shared NAT'd client IPs) or miss
@@ -69,7 +72,9 @@ fn duplicate_streams_grouped_for_rtt() {
     let sim = MeetingSim::new(scenario::validation_experiment(31));
     let mut analyzer = Analyzer::new(AnalyzerConfig::default());
     for record in sim {
-        analyzer.process_packet(record.ts_nanos, &record.data, LinkType::Ethernet);
+        analyzer
+            .push(record.ts_nanos, &record.data, LinkType::Ethernet)
+            .expect("push");
     }
     let groups = analyzer.duplicate_stream_groups();
     let multi: Vec<_> = groups.values().filter(|v| v.len() >= 2).collect();
@@ -127,7 +132,9 @@ fn ssrc_collisions_across_meetings_do_not_merge() {
     let mut records: Vec<_> = a.chain(b).collect();
     records.sort_by_key(|r| r.ts_nanos);
     for r in &records {
-        analyzer.process_packet(r.ts_nanos, &r.data, LinkType::Ethernet);
+        analyzer
+            .push(r.ts_nanos, &r.data, LinkType::Ethernet)
+            .expect("push");
     }
     assert_eq!(analyzer.summary().meetings, 2);
 }

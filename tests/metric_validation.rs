@@ -50,7 +50,9 @@ fn run() -> Validation {
     .expect("valid engine config");
     let mut windows = Vec::new();
     for record in &mut sim {
-        analyzer.process_packet(record.ts_nanos, &record.data, LinkType::Ethernet);
+        analyzer
+            .push(record.ts_nanos, &record.data, LinkType::Ethernet)
+            .expect("push");
         engine
             .push(record.ts_nanos, &record.data, LinkType::Ethernet)
             .expect("push");

@@ -3,6 +3,7 @@
 //! nanosecond (our writer) and microsecond (tcpdump-classic) files.
 
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
+use zoom_analysis::PacketSink;
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
@@ -31,7 +32,9 @@ fn read_back(img: &[u8]) -> Vec<Record> {
 fn analyze(records: impl IntoIterator<Item = Record>) -> zoom_analysis::pipeline::TraceSummary {
     let mut analyzer = Analyzer::new(AnalyzerConfig::default());
     for r in records {
-        analyzer.process_packet(r.ts_nanos, &r.data, LinkType::Ethernet);
+        analyzer
+            .push(r.ts_nanos, &r.data, LinkType::Ethernet)
+            .expect("push");
     }
     analyzer.summary()
 }

@@ -232,11 +232,8 @@ fn stream_via_pcap(img: &[u8], window: Option<Duration>) -> (Vec<WindowReport>, 
     let link = r.link_type();
     let mut buf = RecordBuf::new();
     while r.read_into(&mut buf).expect("record") {
-        windows.extend(
-            engine
-                .push_packet(buf.ts_nanos(), buf.data(), link)
-                .expect("push"),
-        );
+        engine.push(buf.ts_nanos(), buf.data(), link).expect("push");
+        windows.extend(engine.take_windows());
     }
     let out = engine.drain().expect("drain");
     (windows, out)

@@ -3,7 +3,7 @@
 
 use crate::harness::{feed, ExpArgs};
 use zoom_analysis::meeting::GroupingConfig;
-use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
+use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig, STUN_TIMEOUT_NANOS};
 use zoom_capture::cidr::prefix_set;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
 use zoom_capture::zoom_nets::{Owner, ZoomIpList, ZoomNetwork};
@@ -28,12 +28,10 @@ pub fn grouping_without_step1(args: &ExpArgs) {
             p.leave_at = 90 * SEC;
         }
         let sim = MeetingSim::new(cfg);
-        let mut analyzer = Analyzer::new(
-            AnalyzerConfig::builder()
-                .grouping(grouping)
-                .build()
-                .expect("valid config"),
-        );
+        let mut analyzer = Analyzer::new(AnalyzerConfig {
+            grouping,
+            ..AnalyzerConfig::default()
+        });
         feed(&mut analyzer, sim);
         let groups = analyzer.duplicate_stream_groups();
         let multi = groups.values().filter(|g| g.len() >= 2).count();
@@ -130,7 +128,13 @@ pub fn jitter_packet_vs_frame(args: &ExpArgs) {
 /// anything above captures it fully (hits refresh entries, so even long
 /// calls stay matched).
 pub fn p2p_timeout_sweep(args: &ExpArgs) {
-    let timeouts: &[Nanos] = &[500 * MS, 1_500 * MS, 2_500 * MS, 10 * SEC, 120 * SEC];
+    let timeouts: &[Nanos] = &[
+        500 * MS,
+        1_500 * MS,
+        2_500 * MS,
+        10 * SEC,
+        STUN_TIMEOUT_NANOS,
+    ];
     println!("Ablation: P2P detection register timeout");
     let zoom_list = ZoomIpList::from_networks(vec![ZoomNetwork {
         cidr: "170.114.0.0/16".parse().unwrap(),

@@ -13,7 +13,6 @@ use zoom_analysis::entropy::{extract_series, scan_flow, FieldClass};
 use zoom_analysis::metrics::latency::RttTotals;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::stats::{pearson, Samples, TimeBins};
-use zoom_capture::cidr::prefix_set;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::qos::QosSample;
@@ -247,10 +246,10 @@ pub fn fig10(args: &ExpArgs) {
     // holds the per-second frame rows and jitter samples.
     let mut sim = MeetingSim::new(scenario::validation_experiment(args.seed));
     let mut engine = StreamingEngine::new(EngineConfig {
-        analyzer: AnalyzerConfig::builder()
-            .per_second_rows(true)
-            .build()
-            .expect("valid analyzer config"),
+        analyzer: AnalyzerConfig {
+            per_second_rows: true,
+            ..AnalyzerConfig::default()
+        },
         window: Some(Duration::from_secs(1)),
         ..EngineConfig::default()
     })
@@ -431,12 +430,8 @@ pub fn capture_experiment(args: &ExpArgs) -> Result<CaptureExperiment, String> {
         return Err(no_meetings(args));
     }
     let mut capture = CapturePipeline::new(PipelineConfig {
-        campus_nets: prefix_set(&[scenario::CAMPUS_NET]),
-        excluded_nets: Default::default(),
         zoom_list: infra.ip_list.clone(),
-        stun_timeout_nanos: 120 * SEC,
-        anonymizer: None,
-        family: zoom_wire::family::FamilySelect::Only(zoom_wire::family::FamilyId::Zoom),
+        ..PipelineConfig::sample(scenario::CAMPUS_NET)
     });
     let minute = 60 * SEC;
     let mut all_rate = TimeBins::new(minute, args.duration());

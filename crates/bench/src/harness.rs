@@ -5,7 +5,6 @@ use std::io::Write;
 use std::path::PathBuf;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::PacketSink;
-use zoom_capture::cidr::prefix_set;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig};
 use zoom_capture::source::BATCH_RECORDS;
 use zoom_sim::campus::CampusStream;
@@ -211,18 +210,14 @@ pub fn run_campus(args: &ExpArgs) -> Result<CampusRun, String> {
         return Err(no_meetings(args));
     }
     let mut capture = CapturePipeline::new(PipelineConfig {
-        campus_nets: prefix_set(&[scenario::CAMPUS_NET]),
-        excluded_nets: Default::default(),
         zoom_list: infra.ip_list.clone(),
-        stun_timeout_nanos: 120 * zoom_sim::time::SEC,
-        anonymizer: None,
-        family: zoom_wire::family::FamilySelect::Only(zoom_wire::family::FamilyId::Zoom),
+        ..PipelineConfig::sample(scenario::CAMPUS_NET)
     });
     // The tables and Fig. 14–16 read the per-second series.
-    let config = AnalyzerConfig::builder()
-        .per_second_rows(true)
-        .build()
-        .expect("valid analyzer config");
+    let config = AnalyzerConfig {
+        per_second_rows: true,
+        ..AnalyzerConfig::default()
+    };
     let mut analyzer = Analyzer::new(config);
     let stream: CampusStream = scenario_obj.into_stream();
     feed(

@@ -3,8 +3,8 @@
 //! [`filter_to_pcap`] drains a [`CaptureMux`] batch by batch, offers every
 //! record to the [`CapturePipeline`] (or passes all of them, when there is
 //! none) and writes what passes to a single pcap. `zoom-tools capture`
-//! runs it over whatever fan-in its sources call for, `zoom-tools filter`
-//! over one file; nothing else filters to a file.
+//! runs it over whatever fan-in its sources call for; nothing else
+//! filters to a file.
 //!
 //! Records are judged where they lie in the batch's arena; a passing one
 //! is anonymized there and written from there, so a rejected record is

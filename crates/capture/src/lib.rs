@@ -33,8 +33,8 @@
 //! * [`ring`] — a bounded SPSC queue behind one lock. No route reads
 //!   through it; it stays for the repository benchmark's hand-off probe,
 //! * [`filter`] — the one loop from a fan-in through the filter to an
-//!   output pcap ([`filter_to_pcap`](filter::filter_to_pcap)), behind both
-//!   `zoom-tools capture` and `zoom-tools filter`,
+//!   output pcap ([`filter_to_pcap`](filter::filter_to_pcap)), behind
+//!   `zoom-tools capture`,
 //! * [`spec`] — the typed [`SourceSpec`](spec::SourceSpec) grammar the
 //!   CLI parses `--source` values with,
 //! * [`fragment`] — the merge-node [`FragmentSource`](fragment::FragmentSource)

@@ -29,6 +29,7 @@ use crate::cidr::{IntervalTable, PrefixSet};
 use crate::stun_tracker::{StunTracker, TrackerStats};
 use crate::zoom_nets::ZoomIpList;
 use std::net::{IpAddr, Ipv4Addr};
+use zoom_analysis::pipeline::STUN_TIMEOUT_NANOS;
 use zoom_wire::family::{FamilyId, FamilySelect};
 use zoom_wire::flow::Endpoint;
 use zoom_wire::ipv4::Protocol;
@@ -57,14 +58,15 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// A config with the sample Zoom list, a /16 campus, no exclusions,
-    /// and the default 120 s STUN timeout.
+    /// A config with the sample Zoom list, the given campus, no
+    /// exclusions, no anonymizer, Zoom only, and the analyzer's STUN
+    /// register lifetime ([`STUN_TIMEOUT_NANOS`]).
     pub fn sample(campus: &str) -> PipelineConfig {
         PipelineConfig {
             campus_nets: crate::cidr::prefix_set(&[campus]),
             excluded_nets: PrefixSet::new(),
             zoom_list: crate::zoom_nets::sample_list(),
-            stun_timeout_nanos: 120 * 1_000_000_000,
+            stun_timeout_nanos: STUN_TIMEOUT_NANOS,
             anonymizer: None,
             family: FamilySelect::Only(FamilyId::Zoom),
         }

@@ -70,7 +70,8 @@ impl StunTracker {
     /// The paper leaves the timeout configurable; longer timeouts risk
     /// false positives through ephemeral-port reuse, shorter ones risk
     /// missing P2P flows that start slowly ("within tens of seconds").
-    /// 120 s is a sensible default.
+    /// Every route uses [`zoom_analysis::pipeline::STUN_TIMEOUT_NANOS`]
+    /// (120 s); the timeout ablation sweeps others.
     pub fn new(timeout_nanos: u64) -> Self {
         StunTracker {
             entries: HashMap::new(),
@@ -80,11 +81,6 @@ impl StunTracker {
             since_sweep: 0,
             next_expiry_nanos: 0,
         }
-    }
-
-    /// Default 120-second timeout.
-    pub fn with_default_timeout() -> Self {
-        Self::new(120 * 1_000_000_000)
     }
 
     /// Record a STUN exchange: `client` is the campus-side endpoint of a

@@ -26,15 +26,14 @@
 //!
 //! `--metrics <path>` writes an observability snapshot file — JSON by
 //! default, Prometheus text exposition when the path ends in `.prom` —
-//! rewritten every `--metrics-interval` (default 5s, works with
-//! `--follow`) and once more when the input is exhausted. `--serve ADDR`
+//! rewritten every 5 s while records flow (so it works with `--follow`)
+//! and once more when the input is exhausted. `--serve ADDR`
 //! exposes `GET /metrics` (Prometheus text, including the per-meeting
 //! `zoom_qoe_*` labeled series) and `GET /healthz` on a std-only HTTP
 //! endpoint for the duration of the run. `--qoe-watch` (with `--window`)
 //! runs the degradation detector over every closed window, interleaving
 //! `{"type":"qoe_alert",...}` NDJSON lines with the window reports on
-//! stdout (thresholds: `--qoe-fps-floor`, `--qoe-jitter-ms`,
-//! `--qoe-collapse-ratio`).
+//! stdout (fixed thresholds: `zoom_analysis::engine::qoe_watch`).
 //!
 //! `--trace out.ndjson` switches on sampled structured tracing: one
 //! capture batch in every `--trace-sample` (default 16) gets a causal
@@ -56,41 +55,18 @@
 use super::ingest::{self, MetricsFile, Run};
 use super::sources::{build_sources, start_capture, Sources};
 use super::{
-    campus_flag, check_eviction_flags, parse_args, parse_duration, CliError, CmdResult, FlagSpec,
-    TraceOutput,
+    campus_flag, check_eviction_flags, family_flag, parse_args, parse_duration, CliError,
+    CmdResult, FlagSpec, TraceOutput,
 };
-use std::collections::HashMap;
 use std::time::Duration;
 use zoom_analysis::dist::WindowGate;
-use zoom_analysis::engine::{EngineConfig, QoeThresholds, StreamingEngine};
+use zoom_analysis::engine::{EngineConfig, StreamingEngine};
 use zoom_analysis::pipeline::AnalyzerConfig;
 use zoom_capture::source::{FollowConfig, BATCH_RECORDS};
+use zoom_wire::family::FamilySelect;
 use zoom_wire::handoff::RecordBatch;
 
-/// Parse the `--qoe-*` flags into detector thresholds. `--qoe-watch`
-/// enables the detector with defaults; any explicit threshold flag also
-/// enables it.
-fn qoe_flags(flags: &HashMap<String, String>) -> Result<Option<QoeThresholds>, String> {
-    let mut t = QoeThresholds::default();
-    let mut enabled = flags.contains_key("qoe-watch");
-    let mut float = |key: &str, slot: &mut f64| -> Result<(), String> {
-        if let Some(v) = flags.get(key) {
-            *slot = v
-                .parse::<f64>()
-                .ok()
-                .filter(|x| x.is_finite() && *x >= 0.0)
-                .ok_or_else(|| format!("--{key} expects a non-negative number, got {v:?}"))?;
-            enabled = true;
-        }
-        Ok(())
-    };
-    float("qoe-fps-floor", &mut t.fps_floor)?;
-    float("qoe-jitter-ms", &mut t.jitter_ceiling_ms)?;
-    float("qoe-collapse-ratio", &mut t.collapse_ratio)?;
-    Ok(enabled.then_some(t))
-}
-
-const FLAGS: FlagSpec = FlagSpec {
+pub(crate) const FLAGS: FlagSpec = FlagSpec {
     command: "analyze",
     bools: &["follow", "json", "qoe-watch"],
     values: &[
@@ -102,10 +78,6 @@ const FLAGS: FlagSpec = FlagSpec {
         "features",
         "serve",
         "metrics",
-        "metrics-interval",
-        "qoe-fps-floor",
-        "qoe-jitter-ms",
-        "qoe-collapse-ratio",
         "trace",
         "trace-sample",
         "self-profile",
@@ -134,27 +106,18 @@ pub fn run(args: &[String]) -> CmdResult {
         poll: Duration::from_millis(200),
         idle_exit,
     });
-    let qoe = qoe_flags(&flags)?;
-    let metrics_file = MetricsFile::from_flags(&flags)?;
+    let qoe = flags.contains_key("qoe-watch");
+    let metrics_file = MetricsFile::from_flags(&flags);
     let trace_out = TraceOutput::from_flags(&flags)?;
 
-    // `--family auto|zoom|webrtc` selects which protocol families the
-    // dissector probes for; bad values are configuration errors (exit 3).
-    let family = flags
-        .get("family")
-        .map(|v| {
-            v.parse::<zoom_wire::family::FamilySelect>()
-                .map_err(|e| CliError::config(e.to_string()))
-        })
-        .transpose()?
-        .unwrap_or_default();
-
     // Only the `--features` export reads the per-second series.
-    let config = AnalyzerConfig::builder()
-        .campus_prefix(campus.0, campus.1)
-        .family(family)
-        .per_second_rows(flags.contains_key("features"))
-        .build()?;
+    let config = AnalyzerConfig {
+        campus: vec![(campus.address().into(), campus.prefix_len())],
+        // Which protocol families the dissector probes for.
+        family: family_flag(&flags, FamilySelect::Auto)?,
+        per_second_rows: flags.contains_key("features"),
+        ..AnalyzerConfig::default()
+    };
 
     // The fragment-emitting worker path: capture and merge the sources
     // exactly as analysis would, but ship the merged records (plus this
@@ -169,7 +132,7 @@ pub fn run(args: &[String]) -> CmdResult {
         return run_emit(sources, target, &label, trace_out);
     }
 
-    if qoe.is_some() && window.is_none() {
+    if qoe && window.is_none() {
         return Err(CliError::usage(
             "--qoe-watch needs --window: the detector evaluates closed windows",
         ));

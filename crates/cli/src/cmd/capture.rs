@@ -6,8 +6,8 @@
 //! The fan-in is [`start_capture`]'s, as on every analysis route: `pcap:`
 //! files, followed or not, and `sim:` taps are all read in-line on this
 //! thread. Behind it runs the
-//! one filter loop there is ([`zoom_capture::filter::filter_to_pcap`]);
-//! `filter IN OUT` is [`filter_sources`] over one `pcap:` source.
+//! one filter loop there is ([`zoom_capture::filter::filter_to_pcap`]),
+//! which prints its stage counters on stderr when it is done.
 //! `--no-filter` skips classification and writes every merged record,
 //! turning the command into a pure capture merger.
 //!
@@ -29,7 +29,7 @@ use zoom_capture::pipeline::CapturePipeline;
 use zoom_capture::source::FollowConfig;
 use zoom_wire::pcap::READ_BUFFER_BYTES;
 
-const FLAGS: FlagSpec = FlagSpec {
+pub(crate) const FLAGS: FlagSpec = FlagSpec {
     command: "capture",
     bools: &["follow", "no-filter"],
     values: &["campus", "anonymize", "family", "idle-exit", "metrics"],
@@ -79,7 +79,12 @@ pub fn run(args: &[String]) -> CmdResult {
             }
         );
     }
-    warn_of_losses(&run);
+    if run.truncated > 0 {
+        eprintln!(
+            "warning: {} truncated record(s) at source tails ignored",
+            run.truncated
+        );
+    }
     eprintln!(
         "captured {} merged packets from {} source(s) -> {} written ({} bytes) to {output}",
         run.delivered,
@@ -87,15 +92,26 @@ pub fn run(args: &[String]) -> CmdResult {
         run.written,
         run.written_bytes
     );
+    if let Some(c) = pipeline.as_ref().map(CapturePipeline::counters) {
+        eprintln!(
+            "filtered {} -> {} packets ({:.1} %); server {}, stun {}, p2p {}, dropped {}",
+            c.total,
+            c.passed,
+            100.0 * c.passed as f64 / c.total.max(1) as f64,
+            c.zoom_ip_matched,
+            c.stun_registered,
+            c.p2p_matched,
+            c.dropped
+        );
+    }
     Ok(())
 }
 
-/// The one route from sources to a filtered pcap, behind `capture` and
-/// `filter`: the fan-in of [`start_capture`], the library's filter loop
-/// into `output`, and the `--metrics` snapshot with the filter's stage
-/// counters as its `capture` section. `pipeline` is `None` under
-/// `--no-filter`.
-pub fn filter_sources(
+/// The route from sources to a filtered pcap: the fan-in of
+/// [`start_capture`], the library's filter loop into `output`, and the
+/// `--metrics` snapshot with the filter's stage counters as its `capture`
+/// section. `pipeline` is `None` under `--no-filter`.
+fn filter_sources(
     sources: Sources,
     mut pipeline: Option<&mut CapturePipeline>,
     output: &str,
@@ -119,14 +135,4 @@ pub fn filter_sources(
         write_snapshot(path, &snap)?;
     }
     Ok(run)
-}
-
-/// The stderr warning of a run that lost records at torn source tails.
-pub fn warn_of_losses(run: &FilterSummary) {
-    if run.truncated > 0 {
-        eprintln!(
-            "warning: {} truncated record(s) at source tails ignored",
-            run.truncated
-        );
-    }
 }

@@ -3,15 +3,16 @@
 //! signatures, and hunt RTCP by learned SSRCs.
 
 use super::sources::{build_sources, start_capture};
-use super::{parse_args, CmdResult, FlagSpec};
+use super::{number_flag, parse_args, CliError, CmdResult, FlagSpec};
 use std::collections::{BTreeSet, HashMap};
+use std::io::Write as _;
 use zoom_analysis::entropy::{find_rtcp_by_ssrc, find_rtp_offsets, scan_flow, FieldClass};
 use zoom_capture::source::BATCH_RECORDS;
 use zoom_wire::dissect::{dissect, P2pProbe, Transport};
 use zoom_wire::flow::FiveTuple;
 use zoom_wire::handoff::RecordBatch;
 
-const FLAGS: FlagSpec = FlagSpec {
+pub(crate) const FLAGS: FlagSpec = FlagSpec {
     command: "discover",
     bools: &[],
     values: &["max-offset"],
@@ -23,14 +24,7 @@ pub fn run(args: &[String]) -> CmdResult {
     let [input] = pos.as_slice() else {
         return Err("discover needs exactly one input pcap".into());
     };
-    let max_offset: usize = flags
-        .get("max-offset")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| "--max-offset must be a number".to_string())
-        })
-        .transpose()?
-        .unwrap_or(48);
+    let max_offset: usize = number_flag(&flags, "max-offset", 48)?;
 
     let mut mux = start_capture(build_sources(std::slice::from_ref(input), &[], None)?, None);
     let mut batch = RecordBatch::new();
@@ -53,28 +47,34 @@ pub fn run(args: &[String]) -> CmdResult {
     // output is a function of the input.
     ordered.sort_by(|(a, x), (b, y)| y.len().cmp(&x.len()).then(a.cmp(b)));
 
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
     for (flow, packets) in ordered.iter().take(5) {
         if packets.len() < 50 {
             continue;
         }
-        println!("=== flow {flow} ({} packets) ===", packets.len());
+        writeln!(out, "=== flow {flow} ({} packets) ===", packets.len())
+            .map_err(CliError::stdout)?;
         // Confident field classifications.
         for (offset, width, class, sig) in scan_flow(packets, max_offset) {
             if class == FieldClass::Mixed {
                 continue;
             }
-            println!(
+            writeln!(
+                out,
                 "  +{offset:<3} w{width}  {class:<14?} entropy={:.2} distinct={}",
                 sig.normalized_entropy, sig.distinct
-            );
+            )
+            .map_err(CliError::stdout)?;
         }
         // RTP signature scan.
         let hits = find_rtp_offsets(packets, max_offset);
         for (offset, frac) in &hits {
-            println!(
+            writeln!(
+                out,
                 "  RTP header at offset {offset} ({:.0} % structural match)",
                 frac * 100.0
-            );
+            )
+            .map_err(CliError::stdout)?;
         }
         // RTCP by SSRC correlation.
         if let Some(&(off, _)) = hits.first() {
@@ -88,15 +88,19 @@ pub fn run(args: &[String]) -> CmdResult {
                 }
             }
             let ssrcs: Vec<u32> = ssrcs.into_iter().collect();
-            println!("  SSRCs: {ssrcs:x?}");
+            writeln!(out, "  SSRCs: {ssrcs:x?}").map_err(CliError::stdout)?;
             let mut rtcp_hits: Vec<(usize, usize)> =
                 find_rtcp_by_ssrc(&non_rtp, &ssrcs).into_iter().collect();
             rtcp_hits.sort_by_key(|&(offset, n)| (std::cmp::Reverse(n), offset));
             for (offset, count) in rtcp_hits.iter().take(3) {
-                println!("  SSRC seen at offset {offset} in {count} non-RTP packets (RTCP?)");
+                writeln!(
+                    out,
+                    "  SSRC seen at offset {offset} in {count} non-RTP packets (RTCP?)"
+                )
+                .map_err(CliError::stdout)?;
             }
         }
-        println!();
+        writeln!(out).map_err(CliError::stdout)?;
     }
-    Ok(())
+    out.flush().map_err(CliError::stdout)
 }

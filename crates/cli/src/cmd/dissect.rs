@@ -2,13 +2,14 @@
 //! packets of a pcap file (Appendix C).
 
 use super::sources::{build_sources, start_capture};
-use super::{parse_args, CliError, CmdResult, FlagSpec};
+use super::{family_flag, number_flag, parse_args, CliError, CmdResult, FlagSpec};
+use std::io::Write as _;
 use zoom_capture::source::BATCH_RECORDS;
 use zoom_wire::dissect::{dissect, render_tree, P2pProbe, Probe, WebrtcProbe};
 use zoom_wire::family::{FamilyId, FamilySelect};
 use zoom_wire::handoff::RecordBatch;
 
-const FLAGS: FlagSpec = FlagSpec {
+pub(crate) const FLAGS: FlagSpec = FlagSpec {
     command: "dissect",
     bools: &[],
     values: &["max", "family"],
@@ -20,19 +21,8 @@ pub fn run(args: &[String]) -> CmdResult {
     let [input] = pos.as_slice() else {
         return Err("dissect needs exactly one input pcap".into());
     };
-    let max: usize = flags
-        .get("max")
-        .map(|v| v.parse().map_err(|_| "--max must be a number".to_string()))
-        .transpose()?
-        .unwrap_or(25);
-    let family = flags
-        .get("family")
-        .map(|v| {
-            v.parse::<FamilySelect>()
-                .map_err(|e| CliError::config(e.to_string()))
-        })
-        .transpose()?
-        .unwrap_or_default();
+    let max: usize = number_flag(&flags, "max", 25)?;
+    let family = family_flag(&flags, FamilySelect::Auto)?;
     // Dissection is display-only, so probe eagerly: analysis-side session
     // gating doesn't apply, and showing every recognizable layer is the
     // point of the tool.
@@ -47,24 +37,27 @@ pub fn run(args: &[String]) -> CmdResult {
     };
 
     let mut mux = start_capture(build_sources(std::slice::from_ref(input), &[], None)?, None);
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
     let mut batch = RecordBatch::new();
     let mut index = 0u64;
     let mut shown = 0usize;
-    while let Some(link) = mux.next_batch(&mut batch, BATCH_RECORDS)? {
+    'read: while let Some(link) = mux.next_batch(&mut batch, BATCH_RECORDS)? {
         for record in batch.iter() {
             index += 1;
             if shown >= max {
-                return Ok(());
+                break 'read;
             }
             match dissect(record.ts_nanos, record.data, link, probe) {
                 Ok(d) => {
-                    println!("--- packet {index} ({} bytes) ---", record.data.len());
-                    print!("{}", render_tree(&d));
+                    writeln!(out, "--- packet {index} ({} bytes) ---", record.data.len())
+                        .and_then(|()| out.write_all(render_tree(&d).as_bytes()))
+                        .map_err(CliError::stdout)?;
                     shown += 1;
                 }
-                Err(e) => println!("--- packet {index}: not dissectable ({e}) ---"),
+                Err(e) => writeln!(out, "--- packet {index}: not dissectable ({e}) ---")
+                    .map_err(CliError::stdout)?,
             }
         }
     }
-    Ok(())
+    out.flush().map_err(CliError::stdout)
 }

@@ -13,7 +13,7 @@
 //! adds — worker accounting and checkpoints — comes in through [`Hooks`].
 
 use super::sources::{start_capture, Sources};
-use super::{parse_duration, write_window_line, CliError, CmdResult, TraceOutput};
+use super::{write_window_line, CliError, CmdResult, TraceOutput};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::sync::Arc;
@@ -29,34 +29,25 @@ use zoom_wire::handoff::RecordBatch;
 use zoom_wire::zoom::MediaType;
 
 /// The `--metrics <path>` snapshot file: rewritten in place every
-/// `--metrics-interval` while records flow, and once more at the end.
-/// A `.prom` extension selects the Prometheus text exposition format;
-/// anything else gets the JSON snapshot.
+/// [`MetricsFile::INTERVAL`] while records flow, and once more at the
+/// end. A `.prom` extension selects the Prometheus text exposition
+/// format; anything else gets the JSON snapshot.
 pub(crate) struct MetricsFile {
     path: String,
-    interval: Duration,
     last: Instant,
     pushes: u32,
 }
 
 impl MetricsFile {
-    pub(crate) fn from_flags(
-        flags: &HashMap<String, String>,
-    ) -> Result<Option<MetricsFile>, String> {
-        let Some(path) = flags.get("metrics") else {
-            return Ok(None);
-        };
-        let interval = flags
-            .get("metrics-interval")
-            .map(|v| parse_duration(v))
-            .transpose()?
-            .unwrap_or(Duration::from_secs(5));
-        Ok(Some(MetricsFile {
+    /// How often a run rewrites the file while records flow.
+    const INTERVAL: Duration = Duration::from_secs(5);
+
+    pub(crate) fn from_flags(flags: &HashMap<String, String>) -> Option<MetricsFile> {
+        flags.get("metrics").map(|path| MetricsFile {
             path: path.clone(),
-            interval,
             last: Instant::now(),
             pushes: 0,
-        }))
+        })
     }
 
     /// Called after every merged batch (`records` long) enters the
@@ -69,7 +60,7 @@ impl MetricsFile {
             return Ok(());
         }
         self.pushes = 0;
-        if self.last.elapsed() < self.interval {
+        if self.last.elapsed() < Self::INTERVAL {
             return Ok(());
         }
         self.last = Instant::now();
@@ -169,13 +160,13 @@ pub(crate) fn run(
             }
         }
         for a in engine.take_alerts() {
-            writeln!(out, "{}", a.to_json()).map_err(|e| e.to_string())?;
+            writeln!(out, "{}", a.to_json()).map_err(CliError::stdout)?;
             wrote = true;
         }
         if wrote {
             // Live followers tail this NDJSON; don't sit on closed
             // windows while the mux waits for quiet sources.
-            out.flush().map_err(|e| e.to_string())?;
+            out.flush().map_err(CliError::stdout)?;
             hooks.windows_written(&run.gate)?;
         }
         if let Some(m) = &mut run.metrics_file {
@@ -236,7 +227,7 @@ pub(crate) fn run(
             .and_then(|()| out.write_all(b"\n")),
     }
     .and_then(|()| out.flush())
-    .map_err(|e| e.to_string())?;
+    .map_err(CliError::stdout)?;
     if run.ndjson {
         hooks.windows_written(&run.gate)?;
         eprintln!("{}", hooks.summary(packets, peak_tracked_entries));

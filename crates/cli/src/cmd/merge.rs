@@ -257,7 +257,7 @@ fn into_sources(workers: Vec<Worker>, trace: Option<&Arc<TraceCollector>>) -> So
         .collect()
 }
 
-const FLAGS: FlagSpec = FlagSpec {
+pub(crate) const FLAGS: FlagSpec = FlagSpec {
     command: "merge",
     bools: &["json", "restore"],
     values: &[
@@ -271,7 +271,6 @@ const FLAGS: FlagSpec = FlagSpec {
         "features",
         "serve",
         "metrics",
-        "metrics-interval",
         "trace",
         "trace-sample",
         "self-profile",
@@ -288,7 +287,7 @@ pub fn run(args: &[String]) -> CmdResult {
         .get("idle-timeout")
         .map(|v| parse_duration(v))
         .transpose()?;
-    let metrics_file = MetricsFile::from_flags(&flags)?;
+    let metrics_file = MetricsFile::from_flags(&flags);
     let trace_out = TraceOutput::from_flags(&flags)?;
     let checkpoint_path = flags.get("checkpoint").cloned();
     let restore = flags.contains_key("restore");
@@ -302,10 +301,11 @@ pub fn run(args: &[String]) -> CmdResult {
     }
 
     // Only the `--features` export reads the per-second series.
-    let config = AnalyzerConfig::builder()
-        .campus_prefix(campus.0, campus.1)
-        .per_second_rows(flags.contains_key("features"))
-        .build()?;
+    let config = AnalyzerConfig {
+        campus: vec![(campus.address().into(), campus.prefix_len())],
+        per_second_rows: flags.contains_key("features"),
+        ..AnalyzerConfig::default()
+    };
 
     // Gather workers: spool files, or live connections.
     let workers = match flags.get("listen") {
@@ -354,7 +354,7 @@ pub fn run(args: &[String]) -> CmdResult {
         analyzer: config,
         window,
         idle_timeout,
-        qoe: None,
+        qoe: false,
     })?;
     let mh = engine.metrics_handle();
     let mut lanes = Lanes::register(&mh, &workers, checkpoint_path);

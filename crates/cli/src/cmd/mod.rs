@@ -5,7 +5,6 @@ pub mod analyze;
 pub mod capture;
 pub mod discover;
 pub mod dissect;
-pub mod filter;
 pub mod ingest;
 pub mod merge;
 pub mod simulate;
@@ -16,9 +15,9 @@ use std::fmt;
 use std::time::Duration;
 use zoom_analysis::obs::{CaptureMetricsSnapshot, MetricsSnapshot};
 use zoom_capture::anonymize::{Anonymizer, Mode};
-use zoom_capture::cidr::{Cidr, PrefixSet};
+use zoom_capture::cidr::Cidr;
 use zoom_capture::pipeline::{PipelineConfig, StageCounters};
-use zoom_wire::family::{FamilyId, FamilySelect};
+use zoom_wire::family::FamilySelect;
 
 /// A subcommand failure carrying the process exit code alongside the
 /// message, so scripts can branch on *why* a run failed without parsing
@@ -34,6 +33,8 @@ use zoom_wire::family::{FamilyId, FamilySelect};
 /// | 7    | checkpoint unreadable or mismatched on restore         |
 ///
 /// (6 was a panicked analysis shard thread; there are none any more.)
+/// Code 0 is [`CliError::stdout`]'s closed pipe, which `main` ends on
+/// quietly.
 ///
 /// [`zoom_analysis::Error`] and [`zoom_analysis::dist::MergeError`] are
 /// both `#[non_exhaustive]`; the `From` impls below map their variants
@@ -76,6 +77,20 @@ impl CliError {
         CliError {
             code: 5,
             message: message.into(),
+        }
+    }
+
+    /// A failed write to stdout. A reader that closed the pipe early
+    /// (`| head`) has all it wanted: that is code 0 with no message, which
+    /// `main` ends on quietly; any other failure is an I/O error.
+    pub fn stdout(e: std::io::Error) -> CliError {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            CliError {
+                code: 0,
+                message: String::new(),
+            }
+        } else {
+            CliError::io(format!("stdout: {e}"))
         }
     }
 }
@@ -266,8 +281,9 @@ pub fn check_eviction_flags(flags: &HashMap<String, String>) -> CmdResult {
 }
 
 /// Parse a human-friendly duration: `10s`, `500ms`, `2m`, or a bare
-/// number of seconds (`10`). Fractions are accepted (`1.5s`).
-pub fn parse_duration(spec: &str) -> Result<Duration, String> {
+/// number of seconds (`10`). Fractions are accepted (`1.5s`). A bad
+/// value is a configuration error (exit 3).
+pub fn parse_duration(spec: &str) -> Result<Duration, CliError> {
     let spec = spec.trim();
     let (num, scale_nanos) = if let Some(v) = spec.strip_suffix("ms") {
         (v, 1_000_000.0)
@@ -278,16 +294,19 @@ pub fn parse_duration(spec: &str) -> Result<Duration, String> {
     } else {
         (spec, 1e9)
     };
-    let value: f64 = num
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad duration {spec:?} (expected e.g. 10s, 500ms, 2m)"))?;
+    let value: f64 = num.trim().parse().map_err(|_| {
+        CliError::config(format!(
+            "bad duration {spec:?} (expected e.g. 10s, 500ms, 2m)"
+        ))
+    })?;
     if !value.is_finite() || value <= 0.0 {
-        return Err(format!("duration {spec:?} must be positive"));
+        return Err(CliError::config(format!(
+            "duration {spec:?} must be positive"
+        )));
     }
     let nanos = value * scale_nanos;
     if nanos > u64::MAX as f64 {
-        return Err(format!("duration {spec:?} is too large"));
+        return Err(CliError::config(format!("duration {spec:?} is too large")));
     }
     Ok(Duration::from_nanos(nanos as u64))
 }
@@ -392,55 +411,73 @@ pub fn write_window_line(
     line.clear();
     window.write_json(line);
     line.push('\n');
-    out.write_all(line.as_bytes()).map_err(|e| e.to_string())?;
-    Ok(())
+    out.write_all(line.as_bytes()).map_err(CliError::stdout)
 }
 
-/// Parse a `--campus` CIDR flag into the `(addr, len)` form the analyzer
-/// uses; defaults to 10.8.0.0/16.
-pub fn campus_flag(flags: &HashMap<String, String>) -> Result<(std::net::IpAddr, u8), String> {
-    let spec = flags
-        .get("campus")
-        .map(String::as_str)
-        .unwrap_or("10.8.0.0/16");
-    zoom_analysis::pipeline::parse_cidr(spec).map_err(|e| e.to_string())
+/// Parse `--campus`: one IPv4 prefix, `ADDR/LEN` or a bare address for
+/// a host, default `10.8.0.0/16`. The analyzer and the capture filter
+/// both match IPv4 campus addresses only, so an IPv6 value is refused
+/// like a malformed one: a configuration error (exit 3) on every command.
+pub fn campus_flag(flags: &HashMap<String, String>) -> Result<Cidr, CliError> {
+    let spec = flags.get("campus").map_or("10.8.0.0/16", String::as_str);
+    let (addr, len) = spec.split_once('/').unwrap_or((spec, "32"));
+    let bad = |why: &str| CliError::config(format!("--campus {spec:?}: {why}"));
+    let addr = match addr.parse() {
+        Ok(std::net::IpAddr::V4(v4)) => v4,
+        Ok(std::net::IpAddr::V6(_)) => return Err(bad("the campus must be IPv4")),
+        Err(_) => return Err(bad("not an address")),
+    };
+    let len = len
+        .parse::<u8>()
+        .ok()
+        .filter(|len| *len <= 32)
+        .ok_or_else(|| bad("the prefix length must be 0 to 32"))?;
+    Ok(Cidr::new(addr, len))
 }
 
-/// The capture-filter configuration `filter` and `capture` share, from
-/// their common flags: `--campus` (one prefix), `--anonymize KEY`,
-/// `--family`; no exclusions, the default 120 s STUN timeout.
+/// Parse `--family auto|zoom|webrtc`, `default` when absent; a bad value
+/// is a configuration error (exit 3).
+pub fn family_flag(
+    flags: &HashMap<String, String>,
+    default: FamilySelect,
+) -> Result<FamilySelect, CliError> {
+    flags.get("family").map_or(Ok(default), |v| {
+        v.parse::<FamilySelect>()
+            .map_err(|e| CliError::config(e.to_string()))
+    })
+}
+
+/// Parse the value of `--name` as a number, `default` when absent; a bad
+/// value is a configuration error (exit 3).
+pub fn number_flag<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    name: &str,
+    default: T,
+) -> Result<T, CliError> {
+    flags.get(name).map_or(Ok(default), |v| {
+        v.parse()
+            .map_err(|_| CliError::config(format!("--{name} must be a number, got {v:?}")))
+    })
+}
+
+/// The capture filter's configuration, from `capture`'s flags: the
+/// `--campus` prefix, `--anonymize KEY`, `--family` (default Zoom only),
+/// and the rest of [`PipelineConfig::sample`].
 pub fn filter_config(flags: &HashMap<String, String>) -> Result<PipelineConfig, CliError> {
-    let (campus_ip, campus_len) = campus_flag(flags)?;
+    let campus = campus_flag(flags)?;
     let anonymizer = flags
         .get("anonymize")
         .map(|key| {
             key.parse::<u64>()
                 .map(|k| Anonymizer::new(k, Mode::PrefixPreserving))
-                .map_err(|_| "--anonymize takes a numeric key".to_string())
+                .map_err(|_| CliError::config("--anonymize takes a numeric key"))
         })
         .transpose()?;
-    let std::net::IpAddr::V4(campus_v4) = campus_ip else {
-        return Err("campus must be IPv4".into());
-    };
-    let mut campus_nets = PrefixSet::new();
-    campus_nets.insert(Cidr::new(campus_v4, campus_len), ());
-    let family = flags
-        .get("family")
-        .map(|v| {
-            v.parse::<FamilySelect>()
-                .map_err(|e| CliError::config(e.to_string()))
-        })
-        .transpose()?
-        .unwrap_or(FamilySelect::Only(FamilyId::Zoom));
+    let family = family_flag(flags, FamilySelect::Only(zoom_wire::family::FamilyId::Zoom))?;
     Ok(PipelineConfig {
-        campus_nets,
-        excluded_nets: PrefixSet::new(),
-        // The sample of Zoom's published list; swap in the full feed in a
-        // real deployment.
-        zoom_list: zoom_capture::zoom_nets::sample_list(),
-        stun_timeout_nanos: 120 * 1_000_000_000,
         anonymizer,
         family,
+        ..PipelineConfig::sample(&campus.to_string())
     })
 }
 
@@ -563,12 +600,11 @@ mod tests {
     #[test]
     fn every_subcommand_rejects_unknown_flags() {
         type Run = fn(&[String]) -> CmdResult;
-        let commands: [(&str, Run); 7] = [
+        let commands: [(&str, Run); 6] = [
             ("analyze", analyze::run),
             ("capture", capture::run),
             ("dissect", dissect::run),
             ("discover", discover::run),
-            ("filter", filter::run),
             ("merge", merge::run),
             ("simulate", simulate::run),
         ];
@@ -576,6 +612,53 @@ mod tests {
             let e = run(&s(&["x", "--no-such-flag", "1"])).unwrap_err();
             assert_eq!(e.code, 2, "{name}: {}", e.message);
             assert_eq!(e.message, format!("{name}: unknown flag --no-such-flag"));
+        }
+    }
+
+    /// The usage text lists every flag a subcommand accepts, and no
+    /// other: a flag added to a [`FlagSpec`] without its synopsis line (or
+    /// the reverse) fails here.
+    #[test]
+    fn usage_names_exactly_the_flags_each_command_accepts() {
+        let specs = [
+            &analyze::FLAGS,
+            &capture::FLAGS,
+            &dissect::FLAGS,
+            &discover::FLAGS,
+            &merge::FLAGS,
+            &simulate::FLAGS,
+        ];
+        let mut synopses: Vec<(&str, String)> = Vec::new();
+        for line in crate::USAGE.lines().skip(1) {
+            match line.trim_start().strip_prefix("zoom-tools ") {
+                Some(rest) => {
+                    let (name, args) = rest.split_once(' ').expect("a command and its arguments");
+                    synopses.push((name, args.to_string()));
+                }
+                None => synopses.last_mut().expect("a command line first").1 += line,
+            }
+        }
+        assert_eq!(synopses.len(), specs.len(), "{}", crate::USAGE);
+        for spec in specs {
+            let (_, synopsis) = synopses
+                .iter()
+                .find(|(name, _)| *name == spec.command)
+                .unwrap_or_else(|| panic!("no usage line for {}", spec.command));
+            let listed: std::collections::BTreeSet<&str> = synopsis
+                .split("--")
+                .skip(1)
+                .map(|s| {
+                    s.split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                        .next()
+                        .unwrap()
+                })
+                .collect();
+            let accepted: std::collections::BTreeSet<&str> =
+                [spec.bools, spec.values, spec.repeats]
+                    .concat()
+                    .into_iter()
+                    .collect();
+            assert_eq!(listed, accepted, "{}", spec.command);
         }
     }
 
@@ -596,15 +679,16 @@ mod tests {
 
     #[test]
     fn campus_default_and_custom() {
-        let (_, flags, _) = parse_args(&s(&[]), &SPEC).unwrap();
-        let (ip, len) = campus_flag(&flags).unwrap();
-        assert_eq!(ip.to_string(), "10.8.0.0");
-        assert_eq!(len, 16);
-        let (_, flags, _) = parse_args(&s(&["--campus", "192.168.0.0/24"]), &SPEC).unwrap();
-        let (ip, len) = campus_flag(&flags).unwrap();
-        assert_eq!(ip.to_string(), "192.168.0.0");
-        assert_eq!(len, 24);
-        let (_, flags, _) = parse_args(&s(&["--campus", "junk"]), &SPEC).unwrap();
-        assert!(campus_flag(&flags).is_err());
+        let campus = |args: &[&str]| campus_flag(&parse_args(&s(args), &SPEC).unwrap().1);
+        assert_eq!(campus(&[]).unwrap().to_string(), "10.8.0.0/16");
+        let custom = campus(&["--campus", "192.168.0.0/24"]).unwrap();
+        assert_eq!(custom.to_string(), "192.168.0.0/24");
+        assert_eq!(
+            campus(&["--campus", "192.168.7.1"]).unwrap().to_string(),
+            "192.168.7.1/32"
+        );
+        for bad in ["junk", "10.0.0.0/40", "10.0.0.0/x", "2001:db8::/32"] {
+            assert_eq!(campus(&["--campus", bad]).unwrap_err().code, 3, "{bad}");
+        }
     }
 }

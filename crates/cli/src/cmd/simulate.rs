@@ -2,10 +2,10 @@
 //! downstream tooling (including this repository's own `analyze`).
 
 use super::sources::Scenario;
-use super::{parse_args, CliError, CmdResult, FlagSpec};
+use super::{number_flag, parse_args, CliError, CmdResult, FlagSpec};
 use zoom_wire::pcap::{LinkType, Writer};
 
-const FLAGS: FlagSpec = FlagSpec {
+pub(crate) const FLAGS: FlagSpec = FlagSpec {
     command: "simulate",
     bools: &[],
     values: &["seconds", "seed", "scenario"],
@@ -17,19 +17,8 @@ pub fn run(args: &[String]) -> CmdResult {
     let [output] = pos.as_slice() else {
         return Err("simulate needs exactly one output pcap".into());
     };
-    let seconds: u64 = flags
-        .get("seconds")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| "--seconds must be a number".to_string())
-        })
-        .transpose()?
-        .unwrap_or(60);
-    let seed: u64 = flags
-        .get("seed")
-        .map(|v| v.parse().map_err(|_| "--seed must be a number".to_string()))
-        .transpose()?
-        .unwrap_or(7);
+    let seconds: u64 = number_flag(&flags, "seconds", 60)?;
+    let seed: u64 = number_flag(&flags, "seed", 7)?;
     let scenario_name = flags
         .get("scenario")
         .map(String::as_str)

@@ -1,5 +1,5 @@
-//! Shared `--source SPEC` handling for `analyze`, `capture` (and `filter`,
-//! its one-file form), and the fragment-emitting worker path.
+//! Shared `--source SPEC` handling for `analyze`, `capture` and the
+//! fragment-emitting worker path.
 //!
 //! Spec strings parse through the typed
 //! [`SourceSpec`] grammar — one
@@ -164,7 +164,7 @@ pub fn build_sources(
 }
 
 /// Starts the fan-in of every route (`analyze`, batch, windowed or
-/// `--emit-fragments`; `merge`; `capture` and `filter`): every source is
+/// `--emit-fragments`; `merge`; `capture`): every source is
 /// read in-line on the calling thread, followed files and `merge
 /// --listen` connections too. The strict `(ts, lane)` merge waits for its
 /// slowest live lane whatever reads it, so a capture thread per source

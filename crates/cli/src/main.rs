@@ -1,31 +1,8 @@
 //! `zoom-tools` — the command-line face of the toolchain, mirroring the
 //! software analysis tools the paper released alongside the study.
 //!
-//! ```text
-//! zoom-tools analyze  [in.pcap] [--source pcap:FILE|sim:SPEC]... [--campus CIDR]
-//!                     [--family auto|zoom|webrtc] [--window DUR [--idle-timeout DUR]]
-//!                     [--follow] [--idle-exit DUR] [--qoe-watch]
-//!                     [--json] [--features out.csv] [--serve ADDR]
-//!                     [--metrics out.json|out.prom] [--metrics-interval DUR]
-//!                     [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]
-//!                     [--emit-fragments ADDR|FILE [--worker-label NAME]]
-//! zoom-tools capture  <out.pcap> --source pcap:FILE|sim:SPEC [--source ...]
-//!                     [--campus CIDR] [--family auto|zoom|webrtc]
-//!                     [--anonymize KEY] [--no-filter] [--follow] [--idle-exit DUR]
-//!                     [--metrics out.json|out.prom]
-//! zoom-tools merge    <frags...> | --listen ADDR --workers N [--journal DIR]
-//!                     [--window DUR [--idle-timeout DUR]] [--campus CIDR]
-//!                     [--checkpoint PATH] [--restore] [--json] [--features out.csv]
-//!                     [--serve ADDR]
-//!                     [--metrics out.json|out.prom] [--metrics-interval DUR]
-//!                     [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]
-//! zoom-tools dissect  <in.pcap> [--max N] [--family auto|zoom|webrtc]
-//! zoom-tools discover <in.pcap> [--max-offset N]
-//! zoom-tools filter   <in.pcap> <out.pcap> [--campus CIDR] [--family auto|zoom|webrtc]
-//!                     [--anonymize KEY] [--metrics out.json|out.prom]
-//! zoom-tools simulate <out.pcap> [--seconds N] [--seed N]
-//!                     [--scenario validation|p2p|multi|churn|campus-10x|webrtc]
-//! ```
+//! The commands and their flags are listed once, in [`USAGE`] (printed
+//! when `zoom-tools` runs with no command).
 //!
 //! `analyze` and `merge` run one analysis loop (`cmd::ingest`): the text
 //! or `--json` report, or with `--window` (`analyze`: or `--follow`) one
@@ -38,7 +15,8 @@
 //! Failures exit with a distinct code per error class — see
 //! [`cmd::CliError`] for the full table (2 usage, 3 configuration,
 //! 4 parse/protocol, 5 I/O, 7 checkpoint, 1 otherwise). A flag a
-//! subcommand does not know is a usage error, never ignored.
+//! subcommand does not know is a usage error, never ignored. A reader
+//! that closes stdout early (`| head`) ends the command quietly.
 
 #![forbid(unsafe_code)]
 
@@ -54,22 +32,19 @@ usage:
                       [--family auto|zoom|webrtc] [--window DUR [--idle-timeout DUR]]
                       [--follow] [--idle-exit DUR] [--qoe-watch] [--json] [--features out.csv]
                       [--serve ADDR]
-                      [--metrics out.json|out.prom] [--metrics-interval DUR]
+                      [--metrics out.json|out.prom]
                       [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]
                       [--emit-fragments ADDR|FILE [--worker-label NAME]]
   zoom-tools merge    <frags...> | --listen ADDR --workers N [--journal DIR]
                       [--window DUR [--idle-timeout DUR]] [--campus CIDR]
                       [--checkpoint PATH] [--restore] [--json] [--features out.csv]
-                      [--serve ADDR]
-                      [--metrics out.json|out.prom] [--metrics-interval DUR]
+                      [--serve ADDR] [--metrics out.json|out.prom]
                       [--trace out.ndjson] [--trace-sample N] [--self-profile out.folded]
   zoom-tools capture  <out.pcap> --source pcap:FILE|sim:SPEC [--source ...] [--campus CIDR]
                       [--family auto|zoom|webrtc] [--anonymize KEY] [--no-filter]
                       [--follow] [--idle-exit DUR] [--metrics out.json|out.prom]
   zoom-tools dissect  <in.pcap> [--max N] [--family auto|zoom|webrtc]
   zoom-tools discover <in.pcap> [--max-offset N]
-  zoom-tools filter   <in.pcap> <out.pcap> [--campus CIDR] [--family auto|zoom|webrtc]
-                      [--anonymize KEY] [--metrics out.json|out.prom]
   zoom-tools simulate <out.pcap> [--seconds N] [--seed N]
                       [--scenario validation|p2p|multi|churn|campus-10x|webrtc]";
 
@@ -89,13 +64,14 @@ fn main() -> ExitCode {
         "capture" => cmd::capture::run(rest),
         "dissect" => cmd::dissect::run(rest),
         "discover" => cmd::discover::run(rest),
-        "filter" => cmd::filter::run(rest),
         "merge" => cmd::merge::run(rest),
         "simulate" => cmd::simulate::run(rest),
         _ => return usage(),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // Stdout was closed by its reader (see `CliError::stdout`).
+        Err(e) if e.code == 0 => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             // Each error class exits with its own code (see cmd::CliError).

@@ -1,4 +1,4 @@
-//! End-to-end tests of the `zoom-tools` binary: simulate → filter →
+//! End-to-end tests of the `zoom-tools` binary: simulate → capture →
 //! analyze → dissect → discover over real files.
 
 use std::path::PathBuf;
@@ -60,16 +60,18 @@ fn full_cli_round_trip() {
     assert!(ok, "simulate failed: {err}");
     assert!(err.contains("wrote"), "stderr: {err}");
 
-    // filter (with anonymization)
+    // capture through the filter, with anonymization
+    let source = format!("pcap:{}", raw.to_str().unwrap());
     let (_, err, ok) = run(&[
-        "filter",
-        raw.to_str().unwrap(),
+        "capture",
         filtered.to_str().unwrap(),
+        "--source",
+        &source,
         "--anonymize",
         "424242",
     ]);
-    assert!(ok, "filter failed: {err}");
-    assert!(err.contains("filtered"), "stderr: {err}");
+    assert!(ok, "capture failed: {err}");
+    assert!(err.contains("\nfiltered "), "stderr: {err}");
 
     // analyze with feature export; campus must be the anonymized prefix,
     // but summary-level numbers work regardless.
@@ -97,67 +99,9 @@ fn full_cli_round_trip() {
     assert!(out.contains("RTP header at offset"), "{out}");
 }
 
-/// `filter IN OUT` is `capture OUT --source pcap:IN` under another name:
-/// the same loop over the same in-line lane, so the same output bytes and
-/// the same accounting.
-#[test]
-fn filter_and_single_source_capture_write_the_same_file() {
-    let raw = tmp("same_raw.pcap");
-    let by_filter = tmp("same_filter.pcap");
-    let by_capture = tmp("same_capture.pcap");
-    let filter_metrics = tmp("same_filter.json");
-    let capture_metrics = tmp("same_capture.json");
-    let (_, err, ok) = run(&[
-        "simulate",
-        raw.to_str().unwrap(),
-        "--seconds",
-        "30",
-        "--seed",
-        "9",
-        "--scenario",
-        "p2p",
-    ]);
-    assert!(ok, "simulate failed: {err}");
-    let (_, err, ok) = run(&[
-        "filter",
-        raw.to_str().unwrap(),
-        by_filter.to_str().unwrap(),
-        "--anonymize",
-        "7",
-        "--metrics",
-        filter_metrics.to_str().unwrap(),
-    ]);
-    assert!(ok, "filter failed: {err}");
-    assert!(err.starts_with("filtered "), "stderr: {err}");
-    let source = format!("pcap:{}", raw.to_str().unwrap());
-    let (_, err, ok) = run(&[
-        "capture",
-        by_capture.to_str().unwrap(),
-        "--source",
-        &source,
-        "--anonymize",
-        "7",
-        "--metrics",
-        capture_metrics.to_str().unwrap(),
-    ]);
-    assert!(ok, "capture failed: {err}");
-    let a = std::fs::read(&by_filter).unwrap();
-    let b = std::fs::read(&by_capture).unwrap();
-    assert!(a.len() > 100_000, "filter wrote only {} bytes", a.len());
-    assert!(a == b, "filter and capture outputs differ");
-
-    let section = json_section(&filter_metrics, "capture");
-    assert!(section.contains("\"passed\":"), "{section}");
-    assert_eq!(section, json_section(&capture_metrics, "capture"));
-    for path in [&filter_metrics, &capture_metrics] {
-        let json = std::fs::read_to_string(path).unwrap();
-        assert!(json.contains("\"conservation_holds\":true"), "{json}");
-        assert!(json.contains("\"sources\":[{\"source\":\"pcap:"), "{json}");
-    }
-}
-
-/// A torn final record is one `truncated` record, a warning and exit 0 —
-/// whichever command reads the file, followed or not.
+/// A torn final record is one `truncated` record, a warning and exit 0
+/// through the capture filter, the file followed or not: the same output
+/// bytes and the same `capture` section of `--metrics` either way.
 #[test]
 fn a_torn_tail_reads_the_same_through_filter_and_both_capture_lanes() {
     let raw = tmp("torn_raw.pcap");
@@ -182,9 +126,8 @@ fn a_torn_tail_reads_the_same_through_filter_and_both_capture_lanes() {
 
     let source = format!("pcap:{}", torn.to_str().unwrap());
     let quiet = format!("pcap:{}", empty.to_str().unwrap());
-    let (torn, source, quiet) = (torn.to_str().unwrap(), source.as_str(), quiet.as_str());
-    let runs: [(&str, Vec<&str>); 3] = [
-        ("filter", vec!["filter", torn]),
+    let (source, quiet) = (source.as_str(), quiet.as_str());
+    let runs: [(&str, Vec<&str>); 2] = [
         ("capture", vec!["capture", "--source", source]),
         (
             "follow",
@@ -201,12 +144,11 @@ fn a_torn_tail_reads_the_same_through_filter_and_both_capture_lanes() {
         ),
     ];
     let mut outputs = Vec::new();
+    let mut sections = Vec::new();
     for (name, mut args) in runs {
         let out = tmp(&format!("torn_{name}.pcap"));
         let metrics = tmp(&format!("torn_{name}.json"));
-        // `filter IN OUT`, `capture OUT --source …`: the output is the
-        // second positional either way.
-        args.insert(if name == "filter" { 2 } else { 1 }, out.to_str().unwrap());
+        args.insert(1, out.to_str().unwrap());
         args.extend(["--metrics", metrics.to_str().unwrap()]);
         let (_, err, code) = run_code(&args);
         assert_eq!(code, Some(0), "{name}: {err}");
@@ -220,10 +162,17 @@ fn a_torn_tail_reads_the_same_through_filter_and_both_capture_lanes() {
             json.contains("\"conservation_holds\":true"),
             "{name}: {json}"
         );
+        assert!(
+            json.contains("\"sources\":[{\"source\":\"pcap:"),
+            "{name}: {json}"
+        );
         outputs.push(std::fs::read(&out).unwrap());
+        sections.push(json_section(&metrics, "capture"));
     }
     assert!(outputs[0].len() > 10_000);
-    assert!(outputs[0] == outputs[1] && outputs[1] == outputs[2]);
+    assert!(outputs[0] == outputs[1]);
+    assert!(sections[0].contains("\"passed\":"), "{}", sections[0]);
+    assert_eq!(sections[0], sections[1]);
 }
 
 /// `json` with the value of each of `keys` — a number or a `{…}` object —
@@ -356,7 +305,7 @@ fn unreadable_inputs_exit_alike_on_every_route() {
             &["analyze", input],
             &["analyze", "--source", &source],
             &["capture", "--source", &source, out],
-            &["filter", input, out],
+            &["capture", out, "--source", &source, "--no-filter"],
             &["merge", input],
             &["dissect", input],
             &["discover", input],
@@ -652,7 +601,7 @@ fn flag_combination_refusals_are_pinned() {
                     are no rings left — every source is read in-line — docs/CAPTURE.md";
     let source = format!("pcap:{x}");
     let capture: &[&str] = &["capture", csv, "--source", &source];
-    let cases: [(&[&str], i32, &str); 24] = [
+    let cases: [(&[&str], i32, &str); 23] = [
         (&["analyze", x, "--shards", "8"], 3, shards),
         (&["merge", x, "--shards", "8"], 3, shards),
         (&["analyze", x, "--lossy"], 3, lossy),
@@ -679,7 +628,6 @@ fn flag_combination_refusals_are_pinned() {
         (&["analyze", x, "--idle-timeout", "2s"], 2, idle),
         (&["analyze", x, "--follow", "--idle-timeout", "2s"], 2, idle),
         (&["analyze", x, "--qoe-watch"], 2, qoe),
-        (&["analyze", x, "--qoe-fps-floor", "5"], 2, qoe),
         (&["analyze", x, "--trace-sample", "4"], 3, sample),
         (
             &["merge", x, "--idle-timeout", "2s", "--features", csv],
@@ -721,6 +669,86 @@ fn flag_combination_refusals_are_pinned() {
         assert!(out.is_empty(), "{args:?}: {out}");
     }
     assert!(!std::path::Path::new(csv).exists());
+}
+
+/// A flag value that does not parse — a duration, a campus prefix, a
+/// key, a number — is a configuration error, exit 3, on every command
+/// that takes the flag, and it is refused before any input is opened
+/// (the input here does not exist, which would exit 5). An IPv6 campus is
+/// refused the same way: the campus match is IPv4 only.
+#[test]
+fn bad_flag_values_exit_3_on_every_command() {
+    let missing = tmp("bad_value_missing.pcap");
+    let _ = std::fs::remove_file(&missing);
+    let x = missing.to_str().unwrap();
+    let out = tmp("bad_value_out.pcap");
+    let out = out.to_str().unwrap();
+    let source = format!("pcap:{x}");
+    let capture: &[&str] = &["capture", out, "--source", &source];
+    let cases: [&[&str]; 16] = [
+        &["analyze", x, "--window", "bogus"],
+        &["analyze", x, "--window", "1s", "--idle-timeout", "0s"],
+        &["analyze", x, "--follow", "--idle-exit", "-1s"],
+        &["analyze", x, "--campus", "10.0.0.0/40"],
+        &["analyze", x, "--campus", "2001:db8::/32"],
+        &["analyze", x, "--family", "bogus"],
+        &["merge", x, "--window", "bogus"],
+        &["merge", x, "--campus", "2001:db8::/32"],
+        &[capture, &["--anonymize", "abc"]].concat(),
+        &[capture, &["--campus", "2001:db8::/32"]].concat(),
+        &[capture, &["--campus", "10.0.0.0/x"]].concat(),
+        &[capture, &["--follow", "--idle-exit", "soon"]].concat(),
+        &["discover", x, "--max-offset", "x"],
+        &["dissect", x, "--max", "x"],
+        &["simulate", out, "--seconds", "x"],
+        &["simulate", out, "--seed", "-1"],
+    ];
+    for args in cases {
+        let (stdout, err, code) = run_code(args);
+        assert_eq!(code, Some(3), "{args:?}: {err}");
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+    }
+    assert!(!std::path::Path::new(out).exists());
+}
+
+/// A reader that closes stdout before the command writes (`| head`) ends
+/// the command quietly: exit 0, no panic, no message.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let raw = tmp("closed_stdout.pcap");
+    let (_, err, ok) = run(&[
+        "simulate",
+        raw.to_str().unwrap(),
+        "--seconds",
+        "20",
+        "--seed",
+        "7",
+        "--scenario",
+        "multi",
+    ]);
+    assert!(ok, "simulate failed: {err}");
+    let raw = raw.to_str().unwrap();
+    let commands: [&[&str]; 4] = [
+        &["discover", raw],
+        &["dissect", raw, "--max", "500"],
+        &["analyze", raw],
+        &["analyze", raw, "--window", "1s"],
+    ];
+    for args in commands {
+        let mut child = Command::new(bin())
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn");
+        drop(child.stdout.take());
+        let done = child.wait_with_output().expect("wait");
+        let err = String::from_utf8_lossy(&done.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(!err.contains("error:"), "{args:?}: {err}");
+        assert_eq!(done.status.code(), Some(0), "{args:?}: {err}");
+    }
 }
 
 /// A one-worker spool of a trace and the trace itself, each run through

@@ -46,7 +46,7 @@
 
 pub mod qoe_watch;
 
-pub use qoe_watch::{AlertState, QoeAlert, QoeThresholds, QoeWatch};
+pub use qoe_watch::{AlertState, QoeAlert, QoeWatch};
 
 use crate::error::Error;
 use crate::fxhash::FxHashSet;
@@ -54,7 +54,7 @@ use crate::meeting::MeetingGrouper;
 use crate::metrics::latency::RttTotals;
 use crate::obs::trace::spans;
 use crate::obs::{MetricsSnapshot, PipelineMetrics};
-use crate::pipeline::{Analyzer, AnalyzerConfig};
+use crate::pipeline::{Analyzer, AnalyzerConfig, STUN_TIMEOUT_NANOS};
 use crate::report::{
     build_report, AnalysisReport, MeetingWindow, RttSummaryReport, StreamReport, StreamWindow,
     WindowReport, WindowTotals,
@@ -89,9 +89,9 @@ pub struct EngineConfig {
     /// `None` disables eviction (exact batch equality).
     pub idle_timeout: Option<Duration>,
     /// Run the [`QoeWatch`] degradation detector over every closed
-    /// window with these thresholds; `None` disables alerting (the QoE
-    /// gauge series are still emitted).
-    pub qoe: Option<QoeThresholds>,
+    /// window; `false` disables alerting (the QoE gauge series are still
+    /// emitted).
+    pub qoe: bool,
 }
 
 /// Everything [`StreamingEngine::drain`] produces.
@@ -236,7 +236,7 @@ impl StreamingEngine {
             evicted_flows: FxHashSet::default(),
             metrics: analyzer.metrics_handle(),
             closed: Vec::new(),
-            qoe_watch: config.qoe.map(QoeWatch::new),
+            qoe_watch: config.qoe.then(QoeWatch::default),
             pending_alerts: Vec::new(),
         };
         Ok(StreamingEngine { analyzer, clock })
@@ -255,7 +255,7 @@ impl StreamingEngine {
 
     /// Drain the degradation alerts emitted by windows closed so far.
     ///
-    /// Empty unless [`EngineConfig::qoe`] configured a detector. Alerts
+    /// Empty unless [`EngineConfig::qoe`] switched the detector on. Alerts
     /// appear in window order, and within a window in deterministic
     /// `(meeting, media, kind)` order; render each with
     /// [`QoeAlert::to_json`] for the NDJSON alert stream.
@@ -264,8 +264,8 @@ impl StreamingEngine {
     }
 
     /// The engine's observability registry, for wiring external
-    /// consumers such as the `obs::serve` scrape endpoint (feature
-    /// `obs-http`) — the endpoint holds the `Arc` and snapshots per
+    /// consumers such as the `obs::serve` scrape endpoint — the
+    /// endpoint holds the `Arc` and snapshots per
     /// request while the engine keeps pushing.
     pub fn metrics_handle(&self) -> Arc<PipelineMetrics> {
         self.analyzer.metrics_handle()
@@ -538,8 +538,7 @@ impl WindowClock {
         // Bound the registries too: STUN entries and WebRTC flows past
         // the timeout can never match again, and neither can RTT
         // candidates past the matching window — every prune is lossless.
-        let stun_timeout = analyzer.config.stun_timeout().as_nanos() as u64;
-        let stun_cutoff = end.saturating_sub(stun_timeout);
+        let stun_cutoff = end.saturating_sub(STUN_TIMEOUT_NANOS);
         analyzer
             .p2p_endpoints
             .retain(|_, last| *last >= stun_cutoff);

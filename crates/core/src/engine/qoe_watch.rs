@@ -2,15 +2,15 @@
 //!
 //! [`QoeWatch`] consumes each [`WindowReport`] a [`StreamingEngine`]
 //! closes and compares per-`(meeting, media)` aggregates against three
-//! configurable thresholds — the §5 estimator signals behind the
+//! fixed thresholds — the §5 estimator signals behind the
 //! paper's Fig. 16-style diagnostic vignettes:
 //!
 //! * **fps floor** (`low_fps`) — mean frame rate across a meeting's
-//!   active *video* streams fell below the floor;
+//!   active *video* streams fell below [`FPS_FLOOR`];
 //! * **jitter ceiling** (`high_jitter`) — mean RFC 3550 jitter across
-//!   active streams rose above the ceiling;
+//!   active streams rose above [`JITTER_CEILING_MS`];
 //! * **bitrate collapse** (`bitrate_collapse`) — aggregate media
-//!   bitrate fell below `collapse_ratio ×` the last healthy window's
+//!   bitrate fell below [`COLLAPSE_RATIO`] × the last healthy window's
 //!   bitrate. The baseline freezes while degraded, so recovery means
 //!   climbing back to the ratio of the *pre-collapse* rate, not of the
 //!   collapsed one (hysteresis).
@@ -32,30 +32,17 @@ use crate::obs::media_slug;
 use crate::report::{JsonObj, WindowReport};
 use std::collections::BTreeMap;
 
-/// Detection thresholds; every field has a reasonable default and maps
-/// to an `analyze --qoe-*` flag.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QoeThresholds {
-    /// `low_fps` fires when mean video fps over a window drops below
-    /// this floor (default 10).
-    pub fps_floor: f64,
-    /// `high_jitter` fires when mean jitter over a window exceeds this
-    /// ceiling, in milliseconds (default 50).
-    pub jitter_ceiling_ms: f64,
-    /// `bitrate_collapse` fires when a window's aggregate bitrate drops
-    /// below this fraction of the last healthy window's (default 0.5).
-    pub collapse_ratio: f64,
-}
+/// `low_fps` fires when mean video fps over a window drops below this
+/// floor.
+pub const FPS_FLOOR: f64 = 10.0;
 
-impl Default for QoeThresholds {
-    fn default() -> QoeThresholds {
-        QoeThresholds {
-            fps_floor: 10.0,
-            jitter_ceiling_ms: 50.0,
-            collapse_ratio: 0.5,
-        }
-    }
-}
+/// `high_jitter` fires when mean jitter over a window exceeds this
+/// ceiling, in milliseconds.
+pub const JITTER_CEILING_MS: f64 = 50.0;
+
+/// `bitrate_collapse` fires when a window's aggregate bitrate drops below
+/// this fraction of the last healthy window's.
+pub const COLLAPSE_RATIO: f64 = 0.5;
 
 /// Whether an alert opens or closes a degradation episode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +83,7 @@ pub struct QoeAlert {
     /// bitrate bps; 0 when the meeting vanished from the window).
     pub value: f64,
     /// The threshold it crossed (for `bitrate_collapse`, the collapse
-    /// floor in bps: `collapse_ratio × baseline`).
+    /// floor in bps: [`COLLAPSE_RATIO`] × baseline).
     pub threshold: f64,
 }
 
@@ -208,28 +195,13 @@ struct KeyState {
 /// window in order via [`QoeWatch::observe`].
 #[derive(Debug, Default)]
 pub struct QoeWatch {
-    thresholds: QoeThresholds,
     states: BTreeMap<(String, &'static str, &'static str), KeyState>,
 }
 
 impl QoeWatch {
-    /// Build a detector with the given thresholds.
-    pub fn new(thresholds: QoeThresholds) -> QoeWatch {
-        QoeWatch {
-            thresholds,
-            states: BTreeMap::new(),
-        }
-    }
-
-    /// The configured thresholds.
-    pub fn thresholds(&self) -> &QoeThresholds {
-        &self.thresholds
-    }
-
     /// Evaluate one closed window; returns the episode edges it caused,
     /// in deterministic `(meeting, media)` then kind order.
     pub fn observe(&mut self, report: &WindowReport) -> Vec<QoeAlert> {
-        let t = self.thresholds;
         let agg = aggregate(report);
         let mut alerts = Vec::new();
         let mut edge = |key: &(String, &'static str, &'static str),
@@ -254,33 +226,33 @@ impl QoeWatch {
 
             // fps floor: meaningful for video only — audio and screen
             // share carry no comparable frame cadence.
-            let low = key.1 == "video" && a.fps_mean < t.fps_floor;
+            let low = key.1 == "video" && a.fps_mean < FPS_FLOOR;
             if low != s.low_fps {
                 let state = if low {
                     AlertState::Degraded
                 } else {
                     AlertState::Recovered
                 };
-                edge(key, "low_fps", state, a.fps_mean, t.fps_floor);
+                edge(key, "low_fps", state, a.fps_mean, FPS_FLOOR);
                 s.low_fps = low;
             }
 
             // jitter ceiling: evaluated when the window produced
             // samples; a sampleless window reads as recovered.
             let jitter = a.jitter_mean.unwrap_or(0.0);
-            let high = a.jitter_mean.is_some_and(|j| j > t.jitter_ceiling_ms);
+            let high = a.jitter_mean.is_some_and(|j| j > JITTER_CEILING_MS);
             if high != s.high_jitter {
                 let state = if high {
                     AlertState::Degraded
                 } else {
                     AlertState::Recovered
                 };
-                edge(key, "high_jitter", state, jitter, t.jitter_ceiling_ms);
+                edge(key, "high_jitter", state, jitter, JITTER_CEILING_MS);
                 s.high_jitter = high;
             }
 
             // bitrate collapse with a frozen-baseline hysteresis.
-            let floor = t.collapse_ratio * s.baseline_bps;
+            let floor = COLLAPSE_RATIO * s.baseline_bps;
             if !s.collapse {
                 if s.baseline_bps > 0.0 && a.bitrate_bps < floor {
                     edge(
@@ -388,7 +360,7 @@ mod tests {
 
     #[test]
     fn fps_episode_opens_once_and_closes_on_recovery() {
-        let mut w = QoeWatch::new(QoeThresholds::default());
+        let mut w = QoeWatch::default();
         assert!(w
             .observe(&window(0, vec![row(Some(1), 25.0, 1e6, None)]))
             .is_empty());
@@ -406,7 +378,7 @@ mod tests {
 
     #[test]
     fn collapse_baseline_freezes_until_recovery() {
-        let mut w = QoeWatch::new(QoeThresholds::default());
+        let mut w = QoeWatch::default();
         assert!(w
             .observe(&window(0, vec![row(Some(1), 25.0, 1_000_000.0, None)]))
             .is_empty());
@@ -430,7 +402,7 @@ mod tests {
 
     #[test]
     fn vanished_meeting_recovers_open_episodes() {
-        let mut w = QoeWatch::new(QoeThresholds::default());
+        let mut w = QoeWatch::default();
         w.observe(&window(0, vec![row(Some(1), 4.0, 1e6, Some(80.0))]));
         let a = w.observe(&window(1, Vec::new()));
         let kinds: Vec<_> = a.iter().map(|x| (x.kind, x.state)).collect();

@@ -2,7 +2,7 @@
 //!
 //! Every fallible public API in this crate returns [`Error`] rather than
 //! a bare `String` or a panic: configuration validation
-//! ([`crate::pipeline::AnalyzerConfigBuilder::build`]) and both sinks
+//! ([`crate::engine::StreamingEngine::new`]) and both sinks
 //! ([`crate::pipeline::Analyzer`], [`crate::engine::StreamingEngine`]).
 //! Callers
 //! that prefer strings (the CLI's `Result<(), String>` plumbing) get one
@@ -24,8 +24,8 @@ pub enum Error {
     },
     /// Input bytes that could not be parsed as the expected format.
     Parse(String),
-    /// An invalid configuration value (bad CIDR, an out-of-range
-    /// duration, …).
+    /// An invalid configuration value (a zero or out-of-range window or
+    /// idle timeout).
     Config(String),
 }
 

@@ -11,7 +11,7 @@
 //! ([`crate::stream::StreamSeconds`]), which only an analyzer built with
 //! [`per_second_rows`] keeps.
 //!
-//! [`per_second_rows`]: crate::pipeline::AnalyzerConfigBuilder::per_second_rows
+//! [`per_second_rows`]: crate::pipeline::AnalyzerConfig::per_second_rows
 
 use crate::metrics::frame::FrameRow;
 use crate::stream::Stream;
@@ -51,7 +51,7 @@ pub struct FeatureRow {
 /// If the stream keeps no per-second series: the analyzer was not built
 /// with [`per_second_rows`].
 ///
-/// [`per_second_rows`]: crate::pipeline::AnalyzerConfigBuilder::per_second_rows
+/// [`per_second_rows`]: crate::pipeline::AnalyzerConfig::per_second_rows
 pub fn extract_features(stream: &Stream) -> Vec<FeatureRow> {
     const SEC: u64 = 1_000_000_000;
     let seconds = stream

@@ -38,11 +38,7 @@
 //! use zoom_analysis::PacketSink;
 //! use zoom_wire::pcap::LinkType;
 //!
-//! let config = AnalyzerConfig::builder()
-//!     .campus("10.8.0.0/16")
-//!     .build()
-//!     .expect("valid config");
-//! let mut analyzer = Analyzer::new(config);
+//! let mut analyzer = Analyzer::new(AnalyzerConfig::default());
 //! // feed records: analyzer.push(record.ts_nanos, &record.data, LinkType::Ethernet)?;
 //! let report = analyzer.finish()?;
 //! assert_eq!(report.summary.zoom_packets, 0);

@@ -47,7 +47,6 @@ use zoom_wire::dissect::DropStage;
 use zoom_wire::handoff::RecordBatch;
 use zoom_wire::zoom::MediaType;
 
-#[cfg(feature = "obs-http")]
 pub mod serve;
 pub mod trace;
 
@@ -1179,18 +1178,14 @@ impl PipelineMetrics {
 /// Build metadata rendered as `zoom_build_info{version,git_sha,features}`
 /// and the snapshot's `"build"` JSON section, so scrapes can tell
 /// deployments apart. The git SHA is baked in at compile time via the
-/// `ZOOM_GIT_SHA` environment variable (`"unknown"` when unset); the
-/// feature list covers the cargo features that change the binary's
-/// surface.
+/// `ZOOM_GIT_SHA` environment variable (`"unknown"` when unset). The
+/// features string names the scrape endpoint, `obs-http`, which every
+/// build has; it stays so renders from older builds compare equal.
 pub fn build_info() -> (&'static str, &'static str, &'static str) {
     (
         env!("CARGO_PKG_VERSION"),
         option_env!("ZOOM_GIT_SHA").unwrap_or("unknown"),
-        if cfg!(feature = "obs-http") {
-            "obs-http"
-        } else {
-            ""
-        },
+        "obs-http",
     )
 }
 
@@ -1513,7 +1508,7 @@ pub fn catalogue_markdown() -> String {
     );
     catalogue_table(
         &mut out,
-        "Capture filter (`filter`, `capture`)",
+        "Capture filter (`capture`)",
         CAPTURE_ROWS,
         "",
         |r| format!("capture.{}", r.json.1),

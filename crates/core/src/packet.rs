@@ -147,11 +147,10 @@ pub fn in_campus(campus: &[(IpAddr, u8)], ip: IpAddr) -> bool {
     }
     campus.iter().any(|&(net, len)| match (net, ip) {
         (IpAddr::V4(n), IpAddr::V4(a)) => {
-            let mask = if len == 0 {
-                0
-            } else {
-                u32::MAX << (32 - u32::from(len))
-            };
+            // A length past 32 (a struct literal can hold one) is a host.
+            let mask = u32::MAX
+                .checked_shl(32 - u32::from(len.min(32)))
+                .unwrap_or(0);
             u32::from(a) & mask == u32::from(n) & mask
         }
         _ => false,
@@ -491,5 +490,16 @@ mod tests {
         assert!(in_campus(&c, "10.8.255.1".parse().unwrap()));
         assert!(!in_campus(&c, "10.9.0.1".parse().unwrap()));
         assert!(!in_campus(&c, "2001:db8::1".parse().unwrap()));
+    }
+
+    #[test]
+    fn prefix_lengths_at_and_past_the_ends_do_not_overflow() {
+        let host: IpAddr = "10.8.0.7".parse().unwrap();
+        let other: IpAddr = "10.8.0.8".parse().unwrap();
+        assert!(in_campus(&[(host, 0)], "203.0.113.9".parse().unwrap()));
+        for len in [32, 33, u8::MAX] {
+            assert!(in_campus(&[(host, len)], host), "/{len}");
+            assert!(!in_campus(&[(host, len)], other), "/{len}");
+        }
     }
 }

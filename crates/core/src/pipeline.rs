@@ -21,7 +21,6 @@ use crate::stream::{FlowId, Stream, StreamKey, StreamSeconds, StreamTracker};
 use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::Arc;
-use std::time::Duration;
 use zoom_wire::dissect::{
     classify_udp_with, drop_stage, peek, prefetch_record, AppView, PeekInfo, PeekTransport, Probe,
     Transport,
@@ -33,209 +32,34 @@ use zoom_wire::pcap::LinkType;
 use zoom_wire::webrtc;
 use zoom_wire::zoom::{Framing, MediaType, ZOOM_SFU_PORT};
 
-/// Analyzer configuration.
-///
-/// Construct via [`AnalyzerConfig::builder`] (typed durations, validated
-/// CIDR input) or take [`AnalyzerConfig::default`]; read settings through
-/// the accessor methods. (The PR-2 deprecated public-field shims are
-/// gone: the builder is the only construction path now.)
-#[derive(Debug, Clone)]
-pub struct AnalyzerConfig {
-    /// Campus prefixes — orient P2P flows and pick the "client" side.
-    campus: Vec<(IpAddr, u8)>,
-    /// Zoom server prefixes; when non-empty, TCP RTT probing is limited
-    /// to connections touching these (the control connections).
-    zoom_servers: Vec<(IpAddr, u8)>,
-    /// How long a STUN exchange marks its endpoint as a future P2P flow.
-    stun_timeout_nanos: u64,
-    /// Thresholds of the meeting-grouping heuristic (§4.3).
-    grouping: GroupingConfig,
-    /// Which protocol families may claim traffic (the default,
-    /// [`FamilySelect::Auto`], keeps Zoom-only output byte-identical:
-    /// WebRTC claims a packet only behind its session gate).
-    family: FamilySelect,
-    /// Whether every stream keeps its per-second series
-    /// ([`crate::stream::StreamSeconds`]).
-    per_second_rows: bool,
-}
+/// How long a STUN exchange marks its endpoint as a future P2P flow
+/// (§4.1), in nanoseconds: the lifetime of a STUN register entry in the
+/// analyzer, the streaming engine and the capture filter alike.
+pub const STUN_TIMEOUT_NANOS: u64 = 120 * 1_000_000_000;
 
-impl Default for AnalyzerConfig {
-    fn default() -> Self {
-        AnalyzerConfig {
-            campus: vec![(IpAddr::V4(std::net::Ipv4Addr::new(10, 8, 0, 0)), 16)],
-            zoom_servers: Vec::new(),
-            stun_timeout_nanos: 120 * 1_000_000_000,
-            grouping: GroupingConfig::default(),
-            family: FamilySelect::Auto,
-            per_second_rows: false,
-        }
-    }
-}
-
-impl AnalyzerConfig {
-    /// Start building a configuration from the defaults.
-    pub fn builder() -> AnalyzerConfigBuilder {
-        AnalyzerConfigBuilder::new()
-    }
-
-    /// Campus prefixes — orient P2P flows and pick the "client" side.
-    pub fn campus_prefixes(&self) -> &[(IpAddr, u8)] {
-        &self.campus
-    }
-
-    /// Zoom server prefixes gating TCP RTT probing.
-    pub fn zoom_server_prefixes(&self) -> &[(IpAddr, u8)] {
-        &self.zoom_servers
-    }
-
-    /// How long a STUN exchange marks its endpoint as a future P2P flow.
-    pub fn stun_timeout(&self) -> Duration {
-        Duration::from_nanos(self.stun_timeout_nanos)
-    }
-
-    /// Thresholds of the meeting-grouping heuristic (§4.3).
-    pub fn grouping_config(&self) -> GroupingConfig {
-        self.grouping
-    }
-
-    /// Which protocol families may claim traffic.
-    pub fn family_select(&self) -> FamilySelect {
-        self.family
-    }
-}
-
-/// Parse a `prefix/len` CIDR spec (a bare address means a host prefix).
-///
-/// Shared by [`AnalyzerConfigBuilder`] and the CLI's `--campus` /
-/// `--zoom-servers` flags so both reject the same inputs.
-pub fn parse_cidr(spec: &str) -> Result<(IpAddr, u8), Error> {
-    let (addr, len) = match spec.split_once('/') {
-        Some((a, l)) => {
-            let len: u8 = l
-                .parse()
-                .map_err(|_| Error::Config(format!("bad prefix length in {spec:?}")))?;
-            (a, Some(len))
-        }
-        None => (spec, None),
-    };
-    let ip: IpAddr = addr
-        .parse()
-        .map_err(|_| Error::Config(format!("bad address in {spec:?}")))?;
-    let max = if ip.is_ipv4() { 32 } else { 128 };
-    let len = len.unwrap_or(max);
-    if len > max {
-        return Err(Error::Config(format!(
-            "prefix length {len} exceeds {max} in {spec:?}"
-        )));
-    }
-    Ok((ip, len))
-}
-
-/// Builder for [`AnalyzerConfig`]: typed durations, validated CIDR
-/// prefixes, defaults from [`AnalyzerConfig::default`].
-///
-/// Parse failures are recorded and surfaced by [`build`]
-/// (`Err(`[`Error::Config`]`)`), keeping call chains fluent:
+/// Analyzer configuration: set the fields that differ from
+/// [`AnalyzerConfig::default`] and take the rest from it.
 ///
 /// ```
 /// use zoom_analysis::pipeline::AnalyzerConfig;
-/// let cfg = AnalyzerConfig::builder()
-///     .campus("192.168.0.0/16")
-///     .stun_timeout(std::time::Duration::from_secs(60))
-///     .build()
-///     .expect("valid config");
-/// assert_eq!(cfg.campus_prefixes().len(), 1);
+/// let cfg = AnalyzerConfig {
+///     per_second_rows: true,
+///     ..AnalyzerConfig::default()
+/// };
+/// assert_eq!(cfg.campus.len(), 1);
 /// ```
-///
-/// [`build`]: AnalyzerConfigBuilder::build
-#[derive(Debug, Clone, Default)]
-pub struct AnalyzerConfigBuilder {
-    campus: Vec<(IpAddr, u8)>,
-    /// False until the caller touches the campus list; the first explicit
-    /// prefix then *replaces* the default instead of appending to it.
-    campus_set: bool,
-    zoom_servers: Vec<(IpAddr, u8)>,
-    stun_timeout: Option<Duration>,
-    grouping: Option<GroupingConfig>,
-    family: Option<FamilySelect>,
-    per_second_rows: bool,
-    invalid: Option<String>,
-}
-
-impl AnalyzerConfigBuilder {
-    fn new() -> AnalyzerConfigBuilder {
-        AnalyzerConfigBuilder::default()
-    }
-
-    fn record_invalid(&mut self, msg: String) {
-        if self.invalid.is_none() {
-            self.invalid = Some(msg);
-        }
-    }
-
-    /// Add a campus prefix from a CIDR string; the first call replaces
-    /// the default `10.8.0.0/16`, later calls append.
-    pub fn campus(mut self, cidr: &str) -> Self {
-        match parse_cidr(cidr) {
-            Ok((ip, len)) => {
-                self.campus_set = true;
-                self.campus.push((ip, len));
-            }
-            Err(e) => self.record_invalid(e.to_string()),
-        }
-        self
-    }
-
-    /// Add a pre-parsed campus prefix.
-    pub fn campus_prefix(mut self, ip: IpAddr, len: u8) -> Self {
-        self.campus_set = true;
-        self.campus.push((ip, len));
-        self
-    }
-
-    /// Treat every flow as on-campus (empty campus list: orientation
-    /// falls back to the packet's source side).
-    pub fn everything_on_campus(mut self) -> Self {
-        self.campus_set = true;
-        self.campus.clear();
-        self
-    }
-
-    /// Add a Zoom server prefix from a CIDR string (gates TCP RTT
-    /// probing to control connections).
-    pub fn zoom_server(mut self, cidr: &str) -> Self {
-        match parse_cidr(cidr) {
-            Ok((ip, len)) => self.zoom_servers.push((ip, len)),
-            Err(e) => self.record_invalid(e.to_string()),
-        }
-        self
-    }
-
-    /// Add a pre-parsed Zoom server prefix.
-    pub fn zoom_server_prefix(mut self, ip: IpAddr, len: u8) -> Self {
-        self.zoom_servers.push((ip, len));
-        self
-    }
-
-    /// STUN registration lifetime (§4.1).
-    pub fn stun_timeout(mut self, timeout: Duration) -> Self {
-        self.stun_timeout = Some(timeout);
-        self
-    }
-
-    /// Meeting-grouping thresholds (§4.3).
-    pub fn grouping(mut self, grouping: GroupingConfig) -> Self {
-        self.grouping = Some(grouping);
-        self
-    }
-
-    /// Which protocol families may claim traffic (default
-    /// [`FamilySelect::Auto`]).
-    pub fn family(mut self, family: FamilySelect) -> Self {
-        self.family = Some(family);
-        self
-    }
-
+#[derive(Debug, Clone)]
+pub struct AnalyzerConfig {
+    /// Campus prefixes — orient P2P flows and pick the "client" side.
+    /// IPv4 only ([`in_campus`]); empty means every address is on campus.
+    /// Default `10.8.0.0/16`.
+    pub campus: Vec<(IpAddr, u8)>,
+    /// Thresholds of the meeting-grouping heuristic (§4.3).
+    pub grouping: GroupingConfig,
+    /// Which protocol families may claim traffic (the default,
+    /// [`FamilySelect::Auto`], keeps Zoom-only output byte-identical:
+    /// WebRTC claims a packet only behind its session gate).
+    pub family: FamilySelect,
     /// Keep every stream's per-second series — rate rows, frame rows and
     /// jitter samples, [`crate::stream::StreamSeconds`] — for the readers
     /// that need them: the `--features` export
@@ -243,42 +67,17 @@ impl AnalyzerConfigBuilder {
     /// [`Analyzer::media_samples`] and [`Analyzer::fig16_samples`]. Off by
     /// default: the series grow with every second a stream lives, and no
     /// report, window line or text report reads them.
-    pub fn per_second_rows(mut self, keep: bool) -> Self {
-        self.per_second_rows = keep;
-        self
-    }
+    pub per_second_rows: bool,
+}
 
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<AnalyzerConfig, Error> {
-        if let Some(msg) = self.invalid {
-            return Err(Error::Config(msg));
+impl Default for AnalyzerConfig {
+    fn default() -> Self {
+        AnalyzerConfig {
+            campus: vec![(IpAddr::V4(std::net::Ipv4Addr::new(10, 8, 0, 0)), 16)],
+            grouping: GroupingConfig::default(),
+            family: FamilySelect::Auto,
+            per_second_rows: false,
         }
-        for &(ip, len) in self.campus.iter().chain(self.zoom_servers.iter()) {
-            let max = if ip.is_ipv4() { 32 } else { 128 };
-            if len > max {
-                return Err(Error::Config(format!(
-                    "prefix length {len} exceeds {max} for {ip}"
-                )));
-            }
-        }
-        let stun_timeout_nanos = match self.stun_timeout {
-            Some(d) => u64::try_from(d.as_nanos())
-                .map_err(|_| Error::Config(format!("stun timeout {d:?} too large")))?,
-            None => 120 * 1_000_000_000,
-        };
-        let defaults = AnalyzerConfig::default();
-        Ok(AnalyzerConfig {
-            campus: if self.campus_set {
-                self.campus
-            } else {
-                defaults.campus
-            },
-            zoom_servers: self.zoom_servers,
-            stun_timeout_nanos,
-            grouping: self.grouping.unwrap_or_default(),
-            family: self.family.unwrap_or_default(),
-            per_second_rows: self.per_second_rows,
-        })
     }
 }
 
@@ -382,7 +181,7 @@ pub struct Analyzer {
 impl Analyzer {
     /// Analyzer with the given configuration.
     pub fn new(config: AnalyzerConfig) -> Analyzer {
-        let grouper = MeetingGrouper::with_config(config.grouping_config());
+        let grouper = MeetingGrouper::with_config(config.grouping);
         let streams = if config.per_second_rows {
             StreamTracker::with_per_second_rows()
         } else {
@@ -481,7 +280,7 @@ impl Analyzer {
     /// Apply one record's application-layer reading to the analysis
     /// state.
     fn apply(&mut self, r: &RecordView<'_>, app: AppView<'_>) {
-        let campus = self.config.campus_prefixes();
+        let campus = &self.config.campus;
         match app {
             AppView::Stun(_) => {
                 // Register the non-3478 endpoint: it will carry the P2P
@@ -506,14 +305,8 @@ impl Analyzer {
                     // endpoint may be a P2P media flow.
                     return self.udp_second_chance(r, r.transport.payload_len());
                 };
-                let zoom_servers = self.config.zoom_server_prefixes();
-                let is_control = zoom_servers.is_empty()
-                    || in_campus(zoom_servers, t.five_tuple.src_ip)
-                    || in_campus(zoom_servers, t.five_tuple.dst_ip);
-                if is_control {
-                    self.note_classified(FamilyId::Zoom, t.ts_nanos, &t.five_tuple, t.ip_len);
-                    self.tcp_rtt.on_segment(&t);
-                }
+                self.note_classified(FamilyId::Zoom, t.ts_nanos, &t.five_tuple, t.ip_len);
+                self.tcp_rtt.on_segment(&t);
             }
         }
     }
@@ -524,7 +317,7 @@ impl Analyzer {
     /// parses, exactly the filter the paper describes). Zoom gets the
     /// first try, preserving the pre-family dispatch order bit for bit.
     fn udp_second_chance(&mut self, r: &RecordView<'_>, wire_len: usize) {
-        let family = self.config.family_select();
+        let family = self.config.family;
         let stun_fresh = self.is_p2p_flow(r);
         if stun_fresh && family.allows(FamilyId::Zoom) {
             if let Ok(z) = zoom_wire::zoom::parse(r.payload, wire_len, Framing::P2p) {
@@ -535,7 +328,7 @@ impl Analyzer {
                         r.ip_len,
                         Framing::P2p,
                         &z,
-                        self.config.campus_prefixes(),
+                        &self.config.campus,
                     );
                     self.on_media(&meta);
                     return;
@@ -580,10 +373,9 @@ impl Analyzer {
 
     fn is_p2p_flow(&mut self, r: &RecordView<'_>) -> bool {
         let now = r.ts_nanos;
-        let timeout = self.config.stun_timeout().as_nanos() as u64;
         for ep in [r.five_tuple.src(), r.five_tuple.dst()] {
             if let Some(last) = self.p2p_endpoints.get_mut(&ep) {
-                if now.saturating_sub(*last) <= timeout {
+                if now.saturating_sub(*last) <= STUN_TIMEOUT_NANOS {
                     *last = now; // refresh: long calls stay matched
                     return true;
                 }
@@ -596,9 +388,8 @@ impl Analyzer {
     /// handshake (refreshing the entry, like [`Analyzer::is_p2p_flow`]).
     fn is_webrtc_flow(&mut self, r: &RecordView<'_>) -> bool {
         let now = r.ts_nanos;
-        let timeout = self.config.stun_timeout().as_nanos() as u64;
         if let Some(last) = self.webrtc_flows.get_mut(&r.five_tuple.canonical()) {
-            if now.saturating_sub(*last) <= timeout {
+            if now.saturating_sub(*last) <= STUN_TIMEOUT_NANOS {
                 *last = now;
                 return true;
             }
@@ -644,13 +435,8 @@ impl Analyzer {
     ) {
         match pdu {
             webrtc::Pdu::Srtp(srtp) => {
-                let meta = meta_from_webrtc(
-                    ts_nanos,
-                    five_tuple,
-                    ip_len,
-                    srtp,
-                    self.config.campus_prefixes(),
-                );
+                let meta =
+                    meta_from_webrtc(ts_nanos, five_tuple, ip_len, srtp, &self.config.campus);
                 self.on_media(&meta);
             }
             webrtc::Pdu::Dtls(dtls) => {
@@ -713,7 +499,7 @@ impl Analyzer {
             // eviction: it is the stream it was, not a new one.
             let (uid, meeting) = self.grouper.assignment(&key).unwrap_or_else(|| {
                 let (client, server) =
-                    resolve_stream_endpoints(&meta.five_tuple, self.config.campus_prefixes());
+                    resolve_stream_endpoints(&meta.five_tuple, &self.config.campus);
                 let streams = &self.streams;
                 self.grouper.on_new_stream(
                     key,
@@ -820,11 +606,11 @@ impl Analyzer {
     /// # Panics
     ///
     /// If the analyzer was not built with
-    /// [`AnalyzerConfigBuilder::per_second_rows`].
+    /// [`AnalyzerConfig::per_second_rows`].
     fn seconds_of(&self, media: MediaType) -> impl Iterator<Item = (&Stream, &StreamSeconds)> {
         assert!(
             self.config.per_second_rows,
-            "per-second samples need an analyzer built with per_second_rows(true)"
+            "per-second samples need an analyzer with per_second_rows set"
         );
         self.streams
             .of_type(media)
@@ -836,7 +622,7 @@ impl Analyzer {
     /// # Panics
     ///
     /// If the analyzer was not built with
-    /// [`AnalyzerConfigBuilder::per_second_rows`].
+    /// [`AnalyzerConfig::per_second_rows`].
     pub fn media_samples(&self, media: MediaType) -> MediaSamples {
         let mut out = MediaSamples::default();
         if let Some((_, sizes)) = self.frame_sizes.iter().find(|(m, _)| *m == media) {
@@ -871,7 +657,7 @@ impl Analyzer {
     /// # Panics
     ///
     /// If the analyzer was not built with
-    /// [`AnalyzerConfigBuilder::per_second_rows`].
+    /// [`AnalyzerConfig::per_second_rows`].
     pub fn fig16_samples(&self) -> Vec<(f64, f64, f64)> {
         let mut out = Vec::new();
         for (_, seconds) in self.seconds_of(MediaType::Video) {
@@ -951,7 +737,7 @@ impl Analyzer {
                 t0.elapsed().as_nanos() as u64,
             );
         }
-        let probe = self.config.family_select().probe();
+        let probe = self.config.family.probe();
         self.tally.record_batch_in(batch);
         for (i, r) in batch.iter().enumerate() {
             prefetch_record(batch, i + 1);
@@ -1006,7 +792,7 @@ impl PacketSink for Analyzer {
             self.flush_metrics();
         }
         self.tally.record_in(data.len());
-        self.ingest(ts_nanos, data, link, self.config.family_select().probe());
+        self.ingest(ts_nanos, data, link, self.config.family.probe());
         Ok(())
     }
 
@@ -1239,12 +1025,10 @@ mod tests {
 
     #[test]
     fn media_samples_cover_video_metrics() {
-        let mut a = Analyzer::new(
-            AnalyzerConfig::builder()
-                .per_second_rows(true)
-                .build()
-                .unwrap(),
-        );
+        let mut a = Analyzer::new(AnalyzerConfig {
+            per_second_rows: true,
+            ..AnalyzerConfig::default()
+        });
         for i in 0..200u64 {
             let seq = i as u16 + 1;
             let rtp_ts = 1_000 + (i as u32) * 3_000;
@@ -1330,52 +1114,6 @@ mod tests {
         let summary = a.summary();
         assert_eq!(summary.zoom_packets, 2); // STUN + media
         assert_eq!(summary.rtp_streams, 1);
-    }
-
-    #[test]
-    fn tcp_filtered_by_server_list() {
-        let cfg = AnalyzerConfig::builder()
-            .zoom_server("170.114.0.0/16")
-            .build()
-            .unwrap();
-        let mut a = Analyzer::new(cfg);
-        let zoom_tcp = Record::full(
-            0,
-            compose::tcp_ipv4_ethernet(
-                Ipv4Addr::new(10, 8, 0, 1),
-                Ipv4Addr::new(170, 114, 0, 9),
-                50_000,
-                443,
-                100,
-                0,
-                zoom_wire::tcp::Flags {
-                    ack: true,
-                    psh: true,
-                    ..Default::default()
-                },
-                b"ctl",
-            ),
-        );
-        let other_tcp = Record::full(
-            0,
-            compose::tcp_ipv4_ethernet(
-                Ipv4Addr::new(10, 8, 0, 1),
-                Ipv4Addr::new(13, 3, 3, 3),
-                50_001,
-                443,
-                100,
-                0,
-                zoom_wire::tcp::Flags {
-                    ack: true,
-                    psh: true,
-                    ..Default::default()
-                },
-                b"web",
-            ),
-        );
-        feed(&mut a, &zoom_tcp);
-        feed(&mut a, &other_tcp);
-        assert_eq!(a.summary().zoom_packets, 1);
     }
 
     #[test]

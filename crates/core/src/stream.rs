@@ -183,7 +183,7 @@ impl StreamFrames {
 /// [`per_second_rows`]), since the rows grow for as long as the stream
 /// lives; every other output is computed without them.
 ///
-/// [`per_second_rows`]: crate::pipeline::AnalyzerConfigBuilder::per_second_rows
+/// [`per_second_rows`]: crate::pipeline::AnalyzerConfig::per_second_rows
 #[derive(Debug, Default)]
 pub struct StreamSeconds {
     rates: RateRows,

@@ -8,7 +8,6 @@
 
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::PacketSink;
-use zoom_capture::cidr::prefix_set;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig};
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
@@ -26,19 +25,15 @@ fn main() {
 
     // The capture pipeline filters Zoom from the mixed feed...
     let mut capture = CapturePipeline::new(PipelineConfig {
-        campus_nets: prefix_set(&[scenario::CAMPUS_NET]),
-        excluded_nets: Default::default(),
         zoom_list: infra.ip_list.clone(),
-        stun_timeout_nanos: 120 * SEC,
-        anonymizer: None,
-        family: zoom_wire::family::FamilySelect::Only(zoom_wire::family::FamilyId::Zoom),
+        ..PipelineConfig::sample(scenario::CAMPUS_NET)
     });
     // ...and the analyzer consumes only what passes, keeping the
     // per-second series the media samples below are read from.
-    let config = AnalyzerConfig::builder()
-        .per_second_rows(true)
-        .build()
-        .expect("valid config");
+    let config = AnalyzerConfig {
+        per_second_rows: true,
+        ..AnalyzerConfig::default()
+    };
     let mut analyzer = Analyzer::new(config);
 
     for record in scenario.into_stream() {

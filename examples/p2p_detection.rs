@@ -5,7 +5,6 @@
 //!
 //! Run with: `cargo run --release --example p2p_detection`
 
-use zoom_capture::cidr::prefix_set;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
 use zoom_capture::zoom_nets::{ZoomIpList, ZoomNetwork};
 use zoom_sim::meeting::MeetingSim;
@@ -22,12 +21,8 @@ fn main() {
         owner: zoom_capture::zoom_nets::Owner::ZoomAs,
     }]);
     let mut pipeline = CapturePipeline::new(PipelineConfig {
-        campus_nets: prefix_set(&[scenario::CAMPUS_NET]),
-        excluded_nets: Default::default(),
         zoom_list,
-        stun_timeout_nanos: 120 * SEC,
-        anonymizer: None,
-        family: zoom_wire::family::FamilySelect::Only(zoom_wire::family::FamilyId::Zoom),
+        ..PipelineConfig::sample(scenario::CAMPUS_NET)
     });
 
     let mut current: Option<Verdict> = None;

@@ -35,11 +35,11 @@ fn main() -> std::io::Result<()> {
     //    passive analyzer on it.
     let mut reader = Reader::new(std::fs::File::open(&path)?)?;
     let link = reader.link_type();
-    let analyzer_config = AnalyzerConfig::builder()
-        .campus(scenario::CAMPUS_NET)
-        .per_second_rows(true) // for `media_samples` below
-        .build()
-        .expect("valid campus CIDR");
+    // The default campus is the simulator's `scenario::CAMPUS_NET`.
+    let analyzer_config = AnalyzerConfig {
+        per_second_rows: true, // for `media_samples` below
+        ..AnalyzerConfig::default()
+    };
     let mut analyzer = Analyzer::new(analyzer_config);
     let (mut batch, mut more) = (RecordBatch::new(), true);
     while more {

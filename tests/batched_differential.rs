@@ -120,7 +120,7 @@ fn stream_per_record(records: &[Record], window: Option<Duration>) -> StreamRun 
         analyzer: AnalyzerConfig::default(),
         window,
         idle_timeout: None,
-        qoe: None,
+        qoe: false,
     })
     .expect("valid engine config");
     let mut windows = Vec::new();
@@ -140,7 +140,7 @@ fn stream_batched(records: &[Record], window: Option<Duration>, batch_size: usiz
         analyzer: AnalyzerConfig::default(),
         window,
         idle_timeout: None,
-        qoe: None,
+        qoe: false,
     })
     .expect("valid engine config");
     let mut windows = Vec::new();

@@ -67,12 +67,11 @@ fn border_config(anonymizer: Option<Anonymizer>) -> PipelineConfig {
         owner: Owner::ZoomAs,
     });
     PipelineConfig {
-        campus_nets: prefix_set(&[scenario::CAMPUS_NET]),
         excluded_nets: prefix_set(&[EXCLUDED_NET]),
         zoom_list,
-        stun_timeout_nanos: 120 * SEC,
         anonymizer,
         family: FamilySelect::Auto,
+        ..PipelineConfig::sample(scenario::CAMPUS_NET)
     }
 }
 

@@ -26,12 +26,8 @@ fn mixed_feed() -> (
 fn pipeline_filters_background_and_keeps_zoom() {
     let (stream, infra) = mixed_feed();
     let mut capture = CapturePipeline::new(PipelineConfig {
-        campus_nets: prefix_set(&[scenario::CAMPUS_NET]),
-        excluded_nets: Default::default(),
         zoom_list: infra.ip_list.clone(),
-        stun_timeout_nanos: 120 * SEC,
-        anonymizer: None,
-        family: zoom_wire::family::FamilySelect::Only(zoom_wire::family::FamilyId::Zoom),
+        ..PipelineConfig::sample(scenario::CAMPUS_NET)
     });
     let mut analyzer = Analyzer::new(AnalyzerConfig::default());
     for record in stream {
@@ -84,19 +80,14 @@ fn anonymized_output_remains_fully_analyzable() {
     let run = |anon: Option<Anonymizer>, campus: (IpAddr, u8)| {
         let (stream, infra) = mixed_feed();
         let mut capture = CapturePipeline::new(PipelineConfig {
-            campus_nets: prefix_set(&[scenario::CAMPUS_NET]),
-            excluded_nets: Default::default(),
             zoom_list: infra.ip_list.clone(),
-            stun_timeout_nanos: 120 * SEC,
             anonymizer: anon,
-            family: zoom_wire::family::FamilySelect::Only(zoom_wire::family::FamilyId::Zoom),
+            ..PipelineConfig::sample(scenario::CAMPUS_NET)
         });
-        let mut analyzer = Analyzer::new(
-            AnalyzerConfig::builder()
-                .campus_prefix(campus.0, campus.1)
-                .build()
-                .expect("valid config"),
-        );
+        let mut analyzer = Analyzer::new(AnalyzerConfig {
+            campus: vec![campus],
+            ..AnalyzerConfig::default()
+        });
         for record in stream {
             let (_, out) = capture.process_record(&record, LinkType::Ethernet);
             if let Some(out) = out {
@@ -120,13 +111,10 @@ fn excluded_subnets_are_dropped_entirely() {
     // Enough meetings that clients land in both halves of the /16.
     let (scenario_obj, infra) = scenario::campus_study(13, 240 * SEC, 1.0 / 2.0, 0.0);
     let mut capture = CapturePipeline::new(PipelineConfig {
-        campus_nets: prefix_set(&[scenario::CAMPUS_NET]),
         // Exclude half the campus client space.
         excluded_nets: prefix_set(&["10.8.0.0/17"]),
         zoom_list: infra.ip_list.clone(),
-        stun_timeout_nanos: 120 * SEC,
-        anonymizer: None,
-        family: zoom_wire::family::FamilySelect::Only(zoom_wire::family::FamilyId::Zoom),
+        ..PipelineConfig::sample(scenario::CAMPUS_NET)
     });
     let mut excluded_seen = 0u64;
     for record in scenario_obj.into_stream() {

@@ -174,7 +174,7 @@ fn fragment_run_driven(
         analyzer: AnalyzerConfig::default(),
         window,
         idle_timeout: None,
-        qoe: None,
+        qoe: false,
     })
     .expect("valid engine config");
     let mh = engine.metrics_handle();
@@ -224,7 +224,7 @@ fn single_process_run(
         analyzer: AnalyzerConfig::default(),
         window,
         idle_timeout: None,
-        qoe: None,
+        qoe: false,
     })
     .expect("valid engine config");
     let mut windows = Vec::new();
@@ -506,7 +506,7 @@ fn merge_restart_resumes_from_checkpoint_without_losing_windows() {
         analyzer: AnalyzerConfig::default(),
         window,
         idle_timeout: None,
-        qoe: None,
+        qoe: false,
     })
     .expect("engine");
     let mut emitted = Vec::new();

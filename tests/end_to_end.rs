@@ -3,7 +3,6 @@
 
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::PacketSink;
-use zoom_capture::cidr::prefix_set;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig};
 use zoom_capture::zoom_nets::{Owner, ZoomIpList, ZoomNetwork};
 use zoom_sim::meeting::MeetingSim;
@@ -23,12 +22,8 @@ fn zoom_list() -> ZoomIpList {
 fn multi_party_meeting_full_chain() {
     let sim = MeetingSim::new(scenario::multi_party(5, 90 * SEC));
     let mut capture = CapturePipeline::new(PipelineConfig {
-        campus_nets: prefix_set(&[scenario::CAMPUS_NET]),
-        excluded_nets: Default::default(),
         zoom_list: zoom_list(),
-        stun_timeout_nanos: 120 * SEC,
-        anonymizer: None,
-        family: zoom_wire::family::FamilySelect::Only(zoom_wire::family::FamilyId::Zoom),
+        ..PipelineConfig::sample(scenario::CAMPUS_NET)
     });
     let mut analyzer = Analyzer::new(AnalyzerConfig::default());
 
@@ -83,12 +78,8 @@ fn multi_party_meeting_full_chain() {
 fn p2p_meeting_stays_one_meeting_across_switch() {
     let sim = MeetingSim::new(scenario::p2p_meeting(9, 60 * SEC));
     let mut capture = CapturePipeline::new(PipelineConfig {
-        campus_nets: prefix_set(&[scenario::CAMPUS_NET]),
-        excluded_nets: Default::default(),
         zoom_list: zoom_list(),
-        stun_timeout_nanos: 120 * SEC,
-        anonymizer: None,
-        family: zoom_wire::family::FamilySelect::Only(zoom_wire::family::FamilyId::Zoom),
+        ..PipelineConfig::sample(scenario::CAMPUS_NET)
     });
     let mut analyzer = Analyzer::new(AnalyzerConfig::default());
     let mut p2p_passed = 0u64;

@@ -43,10 +43,10 @@ fn webrtc_records() -> Vec<Record> {
 }
 
 fn family_config(select: FamilySelect) -> AnalyzerConfig {
-    AnalyzerConfig::builder()
-        .family(select)
-        .build()
-        .expect("valid config")
+    AnalyzerConfig {
+        family: select,
+        ..AnalyzerConfig::default()
+    }
 }
 
 fn sequential_report(records: &[Record], config: AnalyzerConfig) -> AnalysisReport {
@@ -75,7 +75,7 @@ fn stream(
         analyzer: config,
         window,
         idle_timeout: None,
-        qoe: None,
+        qoe: false,
     })
     .expect("valid engine config");
     let mut windows = Vec::new();

@@ -283,10 +283,10 @@ fn evict_and_return() -> Vec<Record> {
 }
 
 fn config(per_second_rows: bool) -> AnalyzerConfig {
-    AnalyzerConfig::builder()
-        .per_second_rows(per_second_rows)
-        .build()
-        .expect("valid config")
+    AnalyzerConfig {
+        per_second_rows,
+        ..AnalyzerConfig::default()
+    }
 }
 
 fn batch_analyzer(records: &[Record], per_second_rows: bool) -> Analyzer {

@@ -294,7 +294,7 @@ fn warm_ingest_passes_stay_off_the_allocator() {
         analyzer: AnalyzerConfig::default(),
         window: Some(Duration::from_secs(1)),
         idle_timeout: None,
-        qoe: None,
+        qoe: false,
     })
     .expect("engine");
     let second = warm(&mut |reader, batch| sink_pass(reader, n, batch, &mut engine));
@@ -318,7 +318,7 @@ fn warm_ingest_passes_stay_off_the_allocator() {
         analyzer: AnalyzerConfig::default(),
         window: Some(Duration::from_secs(10)),
         idle_timeout: None,
-        qoe: None,
+        qoe: false,
     })
     .expect("engine");
     windowed_pass(&mut engine, &records, &mut batch, 0);

@@ -38,10 +38,10 @@ fn run() -> Validation {
     let mut sim = MeetingSim::new(scenario::validation_experiment(77));
     // The analyzer's scores read its per-second frame rows and jitter
     // samples; the engine's read its windows alone.
-    let config = AnalyzerConfig::builder()
-        .per_second_rows(true)
-        .build()
-        .expect("valid config");
+    let config = AnalyzerConfig {
+        per_second_rows: true,
+        ..AnalyzerConfig::default()
+    };
     let mut analyzer = Analyzer::new(config);
     let mut engine = StreamingEngine::new(EngineConfig {
         window: Some(Duration::from_secs(1)),

@@ -85,7 +85,7 @@ fn mux_run(
         analyzer: AnalyzerConfig::default(),
         window,
         idle_timeout: None,
-        qoe: None,
+        qoe: false,
     })
     .expect("valid engine config");
     let mh = engine.metrics_handle();
@@ -207,7 +207,7 @@ fn batched_run(
         analyzer: AnalyzerConfig::default(),
         window,
         idle_timeout: Some(Duration::from_secs(5)),
-        qoe: None,
+        qoe: false,
     })
     .expect("valid engine config");
     let mh = engine.metrics_handle();

@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
-use zoom_analysis::engine::{EngineConfig, QoeThresholds, StreamingEngine};
+use zoom_analysis::engine::{EngineConfig, StreamingEngine};
 use zoom_analysis::obs::{MetricsSnapshot, PipelineMetrics};
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::PacketSink;
@@ -148,7 +148,7 @@ fn engine_accounting(records: &[Record], window: Option<Duration>) -> [u64; 9] {
         analyzer: AnalyzerConfig::default(),
         window,
         idle_timeout: None,
-        qoe: None,
+        qoe: false,
     })
     .expect("engine");
     feed(&mut engine, records);
@@ -250,7 +250,7 @@ fn run_qoe(records: &[Record]) -> (Vec<String>, Vec<(String, u64)>, MetricsSnaps
         analyzer: AnalyzerConfig::default(),
         window: Some(Duration::from_secs(2)),
         idle_timeout: None,
-        qoe: Some(QoeThresholds::default()),
+        qoe: true,
     })
     .expect("engine");
     let mut ndjson = Vec::new();

@@ -42,7 +42,7 @@ fn stream_run(
         analyzer: AnalyzerConfig::default(),
         window,
         idle_timeout,
-        qoe: None,
+        qoe: false,
     })
     .expect("valid engine config");
     let mut windows = Vec::new();
@@ -224,7 +224,7 @@ fn stream_via_pcap(img: &[u8], window: Option<Duration>) -> (Vec<WindowReport>, 
         analyzer: AnalyzerConfig::default(),
         window,
         idle_timeout: None,
-        qoe: None,
+        qoe: false,
     })
     .expect("valid engine config");
     let mut windows = Vec::new();

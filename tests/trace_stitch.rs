@@ -113,7 +113,7 @@ fn merge_run(
         analyzer: AnalyzerConfig::default(),
         window: Some(Duration::from_secs(5)),
         idle_timeout: None,
-        qoe: None,
+        qoe: false,
     })
     .expect("valid engine config");
     let mh = engine.metrics_handle();

@@ -73,18 +73,16 @@ fn cut(records: &[Record], keep: impl Fn(&Record) -> usize) -> Vec<Record> {
 /// report — fed the CLI's way, a capture batch at a time — and the two
 /// sinks' metrics.
 fn analyze(records: &[Record], family: FamilySelect) -> (String, MetricsSnapshot, MetricsSnapshot) {
-    let config = || {
-        AnalyzerConfig::builder()
-            .family(family)
-            .build()
-            .expect("valid config")
+    let config = || AnalyzerConfig {
+        family,
+        ..AnalyzerConfig::default()
     };
     let mut analyzer = Analyzer::new(config());
     let mut engine = StreamingEngine::new(EngineConfig {
         analyzer: config(),
         window: Some(Duration::from_secs(1)),
         idle_timeout: Some(Duration::from_secs(10)),
-        qoe: None,
+        qoe: false,
     })
     .expect("valid engine config");
     let mut windows = String::new();

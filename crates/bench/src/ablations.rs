@@ -4,7 +4,6 @@
 use crate::harness::{feed, ExpArgs};
 use zoom_analysis::meeting::GroupingConfig;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig, STUN_TIMEOUT_NANOS};
-use zoom_capture::cidr::prefix_set;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
 use zoom_capture::zoom_nets::{Owner, ZoomIpList, ZoomNetwork};
 use zoom_sim::meeting::MeetingSim;
@@ -144,12 +143,9 @@ pub fn p2p_timeout_sweep(args: &ExpArgs) {
     for &timeout in timeouts {
         let sim = MeetingSim::new(scenario::p2p_meeting(args.seed, 120 * SEC));
         let mut pipeline = CapturePipeline::new(PipelineConfig {
-            campus_nets: prefix_set(&[scenario::CAMPUS_NET]),
-            excluded_nets: Default::default(),
             zoom_list: zoom_list.clone(),
             stun_timeout_nanos: timeout,
-            anonymizer: None,
-            family: zoom_wire::family::FamilySelect::Only(zoom_wire::family::FamilyId::Zoom),
+            ..PipelineConfig::sample(scenario::CAMPUS_NET)
         });
         let mut p2p = 0u64;
         let mut missed_udp = 0u64;

@@ -13,7 +13,7 @@ use zoom_analysis::entropy::{extract_series, scan_flow, FieldClass};
 use zoom_analysis::metrics::latency::RttTotals;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::stats::{pearson, Samples, TimeBins};
-use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
+use zoom_capture::pipeline::{CapturePipeline, PipelineConfig};
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::qos::QosSample;
 use zoom_sim::scenario;
@@ -442,8 +442,6 @@ pub fn capture_experiment(args: &ExpArgs) -> Result<CaptureExperiment, String> {
         if verdict.passes() {
             zoom_rate.add(record.ts_nanos, 1.0);
         }
-        // Exercise the anonymizer path on a sample.
-        let _ = verdict == Verdict::ZoomServer;
     }
     Ok(CaptureExperiment {
         counters: capture.counters(),

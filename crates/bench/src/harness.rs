@@ -344,7 +344,7 @@ mod tests {
 
     #[test]
     fn csv_written() {
-        let dir = std::env::temp_dir().join("zoom_bench_test_csv");
+        let dir = std::env::temp_dir().join(format!("zoom_bench_test_csv_{}", std::process::id()));
         let args = ExpArgs {
             out_dir: dir.clone(),
             ..Default::default()

@@ -45,7 +45,7 @@
 #![forbid(unsafe_code)]
 
 pub mod anonymize;
-pub mod cidr;
+mod cidr;
 pub mod filter;
 pub mod fragment;
 pub mod mux;

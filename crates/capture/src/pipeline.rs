@@ -21,15 +21,16 @@
 //! Stages 1 and 2 ask three questions of each address — campus? excluded?
 //! Zoom server? — that the hardware answers with one TCAM lookup.
 //! [`CapturePipeline::new`] therefore compiles the three configured prefix
-//! sets into one address-class table (see [`crate::cidr`]), and
+//! lists into one address-class table (the private `cidr` module), and
 //! classification looks each of the two addresses up in it exactly once.
 
 use crate::anonymize::Anonymizer;
-use crate::cidr::{IntervalTable, PrefixSet};
+use crate::cidr::IntervalTable;
 use crate::stun_tracker::{StunTracker, TrackerStats};
 use crate::zoom_nets::ZoomIpList;
 use std::net::{IpAddr, Ipv4Addr};
 use zoom_analysis::pipeline::STUN_TIMEOUT_NANOS;
+use zoom_wire::cidr::Cidr;
 use zoom_wire::family::{FamilyId, FamilySelect};
 use zoom_wire::flow::Endpoint;
 use zoom_wire::ipv4::Protocol;
@@ -40,9 +41,9 @@ use zoom_wire::{ethernet, ipv4, stun, udp};
 #[derive(Debug)]
 pub struct PipelineConfig {
     /// Campus-internal networks (the monitor sits at the border).
-    pub campus_nets: PrefixSet,
+    pub campus_nets: Vec<Cidr>,
     /// Campus subnets excluded from capture (bulk research traffic).
-    pub excluded_nets: PrefixSet,
+    pub excluded_nets: Vec<Cidr>,
     /// Zoom's published server networks.
     pub zoom_list: ZoomIpList,
     /// Timeout for P2P detection register entries.
@@ -60,11 +61,12 @@ pub struct PipelineConfig {
 impl PipelineConfig {
     /// A config with the sample Zoom list, the given campus, no
     /// exclusions, no anonymizer, Zoom only, and the analyzer's STUN
-    /// register lifetime ([`STUN_TIMEOUT_NANOS`]).
+    /// register lifetime ([`STUN_TIMEOUT_NANOS`]). Panics on an invalid
+    /// campus literal (meant for static configuration).
     pub fn sample(campus: &str) -> PipelineConfig {
         PipelineConfig {
-            campus_nets: crate::cidr::prefix_set(&[campus]),
-            excluded_nets: PrefixSet::new(),
+            campus_nets: vec![campus.parse().expect("static CIDR literal")],
+            excluded_nets: Vec::new(),
             zoom_list: crate::zoom_nets::sample_list(),
             stun_timeout_nanos: STUN_TIMEOUT_NANOS,
             anonymizer: None,
@@ -154,56 +156,19 @@ pub struct StageCounters {
     pub total_bytes: u64,
 }
 
-/// Address-class bits of the compiled table: which configured prefix sets
-/// cover an address.
+/// Address-class bits of the compiled table: which configured prefix
+/// lists cover an address, in the order [`CapturePipeline::new`] hands
+/// them to [`IntervalTable::classes`].
 const CAMPUS: u8 = 1;
 const EXCLUDED: u8 = 2;
 const ZOOM: u8 = 4;
-
-/// Flatten the campus, excluded and Zoom prefix sets into one table of
-/// address ranges carrying class bits. Between two neighbouring prefix
-/// edges no prefix starts or ends, so each set's answer is the same for
-/// the whole stretch and is asked once, at its first address.
-fn compile_classes(config: &PipelineConfig) -> IntervalTable<u8> {
-    let campus = config.campus_nets.iter().map(|(cidr, _)| cidr);
-    let excluded = config.excluded_nets.iter().map(|(cidr, _)| cidr);
-    let zoom = config.zoom_list.networks().iter().map(|n| n.cidr);
-    let mut edges: Vec<u64> = campus
-        .chain(excluded)
-        .chain(zoom)
-        .flat_map(|cidr| {
-            let (start, end) = cidr.range();
-            [u64::from(start), u64::from(end) + 1]
-        })
-        .collect();
-    edges.sort_unstable();
-    edges.dedup();
-    let mut table = IntervalTable::new();
-    for stretch in edges.windows(2) {
-        let first = Ipv4Addr::from(stretch[0] as u32);
-        let mut class = 0;
-        if config.campus_nets.contains(first) {
-            class |= CAMPUS;
-        }
-        if config.excluded_nets.contains(first) {
-            class |= EXCLUDED;
-        }
-        if config.zoom_list.contains(first) {
-            class |= ZOOM;
-        }
-        if class != 0 {
-            table.push(stretch[0] as u32, (stretch[1] - 1) as u32, class);
-        }
-    }
-    table
-}
 
 /// The capture pipeline.
 #[derive(Debug)]
 pub struct CapturePipeline {
     config: PipelineConfig,
-    /// `config`'s three prefix sets, compiled by [`compile_classes`].
-    classes: IntervalTable<u8>,
+    /// `config`'s three prefix lists, compiled into one table.
+    classes: IntervalTable,
     tracker: StunTracker,
     rtc_tracker: StunTracker,
     counters: StageCounters,
@@ -225,8 +190,10 @@ impl CapturePipeline {
     pub fn new(config: PipelineConfig) -> Self {
         let tracker = StunTracker::new(config.stun_timeout_nanos);
         let rtc_tracker = StunTracker::new(config.stun_timeout_nanos);
+        let zoom: Vec<Cidr> = config.zoom_list.networks().iter().map(|n| n.cidr).collect();
+        let classes = IntervalTable::classes(&[&config.campus_nets, &config.excluded_nets, &zoom]);
         CapturePipeline {
-            classes: compile_classes(&config),
+            classes,
             config,
             tracker,
             rtc_tracker,
@@ -585,7 +552,7 @@ mod tests {
     #[test]
     fn excluded_subnet_dropped_even_to_zoom() {
         let mut cfg = PipelineConfig::sample("10.8.0.0/16");
-        cfg.excluded_nets = crate::cidr::prefix_set(&["10.8.200.0/24"]);
+        cfg.excluded_nets = vec!["10.8.200.0/24".parse().unwrap()];
         let mut p = CapturePipeline::new(cfg);
         let pkt = compose::udp_ipv4_ethernet(
             Ipv4Addr::new(10, 8, 200, 5),
@@ -734,21 +701,21 @@ mod tests {
             "192.0.2.6/31",
             "255.255.255.0/24",
         ];
+        let cidrs =
+            |list: &[&str]| -> Vec<Cidr> { list.iter().map(|s| s.parse().unwrap()).collect() };
         let mut cfg = PipelineConfig::sample("10.8.0.0/16");
-        cfg.campus_nets = crate::cidr::prefix_set(&campus);
-        cfg.excluded_nets = crate::cidr::prefix_set(&excluded);
+        cfg.campus_nets = cidrs(&campus);
+        cfg.excluded_nets = cidrs(&excluded);
         cfg.zoom_list = ZoomIpList::from_networks(
-            zoom.iter()
-                .map(|s| ZoomNetwork {
-                    cidr: s.parse().unwrap(),
+            cidrs(&zoom)
+                .into_iter()
+                .map(|cidr| ZoomNetwork {
+                    cidr,
                     owner: Owner::Other,
                 })
                 .collect(),
         );
         let sets: [(&[&str], u8); 3] = [(&campus, CAMPUS), (&excluded, EXCLUDED), (&zoom, ZOOM)];
-        let cidrs = |list: &[&str]| -> Vec<crate::cidr::Cidr> {
-            list.iter().map(|s| s.parse().unwrap()).collect()
-        };
         let p = CapturePipeline::new(cfg);
 
         let mut probes = vec![0u32, u32::MAX];

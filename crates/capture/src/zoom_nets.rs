@@ -8,8 +8,7 @@
 //! the list and its metadata; a synthetic-but-structurally-identical
 //! instance is generated by `zoom-sim`'s infrastructure module.
 
-use crate::cidr::{Cidr, PrefixMap};
-use std::net::{IpAddr, Ipv4Addr};
+use zoom_wire::cidr::Cidr;
 
 /// Who announces a given Zoom network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,11 +44,12 @@ pub struct ZoomNetwork {
     pub owner: Owner,
 }
 
-/// The full published list with O(1)-ish lookup.
+/// The full published list. The capture filter compiles it into its
+/// address-class table ([`crate::pipeline::CapturePipeline::new`]); the
+/// list itself is not searched per packet.
 #[derive(Debug, Clone, Default)]
 pub struct ZoomIpList {
     networks: Vec<ZoomNetwork>,
-    index: PrefixMap<Owner>,
 }
 
 impl ZoomIpList {
@@ -60,16 +60,11 @@ impl ZoomIpList {
 
     /// Build from networks.
     pub fn from_networks(networks: Vec<ZoomNetwork>) -> Self {
-        let mut index = PrefixMap::new();
-        for n in &networks {
-            index.insert(n.cidr, n.owner);
-        }
-        ZoomIpList { networks, index }
+        ZoomIpList { networks }
     }
 
     /// Add one network.
     pub fn push(&mut self, network: ZoomNetwork) {
-        self.index.insert(network.cidr, network.owner);
         self.networks.push(network);
     }
 
@@ -91,22 +86,6 @@ impl ZoomIpList {
     /// Total number of covered addresses.
     pub fn total_addresses(&self) -> u64 {
         self.networks.iter().map(|n| n.cidr.size()).sum()
-    }
-
-    /// Is this a Zoom server address?
-    pub fn contains(&self, ip: Ipv4Addr) -> bool {
-        self.index.contains(ip)
-    }
-
-    /// Family-agnostic membership (IPv6 is never a Zoom server in the
-    /// published v4 list).
-    pub fn contains_addr(&self, ip: IpAddr) -> bool {
-        self.index.contains_addr(ip)
-    }
-
-    /// Who owns the network containing `ip`?
-    pub fn owner_of(&self, ip: Ipv4Addr) -> Option<Owner> {
-        self.index.longest_match(ip).map(|(_, o)| *o)
     }
 
     /// Address counts per owner — the Appendix B breakdown.
@@ -166,20 +145,21 @@ pub fn sample_list() -> ZoomIpList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::Ipv4Addr;
 
     #[test]
     fn sample_list_lookup() {
         let list = sample_list();
-        assert!(list.contains(Ipv4Addr::new(170, 114, 12, 34)));
+        let owner = |ip: Ipv4Addr| {
+            let net = list.networks().iter().find(|n| n.cidr.contains(ip));
+            net.map(|n| n.owner)
+        };
+        assert_eq!(owner(Ipv4Addr::new(170, 114, 12, 34)), Some(Owner::ZoomAs));
         assert_eq!(
-            list.owner_of(Ipv4Addr::new(170, 114, 12, 34)),
-            Some(Owner::ZoomAs)
-        );
-        assert_eq!(
-            list.owner_of(Ipv4Addr::new(129, 151, 1, 2)),
+            owner(Ipv4Addr::new(129, 151, 1, 2)),
             Some(Owner::OracleCloud)
         );
-        assert!(!list.contains(Ipv4Addr::new(8, 8, 8, 8)));
+        assert_eq!(owner(Ipv4Addr::new(8, 8, 8, 8)), None);
     }
 
     #[test]
@@ -203,12 +183,14 @@ mod tests {
     fn push_extends_index() {
         let mut list = ZoomIpList::new();
         assert!(list.is_empty());
+        let cidr = "100.64.0.0/10".parse().unwrap();
         list.push(ZoomNetwork {
-            cidr: "100.64.0.0/10".parse().unwrap(),
+            cidr,
             owner: Owner::Other,
         });
         assert_eq!(list.len(), 1);
-        assert!(list.contains(Ipv4Addr::new(100, 64, 7, 7)));
+        assert_eq!(list.networks()[0].cidr, cidr);
+        assert_eq!(list.total_addresses(), 1 << 22);
     }
 
     #[test]

@@ -3,12 +3,12 @@
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use zoom_capture::anonymize::{Anonymizer, Mode};
-use zoom_capture::cidr::{Cidr, PrefixMap};
 use zoom_capture::mux::{CaptureMux, MuxConfig};
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
 use zoom_capture::source::{PacketSource, ReplaySource};
 use zoom_capture::stun_tracker::StunTracker;
 use zoom_capture::zoom_nets::{Owner, ZoomIpList, ZoomNetwork};
+use zoom_wire::cidr::Cidr;
 use zoom_wire::family::FamilySelect;
 use zoom_wire::flow::Endpoint;
 use zoom_wire::handoff::RecordBatch;
@@ -26,64 +26,6 @@ proptest! {
         prop_assert!(c.contains(c.address()));
         // Size is 2^(32-len).
         prop_assert_eq!(c.size(), 1u64 << (32 - prefix_len));
-    }
-
-    /// The flat interval table answers exactly as a linear walk over the
-    /// inserted prefixes does. The prefixes are drawn around a few anchor
-    /// addresses so that nested, duplicate and adjacent ones (and /0, /32)
-    /// are the rule; every range edge is probed at -1, 0 and +1.
-    #[test]
-    fn flat_table_matches_linear_reference(
-        anchors in proptest::collection::vec(any::<u32>(), 1..4),
-        picks in proptest::collection::vec((0usize..4, 0u8..=32, 0u32..4), 1..24),
-        random_probes in proptest::collection::vec(any::<u32>(), 0..32),
-    ) {
-        let mut m = PrefixMap::new();
-        let mut inserted: Vec<(Cidr, usize)> = Vec::new();
-        for (value, &(anchor, len, sibling)) in picks.iter().enumerate() {
-            // `sibling` steps to the next prefixes of the same length.
-            let step = if len == 0 { 0 } else { sibling << (32 - u32::from(len)) };
-            let addr = anchors[anchor % anchors.len()].wrapping_add(step);
-            let cidr = Cidr::new(Ipv4Addr::from(addr), len);
-            m.insert(cidr, value);
-            inserted.push((cidr, value));
-        }
-        // Longest inserted prefix containing `ip`; of equal prefixes the
-        // later insertion, which replaced the earlier.
-        let reference = |ip: Ipv4Addr| {
-            let mut best: Option<(Cidr, usize)> = None;
-            for &(cidr, value) in &inserted {
-                if cidr.contains(ip) && best.is_none_or(|(b, _)| cidr.prefix_len() >= b.prefix_len()) {
-                    best = Some((cidr, value));
-                }
-            }
-            best
-        };
-
-        let mut distinct: Vec<Cidr> = inserted.iter().map(|&(c, _)| c).collect();
-        distinct.sort();
-        distinct.dedup();
-        prop_assert_eq!(m.len(), distinct.len());
-        prop_assert_eq!(m.is_empty(), distinct.is_empty());
-        let mut listed: Vec<Cidr> = m.iter().map(|(c, _)| c).collect();
-        listed.sort();
-        prop_assert_eq!(listed, distinct);
-
-        let mut probes = vec![0, u32::MAX];
-        probes.extend(&random_probes);
-        for &(cidr, _) in &inserted {
-            let first = u32::from(cidr.address());
-            let last = first.wrapping_add((cidr.size() - 1) as u32);
-            for edge in [first, last] {
-                probes.extend([edge.wrapping_sub(1), edge, edge.wrapping_add(1)]);
-            }
-        }
-        for probe in probes {
-            let ip = Ipv4Addr::from(probe);
-            let expect = reference(ip);
-            prop_assert_eq!(m.longest_match(ip).map(|(c, v)| (c, *v)), expect, "at {}", ip);
-            prop_assert_eq!(m.contains(ip), expect.is_some(), "at {}", ip);
-        }
     }
 
     /// Anonymization is deterministic, key-sensitive, and the
@@ -193,13 +135,94 @@ fn edge_probes(sets: &[&[Cidr]], extra: &[u32]) -> Vec<u32> {
         .collect()
 }
 
+/// The capture pipeline's compiled class table against [`Cidr::contains`]
+/// over each of the campus, excluded and Zoom lists, at every probe: its
+/// three bits are read back from the verdict of a STUN packet an address
+/// sends itself, and from whether a passing one has its source anonymized.
+fn assert_classes_match_the_lists(
+    campus: &[Cidr],
+    excluded: &[Cidr],
+    zoom: &[Cidr],
+    probes: &[u32],
+) {
+    let anon = Anonymizer::new(99, Mode::PrefixPreserving);
+    let mut pipeline = CapturePipeline::new(PipelineConfig {
+        campus_nets: campus.to_vec(),
+        excluded_nets: excluded.to_vec(),
+        zoom_list: ZoomIpList::from_networks(
+            zoom.iter()
+                .map(|&cidr| ZoomNetwork {
+                    cidr,
+                    owner: Owner::Other,
+                })
+                .collect(),
+        ),
+        stun_timeout_nanos: u64::MAX,
+        anonymizer: Some(anon),
+        family: FamilySelect::Auto,
+    });
+    let stun = {
+        let msg = zoom_wire::stun::Repr {
+            message_type: zoom_wire::stun::MessageType::BindingRequest,
+            transaction_id: [5; 12],
+            xor_mapped_address: None,
+        };
+        let mut p = vec![0u8; msg.buffer_len()];
+        msg.emit(&mut p);
+        p
+    };
+    for &probe in probes {
+        let ip = Ipv4Addr::from(probe);
+        let covered = |cidrs: &[Cidr]| cidrs.iter().any(|c| c.contains(ip));
+        let (is_campus, is_excluded, is_zoom) = (covered(campus), covered(excluded), covered(zoom));
+        let want = if is_campus && is_excluded {
+            Verdict::Excluded
+        } else if is_zoom {
+            Verdict::ZoomServer
+        } else if is_campus {
+            Verdict::RtcStun
+        } else {
+            Verdict::NotZoom
+        };
+        let packet = zoom_wire::compose::udp_ipv4_ethernet(ip, ip, 40_000, 40_001, &stun);
+        let (verdict, out) = pipeline.process_record(&Record::full(0, packet), LinkType::Ethernet);
+        assert_eq!(verdict, want, "at {ip}");
+        if let Some(out) = out {
+            let src = Ipv4Addr::from(<[u8; 4]>::try_from(&out.data[26..30]).unwrap());
+            let want_src = if is_campus { anon.anonymize_v4(ip) } else { ip };
+            assert_eq!(src, want_src, "source of {ip}");
+        }
+    }
+}
+
 proptest! {
-    /// The rank-indexed class lookup answers as a linear longest-prefix
-    /// scan does: through [`PrefixMap::longest_match`] (the payload is the
-    /// longest prefix's index) and through the capture pipeline's class
-    /// table (campus, excluded and Zoom bits, read back from the verdict of
-    /// a STUN packet an address sends itself, and from whether a passing
-    /// one has its source anonymized).
+    /// The class table on lists drawn anywhere: any address, any length,
+    /// probed at random addresses and at every prefix edge, -1, 0 and +1.
+    #[test]
+    fn flat_table_matches_linear_reference(
+        campus in proptest::collection::vec((any::<u32>(), 0u8..=32), 0..6),
+        excluded in proptest::collection::vec((any::<u32>(), 0u8..=32), 0..4),
+        zoom in proptest::collection::vec((any::<u32>(), 0u8..=32), 0..12),
+        random_probes in proptest::collection::vec(any::<u32>(), 0..32),
+    ) {
+        let cidrs = |list: &[(u32, u8)]| -> Vec<Cidr> {
+            list.iter().map(|&(addr, len)| Cidr::new(Ipv4Addr::from(addr), len)).collect()
+        };
+        let (campus, excluded, zoom) = (cidrs(&campus), cidrs(&excluded), cidrs(&zoom));
+        let mut probes = vec![0, u32::MAX];
+        probes.extend(&random_probes);
+        for cidr in campus.iter().chain(&excluded).chain(&zoom) {
+            let (first, last) = cidr.range();
+            for edge in [first, last] {
+                probes.extend([edge.wrapping_sub(1), edge, edge.wrapping_add(1)]);
+            }
+        }
+        assert_classes_match_the_lists(&campus, &excluded, &zoom, &probes);
+    }
+
+    /// The class table on lists that nest, abut and repeat around a few
+    /// anchors, probed at every prefix and /16 block edge: where the
+    /// table's rank index and range merging have their corner cases.
     #[test]
     fn class_lookup_matches_a_linear_scan(
         anchors in proptest::collection::vec((any::<u32>(), 0u8..3), 1..4),
@@ -212,74 +235,7 @@ proptest! {
         let excluded = prefixes(&anchors, &excluded);
         let zoom = prefixes(&anchors, &zoom);
         let probes = edge_probes(&[&campus, &excluded, &zoom], &random_probes);
-
-        // Longest-prefix match, payload = the longest prefix's position in
-        // `zoom` (of equal prefixes the later, which replaced the earlier).
-        let mut map = PrefixMap::new();
-        for (i, &cidr) in zoom.iter().enumerate() {
-            map.insert(cidr, i);
-        }
-        for &probe in &probes {
-            let ip = Ipv4Addr::from(probe);
-            let mut best: Option<(Cidr, usize)> = None;
-            for (i, &cidr) in zoom.iter().enumerate() {
-                if cidr.contains(ip) && best.is_none_or(|(b, _)| cidr.prefix_len() >= b.prefix_len()) {
-                    best = Some((cidr, i));
-                }
-            }
-            prop_assert_eq!(map.longest_match(ip).map(|(c, &v)| (c, v)), best, "at {}", ip);
-        }
-
-        let set = |cidrs: &[Cidr]| {
-            let mut set = PrefixMap::new();
-            for &cidr in cidrs {
-                set.insert(cidr, ());
-            }
-            set
-        };
-        let anon = Anonymizer::new(99, Mode::PrefixPreserving);
-        let mut pipeline = CapturePipeline::new(PipelineConfig {
-            campus_nets: set(&campus),
-            excluded_nets: set(&excluded),
-            zoom_list: ZoomIpList::from_networks(
-                zoom.iter().map(|&cidr| ZoomNetwork { cidr, owner: Owner::Other }).collect(),
-            ),
-            stun_timeout_nanos: u64::MAX,
-            anonymizer: Some(anon),
-            family: FamilySelect::Auto,
-        });
-        let stun = {
-            let msg = zoom_wire::stun::Repr {
-                message_type: zoom_wire::stun::MessageType::BindingRequest,
-                transaction_id: [5; 12],
-                xor_mapped_address: None,
-            };
-            let mut p = vec![0u8; msg.buffer_len()];
-            msg.emit(&mut p);
-            p
-        };
-        for &probe in &probes {
-            let ip = Ipv4Addr::from(probe);
-            let covered = |cidrs: &[Cidr]| cidrs.iter().any(|c| c.contains(ip));
-            let (is_campus, is_excluded, is_zoom) = (covered(&campus), covered(&excluded), covered(&zoom));
-            let want = if is_campus && is_excluded {
-                Verdict::Excluded
-            } else if is_zoom {
-                Verdict::ZoomServer
-            } else if is_campus {
-                Verdict::RtcStun
-            } else {
-                Verdict::NotZoom
-            };
-            let packet = zoom_wire::compose::udp_ipv4_ethernet(ip, ip, 40_000, 40_001, &stun);
-            let (verdict, out) = pipeline.process_record(&Record::full(0, packet), LinkType::Ethernet);
-            prop_assert_eq!(verdict, want, "at {}", ip);
-            if let Some(out) = out {
-                let src = Ipv4Addr::from(<[u8; 4]>::try_from(&out.data[26..30]).unwrap());
-                let want_src = if is_campus { anon.anonymize_v4(ip) } else { ip };
-                prop_assert_eq!(src, want_src, "source of {}", ip);
-            }
-        }
+        assert_classes_match_the_lists(&campus, &excluded, &zoom, &probes);
     }
 }
 

@@ -112,7 +112,7 @@ pub fn run(args: &[String]) -> CmdResult {
 
     // Only the `--features` export reads the per-second series.
     let config = AnalyzerConfig {
-        campus: vec![(campus.address().into(), campus.prefix_len())],
+        campus: vec![campus],
         // Which protocol families the dissector probes for.
         family: family_flag(&flags, FamilySelect::Auto)?,
         per_second_rows: flags.contains_key("features"),

@@ -39,7 +39,9 @@ pub(crate) const FLAGS: FlagSpec = FlagSpec {
 pub fn run(args: &[String]) -> CmdResult {
     let (pos, flags, source_specs) = parse_args(args, &FLAGS)?;
     let [output] = pos.as_slice() else {
-        return Err("capture needs exactly one output pcap; give inputs with --source".into());
+        return Err(CliError::usage(
+            "capture needs exactly one output pcap; give inputs with --source",
+        ));
     };
     if source_specs.is_empty() {
         return Err("capture needs at least one --source (pcap:PATH or sim:SPEC)".into());

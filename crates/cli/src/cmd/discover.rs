@@ -22,7 +22,7 @@ pub(crate) const FLAGS: FlagSpec = FlagSpec {
 pub fn run(args: &[String]) -> CmdResult {
     let (pos, flags, _) = parse_args(args, &FLAGS)?;
     let [input] = pos.as_slice() else {
-        return Err("discover needs exactly one input pcap".into());
+        return Err(CliError::usage("discover needs exactly one input pcap"));
     };
     let max_offset: usize = number_flag(&flags, "max-offset", 48)?;
 

@@ -19,7 +19,7 @@ pub(crate) const FLAGS: FlagSpec = FlagSpec {
 pub fn run(args: &[String]) -> CmdResult {
     let (pos, flags, _) = parse_args(args, &FLAGS)?;
     let [input] = pos.as_slice() else {
-        return Err("dissect needs exactly one input pcap".into());
+        return Err(CliError::usage("dissect needs exactly one input pcap"));
     };
     let max: usize = number_flag(&flags, "max", 25)?;
     let family = family_flag(&flags, FamilySelect::Auto)?;

@@ -302,7 +302,7 @@ pub fn run(args: &[String]) -> CmdResult {
 
     // Only the `--features` export reads the per-second series.
     let config = AnalyzerConfig {
-        campus: vec![(campus.address().into(), campus.prefix_len())],
+        campus: vec![campus],
         per_second_rows: flags.contains_key("features"),
         ..AnalyzerConfig::default()
     };

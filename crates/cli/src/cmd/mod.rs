@@ -15,8 +15,8 @@ use std::fmt;
 use std::time::Duration;
 use zoom_analysis::obs::{CaptureMetricsSnapshot, MetricsSnapshot};
 use zoom_capture::anonymize::{Anonymizer, Mode};
-use zoom_capture::cidr::Cidr;
 use zoom_capture::pipeline::{PipelineConfig, StageCounters};
+use zoom_wire::cidr::Cidr;
 use zoom_wire::family::FamilySelect;
 
 /// A subcommand failure carrying the process exit code alongside the
@@ -217,7 +217,7 @@ pub fn parse_args(args: &[String], spec: &FlagSpec) -> Result<ParsedArgs, CliErr
         }
         let value = args
             .get(i + 1)
-            .ok_or_else(|| format!("flag --{name} needs a value"))?;
+            .ok_or_else(|| CliError::usage(format!("flag --{name} needs a value")))?;
         if repeats {
             repeated.push((name.to_string(), value.clone()));
         } else {
@@ -414,12 +414,15 @@ pub fn write_window_line(
     out.write_all(line.as_bytes()).map_err(CliError::stdout)
 }
 
+/// The campus prefix when `--campus` is absent.
+const DEFAULT_CAMPUS: &str = "10.8.0.0/16";
+
 /// Parse `--campus`: one IPv4 prefix, `ADDR/LEN` or a bare address for
-/// a host, default `10.8.0.0/16`. The analyzer and the capture filter
+/// a host, default [`DEFAULT_CAMPUS`]. The analyzer and the capture filter
 /// both match IPv4 campus addresses only, so an IPv6 value is refused
 /// like a malformed one: a configuration error (exit 3) on every command.
 pub fn campus_flag(flags: &HashMap<String, String>) -> Result<Cidr, CliError> {
-    let spec = flags.get("campus").map_or("10.8.0.0/16", String::as_str);
+    let spec = flags.get("campus").map_or(DEFAULT_CAMPUS, String::as_str);
     let (addr, len) = spec.split_once('/').unwrap_or((spec, "32"));
     let bad = |why: &str| CliError::config(format!("--campus {spec:?}: {why}"));
     let addr = match addr.parse() {
@@ -464,7 +467,7 @@ pub fn number_flag<T: std::str::FromStr>(
 /// `--campus` prefix, `--anonymize KEY`, `--family` (default Zoom only),
 /// and the rest of [`PipelineConfig::sample`].
 pub fn filter_config(flags: &HashMap<String, String>) -> Result<PipelineConfig, CliError> {
-    let campus = campus_flag(flags)?;
+    let campus_nets = vec![campus_flag(flags)?];
     let anonymizer = flags
         .get("anonymize")
         .map(|key| {
@@ -475,9 +478,10 @@ pub fn filter_config(flags: &HashMap<String, String>) -> Result<PipelineConfig, 
         .transpose()?;
     let family = family_flag(flags, FamilySelect::Only(zoom_wire::family::FamilyId::Zoom))?;
     Ok(PipelineConfig {
+        campus_nets,
         anonymizer,
         family,
-        ..PipelineConfig::sample(&campus.to_string())
+        ..PipelineConfig::sample(DEFAULT_CAMPUS)
     })
 }
 

@@ -15,7 +15,7 @@ pub(crate) const FLAGS: FlagSpec = FlagSpec {
 pub fn run(args: &[String]) -> CmdResult {
     let (pos, flags, _) = parse_args(args, &FLAGS)?;
     let [output] = pos.as_slice() else {
-        return Err("simulate needs exactly one output pcap".into());
+        return Err(CliError::usage("simulate needs exactly one output pcap"));
     };
     let seconds: u64 = number_flag(&flags, "seconds", 60)?;
     let seed: u64 = number_flag(&flags, "seed", 7)?;

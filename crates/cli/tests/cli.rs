@@ -10,10 +10,27 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_zoom-tools")
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("zoom_tools_test_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// One test's scratch directory, removed with everything in it when the
+/// guard drops — as the test ends, passed or failed.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(test: &str) -> Scratch {
+        let dir =
+            std::env::temp_dir().join(format!("zoom_tools_test_{}_{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+
+    fn path(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn run(args: &[&str]) -> (String, String, bool) {
@@ -42,9 +59,10 @@ fn json_section(path: &std::path::Path, key: &str) -> String {
 
 #[test]
 fn full_cli_round_trip() {
-    let raw = tmp("raw.pcap");
-    let filtered = tmp("filtered.pcap");
-    let features = tmp("features.csv");
+    let scratch = Scratch::new("full_cli_round_trip");
+    let raw = scratch.path("raw.pcap");
+    let filtered = scratch.path("filtered.pcap");
+    let features = scratch.path("features.csv");
 
     // simulate
     let (_, err, ok) = run(&[
@@ -104,8 +122,9 @@ fn full_cli_round_trip() {
 /// bytes and the same `capture` section of `--metrics` either way.
 #[test]
 fn a_torn_tail_reads_the_same_through_filter_and_both_capture_lanes() {
-    let raw = tmp("torn_raw.pcap");
-    let torn = tmp("torn.pcap");
+    let scratch = Scratch::new("a_torn_tail_reads_the_same_through_filter_and_both_capture_lanes");
+    let raw = scratch.path("torn_raw.pcap");
+    let torn = scratch.path("torn.pcap");
     let (_, err, ok) = run(&[
         "simulate",
         raw.to_str().unwrap(),
@@ -121,7 +140,7 @@ fn a_torn_tail_reads_the_same_through_filter_and_both_capture_lanes() {
     std::fs::write(&torn, &bytes[..bytes.len() - 37]).unwrap();
     // Under --follow, beside a second followed file that holds a pcap
     // header and no records.
-    let empty = tmp("torn_empty.pcap");
+    let empty = scratch.path("torn_empty.pcap");
     std::fs::write(&empty, &bytes[..24]).unwrap();
 
     let source = format!("pcap:{}", torn.to_str().unwrap());
@@ -146,8 +165,8 @@ fn a_torn_tail_reads_the_same_through_filter_and_both_capture_lanes() {
     let mut outputs = Vec::new();
     let mut sections = Vec::new();
     for (name, mut args) in runs {
-        let out = tmp(&format!("torn_{name}.pcap"));
-        let metrics = tmp(&format!("torn_{name}.json"));
+        let out = scratch.path(&format!("torn_{name}.pcap"));
+        let metrics = scratch.path(&format!("torn_{name}.json"));
         args.insert(1, out.to_str().unwrap());
         args.extend(["--metrics", metrics.to_str().unwrap()]);
         let (_, err, code) = run_code(&args);
@@ -215,8 +234,9 @@ fn without_keys(json: &str, keys: &[&str]) -> String {
 /// a source and check both halves of the conservation invariant.
 #[test]
 fn a_positional_file_and_a_pcap_source_take_one_route() {
-    let clean = tmp("route_clean.pcap");
-    let torn = tmp("route_torn.pcap");
+    let scratch = Scratch::new("a_positional_file_and_a_pcap_source_take_one_route");
+    let clean = scratch.path("route_clean.pcap");
+    let torn = scratch.path("route_torn.pcap");
     let (_, err, ok) = run(&[
         "simulate",
         clean.to_str().unwrap(),
@@ -234,8 +254,8 @@ fn a_positional_file_and_a_pcap_source_take_one_route() {
     for (name, file) in [("clean", &clean), ("torn", &torn)] {
         let file = file.to_str().unwrap();
         let source = format!("pcap:{file}");
-        let by_path = tmp(&format!("route_{name}_path.json"));
-        let by_source = tmp(&format!("route_{name}_source.json"));
+        let by_path = scratch.path(&format!("route_{name}_path.json"));
+        let by_source = scratch.path(&format!("route_{name}_source.json"));
         let (out_a, err_a, code_a) = run_code(&[
             "analyze",
             file,
@@ -292,11 +312,12 @@ fn a_positional_file_and_a_pcap_source_take_one_route() {
 /// `docs/DISTRIBUTED.md`. Both messages name the file.
 #[test]
 fn unreadable_inputs_exit_alike_on_every_route() {
-    let missing = tmp("exit_missing.pcap");
+    let scratch = Scratch::new("unreadable_inputs_exit_alike_on_every_route");
+    let missing = scratch.path("exit_missing.pcap");
     let _ = std::fs::remove_file(&missing);
-    let garbage = tmp("exit_garbage.pcap");
+    let garbage = scratch.path("exit_garbage.pcap");
     std::fs::write(&garbage, [0x42u8; 64]).unwrap();
-    let out = tmp("exit_out.pcap");
+    let out = scratch.path("exit_out.pcap");
     let out = out.to_str().unwrap();
     for (input, code) in [(&missing, 5), (&garbage, 4)] {
         let input = input.to_str().unwrap();
@@ -322,7 +343,8 @@ fn unreadable_inputs_exit_alike_on_every_route() {
 /// making, not of hash-table layout: two runs print the same bytes.
 #[test]
 fn discover_prints_the_same_bytes_every_run() {
-    let raw = tmp("discover_multi.pcap");
+    let scratch = Scratch::new("discover_prints_the_same_bytes_every_run");
+    let raw = scratch.path("discover_multi.pcap");
     let (_, err, ok) = run(&[
         "simulate",
         raw.to_str().unwrap(),
@@ -346,7 +368,8 @@ fn discover_prints_the_same_bytes_every_run() {
 /// would be empty, so it is refused, not written.
 #[test]
 fn simulate_refuses_a_campus_trace_under_a_minute() {
-    let out = tmp("campus_short.pcap");
+    let scratch = Scratch::new("simulate_refuses_a_campus_trace_under_a_minute");
+    let out = scratch.path("campus_short.pcap");
     let (_, err, code) = run_code(&[
         "simulate",
         out.to_str().unwrap(),
@@ -364,9 +387,10 @@ fn simulate_refuses_a_campus_trace_under_a_minute() {
 /// report does, so two runs of the same trace print the same bytes.
 #[test]
 fn text_analyze_prints_the_same_bytes_every_run() {
+    let scratch = Scratch::new("text_analyze_prints_the_same_bytes_every_run");
     // Thirty seconds of the P2P scenario: the meeting moves from the SFU
     // to a peer, so it has two servers.
-    let raw = tmp("text_raw.pcap");
+    let raw = scratch.path("text_raw.pcap");
     let (_, err, ok) = run(&[
         "simulate",
         raw.to_str().unwrap(),
@@ -404,7 +428,8 @@ fn text_analyze_prints_the_same_bytes_every_run() {
 
 #[test]
 fn streaming_analyze_emits_windows_then_final() {
-    let raw = tmp("stream_raw.pcap");
+    let scratch = Scratch::new("streaming_analyze_emits_windows_then_final");
+    let raw = scratch.path("stream_raw.pcap");
     let (_, err, ok) = run(&[
         "simulate",
         raw.to_str().unwrap(),
@@ -440,7 +465,7 @@ fn streaming_analyze_emits_windows_then_final() {
 
     // The churn scenario with eviction enabled still exits cleanly and
     // reports windowed evictions.
-    let churn = tmp("churn_raw.pcap");
+    let churn = scratch.path("churn_raw.pcap");
     let (_, err, ok) = run(&[
         "simulate",
         churn.to_str().unwrap(),
@@ -474,8 +499,9 @@ fn streaming_analyze_emits_windows_then_final() {
 /// `merge` alike.
 #[test]
 fn features_with_an_idle_timeout_are_refused() {
-    let raw = tmp("evict_features.pcap");
-    let csv = tmp("evict_features.csv");
+    let scratch = Scratch::new("features_with_an_idle_timeout_are_refused");
+    let raw = scratch.path("evict_features.pcap");
+    let csv = scratch.path("evict_features.csv");
     let (_, err, ok) = run(&[
         "simulate",
         raw.to_str().unwrap(),
@@ -557,7 +583,8 @@ fn usage_continuation_lines_align_under_the_arguments() {
 /// each, and the conservation invariant holds.
 #[test]
 fn several_sim_sources_are_read_in_line() {
-    let metrics = tmp("two_sims.json");
+    let scratch = Scratch::new("several_sim_sources_are_read_in_line");
+    let metrics = scratch.path("two_sims.json");
     let (_, err, ok) = run(&[
         "analyze",
         "--source",
@@ -580,10 +607,11 @@ fn several_sim_sources_are_read_in_line() {
 /// which would exit 5) and prints nothing on stdout.
 #[test]
 fn flag_combination_refusals_are_pinned() {
-    let missing = tmp("refusal_missing.pcap");
+    let scratch = Scratch::new("flag_combination_refusals_are_pinned");
+    let missing = scratch.path("refusal_missing.pcap");
     let _ = std::fs::remove_file(&missing);
     let x = missing.to_str().unwrap();
-    let csv = tmp("refusal.csv");
+    let csv = scratch.path("refusal.csv");
     let csv = csv.to_str().unwrap();
     let features = "--features cannot be combined with --idle-timeout: features need each \
                     stream's whole history, and eviction drops evicted streams from the export";
@@ -601,7 +629,7 @@ fn flag_combination_refusals_are_pinned() {
                     are no rings left — every source is read in-line — docs/CAPTURE.md";
     let source = format!("pcap:{x}");
     let capture: &[&str] = &["capture", csv, "--source", &source];
-    let cases: [(&[&str], i32, &str); 23] = [
+    let cases: [(&[&str], i32, &str); 28] = [
         (&["analyze", x, "--shards", "8"], 3, shards),
         (&["merge", x, "--shards", "8"], 3, shards),
         (&["analyze", x, "--lossy"], 3, lossy),
@@ -661,6 +689,20 @@ fn flag_combination_refusals_are_pinned() {
             3,
             "no input: give fragment files or --listen ADDR --workers N",
         ),
+        // Command lines the subcommand cannot read are usage errors.
+        (
+            &["analyze", x, "--window"],
+            2,
+            "flag --window needs a value",
+        ),
+        (
+            &["capture", "--source", &source],
+            2,
+            "capture needs exactly one output pcap; give inputs with --source",
+        ),
+        (&["dissect"], 2, "dissect needs exactly one input pcap"),
+        (&["discover"], 2, "discover needs exactly one input pcap"),
+        (&["simulate"], 2, "simulate needs exactly one output pcap"),
     ];
     for (args, code, message) in cases {
         let (out, err, got) = run_code(args);
@@ -678,10 +720,11 @@ fn flag_combination_refusals_are_pinned() {
 /// refused the same way: the campus match is IPv4 only.
 #[test]
 fn bad_flag_values_exit_3_on_every_command() {
-    let missing = tmp("bad_value_missing.pcap");
+    let scratch = Scratch::new("bad_flag_values_exit_3_on_every_command");
+    let missing = scratch.path("bad_value_missing.pcap");
     let _ = std::fs::remove_file(&missing);
     let x = missing.to_str().unwrap();
-    let out = tmp("bad_value_out.pcap");
+    let out = scratch.path("bad_value_out.pcap");
     let out = out.to_str().unwrap();
     let source = format!("pcap:{x}");
     let capture: &[&str] = &["capture", out, "--source", &source];
@@ -716,7 +759,8 @@ fn bad_flag_values_exit_3_on_every_command() {
 /// the command quietly: exit 0, no panic, no message.
 #[test]
 fn a_closed_stdout_ends_the_command_quietly() {
-    let raw = tmp("closed_stdout.pcap");
+    let scratch = Scratch::new("a_closed_stdout_ends_the_command_quietly");
+    let raw = scratch.path("closed_stdout.pcap");
     let (_, err, ok) = run(&[
         "simulate",
         raw.to_str().unwrap(),
@@ -756,8 +800,9 @@ fn a_closed_stdout_ends_the_command_quietly() {
 /// or not, and `--serve` up on both without a window.
 #[test]
 fn merge_of_a_spool_prints_what_analyze_prints() {
-    let raw = tmp("route_churn.pcap");
-    let spool = tmp("route_churn.zfrg");
+    let scratch = Scratch::new("merge_of_a_spool_prints_what_analyze_prints");
+    let raw = scratch.path("route_churn.pcap");
+    let spool = scratch.path("route_churn.zfrg");
     let (_, err, ok) = run(&[
         "simulate",
         raw.to_str().unwrap(),
@@ -775,8 +820,8 @@ fn merge_of_a_spool_prints_what_analyze_prints() {
     assert!(ok, "emit failed: {err}");
 
     for (name, flags) in [("batch", &[][..]), ("windowed", &["--window", "1s"][..])] {
-        let by_analyze = tmp(&format!("route_{name}_analyze.csv"));
-        let by_merge = tmp(&format!("route_{name}_merge.csv"));
+        let by_analyze = scratch.path(&format!("route_{name}_analyze.csv"));
+        let by_merge = scratch.path(&format!("route_{name}_merge.csv"));
         let (out_a, err_a, ok_a) = run(&[
             &["analyze", pcap][..],
             flags,
@@ -813,8 +858,8 @@ fn merge_of_a_spool_prints_what_analyze_prints() {
 }
 
 /// A 20 s `multi` trace in a scratch file, as the CI smoke's inputs are.
-fn multi_trace(name: &str) -> PathBuf {
-    let path = tmp(name);
+fn multi_trace(scratch: &Scratch, name: &str) -> PathBuf {
+    let path = scratch.path(name);
     let (_, err, ok) = run(&[
         "simulate",
         path.to_str().unwrap(),
@@ -835,8 +880,9 @@ fn multi_trace(name: &str) -> PathBuf {
 /// what the finite `capture` writes.
 #[test]
 fn followed_sources_give_what_the_finite_run_gives() {
-    let trace = multi_trace("follow_obs.pcap");
-    let empty = tmp("follow_empty.pcap");
+    let scratch = Scratch::new("followed_sources_give_what_the_finite_run_gives");
+    let trace = multi_trace(&scratch, "follow_obs.pcap");
+    let empty = scratch.path("follow_empty.pcap");
     std::fs::write(&empty, &std::fs::read(&trace).unwrap()[..24]).unwrap();
     let trace_source = format!("pcap:{}", trace.to_str().unwrap());
     let empty_source = format!("pcap:{}", empty.to_str().unwrap());
@@ -854,9 +900,9 @@ fn followed_sources_give_what_the_finite_run_gives() {
         "two followed sources print other bytes"
     );
 
-    let finite = tmp("follow_finite.pcap");
-    let live = tmp("follow_live.pcap");
-    let metrics = tmp("follow_live.json");
+    let finite = scratch.path("follow_finite.pcap");
+    let live = scratch.path("follow_live.pcap");
+    let metrics = scratch.path("follow_live.json");
     let (_, err, ok) = run(&[
         &["capture", finite.to_str().unwrap()][..],
         &sources,
@@ -901,8 +947,13 @@ fn spooled_records(bytes: &[u8]) -> u64 {
 /// last record, every record it read is on disk in a whole frame.
 #[test]
 fn a_following_worker_has_every_frame_on_disk_while_its_source_is_quiet() {
-    let trace = multi_trace("emit_follow.pcap");
-    let (finite, live) = (tmp("emit_finite.zfrg"), tmp("emit_live.zfrg"));
+    let scratch =
+        Scratch::new("a_following_worker_has_every_frame_on_disk_while_its_source_is_quiet");
+    let trace = multi_trace(&scratch, "emit_follow.pcap");
+    let (finite, live) = (
+        scratch.path("emit_finite.zfrg"),
+        scratch.path("emit_live.zfrg"),
+    );
     let source = format!("pcap:{}", trace.to_str().unwrap());
     let emit = ["analyze", "--source", &source, "--emit-fragments"];
     let (_, err, ok) = run(&[&emit[..], &[finite.to_str().unwrap()]].concat());
@@ -933,7 +984,8 @@ fn a_following_worker_has_every_frame_on_disk_while_its_source_is_quiet() {
 /// The drain cuts that window only for a reader, and this is one.
 #[test]
 fn an_unwindowed_follow_still_prints_its_final_window() {
-    let trace = multi_trace("follow_final.pcap");
+    let scratch = Scratch::new("an_unwindowed_follow_still_prints_its_final_window");
+    let trace = multi_trace(&scratch, "follow_final.pcap");
     let trace = trace.to_str().unwrap();
     let (followed, err, ok) = run(&["analyze", trace, "--follow", "--idle-exit", "1s"]);
     assert!(ok, "{err}");
@@ -958,8 +1010,9 @@ fn an_unwindowed_follow_still_prints_its_final_window() {
 /// every caller (seed-7 `multi` trace of 20 s).
 #[test]
 fn unwindowed_metrics_render_the_qoe_series_and_tracked_entries() {
-    let trace = multi_trace("metrics_qoe.pcap");
-    let prom = tmp("metrics_qoe.prom");
+    let scratch = Scratch::new("unwindowed_metrics_render_the_qoe_series_and_tracked_entries");
+    let trace = multi_trace(&scratch, "metrics_qoe.pcap");
+    let prom = scratch.path("metrics_qoe.prom");
     let (_, err, ok) = run(&[
         "analyze",
         trace.to_str().unwrap(),
@@ -989,12 +1042,13 @@ fn unwindowed_metrics_render_the_qoe_series_and_tracked_entries() {
 /// that a record merged out of timestamp order shows in the output.
 #[test]
 fn merge_listen_with_two_workers_prints_the_single_process_run() {
+    let scratch = Scratch::new("merge_listen_with_two_workers_prints_the_single_process_run");
     use std::io::{BufRead, BufReader};
     use std::process::Stdio;
-    let trace = multi_trace("listen_obs.pcap");
+    let trace = multi_trace(&scratch, "listen_obs.pcap");
     let trace_source = format!("pcap:{}", trace.to_str().unwrap());
     let sim_source = "sim:multi,seed=9,secs=10";
-    let journal = tmp("listen_journal");
+    let journal = scratch.path("listen_journal");
 
     let mut merge = Command::new(bin())
         .args([

@@ -135,11 +135,6 @@ impl Classifier {
         self.total
     }
 
-    /// Packets and bytes classified under `family`.
-    pub fn family_counts(&self, family: FamilyId) -> Counts {
-        self.by_family[family.index()]
-    }
-
     /// The Table-6-style cross-family rows for reports: empty when only
     /// Zoom traffic was classified (keeping Zoom-only report JSON
     /// byte-identical), the full [`Classifier::table6`] otherwise.
@@ -384,8 +379,8 @@ mod tests {
 
         assert!(c.has_non_zoom_family());
         assert_eq!(c.total().packets, 10);
-        assert_eq!(c.family_counts(FamilyId::Zoom).packets, 6);
-        assert_eq!(c.family_counts(FamilyId::Webrtc).packets, 4);
+        assert_eq!(c.by_family[FamilyId::Zoom.index()].packets, 6);
+        assert_eq!(c.by_family[FamilyId::Webrtc.index()].packets, 4);
         // Zoom-specific tables (2/3) never see WebRTC packets.
         assert_eq!(c.table3().len(), 1);
         let t2_pkts: f64 = c.table2().iter().map(|r| r.packets_pct).sum();

@@ -23,9 +23,8 @@
 //!   stay exact, and leaves a tombstone in the stream table
 //!   ([`crate::stream::StreamTracker::evict_idle`]), so it stays a
 //!   grouping candidate and is the same stream if it returns.
-//! * **Checkpoint/drain.** [`StreamingEngine::checkpoint`] cuts a partial
-//!   window without ending the run; [`StreamingEngine::drain`] ticks the
-//!   last one and returns the finished [`AnalysisReport`] — the
+//! * **Drain.** [`StreamingEngine::drain`] ticks the last window and
+//!   returns the finished [`AnalysisReport`] — the
 //!   analyzer's report with the evicted fragments in their places —
 //!   along with the [`Analyzer`] itself for ad-hoc queries. The last
 //!   window's rows are cut only if [`EngineOutput::final_window`] is
@@ -317,26 +316,6 @@ impl StreamingEngine {
         self.analyzer.note_pcap_progress(records, bytes);
     }
 
-    /// Cut a partial window now, without waiting for a boundary record:
-    /// same tick (eviction included) as a window close, but the current
-    /// window keeps its index and stays open — its eventual close covers
-    /// only post-checkpoint activity.
-    pub fn checkpoint(&mut self) -> Result<WindowReport, Error> {
-        self.analyzer.flush_metrics();
-        let t0 = Instant::now();
-        let (start, end) = self.clock.open_span();
-        let evict = self.clock.idle_nanos.map(|idle| end.saturating_sub(idle));
-        let report = self
-            .clock
-            .close(&mut self.analyzer, start, end, evict, false);
-        self.clock.metrics.checkpoints.inc();
-        self.clock
-            .metrics
-            .stage_checkpoint_nanos
-            .observe(t0.elapsed().as_nanos() as u64);
-        Ok(report)
-    }
-
     /// Final tick and report: the exact end-of-trace [`AnalysisReport`]
     /// (evicted fragments included), the [`Analyzer`] over still-live
     /// state, and the last window, whose rows are cut when
@@ -402,7 +381,7 @@ impl WindowClock {
         let end = start + w;
         let evict = self.idle_nanos.map(|idle| end.saturating_sub(idle));
         let emit_start = Instant::now();
-        let report = self.close(analyzer, start, end, evict, true);
+        let report = self.close(analyzer, start, end, evict);
         self.closed.push(report);
         self.metrics.windows_closed.inc();
         // Attribute the close to the batch whose record crossed the
@@ -431,7 +410,7 @@ impl WindowClock {
         self.window_start = Some(ts - ts % w);
     }
 
-    /// The span a partial window (checkpoint, drain) covers.
+    /// The span the last, partial window covers at the drain.
     fn open_span(&self) -> (u64, u64) {
         let start = self.window_start.or(self.first_ts).unwrap_or(0);
         (start, self.last_ts.max(start))
@@ -441,21 +420,17 @@ impl WindowClock {
     /// idle since before `evict_before`), keep the evicted streams' final
     /// rows for the end-of-trace report, cut the window's rows off the
     /// analyzer's stream table and off what was just evicted, and refresh
-    /// the QoE series from them. `advance` is false for a checkpoint's
-    /// partial window, which keeps the window index.
+    /// the QoE series and the QoE detector from them.
     fn close(
         &mut self,
         analyzer: &mut Analyzer,
         start: u64,
         end: u64,
         evict_before: Option<u64>,
-        advance: bool,
     ) -> WindowReport {
         let t0 = Instant::now();
         let (mut report, gone_streams) = self.tick(analyzer, start, end, evict_before);
-        if advance {
-            self.window_index = self.window_index.saturating_add(1);
-        }
+        self.window_index = self.window_index.saturating_add(1);
         // The heavyweight `Stream` is dropped, its final report row kept.
         for s in &gone_streams {
             let meeting = s.meeting.map(|m| analyzer.grouper.canonical(m));
@@ -469,24 +444,19 @@ impl WindowClock {
         }
 
         update_qoe_series(&self.metrics, &report);
-        // The detector only sees real window closes: checkpoint and
-        // drain cut partial windows whose timing depends on when the
-        // caller asked, which would make the alert stream nondeterministic.
-        if advance {
-            if let Some(watch) = &mut self.qoe_watch {
-                let alerts = watch.observe(&report);
-                for a in &alerts {
-                    let v = match a.state {
-                        AlertState::Degraded => 1,
-                        AlertState::Recovered => 0,
-                    };
-                    self.metrics
-                        .qoe
-                        .degraded
-                        .with(&[&a.meeting, a.kind], |g| g.set(v));
-                }
-                self.pending_alerts.extend(alerts);
+        if let Some(watch) = &mut self.qoe_watch {
+            let alerts = watch.observe(&report);
+            for a in &alerts {
+                let v = match a.state {
+                    AlertState::Degraded => 1,
+                    AlertState::Recovered => 0,
+                };
+                self.metrics
+                    .qoe
+                    .degraded
+                    .with(&[&a.meeting, a.kind], |g| g.set(v));
             }
+            self.pending_alerts.extend(alerts);
         }
         self.metrics
             .stage_merge_nanos
@@ -640,7 +610,7 @@ fn cut_window(analyzer: &Analyzer, gone: &[Stream], window: &mut WindowReport) {
 }
 
 /// Refresh the `zoom_qoe_*` labeled families from a just-cut window.
-/// Runs once per window close/checkpoint — never on the per-packet path —
+/// Runs once per window close — never on the per-packet path —
 /// so the `with()` label allocations are amortized to nothing.
 fn update_qoe_series(metrics: &PipelineMetrics, report: &WindowReport) {
     let qoe = &metrics.qoe;
@@ -944,7 +914,7 @@ mod tests {
         // nothing closes or is evicted while the packets stream in.
         let mut engine = StreamingEngine::new(EngineConfig {
             window: Some(Duration::from_secs(3_600)),
-            idle_timeout: Some(Duration::from_secs(600)),
+            idle_timeout: Some(Duration::from_secs(7_200)),
             ..Default::default()
         })
         .unwrap();
@@ -979,13 +949,16 @@ mod tests {
             )
         }));
         engine.push_batch(&many, link).unwrap();
-        let mut window = None;
-        let closing = hashes_during(|| window = Some(engine.checkpoint().unwrap()));
-        let window = window.unwrap();
-        assert_eq!(window.streams.len(), 42);
-        assert_eq!(window.totals.evicted_streams, 0);
-        assert_eq!(closing, 0, "window close hashed");
         assert!(engine.take_windows().is_empty());
+        // A record too short to dissect crosses the window boundary: the
+        // close is all that hashes, if anything does.
+        let boundary = batch_of([Record::full(3_600 * SEC, vec![0; 10])]);
+        let closing = hashes_during(|| engine.push_batch(&boundary, link).unwrap());
+        let windows = engine.take_windows();
+        assert_eq!(windows.len(), 1);
+        assert_eq!(windows[0].streams.len(), 42);
+        assert_eq!(windows[0].totals.evicted_streams, 0);
+        assert_eq!(closing, 0, "window close hashed");
         assert_eq!(
             engine.drain().unwrap().report.summary.zoom_packets,
             20 + 2 * N + 40
@@ -1030,7 +1003,6 @@ mod tests {
             );
         }
         assert_eq!(evicted, 1, "A must be evicted exactly once");
-        engine.checkpoint().unwrap();
 
         // The returning A consumed the tombstone its eviction left.
         assert_eq!(engine.analyzer.streams().evicted_keys(), 0);

@@ -17,7 +17,7 @@
 //! * [`meeting`] — the stream→meeting grouping heuristic (§4.3)
 //! * [`pipeline`] — the end-to-end [`pipeline::Analyzer`]
 //! * [`engine`] — the streaming [`engine::StreamingEngine`]: windowed
-//!   reports, idle-timeout eviction, checkpoint/drain
+//!   reports, idle-timeout eviction, the drain
 //! * [`dist`] — merge-node checkpoint/restore for the distributed tier
 //!   ([`dist::MergeCheckpoint`], [`dist::WindowGate`])
 //! * [`report`] — owned [`report::AnalysisReport`] / windowed report

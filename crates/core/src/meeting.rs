@@ -282,13 +282,6 @@ impl MeetingGrouper {
         self.assignments.get(key).map(|a| (a.uid, a.meeting))
     }
 
-    /// The stream's meeting id after all union–find merges — the id
-    /// reports use. [`assignment`](Self::assignment) returns the id as
-    /// first assigned, which a later merge may have folded away.
-    pub fn canonical_meeting(&self, key: &StreamKey) -> Option<u32> {
-        self.assignments.get(key).map(|a| self.canonical(a.meeting))
-    }
-
     /// Meeting id `meeting` (as some stream was assigned it) after all
     /// union–find merges. No table probe: [`Stream`](crate::stream::Stream)
     /// rows carry their assigned id.

@@ -774,7 +774,6 @@ scalar_metrics! {
         pcap_records_read: Gauge() => Gauge json(PCAP, "records_read") "zoom_pcap_records_read" "Complete records delivered by the pcap reader.";
         pcap_bytes_read: Gauge() => Gauge json(PCAP, "bytes_read") "zoom_pcap_bytes_read" "Captured bytes delivered by the pcap reader.";
         windows_closed: Counter() => Counter json(ENGINE) debug(3) "zoom_windows_closed_total" "Tumbling windows closed by the streaming engine.";
-        checkpoints: Counter() => Counter json(ENGINE) "zoom_checkpoints_total" "Explicit checkpoints taken.";
         evicted_flows: Counter() => Counter json(ENGINE) debug(1) "zoom_evicted_flows_total" "Flows evicted by the idle timeout.";
         evicted_streams: Counter() => Counter json(ENGINE) debug(1) "zoom_evicted_streams_total" "Streams evicted by the idle timeout.";
         tracked_entries: Gauge() => Gauge json(ENGINE) debug(0) "zoom_tracked_entries" "Entries currently tracked.";
@@ -784,7 +783,6 @@ scalar_metrics! {
         packet_size: Histogram(PACKET_SIZE_BOUNDS) => Histogram json(SIZE) "zoom_packet_size_bytes" "On-the-wire size distribution of offered records.";
         stage_push_nanos: Histogram(STAGE_LATENCY_BOUNDS) => Histogram json(STAGES, "push") "zoom_stage_latency_nanos" {"stage" = "push"} "Sampled wall-clock cost of pipeline stages.";
         stage_merge_nanos: Histogram(STAGE_LATENCY_BOUNDS) => Histogram json(STAGES, "merge") "zoom_stage_latency_nanos" {"stage" = "merge"} "Sampled wall-clock cost of pipeline stages.";
-        stage_checkpoint_nanos: Histogram(STAGE_LATENCY_BOUNDS) => Histogram json(STAGES, "checkpoint") "zoom_stage_latency_nanos" {"stage" = "checkpoint"} "Sampled wall-clock cost of pipeline stages.";
     }
 }
 
@@ -1321,11 +1319,6 @@ impl MetricsSnapshot {
         self.sources.iter().map(|s| s.packets).sum()
     }
 
-    /// Sum of records all registered fragment workers reported capturing.
-    pub fn worker_packets_total(&self) -> u64 {
-        self.workers.iter().map(|w| w.packets).sum()
-    }
-
     /// Sum of records the merge node decoded across all worker streams.
     pub fn worker_records_received_total(&self) -> u64 {
         self.workers.iter().map(|w| w.records_received).sum()
@@ -1707,7 +1700,7 @@ mod tests {
         m.packets_classified.add(8);
 
         let s = m.snapshot();
-        assert_eq!(s.worker_packets_total(), 9);
+        assert_eq!(s.workers.iter().map(|w| w.packets).sum::<u64>(), 9);
         assert_eq!(s.worker_records_received_total(), 8);
         // Σ worker packets (9) == merge packets_in (8) + worker drops (1).
         assert!(s.conservation_holds());
@@ -1808,9 +1801,6 @@ zoom_pcap_bytes_read 0
 # HELP zoom_windows_closed_total Tumbling windows closed by the streaming engine.
 # TYPE zoom_windows_closed_total counter
 zoom_windows_closed_total 1
-# HELP zoom_checkpoints_total Explicit checkpoints taken.
-# TYPE zoom_checkpoints_total counter
-zoom_checkpoints_total 0
 # HELP zoom_evicted_flows_total Flows evicted by the idle timeout.
 # TYPE zoom_evicted_flows_total counter
 zoom_evicted_flows_total 0
@@ -1860,15 +1850,6 @@ zoom_stage_latency_nanos_bucket{stage=\"merge\",le=\"100000000\"} 0
 zoom_stage_latency_nanos_bucket{stage=\"merge\",le=\"+Inf\"} 0
 zoom_stage_latency_nanos_sum{stage=\"merge\"} 0
 zoom_stage_latency_nanos_count{stage=\"merge\"} 0
-zoom_stage_latency_nanos_bucket{stage=\"checkpoint\",le=\"1000\"} 0
-zoom_stage_latency_nanos_bucket{stage=\"checkpoint\",le=\"10000\"} 0
-zoom_stage_latency_nanos_bucket{stage=\"checkpoint\",le=\"100000\"} 0
-zoom_stage_latency_nanos_bucket{stage=\"checkpoint\",le=\"1000000\"} 0
-zoom_stage_latency_nanos_bucket{stage=\"checkpoint\",le=\"10000000\"} 0
-zoom_stage_latency_nanos_bucket{stage=\"checkpoint\",le=\"100000000\"} 0
-zoom_stage_latency_nanos_bucket{stage=\"checkpoint\",le=\"+Inf\"} 0
-zoom_stage_latency_nanos_sum{stage=\"checkpoint\"} 0
-zoom_stage_latency_nanos_count{stage=\"checkpoint\"} 0
 # HELP zoom_qoe_bitrate_bps Media bitrate over the last closed window.
 # TYPE zoom_qoe_bitrate_bps gauge
 zoom_qoe_bitrate_bps{meeting=\"3\",media=\"video\",family=\"zoom\"} 640000
@@ -1935,14 +1916,12 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
         m.pcap_records_read.set(11);
         m.pcap_bytes_read.set(9_022);
         m.windows_closed.add(3);
-        m.checkpoints.inc();
         m.evicted_flows.add(2);
         m.evicted_streams.add(4);
         m.tracked_entries.set(5);
         m.peak_tracked_entries.set_max(9);
         m.stage_push_nanos.observe(5_000);
         m.stage_merge_nanos.observe(2_000_000);
-        m.stage_checkpoint_nanos.observe(50);
 
         let file = m.register_source("pcap:a.pcap");
         file.packets.add(6);

@@ -307,13 +307,8 @@ impl<M: FamilyMetric> LabeledFamily<M> {
         }
     }
 
-    /// Label names, in declaration order.
-    pub fn label_names(&self) -> &'static [&'static str] {
-        self.names
-    }
-
     /// Update (creating if needed) the series for `labels`, which must
-    /// match [`label_names`](LabeledFamily::label_names) in length. If
+    /// match the family's label names in length. If
     /// the family is at its cap, the least-recently-updated series is
     /// evicted first and counted.
     pub fn with(&self, labels: &[&str], f: impl FnOnce(&M)) {

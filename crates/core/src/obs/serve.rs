@@ -35,7 +35,7 @@
 //! let handle = serve::serve("127.0.0.1:9184", Arc::clone(&metrics)).unwrap();
 //! println!("scrape http://{}/metrics", handle.addr());
 //! // ... run the pipeline ...
-//! handle.shutdown();
+//! drop(handle);
 //! ```
 //!
 //! [`MetricsSnapshot::to_prom`]: super::MetricsSnapshot::to_prom
@@ -58,7 +58,7 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// rather than wedging the accept loop.
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// A running scrape endpoint; stops serving when shut down or dropped.
+/// A running scrape endpoint; stops serving when dropped.
 #[derive(Debug)]
 pub struct ServeHandle {
     addr: SocketAddr,
@@ -71,13 +71,11 @@ impl ServeHandle {
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
+}
 
-    /// Stop accepting connections and join the server thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
+/// Stop accepting connections and join the server thread.
+impl Drop for ServeHandle {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
@@ -85,14 +83,8 @@ impl ServeHandle {
     }
 }
 
-impl Drop for ServeHandle {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
 /// Bind `addr` and serve `GET /metrics` + `GET /healthz` from a
-/// background thread until the returned [`ServeHandle`] is shut down.
+/// background thread until the returned [`ServeHandle`] is dropped.
 ///
 /// Binding errors (port in use, bad address) surface immediately;
 /// per-connection I/O errors after that are swallowed — a misbehaving
@@ -241,7 +233,7 @@ mod tests {
         s.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.1 405"), "{out}");
 
-        handle.shutdown();
+        drop(handle);
         assert!(
             TcpStream::connect(addr).is_err() || {
                 // A race on some platforms may allow one last connect; a
@@ -281,7 +273,7 @@ mod tests {
         // A bad or absent n falls back to the default tail length.
         assert!(get(addr, "/debug/trace?n=bogus").starts_with("HTTP/1.1 200 OK"));
         assert!(get(addr, "/debug/trace").starts_with("HTTP/1.1 200 OK"));
-        handle.shutdown();
+        drop(handle);
     }
 
     /// Satellite: the endpoint under concurrent load. Several client
@@ -321,7 +313,7 @@ mod tests {
             s.join().expect("scraper thread panicked");
         }
         assert!(get(addr, "/metrics").contains("zoom_packets_in_total 2000"));
-        handle.shutdown();
+        drop(handle);
     }
 
     /// A client that sends its request head one byte at a time gets the
@@ -356,7 +348,7 @@ mod tests {
         assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
         assert!(took < Duration::from_millis(1_500), "healthz took {took:?}");
         dribbler.join().expect("dribbler panicked");
-        handle.shutdown();
+        drop(handle);
     }
 
     /// Satellite: graceful shutdown racing in-flight scrapes. Clients
@@ -386,7 +378,7 @@ mod tests {
             served
         });
         thread::sleep(Duration::from_millis(30));
-        handle.shutdown(); // joins the accept thread; must not deadlock
+        drop(handle); // joins the accept thread; must not deadlock
         let _served = racer.join().expect("racing scraper panicked");
         thread::sleep(Duration::from_millis(50));
         assert!(

@@ -3,7 +3,7 @@
 //! The metrics registry ([`super::PipelineMetrics`]) answers *how much*:
 //! cumulative counters say how many packets were classified, dropped, or
 //! evicted. This module answers *where it went*: a sampled
-//! [`RecordBatch`] is tagged with a
+//! [`RecordBatch`](zoom_wire::handoff::RecordBatch) is tagged with a
 //! **trace ID** at its capture source, and every stage it passes through
 //! (source read → ring enqueue/dequeue → dissect → engine push → window
 //! emit → fragment encode → merge decode) records one span event against
@@ -57,8 +57,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-use zoom_wire::handoff::RecordBatch;
 
 // ------------------------------------------------------ span catalogue --
 
@@ -286,21 +284,6 @@ impl TraceCollector {
         Some(mix(self.node_hash.load(Ordering::Relaxed), n) | 1)
     }
 
-    /// Tag `batch` with a sampled trace ID (when the sampler picks it)
-    /// and record the batch's birth span. The one-stop site for ingest
-    /// paths that read batches directly (pcap feed loops): capture
-    /// threads that need the fill duration call
-    /// [`sample`](Self::sample) + [`record`](Self::record) themselves.
-    pub fn tag_batch(&self, batch: &mut RecordBatch, span: &'static str, site: &str) {
-        if !self.is_enabled() {
-            return;
-        }
-        if let Some(id) = self.sample() {
-            batch.trace_id = id;
-            self.record(id, span, site, batch.len() as u64, 0);
-        }
-    }
-
     /// The most recent trace ID a sink noted (0 = none). Window emits
     /// attach to this so a closed window joins the batch whose push
     /// closed it.
@@ -480,10 +463,6 @@ mod tests {
         assert!(!tc.is_enabled());
         assert_eq!(tc.sample(), None);
         tc.record(7, spans::DISSECT, "x", 10, 5);
-        let mut batch = RecordBatch::new();
-        batch.push(1, 10, &[0u8; 10]);
-        tc.tag_batch(&mut batch, spans::SOURCE_READ, "pcap:x");
-        assert_eq!(batch.trace_id, 0);
         assert_eq!(tc.event_counts(), (0, 0));
         assert!(tc.drain_ndjson().is_empty());
     }

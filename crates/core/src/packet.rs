@@ -5,6 +5,7 @@
 //! flow, stream, latency, and grouping trackers without re-parsing.
 
 use std::net::IpAddr;
+use zoom_wire::cidr::Cidr;
 use zoom_wire::dissect::Transport;
 use zoom_wire::family::FamilyId;
 use zoom_wire::flow::FiveTuple;
@@ -141,20 +142,8 @@ impl TcpMeta {
 /// P2P direction inference treats the *source* side of a flow as the
 /// client. Callers that want a real campus boundary must supply at least
 /// one prefix (as [`crate::pipeline::AnalyzerConfig::default`] does).
-pub fn in_campus(campus: &[(IpAddr, u8)], ip: IpAddr) -> bool {
-    if campus.is_empty() {
-        return true;
-    }
-    campus.iter().any(|&(net, len)| match (net, ip) {
-        (IpAddr::V4(n), IpAddr::V4(a)) => {
-            // A length past 32 (a struct literal can hold one) is a host.
-            let mask = u32::MAX
-                .checked_shl(32 - u32::from(len.min(32)))
-                .unwrap_or(0);
-            u32::from(a) & mask == u32::from(n) & mask
-        }
-        _ => false,
-    })
+pub fn in_campus(campus: &[Cidr], ip: IpAddr) -> bool {
+    campus.is_empty() || campus.iter().any(|c| c.contains_addr(ip))
 }
 
 /// Build a [`PacketMeta`] from an already-parsed Zoom packet: a server
@@ -167,7 +156,7 @@ pub fn meta_from_zoom(
     ip_len: usize,
     framing: Framing,
     z: &zoom_wire::zoom::ZoomPacket,
-    campus: &[(IpAddr, u8)],
+    campus: &[Cidr],
 ) -> PacketMeta {
     let direction = match framing {
         Framing::Server => {
@@ -241,7 +230,7 @@ pub fn meta_from_webrtc(
     five_tuple: FiveTuple,
     ip_len: usize,
     srtp: &SrtpRepr,
-    campus: &[(IpAddr, u8)],
+    campus: &[Cidr],
 ) -> PacketMeta {
     let direction = if in_campus(campus, five_tuple.src_ip) {
         Direction::ToServer
@@ -284,8 +273,8 @@ mod tests {
     use zoom_wire::rtp;
     use zoom_wire::zoom;
 
-    fn campus() -> Vec<(IpAddr, u8)> {
-        vec![(IpAddr::V4(Ipv4Addr::new(10, 8, 0, 0)), 16)]
+    fn campus() -> Vec<Cidr> {
+        vec![Cidr::new(Ipv4Addr::new(10, 8, 0, 0), 16)]
     }
 
     fn video_packet(direction: u8) -> Vec<u8> {
@@ -494,12 +483,17 @@ mod tests {
 
     #[test]
     fn prefix_lengths_at_and_past_the_ends_do_not_overflow() {
-        let host: IpAddr = "10.8.0.7".parse().unwrap();
-        let other: IpAddr = "10.8.0.8".parse().unwrap();
-        assert!(in_campus(&[(host, 0)], "203.0.113.9".parse().unwrap()));
-        for len in [32, 33, u8::MAX] {
-            assert!(in_campus(&[(host, len)], host), "/{len}");
-            assert!(!in_campus(&[(host, len)], other), "/{len}");
+        let host = Ipv4Addr::new(10, 8, 0, 7);
+        let other = Ipv4Addr::new(10, 8, 0, 8).into();
+        let everything = [Cidr::new(host, 0)];
+        assert!(in_campus(&everything, "203.0.113.9".parse().unwrap()));
+        let one = [Cidr::new(host, 32)];
+        assert!(in_campus(&one, host.into()));
+        assert!(!in_campus(&one, other));
+        // A length past 32 cannot be configured: `--campus` and every
+        // literal go through `Cidr`'s parse, which refuses it.
+        for len in [33, u8::MAX] {
+            assert!(format!("{host}/{len}").parse::<Cidr>().is_err(), "/{len}");
         }
     }
 }

@@ -21,6 +21,7 @@ use crate::stream::{FlowId, Stream, StreamKey, StreamSeconds, StreamTracker};
 use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::Arc;
+use zoom_wire::cidr::Cidr;
 use zoom_wire::dissect::{
     classify_udp_with, drop_stage, peek, prefetch_record, AppView, PeekInfo, PeekTransport, Probe,
     Transport,
@@ -53,7 +54,7 @@ pub struct AnalyzerConfig {
     /// Campus prefixes — orient P2P flows and pick the "client" side.
     /// IPv4 only ([`in_campus`]); empty means every address is on campus.
     /// Default `10.8.0.0/16`.
-    pub campus: Vec<(IpAddr, u8)>,
+    pub campus: Vec<Cidr>,
     /// Thresholds of the meeting-grouping heuristic (§4.3).
     pub grouping: GroupingConfig,
     /// Which protocol families may claim traffic (the default,
@@ -73,7 +74,7 @@ pub struct AnalyzerConfig {
 impl Default for AnalyzerConfig {
     fn default() -> Self {
         AnalyzerConfig {
-            campus: vec![(IpAddr::V4(std::net::Ipv4Addr::new(10, 8, 0, 0)), 16)],
+            campus: vec![Cidr::new(std::net::Ipv4Addr::new(10, 8, 0, 0), 16)],
             grouping: GroupingConfig::default(),
             family: FamilySelect::Auto,
             per_second_rows: false,
@@ -824,7 +825,7 @@ impl PacketSink for Analyzer {
 /// flow: the non-8801 side for server traffic, the campus side for P2P
 /// (with an empty campus list, the *source* side — see
 /// [`crate::packet::in_campus`]).
-fn resolve_stream_endpoints(flow: &FiveTuple, campus: &[(IpAddr, u8)]) -> (Endpoint, IpAddr) {
+fn resolve_stream_endpoints(flow: &FiveTuple, campus: &[Cidr]) -> (Endpoint, IpAddr) {
     match client_endpoint_of(flow) {
         Some(pair) => pair,
         None => {

@@ -385,7 +385,9 @@ pub struct DropsReport {
     pub non_transport: u64,
     /// Records cut short mid-header.
     pub truncated: u64,
-    /// Structurally invalid headers (bad version, length, checksum).
+    /// Structurally invalid headers (bad version, length). Checksums are
+    /// not verified: anonymized captures carry zeroed UDP checksums and
+    /// snap-length records cannot be summed.
     pub malformed: u64,
     /// Dissected fine but not recognized as Zoom traffic.
     pub not_zoom: u64,

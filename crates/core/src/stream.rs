@@ -464,22 +464,6 @@ impl Stream {
             .find(|s| s.payload_type == payload_type)
     }
 
-    /// The dominant sub-stream: most packets, ties broken by payload type.
-    ///
-    /// The explicit tie-break makes the choice a function of the counters
-    /// alone, whatever order the sub-streams were first seen in.
-    fn dominant_substream(&self) -> Option<&SubStream> {
-        self.substreams
-            .iter()
-            .max_by_key(|s| (s.packets, s.payload_type))
-    }
-
-    /// Most recent RTP timestamp across sub-streams (grouping step 1 uses
-    /// this to match stream copies).
-    pub fn last_rtp_timestamp(&self) -> Option<u32> {
-        self.dominant_substream().map(|s| s.last_rtp_ts)
-    }
-
     /// Snapshot of the state grouping step 1 compares candidates on,
     /// read from the dominant sub-stream — dominant over every
     /// incarnation of the key, for a stream that returned after an
@@ -1078,7 +1062,7 @@ mod tests {
         let s = t.get(&k).unwrap();
         // Only two jitter observations (one per distinct timestamp).
         assert!(s.seconds().unwrap().jitter().len() <= 2);
-        assert_eq!(s.last_rtp_timestamp(), Some(3_100));
+        assert_eq!(s.substream(98).unwrap().last_rtp_ts, 3_100);
     }
 
     #[test]

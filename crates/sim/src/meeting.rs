@@ -1699,7 +1699,10 @@ mod tests {
             let d =
                 dissect::dissect(r.ts_nanos, &r.data, LinkType::Ethernet, P2pProbe::Off).unwrap();
             if let Some(z) = d.zoom() {
-                if z.payload_kind() == Some(zoom::RtpPayloadKind::AudioSilent) {
+                let kind = z
+                    .rtp
+                    .map(|r| zoom::RtpPayloadKind::classify(z.media.media_type, r.payload_type));
+                if kind == Some(zoom::RtpPayloadKind::AudioSilent) {
                     assert_eq!(z.media_payload_len, zoom::SILENT_AUDIO_PAYLOAD_LEN);
                     silent += 1;
                 }

@@ -147,24 +147,6 @@ pub struct SfuPath {
 }
 
 impl SfuPath {
-    /// A typical on-campus participant: ~1.5 ms to the tap, `wan_ms` to
-    /// the SFU, light (2 ms) jitter, the given steady-state WAN loss.
-    pub fn typical(wan_ms: u64, wan_loss: f64) -> SfuPath {
-        Self::with_jitter(wan_ms, wan_loss, 2_000)
-    }
-
-    /// Like [`SfuPath::typical`] with an explicit WAN jitter standard
-    /// deviation in microseconds.
-    pub fn with_jitter(wan_ms: u64, wan_loss: f64, wan_jitter_us: u64) -> SfuPath {
-        SfuPath {
-            campus_up: Leg::new(1_500_000, 300_000),
-            campus_down: Leg::new(1_500_000, 300_000),
-            wan_up: Leg::new(wan_ms * MS, wan_jitter_us * 1_000).with_loss(wan_loss),
-            wan_down: Leg::new(wan_ms * MS, wan_jitter_us * 1_000).with_loss(wan_loss),
-            sfu_processing: 700_000,
-        }
-    }
-
     /// Path for a participant whose dominant jitter source is the client
     /// *access link* (wifi/cellular): for on-campus clients the access
     /// jitter sits on the campus legs (client ⇄ tap) and the WAN is a
@@ -336,7 +318,7 @@ mod tests {
 
     #[test]
     fn sfu_path_rtts() {
-        let p = SfuPath::typical(25, 0.0);
+        let p = SfuPath::for_participant(25, 0.0, 0, true);
         assert_eq!(p.nominal_tap_sfu_rtt(), 50 * MS + 700_000);
         assert!(p.nominal_client_sfu_rtt() > p.nominal_tap_sfu_rtt());
     }

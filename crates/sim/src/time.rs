@@ -22,11 +22,6 @@ pub fn secs(t: Nanos) -> f64 {
     t as f64 / SEC as f64
 }
 
-/// Convert nanoseconds to floating-point milliseconds (for reports).
-pub fn millis(t: Nanos) -> f64 {
-    t as f64 / MS as f64
-}
-
 /// A time-ordered event queue with FIFO tie-breaking.
 ///
 /// Ties are broken by insertion order so that simulations are fully
@@ -87,11 +82,6 @@ impl<E> EventQueue<E> {
         Some((at, event))
     }
 
-    /// Time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -130,15 +120,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 3);
     }
 
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(7, ());
-        assert_eq!(q.peek_time(), Some(7));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
     proptest::proptest! {
         /// Any interleaving of pushes and pops, on few distinct times so
         /// ties abound, pops in the order of a stable sort by time of
@@ -162,7 +143,6 @@ mod tests {
                 }
                 proptest::prop_assert_eq!(q.len(), model.len());
                 proptest::prop_assert_eq!(q.is_empty(), model.is_empty());
-                proptest::prop_assert_eq!(q.peek_time(), model.first().map(|e| e.0));
             }
             while let Some(want) = (!model.is_empty()).then(|| model.remove(0)) {
                 proptest::prop_assert_eq!(q.pop(), Some(want));
@@ -174,7 +154,6 @@ mod tests {
     #[test]
     fn unit_conversions() {
         assert_eq!(secs(1_500_000_000), 1.5);
-        assert_eq!(millis(2_000_000), 2.0);
         assert_eq!(SEC, 1000 * MS);
         assert_eq!(MS, 1000 * US);
     }

@@ -4,7 +4,7 @@
 //! checksums on captured packets and to fill them in when the simulator
 //! emits synthetic traffic.
 
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::net::Ipv4Addr;
 
 /// Incremental one's-complement sum accumulator.
 ///
@@ -107,11 +107,6 @@ impl Summer {
         self.add_word(u64::from(word.swap_bytes()));
     }
 
-    /// Add a `u32` as two 16-bit words.
-    pub fn add_u32(&mut self, word: u32) {
-        self.add_word(u64::from(word.swap_bytes()));
-    }
-
     /// Add the sum of another accumulator, as if its bytes had been
     /// added here. Exact when those bytes start at an even offset.
     pub fn merge(&mut self, other: Summer) {
@@ -154,16 +149,6 @@ pub fn pseudo_header_v4(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, length: u16)
     s.add(&dst.octets());
     s.add_u16(u16::from(protocol));
     s.add_u16(length);
-    s
-}
-
-/// IPv6 pseudo-header sum for UDP/TCP (RFC 2460 §8.1).
-pub fn pseudo_header_v6(src: Ipv6Addr, dst: Ipv6Addr, protocol: u8, length: u32) -> Summer {
-    let mut s = Summer::new();
-    s.add(&src.octets());
-    s.add(&dst.octets());
-    s.add_u32(length);
-    s.add_u16(u16::from(protocol));
     s
 }
 

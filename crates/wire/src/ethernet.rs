@@ -19,11 +19,6 @@ impl Address {
     pub fn is_multicast(&self) -> bool {
         self.0[0] & 0x01 != 0
     }
-
-    /// True for `ff:ff:ff:ff:ff:ff`.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
 }
 
 impl fmt::Display for Address {
@@ -139,11 +134,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     pub fn set_ethertype(&mut self, ethertype: EtherType) {
         set_be16(self.buffer.as_mut(), 12, ethertype.into());
     }
-
-    /// Mutable payload following the header.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[HEADER_LEN..]
-    }
 }
 
 /// High-level representation of an Ethernet header.
@@ -224,7 +214,6 @@ mod tests {
 
     #[test]
     fn multicast_and_broadcast_flags() {
-        assert!(Address::BROADCAST.is_broadcast());
         assert!(Address::BROADCAST.is_multicast());
         assert!(Address([0x01, 0, 0x5e, 0, 0, 1]).is_multicast());
         assert!(!Address([0x02, 0, 0, 0, 0, 1]).is_multicast());

@@ -113,21 +113,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         be16(self.buffer.as_ref(), 4)
     }
 
-    /// Don't-fragment flag.
-    pub fn dont_frag(&self) -> bool {
-        self.buffer.as_ref()[6] & 0x40 != 0
-    }
-
-    /// More-fragments flag.
-    pub fn more_frags(&self) -> bool {
-        self.buffer.as_ref()[6] & 0x20 != 0
-    }
-
-    /// Fragment offset in bytes.
-    pub fn frag_offset(&self) -> u16 {
-        (be16(self.buffer.as_ref(), 6) & 0x1FFF) * 8
-    }
-
     /// Time to live.
     pub fn ttl(&self) -> u8 {
         self.buffer.as_ref()[8]
@@ -136,11 +121,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
     /// Next-level protocol.
     pub fn protocol(&self) -> Protocol {
         Protocol::from(self.buffer.as_ref()[9])
-    }
-
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        be16(self.buffer.as_ref(), 10)
     }
 
     /// Source address.
@@ -228,13 +208,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         buf[11] = 0;
         let c = checksum::checksum(&buf[..hl]);
         set_be16(buf, 10, c);
-    }
-
-    /// Mutable payload slice.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let hl = self.header_len();
-        let tl = self.total_len() as usize;
-        &mut self.buffer.as_mut()[hl..tl]
     }
 }
 

@@ -51,12 +51,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         self.buffer.as_ref()[0] >> 4
     }
 
-    /// Traffic-class byte.
-    pub fn traffic_class(&self) -> u8 {
-        let d = self.buffer.as_ref();
-        (d[0] << 4) | (d[1] >> 4)
-    }
-
     /// Payload length field.
     pub fn payload_len(&self) -> u16 {
         be16(self.buffer.as_ref(), 4)
@@ -128,12 +122,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     /// Set destination address.
     pub fn set_dst_addr(&mut self, v: Ipv6Addr) {
         self.buffer.as_mut()[24..40].copy_from_slice(&v.octets());
-    }
-
-    /// Mutable payload slice.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let pl = self.payload_len() as usize;
-        &mut self.buffer.as_mut()[HEADER_LEN..HEADER_LEN + pl]
     }
 }
 

@@ -6,7 +6,8 @@
 //! Networks"* (IMC '22):
 //!
 //! * Link / network / transport: [`ethernet`], [`ipv4`], [`ipv6`], [`udp`],
-//!   [`tcp`]
+//!   [`tcp`]; IPv4 prefixes: [`cidr`] (the campus and Zoom server
+//!   networks)
 //! * Session / media: [`stun`] (RFC 5389), [`rtp`] / [`rtcp`] (RFC 3550)
 //! * Zoom's proprietary encapsulations: [`zoom`] (Zoom SFU Encapsulation and
 //!   Zoom Media Encapsulation, Table 1/2 + Fig. 7 of the paper)
@@ -56,6 +57,7 @@
 #![deny(unsafe_code)]
 
 pub mod checksum;
+pub mod cidr;
 pub mod compose;
 pub mod dissect;
 pub mod ethernet;

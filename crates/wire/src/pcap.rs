@@ -21,7 +21,6 @@
 //! tails alike, so the paths cannot drift.
 
 use crate::handoff::{RecordBatch, RecordRef};
-use crate::Error;
 use std::io::{self, Read, Write};
 
 /// Magic for microsecond-resolution files.
@@ -525,12 +524,6 @@ impl<W: Write> Writer<W> {
         self.inner.flush()?;
         Ok(self.inner)
     }
-}
-
-/// Convert an [`Error`] from a parser into `io::Error` when bridging the
-/// two worlds in trace-processing loops.
-pub fn to_io(e: Error) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
 #[cfg(test)]

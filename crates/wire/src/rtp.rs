@@ -109,23 +109,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         be32(self.buffer.as_ref(), 8)
     }
 
-    /// CSRC list.
-    pub fn csrcs(&self) -> Vec<u32> {
-        let data = self.buffer.as_ref();
-        (0..usize::from(self.csrc_count()))
-            .map(|i| be32(data, HEADER_LEN + i * 4))
-            .collect()
-    }
-
-    /// Extension profile ID, when an extension header is present.
-    pub fn extension_profile(&self) -> Option<u16> {
-        if !self.has_extension() {
-            return None;
-        }
-        let off = HEADER_LEN + usize::from(self.csrc_count()) * 4;
-        Some(be16(self.buffer.as_ref(), off))
-    }
-
     /// Offset where the payload begins (after CSRCs and extension).
     pub fn payload_offset(&self) -> usize {
         let data = self.buffer.as_ref();
@@ -317,7 +300,6 @@ mod tests {
         let buf = emit(repr, b"xyz");
         let p = Packet::new_checked(&buf[..]).unwrap();
         assert!(p.has_extension());
-        assert_eq!(p.extension_profile(), Some(0xBEDE));
         assert_eq!(p.payload(), b"xyz");
         assert_eq!(p.payload_offset(), HEADER_LEN + 8);
         assert!(p.marker());
@@ -332,7 +314,7 @@ mod tests {
         let buf = emit(repr, b"q");
         let p = Packet::new_checked(&buf[..]).unwrap();
         assert_eq!(p.csrc_count(), 2);
-        assert_eq!(p.csrcs(), vec![0, 0]);
+        assert_eq!(p.payload_offset(), HEADER_LEN + 8);
         assert_eq!(p.payload(), b"q");
     }
 

@@ -147,13 +147,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         &self.buffer.as_ref()[self.header_len()..]
     }
 
-    /// Number of sequence-space bytes this segment consumes
-    /// (payload + SYN + FIN).
-    pub fn seq_len(&self) -> u32 {
-        let f = self.flags();
-        self.payload().len() as u32 + u32::from(f.syn) + u32::from(f.fin)
-    }
-
     /// Verify the checksum under an IPv4 pseudo header.
     pub fn verify_checksum_v4(&self, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
         let data = self.buffer.as_ref();
@@ -198,22 +191,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     /// Set receive window.
     pub fn set_window(&mut self, v: u16) {
         set_be16(self.buffer.as_mut(), 14, v);
-    }
-
-    /// Compute and set the checksum under an IPv4 pseudo header.
-    pub fn fill_checksum_v4(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
-        set_be16(self.buffer.as_mut(), 16, 0);
-        let data = self.buffer.as_ref();
-        let mut s = checksum::pseudo_header_v4(src, dst, 6, data.len() as u16);
-        s.add(data);
-        let c = s.finish();
-        set_be16(self.buffer.as_mut(), 16, c);
-    }
-
-    /// Mutable payload slice.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let hl = self.header_len();
-        &mut self.buffer.as_mut()[hl..]
     }
 }
 
@@ -311,28 +288,15 @@ mod tests {
     }
 
     #[test]
-    fn seq_len_counts_syn_fin() {
-        let mut buf = sample();
-        {
-            let mut p = Packet::new_unchecked(&mut buf[..]);
-            p.set_flags(Flags {
-                syn: true,
-                fin: true,
-                ..Default::default()
-            });
-        }
-        let p = Packet::new_checked(&buf[..]).unwrap();
-        assert_eq!(p.seq_len(), 3 + 2);
-    }
-
-    #[test]
     fn checksum_roundtrip() {
-        let mut buf = sample();
         let src = Ipv4Addr::new(10, 0, 0, 9);
         let dst = Ipv4Addr::new(170, 114, 0, 5);
-        Packet::new_unchecked(&mut buf[..]).fill_checksum_v4(src, dst);
-        let p = Packet::new_checked(&buf[..]).unwrap();
+        let flags = Flags::default();
+        let buf = crate::compose::tcp_ipv4_ethernet(src, dst, 51_000, 443, 1, 0, flags, b"abc");
+        let segment = &buf[crate::ethernet::HEADER_LEN + crate::ipv4::HEADER_LEN..];
+        let p = Packet::new_checked(segment).unwrap();
         assert!(p.verify_checksum_v4(src, dst));
+        assert!(!p.verify_checksum_v4(Ipv4Addr::new(10, 0, 0, 8), dst));
     }
 
     #[test]

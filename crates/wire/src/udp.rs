@@ -1,8 +1,8 @@
 //! UDP datagram view and emitter (RFC 768).
 
-use crate::checksum::{self, Summer};
+use crate::checksum;
 use crate::{be16, set_be16, Error, Result};
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::net::Ipv4Addr;
 
 /// UDP header length.
 pub const HEADER_LEN: usize = 8;
@@ -113,40 +113,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     pub fn clear_checksum(&mut self) {
         set_be16(self.buffer.as_mut(), 6, 0);
     }
-
-    /// Compute and set the checksum under an IPv4 pseudo header,
-    /// substituting 0xFFFF for a computed zero per RFC 768.
-    pub fn fill_checksum_v4(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
-        self.clear_checksum();
-        let l = self.len();
-        let mut s = checksum::pseudo_header_v4(src, dst, 17, l);
-        s.add(&self.buffer.as_ref()[..l as usize]);
-        let c = match s.finish() {
-            0 => 0xFFFF,
-            c => c,
-        };
-        set_be16(self.buffer.as_mut(), 6, c);
-    }
-
-    /// Compute and set the checksum under an IPv6 pseudo header (mandatory
-    /// for IPv6).
-    pub fn fill_checksum_v6(&mut self, src: Ipv6Addr, dst: Ipv6Addr) {
-        self.clear_checksum();
-        let l = self.len();
-        let mut s: Summer = checksum::pseudo_header_v6(src, dst, 17, u32::from(l));
-        s.add(&self.buffer.as_ref()[..l as usize]);
-        let c = match s.finish() {
-            0 => 0xFFFF,
-            c => c,
-        };
-        set_be16(self.buffer.as_mut(), 6, c);
-    }
-
-    /// Mutable payload slice.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let l = self.len() as usize;
-        &mut self.buffer.as_mut()[HEADER_LEN..l]
-    }
 }
 
 /// High-level UDP header representation.
@@ -218,12 +184,11 @@ mod tests {
 
     #[test]
     fn checksum_v4_roundtrip() {
-        let mut buf = sample();
         let src = Ipv4Addr::new(10, 0, 0, 1);
         let dst = Ipv4Addr::new(3, 7, 35, 1);
-        let mut p = Packet::new_unchecked(&mut buf[..]);
-        p.fill_checksum_v4(src, dst);
-        let p = Packet::new_checked(&buf[..]).unwrap();
+        let buf = crate::compose::udp_ipv4_ethernet(src, dst, 52_000, 8801, b"hello");
+        let datagram = &buf[crate::ethernet::HEADER_LEN + crate::ipv4::HEADER_LEN..];
+        let p = Packet::new_checked(datagram).unwrap();
         assert!(p.verify_checksum_v4(src, dst));
         // Note: swapping src and dst does NOT invalidate the checksum
         // (one's-complement addition is commutative); a different address

@@ -66,23 +66,6 @@ pub fn looks_like_dtls(payload: &[u8]) -> bool {
         && matches!(payload[2], 0xff | 0xfd)
 }
 
-/// Fast header signature for a version-2 RTP packet that is *not* in the
-/// RTCP packet-type range (RFC 5761 §4 demultiplexing: a second byte of
-/// 192–223 means RTCP).
-pub fn looks_like_rtp(payload: &[u8]) -> bool {
-    payload.len() >= rtp::HEADER_LEN
-        && payload[0] >> 6 == rtp::VERSION
-        && !(192..=223).contains(&payload[1])
-}
-
-/// Fast header signature for an RTCP packet: version 2 and a packet type
-/// in the standard 200–206 range (SR/RR/SDES/BYE/APP/RTPFB/PSFB).
-pub fn looks_like_rtcp(payload: &[u8]) -> bool {
-    payload.len() >= SRTCP_MIN_LEN
-        && payload[0] >> 6 == rtp::VERSION
-        && (200..=206).contains(&payload[1])
-}
-
 /// Parsed DTLS record header (RFC 6347 §4.1). The record body is
 /// ciphertext past the handshake's first flights and is never
 /// interpreted.
@@ -355,7 +338,6 @@ mod tests {
     #[test]
     fn srtp_parse_and_payload_len() {
         let buf = srtp_packet(111, false, 80);
-        assert!(looks_like_rtp(&buf));
         let s = parse_srtp(&buf, buf.len()).unwrap();
         assert_eq!(s.rtp.payload_type, 111);
         assert_eq!(s.rtp.ssrc, 0xABCD_EF01);
@@ -371,7 +353,6 @@ mod tests {
         // Marker bit + PT 72 puts the second byte at 200: RTCP range.
         let mut buf = srtp_packet(72, true, 20);
         assert_eq!(buf[1], 200);
-        assert!(!looks_like_rtp(&buf));
         assert!(parse_srtp(&buf, buf.len()).is_err());
         // As RTCP, the length field (zeroed by the RTP builder) is 1
         // word = 4 bytes, which fits: it classifies as SRTCP.

@@ -384,11 +384,6 @@ impl<T: AsRef<[u8]>> MediaEncap<T> {
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> MediaEncap<T> {
-    /// Set the type byte.
-    pub fn set_media_type(&mut self, v: MediaType) {
-        self.buffer.as_mut()[0] = v.to_byte();
-    }
-
     /// Set the media-level sequence number.
     pub fn set_sequence(&mut self, v: u16) {
         set_be16(self.buffer.as_mut(), 9, v);
@@ -397,16 +392,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> MediaEncap<T> {
     /// Set the media-level timestamp.
     pub fn set_timestamp(&mut self, v: u32) {
         set_be32(self.buffer.as_mut(), 11, v);
-    }
-
-    /// Set the video frame sequence number.
-    pub fn set_frame_sequence(&mut self, v: u16) {
-        set_be16(self.buffer.as_mut(), 21, v);
-    }
-
-    /// Set the video packets-in-frame count.
-    pub fn set_packets_in_frame(&mut self, v: u8) {
-        self.buffer.as_mut()[23] = v;
     }
 }
 
@@ -490,13 +475,6 @@ pub struct ZoomPacket {
 }
 
 impl ZoomPacket {
-    /// Convenience: the payload kind per Table 3 (media + RTP PT).
-    pub fn payload_kind(&self) -> Option<RtpPayloadKind> {
-        self.rtp
-            .as_ref()
-            .map(|r| RtpPayloadKind::classify(self.media.media_type, r.payload_type))
-    }
-
     /// Where the RTCP compound sits in `payload`, the bytes this packet
     /// was [`parse`]d from (a dissection's
     /// [`payload`](crate::dissect::Dissection::payload)): behind the SFU
@@ -706,7 +684,8 @@ mod tests {
         assert_eq!(rtp.ssrc, 0x21);
         assert!(rtp.marker);
         assert_eq!(pkt.media_payload_len, 100);
-        assert_eq!(pkt.payload_kind(), Some(RtpPayloadKind::VideoMain));
+        let kind = RtpPayloadKind::classify(pkt.media.media_type, rtp.payload_type);
+        assert_eq!(kind, RtpPayloadKind::VideoMain);
     }
 
     #[test]
@@ -735,7 +714,9 @@ mod tests {
         let pkt = parse(&buf, buf.len(), Framing::P2p).unwrap();
         assert!(pkt.sfu.is_none());
         assert_eq!(pkt.media.media_type, MediaType::Audio);
-        assert_eq!(pkt.payload_kind(), Some(RtpPayloadKind::AudioSilent));
+        let pt = pkt.rtp.as_ref().unwrap().payload_type;
+        let kind = RtpPayloadKind::classify(pkt.media.media_type, pt);
+        assert_eq!(kind, RtpPayloadKind::AudioSilent);
         assert_eq!(pkt.media_payload_len, SILENT_AUDIO_PAYLOAD_LEN);
     }
 

@@ -60,11 +60,7 @@ fn mixed_source_records() -> Vec<Record> {
 fn counted(sink: &impl PacketSink) -> MetricsSnapshot {
     let mut m = sink.metrics();
     m.uptime_seconds = 0;
-    for h in [
-        &mut m.stage_push_nanos,
-        &mut m.stage_merge_nanos,
-        &mut m.stage_checkpoint_nanos,
-    ] {
+    for h in [&mut m.stage_push_nanos, &mut m.stage_merge_nanos] {
         h.buckets.clear();
         h.sum = 0;
         h.count = 0;

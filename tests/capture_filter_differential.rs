@@ -14,7 +14,6 @@
 use std::net::{IpAddr, Ipv4Addr};
 use zoom_analysis::obs::{MetricsSnapshot, PipelineMetrics};
 use zoom_capture::anonymize::{Anonymizer, Mode};
-use zoom_capture::cidr::{prefix_set, Cidr};
 use zoom_capture::filter::{filter_to_pcap, FilterWriter};
 use zoom_capture::mux::{CaptureMux, MuxConfig};
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, StageCounters, Verdict};
@@ -25,6 +24,7 @@ use zoom_sim::infra::Infrastructure;
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
+use zoom_wire::cidr::Cidr;
 use zoom_wire::family::FamilySelect;
 use zoom_wire::flow::Endpoint;
 use zoom_wire::handoff::RecordBatch;
@@ -67,7 +67,7 @@ fn border_config(anonymizer: Option<Anonymizer>) -> PipelineConfig {
         owner: Owner::ZoomAs,
     });
     PipelineConfig {
-        excluded_nets: prefix_set(&[EXCLUDED_NET]),
+        excluded_nets: vec![EXCLUDED_NET.parse().unwrap()],
         zoom_list,
         anonymizer,
         family: FamilySelect::Auto,
@@ -94,8 +94,8 @@ fn any_contains(list: &[Cidr], ip: Ipv4Addr) -> bool {
 impl Reference {
     fn new(config: &PipelineConfig) -> Reference {
         Reference {
-            campus: config.campus_nets.iter().map(|(c, _)| c).collect(),
-            excluded: config.excluded_nets.iter().map(|(c, _)| c).collect(),
+            campus: config.campus_nets.clone(),
+            excluded: config.excluded_nets.clone(),
             zoom: config.zoom_list.networks().iter().map(|n| n.cidr).collect(),
             webrtc: config.family.allows(zoom_wire::family::FamilyId::Webrtc),
             tracker: StunTracker::new(config.stun_timeout_nanos),

@@ -1,14 +1,13 @@
 //! Capture-pipeline ↔ analyzer integration: filtering from a mixed feed,
 //! anonymization, and exclusion behaviour.
 
-use std::net::IpAddr;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
 use zoom_analysis::PacketSink;
 use zoom_capture::anonymize::{Anonymizer, Mode};
-use zoom_capture::cidr::prefix_set;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
 use zoom_sim::scenario;
 use zoom_sim::time::SEC;
+use zoom_wire::cidr::Cidr;
 use zoom_wire::pcap::LinkType;
 
 fn mixed_feed() -> (
@@ -67,17 +66,9 @@ fn anonymized_output_remains_fully_analyzable() {
     let anonymizer = Anonymizer::new(0xfeed, Mode::PrefixPreserving);
     let campus_v4: std::net::Ipv4Addr = "10.8.0.0".parse().unwrap();
     let anon_campus = anonymizer.anonymize_v4(campus_v4);
-    let anon_prefix: (IpAddr, u8) = (
-        IpAddr::V4(std::net::Ipv4Addr::new(
-            anon_campus.octets()[0],
-            anon_campus.octets()[1],
-            0,
-            0,
-        )),
-        16,
-    );
+    let anon_prefix = Cidr::new(anon_campus, 16);
 
-    let run = |anon: Option<Anonymizer>, campus: (IpAddr, u8)| {
+    let run = |anon: Option<Anonymizer>, campus: Cidr| {
         let (stream, infra) = mixed_feed();
         let mut capture = CapturePipeline::new(PipelineConfig {
             zoom_list: infra.ip_list.clone(),
@@ -99,7 +90,7 @@ fn anonymized_output_remains_fully_analyzable() {
         analyzer.summary()
     };
 
-    let clear = run(None, (IpAddr::V4(campus_v4), 16));
+    let clear = run(None, Cidr::new(campus_v4, 16));
     let anonymized = run(Some(anonymizer), anon_prefix);
     assert_eq!(clear.rtp_streams, anonymized.rtp_streams);
     assert_eq!(clear.meetings, anonymized.meetings);
@@ -112,7 +103,7 @@ fn excluded_subnets_are_dropped_entirely() {
     let (scenario_obj, infra) = scenario::campus_study(13, 240 * SEC, 1.0 / 2.0, 0.0);
     let mut capture = CapturePipeline::new(PipelineConfig {
         // Exclude half the campus client space.
-        excluded_nets: prefix_set(&["10.8.0.0/17"]),
+        excluded_nets: vec!["10.8.0.0/17".parse().unwrap()],
         zoom_list: infra.ip_list.clone(),
         ..PipelineConfig::sample(scenario::CAMPUS_NET)
     });

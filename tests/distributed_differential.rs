@@ -268,7 +268,7 @@ fn assert_worker_accounting(snap: &MetricsSnapshot, splits: &[Vec<Record>], labe
     assert_eq!(snap.workers.len(), splits.len(), "{label}: worker count");
     let total: u64 = splits.iter().map(|s| s.len() as u64).sum();
     assert_eq!(
-        snap.worker_packets_total(),
+        snap.workers.iter().map(|w| w.packets).sum::<u64>(),
         total,
         "{label}: Σ worker packets"
     );

@@ -399,7 +399,7 @@ pub fn fig11(args: &ExpArgs) {
 /// The capture-pipeline experiment behind Figs. 13 and 17: a mixed campus
 /// feed filtered in the data plane, with per-minute packet rates.
 pub struct CaptureExperiment {
-    pub counters: zoom_capture::pipeline::StageCounters,
+    pub counters: zoom_analysis::obs::CaptureMetricsSnapshot,
     pub tracker: zoom_capture::stun_tracker::TrackerStats,
     pub all_rate: TimeBins,
     pub zoom_rate: TimeBins,

@@ -248,15 +248,6 @@ pub fn feed(sink: &mut impl PacketSink, records: impl IntoIterator<Item = Record
     }
 }
 
-/// Render a fixed-width table row.
-pub fn row3(
-    a: impl std::fmt::Display,
-    b: impl std::fmt::Display,
-    c: impl std::fmt::Display,
-) -> String {
-    format!("{a:<28} {b:>12} {c:>12}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

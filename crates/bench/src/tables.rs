@@ -324,7 +324,7 @@ pub fn table7() {
     }
     println!(
         "  {} networks, {} addresses (paper: 117 networks, 427,168 addresses)",
-        infra.ip_list.len(),
+        infra.ip_list.networks().len(),
         infra.ip_list.total_addresses()
     );
 

@@ -12,22 +12,19 @@
 //! must not be used outside research traces — exactly the caveat that
 //! applies to hardware-friendly anonymization schemes.
 
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::Ipv4Addr;
 
 /// A keyed one-way anonymizer.
 ///
 /// The key is folded into the hash state once, at construction: every
-/// hash this anonymizer computes starts from one of five key states, so an
+/// hash this anonymizer computes starts from one of four key states, so an
 /// address costs the FNV-1a rounds of its own bytes only.
 #[derive(Debug, Clone, Copy)]
 pub struct Anonymizer {
     mode: Mode,
     /// FNV-1a state after the key bytes of octet position `i` (`key ^ i <<
-    /// 56`); position 0 is the plain key, which full mode and the high half
-    /// of an IPv6 address use too.
+    /// 56`); position 0 is the plain key, which full mode uses too.
     octet_keys: [u64; 4],
-    /// FNV-1a state after `key ^ 1`, for the low half of an IPv6 address.
-    v6_low_key: u64,
 }
 
 /// How much structure to preserve.
@@ -73,7 +70,6 @@ impl Anonymizer {
         Anonymizer {
             mode,
             octet_keys: [0u64, 1, 2, 3].map(|i| state(key ^ (i << 56))),
-            v6_low_key: state(key ^ 1),
         }
     }
 
@@ -97,21 +93,6 @@ impl Anonymizer {
                     prefix = (prefix << 8) | u64::from(o);
                 }
                 Ipv4Addr::from(out)
-            }
-        }
-    }
-
-    /// Anonymize either family; IPv6 uses the full mode over both halves.
-    pub fn anonymize(&self, ip: IpAddr) -> IpAddr {
-        match ip {
-            IpAddr::V4(v4) => IpAddr::V4(self.anonymize_v4(v4)),
-            IpAddr::V6(v6) => {
-                let seg = u128::from_be_bytes(v6.octets());
-                let hi = keyed_hash(self.octet_keys[0], (seg >> 64) as u64);
-                let lo = keyed_hash(self.v6_low_key, seg as u64);
-                IpAddr::V6(std::net::Ipv6Addr::from(
-                    (u128::from(hi) << 64 | u128::from(lo)).to_be_bytes(),
-                ))
             }
         }
     }
@@ -172,14 +153,6 @@ mod tests {
         assert!(identical <= 2);
     }
 
-    #[test]
-    fn ipv6_anonymization_is_deterministic() {
-        let a = Anonymizer::new(9, Mode::Full);
-        let ip: IpAddr = "2001:db8::1234".parse().unwrap();
-        assert_eq!(a.anonymize(ip), a.anonymize(ip));
-        assert_ne!(a.anonymize(ip), ip);
-    }
-
     /// Outputs of the construction as it stood before the key was folded
     /// in at construction: the fold must not move a single output byte.
     #[test]
@@ -227,14 +200,6 @@ mod tests {
             let got_prefix = Anonymizer::new(key, Mode::PrefixPreserving).anonymize_v4(ip);
             assert_eq!(got_full.octets(), full, "key {key:#x}, {ip}, full");
             assert_eq!(got_prefix.octets(), prefix, "key {key:#x}, {ip}, prefix");
-        }
-        let v6: IpAddr = "2001:db8::1234".parse().unwrap();
-        for (key, want) in [
-            (9, "24f8:376d:ebec:51c6:3b94:1365:e35e:b2fc"),
-            (12345, "1ce1:fabc:726b:15a2:d4a0:691e:194:4c9b"),
-        ] {
-            let got = Anonymizer::new(key, Mode::PrefixPreserving).anonymize(v6);
-            assert_eq!(got, want.parse::<IpAddr>().unwrap(), "key {key}");
         }
     }
 }

@@ -558,6 +558,18 @@ mod tests {
         }
     }
 
+    /// A batch of one 60-byte record whose arena and index already hold a
+    /// whole batch of them, so that refilling it moves nothing.
+    fn sized_batch() -> RecordBatch {
+        let mut out = RecordBatch::new();
+        for _ in 0..crate::source::BATCH_RECORDS {
+            out.push(0, 60, &[0; 60]);
+        }
+        out.clear();
+        out.push(0, 60, &[0; 60]);
+        out
+    }
+
     #[test]
     fn single_source_batches_are_handed_over_not_copied() {
         use crate::source::BATCH_RECORDS;
@@ -566,8 +578,7 @@ mod tests {
         let mut mux = start(vec![source], None);
 
         // The caller's own arena, sized so that refilling it moves nothing.
-        let mut out = RecordBatch::with_capacity(BATCH_RECORDS, BATCH_RECORDS * 60);
-        out.push(0, 60, &[0; 60]);
+        let mut out = sized_batch();
         let callers_arena = arena_of(&out);
 
         let mut ts = Vec::new();
@@ -861,8 +872,7 @@ mod tests {
         let (inner, filled) = ArenaLoggingSource::boxed((0..n).collect());
         let mut mux = start(vec![SameThread::boxed(inner)], None);
 
-        let mut out = RecordBatch::with_capacity(BATCH_RECORDS, BATCH_RECORDS * 60);
-        out.push(0, 60, &[0; 60]);
+        let mut out = sized_batch();
         let callers_arena = arena_of(&out);
         let mut delivered = Vec::new();
         while mux.next_batch(&mut out, MUX_MAX).unwrap().is_some() {

@@ -29,6 +29,7 @@ use crate::cidr::IntervalTable;
 use crate::stun_tracker::{StunTracker, TrackerStats};
 use crate::zoom_nets::ZoomIpList;
 use std::net::{IpAddr, Ipv4Addr};
+use zoom_analysis::obs::CaptureMetricsSnapshot;
 use zoom_analysis::pipeline::STUN_TIMEOUT_NANOS;
 use zoom_wire::cidr::Cidr;
 use zoom_wire::family::{FamilyId, FamilySelect};
@@ -111,49 +112,6 @@ impl Verdict {
                 | Verdict::RtcP2p
         )
     }
-
-    /// Stable lower-snake label for logs and metrics.
-    pub fn label(self) -> &'static str {
-        match self {
-            Verdict::ZoomServer => "zoom_server",
-            Verdict::ZoomStun => "zoom_stun",
-            Verdict::ZoomP2p => "zoom_p2p",
-            Verdict::RtcStun => "rtc_stun",
-            Verdict::RtcP2p => "rtc_p2p",
-            Verdict::NotZoom => "not_zoom",
-            Verdict::Excluded => "excluded",
-            Verdict::Unparseable => "unparseable",
-        }
-    }
-}
-
-/// Per-stage counters for Fig. 13 / Fig. 17-style reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageCounters {
-    /// Packets offered to the filter.
-    pub total: u64,
-    /// Dropped: campus endpoint in an excluded subnet.
-    pub excluded: u64,
-    /// Passed: either address matched the Zoom server list.
-    pub zoom_ip_matched: u64,
-    /// Passed: STUN exchange with a Zoom server (registers the endpoint).
-    pub stun_registered: u64,
-    /// Passed: P2P media recognized via the STUN registers.
-    pub p2p_matched: u64,
-    /// Passed: non-Zoom STUN exchange (registers a WebRTC endpoint).
-    pub rtc_stun_registered: u64,
-    /// Passed: WebRTC media recognized via the WebRTC STUN registers.
-    pub rtc_p2p_matched: u64,
-    /// Dropped: neither a Zoom server nor a registered P2P endpoint.
-    pub dropped: u64,
-    /// Dropped: headers the data plane needs did not parse.
-    pub unparseable: u64,
-    /// Packets that reached the capture output.
-    pub passed: u64,
-    /// Bytes across passing packets.
-    pub passed_bytes: u64,
-    /// Bytes across all offered packets.
-    pub total_bytes: u64,
 }
 
 /// Address-class bits of the compiled table: which configured prefix
@@ -171,7 +129,7 @@ pub struct CapturePipeline {
     classes: IntervalTable,
     tracker: StunTracker,
     rtc_tracker: StunTracker,
-    counters: StageCounters,
+    counters: CaptureMetricsSnapshot,
 }
 
 /// Light-weight header facts the data plane extracts per packet.
@@ -197,12 +155,12 @@ impl CapturePipeline {
             config,
             tracker,
             rtc_tracker,
-            counters: StageCounters::default(),
+            counters: CaptureMetricsSnapshot::default(),
         }
     }
 
-    /// Counter snapshot.
-    pub fn counters(&self) -> StageCounters {
+    /// Counter snapshot: the `capture` section of a `--metrics` snapshot.
+    pub fn counters(&self) -> CaptureMetricsSnapshot {
         self.counters
     }
 
@@ -214,11 +172,6 @@ impl CapturePipeline {
     /// WebRTC STUN register statistics.
     pub fn rtc_tracker_stats(&self) -> TrackerStats {
         self.rtc_tracker.stats()
-    }
-
-    /// Configuration access (e.g. for resource accounting).
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
     }
 
     /// Classify one packet and update state. This is the pure filter

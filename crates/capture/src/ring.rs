@@ -1,13 +1,11 @@
 //! Bounded single-producer, single-consumer queue: one [`Mutex`] over a
-//! [`VecDeque`] and both ends' liveness flags.
+//! [`VecDeque`] and the consumer's liveness flag.
 //!
 //! No route reads through it: the capture fan-in ([`crate::mux`]) reads
 //! every source in-line. It stays only for the repository benchmark,
-//! whose `capture.ring.hop_ns` probe times a hand-off through it. The
-//! items and the flags sit under the same lock, so the consumer never
-//! sees "closed" while an item is still queued. When the queue is full
-//! the producer's [`try_push`](Producer::try_push) fails fast and hands
-//! the value back.
+//! whose `capture.ring.hop_ns` probe times a hand-off through it. When
+//! the queue is full, or its consumer is gone, the producer's
+//! [`try_push`](Producer::try_push) fails fast and hands the value back.
 //!
 //! ```
 //! use zoom_capture::ring::spsc;
@@ -21,11 +19,10 @@
 //! assert!(tx.try_push(3).is_ok()); // space freed by the pop
 //! assert_eq!(rx.try_pop(), Some(2));
 //! assert_eq!(rx.try_pop(), Some(3));
-//! assert_eq!(rx.try_pop(), None); // empty, producer still live
-//! assert!(!rx.is_closed());
+//! assert_eq!(rx.try_pop(), None); // empty
 //!
-//! drop(tx);
-//! assert!(rx.is_closed()); // empty *and* producer gone
+//! drop(rx);
+//! assert_eq!(tx.try_push(4), Err(4)); // consumer gone
 //! ```
 
 use std::collections::VecDeque;
@@ -34,7 +31,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 struct Ring<T> {
     items: VecDeque<T>,
     capacity: usize,
-    producer_alive: bool,
     consumer_alive: bool,
 }
 
@@ -55,7 +51,6 @@ pub fn spsc<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     let ring = Arc::new(Mutex::new(Ring {
         items: VecDeque::with_capacity(capacity),
         capacity,
-        producer_alive: true,
         consumer_alive: true,
     }));
     (
@@ -85,35 +80,6 @@ impl<T> Producer<T> {
         ring.items.push_back(value);
         Ok(())
     }
-
-    /// Whether the consumer endpoint has been dropped. Pushing to a
-    /// closed ring always fails.
-    pub fn is_closed(&self) -> bool {
-        !lock(&self.ring).consumer_alive
-    }
-
-    /// Items currently in flight (racy by nature; exact only when the
-    /// other endpoint is quiescent).
-    pub fn len(&self) -> usize {
-        lock(&self.ring).items.len()
-    }
-
-    /// Whether the ring currently holds no items (racy; see
-    /// [`len`](Producer::len)).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The fixed item count the ring was created with.
-    pub fn capacity(&self) -> usize {
-        lock(&self.ring).capacity
-    }
-}
-
-impl<T> Drop for Producer<T> {
-    fn drop(&mut self) {
-        lock(&self.ring).producer_alive = false;
-    }
 }
 
 /// The pop end of an [`spsc`] ring. Owned by exactly one thread.
@@ -123,35 +89,9 @@ pub struct Consumer<T> {
 
 impl<T> Consumer<T> {
     /// Attempts to dequeue the oldest item without waiting. Returns
-    /// `None` when the ring is momentarily empty — check
-    /// [`is_closed`](Consumer::is_closed) to distinguish "no data yet"
-    /// from "producer finished".
+    /// `None` when the ring is empty.
     pub fn try_pop(&mut self) -> Option<T> {
         lock(&self.ring).items.pop_front()
-    }
-
-    /// Whether the ring is drained for good: the producer endpoint was
-    /// dropped *and* every pushed item has been popped.
-    pub fn is_closed(&self) -> bool {
-        let ring = lock(&self.ring);
-        !ring.producer_alive && ring.items.is_empty()
-    }
-
-    /// Items currently in flight (racy by nature; exact only when the
-    /// other endpoint is quiescent).
-    pub fn len(&self) -> usize {
-        lock(&self.ring).items.len()
-    }
-
-    /// Whether the ring currently holds no items (racy; see
-    /// [`len`](Consumer::len)).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The fixed item count the ring was created with.
-    pub fn capacity(&self) -> usize {
-        lock(&self.ring).capacity
     }
 }
 
@@ -189,16 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn close_detection_both_sides() {
-        let (tx, rx) = spsc::<u8>(2);
-        assert!(!rx.is_closed());
-        drop(tx);
-        assert!(rx.is_closed());
-
+    fn push_fails_once_the_consumer_is_gone() {
         let (mut tx, rx) = spsc::<u8>(2);
-        assert!(!tx.is_closed());
         drop(rx);
-        assert!(tx.is_closed());
         assert_eq!(tx.try_push(1), Err(1));
     }
 
@@ -208,11 +141,10 @@ mod tests {
         tx.try_push(1).unwrap();
         tx.try_push(2).unwrap();
         drop(tx);
-        // Producer gone but items remain: not closed yet.
-        assert!(!rx.is_closed());
+        // Producer gone: what it pushed still pops, in order.
         assert_eq!(rx.try_pop(), Some(1));
         assert_eq!(rx.try_pop(), Some(2));
-        assert!(rx.is_closed());
+        assert_eq!(rx.try_pop(), None);
     }
 
     #[test]

@@ -147,16 +147,6 @@ impl StunTracker {
         self.next_expiry_nanos = oldest.saturating_add(timeout).saturating_add(1);
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> TrackerStats {
         self.stats
@@ -188,7 +178,7 @@ mod tests {
         t.register(ep(1, 50_000), 0);
         assert!(!t.check(ep(1, 50_000), 11 * SEC));
         assert_eq!(t.stats().expired, 1);
-        assert!(t.is_empty());
+        assert!(t.entries.is_empty());
     }
 
     #[test]
@@ -216,9 +206,9 @@ mod tests {
         for i in 0..100u16 {
             t.register(ep(1, 40_000 + i), 0);
         }
-        assert_eq!(t.len(), 100);
+        assert_eq!(t.entries.len(), 100);
         t.sweep(5 * SEC);
-        assert!(t.is_empty());
+        assert!(t.entries.is_empty());
         assert_eq!(t.stats().expired, 100);
     }
 
@@ -231,7 +221,7 @@ mod tests {
         for i in 0..100u64 {
             t.register(ep((i % 250) as u8, 40_000 + i as u16), i * SEC);
         }
-        assert!(t.len() < 100);
+        assert!(t.entries.len() < 100);
     }
 
     fn nth_ep(i: usize) -> Endpoint {
@@ -247,13 +237,13 @@ mod tests {
         for i in 0..REGISTER_ENTRIES {
             t.register(nth_ep(i), if i < half { 0 } else { 8 * SEC });
         }
-        assert_eq!(t.len(), REGISTER_ENTRIES);
+        assert_eq!(t.entries.len(), REGISTER_ENTRIES);
 
         // Full and nothing expired yet: refused, and never matched.
         let late = nth_ep(REGISTER_ENTRIES);
         t.register(late, 9 * SEC);
         assert_eq!(t.stats().rejected_full, 1);
-        assert_eq!(t.len(), REGISTER_ENTRIES);
+        assert_eq!(t.entries.len(), REGISTER_ENTRIES);
         assert!(!t.check(late, 9 * SEC));
         // A live endpoint still refreshes at capacity.
         t.register(nth_ep(half), 9 * SEC);
@@ -263,7 +253,7 @@ mod tests {
         t.register(late, 11 * SEC);
         assert_eq!(t.stats().rejected_full, 1);
         assert_eq!(t.stats().expired, half as u64);
-        assert_eq!(t.len(), REGISTER_ENTRIES - half + 1);
+        assert_eq!(t.entries.len(), REGISTER_ENTRIES - half + 1);
         assert!(t.check(late, 11 * SEC));
     }
 

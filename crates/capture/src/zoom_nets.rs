@@ -53,34 +53,14 @@ pub struct ZoomIpList {
 }
 
 impl ZoomIpList {
-    /// Empty list.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Build from networks.
     pub fn from_networks(networks: Vec<ZoomNetwork>) -> Self {
         ZoomIpList { networks }
     }
 
-    /// Add one network.
-    pub fn push(&mut self, network: ZoomNetwork) {
-        self.networks.push(network);
-    }
-
     /// All networks.
     pub fn networks(&self) -> &[ZoomNetwork] {
         &self.networks
-    }
-
-    /// Number of networks.
-    pub fn len(&self) -> usize {
-        self.networks.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.networks.is_empty()
     }
 
     /// Total number of covered addresses.
@@ -177,20 +157,6 @@ mod tests {
         assert_eq!(breakdown.len(), 4);
         let total: u64 = breakdown.iter().map(|(_, n)| n).sum();
         assert_eq!(total, list.total_addresses());
-    }
-
-    #[test]
-    fn push_extends_index() {
-        let mut list = ZoomIpList::new();
-        assert!(list.is_empty());
-        let cidr = "100.64.0.0/10".parse().unwrap();
-        list.push(ZoomNetwork {
-            cidr,
-            owner: Owner::Other,
-        });
-        assert_eq!(list.len(), 1);
-        assert_eq!(list.networks()[0].cidr, cidr);
-        assert_eq!(list.total_addresses(), 1 << 22);
     }
 
     #[test]

@@ -19,8 +19,7 @@
 
 use super::sources::{build_sources, start_capture, Sources};
 use super::{
-    capture_snapshot, filter_config, parse_args, parse_duration, write_snapshot, CliError,
-    CmdResult, FlagSpec,
+    filter_config, parse_args, parse_duration, write_snapshot, CliError, CmdResult, FlagSpec,
 };
 use std::time::Duration;
 use zoom_analysis::obs::PipelineMetrics;
@@ -44,13 +43,17 @@ pub fn run(args: &[String]) -> CmdResult {
         ));
     };
     if source_specs.is_empty() {
-        return Err("capture needs at least one --source (pcap:PATH or sim:SPEC)".into());
+        return Err(CliError::usage(
+            "capture needs at least one --source (pcap:PATH or sim:SPEC)",
+        ));
     }
     // Parsed even under --no-filter, so a bad flag value fails either way.
     let config = filter_config(&flags)?;
     let filtering = !flags.contains_key("no-filter");
     if !filtering && config.anonymizer.is_some() {
-        return Err("--anonymize needs the filter pipeline (drop --no-filter)".into());
+        return Err(CliError::usage(
+            "--anonymize needs the filter pipeline (drop --no-filter)",
+        ));
     }
     let follow = flags.contains_key("follow");
     let idle_exit = flags
@@ -132,7 +135,7 @@ fn filter_sources(
 
     if let Some(path) = metrics_path {
         let mut snap = metrics.snapshot();
-        snap.capture = pipeline.map(|p| capture_snapshot(p.counters()));
+        snap.capture = pipeline.map(|p| p.counters());
         debug_assert!(snap.conservation_holds());
         write_snapshot(path, &snap)?;
     }

@@ -26,32 +26,29 @@ pub fn run(args: &[String]) -> CmdResult {
     };
     let max_offset: usize = number_flag(&flags, "max-offset", 48)?;
 
-    let mut mux = start_capture(build_sources(std::slice::from_ref(input), &[], None)?, None);
-    let mut batch = RecordBatch::new();
-    let mut flows: HashMap<FiveTuple, Vec<(u64, Vec<u8>)>> = HashMap::new();
-    while let Some(link) = mux.next_batch(&mut batch, BATCH_RECORDS)? {
-        for record in batch.iter() {
-            if let Ok(d) = dissect(record.ts_nanos, record.data, link, P2pProbe::Off) {
-                if matches!(d.transport, Transport::Udp { .. }) {
-                    flows
-                        .entry(d.five_tuple)
-                        .or_default()
-                        .push((d.ts_nanos, d.payload.to_vec()));
-                }
-            }
+    // Pass 1: count each flow's UDP records and pick the flows that are
+    // printed — the five longest, of those the ones with at least 50
+    // records; flows of one length in five-tuple order, so the output is a
+    // function of the input.
+    let mut counts: HashMap<FiveTuple, usize> = HashMap::new();
+    each_udp(input, |flow, _, _| *counts.entry(flow).or_default() += 1)?;
+    let mut ordered: Vec<(FiveTuple, usize)> = counts.into_iter().collect();
+    ordered.sort_by(|(a, x), (b, y)| y.cmp(x).then(a.cmp(b)));
+    ordered.truncate(5);
+    ordered.retain(|&(_, n)| n >= 50);
+    // Pass 2: keep the payloads of those flows only.
+    let mut flows: HashMap<FiveTuple, Vec<(u64, Vec<u8>)>> = (ordered.iter())
+        .map(|&(flow, n)| (flow, Vec::with_capacity(n)))
+        .collect();
+    each_udp(input, |flow, ts, payload| {
+        if let Some(packets) = flows.get_mut(&flow) {
+            packets.push((ts, payload.to_vec()));
         }
-    }
-    type FlowPackets = Vec<(FiveTuple, Vec<(u64, Vec<u8>)>)>;
-    let mut ordered: FlowPackets = flows.into_iter().collect();
-    // Longest first; flows of one length in five-tuple order, so the
-    // output is a function of the input.
-    ordered.sort_by(|(a, x), (b, y)| y.len().cmp(&x.len()).then(a.cmp(b)));
+    })?;
 
     let mut out = std::io::BufWriter::new(std::io::stdout().lock());
-    for (flow, packets) in ordered.iter().take(5) {
-        if packets.len() < 50 {
-            continue;
-        }
+    for (flow, _) in &ordered {
+        let packets = &flows[flow];
         writeln!(out, "=== flow {flow} ({} packets) ===", packets.len())
             .map_err(CliError::stdout)?;
         // Confident field classifications.
@@ -103,4 +100,22 @@ pub fn run(args: &[String]) -> CmdResult {
         writeln!(out).map_err(CliError::stdout)?;
     }
     out.flush().map_err(CliError::stdout)
+}
+
+/// Reads `input` once, handing each record that dissects as UDP to `each`
+/// as its flow, timestamp and payload.
+fn each_udp(input: &str, mut each: impl FnMut(FiveTuple, u64, &[u8])) -> CmdResult {
+    let sources = build_sources(&[input.to_owned()], &[], None)?;
+    let mut mux = start_capture(sources, None);
+    let mut batch = RecordBatch::new();
+    while let Some(link) = mux.next_batch(&mut batch, BATCH_RECORDS)? {
+        for record in batch.iter() {
+            if let Ok(d) = dissect(record.ts_nanos, record.data, link, P2pProbe::Off) {
+                if matches!(d.transport, Transport::Udp { .. }) {
+                    each(d.five_tuple, d.ts_nanos, d.payload);
+                }
+            }
+        }
+    }
+    Ok(())
 }

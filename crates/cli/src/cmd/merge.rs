@@ -292,10 +292,10 @@ pub fn run(args: &[String]) -> CmdResult {
     let checkpoint_path = flags.get("checkpoint").cloned();
     let restore = flags.contains_key("restore");
     if restore && checkpoint_path.is_none() {
-        return Err(CliError::config("--restore needs --checkpoint PATH"));
+        return Err(CliError::usage("--restore needs --checkpoint PATH"));
     }
     if checkpoint_path.is_some() && window.is_none() {
-        return Err(CliError::config(
+        return Err(CliError::usage(
             "--checkpoint needs --window: only windowed output can be resumed incrementally",
         ));
     }
@@ -317,7 +317,7 @@ pub fn run(args: &[String]) -> CmdResult {
             }
             let count: usize = flags
                 .get("workers")
-                .ok_or_else(|| CliError::config("merge --listen needs --workers N"))?
+                .ok_or_else(|| CliError::usage("merge --listen needs --workers N"))?
                 .parse::<usize>()
                 .ok()
                 .filter(|n| *n > 0)
@@ -326,7 +326,7 @@ pub fn run(args: &[String]) -> CmdResult {
         }
         None => {
             if files.is_empty() {
-                return Err(CliError::config(
+                return Err(CliError::usage(
                     "no input: give fragment files or --listen ADDR --workers N",
                 ));
             }

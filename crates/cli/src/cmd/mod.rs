@@ -13,9 +13,9 @@ pub mod sources;
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
-use zoom_analysis::obs::{CaptureMetricsSnapshot, MetricsSnapshot};
+use zoom_analysis::obs::MetricsSnapshot;
 use zoom_capture::anonymize::{Anonymizer, Mode};
-use zoom_capture::pipeline::{PipelineConfig, StageCounters};
+use zoom_capture::pipeline::PipelineConfig;
 use zoom_wire::cidr::Cidr;
 use zoom_wire::family::FamilySelect;
 
@@ -26,7 +26,7 @@ use zoom_wire::family::FamilySelect;
 /// | code | meaning                                                |
 /// |------|--------------------------------------------------------|
 /// | 1    | generic runtime failure                                |
-/// | 2    | usage (bad subcommand, malformed arguments, a flag that needs another) |
+/// | 2    | usage (bad subcommand, malformed arguments, missing input, a flag that needs another) |
 /// | 3    | invalid configuration (bad flag value, bad `--source`) |
 /// | 4    | parse / wire-protocol error (malformed pcap, fragment) |
 /// | 5    | I/O failure (file or socket)                           |
@@ -326,7 +326,7 @@ pub struct TraceOutput {
 impl TraceOutput {
     /// Build from parsed flags; `Ok(None)` when no tracing flag is
     /// present. `--trace-sample` without `--trace`/`--self-profile` is a
-    /// configuration error.
+    /// usage error.
     pub fn from_flags(flags: &HashMap<String, String>) -> Result<Option<TraceOutput>, CliError> {
         let path = flags.get("trace");
         let profile_path = flags.get("self-profile").cloned();
@@ -340,7 +340,7 @@ impl TraceOutput {
         };
         if path.is_none() && profile_path.is_none() {
             if flags.contains_key("trace-sample") {
-                return Err(CliError::config(
+                return Err(CliError::usage(
                     "--trace-sample needs --trace FILE or --self-profile FILE",
                 ));
             }
@@ -483,25 +483,6 @@ pub fn filter_config(flags: &HashMap<String, String>) -> Result<PipelineConfig, 
         family,
         ..PipelineConfig::sample(DEFAULT_CAMPUS)
     })
-}
-
-/// The `capture` section of a `--metrics` snapshot, from the filter's
-/// stage counters.
-pub fn capture_snapshot(c: StageCounters) -> CaptureMetricsSnapshot {
-    CaptureMetricsSnapshot {
-        total: c.total,
-        excluded: c.excluded,
-        zoom_ip_matched: c.zoom_ip_matched,
-        stun_registered: c.stun_registered,
-        p2p_matched: c.p2p_matched,
-        rtc_stun_registered: c.rtc_stun_registered,
-        rtc_p2p_matched: c.rtc_p2p_matched,
-        dropped: c.dropped,
-        unparseable: c.unparseable,
-        passed: c.passed,
-        passed_bytes: c.passed_bytes,
-        total_bytes: c.total_bytes,
-    }
 }
 
 /// Write a `--metrics` snapshot: Prometheus text when `path` ends in

@@ -158,7 +158,9 @@ pub fn build_sources(
 ) -> Result<Sources, CliError> {
     let parsed = parse_specs(positional, specs)?;
     if parsed.is_empty() {
-        return Err("no input: give a pcap path or at least one --source".into());
+        return Err(CliError::usage(
+            "no input: give a pcap path or at least one --source",
+        ));
     }
     parsed.iter().map(|s| build_source(s, follow)).collect()
 }

@@ -11,7 +11,7 @@
 
 use crate::position_hinted;
 use zoom_wire::family::{FamilyId, ALL_FAMILIES, FAMILY_COUNT};
-use zoom_wire::zoom::{MediaType, RtpPayloadKind};
+use zoom_wire::zoom::MediaType;
 
 /// Running (packets, bytes) pair.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -130,11 +130,6 @@ impl Classifier {
         &self.by_family_media[FamilyId::Zoom.index()]
     }
 
-    /// Total packets seen (all families).
-    pub fn total(&self) -> Counts {
-        self.total
-    }
-
     /// The Table-6-style cross-family rows for reports: empty when only
     /// Zoom traffic was classified (keeping Zoom-only report JSON
     /// byte-identical), the full [`Classifier::table6`] otherwise.
@@ -202,27 +197,6 @@ impl Classifier {
         // value breaks ties.
         rows.sort_by(|a, b| b.packets_pct.total_cmp(&a.packets_pct));
         rows
-    }
-
-    /// Table 3: RTP payload types per media type, sorted by packet share
-    /// descending, equal shares by (media type, payload type).
-    pub fn table3(&self) -> Vec<TableRow> {
-        let mut pairs: Vec<&((u8, u8), Counts)> = self.by_payload_kind.iter().collect();
-        pairs.sort_by(|(ka, a), (kb, b)| b.packets.cmp(&a.packets).then(ka.cmp(kb)));
-        pairs
-            .into_iter()
-            .map(|&((t, pt), ref c)| {
-                let mt = MediaType::from_byte(t);
-                let kind = RtpPayloadKind::classify(mt, pt);
-                let (packets_pct, bytes_pct) = self.shares(c);
-                TableRow {
-                    label: format!("{} ({t})", media_label(mt)),
-                    detail: format!("PT {pt} — {}", kind.description()),
-                    packets_pct,
-                    bytes_pct,
-                }
-            })
-            .collect()
     }
 
     /// Table-6-style cross-family breakdown: one row per (family, media
@@ -315,14 +289,8 @@ mod tests {
         c.record(FamilyId::Zoom, MediaType::Video, Some(98), 1_000);
         c.record(FamilyId::Zoom, MediaType::Video, Some(110), 800);
         c.record(FamilyId::Zoom, MediaType::Audio, Some(99), 110);
-        let t3 = c.table3();
-        assert_eq!(t3.len(), 3);
-        assert!(t3
-            .iter()
-            .any(|r| r.detail.contains("PT 110") && r.detail.contains("FEC")));
-        assert!(t3
-            .iter()
-            .any(|r| r.detail.contains("PT 99") && r.detail.contains("silent")));
+        assert!(c.share(MediaType::Video, 110).0 > 30.0);
+        assert!(c.share(MediaType::Audio, 99).0 > 30.0);
         let (p, b) = c.share(MediaType::Video, 98);
         assert!(p > 30.0 && b > 50.0);
         assert_eq!(c.share(MediaType::Video, 42), (0.0, 0.0));
@@ -341,12 +309,6 @@ mod tests {
         // fall back to the type value.
         let t2: Vec<String> = c.table2().into_iter().map(|r| r.label).collect();
         assert_eq!(t2, ["16", "13", "15"]);
-        // Table 3: four equal shares, ordered by (type, payload type).
-        let t3: Vec<String> = c.table3().into_iter().map(|r| r.detail).collect();
-        assert!(t3[0].starts_with("PT 99 "), "{t3:?}");
-        assert!(t3[1].starts_with("PT 112 "), "{t3:?}");
-        assert!(t3[2].starts_with("PT 98 "), "{t3:?}");
-        assert!(t3[3].starts_with("PT 110 "), "{t3:?}");
         // Table 6: two "Other" types with one packet each share a label;
         // the type value decides.
         c.record(FamilyId::Zoom, MediaType::Other(31), None, 100);
@@ -378,11 +340,11 @@ mod tests {
         c.record(FamilyId::Webrtc, MediaType::Audio, Some(111), 120);
 
         assert!(c.has_non_zoom_family());
-        assert_eq!(c.total().packets, 10);
+        assert_eq!(c.total.packets, 10);
         assert_eq!(c.by_family[FamilyId::Zoom.index()].packets, 6);
         assert_eq!(c.by_family[FamilyId::Webrtc.index()].packets, 4);
         // Zoom-specific tables (2/3) never see WebRTC packets.
-        assert_eq!(c.table3().len(), 1);
+        assert_eq!(c.share(MediaType::Video, 96), (0.0, 0.0));
         let t2_pkts: f64 = c.table2().iter().map(|r| r.packets_pct).sum();
         assert!((t2_pkts - 60.0).abs() < 1e-9);
 

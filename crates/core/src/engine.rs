@@ -241,17 +241,6 @@ impl StreamingEngine {
         Ok(StreamingEngine { analyzer, clock })
     }
 
-    /// Tracked entries (flows + streams + STUN registrations + RTP-copy
-    /// RTT candidates) as of the most recent tick.
-    pub fn tracked_entries(&self) -> usize {
-        self.clock.last_tracked
-    }
-
-    /// Highest tracked-entry count observed at any tick so far.
-    pub fn peak_tracked_entries(&self) -> usize {
-        self.clock.peak_tracked
-    }
-
     /// Drain the degradation alerts emitted by windows closed so far.
     ///
     /// Empty unless [`EngineConfig::qoe`] switched the detector on. Alerts

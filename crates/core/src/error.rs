@@ -29,16 +29,6 @@ pub enum Error {
     Config(String),
 }
 
-impl Error {
-    /// Wrap an I/O error with the path (or other context) it occurred on.
-    pub fn io(context: impl Into<String>, source: std::io::Error) -> Error {
-        Error::Io {
-            context: context.into(),
-            source,
-        }
-    }
-}
-
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -70,10 +60,10 @@ mod tests {
 
     #[test]
     fn display_includes_context() {
-        let e = Error::io(
-            "trace.pcap",
-            std::io::Error::new(std::io::ErrorKind::NotFound, "gone"),
-        );
+        let e = Error::Io {
+            context: "trace.pcap".into(),
+            source: std::io::Error::new(std::io::ErrorKind::NotFound, "gone"),
+        };
         assert!(e.to_string().contains("trace.pcap"));
         let s: String = Error::Config("bad CIDR".into()).into();
         assert!(s.contains("bad CIDR"));

@@ -65,11 +65,6 @@ impl JitterEstimator {
         Some(self.jitter_ms())
     }
 
-    /// Current jitter estimate in nanoseconds.
-    pub fn jitter_nanos(&self) -> f64 {
-        self.jitter_nanos
-    }
-
     /// Current jitter estimate in milliseconds.
     pub fn jitter_ms(&self) -> f64 {
         self.jitter_nanos / 1e6

@@ -281,14 +281,15 @@ impl SeqTracker {
         }
     }
 
-    /// Snapshot of the counters; call [`SeqTracker::finish`] for final
-    /// numbers including holes still inside the window.
+    /// Snapshot of the counters. A hole counts as missing once it leaves
+    /// the window; holes still inside it are not counted.
     pub fn stats(&self) -> SeqStats {
         self.stats
     }
 
     /// Close the stream: holes still in the window become missing.
-    pub fn finish(mut self) -> SeqStats {
+    #[cfg(test)]
+    fn finish(mut self) -> SeqStats {
         self.stats.missing += u64::from(self.hole_count);
         self.stats
     }

@@ -955,13 +955,6 @@ row_family! {
     }
 }
 
-impl SourceMetrics {
-    /// The source's display label (e.g. `pcap:trace.pcap` or `sim:p2p`).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-}
-
 row_family! {
     /// Merge-node accounting for one fragment worker feeding the
     /// distributed tier (`docs/DISTRIBUTED.md`).
@@ -995,13 +988,6 @@ row_family! {
         bytes_received: Gauge => Counter Num debug(4) prom("zoom_worker_bytes_received_total") "Record bytes the merge node decoded from each worker's stream.";
         complete: Gauge as bool => Gauge Flag debug(6) prom("zoom_worker_complete") "1 once a worker's stream ended with a proper Bye frame.";
         link_state: Gauge => Gauge LinkState debug(0) prom("zoom_worker_link_state") "Worker stream state: 0 pending, 1 streaming, 2 done, 3 error.";
-    }
-}
-
-impl WorkerMetrics {
-    /// The worker's display label from its Hello frame.
-    pub fn label(&self) -> &str {
-        &self.label
     }
 }
 
@@ -1079,18 +1065,17 @@ impl PipelineMetrics {
         }
     }
 
-    /// Count one offered record (size histogram included).
-    #[inline]
-    pub fn record_in(&self, bytes: usize) {
+    /// Count one offered record, size histogram included.
+    #[cfg(test)]
+    pub(crate) fn record_in(&self, bytes: usize) {
         self.packets_in.inc();
         self.bytes_in.add(bytes as u64);
         self.packet_size.observe(bytes as u64);
     }
 
-    /// Count a whole batch of offered records, published once: what
-    /// [`record_in`](Self::record_in) per record comes to for a fraction
-    /// of the shared-counter traffic. For a consumer that keeps no sink
-    /// (the capture filter); the sinks count through their own tally.
+    /// Count a whole batch of offered records (packets, bytes and the size
+    /// histogram), published once. For a consumer that keeps no sink (the
+    /// capture filter); the sinks count through their own tally.
     pub fn record_batch_in(&self, batch: &RecordBatch) {
         let tally = IngestTally::default();
         tally.record_batch_in(batch);
@@ -1199,10 +1184,9 @@ fn build_json() -> String {
 
 // ------------------------------------------------------------ snapshot --
 
-/// Capture-pipeline verdict counters (the software Tofino of Fig. 13),
-/// folded into a snapshot by the CLI when the capture stage runs in the
-/// same process. Plain data: `zoom-analysis` does not depend on
-/// `zoom-capture`, so the CLI maps `StageCounters` field by field.
+/// Capture-pipeline verdict counters (the software Tofino of Fig. 13 /
+/// Fig. 17): the capture filter counts into this struct, and a snapshot
+/// carries it when the capture stage runs in the same process.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CaptureMetricsSnapshot {
     /// Packets offered to the capture filter.

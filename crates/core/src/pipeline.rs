@@ -699,11 +699,6 @@ impl Analyzer {
         self.streams.get(key)
     }
 
-    /// Records that failed link/IP dissection.
-    pub fn undissectable(&self) -> u64 {
-        self.undissectable
-    }
-
     /// Batched ingest: one pass over the batch in record order, each
     /// record run through [`Analyzer::ingest`] — same observable state as
     /// per-record [`PacketSink::push`] calls.
@@ -1121,7 +1116,7 @@ mod tests {
     fn garbage_counted_as_undissectable() {
         let mut a = analyzer();
         feed(&mut a, &Record::full(0, vec![1, 2, 3]));
-        assert_eq!(a.undissectable(), 1);
+        assert_eq!(a.undissectable, 1);
         assert_eq!(a.summary().total_packets, 1);
         let m = a.metrics();
         assert_eq!(m.drops_total(), 1);

@@ -173,7 +173,7 @@ fn write_json_array<T>(
 /// milliseconds. `p50_ms` and `p95_ms` are the values at ranks
 /// `round((n − 1)·0.5)` and `round((n − 1)·0.95)` of the `n` samples in
 /// ascending order (counted from 0), read from the histogram: each is
-/// within [`LogHistogram::MAX_RELATIVE_ERROR`] (1/128) of that order
+/// within 1/128 of that order
 /// statistic. Everything is a function of the counts alone, so the
 /// summary is bit-identical whatever order the samples came in — the
 /// batch and streaming paths see them in different orders.
@@ -580,21 +580,7 @@ fn drops_from_metrics(m: &crate::obs::PipelineMetrics) -> DropsReport {
 
 // ---------------------------------------------------------------- text --
 
-/// The human-readable end-of-run report `zoom-tools analyze` and `merge`
-/// print without `--json`: trace summary, meetings, one line per live
-/// stream (with its stall and retransmission counts when it has any), and
-/// the RTT means.
-///
-/// A frame counts as retransmission-recovered when its delay exceeded the
-/// RTP-copy mean RTT as of its completion plus 100 ms (50 ms + 100 ms
-/// before the first RTT sample); see [`crate::metrics::stall`].
-pub fn render_text(analyzer: &Analyzer) -> String {
-    let mut out = Vec::new();
-    write_text(analyzer, &mut out).expect("a Vec takes every write");
-    String::from_utf8(out).expect("the report is UTF-8")
-}
-
-/// Write what [`render_text`] returns to `out`, a line at a time.
+/// Write the human-readable text report to `out`, a line at a time.
 pub fn write_text(analyzer: &Analyzer, out: &mut impl io::Write) -> io::Result<()> {
     let summary = analyzer.summary();
     writeln!(out, "=== trace summary ===")?;

@@ -83,9 +83,8 @@ pub trait PacketSink {
     /// section instead of only on stderr).
     fn note_pcap_truncated(&mut self, records: u64);
 
-    /// Record the pcap reader's cumulative delivery progress (gauges:
-    /// pass [`zoom_wire::pcap::Reader::records_read`] /
-    /// [`zoom_wire::pcap::Reader::bytes_read`]), so a metrics snapshot
+    /// Record the pcap reader's cumulative delivery progress (gauges: the
+    /// records and captured bytes delivered so far), so a metrics snapshot
     /// can relate pipeline counters to reader position. Optional; the
     /// default keeps the gauges at zero.
     fn note_pcap_progress(&mut self, _records: u64, _bytes: u64) {}

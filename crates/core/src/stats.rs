@@ -36,24 +36,11 @@ impl Samples {
         self.values.is_empty()
     }
 
-    /// Raw values (unordered).
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             self.values.sort_by(f64::total_cmp);
             self.sorted = true;
         }
-    }
-
-    /// Mean, or 0 for an empty collection.
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().sum::<f64>() / self.values.len() as f64
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank; 0 for empty.
@@ -156,23 +143,12 @@ impl TimeBins {
         &self.bins
     }
 
-    /// Bin width.
-    pub fn width_nanos(&self) -> u64 {
-        self.width_nanos
-    }
-
     /// Iterate `(bin_start_nanos, value)`.
     pub fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.bins
             .iter()
             .enumerate()
             .map(move |(i, &v)| (i as u64 * self.width_nanos, v))
-    }
-
-    /// Rates per second: value / bin-width-in-seconds.
-    pub fn rates(&self) -> Vec<f64> {
-        let secs = self.width_nanos as f64 / 1e9;
-        self.bins.iter().map(|v| v / secs).collect()
     }
 }
 
@@ -233,11 +209,6 @@ pub struct RateRows {
 }
 
 impl RateRows {
-    /// No rows.
-    pub fn new() -> RateRows {
-        RateRows::default()
-    }
-
     /// Count one packet of `ip_bytes` carrying `media_bytes` of payload,
     /// captured at `t_nanos`.
     #[inline]
@@ -263,16 +234,6 @@ impl RateRows {
     pub fn rows(&self) -> &[RateRow] {
         &self.rows
     }
-
-    /// Number of seconds that saw a packet.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no packet was counted.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
 }
 
 /// Bits of sub-bucket resolution: above [`EXACT_BELOW`], each power of two
@@ -289,18 +250,16 @@ const EXACT_BELOW: u64 = 2 * SUB_BUCKETS;
 /// Values below 128 are counted exactly. Above, every power of two
 /// `[2^e, 2^(e+1))` is cut into 64 equal buckets, so a bucket is at most
 /// 1/64 of its lower bound wide, and its midpoint — the value every query
-/// reports for it — is within [`LogHistogram::MAX_RELATIVE_ERROR`] = 1/128
-/// of any value in it. All of `u64` fits in 3 776 buckets (30 KiB), but
-/// the count vector holds only the buckets from the lowest non-empty one
-/// to the highest, and grows to exactly that span: round-trip times in
-/// nanoseconds, 10 ms to 500 ms, span buckets 1 164 to 1 527 — 364
-/// counts, 2.9 KB.
+/// reports for it — is within 1/128 of any value in it. All of `u64` fits
+/// in 3 776 buckets (30 KiB), but the count vector holds only the buckets
+/// from the lowest non-empty one to the highest, and grows to exactly that
+/// span: round-trip times in nanoseconds, 10 ms to 500 ms, span buckets
+/// 1 164 to 1 527 — 364 counts, 2.9 KB.
 ///
 /// Counts only grow, so the histogram of the values recorded between two
 /// instants is the difference of the histograms at those instants
-/// ([`LogHistogram::since`]), and the histogram of two value sets is the
-/// bucket-wise sum of theirs ([`LogHistogram::merge`]). Two histograms
-/// are equal when they count the same values into the same buckets.
+/// ([`LogHistogram::since`]). Two histograms are equal when they count
+/// the same values into the same buckets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LogHistogram {
     /// Count per bucket from bucket `first` on; empty, or non-zero at
@@ -312,10 +271,6 @@ pub struct LogHistogram {
 }
 
 impl LogHistogram {
-    /// Bound on `|reported − v| / v` for a value `v` and what a query
-    /// reports for it (its bucket's midpoint; exact below 128).
-    pub const MAX_RELATIVE_ERROR: f64 = 1.0 / 128.0;
-
     /// No values.
     pub fn new() -> LogHistogram {
         LogHistogram::default()
@@ -377,19 +332,6 @@ impl LogHistogram {
         self.total == 0
     }
 
-    /// Add `other`'s counts: the histogram of both value sets.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if other.counts.is_empty() {
-            return;
-        }
-        self.cover(other.first, other.first + other.counts.len());
-        let at = other.first - self.first;
-        for (c, o) in self.counts[at..].iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.total += other.total;
-    }
-
     /// The histogram of the values counted after `earlier`, a state this
     /// histogram passed through: the difference of the two.
     pub fn since(&self, earlier: &LogHistogram) -> LogHistogram {
@@ -426,9 +368,8 @@ impl LogHistogram {
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1): the value at rank `round((n − 1)·q)`
-    /// of the `n` values in ascending order, counted from 0 — within
-    /// [`LogHistogram::MAX_RELATIVE_ERROR`] of that order statistic. 0
-    /// when empty.
+    /// of the `n` values in ascending order, counted from 0 — within 1/128
+    /// of that order statistic. 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.total == 0 {
             return 0;
@@ -480,15 +421,15 @@ mod tests {
 
     #[test]
     fn rate_rows_accumulate_in_time_order() {
-        let mut b = RateRows::new();
-        assert!(b.is_empty());
+        let mut b = RateRows::default();
+        assert!(b.rows().is_empty());
         b.add(100, 10, 1);
         b.add(999_999_999, 20, 2);
         b.add(5_000_000_000, 40, 4);
         // A straggler from a second never seen, and one from a seen one.
         b.add(3_000_000_001, 7, 0);
         b.add(500, 1, 1);
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.rows().len(), 3);
         let rows: Vec<(u64, u64, u64, u64)> = b
             .rows()
             .iter()
@@ -525,8 +466,12 @@ mod tests {
         h
     }
 
+    /// Bound on `|reported − v| / v` for a value `v` and what a query
+    /// reports for it (its bucket's midpoint; exact below 128).
+    const MAX_RELATIVE_ERROR: f64 = 1.0 / 128.0;
+
     fn within_error(reported: u64, exact: u64) -> bool {
-        (reported as f64 - exact as f64).abs() <= exact as f64 * LogHistogram::MAX_RELATIVE_ERROR
+        (reported as f64 - exact as f64).abs() <= exact as f64 * MAX_RELATIVE_ERROR
     }
 
     #[test]
@@ -582,13 +527,10 @@ mod tests {
     }
 
     #[test]
-    fn histograms_merge_and_subtract_like_their_value_sets() {
+    fn histograms_subtract_like_their_value_sets() {
         let a = values(5, 3_000, |x| x % 90_000_000);
         let b = values(9, 2_000, |x| x >> (x % 64));
-        let mut merged = histogram_of(&a);
-        merged.merge(&histogram_of(&b));
         let union: Vec<u64> = a.iter().chain(&b).copied().collect();
-        assert_eq!(merged, histogram_of(&union));
         // A window's values are the difference of the histograms at its
         // two ends.
         let whole = histogram_of(&union);
@@ -703,8 +645,7 @@ mod tests {
                     marks.push((h.clone(), dense.clone()));
                 }
             }
-            // A window's histogram, and two merged: each as its dense
-            // counts' difference and sum.
+            // A window's histogram, as its dense counts' difference.
             for (mark, mark_dense) in &marks {
                 let window = h.since(mark);
                 let mut diff = dense.clone();
@@ -713,12 +654,6 @@ mod tests {
                 }
                 answers_like_dense(&window, &diff, &format!("spread {s}, since"));
                 assert_eq!(window.since(&window), LogHistogram::new());
-                let mut merged = mark.clone();
-                merged.merge(&window);
-                assert_eq!(merged, h, "spread {s}: mark + window");
-                let mut other = window.clone();
-                other.merge(mark);
-                assert_eq!(other, h, "spread {s}: window + mark");
             }
         }
     }
@@ -742,7 +677,6 @@ mod tests {
         assert_eq!(s.median(), 3.0);
         assert_eq!(s.quantile(0.0), 1.0);
         assert_eq!(s.quantile(1.0), 5.0);
-        assert_eq!(s.mean(), 3.0);
     }
 
     #[test]
@@ -800,7 +734,6 @@ mod tests {
         b.add(1_000_000_000, 7.0);
         b.add(5_000_000_000, 100.0); // beyond end: dropped
         assert_eq!(b.bins(), &[15.0, 7.0, 0.0]);
-        assert_eq!(b.rates(), vec![15.0, 7.0, 0.0]);
         let pairs: Vec<_> = b.iter().collect();
         assert_eq!(pairs[1], (1_000_000_000, 7.0));
     }

@@ -457,13 +457,6 @@ impl Stream {
         &mut self.substreams[hit]
     }
 
-    /// The sub-stream carrying `payload_type`, if one was seen.
-    pub fn substream(&self, payload_type: u8) -> Option<&SubStream> {
-        self.substreams
-            .iter()
-            .find(|s| s.payload_type == payload_type)
-    }
-
     /// Snapshot of the state grouping step 1 compares candidates on,
     /// read from the dominant sub-stream — dominant over every
     /// incarnation of the key, for a stream that returned after an
@@ -813,11 +806,6 @@ impl StreamTracker {
         self.position(key).map(|at| &self.streams[at])
     }
 
-    /// Mutable access (grouping sets `unique_id`).
-    pub fn get_mut(&mut self, key: &StreamKey) -> Option<&mut Stream> {
-        self.position(key).map(|at| &mut self.streams[at])
-    }
-
     /// Iterate streams in creation order.
     pub fn iter(&self) -> impl Iterator<Item = &Stream> + '_ {
         self.streams.iter()
@@ -985,7 +973,8 @@ mod tests {
         t.on_packet(&meta(MS, 0x21, 110, 1, 100, false)).unwrap();
         let s = t.get(&k).unwrap();
         assert_eq!(s.substreams.len(), 2);
-        assert!(s.substream(110).unwrap().kind.is_fec());
+        let fec = s.substreams.iter().find(|sub| sub.payload_type == 110);
+        assert!(fec.unwrap().kind.is_fec());
         // FEC packets don't create frames; the single main packet does.
         assert_eq!(s.frames().unwrap().count(), 1);
     }
@@ -1062,7 +1051,8 @@ mod tests {
         let s = t.get(&k).unwrap();
         // Only two jitter observations (one per distinct timestamp).
         assert!(s.seconds().unwrap().jitter().len() <= 2);
-        assert_eq!(s.substream(98).unwrap().last_rtp_ts, 3_100);
+        let main = s.substreams.iter().find(|sub| sub.payload_type == 98);
+        assert_eq!(main.unwrap().last_rtp_ts, 3_100);
     }
 
     #[test]

@@ -259,7 +259,7 @@ proptest! {
         for &s in &seqs {
             t.on_sequence(s);
         }
-        let st = t.finish();
+        let st = t.stats();
         prop_assert_eq!(st.received, seqs.len() as u64);
         prop_assert_eq!(st.unique + st.duplicates, st.received);
         prop_assert!(st.reordered <= st.unique);
@@ -272,7 +272,7 @@ proptest! {
         for i in 0..len {
             t.on_sequence(start.wrapping_add(i as u16));
         }
-        let st = t.finish();
+        let st = t.stats();
         prop_assert_eq!(st.unique, len as u64);
         prop_assert_eq!(st.duplicates, 0);
         prop_assert_eq!(st.missing, 0);
@@ -293,7 +293,7 @@ proptest! {
             t += d;
             ts = ts.wrapping_add(ticks);
         }
-        prop_assert!(j.jitter_nanos() >= 0.0);
+        prop_assert!(j.jitter_ms() >= 0.0);
     }
 
     /// Perfectly paced: jitter stays ~0 regardless of rate.
@@ -367,7 +367,7 @@ proptest! {
             0..400,
         ),
     ) {
-        let mut rows = RateRows::new();
+        let mut rows = RateRows::default();
         let mut ip: HashMap<u64, f64> = HashMap::new();
         let mut pkts: HashMap<u64, f64> = HashMap::new();
         let mut media: HashMap<u64, f64> = HashMap::new();
@@ -385,7 +385,7 @@ proptest! {
                 *media.entry(second).or_insert(0.0) += media_len as f64;
             }
         }
-        prop_assert_eq!(rows.len(), ip.len());
+        prop_assert_eq!(rows.rows().len(), ip.len());
         prop_assert!(rows.rows().windows(2).all(|w| w[0].second < w[1].second));
         for r in rows.rows() {
             prop_assert_eq!(r.ip_bytes as f64, ip[&r.second]);

@@ -163,7 +163,6 @@ pub struct ZoomServer {
 pub struct Infrastructure {
     pub ip_list: ZoomIpList,
     pub servers: Vec<ZoomServer>,
-    by_ip: HashMap<Ipv4Addr, usize>,
     mmr_indices: Vec<usize>,
     zc_indices: Vec<usize>,
 }
@@ -278,7 +277,6 @@ impl Infrastructure {
             }
         }
 
-        let by_ip = servers.iter().enumerate().map(|(i, s)| (s.ip, i)).collect();
         let mmr_indices = servers
             .iter()
             .enumerate()
@@ -295,15 +293,9 @@ impl Infrastructure {
         Infrastructure {
             ip_list,
             servers,
-            by_ip,
             mmr_indices,
             zc_indices,
         }
-    }
-
-    /// Look a server up by IP.
-    pub fn server(&self, ip: Ipv4Addr) -> Option<&ZoomServer> {
-        self.by_ip.get(&ip).map(|&i| &self.servers[i])
     }
 
     /// Pick a random MMR, preferring US sites the way a US campus would.
@@ -420,7 +412,7 @@ mod tests {
     #[test]
     fn totals_match_appendix_b() {
         let infra = Infrastructure::generate();
-        assert_eq!(infra.ip_list.len(), TOTAL_NETWORKS);
+        assert_eq!(infra.ip_list.networks().len(), TOTAL_NETWORKS);
         assert_eq!(infra.ip_list.total_addresses(), TOTAL_ADDRESSES);
         let mmrs = infra
             .servers
@@ -502,15 +494,6 @@ mod tests {
             .find(|s| s.location.contains("Denver"))
             .unwrap();
         assert_eq!(frankfurt.code, denver.code);
-    }
-
-    #[test]
-    fn reverse_dns_hits_and_misses() {
-        let infra = Infrastructure::generate();
-        let s = &infra.servers[10];
-        let name = |ip| infra.server(ip).map(|s| s.name.as_str());
-        assert_eq!(name(s.ip), Some(s.name.as_str()));
-        assert_eq!(name(Ipv4Addr::new(8, 8, 8, 8)), None);
     }
 
     #[test]

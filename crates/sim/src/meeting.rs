@@ -371,17 +371,6 @@ enum Mode {
     P2p,
 }
 
-/// Counters describing what the meeting generated.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MeetingStats {
-    pub packets_emitted: u64,
-    pub bytes_emitted: u64,
-    pub media_packets_sent: u64,
-    pub retransmissions: u64,
-    pub packets_lost_for_good: u64,
-    pub stun_exchanges: u64,
-}
-
 /// The meeting simulator; iterate to obtain monitor-visible records.
 pub struct MeetingSim {
     cfg: MeetingConfig,
@@ -389,7 +378,6 @@ pub struct MeetingSim {
     queue: EventQueue<Ev>,
     participants: Vec<PState>,
     mode: Mode,
-    stats: MeetingStats,
     now: Nanos,
 }
 
@@ -486,14 +474,8 @@ impl MeetingSim {
             queue,
             participants,
             mode: Mode::Sfu,
-            stats: MeetingStats::default(),
             now: 0,
         }
-    }
-
-    /// Counters (final after exhaustion).
-    pub fn stats(&self) -> MeetingStats {
-        self.stats
     }
 
     /// Ground-truth QoS per participant; call after exhausting the
@@ -506,16 +488,6 @@ impl MeetingSim {
             .collect()
     }
 
-    /// Drain the whole meeting through `sink`, returning stats and ground
-    /// truth.
-    pub fn run(mut self, sink: &mut dyn FnMut(Record)) -> (MeetingStats, Vec<Vec<QosSample>>) {
-        for record in &mut self {
-            sink(record);
-        }
-        let stats = self.stats;
-        (stats, self.ground_truth())
-    }
-
     // ------------------------------------------------------------------
     // Event handling
     // ------------------------------------------------------------------
@@ -524,8 +496,6 @@ impl MeetingSim {
         self.now = now;
         match ev {
             Ev::Emit(r) => {
-                self.stats.packets_emitted += 1;
-                self.stats.bytes_emitted += r.data.len() as u64;
                 return Some(r);
             }
             Ev::Join(i) => self.on_join(now, i),
@@ -547,7 +517,6 @@ impl MeetingSim {
             } => self.on_sfu_arrival(now, spec, media_bytes, sent_at),
             Ev::Retransmit { spec, attempt } => {
                 if self.alive(spec.sender) {
-                    self.stats.retransmissions += 1;
                     self.send_media(now, spec, attempt);
                 }
             }
@@ -559,7 +528,6 @@ impl MeetingSim {
                 attempt,
             } => {
                 if self.alive(to) {
-                    self.stats.retransmissions += 1;
                     self.forward_copy(now, spec, media_bytes, to, sent_at, attempt);
                 }
             }
@@ -1041,7 +1009,6 @@ impl MeetingSim {
     }
 
     fn on_stun(&mut self, now: Nanos, i: usize, round: u8) {
-        self.stats.stun_exchanges += 1;
         if !self.participants[i].cfg.on_campus {
             return; // the peer's STUN exchange doesn't cross our tap
         }
@@ -1179,7 +1146,6 @@ impl MeetingSim {
         if !self.alive(spec.sender) {
             return;
         }
-        self.stats.media_packets_sent += 1;
         if spec.media.is_rtp_media() && attempt == 0 {
             let midx = Self::media_index(spec.media);
             let p = &mut self.participants[spec.sender];
@@ -1282,7 +1248,6 @@ impl MeetingSim {
             // Lost for good (Zoom retransmits at most twice; RTCP and
             // control packets are never retransmitted).
             if spec.media.is_rtp_media() {
-                self.stats.packets_lost_for_good += 1;
                 for j in 0..self.participants.len() {
                     if j != spec.sender && self.alive(j) {
                         self.participants[j].qos.packet_lost(now);
@@ -1375,7 +1340,6 @@ impl MeetingSim {
     ) {
         if attempt >= 2 || !spec.media.is_rtp_media() {
             if spec.media.is_rtp_media() {
-                self.stats.packets_lost_for_good += 1;
                 self.participants[j].qos.packet_lost(now);
             }
             return;

@@ -147,11 +147,6 @@ impl QosLogger {
         self.roll(end + SEC);
         self.samples
     }
-
-    /// Samples collected so far.
-    pub fn samples(&self) -> &[QosSample] {
-        &self.samples
-    }
 }
 
 #[cfg(test)]

@@ -72,11 +72,6 @@ impl RateController {
         self.pinned_reduced = pinned;
     }
 
-    /// Current smoothed jitter estimate in nanoseconds.
-    pub fn jitter(&self) -> f64 {
-        self.jitter_estimate
-    }
-
     /// Feed one uplink observation: `sent_at` → `arrived_at` (at the SFU)
     /// for consecutive packets; applies the RFC 3550 recursion
     /// `J += (|D| − J) / 16`.
@@ -165,7 +160,7 @@ mod tests {
         let end = feed(&mut rc, 0, 1000, |_| 20 * MS);
         assert!(!rc.control(end, &mut enc));
         assert_eq!(enc.mode(), VideoMode::Full);
-        assert!(rc.jitter() < MS as f64);
+        assert!(rc.jitter_estimate < MS as f64);
     }
 
     #[test]
@@ -240,6 +235,6 @@ mod tests {
         rc.observe(0, 20 * MS);
         rc.observe(10 * MS, 10 * MS + 36 * MS); // transit +16 ms
                                                 // First difference: |16 ms| / 16 = 1 ms.
-        assert!((rc.jitter() - MS as f64).abs() < 1.0);
+        assert!((rc.jitter_estimate - MS as f64).abs() < 1.0);
     }
 }

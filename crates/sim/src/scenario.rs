@@ -215,10 +215,10 @@ mod tests {
 
     #[test]
     fn validation_experiment_runs_to_completion() {
-        let mut sink = |_: zoom_wire::pcap::Record| {};
-        let sim = MeetingSim::new(validation_experiment(1));
-        let (stats, gt) = sim.run(&mut sink);
-        assert!(stats.packets_emitted > 10_000);
+        let mut sim = MeetingSim::new(validation_experiment(1));
+        let emitted = sim.by_ref().count();
+        let gt = sim.ground_truth();
+        assert!(emitted > 10_000);
         assert_eq!(gt.len(), 2);
         // The campus participant observed ~330 one-second QoS samples.
         assert!(gt[0].len() >= 300, "samples {}", gt[0].len());

@@ -17,11 +17,6 @@ pub const MS: Nanos = 1_000_000;
 /// One microsecond in nanoseconds.
 pub const US: Nanos = 1_000;
 
-/// Convert nanoseconds to floating-point seconds (for reports).
-pub fn secs(t: Nanos) -> f64 {
-    t as f64 / SEC as f64
-}
-
 /// A time-ordered event queue with FIFO tie-breaking.
 ///
 /// Ties are broken by insertion order so that simulations are fully
@@ -81,16 +76,6 @@ impl<E> EventQueue<E> {
             .expect("a queued slot holds its event");
         Some((at, event))
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -141,8 +126,7 @@ mod tests {
                     let want = (!model.is_empty()).then(|| model.remove(0));
                     proptest::prop_assert_eq!(q.pop(), want);
                 }
-                proptest::prop_assert_eq!(q.len(), model.len());
-                proptest::prop_assert_eq!(q.is_empty(), model.is_empty());
+                proptest::prop_assert_eq!(q.heap.len(), model.len());
             }
             while let Some(want) = (!model.is_empty()).then(|| model.remove(0)) {
                 proptest::prop_assert_eq!(q.pop(), Some(want));
@@ -153,7 +137,6 @@ mod tests {
 
     #[test]
     fn unit_conversions() {
-        assert_eq!(secs(1_500_000_000), 1.5);
         assert_eq!(SEC, 1000 * MS);
         assert_eq!(MS, 1000 * US);
     }

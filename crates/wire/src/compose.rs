@@ -232,7 +232,7 @@ mod tests {
         let buf = udp_ipv4_ethernet(src, dst, 1111, 2222, b"abc");
         let eth = EthPacket::new_checked(&buf[..]).unwrap();
         assert_eq!(eth.ethertype(), EtherType::Ipv4);
-        let ip = Ip4Packet::new_checked(eth.payload()).unwrap();
+        let ip = Ip4Packet::new_checked(&buf[ethernet::HEADER_LEN..]).unwrap();
         assert!(ip.verify_checksum());
         let u = UdpPacket::new_checked(ip.payload()).unwrap();
         assert!(u.verify_checksum_v4(src, dst));
@@ -258,11 +258,12 @@ mod tests {
             b"hello",
         );
         let eth = EthPacket::new_checked(&buf[..]).unwrap();
-        let ip = Ip4Packet::new_checked(eth.payload()).unwrap();
+        assert_eq!(eth.ethertype(), EtherType::Ipv4);
+        let ip = Ip4Packet::new_checked(&buf[ethernet::HEADER_LEN..]).unwrap();
         assert!(ip.verify_checksum());
         let t = crate::tcp::Packet::new_checked(ip.payload()).unwrap();
         assert!(t.verify_checksum_v4(src, dst));
-        assert_eq!(t.payload(), b"hello");
+        assert_eq!(&ip.payload()[t.header_len()..], b"hello");
         assert_eq!(t.seq_number(), 7);
     }
 
@@ -270,6 +271,6 @@ mod tests {
     fn mac_derivation_is_stable_and_unicast() {
         let m = mac_for_ip(Ipv4Addr::new(10, 8, 3, 4));
         assert_eq!(m, mac_for_ip(Ipv4Addr::new(10, 8, 3, 4)));
-        assert!(!m.is_multicast());
+        assert_eq!(m.0[0] & 0x01, 0, "the group bit is clear");
     }
 }

@@ -601,19 +601,6 @@ pub enum DropStage {
     Malformed,
 }
 
-impl DropStage {
-    /// Stable lower-case label, used as the metric name suffix.
-    pub fn label(self) -> &'static str {
-        match self {
-            DropStage::UnsupportedLink => "unsupported_link",
-            DropStage::NonIp => "non_ip",
-            DropStage::NonTransport => "non_transport",
-            DropStage::Truncated => "truncated",
-            DropStage::Malformed => "malformed",
-        }
-    }
-}
-
 /// Classify a [`peek`]/[`dissect`] rejection into its [`DropStage`].
 ///
 /// `data` and `link_type` must be the inputs that produced `err`; the
@@ -1424,10 +1411,6 @@ mod tests {
             drop_stage(&junk, LinkType::RawIp, err),
             DropStage::Malformed
         );
-
-        // Labels are stable metric suffixes.
-        assert_eq!(DropStage::NonIp.label(), "non_ip");
-        assert_eq!(DropStage::UnsupportedLink.label(), "unsupported_link");
     }
 }
 
@@ -1696,15 +1679,9 @@ mod more_tests {
             dst_port: 8801,
             payload_len: payload.len(),
         };
-        let ip_repr = ipv6::Repr {
-            src_addr: src,
-            dst_addr: dst,
-            next_header: crate::ipv4::Protocol::Udp,
-            payload_len: udp_repr.total_len(),
-            hop_limit: 64,
-        };
-        let mut buf = vec![0u8; ip_repr.total_len()];
-        ip_repr.emit(&mut ipv6::Packet::new_unchecked(&mut buf[..]));
+        let udp_len = udp_repr.total_len() as u16;
+        let mut buf = ipv6::test_header(src, dst, crate::ipv4::Protocol::Udp, udp_len);
+        buf.resize(ipv6::HEADER_LEN + udp_repr.total_len(), 0);
         {
             let mut u = udp::Packet::new_unchecked(&mut buf[ipv6::HEADER_LEN..]);
             udp_repr.emit(&mut u);
@@ -1768,47 +1745,82 @@ mod more_tests {
 
     #[test]
     fn render_tree_for_rtcp_and_opaque() {
-        // RTCP-bearing Zoom packet.
-        let sr = crate::rtcp::SenderReportRepr {
-            ssrc: 0x42,
-            info: crate::rtcp::SenderInfo {
-                ntp_timestamp: 1,
-                rtp_timestamp: 2,
-                packet_count: 3,
-                octet_count: 4,
-            },
-            with_sdes: false,
+        // The tree of an RTCP-bearing Zoom packet carrying `compound`.
+        let tree = |compound: Vec<u8>| {
+            let payload = zoom::Builder {
+                sfu: Some(zoom::SfuEncapRepr {
+                    encap_type: zoom::SFU_TYPE_MEDIA,
+                    sequence: 1,
+                    direction: zoom::DIR_TO_SFU,
+                }),
+                media: zoom::MediaEncapRepr {
+                    media_type: zoom::MediaType::RtcpSrSdes,
+                    sequence: 2,
+                    timestamp: 3,
+                    frame_sequence: None,
+                    packets_in_frame: None,
+                },
+                rtp: None,
+                payload: compound,
+            }
+            .build();
+            let data = crate::compose::udp_ipv4_ethernet(
+                std::net::Ipv4Addr::new(10, 8, 0, 1),
+                std::net::Ipv4Addr::new(170, 114, 0, 1),
+                50_000,
+                zoom::ZOOM_SFU_PORT,
+                &payload,
+            );
+            render_tree(&dissect(0, &data, LinkType::Ethernet, P2pProbe::Off).unwrap())
         };
-        let mut body = vec![0u8; sr.buffer_len()];
-        sr.emit(&mut body);
-        let payload = zoom::Builder {
-            sfu: Some(zoom::SfuEncapRepr {
-                encap_type: zoom::SFU_TYPE_MEDIA,
-                sequence: 1,
-                direction: zoom::DIR_TO_SFU,
-            }),
-            media: zoom::MediaEncapRepr {
-                media_type: zoom::MediaType::RtcpSr,
-                sequence: 2,
-                timestamp: 3,
-                frame_sequence: None,
-                packets_in_frame: None,
-            },
-            rtp: None,
-            payload: body,
-        }
-        .build();
-        let data = crate::compose::udp_ipv4_ethernet(
-            std::net::Ipv4Addr::new(10, 8, 0, 1),
-            std::net::Ipv4Addr::new(170, 114, 0, 1),
-            50_000,
-            zoom::ZOOM_SFU_PORT,
-            &payload,
+        let rtcp_lines = |tree: &str| -> Vec<String> {
+            (tree.lines())
+                .filter(|l| l.starts_with("Real-Time Control Protocol"))
+                .map(str::to_owned)
+                .collect()
+        };
+        let sr = |with_sdes| {
+            let sr = crate::rtcp::SenderReportRepr {
+                ssrc: 0x42,
+                info: crate::rtcp::SenderInfo {
+                    ntp_timestamp: 1,
+                    rtp_timestamp: 2,
+                    packet_count: 3,
+                    octet_count: 4,
+                },
+                with_sdes,
+            };
+            let mut body = vec![0u8; sr.buffer_len()];
+            sr.emit(&mut body);
+            body
+        };
+        const SR_LINE: &str = "Real-Time Control Protocol: SenderReport { ssrc: 66, info: \
+            SenderInfo { ntp_timestamp: 1, rtp_timestamp: 2, packet_count: 3, octet_count: 4 }, \
+            report_count: 0 }";
+
+        // SR + SDES, Zoom's compound.
+        let t = tree(sr(true));
+        assert!(t.contains("to SFU"));
+        assert_eq!(
+            rtcp_lines(&t),
+            [
+                SR_LINE,
+                "Real-Time Control Protocol: SourceDescription { ssrcs: [66] }"
+            ]
         );
-        let d = dissect(0, &data, LinkType::Ethernet, P2pProbe::Off).unwrap();
-        let tree = render_tree(&d);
-        assert!(tree.contains("Real-Time Control Protocol"));
-        assert!(tree.contains("to SFU"));
+        // SR + a BYE of three sources: more SSRCs than one SDES chunk.
+        let mut compound = sr(false);
+        compound.extend_from_slice(&[0x83, 203, 0, 3]);
+        for ssrc in [7u32, 8, 9] {
+            compound.extend_from_slice(&ssrc.to_be_bytes());
+        }
+        assert_eq!(
+            rtcp_lines(&tree(compound)),
+            [
+                SR_LINE,
+                "Real-Time Control Protocol: Bye { ssrcs: [7, 8, 9] }"
+            ]
+        );
 
         // Opaque UDP.
         let data = crate::compose::udp_ipv4_ethernet(

@@ -10,17 +10,6 @@ pub const HEADER_LEN: usize = 14;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Address(pub [u8; 6]);
 
-impl Address {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: Address = Address([0xFF; 6]);
-
-    /// True if the least-significant bit of the first octet is set
-    /// (multicast, which includes broadcast).
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-}
-
 impl fmt::Display for Address {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let a = self.0;
@@ -87,11 +76,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Ok(Packet { buffer })
     }
 
-    /// Recover the inner buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Destination MAC address.
     pub fn dst_addr(&self) -> Address {
         let d = self.buffer.as_ref();
@@ -111,11 +95,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
     /// EtherType field.
     pub fn ethertype(&self) -> EtherType {
         EtherType::from(be16(self.buffer.as_ref(), 12))
-    }
-
-    /// Payload following the header.
-    pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[HEADER_LEN..]
     }
 }
 
@@ -157,11 +136,6 @@ impl Repr {
         }
     }
 
-    /// Length this representation occupies on the wire.
-    pub fn header_len(&self) -> usize {
-        HEADER_LEN
-    }
-
     /// Emit into the header portion of `packet`.
     pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, packet: &mut Packet<T>) {
         packet.set_dst_addr(self.dst_addr);
@@ -187,7 +161,7 @@ mod tests {
         assert_eq!(p.dst_addr(), Address([0x02, 0, 0, 0, 0, 1]));
         assert_eq!(p.src_addr(), Address([0x02, 0, 0, 0, 0, 2]));
         assert_eq!(p.ethertype(), EtherType::Ipv4);
-        assert_eq!(p.payload(), &[0xDE, 0xAD, 0xBE, 0xEF]);
+        assert_eq!(&FRAME[HEADER_LEN..], &[0xDE, 0xAD, 0xBE, 0xEF]);
     }
 
     #[test]
@@ -201,7 +175,7 @@ mod tests {
     #[test]
     fn emit_roundtrip() {
         let repr = Repr {
-            dst_addr: Address::BROADCAST,
+            dst_addr: Address([0xFF; 6]),
             src_addr: Address([1, 2, 3, 4, 5, 6]),
             ethertype: EtherType::Ipv6,
         };
@@ -210,13 +184,6 @@ mod tests {
         repr.emit(&mut p);
         let parsed = Repr::parse(&Packet::new_checked(&buf[..]).unwrap());
         assert_eq!(parsed, repr);
-    }
-
-    #[test]
-    fn multicast_and_broadcast_flags() {
-        assert!(Address::BROADCAST.is_multicast());
-        assert!(Address([0x01, 0, 0x5e, 0, 0, 1]).is_multicast());
-        assert!(!Address([0x02, 0, 0, 0, 0, 1]).is_multicast());
     }
 
     #[test]

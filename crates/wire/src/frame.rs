@@ -203,9 +203,7 @@ pub struct FrameWriter<W: Write> {
     out: W,
     link: LinkType,
     scratch: Vec<u8>,
-    records_written: u64,
     record_bytes_written: u64,
-    frames_written: u64,
 }
 
 impl<W: Write> FrameWriter<W> {
@@ -224,9 +222,7 @@ impl<W: Write> FrameWriter<W> {
             out,
             link,
             scratch: Vec::with_capacity(4096),
-            records_written: 0,
             record_bytes_written: 0,
-            frames_written: 0,
         };
         w.write_frame(KIND_HELLO, &payload)?;
         Ok(w)
@@ -240,7 +236,6 @@ impl<W: Write> FrameWriter<W> {
         self.out.write_all(&[kind])?;
         self.out.write_all(&(payload.len() as u32).to_be_bytes())?;
         self.out.write_all(payload)?;
-        self.frames_written += 1;
         Ok(())
     }
 
@@ -308,8 +303,6 @@ impl<W: Write> FrameWriter<W> {
         );
         self.scratch[1..FRAME_HEAD].copy_from_slice(&(payload as u32).to_be_bytes());
         self.out.write_all(&self.scratch)?;
-        self.frames_written += 1;
-        self.records_written += batch.len() as u64;
         // What the payload holds besides its count and record headers.
         self.record_bytes_written += (payload - 4 - RECORD_HEAD * batch.len()) as u64;
         Ok(())
@@ -333,11 +326,6 @@ impl<W: Write> FrameWriter<W> {
         payload.extend_from_slice(&trace_id.to_be_bytes());
         payload.extend_from_slice(ndjson);
         self.write_frame(KIND_TRACE, &payload)
-    }
-
-    /// Records shipped so far across all Records frames.
-    pub fn records_written(&self) -> u64 {
-        self.records_written
     }
 
     /// Record bytes shipped so far (Σ `cap_len`, framing not counted): what
@@ -369,9 +357,8 @@ impl<W: Write> FrameWriter<W> {
 ///
 /// Construction consumes the stream header and Hello frame; every
 /// [`next`](FrameReader::next) call then yields one [`FrameEvent`] (or
-/// `Ok(None)` at clean EOF — note that EOF *before* a Bye frame means
-/// the stream was cut off; [`saw_bye`](FrameReader::saw_bye)
-/// distinguishes the two).
+/// `Ok(None)` at clean EOF — note that EOF *before* a
+/// [`FrameEvent::Bye`] means the stream was cut off).
 #[derive(Debug)]
 pub struct FrameReader<R: Read> {
     input: R,
@@ -427,11 +414,6 @@ impl<R: Read> FrameReader<R> {
         self.link
     }
 
-    /// Whether the stream ended with a proper Bye frame.
-    pub fn saw_bye(&self) -> bool {
-        self.saw_bye
-    }
-
     /// Records decoded so far across all Records frames.
     pub fn records_read(&self) -> u64 {
         self.records_read
@@ -451,9 +433,8 @@ impl<R: Read> FrameReader<R> {
 
     /// Decodes the next frame. Records are **appended** to `batch` — read
     /// straight onto its arena tail and indexed there — and an `Err`
-    /// leaves `batch` exactly as it was; `Ok(None)` signals EOF (check
-    /// [`saw_bye`](Self::saw_bye) for whether it was a clean end of
-    /// stream).
+    /// leaves `batch` exactly as it was; `Ok(None)` signals EOF, a clean
+    /// end of stream only if a [`FrameEvent::Bye`] came before it.
     pub fn next(&mut self, batch: &mut RecordBatch) -> Result<Option<FrameEvent>, Error> {
         if self.saw_bye {
             return Ok(None);
@@ -636,7 +617,6 @@ mod tests {
         batch.clear();
         batch.push(30, 80, &[0xCC; 80]);
         w.write_batch(&batch).unwrap();
-        assert_eq!(w.records_written(), 3);
         w.finish(Totals {
             packets: 3,
             bytes: 204,
@@ -667,7 +647,7 @@ mod tests {
         );
         let bye = r.next(&mut batch).unwrap();
         assert!(matches!(bye, Some(FrameEvent::Bye(t)) if t.packets == 3 && t.batches == 2));
-        assert!(r.saw_bye());
+        assert!(r.saw_bye);
         assert_eq!(r.records_read(), 3);
         assert_eq!(r.next(&mut batch).unwrap(), None);
 
@@ -787,7 +767,7 @@ mod tests {
             r.next(&mut out).unwrap(),
             Some(FrameEvent::Bye(_))
         ));
-        assert!(r.saw_bye());
+        assert!(r.saw_bye);
     }
 
     #[test]
@@ -806,7 +786,6 @@ mod tests {
         // An empty batch ships nothing, and its spans are never asked for.
         w.write_batch_traced(&RecordBatch::new(), 8, |_| unreachable!())
             .unwrap();
-        assert_eq!(w.records_written(), 64);
         let traced = w.finish(Totals::default()).unwrap();
         assert!(reported > 0, "encoding 64 KB took no time at all");
 
@@ -896,7 +875,7 @@ mod tests {
         let mut r = FrameReader::new(&bytes[..boundaries[1]]).unwrap();
         let mut batch = RecordBatch::new();
         while r.next(&mut batch).unwrap().is_some() {}
-        assert!(!r.saw_bye(), "a cut stream must not look clean");
+        assert!(!r.saw_bye, "a cut stream must not look clean");
         assert_eq!(batch.len(), 2);
     }
 
@@ -1007,7 +986,7 @@ mod tests {
         let bytes = sample_stream();
         let mut r = FrameReader::new(&bytes[..]).unwrap();
         // Room enough that the arena does not move when the frames land.
-        let mut batch = RecordBatch::with_capacity(8, 4096);
+        let mut batch = RecordBatch::new();
         batch.push(5, 80, &[0x55; 80]);
         let where_it_was = batch.get(0).unwrap().data.as_ptr();
         while r.next(&mut batch).unwrap().is_some() {}
@@ -1058,7 +1037,6 @@ mod tests {
             .unwrap();
         assert_eq!(w.out.calls.last(), Some(&framed));
         assert_eq!(w.out.calls.iter().filter(|&&n| n == framed).count(), 3);
-        assert_eq!(w.frames_written, 1 + 3 + 1);
     }
 
     #[test]
@@ -1090,7 +1068,7 @@ mod tests {
         .unwrap();
         let mut batch = RecordBatch::new();
         while r.next(&mut batch).unwrap().is_some() {}
-        assert!(r.saw_bye());
+        assert!(r.saw_bye);
         assert_eq!(batch.len(), 3);
     }
 

@@ -21,7 +21,7 @@
 //! ```
 //! use zoom_wire::handoff::RecordBatch;
 //!
-//! let mut batch = RecordBatch::with_capacity(4, 2048);
+//! let mut batch = RecordBatch::new();
 //! batch.push(1_000, 60, &[0xAA; 60]);
 //! batch.push(2_000, 1500, &[0xBB; 64]); // truncated capture: 64 of 1500
 //!
@@ -87,20 +87,9 @@ pub struct RecordBatch {
 }
 
 impl RecordBatch {
-    /// Creates an empty batch with no pre-reserved capacity.
+    /// Creates an empty batch.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty batch pre-sized for `records` records totalling
-    /// `bytes` captured bytes, so steady-state fills don't reallocate.
-    pub fn with_capacity(records: usize, bytes: usize) -> Self {
-        RecordBatch {
-            slots: Vec::with_capacity(records),
-            arena: Vec::with_capacity(bytes),
-            captured: 0,
-            trace_id: 0,
-        }
     }
 
     /// Appends one record, copying `data` into the arena.
@@ -312,7 +301,7 @@ mod tests {
 
     #[test]
     fn clear_retains_capacity() {
-        let mut b = RecordBatch::with_capacity(8, 1024);
+        let mut b = RecordBatch::new();
         for i in 0..8 {
             b.push(i, 64, &[0u8; 64]);
         }

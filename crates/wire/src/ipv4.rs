@@ -83,11 +83,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Ok(())
     }
 
-    /// Recover the inner buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// IP version (must be 4).
     pub fn version(&self) -> u8 {
         self.buffer.as_ref()[0] >> 4
@@ -98,24 +93,9 @@ impl<T: AsRef<[u8]>> Packet<T> {
         usize::from(self.buffer.as_ref()[0] & 0x0F) * 4
     }
 
-    /// DSCP/ECN byte.
-    pub fn dscp_ecn(&self) -> u8 {
-        self.buffer.as_ref()[1]
-    }
-
     /// Total length field (header plus payload).
     pub fn total_len(&self) -> u16 {
         be16(self.buffer.as_ref(), 2)
-    }
-
-    /// Identification field.
-    pub fn ident(&self) -> u16 {
-        be16(self.buffer.as_ref(), 4)
-    }
-
-    /// Time to live.
-    pub fn ttl(&self) -> u8 {
-        self.buffer.as_ref()[8]
     }
 
     /// Next-level protocol.
@@ -231,31 +211,6 @@ pub struct Repr {
 }
 
 impl Repr {
-    /// Parse a validated view; packets with options are accepted (the
-    /// options are ignored) so passive captures never error out here.
-    pub fn parse<T: AsRef<[u8]>>(packet: &Packet<T>) -> Result<Repr> {
-        packet.check_len()?;
-        Ok(Repr {
-            src_addr: packet.src_addr(),
-            dst_addr: packet.dst_addr(),
-            protocol: packet.protocol(),
-            payload_len: packet.total_len() as usize - packet.header_len(),
-            ttl: packet.ttl(),
-            dscp_ecn: packet.dscp_ecn(),
-            ident: packet.ident(),
-        })
-    }
-
-    /// Emitted header length (always 20: we never emit options).
-    pub fn header_len(&self) -> usize {
-        HEADER_LEN
-    }
-
-    /// Total emitted length.
-    pub fn total_len(&self) -> usize {
-        HEADER_LEN + self.payload_len
-    }
-
     /// Emit header fields and compute the checksum.
     pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, packet: &mut Packet<T>) {
         packet.set_version_and_header_len(HEADER_LEN);
@@ -285,7 +240,7 @@ mod tests {
             dscp_ecn: 0,
             ident: 0x1234,
         };
-        let mut buf = vec![0u8; repr.total_len()];
+        let mut buf = vec![0u8; HEADER_LEN + repr.payload_len];
         repr.emit(&mut Packet::new_unchecked(&mut buf[..]));
         buf[20..].copy_from_slice(&[1, 2, 3, 4]);
         buf
@@ -296,10 +251,9 @@ mod tests {
         let buf = sample();
         let p = Packet::new_checked(&buf[..]).unwrap();
         assert!(p.verify_checksum());
-        let r = Repr::parse(&p).unwrap();
-        assert_eq!(r.src_addr, Ipv4Addr::new(10, 8, 0, 1));
-        assert_eq!(r.protocol, Protocol::Udp);
-        assert_eq!(r.payload_len, 4);
+        assert_eq!(p.src_addr(), Ipv4Addr::new(10, 8, 0, 1));
+        assert_eq!(p.dst_addr(), Ipv4Addr::new(52, 202, 62, 17));
+        assert_eq!(p.protocol(), Protocol::Udp);
         assert_eq!(p.payload(), &[1, 2, 3, 4]);
     }
 
@@ -321,7 +275,6 @@ mod tests {
         // header, the slice from what is there.
         let p = Packet::new_checked(&buf[..22]).unwrap();
         assert_eq!(p.total_len(), 24);
-        assert_eq!(Repr::parse(&p).unwrap().payload_len, 4);
         assert_eq!(p.payload(), &[1, 2]);
         // A total length below the header length is still refused.
         let mut short = sample();

@@ -1,12 +1,13 @@
-//! IPv6 packet view and emitter (RFC 8200, fixed header only).
+//! IPv6 packet view (RFC 8200, fixed header only).
 //!
 //! Zoom traffic on the campus trace is overwhelmingly IPv4, but border taps
 //! see both families, so the dissector must at least parse the fixed IPv6
-//! header and hand UDP/TCP payloads up the stack. Extension headers are
-//! reported as [`crate::Error::Unsupported`] rather than mis-parsed.
+//! header and hand UDP/TCP payloads up the stack. Extension headers are not
+//! walked: the dissector reports a next header that is neither UDP nor TCP
+//! as [`crate::Error::Unsupported`] rather than mis-parsing it.
 
 use crate::ipv4::Protocol;
-use crate::{be16, set_be16, Error, Result};
+use crate::{be16, Error, Result};
 use std::net::Ipv6Addr;
 
 /// Fixed IPv6 header length.
@@ -19,15 +20,9 @@ pub struct Packet<T: AsRef<[u8]>> {
 }
 
 impl<T: AsRef<[u8]>> Packet<T> {
-    /// Wrap without validation.
-    pub fn new_unchecked(buffer: T) -> Self {
-        Packet { buffer }
-    }
-
     /// Wrap, validating that the fixed header is there and says version 6.
     /// The buffer may hold less than `payload_len` bytes behind it (a
-    /// snap-length capture, a trimmed fragment), in which case
-    /// [`payload`](Packet::payload) is the captured part.
+    /// snap-length capture, a trimmed fragment).
     pub fn new_checked(buffer: T) -> Result<Self> {
         let packet = Packet { buffer };
         packet.check_len()?;
@@ -61,11 +56,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Protocol::from(self.buffer.as_ref()[6])
     }
 
-    /// Hop limit.
-    pub fn hop_limit(&self) -> u8 {
-        self.buffer.as_ref()[7]
-    }
-
     /// Source address.
     pub fn src_addr(&self) -> Ipv6Addr {
         let mut o = [0u8; 16];
@@ -79,108 +69,25 @@ impl<T: AsRef<[u8]>> Packet<T> {
         o.copy_from_slice(&self.buffer.as_ref()[24..40]);
         Ipv6Addr::from(o)
     }
-
-    /// Captured payload bounded by the payload-length field; shorter than
-    /// that field says when the capture clipped the packet.
-    pub fn payload(&self) -> &[u8] {
-        let data = self.buffer.as_ref();
-        let end = HEADER_LEN + self.payload_len() as usize;
-        &data[HEADER_LEN..end.min(data.len())]
-    }
 }
 
-impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
-    /// Set version 6 with zero traffic class and flow label.
-    pub fn set_version(&mut self) {
-        let d = self.buffer.as_mut();
-        d[0] = 0x60;
-        d[1] = 0;
-        d[2] = 0;
-        d[3] = 0;
-    }
-
-    /// Set payload length.
-    pub fn set_payload_len(&mut self, v: u16) {
-        set_be16(self.buffer.as_mut(), 4, v);
-    }
-
-    /// Set next header.
-    pub fn set_next_header(&mut self, v: Protocol) {
-        self.buffer.as_mut()[6] = v.into();
-    }
-
-    /// Set hop limit.
-    pub fn set_hop_limit(&mut self, v: u8) {
-        self.buffer.as_mut()[7] = v;
-    }
-
-    /// Set source address.
-    pub fn set_src_addr(&mut self, v: Ipv6Addr) {
-        self.buffer.as_mut()[8..24].copy_from_slice(&v.octets());
-    }
-
-    /// Set destination address.
-    pub fn set_dst_addr(&mut self, v: Ipv6Addr) {
-        self.buffer.as_mut()[24..40].copy_from_slice(&v.octets());
-    }
-}
-
-/// High-level IPv6 header representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Repr {
-    /// Source address.
-    pub src_addr: Ipv6Addr,
-    /// Destination address.
-    pub dst_addr: Ipv6Addr,
-    /// Next-header (payload protocol) field.
-    pub next_header: Protocol,
-    /// Payload length in bytes.
-    pub payload_len: usize,
-    /// Hop limit.
-    pub hop_limit: u8,
-}
-
-impl Repr {
-    /// Parse a validated view. Extension headers (hop-by-hop, routing,
-    /// fragment...) are flagged `Unsupported`.
-    pub fn parse<T: AsRef<[u8]>>(packet: &Packet<T>) -> Result<Repr> {
-        packet.check_len()?;
-        match packet.next_header() {
-            Protocol::Udp | Protocol::Tcp | Protocol::Icmp => {}
-            Protocol::Unknown(0)
-            | Protocol::Unknown(43)
-            | Protocol::Unknown(44)
-            | Protocol::Unknown(60) => return Err(Error::Unsupported),
-            Protocol::Unknown(_) => {}
-        }
-        Ok(Repr {
-            src_addr: packet.src_addr(),
-            dst_addr: packet.dst_addr(),
-            next_header: packet.next_header(),
-            payload_len: packet.payload_len() as usize,
-            hop_limit: packet.hop_limit(),
-        })
-    }
-
-    /// Emitted header length.
-    pub fn header_len(&self) -> usize {
-        HEADER_LEN
-    }
-
-    /// Total emitted length.
-    pub fn total_len(&self) -> usize {
-        HEADER_LEN + self.payload_len
-    }
-
-    /// Emit the fixed header.
-    pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, packet: &mut Packet<T>) {
-        packet.set_version();
-        packet.set_payload_len(self.payload_len as u16);
-        packet.set_next_header(self.next_header);
-        packet.set_hop_limit(self.hop_limit);
-        packet.set_src_addr(self.src_addr);
-        packet.set_dst_addr(self.dst_addr);
-    }
+/// The fixed header of `payload_len` bytes of `next_header` from `src` to
+/// `dst`, hop limit 64: the IPv6 packets of the tests.
+#[cfg(test)]
+pub(crate) fn test_header(
+    src: Ipv6Addr,
+    dst: Ipv6Addr,
+    next_header: Protocol,
+    payload_len: u16,
+) -> Vec<u8> {
+    let mut h = vec![0u8; HEADER_LEN];
+    h[0] = 0x60;
+    h[4..6].copy_from_slice(&payload_len.to_be_bytes());
+    h[6] = next_header.into();
+    h[7] = 64;
+    h[8..24].copy_from_slice(&src.octets());
+    h[24..40].copy_from_slice(&dst.octets());
+    h
 }
 
 #[cfg(test)]
@@ -188,16 +95,10 @@ mod tests {
     use super::*;
 
     fn sample() -> Vec<u8> {
-        let repr = Repr {
-            src_addr: "2001:db8::1".parse().unwrap(),
-            dst_addr: "2001:db8::2".parse().unwrap(),
-            next_header: Protocol::Udp,
-            payload_len: 3,
-            hop_limit: 64,
-        };
-        let mut buf = vec![0u8; repr.total_len()];
-        repr.emit(&mut Packet::new_unchecked(&mut buf[..]));
-        buf[40..].copy_from_slice(&[9, 8, 7]);
+        let src = "2001:db8::1".parse().unwrap();
+        let dst = "2001:db8::2".parse().unwrap();
+        let mut buf = test_header(src, dst, Protocol::Udp, 3);
+        buf.extend_from_slice(&[9, 8, 7]);
         buf
     }
 
@@ -205,10 +106,10 @@ mod tests {
     fn emit_parse_roundtrip() {
         let buf = sample();
         let p = Packet::new_checked(&buf[..]).unwrap();
-        let r = Repr::parse(&p).unwrap();
-        assert_eq!(r.src_addr, "2001:db8::1".parse::<Ipv6Addr>().unwrap());
-        assert_eq!(r.next_header, Protocol::Udp);
-        assert_eq!(p.payload(), &[9, 8, 7]);
+        assert_eq!(p.src_addr(), "2001:db8::1".parse::<Ipv6Addr>().unwrap());
+        assert_eq!(p.dst_addr(), "2001:db8::2".parse::<Ipv6Addr>().unwrap());
+        assert_eq!(p.next_header(), Protocol::Udp);
+        assert_eq!(p.payload_len(), 3);
     }
 
     #[test]
@@ -222,8 +123,9 @@ mod tests {
     fn extension_headers_unsupported() {
         let mut buf = sample();
         buf[6] = 0; // hop-by-hop
-        let p = Packet::new_checked(&buf[..]).unwrap();
-        assert_eq!(Repr::parse(&p).unwrap_err(), Error::Unsupported);
+        assert!(Packet::new_checked(&buf[..]).is_ok());
+        let err = crate::dissect::peek(&buf, crate::pcap::LinkType::RawIp).unwrap_err();
+        assert_eq!(err, Error::Unsupported);
     }
 
     #[test]
@@ -235,6 +137,5 @@ mod tests {
         );
         let p = Packet::new_checked(&buf[..41]).unwrap();
         assert_eq!(p.payload_len(), 3);
-        assert_eq!(p.payload(), &[9]);
     }
 }

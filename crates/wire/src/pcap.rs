@@ -106,14 +106,6 @@ impl RecordBuf {
         RecordBuf::default()
     }
 
-    /// A buffer pre-sized for records up to `cap` bytes.
-    pub fn with_capacity(cap: usize) -> RecordBuf {
-        RecordBuf {
-            data: Vec::with_capacity(cap),
-            ..RecordBuf::default()
-        }
-    }
-
     /// Capture timestamp of the buffered record, nanoseconds.
     pub fn ts_nanos(&self) -> u64 {
         self.ts_nanos
@@ -127,12 +119,6 @@ impl RecordBuf {
     /// Captured bytes of the buffered record.
     pub fn data(&self) -> &[u8] {
         &self.data
-    }
-
-    /// Length of the buffered record on the wire: `orig_len`, or the
-    /// captured length where the file left `orig_len` below it.
-    pub fn wire_len(&self) -> usize {
-        (self.orig_len as usize).max(self.data.len())
     }
 
     /// Clone the buffered record into an owning [`Record`].
@@ -169,7 +155,7 @@ struct Format {
 
 /// Parsed pcap global header: the record format, link type and snap
 /// length.
-fn parse_global_header(hdr: &[u8; 24]) -> io::Result<(Format, LinkType, u32)> {
+fn parse_global_header(hdr: &[u8; 24]) -> io::Result<(Format, LinkType)> {
     let magic = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
     let (swapped, nanos) = match magic {
         MAGIC_USEC => (false, false),
@@ -191,13 +177,12 @@ fn parse_global_header(hdr: &[u8; 24]) -> io::Result<(Format, LinkType, u32)> {
             v
         }
     };
-    let snaplen = rd32(16);
     let format = Format {
         swapped,
         nanos,
-        max_len: max_record_len(snaplen),
+        max_len: max_record_len(rd32(16)),
     };
-    Ok((format, LinkType::from(rd32(20)), snaplen))
+    Ok((format, LinkType::from(rd32(20))))
 }
 
 impl Format {
@@ -266,13 +251,11 @@ pub struct Reader<R: Read> {
     inner: R,
     format: Format,
     link_type: LinkType,
-    snaplen: u32,
     /// The torn record at the end of what [`read_chunk`](Reader::read_chunk)
     /// has landed so far, waiting for the rest of its bytes.
     carry: Vec<u8>,
     truncated: u64,
     records_read: u64,
-    bytes_read: u64,
 }
 
 impl<R: Read> Reader<R> {
@@ -280,27 +263,20 @@ impl<R: Read> Reader<R> {
     pub fn new(mut inner: R) -> io::Result<Self> {
         let mut hdr = [0u8; 24];
         inner.read_exact(&mut hdr)?;
-        let (format, link_type, snaplen) = parse_global_header(&hdr)?;
+        let (format, link_type) = parse_global_header(&hdr)?;
         Ok(Reader {
             inner,
             format,
             link_type,
-            snaplen,
             carry: Vec::new(),
             truncated: 0,
             records_read: 0,
-            bytes_read: 0,
         })
     }
 
     /// The file's link type.
     pub fn link_type(&self) -> LinkType {
         self.link_type
-    }
-
-    /// The file's snap length.
-    pub fn snaplen(&self) -> u32 {
-        self.snaplen
     }
 
     /// Records dropped because the file ended mid-record (a capture cut
@@ -319,12 +295,6 @@ impl<R: Read> Reader<R> {
         self.records_read
     }
 
-    /// Captured payload bytes delivered so far (record data only, not
-    /// pcap framing).
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
     /// Read and check the next 16-byte record header. `Ok(None)` at end
     /// of file; a header cut short counts as a truncated record.
     fn read_header(&mut self) -> io::Result<Option<RecordHeader>> {
@@ -341,12 +311,11 @@ impl<R: Read> Reader<R> {
         self.format.record_header(&hdr).map(Some)
     }
 
-    /// Account the record behind `header`: delivered when its payload was
-    /// `complete`, a truncated tail otherwise. Passes `complete` on.
-    fn note_record(&mut self, header: &RecordHeader, complete: bool) -> bool {
+    /// Account a record: delivered when its payload was `complete`, a
+    /// truncated tail otherwise. Passes `complete` on.
+    fn note_record(&mut self, complete: bool) -> bool {
         if complete {
             self.records_read += 1;
-            self.bytes_read += u64::from(header.incl_len);
         } else {
             self.truncated += 1;
         }
@@ -373,7 +342,7 @@ impl<R: Read> Reader<R> {
             let got = read_fully(&mut self.inner, &mut buf.data[have..])?;
             complete = have + got == buf.data.len();
         }
-        if !self.note_record(&header, complete) {
+        if !self.note_record(complete) {
             buf.data.clear();
             return Ok(false);
         }
@@ -412,7 +381,7 @@ impl<R: Read> Reader<R> {
         if carry.capacity() == 0 {
             carry.reserve(CARRY_BYTES);
         }
-        let (mut records, mut bytes) = (0u64, 0u64);
+        let mut records = 0u64;
         let more = batch.append_framed(|tail| {
             // Room for the carry and one chunk, sized exactly: a warm
             // arena keeps it, and the two a lane alternates stay small.
@@ -441,7 +410,6 @@ impl<R: Read> Reader<R> {
                     }
                     tail.index(header.ts_nanos, header.orig_len, at, end - at);
                     records += 1;
-                    bytes += u64::from(header.incl_len);
                     done = end;
                 }
                 if records > 0 || !more {
@@ -466,7 +434,6 @@ impl<R: Read> Reader<R> {
             Ok(more)
         })?;
         self.records_read += records;
-        self.bytes_read += bytes;
         Ok(more)
     }
 }
@@ -685,7 +652,6 @@ mod tests {
         assert_eq!(buf.len(), 140);
 
         let mut r = Reader::new(&buf[..]).unwrap();
-        assert_eq!(r.snaplen(), u32::MAX);
         let mut rec = RecordBuf::new();
         assert!(!r.read_into(&mut rec).unwrap());
         assert_eq!((r.truncated_records(), r.records_read()), (1, 0));
@@ -745,7 +711,6 @@ mod tests {
         let mut buf = RecordBuf::new();
         while r.read_into(&mut buf).unwrap() {}
         assert_eq!(r.records_read(), 2);
-        assert_eq!(r.bytes_read(), 160);
 
         // A truncated tail is not counted as read.
         let mut cut = img.clone();
@@ -753,7 +718,6 @@ mod tests {
         let mut r = Reader::new(&cut[..]).unwrap();
         while r.read_into(&mut buf).unwrap() {}
         assert_eq!((r.records_read(), r.truncated_records()), (1, 1));
-        assert_eq!(r.bytes_read(), 100);
     }
 
     /// A reader that hands out at most `step` bytes per `read`, so a
@@ -802,9 +766,9 @@ mod tests {
 
     /// What a reader delivered: per record its timestamp, original
     /// length, captured length and a digest of its bytes; then
-    /// `records_read`, `bytes_read`, `truncated_records`, and the error
+    /// `records_read`, `truncated_records`, and the error
     /// that ended it.
-    type Outcome = (Vec<(u64, u32, usize, u64)>, (u64, u64, u64), Option<String>);
+    type Outcome = (Vec<(u64, u32, usize, u64)>, (u64, u64), Option<String>);
 
     fn summary(r: &Record) -> (u64, u32, usize, u64) {
         use std::hash::{Hash, Hasher};
@@ -823,7 +787,7 @@ mod tests {
                 Err(e) => break Some(e.to_string()),
             }
         };
-        let counts = (r.records_read(), r.bytes_read(), r.truncated_records());
+        let counts = (r.records_read(), r.truncated_records());
         (records, counts, err)
     }
 
@@ -865,7 +829,7 @@ mod tests {
             .collect();
         let captured: usize = records.iter().map(|r| r.2).sum();
         assert_eq!(batch.arena_bytes(), 3 + captured);
-        let counts = (r.records_read(), r.bytes_read(), r.truncated_records());
+        let counts = (r.records_read(), r.truncated_records());
         (records, counts, err)
     }
 

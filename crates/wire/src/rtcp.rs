@@ -5,14 +5,12 @@
 //! description (SDES) chunk — and notably *no* receiver reports, which is
 //! why the performance metrics of §5 must be derived from RTP alone. This
 //! module parses compound RTCP packets (SR, RR, SDES, BYE) — into the full
-//! item list ([`parse_compound`]) or into the [`Summary`] the analysis
-//! reads ([`summarize`]), one walk behind both — and emits Zoom-style
-//! SR(+empty SDES) compounds for the simulator.
+//! item list ([`parse_compound`], which only the dissector's tree reads)
+//! or into the [`Summary`] the analysis reads ([`summarize`]), one walk
+//! behind both — and emits Zoom-style SR(+empty SDES) compounds for the
+//! simulator.
 
 use crate::{be16, be32, be64, set_be16, set_be32, set_be64, Error, Result};
-
-/// Length of the fixed part common to all RTCP packets.
-pub const HEADER_LEN: usize = 8;
 
 /// RTCP packet types (RFC 3550 §12.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,95 +69,6 @@ pub struct SenderInfo {
     pub octet_count: u32,
 }
 
-/// SSRCs carried inline before spilling to the heap. Zoom's SDES
-/// compounds carry a single chunk, so real traffic never spills.
-pub const INLINE_SSRCS: usize = 2;
-
-/// A small-vector SSRC list: up to [`INLINE_SSRCS`] values stored inline,
-/// the whole list moved to a heap `Vec` beyond that. Keeps the RTCP
-/// dissection path allocation-free for the compounds Zoom actually sends
-/// (SR + one-chunk SDES) — part of the ingest loop's steady-state
-/// zero-allocation budget.
-#[derive(Clone)]
-pub struct SsrcList {
-    len: u8,
-    inline: [u32; INLINE_SSRCS],
-    spill: Vec<u32>,
-}
-
-impl SsrcList {
-    /// An empty list (no allocation).
-    pub const fn new() -> SsrcList {
-        SsrcList {
-            len: 0,
-            inline: [0; INLINE_SSRCS],
-            spill: Vec::new(),
-        }
-    }
-
-    /// Append one SSRC, spilling the whole list to the heap when the
-    /// inline capacity is exceeded.
-    pub fn push(&mut self, v: u32) {
-        if !self.spill.is_empty() {
-            self.spill.push(v);
-        } else if (self.len as usize) < INLINE_SSRCS {
-            self.inline[self.len as usize] = v;
-            self.len += 1;
-        } else {
-            let mut spill = Vec::with_capacity(INLINE_SSRCS * 2);
-            spill.extend_from_slice(&self.inline);
-            spill.push(v);
-            self.spill = spill;
-        }
-    }
-
-    /// The SSRCs as one contiguous slice.
-    pub fn as_slice(&self) -> &[u32] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len as usize]
-        } else {
-            &self.spill
-        }
-    }
-}
-
-impl Default for SsrcList {
-    fn default() -> SsrcList {
-        SsrcList::new()
-    }
-}
-
-impl std::ops::Deref for SsrcList {
-    type Target = [u32];
-    fn deref(&self) -> &[u32] {
-        self.as_slice()
-    }
-}
-
-impl std::fmt::Debug for SsrcList {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.as_slice().fmt(f)
-    }
-}
-
-impl PartialEq for SsrcList {
-    fn eq(&self, other: &SsrcList) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for SsrcList {}
-
-impl From<&[u32]> for SsrcList {
-    fn from(vals: &[u32]) -> SsrcList {
-        let mut list = SsrcList::new();
-        for &v in vals {
-            list.push(v);
-        }
-        list
-    }
-}
-
 /// One parsed RTCP sub-packet within a compound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Item {
@@ -183,12 +92,12 @@ pub enum Item {
     /// Source description: list of chunk SSRCs (Zoom's are empty of items).
     SourceDescription {
         /// SSRC of each SDES chunk.
-        ssrcs: SsrcList,
+        ssrcs: Vec<u32>,
     },
     /// BYE with its SSRC list.
     Bye {
         /// SSRCs leaving the session.
-        ssrcs: SsrcList,
+        ssrcs: Vec<u32>,
     },
     /// Anything else, kept opaque.
     Other {
@@ -198,102 +107,6 @@ pub enum Item {
         len: usize,
     },
 }
-
-/// Compound items carried inline before spilling to the heap. Zoom's
-/// compounds are SR + optional SDES — two items — so real traffic never
-/// spills.
-pub const INLINE_RTCP_ITEMS: usize = 2;
-
-/// The placeholder filling unused inline slots.
-const EMPTY_ITEM: Item = Item::Other {
-    packet_type: 0,
-    len: 0,
-};
-
-/// A small-vector compound: up to [`INLINE_RTCP_ITEMS`] items stored
-/// inline, the whole list moved to a heap `Vec` beyond that. Dereferences
-/// to `[Item]`, so it reads like the `Vec<Item>` it replaced — without an
-/// allocation per Zoom compound. What [`parse_compound`] returns; a parsed
-/// Zoom packet keeps only the [`Summary`].
-#[derive(Clone)]
-pub struct ItemList {
-    len: u8,
-    inline: [Item; INLINE_RTCP_ITEMS],
-    spill: Vec<Item>,
-}
-
-impl ItemList {
-    /// An empty compound (no allocation).
-    pub const fn new() -> ItemList {
-        ItemList {
-            len: 0,
-            inline: [EMPTY_ITEM; INLINE_RTCP_ITEMS],
-            spill: Vec::new(),
-        }
-    }
-
-    /// Append one item, spilling the whole list to the heap when the
-    /// inline capacity is exceeded.
-    pub fn push(&mut self, item: Item) {
-        if !self.spill.is_empty() {
-            self.spill.push(item);
-        } else if (self.len as usize) < INLINE_RTCP_ITEMS {
-            self.inline[self.len as usize] = item;
-            self.len += 1;
-        } else {
-            let mut spill = Vec::with_capacity(INLINE_RTCP_ITEMS * 2);
-            for slot in &mut self.inline {
-                spill.push(std::mem::replace(slot, EMPTY_ITEM));
-            }
-            spill.push(item);
-            self.spill = spill;
-        }
-    }
-
-    /// The items as one contiguous slice.
-    pub fn as_slice(&self) -> &[Item] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len as usize]
-        } else {
-            &self.spill
-        }
-    }
-}
-
-impl Default for ItemList {
-    fn default() -> ItemList {
-        ItemList::new()
-    }
-}
-
-impl std::ops::Deref for ItemList {
-    type Target = [Item];
-    fn deref(&self) -> &[Item] {
-        self.as_slice()
-    }
-}
-
-impl<'a> IntoIterator for &'a ItemList {
-    type Item = &'a Item;
-    type IntoIter = std::slice::Iter<'a, Item>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
-impl std::fmt::Debug for ItemList {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.as_slice().fmt(f)
-    }
-}
-
-impl PartialEq for ItemList {
-    fn eq(&self, other: &ItemList) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for ItemList {}
 
 /// One sub-packet of a compound as [`walk`] found it: the common header's
 /// count and type fields and the body behind them, every length the
@@ -340,7 +153,7 @@ impl SubPacket<'_> {
             PacketType::SourceDescription => {
                 // Each chunk: SSRC + item list; Zoom emits chunks with a
                 // single terminating zero item. We collect chunk SSRCs.
-                let mut ssrcs = SsrcList::new();
+                let mut ssrcs = Vec::new();
                 let mut off = 0;
                 for _ in 0..rc {
                     if body.len() < off + 4 {
@@ -361,7 +174,7 @@ impl SubPacket<'_> {
                 Item::SourceDescription { ssrcs }
             }
             PacketType::Bye => {
-                let mut ssrcs = SsrcList::new();
+                let mut ssrcs = Vec::new();
                 for i in 0..usize::from(rc) {
                     if body.len() >= (i + 1) * 4 {
                         ssrcs.push(be32(body, i * 4));
@@ -420,8 +233,8 @@ fn walk<'a>(data: &'a [u8], mut each: impl FnMut(SubPacket<'a>)) -> Result<()> {
 ///
 /// Rejects buffers whose first sub-packet is not version 2 or whose length
 /// words overrun the buffer.
-pub fn parse_compound(data: &[u8]) -> Result<ItemList> {
-    let mut items = ItemList::new();
+pub fn parse_compound(data: &[u8]) -> Result<Vec<Item>> {
+    let mut items = Vec::new();
     walk(data, |sub| items.push(sub.item()))?;
     Ok(items)
 }
@@ -429,10 +242,9 @@ pub fn parse_compound(data: &[u8]) -> Result<ItemList> {
 /// What the analysis reads of a compound RTCP packet: how many sub-packets
 /// it holds and its first sender report. [`summarize`] fills it from the
 /// same walk [`parse_compound`] makes, so it accepts exactly the compounds
-/// `parse_compound` accepts, with the same errors — without the
-/// [`ItemList`], whose inline items are 128 bytes a parsed packet would
-/// otherwise carry (and copy) whatever its type. The fields are flat
-/// so that the whole summary stays 32 bytes.
+/// `parse_compound` accepts, with the same errors — without allocating
+/// the item list. The fields are flat so that the whole summary stays 32
+/// bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Summary {
     items: u32,
@@ -445,11 +257,6 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Sub-packets in the compound; 0 for a packet that carried none.
-    pub fn len(&self) -> usize {
-        self.items as usize
-    }
-
     /// True when no compound was parsed.
     pub fn is_empty(&self) -> bool {
         self.items == 0
@@ -625,9 +432,9 @@ mod tests {
         buf.extend_from_slice(&0x1234_5678u32.to_be_bytes());
         let items = parse_compound(&buf).unwrap();
         assert_eq!(
-            items.as_slice(),
-            &[Item::Bye {
-                ssrcs: SsrcList::from(&[0x1234_5678][..])
+            items,
+            [Item::Bye {
+                ssrcs: vec![0x1234_5678]
             }]
         );
     }

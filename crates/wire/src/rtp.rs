@@ -137,14 +137,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         }
         body
     }
-
-    /// Payload after all headers, padding stripped; the buffer is taken
-    /// for the whole packet.
-    pub fn payload(&self) -> &[u8] {
-        let data = self.buffer.as_ref();
-        let start = self.payload_offset();
-        &data[start..start + self.payload_len(data.len())]
-    }
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
@@ -286,7 +278,10 @@ mod tests {
         let p = Packet::new_checked(&buf[..]).unwrap();
         let r = Repr::parse(&p).unwrap();
         assert_eq!(r, base_repr());
-        assert_eq!(p.payload(), b"payload");
+        assert_eq!(
+            &buf[p.payload_offset()..][..p.payload_len(buf.len())],
+            b"payload"
+        );
         assert_eq!(p.payload_offset(), HEADER_LEN);
     }
 
@@ -300,7 +295,10 @@ mod tests {
         let buf = emit(repr, b"xyz");
         let p = Packet::new_checked(&buf[..]).unwrap();
         assert!(p.has_extension());
-        assert_eq!(p.payload(), b"xyz");
+        assert_eq!(
+            &buf[p.payload_offset()..][..p.payload_len(buf.len())],
+            b"xyz"
+        );
         assert_eq!(p.payload_offset(), HEADER_LEN + 8);
         assert!(p.marker());
     }
@@ -315,7 +313,7 @@ mod tests {
         let p = Packet::new_checked(&buf[..]).unwrap();
         assert_eq!(p.csrc_count(), 2);
         assert_eq!(p.payload_offset(), HEADER_LEN + 8);
-        assert_eq!(p.payload(), b"q");
+        assert_eq!(&buf[p.payload_offset()..][..p.payload_len(buf.len())], b"q");
     }
 
     #[test]
@@ -343,7 +341,10 @@ mod tests {
         let mut buf = emit(base_repr(), &[1, 2, 3, 0, 0, 3]);
         buf[0] |= 0x20; // padding flag; last byte says 3 pad bytes
         let p = Packet::new_checked(&buf[..]).unwrap();
-        assert_eq!(p.payload(), &[1, 2, 3]);
+        assert_eq!(
+            &buf[p.payload_offset()..][..p.payload_len(buf.len())],
+            &[1, 2, 3]
+        );
         assert_eq!(p.payload_len(buf.len()), 3);
     }
 
@@ -354,7 +355,6 @@ mod tests {
         let p = Packet::new_checked(&header[..]).unwrap();
         assert_eq!(p.payload_len(HEADER_LEN + 900), 900);
         assert_eq!(p.payload_len(HEADER_LEN), 0);
-        assert!(p.payload().is_empty());
     }
 
     #[test]

@@ -61,14 +61,8 @@ impl From<MessageType> for u16 {
 
 /// STUN attribute types we understand.
 pub mod attr {
-    /// MAPPED-ADDRESS (RFC 5389 §15.1).
-    pub const MAPPED_ADDRESS: u16 = 0x0001;
     /// XOR-MAPPED-ADDRESS (RFC 5389 §15.2).
     pub const XOR_MAPPED_ADDRESS: u16 = 0x0020;
-    /// SOFTWARE (RFC 5389 §15.10).
-    pub const SOFTWARE: u16 = 0x8022;
-    /// FINGERPRINT (RFC 5389 §15.5).
-    pub const FINGERPRINT: u16 = 0x8028;
 }
 
 /// Zero-copy view of a STUN message.
@@ -78,11 +72,6 @@ pub struct Packet<T: AsRef<[u8]>> {
 }
 
 impl<T: AsRef<[u8]>> Packet<T> {
-    /// Wrap without validation.
-    pub fn new_unchecked(buffer: T) -> Self {
-        Packet { buffer }
-    }
-
     /// Wrap, validating the header: leading zero bits, magic cookie, and
     /// message length (which must be a multiple of 4 and fit the buffer).
     pub fn new_checked(buffer: T) -> Result<Self> {
@@ -350,9 +339,9 @@ mod tests {
         let p = Packet::new_checked(&buf[..]).unwrap();
         let attrs: Vec<_> = p.attributes().collect();
         assert_eq!(attrs.len(), 2);
-        assert_eq!(attrs[0].0, attr::SOFTWARE);
+        assert_eq!(attrs[0].0, 0x8022); // SOFTWARE
         assert_eq!(&attrs[0].1[..4], b"zoom");
-        assert_eq!(attrs[1].0, attr::FINGERPRINT);
+        assert_eq!(attrs[1].0, 0x8028); // FINGERPRINT
     }
 
     #[test]

@@ -137,16 +137,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         be16(self.buffer.as_ref(), 14)
     }
 
-    /// Checksum field.
-    pub fn checksum(&self) -> u16 {
-        be16(self.buffer.as_ref(), 16)
-    }
-
-    /// Payload after the (possibly option-bearing) header.
-    pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[self.header_len()..]
-    }
-
     /// Verify the checksum under an IPv4 pseudo header.
     pub fn verify_checksum_v4(&self, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
         let data = self.buffer.as_ref();
@@ -214,25 +204,6 @@ pub struct Repr {
 }
 
 impl Repr {
-    /// Parse a validated view.
-    pub fn parse<T: AsRef<[u8]>>(packet: &Packet<T>) -> Result<Repr> {
-        packet.check_len()?;
-        Ok(Repr {
-            src_port: packet.src_port(),
-            dst_port: packet.dst_port(),
-            seq_number: packet.seq_number(),
-            ack_number: packet.ack_number(),
-            flags: packet.flags(),
-            window: packet.window(),
-            payload_len: packet.payload().len(),
-        })
-    }
-
-    /// Emitted header length.
-    pub fn header_len(&self) -> usize {
-        HEADER_LEN
-    }
-
     /// Total emitted length.
     pub fn total_len(&self) -> usize {
         HEADER_LEN + self.payload_len
@@ -280,11 +251,12 @@ mod tests {
     fn emit_parse_roundtrip() {
         let buf = sample();
         let p = Packet::new_checked(&buf[..]).unwrap();
-        let r = Repr::parse(&p).unwrap();
-        assert_eq!(r.seq_number, 1_000);
-        assert_eq!(r.ack_number, 2_000);
-        assert!(r.flags.ack && r.flags.psh && !r.flags.syn);
-        assert_eq!(p.payload(), &[1, 2, 3]);
+        assert_eq!((p.src_port(), p.dst_port()), (50_123, 443));
+        assert_eq!(p.seq_number(), 1_000);
+        assert_eq!(p.ack_number(), 2_000);
+        assert!(p.flags().ack && p.flags().psh && !p.flags().syn);
+        assert_eq!(p.window(), 65_535);
+        assert_eq!(&buf[p.header_len()..], &[1, 2, 3]);
     }
 
     #[test]

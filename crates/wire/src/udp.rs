@@ -127,21 +127,6 @@ pub struct Repr {
 }
 
 impl Repr {
-    /// Parse a validated view.
-    pub fn parse<T: AsRef<[u8]>>(packet: &Packet<T>) -> Result<Repr> {
-        packet.check_len()?;
-        Ok(Repr {
-            src_port: packet.src_port(),
-            dst_port: packet.dst_port(),
-            payload_len: packet.len() as usize - HEADER_LEN,
-        })
-    }
-
-    /// Emitted header length.
-    pub fn header_len(&self) -> usize {
-        HEADER_LEN
-    }
-
     /// Total emitted length.
     pub fn total_len(&self) -> usize {
         HEADER_LEN + self.payload_len

@@ -40,8 +40,6 @@ pub const DTLS_VERSION_MAJOR: u8 = 0xfe;
 
 /// DTLS content type: change_cipher_spec.
 pub const DTLS_CHANGE_CIPHER_SPEC: u8 = 20;
-/// DTLS content type: alert.
-pub const DTLS_ALERT: u8 = 21;
 /// DTLS content type: handshake.
 pub const DTLS_HANDSHAKE: u8 = 22;
 /// DTLS content type: application_data.

@@ -12,14 +12,14 @@
 //! the end.
 
 use std::net::{IpAddr, Ipv4Addr};
-use zoom_analysis::obs::{MetricsSnapshot, PipelineMetrics};
+use zoom_analysis::obs::{CaptureMetricsSnapshot, MetricsSnapshot, PipelineMetrics};
 use zoom_capture::anonymize::{Anonymizer, Mode};
 use zoom_capture::filter::{filter_to_pcap, FilterWriter};
 use zoom_capture::mux::{CaptureMux, MuxConfig};
-use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, StageCounters, Verdict};
+use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
 use zoom_capture::source::{PacketSource, ReplaySource, BATCH_RECORDS};
 use zoom_capture::stun_tracker::{StunTracker, TrackerStats};
-use zoom_capture::zoom_nets::{Owner, ZoomNetwork};
+use zoom_capture::zoom_nets::{Owner, ZoomIpList, ZoomNetwork};
 use zoom_sim::infra::Infrastructure;
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
@@ -61,14 +61,14 @@ fn border_config(anonymizer: Option<Anonymizer>) -> PipelineConfig {
     // The simulated infrastructure's full list (the one `campus_study`
     // draws its servers from), plus the /16 the scripted meetings'
     // default servers sit in.
-    let mut zoom_list = Infrastructure::generate().ip_list;
-    zoom_list.push(ZoomNetwork {
+    let mut networks = Infrastructure::generate().ip_list.networks().to_vec();
+    networks.push(ZoomNetwork {
         cidr: "170.114.0.0/16".parse().unwrap(),
         owner: Owner::ZoomAs,
     });
     PipelineConfig {
         excluded_nets: vec![EXCLUDED_NET.parse().unwrap()],
-        zoom_list,
+        zoom_list: ZoomIpList::from_networks(networks),
         anonymizer,
         family: FamilySelect::Auto,
         ..PipelineConfig::sample(scenario::CAMPUS_NET)
@@ -84,7 +84,7 @@ struct Reference {
     webrtc: bool,
     tracker: StunTracker,
     rtc_tracker: StunTracker,
-    counters: StageCounters,
+    counters: CaptureMetricsSnapshot,
 }
 
 fn any_contains(list: &[Cidr], ip: Ipv4Addr) -> bool {
@@ -100,7 +100,7 @@ impl Reference {
             webrtc: config.family.allows(zoom_wire::family::FamilyId::Webrtc),
             tracker: StunTracker::new(config.stun_timeout_nanos),
             rtc_tracker: StunTracker::new(config.stun_timeout_nanos),
-            counters: StageCounters::default(),
+            counters: CaptureMetricsSnapshot::default(),
         }
     }
 
@@ -237,7 +237,7 @@ fn compiled_class_table_agrees_with_linear_prefix_walk() {
 struct FilterRun {
     pcap: Vec<u8>,
     metrics: MetricsSnapshot,
-    filter: Option<(StageCounters, TrackerStats, TrackerStats)>,
+    filter: Option<(CaptureMetricsSnapshot, TrackerStats, TrackerStats)>,
 }
 
 /// Which records a run passes, and how it writes them.
@@ -259,7 +259,7 @@ impl Job {
     }
 }
 
-fn filter_state(p: &CapturePipeline) -> (StageCounters, TrackerStats, TrackerStats) {
+fn filter_state(p: &CapturePipeline) -> (CaptureMetricsSnapshot, TrackerStats, TrackerStats) {
     (p.counters(), p.tracker_stats(), p.rtc_tracker_stats())
 }
 
@@ -302,6 +302,13 @@ fn run_filter_loop(parts: &[Vec<Record>], mode: Job) -> FilterRun {
     }
 }
 
+/// Count one offered record, size histogram included.
+fn record_in(metrics: &PipelineMetrics, bytes: usize) {
+    metrics.packets_in.inc();
+    metrics.bytes_in.add(bytes as u64);
+    metrics.packet_size.observe(bytes as u64);
+}
+
 /// The loop `capture` ran before there was one: a per-record drain, the
 /// registry bumped for every record.
 fn run_per_record_reference(parts: &[Vec<Record>], mode: Job) -> FilterRun {
@@ -312,7 +319,7 @@ fn run_per_record_reference(parts: &[Vec<Record>], mode: Job) -> FilterRun {
     let mut batch = RecordBatch::new();
     while let Some(link) = mux.next_batch(&mut batch, 1).expect("mux batch") {
         let r = batch.get(0).expect("a one-record batch");
-        metrics.record_in((r.orig_len as usize).max(r.data.len()));
+        record_in(&metrics, (r.orig_len as usize).max(r.data.len()));
         let record = Record {
             ts_nanos: r.ts_nanos,
             orig_len: r.orig_len,
@@ -461,7 +468,7 @@ fn the_registry_is_exact_after_every_batch() {
         batches += 1;
         // The per-record count of the same records, bumped one at a time.
         for r in &batch {
-            by_record.record_in(r.wire_len());
+            record_in(&by_record, r.wire_len());
             match reference.classify(r.ts_nanos, r.data, link) {
                 Verdict::Unparseable => by_record.drop_malformed.inc(),
                 v if v.passes() => by_record.packets_classified.inc(),

@@ -26,7 +26,7 @@ use std::time::Duration;
 use zoom_analysis::engine::{EngineConfig, StreamingEngine};
 use zoom_analysis::features;
 use zoom_analysis::pipeline::{Analyzer, AnalyzerConfig};
-use zoom_analysis::report::render_text;
+use zoom_analysis::report::write_text;
 use zoom_analysis::PacketSink;
 use zoom_sim::meeting::MeetingSim;
 use zoom_sim::scenario;
@@ -312,7 +312,14 @@ fn features_and_text(records: &[Record]) -> (String, String) {
     let mut csv = Vec::new();
     features::write_csv(&mut csv, analyzer.streams().of_type(MediaType::Video)).expect("csv");
     let csv = String::from_utf8(csv).expect("ASCII");
-    (csv, render_text(&analyzer))
+    (csv, text(&analyzer))
+}
+
+/// The text report, written into memory.
+fn text(analyzer: &Analyzer) -> String {
+    let mut out = Vec::new();
+    write_text(analyzer, &mut out).expect("a Vec takes every write");
+    String::from_utf8(out).expect("the report is UTF-8")
 }
 
 fn windowed_output(records: &[Record], per_second_rows: bool) -> String {
@@ -387,7 +394,7 @@ fn feature_csv_and_text_report_match_their_pins() {
 fn per_second_rows_move_no_other_output() {
     for g in &GOLDEN {
         let records = (g.records)();
-        let text = |rows| render_text(&batch_analyzer(&records, rows));
+        let text = |rows| text(&batch_analyzer(&records, rows));
         assert!(text(false) == text(true), "{}: text report", g.scenario);
         assert!(
             batch_output(&records, false) == batch_output(&records, true),

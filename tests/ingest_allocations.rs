@@ -551,7 +551,7 @@ fn sequence_state_is_bounded_under_any_loss() {
             tracker.on_sequence(s);
             held = held.max(LIVE.with(Cell::get) - start);
         }
-        let stats = tracker.finish();
+        let stats = tracker.stats();
         eprintln!(
             "{what}: at most {held} B of sequence state, {} missing",
             stats.missing

@@ -265,7 +265,8 @@ fn loss_shows_up_as_duplicates_not_holes() {
     // monitor sees duplicates rather than missing packets.
     let v = run();
     let stream = downlink_video(&v.analyzer);
-    let main = stream.substream(98).expect("main video substream");
+    let main = (stream.substreams.iter().find(|sub| sub.payload_type == 98))
+        .expect("main video substream");
     let stats = main.seq_stats();
     assert_eq!(
         (stats.received, stats.duplicates, stats.missing),

@@ -348,10 +348,8 @@ fn every_render_lists_each_source_with_its_own_counters() {
         .expect("mux batch")
         .is_some()
     {
-        for r in batch.iter() {
-            metrics.record_in(r.data.len());
-            metrics.packets_not_zoom.inc();
-        }
+        metrics.record_batch_in(&batch);
+        metrics.packets_not_zoom.add(batch.len() as u64);
     }
     mux.finish().unwrap();
 

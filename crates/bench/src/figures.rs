@@ -400,7 +400,7 @@ pub fn fig11(args: &ExpArgs) {
 /// feed filtered in the data plane, with per-minute packet rates.
 pub struct CaptureExperiment {
     pub counters: zoom_analysis::obs::CaptureMetricsSnapshot,
-    pub tracker: zoom_capture::stun_tracker::TrackerStats,
+    pub tracker: zoom_analysis::stun_tracker::TrackerStats,
     pub all_rate: TimeBins,
     pub zoom_rate: TimeBins,
 }

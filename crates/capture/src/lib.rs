@@ -54,5 +54,4 @@ pub mod resources;
 pub mod ring;
 pub mod source;
 pub mod spec;
-pub mod stun_tracker;
 pub mod zoom_nets;

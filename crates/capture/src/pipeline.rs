@@ -26,11 +26,11 @@
 
 use crate::anonymize::Anonymizer;
 use crate::cidr::IntervalTable;
-use crate::stun_tracker::{StunTracker, TrackerStats};
 use crate::zoom_nets::ZoomIpList;
 use std::net::{IpAddr, Ipv4Addr};
 use zoom_analysis::obs::CaptureMetricsSnapshot;
 use zoom_analysis::pipeline::STUN_TIMEOUT_NANOS;
+use zoom_analysis::stun_tracker::{StunTracker, TrackerStats};
 use zoom_wire::cidr::Cidr;
 use zoom_wire::family::{FamilyId, FamilySelect};
 use zoom_wire::flow::Endpoint;
@@ -127,8 +127,8 @@ pub struct CapturePipeline {
     config: PipelineConfig,
     /// `config`'s three prefix lists, compiled into one table.
     classes: IntervalTable,
-    tracker: StunTracker,
-    rtc_tracker: StunTracker,
+    tracker: StunTracker<Endpoint>,
+    rtc_tracker: StunTracker<Endpoint>,
     counters: CaptureMetricsSnapshot,
 }
 
@@ -161,7 +161,11 @@ impl CapturePipeline {
 
     /// Counter snapshot: the `capture` section of a `--metrics` snapshot.
     pub fn counters(&self) -> CaptureMetricsSnapshot {
-        self.counters
+        CaptureMetricsSnapshot {
+            register_refused: self.tracker.stats().rejected_full
+                + self.rtc_tracker.stats().rejected_full,
+            ..self.counters
+        }
     }
 
     /// STUN register statistics.

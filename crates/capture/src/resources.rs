@@ -50,7 +50,7 @@ impl Default for ResourceConfig {
         ResourceConfig {
             zoom_prefixes: 117,
             campus_prefixes: 64,
-            p2p_register_entries: crate::stun_tracker::REGISTER_ENTRIES,
+            p2p_register_entries: zoom_analysis::stun_tracker::REGISTER_ENTRIES,
             anonymization: true,
         }
     }

@@ -2,11 +2,11 @@
 
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
+use zoom_analysis::stun_tracker::StunTracker;
 use zoom_capture::anonymize::{Anonymizer, Mode};
 use zoom_capture::mux::{CaptureMux, MuxConfig};
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
 use zoom_capture::source::{PacketSource, ReplaySource};
-use zoom_capture::stun_tracker::StunTracker;
 use zoom_capture::zoom_nets::{Owner, ZoomIpList, ZoomNetwork};
 use zoom_wire::cidr::Cidr;
 use zoom_wire::family::FamilySelect;

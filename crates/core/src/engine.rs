@@ -16,13 +16,14 @@
 //!   the previous close, so summing a stream's windows reproduces its
 //!   whole-trace totals exactly.
 //! * **Bounded memory.** With an idle timeout configured, each window
-//!   close evicts flows, streams, STUN registrations, WebRTC flows and
-//!   RTP-copy RTT candidates that have been idle past the timeout —
-//!   straight out of the analyzer's own tables. An evicted stream flushes
-//!   a final report fragment (`evicted: true`), so end-of-trace totals
-//!   stay exact, and leaves a tombstone in the stream table
-//!   ([`crate::stream::StreamTracker::evict_idle`]), so it stays a
-//!   grouping candidate and is the same stream if it returns.
+//!   close evicts flows, streams and RTP-copy RTT candidates that have
+//!   been idle past the timeout — straight out of the analyzer's own
+//!   tables — and sweeps the capped P2P registers
+//!   ([`crate::stun_tracker`]) of entries past their own timeout. An
+//!   evicted stream flushes a final report fragment (`evicted: true`),
+//!   so end-of-trace totals stay exact, and leaves a tombstone in the
+//!   stream table ([`crate::stream::StreamTracker::evict_idle`]), so it
+//!   stays a grouping candidate and is the same stream if it returns.
 //! * **Drain.** [`StreamingEngine::drain`] ticks the last window and
 //!   returns the finished [`AnalysisReport`] — the
 //!   analyzer's report with the evicted fragments in their places —
@@ -53,7 +54,7 @@ use crate::meeting::MeetingGrouper;
 use crate::metrics::latency::RttTotals;
 use crate::obs::trace::spans;
 use crate::obs::{MetricsSnapshot, PipelineMetrics};
-use crate::pipeline::{Analyzer, AnalyzerConfig, STUN_TIMEOUT_NANOS};
+use crate::pipeline::{Analyzer, AnalyzerConfig};
 use crate::report::{
     build_report, AnalysisReport, MeetingWindow, RttSummaryReport, StreamReport, StreamWindow,
     WindowReport, WindowTotals,
@@ -494,14 +495,11 @@ impl WindowClock {
         self.evicted_flows
             .extend(gone_flows.into_iter().map(|(ft, _)| ft));
 
-        // Bound the registries too: STUN entries and WebRTC flows past
-        // the timeout can never match again, and neither can RTT
-        // candidates past the matching window — every prune is lossless.
-        let stun_cutoff = end.saturating_sub(STUN_TIMEOUT_NANOS);
-        analyzer
-            .p2p_endpoints
-            .retain(|_, last| *last >= stun_cutoff);
-        analyzer.webrtc_flows.retain(|_, last| *last >= stun_cutoff);
+        // Bound the registries too: register entries past the timeout
+        // can never match again, and neither can RTT candidates past the
+        // matching window — every prune is lossless.
+        analyzer.stun_register.sweep(end);
+        analyzer.dtls_register.sweep(end);
         analyzer.rtp_rtt.prune(end);
 
         totals.meetings = analyzer.grouper.meeting_count();
@@ -515,7 +513,7 @@ impl WindowClock {
         mark_histogram.clone_from(rtt.histogram());
         totals.tracked_entries = analyzer.streams.flow_count()
             + analyzer.streams.len()
-            + analyzer.p2p_endpoints.len()
+            + analyzer.stun_register.len()
             + analyzer.rtp_rtt.outstanding();
         self.last_tracked = totals.tracked_entries;
         self.peak_tracked = self.peak_tracked.max(totals.tracked_entries);
@@ -1046,6 +1044,62 @@ mod tests {
         let indices: Vec<u64> = windows.iter().map(|w| w.index).collect();
         assert_eq!(indices, vec![0, 1, 2, 3]);
         engine.drain().unwrap();
+    }
+
+    /// A STUN binding request from campus endpoint `10.8.x.y:port` (the
+    /// `i`th distinct one) to the zone controller on 3478.
+    fn stun_binding(ts: u64, i: usize) -> Record {
+        let msg = zoom_wire::stun::Repr {
+            message_type: zoom_wire::stun::MessageType::BindingRequest,
+            transaction_id: [7; 12],
+            xor_mapped_address: None,
+        };
+        let mut payload = vec![0u8; msg.buffer_len()];
+        msg.emit(&mut payload);
+        let client = Ipv4Addr::new(10, 8, (i >> 8) as u8, i as u8);
+        let port = 1024 + (i >> 16) as u16;
+        let controller = Ipv4Addr::new(170, 114, 1, 1);
+        let data = compose::udp_ipv4_ethernet(client, controller, port, 3478, &payload);
+        Record::full(ts, data)
+    }
+
+    /// A flood of STUN bindings from distinct endpoints, 100 µs apart,
+    /// fills the STUN register to its cap and no further: every window's
+    /// tracked entries stay within the cap plus the flows the window kept
+    /// live, and the registry's refusal counter is what the register
+    /// turned away.
+    #[test]
+    fn a_stun_flood_is_held_to_the_register_cap() {
+        use crate::stun_tracker::REGISTER_ENTRIES;
+        const FLOOD: usize = REGISTER_ENTRIES + 10_000;
+        let mut engine = StreamingEngine::new(EngineConfig {
+            window: Some(Duration::from_secs(1)),
+            idle_timeout: Some(Duration::from_secs(1)),
+            ..Default::default()
+        })
+        .unwrap();
+        let mut windows = Vec::new();
+        for chunk in (0..FLOOD).collect::<Vec<_>>().chunks(128) {
+            let batch = batch_of(chunk.iter().map(|&i| stun_binding(i as u64 * 100_000, i)));
+            engine.push_batch(&batch, LinkType::Ethernet).unwrap();
+            windows.extend(engine.take_windows());
+        }
+        assert_eq!(windows.len(), FLOOD / 10_000);
+        for w in &windows {
+            // Idle timeout = window: only this window's flows stay live.
+            let live_flows = w.totals.packets as usize;
+            assert!(
+                w.totals.tracked_entries <= REGISTER_ENTRIES + live_flows,
+                "window {}: {} tracked entries",
+                w.index,
+                w.totals.tracked_entries
+            );
+        }
+        let register = engine.analyzer.stun_register.stats();
+        assert_eq!(register.rejected_full, (FLOOD - REGISTER_ENTRIES) as u64);
+        assert_eq!(engine.metrics().register_refused, register.rejected_full);
+        let out = engine.drain().unwrap();
+        assert_eq!(out.report.summary.zoom_packets, FLOOD as u64);
     }
 
     fn one_second_engine() -> StreamingEngine {

@@ -15,6 +15,8 @@
 //! * [`metrics`] — frame rate/size/delay, frame-level jitter, latency,
 //!   and loss estimators (§5)
 //! * [`meeting`] — the stream→meeting grouping heuristic (§4.3)
+//! * [`stun_tracker`] — the capped P2P registers (§4.1) the analyzer and
+//!   the capture filter both keep
 //! * [`pipeline`] — the end-to-end [`pipeline::Analyzer`]
 //! * [`engine`] — the streaming [`engine::StreamingEngine`]: windowed
 //!   reports, idle-timeout eviction, the drain
@@ -64,6 +66,7 @@ pub mod report;
 pub mod sink;
 pub mod stats;
 pub mod stream;
+pub mod stun_tracker;
 
 pub use error::Error;
 pub use sink::PacketSink;

@@ -778,6 +778,7 @@ scalar_metrics! {
         evicted_streams: Counter() => Counter json(ENGINE) debug(1) "zoom_evicted_streams_total" "Streams evicted by the idle timeout.";
         tracked_entries: Gauge() => Gauge json(ENGINE) debug(0) "zoom_tracked_entries" "Entries currently tracked.";
         peak_tracked_entries: Gauge() => Gauge json(ENGINE) debug(0) "zoom_peak_tracked_entries" "High-water mark of tracked entries.";
+        register_refused: Gauge() => Counter json(ENGINE) "zoom_register_refused_total" "P2P register writes refused at the register's capacity.";
         trace_events <- |m| m.trace.event_counts().0 => Counter json(TRACE, "events") debug(0, "events") "zoom_trace_events_total" "Trace span events recorded by the collector.";
         trace_events_dropped <- |m| m.trace.event_counts().1 => Counter json(TRACE, "events_dropped") debug(0, "events_dropped") "zoom_trace_events_dropped_total" "Trace events dropped at the bounded export queue.";
         packet_size: Histogram(PACKET_SIZE_BOUNDS) => Histogram json(SIZE) "zoom_packet_size_bytes" "On-the-wire size distribution of offered records.";
@@ -1213,6 +1214,8 @@ pub struct CaptureMetricsSnapshot {
     pub passed_bytes: u64,
     /// Bytes across all offered packets.
     pub total_bytes: u64,
+    /// P2P register writes refused at the register's capacity.
+    pub register_refused: u64,
 }
 
 /// The capture filter's rows, in Prometheus order: the verdicts under one
@@ -1253,6 +1256,13 @@ pub const CAPTURE_ROWS: &[Metric<CaptureMetricsSnapshot>] = &[
         "zoom_capture_bytes_total",
         "Bytes across all offered packets.",
         |c| c.total_bytes,
+    ),
+    capture_total(
+        1,
+        "register_refused",
+        "zoom_capture_register_refused_total",
+        "P2P register writes refused at the register's capacity.",
+        |c| c.register_refused,
     ),
 ];
 
@@ -1797,6 +1807,9 @@ zoom_tracked_entries 4
 # HELP zoom_peak_tracked_entries High-water mark of tracked entries.
 # TYPE zoom_peak_tracked_entries gauge
 zoom_peak_tracked_entries 9
+# HELP zoom_register_refused_total P2P register writes refused at the register's capacity.
+# TYPE zoom_register_refused_total counter
+zoom_register_refused_total 0
 # HELP zoom_trace_events_total Trace span events recorded by the collector.
 # TYPE zoom_trace_events_total counter
 zoom_trace_events_total 0
@@ -1904,6 +1917,7 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
         m.evicted_streams.add(4);
         m.tracked_entries.set(5);
         m.peak_tracked_entries.set_max(9);
+        m.register_refused.set(3);
         m.stage_push_nanos.observe(5_000);
         m.stage_merge_nanos.observe(2_000_000);
 
@@ -1971,6 +1985,7 @@ zoom_qoe_series_evicted_total{family=\"degraded\"} 0
             passed: 20,
             passed_bytes: 2_000,
             total_bytes: 9_000,
+            register_refused: 9,
         };
         (m, capture)
     }

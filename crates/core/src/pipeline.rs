@@ -9,7 +9,6 @@
 
 use crate::classify::Classifier;
 use crate::error::Error;
-use crate::fxhash::FxHashMap;
 use crate::meeting::{client_endpoint_of, GroupingConfig, MeetingGrouper, MeetingReport};
 use crate::metrics::latency::{RtpRttEstimator, RttStats, TcpRttEstimator};
 use crate::obs::{bump, IngestTally, MetricsSnapshot, PipelineMetrics};
@@ -18,6 +17,7 @@ use crate::report::{build_report, AnalysisReport};
 use crate::sink::PacketSink;
 use crate::stats::{LogHistogram, Samples};
 use crate::stream::{FlowId, Stream, StreamKey, StreamSeconds, StreamTracker};
+use crate::stun_tracker::StunTracker;
 use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -148,14 +148,14 @@ pub struct Analyzer {
     /// Sizes of the completed frames, per media type that has frames
     /// (Fig. 15c): a handful of entries.
     frame_sizes: Vec<(MediaType, LogHistogram)>,
-    /// STUN-registered endpoints → last exchange time (§4.1 registers).
-    pub(crate) p2p_endpoints: FxHashMap<Endpoint, u64>,
-    /// Canonical 5-tuples with an observed DTLS-SRTP handshake → last
-    /// packet time. The WebRTC analogue of [`Analyzer::p2p_endpoints`]:
-    /// a flow enters on a strict DTLS record (gated by the STUN
-    /// registry under [`FamilySelect::Auto`]) and every later packet on
-    /// it gets the WebRTC second chance.
-    pub(crate) webrtc_flows: FxHashMap<FiveTuple, u64>,
+    /// The §4.1 STUN register: endpoints a STUN exchange named.
+    pub(crate) stun_register: StunTracker<Endpoint>,
+    /// Canonical 5-tuples with an observed DTLS-SRTP handshake. The
+    /// WebRTC analogue of [`Analyzer::stun_register`]: a flow enters on
+    /// a strict DTLS record (gated by the STUN register under
+    /// [`FamilySelect::Auto`]) and every later packet on it gets the
+    /// WebRTC second chance.
+    pub(crate) dtls_register: StunTracker<FiveTuple>,
     pub(crate) total_packets: u64,
     pub(crate) zoom_packets: u64,
     pub(crate) zoom_bytes: u64,
@@ -196,8 +196,8 @@ impl Analyzer {
             rtp_rtt: RtpRttEstimator::default(),
             tcp_rtt: TcpRttEstimator::default(),
             frame_sizes: Vec::new(),
-            p2p_endpoints: FxHashMap::default(),
-            webrtc_flows: FxHashMap::default(),
+            stun_register: StunTracker::new(STUN_TIMEOUT_NANOS),
+            dtls_register: StunTracker::new(STUN_TIMEOUT_NANOS),
             total_packets: 0,
             zoom_packets: 0,
             zoom_bytes: 0,
@@ -221,10 +221,13 @@ impl Analyzer {
         Arc::clone(&self.metrics)
     }
 
-    /// Publish the per-record counters tallied since the last flush into
-    /// the registry.
+    /// Publish the per-record counters tallied since the last flush, and
+    /// the registers' refusals, into the registry.
     pub(crate) fn flush_metrics(&self) {
         self.tally.flush(&self.metrics);
+        self.metrics.register_refused.set(
+            self.stun_register.stats().rejected_full + self.dtls_register.stats().rejected_full,
+        );
     }
 
     /// Finish a record [`peek`] accepted: classify its UDP payload
@@ -292,7 +295,7 @@ impl Analyzer {
                 } else {
                     ft.dst()
                 };
-                self.p2p_endpoints.insert(client, r.ts_nanos);
+                self.stun_register.register(client, r.ts_nanos);
                 self.note_classified(FamilyId::Zoom, r.ts_nanos, ft, r.ip_len);
             }
             AppView::Zoom(framing, z) => {
@@ -319,7 +322,9 @@ impl Analyzer {
     /// first try, preserving the pre-family dispatch order bit for bit.
     fn udp_second_chance(&mut self, r: &RecordView<'_>, wire_len: usize) {
         let family = self.config.family;
-        let stun_fresh = self.is_p2p_flow(r);
+        let (ft, now) = (r.five_tuple, r.ts_nanos);
+        let stun_fresh =
+            self.stun_register.check(ft.src(), now) || self.stun_register.check(ft.dst(), now);
         if stun_fresh && family.allows(FamilyId::Zoom) {
             if let Ok(z) = zoom_wire::zoom::parse(r.payload, wire_len, Framing::P2p) {
                 if z.rtp.is_some() || !z.rtcp.is_empty() {
@@ -346,7 +351,7 @@ impl Analyzer {
                 }
             }
         }
-        let webrtc_live = !self.webrtc_flows.is_empty();
+        let webrtc_live = !self.dtls_register.is_empty();
         if family.allows(FamilyId::Webrtc) && (stun_fresh || webrtc_live) {
             self.webrtc_second_chance(r, wire_len, stun_fresh);
         }
@@ -358,7 +363,8 @@ impl Analyzer {
     /// STUN-registered endpoint opens a new flow — RFC 5764's handshake
     /// precedes media, so the gate admits real sessions and nothing else.
     fn webrtc_second_chance(&mut self, r: &RecordView<'_>, wire_len: usize, stun_fresh: bool) {
-        if self.is_webrtc_flow(r) {
+        let flow = r.five_tuple.canonical();
+        if self.dtls_register.check(flow, r.ts_nanos) {
             match webrtc::classify(r.payload, wire_len) {
                 Ok(pdu) => self.on_webrtc(r.ts_nanos, *r.five_tuple, r.ip_len, &pdu),
                 Err(_) => self.srtp_malformed = true,
@@ -370,32 +376,6 @@ impl Analyzer {
                 self.on_webrtc(r.ts_nanos, *r.five_tuple, r.ip_len, &pdu);
             }
         }
-    }
-
-    fn is_p2p_flow(&mut self, r: &RecordView<'_>) -> bool {
-        let now = r.ts_nanos;
-        for ep in [r.five_tuple.src(), r.five_tuple.dst()] {
-            if let Some(last) = self.p2p_endpoints.get_mut(&ep) {
-                if now.saturating_sub(*last) <= STUN_TIMEOUT_NANOS {
-                    *last = now; // refresh: long calls stay matched
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Whether this packet rides a flow with an observed DTLS-SRTP
-    /// handshake (refreshing the entry, like [`Analyzer::is_p2p_flow`]).
-    fn is_webrtc_flow(&mut self, r: &RecordView<'_>) -> bool {
-        let now = r.ts_nanos;
-        if let Some(last) = self.webrtc_flows.get_mut(&r.five_tuple.canonical()) {
-            if now.saturating_sub(*last) <= STUN_TIMEOUT_NANOS {
-                *last = now;
-                return true;
-            }
-        }
-        false
     }
 
     /// Count one classified packet under `family`: trace totals, the
@@ -441,7 +421,8 @@ impl Analyzer {
                 self.on_media(&meta);
             }
             webrtc::Pdu::Dtls(dtls) => {
-                self.webrtc_flows.insert(five_tuple.canonical(), ts_nanos);
+                let flow = five_tuple.canonical();
+                self.dtls_register.register(flow, ts_nanos);
                 self.note_classified(FamilyId::Webrtc, ts_nanos, &five_tuple, ip_len);
                 self.classifier.record(
                     FamilyId::Webrtc,

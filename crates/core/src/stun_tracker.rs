@@ -16,19 +16,21 @@
 //! pipeline does too. On Tofino this state lives in register hash tables
 //! (the "P2P Sources" / "P2P Destinations" boxes of Fig. 13); here it is a
 //! `HashMap` with lazy expiry, a periodic sweep, and the hardware's fixed
-//! capacity: at [`REGISTER_ENTRIES`] live entries a new endpoint is
-//! refused (and counted) rather than stored, so a flood of spoofed STUN
-//! packets cannot grow the table past what the registers would hold.
+//! capacity: at [`REGISTER_ENTRIES`] live entries a new key is refused
+//! (and counted) rather than stored, so a flood of spoofed STUN packets
+//! cannot grow the table past what the registers would hold. The capture
+//! filter and the analyzer keep this one type, keyed by endpoint — and,
+//! for the analyzer's DTLS-SRTP flows, by canonical five-tuple.
 //!
 //! The map keeps std's randomly keyed SipHash on purpose: its keys come
 //! from packets an outside sender can forge, and an unkeyed hash would
 //! let that sender aim every key at one bucket.
 
 use std::collections::HashMap;
-use zoom_wire::flow::Endpoint;
+use std::hash::Hash;
 
-/// Live entries one tracker holds at most: the register capacity the
-/// resource model ([`crate::resources::ResourceConfig`]) budgets for.
+/// Live entries one register holds at most: the P2P register capacity
+/// the capture crate's Tofino resource model budgets for.
 pub const REGISTER_ENTRIES: usize = 65_536;
 
 /// Statistics counters exposed for Fig. 13-style per-stage reporting.
@@ -38,20 +40,19 @@ pub struct TrackerStats {
     pub registered: u64,
     /// Lookups that confirmed a P2P flow.
     pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
     /// Entries dropped because they outlived the timeout.
     pub expired: u64,
-    /// Registrations refused because [`REGISTER_ENTRIES`] endpoints were
+    /// Registrations refused because [`REGISTER_ENTRIES`] keys were
     /// live.
     pub rejected_full: u64,
 }
 
-/// The stateful P2P detector.
+/// One P2P register: key → last activity, capped at
+/// [`REGISTER_ENTRIES`].
 #[derive(Debug)]
-pub struct StunTracker {
-    /// Campus endpoint → last STUN activity (nanoseconds).
-    entries: HashMap<Endpoint, u64>,
+pub struct StunTracker<K> {
+    /// Key → last activity (nanoseconds).
+    entries: HashMap<K, u64>,
     timeout_nanos: u64,
     stats: TrackerStats,
     /// Sweep cadence: every `sweep_every` registrations, purge expired
@@ -64,14 +65,14 @@ pub struct StunTracker {
     next_expiry_nanos: u64,
 }
 
-impl StunTracker {
-    /// Create a tracker with the given entry timeout.
+impl<K: Hash + Eq + Copy> StunTracker<K> {
+    /// Create a register with the given entry timeout.
     ///
     /// The paper leaves the timeout configurable; longer timeouts risk
     /// false positives through ephemeral-port reuse, shorter ones risk
     /// missing P2P flows that start slowly ("within tens of seconds").
-    /// Every route uses [`zoom_analysis::pipeline::STUN_TIMEOUT_NANOS`]
-    /// (120 s); the timeout ablation sweeps others.
+    /// Every route uses [`crate::pipeline::STUN_TIMEOUT_NANOS`] (120 s);
+    /// the timeout ablation sweeps others.
     pub fn new(timeout_nanos: u64) -> Self {
         StunTracker {
             entries: HashMap::new(),
@@ -83,12 +84,12 @@ impl StunTracker {
         }
     }
 
-    /// Record a STUN exchange: `client` is the campus-side endpoint of a
-    /// packet to/from a Zoom server on port 3478. With
-    /// [`REGISTER_ENTRIES`] endpoints live even after a sweep, a new
-    /// endpoint is refused and counted in [`TrackerStats::rejected_full`].
-    pub fn register(&mut self, client: Endpoint, now_nanos: u64) {
-        if self.entries.len() >= REGISTER_ENTRIES && !self.entries.contains_key(&client) {
+    /// Record a STUN exchange (or, for a flow register, a handshake):
+    /// `key` is live from `now_nanos` for the timeout. With
+    /// [`REGISTER_ENTRIES`] keys live even after a sweep, a new key is
+    /// refused and counted in [`TrackerStats::rejected_full`].
+    pub fn register(&mut self, key: K, now_nanos: u64) {
+        if self.entries.len() >= REGISTER_ENTRIES && !self.entries.contains_key(&key) {
             if now_nanos >= self.next_expiry_nanos {
                 self.sweep(now_nanos);
             }
@@ -97,7 +98,7 @@ impl StunTracker {
                 return;
             }
         }
-        self.entries.insert(client, now_nanos);
+        self.entries.insert(key, now_nanos);
         self.stats.registered += 1;
         self.since_sweep += 1;
         if self.since_sweep >= self.sweep_every {
@@ -106,27 +107,23 @@ impl StunTracker {
         }
     }
 
-    /// Check whether `client` recently completed a STUN exchange — i.e.
-    /// whether a UDP flow from this endpoint to a non-Zoom address should
-    /// be treated as Zoom P2P media. Refreshes the entry on hit so
+    /// Check whether `key` was registered within the timeout — for an
+    /// endpoint, whether a UDP flow from it to a non-Zoom address should
+    /// be treated as P2P media. Refreshes the entry on hit so
     /// long-running P2P calls stay matched.
-    pub fn check(&mut self, client: Endpoint, now_nanos: u64) -> bool {
-        match self.entries.get_mut(&client) {
+    pub fn check(&mut self, key: K, now_nanos: u64) -> bool {
+        match self.entries.get_mut(&key) {
             Some(last) if now_nanos.saturating_sub(*last) <= self.timeout_nanos => {
                 *last = now_nanos;
                 self.stats.hits += 1;
                 true
             }
             Some(_) => {
-                self.entries.remove(&client);
+                self.entries.remove(&key);
                 self.stats.expired += 1;
-                self.stats.misses += 1;
                 false
             }
-            None => {
-                self.stats.misses += 1;
-                false
-            }
+            None => false,
         }
     }
 
@@ -147,6 +144,16 @@ impl StunTracker {
         self.next_expiry_nanos = oldest.saturating_add(timeout).saturating_add(1);
     }
 
+    /// Entries held, expired ones not yet swept included.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the register holds no entry.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> TrackerStats {
         self.stats
@@ -157,6 +164,7 @@ impl StunTracker {
 mod tests {
     use super::*;
     use std::net::{IpAddr, Ipv4Addr};
+    use zoom_wire::flow::Endpoint;
 
     const SEC: u64 = 1_000_000_000;
 
@@ -187,7 +195,7 @@ mod tests {
         t.register(ep(1, 50_000), 0);
         assert!(!t.check(ep(1, 50_001), SEC));
         assert!(!t.check(ep(2, 50_000), SEC));
-        assert_eq!(t.stats().misses, 2);
+        assert_eq!(t.stats().hits, 0);
     }
 
     #[test]

@@ -987,6 +987,8 @@ mod tests {
         let mut r = FrameReader::new(&bytes[..]).unwrap();
         // Room enough that the arena does not move when the frames land.
         let mut batch = RecordBatch::new();
+        batch.push(0, 4096, &[0; 4096]);
+        batch.clear();
         batch.push(5, 80, &[0x55; 80]);
         let where_it_was = batch.get(0).unwrap().data.as_ptr();
         while r.next(&mut batch).unwrap().is_some() {}

@@ -13,12 +13,12 @@
 
 use std::net::{IpAddr, Ipv4Addr};
 use zoom_analysis::obs::{CaptureMetricsSnapshot, MetricsSnapshot, PipelineMetrics};
+use zoom_analysis::stun_tracker::{StunTracker, TrackerStats};
 use zoom_capture::anonymize::{Anonymizer, Mode};
 use zoom_capture::filter::{filter_to_pcap, FilterWriter};
 use zoom_capture::mux::{CaptureMux, MuxConfig};
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig, Verdict};
 use zoom_capture::source::{PacketSource, ReplaySource, BATCH_RECORDS};
-use zoom_capture::stun_tracker::{StunTracker, TrackerStats};
 use zoom_capture::zoom_nets::{Owner, ZoomIpList, ZoomNetwork};
 use zoom_sim::infra::Infrastructure;
 use zoom_sim::meeting::MeetingSim;
@@ -82,8 +82,8 @@ struct Reference {
     excluded: Vec<Cidr>,
     zoom: Vec<Cidr>,
     webrtc: bool,
-    tracker: StunTracker,
-    rtc_tracker: StunTracker,
+    tracker: StunTracker<Endpoint>,
+    rtc_tracker: StunTracker<Endpoint>,
     counters: CaptureMetricsSnapshot,
 }
 

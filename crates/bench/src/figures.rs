@@ -5,7 +5,7 @@
 //! figure must satisfy (crossovers, clusters, correlations); see
 //! `EXPERIMENTS.md`.
 
-use crate::harness::{feed, no_meetings, write_csv, CampusRun, ExpArgs};
+use crate::harness::{feed, no_meetings, write_csv, ExpArgs};
 use std::collections::HashMap;
 use std::time::Duration;
 use zoom_analysis::engine::{EngineConfig, StreamingEngine};
@@ -487,7 +487,7 @@ pub fn fig13(exp: &CaptureExperiment) {
 }
 
 /// Fig. 14: data rate per media type over the trace.
-pub fn fig14(run: &CampusRun, args: &ExpArgs) {
+pub fn fig14(analyzer: &Analyzer, args: &ExpArgs) {
     let minute = 60 * SEC;
     let mut bins: HashMap<&'static str, TimeBins> = HashMap::new();
     for (label, media) in [
@@ -496,7 +496,7 @@ pub fn fig14(run: &CampusRun, args: &ExpArgs) {
         ("screen_share", MediaType::ScreenShare),
     ] {
         let mut tb = TimeBins::new(minute, args.duration());
-        for s in run.analyzer.streams().of_type(media) {
+        for s in analyzer.streams().of_type(media) {
             let seconds = s.seconds().expect("per-second rows kept");
             for row in seconds.rates() {
                 tb.add(row.start_nanos(), row.media_bytes as f64);
@@ -538,7 +538,7 @@ pub fn fig14(run: &CampusRun, args: &ExpArgs) {
 
 /// Fig. 15: per-media CDFs of data rate, frame rate, frame size, and
 /// frame-level jitter.
-pub fn fig15(run: &CampusRun, args: &ExpArgs) {
+pub fn fig15(analyzer: &Analyzer, args: &ExpArgs) {
     println!("Fig. 15: per-media metric distributions (medians / p95):");
     let mut rows: Vec<String> = Vec::new();
     for (label, media) in [
@@ -546,7 +546,7 @@ pub fn fig15(run: &CampusRun, args: &ExpArgs) {
         ("audio", MediaType::Audio),
         ("screen_share", MediaType::ScreenShare),
     ] {
-        let mut s = run.analyzer.media_samples(media);
+        let mut s = analyzer.media_samples(media);
         let mut emit =
             |metric: &str, len: usize, points: Vec<(f64, f64)>, median: f64, p95: f64| {
                 if len == 0 {
@@ -592,9 +592,9 @@ pub fn fig15(run: &CampusRun, args: &ExpArgs) {
     write_csv(args, "fig15_cdfs.csv", "media,metric,value,cdf", rows);
 
     // Shape checks from §6.2.
-    let mut video = run.analyzer.media_samples(MediaType::Video);
-    let mut audio = run.analyzer.media_samples(MediaType::Audio);
-    let mut screen = run.analyzer.media_samples(MediaType::ScreenShare);
+    let mut video = analyzer.media_samples(MediaType::Video);
+    let mut audio = analyzer.media_samples(MediaType::Audio);
+    let mut screen = analyzer.media_samples(MediaType::ScreenShare);
     if !screen.bitrate_mbps.is_empty() {
         // 15a: screen-share bit rate is much closer to audio than video.
         let v = video.bitrate_mbps.median();
@@ -632,8 +632,8 @@ pub fn fig15(run: &CampusRun, args: &ExpArgs) {
 
 /// Fig. 16: jitter vs bit rate / frame rate scatter — no correlation, and
 /// the two fps clusters.
-pub fn fig16(run: &CampusRun, args: &ExpArgs) {
-    let samples = run.analyzer.fig16_samples();
+pub fn fig16(analyzer: &Analyzer, args: &ExpArgs) {
+    let samples = analyzer.fig16_samples();
     assert!(samples.len() > 100, "need samples, got {}", samples.len());
     // 1,500 randomly chosen samples, like the paper. Deterministic
     // sub-sampling by stride keeps the experiment reproducible.

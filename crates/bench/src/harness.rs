@@ -8,7 +8,6 @@ use zoom_analysis::PacketSink;
 use zoom_capture::pipeline::{CapturePipeline, PipelineConfig};
 use zoom_capture::source::BATCH_RECORDS;
 use zoom_sim::campus::CampusStream;
-use zoom_sim::infra::Infrastructure;
 use zoom_sim::scenario;
 use zoom_wire::handoff::RecordBatch;
 use zoom_wire::pcap::{LinkType, Record};
@@ -171,16 +170,6 @@ pub fn write_csv(
     path
 }
 
-/// The standard campus run: generate → filter → analyze. Returns the
-/// analyzer, the capture pipeline (for its counters), and the scenario
-/// truth.
-pub struct CampusRun {
-    pub analyzer: Analyzer,
-    pub capture: CapturePipeline,
-    pub truth: Vec<zoom_sim::campus::MeetingTruth>,
-    pub infra: Infrastructure,
-}
-
 /// The error for a campus scenario that drew no meetings: every campus
 /// experiment would print zeros beside the paper's numbers.
 pub(crate) fn no_meetings(args: &ExpArgs) -> String {
@@ -192,21 +181,19 @@ pub(crate) fn no_meetings(args: &ExpArgs) -> String {
 
 /// Run the campus workload through capture + analysis; an error if the
 /// scenario has no meetings.
-pub fn run_campus(args: &ExpArgs) -> Result<CampusRun, String> {
+pub fn run_campus(args: &ExpArgs) -> Result<Analyzer, String> {
     let (scenario_obj, infra) = scenario::campus_study(
         args.seed,
         args.duration(),
         args.scale(),
         args.background_ratio,
     );
-    let truth = scenario_obj.truth.clone();
+    let meetings = scenario_obj.truth.len();
     eprintln!(
         "[campus] {} meetings over {} min at 1/{} scale",
-        truth.len(),
-        args.minutes,
-        args.scale_denom
+        meetings, args.minutes, args.scale_denom
     );
-    if truth.is_empty() {
+    if meetings == 0 {
         return Err(no_meetings(args));
     }
     let mut capture = CapturePipeline::new(PipelineConfig {
@@ -224,12 +211,7 @@ pub fn run_campus(args: &ExpArgs) -> Result<CampusRun, String> {
         &mut analyzer,
         stream.filter_map(|record| capture.process_record(&record, LinkType::Ethernet).1),
     );
-    Ok(CampusRun {
-        analyzer,
-        capture,
-        truth,
-        infra,
-    })
+    Ok(analyzer)
 }
 
 /// Feed `records` to `sink` through `PacketSink::push_batch`, in the

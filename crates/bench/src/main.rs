@@ -83,21 +83,21 @@ fn all(args: &ExpArgs) -> Result<(), String> {
     tables::table7();
 
     section("Campus run (shared by Tables 2/3/4/6 and Figs. 14/15/16)");
-    let run = run_campus(args)?;
+    let analyzer = run_campus(args)?;
     section("Table 2");
-    tables::table2(&run);
+    tables::table2(&analyzer);
     section("Table 3");
-    tables::table3(&run);
+    tables::table3(&analyzer);
     section("Table 4");
-    tables::table4(&run);
+    tables::table4(&analyzer);
     section("Table 6");
-    tables::table6(&run, args);
+    tables::table6(&analyzer, args);
     section("Figure 14");
-    figures::fig14(&run, args);
+    figures::fig14(&analyzer, args);
     section("Figure 15");
-    figures::fig15(&run, args);
+    figures::fig15(&analyzer, args);
     section("Figure 16");
-    figures::fig16(&run, args);
+    figures::fig16(&analyzer, args);
 
     section("Figure 2");
     figures::fig2(args);

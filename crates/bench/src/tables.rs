@@ -5,7 +5,8 @@
 //! measured rows for programmatic checks. `EXPERIMENTS.md` records the
 //! expected shapes.
 
-use crate::harness::{CampusRun, ExpArgs};
+use crate::harness::ExpArgs;
+use zoom_analysis::pipeline::Analyzer;
 use zoom_capture::resources::{self, ResourceConfig};
 use zoom_capture::zoom_nets::Owner;
 use zoom_sim::infra::Infrastructure;
@@ -71,7 +72,7 @@ pub fn table1() {
 
 /// Table 2: media-encapsulation type values with their offsets and
 /// packet/byte shares, against the paper's trace percentages.
-pub fn table2(run: &CampusRun) {
+pub fn table2(analyzer: &Analyzer) {
     // (type value, paper % pkts, paper % bytes, paper offset)
     let paper: &[(u8, f64, f64, usize)] = &[
         (16, 62.77, 80.67, 24),
@@ -85,7 +86,7 @@ pub fn table2(run: &CampusRun) {
         "{:<6}{:<28}{:>8}{:>12}{:>12}{:>14}{:>14}",
         "Value", "Packet Type", "Offset", "% Pkts", "% Bytes", "(paper %P)", "(paper %B)"
     );
-    let classifier = run.analyzer.classifier();
+    let classifier = analyzer.classifier();
     let mut sum_p = 0.0;
     let mut sum_b = 0.0;
     for &(value, pp, pb, off) in paper {
@@ -115,7 +116,7 @@ pub fn table2(run: &CampusRun) {
 }
 
 /// Table 3: RTP payload types per media type against the paper's shares.
-pub fn table3(run: &CampusRun) {
+pub fn table3(analyzer: &Analyzer) {
     let paper: &[(MediaType, u8, &str, f64, f64)] = &[
         (MediaType::Video, 98, "main stream", 62.00, 79.27),
         (MediaType::Audio, 112, "speaking mode", 22.04, 7.92),
@@ -130,7 +131,7 @@ pub fn table3(run: &CampusRun) {
         "{:<20}{:<8}{:<16}{:>10}{:>10}{:>12}{:>12}",
         "Media Type", "RTP PT", "Description", "% Pkts", "% Bytes", "(paper %P)", "(paper %B)"
     );
-    let classifier = run.analyzer.classifier();
+    let classifier = analyzer.classifier();
     for &(mt, pt, desc, pp, pb) in paper {
         let (mp, mb) = classifier.share(mt, pt);
         println!(
@@ -151,20 +152,19 @@ fn media_short(mt: MediaType) -> &'static str {
 
 /// Table 4: the metric capability matrix — derived from what the
 /// implementation actually provides, not hard-coded claims.
-pub fn table4(run: &CampusRun) {
+pub fn table4(a: &Analyzer) {
     println!("Table 4: Key Zoom Performance and Quality Metrics");
     println!(
         "{:<26}{:<18}{:<20}Validated here",
         "Metric", "Requires Headers", "In Zoom Client"
     );
-    let a = &run.analyzer;
     let video = a.media_samples(MediaType::Video);
     let rows: Vec<(&str, bool, bool, bool)> = vec![
         (
             "Overall Bit Rate (§5.1)",
             false,
             false,
-            a.flows().next().is_some(),
+            a.streams().flow_count() > 0,
         ),
         (
             "Media Bit Rate (§5.1)",
@@ -235,8 +235,8 @@ pub fn table5() {
 
 /// Table 6: capture summary of the campus trace, with the paper's values
 /// scaled by the run's load factor for comparison.
-pub fn table6(run: &CampusRun, args: &ExpArgs) {
-    let analyzer_summary = run.analyzer.summary();
+pub fn table6(analyzer: &Analyzer, args: &ExpArgs) {
+    let analyzer_summary = analyzer.summary();
     let scale = args.scale() * (args.minutes as f64 / (12.0 * 60.0));
     println!("Table 6: Capture Summary");
     println!("{:<22}{:>16}{:>22}", "", "measured", "paper (scaled)");

@@ -3,8 +3,8 @@
 //! The paper's capture program anonymizes campus packets in the data plane
 //! using ONTAS before researchers ever see them (§6.1, §9). We model the
 //! same property in software: a keyed one-way mapping of IPv4 addresses
-//! that (optionally) preserves prefix structure, so that "two clients in
-//! the same /24" remains visible while real identities do not.
+//! that preserves prefix structure, so that "two clients in the same /24"
+//! remains visible while real identities do not.
 //!
 //! The hash is a small keyed construction built on FNV-1a with key mixing
 //! and output whitening. It is deliberately dependency-free and
@@ -21,17 +21,14 @@ use std::net::Ipv4Addr;
 /// address costs the FNV-1a rounds of its own bytes only.
 #[derive(Debug, Clone, Copy)]
 pub struct Anonymizer {
-    mode: Mode,
     /// FNV-1a state after the key bytes of octet position `i` (`key ^ i <<
-    /// 56`); position 0 is the plain key, which full mode uses too.
+    /// 56`).
     octet_keys: [u64; 4],
 }
 
 /// How much structure to preserve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Map the whole 32-bit address pseudorandomly.
-    Full,
     /// Preserve prefix structure: each octet is substituted conditioned on
     /// all higher-order octets (Crypto-PAn-like at octet granularity), so
     /// addresses sharing a /8, /16, or /24 keep sharing it.
@@ -64,37 +61,28 @@ fn keyed_hash(key_state: u64, data: u64) -> u64 {
 
 impl Anonymizer {
     /// Create with an explicit key (the "anonymization secret" an operator
-    /// would rotate per capture campaign).
-    pub fn new(key: u64, mode: Mode) -> Self {
+    /// would rotate per capture campaign). [`Mode`] has one value.
+    pub fn new(key: u64, _mode: Mode) -> Self {
         let state = |k: u64| fnv_fold(FNV_OFFSET, k);
         Anonymizer {
-            mode,
             octet_keys: [0u64, 1, 2, 3].map(|i| state(key ^ (i << 56))),
         }
     }
 
     /// Anonymize an IPv4 address.
     pub fn anonymize_v4(&self, ip: Ipv4Addr) -> Ipv4Addr {
-        match self.mode {
-            Mode::Full => {
-                let mapped = keyed_hash(self.octet_keys[0], u64::from(u32::from(ip))) as u32;
-                Ipv4Addr::from(mapped)
-            }
-            Mode::PrefixPreserving => {
-                let octets = ip.octets();
-                let mut out = [0u8; 4];
-                let mut prefix: u64 = 0;
-                for (i, &o) in octets.iter().enumerate() {
-                    // Substitute this octet keyed by position and the
-                    // *original* higher-order octets, so equal prefixes map
-                    // to equal prefixes.
-                    let h = keyed_hash(self.octet_keys[i], prefix | (u64::from(o) << 40));
-                    out[i] = (h & 0xFF) as u8;
-                    prefix = (prefix << 8) | u64::from(o);
-                }
-                Ipv4Addr::from(out)
-            }
+        let octets = ip.octets();
+        let mut out = [0u8; 4];
+        let mut prefix: u64 = 0;
+        for (i, &o) in octets.iter().enumerate() {
+            // Substitute this octet keyed by position and the
+            // *original* higher-order octets, so equal prefixes map
+            // to equal prefixes.
+            let h = keyed_hash(self.octet_keys[i], prefix | (u64::from(o) << 40));
+            out[i] = (h & 0xFF) as u8;
+            prefix = (prefix << 8) | u64::from(o);
         }
+        Ipv4Addr::from(out)
     }
 }
 
@@ -104,24 +92,11 @@ mod tests {
 
     #[test]
     fn deterministic_per_key() {
-        let a = Anonymizer::new(42, Mode::Full);
+        let a = Anonymizer::new(42, Mode::PrefixPreserving);
         let ip = Ipv4Addr::new(10, 8, 1, 2);
         assert_eq!(a.anonymize_v4(ip), a.anonymize_v4(ip));
-        let b = Anonymizer::new(43, Mode::Full);
+        let b = Anonymizer::new(43, Mode::PrefixPreserving);
         assert_ne!(a.anonymize_v4(ip), b.anonymize_v4(ip));
-    }
-
-    #[test]
-    fn full_mode_hides_structure() {
-        let a = Anonymizer::new(7, Mode::Full);
-        let x = a.anonymize_v4(Ipv4Addr::new(10, 8, 1, 2));
-        let y = a.anonymize_v4(Ipv4Addr::new(10, 8, 1, 3));
-        // Adjacent addresses should not map to adjacent outputs.
-        assert_ne!(
-            u32::from(x).wrapping_sub(u32::from(y)),
-            u32::from(Ipv4Addr::new(10, 8, 1, 2))
-                .wrapping_sub(u32::from(Ipv4Addr::new(10, 8, 1, 3)))
-        );
     }
 
     #[test]
@@ -156,50 +131,27 @@ mod tests {
     /// Outputs of the construction as it stood before the key was folded
     /// in at construction: the fold must not move a single output byte.
     #[test]
-    fn golden_vectors_in_both_modes() {
-        // (key, address, full-mode output, prefix-preserving output)
+    fn golden_vectors_are_stable() {
+        // (key, address, output)
         type Octets = [u8; 4];
-        let golden: [(u64, Octets, Octets, Octets); 8] = [
-            (0, [0, 0, 0, 0], [174, 29, 72, 63], [63, 108, 13, 219]),
-            (
-                12345,
-                [10, 8, 0, 2],
-                [80, 233, 200, 129],
-                [179, 81, 182, 243],
-            ),
-            (
-                12345,
-                [10, 8, 255, 255],
-                [225, 68, 247, 128],
-                [179, 81, 183, 85],
-            ),
-            (7, [192, 168, 1, 1], [16, 202, 203, 9], [227, 180, 136, 45]),
-            (
-                42,
-                [255, 255, 255, 255],
-                [68, 210, 77, 14],
-                [103, 234, 211, 20],
-            ),
-            (u64::MAX, [1, 2, 3, 4], [0, 196, 54, 49], [80, 234, 1, 118]),
+        let golden: [(u64, Octets, Octets); 8] = [
+            (0, [0, 0, 0, 0], [63, 108, 13, 219]),
+            (12345, [10, 8, 0, 2], [179, 81, 182, 243]),
+            (12345, [10, 8, 255, 255], [179, 81, 183, 85]),
+            (7, [192, 168, 1, 1], [227, 180, 136, 45]),
+            (42, [255, 255, 255, 255], [103, 234, 211, 20]),
+            (u64::MAX, [1, 2, 3, 4], [80, 234, 1, 118]),
             (
                 0x0123_4567_89AB_CDEF,
                 [172, 16, 31, 200],
-                [181, 236, 223, 64],
                 [122, 114, 176, 81],
             ),
-            (
-                1 << 56,
-                [128, 0, 0, 1],
-                [77, 87, 64, 149],
-                [162, 8, 209, 231],
-            ),
+            (1 << 56, [128, 0, 0, 1], [162, 8, 209, 231]),
         ];
-        for (key, addr, full, prefix) in golden {
+        for (key, addr, prefix) in golden {
             let ip = Ipv4Addr::from(addr);
-            let got_full = Anonymizer::new(key, Mode::Full).anonymize_v4(ip);
-            let got_prefix = Anonymizer::new(key, Mode::PrefixPreserving).anonymize_v4(ip);
-            assert_eq!(got_full.octets(), full, "key {key:#x}, {ip}, full");
-            assert_eq!(got_prefix.octets(), prefix, "key {key:#x}, {ip}, prefix");
+            let got = Anonymizer::new(key, Mode::PrefixPreserving).anonymize_v4(ip);
+            assert_eq!(got.octets(), prefix, "key {key:#x}, {ip}");
         }
     }
 }

@@ -117,8 +117,6 @@ impl From<zoom_analysis::Error> for CliError {
     fn from(e: zoom_analysis::Error) -> CliError {
         use zoom_analysis::Error;
         let code = match &e {
-            Error::Io { .. } => 5,
-            Error::Parse(_) => 4,
             Error::Config(_) => 3,
             _ => 1,
         };
@@ -134,7 +132,6 @@ impl From<zoom_analysis::dist::MergeError> for CliError {
         use zoom_analysis::dist::MergeError;
         let code = match &e {
             MergeError::Io { .. } => 5,
-            MergeError::Protocol(_) => 4,
             MergeError::Checkpoint(_) | MergeError::Mismatch(_) => 7,
             _ => 1,
         };

@@ -537,6 +537,64 @@ fn streaming_analyze_emits_windows_then_final() {
     assert!(err.contains("peak tracked entries"), "stderr: {err}");
 }
 
+/// The `"summary":{...}` object of a report line.
+fn summary_of(line: &str) -> &str {
+    let start = line.find("\"summary\":{").expect("a summary");
+    let end = start + line[start..].find('}').expect("the summary closes");
+    &line[start..=end]
+}
+
+/// Batch mode and the windowed engine share one per-record loop: the
+/// final line of a windowed run carries the batch report's summary,
+/// field for field — with nothing evicted, and on a churning trace whose
+/// evicted streams and flows the drain must count back in.
+#[test]
+fn windowed_and_batch_routes_agree() {
+    let scratch = Scratch::new("windowed_and_batch_routes_agree");
+    for (scenario, seconds, seed, idle) in [("multi", "20", "7", "10s"), ("churn", "40", "5", "5s")]
+    {
+        let pcap = scratch.path(&format!("{scenario}.pcap"));
+        let pcap = pcap.to_str().unwrap();
+        let sim = [
+            "simulate",
+            pcap,
+            "--seconds",
+            seconds,
+            "--seed",
+            seed,
+            "--scenario",
+            scenario,
+        ];
+        let (_, err, ok) = run(&sim);
+        assert!(ok, "simulate {scenario}: {err}");
+        let (batch, err, ok) = run(&["analyze", pcap, "--json"]);
+        assert!(ok, "analyze {scenario} --json: {err}");
+        let window = [
+            "analyze",
+            pcap,
+            "--window",
+            "1s",
+            "--idle-timeout",
+            idle,
+            "--json",
+        ];
+        let (windowed, err, ok) = run(&window);
+        assert!(ok, "analyze {scenario} --window: {err}");
+        let last = windowed.lines().last().expect("a final line");
+        assert!(
+            last.starts_with("{\"type\":\"final\""),
+            "{scenario}: {last}"
+        );
+        assert_eq!(summary_of(last), summary_of(&batch), "{scenario}");
+        if scenario == "churn" {
+            assert!(
+                windowed.contains("\"evicted\":true"),
+                "churn evicts nothing"
+            );
+        }
+    }
+}
+
 /// Features need every stream's whole history and eviction drops
 /// streams, so `--features` with `--idle-timeout` is refused (exit 2)
 /// before any input is read or any file written — on `analyze` and

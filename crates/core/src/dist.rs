@@ -50,8 +50,6 @@ pub enum MergeError {
         /// The underlying error.
         source: io::Error,
     },
-    /// A fragment stream violated the wire protocol.
-    Protocol(String),
     /// The checkpoint file is unreadable or malformed.
     Checkpoint(String),
     /// Restore inputs don't match the checkpointed worker set.
@@ -62,7 +60,6 @@ impl fmt::Display for MergeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MergeError::Io { context, source } => write!(f, "{context}: {source}"),
-            MergeError::Protocol(m) => write!(f, "fragment protocol: {m}"),
             MergeError::Checkpoint(m) => write!(f, "checkpoint: {m}"),
             MergeError::Mismatch(m) => write!(f, "checkpoint mismatch: {m}"),
         }

@@ -329,7 +329,7 @@ impl StreamingEngine {
         let extra_flows = clock
             .evicted_flows
             .iter()
-            .filter(|ft| analyzer.streams.flow(ft).is_none())
+            .filter(|ft| !analyzer.streams.is_live(ft))
             .count();
         let report = build_report(&analyzer, &clock.fragments, extra_flows);
         clock
@@ -492,8 +492,7 @@ impl WindowClock {
         totals.evicted_streams = gone_streams.len() as u64;
         totals.evicted_flows = gone_flows.len() as u64;
         self.evicted_flows_cum += totals.evicted_flows;
-        self.evicted_flows
-            .extend(gone_flows.into_iter().map(|(ft, _)| ft));
+        self.evicted_flows.extend(gone_flows);
 
         // Bound the registries too: register entries past the timeout
         // can never match again, and neither can RTT candidates past the
@@ -1013,6 +1012,67 @@ mod tests {
         assert_eq!(a_rows[0].meeting, a_rows[1].meeting);
         assert_eq!(a_rows[0].unique_id, a_rows[1].unique_id);
         assert_eq!(out.report.summary.rtp_streams, 2);
+    }
+
+    #[test]
+    fn an_evicted_flow_that_comes_back_counts_once() {
+        // Flow A speaks for half a second, goes idle past the 1 s
+        // timeout and is evicted at a window close while flow B keeps
+        // the clock running; then A comes back and is live at the drain.
+        let mut records = Vec::new();
+        for i in 0..15u64 {
+            records.push(media_record(
+                i * 33 * MS,
+                1,
+                0xA,
+                i as u16 + 1,
+                i as u32 * 3_000,
+            ));
+        }
+        for i in 0..150u64 {
+            let ts = 600 * MS + i * 33 * MS;
+            records.push(media_record(ts, 2, 0xB, i as u16 + 1, i as u32 * 3_000));
+        }
+        for i in 0..15u64 {
+            let (ts, n) = (5_600 * MS + i * 33 * MS, 15 + i);
+            records.push(media_record(ts, 1, 0xA, n as u16 + 1, n as u32 * 3_000));
+        }
+
+        let mut engine = StreamingEngine::new(EngineConfig {
+            window: Some(Duration::from_secs(1)),
+            idle_timeout: Some(Duration::from_secs(1)),
+            ..Default::default()
+        })
+        .unwrap();
+        let mut batch = Analyzer::new(AnalyzerConfig::default());
+        let mut windows = Vec::new();
+        for r in &records {
+            windows.extend(push_and_take(
+                &mut engine,
+                r.ts_nanos,
+                &r.data,
+                LinkType::Ethernet,
+            ));
+            PacketSink::push(&mut batch, r.ts_nanos, &r.data, LinkType::Ethernet).unwrap();
+        }
+        let out = engine.drain().unwrap();
+        let new_flows: Vec<u64> = windows
+            .iter()
+            .chain(std::iter::once(out.final_window()))
+            .map(|w| w.totals.new_flows)
+            .collect();
+        let evicted: u64 = windows.iter().map(|w| w.totals.evicted_flows).sum();
+        assert_eq!(evicted, 1, "A is evicted once");
+        // A is new in the first window and again in the one it returns
+        // in; B once.
+        assert_eq!(new_flows[0], 2, "{new_flows:?}");
+        assert_eq!(new_flows[5], 1, "{new_flows:?}");
+        assert_eq!(new_flows.iter().sum::<u64>(), 3, "{new_flows:?}");
+        // The report counts A once: its evicted incarnation is not added
+        // while it is live again.
+        let batch = batch.finish().unwrap();
+        assert_eq!(batch.summary.zoom_flows, 2);
+        assert_eq!(out.report.summary.zoom_flows, batch.summary.zoom_flows);
     }
 
     #[test]

@@ -26,8 +26,6 @@ use zoom_wire::rtp;
 /// One extracted field-value sequence.
 #[derive(Debug, Clone)]
 pub struct FieldSeries {
-    /// Byte offset within the payload.
-    pub offset: usize,
     /// Field width in bytes (1, 2, or 4).
     pub width: usize,
     /// (capture time, value) pairs — the dots of Figs. 3–5.
@@ -52,9 +50,6 @@ pub struct Signature {
     pub small_step_fraction: f64,
     /// Number of distinct values.
     pub distinct: usize,
-    /// Share of the single most common value — near 1.0 for constants
-    /// and identifiers even when a few alien packets pollute the series.
-    pub top_value_fraction: f64,
 }
 
 /// Classification of a field.
@@ -98,11 +93,7 @@ pub fn extract_series<'a>(
             values.push((t, v));
         }
     }
-    FieldSeries {
-        offset,
-        width,
-        values,
-    }
+    FieldSeries { width, values }
 }
 
 impl FieldSeries {
@@ -117,7 +108,6 @@ impl FieldSeries {
                 mean_abs_delta: 0.0,
                 small_step_fraction: 0.0,
                 distinct: 0,
-                top_value_fraction: 0.0,
             };
         }
         let mut counts: HashMap<u64, usize> = HashMap::new();
@@ -164,7 +154,6 @@ impl FieldSeries {
             mean_abs_delta: abs_delta_sum / pairs as f64,
             small_step_fraction: small_steps as f64 / pairs as f64,
             distinct: counts.len(),
-            top_value_fraction: counts.values().copied().max().unwrap_or(0) as f64 / n as f64,
         }
     }
 
@@ -310,7 +299,6 @@ mod tests {
 
     fn series_of(values: Vec<u64>, width: usize) -> FieldSeries {
         FieldSeries {
-            offset: 0,
             width,
             values: values
                 .into_iter()

@@ -14,16 +14,6 @@ use std::fmt;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum Error {
-    /// An I/O failure while reading or writing a trace.
-    Io {
-        /// What was being read or written when the failure occurred
-        /// (usually a file path).
-        context: String,
-        /// The underlying OS error.
-        source: std::io::Error,
-    },
-    /// Input bytes that could not be parsed as the expected format.
-    Parse(String),
     /// An invalid configuration value (a zero or out-of-range window or
     /// idle timeout).
     Config(String),
@@ -32,21 +22,12 @@ pub enum Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::Io { context, source } => write!(f, "{context}: {source}"),
-            Error::Parse(msg) => write!(f, "parse error: {msg}"),
             Error::Config(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
 }
 
-impl std::error::Error for Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Error::Io { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for Error {}
 
 impl From<Error> for String {
     fn from(e: Error) -> String {
@@ -60,11 +41,6 @@ mod tests {
 
     #[test]
     fn display_includes_context() {
-        let e = Error::Io {
-            context: "trace.pcap".into(),
-            source: std::io::Error::new(std::io::ErrorKind::NotFound, "gone"),
-        };
-        assert!(e.to_string().contains("trace.pcap"));
         let s: String = Error::Config("bad CIDR".into()).into();
         assert!(s.contains("bad CIDR"));
     }

@@ -140,7 +140,7 @@ mod tests {
     use std::net::{IpAddr, Ipv4Addr};
     use zoom_wire::flow::FiveTuple;
     use zoom_wire::ipv4::Protocol;
-    use zoom_wire::zoom::{Framing, MediaType, RtpPayloadKind};
+    use zoom_wire::zoom::{MediaType, RtpPayloadKind};
 
     const SEC: u64 = 1_000_000_000;
 
@@ -156,7 +156,6 @@ mod tests {
             },
             ip_len: 1_000,
             family: zoom_wire::family::FamilyId::Zoom,
-            framing: Framing::Server,
             media_type: MediaType::Video,
             direction: Direction::ToServer,
             rtp: Some(RtpMeta {
@@ -168,7 +167,6 @@ mod tests {
                 kind: RtpPayloadKind::VideoMain,
             }),
             rtcp: None,
-            frame_seq: Some(seq),
             pkts_in_frame: Some(1),
             media_payload_len: 900,
         }

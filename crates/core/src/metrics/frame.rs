@@ -25,12 +25,8 @@ pub struct FrameRecord {
     pub first_packet_at: u64,
     /// Arrival time of the packet that completed the frame.
     pub completed_at: u64,
-    /// The frame's RTP timestamp.
-    pub rtp_timestamp: u32,
     /// Media payload bytes across the frame's packets.
     pub size_bytes: usize,
-    /// Packets in the frame.
-    pub packets: u32,
     /// Method 2: the encoder's frame interval derived from the RTP
     /// timestamp increment since the previous completed frame, in
     /// nanoseconds (`None` for the first frame or after a wrap anomaly).
@@ -253,9 +249,7 @@ impl FrameTracker {
             let frame = FrameRecord {
                 first_packet_at: p.first_at,
                 completed_at: at,
-                rtp_timestamp,
                 size_bytes: p.bytes,
-                packets: p.seqs.len,
                 encoder_interval_nanos: encoder_interval_nanos(
                     self.last_completed_ts,
                     rtp_timestamp,
@@ -585,9 +579,7 @@ mod tests {
                     let frame = FrameRecord {
                         first_packet_at: p.first_at,
                         completed_at: at,
-                        rtp_timestamp,
                         size_bytes: p.bytes,
-                        packets: p.seqs.len() as u32,
                         encoder_interval_nanos: encoder_interval_nanos(
                             self.last_completed_ts,
                             rtp_timestamp,
@@ -641,7 +633,6 @@ mod tests {
         let mut t = FrameTracker::video();
         let f = feed_frame(&mut t, 1_000 * MS, 90_000, 1).expect("completed");
         assert_eq!(f.size_bytes, 2_500);
-        assert_eq!(f.packets, 3);
         assert_eq!(f.frame_delay_nanos(), MS / 2);
         assert_eq!(f.encoder_interval_nanos, None); // first frame
     }
@@ -789,7 +780,7 @@ mod tests {
         for (i, &(ts, want)) in steps.iter().enumerate() {
             let f = feed_frame(&mut t, i as u64 * 33 * MS, ts, i as u16 * 10).expect("completed");
             assert_eq!(f.encoder_interval_nanos, want, "step {i}");
-            assert_eq!((f.size_bytes, f.packets), (2_500, 3));
+            assert_eq!(f.size_bytes, 2_500);
         }
         // A repeated timestamp cannot complete twice in a row through
         // `on_packet` (`completed_ts` drops it); the zero step it would

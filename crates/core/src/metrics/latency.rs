@@ -424,7 +424,7 @@ mod tests {
     use std::collections::{HashMap, VecDeque};
     use std::net::{Ipv4Addr, Ipv6Addr};
     use zoom_wire::ipv4::Protocol;
-    use zoom_wire::zoom::{Framing, MediaType, RtpPayloadKind};
+    use zoom_wire::zoom::{MediaType, RtpPayloadKind};
 
     const MS: u64 = 1_000_000;
 
@@ -456,7 +456,6 @@ mod tests {
             five_tuple: tuple(dir == Direction::ToServer),
             ip_len: 1_000,
             family: zoom_wire::family::FamilyId::Zoom,
-            framing: Framing::Server,
             media_type: MediaType::Video,
             direction: dir,
             rtp: Some(RtpMeta {
@@ -468,7 +467,6 @@ mod tests {
                 kind: RtpPayloadKind::VideoMain,
             }),
             rtcp: None,
-            frame_seq: Some(1),
             pkts_in_frame: Some(1),
             media_payload_len: 900,
         }

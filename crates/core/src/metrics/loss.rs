@@ -6,25 +6,18 @@
 //! than holes; remaining holes indicate packets lost on every attempt (or
 //! dropped upstream of the vantage point). The paper is explicit that the
 //! sequence numbers alone cannot disambiguate retransmissions from
-//! reordering with certainty — this tracker reports exactly the quantities
-//! that *are* observable: duplicates, out-of-order arrivals, and
-//! unaccounted gaps.
+//! reordering with certainty — this tracker reports two quantities that
+//! *are* observable: duplicates and unaccounted gaps. A late arrival
+//! that fills a hole is neither.
 
 /// Summary counters for one RTP sub-stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SeqStats {
-    /// Total packets observed (including duplicates).
-    pub received: u64,
     /// Packets whose sequence number was already seen — retransmission
     /// duplicates.
     pub duplicates: u64,
-    /// Packets that arrived after a higher sequence number (late/
-    /// reordered or a retransmission of a packet lost before the tap).
-    pub reordered: u64,
     /// Sequence numbers in the covered range never observed at all.
     pub missing: u64,
-    /// Distinct sequence numbers observed.
-    pub unique: u64,
 }
 
 /// Window size (in sequence numbers) within which late arrivals can still
@@ -97,12 +90,10 @@ impl SeqTracker {
 
     /// Feed one observed sequence number.
     pub fn on_sequence(&mut self, seq: u16) {
-        self.stats.received += 1;
         let highest = self.highest;
         if highest == 0 {
             self.highest = u64::from(seq) + 65_536;
             self.len = 1;
-            self.stats.unique += 1;
             return;
         }
         // Unwrap: interpret seq as the nearest value to `highest`.
@@ -111,14 +102,10 @@ impl SeqTracker {
 
         if ext > highest {
             self.advance(ext);
-            self.stats.unique += 1;
         } else if highest - ext < u64::from(self.len) {
             // A late arrival inside the window: it fills a hole, or it
             // was seen before.
-            if self.fill(ext) {
-                self.stats.unique += 1;
-                self.stats.reordered += 1;
-            } else {
+            if !self.fill(ext) {
                 self.stats.duplicates += 1;
             }
         } else {
@@ -333,10 +320,7 @@ mod tests {
             t.on_sequence(s);
         }
         let st = t.finish();
-        assert_eq!(st.received, 1_000);
-        assert_eq!(st.unique, 1_000);
         assert_eq!(st.duplicates, 0);
-        assert_eq!(st.reordered, 0);
         assert_eq!(st.missing, 0);
     }
 
@@ -348,8 +332,7 @@ mod tests {
         }
         let st = t.finish();
         assert_eq!(st.duplicates, 2);
-        assert_eq!(st.unique, 4);
-        assert_eq!(st.received, 6);
+        assert_eq!(st.missing, 0);
     }
 
     #[test]
@@ -359,9 +342,8 @@ mod tests {
             t.on_sequence(s);
         }
         let st = t.finish();
-        assert_eq!(st.reordered, 1);
+        assert_eq!(st.duplicates, 0);
         assert_eq!(st.missing, 0);
-        assert_eq!(st.unique, 5);
     }
 
     #[test]
@@ -372,7 +354,7 @@ mod tests {
         }
         let st = t.finish();
         assert_eq!(st.missing, 1);
-        assert_eq!(st.unique, 4);
+        assert_eq!(st.duplicates, 0);
     }
 
     #[test]
@@ -382,9 +364,8 @@ mod tests {
             t.on_sequence(s);
         }
         let st = t.finish();
-        assert_eq!(st.unique, 6);
+        assert_eq!(st.duplicates, 0);
         assert_eq!(st.missing, 0);
-        assert_eq!(st.reordered, 0);
     }
 
     #[test]
@@ -394,7 +375,7 @@ mod tests {
         t.on_sequence(10_000); // jump larger than the window
         let st = t.finish();
         // Holes are capped at the window size; no panic, sane numbers.
-        assert_eq!(st.unique, 2);
+        assert_eq!(st.duplicates, 0);
         assert!(st.missing > 0);
         assert!(st.missing <= WINDOW);
     }
@@ -412,11 +393,9 @@ mod tests {
     impl QueueModel {
         fn on_sequence(&mut self, seq: u16) {
             let (stats, window) = (&mut self.stats, &mut self.window);
-            stats.received += 1;
             let Some(h) = self.highest else {
                 self.highest = Some(u64::from(seq) + 65_536);
                 window.push_back(true);
-                stats.unique += 1;
                 return;
             };
             let diff = i64::from(seq.wrapping_sub(h as u16) as i16);
@@ -426,7 +405,6 @@ mod tests {
                     window.push_back(false);
                 }
                 window.push_back(true);
-                stats.unique += 1;
                 self.highest = Some(ext);
                 while window.len() > WINDOW as usize {
                     if let Some(false) = window.pop_front() {
@@ -438,8 +416,6 @@ mod tests {
                     stats.duplicates += 1;
                 } else {
                     window[idx] = true;
-                    stats.unique += 1;
-                    stats.reordered += 1;
                 }
             } else {
                 stats.duplicates += 1;

@@ -38,8 +38,6 @@ pub struct StallReport {
     /// Frames whose delivery exceeded RTT + retransmission timeout — the
     /// §5.5 retransmission indicator.
     pub retransmission_recovered: usize,
-    /// Total frames analyzed.
-    pub frames: usize,
     /// Detected playback stalls.
     pub stalls: usize,
     /// Total stalled time, nanoseconds.
@@ -80,7 +78,6 @@ impl StallTracker {
     /// counts as retransmission-recovered when its delay exceeds that plus
     /// [`ZOOM_RETRANSMIT_TIMEOUT_NANOS`].
     pub fn on_frame(&mut self, f: &FrameRecord, rtt_nanos: u64) {
-        self.done.frames += 1;
         if f.frame_delay_nanos() > rtt_nanos.saturating_add(ZOOM_RETRANSMIT_TIMEOUT_NANOS) {
             self.done.retransmission_recovered += 1;
         }
@@ -147,9 +144,7 @@ mod tests {
             .map(|i| FrameRecord {
                 first_packet_at: i as u64 * interval_ms * MS,
                 completed_at: i as u64 * interval_ms * MS + 2 * MS,
-                rtp_timestamp: (i as u32) * 3_000,
                 size_bytes: 1_000,
-                packets: 1,
                 encoder_interval_nanos: Some(interval_ms * MS),
             })
             .collect()
@@ -161,7 +156,6 @@ mod tests {
         assert_eq!(report.stalls, 0);
         assert_eq!(report.stalled_nanos, 0);
         assert_eq!(report.retransmission_recovered, 0);
-        assert_eq!(report.frames, 300);
     }
 
     #[test]
@@ -171,7 +165,6 @@ mod tests {
         frames[50].completed_at = frames[50].first_packet_at + 300 * MS;
         let report = analyze(frames.clone(), 50 * MS);
         assert_eq!(report.retransmission_recovered, 1);
-        assert_eq!(report.frames, 100);
         // The threshold follows the RTT each frame is stepped with.
         assert_eq!(analyze(frames, 250 * MS).retransmission_recovered, 0);
     }
@@ -185,9 +178,7 @@ mod tests {
             .map(|i| FrameRecord {
                 first_packet_at: i as u64 * 80 * MS,
                 completed_at: i as u64 * 80 * MS + MS,
-                rtp_timestamp: (i as u32) * 3_000,
                 size_bytes: 1_000,
-                packets: 1,
                 encoder_interval_nanos: Some(33 * MS),
             })
             .collect();
@@ -233,9 +224,7 @@ mod tests {
             let f = FrameRecord {
                 first_packet_at: i * 200 * MS,
                 completed_at: i * 200 * MS + MS,
-                rtp_timestamp: i as u32 * 300,
                 size_bytes: 1_000,
-                packets: 1,
                 encoder_interval_nanos: Some(3 * MS),
             };
             t.on_frame(&f, FALLBACK_RTT_NANOS);
@@ -250,7 +239,6 @@ mod tests {
     #[test]
     fn empty_input() {
         let report = analyze([], FALLBACK_RTT_NANOS);
-        assert_eq!(report.frames, 0);
-        assert_eq!(report.retransmission_recovered, 0);
+        assert_eq!(report, StallReport::default());
     }
 }

@@ -983,7 +983,7 @@ row_family! {
         packets: Gauge => Counter Num debug(1, "packets_reported") prom("zoom_worker_packets_total") "Records each fragment worker reported capturing.";
         bytes: Gauge => Counter Num debug(3, "bytes_reported") prom("zoom_worker_bytes_total") "Captured bytes each fragment worker reported.";
         batches: Gauge => Counter Num "Batches each worker's fan-in reported handling.";
-        ring_full_drops: Gauge => Counter Num debug(5) prom("zoom_worker_ring_full_drops_total") "Records each worker dropped at its own capture rings.";
+        ring_full_drops: Gauge => Counter Num debug(5) prom("zoom_worker_ring_full_drops_total") "Drop count each worker reported in the ring_full_drops field of its ZFRG Accounting frames.";
         truncated: Gauge => Counter Num "Records each worker's sources dropped at torn pcap tails.";
         records_received: Counter => Counter Num debug(2) prom("zoom_worker_records_received_total") "Records the merge node decoded from each worker's stream.";
         bytes_received: Gauge => Counter Num debug(4) prom("zoom_worker_bytes_received_total") "Record bytes the merge node decoded from each worker's stream.";

@@ -66,9 +66,6 @@ pub struct PacketMeta {
     pub ip_len: usize,
     /// Protocol family the packet was classified under.
     pub family: FamilyId,
-    /// Framing that parsed (server or P2P; WebRTC media is always
-    /// peer-to-peer framed).
-    pub framing: Framing,
     /// Zoom media encapsulation type.
     pub media_type: MediaType,
     /// Inferred packet direction.
@@ -77,8 +74,6 @@ pub struct PacketMeta {
     pub rtp: Option<RtpMeta>,
     /// First RTCP SR in the packet, if any.
     pub rtcp: Option<RtcpMeta>,
-    /// Video-only Zoom media-encapsulation fields.
-    pub frame_seq: Option<u16>,
     /// Video-only: number of packets in the current frame.
     pub pkts_in_frame: Option<u8>,
     /// RTP payload bytes (the actual media bits).
@@ -206,12 +201,10 @@ pub fn meta_from_zoom(
         five_tuple,
         ip_len,
         family: FamilyId::Zoom,
-        framing,
         media_type: z.media.media_type,
         direction,
         rtp,
         rtcp,
-        frame_seq: z.media.frame_sequence,
         pkts_in_frame: z.media.packets_in_frame,
         media_payload_len: z.media_payload_len,
     }
@@ -223,7 +216,7 @@ pub fn meta_from_zoom(
 /// media type comes from the payload-type mapping
 /// ([`webrtc::media_type_for_pt`]), direction from campus membership
 /// (WebRTC media flows peer-to-peer, like Zoom P2P), and the ZME-only
-/// fields (`frame_seq`, `pkts_in_frame`, RTCP sender info) stay `None` —
+/// fields (`pkts_in_frame`, RTCP sender info) stay `None` —
 /// WebRTC video frames are delimited by the RTP marker bit instead.
 pub fn meta_from_webrtc(
     ts_nanos: u64,
@@ -245,7 +238,6 @@ pub fn meta_from_webrtc(
         five_tuple,
         ip_len,
         family: FamilyId::Webrtc,
-        framing: Framing::P2p,
         media_type,
         direction,
         rtp: Some(RtpMeta {
@@ -257,7 +249,6 @@ pub fn meta_from_webrtc(
             kind: RtpPayloadKind::classify(media_type, srtp.rtp.payload_type),
         }),
         rtcp: None,
-        frame_seq: None,
         pkts_in_frame: None,
         media_payload_len: srtp.payload_len,
     }
@@ -422,7 +413,6 @@ mod tests {
                 assert_eq!(d.five_tuple.src_port, 51_000);
                 let m = meta_from_webrtc(3, d.five_tuple, d.ip_total_len, s, &campus());
                 assert_eq!(m.family, FamilyId::Webrtc);
-                assert_eq!(m.framing, Framing::P2p);
                 assert_eq!(m.media_type, MediaType::Video);
                 assert_eq!(m.direction, Direction::ToServer);
                 let r = m.rtp.unwrap();
@@ -451,7 +441,7 @@ mod tests {
         assert_eq!(size_of::<ZoomPacket>(), 80);
         assert_eq!(size_of::<App>(), 88);
         assert_eq!(size_of::<Dissection<'_>>(), 200);
-        assert_eq!(size_of::<PacketMeta>(), 128);
+        assert_eq!(size_of::<PacketMeta>(), 120);
     }
 
     /// What an analyzer built with `per_second_rows` keeps per stream and

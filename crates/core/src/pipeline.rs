@@ -82,20 +82,6 @@ impl Default for AnalyzerConfig {
     }
 }
 
-/// Per-5-tuple flow accounting (the coarse view prior work was limited
-/// to — kept for Table 6 and flow-vs-media-rate comparisons).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowStats {
-    /// Packets on this directional 5-tuple.
-    pub packets: u64,
-    /// IP-layer bytes on this directional 5-tuple.
-    pub bytes: u64,
-    /// Timestamp of the first packet, nanoseconds.
-    pub first_seen: u64,
-    /// Timestamp of the last packet, nanoseconds.
-    pub last_seen: u64,
-}
-
 /// Trace-level summary (Table 6's rows).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceSummary {
@@ -398,7 +384,7 @@ impl Analyzer {
         }
         self.first_zoom_ts.get_or_insert(ts);
         self.last_zoom_ts = self.last_zoom_ts.max(ts);
-        self.streams.touch_flow(five_tuple, ts, ip_len)
+        self.streams.touch_flow(five_tuple, ts)
     }
 
     /// Handle one WebRTC PDU on an admitted flow: SRTP feeds the shared
@@ -547,11 +533,6 @@ impl Analyzer {
     /// All tracked streams.
     pub fn streams(&self) -> &StreamTracker {
         &self.streams
-    }
-
-    /// Per-flow statistics, in no particular order.
-    pub fn flows(&self) -> impl Iterator<Item = (&FiveTuple, &FlowStats)> + '_ {
-        self.streams.flows()
     }
 
     /// RTP-copy RTT (§5.3 method 1): count, mean, distribution, and
@@ -737,7 +718,7 @@ impl Analyzer {
         self.total_packets += 1;
         // By reference: the peek is read where `peek` wrote it.
         match &peek(data, link) {
-            Ok(p) => self.process_peeked(&p.info, ts_nanos, data, probe),
+            Ok(p) => self.process_peeked(p, ts_nanos, data, probe),
             Err(e) => {
                 self.undissectable += 1;
                 self.metrics.record_drop(drop_stage(data, link, *e));

@@ -25,7 +25,6 @@ use crate::metrics::loss::{SeqStats, SeqTracker};
 use crate::metrics::stall::{StallReport, StallTracker, FALLBACK_RTT_NANOS};
 use crate::metrics::VIDEO_SAMPLING_RATE;
 use crate::packet::{Direction, PacketMeta, RtpMeta};
-use crate::pipeline::FlowStats;
 use crate::stats::{RateRow, RateRows};
 use crate::{position_hinted, RecentTimestamps};
 use zoom_wire::family::FamilyId;
@@ -52,12 +51,8 @@ pub struct SubStream {
     pub packets: u64,
     /// RTP payload bytes observed.
     pub media_bytes: u64,
-    /// First RTP sequence number seen.
-    pub first_seq: u16,
     /// Most recent RTP sequence number.
     pub last_seq: u16,
-    /// First RTP timestamp seen.
-    pub first_rtp_ts: u32,
     /// Most recent RTP timestamp.
     pub last_rtp_ts: u32,
     seq: SeqTracker,
@@ -445,9 +440,7 @@ impl Stream {
                     kind: rtp.kind,
                     packets: 0,
                     media_bytes: 0,
-                    first_seq: rtp.sequence,
                     last_seq: rtp.sequence,
-                    first_rtp_ts: rtp.timestamp,
                     last_rtp_ts: rtp.timestamp,
                     seq: SeqTracker::new(),
                 });
@@ -595,15 +588,15 @@ impl StreamRefs {
 /// [`StreamRefs::remap`]'s marker for an evicted stream.
 const GONE: u32 = u32::MAX;
 
-/// One flow's slot in the table: its accounting and its streams.
+/// One flow's slot in the table: when it was last seen and its streams.
 #[derive(Debug)]
 struct FlowSlot {
     key: FiveTuple,
-    stats: FlowStats,
-    /// Whether `stats` describes a live flow. False for a slot that only
-    /// anchors streams, after the flow's accounting was evicted while a
-    /// stream of it stayed live (possible when capture timestamps step
-    /// backwards).
+    /// Timestamp of the flow's last packet, nanoseconds.
+    last_seen: u64,
+    /// Whether the slot is a live flow. False for a slot that only
+    /// anchors streams, after the flow was evicted while a stream of it
+    /// stayed live (possible when capture timestamps step backwards).
     counted: bool,
     streams: StreamRefs,
 }
@@ -617,7 +610,7 @@ pub(crate) struct FlowId(usize);
 ///
 /// A packet's 5-tuple is resolved **once**, to a slot of the flow slab
 /// (skipping even that probe when it is the flow the previous packet
-/// was on); the slot holds the flow's accounting and lists its streams
+/// was on); the slot holds the flow's last-seen time and lists its streams
 /// by SSRC, so everything after the probe is an index: slot → stream
 /// index → [`Stream`] in a creation-ordered slab.
 #[derive(Default)]
@@ -672,7 +665,7 @@ impl StreamTracker {
             }
             self.flows.push(FlowSlot {
                 key: *ft,
-                stats: FlowStats::default(),
+                last_seen: 0,
                 counted: false,
                 streams: StreamRefs::default(),
             });
@@ -681,23 +674,17 @@ impl StreamTracker {
         slot
     }
 
-    /// Count one classified packet of `ip_len` IP bytes on flow `ft` and
-    /// return the flow's handle for [`StreamTracker::on_flow_packet`].
+    /// Note one classified packet at `ts` on flow `ft` and return the
+    /// flow's handle for [`StreamTracker::on_flow_packet`].
     #[inline]
-    pub(crate) fn touch_flow(&mut self, ft: &FiveTuple, ts: u64, ip_len: usize) -> FlowId {
+    pub(crate) fn touch_flow(&mut self, ft: &FiveTuple, ts: u64) -> FlowId {
         let slot = self.slot_of(ft);
         let f = &mut self.flows[slot];
         if !f.counted {
             f.counted = true;
-            f.stats = FlowStats {
-                first_seen: ts,
-                ..Default::default()
-            };
             self.live_flows += 1;
         }
-        f.stats.packets += 1;
-        f.stats.bytes += ip_len as u64;
-        f.stats.last_seen = ts;
+        f.last_seen = ts;
         FlowId(slot)
     }
 
@@ -777,7 +764,7 @@ impl StreamTracker {
     /// counted) for a packet without RTP.
     pub fn on_packet(&mut self, m: &PacketMeta) -> Option<(StreamKey, bool)> {
         let rtp = m.rtp.as_ref()?;
-        let flow = self.touch_flow(&m.five_tuple, m.ts_nanos, m.ip_len);
+        let flow = self.touch_flow(&m.five_tuple, m.ts_nanos);
         let (_, created, _) = self.on_flow_packet(flow, m, rtp, &RttStats::default());
         let key = StreamKey {
             flow: m.five_tuple,
@@ -841,23 +828,16 @@ impl StreamTracker {
         self.iter().filter(move |s| s.media_type == t)
     }
 
-    /// Number of flows with live accounting.
+    /// Number of live flows.
     pub fn flow_count(&self) -> usize {
         self.live_flows
     }
 
-    /// One flow's accounting.
-    pub fn flow(&self, ft: &FiveTuple) -> Option<&FlowStats> {
-        let slot = &self.flows[*self.index.get(ft)? as usize];
-        slot.counted.then_some(&slot.stats)
-    }
-
-    /// Every flow's accounting, in no particular order.
-    pub fn flows(&self) -> impl Iterator<Item = (&FiveTuple, &FlowStats)> + '_ {
-        self.flows
-            .iter()
-            .filter(|s| s.counted)
-            .map(|s| (&s.key, &s.stats))
+    /// Whether `ft` is a live flow: seen, and not evicted since.
+    pub(crate) fn is_live(&self, ft: &FiveTuple) -> bool {
+        self.index
+            .get(ft)
+            .is_some_and(|&slot| self.flows[slot as usize].counted)
     }
 
     /// Remove and return every stream and every flow idle since before
@@ -868,7 +848,7 @@ impl StreamTracker {
     /// order), except that it takes its key's tombstone with it: its
     /// creation rank and, for [`StreamTracker::candidate`], the
     /// sub-stream state of its earlier incarnations.
-    pub fn evict_idle(&mut self, cutoff: u64) -> (Vec<Stream>, Vec<(FiveTuple, FlowStats)>) {
+    pub fn evict_idle(&mut self, cutoff: u64) -> (Vec<Stream>, Vec<FiveTuple>) {
         let mut evicted_streams = Vec::new();
         if self.streams.iter().any(|s| s.last_seen < cutoff) {
             // Old stream index → new one.
@@ -891,10 +871,10 @@ impl StreamTracker {
         let mut evicted_flows = Vec::new();
         let mut at = 0;
         while let Some(slot) = self.flows.get_mut(at) {
-            if slot.counted && slot.stats.last_seen < cutoff {
+            if slot.counted && slot.last_seen < cutoff {
                 slot.counted = false;
                 self.live_flows -= 1;
-                evicted_flows.push((slot.key, slot.stats));
+                evicted_flows.push(slot.key);
             }
             if slot.counted || !slot.streams.is_empty() {
                 at += 1;
@@ -918,7 +898,6 @@ mod tests {
     use crate::packet::RtpMeta;
     use std::net::{IpAddr, Ipv4Addr};
     use zoom_wire::ipv4::Protocol;
-    use zoom_wire::zoom::Framing;
 
     const MS: u64 = 1_000_000;
 
@@ -934,7 +913,6 @@ mod tests {
             },
             ip_len: 1_000,
             family: zoom_wire::family::FamilyId::Zoom,
-            framing: Framing::Server,
             media_type: MediaType::Video,
             direction: Direction::ToServer,
             rtp: Some(RtpMeta {
@@ -946,7 +924,6 @@ mod tests {
                 kind: RtpPayloadKind::classify(MediaType::Video, pt),
             }),
             rtcp: None,
-            frame_seq: Some(1),
             pkts_in_frame: Some(1),
             media_payload_len: 900,
         }
@@ -999,7 +976,7 @@ mod tests {
                     k == 1,
                 );
                 m.pkts_in_frame = Some(2);
-                let flow = t.touch_flow(&m.five_tuple, m.ts_nanos, m.ip_len);
+                let flow = t.touch_flow(&m.five_tuple, m.ts_nanos);
                 let rtp = m.rtp.unwrap();
                 out = t.on_flow_packet(flow, &m, &rtp, rtt).2;
             }
@@ -1018,7 +995,6 @@ mod tests {
         let frames = stream.frames().unwrap();
         assert_eq!(frames.count(), 4);
         assert_eq!(frames.stalls().retransmission_recovered, 3);
-        assert_eq!(frames.stalls().frames, 4);
         let rows = stream.seconds().unwrap().frames();
         let per_second: Vec<(u64, u32)> = rows.iter().map(|r| (r.second, r.frames)).collect();
         assert_eq!(per_second, [(0, 2), (1, 2)]);
@@ -1086,13 +1062,15 @@ mod tests {
     /// companion of `packet::tests::per_second_rows_keep_their_size`: a
     /// field added inline shows up here. At the paper's campus scale
     /// thousands of streams are live at once; an audio stream used to
-    /// carry the video part inline, 1 192 B a stream.
+    /// carry the video part inline, 1 192 B a stream. A flow's slot is
+    /// kept per 5-tuple ever seen on the batch route.
     #[test]
     fn live_stream_state_keeps_its_size() {
         use std::mem::size_of;
         assert_eq!(size_of::<Stream>(), 208);
-        assert_eq!(size_of::<SubStream>(), 112);
-        assert_eq!(size_of::<StreamVideo>(), 992);
+        assert_eq!(size_of::<SubStream>(), 80);
+        assert_eq!(size_of::<StreamVideo>(), 984);
+        assert_eq!(size_of::<FlowSlot>(), 120);
     }
 
     #[test]

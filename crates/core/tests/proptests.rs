@@ -8,13 +8,12 @@ use zoom_analysis::metrics::frame::{Completion, FrameRecord, FrameTracker};
 use zoom_analysis::metrics::jitter::JitterEstimator;
 use zoom_analysis::metrics::loss::SeqTracker;
 use zoom_analysis::packet::{Direction, PacketMeta, RtpMeta};
-use zoom_analysis::pipeline::FlowStats;
 use zoom_analysis::stats::{RateRows, Samples};
 use zoom_analysis::stream::{StreamKey, StreamTracker};
 use zoom_wire::family::FamilyId;
 use zoom_wire::flow::FiveTuple;
 use zoom_wire::ipv4::Protocol;
-use zoom_wire::zoom::{Framing, MediaType, RtpPayloadKind};
+use zoom_wire::zoom::{MediaType, RtpPayloadKind};
 
 const MS: u64 = 1_000_000;
 
@@ -99,9 +98,7 @@ impl MapFrameTracker {
             self.completed.push(FrameRecord {
                 first_packet_at: p.first_at,
                 completed_at: at,
-                rtp_timestamp,
                 size_bytes: p.bytes,
-                packets: p.seqs.len() as u32,
                 encoder_interval_nanos,
             });
             self.completed_ts.push_back(rtp_timestamp);
@@ -132,7 +129,6 @@ fn media_packet(at: u64, flow_no: u8, ssrc: u32, pt: u8, seq: u16) -> PacketMeta
         five_tuple: flow(flow_no),
         ip_len: 1_000 + usize::from(flow_no),
         family: FamilyId::Zoom,
-        framing: Framing::Server,
         media_type: MediaType::Audio,
         direction: Direction::ToServer,
         rtp: Some(RtpMeta {
@@ -144,31 +140,24 @@ fn media_packet(at: u64, flow_no: u8, ssrc: u32, pt: u8, seq: u16) -> PacketMeta
             kind: RtpPayloadKind::classify(MediaType::Audio, pt),
         }),
         rtcp: None,
-        frame_seq: None,
         pkts_in_frame: None,
         media_payload_len: 160,
     }
 }
 
 /// The keyed tables the flow-table/slab tracker replaced, reduced to
-/// what is observable: a flow map, a stream map of (first seen, last
-/// seen, packets), and the creation-order key vector.
+/// what is observable: a flow map of last-seen times, a stream map of
+/// (first seen, last seen, packets), and the creation-order key vector.
 #[derive(Default)]
 struct KeyedTracker {
-    flows: HashMap<FiveTuple, FlowStats>,
+    flows: HashMap<FiveTuple, u64>,
     streams: HashMap<StreamKey, (u64, u64, u64)>,
     order: Vec<StreamKey>,
 }
 
 impl KeyedTracker {
     fn on_packet(&mut self, m: &PacketMeta) -> (StreamKey, bool) {
-        let f = self.flows.entry(m.five_tuple).or_insert(FlowStats {
-            first_seen: m.ts_nanos,
-            ..Default::default()
-        });
-        f.packets += 1;
-        f.bytes += m.ip_len as u64;
-        f.last_seen = m.ts_nanos;
+        self.flows.insert(m.five_tuple, m.ts_nanos);
         let key = StreamKey {
             flow: m.five_tuple,
             ssrc: m.rtp.unwrap().ssrc,
@@ -186,7 +175,7 @@ impl KeyedTracker {
         (key, created)
     }
 
-    fn evict_idle(&mut self, cutoff: u64) -> (Vec<StreamKey>, Vec<(FiveTuple, FlowStats)>) {
+    fn evict_idle(&mut self, cutoff: u64) -> (Vec<StreamKey>, Vec<FiveTuple>) {
         let mut evicted = Vec::new();
         let streams = &mut self.streams;
         self.order.retain(|k| {
@@ -198,10 +187,10 @@ impl KeyedTracker {
             !idle
         });
         let mut flows = Vec::new();
-        self.flows.retain(|ft, fs| {
-            let idle = fs.last_seen < cutoff;
+        self.flows.retain(|ft, &mut last_seen| {
+            let idle = last_seen < cutoff;
             if idle {
-                flows.push((*ft, *fs));
+                flows.push(*ft);
             }
             !idle
         });
@@ -251,21 +240,18 @@ impl CandidateReference {
 }
 
 proptest! {
-    /// Sequence-tracker conservation: unique + duplicates == received, and
-    /// unique ≤ received, for ANY input sequence.
+    /// Sequence-tracker conservation: every packet but the first may be a
+    /// duplicate, the first never is, for ANY input sequence.
     #[test]
     fn seq_tracker_conservation(seqs in proptest::collection::vec(any::<u16>(), 1..2_000)) {
         let mut t = SeqTracker::new();
         for &s in &seqs {
             t.on_sequence(s);
         }
-        let st = t.stats();
-        prop_assert_eq!(st.received, seqs.len() as u64);
-        prop_assert_eq!(st.unique + st.duplicates, st.received);
-        prop_assert!(st.reordered <= st.unique);
+        prop_assert!(t.stats().duplicates < seqs.len() as u64);
     }
 
-    /// An in-order run with arbitrary start has no loss, dupes, reorders.
+    /// An in-order run with arbitrary start has no loss or duplicates.
     #[test]
     fn seq_tracker_clean_run(start: u16, len in 1usize..5_000) {
         let mut t = SeqTracker::new();
@@ -273,10 +259,8 @@ proptest! {
             t.on_sequence(start.wrapping_add(i as u16));
         }
         let st = t.stats();
-        prop_assert_eq!(st.unique, len as u64);
         prop_assert_eq!(st.duplicates, 0);
         prop_assert_eq!(st.missing, 0);
-        prop_assert_eq!(st.reordered, 0);
     }
 
     /// Jitter is always non-negative and zero for perfectly paced input.
@@ -331,7 +315,6 @@ proptest! {
         }
         prop_assert_eq!(completed.len(), frames.len());
         for (f, &(pkts, payload)) in completed.iter().zip(&frames) {
-            prop_assert_eq!(f.packets, u32::from(pkts));
             prop_assert_eq!(f.size_bytes, payload * pkts as usize);
         }
     }
@@ -428,8 +411,8 @@ proptest! {
 
     /// The flow-table/slab stream tracker agrees with the keyed maps it
     /// replaced through interleaved packets and evictions: same created
-    /// flags, same creation-order `iter()`, same per-stream and per-flow
-    /// counters, same evicted sets — including streams that re-appear
+    /// flags, same creation-order `iter()`, same per-stream counters and
+    /// live-flow count, same evicted sets — including streams that re-appear
     /// after eviction (fresh streams, at the end of the order) and, with
     /// capture times stepping backwards, a flow evicted while one of its
     /// streams lives on. And the grouping candidate of every key ever
@@ -455,8 +438,8 @@ proptest! {
                 let (want_streams, mut want_flows) = keyed.evict_idle(cutoff);
                 let got: Vec<StreamKey> = streams.iter().map(|s| s.key).collect();
                 prop_assert_eq!(got, want_streams, "evicted streams at op {}", i);
-                flows.sort_by_key(|(ft, _)| *ft);
-                want_flows.sort_by_key(|(ft, _)| *ft);
+                flows.sort();
+                want_flows.sort();
                 prop_assert_eq!(flows, want_flows, "evicted flows at op {}", i);
             } else {
                 // One packet in five carries a timestamp from the past.
@@ -480,10 +463,6 @@ proptest! {
                 prop_assert_eq!(slab.get(&s.key).map(|found| found.key), Some(s.key));
             }
             prop_assert_eq!(slab.flow_count(), keyed.flows.len(), "flows after op {}", i);
-            for (ft, stats) in slab.flows() {
-                prop_assert_eq!(Some(stats), keyed.flows.get(ft));
-                prop_assert_eq!(slab.flow(ft), Some(stats));
-            }
         }
     }
 
@@ -509,7 +488,6 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&sig.distinct_ratio));
         prop_assert!((0.0..=1.0).contains(&sig.monotonic_fraction));
         prop_assert!((0.0..=1.0).contains(&sig.small_step_fraction));
-        prop_assert!((0.0..=1.0).contains(&sig.top_value_fraction) || series.values.is_empty());
         let _ = series.classify();
     }
 }

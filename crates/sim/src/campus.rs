@@ -461,8 +461,6 @@ impl Iterator for BackgroundGen {
 pub struct CampusStream {
     sources: Vec<SourceState>,
     heap: BinaryHeap<std::cmp::Reverse<(Nanos, usize)>>,
-    /// Total records yielded so far.
-    pub records: u64,
 }
 
 enum SourceKind {
@@ -514,11 +512,7 @@ impl CampusStream {
                 heap.push(std::cmp::Reverse((r.ts_nanos, i)));
             }
         }
-        CampusStream {
-            sources,
-            heap,
-            records: 0,
-        }
+        CampusStream { sources, heap }
     }
 }
 
@@ -531,7 +525,6 @@ impl Iterator for CampusStream {
         if let Some(r) = &self.sources[i].buffered {
             self.heap.push(std::cmp::Reverse((r.ts_nanos, i)));
         }
-        self.records += 1;
         record
     }
 }

@@ -36,8 +36,6 @@ pub struct Frame {
     pub rtp_timestamp: u32,
     /// Encoded size in bytes.
     pub size: usize,
-    /// True for intra (key) frames.
-    pub keyframe: bool,
 }
 
 /// Number of packets a frame of `size` bytes occupies.
@@ -136,7 +134,6 @@ impl VideoEncoder {
         Frame {
             rtp_timestamp: self.rtp_timestamp,
             size: size.clamp(220, 60_000),
-            keyframe,
         }
     }
 
@@ -313,7 +310,6 @@ impl ScreenShareSource {
             Frame {
                 rtp_timestamp: self.rtp_timestamp,
                 size,
-                keyframe: size > 3_000,
             },
         )
     }
@@ -374,12 +370,11 @@ mod tests {
         let frames: Vec<Frame> = (0..301)
             .map(|_| enc.next_frame(SEC / 28, &mut rng))
             .collect();
-        assert!(frames[0].keyframe);
-        assert!(frames[300].keyframe);
-        assert!(frames[1..300].iter().all(|f| !f.keyframe));
-        let key_avg = frames[0].size;
+        // Every 300th frame is a keyframe, several times a delta frame.
         let delta_avg: usize = frames[1..50].iter().map(|f| f.size).sum::<usize>() / 49;
-        assert!(key_avg > 3 * delta_avg);
+        assert!(frames[0].size > 3 * delta_avg);
+        assert!(frames[300].size > 3 * delta_avg);
+        assert!(frames[1..300].iter().all(|f| f.size < 3 * delta_avg));
     }
 
     #[test]

@@ -28,8 +28,6 @@ pub enum ServerType {
     Zc,
 }
 
-impl ServerType {}
-
 /// One deployment site (a row of Table 7).
 #[derive(Debug, Clone, Copy)]
 pub struct Site {
@@ -37,10 +35,6 @@ pub struct Site {
     pub location: &'static str,
     /// Two-letter code used in server names.
     pub code: &'static str,
-    /// The location GeoIP reports — differs from the naming for the
-    /// Frankfurt quirk the paper noticed (named like Denver, located in
-    /// Germany).
-    pub geo: &'static str,
     pub mmrs: u32,
     pub zcs: u32,
 }
@@ -50,49 +44,42 @@ pub const SITES: &[Site] = &[
     Site {
         location: "United States, California",
         code: "sjc",
-        geo: "United States",
         mmrs: 1410,
         zcs: 68,
     },
     Site {
         location: "United States, New York",
         code: "ny",
-        geo: "United States",
         mmrs: 1280,
         zcs: 62,
     },
     Site {
         location: "United States, Denver",
         code: "dv",
-        geo: "United States",
         mmrs: 758,
         zcs: 21,
     },
     Site {
         location: "United States, Washington D.C.",
         code: "iad",
-        geo: "United States",
         mmrs: 166,
         zcs: 4,
     },
     Site {
         location: "United States, Seattle",
         code: "sea",
-        geo: "United States",
         mmrs: 96,
         zcs: 12,
     },
     Site {
         location: "Netherlands, Amsterdam",
         code: "am",
-        geo: "Netherlands",
         mmrs: 419,
         zcs: 21,
     },
     Site {
         location: "China, Hongkong",
         code: "hk",
-        geo: "China (Hongkong)",
         mmrs: 274,
         zcs: 8,
     },
@@ -101,49 +88,42 @@ pub const SITES: &[Site] = &[
     Site {
         location: "Germany, Frankfurt",
         code: "dv",
-        geo: "Germany",
         mmrs: 214,
         zcs: 2,
     },
     Site {
         location: "Australia, Sydney/Melbourne",
         code: "sy",
-        geo: "Australia",
         mmrs: 210,
         zcs: 20,
     },
     Site {
         location: "India, Mumbai/Hyderabad",
         code: "mb",
-        geo: "India",
         mmrs: 196,
         zcs: 10,
     },
     Site {
         location: "Japan, Tokyo",
         code: "ty",
-        geo: "Japan",
         mmrs: 128,
         zcs: 2,
     },
     Site {
         location: "Brasil, Sao Paulo",
         code: "sp",
-        geo: "Brasil",
         mmrs: 124,
         zcs: 6,
     },
     Site {
         location: "Canada, Toronto",
         code: "tr",
-        geo: "Canada",
         mmrs: 93,
         zcs: 12,
     },
     Site {
         location: "China, Mainland",
         code: "cn",
-        geo: "China (Mainland)",
         mmrs: 84,
         zcs: 8,
     },
@@ -488,7 +468,10 @@ mod tests {
 
     #[test]
     fn frankfurt_quirk_preserved() {
-        let frankfurt = SITES.iter().find(|s| s.geo == "Germany").unwrap();
+        let frankfurt = SITES
+            .iter()
+            .find(|s| s.location.contains("Frankfurt"))
+            .unwrap();
         let denver = SITES
             .iter()
             .find(|s| s.location.contains("Denver"))

@@ -283,34 +283,23 @@ impl PeekTransport {
     }
 }
 
-/// A header-only view of a record: the parsed header summary plus, for
-/// UDP, the borrowed payload slice.
-///
-/// [`peek`] applies exactly the link/IP/transport validation of
-/// [`dissect`] — it returns `Err` for precisely the records `dissect`
-/// rejects (guaranteed by construction: `dissect` *is* `peek` followed
-/// by [`classify_udp_with`]) — but never touches application payloads,
-/// making it an order of magnitude cheaper. The analyzer's per-record
-/// loop starts every record with it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Peek<'a> {
-    /// Header fields and payload offsets; [`dissect`] resumes here.
-    pub info: PeekInfo,
-    /// UDP payload bytes as captured; `None` when the packet is TCP.
-    pub udp_payload: Option<&'a [u8]>,
-}
-
-impl Peek<'_> {
+impl PeekInfo {
     /// The IP 5-tuple.
     pub fn five_tuple(&self) -> &FiveTuple {
-        &self.info.five_tuple
+        &self.five_tuple
     }
 }
 
 /// Parse the link/IP/transport headers once, recording payload byte
 /// offsets so the application layer can be classified from them.
-/// Accepts and rejects exactly the records [`dissect`] does.
-pub fn peek(data: &[u8], link_type: LinkType) -> Result<Peek<'_>> {
+///
+/// It applies exactly the link/IP/transport validation of [`dissect`] —
+/// it returns `Err` for precisely the records `dissect` rejects
+/// (guaranteed by construction: `dissect` *is* `peek` followed by
+/// [`classify_udp_with`]) — but never touches application payloads,
+/// making it an order of magnitude cheaper. The analyzer's per-record
+/// loop starts every record with it.
+pub fn peek(data: &[u8], link_type: LinkType) -> Result<PeekInfo> {
     let (link, ip_off) = match link_type {
         LinkType::Ethernet => {
             let eth = ethernet::Packet::new_checked(data)?;
@@ -372,7 +361,7 @@ fn peek_transport(
     protocol: Protocol,
     transport_off: usize,
     ip_total_len: usize,
-) -> Result<Peek<'_>> {
+) -> Result<PeekInfo> {
     // Lengths are what the headers declare; slices stop where the capture
     // did.
     let wire_end = ip_off + ip_total_len;
@@ -395,20 +384,17 @@ fn peek_transport(
             if payload.len() < payload_len && payload.len() < udp_prefix(payload, payload_len) {
                 return Err(Error::Truncated);
             }
-            Ok(Peek {
-                info: PeekInfo {
-                    link,
-                    five_tuple: FiveTuple {
-                        src_ip,
-                        dst_ip,
-                        src_port: u.src_port(),
-                        dst_port: u.dst_port(),
-                        protocol: Protocol::Udp,
-                    },
-                    ip_total_len,
-                    transport,
+            Ok(PeekInfo {
+                link,
+                five_tuple: FiveTuple {
+                    src_ip,
+                    dst_ip,
+                    src_port: u.src_port(),
+                    dst_port: u.dst_port(),
+                    protocol: Protocol::Udp,
                 },
-                udp_payload: Some(payload),
+                ip_total_len,
+                transport,
             })
         }
         Protocol::Tcp => {
@@ -416,27 +402,24 @@ fn peek_transport(
             // reads of a segment.
             let t = tcp::Packet::new_checked(transport_bytes)?;
             let hl = t.header_len();
-            Ok(Peek {
-                info: PeekInfo {
-                    link,
-                    five_tuple: FiveTuple {
-                        src_ip,
-                        dst_ip,
-                        src_port: t.src_port(),
-                        dst_port: t.dst_port(),
-                        protocol: Protocol::Tcp,
-                    },
-                    ip_total_len,
-                    transport: PeekTransport::Tcp {
-                        seq: t.seq_number(),
-                        ack: t.ack_number(),
-                        flags: t.flags(),
-                        window: t.window(),
-                        payload_off: transport_off + hl,
-                        payload_len: transport_wire_len - hl,
-                    },
+            Ok(PeekInfo {
+                link,
+                five_tuple: FiveTuple {
+                    src_ip,
+                    dst_ip,
+                    src_port: t.src_port(),
+                    dst_port: t.dst_port(),
+                    protocol: Protocol::Tcp,
                 },
-                udp_payload: None,
+                ip_total_len,
+                transport: PeekTransport::Tcp {
+                    seq: t.seq_number(),
+                    ack: t.ack_number(),
+                    flags: t.flags(),
+                    window: t.window(),
+                    payload_off: transport_off + hl,
+                    payload_len: transport_wire_len - hl,
+                },
             })
         }
         _ => Err(Error::Unsupported),
@@ -471,7 +454,7 @@ pub fn analysis_prefix(data: &[u8], link_type: LinkType) -> usize {
     let Ok(p) = peek(data, link_type) else {
         return data.len();
     };
-    let transport = p.info.transport;
+    let transport = p.transport;
     let end = match transport {
         PeekTransport::Udp {
             payload_off,
@@ -562,7 +545,7 @@ pub fn dissect<'a>(
     link_type: LinkType,
     probe: impl Into<Probe>,
 ) -> Result<Dissection<'a>> {
-    let info = peek(data, link_type)?.info;
+    let info = peek(data, link_type)?;
     Ok(Dissection {
         ts_nanos,
         link: info.link,
@@ -609,7 +592,7 @@ pub enum DropStage {
 pub fn drop_stage(data: &[u8], link_type: LinkType, err: Error) -> DropStage {
     match err {
         Error::Truncated => DropStage::Truncated,
-        Error::Malformed | Error::Checksum => DropStage::Malformed,
+        Error::Malformed => DropStage::Malformed,
         Error::Unsupported => match link_type {
             LinkType::Other(_) => DropStage::UnsupportedLink,
             LinkType::Ethernet => {
@@ -692,9 +675,7 @@ pub fn peek_batch(batch: &crate::handoff::RecordBatch, link_type: LinkType, aren
     arena.apps.clear();
     for (index, record) in batch.iter().enumerate() {
         prefetch_record(batch, index + 1);
-        arena
-            .peeks
-            .push(peek(record.data, link_type).map(|p| p.info));
+        arena.peeks.push(peek(record.data, link_type));
     }
 }
 
@@ -1188,22 +1169,18 @@ mod tests {
         // in the offset arithmetic cannot hide behind that identity.
         let data = server_video_packet();
         let p = peek(&data, LinkType::Ethernet).unwrap();
-        assert_eq!(p.info.five_tuple.src_port, ZOOM_SFU_PORT);
+        assert_eq!(p.five_tuple.src_port, ZOOM_SFU_PORT);
         let PeekTransport::Udp {
             payload_off,
             payload_len,
-        } = p.info.transport
+        } = p.transport
         else {
             panic!("expected udp transport");
         };
-        assert_eq!(
-            &data[payload_off..payload_off + payload_len],
-            p.udp_payload.unwrap()
-        );
         let d = dissect(42, &data, LinkType::Ethernet, P2pProbe::Off).unwrap();
-        assert_eq!(d.five_tuple, p.info.five_tuple);
-        assert_eq!(d.transport, Transport::from(p.info.transport));
-        assert_eq!(d.payload, p.udp_payload.unwrap());
+        assert_eq!(d.five_tuple, p.five_tuple);
+        assert_eq!(d.transport, Transport::from(p.transport));
+        assert_eq!(d.payload, &data[payload_off..payload_off + payload_len]);
         assert!(d.zoom().is_some());
 
         // TCP: header fields carried through PeekInfo verbatim.
@@ -1222,9 +1199,8 @@ mod tests {
             b"abc",
         );
         let p = peek(&tcp_data, LinkType::Ethernet).unwrap();
-        assert!(p.udp_payload.is_none());
         let d = dissect(7, &tcp_data, LinkType::Ethernet, P2pProbe::Off).unwrap();
-        assert_eq!(d.transport, Transport::from(p.info.transport));
+        assert_eq!(d.transport, Transport::from(p.transport));
         match d.transport {
             Transport::Tcp {
                 seq,
@@ -1609,7 +1585,7 @@ mod batch_tests {
         peek_batch(&batch, LinkType::Ethernet, &mut arena);
         assert_eq!(arena.len(), batch.len());
         for (i, r) in batch.iter().enumerate() {
-            let expected = peek(r.data, LinkType::Ethernet).map(|p| p.info);
+            let expected = peek(r.data, LinkType::Ethernet);
             assert_eq!(arena.peeks[i], expected, "record {i}");
         }
     }
@@ -1629,7 +1605,7 @@ mod batch_tests {
                 let expected = dissect(r.ts_nanos, r.data, LinkType::Ethernet, probe);
                 match (expected, &arena.peeks[i]) {
                     (Ok(e), Ok(info)) => {
-                        assert_eq!(info, &peek(r.data, LinkType::Ethernet).unwrap().info);
+                        assert_eq!(info, &peek(r.data, LinkType::Ethernet).unwrap());
                         assert_eq!(arena.apps[i], e.app, "record {i}, probe {probe:?}");
                     }
                     (Err(e), Err(g)) => {

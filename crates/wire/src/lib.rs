@@ -91,8 +91,6 @@ pub enum Error {
     /// A version, magic, or type field has a value that identifies the
     /// buffer as *not* being this protocol.
     Malformed,
-    /// A checksum did not verify.
-    Checksum,
     /// The value is syntactically valid but not supported by this
     /// implementation (e.g. an IPv4 packet with options we refuse to edit).
     Unsupported,
@@ -103,7 +101,6 @@ impl fmt::Display for Error {
         match self {
             Error::Truncated => write!(f, "truncated packet"),
             Error::Malformed => write!(f, "malformed packet"),
-            Error::Checksum => write!(f, "checksum failure"),
             Error::Unsupported => write!(f, "unsupported format"),
         }
     }
@@ -176,7 +173,6 @@ mod tests {
     fn error_display_is_stable() {
         assert_eq!(Error::Truncated.to_string(), "truncated packet");
         assert_eq!(Error::Malformed.to_string(), "malformed packet");
-        assert_eq!(Error::Checksum.to_string(), "checksum failure");
         assert_eq!(Error::Unsupported.to_string(), "unsupported format");
     }
 }

@@ -176,8 +176,6 @@ pub fn parse_srtp(payload: &[u8], wire_len: usize) -> Result<SrtpRepr> {
 pub struct SrtcpRepr {
     /// RTCP packet type of the first (cleartext-headed) packet: 200–206.
     pub packet_type: u8,
-    /// Length of the first RTCP packet in bytes (from its length field).
-    pub first_packet_len: usize,
     /// Sender SSRC from the first packet.
     pub ssrc: u32,
 }
@@ -193,14 +191,12 @@ pub fn parse_srtcp(payload: &[u8]) -> Result<SrtcpRepr> {
         return Err(Error::Malformed);
     }
     let words = u16::from_be_bytes([payload[2], payload[3]]);
-    let first_packet_len = (usize::from(words) + 1) * 4;
-    if first_packet_len > payload.len() {
+    if (usize::from(words) + 1) * 4 > payload.len() {
         return Err(Error::Truncated);
     }
     let ssrc = u32::from_be_bytes([payload[4], payload[5], payload[6], payload[7]]);
     Ok(SrtcpRepr {
         packet_type: payload[1],
-        first_packet_len,
         ssrc,
     })
 }
@@ -365,7 +361,7 @@ mod tests {
     fn srtcp_rejects_short_and_oversized() {
         let mut buf = vec![0x80, 200, 0, 1, 0, 0, 0, 7];
         let r = parse_srtcp(&buf).unwrap();
-        assert_eq!((r.first_packet_len, r.ssrc), (8, 7));
+        assert_eq!((r.packet_type, r.ssrc), (200, 7));
         buf[3] = 9; // 40 bytes claimed, 8 present
         assert_eq!(parse_srtcp(&buf).unwrap_err(), Error::Truncated);
         assert_eq!(parse_srtcp(&[0x80, 200]).unwrap_err(), Error::Truncated);

@@ -416,7 +416,7 @@ fn workers_ship_prefixes_and_the_merge_cannot_tell() {
         let is_stun = |r: &Record| {
             let p = peek(&r.data, LinkType::Ethernet).expect("sim records dissect");
             p.five_tuple().involves_port(STUN_PORT)
-                && p.udp_payload.is_some_and(zoom_wire::stun::looks_like_stun)
+                && zoom_wire::stun::looks_like_stun(p.transport.payload(&r.data))
         };
         let (stun, rest): (Vec<Record>, Vec<Record>) = records.iter().cloned().partition(is_stun);
         assert!(!stun.is_empty() && rest.len() > 1_000, "{name}: split");

@@ -456,17 +456,20 @@ fn campus_analysis() -> (u64, EngineOutput) {
 }
 
 /// Live heap a batch analysis may hold per live stream, at its peak,
-/// fixed costs shared out: 2 590 B measured on [`campus_pipe`]'s 264
+/// fixed costs shared out: 2 486 B measured on [`campus_pipe`]'s 264
 /// streams, plus 10 %. Each `Stream` keeps its video-only state (frames,
 /// frame-level jitter) behind one pointer that audio leaves null, its
 /// sub-streams in a vector sized exactly, each with the holes of its
 /// sequence window rather than a bit per number; an RTP-copy probe is 16
 /// bytes, the meeting grouper keeps one entry per stream, and the drain
-/// cuts no window nobody reads. With a 256-byte seen-bit window per
-/// sub-stream and 32-byte probes it measured 4 381 B; with the video
+/// cuts no window nobody reads. With per-flow packet, byte and
+/// first-seen counters and per-sub-stream received, reordered and
+/// unique counts that nothing read it measured 2 590 B; with a 256-byte
+/// seen-bit window per sub-stream and 32-byte probes, 4 381 B; with the
+/// video
 /// state inline, doubling sub-stream vectors and the window cut too,
 /// 7 012 B.
-const MAX_BYTES_PER_LIVE_STREAM: u64 = 2_849;
+const MAX_BYTES_PER_LIVE_STREAM: u64 = 2_734;
 
 #[test]
 fn retained_bytes_per_live_stream() {
